@@ -4,7 +4,8 @@ Exit codes: 0 on success or mathematical PASS, 1 on mathematical FAIL
 (hypothesis violated, invalid complex, selftest failure), 2 on input or
 usage errors.  Flags can be preset through environment variables with the
 P1DOM_ prefix (P1DOM_RING, P1DOM_TRUNC, P1DOM_TRUNC_MAX, P1DOM_SEED,
-P1DOM_FORMAT, P1DOM_OUT); explicit flags win.
+P1DOM_FORMAT, P1DOM_OUT); explicit flags win.  A preset is checked like the
+flag it stands for.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import fileformat as ff
 from .complexes import homology
 from .domination import dominate, fpqc_hyper, novikov_check, verify_theorem
 from .errors import (FormatError, NotNovikovAcyclicError, P1DomError,
-                     StabilisationFailureError)
+                     StabilisationFailureError, UnsupportedRingError)
 from .extension import extend_complex
 from .scalars import ring_from_tag
 from .selftest import run_selftest
@@ -28,8 +29,48 @@ EXIT_MATH_FAIL = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _env(name, default=None):
-    return os.environ.get(f"P1DOM_{name}", default)
+def _integer(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid integer {text!r}") from None
+
+
+def _order(text):
+    """--trunc / --trunc-max: an integer of at least 1."""
+    value = _integer(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _ring_tag(text):
+    try:
+        ring_from_tag(text)
+    except (UnsupportedRingError, ValueError):
+        raise argparse.ArgumentTypeError(
+            f"expected Q, Z or GF:p with p prime, got {text!r}") from None
+    return text
+
+
+def _output_format(text):
+    if text not in ("human", "report"):
+        raise argparse.ArgumentTypeError(
+            f"must be human or report, got {text!r}")
+    return text
+
+
+# flag attribute -> (environment variable, converter, built-in default);
+# the flags default to None so that a preset is read when main() runs
+PRESETS = {
+    "ring": ("P1DOM_RING", _ring_tag, None),
+    "trunc": ("P1DOM_TRUNC", _order, 16),
+    "trunc_max": ("P1DOM_TRUNC_MAX", _order, 64),
+    "seed": ("P1DOM_SEED", _integer, 0),
+    "format": ("P1DOM_FORMAT", _output_format, "human"),
+    "out": ("P1DOM_OUT", str, None),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,18 +83,16 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, with_input=True):
         if with_input:
             p.add_argument("input", help="input file")
-        p.add_argument("--ring", default=_env("RING"),
+        p.add_argument("--ring", type=_ring_tag,
                        help="Q | GF:p | Z; must match the file header")
-        p.add_argument("--trunc", type=int,
-                       default=int(_env("TRUNC", "16")),
+        p.add_argument("--trunc", type=_order,
                        help="truncation order N (default 16)")
-        p.add_argument("--trunc-max", type=int,
-                       default=int(_env("TRUNC_MAX", "64")),
+        p.add_argument("--trunc-max", type=_order,
                        help="maximum truncation order (default 64)")
-        p.add_argument("--seed", type=int, default=int(_env("SEED", "0")))
-        p.add_argument("--format", choices=("human", "report"),
-                       default=_env("FORMAT", "human"))
-        p.add_argument("--out", default=_env("OUT"),
+        p.add_argument("--seed", type=_integer)
+        p.add_argument("--format", type=_output_format,
+                       metavar="{human,report}")
+        p.add_argument("--out",
                        help="write output to this path instead of stdout")
 
     common(sub.add_parser("validate", help="check d.d = 0 and exponent legality"))
@@ -73,6 +112,24 @@ def build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("selftest", help="run the embedded example corpus")
     common(st, with_input=False)
     return parser
+
+
+PARSER = build_parser()
+
+
+def _apply_presets(args):
+    """Fill each flag left unset from its P1DOM_ variable or default."""
+    for attr, (var, convert, default) in PRESETS.items():
+        if getattr(args, attr) is not None:
+            continue
+        raw = os.environ.get(var)
+        if raw is None:
+            setattr(args, attr, default)
+            continue
+        try:
+            setattr(args, attr, convert(raw))
+        except argparse.ArgumentTypeError as exc:
+            raise FormatError(f"{var}: {exc}") from None
 
 
 def _emit(args, human_lines, report_obj):
@@ -298,17 +355,14 @@ HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code not in (0, None) else EXIT_OK
-    trunc = getattr(args, "trunc", None)
-    trunc_max = getattr(args, "trunc_max", None)
-    if trunc is not None and trunc_max is not None and trunc > trunc_max:
-        print("input error: --trunc exceeds --trunc-max", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     try:
+        _apply_presets(args)
+        if args.trunc > args.trunc_max:
+            raise FormatError("--trunc exceeds --trunc-max")
         return HANDLERS[args.command](args)
     except FormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .errors import RingMismatchError, ShapeError, UnsupportedRingError
 from .laurent import BaseRing, LaurentPoly
-from .matrices import LaurentMatrix, scalar_rank
+from .matrices import LaurentMatrix, ScalarMatrix, scalar_rank
+from .scalars import CoefficientRing
 from .smith import smith_normal_form
 
 
@@ -356,23 +357,48 @@ def homology(c: ChainComplex) -> HomologyReport:
 
 
 def _homology_scalar(c: ChainComplex) -> HomologyReport:
-    ranks = {}
-    for m in range(c.lo, c.hi + 2):
-        d = c.diff(m)
-        ranks[m] = scalar_rank(d) if d.rows and d.cols else 0
-    entries = {}
-    for q in c.degrees():
-        dim = c.rank(q) - ranks.get(q, 0) - ranks.get(q + 1, 0)
-        entries[q] = HomologyEntry(dim, (), dim)
+    entries = {q: HomologyEntry(dim, (), dim)
+               for q, dim in homology_dims(c).items()}
     return HomologyReport(c.ring.tag, c.base.tag, entries)
 
 
-def homology_dims(c: ChainComplex) -> dict:
-    """Degree -> K-dimension for a complex over base K."""
-    if c.base != BaseRing.K:
-        raise UnsupportedRingError("homology_dims expects a K-complex")
-    report = _homology_scalar(c)
-    return {q: e.kdim for q, e in report.entries.items()}
+@dataclass(frozen=True)
+class ScalarComplex:
+    """Bounded complex of finite-dimensional K-vector spaces.
+
+    ``diffs[m]`` is the ScalarMatrix of C_m -> C_{m-1}; a degree without
+    one has the zero differential.  Homology dimensions over K are
+    computed in this form.
+    """
+
+    ring: CoefficientRing
+    lo: int
+    hi: int
+    ranks: dict
+    diffs: dict
+
+    @classmethod
+    def from_chain(cls, c: ChainComplex) -> "ScalarComplex":
+        if c.base != BaseRing.K:
+            raise UnsupportedRingError("homology_dims expects a K-complex")
+        return cls(c.ring, c.lo, c.hi, dict(c.ranks),
+                   {m: ScalarMatrix.from_laurent(d)
+                    for m, d in c.diffs.items()})
+
+    def to_chain(self) -> ChainComplex:
+        return ChainComplex(self.ring, BaseRing.K, self.lo, self.hi,
+                            self.ranks, {m: d.to_laurent()
+                                         for m, d in self.diffs.items()})
+
+
+def homology_dims(c: ChainComplex | ScalarComplex) -> dict:
+    """Degree -> K-dimension of a K-complex (ChainComplex or ScalarComplex)."""
+    if isinstance(c, ChainComplex):
+        c = ScalarComplex.from_chain(c)
+    ranks = {m: scalar_rank(d) for m, d in c.diffs.items()
+             if d.rows and d.cols}
+    return {q: c.ranks.get(q, 0) - ranks.get(q, 0) - ranks.get(q + 1, 0)
+            for q in range(c.lo, c.hi + 1)}
 
 
 def is_acyclic(c: ChainComplex) -> bool:

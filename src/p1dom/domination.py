@@ -18,19 +18,27 @@ of such a window carries, besides the torsion of degree q, the torsion of
 degree q-1 (the universal-coefficient correction), so the reported values
 are obtained by telescoping the stabilised window dimensions from the
 bottom degree upward.
+
+A window is never a Laurent matrix.  ``window_complex`` writes each
+differential as sparse scalar rows straight from the coefficients of the
+chart complex; numbering slot tau of generator j as tau * rank + j makes
+the matrix a banded Toeplitz block.  Its window dimensions are rank-nullity
+counts, with every rank taken by ``matrices.scalar_rank``: sparse
+elimination mod p over GF(p), fraction-free on integer rows over Q.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .complexes import ChainComplex, ChainMap, homology, homology_dims
+from .complexes import (ChainComplex, ChainMap, HomologyReport, ScalarComplex,
+                        homology, homology_dims)
 from .diagrams import ComplexDiagram, hypercohomology
 from .errors import (NotAUnitError, NotNovikovAcyclicError, ShapeError,
                      StabilisationFailureError, UnsupportedRingError)
 from .extension import ExtensionResult, extend_complex
 from .laurent import BaseRing, LaurentPoly
-from .matrices import LaurentMatrix
+from .matrices import LaurentMatrix, ScalarMatrix
 from .series import TruncatedSeries, laurent_series
 from .sheaves import cech_complex
 
@@ -40,12 +48,15 @@ from .sheaves import cech_complex
 # ---------------------------------------------------------------------------
 
 
-def window_complex(c: ChainComplex, order: int) -> ChainComplex:
+def window_complex(c: ChainComplex, order: int) -> ScalarComplex:
     """Quotient model of c tensored with the chart power-series ring.
 
-    Each generator becomes ``order`` monomial slots in the direction
-    variable; multiplication drops everything at or beyond the cutoff,
-    which is exactly the quotient by the Nth power of the variable.
+    Each generator becomes ``order`` monomial slots in the chart variable
+    (x for a K[x]-complex, x^-1 for a K[x^-1]-complex); multiplication drops
+    everything at or beyond the cutoff, which is exactly the quotient by the
+    Nth power of the variable.  Slot tau of generator j has index
+    tau * rank + j, so every differential is a banded Toeplitz matrix whose
+    sparse rows are filled straight from the coefficients of c.
     """
     if c.base == BaseRing.POLY:
         direction = 1
@@ -54,34 +65,27 @@ def window_complex(c: ChainComplex, order: int) -> ChainComplex:
     else:
         raise UnsupportedRingError(
             "window models exist for K[x] and K[x^-1] complexes")
-    ring = c.ring
     ranks = {m: c.rank(m) * order for m in c.degrees()}
     diffs = {}
     for m in range(c.lo + 1, c.hi + 1):
-        d = c.diff(m)
-        rows = ranks[m - 1]
-        cols = ranks[m]
-        grid = [[ring.zero()] * cols for _ in range(rows)]
-        for i, j, p in d.nonzero_entries():
+        src = c.rank(m)
+        tgt = c.rank(m - 1)
+        rows = [{} for _ in range(ranks[m - 1])]
+        for i, j, p in c.diff(m).nonzero_entries():
             for e, coeff in p.items():
-                te = e * direction
-                for tau in range(order - te):
-                    grid[i * order + tau + te][j * order + tau] = ring.add(
-                        grid[i * order + tau + te][j * order + tau], coeff)
-        diffs[m] = LaurentMatrix(
-            ring, rows, cols,
-            [[LaurentPoly.constant(ring, v) for v in row] for row in grid],
-            BaseRing.K, check=False)
-    return ChainComplex(ring, BaseRing.K, c.lo, c.hi, ranks, diffs)
+                shift = e * direction
+                for tau in range(order - shift):
+                    rows[(tau + shift) * tgt + i][tau * src + j] = coeff
+        diffs[m] = ScalarMatrix(c.ring, ranks[m - 1], ranks[m], rows)
+    return ScalarComplex(c.ring, c.lo, c.hi, ranks, diffs)
 
 
 @dataclass(frozen=True)
 class TruncatedSeriesComplex:
-    """Window model of a chart complex with its stabilisation record."""
+    """Window dimensions of a chart complex at orders N and 2N."""
 
     base_tag: str
     order: int
-    model: ChainComplex
     dims_at_order: dict
     dims_at_double: dict
 
@@ -92,12 +96,10 @@ class TruncatedSeriesComplex:
 
 def truncated_series_complex(c: ChainComplex, order: int) -> TruncatedSeriesComplex:
     tag = "K[[x]]" if c.base == BaseRing.POLY else "K[[x^-1]]"
-    model = window_complex(c, order)
     return TruncatedSeriesComplex(
         base_tag=tag,
         order=order,
-        model=model,
-        dims_at_order=homology_dims(model),
+        dims_at_order=homology_dims(window_complex(c, order)),
         dims_at_double=homology_dims(window_complex(c, 2 * order)),
     )
 
@@ -122,17 +124,20 @@ def stabilised_series_dims(c: ChainComplex, order: int, order_max: int):
 
     Doubles the window until the raw dimensions agree at N and 2N (the
     stabilisation heuristic, flagged as such in reports), then telescopes.
-    Raises StabilisationFailureError beyond ``order_max``.
+    Returns the telescoped dimensions and the order N.  Raises
+    StabilisationFailureError beyond ``order_max``.
     """
     n = order
+    dims = homology_dims(window_complex(c, n))
     while True:
-        tsc = truncated_series_complex(c, n)
-        if tsc.stabilised:
-            return _telescope(tsc.dims_at_order, c.lo, c.hi), n, tsc
+        double = homology_dims(window_complex(c, 2 * n))
+        if dims == double:
+            return _telescope(dims, c.lo, c.hi), n
         if 2 * n > order_max:
             raise StabilisationFailureError(
                 f"chart homology dimensions did not stabilise by N={order_max}")
         n *= 2
+        dims = double
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +157,9 @@ class SideVerdict:
 class NovikovVerdict:
     x_side: SideVerdict
     x_inv_side: SideVerdict
+    # field mode: the homology over K[x,x^-1] both sides were read from
+    homology: HomologyReport | None = field(default=None, compare=False,
+                                            repr=False)
 
     @property
     def both_acyclic(self) -> bool:
@@ -179,7 +187,7 @@ def _novikov_field(c: ChainComplex) -> NovikovVerdict:
     }
     side = SideVerdict("yes" if torsion_only else "no", "snf-torsion", cert)
     # over a field both Novikov conditions coincide with torsion homology
-    return NovikovVerdict(side, side)
+    return NovikovVerdict(side, side, report)
 
 
 def _novikov_integers(c: ChainComplex, order: int) -> NovikovVerdict:
@@ -258,8 +266,11 @@ def _contraction_side(c: ChainComplex, direction: int, order: int) -> SideVerdic
         a = mats[m].pop((pi, pj))
         try:
             a_inv = a.invert()
-        except NotAUnitError:
-            continue
+        except NotAUnitError as exc:
+            raise AssertionError(
+                f"novikov {var}-side contraction, degree {m}: pivot "
+                f"({pi},{pj}) was certified a unit but does not invert"
+            ) from exc
         row = {j: s for (i, j), s in mats[m].items() if i == pi}
         col = {i: s for (i, j), s in mats[m].items() if j == pj}
         ok = True
@@ -355,8 +366,6 @@ class DominationWitness:
     ledger: tuple
     plus_order: int
     minus_order: int
-    plus_model: TruncatedSeriesComplex
-    minus_model: TruncatedSeriesComplex
     stabilisation_heuristic: bool = True
 
     @property
@@ -373,21 +382,29 @@ def dominate(c: ChainComplex, order: int = 16,
 
     Requires field coefficients and Novikov acyclicity on both sides.
     """
+    _require_field(c)
+    return _witness(c, novikov_check(c), order, order_max)
+
+
+def _require_field(c: ChainComplex):
     if not c.ring.is_field:
         raise UnsupportedRingError("dominate runs in field mode")
-    verdict = novikov_check(c)
+
+
+def _witness(c: ChainComplex, verdict: NovikovVerdict, order: int,
+             order_max: int) -> DominationWitness:
+    """The witness for a field complex whose Novikov verdict is known."""
+    mid = verdict.homology
     if not verdict.both_acyclic:
-        free = {q: e.free_rank for q, e in homology(c).entries.items()
-                if e.free_rank}
         raise NotNovikovAcyclicError(
-            f"homology has nonzero free rank in degrees {sorted(free)}")
+            "homology has nonzero free rank in degrees "
+            f"{sorted(mid.free_ranks())}")
     ext = extend_complex(c)
     w = cech_complex(ext.sheaf)
     w_dims = homology_dims(w)
-    mid = homology(c)
-    plus_dims, plus_order, plus_model = stabilised_series_dims(
+    plus_dims, plus_order = stabilised_series_dims(
         ext.sheaf.plus, order, order_max)
-    minus_dims, minus_order, minus_model = stabilised_series_dims(
+    minus_dims, minus_order = stabilised_series_dims(
         ext.sheaf.minus, order, order_max)
     rows = []
     degrees = sorted(set(w_dims) | set(plus_dims) | set(minus_dims)
@@ -404,7 +421,6 @@ def dominate(c: ChainComplex, order: int = 16,
     witness = DominationWitness(
         w=w, extension=ext, ledger=tuple(rows),
         plus_order=plus_order, minus_order=minus_order,
-        plus_model=plus_model, minus_model=minus_model,
     )
     if not witness.ledger_holds:
         raise StabilisationFailureError(
@@ -443,17 +459,20 @@ def fpqc_hyper(c_plus: ChainComplex, order: int = 16) -> FpqcModel:
     """
     if c_plus.base != BaseRing.POLY:
         raise UnsupportedRingError("fpqc model starts from a K[x]-complex")
-    total = _fpqc_total(c_plus, order)
-    total2 = _fpqc_total(c_plus, 2 * order)
+    # the window [-N, N) of the two Laurent charts is the window model of
+    # width 2N, shifted down by N
+    windows = {n: window_complex(c_plus, n)
+               for n in (order, 2 * order, 4 * order)}
+    total = _fpqc_total(windows[order], windows[2 * order])
+    total2 = _fpqc_total(windows[2 * order], windows[4 * order])
     model = FpqcModel(
         order=order,
         total=total,
         dims=homology_dims(total),
         dims_double=homology_dims(total2),
-        window_dims=_pad_degrees(homology_dims(window_complex(c_plus, order)),
-                                 total),
+        window_dims=_pad_degrees(homology_dims(windows[order]), total),
         window_dims_double=_pad_degrees(
-            homology_dims(window_complex(c_plus, 2 * order)), total2),
+            homology_dims(windows[2 * order]), total2),
     )
     if not model.window_matched:
         raise StabilisationFailureError(
@@ -465,48 +484,27 @@ def _pad_degrees(dims: dict, like: ChainComplex) -> dict:
     return {q: dims.get(q, 0) for q in like.degrees()}
 
 
-def _fpqc_total(c_plus: ChainComplex, order: int) -> ChainComplex:
-    ring = c_plus.ring
-    narrow = window_complex(c_plus, order)
-    wide = _wide_window_complex(c_plus, order)
+def _fpqc_total(narrow: ScalarComplex, wide: ScalarComplex) -> ChainComplex:
+    """Totalisation of (narrow -> wide <- wide), wide twice as long.
+
+    The inclusion sends slot tau of the narrow window to slot tau + N of the
+    wide one; with slot-major indices that is index i -> i + rank_m * N.
+    """
+    one = narrow.ring.one()
     incl = {}
-    for m in c_plus.degrees():
-        r = c_plus.rank(m)
-        rows = [[ring.zero()] * (r * order) for _ in range(r * 2 * order)]
-        for j in range(r):
-            for tau in range(order):
-                rows[j * 2 * order + tau + order][j * order + tau] = ring.one()
-        incl[m] = LaurentMatrix(
-            ring, r * 2 * order, r * order,
-            [[LaurentPoly.constant(ring, v) for v in row] for row in rows],
-            BaseRing.K, check=False)
-    mu_minus = ChainMap(narrow, wide, incl)
-    ident = ChainMap.identity(wide)
-    diagram = ComplexDiagram(narrow, wide, wide, mu_minus, ident)
+    for m in range(narrow.lo, narrow.hi + 1):
+        offset = narrow.ranks[m]
+        rows = [{} for _ in range(wide.ranks[m])]
+        for i in range(offset):
+            rows[i + offset][i] = one
+        incl[m] = ScalarMatrix(narrow.ring, wide.ranks[m], offset,
+                               rows).to_laurent()
+    narrow_c = narrow.to_chain()
+    wide_c = wide.to_chain()
+    mu_minus = ChainMap(narrow_c, wide_c, incl)
+    ident = ChainMap.identity(wide_c)
+    diagram = ComplexDiagram(narrow_c, wide_c, wide_c, mu_minus, ident)
     return hypercohomology(diagram)
-
-
-def _wide_window_complex(c: ChainComplex, order: int) -> ChainComplex:
-    """Window [-order, order) in the chart variable; quotient at the top."""
-    ring = c.ring
-    width = 2 * order
-    ranks = {m: c.rank(m) * width for m in c.degrees()}
-    diffs = {}
-    for m in range(c.lo + 1, c.hi + 1):
-        d = c.diff(m)
-        rows = ranks[m - 1]
-        cols = ranks[m]
-        grid = [[ring.zero()] * cols for _ in range(rows)]
-        for i, j, p in d.nonzero_entries():
-            for e, coeff in p.items():
-                for tau in range(width - e):
-                    grid[i * width + tau + e][j * width + tau] = ring.add(
-                        grid[i * width + tau + e][j * width + tau], coeff)
-        diffs[m] = LaurentMatrix(
-            ring, rows, cols,
-            [[LaurentPoly.constant(ring, v) for v in row] for row in grid],
-            BaseRing.K, check=False)
-    return ChainComplex(ring, BaseRing.K, c.lo, c.hi, ranks, diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -573,13 +571,16 @@ def verify_theorem(c: ChainComplex, order: int = 16,
     """Full pipeline: hypothesis check, witness production, ledger audit."""
     verdict = novikov_check(c)
     if not verdict.both_acyclic:
-        free = homology(c).free_ranks()
+        # Z mode has no homology report; homology(c) then names the reason
+        mid = verdict.homology if verdict.homology is not None else homology(c)
+        free = mid.free_ranks()
         checks = (TheoremCheck(
             "novikov-acyclic", False,
             "free rank " + ", ".join(
                 f"{r} in degree {q}" for q, r in sorted(free.items()))),)
         return TheoremReport("FAIL", verdict, checks)
-    witness = dominate(c, order, order_max)
+    _require_field(c)
+    witness = _witness(c, verdict, order, order_max)
     checks = []
     w = witness.w
     bounded = w.hi - w.lo < 10 ** 9
@@ -587,7 +588,7 @@ def verify_theorem(c: ChainComplex, order: int = 16,
         "witness-strict-perfect", bounded and all(
             r >= 0 for r in w.ranks.values()),
         f"ranks {sorted(witness.w_ranks().items())}"))
-    total = homology(c).total_kdim()
+    total = verdict.homology.total_kdim()
     checks.append(TheoremCheck(
         "finite-total-homology", total is not None,
         f"total dim_K = {total}"))

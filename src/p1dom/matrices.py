@@ -1,11 +1,14 @@
-"""Dense matrices of Laurent polynomials.
+"""Dense matrices of Laurent polynomials and sparse matrices of scalars.
 
-Matrices carry a base-ring tag; every entry must respect the tag's exponent
-constraint.  Storage is dense row-major, suitable for the desk-scale sizes
-this package targets.
+Laurent matrices carry a base-ring tag; every entry must respect the tag's
+exponent constraint.  Their storage is dense row-major, suitable for the
+desk-scale sizes this package targets.  Scalar matrices over K store sparse
+rows and carry the one exact rank kernel, ``scalar_rank``.
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm
 
 from .errors import BaseRingViolationError, ShapeError
 from .laurent import BaseRing, LaurentPoly, exact_div
@@ -279,56 +282,117 @@ class LaurentMatrix:
         return f"[{body}]"
 
 
-def scalar_rank(m: LaurentMatrix) -> int:
-    """Rank of a matrix of constants (exponent-0 entries) over a field.
+class ScalarMatrix:
+    """Sparse rows x cols matrix over the coefficient ring K.
 
-    Plain Gaussian elimination on the coefficients; fast path used for
-    complexes over the base ring K.
+    ``data[i]`` is row i as a dict ``{col: value}``; absent columns are
+    zero.  Values are exact ring elements (ints for GF(p) and Z, Fractions
+    or ints over Q), so a scalar matrix wraps back into a LaurentMatrix of
+    constants without loss.
     """
-    ring = m.ring
-    rows = []
-    for row in m.entries:
-        out = []
-        for p in row:
-            if p.is_zero:
-                out.append(ring.zero())
-            else:
+
+    __slots__ = ("ring", "rows", "cols", "data")
+
+    def __init__(self, ring: CoefficientRing, rows: int, cols: int, data):
+        if rows < 0 or cols < 0:
+            raise ShapeError("negative matrix dimensions")
+        if len(data) != rows:
+            raise ShapeError(f"{len(data)} row dicts for {rows} rows")
+        self.ring = ring
+        self.rows = rows
+        self.cols = cols
+        self.data = data
+
+    @classmethod
+    def from_laurent(cls, m: LaurentMatrix) -> "ScalarMatrix":
+        """The constants of ``m``; any other exponent is a ShapeError."""
+        data = []
+        for row in m.entries:
+            out = {}
+            for j, p in enumerate(row):
+                if p.is_zero:
+                    continue
                 if p.maxdeg != 0 or p.mindeg != 0:
-                    raise ShapeError("scalar_rank on a non-constant matrix")
-                out.append(p.coeff(0))
-        rows.append(out)
-    return field_row_rank(ring, rows)
+                    raise ShapeError("scalar matrix of a non-constant matrix")
+                out[j] = p.coeff(0)
+            data.append(out)
+        return cls(m.ring, m.rows, m.cols, data)
+
+    def to_laurent(self) -> LaurentMatrix:
+        ring = self.ring
+        z = LaurentPoly.zero(ring)
+        entries = [[z] * self.cols for _ in range(self.rows)]
+        for i, row in enumerate(self.data):
+            for j, v in row.items():
+                entries[i][j] = LaurentPoly.constant(ring, v)
+        return LaurentMatrix(ring, self.rows, self.cols, entries,
+                             BaseRing.K, check=False)
 
 
-def field_row_rank(ring: CoefficientRing, rows) -> int:
-    """Rank of a list-of-lists matrix of ring elements, ring a field."""
-    if not rows or not rows[0]:
-        return 0
-    rows = [list(r) for r in rows]
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    nrows = len(rows)
-    while rank < nrows and col < ncols:
-        pivot = None
-        for i in range(rank, nrows):
-            if rows[i][col] != 0:
-                pivot = i
+def scalar_rank(m: ScalarMatrix) -> int:
+    """Rank of ``m`` over the fraction field of its coefficient ring.
+
+    Rows are reduced one at a time against the pivot rows found so far,
+    each pivot keyed by its leading (smallest) column, so a banded matrix
+    keeps its fill-in inside the band.  Over GF(p) pivots are scaled to a
+    leading 1.  Over Q (and Z) each row is first multiplied by the lcm of
+    its denominators; elimination is then fraction-free, as in Bareiss
+    (1968): cross-multiply by the pivot and divide by the row's content.
+    """
+    if m.ring.kind == "GF":
+        return _rank_mod_p(m.data, m.ring.p)
+    return _rank_integer(m.data)
+
+
+def _rank_mod_p(data, p: int) -> int:
+    pivots = {}
+    for row in data:
+        r = {j: v % p for j, v in row.items() if v % p}
+        while r:
+            lead = min(r)
+            prow = pivots.get(lead)
+            if prow is None:
+                inv = pow(r[lead], -1, p)
+                pivots[lead] = {j: v * inv % p for j, v in r.items()}
                 break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = ring.invert(rows[rank][col])
-        prow = rows[rank]
-        for j in range(col, ncols):
-            prow[j] = ring.mul(prow[j], inv)
-        for i in range(nrows):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                irow = rows[i]
-                for j in range(col, ncols):
-                    irow[j] = ring.sub(irow[j], ring.mul(f, prow[j]))
-        rank += 1
-        col += 1
-    return rank
+            f = r[lead]
+            # prow leads with 1, so the lead cancels and the next is larger
+            for j, v in prow.items():
+                nv = (r.get(j, 0) - f * v) % p
+                if nv:
+                    r[j] = nv
+                else:
+                    r.pop(j, None)
+    return len(pivots)
+
+
+def _rank_integer(data) -> int:
+    pivots = {}
+    for row in data:
+        den = lcm(*(v.denominator for v in row.values()))
+        r = {j: v.numerator * (den // v.denominator)
+             for j, v in row.items() if v}
+        while r:
+            g = gcd(*r.values())
+            if g != 1:
+                r = {j: v // g for j, v in r.items()}
+            lead = min(r)
+            prow = pivots.get(lead)
+            if prow is None:
+                pivots[lead] = r
+                break
+            a = prow[lead]
+            b = r[lead]
+            g = gcd(a, b)
+            a //= g
+            b //= g
+            if a != 1:
+                r = {j: a * v for j, v in r.items()}
+            # a * r - b * prow cancels the lead, so the next one is larger
+            for j, v in prow.items():
+                nv = r.get(j, 0) - b * v
+                if nv:
+                    r[j] = nv
+                else:
+                    r.pop(j, None)
+    return len(pivots)

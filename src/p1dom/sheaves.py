@@ -21,7 +21,7 @@ from .complexes import ChainComplex
 from .errors import (NonVanishingH1Error, BandViolationError,
                      RingMismatchError, ShapeError, UnsupportedRingError)
 from .laurent import BaseRing, LaurentPoly
-from .matrices import LaurentMatrix
+from .matrices import LaurentMatrix, ScalarMatrix, scalar_rank
 
 
 @dataclass(frozen=True)
@@ -231,21 +231,16 @@ def _cech_banded_dims(d, mu_m, mu_p, width):
                 else:
                     # contribution escapes the band: mark the column dirty
                     rows.setdefault(("escape", idx), {})[idx] = ring.one()
-    row_keys = sorted(rows, key=str)
-    dense = [[rows[k].get(j, ring.zero()) for j in range(len(cols))]
-             for k in row_keys]
-    from .matrices import field_row_rank
-
-    rank = field_row_rank(ring, dense) if dense else 0
+    rank = scalar_rank(ScalarMatrix(ring, len(rows), len(cols),
+                                    list(rows.values())))
     h0 = len(cols) - rank
     # cokernel on the inner half-band, where the image is fully represented
     inner = width // 2
-    mid_keys = [k for k in row_keys
+    mid_rows = [row for k, row in rows.items()
                 if k[0] != "escape" and -inner <= k[1] <= inner]
-    proj = [[rows[k].get(j, ring.zero()) for j in range(len(cols))]
-            for k in mid_keys]
-    prank = field_row_rank(ring, proj) if proj else 0
-    h1 = len(mid_keys) - prank
+    prank = scalar_rank(ScalarMatrix(ring, len(mid_rows), len(cols),
+                                     mid_rows))
+    h1 = len(mid_rows) - prank
     return h0, h1
 
 

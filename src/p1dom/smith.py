@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import ShapeError, UnsupportedRingError
 from .laurent import (LaurentPoly, divides, divmod_laurent, exact_div,
                       xgcd_laurent)
-from .matrices import LaurentMatrix
+from .matrices import LaurentMatrix, ScalarMatrix, scalar_rank
 
 
 @dataclass(frozen=True)
@@ -315,12 +315,10 @@ def smith_normal_form(a: LaurentMatrix) -> SmithForm:
 
 def matrix_rank(a: LaurentMatrix) -> int:
     """Rank over the fraction field of K[x,x^-1]."""
-    from .matrices import scalar_rank
-
     if a.rows == 0 or a.cols == 0:
         return 0
     degs = {p.maxdeg for _, _, p in a.nonzero_entries()}
     degs |= {p.mindeg for _, _, p in a.nonzero_entries()}
     if degs <= {0} and a.ring.is_field:
-        return scalar_rank(a)
+        return scalar_rank(ScalarMatrix.from_laurent(a))
     return smith_normal_form(a).rank

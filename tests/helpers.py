@@ -2,7 +2,7 @@
 
 from p1dom.complexes import ChainComplex
 from p1dom.laurent import BaseRing, LaurentPoly
-from p1dom.matrices import LaurentMatrix
+from p1dom.matrices import LaurentMatrix, ScalarMatrix
 
 
 def P(ring, *pairs):
@@ -34,3 +34,10 @@ def M(ring, rows, base=BaseRing.LAURENT):
 
 def two_term(ring, pairs, top=1, base=BaseRing.LAURENT):
     return ChainComplex.two_term(ring, P(ring, *pairs), top, base)
+
+
+def S(ring, grid):
+    """ScalarMatrix from a dense grid of ring elements."""
+    return ScalarMatrix(ring, len(grid), len(grid[0]) if grid else 0,
+                        [{j: v for j, v in enumerate(row) if v}
+                         for row in grid])

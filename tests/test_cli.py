@@ -147,3 +147,40 @@ def test_selftest_runs(capsys):
     out = capsys.readouterr().out
     assert "twist-cohomology-table" in out
     assert "FAIL" not in out.replace("PASS", "")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--trunc", "0"],
+    ["--trunc", "-3"],
+    ["--trunc-max", "0"],
+    ["--trunc", "abc"],
+    ["--format", "xml"],
+    ["--ring", "GF:4"],
+    ["--ring", "GF:x"],
+])
+def test_bad_flag_is_input_error(xm1_file, flags, capsys):
+    assert main(["verify", xm1_file] + flags) == 2
+    assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("var, value", [
+    ("P1DOM_TRUNC", "abc"),
+    ("P1DOM_TRUNC", "0"),
+    ("P1DOM_TRUNC", "-3"),
+    ("P1DOM_TRUNC_MAX", "0"),
+    ("P1DOM_SEED", "1.5"),
+    ("P1DOM_FORMAT", "xml"),
+    ("P1DOM_RING", "R"),
+])
+def test_bad_preset_is_input_error(xm1_file, var, value, monkeypatch,
+                                   capsys):
+    monkeypatch.setenv(var, value)
+    assert main(["verify", xm1_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and var in err
+
+
+def test_flag_overrides_bad_preset(xm1_file, monkeypatch, capsys):
+    monkeypatch.setenv("P1DOM_TRUNC", "abc")
+    assert main(["verify", xm1_file, "--trunc", "8"]) == 0
+    assert "orders (plus 8, minus 8)" in capsys.readouterr().out

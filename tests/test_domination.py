@@ -273,3 +273,34 @@ def test_k0_class():
     assert k0_class_pid(ChainComplex(QQ, BaseRing.LAURENT, 0, 0, {0: 3})) == 3
     c = random_complex(random.Random(2), QQ)
     assert k0_class_pid(c.shift(1)) == -k0_class_pid(c)
+
+
+def test_contraction_pivot_that_does_not_invert_is_internal_error(
+        monkeypatch):
+    from p1dom.errors import NotAUnitError
+    from p1dom.series import TruncatedSeries
+
+    def refuse(self):
+        raise NotAUnitError("refused")
+
+    monkeypatch.setattr(TruncatedSeries, "invert", refuse)
+    c = two_term(ZZ, [(1, 1), (0, -1)]).direct_sum(
+        two_term(ZZ, [(1, 1), (0, -1)], top=2))
+    with pytest.raises(AssertionError, match="contraction, degree"):
+        novikov_check(c)
+
+
+def test_verify_theorem_computes_homology_once(monkeypatch):
+    import p1dom.domination as domination
+
+    calls = []
+    original = domination.homology
+
+    def counting(c):
+        calls.append(c)
+        return original(c)
+
+    monkeypatch.setattr(domination, "homology", counting)
+    report = verify_theorem(random_novikov_acyclic(random.Random(5), QQ))
+    assert report.passed
+    assert len(calls) == 1
