@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 
 from . import fileformat as ff
@@ -132,16 +133,31 @@ def _apply_presets(args):
             raise FormatError(f"{var}: {exc}") from None
 
 
+def _write(args, text):
+    """Write ``text`` to --out, or to stdout without one.
+
+    The file is opened without truncation and cut to the written length
+    afterwards, so the final bytes are the same as with mode "w".  On ext4
+    (auto_da_alloc) truncating a file that was written moments before to
+    zero length forces a flush, which stalled each write by tens of ms.
+    """
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    data = text.encode("utf-8")
+    with open(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666),
+              "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate(len(data))
+
+
 def _emit(args, human_lines, report_obj):
     if args.format == "report":
         text = ff.dumps_canonical(report_obj)
     else:
         text = "\n".join(human_lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, text)
 
 
 def _load_complex(args):
@@ -226,25 +242,14 @@ def cmd_extend(args):
             f"{m}:(k={k},l={l})" for m, (k, l) in sorted(ext.profile.items()))
         _emit(args, [f"twist profile: {profile}"], data)
         return EXIT_OK
-    text = ff.dumps_canonical(data)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, ff.dumps_canonical(data))
     return EXIT_OK
 
 
 def cmd_h0(args):
     s = _load_sheaf(args)
     w = cech_complex(s)
-    data = ff.complex_to_dict(w)
-    text = ff.dumps_canonical(data)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, ff.dumps_canonical(ff.complex_to_dict(w)))
     return EXIT_OK
 
 
@@ -367,8 +372,14 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a missing input, a directory, an unwritable --out: the message
+        # names the path
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except UnicodeDecodeError as exc:
+        print(f"input error: {getattr(args, 'input', '')}: not UTF-8 text "
+              f"({exc.reason} at byte {exc.start})", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (NotNovikovAcyclicError, StabilisationFailureError) as exc:
         print(f"FAIL: {exc}", file=sys.stderr)

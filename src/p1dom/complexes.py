@@ -340,15 +340,18 @@ def homology(c: ChainComplex) -> HomologyReport:
         if c.rank(q) == 0:
             entries[q] = HomologyEntry(0, (), 0)
             continue
-        out_snf = smith_normal_form(c.diff(q))
-        kernel_rank = c.rank(q) - out_snf.rank
         incoming = c.diff(q + 1)
+        # only Vinv of the outgoing form is read (kernel coordinates), and
+        # only the factors of the second
+        out_snf = smith_normal_form(
+            c.diff(q), track=("Vinv",) if incoming.cols else ())
+        kernel_rank = c.rank(q) - out_snf.rank
         if incoming.cols == 0 or kernel_rank == 0:
             free = kernel_rank
             torsion = ()
         else:
             m = out_snf.kernel_coordinates(incoming)
-            m_snf = smith_normal_form(m)
+            m_snf = smith_normal_form(m, track=())
             free = kernel_rank - m_snf.rank
             torsion = tuple(f for f in m_snf.factors if f.core_degree > 0)
         kdim = None if free else sum(f.core_degree for f in torsion)

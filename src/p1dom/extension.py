@@ -97,7 +97,6 @@ class ExtensionResult:
 
     sheaf: SheafComplex
     profile: dict              # degree -> (k, l)
-    iso: dict                  # degree -> identity matrix onto the input
 
     @property
     def twists(self) -> dict:
@@ -146,8 +145,7 @@ def extend_complex(c: ChainComplex) -> ExtensionResult:
     problems = sheaf.validate()
     if problems:
         raise ShapeError("extension failed validation: " + "; ".join(problems))
-    iso = {m: LaurentMatrix.identity(ring, c.rank(m)) for m in c.degrees()}
-    return ExtensionResult(sheaf, profile, iso)
+    return ExtensionResult(sheaf, profile)
 
 
 def restrict_to_torus(s: SheafComplex) -> ChainComplex:

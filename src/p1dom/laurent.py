@@ -65,11 +65,11 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls, ring):
-        return cls(ring)
+        return _canonical(ring, {})
 
     @classmethod
     def one(cls, ring):
-        return cls(ring, {0: ring.one()})
+        return _canonical(ring, {0: ring.one()})
 
     @classmethod
     def constant(cls, ring, value):
@@ -92,6 +92,10 @@ class LaurentPoly:
     @property
     def is_zero(self) -> bool:
         return not self._c
+
+    @property
+    def is_one(self) -> bool:
+        return self._c == {0: 1}
 
     def items(self):
         """Sorted (exponent, coefficient) pairs, exponents ascending."""
@@ -133,39 +137,41 @@ class LaurentPoly:
         check_same_ring(self.ring, other.ring)
         acc = dict(self._c)
         for e, c in other._c.items():
-            acc[e] = self.ring.add(acc.get(e, self.ring.zero()), c)
-        return LaurentPoly(self.ring, acc)
+            a = acc.get(e)
+            acc[e] = c if a is None else a + c
+        return _canonical(self.ring, _reduced(self.ring, acc))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return LaurentPoly(
-            self.ring, {e: self.ring.neg(c) for e, c in self._c.items()}
-        )
+        neg = self.ring.neg
+        return _canonical(self.ring, {e: neg(c) for e, c in self._c.items()})
 
     def __mul__(self, other):
         check_same_ring(self.ring, other.ring)
-        ring = self.ring
         acc = {}
         for e1, c1 in self._c.items():
             for e2, c2 in other._c.items():
                 e = e1 + e2
-                acc[e] = ring.add(acc.get(e, ring.zero()), ring.mul(c1, c2))
-        return LaurentPoly(ring, acc)
+                a = acc.get(e)
+                acc[e] = c1 * c2 if a is None else a + c1 * c2
+        return _canonical(self.ring, _reduced(self.ring, acc))
 
     def scale(self, coeff):
-        return LaurentPoly(
-            self.ring,
-            {e: self.ring.mul(c, coeff) for e, c in self._c.items()},
-        )
+        coeff = self.ring.normalise(coeff)
+        mul = self.ring.mul
+        return _canonical(self.ring,
+                          {e: mul(c, coeff) for e, c in self._c.items()})
 
     def times_monomial(self, exponent: int, coeff=None):
-        coeff = self.ring.one() if coeff is None else coeff
-        return LaurentPoly(
-            self.ring,
-            {e + exponent: self.ring.mul(c, coeff) for e, c in self._c.items()},
-        )
+        if coeff is None:
+            return _canonical(self.ring, {e + exponent: c
+                                          for e, c in self._c.items()})
+        coeff = self.ring.normalise(coeff)
+        mul = self.ring.mul
+        return _canonical(self.ring, {e + exponent: mul(c, coeff)
+                                      for e, c in self._c.items()})
 
     def evaluate(self, point):
         """Evaluate at a scalar point (the point must be a unit when
@@ -204,17 +210,16 @@ class LaurentPoly:
         v = self.mindeg
         lead = self._c[self.maxdeg]
         inv = self.ring.invert(lead)
-        core = LaurentPoly(
-            self.ring,
-            {e - v: self.ring.mul(c, inv) for e, c in self._c.items()},
-        )
+        mul = self.ring.mul
+        core = _canonical(self.ring,
+                          {e - v: mul(c, inv) for e, c in self._c.items()})
         return v, lead, core
 
     def inverse_unit(self):
         if not self.is_unit:
             raise NotAUnitError(f"{self} is not a unit of K[x,x^-1]")
         (e, c), = self._c.items()
-        return LaurentPoly(self.ring, {-e: self.ring.invert(c)})
+        return _canonical(self.ring, {-e: self.ring.invert(c)})
 
     # -- comparisons ---------------------------------------------------------
 
@@ -244,6 +249,27 @@ class LaurentPoly:
             else:
                 parts.append(f"{cs}*x^{e}" if cs != "1" else f"x^{e}")
         return " + ".join(parts)
+
+
+def _canonical(ring, coeffs) -> LaurentPoly:
+    """Wrap coefficients that are already canonical elements of ``ring``.
+
+    Results of arithmetic on canonical operands need no normalisation,
+    only the zeros dropped; outside input goes through the constructor.
+    """
+    p = object.__new__(LaurentPoly)
+    p.ring = ring
+    p._c = {e: c for e, c in coeffs.items() if c}
+    p._hash = None
+    return p
+
+
+def _reduced(ring, acc):
+    """Raw sums and products of canonical values, brought back mod p."""
+    if ring.p:
+        p = ring.p
+        return {e: c % p for e, c in acc.items()}
+    return acc
 
 
 def _power(ring, base, n):
@@ -298,8 +324,8 @@ def divmod_laurent(a: LaurentPoly, b: LaurentPoly):
                 rem.pop(t, None)
             else:
                 rem[t] = val
-    q = LaurentPoly(ring, {e + va - vb: c for e, c in quo.items()})
-    r = LaurentPoly(ring, {e + va: c for e, c in rem.items()})
+    q = _canonical(ring, {e + va - vb: c for e, c in quo.items()})
+    r = _canonical(ring, {e + va: c for e, c in rem.items()})
     return q, r
 
 
@@ -341,7 +367,7 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
                 rem.pop(t, None)
             else:
                 rem[t] = val
-    return LaurentPoly(ring, {e + va - vb: c for e, c in quo.items()})
+    return _canonical(ring, {e + va - vb: c for e, c in quo.items()})
 
 
 def divides(b: LaurentPoly, a: LaurentPoly) -> bool:

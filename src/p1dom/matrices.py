@@ -34,13 +34,7 @@ class LaurentMatrix:
             )
         self.entries = tuple(tuple(row) for row in entries)
         if check:
-            for i, row in enumerate(self.entries):
-                for j, p in enumerate(row):
-                    check_same_ring(ring, p.ring)
-                    if not p.respects(base):
-                        raise BaseRingViolationError(
-                            f"entry ({i},{j}) = {p} violates {base.tag}"
-                        )
+            self.check_base(base)
 
     # -- constructors ---------------------------------------------------
 
@@ -102,6 +96,15 @@ class LaurentMatrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
+
+    @property
+    def is_identity(self) -> bool:
+        """Square with ones on the diagonal and zeros elsewhere (a scan of
+        the entries; no comparison matrix is built)."""
+        return self.is_square and all(
+            p.is_one if i == j else p.is_zero
+            for i, row in enumerate(self.entries)
+            for j, p in enumerate(row))
 
     def nonzero_entries(self):
         for i, row in enumerate(self.entries):
@@ -199,10 +202,21 @@ class LaurentMatrix:
              for row in self.entries],
             BaseRing.LAURENT, check=False)
 
+    def check_base(self, base: BaseRing):
+        """Raise unless every entry is over this ring and respects ``base``."""
+        for i, row in enumerate(self.entries):
+            for j, p in enumerate(row):
+                check_same_ring(self.ring, p.ring)
+                if not p.respects(base):
+                    raise BaseRingViolationError(
+                        f"entry ({i},{j}) = {p} violates {base.tag}"
+                    )
+
     def with_base(self, base: BaseRing):
         """Re-tag, re-validating the exponent constraint."""
+        self.check_base(base)
         return LaurentMatrix(self.ring, self.rows, self.cols,
-                             self.entries, base, check=True)
+                             self.entries, base, check=False)
 
     def transpose(self):
         return LaurentMatrix(

@@ -5,7 +5,12 @@ structure maps into the middle.  Each middle basis vector carries a twist
 split (k, l): the stored matrices p_minus / p_plus are legal over K[x^-1]
 and K[x], and the true torus maps are diag(x^k) @ p_minus and
 diag(x^-l) @ p_plus.  With this bookkeeping the nth twisting sheaf stores
-identity matrices and all legality checks are integer comparisons.
+identity matrices and all legality checks are integer comparisons.  A level
+whose structure matrices are identities (a twist sum) is recognised by a
+scan of its entries; its torus maps diag(x^k) and diag(x^-l) have the unit
+determinants x^(sum k) and x^-(sum l), and between two such levels the
+chain-map squares are exponent shifts of the differentials, so validation
+multiplies no matrices and computes no determinant.
 
 Global sections and first cohomology of a sum of twists are banded monomial
 spaces: for a summand of twist n = k + l the section basis is
@@ -51,8 +56,8 @@ class SheafDiagram:
         r = len(self.twists)
         if p_minus.rows != r or p_plus.rows != r:
             raise ShapeError("structure matrices must have one row per summand")
-        p_minus.with_base(BaseRing.POLY_INV)
-        p_plus.with_base(BaseRing.POLY)
+        p_minus.check_base(BaseRing.POLY_INV)
+        p_plus.check_base(BaseRing.POLY)
         self.p_minus = p_minus
         self.p_plus = p_plus
 
@@ -83,11 +88,7 @@ class SheafDiagram:
 
     @property
     def is_twist_sum(self) -> bool:
-        r = self.mid_rank
-        return (self.p_minus == LaurentMatrix.identity(
-                    self.ring, r, BaseRing.POLY_INV)
-                and self.p_plus == LaurentMatrix.identity(
-                    self.ring, r, BaseRing.POLY))
+        return self.p_minus.is_identity and self.p_plus.is_identity
 
     # -- the actual structure maps over the torus ----------------------------
 
@@ -106,6 +107,9 @@ class SheafDiagram:
                             self.p_minus, self.p_plus)
 
     def validate(self):
+        if self.is_twist_sum:
+            # constant entries, and diag(x^k), diag(x^-l) are units
+            return []
         problems = []
         for label, m in (("minus", self.p_minus), ("plus", self.p_plus)):
             base = BaseRing.POLY_INV if label == "minus" else BaseRing.POLY
@@ -318,13 +322,25 @@ class SheafComplex:
                 continue
             lvl = self.level(m)
             prev = self.level(m - 1)
-            lhs = prev.mu_minus_torus() @ self.minus.diff(m)
-            rhs = self.mid.diff(m) @ lvl.mu_minus_torus()
-            if lhs != rhs:
+            mid_d = self.mid.diff(m)
+            if prev.is_twist_sum and lvl.is_twist_sum:
+                # diag(x^a) @ d == mid_d @ diag(x^b) as exponent shifts
+                pk = [t.k for t in prev.twists]
+                pl = [-t.l for t in prev.twists]
+                minus_ok = (self.minus.diff(m).monomial_row_scale(pk)
+                            == mid_d.monomial_col_scale(
+                                [t.k for t in lvl.twists]))
+                plus_ok = (self.plus.diff(m).monomial_row_scale(pl)
+                           == mid_d.monomial_col_scale(
+                               [-t.l for t in lvl.twists]))
+            else:
+                minus_ok = (prev.mu_minus_torus() @ self.minus.diff(m)
+                            == mid_d @ lvl.mu_minus_torus())
+                plus_ok = (prev.mu_plus_torus() @ self.plus.diff(m)
+                           == mid_d @ lvl.mu_plus_torus())
+            if not minus_ok:
                 problems.append(f"level {m}: minus structure map not a chain map")
-            lhs = prev.mu_plus_torus() @ self.plus.diff(m)
-            rhs = self.mid.diff(m) @ lvl.mu_plus_torus()
-            if lhs != rhs:
+            if not plus_ok:
                 problems.append(f"level {m}: plus structure map not a chain map")
         return problems
 
@@ -360,26 +376,25 @@ def cech_complex(s: SheafComplex) -> ChainComplex:
              for m in s.degrees()}
     diffs = {}
     for m in range(s.mid.lo + 1, s.mid.hi + 1):
-        rows = ranks.get(m - 1, 0)
-        cols = ranks.get(m, 0)
-        grid = [[ring.zero() for _ in range(cols)] for _ in range(rows)]
+        rows = [{} for _ in range(ranks.get(m - 1, 0))]
         d = s.mid.diff(m)
+        # column j of d as (row, sorted terms) over its nonzero entries
+        by_col = [[(i, d.entries[i][j].items()) for i in range(d.rows)
+                   if not d.entries[i][j].is_zero] for j in range(d.cols)]
         tgt_index = index.get(m - 1, {})
         for col, (j, e) in enumerate(bands[m]):
-            for i in range(d.rows):
-                p = d.entries[i][j]
-                for ee, c in p.items():
-                    key = (i, ee + e)
-                    pos = tgt_index.get(key)
+            # distinct (row, exponent) pairs hit distinct target monomials,
+            # so every cell is written once
+            for i, terms in by_col[j]:
+                for ee, c in terms:
+                    pos = tgt_index.get((i, ee + e))
                     if pos is None:
                         raise BandViolationError(
                             f"degree {m}: image of band monomial "
                             f"(summand {j}, x^{e}) leaves the target band")
-                    grid[pos][col] = ring.add(grid[pos][col], c)
-        diffs[m] = LaurentMatrix(
-            ring, rows, cols,
-            [[LaurentPoly.constant(ring, c) for c in row] for row in grid],
-            BaseRing.K, check=False)
+                    rows[pos][col] = c
+        diffs[m] = ScalarMatrix(ring, len(rows), ranks.get(m, 0),
+                                rows).to_laurent()
     return ChainComplex(ring, BaseRing.K, s.mid.lo, s.mid.hi, ranks, diffs)
 
 

@@ -16,6 +16,10 @@ from .errors import ShapeError, UnsupportedRingError
 from .laurent import (LaurentPoly, divides, divmod_laurent, exact_div,
                       xgcd_laurent)
 from .matrices import LaurentMatrix, ScalarMatrix, scalar_rank
+from .scalars import CoefficientRing
+
+
+TRANSFORMS = ("U", "V", "Vinv")
 
 
 @dataclass(frozen=True)
@@ -25,15 +29,17 @@ class SmithForm:
     ``factors`` are the invariant factors d_1 | d_2 | ... | d_r, each
     normalised to a monic polynomial with nonzero constant term (so a unit
     entry becomes the constant 1).  ``free_coker_rank`` is the rank of the
-    free part of the cokernel, rows - r.
+    free part of the cokernel, rows - r.  A transform the caller did not
+    ask to track is None.
     """
 
+    ring: CoefficientRing
     matrix_rows: int
     matrix_cols: int
     factors: tuple
-    U: LaurentMatrix
-    V: LaurentMatrix
-    Vinv: LaurentMatrix
+    U: LaurentMatrix | None
+    V: LaurentMatrix | None
+    Vinv: LaurentMatrix | None
 
     @property
     def rank(self) -> int:
@@ -44,25 +50,30 @@ class SmithForm:
         return self.matrix_rows - self.rank
 
     def diagonal(self) -> LaurentMatrix:
-        ring = self.U.ring
-        d = LaurentMatrix.zero(ring, self.matrix_rows, self.matrix_cols)
+        d = LaurentMatrix.zero(self.ring, self.matrix_rows, self.matrix_cols)
         entries = [list(row) for row in d.entries]
         for i, f in enumerate(self.factors):
             entries[i][i] = f
-        return LaurentMatrix(ring, self.matrix_rows, self.matrix_cols,
+        return LaurentMatrix(self.ring, self.matrix_rows, self.matrix_cols,
                              entries, check=False)
+
+    def _tracked(self, name):
+        m = getattr(self, name)
+        if m is None:
+            raise ShapeError(f"Smith form computed without tracking {name}")
+        return m
 
     def kernel_basis(self) -> LaurentMatrix:
         """Columns forming a basis of ker(A) over K[x,x^-1]."""
         cols = list(range(self.rank, self.matrix_cols))
-        return self.V.submatrix(range(self.matrix_cols), cols)
+        return self._tracked("V").submatrix(range(self.matrix_cols), cols)
 
     def kernel_coordinates(self, B: LaurentMatrix) -> LaurentMatrix:
         """Express the columns of B (all lying in ker A) in the kernel basis.
 
         Raises ShapeError if some column is not in the kernel.
         """
-        y = self.Vinv @ B
+        y = self._tracked("Vinv") @ B
         for i in range(self.rank):
             for j in range(B.cols):
                 if not y.entries[i][j].is_zero:
@@ -72,72 +83,83 @@ class SmithForm:
                            range(B.cols))
 
 
-def smith_normal_form(a: LaurentMatrix) -> SmithForm:
+def _identity_rows(ring, n):
+    one = LaurentPoly.one(ring)
+    zero = LaurentPoly.zero(ring)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def smith_normal_form(a: LaurentMatrix, track=TRANSFORMS) -> SmithForm:
     """Diagonalise over K[x,x^-1] by unit-determinant row/column operations.
 
     Pivoting rule: nonzero entry of minimal core degree, ties broken by
     lowest (row, col).  Z coefficients are rejected; Z[x,x^-1] is not a PID.
+    ``track`` names the transforms to compute among U, V and Vinv; the
+    elimination never updates the others, and they come back as None.
     """
     ring = a.ring
     if not ring.is_field:
         raise UnsupportedRingError(
             "Smith normal form requires field coefficients")
+    unknown = set(track) - set(TRANSFORMS)
+    if unknown:
+        raise ShapeError(f"unknown Smith transforms {sorted(unknown)}")
     rows, cols = a.rows, a.cols
     s = [list(r) for r in a.entries]
-    u = [list(r) for r in LaurentMatrix.identity(ring, rows).entries]
-    v = [list(r) for r in LaurentMatrix.identity(ring, cols).entries]
-    vinv = [list(r) for r in LaurentMatrix.identity(ring, cols).entries]
-    zero = LaurentPoly.zero(ring)
+    u = _identity_rows(ring, rows) if "U" in track else None
+    v = _identity_rows(ring, cols) if "V" in track else None
+    vinv = _identity_rows(ring, cols) if "Vinv" in track else None
+    # grids that row operations act on (with their widths), and grids
+    # whose columns column operations act on; vinv takes inverse row ops
+    row_grids = [(s, cols)] + ([(u, rows)] if u is not None else [])
+    col_grids = [s] + ([v] if v is not None else [])
 
     def swap_rows(i, k):
-        s[i], s[k] = s[k], s[i]
-        u[i], u[k] = u[k], u[i]
+        for grid, _ in row_grids:
+            grid[i], grid[k] = grid[k], grid[i]
 
     def swap_cols(j, k):
-        for row in s:
-            row[j], row[k] = row[k], row[j]
-        for row in v:
-            row[j], row[k] = row[k], row[j]
-        vinv[j], vinv[k] = vinv[k], vinv[j]
+        for grid in col_grids:
+            for row in grid:
+                row[j], row[k] = row[k], row[j]
+        if vinv is not None:
+            vinv[j], vinv[k] = vinv[k], vinv[j]
 
     def row_sub(i, t, q):
         # row_i -= q * row_t
-        for j in range(cols):
-            if not s[t][j].is_zero:
-                s[i][j] = s[i][j] - q * s[t][j]
-        for j in range(rows):
-            if not u[t][j].is_zero:
-                u[i][j] = u[i][j] - q * u[t][j]
+        for grid, width in row_grids:
+            ri, rt = grid[i], grid[t]
+            for j in range(width):
+                if not rt[j].is_zero:
+                    ri[j] = ri[j] - q * rt[j]
 
     def col_sub(j, t, q):
         # col_j -= q * col_t ; inverse op on vinv: row_t += q * row_j
-        for row in s:
-            if not row[t].is_zero:
-                row[j] = row[j] - q * row[t]
-        for row in v:
-            if not row[t].is_zero:
-                row[j] = row[j] - q * row[t]
-        for jj in range(cols):
-            if not vinv[j][jj].is_zero:
-                vinv[t][jj] = vinv[t][jj] + q * vinv[j][jj]
+        for grid in col_grids:
+            for row in grid:
+                if not row[t].is_zero:
+                    row[j] = row[j] - q * row[t]
+        if vinv is not None:
+            rj, rt = vinv[j], vinv[t]
+            for jj in range(cols):
+                if not rj[jj].is_zero:
+                    rt[jj] = rt[jj] + q * rj[jj]
 
     def row_add(t, i):
         # row_t += row_i
-        for j in range(cols):
-            if not s[i][j].is_zero:
-                s[t][j] = s[t][j] + s[i][j]
-        for j in range(rows):
-            if not u[i][j].is_zero:
-                u[t][j] = u[t][j] + u[i][j]
+        for grid, width in row_grids:
+            rt, ri = grid[t], grid[i]
+            for j in range(width):
+                if not ri[j].is_zero:
+                    rt[j] = rt[j] + ri[j]
 
     def scale_row(t, unit: LaurentPoly):
         inv = unit.inverse_unit()
-        for j in range(cols):
-            if not s[t][j].is_zero:
-                s[t][j] = s[t][j] * inv
-        for j in range(rows):
-            if not u[t][j].is_zero:
-                u[t][j] = u[t][j] * inv
+        for grid, width in row_grids:
+            rt = grid[t]
+            for j in range(width):
+                if not rt[j].is_zero:
+                    rt[j] = rt[j] * inv
 
     def rational_content(polys):
         """gcd(numerators)/lcm(denominators) of all coefficients; keeps
@@ -170,15 +192,15 @@ def smith_normal_form(a: LaurentMatrix) -> SmithForm:
         if factor is None:
             return
         inv = Fraction(1) / factor
-        for row in s:
-            if not row[j].is_zero:
-                row[j] = row[j].scale(inv)
-        for row in v:
-            if not row[j].is_zero:
-                row[j] = row[j].scale(inv)
-        for jj in range(cols):
-            if not vinv[j][jj].is_zero:
-                vinv[j][jj] = vinv[j][jj].scale(factor)
+        for grid in col_grids:
+            for row in grid:
+                if not row[j].is_zero:
+                    row[j] = row[j].scale(inv)
+        if vinv is not None:
+            rj = vinv[j]
+            for jj in range(cols):
+                if not rj[jj].is_zero:
+                    rj[jj] = rj[jj].scale(factor)
 
     def find_pivot(t):
         best = None
@@ -195,7 +217,7 @@ def smith_normal_form(a: LaurentMatrix) -> SmithForm:
     def two_row_transform(t, i, c_tt, c_ti, c_it, c_ii):
         # rows (t, i) <- [[c_tt, c_ti], [c_it, c_ii]] @ rows (t, i);
         # the caller guarantees determinant 1
-        for grid, width in ((s, cols), (u, rows)):
+        for grid, width in row_grids:
             rt, ri = grid[t], grid[i]
             for jj in range(width):
                 a, b = rt[jj], ri[jj]
@@ -204,11 +226,13 @@ def smith_normal_form(a: LaurentMatrix) -> SmithForm:
 
     def two_col_transform(t, j, c_tt, c_jt, c_tj, c_jj):
         # col_t <- c_tt*col_t + c_jt*col_j ; col_j <- c_tj*col_t + c_jj*col_j
-        for grid in (s, v):
+        for grid in col_grids:
             for row in grid:
                 a, b = row[t], row[j]
                 row[t] = a * c_tt + b * c_jt
                 row[j] = a * c_tj + b * c_jj
+        if vinv is None:
+            return
         # determinant 1: the inverse acts on vinv rows as
         # [[c_jj, -c_tj], [-c_jt, c_tt]]
         rt, rj = vinv[t], vinv[j]
@@ -302,15 +326,18 @@ def smith_normal_form(a: LaurentMatrix) -> SmithForm:
         t += 1
 
     factors = tuple(s[i][i] for i in range(t))
-    sf = SmithForm(
+    return SmithForm(
+        ring=ring,
         matrix_rows=rows,
         matrix_cols=cols,
         factors=factors,
-        U=LaurentMatrix(ring, rows, rows, u, check=False),
-        V=LaurentMatrix(ring, cols, cols, v, check=False),
-        Vinv=LaurentMatrix(ring, cols, cols, vinv, check=False),
+        U=None if u is None else LaurentMatrix(ring, rows, rows, u,
+                                               check=False),
+        V=None if v is None else LaurentMatrix(ring, cols, cols, v,
+                                               check=False),
+        Vinv=None if vinv is None else LaurentMatrix(ring, cols, cols, vinv,
+                                                     check=False),
     )
-    return sf
 
 
 def matrix_rank(a: LaurentMatrix) -> int:
@@ -321,4 +348,4 @@ def matrix_rank(a: LaurentMatrix) -> int:
     degs |= {p.mindeg for _, _, p in a.nonzero_entries()}
     if degs <= {0} and a.ring.is_field:
         return scalar_rank(ScalarMatrix.from_laurent(a))
-    return smith_normal_form(a).rank
+    return smith_normal_form(a, track=()).rank

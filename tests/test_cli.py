@@ -184,3 +184,61 @@ def test_flag_overrides_bad_preset(xm1_file, monkeypatch, capsys):
     monkeypatch.setenv("P1DOM_TRUNC", "abc")
     assert main(["verify", xm1_file, "--trunc", "8"]) == 0
     assert "orders (plus 8, minus 8)" in capsys.readouterr().out
+
+
+def test_out_shrinks_a_longer_file_to_the_new_bytes(xm1_file, tmp_path,
+                                                    capsys):
+    target = tmp_path / "report.json"
+    target.write_bytes(b"x" * 100000)
+    assert main(["verify", xm1_file, "--format", "report",
+                 "--out", str(target)]) == 0
+    assert main(["verify", xm1_file, "--format", "report"]) == 0
+    assert target.read_bytes() == capsys.readouterr().out.encode("utf-8")
+
+
+@pytest.mark.parametrize("command", ["verify", "extend", "homology"])
+def test_out_bytes_match_stdout(xm1_file, tmp_path, command, capsys):
+    target = tmp_path / "out"
+    for fmt in ("human", "report"):
+        assert main([command, xm1_file, "--format", fmt,
+                     "--out", str(target)]) == 0
+        assert main([command, xm1_file, "--format", fmt]) == 0
+        stdout = capsys.readouterr().out
+        if command == "extend" and fmt == "human":
+            continue    # extend prints a summary, the file gets the sheaf
+        assert target.read_bytes() == stdout.encode("utf-8")
+
+
+def test_h0_out_bytes_match_stdout(xm1_file, tmp_path, capsys):
+    sheaf = str(tmp_path / "ext.sheaf")
+    target = tmp_path / "w.cplx"
+    assert main(["extend", xm1_file, "--out", sheaf]) == 0
+    assert main(["h0", sheaf, "--out", str(target)]) == 0
+    assert main(["h0", sheaf]) == 0
+    assert target.read_bytes() == capsys.readouterr().out.encode("utf-8")
+
+
+def test_out_dev_null(xm1_file, capsys):
+    assert main(["verify", xm1_file, "--format", "report",
+                 "--out", os.devnull]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_directory_input_is_input_error(tmp_path, capsys):
+    assert main(["verify", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and str(tmp_path) in err
+
+
+def test_directory_out_is_input_error(xm1_file, tmp_path, capsys):
+    assert main(["verify", xm1_file, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and str(tmp_path) in err
+
+
+def test_non_utf8_input_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.cplx"
+    path.write_bytes(b'{"format": "p1dom-complex", "ring": "\xe9"}')
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and str(path) in err

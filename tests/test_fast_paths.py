@@ -1,0 +1,384 @@
+"""Oracle checks for the fast paths of the torus chain.
+
+Twist-sum sheaf levels are validated by exponent comparisons, Smith forms
+skip the transforms a caller does not read, and Laurent arithmetic builds
+its results without renormalising.  Each fast path is compared here with
+the dense or normalising computation it replaces, kept in this file so
+that it stays independent of the code under test.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from p1dom.complexes import ChainComplex, homology
+from p1dom.errors import ShapeError
+from p1dom.extension import extend_complex
+from p1dom.generators import random_complex, random_novikov_acyclic
+from p1dom.laurent import BaseRing, LaurentPoly, divmod_laurent, exact_div
+from p1dom.matrices import LaurentMatrix
+from p1dom.scalars import GF, QQ, ZZ
+from p1dom.sheaves import SheafComplex, SheafDiagram, TwistSummand
+from p1dom.smith import TRANSFORMS, smith_normal_form
+
+from helpers import M, P
+
+
+# -- sheaf validation against the dense reference --------------------------
+
+
+def dense_level_problems(lvl):
+    """SheafDiagram.validate by entry scans and Bareiss determinants."""
+    problems = []
+    for label, mat, base in (("minus", lvl.p_minus, BaseRing.POLY_INV),
+                             ("plus", lvl.p_plus, BaseRing.POLY)):
+        for i, j, p in mat.nonzero_entries():
+            if not p.respects(base):
+                problems.append(f"{label} entry ({i},{j}) violates {base.tag}")
+    for label, mu in (("minus", lvl.mu_minus_torus()),
+                      ("plus", lvl.mu_plus_torus())):
+        if not mu.is_square:
+            problems.append(f"{label} adjoint map is not square")
+        elif mu.rows and not mu.determinant().is_unit:
+            problems.append(
+                f"{label} adjoint map is not an isomorphism over the torus")
+    return problems
+
+
+def dense_validate(s):
+    """SheafComplex.validate with every square a product of torus maps."""
+    problems = []
+    for name, c in (("minus", s.minus), ("mid", s.mid), ("plus", s.plus)):
+        problems += [f"{name}: {p}" for p in c.validate()]
+    for m in s.degrees():
+        problems += [f"level {m}: {p}"
+                     for p in dense_level_problems(s.level(m))]
+    for m in s.degrees():
+        if m == s.mid.lo:
+            continue
+        lvl, prev = s.level(m), s.level(m - 1)
+        if (prev.mu_minus_torus() @ s.minus.diff(m)
+                != s.mid.diff(m) @ lvl.mu_minus_torus()):
+            problems.append(f"level {m}: minus structure map not a chain map")
+        if (prev.mu_plus_torus() @ s.plus.diff(m)
+                != s.mid.diff(m) @ lvl.mu_plus_torus()):
+            problems.append(f"level {m}: plus structure map not a chain map")
+    return problems
+
+
+def _replace_diff(c, m, d):
+    diffs = dict(c.diffs)
+    diffs[m] = d
+    return ChainComplex(c.ring, c.base, c.lo, c.hi, dict(c.ranks), diffs)
+
+
+def _with_entry(mat, i, j, poly):
+    entries = [list(row) for row in mat.entries]
+    entries[i][j] = entries[i][j] + poly
+    return LaurentMatrix(mat.ring, mat.rows, mat.cols, entries, mat.base)
+
+
+def perturbed_sheaf(rng, s, variant):
+    """A variant of the extension ``s``; some variants break it."""
+    ring = s.ring
+    levels = {m: s.level(m) for m in s.degrees()}
+    minus, plus = s.minus, s.plus
+    degs = [m for m in range(s.mid.lo + 1, s.mid.hi + 1)
+            if s.mid.diff(m).rows and s.mid.diff(m).cols]
+    ranked = [m for m in s.degrees() if s.mid.rank(m)]
+    coeff = ring.from_int(rng.choice([1, -1, 2]))
+    if variant == "entry" and degs:
+        # one chart-differential entry moved by a legal monomial
+        m = rng.choice(degs)
+        on_minus = rng.random() < 0.5
+        chart = minus if on_minus else plus
+        d = chart.diff(m)
+        e = -rng.randint(0, 2) if on_minus else rng.randint(0, 2)
+        d = _with_entry(d, rng.randrange(d.rows), rng.randrange(d.cols),
+                        LaurentPoly.monomial(ring, e, coeff))
+        if on_minus:
+            minus = _replace_diff(minus, m, d)
+        else:
+            plus = _replace_diff(plus, m, d)
+    elif variant == "twist" and ranked:
+        # a twist sum with one split moved: still a twist sum
+        m = rng.choice(ranked)
+        dk, dl = rng.choice([(1, 0), (0, 1), (-1, 0), (0, -1)])
+        levels[m] = SheafDiagram.twist_sum(
+            ring, [t.shifted(dk, dl) for t in levels[m].twists])
+    elif variant in ("unit-level", "singular-level") and ranked:
+        # a level that is not a twist sum: x^-1 (a unit) or 1 + x^-1 (not)
+        m = rng.choice(ranked)
+        lvl = levels[m]
+        extra = (LaurentPoly.monomial(ring, -1, 1)
+                 - LaurentPoly.one(ring) if variant == "unit-level"
+                 else LaurentPoly.monomial(ring, -1, 1))
+        levels[m] = SheafDiagram(ring, lvl.twists,
+                                 _with_entry(lvl.p_minus, 0, 0, extra),
+                                 lvl.p_plus)
+    return SheafComplex(minus, s.mid, plus, levels)
+
+
+VARIANTS = ["plain", "entry", "twist", "unit-level", "singular-level"]
+
+
+@settings(deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       ring=st.sampled_from([QQ, GF(7), ZZ]),
+       variant=st.sampled_from(VARIANTS))
+def test_sheaf_validate_matches_dense_reference(seed, ring, variant):
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        c = random_novikov_acyclic(rng, ring, span=2)
+    else:
+        c = random_complex(rng, ring, max_length=4, max_rank=3, span=2)
+    s = perturbed_sheaf(rng, extend_complex(c).sheaf, variant)
+    assert s.validate() == dense_validate(s)
+
+
+def test_perturbed_extensions_are_caught():
+    rng = random.Random(11)
+    caught = {v: 0 for v in VARIANTS}
+    for _ in range(60):
+        c = random_novikov_acyclic(rng, QQ, span=2)
+        for variant in VARIANTS:
+            s = perturbed_sheaf(rng, extend_complex(c).sheaf, variant)
+            problems = s.validate()
+            assert problems == dense_validate(s)
+            caught[variant] += bool(problems)
+    assert caught["plain"] == 0
+    assert all(caught[v] > 0 for v in VARIANTS if v != "plain")
+
+
+def _one_level(lvl):
+    ring = lvl.ring
+    r = lvl.mid_rank
+
+    def single(base):
+        return ChainComplex.single(ring, base, 0, r)
+
+    return SheafComplex(single(BaseRing.POLY_INV), single(BaseRing.LAURENT),
+                        single(BaseRing.POLY), {0: lvl})
+
+
+def test_non_twist_sum_level_with_non_unit_determinant_is_reported():
+    lvl = SheafDiagram(QQ, [TwistSummand(1, 0)],
+                       M(QQ, [[[(0, 1), (-1, 1)]]], BaseRing.POLY_INV),
+                       LaurentMatrix.identity(QQ, 1, BaseRing.POLY))
+    assert not lvl.is_twist_sum
+    expected = ["minus adjoint map is not an isomorphism over the torus"]
+    assert lvl.validate() == expected
+    assert _one_level(lvl).validate() == [f"level 0: {expected[0]}"]
+    # a unit-monomial structure matrix is not a twist sum, but it is valid
+    unit = SheafDiagram(QQ, [TwistSummand(0, 0)],
+                        M(QQ, [[[(-2, 3)]]], BaseRing.POLY_INV),
+                        LaurentMatrix.identity(QQ, 1, BaseRing.POLY))
+    assert not unit.is_twist_sum and unit.validate() == []
+
+
+def test_twist_sum_validation_multiplies_no_torus_maps(monkeypatch):
+    rng = random.Random(3)
+    sheaves = [extend_complex(random_novikov_acyclic(rng, ring, span=2)).sheaf
+               for ring in (QQ, GF(7), ZZ) for _ in range(5)]
+    matmuls = []
+    original = LaurentMatrix.__matmul__
+
+    def counting(self, other):
+        matmuls.append(1)
+        return original(self, other)
+
+    def no_determinant(self):
+        raise AssertionError("determinant on a twist-sum level")
+
+    monkeypatch.setattr(LaurentMatrix, "__matmul__", counting)
+    monkeypatch.setattr(LaurentMatrix, "determinant", no_determinant)
+    for s in sheaves:
+        assert s.is_twist_sum
+        matmuls.clear()
+        assert s.validate() == []
+        # only the d.d = 0 checks of the three constituent complexes
+        assert len(matmuls) == 3 * max(0, s.mid.hi - s.mid.lo - 1)
+
+
+def test_twist_sum_detection_scans_entries():
+    assert LaurentMatrix.identity(QQ, 3).is_identity
+    assert LaurentMatrix.identity(GF(7), 0).is_identity
+    assert not M(QQ, [[1, 0], [0, 2]]).is_identity
+    assert not M(QQ, [[1, 0], [1, 1]]).is_identity
+    assert not M(QQ, [[[(1, 1)]]]).is_identity
+    assert not LaurentMatrix.zero(QQ, 1, 2).is_identity
+
+
+# -- Smith forms that track fewer transforms --------------------------------
+
+
+def _random_matrix(rng, ring, rows, cols, span=3):
+    return LaurentMatrix(ring, rows, cols, [
+        [LaurentPoly(ring, {rng.randint(-span, span):
+                            ring.from_int(rng.randint(-4, 4))
+                            for _ in range(rng.randint(0, 3))})
+         for _ in range(cols)] for _ in range(rows)])
+
+
+TRACKS = [(), ("U",), ("V",), ("Vinv",), ("U", "Vinv"), ("V", "Vinv")]
+
+
+@settings(deadline=None, max_examples=120)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       ring=st.sampled_from([QQ, GF(7)]),
+       track=st.sampled_from(TRACKS))
+def test_partial_snf_matches_full(seed, ring, track):
+    rng = random.Random(seed)
+    rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+    a = _random_matrix(rng, ring, rows, cols)
+    full = smith_normal_form(a)
+    part = smith_normal_form(a, track=track)
+    assert part.factors == full.factors and part.rank == full.rank
+    for name in TRANSFORMS:
+        if name in track:
+            assert getattr(part, name) == getattr(full, name)
+        else:
+            assert getattr(part, name) is None
+    # kernel coordinates of a random combination of kernel vectors
+    kernel = full.kernel_basis()
+    coeffs = _random_matrix(rng, ring, kernel.cols, rng.randint(1, 3), 1)
+    b = kernel @ coeffs
+    if "Vinv" in track:
+        assert part.kernel_coordinates(b) == full.kernel_coordinates(b)
+        assert part.kernel_coordinates(b) == coeffs
+    else:
+        with pytest.raises(ShapeError):
+            part.kernel_coordinates(b)
+
+
+def test_unknown_transform_is_rejected():
+    with pytest.raises(ShapeError):
+        smith_normal_form(M(QQ, [[1]]), track=("W",))
+
+
+def test_homology_reads_only_the_transforms_it_tracks(monkeypatch):
+    import p1dom.complexes as complexes
+
+    tracks = []
+    original = complexes.smith_normal_form
+
+    def recording(a, track=TRANSFORMS):
+        tracks.append(tuple(track))
+        return original(a, track=track)
+
+    monkeypatch.setattr(complexes, "smith_normal_form", recording)
+    rng = random.Random(8)
+    for _ in range(10):
+        c = random_complex(rng, QQ, max_length=4, max_rank=3, span=2)
+        homology(c)
+    assert tracks and set(tracks) <= {(), ("Vinv",)}
+
+
+# -- Laurent arithmetic without renormalising --------------------------------
+
+
+RINGS = [QQ, GF(7), ZZ]
+
+
+def _coefficients(ring):
+    if ring is QQ:
+        return st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    return st.integers(-9, 9)
+
+
+@st.composite
+def polys(draw, ring):
+    coeffs = draw(st.dictionaries(st.integers(-4, 4), _coefficients(ring),
+                                  max_size=4))
+    return LaurentPoly(ring, coeffs)
+
+
+def assert_canonical(p):
+    """Stored exactly as the normalising constructor would store it."""
+    ring = p.ring
+    again = LaurentPoly(ring, dict(p.items()))
+    assert p.items() == again.items()
+    for _, c in p.items():
+        assert c != 0
+        assert type(c) is type(ring.normalise(c))
+        assert c == ring.normalise(c)
+
+
+def reference_product(a, b):
+    ring = a.ring
+    acc = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            acc[e1 + e2] = ring.add(acc.get(e1 + e2, ring.zero()),
+                                    ring.mul(c1, c2))
+    return LaurentPoly(ring, acc)
+
+
+def reference_sum(a, b, sign=1):
+    ring = a.ring
+    exps = {e for e, _ in a.items()} | {e for e, _ in b.items()}
+    return LaurentPoly(ring, {
+        e: ring.add(a.coeff(e), ring.mul(ring.from_int(sign), b.coeff(e)))
+        for e in exps})
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data(), ring=st.sampled_from(RINGS))
+def test_arithmetic_results_equal_the_normalising_constructor(data, ring):
+    a = data.draw(polys(ring))
+    b = data.draw(polys(ring))
+    shift = data.draw(st.integers(-3, 3))
+    k = ring.normalise(data.draw(_coefficients(ring)))
+    results = {
+        "add": (a + b, reference_sum(a, b)),
+        "sub": (a - b, reference_sum(a, b, -1)),
+        "neg": (-a, LaurentPoly(ring, {e: -c for e, c in a.items()})),
+        "mul": (a * b, reference_product(a, b)),
+        "scale": (a.scale(k), LaurentPoly(ring, {e: c * k
+                                                 for e, c in a.items()})),
+        "times_monomial": (a.times_monomial(shift, k),
+                           LaurentPoly(ring, {e + shift: c * k
+                                              for e, c in a.items()})),
+    }
+    if not b.is_zero and (ring.is_field or b.is_unit):
+        ab = a * b
+        results["exact_div"] = (exact_div(ab, b), a)
+    for name, (got, want) in results.items():
+        assert_canonical(got)
+        assert got == want, name
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data(), ring=st.sampled_from([QQ, GF(7)]))
+def test_field_operations_are_canonical(data, ring):
+    a = data.draw(polys(ring))
+    b = data.draw(polys(ring))
+    if not b.is_zero:
+        q, r = divmod_laurent(a, b)
+        assert_canonical(q)
+        assert_canonical(r)
+        assert q * b + r == a
+        assert r.is_zero or r.core_degree < b.core_degree
+    if not a.is_zero:
+        v, lead, core = a.unit_normalise()
+        assert_canonical(core)
+        assert LaurentPoly.monomial(ring, v, 1).scale(lead) * core == a
+    if a.is_unit:
+        inv = a.inverse_unit()
+        assert_canonical(inv)
+        assert (a * inv).is_one
+
+
+def test_scale_normalises_outside_coefficients():
+    p = P(QQ, (0, 1), (2, 3))
+    assert p.scale(2).items() == [(0, Fraction(2)), (2, Fraction(6))]
+    assert_canonical(p.scale(2))
+    q = P(GF(7), (1, 3))
+    assert q.scale(12).items() == [(1, 1)]
+    assert q.times_monomial(1, -1).items() == [(2, 4)]
+    assert (P(GF(7), (0, 3)) + P(GF(7), (0, 4))).is_zero
+    assert (P(ZZ, (0, 2), (1, 1)) * P(ZZ, (0, -1))).items() == [(0, -2),
+                                                               (1, -1)]
