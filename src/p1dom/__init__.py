@@ -4,25 +4,24 @@ Bounded complexes of free modules over K[x,x^-1] extend constructively to
 complexes of twisted sums on the projective line; their global sections
 give a finite complex over K, and Novikov acyclicity (decided exactly over
 a field via Smith normal form torsion) makes that complex a finite
-domination witness, audited degree by degree through truncated
-power-series models of the two charts.
+domination witness, audited degree by degree against the exact homology
+of the two charts over the power-series rings.
 """
 
 from .complexes import (ChainComplex, ChainMap, Homotopy, HomologyReport,
-                        cone, free_complement, homology, is_acyclic,
-                        is_quasi_iso, restrict_scalars_view,
+                        cone, homology, is_acyclic, is_quasi_iso,
                         verify_homotopy_retract)
 from .diagrams import (ComplexDiagram, DiagramMap, hypercohomology, iota,
                        iota_is_quasi_iso, phi_star, ses_check)
 from .domination import (DominationWitness, FpqcModel, NovikovVerdict,
-                         TheoremReport, dominate, fpqc_hyper, k0_class_pid,
-                         novikov_check, verify_theorem)
+                         TheoremReport, dominate, fpqc_hyper, novikov_check,
+                         verify_theorem)
 from .extension import (ExtensionResult, MorphismExtension, extend_complex,
                         extend_cone, extend_morphism, restrict_to_torus)
-from .laurent import BaseRing, LaurentPoly, laurent_arith
+from .laurent import BaseRing, LaurentPoly
 from .matrices import LaurentMatrix
 from .scalars import GF, QQ, ZZ, CoefficientRing, ring_from_tag
-from .series import TruncatedSeries, laurent_series, power_series, series_invert
+from .series import TruncatedSeries, laurent_series, power_series
 from .sheaves import (CechCohomology, SheafComplex, SheafDiagram,
                       TwistSummand, cech_cohomology, cech_complex,
                       sheaf_hyper_homology_dims, sheaf_iota, sheaf_iota_exact,

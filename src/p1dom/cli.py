@@ -277,17 +277,7 @@ def _witness_report(args, witness, command):
         "command": command,
         "input_digest": _input_digest(args),
         "w": ff.complex_to_dict(witness.w),
-        "twist_profile": [
-            {"degree": m, "k": k, "l": l}
-            for m, (k, l) in sorted(witness.extension.profile.items())],
-        "ledger": [
-            {"degree": row.degree, "w_dim": row.w_dim,
-             "mid_kdim": row.mid_kdim, "plus_dim": row.plus_dim,
-             "minus_dim": row.minus_dim, "holds": row.holds}
-            for row in witness.ledger],
-        "plus_order": witness.plus_order,
-        "minus_order": witness.minus_order,
-        "stabilisation_heuristic": witness.stabilisation_heuristic,
+        **witness.report_fields(),
     }
 
 

@@ -408,7 +408,7 @@ def is_acyclic(c: ChainComplex) -> bool:
     return homology(c).is_acyclic
 
 
-# -- cones, retracts, views ----------------------------------------------------
+# -- cones and retracts -------------------------------------------------------
 
 
 def cone(f: ChainMap):
@@ -474,43 +474,3 @@ def verify_homotopy_retract(d: ChainComplex, r: ChainMap, s: ChainMap,
             return False
     return True
 
-
-def free_complement(c: ChainComplex) -> ChainComplex:
-    """Zero-differential complement making the sum levelwise free.
-
-    Free levels need no complement, so this returns the rank-zero complex
-    with the same support; the operation records the contract that a
-    projective (non-free) level would be padded here.
-    """
-    return ChainComplex(c.ring, c.base, c.lo, c.hi, {}, {})
-
-
-class ScalarRestrictionView:
-    """A K[x,x^-1]-complex re-tagged as a K-complex of infinite rank.
-
-    Metadata only: consumed by homology-dimension accounting.  The K-dimension
-    of each homology module is finite exactly when the module is torsion.
-    """
-
-    __slots__ = ("complex",)
-
-    def __init__(self, c: ChainComplex):
-        if c.base != BaseRing.LAURENT:
-            raise UnsupportedRingError(
-                "restriction of scalars applies to K[x,x^-1]-complexes")
-        self.complex = c
-
-    @property
-    def base(self) -> BaseRing:
-        return BaseRing.K
-
-    def homology_kdims(self) -> dict:
-        report = homology(self.complex)
-        return {q: e.kdim for q, e in report.entries.items()}
-
-    def total_kdim(self) -> int | None:
-        return homology(self.complex).total_kdim()
-
-
-def restrict_scalars_view(c: ChainComplex) -> ScalarRestrictionView:
-    return ScalarRestrictionView(c)

@@ -13,18 +13,22 @@ checking, degree by degree,
 
     dim H_q(W) = dim_K H_q(C) + dim H_q(C+ (x) K[[x]]) + dim H_q(C- (x) K[[x^-1]]).
 
-The chart dimensions come from quotient-window models C+/x^N.  The homology
-of such a window carries, besides the torsion of degree q, the torsion of
-degree q-1 (the universal-coefficient correction), so the reported values
-are obtained by telescoping the stabilised window dimensions from the
-bottom degree upward.
+The chart columns are exact.  K[[x]] and K[[x^-1]] are discrete valuation
+rings, so H_q of a chart complex after base change is a sum of torsion
+modules K[[t]]/t^v, one for each nonzero elementary divisor of d_{q+1},
+and its K-dimension is the sum of their valuations v.  These come from one
+local elimination pass per differential (``stabilised_series_dims``); no
+window is built.  The quotient window C+/x^N of ``window_complex`` has
+dimension sum min(N, v) over the valuations of d_{q+1} and of d_q (the
+universal-coefficient carry) in degree q, which is how the reported order,
+the first doubled order at which windows at N and 2N agree, is read off
+the valuations.
 
-A window is never a Laurent matrix.  ``window_complex`` writes each
-differential as sparse scalar rows straight from the coefficients of the
-chart complex; numbering slot tau of generator j as tau * rank + j makes
-the matrix a banded Toeplitz block.  Its window dimensions are rank-nullity
-counts, with every rank taken by ``matrices.scalar_rank``: sparse
-elimination mod p over GF(p), fraction-free on integer rows over Q.
+``window_complex`` remains for the truncated fpqc models and as an oracle.
+It writes each differential as sparse scalar rows straight from the
+coefficients of the chart complex; numbering slot tau of generator j as
+tau * rank + j makes the matrix a banded Toeplitz block, ranked by
+``matrices.scalar_rank``.
 """
 
 from __future__ import annotations
@@ -37,15 +41,25 @@ from .diagrams import ComplexDiagram, hypercohomology
 from .errors import (NotAUnitError, NotNovikovAcyclicError, ShapeError,
                      StabilisationFailureError, UnsupportedRingError)
 from .extension import ExtensionResult, extend_complex
-from .laurent import BaseRing, LaurentPoly
+from .laurent import BaseRing, LaurentPoly, exact_div
 from .matrices import LaurentMatrix, ScalarMatrix
 from .series import TruncatedSeries, laurent_series
 from .sheaves import cech_complex
 
 
 # ---------------------------------------------------------------------------
-# truncated window models
+# chart homology over K[[x]] and K[[x^-1]]
 # ---------------------------------------------------------------------------
+
+
+def _chart_direction(c: ChainComplex) -> int:
+    """+1 when the chart variable t is x (K[x]), -1 when it is x^-1."""
+    if c.base == BaseRing.POLY:
+        return 1
+    if c.base == BaseRing.POLY_INV:
+        return -1
+    raise UnsupportedRingError(
+        "window models exist for K[x] and K[x^-1] complexes")
 
 
 def window_complex(c: ChainComplex, order: int) -> ScalarComplex:
@@ -58,13 +72,7 @@ def window_complex(c: ChainComplex, order: int) -> ScalarComplex:
     tau * rank + j, so every differential is a banded Toeplitz matrix whose
     sparse rows are filled straight from the coefficients of c.
     """
-    if c.base == BaseRing.POLY:
-        direction = 1
-    elif c.base == BaseRing.POLY_INV:
-        direction = -1
-    else:
-        raise UnsupportedRingError(
-            "window models exist for K[x] and K[x^-1] complexes")
+    direction = _chart_direction(c)
     ranks = {m: c.rank(m) * order for m in c.degrees()}
     diffs = {}
     for m in range(c.lo + 1, c.hi + 1):
@@ -80,64 +88,74 @@ def window_complex(c: ChainComplex, order: int) -> ScalarComplex:
     return ScalarComplex(c.ring, c.lo, c.hi, ranks, diffs)
 
 
-@dataclass(frozen=True)
-class TruncatedSeriesComplex:
-    """Window dimensions of a chart complex at orders N and 2N."""
+def _elementary_valuations(d: LaurentMatrix, direction: int) -> list:
+    """t-adic valuations of the nonzero elementary divisors of d over K[[t]].
 
-    base_tag: str
-    order: int
-    dims_at_order: dict
-    dims_at_double: dict
-
-    @property
-    def stabilised(self) -> bool:
-        return self.dims_at_order == self.dims_at_double
-
-
-def truncated_series_complex(c: ChainComplex, order: int) -> TruncatedSeriesComplex:
-    tag = "K[[x]]" if c.base == BaseRing.POLY else "K[[x^-1]]"
-    return TruncatedSeriesComplex(
-        base_tag=tag,
-        order=order,
-        dims_at_order=homology_dims(window_complex(c, order)),
-        dims_at_double=homology_dims(window_complex(c, 2 * order)),
-    )
-
-
-def _telescope(window_dims: dict, lo: int, hi: int) -> dict:
-    """Strip the universal-coefficient carry from stabilised window dims."""
-    dims = {}
-    below = 0
-    for q in range(lo, hi + 1):
-        t = window_dims.get(q, 0) - below
-        if t < 0:
-            raise StabilisationFailureError(
-                "window dimensions are inconsistent with a stabilised "
-                "torsion profile")
-        dims[q] = t
-        below = t
-    return dims
+    t is x for direction 1 and x^-1 for direction -1.  K[[t]] is a discrete
+    valuation ring, so an entry of least valuation v is a pivot: it is
+    t^v u with u a unit, and row <- u row - (c / t^v) pivot_row clears its
+    column by an invertible row operation, with no inverse and no
+    truncation.  The pivot row's other entries are multiples of t^v, which
+    column operations clear without touching the rest, so the pivot row
+    and column drop out and v is one valuation.  As in Bareiss's
+    fraction-free elimination every remaining row is then divided, exactly,
+    by the previous pivot's unit: entries stay minors of d up to a power
+    of t, so their degrees grow linearly, not exponentially.
+    """
+    rows = [live for live in ({j: p for j, p in enumerate(row) if p}
+                              for row in d.entries) if live]
+    found = []
+    prev = None
+    while rows:
+        v, r, j = min((p.mindeg if direction == 1 else -p.maxdeg, r, j)
+                      for r, row in enumerate(rows) for j, p in row.items())
+        pivot_row = rows.pop(r)
+        shift = -direction * v
+        unit = pivot_row.pop(j).times_monomial(shift)
+        kept = []
+        for row in rows:
+            c = row.pop(j, None)
+            new = {k: unit * p for k, p in row.items()}
+            if c is not None:
+                factor = c.times_monomial(shift)
+                for k, p in pivot_row.items():
+                    term = factor * p
+                    new[k] = new[k] - term if k in new else -term
+            row = {k: p if prev is None else exact_div(p, prev)
+                   for k, p in new.items() if p}
+            if row:
+                kept.append(row)
+        rows = kept
+        prev = unit
+        found.append(v)
+    return found
 
 
 def stabilised_series_dims(c: ChainComplex, order: int, order_max: int):
     """Torsion K-dimensions of the chart homology after base change.
 
-    Doubles the window until the raw dimensions agree at N and 2N (the
-    stabilisation heuristic, flagged as such in reports), then telescopes.
-    Returns the telescoped dimensions and the order N.  Raises
-    StabilisationFailureError beyond ``order_max``.
+    Over the discrete valuation ring K[[t]] the homology in degree q is
+    the torsion module sum K[[t]]/t^v over the valuations v of the
+    elementary divisors of d_{q+1}, so its K-dimension is their sum.
+    Returns those dimensions and an order N: the smallest order * 2^k at
+    least every valuation, the precision at which the quotient windows
+    C/t^N and C/t^2N agree.  Raises StabilisationFailureError when N would
+    pass ``order_max``, or when the chart homology has a free part.
     """
+    direction = _chart_direction(c)
+    valuations = {m: _elementary_valuations(c.diff(m), direction)
+                  for m in range(c.lo + 1, c.hi + 1)}
+    dims = {q: sum(valuations.get(q + 1, ())) for q in c.degrees()}
+    free = any(c.rank(q) > len(valuations.get(q, ()))
+               + len(valuations.get(q + 1, ())) for q in c.degrees())
+    top = max((v for vs in valuations.values() for v in vs), default=0)
     n = order
-    dims = homology_dims(window_complex(c, n))
-    while True:
-        double = homology_dims(window_complex(c, 2 * n))
-        if dims == double:
-            return _telescope(dims, c.lo, c.hi), n
-        if 2 * n > order_max:
+    while free or n < top:
+        if n < 1 or 2 * n > order_max:
             raise StabilisationFailureError(
                 f"chart homology dimensions did not stabilise by N={order_max}")
         n *= 2
-        dims = double
+    return dims, n
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +384,6 @@ class DominationWitness:
     ledger: tuple
     plus_order: int
     minus_order: int
-    stabilisation_heuristic: bool = True
 
     @property
     def ledger_holds(self) -> bool:
@@ -374,6 +391,26 @@ class DominationWitness:
 
     def w_ranks(self) -> dict:
         return {m: self.w.rank(m) for m in self.w.degrees()}
+
+    def report_fields(self) -> dict:
+        """The witness keys shared by the verify and dominate reports.
+
+        The chart columns are exact; ``stabilisation_heuristic`` is kept,
+        always true, only so that report bytes stay stable.
+        """
+        return {
+            "twist_profile": [
+                {"degree": m, "k": k, "l": l}
+                for m, (k, l) in sorted(self.extension.profile.items())],
+            "ledger": [
+                {"degree": row.degree, "w_dim": row.w_dim,
+                 "mid_kdim": row.mid_kdim, "plus_dim": row.plus_dim,
+                 "minus_dim": row.minus_dim, "holds": row.holds}
+                for row in self.ledger],
+            "plus_order": self.plus_order,
+            "minus_order": self.minus_order,
+            "stabilisation_heuristic": True,
+        }
 
 
 def dominate(c: ChainComplex, order: int = 16,
@@ -424,7 +461,7 @@ def _witness(c: ChainComplex, verdict: NovikovVerdict, order: int,
     )
     if not witness.ledger_holds:
         raise StabilisationFailureError(
-            "ledger equation failed; window dimensions are unreliable")
+            "ledger equation failed; chart dimensions disagree with H(W)")
     return witness
 
 
@@ -508,7 +545,7 @@ def _fpqc_total(narrow: ScalarComplex, wide: ScalarComplex) -> ChainComplex:
 
 
 # ---------------------------------------------------------------------------
-# theorem verification and K-theory class
+# theorem verification
 # ---------------------------------------------------------------------------
 
 
@@ -547,21 +584,7 @@ class TheoremReport:
             data["witness"] = {
                 "w_ranks": {str(m): r
                             for m, r in sorted(self.witness.w_ranks().items())},
-                "twist_profile": [
-                    {"degree": m, "k": k, "l": l}
-                    for m, (k, l) in sorted(
-                        self.witness.extension.profile.items())
-                ],
-                "ledger": [
-                    {"degree": row.degree, "w_dim": row.w_dim,
-                     "mid_kdim": row.mid_kdim, "plus_dim": row.plus_dim,
-                     "minus_dim": row.minus_dim, "holds": row.holds}
-                    for row in self.witness.ledger
-                ],
-                "plus_order": self.witness.plus_order,
-                "minus_order": self.witness.minus_order,
-                "stabilisation_heuristic":
-                    self.witness.stabilisation_heuristic,
+                **self.witness.report_fields(),
             }
         return data
 
@@ -598,13 +621,3 @@ def verify_theorem(c: ChainComplex, order: int = 16,
     verdict_str = "PASS" if all(ch.passed for ch in checks) else "FAIL"
     return TheoremReport(verdict_str, verdict, tuple(checks), witness)
 
-
-def k0_class_pid(c: ChainComplex) -> int:
-    """Alternating rank sum: the class in K_0 of the Laurent ring.
-
-    Over a PID the pullback from the ground ring hits everything, matching
-    the fact that extension to the projective line never obstructs here.
-    """
-    if not c.ring.is_field:
-        raise UnsupportedRingError("K_0 class computed in field mode")
-    return sum((1 if m % 2 == 0 else -1) * c.rank(m) for m in c.degrees())

@@ -279,18 +279,6 @@ def _power(ring, base, n):
     return out
 
 
-def laurent_arith(a: LaurentPoly, b: LaurentPoly, op: str) -> LaurentPoly:
-    """Dispatch add/sub/mul; mixed coefficient rings raise RingMismatchError."""
-    check_same_ring(a.ring, b.ring)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ShapeError(f"unknown operation {op!r}")
-
-
 def divmod_laurent(a: LaurentPoly, b: LaurentPoly):
     """Division with remainder in K[x,x^-1], K a field.
 

@@ -250,8 +250,3 @@ class TruncatedSeries:
         body = " + ".join(terms) if terms else "0"
         return f"{body} + O({var}^{self.end})"
 
-
-def series_invert(f: TruncatedSeries) -> TruncatedSeries:
-    """Inverse of a truncated series; raises NotAUnitError when the lowest
-    exact coefficient is not a unit of the coefficient ring."""
-    return f.invert()

@@ -155,15 +155,14 @@ class CechCohomology:
     """Kernel/cokernel data of the two-term section complex of a diagram.
 
     For twist sums both bases are explicit monomial lists of pairs
-    (summand index, exponent); for general diagrams only dimensions and a
-    cokernel presentation are available.
+    (summand index, exponent); for general diagrams only the dimensions
+    are available.
     """
 
     h0_dim: int
     h1_dim: int
     h0_basis: tuple | None
     h1_basis: tuple | None
-    h1_presentation: LaurentMatrix | None
 
 
 def cech_cohomology(d: SheafDiagram) -> CechCohomology:
@@ -175,7 +174,7 @@ def cech_cohomology(d: SheafDiagram) -> CechCohomology:
                 h0.extend((i, e) for e in range(-t.l, t.k + 1))
             elif t.n <= -2:
                 h1.extend((i, e) for e in range(t.k + 1, -t.l))
-        return CechCohomology(len(h0), len(h1), tuple(h0), tuple(h1), None)
+        return CechCohomology(len(h0), len(h1), tuple(h0), tuple(h1))
     return _cech_general(d)
 
 
@@ -201,7 +200,7 @@ def _cech_general(d: SheafDiagram, pad: int = 2):
         dims = _cech_banded_dims(d, mu_m, mu_p, width)
         if prev == dims:
             h0, h1 = dims
-            return CechCohomology(h0, h1, None, None, None)
+            return CechCohomology(h0, h1, None, None)
         prev = dims
         width += spread + pad
         if width > 40 * (spread + 1) * (d.mid_rank + 1):
@@ -238,13 +237,14 @@ def _cech_banded_dims(d, mu_m, mu_p, width):
     rank = scalar_rank(ScalarMatrix(ring, len(rows), len(cols),
                                     list(rows.values())))
     h0 = len(cols) - rank
-    # cokernel on the inner half-band, where the image is fully represented
+    # cokernel on the inner half-band, where the image is fully represented;
+    # a band monomial no column reaches has no row here but is still counted
     inner = width // 2
     mid_rows = [row for k, row in rows.items()
                 if k[0] != "escape" and -inner <= k[1] <= inner]
     prank = scalar_rank(ScalarMatrix(ring, len(mid_rows), len(cols),
                                      mid_rows))
-    h1 = len(mid_rows) - prank
+    h1 = r * (2 * inner + 1) - prank
     return h0, h1
 
 
@@ -314,6 +314,11 @@ class SheafComplex:
         for name, c in (("minus", self.minus), ("mid", self.mid),
                         ("plus", self.plus)):
             problems += [f"{name}: {p}" for p in c.validate()]
+        return problems + self._gluing_problems()
+
+    def _gluing_problems(self):
+        """Problems of the levels and of the chain-map squares between them."""
+        problems = []
         for m in self.degrees():
             problems += [f"level {m}: {p}" for p in self.level(m).validate()]
         # structure maps commute with the differentials over the torus

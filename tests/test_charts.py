@@ -1,0 +1,182 @@
+"""Exact chart columns: local elimination over K[[x]] and K[[x^-1]].
+
+The oracles are the quotient windows C/t^N, whose dimension in degree q is
+sum min(N, v) over the valuations of d_{q+1} and d_q, the N/2N doubling
+loop with its telescoping (kept below as a reference), and, for square
+matrices of full rank, the t-adic valuation of the determinant.
+"""
+
+import random
+
+import pytest
+
+from p1dom.complexes import ChainComplex, homology_dims
+from p1dom.domination import (_elementary_valuations, dominate,
+                              stabilised_series_dims, verify_theorem,
+                              window_complex)
+from p1dom.errors import StabilisationFailureError, UnsupportedRingError
+from p1dom.extension import extend_complex
+from p1dom.generators import random_complex, random_novikov_acyclic
+from p1dom.laurent import BaseRing, LaurentPoly
+from p1dom.matrices import LaurentMatrix
+from p1dom.scalars import GF, QQ
+
+from helpers import two_term
+
+RINGS = [QQ, GF(7), GF(10007)]
+
+
+def doubling_reference(c, order, order_max):
+    """Window dimensions at N and 2N, doubled until equal, telescoped."""
+    n = order
+    dims = homology_dims(window_complex(c, n))
+    while True:
+        double = homology_dims(window_complex(c, 2 * n))
+        if dims == double:
+            out, below = {}, 0
+            for q in range(c.lo, c.hi + 1):
+                out[q] = dims.get(q, 0) - below
+                below = out[q]
+            return out, n
+        if 2 * n > order_max:
+            raise StabilisationFailureError(
+                f"chart homology dimensions did not stabilise by N={order_max}")
+        n *= 2
+        dims = double
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except StabilisationFailureError as exc:
+        return ("raised", str(exc))
+
+
+def charts(ring, seed, count, acyclic=True):
+    rng = random.Random(seed)
+    for _ in range(count):
+        if acyclic:
+            c = random_novikov_acyclic(rng, ring, max_rank=3,
+                                       span=rng.randint(1, 3))
+        else:
+            c = random_complex(rng, ring, max_length=3, max_rank=3, span=2)
+        sheaf = extend_complex(c).sheaf
+        yield sheaf.plus
+        yield sheaf.minus
+
+
+def direction(chart):
+    return 1 if chart.base == BaseRing.POLY else -1
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.tag)
+def test_window_dims_are_truncated_valuation_sums(ring):
+    for chart in charts(ring, 2279, 8):
+        vals = {m: _elementary_valuations(chart.diff(m), direction(chart))
+                for m in range(chart.lo + 1, chart.hi + 1)}
+        for n in (1, 2, 8, 16, 32):
+            want = {q: sum(min(n, v) for v in vals.get(q + 1, [])
+                           + vals.get(q, []))
+                    for q in chart.degrees()}
+            assert homology_dims(window_complex(chart, n)) == want
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.tag)
+def test_matches_the_doubling_loop(ring):
+    rng = random.Random(778)
+    for acyclic in (True, False):
+        for chart in charts(ring, 777, 10, acyclic):
+            for order, order_max in ((16, 64), (1, 1), (1, 2), (2, 4),
+                                     (rng.choice([1, 2, 4]),
+                                      rng.choice([1, 4, 8, 64]))):
+                assert outcome(stabilised_series_dims, chart, order,
+                               order_max) == \
+                    outcome(doubling_reference, chart, order, order_max)
+
+
+def test_orders_of_the_named_examples():
+    plus = extend_complex(two_term(QQ, [(20, 1), (21, -1)])).sheaf.plus
+    assert stabilised_series_dims(plus, 16, 64) == ({0: 20, 1: 0}, 32)
+    assert doubling_reference(plus, 16, 64) == ({0: 20, 1: 0}, 32)
+    # an order above order_max is reported when nothing needs doubling
+    assert stabilised_series_dims(plus, 32, 16)[1] == 32
+    deep = extend_complex(two_term(QQ, [(70, 1), (71, -1)])).sheaf.plus
+    with pytest.raises(StabilisationFailureError, match="by N=64"):
+        stabilised_series_dims(deep, 16, 64)
+    assert stabilised_series_dims(deep, 16, 128) == ({0: 70, 1: 0}, 128)
+
+
+def test_free_chart_homology_never_stabilises():
+    c = ChainComplex.single(QQ, BaseRing.POLY, 0, 1)
+    for order, order_max in ((8, 8), (8, 64), (1, 1)):
+        with pytest.raises(StabilisationFailureError):
+            stabilised_series_dims(c, order, order_max)
+
+
+def test_laurent_complex_is_rejected():
+    with pytest.raises(UnsupportedRingError):
+        stabilised_series_dims(two_term(QQ, [(1, 1)]), 16, 64)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.tag)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_square_valuations_sum_to_determinant_valuation(ring, sign):
+    rng = random.Random(31 + sign)
+    base = BaseRing.POLY if sign == 1 else BaseRing.POLY_INV
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        grid = [[LaurentPoly(ring, {sign * e: rng.randint(-4, 4)
+                                    for e in range(rng.randint(0, 2),
+                                                   rng.randint(1, 4))})
+                 for _ in range(n)] for _ in range(n)]
+        d = LaurentMatrix(ring, n, n, grid, base)
+        det = d.determinant()
+        vals = _elementary_valuations(d, sign)
+        if det.is_zero:
+            assert len(vals) < n
+        else:
+            assert len(vals) == n
+            assert sum(vals) == (det.mindeg if sign == 1 else -det.maxdeg)
+
+
+def test_elimination_degrees_grow_linearly(monkeypatch):
+    # dividing by the previous pivot's unit keeps entries minors of d up to
+    # a power of t, so no product passes degree 2 n D (D the entry degree);
+    # without it the degrees can double at every pivot
+    ring, n, deg = GF(7), 10, 2
+    rng = random.Random(10)
+    grid = [[LaurentPoly(ring, {e: ring.from_int(rng.randint(1, 6))
+                                for e in range(deg + 1)})
+             for _ in range(n)] for _ in range(n)]
+    d = LaurentMatrix(ring, n, n, grid, BaseRing.POLY)
+    degrees = []
+    original = LaurentPoly.__mul__
+
+    def recording(a, b):
+        out = original(a, b)
+        if out:
+            degrees.append(out.maxdeg)
+        return out
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", recording)
+    _elementary_valuations(d, 1)
+    assert degrees and max(degrees) <= 2 * n * deg
+
+
+def test_verify_builds_no_window(monkeypatch):
+    import p1dom.domination as domination
+
+    built = []
+    original = domination.window_complex
+
+    def counting(c, order):
+        built.append(order)
+        return original(c, order)
+
+    monkeypatch.setattr(domination, "window_complex", counting)
+    rng = random.Random(777)
+    for ring in RINGS:
+        c = random_novikov_acyclic(rng, ring)
+        assert verify_theorem(c).passed
+        assert dominate(c).ledger_holds
+    assert built == []

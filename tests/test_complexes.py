@@ -3,8 +3,7 @@ import random
 import pytest
 
 from p1dom.complexes import (ChainComplex, ChainMap, Homotopy, cone,
-                             free_complement, homology, is_acyclic,
-                             is_quasi_iso, restrict_scalars_view,
+                             homology, is_acyclic, is_quasi_iso,
                              verify_homotopy_retract)
 from p1dom.errors import RingMismatchError, UnsupportedRingError
 from p1dom.generators import (basis_change, random_complex,
@@ -106,13 +105,6 @@ def test_direct_sum_ranks_add():
 def test_direct_sum_ring_mismatch():
     with pytest.raises(RingMismatchError):
         ChainComplex.zero(QQ).direct_sum(ChainComplex.zero(GF(5)))
-
-
-def test_restrict_scalars_kdim():
-    view = restrict_scalars_view(two_term(QQ, [(1, 1), (0, -1)]))
-    assert view.base == BaseRing.K
-    assert view.total_kdim() == 1
-    assert view.homology_kdims()[0] == 1
 
 
 def test_euler_characteristic_matches_free_ranks():
@@ -224,14 +216,6 @@ def test_retract_invariant_under_basis_change():
         h2 = Homotopy(c2, c2, {m: Tinv(m + 1) @ h.component(m) @ T(m)
                                for m in range(c.lo - 1, c.hi + 1)})
         assert verify_homotopy_retract(d, r2, s2, h2)
-
-
-def test_free_complement_support_and_ranks():
-    c = ChainComplex(QQ, BaseRing.LAURENT, 0, 3, {0: 2, 3: 1})
-    comp = free_complement(c)
-    assert comp.support == (0, 3)
-    assert all(comp.rank(m) == 0 for m in comp.degrees())
-    assert free_complement(ChainComplex.zero(QQ)).is_zero
 
 
 def test_quasi_iso_detects_non_iso():

@@ -113,8 +113,26 @@ def test_extend_complex_zero_matrix_propagates():
 def test_extend_complex_requires_valid_input():
     bad = ChainComplex(QQ, BaseRing.LAURENT, 0, 2, {0: 1, 1: 1, 2: 1},
                        {1: M(QQ, [[[(1, 1)]]]), 2: M(QQ, [[[(1, 1)]]])})
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match="invalid complex"):
         extend_complex(bad)
+
+
+def test_extend_complex_validates_each_complex_once(monkeypatch):
+    # the input, then the two charts; the middle of the sheaf is the input
+    calls = []
+    original = ChainComplex.validate
+
+    def counting(self):
+        calls.append(self.base)
+        return original(self)
+
+    c = random_complex(random.Random(9), QQ)
+    monkeypatch.setattr(ChainComplex, "validate", counting)
+    ext = extend_complex(c)
+    assert calls == [BaseRing.LAURENT, BaseRing.POLY_INV, BaseRing.POLY]
+    calls.clear()
+    assert ext.sheaf.validate() == []
+    assert calls == [BaseRing.POLY_INV, BaseRing.LAURENT, BaseRing.POLY]
 
 
 def test_restriction_round_trip_examples():

@@ -4,7 +4,7 @@ import pytest
 
 from p1dom.errors import RingMismatchError, ShapeError
 from p1dom.laurent import (BaseRing, LaurentPoly, divides, divmod_laurent,
-                           exact_div, laurent_arith)
+                           exact_div)
 from p1dom.scalars import GF, QQ, ZZ
 
 from helpers import P
@@ -32,14 +32,7 @@ def test_gf3_product():
 
 def test_mixed_rings_rejected():
     with pytest.raises(RingMismatchError):
-        laurent_arith(P(QQ, (0, 1)), P(GF(5), (0, 1)), "add")
-
-
-def test_laurent_arith_dispatch():
-    a, b = P(ZZ, (2, 3), (-1, 1)), P(ZZ, (0, 4))
-    assert laurent_arith(a, b, "add") == a + b
-    assert laurent_arith(a, b, "sub") == a - b
-    assert laurent_arith(a, b, "mul") == a * b
+        P(QQ, (0, 1)) + P(GF(5), (0, 1))
 
 
 def test_base_ring_constraints():

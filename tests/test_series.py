@@ -5,8 +5,7 @@ import pytest
 from p1dom.errors import NotAUnitError
 from p1dom.laurent import LaurentPoly
 from p1dom.scalars import GF, QQ, ZZ
-from p1dom.series import (TruncatedSeries, laurent_series, power_series,
-                          series_invert)
+from p1dom.series import TruncatedSeries, laurent_series, power_series
 
 from helpers import P
 
@@ -15,7 +14,7 @@ def test_geometric_series():
     # oracle: 1/(1-x) = 1 + x + x^2 + x^3 + ...
     f = TruncatedSeries.from_laurent(P(QQ, (0, 1), (1, -1)),
                                      power_series(QQ), 4)
-    g = series_invert(f)
+    g = f.invert()
     assert g.x_terms() == [(0, QQ.one()), (1, QQ.one()),
                            (2, QQ.one()), (3, QQ.one())]
 
@@ -24,7 +23,7 @@ def test_integer_non_unit_head():
     f = TruncatedSeries.from_laurent(P(ZZ, (0, 2), (1, -1)),
                                      power_series(ZZ), 4)
     with pytest.raises(NotAUnitError):
-        series_invert(f)
+        f.invert()
 
 
 def test_inverse_direction_expansion():
@@ -32,7 +31,7 @@ def test_inverse_direction_expansion():
     # -x^-1 (1 + 2 x^-1 + 4 x^-2) by hand expansion
     f = TruncatedSeries.from_laurent(P(ZZ, (1, -1), (0, 2)),
                                      laurent_series(ZZ, direction=-1), 3)
-    g = series_invert(f)
+    g = f.invert()
     assert g.x_terms() == [(-1, -1), (-2, -2), (-3, -4)]
 
 
@@ -57,7 +56,7 @@ def test_inverse_identity_on_window(ring):
         f = TruncatedSeries.from_laurent(
             LaurentPoly(ring, coeffs).times_monomial(rng.randint(-2, 2)),
             laurent_series(ring), 6)
-        err = f * series_invert(f) - TruncatedSeries.one(
+        err = f * f.invert() - TruncatedSeries.one(
             laurent_series(ring), 6)
         assert err.is_zero_on_window
 

@@ -87,6 +87,61 @@ def test_general_diagram_cohomology_matches_twist():
     assert (coh.h0_dim, coh.h1_dim) == (3, 0)
 
 
+def test_general_diagram_counts_untouched_cokernel_monomials():
+    # mu- = -3x^2, mu+ = 27x^4 is O(-2): the image misses x^3 only
+    d = SheafDiagram(QQ, [TwistSummand(2, 0)],
+                     M(QQ, [[-3]], BaseRing.POLY_INV),
+                     M(QQ, [[[(4, 27)]]], BaseRing.POLY))
+    assert d.mu_minus_torus() == M(QQ, [[[(2, -3)]]])
+    assert d.mu_plus_torus() == M(QQ, [[[(4, 27)]]])
+    coh = cech_cohomology(d)
+    assert (coh.h0_dim, coh.h1_dim) == (0, 1)
+
+
+def _elementary_product(rng, ring, r, sign, base):
+    m = LaurentMatrix.identity(ring, r, base)
+    for _ in range(rng.randint(0, 3) if r > 1 else 0):
+        i, j = rng.sample(range(r), 2)
+        grid = [[1 if a == b else 0 for b in range(r)] for a in range(r)]
+        grid[i][j] = [(sign * rng.randint(0, 2), rng.randint(1, 5))]
+        m = m @ M(ring, grid, base)
+    return m
+
+
+def _monomial_diagonal(rng, ring, r, sign, base):
+    return M(ring, [[[(sign * rng.randint(0, 2), rng.randint(1, 6))]
+                     if a == b else 0 for b in range(r)] for a in range(r)],
+             base)
+
+
+def random_general_diagram(rng, ring):
+    """A valid diagram that is not a twist sum: structure matrices are
+    invertible matrices over the chart ring times monomial diagonals."""
+    while True:
+        r = rng.randint(1, 3)
+        p_minus = (_elementary_product(rng, ring, r, -1, BaseRing.POLY_INV)
+                   @ _monomial_diagonal(rng, ring, r, -1, BaseRing.POLY_INV))
+        p_plus = (_elementary_product(rng, ring, r, 1, BaseRing.POLY)
+                  @ _monomial_diagonal(rng, ring, r, 1, BaseRing.POLY))
+        twists = [TwistSummand(rng.randint(-2, 2), rng.randint(-2, 2))
+                  for _ in range(r)]
+        d = SheafDiagram(ring, twists, p_minus, p_plus)
+        if not d.is_twist_sum and d.is_valid:
+            return d
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(10007)], ids=lambda r: r.tag)
+def test_general_diagram_riemann_roch(ring):
+    # h0 - h1 = r + v(det mu-) - v(det mu+), the determinants being units
+    rng = random.Random(4)
+    for _ in range(99):
+        d = random_general_diagram(rng, ring)
+        coh = cech_cohomology(d)
+        euler = (d.mid_rank + d.mu_minus_torus().determinant().mindeg
+                 - d.mu_plus_torus().determinant().mindeg)
+        assert coh.h0_dim - coh.h1_dim == euler
+
+
 def test_cech_complex_single_twist():
     ext = extend_complex(ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1))
     s = ext.sheaf.level(0).twist(2, 2)
