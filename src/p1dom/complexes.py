@@ -2,9 +2,12 @@
 
 Complexes are homologically indexed: the differential decreases the degree.
 A complex stores explicit support bounds [lo, hi]; every operation treats
-degrees outside the support as rank zero.  Homology over K[x,x^-1] is
-computed through the Smith normal form (free rank plus torsion invariant
-factors); over the base ring K plain rank-nullity applies.
+degrees outside the support as rank zero.  A ``ChainComplex`` lives over
+K[x^-1], K[x] or K[x,x^-1] and stores dense Laurent matrices; its homology
+over K[x,x^-1] is computed through the Smith normal form (free rank plus
+torsion invariant factors).  Every complex over the base ring K (the
+global sections W, the chart windows, the fpqc totals, base-K files) is a
+``ScalarComplex`` of sparse scalar rows, where plain rank-nullity applies.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import RingMismatchError, ShapeError, UnsupportedRingError
 from .laurent import BaseRing, LaurentPoly
-from .matrices import LaurentMatrix, ScalarMatrix, scalar_rank
+from .matrices import LaurentMatrix, scalar_rank
 from .scalars import CoefficientRing
 from .smith import smith_normal_form
 
@@ -27,6 +30,8 @@ class ChainComplex:
                  ranks=None, diffs=None):
         if lo > hi:
             raise ShapeError(f"support interval [{lo}, {hi}] is empty")
+        if base == BaseRing.K:
+            raise UnsupportedRingError("K-complexes are ScalarComplex")
         self.ring = ring
         self.base = base
         self.lo = lo
@@ -95,9 +100,6 @@ class ChainComplex:
 
     def degrees(self):
         return range(self.lo, self.hi + 1)
-
-    def total_rank(self) -> int:
-        return sum(self.ranks.values())
 
     # -- validation ----------------------------------------------------------
 
@@ -224,16 +226,6 @@ class ChainMap:
     def is_valid(self) -> bool:
         return not self.validate()
 
-    def compose(self, other: "ChainMap") -> "ChainMap":
-        """self after other (other: A -> B, self: B -> C)."""
-        if other.target is not self.source and other.target != self.source:
-            raise ShapeError("composition mismatch")
-        lo = min(other.source.lo, self.target.lo)
-        hi = max(other.source.hi, self.target.hi)
-        comps = {m: self.component(m) @ other.component(m)
-                 for m in range(lo, hi + 1)}
-        return ChainMap(other.source, self.target, comps)
-
 
 class Homotopy:
     """Degree +1 family h_m: source_m -> target_{m+1}."""
@@ -319,7 +311,7 @@ class HomologyReport:
                 if e.free_rank}
 
 
-def homology(c: ChainComplex) -> HomologyReport:
+def homology(c: ChainComplex | ScalarComplex) -> HomologyReport:
     """Per-degree homology structure.
 
     Over K[x,x^-1] (field coefficients) the module structure comes from two
@@ -330,8 +322,10 @@ def homology(c: ChainComplex) -> HomologyReport:
     if not c.ring.is_field:
         raise UnsupportedRingError(
             "homology needs field coefficients (Z[x,x^-1] is not a PID)")
-    if c.base == BaseRing.K:
-        return _homology_scalar(c)
+    if isinstance(c, ScalarComplex):
+        return HomologyReport(c.ring.tag, c.base.tag, {
+            q: HomologyEntry(dim, (), dim)
+            for q, dim in homology_dims(c).items()})
     if c.base != BaseRing.LAURENT:
         raise UnsupportedRingError(
             f"homology is computed over K or K[x,x^-1], not {c.base.tag}")
@@ -359,19 +353,13 @@ def homology(c: ChainComplex) -> HomologyReport:
     return HomologyReport(c.ring.tag, c.base.tag, entries)
 
 
-def _homology_scalar(c: ChainComplex) -> HomologyReport:
-    entries = {q: HomologyEntry(dim, (), dim)
-               for q, dim in homology_dims(c).items()}
-    return HomologyReport(c.ring.tag, c.base.tag, entries)
-
-
 @dataclass(frozen=True)
 class ScalarComplex:
     """Bounded complex of finite-dimensional K-vector spaces.
 
     ``diffs[m]`` is the ScalarMatrix of C_m -> C_{m-1}; a degree without
-    one has the zero differential.  Homology dimensions over K are
-    computed in this form.
+    one has the zero differential.  ``base`` is always K, so a check of the
+    base ring reads it as it reads a ChainComplex's.
     """
 
     ring: CoefficientRing
@@ -379,25 +367,39 @@ class ScalarComplex:
     hi: int
     ranks: dict
     diffs: dict
+    base = BaseRing.K
 
-    @classmethod
-    def from_chain(cls, c: ChainComplex) -> "ScalarComplex":
-        if c.base != BaseRing.K:
-            raise UnsupportedRingError("homology_dims expects a K-complex")
-        return cls(c.ring, c.lo, c.hi, dict(c.ranks),
-                   {m: ScalarMatrix.from_laurent(d)
-                    for m, d in c.diffs.items()})
+    def rank(self, m: int) -> int:
+        return self.ranks.get(m, 0)
 
-    def to_chain(self) -> ChainComplex:
-        return ChainComplex(self.ring, BaseRing.K, self.lo, self.hi,
-                            self.ranks, {m: d.to_laurent()
-                                         for m, d in self.diffs.items()})
+    def degrees(self):
+        return range(self.lo, self.hi + 1)
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self.ranks.values())
+
+    def validate(self):
+        """d.d = 0 report in the words of ChainComplex.validate."""
+        p = self.ring.p
+        problems = []
+        for m in range(self.lo + 2, self.hi + 1):
+            a, b = self.diffs.get(m - 1), self.diffs.get(m)
+            if a is None or b is None:
+                continue
+            for row in a.data:
+                acc = {}
+                for k, v in row.items():
+                    for j, w in b.data[k].items():
+                        acc[j] = acc.get(j, 0) + v * w
+                if any(x % p if p else x for x in acc.values()):
+                    problems.append(f"degree {m}: d.d != 0")
+                    break
+        return problems
 
 
-def homology_dims(c: ChainComplex | ScalarComplex) -> dict:
-    """Degree -> K-dimension of a K-complex (ChainComplex or ScalarComplex)."""
-    if isinstance(c, ChainComplex):
-        c = ScalarComplex.from_chain(c)
+def homology_dims(c: ScalarComplex) -> dict:
+    """Degree -> K-dimension of the homology of a K-complex."""
     ranks = {m: scalar_rank(d) for m, d in c.diffs.items()
              if d.rows and d.cols}
     return {q: c.ranks.get(q, 0) - ranks.get(q, 0) - ranks.get(q + 1, 0)

@@ -8,7 +8,8 @@ head units for two-term complexes, and a greedy unit-pivot elimination on
 truncated series matrices for longer ones (sound, possibly "unknown").
 
 The witness produced for a Novikov-acyclic complex is the complex of global
-sections W of the extension to the projective line, together with a ledger
+sections W of the extension to the projective line (a ``ScalarComplex``:
+sparse scalar rows, no Laurent matrix of constants), together with a ledger
 checking, degree by degree,
 
     dim H_q(W) = dim_K H_q(C) + dim H_q(C+ (x) K[[x]]) + dim H_q(C- (x) K[[x^-1]]).
@@ -28,16 +29,16 @@ the valuations.
 It writes each differential as sparse scalar rows straight from the
 coefficients of the chart complex; numbering slot tau of generator j as
 tau * rank + j makes the matrix a banded Toeplitz block, ranked by
-``matrices.scalar_rank``.
+``matrices.scalar_rank``.  The fpqc total of two windows is written as
+sparse rows too, by the block formula of ``diagrams.hypercohomology``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import (ChainComplex, ChainMap, HomologyReport, ScalarComplex,
-                        homology, homology_dims)
-from .diagrams import ComplexDiagram, hypercohomology
+from .complexes import (ChainComplex, HomologyReport, ScalarComplex, homology,
+                        homology_dims)
 from .errors import (NotAUnitError, NotNovikovAcyclicError, ShapeError,
                      StabilisationFailureError, UnsupportedRingError)
 from .extension import ExtensionResult, extend_complex
@@ -379,7 +380,7 @@ class LedgerRow:
 
 @dataclass(frozen=True)
 class DominationWitness:
-    w: ChainComplex
+    w: ScalarComplex
     extension: ExtensionResult
     ledger: tuple
     plus_order: int
@@ -470,7 +471,7 @@ class FpqcModel:
     """Truncated totalisation of the chart cover of the affine line."""
 
     order: int
-    total: ChainComplex
+    total: ScalarComplex
     dims: dict
     dims_double: dict
     window_dims: dict
@@ -517,31 +518,41 @@ def fpqc_hyper(c_plus: ChainComplex, order: int = 16) -> FpqcModel:
     return model
 
 
-def _pad_degrees(dims: dict, like: ChainComplex) -> dict:
+def _pad_degrees(dims: dict, like: ScalarComplex) -> dict:
     return {q: dims.get(q, 0) for q in like.degrees()}
 
 
-def _fpqc_total(narrow: ScalarComplex, wide: ScalarComplex) -> ChainComplex:
+def _fpqc_total(narrow: ScalarComplex, wide: ScalarComplex) -> ScalarComplex:
     """Totalisation of (narrow -> wide <- wide), wide twice as long.
 
-    The inclusion sends slot tau of the narrow window to slot tau + N of the
-    wide one; with slot-major indices that is index i -> i + rank_m * N.
+    The block formula is that of ``diagrams.hypercohomology``: degree n
+    stacks narrow_n, wide_n and wide_{n+1}, and the differential is
+    [[d, 0, 0], [0, d, 0], [-incl, id, -d]].  The inclusion sends slot tau
+    of the narrow window to slot tau + N of the wide one; with slot-major
+    indices that is index i -> i + a, a = rank_n * N the narrow rank.
+    Windows have every differential in their support, and none below it,
+    where the target is zero.
     """
-    one = narrow.ring.one()
-    incl = {}
-    for m in range(narrow.lo, narrow.hi + 1):
-        offset = narrow.ranks[m]
-        rows = [{} for _ in range(wide.ranks[m])]
-        for i in range(offset):
-            rows[i + offset][i] = one
-        incl[m] = ScalarMatrix(narrow.ring, wide.ranks[m], offset,
-                               rows).to_laurent()
-    narrow_c = narrow.to_chain()
-    wide_c = wide.to_chain()
-    mu_minus = ChainMap(narrow_c, wide_c, incl)
-    ident = ChainMap.identity(wide_c)
-    diagram = ComplexDiagram(narrow_c, wide_c, wide_c, mu_minus, ident)
-    return hypercohomology(diagram)
+    ring = narrow.ring
+    one, minus_one = ring.one(), ring.neg(ring.one())
+    lo, hi = narrow.lo - 1, narrow.hi
+    ranks = {n: narrow.rank(n) + wide.rank(n) + wide.rank(n + 1)
+             for n in range(lo, hi + 1)}
+    diffs = {}
+    for n in range(lo + 1, hi + 1):
+        a, b = narrow.rank(n), wide.rank(n)
+        rows = [{j + shift: v for j, v in row.items()}
+                for c, shift in ((narrow, 0), (wide, a)) if n in c.diffs
+                for row in c.diffs[n].data]
+        for i, top in enumerate(wide.diffs[n + 1].data if n < hi
+                                else [{}] * b):
+            row = {a + b + j: ring.neg(v) for j, v in top.items()}
+            row[a + i] = one
+            if i >= a:
+                row[i - a] = minus_one
+            rows.append(row)
+        diffs[n] = ScalarMatrix(ring, len(rows), ranks[n], rows)
+    return ScalarComplex(ring, lo, hi, ranks, diffs)
 
 
 # ---------------------------------------------------------------------------

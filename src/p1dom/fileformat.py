@@ -4,7 +4,14 @@ All files are JSON.  Laurent polynomials serialise as arrays of
 [exponent, coefficient-string] pairs with exponents ascending; rationals
 render as "a/b" or "a", GF(p) residues and integers as decimal strings.
 Serialisation is bit-stable: degrees ascend, field order is fixed, and
-dumps always end with a newline.
+dumps always end with a newline.  A complex with base "K" loads as a
+``ScalarComplex`` of sparse rows of constants.
+
+Loading is bounded before anything is built: a degree span above
+MAX_DEGREE_SPAN, a rank above MAX_RANK or an exponent or twist above
+MAX_EXPONENT in absolute value is a FormatError naming the field.  (An
+omitted differential is a dense zero matrix; exponents and twists set the
+sizes of the monomial bands of the global sections.)
 """
 
 from __future__ import annotations
@@ -12,16 +19,19 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .complexes import ChainComplex
+from .complexes import ChainComplex, ScalarComplex
 from .errors import FormatError
 from .laurent import BaseRing, LaurentPoly, base_from_tag
-from .matrices import LaurentMatrix
+from .matrices import LaurentMatrix, ScalarMatrix
 from .scalars import CoefficientRing, ring_from_tag
 from .sheaves import SheafComplex, SheafDiagram, TwistSummand
 
 COMPLEX_FORMAT = "p1dom-complex"
 SHEAF_FORMAT = "p1dom-sheaf-complex"
 VERSION = 1
+MAX_DEGREE_SPAN = 16
+MAX_RANK = 512
+MAX_EXPONENT = 4096
 
 
 # -- polynomials and matrices ---------------------------------------------------
@@ -42,11 +52,18 @@ def poly_from_pairs(ring: CoefficientRing, pairs, where: str) -> LaurentPoly:
                 or not isinstance(pair[1], str)):
             raise FormatError(
                 "expected [exponent, coefficient-string]", loc)
+        _check_exponent(pair[0], f"{loc}[0]")
         try:
             acc.append((pair[0], ring.parse(pair[1])))
         except Exception as exc:
             raise FormatError(f"bad coefficient: {exc}", loc) from exc
     return LaurentPoly.from_pairs(ring, acc)
+
+
+def _check_exponent(e: int, where: str):
+    if abs(e) > MAX_EXPONENT:
+        raise FormatError(
+            f"exponent {e} exceeds {MAX_EXPONENT} in absolute value", where)
 
 
 def matrix_to_rows(m: LaurentMatrix):
@@ -73,7 +90,7 @@ def matrix_from_rows(ring, rows, cols, data, base: BaseRing, where: str):
 # -- chain complexes ---------------------------------------------------------------
 
 
-def complex_to_dict(c: ChainComplex) -> dict:
+def complex_to_dict(c: ChainComplex | ScalarComplex) -> dict:
     return {
         "format": COMPLEX_FORMAT,
         "version": VERSION,
@@ -82,10 +99,22 @@ def complex_to_dict(c: ChainComplex) -> dict:
         "base": c.base.tag,
         "degrees": [{"degree": m, "rank": c.rank(m)} for m in c.degrees()],
         "differentials": [
-            {"degree": m, "matrix": matrix_to_rows(c.diff(m))}
+            {"degree": m, "matrix": _diff_rows(c, m)}
             for m in range(c.lo + 1, c.hi + 1)
         ],
     }
+
+
+def _diff_rows(c, m: int):
+    """The differential at degree m as rows of cells; K entries are
+    written as constants, zero as the empty polynomial."""
+    if c.base != BaseRing.K:
+        return matrix_to_rows(c.diff(m))
+    d = c.diffs.get(m)
+    render = c.ring.render
+    return [[[[0, render(row[j])]] if j in row else []
+             for j in range(c.rank(m))]
+            for row in (d.data if d else [{}] * c.rank(m - 1))]
 
 
 def _header(data: dict, expected_format: str):
@@ -124,9 +153,16 @@ def _read_degrees(data):
             raise FormatError("expected {degree, rank}", loc)
         if item["rank"] < 0:
             raise FormatError("negative rank", loc)
+        if item["rank"] > MAX_RANK:
+            raise FormatError(f"rank {item['rank']} exceeds {MAX_RANK}",
+                              f"{loc}.rank")
         if item["degree"] in ranks:
             raise FormatError("duplicate degree", loc)
         ranks[item["degree"]] = item["rank"]
+    span = max(ranks) - min(ranks)
+    if span > MAX_DEGREE_SPAN:
+        raise FormatError(f"degree span {span} exceeds {MAX_DEGREE_SPAN}",
+                          "degrees")
     return ranks
 
 
@@ -151,11 +187,14 @@ def _read_differentials(data, ring, base, ranks, key: str):
     return diffs
 
 
-def complex_from_dict(data: dict) -> ChainComplex:
+def complex_from_dict(data: dict) -> ChainComplex | ScalarComplex:
     ring, base = _header(data, COMPLEX_FORMAT)
     ranks = _read_degrees(data)
     lo, hi = min(ranks), max(ranks)
     diffs = _read_differentials(data, ring, base, ranks, "differentials")
+    if base == BaseRing.K:
+        return ScalarComplex(ring, lo, hi, ranks, {
+            m: ScalarMatrix.from_laurent(d) for m, d in diffs.items()})
     try:
         c = ChainComplex(ring, base, lo, hi, ranks, diffs)
     except Exception as exc:
@@ -205,6 +244,8 @@ def sheaf_from_dict(data: dict) -> SheafComplex:
                 or not all(isinstance(item.get(f), int)
                            for f in ("degree", "k", "l"))):
             raise FormatError("expected {degree, k, l}", loc)
+        for f in ("k", "l"):
+            _check_exponent(item[f], f"{loc}.{f}")
         profile[item["degree"]] = (item["k"], item["l"])
     for m in ranks:
         if ranks[m] and m not in profile:
@@ -257,7 +298,7 @@ def save_path(path, obj):
         fh.write(dumps_canonical(obj))
 
 
-def load_complex(path) -> ChainComplex:
+def load_complex(path) -> ChainComplex | ScalarComplex:
     with open(path, encoding="utf-8") as fh:
         return complex_from_dict(loads(fh.read()))
 

@@ -53,12 +53,6 @@ class LaurentMatrix:
                    base, check=False)
 
     @classmethod
-    def from_rows(cls, ring, rows_of_polys, base=BaseRing.LAURENT):
-        rows = len(rows_of_polys)
-        cols = len(rows_of_polys[0]) if rows else 0
-        return cls(ring, rows, cols, rows_of_polys, base)
-
-    @classmethod
     def scalar_diag(cls, ring, polys, base=BaseRing.LAURENT):
         n = len(polys)
         z = LaurentPoly.zero(ring)
@@ -175,9 +169,6 @@ class LaurentMatrix:
             [[fn(p) for p in row] for row in self.entries],
             base if base is not None else self.base, check=False)
 
-    def scale_poly(self, poly: LaurentPoly):
-        return self.map_entries(lambda p: p * poly, base=BaseRing.LAURENT)
-
     def times_monomial(self, exponent: int):
         return self.map_entries(
             lambda p: p.times_monomial(exponent), base=BaseRing.LAURENT)
@@ -217,12 +208,6 @@ class LaurentMatrix:
         self.check_base(base)
         return LaurentMatrix(self.ring, self.rows, self.cols,
                              self.entries, base, check=False)
-
-    def transpose(self):
-        return LaurentMatrix(
-            self.ring, self.cols, self.rows,
-            [[self.entries[i][j] for i in range(self.rows)]
-             for j in range(self.cols)], self.base, check=False)
 
     def hstack(self, other):
         if self.rows != other.rows:
@@ -273,10 +258,6 @@ class LaurentMatrix:
         det = m[n - 1][n - 1]
         return det if sign > 0 else -det
 
-    def is_unit_determinant(self) -> bool:
-        """True iff square with determinant a unit of K[x,x^-1]."""
-        return self.is_square and self.determinant().is_unit
-
     # -- comparisons -----------------------------------------------------------
 
     def __eq__(self, other):
@@ -301,8 +282,7 @@ class ScalarMatrix:
 
     ``data[i]`` is row i as a dict ``{col: value}``; absent columns are
     zero.  Values are exact ring elements (ints for GF(p) and Z, Fractions
-    or ints over Q), so a scalar matrix wraps back into a LaurentMatrix of
-    constants without loss.
+    or ints over Q).  Every differential of a ``ScalarComplex`` is one.
     """
 
     __slots__ = ("ring", "rows", "cols", "data")
@@ -331,16 +311,6 @@ class ScalarMatrix:
                 out[j] = p.coeff(0)
             data.append(out)
         return cls(m.ring, m.rows, m.cols, data)
-
-    def to_laurent(self) -> LaurentMatrix:
-        ring = self.ring
-        z = LaurentPoly.zero(ring)
-        entries = [[z] * self.cols for _ in range(self.rows)]
-        for i, row in enumerate(self.data):
-            for j, v in row.items():
-                entries[i][j] = LaurentPoly.constant(ring, v)
-        return LaurentMatrix(ring, self.rows, self.cols, entries,
-                             BaseRing.K, check=False)
 
 
 def scalar_rank(m: ScalarMatrix) -> int:

@@ -129,9 +129,6 @@ class CoefficientRing:
             return pow(a, self.p - 2, self.p)
         return a  # 1 or -1
 
-    def div(self, a, b):
-        return self.mul(a, self.invert(b))
-
     # -- text form (shared by every file format) -------------------------
 
     def render(self, a) -> str:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import ChainComplex
+from .complexes import ChainComplex, ScalarComplex
 from .errors import (NonVanishingH1Error, BandViolationError,
                      RingMismatchError, ShapeError, UnsupportedRingError)
 from .laurent import BaseRing, LaurentPoly
@@ -354,7 +354,7 @@ class SheafComplex:
         return not self.validate()
 
 
-def cech_complex(s: SheafComplex) -> ChainComplex:
+def cech_complex(s: SheafComplex) -> ScalarComplex:
     """The complex of global sections as a K-complex on monomial bands.
 
     Every level must be a sum of twists with nonnegative-or-(-1) twist so
@@ -398,9 +398,8 @@ def cech_complex(s: SheafComplex) -> ChainComplex:
                             f"degree {m}: image of band monomial "
                             f"(summand {j}, x^{e}) leaves the target band")
                     rows[pos][col] = c
-        diffs[m] = ScalarMatrix(ring, len(rows), ranks.get(m, 0),
-                                rows).to_laurent()
-    return ChainComplex(ring, BaseRing.K, s.mid.lo, s.mid.hi, ranks, diffs)
+        diffs[m] = ScalarMatrix(ring, len(rows), ranks.get(m, 0), rows)
+    return ScalarComplex(ring, s.mid.lo, s.mid.hi, ranks, diffs)
 
 
 def sheaf_hyper_homology_dims(s: SheafComplex) -> dict:

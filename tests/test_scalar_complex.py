@@ -1,0 +1,308 @@
+"""K-complexes are ScalarComplex end to end.
+
+The global sections W, the chart windows, the fpqc totals and base-K files
+are sparse scalar complexes.  The sparse fpqc total is compared here with
+``diagrams.hypercohomology`` of the same diagram written as Laurent
+matrices of constants, and ``ScalarComplex.validate`` with a dense d.d
+product; both references are kept in this file.  The input bounds of the
+file format are checked on tiny files.
+"""
+
+import json
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from p1dom import fileformat as ff
+from p1dom.cli import main
+from p1dom.complexes import ChainComplex, ChainMap, ScalarComplex
+from p1dom.diagrams import ComplexDiagram, hypercohomology
+from p1dom.domination import (_fpqc_total, dominate, fpqc_hyper,
+                              window_complex)
+from p1dom.errors import FormatError, UnsupportedRingError
+from p1dom.extension import extend_complex
+from p1dom.generators import random_complex, random_novikov_acyclic
+from p1dom.laurent import BaseRing, LaurentPoly
+from p1dom.matrices import LaurentMatrix, ScalarMatrix
+from p1dom.scalars import GF, QQ, ZZ
+from p1dom.sheaves import cech_complex
+
+from helpers import two_term
+
+FIELDS = [QQ, GF(7), GF(10007)]
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+# -- the fpqc total against the Laurent block formula ----------------------
+
+
+def as_laurent(c: ScalarComplex) -> ChainComplex:
+    """The same complex as Laurent matrices of constants."""
+    diffs = {m: LaurentMatrix(c.ring, d.rows, d.cols, [
+        [LaurentPoly.constant(c.ring, row.get(j, 0)) for j in range(d.cols)]
+        for row in d.data]) for m, d in c.diffs.items()}
+    return ChainComplex(c.ring, BaseRing.LAURENT, c.lo, c.hi, c.ranks, diffs)
+
+
+def reference_total(narrow: ScalarComplex, wide: ScalarComplex):
+    """hypercohomology of (narrow -> wide <- wide): slot tau goes to
+    slot tau + N, index i to i + rank of the narrow window."""
+    ring = narrow.ring
+    one, zero = LaurentPoly.one(ring), LaurentPoly.zero(ring)
+    n_c, w_c = as_laurent(narrow), as_laurent(wide)
+    incl = {m: LaurentMatrix(ring, wide.rank(m), narrow.rank(m), [
+        [one if i == j + narrow.rank(m) else zero
+         for j in range(narrow.rank(m))] for i in range(wide.rank(m))])
+        for m in narrow.degrees()}
+    diagram = ComplexDiagram(n_c, w_c, w_c, ChainMap(n_c, w_c, incl),
+                             ChainMap.identity(w_c))
+    return hypercohomology(diagram)
+
+
+def random_chart(rng, ring):
+    """A K[x]-complex with random entries; d.d = 0 is not needed here."""
+    lo = rng.randint(-1, 1)
+    hi = lo + rng.randint(0, 2)
+    ranks = {m: rng.randint(0, 2) for m in range(lo, hi + 1)}
+    diffs = {}
+    for m in range(lo + 1, hi + 1):
+        diffs[m] = LaurentMatrix(ring, ranks[m - 1], ranks[m], [
+            [LaurentPoly.from_pairs(ring, [
+                (rng.randint(0, 3), ring.from_int(rng.randint(-3, 3)))
+                for _ in range(rng.randint(0, 2))])
+             for _ in range(ranks[m])] for _ in range(ranks[m - 1])],
+            BaseRing.POLY)
+    return ChainComplex(ring, BaseRing.POLY, lo, hi, ranks, diffs)
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2 ** 32 - 1), ring=st.sampled_from(FIELDS),
+       order=st.sampled_from([1, 2, 4, 8]))
+def test_fpqc_total_equals_hypercohomology(seed, ring, order):
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        chart = random_chart(rng, ring)
+    else:
+        chart = extend_complex(random_novikov_acyclic(rng, ring, 2)).sheaf.plus
+    narrow = window_complex(chart, order)
+    wide = window_complex(chart, 2 * order)
+    total = _fpqc_total(narrow, wide)
+    ref = reference_total(narrow, wide)
+    assert (total.lo, total.hi) == (ref.lo, ref.hi)
+    assert {n: total.rank(n) for n in total.degrees()} == ref.ranks
+    for n in range(ref.lo + 1, ref.hi + 1):
+        d = total.diffs[n]
+        want = ScalarMatrix.from_laurent(ref.diff(n))
+        assert (d.rows, d.cols) == (want.rows, want.cols)
+        assert d.data == want.data
+
+
+def test_fpqc_hyper_total_is_scalar():
+    model = fpqc_hyper(two_term(QQ, [(2, 1), (3, -1)], base=BaseRing.POLY))
+    assert isinstance(model.total, ScalarComplex)
+    assert model.dims == {-1: 0, 0: 2, 1: 2}
+
+
+# -- validate against a dense d.d product -----------------------------------
+
+
+def dense_problems(c: ScalarComplex):
+    ring = c.ring
+    problems = []
+    for m in range(c.lo + 2, c.hi + 1):
+        a, b = c.diffs.get(m - 1), c.diffs.get(m)
+        if a is None or b is None:
+            continue
+        for i in range(a.rows):
+            if any(ring.normalise(sum(
+                    ring.mul(a.data[i].get(k, 0), b.data[k].get(j, 0))
+                    for k in range(a.cols))) for j in range(b.cols)):
+                problems.append(f"degree {m}: d.d != 0")
+                break
+    return problems
+
+
+def random_scalar_complex(rng, ring):
+    lo = rng.randint(-2, 2)
+    hi = lo + rng.randint(0, 3)
+    ranks = {m: rng.randint(0, 3) for m in range(lo, hi + 1)}
+    diffs = {}
+    for m in range(lo + 1, hi + 1):
+        if rng.random() < 0.2:
+            continue
+        rows = [{j: ring.from_int(v) for j in range(ranks[m])
+                 if (v := rng.choice([0, 0, 0, 1, -1, 2]))}
+                for _ in range(ranks[m - 1])]
+        diffs[m] = ScalarMatrix(ring, ranks[m - 1], ranks[m], rows)
+    return ScalarComplex(ring, lo, hi, ranks, diffs)
+
+
+def corrupted(rng, c: ScalarComplex) -> ScalarComplex:
+    """c with one entry of one nonempty differential moved by 1."""
+    cells = [(m, i, j) for m, d in c.diffs.items()
+             for i in range(d.rows) for j in range(d.cols)]
+    if not cells:
+        return c
+    m, i, j = rng.choice(cells)
+    data = [dict(row) for row in c.diffs[m].data]
+    v = c.ring.normalise(data[i].get(j, 0) + 1)
+    if v:
+        data[i][j] = v
+    else:
+        data[i].pop(j, None)
+    diffs = dict(c.diffs)
+    diffs[m] = ScalarMatrix(c.ring, c.diffs[m].rows, c.diffs[m].cols, data)
+    return ScalarComplex(c.ring, c.lo, c.hi, c.ranks, diffs)
+
+
+@settings(deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       ring=st.sampled_from(FIELDS + [ZZ]))
+def test_validate_matches_dense_product(seed, ring):
+    rng = random.Random(seed)
+    c = random_scalar_complex(rng, ring)
+    assert c.validate() == dense_problems(c)
+    # W of an extension is a complex; a moved entry may break d.d = 0
+    w = cech_complex(extend_complex(
+        random_complex(rng, ring, 4, 3, span=2)).sheaf)
+    assert w.validate() == dense_problems(w) == []
+    bad = corrupted(rng, w)
+    assert bad.validate() == dense_problems(bad)
+
+
+def test_validate_reports_each_broken_degree():
+    one = QQ.one()
+    d = ScalarMatrix(QQ, 1, 1, [{0: one}])
+    c = ScalarComplex(QQ, 0, 3, {0: 1, 1: 1, 2: 1, 3: 1},
+                      {1: d, 2: d, 3: d})
+    assert c.validate() == ["degree 2: d.d != 0", "degree 3: d.d != 0"]
+    assert ScalarComplex(GF(7), 0, 2, {0: 1, 1: 1, 2: 1}, {
+        1: ScalarMatrix(GF(7), 1, 1, [{0: 3}]),
+        2: ScalarMatrix(GF(7), 1, 1, [{0: 0}])}).validate() == []
+
+
+# -- one representation -------------------------------------------------------
+
+
+def test_chain_complex_over_k_raises():
+    with pytest.raises(UnsupportedRingError):
+        ChainComplex(QQ, BaseRing.K, 0, 1, {0: 1, 1: 1})
+    with pytest.raises(UnsupportedRingError):
+        ChainComplex.single(GF(7), BaseRing.K, 0, 2)
+
+
+def test_k_complexes_are_scalar():
+    c = two_term(QQ, [(1, 1), (0, -1)])
+    assert isinstance(cech_complex(extend_complex(c).sheaf), ScalarComplex)
+    assert isinstance(dominate(c).w, ScalarComplex)
+    chart = two_term(QQ, [(1, 1)], base=BaseRing.POLY)
+    assert isinstance(window_complex(chart, 4), ScalarComplex)
+    w = ff.load_complex(SAMPLES / "x-minus-1-w.cplx")
+    assert isinstance(w, ScalarComplex)
+    assert w.base == BaseRing.K and w.validate() == []
+
+
+# -- base-K files -----------------------------------------------------------------
+
+
+def test_base_k_sample_bytes_survive_load_and_dump():
+    text = (SAMPLES / "x-minus-1-w.cplx").read_text(encoding="utf-8")
+    loaded = ff.complex_from_dict(json.loads(text))
+    assert ff.dumps_canonical(ff.complex_to_dict(loaded)) == text
+
+
+@pytest.mark.parametrize("ring", FIELDS + [ZZ], ids=lambda r: r.tag)
+def test_base_k_files_survive_load_and_dump(ring):
+    rng = random.Random(31)
+    for _ in range(8):
+        c = random_complex(rng, ring, 4, 3, span=2)
+        text = ff.dumps_canonical(ff.complex_to_dict(
+            cech_complex(extend_complex(c).sheaf)))
+        loaded = ff.complex_from_dict(json.loads(text))
+        assert isinstance(loaded, ScalarComplex)
+        assert ff.dumps_canonical(ff.complex_to_dict(loaded)) == text
+
+
+def test_base_k_missing_differential_dumps_as_zero():
+    data = {"format": "p1dom-complex", "version": 1, "ring": "Q",
+            "variable": "x", "base": "K",
+            "degrees": [{"degree": 0, "rank": 2}, {"degree": 1, "rank": 1}],
+            "differentials": []}
+    c = ff.complex_from_dict(data)
+    assert c.validate() == []
+    assert ff.complex_to_dict(c)["differentials"] == [
+        {"degree": 1, "matrix": [[[]], [[]]]}]
+
+
+def test_base_k_file_with_nonconstant_entry_is_rejected():
+    data = ff.complex_to_dict(two_term(QQ, [(1, 1)]))
+    data["base"] = "K"
+    with pytest.raises(FormatError, match=r"violates K \(at differentials"):
+        ff.complex_from_dict(data)
+
+
+# -- input bounds ---------------------------------------------------------------
+
+
+def _tiny():
+    return ff.complex_to_dict(two_term(GF(7), [(0, 6), (1, 1)]))
+
+
+def _exponent_file(e):
+    data = _tiny()
+    data["differentials"][0]["matrix"][0][0] = [[0, "6"], [e, "1"]]
+    return data
+
+
+def _rank_file(r):
+    data = _tiny()
+    data["degrees"][1]["rank"] = r
+    data["differentials"] = []
+    return data
+
+
+def _span_file(top):
+    data = _tiny()
+    data["degrees"][1]["degree"] = top
+    data["differentials"] = []
+    return data
+
+
+def _twist_file(k):
+    data = ff.sheaf_to_dict(extend_complex(two_term(QQ, [(0, 1)])).sheaf)
+    data["twist_profile"][0]["k"] = k
+    return data
+
+
+@pytest.mark.parametrize("build,ok,bad,where", [
+    (_exponent_file, ff.MAX_EXPONENT, ff.MAX_EXPONENT + 1,
+     "differentials[0].matrix[0][0][1][0]"),
+    (_exponent_file, -ff.MAX_EXPONENT, -ff.MAX_EXPONENT - 1,
+     "differentials[0].matrix[0][0][1][0]"),
+    (_rank_file, ff.MAX_RANK, ff.MAX_RANK + 1, "degrees[1].rank"),
+    (_span_file, ff.MAX_DEGREE_SPAN, ff.MAX_DEGREE_SPAN + 1, "degrees"),
+])
+def test_complex_bounds(build, ok, bad, where):
+    ff.complex_from_dict(build(ok))
+    with pytest.raises(FormatError) as err:
+        ff.complex_from_dict(build(bad))
+    assert str(err.value).endswith(f"(at {where})")
+    assert str(bad) in str(err.value) or "span" in str(err.value)
+
+
+def test_twist_bound():
+    with pytest.raises(FormatError, match=r"at twist_profile\[0\]\.k"):
+        ff.sheaf_from_dict(_twist_file(ff.MAX_EXPONENT + 1))
+
+
+@pytest.mark.parametrize("data", [
+    _exponent_file(10 ** 6), _rank_file(10 ** 8), _span_file(10 ** 9)],
+    ids=["exponent", "rank", "span"])
+def test_bounds_exit_2(data, tmp_path, capsys):
+    path = tmp_path / "big.cplx"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")

@@ -13,7 +13,7 @@ from p1dom.sheaves import (SheafComplex, SheafDiagram, TwistSummand,
                            sheaf_hyper_homology_dims, sheaf_iota_exact,
                            twisting_sheaf)
 
-from helpers import M, P, two_term
+from helpers import M, two_term
 
 
 def test_twisting_sheaf_structure_zero():
@@ -160,10 +160,8 @@ def test_cech_complex_of_x_minus_one_extension():
     w = cech_complex(ext.sheaf)
     assert {m: w.rank(m) for m in w.degrees()} == {0: 2, 1: 1}
     # basis of degree 0 is {x^0, x^1}; the image of the generator is
-    # -1*x^0 + 1*x^1
-    d = w.diff(1)
-    assert d.entries[0][0] == P(QQ, (0, -1))
-    assert d.entries[1][0] == P(QQ, (0, 1))
+    # -1*x^0 + 1*x^1, stored as sparse scalar rows
+    assert w.diffs[1].data == [{0: -1}, {0: 1}]
     dims = homology_dims(w)
     assert dims[0] == 1 and dims[1] == 0
 
