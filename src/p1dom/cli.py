@@ -6,6 +6,11 @@ usage errors.  Flags can be preset through environment variables with the
 P1DOM_ prefix (P1DOM_RING, P1DOM_TRUNC, P1DOM_TRUNC_MAX, P1DOM_SEED,
 P1DOM_FORMAT, P1DOM_OUT); explicit flags win.  A preset is checked like the
 flag it stands for.
+
+Sizes are bounded as file contents are: a truncation order is at most
+MAX_ORDER, ``hyper`` refuses an order whose widest window would exceed
+HYPER_ROW_BUDGET rows, and ``extend`` and ``h0`` write no file that the
+loader's bounds would refuse (exit 2 in each case).
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from . import fileformat as ff
 from .complexes import homology
 from .domination import dominate, fpqc_hyper, novikov_check, verify_theorem
 from .errors import (FormatError, NotNovikovAcyclicError, P1DomError,
-                     StabilisationFailureError, UnsupportedRingError)
+                     ShapeError, StabilisationFailureError,
+                     UnsupportedRingError)
 from .extension import extend_complex
 from .scalars import ring_from_tag
 from .selftest import run_selftest
@@ -28,6 +34,10 @@ from .sheaves import cech_cohomology, cech_complex, twisting_sheaf
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
 EXIT_INPUT_ERROR = 2
+# largest --trunc / --trunc-max, the exponent bound of the file format
+MAX_ORDER = ff.MAX_EXPONENT
+# rows of the widest window fpqc_hyper builds, 4 * order * total rank
+HYPER_ROW_BUDGET = 1 << 16
 
 
 def _integer(text):
@@ -39,10 +49,13 @@ def _integer(text):
 
 
 def _order(text):
-    """--trunc / --trunc-max: an integer of at least 1."""
+    """--trunc / --trunc-max: an integer from 1 to MAX_ORDER."""
     value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value > MAX_ORDER:
+        raise argparse.ArgumentTypeError(
+            f"must be at most MAX_ORDER = {MAX_ORDER}, got {value}")
     return value
 
 
@@ -152,6 +165,18 @@ def _write(args, text):
             fh.truncate(len(data))
 
 
+def _write_file(args, data):
+    """Write a complex or sheaf file, or nothing when the loader would
+    refuse it."""
+    try:
+        ff.check_bounds(data)
+    except FormatError as exc:
+        raise FormatError(
+            f"output not written, p1dom could not read it back: {exc}"
+        ) from None
+    _write(args, ff.dumps_canonical(data))
+
+
 def _emit(args, human_lines, report_obj):
     if args.format == "report":
         text = ff.dumps_canonical(report_obj)
@@ -163,6 +188,16 @@ def _emit(args, human_lines, report_obj):
 def _load_complex(args):
     c = ff.load_complex(args.input)
     _check_ring_flag(args, c.ring.tag)
+    return c
+
+
+def _load_valid_complex(args):
+    """A complex whose d.d = 0 is checked: homology reads it from ranks
+    of the differentials, which a non-complex does not contradict."""
+    c = _load_complex(args)
+    problems = c.validate()
+    if problems:
+        raise ShapeError("invalid complex: " + "; ".join(problems))
     return c
 
 
@@ -196,7 +231,7 @@ def cmd_validate(args):
 
 
 def cmd_homology(args):
-    c = _load_complex(args)
+    c = _load_valid_complex(args)
     rep = homology(c)
     lines = []
     entries = []
@@ -216,7 +251,7 @@ def cmd_homology(args):
 
 
 def cmd_novikov(args):
-    c = _load_complex(args)
+    c = _load_valid_complex(args)
     verdict = novikov_check(c, order=args.trunc)
     lines = [f"x-side: {verdict.x_side.acyclic}",
              f"x^-1-side: {verdict.x_inv_side.acyclic}"]
@@ -242,19 +277,26 @@ def cmd_extend(args):
             f"{m}:(k={k},l={l})" for m, (k, l) in sorted(ext.profile.items()))
         _emit(args, [f"twist profile: {profile}"], data)
         return EXIT_OK
-    _write(args, ff.dumps_canonical(data))
+    _write_file(args, data)
     return EXIT_OK
 
 
 def cmd_h0(args):
     s = _load_sheaf(args)
     w = cech_complex(s)
-    _write(args, ff.dumps_canonical(ff.complex_to_dict(w)))
+    _write_file(args, ff.complex_to_dict(w))
     return EXIT_OK
 
 
 def cmd_hyper(args):
     c = _load_complex(args)
+    total = sum(c.rank(m) for m in c.degrees())
+    rows = 4 * args.trunc * total
+    if rows > HYPER_ROW_BUDGET:
+        raise FormatError(
+            f"the widest window would have 4 * {args.trunc} * {total} = "
+            f"{rows} rows, above HYPER_ROW_BUDGET = {HYPER_ROW_BUDGET}",
+            "--trunc")
     model = fpqc_hyper(c, order=args.trunc)
     lines = [f"order {model.order}, stabilised {model.stabilised}, "
              f"window-matched {model.window_matched}"]

@@ -4,10 +4,11 @@ Complexes are homologically indexed: the differential decreases the degree.
 A complex stores explicit support bounds [lo, hi]; every operation treats
 degrees outside the support as rank zero.  A ``ChainComplex`` lives over
 K[x^-1], K[x] or K[x,x^-1] and stores dense Laurent matrices; its homology
-over K[x,x^-1] is computed through the Smith normal form (free rank plus
-torsion invariant factors).  Every complex over the base ring K (the
-global sections W, the chart windows, the fpqc totals, base-K files) is a
-``ScalarComplex`` of sparse scalar rows, where plain rank-nullity applies.
+over K[x,x^-1] (free rank plus torsion invariant factors) is read from one
+factors-only Smith normal form per differential.  Every complex over the
+base ring K (the global sections W, the chart windows, the fpqc totals,
+base-K files) is a ``ScalarComplex`` of sparse scalar rows, where plain
+rank-nullity applies.
 """
 
 from __future__ import annotations
@@ -314,10 +315,23 @@ class HomologyReport:
 def homology(c: ChainComplex | ScalarComplex) -> HomologyReport:
     """Per-degree homology structure.
 
-    Over K[x,x^-1] (field coefficients) the module structure comes from two
-    Smith normal forms per degree: the kernel of the outgoing differential
-    and the presentation of the incoming image inside it.  Over the base
-    ring K only dimensions are needed.  Z coefficients are unsupported.
+    Over R = K[x,x^-1] (field coefficients) one Smith form per
+    differential, factors only, gives every degree.  R is a PID, so
+    im d_q, a submodule of the free C_{q-1}, is free, and
+    0 -> ker d_q -> C_q -> im d_q -> 0 splits: C_q = ker d_q (+) L with L
+    free of rank rank d_q.  As im d_{q+1} lies in ker d_q,
+
+        coker d_{q+1} = C_q / im d_{q+1} = H_q (+) L.
+
+    Invariant factors are unique, so the torsion of H_q is that of
+    coker d_{q+1}, the nonunit invariant factors of d_{q+1}, and
+    free_q = rank C_q - rank d_q - rank d_{q+1}.  The factors come monic
+    with zero valuation, as a Smith form of a presentation of H_q would
+    give them.  d.d = 0 is assumed and not checked beyond that rank count:
+    a degree where rank d_q + rank d_{q+1} exceeds rank C_q raises
+    ShapeError.
+    Over the base ring K only dimensions are needed.  Z coefficients are
+    unsupported.
     """
     if not c.ring.is_field:
         raise UnsupportedRingError(
@@ -329,25 +343,16 @@ def homology(c: ChainComplex | ScalarComplex) -> HomologyReport:
     if c.base != BaseRing.LAURENT:
         raise UnsupportedRingError(
             f"homology is computed over K or K[x,x^-1], not {c.base.tag}")
+    factors = {m: smith_normal_form(d, track=()).factors
+               for m, d in c.diffs.items() if d.rows and d.cols}
     entries = {}
     for q in c.degrees():
-        if c.rank(q) == 0:
-            entries[q] = HomologyEntry(0, (), 0)
-            continue
-        incoming = c.diff(q + 1)
-        # only Vinv of the outgoing form is read (kernel coordinates), and
-        # only the factors of the second
-        out_snf = smith_normal_form(
-            c.diff(q), track=("Vinv",) if incoming.cols else ())
-        kernel_rank = c.rank(q) - out_snf.rank
-        if incoming.cols == 0 or kernel_rank == 0:
-            free = kernel_rank
-            torsion = ()
-        else:
-            m = out_snf.kernel_coordinates(incoming)
-            m_snf = smith_normal_form(m, track=())
-            free = kernel_rank - m_snf.rank
-            torsion = tuple(f for f in m_snf.factors if f.core_degree > 0)
+        incoming = factors.get(q + 1, ())
+        free = c.rank(q) - len(factors.get(q, ())) - len(incoming)
+        if free < 0:
+            # rank d_q + rank d_{q+1} <= rank C_q holds in any complex
+            raise ShapeError(f"invalid complex: degree {q + 1}: d.d != 0")
+        torsion = tuple(f for f in incoming if f.core_degree > 0)
         kdim = None if free else sum(f.core_degree for f in torsion)
         entries[q] = HomologyEntry(free, torsion, kdim)
     return HomologyReport(c.ring.tag, c.base.tag, entries)

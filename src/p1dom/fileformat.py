@@ -11,7 +11,9 @@ Loading is bounded before anything is built: a degree span above
 MAX_DEGREE_SPAN, a rank above MAX_RANK or an exponent or twist above
 MAX_EXPONENT in absolute value is a FormatError naming the field.  (An
 omitted differential is a dense zero matrix; exponents and twists set the
-sizes of the monomial bands of the global sections.)
+sizes of the monomial bands of the global sections.)  ``check_bounds``
+runs the same checks on a dict about to be written, so that no file is
+written that the loader would refuse.
 """
 
 from __future__ import annotations
@@ -64,6 +66,18 @@ def _check_exponent(e: int, where: str):
     if abs(e) > MAX_EXPONENT:
         raise FormatError(
             f"exponent {e} exceeds {MAX_EXPONENT} in absolute value", where)
+
+
+def _check_rank(rank: int, where: str):
+    if rank > MAX_RANK:
+        raise FormatError(f"rank {rank} exceeds {MAX_RANK}", where)
+
+
+def _check_span(degrees):
+    span = max(degrees) - min(degrees)
+    if span > MAX_DEGREE_SPAN:
+        raise FormatError(f"degree span {span} exceeds {MAX_DEGREE_SPAN}",
+                          "degrees")
 
 
 def matrix_to_rows(m: LaurentMatrix):
@@ -153,16 +167,11 @@ def _read_degrees(data):
             raise FormatError("expected {degree, rank}", loc)
         if item["rank"] < 0:
             raise FormatError("negative rank", loc)
-        if item["rank"] > MAX_RANK:
-            raise FormatError(f"rank {item['rank']} exceeds {MAX_RANK}",
-                              f"{loc}.rank")
+        _check_rank(item["rank"], f"{loc}.rank")
         if item["degree"] in ranks:
             raise FormatError("duplicate degree", loc)
         ranks[item["degree"]] = item["rank"]
-    span = max(ranks) - min(ranks)
-    if span > MAX_DEGREE_SPAN:
-        raise FormatError(f"degree span {span} exceeds {MAX_DEGREE_SPAN}",
-                          "degrees")
+    _check_span(ranks)
     return ranks
 
 
@@ -272,6 +281,25 @@ def sheaf_from_dict(data: dict) -> SheafComplex:
     return sheaf
 
 
+def check_bounds(data: dict):
+    """Raise the loader's FormatError if the dict of a complex or sheaf
+    file, as complex_to_dict or sheaf_to_dict made it, breaks a bound."""
+    degrees = data["degrees"]
+    for idx, item in enumerate(degrees):
+        _check_rank(item["rank"], f"degrees[{idx}].rank")
+    _check_span([item["degree"] for item in degrees])
+    for key in ("differentials", "minus", "plus"):
+        for idx, item in enumerate(data.get(key, ())):
+            where = f"{key}[{idx}].matrix"
+            for i, row in enumerate(item["matrix"]):
+                for j, cell in enumerate(row):
+                    for t, pair in enumerate(cell):
+                        _check_exponent(pair[0], f"{where}[{i}][{j}][{t}][0]")
+    for idx, item in enumerate(data.get("twist_profile", ())):
+        for f in ("k", "l"):
+            _check_exponent(item[f], f"twist_profile[{idx}].{f}")
+
+
 # -- canonical bytes ------------------------------------------------------------------
 
 
@@ -287,6 +315,10 @@ def loads(text: str):
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON: {exc.msg}",
                           f"line {exc.lineno}, column {exc.colno}") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer literal past Python's digit limit, or nesting deeper
+        # than the recursion limit
+        raise FormatError(f"invalid JSON: {exc}", "$") from None
 
 
 def digest(text: str) -> str:

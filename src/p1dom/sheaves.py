@@ -6,11 +6,13 @@ split (k, l): the stored matrices p_minus / p_plus are legal over K[x^-1]
 and K[x], and the true torus maps are diag(x^k) @ p_minus and
 diag(x^-l) @ p_plus.  With this bookkeeping the nth twisting sheaf stores
 identity matrices and all legality checks are integer comparisons.  A level
-whose structure matrices are identities (a twist sum) is recognised by a
-scan of its entries; its torus maps diag(x^k) and diag(x^-l) have the unit
-determinants x^(sum k) and x^-(sum l), and between two such levels the
-chain-map squares are exponent shifts of the differentials, so validation
-multiplies no matrices and computes no determinant.
+whose structure matrices are identities (a twist sum) is recognised once,
+by a scan of its entries when it is built, and the answer is stored in
+``is_twist_sum``; its torus maps diag(x^k) and diag(x^-l) have the unit
+determinants x^(sum k) and x^-(sum l), and between two such levels each
+entry of a chain-map square is an exponent shift of the matching middle
+entry, so validation compares entries and builds, multiplies and reduces
+no matrix.
 
 Global sections and first cohomology of a sum of twists are banded monomial
 spaces: for a summand of twist n = k + l the section basis is
@@ -47,7 +49,7 @@ class TwistSummand:
 class SheafDiagram:
     """One level of a sheaf of modules on the projective line."""
 
-    __slots__ = ("ring", "twists", "p_minus", "p_plus")
+    __slots__ = ("ring", "twists", "p_minus", "p_plus", "is_twist_sum")
 
     def __init__(self, ring, twists, p_minus: LaurentMatrix,
                  p_plus: LaurentMatrix):
@@ -60,6 +62,8 @@ class SheafDiagram:
         p_plus.check_base(BaseRing.POLY)
         self.p_minus = p_minus
         self.p_plus = p_plus
+        # identity structure matrices: a sum of twisting sheaves
+        self.is_twist_sum = p_minus.is_identity and p_plus.is_identity
 
     # -- constructors ------------------------------------------------------
 
@@ -85,10 +89,6 @@ class SheafDiagram:
     @property
     def plus_rank(self) -> int:
         return self.p_plus.cols
-
-    @property
-    def is_twist_sum(self) -> bool:
-        return self.p_minus.is_identity and self.p_plus.is_identity
 
     # -- the actual structure maps over the torus ----------------------------
 
@@ -329,15 +329,12 @@ class SheafComplex:
             prev = self.level(m - 1)
             mid_d = self.mid.diff(m)
             if prev.is_twist_sum and lvl.is_twist_sum:
-                # diag(x^a) @ d == mid_d @ diag(x^b) as exponent shifts
-                pk = [t.k for t in prev.twists]
-                pl = [-t.l for t in prev.twists]
-                minus_ok = (self.minus.diff(m).monomial_row_scale(pk)
-                            == mid_d.monomial_col_scale(
-                                [t.k for t in lvl.twists]))
-                plus_ok = (self.plus.diff(m).monomial_row_scale(pl)
-                           == mid_d.monomial_col_scale(
-                               [-t.l for t in lvl.twists]))
+                minus_ok = _shifted_entries(
+                    self.minus.diff(m), mid_d,
+                    [t.k for t in prev.twists], [t.k for t in lvl.twists])
+                plus_ok = _shifted_entries(
+                    self.plus.diff(m), mid_d,
+                    [-t.l for t in prev.twists], [-t.l for t in lvl.twists])
             else:
                 minus_ok = (prev.mu_minus_torus() @ self.minus.diff(m)
                             == mid_d @ lvl.mu_minus_torus())
@@ -352,6 +349,16 @@ class SheafComplex:
     @property
     def is_valid(self):
         return not self.validate()
+
+
+def _shifted_entries(d: LaurentMatrix, mid_d: LaurentMatrix, a, b) -> bool:
+    """diag(x^a) @ d == mid_d @ diag(x^b), read off the entries as
+    d[i][j] == mid_d[i][j] * x^(b_j - a_i); no matrix is built.  The
+    shapes agree: SheafComplex checks the level ranks."""
+    return all(
+        p.equals_shifted(q, b_j - a_i)
+        for row, mid_row, a_i in zip(d.entries, mid_d.entries, a)
+        for p, q, b_j in zip(row, mid_row, b))
 
 
 def cech_complex(s: SheafComplex) -> ScalarComplex:

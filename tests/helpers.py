@@ -1,8 +1,12 @@
 """Shared builders for the test suite."""
 
+import random
+
 from p1dom.complexes import ChainComplex
+from p1dom.generators import random_complex, random_novikov_acyclic
 from p1dom.laurent import BaseRing, LaurentPoly
 from p1dom.matrices import LaurentMatrix, ScalarMatrix
+from p1dom.smith import smith_normal_form
 
 
 def P(ring, *pairs):
@@ -41,3 +45,41 @@ def S(ring, grid):
     return ScalarMatrix(ring, len(grid), len(grid[0]) if grid else 0,
                         [{j: v for j, v in enumerate(row) if v}
                          for row in grid])
+
+
+def random_matrix(rng, ring, rows, cols, span=3):
+    """Laurent matrix with up to three random terms per entry."""
+    return LaurentMatrix(ring, rows, cols, [
+        [LaurentPoly(ring, {rng.randint(-span, span):
+                            ring.from_int(rng.randint(-4, 4))
+                            for _ in range(rng.randint(0, 3))})
+         for _ in range(cols)] for _ in range(rows)])
+
+
+def three_term_complex(rng, ring):
+    """C_2 -> C_1 -> C_0 with d_1 a random matrix and d_2 = K @ R for a
+    kernel basis K of d_1: not a sum of two-term pieces."""
+    r0, r1, r2 = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 3)
+    d1 = random_matrix(rng, ring, r0, r1, 2)
+    kernel = smith_normal_form(d1).kernel_basis()
+    d2 = kernel @ random_matrix(rng, ring, kernel.cols, r2, 1)
+    return ChainComplex(ring, BaseRing.LAURENT, 0, 2, {0: r0, 1: r1, 2: r2},
+                        {1: d1, 2: d2})
+
+
+HOMOLOGY_KINDS = ["random", "novikov", "two-term", "three-term"]
+
+
+def homology_case(seed, ring, kind):
+    """A complex over K[x,x^-1] of one of HOMOLOGY_KINDS."""
+    rng = random.Random(seed)
+    if kind == "random":
+        return random_complex(rng, ring, max_length=4, max_rank=3, span=2)
+    if kind == "novikov":
+        return random_novikov_acyclic(rng, ring, span=2)
+    if kind == "two-term":
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        d = random_matrix(rng, ring, rows, cols, 2)
+        return ChainComplex(ring, BaseRing.LAURENT, 0, 1,
+                            {0: rows, 1: cols}, {1: d})
+    return three_term_complex(rng, ring)

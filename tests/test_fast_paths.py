@@ -1,10 +1,12 @@
 """Oracle checks for the fast paths of the torus chain.
 
-Twist-sum sheaf levels are validated by exponent comparisons, Smith forms
-skip the transforms a caller does not read, and Laurent arithmetic builds
-its results without renormalising.  Each fast path is compared here with
-the dense or normalising computation it replaces, kept in this file so
-that it stays independent of the code under test.
+Twist-sum sheaf levels are validated by exponent comparisons, the gluing
+squares between them by entry comparisons, Smith forms skip the
+transforms a caller does not read, homology takes one factors-only Smith
+form per differential, and Laurent arithmetic builds its results without
+renormalising.  Each fast path is compared here with the dense or
+normalising computation it replaces, kept in this file so that it stays
+independent of the code under test.
 """
 
 import random
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p1dom.complexes import ChainComplex, homology
+from p1dom.complexes import ChainComplex, HomologyEntry, homology
 from p1dom.errors import ShapeError
 from p1dom.extension import extend_complex
 from p1dom.generators import random_complex, random_novikov_acyclic
@@ -24,7 +26,7 @@ from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import SheafComplex, SheafDiagram, TwistSummand
 from p1dom.smith import TRANSFORMS, smith_normal_form
 
-from helpers import M, P
+from helpers import HOMOLOGY_KINDS, M, P, homology_case, random_matrix
 
 
 # -- sheaf validation against the dense reference --------------------------
@@ -119,10 +121,18 @@ def perturbed_sheaf(rng, s, variant):
         levels[m] = SheafDiagram(ring, lvl.twists,
                                  _with_entry(lvl.p_minus, 0, 0, extra),
                                  lvl.p_plus)
+    elif variant == "plus-level" and ranked:
+        # identity on the minus side, the unit x on the plus side
+        m = rng.choice(ranked)
+        lvl = levels[m]
+        extra = LaurentPoly.monomial(ring, 1, 1) - LaurentPoly.one(ring)
+        levels[m] = SheafDiagram(ring, lvl.twists, lvl.p_minus,
+                                 _with_entry(lvl.p_plus, 0, 0, extra))
     return SheafComplex(minus, s.mid, plus, levels)
 
 
-VARIANTS = ["plain", "entry", "twist", "unit-level", "singular-level"]
+VARIANTS = ["plain", "entry", "twist", "unit-level", "singular-level",
+            "plus-level"]
 
 
 @settings(deadline=None, max_examples=150)
@@ -203,6 +213,49 @@ def test_twist_sum_validation_multiplies_no_torus_maps(monkeypatch):
         assert len(matmuls) == 3 * max(0, s.mid.hi - s.mid.lo - 1)
 
 
+def test_twist_sum_gluing_builds_no_matrix(monkeypatch):
+    rng = random.Random(5)
+    sheaves = []
+    for ring in (QQ, GF(7), GF(10007), ZZ):
+        for variant in ("plain", "entry", "twist"):
+            for _ in range(4):
+                c = random_novikov_acyclic(rng, ring, span=2)
+                sheaves.append(
+                    perturbed_sheaf(rng, extend_complex(c).sheaf, variant))
+    expected = [dense_validate(s) for s in sheaves]
+    assert any(expected) and not all(expected)
+    built = []
+    original = LaurentMatrix.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(LaurentMatrix, "__init__", counting)
+    found = []
+    for s in sheaves:
+        assert all(s.levels[m].is_twist_sum for m in s.degrees())
+        found.append(s._gluing_problems())
+    assert built == []
+    monkeypatch.undo()
+    for s, problems, dense in zip(sheaves, found, expected):
+        assert problems == [p for p in dense
+                            if not p.startswith(("minus:", "mid:", "plus:"))]
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data(), ring=st.sampled_from([QQ, GF(7)]),
+       exponent=st.integers(-5, 5))
+def test_equals_shifted_matches_product(data, ring, exponent):
+    q = data.draw(polys(ring))
+    if data.draw(st.booleans()):
+        p = q.times_monomial(exponent)
+    else:
+        p = data.draw(polys(ring))
+    assert p.equals_shifted(q, exponent) == (p == q.times_monomial(exponent))
+    assert not P(QQ, (0, 1)).equals_shifted(P(GF(7), (0, 1)), 0)
+
+
 def test_twist_sum_detection_scans_entries():
     assert LaurentMatrix.identity(QQ, 3).is_identity
     assert LaurentMatrix.identity(GF(7), 0).is_identity
@@ -215,14 +268,6 @@ def test_twist_sum_detection_scans_entries():
 # -- Smith forms that track fewer transforms --------------------------------
 
 
-def _random_matrix(rng, ring, rows, cols, span=3):
-    return LaurentMatrix(ring, rows, cols, [
-        [LaurentPoly(ring, {rng.randint(-span, span):
-                            ring.from_int(rng.randint(-4, 4))
-                            for _ in range(rng.randint(0, 3))})
-         for _ in range(cols)] for _ in range(rows)])
-
-
 TRACKS = [(), ("U",), ("V",), ("Vinv",), ("U", "Vinv"), ("V", "Vinv")]
 
 
@@ -233,7 +278,7 @@ TRACKS = [(), ("U",), ("V",), ("Vinv",), ("U", "Vinv"), ("V", "Vinv")]
 def test_partial_snf_matches_full(seed, ring, track):
     rng = random.Random(seed)
     rows, cols = rng.randint(0, 5), rng.randint(0, 5)
-    a = _random_matrix(rng, ring, rows, cols)
+    a = random_matrix(rng, ring, rows, cols)
     full = smith_normal_form(a)
     part = smith_normal_form(a, track=track)
     assert part.factors == full.factors and part.rank == full.rank
@@ -244,7 +289,7 @@ def test_partial_snf_matches_full(seed, ring, track):
             assert getattr(part, name) is None
     # kernel coordinates of a random combination of kernel vectors
     kernel = full.kernel_basis()
-    coeffs = _random_matrix(rng, ring, kernel.cols, rng.randint(1, 3), 1)
+    coeffs = random_matrix(rng, ring, kernel.cols, rng.randint(1, 3), 1)
     b = kernel @ coeffs
     if "Vinv" in track:
         assert part.kernel_coordinates(b) == full.kernel_coordinates(b)
@@ -271,10 +316,70 @@ def test_homology_reads_only_the_transforms_it_tracks(monkeypatch):
 
     monkeypatch.setattr(complexes, "smith_normal_form", recording)
     rng = random.Random(8)
+    forms = 0
     for _ in range(10):
         c = random_complex(rng, QQ, max_length=4, max_rank=3, span=2)
+        tracks.clear()
         homology(c)
-    assert tracks and set(tracks) <= {(), ("Vinv",)}
+        # one factors-only form per nonempty differential, nothing else
+        nonempty = sum(1 for d in c.diffs.values() if d.rows and d.cols)
+        assert tracks == [()] * nonempty
+        forms += nonempty
+    assert forms
+
+
+def two_form_homology(c):
+    """Homology entries by the earlier algorithm: per degree, a Smith form
+    of d_q tracking Vinv, the coordinates of im d_{q+1} in the kernel
+    basis, and a second Smith form of those coordinates."""
+    entries = {}
+    for q in c.degrees():
+        if c.rank(q) == 0:
+            entries[q] = HomologyEntry(0, (), 0)
+            continue
+        incoming = c.diff(q + 1)
+        out_snf = smith_normal_form(c.diff(q), track=("Vinv",))
+        kernel_rank = c.rank(q) - out_snf.rank
+        if incoming.cols == 0 or kernel_rank == 0:
+            free, torsion = kernel_rank, ()
+        else:
+            m_snf = smith_normal_form(out_snf.kernel_coordinates(incoming),
+                                      track=())
+            free = kernel_rank - m_snf.rank
+            torsion = tuple(f for f in m_snf.factors if f.core_degree > 0)
+        kdim = None if free else sum(f.core_degree for f in torsion)
+        entries[q] = HomologyEntry(free, torsion, kdim)
+    return entries
+
+
+@settings(deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       ring=st.sampled_from([QQ, GF(7), GF(10007)]),
+       kind=st.sampled_from(HOMOLOGY_KINDS))
+def test_homology_matches_two_form_reference(seed, ring, kind):
+    c = homology_case(seed, ring, kind)
+    assert homology(c).entries == two_form_homology(c)
+
+
+def test_homology_reference_cases_have_torsion():
+    torsion = free = 0
+    for seed in range(40):
+        for ring in (QQ, GF(7), GF(10007)):
+            for kind in HOMOLOGY_KINDS:
+                entries = homology(homology_case(seed, ring, kind)).entries
+                torsion += any(e.torsion for e in entries.values())
+                free += any(e.free_rank for e in entries.values())
+    assert torsion > 150 and free > 150
+
+
+def test_homology_reports_a_rank_excess_as_d_d():
+    # d_1 d_2 = 1: the ranks of d_1 and d_2 add up past rank C_1
+    one = M(QQ, [[1]])
+    c = ChainComplex(QQ, BaseRing.LAURENT, 0, 2, {0: 1, 1: 1, 2: 1},
+                     {1: one, 2: one})
+    with pytest.raises(ShapeError,
+                       match="invalid complex: degree 2: d.d != 0"):
+        homology(c)
 
 
 # -- Laurent arithmetic without renormalising --------------------------------

@@ -1,0 +1,110 @@
+"""Fuzz of the file-format loaders: nothing but FormatError comes out.
+
+Arbitrary text goes through ``loads``; JSON-shaped values (objects built
+around the real keys, with values of any JSON type) go through the complex
+and sheaf loaders.  A malformed file must exit 2 with a message, never
+with a traceback.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from p1dom import fileformat as ff
+from p1dom.cli import main
+from p1dom.errors import FormatError
+
+from p1dom.extension import extend_complex
+from p1dom.scalars import QQ
+
+from helpers import two_term
+
+KEYS = ["format", "version", "ring", "variable", "base", "degrees",
+        "differentials", "minus", "plus", "twist_profile", "degree", "rank",
+        "matrix", "k", "l"]
+STRINGS = st.sampled_from([
+    ff.COMPLEX_FORMAT, ff.SHEAF_FORMAT, "Q", "Z", "GF:7", "GF:8", "x", "y",
+    "K", "K[x]", "K[x^-1]", "K[x,x^-1]", "1", "-1/2", "1/0", "a", ""])
+SCALARS = (st.none() | st.booleans() | st.integers(-3, 3)
+           | st.integers() | st.floats(allow_nan=True) | STRINGS | st.text())
+JSON = st.recursive(
+    SCALARS,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(KEYS) | st.text(),
+                                     inner, max_size=5)),
+    max_leaves=30)
+LOADERS = [ff.complex_from_dict, ff.sheaf_from_dict]
+
+
+def _only_format_errors(loader, data):
+    try:
+        loader(data)
+    except FormatError:
+        pass
+
+
+@settings(deadline=None, max_examples=300)
+@given(text=st.text())
+def test_loads_raises_only_format_errors(text):
+    try:
+        data = ff.loads(text)
+    except FormatError:
+        return
+    for loader in LOADERS:
+        _only_format_errors(loader, data)
+
+
+@settings(deadline=None, max_examples=400)
+@given(data=JSON, loader=st.sampled_from(LOADERS))
+def test_json_values_raise_only_format_errors(data, loader):
+    _only_format_errors(loader, data)
+
+
+@st.composite
+def mutated(draw, base):
+    """A valid file with one value, at any depth, replaced."""
+    data = json.loads(json.dumps(base))
+    node = data
+    while True:
+        if isinstance(node, dict) and node:
+            key = draw(st.sampled_from(sorted(node)))
+        elif isinstance(node, list) and node:
+            key = draw(st.integers(0, len(node) - 1))
+        else:
+            break
+        if not isinstance(node[key], (dict, list)) or draw(st.booleans()):
+            node[key] = draw(JSON)
+            break
+        node = node[key]
+    return data
+
+
+COMPLEX = ff.complex_to_dict(two_term(QQ, [(0, -1), (1, 1)]))
+SHEAF = ff.sheaf_to_dict(extend_complex(two_term(QQ, [(0, -1), (1, 1)])).sheaf)
+
+
+@settings(deadline=None, max_examples=400)
+@given(data=mutated(COMPLEX))
+def test_mutated_complex_files_raise_only_format_errors(data):
+    _only_format_errors(ff.complex_from_dict, data)
+
+
+@settings(deadline=None, max_examples=400)
+@given(data=mutated(SHEAF))
+def test_mutated_sheaf_files_raise_only_format_errors(data):
+    _only_format_errors(ff.sheaf_from_dict, data)
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100000 + "]" * 100000,
+    '{"format": "p1dom-complex", "version": ' + "9" * 5000 + "}",
+], ids=["deep-nesting", "long-integer"])
+def test_json_past_python_limits_exits_2(text, tmp_path, capsys):
+    with pytest.raises(FormatError, match="invalid JSON"):
+        ff.loads(text)
+    path = tmp_path / "bad.cplx"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("input error: invalid JSON")

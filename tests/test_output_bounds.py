@@ -1,0 +1,173 @@
+"""Size bounds on what the CLI computes and writes.
+
+Truncation orders stop at MAX_ORDER (for flags and presets alike), hyper
+refuses an order whose widest window exceeds HYPER_ROW_BUDGET rows, and
+extend and h0 write nothing that the loader would refuse.  Each bound is
+tested at its value and one past it.
+"""
+
+import os
+
+import pytest
+
+from p1dom import cli
+from p1dom import fileformat as ff
+from p1dom.cli import HYPER_ROW_BUDGET, MAX_ORDER, main
+from p1dom.complexes import ChainComplex
+from p1dom.errors import FormatError
+from p1dom.extension import extend_complex
+from p1dom.laurent import BaseRing
+from p1dom.matrices import LaurentMatrix
+from p1dom.scalars import GF, QQ
+
+from helpers import P, two_term
+
+SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
+XM1 = os.path.join(SAMPLES, "x-minus-1.cplx")
+
+
+def test_max_order_is_the_exponent_bound():
+    assert MAX_ORDER == ff.MAX_EXPONENT == 4096
+
+
+@pytest.mark.parametrize("flag", ["--trunc", "--trunc-max"])
+def test_order_flags_at_and_past_the_bound(flag, capsys):
+    args = ["novikov", XM1, "--trunc-max", str(MAX_ORDER), flag]
+    assert main(args + [str(MAX_ORDER)]) == 0
+    capsys.readouterr()
+    assert main(args + [str(MAX_ORDER + 1)]) == 2
+    err = capsys.readouterr().err
+    assert f"must be at most MAX_ORDER = {MAX_ORDER}, got {MAX_ORDER + 1}" \
+        in err
+
+
+@pytest.mark.parametrize("var", ["P1DOM_TRUNC", "P1DOM_TRUNC_MAX"])
+def test_order_presets_at_and_past_the_bound(var, monkeypatch, capsys):
+    monkeypatch.setenv("P1DOM_TRUNC_MAX", str(MAX_ORDER))
+    monkeypatch.setenv(var, str(MAX_ORDER))
+    assert main(["novikov", XM1]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv(var, str(MAX_ORDER + 1))
+    assert main(["novikov", XM1]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: {var}: must be at most MAX_ORDER = {MAX_ORDER}, "
+        f"got {MAX_ORDER + 1}\n")
+
+
+def _chart_file(tmp_path, rank):
+    """rank generators in each of degrees 0, 1, joined by x^2 - x^3."""
+    p = P(QQ, (2, 1), (3, -1))
+    zero = P(QQ)
+    d = LaurentMatrix(QQ, rank, rank,
+                      [[p if i == j else zero for j in range(rank)]
+                       for i in range(rank)], BaseRing.POLY)
+    c = ChainComplex(QQ, BaseRing.POLY, 0, 1, {0: rank, 1: rank}, {1: d})
+    path = tmp_path / f"chart-{rank}.cplx"
+    ff.save_path(path, ff.complex_to_dict(c))
+    return str(path)
+
+
+def test_hyper_row_budget_at_and_past_the_bound(tmp_path, capsys,
+                                                monkeypatch):
+    path = _chart_file(tmp_path, 8)
+    order = HYPER_ROW_BUDGET // (4 * 16)
+    assert 4 * order * 16 == HYPER_ROW_BUDGET
+    args = ["hyper", path, "--trunc-max", str(MAX_ORDER), "--trunc"]
+    assert main(args + [str(order)]) == 0
+    assert "H_0: dim 16" in capsys.readouterr().out
+    built = []
+    monkeypatch.setattr(cli, "fpqc_hyper", lambda *a, **k: built.append(a))
+    assert main(args + [str(order + 1)]) == 2
+    assert built == []
+    assert capsys.readouterr().err == (
+        f"input error: the widest window would have 4 * {order + 1} * 16 = "
+        f"{4 * (order + 1) * 16} rows, above HYPER_ROW_BUDGET = "
+        f"{HYPER_ROW_BUDGET} (at --trunc)\n")
+
+
+# -- outputs the loader would refuse ---------------------------------------------
+
+
+def _extension_file(tmp_path, name, poly):
+    path = tmp_path / f"{name}.cplx"
+    ff.save_path(path, ff.complex_to_dict(ChainComplex.two_term(
+        poly.ring, poly)))
+    return str(path)
+
+
+def test_h0_refuses_a_w_above_the_rank_bound(tmp_path, capsys):
+    # W of the extension of GF(7) x^1000 - 1 has rank 1001 > MAX_RANK
+    src = _extension_file(tmp_path, "g7", P(GF(7), (1000, 1), (0, -1)))
+    sheaf = str(tmp_path / "g7.sheaf")
+    assert main(["extend", src, "--out", sheaf]) == 0
+    ff.load_sheaf(sheaf)
+    out = tmp_path / "w.cplx"
+    for extra in (["--out", str(out)], []):
+        assert main(["h0", sheaf] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "input error: output not written, p1dom could not read it back: "
+            f"rank 1001 exceeds {ff.MAX_RANK} (at degrees[0].rank)\n")
+    assert not out.exists()
+
+
+def test_extend_refuses_a_chart_exponent_past_the_bound(tmp_path, capsys):
+    # x^4096 - x^-4096 is in bounds; its minus chart has exponent -8192
+    src = _extension_file(tmp_path, "wide", P(QQ, (4096, 1), (-4096, -1)))
+    out = tmp_path / "wide.sheaf"
+    for extra in (["--out", str(out)], ["--format", "report"]):
+        assert main(["extend", src] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "input error: output not written, p1dom could not read it back: "
+            f"exponent -8192 exceeds {ff.MAX_EXPONENT} in absolute value "
+            "(at minus[")
+    assert not out.exists()
+
+
+def test_outputs_at_the_bounds_are_written_and_read_back(tmp_path):
+    # x^2048 - x^-2048 puts -4096 in the minus chart; x^511 - 1 over GF(7)
+    # gives a W of rank 512
+    src = _extension_file(tmp_path, "edge", P(QQ, (2048, 1), (-2048, -1)))
+    sheaf = tmp_path / "edge.sheaf"
+    assert main(["extend", src, "--out", str(sheaf)]) == 0
+    data = ff.loads(sheaf.read_text())
+    exps = [pair[0] for item in data["minus"] for row in item["matrix"]
+            for cell in row for pair in cell]
+    assert min(exps) == -ff.MAX_EXPONENT
+    ff.load_sheaf(str(sheaf))
+    src = _extension_file(tmp_path, "g7", P(GF(7), (511, 1), (0, -1)))
+    sheaf = tmp_path / "g7.sheaf"
+    w = tmp_path / "w.cplx"
+    assert main(["extend", src, "--out", str(sheaf)]) == 0
+    assert main(["h0", str(sheaf), "--out", str(w)]) == 0
+    assert max(ff.load_complex(str(w)).ranks.values()) == ff.MAX_RANK
+
+
+def test_check_bounds_names_twists_and_spans():
+    data = ff.sheaf_to_dict(extend_complex(two_term(QQ, [(0, 1)])).sheaf)
+    ff.check_bounds(data)
+    data["twist_profile"][0]["l"] = -ff.MAX_EXPONENT - 1
+    with pytest.raises(FormatError, match=r"at twist_profile\[0\]\.l"):
+        ff.check_bounds(data)
+    data = ff.complex_to_dict(two_term(QQ, [(0, 1)]))
+    data["degrees"][1]["degree"] = ff.MAX_DEGREE_SPAN + 1
+    with pytest.raises(FormatError, match="degree span 17 exceeds 16"):
+        ff.check_bounds(data)
+
+
+@pytest.mark.parametrize("command", ["homology", "novikov"])
+def test_homology_and_novikov_refuse_a_non_complex(command, tmp_path, capsys):
+    # d_1 d_2 = diag(1, 0) != 0, but rank d_1 + rank d_2 = rank C_1: only
+    # the validation the command runs first sees it
+    one = LaurentMatrix(QQ, 2, 2, [[P(QQ, (0, 1)), P(QQ)], [P(QQ), P(QQ)]])
+    c = ChainComplex(QQ, BaseRing.LAURENT, 0, 2, {0: 2, 1: 2, 2: 2},
+                     {1: one, 2: one})
+    path = tmp_path / "bad.cplx"
+    ff.save_path(path, ff.complex_to_dict(c))
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid complex: degree 2: d.d != 0\n"
