@@ -62,20 +62,26 @@ def extend_morphism(z: SheafDiagram, y: SheafDiagram,
         yt = y.twists[i]
         l = max(l, zt.l - yt.l - p.mindeg)
         k = max(k, zt.k - yt.k + p.maxdeg)
-    f_plus = f.monomial_row_scale([l + t.l for t in y.twists]) \
-              .monomial_col_scale([-t.l for t in z.twists]) \
-              .with_base(BaseRing.POLY)
-    f_minus = f.monomial_row_scale([-k - t.k for t in y.twists]) \
-               .monomial_col_scale([t.k for t in z.twists]) \
-               .with_base(BaseRing.POLY_INV)
-    ext = MorphismExtension(k, l, f_minus, f_plus)
+    ext = MorphismExtension(k, l, *_chart_maps(z, y, f, k, l))
     _check_extension_squares(z, y, f, ext)
     return ext
 
 
+def _chart_maps(z, y, f, k, l):
+    """f as maps of the chart modules of z into those of y twisted by
+    (k, l): (over K[x^-1], over K[x])."""
+    f_minus = f.monomial_row_scale([-k - t.k for t in y.twists]) \
+               .monomial_col_scale([t.k for t in z.twists]) \
+               .with_base(BaseRing.POLY_INV)
+    f_plus = f.monomial_row_scale([l + t.l for t in y.twists]) \
+              .monomial_col_scale([-t.l for t in z.twists]) \
+              .with_base(BaseRing.POLY)
+    return f_minus, f_plus
+
+
 def _check_extension_squares(z, y, f, ext):
     """Exact commutativity of both chart squares; raises on failure."""
-    y_tw = _twist_diagram(y, ext.k, ext.l)
+    y_tw = y.twist(ext.k + ext.l, ext.k)
     lhs = y_tw.mu_plus_torus() @ ext.f_plus
     rhs = f @ z.mu_plus_torus()
     if lhs != rhs:
@@ -84,11 +90,6 @@ def _check_extension_squares(z, y, f, ext):
     rhs = f @ z.mu_minus_torus()
     if lhs != rhs:
         raise ShapeError("minus chart square does not commute")
-
-
-def _twist_diagram(d: SheafDiagram, dk: int, dl: int) -> SheafDiagram:
-    return SheafDiagram(d.ring, [t.shifted(dk, dl) for t in d.twists],
-                        d.p_minus, d.p_plus)
 
 
 @dataclass(frozen=True)
@@ -184,15 +185,8 @@ def extend_cone(v1: SheafComplex, v2: SheafComplex,
     omega_plus = {}
     omega_minus = {}
     for m in range(lo, hi + 1):
-        f = omega.component(m)
-        z = v1.level(m)
-        y = v2t.level(m)
-        omega_plus[m] = f.monomial_row_scale([t.l for t in y.twists]) \
-                         .monomial_col_scale([-t.l for t in z.twists]) \
-                         .with_base(BaseRing.POLY)
-        omega_minus[m] = f.monomial_row_scale([-t.k for t in y.twists]) \
-                          .monomial_col_scale([t.k for t in z.twists]) \
-                          .with_base(BaseRing.POLY_INV)
+        omega_minus[m], omega_plus[m] = _chart_maps(
+            v1.level(m), v2.level(m), omega.component(m), big_k, big_l)
     plus_map = ChainMap(v1.plus, v2t.plus, omega_plus)
     minus_map = ChainMap(v1.minus, v2t.minus, omega_minus)
     if plus_map.validate() or minus_map.validate():

@@ -13,7 +13,9 @@ MAX_EXPONENT in absolute value is a FormatError naming the field.  (An
 omitted differential is a dense zero matrix; exponents and twists set the
 sizes of the monomial bands of the global sections.)  ``check_bounds``
 runs the same checks on a dict about to be written, so that no file is
-written that the loader would refuse.
+written that the loader would refuse.  Wherever the format wants an
+integer (version, degree, rank, exponent, twist) only a JSON integer is
+accepted: ``true`` and ``false`` are a FormatError naming the field.
 """
 
 from __future__ import annotations
@@ -50,16 +52,25 @@ def poly_from_pairs(ring: CoefficientRing, pairs, where: str) -> LaurentPoly:
     for idx, pair in enumerate(pairs):
         loc = f"{where}[{idx}]"
         if (not isinstance(pair, list) or len(pair) != 2
-                or not isinstance(pair[0], int)
                 or not isinstance(pair[1], str)):
             raise FormatError(
                 "expected [exponent, coefficient-string]", loc)
-        _check_exponent(pair[0], f"{loc}[0]")
+        _check_exponent(_integer(pair[0], "exponent", f"{loc}[0]"),
+                        f"{loc}[0]")
         try:
             acc.append((pair[0], ring.parse(pair[1])))
         except Exception as exc:
             raise FormatError(f"bad coefficient: {exc}", loc) from exc
     return LaurentPoly.from_pairs(ring, acc)
+
+
+def _integer(value, field: str, where: str) -> int:
+    """``value`` if it is a JSON integer; a boolean, which Python counts
+    as an int, or any other type is a FormatError naming the field."""
+    if type(value) is not int:
+        raise FormatError(f"{field} must be an integer, got {value!r}",
+                          where)
+    return value
 
 
 def _check_exponent(e: int, where: str):
@@ -138,9 +149,9 @@ def _header(data: dict, expected_format: str):
     if fmt != expected_format:
         raise FormatError(f"format must be {expected_format!r}, got {fmt!r}",
                           "format")
-    if data.get("version") != VERSION:
-        raise FormatError(f"unsupported version {data.get('version')!r}",
-                          "version")
+    version = _integer(data.get("version"), "version", "version")
+    if version != VERSION:
+        raise FormatError(f"unsupported version {version!r}", "version")
     if data.get("variable", "x") != "x":
         raise FormatError("variable must be 'x'", "variable")
     try:
@@ -161,16 +172,16 @@ def _read_degrees(data):
     ranks = {}
     for idx, item in enumerate(degrees):
         loc = f"degrees[{idx}]"
-        if (not isinstance(item, dict) or not isinstance(
-                item.get("degree"), int)
-                or not isinstance(item.get("rank"), int)):
+        if not isinstance(item, dict):
             raise FormatError("expected {degree, rank}", loc)
-        if item["rank"] < 0:
+        degree = _integer(item.get("degree"), "degree", f"{loc}.degree")
+        rank = _integer(item.get("rank"), "rank", f"{loc}.rank")
+        if rank < 0:
             raise FormatError("negative rank", loc)
-        _check_rank(item["rank"], f"{loc}.rank")
-        if item["degree"] in ranks:
+        _check_rank(rank, f"{loc}.rank")
+        if degree in ranks:
             raise FormatError("duplicate degree", loc)
-        ranks[item["degree"]] = item["rank"]
+        ranks[degree] = rank
     _check_span(ranks)
     return ranks
 
@@ -183,10 +194,9 @@ def _read_differentials(data, ring, base, ranks, key: str):
     diffs = {}
     for idx, item in enumerate(raw):
         loc = f"{key}[{idx}]"
-        if not isinstance(item, dict) or not isinstance(
-                item.get("degree"), int):
+        if not isinstance(item, dict):
             raise FormatError("expected {degree, matrix}", loc)
-        m = item["degree"]
+        m = _integer(item.get("degree"), "degree", f"{loc}.degree")
         if not (lo < m <= hi):
             raise FormatError(f"differential degree {m} out of support", loc)
         rows = ranks.get(m - 1, 0)
@@ -249,13 +259,13 @@ def sheaf_from_dict(data: dict) -> SheafComplex:
     profile = {}
     for idx, item in enumerate(raw_profile):
         loc = f"twist_profile[{idx}]"
-        if (not isinstance(item, dict)
-                or not all(isinstance(item.get(f), int)
-                           for f in ("degree", "k", "l"))):
+        if not isinstance(item, dict):
             raise FormatError("expected {degree, k, l}", loc)
-        for f in ("k", "l"):
-            _check_exponent(item[f], f"{loc}.{f}")
-        profile[item["degree"]] = (item["k"], item["l"])
+        degree, k, l = (_integer(item.get(f), f, f"{loc}.{f}")
+                        for f in ("degree", "k", "l"))
+        _check_exponent(k, f"{loc}.k")
+        _check_exponent(l, f"{loc}.l")
+        profile[degree] = (k, l)
     for m in ranks:
         if ranks[m] and m not in profile:
             raise FormatError(f"degree {m} missing from twist_profile",

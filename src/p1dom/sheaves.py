@@ -17,7 +17,11 @@ no matrix.
 Global sections and first cohomology of a sum of twists are banded monomial
 spaces: for a summand of twist n = k + l the section basis is
 x^-l, ..., x^k (when n >= 0) and the obstruction basis is
-x^{k+1}, ..., x^{-l-1} (when n <= -2).
+x^{k+1}, ..., x^{-l-1} (when n <= -2).  A general (valid) level is a
+vector bundle whose sections lie in one exponent band that the entry
+degrees and determinants of its structure maps fix in advance; h0 is the
+nullity of one scalar matrix on that band, h1 follows by Riemann-Roch, and
+no bases are returned.
 """
 
 from __future__ import annotations
@@ -152,11 +156,12 @@ def twisting_sheaf(ring, n: int, k: int = 0, rank: int = 1) -> SheafDiagram:
 
 @dataclass(frozen=True)
 class CechCohomology:
-    """Kernel/cokernel data of the two-term section complex of a diagram.
+    """Dimensions of the kernel and cokernel of the two-term section
+    complex of a level.
 
     For twist sums both bases are explicit monomial lists of pairs
-    (summand index, exponent); for general diagrams only the dimensions
-    are available.
+    (summand index, exponent).  A general level is solved on one band
+    fixed in advance and gets h1 from Riemann-Roch; it has no bases.
     """
 
     h0_dim: int
@@ -166,6 +171,29 @@ class CechCohomology:
 
 
 def cech_cohomology(d: SheafDiagram) -> CechCohomology:
+    """H0 and H1 of one level; an invalid level is a ShapeError.
+
+    For a general level let r be the middle rank, det mu_pm = c_pm x^e_pm
+    (units over the torus), and M_pm / m_pm the largest / smallest exponent
+    among the entries of mu_pm.  A section is a pair (a-, a+) over K[x^-1]
+    and K[x] with mu_minus a- = mu_plus a+.  Then
+
+        a+ = adj(mu_plus) mu_minus a- / (c+ x^e+),
+
+    and every adjugate entry is a sum of products of r - 1 entries, so
+    deg a+ <= (r-1) M+ + M- + deg a- - e+ <= H = (r-1) M+ - e+ + M-, as
+    deg a- <= 0.  In the same way a- = adj(mu_minus) mu_plus a+ / (c- x^e-)
+    has lowest exponent >= L = (r-1) m- - e- + m+.  So every section lies
+    in the band of a- exponents [min(0, L), 0] and a+ exponents
+    [0, max(0, H)], and the matrix of (-mu_minus | mu_plus) on that band,
+    with a row for every (summand, exponent) its columns reach, has the
+    sections as its kernel: h0 is its nullity.  Riemann-Roch,
+    h0 - h1 = r + e- - e+ (Grothendieck 1957; Gohberg-Krein 1958), gives
+    h1.
+    """
+    problems = d.validate()
+    if problems:
+        raise ShapeError("invalid sheaf level: " + "; ".join(problems))
     if d.is_twist_sum:
         h0 = []
         h1 = []
@@ -175,77 +203,29 @@ def cech_cohomology(d: SheafDiagram) -> CechCohomology:
             elif t.n <= -2:
                 h1.extend((i, e) for e in range(t.k + 1, -t.l))
         return CechCohomology(len(h0), len(h1), tuple(h0), tuple(h1))
-    return _cech_general(d)
-
-
-def _cech_general(d: SheafDiagram, pad: int = 2):
-    """Banded kernel/cokernel computation for a valid non-split diagram.
-
-    The kernel and cokernel of (-mu_minus + mu_plus) live in bounded
-    exponent bands once the adjoint maps are isomorphisms; the band is grown
-    until the dimensions stop changing, with the initial width read off the
-    entry degrees and twists.
-    """
-    mu_m = d.mu_minus_torus()
-    mu_p = d.mu_plus_torus()
-    spread = 1
-    for m in (mu_m, mu_p):
-        hi_deg = m.global_maxdeg()
-        lo_deg = m.global_mindeg()
-        if hi_deg is not None:
-            spread = max(spread, abs(hi_deg), abs(lo_deg))
-    width = 2 * spread * (d.mid_rank + 1) + 1
-    prev = None
-    while True:
-        dims = _cech_banded_dims(d, mu_m, mu_p, width)
-        if prev == dims:
-            h0, h1 = dims
-            return CechCohomology(h0, h1, None, None)
-        prev = dims
-        width += spread + pad
-        if width > 40 * (spread + 1) * (d.mid_rank + 1):
-            raise ShapeError("banded cohomology did not stabilise")
-
-
-def _cech_banded_dims(d, mu_m, mu_p, width):
-    """Dimensions of kernel and cokernel restricted to the band [-w, w]."""
     ring = d.ring
     r = d.mid_rank
-    # columns: minus side carries exponents <= 0, plus side >= 0
-    cols = []
-    for j in range(d.minus_rank):
-        for e in range(-width, 1):
-            cols.append(("m", j, e))
-    for j in range(d.plus_rank):
-        for e in range(0, width + 1):
-            cols.append(("p", j, e))
+    mu_m = d.mu_minus_torus()
+    mu_p = d.mu_plus_torus()
+    e_m = mu_m.determinant().mindeg
+    e_p = mu_p.determinant().mindeg
+    lo = min(0, (r - 1) * mu_m.global_mindeg() - e_m + mu_p.global_mindeg())
+    hi = max(0, (r - 1) * mu_p.global_maxdeg() - e_p + mu_m.global_maxdeg())
     rows = {}
-    for idx, (side, j, e) in enumerate(cols):
-        mat = mu_m if side == "m" else mu_p
-        sign = -1 if side == "m" else 1
-        for i in range(r):
-            p = mat.entries[i][j]
-            for ee, c in p.items():
-                tot = ee + e
-                if -width <= tot <= width:
-                    key = (i, tot)
-                    rows.setdefault(key, {})[idx] = (
-                        ring.neg(c) if sign < 0 else c)
-                else:
-                    # contribution escapes the band: mark the column dirty
-                    rows.setdefault(("escape", idx), {})[idx] = ring.one()
-    rank = scalar_rank(ScalarMatrix(ring, len(rows), len(cols),
-                                    list(rows.values())))
-    h0 = len(cols) - rank
-    # cokernel on the inner half-band, where the image is fully represented;
-    # a band monomial no column reaches has no row here but is still counted
-    inner = width // 2
-    mid_rows = [row for k, row in rows.items()
-                if k[0] != "escape" and -inner <= k[1] <= inner]
-    prank = scalar_rank(ScalarMatrix(ring, len(mid_rows), len(cols),
-                                     mid_rows))
-    h1 = r * (2 * inner + 1) - prank
-    return h0, h1
+    col = 0
+    for mat, band in ((-mu_m, range(lo, 1)), (mu_p, range(0, hi + 1))):
+        for j in range(mat.cols):
+            column = [(i, mat.entries[i][j].items()) for i in range(r)]
+            for e in band:
+                # distinct (summand, exponent) pairs in one column hit
+                # distinct rows, so every cell is written once
+                for i, terms in column:
+                    for ee, c in terms:
+                        rows.setdefault((i, ee + e), {})[col] = c
+                col += 1
+    rank = scalar_rank(ScalarMatrix(ring, len(rows), col, list(rows.values())))
+    h0 = col - rank
+    return CechCohomology(h0, h0 - (r + e_m - e_p), None, None)
 
 
 # -- complexes of sheaves ---------------------------------------------------------

@@ -7,6 +7,7 @@ with a traceback.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -108,3 +109,56 @@ def test_json_past_python_limits_exits_2(text, tmp_path, capsys):
     path.write_text(text)
     assert main(["validate", str(path)]) == 2
     assert capsys.readouterr().err.startswith("input error: invalid JSON")
+
+
+INTEGER_FIELDS = [
+    (COMPLEX, ff.complex_from_dict, ("version",), "version"),
+    (COMPLEX, ff.complex_from_dict, ("degrees", 0, "degree"),
+     "degrees[0].degree"),
+    (COMPLEX, ff.complex_from_dict, ("degrees", 1, "rank"), "degrees[1].rank"),
+    (COMPLEX, ff.complex_from_dict, ("differentials", 0, "degree"),
+     "differentials[0].degree"),
+    (COMPLEX, ff.complex_from_dict,
+     ("differentials", 0, "matrix", 0, 0, 1, 0),
+     "differentials[0].matrix[0][0][1][0]"),
+    (SHEAF, ff.sheaf_from_dict, ("version",), "version"),
+    (SHEAF, ff.sheaf_from_dict, ("degrees", 0, "rank"), "degrees[0].rank"),
+    (SHEAF, ff.sheaf_from_dict, ("minus", 0, "degree"), "minus[0].degree"),
+    (SHEAF, ff.sheaf_from_dict, ("plus", 0, "matrix", 0, 0, 0, 0),
+     "plus[0].matrix[0][0][0][0]"),
+    (SHEAF, ff.sheaf_from_dict, ("twist_profile", 0, "degree"),
+     "twist_profile[0].degree"),
+    (SHEAF, ff.sheaf_from_dict, ("twist_profile", 0, "k"),
+     "twist_profile[0].k"),
+    (SHEAF, ff.sheaf_from_dict, ("twist_profile", 1, "l"),
+     "twist_profile[1].l"),
+]
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("base, loader, path, where", INTEGER_FIELDS,
+                         ids=[w for _, _, _, w in INTEGER_FIELDS])
+def test_boolean_in_integer_field_is_format_error(base, loader, path, where,
+                                                  value):
+    data = json.loads(json.dumps(base))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(FormatError, match="must be an integer") as err:
+        loader(data)
+    assert str(err.value).endswith(f"(at {where})")
+
+
+def test_boolean_version_and_ranks_do_not_load_as_sample(tmp_path, capsys):
+    # true == 1 in Python: without a type check this file loads as
+    # samples/x-minus-1.cplx itself
+    sample = Path(__file__).resolve().parents[1] / "samples/x-minus-1.cplx"
+    data = json.loads(sample.read_text(encoding="utf-8"))
+    data["version"] = True
+    for item in data["degrees"]:
+        item["rank"] = True
+    path = tmp_path / "bool.cplx"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 2
+    assert "version must be an integer" in capsys.readouterr().err

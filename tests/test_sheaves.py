@@ -2,18 +2,19 @@ import random
 
 import pytest
 
+from p1dom import sheaves
 from p1dom.complexes import ChainComplex, homology_dims
-from p1dom.errors import NonVanishingH1Error, BandViolationError
+from p1dom.errors import NonVanishingH1Error, BandViolationError, ShapeError
 from p1dom.extension import extend_complex
 from p1dom.laurent import BaseRing
-from p1dom.matrices import LaurentMatrix
+from p1dom.matrices import LaurentMatrix, scalar_rank
 from p1dom.scalars import GF, QQ
 from p1dom.sheaves import (SheafComplex, SheafDiagram, TwistSummand,
                            cech_cohomology, cech_complex,
                            sheaf_hyper_homology_dims, sheaf_iota_exact,
                            twisting_sheaf)
 
-from helpers import M, two_term
+from helpers import M, S, two_term
 
 
 def test_twisting_sheaf_structure_zero():
@@ -140,6 +141,139 @@ def test_general_diagram_riemann_roch(ring):
         euler = (d.mid_rank + d.mu_minus_torus().determinant().mindeg
                  - d.mu_plus_torus().determinant().mindeg)
         assert coh.h0_dim - coh.h1_dim == euler
+
+
+def _general_corpus(ring, count=40, seed=11):
+    rng = random.Random(seed)
+    return [random_general_diagram(rng, ring) for _ in range(count)]
+
+
+def _section_band(d):
+    """The a- and a+ exponent bounds (L, H) of the cech_cohomology
+    docstring, restated here from the structure maps."""
+    r = d.mid_rank
+    mu_m, mu_p = d.mu_minus_torus(), d.mu_plus_torus()
+    e_m = mu_m.determinant().mindeg
+    e_p = mu_p.determinant().mindeg
+    return ((r - 1) * mu_m.global_mindeg() - e_m + mu_p.global_mindeg(),
+            (r - 1) * mu_p.global_maxdeg() - e_p + mu_m.global_maxdeg())
+
+
+def _brute_h0(d, pad=5):
+    """Dimension of the pairs (a-, a+) with mu_minus a- = mu_plus a+, on a
+    band pad wider than the section bound on each side.  Every column is
+    the product of a structure map with a monomial vector, and every
+    coefficient of every product is a row, so nothing is truncated."""
+    ring = d.ring
+    lo, hi = _section_band(d)
+    cols = []
+    for mu, band in ((-d.mu_minus_torus(), range(min(0, lo) - pad, 1)),
+                     (d.mu_plus_torus(), range(0, max(0, hi) + pad + 1))):
+        for j in range(mu.cols):
+            for e in band:
+                unit = M(ring, [[[(e, 1)]] if i == j else [0]
+                                for i in range(mu.cols)])
+                cols.append([row[0] for row in (mu @ unit).entries])
+    keys = sorted({(i, e) for col in cols for i, p in enumerate(col)
+                   for e, _ in p.items()})
+    grid = [[col[i].coeff(e) for col in cols] for i, e in keys]
+    return len(cols) - (scalar_rank(S(ring, grid)) if grid else 0)
+
+
+def _serre_dual_twisted(d):
+    """E^dual(-2) for the level E: its structure maps are the inverse
+    transposes of mu_minus and mu_plus, here cof(mu) x^-e, which differ
+    from them by the unit constants of the determinants."""
+    ring = d.ring
+    r = d.mid_rank
+    cofactors = []
+    for mu in (d.mu_minus_torus(), d.mu_plus_torus()):
+        e = mu.determinant().mindeg
+        if r == 1:
+            cof = M(ring, [[1]])
+        else:
+            minors = [[mu.submatrix([a for a in range(r) if a != i],
+                                    [b for b in range(r) if b != j])
+                       .determinant() for j in range(r)] for i in range(r)]
+            cof = LaurentMatrix(ring, r, r, [
+                [-p if (i + j) % 2 else p for j, p in enumerate(row)]
+                for i, row in enumerate(minors)])
+        cofactors.append(cof.times_monomial(-e))
+    cof_m, cof_p = cofactors
+    k = cof_m.global_maxdeg()
+    l = -cof_p.global_mindeg()
+    dual = SheafDiagram(ring, [TwistSummand(k, l)] * r,
+                        cof_m.times_monomial(-k).with_base(BaseRing.POLY_INV),
+                        cof_p.times_monomial(l).with_base(BaseRing.POLY))
+    assert dual.is_valid
+    return dual.twist(-2)
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(10007)], ids=lambda r: r.tag)
+def test_general_h0_matches_brute_force_on_wider_band(ring):
+    for d in _general_corpus(ring):
+        assert cech_cohomology(d).h0_dim == _brute_h0(d)
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(10007)], ids=lambda r: r.tag)
+def test_general_h1_by_serre_duality(ring):
+    # h1(E) = h0(E^dual(-2)); the right side is a brute-force h0, so this
+    # checks h1 without Riemann-Roch
+    for d in _general_corpus(ring, seed=12):
+        assert cech_cohomology(d).h1_dim == _brute_h0(_serre_dual_twisted(d))
+
+
+def test_serre_dual_of_twist_sums():
+    for n in range(-4, 4):
+        d = twisting_sheaf(QQ, n, 1, 2)
+        assert cech_cohomology(d).h1_dim == _brute_h0(_serre_dual_twisted(d))
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(10007)], ids=lambda r: r.tag)
+def test_general_cohomology_invariant_under_chart_basis_change(ring):
+    # p- times an elementary matrix over K[x^-1] and p+ times one over K[x]
+    # change the bases of the chart modules, not the sheaf
+    rng = random.Random(13)
+    for d in _general_corpus(ring, seed=13):
+        r = d.mid_rank
+        p_minus = d.p_minus @ _elementary_product(rng, ring, r, -1,
+                                                  BaseRing.POLY_INV)
+        p_plus = d.p_plus @ _elementary_product(rng, ring, r, 1,
+                                                BaseRing.POLY)
+        other = SheafDiagram(ring, d.twists, p_minus, p_plus)
+        if other.is_twist_sum:
+            continue
+        want = cech_cohomology(d)
+        got = cech_cohomology(other)
+        assert (got.h0_dim, got.h1_dim) == (want.h0_dim, want.h1_dim)
+
+
+def test_general_level_makes_one_rank_call(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return scalar_rank(m)
+
+    monkeypatch.setattr(sheaves, "scalar_rank", counting)
+    for d in _general_corpus(GF(10007), count=10):
+        calls.clear()
+        cech_cohomology(d)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p_minus, p_plus, problem", [
+    # two chart generators over one middle summand
+    ([[1, [(-1, 1)]]], [[1]], "minus adjoint map is not square"),
+    # 1 + x^-1 is no unit of K[x,x^-1]
+    ([[[(0, 1), (-1, 1)]]], [[1]], "minus adjoint map is not an isomorphism"),
+], ids=["non-square", "non-unit-determinant"])
+def test_invalid_level_cohomology_raises(p_minus, p_plus, problem):
+    d = SheafDiagram(QQ, [TwistSummand(0, 0)],
+                     M(QQ, p_minus, BaseRing.POLY_INV),
+                     M(QQ, p_plus, BaseRing.POLY))
+    with pytest.raises(ShapeError, match=problem):
+        cech_cohomology(d)
 
 
 def test_cech_complex_single_twist():
