@@ -9,8 +9,10 @@ flag it stands for.
 
 Sizes are bounded as file contents are: a truncation order is at most
 MAX_ORDER, ``hyper`` refuses an order whose widest window would exceed
-HYPER_ROW_BUDGET rows, and ``extend`` and ``h0`` write no file that the
-loader's bounds would refuse (exit 2 in each case).
+HYPER_ROW_BUDGET rows, ``twist-cohomology`` takes a rank r from 0 to
+MAX_RANK, a twist n, split k and n - k within MAX_EXPONENT and at most
+HYPER_ROW_BUDGET basis monomials, and ``extend`` and ``h0`` write no file
+that the loader's bounds would refuse (exit 2 in each case).
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ EXIT_MATH_FAIL = 1
 EXIT_INPUT_ERROR = 2
 # largest --trunc / --trunc-max, the exponent bound of the file format
 MAX_ORDER = ff.MAX_EXPONENT
-# rows of the widest window fpqc_hyper builds, 4 * order * total rank
+# rows of the widest window fpqc_hyper builds, 4 * order * total rank, and
+# the most basis monomials twist-cohomology may list, r * (|n| + 1)
 HYPER_ROW_BUDGET = 1 << 16
 
 
@@ -351,6 +354,17 @@ def cmd_verify(args):
 
 
 def cmd_twist_cohomology(args):
+    if args.r < 0:
+        raise FormatError(f"rank must be at least 0, got {args.r}", "r")
+    ff._check_rank(args.r, "r")
+    for value, where in ((args.n, "n"), (args.k, "--k"),
+                         (args.n - args.k, "n - k")):
+        ff._check_exponent(value, where)
+    size = args.r * (abs(args.n) + 1)
+    if size > HYPER_ROW_BUDGET:
+        raise FormatError(
+            f"r * (|n| + 1) = {size} basis monomials, above "
+            f"HYPER_ROW_BUDGET = {HYPER_ROW_BUDGET}", "r, n")
     ring = ring_from_tag(args.ring or "Q")
     sheaf = twisting_sheaf(ring, args.n, args.k, args.r)
     coh = cech_cohomology(sheaf)

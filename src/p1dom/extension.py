@@ -139,10 +139,9 @@ def extend_complex(c: ChainComplex) -> ExtensionResult:
     minus = ChainComplex(ring, BaseRing.POLY_INV, c.lo, c.hi, ranks,
                          minus_diffs)
     plus = ChainComplex(ring, BaseRing.POLY, c.lo, c.hi, ranks, plus_diffs)
-    levels = {m: SheafDiagram.twist_sum(
-                  ring, [TwistSummand(*profile[m])] * c.rank(m))
+    twists = {m: (TwistSummand(*profile[m]),) * c.rank(m)
               for m in c.degrees()}
-    sheaf = SheafComplex(minus, c, plus, levels)
+    sheaf = SheafComplex(minus, c, plus, twists)
     # c was validated above; check the charts and the gluing only
     problems = [f"{name}: {p}" for name, chart in (("minus", minus),
                                                    ("plus", plus))
@@ -172,21 +171,21 @@ def extend_cone(v1: SheafComplex, v2: SheafComplex,
         raise ShapeError("omega must map v1|_T to v2|_T")
     if omega.validate():
         raise ShapeError("omega is not a chain map")
-    ring = v1.ring
     lo = min(v1.mid.lo, v2.mid.lo)
     hi = max(v1.mid.hi, v2.mid.hi)
+    levels = {m: (v1.level(m), v2.level(m)) for m in range(lo, hi + 1)}
     big_k = 0
     big_l = 0
-    for m in range(lo, hi + 1):
-        ext = extend_morphism(v1.level(m), v2.level(m), omega.component(m))
+    for m, (z, y) in levels.items():
+        ext = extend_morphism(z, y, omega.component(m))
         big_k = max(big_k, ext.k)
         big_l = max(big_l, ext.l)
     v2t = v2.twist(big_k + big_l, big_k)
     omega_plus = {}
     omega_minus = {}
-    for m in range(lo, hi + 1):
+    for m, (z, y) in levels.items():
         omega_minus[m], omega_plus[m] = _chart_maps(
-            v1.level(m), v2.level(m), omega.component(m), big_k, big_l)
+            z, y, omega.component(m), big_k, big_l)
     plus_map = ChainMap(v1.plus, v2t.plus, omega_plus)
     minus_map = ChainMap(v1.minus, v2t.minus, omega_minus)
     if plus_map.validate() or minus_map.validate():
@@ -194,12 +193,9 @@ def extend_cone(v1: SheafComplex, v2: SheafComplex,
     cone_mid, _, _ = cone(omega)
     cone_plus, _, _ = cone(plus_map)
     cone_minus, _, _ = cone(minus_map)
-    levels = {}
-    for m in cone_mid.degrees():
-        twists = (tuple(v2t.level(m).twists)
-                  + tuple(v1.level(m - 1).twists))
-        levels[m] = SheafDiagram.twist_sum(ring, twists)
-    result = SheafComplex(cone_minus, cone_mid, cone_plus, levels)
+    twists = {m: v2t.twists.get(m, ()) + v1.twists.get(m - 1, ())
+              for m in cone_mid.degrees()}
+    result = SheafComplex(cone_minus, cone_mid, cone_plus, twists)
     problems = result.validate()
     if problems:
         raise ShapeError("cone extension failed validation: "

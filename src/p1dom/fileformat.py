@@ -28,7 +28,7 @@ from .errors import FormatError
 from .laurent import BaseRing, LaurentPoly, base_from_tag
 from .matrices import LaurentMatrix, ScalarMatrix
 from .scalars import CoefficientRing, ring_from_tag
-from .sheaves import SheafComplex, SheafDiagram, TwistSummand
+from .sheaves import SheafComplex, TwistSummand
 
 COMPLEX_FORMAT = "p1dom-complex"
 SHEAF_FORMAT = "p1dom-sheaf-complex"
@@ -275,12 +275,9 @@ def sheaf_from_dict(data: dict) -> SheafComplex:
         minus = ChainComplex(ring, BaseRing.POLY_INV, lo, hi, ranks,
                              minus_diffs)
         plus = ChainComplex(ring, BaseRing.POLY, lo, hi, ranks, plus_diffs)
-        levels = {}
-        for m in ranks:
-            k, l = profile.get(m, (0, 0))
-            levels[m] = SheafDiagram.twist_sum(
-                ring, [TwistSummand(k, l)] * ranks[m])
-        sheaf = SheafComplex(minus, mid, plus, levels)
+        twists = {m: (TwistSummand(*profile.get(m, (0, 0))),) * ranks[m]
+                  for m in ranks}
+        sheaf = SheafComplex(minus, mid, plus, twists)
     except FormatError:
         raise
     except Exception as exc:

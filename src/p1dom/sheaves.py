@@ -5,14 +5,16 @@ structure maps into the middle.  Each middle basis vector carries a twist
 split (k, l): the stored matrices p_minus / p_plus are legal over K[x^-1]
 and K[x], and the true torus maps are diag(x^k) @ p_minus and
 diag(x^-l) @ p_plus.  With this bookkeeping the nth twisting sheaf stores
-identity matrices and all legality checks are integer comparisons.  A level
-whose structure matrices are identities (a twist sum) is recognised once,
-by a scan of its entries when it is built, and the answer is stored in
-``is_twist_sum``; its torus maps diag(x^k) and diag(x^-l) have the unit
-determinants x^(sum k) and x^-(sum l), and between two such levels each
-entry of a chain-map square is an exponent shift of the matching middle
-entry, so validation compares entries and builds, multiplies and reduces
-no matrix.
+identity matrices and all legality checks are integer comparisons.
+
+A sheaf complex stores each level as its twists alone: level m is the sum
+of the twisting sheaves listed in ``twists[m]``, whose torus maps diag(x^k)
+and diag(x^-l) have the unit determinants x^(sum k) and x^-(sum l), so a
+level is valid by construction.  Between two such levels each entry of a
+chain-map square is an exponent shift of the matching middle entry, so
+validation compares entries and builds, multiplies and reduces no matrix;
+``SheafComplex.level`` builds a level's diagram only for a caller that
+asks for one.
 
 Global sections and first cohomology of a sum of twists are banded monomial
 spaces: for a summand of twist n = k + l the section basis is
@@ -86,14 +88,6 @@ class SheafDiagram:
     def mid_rank(self) -> int:
         return len(self.twists)
 
-    @property
-    def minus_rank(self) -> int:
-        return self.p_minus.cols
-
-    @property
-    def plus_rank(self) -> int:
-        return self.p_plus.cols
-
     # -- the actual structure maps over the torus ----------------------------
 
     def mu_minus_torus(self) -> LaurentMatrix:
@@ -111,9 +105,14 @@ class SheafDiagram:
                             self.p_minus, self.p_plus)
 
     def validate(self):
+        return self._validated()[0]
+
+    def _validated(self):
+        """The problems of ``validate`` and the pairs (torus map, its
+        determinant) it computed: none for a twist sum, whose entries are
+        constant and whose torus maps diag(x^k), diag(x^-l) are units."""
         if self.is_twist_sum:
-            # constant entries, and diag(x^k), diag(x^-l) are units
-            return []
+            return [], []
         problems = []
         for label, m in (("minus", self.p_minus), ("plus", self.p_plus)):
             base = BaseRing.POLY_INV if label == "minus" else BaseRing.POLY
@@ -121,14 +120,18 @@ class SheafDiagram:
                 if not p.respects(base):
                     problems.append(
                         f"{label} entry ({i},{j}) violates {base.tag}")
-        for label, m in (("minus", self.mu_minus_torus()),
-                         ("plus", self.mu_plus_torus())):
-            if not m.is_square:
+        maps = []
+        for label, mu in (("minus", self.mu_minus_torus()),
+                          ("plus", self.mu_plus_torus())):
+            if not mu.is_square:
                 problems.append(f"{label} adjoint map is not square")
-            elif m.rows and not m.determinant().is_unit:
-                problems.append(
-                    f"{label} adjoint map is not an isomorphism over the torus")
-        return problems
+            elif mu.rows:
+                det = mu.determinant()
+                if not det.is_unit:
+                    problems.append(f"{label} adjoint map is not an "
+                                    "isomorphism over the torus")
+                maps.append((mu, det))
+        return problems, maps
 
     @property
     def is_valid(self):
@@ -191,7 +194,7 @@ def cech_cohomology(d: SheafDiagram) -> CechCohomology:
     h0 - h1 = r + e- - e+ (Grothendieck 1957; Gohberg-Krein 1958), gives
     h1.
     """
-    problems = d.validate()
+    problems, maps = d._validated()
     if problems:
         raise ShapeError("invalid sheaf level: " + "; ".join(problems))
     if d.is_twist_sum:
@@ -205,10 +208,10 @@ def cech_cohomology(d: SheafDiagram) -> CechCohomology:
         return CechCohomology(len(h0), len(h1), tuple(h0), tuple(h1))
     ring = d.ring
     r = d.mid_rank
-    mu_m = d.mu_minus_torus()
-    mu_p = d.mu_plus_torus()
-    e_m = mu_m.determinant().mindeg
-    e_p = mu_p.determinant().mindeg
+    # a valid general level has r >= 1: an empty one is a twist sum
+    (mu_m, det_m), (mu_p, det_p) = maps
+    e_m = det_m.mindeg
+    e_p = det_p.mindeg
     lo = min(0, (r - 1) * mu_m.global_mindeg() - e_m + mu_p.global_mindeg())
     hi = max(0, (r - 1) * mu_p.global_maxdeg() - e_p + mu_m.global_maxdeg())
     rows = {}
@@ -232,12 +235,18 @@ def cech_cohomology(d: SheafDiagram) -> CechCohomology:
 
 
 class SheafComplex:
-    """Three chain complexes glued by levelwise sheaf diagrams."""
+    """Three chain complexes glued by sums of twisting sheaves.
 
-    __slots__ = ("minus", "mid", "plus", "levels")
+    ``twists`` maps a degree m to the TwistSummand of each generator of
+    C_m: level m is their sum, with torus maps diag(x^k) from the K[x^-1]
+    chart and diag(x^-l) from the K[x] chart.  A degree left out has no
+    summands.
+    """
+
+    __slots__ = ("minus", "mid", "plus", "twists")
 
     def __init__(self, minus: ChainComplex, mid: ChainComplex,
-                 plus: ChainComplex, levels):
+                 plus: ChainComplex, twists):
         if minus.base != BaseRing.POLY_INV or plus.base != BaseRing.POLY \
                 or mid.base != BaseRing.LAURENT:
             raise UnsupportedRingError(
@@ -247,19 +256,14 @@ class SheafComplex:
         self.minus = minus
         self.mid = mid
         self.plus = plus
-        self.levels = dict(levels)
-        for m in mid.degrees():
-            lvl = self.level(m)
-            if (lvl.mid_rank != mid.rank(m)
-                    or lvl.minus_rank != minus.rank(m)
-                    or lvl.plus_rank != plus.rank(m)):
+        self.twists = {m: tuple(twists.get(m, ())) for m in mid.degrees()}
+        for m, ts in self.twists.items():
+            if not len(ts) == mid.rank(m) == minus.rank(m) == plus.rank(m):
                 raise ShapeError(f"level {m} diagram ranks inconsistent")
 
     def level(self, m: int) -> SheafDiagram:
-        lvl = self.levels.get(m)
-        if lvl is None:
-            return SheafDiagram.twist_sum(self.mid.ring, [])
-        return lvl
+        """Level m as a diagram with identity structure matrices."""
+        return SheafDiagram.twist_sum(self.ring, self.twists.get(m, ()))
 
     @property
     def ring(self):
@@ -268,16 +272,11 @@ class SheafComplex:
     def degrees(self):
         return self.mid.degrees()
 
-    @property
-    def is_twist_sum(self) -> bool:
-        return all(self.level(m).is_twist_sum for m in self.degrees())
-
     def twist_profile(self):
         """degree -> (k, l) when every level has one uniform twist split."""
         profile = {}
-        for m in self.degrees():
-            lvl = self.level(m)
-            splits = {(t.k, t.l) for t in lvl.twists}
+        for m, ts in self.twists.items():
+            splits = {(t.k, t.l) for t in ts}
             if len(splits) > 1:
                 raise ShapeError(f"level {m} mixes twist splits")
             profile[m] = splits.pop() if splits else (0, 0)
@@ -286,8 +285,11 @@ class SheafComplex:
     def twist(self, n: int, k: int | None = None) -> "SheafComplex":
         """Twist every level by n with the split (k, n-k); differentials on
         the two charts are unchanged by a uniform twist."""
-        levels = {m: self.level(m).twist(n, k) for m in self.degrees()}
-        return SheafComplex(self.minus, self.mid, self.plus, levels)
+        dk = n if k is None else k
+        dl = n - dk
+        twists = {m: tuple(t.shifted(dk, dl) for t in ts)
+                  for m, ts in self.twists.items()}
+        return SheafComplex(self.minus, self.mid, self.plus, twists)
 
     def validate(self):
         problems = []
@@ -297,32 +299,17 @@ class SheafComplex:
         return problems + self._gluing_problems()
 
     def _gluing_problems(self):
-        """Problems of the levels and of the chain-map squares between them."""
+        """Problems of the chain-map squares between the levels: the
+        structure maps commute with the differentials over the torus."""
         problems = []
-        for m in self.degrees():
-            problems += [f"level {m}: {p}" for p in self.level(m).validate()]
-        # structure maps commute with the differentials over the torus
-        for m in self.degrees():
-            if m == self.mid.lo:
-                continue
-            lvl = self.level(m)
-            prev = self.level(m - 1)
+        for m in range(self.mid.lo + 1, self.mid.hi + 1):
+            prev, lvl = self.twists[m - 1], self.twists[m]
             mid_d = self.mid.diff(m)
-            if prev.is_twist_sum and lvl.is_twist_sum:
-                minus_ok = _shifted_entries(
-                    self.minus.diff(m), mid_d,
-                    [t.k for t in prev.twists], [t.k for t in lvl.twists])
-                plus_ok = _shifted_entries(
-                    self.plus.diff(m), mid_d,
-                    [-t.l for t in prev.twists], [-t.l for t in lvl.twists])
-            else:
-                minus_ok = (prev.mu_minus_torus() @ self.minus.diff(m)
-                            == mid_d @ lvl.mu_minus_torus())
-                plus_ok = (prev.mu_plus_torus() @ self.plus.diff(m)
-                           == mid_d @ lvl.mu_plus_torus())
-            if not minus_ok:
+            if not _shifted_entries(self.minus.diff(m), mid_d,
+                                    [t.k for t in prev], [t.k for t in lvl]):
                 problems.append(f"level {m}: minus structure map not a chain map")
-            if not plus_ok:
+            if not _shifted_entries(self.plus.diff(m), mid_d,
+                                    [-t.l for t in prev], [-t.l for t in lvl]):
                 problems.append(f"level {m}: plus structure map not a chain map")
         return problems
 
@@ -344,23 +331,19 @@ def _shifted_entries(d: LaurentMatrix, mid_d: LaurentMatrix, a, b) -> bool:
 def cech_complex(s: SheafComplex) -> ScalarComplex:
     """The complex of global sections as a K-complex on monomial bands.
 
-    Every level must be a sum of twists with nonnegative-or-(-1) twist so
-    that first cohomology vanishes; the differential is the restriction of
-    the middle differential to the bands.
+    Every twist must be at least -1 so that first cohomology vanishes;
+    the differential is the restriction of the middle differential to the
+    bands.
     """
     ring = s.ring
     bands = {}
-    for m in s.degrees():
-        lvl = s.level(m)
-        if not lvl.is_twist_sum:
-            raise UnsupportedRingError(
-                "global sections need twist-sum levels")
-        for i, t in enumerate(lvl.twists):
+    for m, twists in s.twists.items():
+        for i, t in enumerate(twists):
             if t.n <= -2:
                 raise NonVanishingH1Error(
                     f"level {m} summand {i} has twist {t.n} <= -2")
         band = []
-        for i, t in enumerate(lvl.twists):
+        for i, t in enumerate(twists):
             band.extend((i, e) for e in range(-t.l, t.k + 1))
         bands[m] = band
     ranks = {m: len(bands[m]) for m in s.degrees()}
@@ -427,22 +410,20 @@ def sheaf_iota(s: SheafComplex):
     minus_emb = {}
     plus_emb = {}
     ring = s.ring
-    for m in s.degrees():
-        lvl = s.level(m)
+    for m, twists in s.twists.items():
+        r = len(twists)
         band = []
-        for i, t in enumerate(lvl.twists):
+        for i, t in enumerate(twists):
             band.extend((i, t, e) for e in range(-t.l, t.k + 1))
-        mrows = [[LaurentPoly.zero(ring) for _ in band]
-                 for _ in range(lvl.minus_rank)]
-        prows = [[LaurentPoly.zero(ring) for _ in band]
-                 for _ in range(lvl.plus_rank)]
+        mrows = [[LaurentPoly.zero(ring) for _ in band] for _ in range(r)]
+        prows = [[LaurentPoly.zero(ring) for _ in band] for _ in range(r)]
         for col, (i, t, e) in enumerate(band):
             mrows[i][col] = LaurentPoly.monomial(ring, e - t.k)
             prows[i][col] = LaurentPoly.monomial(ring, e + t.l)
-        minus_emb[m] = LaurentMatrix(ring, lvl.minus_rank, len(band),
-                                     mrows, BaseRing.POLY_INV)
-        plus_emb[m] = LaurentMatrix(ring, lvl.plus_rank, len(band),
-                                    prows, BaseRing.POLY)
+        minus_emb[m] = LaurentMatrix(ring, r, len(band), mrows,
+                                     BaseRing.POLY_INV)
+        plus_emb[m] = LaurentMatrix(ring, r, len(band), prows,
+                                    BaseRing.POLY)
     return w, minus_emb, plus_emb
 
 
@@ -487,23 +468,20 @@ def sheaf_iota_exact(s: SheafComplex) -> bool:
     embedding is injective for free), and every twist is at least -1 so
     the level map is onto.
     """
-    for m in s.degrees():
-        lvl = s.level(m)
-        if not lvl.is_twist_sum:
-            raise UnsupportedRingError("exactness check needs twist sums")
-        if any(t.n <= -2 for t in lvl.twists):
-            return False
+    if any(t.n <= -2 for ts in s.twists.values() for t in ts):
+        return False
     w, minus_emb, plus_emb = sheaf_iota(s)
-    for m in s.degrees():
-        lvl = s.level(m)
-        composite = ((-lvl.mu_minus_torus()) @ minus_emb[m]
-                     + lvl.mu_plus_torus() @ plus_emb[m])
+    for m, twists in s.twists.items():
+        # diag(x^-l) @ plus_emb - diag(x^k) @ minus_emb
+        composite = (
+            plus_emb[m].monomial_row_scale([-t.l for t in twists])
+            - minus_emb[m].monomial_row_scale([t.k for t in twists]))
         if not composite.is_zero:
             return False
         # kernel saturation: for a summand of twist n = k + l the pairs
         # (x^{e-k}, x^{e+l}) with e in [-l, k] are exactly the solutions
         # of x^k a- = x^-l a+ with a- in K[x^-1], a+ in K[x]
-        expected = sum(t.n + 1 for t in lvl.twists if t.n >= 0)
+        expected = sum(t.n + 1 for t in twists if t.n >= 0)
         if w.rank(m) != expected:
             return False
     return True

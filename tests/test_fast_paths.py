@@ -1,10 +1,11 @@
 """Oracle checks for the fast paths of the torus chain.
 
-Twist-sum sheaf levels are validated by exponent comparisons, the gluing
-squares between them by entry comparisons, Smith forms skip the
-transforms a caller does not read, homology takes one factors-only Smith
-form per differential, and Laurent arithmetic builds its results without
-renormalising.  Each fast path is compared here with the dense or
+A sheaf complex stores its levels as twists, so they are valid by
+construction, and its gluing squares are checked by entry comparisons
+that build no matrix, no level diagram and no identity matrix; Smith
+forms skip the transforms a caller does not read, homology takes one
+factors-only Smith form per differential, and Laurent arithmetic builds
+its results without renormalising.  Each fast path is compared here with the dense or
 normalising computation it replaces, kept in this file so that it stays
 independent of the code under test.
 """
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from p1dom import fileformat as ff
 from p1dom.complexes import ChainComplex, HomologyEntry, homology
 from p1dom.errors import ShapeError
 from p1dom.extension import extend_complex
@@ -23,7 +25,8 @@ from p1dom.generators import random_complex, random_novikov_acyclic
 from p1dom.laurent import BaseRing, LaurentPoly, divmod_laurent, exact_div
 from p1dom.matrices import LaurentMatrix
 from p1dom.scalars import GF, QQ, ZZ
-from p1dom.sheaves import SheafComplex, SheafDiagram, TwistSummand
+from p1dom.sheaves import (SheafComplex, SheafDiagram, TwistSummand,
+                           cech_complex)
 from p1dom.smith import TRANSFORMS, smith_normal_form
 
 from helpers import HOMOLOGY_KINDS, M, P, homology_case, random_matrix
@@ -86,7 +89,7 @@ def _with_entry(mat, i, j, poly):
 def perturbed_sheaf(rng, s, variant):
     """A variant of the extension ``s``; some variants break it."""
     ring = s.ring
-    levels = {m: s.level(m) for m in s.degrees()}
+    twists = dict(s.twists)
     minus, plus = s.minus, s.plus
     degs = [m for m in range(s.mid.lo + 1, s.mid.hi + 1)
             if s.mid.diff(m).rows and s.mid.diff(m).cols]
@@ -109,30 +112,12 @@ def perturbed_sheaf(rng, s, variant):
         # a twist sum with one split moved: still a twist sum
         m = rng.choice(ranked)
         dk, dl = rng.choice([(1, 0), (0, 1), (-1, 0), (0, -1)])
-        levels[m] = SheafDiagram.twist_sum(
-            ring, [t.shifted(dk, dl) for t in levels[m].twists])
-    elif variant in ("unit-level", "singular-level") and ranked:
-        # a level that is not a twist sum: x^-1 (a unit) or 1 + x^-1 (not)
-        m = rng.choice(ranked)
-        lvl = levels[m]
-        extra = (LaurentPoly.monomial(ring, -1, 1)
-                 - LaurentPoly.one(ring) if variant == "unit-level"
-                 else LaurentPoly.monomial(ring, -1, 1))
-        levels[m] = SheafDiagram(ring, lvl.twists,
-                                 _with_entry(lvl.p_minus, 0, 0, extra),
-                                 lvl.p_plus)
-    elif variant == "plus-level" and ranked:
-        # identity on the minus side, the unit x on the plus side
-        m = rng.choice(ranked)
-        lvl = levels[m]
-        extra = LaurentPoly.monomial(ring, 1, 1) - LaurentPoly.one(ring)
-        levels[m] = SheafDiagram(ring, lvl.twists, lvl.p_minus,
-                                 _with_entry(lvl.p_plus, 0, 0, extra))
-    return SheafComplex(minus, s.mid, plus, levels)
+        twists[m] = tuple(t.shifted(dk, dl) for t in twists[m])
+    return SheafComplex(minus, s.mid, plus, twists)
 
 
-VARIANTS = ["plain", "entry", "twist", "unit-level", "singular-level",
-            "plus-level"]
+# single levels that are not twist sums are checked in test_sheaves.py
+VARIANTS = ["plain", "entry", "twist"]
 
 
 @settings(deadline=None, max_examples=150)
@@ -163,25 +148,13 @@ def test_perturbed_extensions_are_caught():
     assert all(caught[v] > 0 for v in VARIANTS if v != "plain")
 
 
-def _one_level(lvl):
-    ring = lvl.ring
-    r = lvl.mid_rank
-
-    def single(base):
-        return ChainComplex.single(ring, base, 0, r)
-
-    return SheafComplex(single(BaseRing.POLY_INV), single(BaseRing.LAURENT),
-                        single(BaseRing.POLY), {0: lvl})
-
-
 def test_non_twist_sum_level_with_non_unit_determinant_is_reported():
     lvl = SheafDiagram(QQ, [TwistSummand(1, 0)],
                        M(QQ, [[[(0, 1), (-1, 1)]]], BaseRing.POLY_INV),
                        LaurentMatrix.identity(QQ, 1, BaseRing.POLY))
     assert not lvl.is_twist_sum
     expected = ["minus adjoint map is not an isomorphism over the torus"]
-    assert lvl.validate() == expected
-    assert _one_level(lvl).validate() == [f"level 0: {expected[0]}"]
+    assert lvl.validate() == dense_level_problems(lvl) == expected
     # a unit-monomial structure matrix is not a twist sum, but it is valid
     unit = SheafDiagram(QQ, [TwistSummand(0, 0)],
                         M(QQ, [[[(-2, 3)]]], BaseRing.POLY_INV),
@@ -206,7 +179,6 @@ def test_twist_sum_validation_multiplies_no_torus_maps(monkeypatch):
     monkeypatch.setattr(LaurentMatrix, "__matmul__", counting)
     monkeypatch.setattr(LaurentMatrix, "determinant", no_determinant)
     for s in sheaves:
-        assert s.is_twist_sum
         matmuls.clear()
         assert s.validate() == []
         # only the d.d = 0 checks of the three constituent complexes
@@ -234,13 +206,45 @@ def test_twist_sum_gluing_builds_no_matrix(monkeypatch):
     monkeypatch.setattr(LaurentMatrix, "__init__", counting)
     found = []
     for s in sheaves:
-        assert all(s.levels[m].is_twist_sum for m in s.degrees())
         found.append(s._gluing_problems())
     assert built == []
     monkeypatch.undo()
     for s, problems, dense in zip(sheaves, found, expected):
         assert problems == [p for p in dense
                             if not p.startswith(("minus:", "mid:", "plus:"))]
+
+
+def test_torus_path_builds_no_level_matrices(monkeypatch):
+    rng = random.Random(6)
+    inputs = [random_novikov_acyclic(rng, ring, span=2)
+              for ring in (QQ, GF(7), GF(10007), ZZ) for _ in range(4)]
+    calls = []
+    make_identity = LaurentMatrix.identity.__func__
+    make_level = SheafDiagram.__init__
+
+    def identity(cls, *args, **kwargs):
+        calls.append("identity")
+        return make_identity(cls, *args, **kwargs)
+
+    def level(self, *args, **kwargs):
+        calls.append("level")
+        make_level(self, *args, **kwargs)
+
+    monkeypatch.setattr(LaurentMatrix, "identity", classmethod(identity))
+    monkeypatch.setattr(SheafDiagram, "__init__", level)
+    sheaves = []
+    for c in inputs:
+        s = extend_complex(c).sheaf
+        cech_complex(s)
+        assert s.validate() == []
+        assert ff.sheaf_from_dict(ff.sheaf_to_dict(s)).twists == s.twists
+        sheaves.append(s)
+    assert calls == []
+    monkeypatch.undo()
+    for s in sheaves:
+        for m in s.degrees():
+            assert s.level(m) == SheafDiagram.twist_sum(s.ring, s.twists[m])
+            assert s.level(m).is_twist_sum
 
 
 @settings(deadline=None, max_examples=200)

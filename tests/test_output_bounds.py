@@ -1,8 +1,10 @@
 """Size bounds on what the CLI computes and writes.
 
 Truncation orders stop at MAX_ORDER (for flags and presets alike), hyper
-refuses an order whose widest window exceeds HYPER_ROW_BUDGET rows, and
-extend and h0 write nothing that the loader would refuse.  Each bound is
+refuses an order whose widest window exceeds HYPER_ROW_BUDGET rows,
+twist-cohomology refuses a rank, twist or split past the file bounds or a
+basis past HYPER_ROW_BUDGET monomials, and extend and h0 write nothing
+that the loader would refuse.  Each bound is
 tested at its value and one past it.
 """
 
@@ -171,3 +173,46 @@ def test_homology_and_novikov_refuse_a_non_complex(command, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: invalid complex: degree 2: d.d != 0\n"
+
+
+# -- twist-cohomology arguments --------------------------------------------------
+
+
+@pytest.mark.parametrize("n, r, k, where, message", [
+    (0, 0, 0, None, None),
+    (0, -1, 0, "r", "rank must be at least 0, got -1"),
+    (0, ff.MAX_RANK, 0, None, None),
+    (0, ff.MAX_RANK + 1, 0, "r", f"rank {ff.MAX_RANK + 1} exceeds "
+                                  f"{ff.MAX_RANK}"),
+    (-ff.MAX_EXPONENT, 1, 0, None, None),
+    (-ff.MAX_EXPONENT - 1, 1, 0, "n", f"exponent {-ff.MAX_EXPONENT - 1} "
+                                      "exceeds 4096 in absolute value"),
+    (0, 1, ff.MAX_EXPONENT, None, None),
+    (0, 1, ff.MAX_EXPONENT + 1, "--k", f"exponent {ff.MAX_EXPONENT + 1} "
+                                       "exceeds 4096 in absolute value"),
+    (ff.MAX_EXPONENT, 1, 0, None, None),
+    (ff.MAX_EXPONENT, 1, -1, "n - k", f"exponent {ff.MAX_EXPONENT + 1} "
+                                      "exceeds 4096 in absolute value"),
+    (4095, 16, 0, None, None),
+    (4096, 16, 0, "r, n", f"r * (|n| + 1) = 65552 basis monomials, above "
+                          f"HYPER_ROW_BUDGET = {HYPER_ROW_BUDGET}"),
+])
+def test_twist_cohomology_arguments_at_and_past_the_bounds(
+        n, r, k, where, message, capsys, monkeypatch):
+    assert 16 * (4095 + 1) == HYPER_ROW_BUDGET
+    built = []
+    if where is not None:
+        monkeypatch.setattr(cli, "twisting_sheaf",
+                            lambda *a: built.append(a))
+    code = main(["twist-cohomology", "--k", str(k), "--format", "report",
+                 "--", str(n), str(r)])
+    captured = capsys.readouterr()
+    if where is None:
+        assert code == 0
+        report = ff.loads(captured.out)
+        assert report["h0_dim"] - report["h1_dim"] == r * (n + 1)
+        assert len(report["h0_basis"]) == report["h0_dim"]
+    else:
+        assert code == 2 and built == []
+        assert captured.out == ""
+        assert captured.err == f"input error: {message} (at {where})\n"
