@@ -25,10 +25,6 @@ class BaseRingViolationError(P1DomError, ValueError):
     """A matrix entry uses an exponent forbidden by its base ring."""
 
 
-class BandViolationError(P1DomError, ValueError):
-    """A differential maps a global-sections band outside the target band."""
-
-
 class NonVanishingH1Error(P1DomError, ValueError):
     """A level of a sheaf complex has nontrivial first cohomology."""
 

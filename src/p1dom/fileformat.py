@@ -16,6 +16,12 @@ runs the same checks on a dict about to be written, so that no file is
 written that the loader would refuse.  Wherever the format wants an
 integer (version, degree, rank, exponent, twist) only a JSON integer is
 accepted: ``true`` and ``false`` are a FormatError naming the field.
+
+A sheaf file stores its chart differentials ``minus`` and ``plus``, which
+its twist profile forces (see SheafComplex).  The loader builds the sheaf
+from the middle complex and the profile, and reports every degree where a
+stored chart differs from the forced one; a profile degree that repeats
+or is not in ``degrees`` is a FormatError at that entry.
 """
 
 from __future__ import annotations
@@ -232,14 +238,11 @@ def sheaf_to_dict(s: SheafComplex) -> dict:
         {"degree": m, "k": profile[m][0], "l": profile[m][1]}
         for m in sorted(profile)
     ]
-    data["minus"] = [
-        {"degree": m, "matrix": matrix_to_rows(s.minus.diff(m))}
-        for m in range(s.minus.lo + 1, s.minus.hi + 1)
-    ]
-    data["plus"] = [
-        {"degree": m, "matrix": matrix_to_rows(s.plus.diff(m))}
-        for m in range(s.plus.lo + 1, s.plus.hi + 1)
-    ]
+    for key, chart in (("minus", s.minus), ("plus", s.plus)):
+        data[key] = [
+            {"degree": m, "matrix": matrix_to_rows(chart.diff(m))}
+            for m in range(chart.lo + 1, chart.hi + 1)
+        ]
     return data
 
 
@@ -250,9 +253,9 @@ def sheaf_from_dict(data: dict) -> SheafComplex:
     ranks = _read_degrees(data)
     lo, hi = min(ranks), max(ranks)
     mid_diffs = _read_differentials(data, ring, base, ranks, "differentials")
-    minus_diffs = _read_differentials(data, ring, BaseRing.POLY_INV, ranks,
-                                      "minus")
-    plus_diffs = _read_differentials(data, ring, BaseRing.POLY, ranks, "plus")
+    charts = {key: _read_differentials(data, ring, chart_base, ranks, key)
+              for key, chart_base in (("minus", BaseRing.POLY_INV),
+                                      ("plus", BaseRing.POLY))}
     raw_profile = data.get("twist_profile")
     if not isinstance(raw_profile, list):
         raise FormatError("twist_profile must be an array", "twist_profile")
@@ -263,6 +266,11 @@ def sheaf_from_dict(data: dict) -> SheafComplex:
             raise FormatError("expected {degree, k, l}", loc)
         degree, k, l = (_integer(item.get(f), f, f"{loc}.{f}")
                         for f in ("degree", "k", "l"))
+        if degree in profile:
+            raise FormatError("duplicate degree", f"{loc}.degree")
+        if degree not in ranks:
+            raise FormatError(f"degree {degree} not in degrees",
+                              f"{loc}.degree")
         _check_exponent(k, f"{loc}.k")
         _check_exponent(l, f"{loc}.l")
         profile[degree] = (k, l)
@@ -272,17 +280,23 @@ def sheaf_from_dict(data: dict) -> SheafComplex:
                               "twist_profile")
     try:
         mid = ChainComplex(ring, BaseRing.LAURENT, lo, hi, ranks, mid_diffs)
-        minus = ChainComplex(ring, BaseRing.POLY_INV, lo, hi, ranks,
-                             minus_diffs)
-        plus = ChainComplex(ring, BaseRing.POLY, lo, hi, ranks, plus_diffs)
         twists = {m: (TwistSummand(*profile.get(m, (0, 0))),) * ranks[m]
                   for m in ranks}
-        sheaf = SheafComplex(minus, mid, plus, twists)
+        sheaf = SheafComplex(mid, twists)
     except FormatError:
         raise
     except Exception as exc:
         raise FormatError(str(exc), "$") from exc
     problems = sheaf.validate()
+    # the file's charts must be the ones its twists force
+    derived = {"minus": sheaf.minus, "plus": sheaf.plus}
+    for m in range(lo + 1, hi + 1):
+        for key, chart in derived.items():
+            d = chart.diff(m)
+            if charts[key].get(m, LaurentMatrix.zero(ring, d.rows,
+                                                     d.cols)) != d:
+                problems.append(
+                    f"level {m}: {key} structure map not a chain map")
     if problems:
         raise FormatError("; ".join(problems), "$")
     return sheaf

@@ -173,17 +173,6 @@ class LaurentPoly:
         return _canonical(self.ring, {e + exponent: mul(c, coeff)
                                       for e, c in self._c.items()})
 
-    def equals_shifted(self, other, exponent: int) -> bool:
-        """self == other * x^exponent, compared term by term without
-        building the product."""
-        c = self._c
-        if len(c) != len(other._c) or self.ring != other.ring:
-            return False
-        for e, v in other._c.items():
-            if c.get(e + exponent) != v:
-                return False
-        return True
-
     def evaluate(self, point):
         """Evaluate at a scalar point (the point must be a unit when
         negative exponents occur)."""

@@ -1,13 +1,16 @@
 """Oracle checks for the fast paths of the torus chain.
 
-A sheaf complex stores its levels as twists, so they are valid by
-construction, and its gluing squares are checked by entry comparisons
-that build no matrix, no level diagram and no identity matrix; Smith
-forms skip the transforms a caller does not read, homology takes one
-factors-only Smith form per differential, and Laurent arithmetic builds
-its results without renormalising.  Each fast path is compared here with the dense or
-normalising computation it replaces, kept in this file so that it stays
-independent of the code under test.
+A sheaf complex stores its torus complex and its twists: its levels are
+valid by construction, its constructor checks chart legality by exponent
+comparisons that build no matrix, and its charts are derived on demand,
+so no gluing square is ever compared; the loader compares a file's charts
+with the derived ones.  Smith forms skip the transforms a caller does not
+read, homology takes one factors-only Smith form per differential, and
+Laurent arithmetic builds its results without renormalising.  Each fast
+path is compared here with the dense or normalising computation it
+replaces (charts as products of monomial diagonal matrices, gluing
+squares as products of level torus maps), kept in this file so that it
+stays independent of the code under test.
 """
 
 import random
@@ -18,9 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from p1dom import fileformat as ff
-from p1dom.complexes import ChainComplex, HomologyEntry, homology
-from p1dom.errors import ShapeError
-from p1dom.extension import extend_complex
+from p1dom.complexes import ChainComplex, ChainMap, HomologyEntry, homology
+from p1dom.domination import verify_theorem
+from p1dom.errors import BaseRingViolationError, FormatError, ShapeError
+from p1dom.extension import extend_complex, extend_cone
 from p1dom.generators import random_complex, random_novikov_acyclic
 from p1dom.laurent import BaseRing, LaurentPoly, divmod_laurent, exact_div
 from p1dom.matrices import LaurentMatrix
@@ -32,7 +36,7 @@ from p1dom.smith import TRANSFORMS, smith_normal_form
 from helpers import HOMOLOGY_KINDS, M, P, homology_case, random_matrix
 
 
-# -- sheaf validation against the dense reference --------------------------
+# -- sheaf charts and validation against the dense reference ----------------
 
 
 def dense_level_problems(lvl):
@@ -53,25 +57,78 @@ def dense_level_problems(lvl):
     return problems
 
 
-def dense_validate(s):
-    """SheafComplex.validate with every square a product of torus maps."""
+def _monomial_diag(ring, exponents):
+    return LaurentMatrix.scalar_diag(
+        ring, [LaurentPoly.monomial(ring, e) for e in exponents])
+
+
+def dense_charts(mid, twists):
+    """The chart differentials by matrix products: diag(x^-k) @ d @ diag(x^k)
+    for the K[x^-1] chart and diag(x^l) @ d @ diag(x^-l) for the K[x]
+    chart, as {degree: matrix} over K[x,x^-1]."""
+    ring = mid.ring
+    minus, plus = {}, {}
+    for m in range(mid.lo + 1, mid.hi + 1):
+        prev, lvl, d = twists[m - 1], twists[m], mid.diff(m)
+        minus[m] = (_monomial_diag(ring, [-t.k for t in prev]) @ d
+                    @ _monomial_diag(ring, [t.k for t in lvl]))
+        plus[m] = (_monomial_diag(ring, [t.l for t in prev]) @ d
+                   @ _monomial_diag(ring, [-t.l for t in lvl]))
+    return minus, plus
+
+
+def dense_violations(mid, twists):
+    """Every dense chart entry outside its ring, worded as the
+    SheafComplex constructor words it and in the order it scans them."""
+    minus, plus = dense_charts(mid, twists)
+    found = []
+    for m in minus:
+        for i in range(minus[m].rows):
+            for j in range(minus[m].cols):
+                for side, chart, base in (("minus", minus, BaseRing.POLY_INV),
+                                          ("plus", plus, BaseRing.POLY)):
+                    p = chart[m][i, j]
+                    if not p.respects(base):
+                        found.append(f"degree {m}: {side} chart entry "
+                                     f"({i},{j}) = {p} violates {base.tag}")
+    return found
+
+
+def dense_gluing(minus, mid, plus, twists):
+    """The gluing squares, every one a product of level torus maps."""
     problems = []
-    for name, c in (("minus", s.minus), ("mid", s.mid), ("plus", s.plus)):
-        problems += [f"{name}: {p}" for p in c.validate()]
-    for m in s.degrees():
-        problems += [f"level {m}: {p}"
-                     for p in dense_level_problems(s.level(m))]
-    for m in s.degrees():
-        if m == s.mid.lo:
-            continue
-        lvl, prev = s.level(m), s.level(m - 1)
-        if (prev.mu_minus_torus() @ s.minus.diff(m)
-                != s.mid.diff(m) @ lvl.mu_minus_torus()):
+    for m in range(mid.lo + 1, mid.hi + 1):
+        prev = SheafDiagram.twist_sum(mid.ring, twists[m - 1])
+        lvl = SheafDiagram.twist_sum(mid.ring, twists[m])
+        if (prev.mu_minus_torus() @ minus.diff(m)
+                != mid.diff(m) @ lvl.mu_minus_torus()):
             problems.append(f"level {m}: minus structure map not a chain map")
-        if (prev.mu_plus_torus() @ s.plus.diff(m)
-                != s.mid.diff(m) @ lvl.mu_plus_torus()):
+        if (prev.mu_plus_torus() @ plus.diff(m)
+                != mid.diff(m) @ lvl.mu_plus_torus()):
             problems.append(f"level {m}: plus structure map not a chain map")
     return problems
+
+
+def dense_validate(mid, twists):
+    """SheafComplex.validate with the charts built by dense_charts: ring
+    violations, d.d = 0 of all three complexes and the gluing squares."""
+    minus, plus = (ChainComplex(mid.ring, BaseRing.LAURENT, mid.lo, mid.hi,
+                                dict(mid.ranks), diffs)
+                   for diffs in dense_charts(mid, twists))
+    problems = dense_violations(mid, twists)
+    for name, c in (("minus", minus), ("mid", mid), ("plus", plus)):
+        problems += [f"{name}: {p}" for p in c.validate()]
+    return problems + dense_gluing(minus, mid, plus, twists)
+
+
+def assert_charts_match_dense(s):
+    minus, plus = dense_charts(s.mid, s.twists)
+    for chart, dense, base in ((s.minus, minus, BaseRing.POLY_INV),
+                               (s.plus, plus, BaseRing.POLY)):
+        assert chart.base == base
+        assert (chart.lo, chart.hi, chart.ranks) == (s.mid.lo, s.mid.hi,
+                                                     s.mid.ranks)
+        assert chart.diffs == dense
 
 
 def _replace_diff(c, m, d):
@@ -86,17 +143,24 @@ def _with_entry(mat, i, j, poly):
     return LaurentMatrix(mat.ring, mat.rows, mat.cols, entries, mat.base)
 
 
-def perturbed_sheaf(rng, s, variant):
-    """A variant of the extension ``s``; some variants break it."""
+def perturbed_problems(rng, s, variant):
+    """(what the library reports, what the dense reference finds) for a
+    variant of the extension ``s``; some variants break it.
+
+    ``twist`` moves one level's split, which the constructor refuses
+    exactly when a chart entry leaves its ring (it names the first one);
+    ``entry`` moves one chart entry of the sheaf file, which the loader
+    compares with the chart the twists force.
+    """
     ring = s.ring
     twists = dict(s.twists)
-    minus, plus = s.minus, s.plus
     degs = [m for m in range(s.mid.lo + 1, s.mid.hi + 1)
             if s.mid.diff(m).rows and s.mid.diff(m).cols]
     ranked = [m for m in s.degrees() if s.mid.rank(m)]
     coeff = ring.from_int(rng.choice([1, -1, 2]))
     if variant == "entry" and degs:
         # one chart-differential entry moved by a legal monomial
+        minus, plus = s.minus, s.plus
         m = rng.choice(degs)
         on_minus = rng.random() < 0.5
         chart = minus if on_minus else plus
@@ -108,16 +172,30 @@ def perturbed_sheaf(rng, s, variant):
             minus = _replace_diff(minus, m, d)
         else:
             plus = _replace_diff(plus, m, d)
-    elif variant == "twist" and ranked:
-        # a twist sum with one split moved: still a twist sum
+        data = ff.sheaf_to_dict(s)
+        for key, c in (("minus", minus), ("plus", plus)):
+            data[key] = [{"degree": n, "matrix": ff.matrix_to_rows(c.diff(n))}
+                         for n in range(c.lo + 1, c.hi + 1)]
+        try:
+            ff.sheaf_from_dict(data)
+            found = []
+        except FormatError as exc:
+            found = str(exc).removesuffix(" (at $)").split("; ")
+        return found, dense_gluing(minus, s.mid, plus, twists)
+    if variant == "twist" and ranked:
         m = rng.choice(ranked)
         dk, dl = rng.choice([(1, 0), (0, 1), (-1, 0), (0, -1)])
         twists[m] = tuple(t.shifted(dk, dl) for t in twists[m])
-    return SheafComplex(minus, s.mid, plus, twists)
+    dense = dense_validate(s.mid, twists)
+    try:
+        t = SheafComplex(s.mid, twists)
+    except BaseRingViolationError as exc:
+        return [str(exc)], dense[:1]
+    assert_charts_match_dense(t)
+    return t.validate(), dense
 
 
-# single levels that are not twist sums are checked in test_sheaves.py
-VARIANTS = ["plain", "entry", "twist"]
+VARIANTS = ["plain", "twist", "entry"]
 
 
 @settings(deadline=None, max_examples=150)
@@ -130,8 +208,8 @@ def test_sheaf_validate_matches_dense_reference(seed, ring, variant):
         c = random_novikov_acyclic(rng, ring, span=2)
     else:
         c = random_complex(rng, ring, max_length=4, max_rank=3, span=2)
-    s = perturbed_sheaf(rng, extend_complex(c).sheaf, variant)
-    assert s.validate() == dense_validate(s)
+    found, dense = perturbed_problems(rng, extend_complex(c).sheaf, variant)
+    assert found == dense
 
 
 def test_perturbed_extensions_are_caught():
@@ -140,12 +218,13 @@ def test_perturbed_extensions_are_caught():
     for _ in range(60):
         c = random_novikov_acyclic(rng, QQ, span=2)
         for variant in VARIANTS:
-            s = perturbed_sheaf(rng, extend_complex(c).sheaf, variant)
-            problems = s.validate()
-            assert problems == dense_validate(s)
-            caught[variant] += bool(problems)
-    assert caught["plain"] == 0
-    assert all(caught[v] > 0 for v in VARIANTS if v != "plain")
+            found, dense = perturbed_problems(rng, extend_complex(c).sheaf,
+                                              variant)
+            assert found == dense
+            caught[variant] += bool(found)
+    # a moved split is legal when the entries it touches leave room
+    assert caught["plain"] == 0 and caught["entry"] == 60
+    assert 0 < caught["twist"] < 60
 
 
 def test_non_twist_sum_level_with_non_unit_determinant_is_reported():
@@ -181,20 +260,23 @@ def test_twist_sum_validation_multiplies_no_torus_maps(monkeypatch):
     for s in sheaves:
         matmuls.clear()
         assert s.validate() == []
-        # only the d.d = 0 checks of the three constituent complexes
-        assert len(matmuls) == 3 * max(0, s.mid.hi - s.mid.lo - 1)
+        # only the d.d = 0 checks of the middle complex
+        assert len(matmuls) == max(0, s.mid.hi - s.mid.lo - 1)
 
 
 def test_twist_sum_gluing_builds_no_matrix(monkeypatch):
+    # the constructor's legality check, which replaces the gluing
+    # comparison, reads exponents and builds no matrix
     rng = random.Random(5)
-    sheaves = []
+    cases = []
     for ring in (QQ, GF(7), GF(10007), ZZ):
-        for variant in ("plain", "entry", "twist"):
-            for _ in range(4):
-                c = random_novikov_acyclic(rng, ring, span=2)
-                sheaves.append(
-                    perturbed_sheaf(rng, extend_complex(c).sheaf, variant))
-    expected = [dense_validate(s) for s in sheaves]
+        for _ in range(12):
+            s = extend_complex(random_novikov_acyclic(rng, ring, span=2)).sheaf
+            twists = {m: tuple(t.shifted(rng.randint(-1, 1),
+                                         rng.randint(-1, 1)) for t in ts)
+                      for m, ts in s.twists.items()}
+            cases.append((s.mid, twists))
+    expected = [dense_violations(mid, twists) for mid, twists in cases]
     assert any(expected) and not all(expected)
     built = []
     original = LaurentMatrix.__init__
@@ -205,13 +287,82 @@ def test_twist_sum_gluing_builds_no_matrix(monkeypatch):
 
     monkeypatch.setattr(LaurentMatrix, "__init__", counting)
     found = []
-    for s in sheaves:
-        found.append(s._gluing_problems())
+    for mid, twists in cases:
+        try:
+            SheafComplex(mid, twists)
+            found.append([])
+        except BaseRingViolationError as exc:
+            found.append([str(exc)])
     assert built == []
     monkeypatch.undo()
-    for s, problems, dense in zip(sheaves, found, expected):
-        assert problems == [p for p in dense
-                            if not p.startswith(("minus:", "mid:", "plus:"))]
+    assert found == [dense[:1] for dense in expected]
+
+
+def test_derived_charts_match_dense_reference():
+    rng = random.Random(12)
+    sheaves = []
+    for ring in (QQ, GF(7), GF(10007), ZZ):
+        for _ in range(6):
+            c = random_novikov_acyclic(rng, ring, span=2)
+            sheaves.append(extend_complex(c).sheaf)
+            c = random_complex(rng, ring, max_length=4, max_rank=3, span=2)
+            sheaves.append(extend_complex(c).sheaf)
+        for _ in range(3):
+            a = random_complex(rng, ring, max_length=3, max_rank=2, span=2)
+            v1, v2 = extend_complex(a).sheaf, extend_complex(a).sheaf
+            for omega in (ChainMap.identity(a), ChainMap.zero(a, a)):
+                sheaves.append(extend_cone(v1, v2, omega))
+            b = ChainComplex.single(ring, BaseRing.LAURENT, 0, 2)
+            omega = ChainMap(b, b, {0: random_matrix(rng, ring, 2, 2, 2)})
+            sheaves.append(extend_cone(extend_complex(b).sheaf,
+                                       extend_complex(b).sheaf, omega))
+    assert any(s.mid.hi > s.mid.lo + 1 for s in sheaves)
+    for s in sheaves:
+        assert_charts_match_dense(s)
+        assert s.validate() == dense_validate(s.mid, s.twists) == []
+
+
+@settings(deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       ring=st.sampled_from([QQ, GF(7), ZZ]))
+def test_constructor_accepts_exactly_the_legal_twists(seed, ring):
+    # any split per generator, legal or not
+    rng = random.Random(seed)
+    c = random_complex(rng, ring, max_length=4, max_rank=3, span=2)
+    twists = {m: tuple(TwistSummand(rng.randint(-3, 3), rng.randint(-3, 3))
+                       for _ in range(c.rank(m))) for m in c.degrees()}
+    violations = dense_violations(c, twists)
+    try:
+        s = SheafComplex(c, twists)
+    except BaseRingViolationError as exc:
+        assert violations and str(exc) == violations[0]
+        return
+    assert not violations
+    assert_charts_match_dense(s)
+
+
+def test_charts_are_built_only_when_read(monkeypatch):
+    rng = random.Random(13)
+    inputs = [random_novikov_acyclic(rng, ring, span=2)
+              for ring in (QQ, GF(7), GF(10007), ZZ) for _ in range(4)]
+    calls = []
+    original = SheafComplex._chart
+
+    def counting(self, side, base):
+        calls.append(side)
+        return original(self, side, base)
+
+    monkeypatch.setattr(SheafComplex, "_chart", counting)
+    for c in inputs:
+        s = extend_complex(c).sheaf
+        cech_complex(s)
+        assert s.validate() == []
+    assert calls == []
+    for c in inputs:
+        if c.ring.is_field:
+            calls.clear()
+            assert verify_theorem(c).passed
+            assert sorted(calls) == ["minus", "plus"]
 
 
 def test_torus_path_builds_no_level_matrices(monkeypatch):
@@ -245,19 +396,6 @@ def test_torus_path_builds_no_level_matrices(monkeypatch):
         for m in s.degrees():
             assert s.level(m) == SheafDiagram.twist_sum(s.ring, s.twists[m])
             assert s.level(m).is_twist_sum
-
-
-@settings(deadline=None, max_examples=200)
-@given(data=st.data(), ring=st.sampled_from([QQ, GF(7)]),
-       exponent=st.integers(-5, 5))
-def test_equals_shifted_matches_product(data, ring, exponent):
-    q = data.draw(polys(ring))
-    if data.draw(st.booleans()):
-        p = q.times_monomial(exponent)
-    else:
-        p = data.draw(polys(ring))
-    assert p.equals_shifted(q, exponent) == (p == q.times_monomial(exponent))
-    assert not P(QQ, (0, 1)).equals_shifted(P(GF(7), (0, 1)), 0)
 
 
 def test_twist_sum_detection_scans_entries():

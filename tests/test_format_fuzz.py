@@ -162,3 +162,49 @@ def test_boolean_version_and_ranks_do_not_load_as_sample(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["validate", str(path)]) == 2
     assert "version must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"degree": 0, "k": 1, "l": 0}, "duplicate degree"),
+    ({"degree": -40, "k": 2, "l": 2}, "degree -40 not in degrees"),
+], ids=["duplicate", "unknown"])
+def test_twist_profile_degree_must_be_new_and_listed(entry, message):
+    data = json.loads(json.dumps(SHEAF))
+    data["twist_profile"].append(entry)
+    with pytest.raises(FormatError) as err:
+        ff.sheaf_from_dict(data)
+    assert str(err.value) == f"{message} (at twist_profile[2].degree)"
+
+
+def test_extended_sample_with_stray_twists_exits_2(tmp_path, capsys):
+    # without the checks the last duplicate won and the stray entry was
+    # dropped, and h0 exited 0
+    sample = Path(__file__).resolve().parents[1] / "samples/x-minus-1.cplx"
+    path = tmp_path / "ext.sheaf"
+    assert main(["extend", str(sample), "--out", str(path)]) == 0
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data["twist_profile"] += [{"degree": 0, "k": 1, "l": 0},
+                              {"degree": -40, "k": 2, "l": 2}]
+    path.write_text(json.dumps(data))
+    assert main(["h0", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: duplicate degree (at twist_profile[2].degree)\n")
+    del data["twist_profile"][2]
+    path.write_text(json.dumps(data))
+    assert main(["h0", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: degree -40 not in degrees "
+        "(at twist_profile[2].degree)\n")
+
+
+def test_illegal_twist_profile_exits_2(tmp_path, capsys):
+    # with k = 0 in degree 0 the minus chart entry of x - 1 is x - 1
+    sample = Path(__file__).resolve().parents[1] / "samples/x-minus-1.sheaf"
+    data = json.loads(sample.read_text(encoding="utf-8"))
+    data["twist_profile"][0]["k"] = 0
+    path = tmp_path / "illegal.sheaf"
+    path.write_text(json.dumps(data))
+    assert main(["h0", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: degree 1: minus chart entry (0,0) = -1 + x violates "
+        "K[x^-1] (at $)\n")

@@ -1,5 +1,8 @@
 """Byte-stable reports: ``--format report`` on every file in samples/.
 
+Every complex file (``*.cplx``) runs through each command in COMMANDS and
+every sheaf file (``*.sheaf``) through ``h0``.
+
 Each command's stdout, stderr and exit code are compared exactly with the
 copies stored under tests/golden/.  After a declared change to a report,
 rewrite the copies with
@@ -23,7 +26,9 @@ SAMPLES = sorted((ROOT / "samples").glob("*.cplx"))
 GOLDEN = Path(__file__).resolve().parent / "golden"
 COMMANDS = ("verify", "dominate", "hyper", "homology", "novikov", "extend",
             "validate")
-CASES = [(s, c) for s in SAMPLES for c in COMMANDS]
+SHEAF_SAMPLES = sorted((ROOT / "samples").glob("*.sheaf"))
+CASES = ([(s, c) for s in SAMPLES for c in COMMANDS]
+         + [(s, "h0") for s in SHEAF_SAMPLES])
 
 
 def _name(sample, command):
@@ -49,7 +54,7 @@ def _load_manifest():
 
 
 def test_golden_covers_every_sample():
-    assert SAMPLES
+    assert SAMPLES and SHEAF_SAMPLES
     assert sorted(_load_manifest()) == sorted(_name(s, c) for s, c in CASES)
 
 

@@ -4,7 +4,8 @@ import pytest
 
 from p1dom import sheaves
 from p1dom.complexes import ChainComplex, homology_dims
-from p1dom.errors import NonVanishingH1Error, BandViolationError, ShapeError
+from p1dom.errors import (BaseRingViolationError, NonVanishingH1Error,
+                          ShapeError)
 from p1dom.extension import extend_complex
 from p1dom.laurent import BaseRing
 from p1dom.matrices import LaurentMatrix, scalar_rank
@@ -358,43 +359,51 @@ def test_cech_complex_of_x_minus_one_extension():
 
 
 def test_cech_complex_zero():
-    z = SheafComplex(
-        ChainComplex.zero(QQ, BaseRing.POLY_INV),
-        ChainComplex.zero(QQ, BaseRing.LAURENT),
-        ChainComplex.zero(QQ, BaseRing.POLY),
-        {0: ()})
+    z = SheafComplex(ChainComplex.zero(QQ, BaseRing.LAURENT), {0: ()})
     assert cech_complex(z).is_zero
 
 
 def test_cech_complex_rejects_negative_twists():
     single = SheafComplex(
-        ChainComplex.single(QQ, BaseRing.POLY_INV, 0, 1),
         ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1),
-        ChainComplex.single(QQ, BaseRing.POLY, 0, 1),
         {0: (TwistSummand(-1, -1),)})
     with pytest.raises(NonVanishingH1Error):
         cech_complex(single)
 
 
 def test_cech_complex_band_violation():
-    # differential x^2 but target band only {x^0}: the image escapes
+    # differential x^2 but target band only {x^0}: the image would escape,
+    # and the minus chart entry x^2 is not in K[x^-1], so the complex is
+    # refused before any band is built
     mid = two_term(QQ, [(2, 1)])
-    minus = ChainComplex(QQ, BaseRing.POLY_INV, 0, 1, {0: 1, 1: 1},
-                         {1: M(QQ, [[[(0, 1)]]], BaseRing.POLY_INV)})
-    plus = ChainComplex(QQ, BaseRing.POLY, 0, 1, {0: 1, 1: 1},
-                        {1: M(QQ, [[[(2, 1)]]], BaseRing.POLY)})
     twists = {0: (TwistSummand(0, 0),), 1: (TwistSummand(0, 0),)}
-    bad = SheafComplex(minus, mid, plus, twists)
-    with pytest.raises(BandViolationError):
-        cech_complex(bad)
+    with pytest.raises(BaseRingViolationError,
+                       match=r"^degree 1: minus chart entry \(0,0\) = x\^2 "
+                             r"violates K\[x\^-1\]$"):
+        SheafComplex(mid, twists)
+    # with the split (2, 0) in degree 0 the band {1, x, x^2} holds it
+    w = cech_complex(SheafComplex(mid, {0: (TwistSummand(2, 0),),
+                                        1: (TwistSummand(0, 0),)}))
+    assert w.diffs[1].data == [{}, {}, {0: 1}]
+
+
+def test_stray_twist_is_refused():
+    mid = ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1)
+    with pytest.raises(ShapeError, match="^level 7 has twists but lies "
+                                         r"outside the support \[0, 0\]$"):
+        SheafComplex(mid, {0: (TwistSummand(0, 0),),
+                           7: (TwistSummand(-5, 0),)})
+    # an empty level outside the support has nothing to drop
+    s = SheafComplex(mid, {0: (TwistSummand(0, 0),), 7: ()})
+    assert s.twists == {0: (TwistSummand(0, 0),)}
+    with pytest.raises(ShapeError, match="^level 0 has 2 twists for rank 1$"):
+        SheafComplex(mid, {0: (TwistSummand(0, 0),) * 2})
 
 
 def test_sheaf_hyper_dims_of_negative_twist():
     # a single O(-2) level: hypercohomology is one K in degree -1
     single = SheafComplex(
-        ChainComplex.single(QQ, BaseRing.POLY_INV, 0, 1),
         ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1),
-        ChainComplex.single(QQ, BaseRing.POLY, 0, 1),
         {0: (TwistSummand(-1, -1),)})
     dims = sheaf_hyper_homology_dims(single)
     assert dims == {-1: 1, 0: 0}
@@ -427,8 +436,6 @@ def test_torus_diagram_of_extension():
 
 def test_sheaf_iota_exactness_fails_on_negative_twist():
     single = SheafComplex(
-        ChainComplex.single(QQ, BaseRing.POLY_INV, 0, 1),
         ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1),
-        ChainComplex.single(QQ, BaseRing.POLY, 0, 1),
         {0: (TwistSummand(-1, -1),)})
     assert not sheaf_iota_exact(single)
