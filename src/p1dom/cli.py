@@ -188,8 +188,17 @@ def _emit(args, human_lines, report_obj):
     _write(args, text)
 
 
+def _read_input(args):
+    """The input file's text, read once: the text that is parsed is the
+    text whose digest a report cites as ``input_digest``."""
+    with open(args.input, encoding="utf-8") as fh:
+        text = fh.read()
+    args.input_digest = ff.digest(text)
+    return text
+
+
 def _load_complex(args):
-    c = ff.load_complex(args.input)
+    c = ff.complex_from_dict(ff.loads(_read_input(args)))
     _check_ring_flag(args, c.ring.tag)
     return c
 
@@ -205,7 +214,7 @@ def _load_valid_complex(args):
 
 
 def _load_sheaf(args):
-    s = ff.load_sheaf(args.input)
+    s = ff.sheaf_from_dict(ff.loads(_read_input(args)))
     _check_ring_flag(args, s.ring.tag)
     return s
 
@@ -219,15 +228,10 @@ def _check_ring_flag(args, header_tag):
             "ring")
 
 
-def _input_digest(args):
-    with open(args.input, encoding="utf-8") as fh:
-        return ff.digest(fh.read())
-
-
 def cmd_validate(args):
     c = _load_complex(args)
     problems = c.validate()
-    report = {"command": "validate", "input_digest": _input_digest(args),
+    report = {"command": "validate", "input_digest": args.input_digest,
               "valid": not problems, "violations": problems}
     _emit(args, ["ok"] if not problems else problems, report)
     return EXIT_OK if not problems else EXIT_MATH_FAIL
@@ -247,7 +251,7 @@ def cmd_homology(args):
         entries.append({"degree": q, "free_rank": e.free_rank,
                         "torsion": [str(f) for f in e.torsion],
                         "kdim": None if e.kdim is None else e.kdim})
-    report = {"command": "homology", "input_digest": _input_digest(args),
+    report = {"command": "homology", "input_digest": args.input_digest,
               "ring": c.ring.tag, "entries": entries}
     _emit(args, lines, report)
     return EXIT_OK
@@ -258,7 +262,7 @@ def cmd_novikov(args):
     verdict = novikov_check(c, order=args.trunc)
     lines = [f"x-side: {verdict.x_side.acyclic}",
              f"x^-1-side: {verdict.x_inv_side.acyclic}"]
-    report = {"command": "novikov", "input_digest": _input_digest(args),
+    report = {"command": "novikov", "input_digest": args.input_digest,
               "x_side": {
                   "acyclic": verdict.x_side.acyclic,
                   "method": verdict.x_side.method,
@@ -306,7 +310,7 @@ def cmd_hyper(args):
     for q in sorted(model.dims):
         lines.append(f"H_{q}: dim {model.dims[q]} "
                      f"(2N: {model.dims_double.get(q)})")
-    report = {"command": "hyper", "input_digest": _input_digest(args),
+    report = {"command": "hyper", "input_digest": args.input_digest,
               "order": model.order,
               "stabilised": model.stabilised,
               "window_matched": model.window_matched,
@@ -320,7 +324,7 @@ def cmd_hyper(args):
 def _witness_report(args, witness, command):
     return {
         "command": command,
-        "input_digest": _input_digest(args),
+        "input_digest": args.input_digest,
         "w": ff.complex_to_dict(witness.w),
         **witness.report_fields(),
     }
@@ -348,7 +352,7 @@ def cmd_verify(args):
                      + (f" ({ch.detail})" if ch.detail else ""))
     data = report.to_dict()
     data["command"] = "verify"
-    data["input_digest"] = _input_digest(args)
+    data["input_digest"] = args.input_digest
     _emit(args, lines, data)
     return EXIT_OK if report.passed else EXIT_MATH_FAIL
 

@@ -4,11 +4,12 @@ Complexes are homologically indexed: the differential decreases the degree.
 A complex stores explicit support bounds [lo, hi]; every operation treats
 degrees outside the support as rank zero.  A ``ChainComplex`` lives over
 K[x^-1], K[x] or K[x,x^-1] and stores dense Laurent matrices; its homology
-over K[x,x^-1] (free rank plus torsion invariant factors) is read from one
-factors-only Smith normal form per differential.  Every complex over the
-base ring K (the global sections W, the chart windows, the fpqc totals,
-base-K files) is a ``ScalarComplex`` of sparse scalar rows, where plain
-rank-nullity applies.
+over K[x,x^-1] (free rank plus torsion invariant factors) is read from the
+invariant factors of each differential, computed by the factors-only kernel
+``smith.invariant_factors`` (integer coefficients over Q).  Every complex
+over the base ring K (the global sections W, the chart windows, the fpqc
+totals, base-K files) is a ``ScalarComplex`` of sparse scalar rows, where
+plain rank-nullity applies.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import RingMismatchError, ShapeError, UnsupportedRingError
 from .laurent import BaseRing, LaurentPoly
 from .matrices import LaurentMatrix, scalar_rank
 from .scalars import CoefficientRing
-from .smith import smith_normal_form
+from .smith import invariant_factors
 
 
 class ChainComplex:
@@ -315,8 +316,9 @@ class HomologyReport:
 def homology(c: ChainComplex | ScalarComplex) -> HomologyReport:
     """Per-degree homology structure.
 
-    Over R = K[x,x^-1] (field coefficients) one Smith form per
-    differential, factors only, gives every degree.  R is a PID, so
+    Over R = K[x,x^-1] (field coefficients) the invariant factors of each
+    differential, one ``invariant_factors`` call each (no transforms;
+    integer coefficients over Q), give every degree.  R is a PID, so
     im d_q, a submodule of the free C_{q-1}, is free, and
     0 -> ker d_q -> C_q -> im d_q -> 0 splits: C_q = ker d_q (+) L with L
     free of rank rank d_q.  As im d_{q+1} lies in ker d_q,
@@ -343,7 +345,7 @@ def homology(c: ChainComplex | ScalarComplex) -> HomologyReport:
     if c.base != BaseRing.LAURENT:
         raise UnsupportedRingError(
             f"homology is computed over K or K[x,x^-1], not {c.base.tag}")
-    factors = {m: smith_normal_form(d, track=()).factors
+    factors = {m: invariant_factors(d)
                for m, d in c.diffs.items() if d.rows and d.cols}
     entries = {}
     for q in c.degrees():

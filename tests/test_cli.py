@@ -1,3 +1,5 @@
+import builtins
+import hashlib
 import json
 import os
 
@@ -242,3 +244,43 @@ def test_non_utf8_input_is_input_error(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and str(path) in err
+
+
+SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
+
+
+@pytest.mark.parametrize("command, sample", [
+    ("validate", "x-minus-1.cplx"), ("homology", "x-minus-1.cplx"),
+    ("novikov", "x-minus-1.cplx"), ("hyper", "chart-x2-x3.cplx"),
+    ("dominate", "x-minus-1.cplx"), ("verify", "x-minus-1.cplx")])
+def test_input_is_read_once_and_digested(command, sample, monkeypatch,
+                                         capsys):
+    path = os.path.join(SAMPLES, sample)
+    with open(path, "rb") as fh:
+        expected = hashlib.sha256(fh.read()).hexdigest()
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main([command, path, "--format", "report"]) == 0
+    assert opened == [path]
+    assert json.loads(capsys.readouterr().out)["input_digest"] == expected
+
+
+def test_sheaf_input_is_read_once(xm1_file, tmp_path, monkeypatch):
+    sheaf = str(tmp_path / "ext.sheaf")
+    assert main(["extend", xm1_file, "--out", sheaf]) == 0
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main(["h0", sheaf, "--out", str(tmp_path / "w.cplx")]) == 0
+    assert opened.count(sheaf) == 1

@@ -4,9 +4,9 @@ A sheaf complex stores its torus complex and its twists: its levels are
 valid by construction, its constructor checks chart legality by exponent
 comparisons that build no matrix, and its charts are derived on demand,
 so no gluing square is ever compared; the loader compares a file's charts
-with the derived ones.  Smith forms skip the transforms a caller does not
-read, homology takes one factors-only Smith form per differential, and
-Laurent arithmetic builds its results without renormalising.  Each fast
+with the derived ones.  Homology reads the invariant factors of each
+differential from the factors-only kernel, and Laurent arithmetic builds
+its results without renormalising.  Each fast
 path is compared here with the dense or normalising computation it
 replaces (charts as products of monomial diagonal matrices, gluing
 squares as products of level torus maps), kept in this file so that it
@@ -31,7 +31,7 @@ from p1dom.matrices import LaurentMatrix
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import (SheafComplex, SheafDiagram, TwistSummand,
                            cech_complex)
-from p1dom.smith import TRANSFORMS, smith_normal_form
+from p1dom.smith import smith_normal_form
 
 from helpers import HOMOLOGY_KINDS, M, P, homology_case, random_matrix
 
@@ -407,72 +407,42 @@ def test_twist_sum_detection_scans_entries():
     assert not LaurentMatrix.zero(QQ, 1, 2).is_identity
 
 
-# -- Smith forms that track fewer transforms --------------------------------
+# -- homology from the factors-only kernel ----------------------------------
 
 
-TRACKS = [(), ("U",), ("V",), ("Vinv",), ("U", "Vinv"), ("V", "Vinv")]
-
-
-@settings(deadline=None, max_examples=120)
-@given(seed=st.integers(0, 2 ** 32 - 1),
-       ring=st.sampled_from([QQ, GF(7)]),
-       track=st.sampled_from(TRACKS))
-def test_partial_snf_matches_full(seed, ring, track):
-    rng = random.Random(seed)
-    rows, cols = rng.randint(0, 5), rng.randint(0, 5)
-    a = random_matrix(rng, ring, rows, cols)
-    full = smith_normal_form(a)
-    part = smith_normal_form(a, track=track)
-    assert part.factors == full.factors and part.rank == full.rank
-    for name in TRANSFORMS:
-        if name in track:
-            assert getattr(part, name) == getattr(full, name)
-        else:
-            assert getattr(part, name) is None
-    # kernel coordinates of a random combination of kernel vectors
-    kernel = full.kernel_basis()
-    coeffs = random_matrix(rng, ring, kernel.cols, rng.randint(1, 3), 1)
-    b = kernel @ coeffs
-    if "Vinv" in track:
-        assert part.kernel_coordinates(b) == full.kernel_coordinates(b)
-        assert part.kernel_coordinates(b) == coeffs
-    else:
-        with pytest.raises(ShapeError):
-            part.kernel_coordinates(b)
-
-
-def test_unknown_transform_is_rejected():
-    with pytest.raises(ShapeError):
-        smith_normal_form(M(QQ, [[1]]), track=("W",))
-
-
-def test_homology_reads_only_the_transforms_it_tracks(monkeypatch):
+def test_homology_calls_the_kernel_once_per_differential(monkeypatch):
     import p1dom.complexes as complexes
+    import p1dom.smith as smith
 
-    tracks = []
-    original = complexes.smith_normal_form
+    calls = []
+    original = complexes.invariant_factors
 
-    def recording(a, track=TRANSFORMS):
-        tracks.append(tuple(track))
-        return original(a, track=track)
+    def recording(a):
+        calls.append(a)
+        return original(a)
 
-    monkeypatch.setattr(complexes, "smith_normal_form", recording)
+    def refused(*args, **kwargs):
+        raise AssertionError("homology built a Smith form with transforms")
+
+    monkeypatch.setattr(complexes, "invariant_factors", recording)
+    monkeypatch.setattr(smith, "smith_normal_form", refused)
     rng = random.Random(8)
     forms = 0
-    for _ in range(10):
-        c = random_complex(rng, QQ, max_length=4, max_rank=3, span=2)
-        tracks.clear()
-        homology(c)
-        # one factors-only form per nonempty differential, nothing else
-        nonempty = sum(1 for d in c.diffs.values() if d.rows and d.cols)
-        assert tracks == [()] * nonempty
-        forms += nonempty
+    for ring in (QQ, GF(7)):
+        for _ in range(10):
+            c = random_complex(rng, ring, max_length=4, max_rank=3, span=2)
+            calls.clear()
+            homology(c)
+            # one kernel call per nonempty differential, nothing else
+            nonempty = [d for d in c.diffs.values() if d.rows and d.cols]
+            assert calls == nonempty
+            forms += len(nonempty)
     assert forms
 
 
 def two_form_homology(c):
     """Homology entries by the earlier algorithm: per degree, a Smith form
-    of d_q tracking Vinv, the coordinates of im d_{q+1} in the kernel
+    of d_q with its Vinv, the coordinates of im d_{q+1} in the kernel
     basis, and a second Smith form of those coordinates."""
     entries = {}
     for q in c.degrees():
@@ -480,13 +450,12 @@ def two_form_homology(c):
             entries[q] = HomologyEntry(0, (), 0)
             continue
         incoming = c.diff(q + 1)
-        out_snf = smith_normal_form(c.diff(q), track=("Vinv",))
+        out_snf = smith_normal_form(c.diff(q))
         kernel_rank = c.rank(q) - out_snf.rank
         if incoming.cols == 0 or kernel_rank == 0:
             free, torsion = kernel_rank, ()
         else:
-            m_snf = smith_normal_form(out_snf.kernel_coordinates(incoming),
-                                      track=())
+            m_snf = smith_normal_form(out_snf.kernel_coordinates(incoming))
             free = kernel_rank - m_snf.rank
             torsion = tuple(f for f in m_snf.factors if f.core_degree > 0)
         kdim = None if free else sum(f.core_degree for f in torsion)

@@ -1,12 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p1dom.errors import UnsupportedRingError
 from p1dom.laurent import LaurentPoly, divides
 from p1dom.matrices import LaurentMatrix, scalar_rank
 from p1dom.scalars import GF, QQ, ZZ
-from p1dom.smith import matrix_rank, smith_normal_form
+from p1dom.smith import invariant_factors, matrix_rank, smith_normal_form
 
 from helpers import M, P, S
 
@@ -94,3 +97,52 @@ def test_kernel_basis_spans_kernel():
         assert (a @ kb).is_zero
         assert matrix_rank(kb) == kb.cols
         assert kb.cols == a.cols - s.rank
+
+
+# -- the factors-only kernel against the Smith form with transforms ---------
+
+
+def _kernel_case(rng, ring, rows, cols, shape):
+    """A rows x cols Laurent matrix; over Q the coefficients have numerators
+    up to 10^6 and mixed denominators.  ``shape`` adds a zero row, a zero
+    column, or a row that is the sum of two others."""
+    def coefficient():
+        if ring is QQ:
+            return Fraction(rng.randint(-10 ** 6, 10 ** 6),
+                            rng.choice([1, 1, 2, 3, 12, rng.randint(1, 999)]))
+        return ring.from_int(rng.randint(-10 ** 6, 10 ** 6))
+
+    grid = [[LaurentPoly(ring, {rng.randint(-2, 2): coefficient()
+                                for _ in range(rng.randint(0, 3))})
+             for _ in range(cols)] for _ in range(rows)]
+    if shape == "zero-row" and rows:
+        grid[rng.randrange(rows)] = [LaurentPoly.zero(ring)] * cols
+    if shape == "zero-col" and cols:
+        j = rng.randrange(cols)
+        for row in grid:
+            row[j] = LaurentPoly.zero(ring)
+    if shape == "row-sum" and rows >= 3:
+        i, j, k = rng.sample(range(rows), 3)
+        grid[i] = [a + b for a, b in zip(grid[j], grid[k])]
+    return LaurentMatrix(ring, rows, cols, grid)
+
+
+@settings(deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       ring=st.sampled_from([QQ, GF(7), GF(10007)]),
+       rows=st.integers(0, 6), cols=st.integers(0, 6),
+       shape=st.sampled_from(["plain", "zero-row", "zero-col", "row-sum"]))
+def test_invariant_factors_match_the_smith_form(seed, ring, rows, cols,
+                                                shape):
+    a = _kernel_case(random.Random(seed), ring, rows, cols, shape)
+    factors = invariant_factors(a)
+    assert factors == smith_normal_form(a).factors
+    if shape == "row-sum" and rows >= 3:
+        assert len(factors) < rows
+
+
+def test_invariant_factors_of_empty_and_zero_matrices():
+    for rows, cols in ((0, 0), (0, 4), (4, 0), (3, 5)):
+        assert invariant_factors(LaurentMatrix.zero(QQ, rows, cols)) == ()
+    with pytest.raises(UnsupportedRingError):
+        invariant_factors(M(ZZ, [[1]]))

@@ -4,8 +4,9 @@ A Laurent matrix A becomes the polynomial matrix x^s A (s clears the
 negative exponents).  Multiplying by a unit does not move invariant
 factors, and over K[x] a factor of the form x^k g is, over K[x,x^-1], the
 factor g: so sympy's invariant factors over Q[x] or GF(7)[x], with powers
-of x stripped and made monic, must be the factors p1dom reports.  sympy
-is used here only.
+of x stripped and made monic, must be the factors p1dom reports, both
+from the Smith form with transforms and from the factors-only kernel.
+sympy is used here only.
 """
 
 import random
@@ -19,6 +20,7 @@ from sympy.matrices.normalforms import invariant_factors
 from p1dom.complexes import homology
 from p1dom.laurent import LaurentPoly, divides
 from p1dom.scalars import GF, QQ
+from p1dom.smith import invariant_factors as kernel_factors
 from p1dom.smith import smith_normal_form
 
 from helpers import HOMOLOGY_KINDS, M, homology_case, random_matrix
@@ -80,6 +82,7 @@ def test_laurent_smith_form_against_sympy(seed, ring):
     for f, g in zip(s.factors, s.factors[1:]):
         assert divides(f, g)
     assert list(s.factors) == sympy_factors(a)
+    assert kernel_factors(a) == s.factors
 
 
 def test_sympy_reads_a_known_chain():
