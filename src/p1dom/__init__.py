@@ -26,7 +26,7 @@ from .sheaves import (CechCohomology, SheafComplex, SheafDiagram,
                       TwistSummand, cech_cohomology, cech_complex,
                       sheaf_hyper_homology_dims, sheaf_iota, sheaf_iota_exact,
                       torus_diagram, twisting_sheaf)
-from .smith import SmithForm, invariant_factors, smith_normal_form
+from .smith import invariant_factors, kernel_basis, kernel_coordinates
 
 __version__ = "0.1.0"
 

@@ -5,7 +5,9 @@ Exit codes: 0 on success or mathematical PASS, 1 on mathematical FAIL
 usage errors.  Flags can be preset through environment variables with the
 P1DOM_ prefix (P1DOM_RING, P1DOM_TRUNC, P1DOM_TRUNC_MAX, P1DOM_SEED,
 P1DOM_FORMAT, P1DOM_OUT); explicit flags win.  A preset is checked like the
-flag it stands for.
+flag it stands for.  ``--trunc-max`` (and P1DOM_TRUNC_MAX) is still
+accepted, bounded and checked against ``--trunc``, but bounds nothing: the
+chart orders of ``verify`` and ``dominate`` come from exact valuations.
 
 Sizes are bounded as file contents are: a truncation order is at most
 MAX_ORDER, ``hyper`` refuses an order whose widest window would exceed
@@ -105,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trunc", type=_order,
                        help="truncation order N (default 16)")
         p.add_argument("--trunc-max", type=_order,
-                       help="maximum truncation order (default 64)")
+                       help="accepted and checked against --trunc; "
+                            "no longer bounds the order (default 64)")
         p.add_argument("--seed", type=_integer)
         p.add_argument("--format", type=_output_format,
                        metavar="{human,report}")
@@ -332,7 +335,7 @@ def _witness_report(args, witness, command):
 
 def cmd_dominate(args):
     c = _load_complex(args)
-    witness = dominate(c, order=args.trunc, order_max=args.trunc_max)
+    witness = dominate(c, order=args.trunc)
     ranks = ", ".join(f"{m}:{r}" for m, r in sorted(witness.w_ranks().items()))
     lines = [f"W ranks {{{ranks}}}",
              f"ledger holds: {witness.ledger_holds}"]
@@ -345,7 +348,7 @@ def cmd_dominate(args):
 
 def cmd_verify(args):
     c = _load_complex(args)
-    report = verify_theorem(c, order=args.trunc, order_max=args.trunc_max)
+    report = verify_theorem(c, order=args.trunc)
     lines = [report.verdict]
     for ch in report.checks:
         lines.append(f"  {ch.name}: {'ok' if ch.passed else 'FAIL'}"

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from .complexes import ChainComplex, ChainMap, cone, is_acyclic
 from .errors import RingMismatchError, ShapeError
 from .matrices import LaurentMatrix
-from .smith import invariant_factors, matrix_rank, smith_normal_form
+from .smith import (invariant_factors, kernel_basis, kernel_coordinates,
+                    matrix_rank)
 
 
 @dataclass(frozen=True)
@@ -168,8 +169,14 @@ def sections_matrix(d: ComplexDiagram, n: int) -> LaurentMatrix:
 
 
 def levelwise_h1_trivial(d: ComplexDiagram) -> bool:
-    """True iff every level map (-mu_minus + mu_plus) is surjective."""
-    for n in range(min(d.minus.lo, d.plus.lo), max(d.minus.hi, d.plus.hi) + 1):
+    """True iff every level map (-mu_minus + mu_plus) is surjective.
+
+    A level that only ``mid`` occupies has the zero map into mid_n, which
+    is surjective only when mid_n is zero.
+    """
+    lo = min(d.minus.lo, d.plus.lo, d.mid.lo)
+    hi = max(d.minus.hi, d.plus.hi, d.mid.hi)
+    for n in range(lo, hi + 1):
         a = sections_matrix(d, n)
         if a.rows == 0:
             continue
@@ -184,22 +191,20 @@ def levelwise_h1_trivial(d: ComplexDiagram) -> bool:
 def sections_complex(d: ComplexDiagram):
     """H0 applied levelwise, with its inclusion into the totalisation.
 
-    Returns (h0 complex, iota: h0 -> hypercohomology(d)).  The kernel of
-    each level map is computed by Smith normal form, so the result is an
-    honest complex of free modules with the induced differential.
+    Returns (h0 complex, iota: h0 -> hypercohomology(d)).  Each level is
+    the kernel of the level map, a basis K_n from ``kernel_basis`` (a
+    column echelon reduction over K[x,x^-1]), so the result is an honest
+    complex of free modules.  Its differential in degree n is the matrix
+    of coordinates, by ``kernel_coordinates``, of the images of K_n in
+    the basis K_{n-1}.
     """
     ring = d.ring
     base = d.base
     hyper = hypercohomology(d)
     lo = min(d.minus.lo, d.plus.lo)
     hi = max(d.minus.hi, d.plus.hi)
-    kernels = {}
-    snfs = {}
-    for n in range(lo, hi + 1):
-        a = sections_matrix(d, n)
-        snf = smith_normal_form(a)
-        snfs[n] = snf
-        kernels[n] = snf.kernel_basis()
+    kernels = {n: kernel_basis(sections_matrix(d, n))
+               for n in range(lo, hi + 1)}
     ranks = {n: kernels[n].cols for n in range(lo, hi + 1)}
     diffs = {}
     for n in range(lo + 1, hi + 1):
@@ -209,7 +214,7 @@ def sections_complex(d: ComplexDiagram):
         z2 = LaurentMatrix.zero(ring, dp.rows, dm.cols, base)
         block = LaurentMatrix.block(ring, [[dm, z1], [z2, dp]], base)
         image = block @ kernels[n]
-        diffs[n] = snfs[n - 1].kernel_coordinates(image)
+        diffs[n] = kernel_coordinates(kernels[n - 1], image)
     h0 = ChainComplex(ring, base, lo, hi, ranks, diffs)
     comps = {}
     for n in range(lo, hi + 1):

@@ -132,7 +132,7 @@ def _elementary_valuations(d: LaurentMatrix, direction: int) -> list:
     return found
 
 
-def stabilised_series_dims(c: ChainComplex, order: int, order_max: int):
+def stabilised_series_dims(c: ChainComplex, order: int):
     """Torsion K-dimensions of the chart homology after base change.
 
     Over the discrete valuation ring K[[t]] the homology in degree q is
@@ -140,8 +140,10 @@ def stabilised_series_dims(c: ChainComplex, order: int, order_max: int):
     elementary divisors of d_{q+1}, so its K-dimension is their sum.
     Returns those dimensions and an order N: the smallest order * 2^k at
     least every valuation, the precision at which the quotient windows
-    C/t^N and C/t^2N agree.  Raises StabilisationFailureError when N would
-    pass ``order_max``, or when the chart homology has a free part.
+    C/t^N and C/t^2N agree.  N has no cap: the valuations are exact, and
+    no window is built.  Raises StabilisationFailureError when the chart
+    homology has a free part (the windows never agree), or when ``order``
+    is below 1 and some valuation is positive.
     """
     direction = _chart_direction(c)
     valuations = {m: _elementary_valuations(c.diff(m), direction)
@@ -150,11 +152,14 @@ def stabilised_series_dims(c: ChainComplex, order: int, order_max: int):
     free = any(c.rank(q) > len(valuations.get(q, ()))
                + len(valuations.get(q + 1, ())) for q in c.degrees())
     top = max((v for vs in valuations.values() for v in vs), default=0)
+    if free:
+        raise StabilisationFailureError(
+            "chart homology has a free part; its dimensions never stabilise")
+    if order < 1 and top:
+        raise StabilisationFailureError(
+            f"order {order} cannot be doubled to valuation {top}")
     n = order
-    while free or n < top:
-        if n < 1 or 2 * n > order_max:
-            raise StabilisationFailureError(
-                f"chart homology dimensions did not stabilise by N={order_max}")
+    while n < top:
         n *= 2
     return dims, n
 
@@ -414,14 +419,13 @@ class DominationWitness:
         }
 
 
-def dominate(c: ChainComplex, order: int = 16,
-             order_max: int = 64) -> DominationWitness:
+def dominate(c: ChainComplex, order: int = 16) -> DominationWitness:
     """Produce and validate the finite-domination witness.
 
     Requires field coefficients and Novikov acyclicity on both sides.
     """
     _require_field(c)
-    return _witness(c, novikov_check(c), order, order_max)
+    return _witness(c, novikov_check(c), order)
 
 
 def _require_field(c: ChainComplex):
@@ -429,8 +433,8 @@ def _require_field(c: ChainComplex):
         raise UnsupportedRingError("dominate runs in field mode")
 
 
-def _witness(c: ChainComplex, verdict: NovikovVerdict, order: int,
-             order_max: int) -> DominationWitness:
+def _witness(c: ChainComplex, verdict: NovikovVerdict,
+             order: int) -> DominationWitness:
     """The witness for a field complex whose Novikov verdict is known."""
     mid = verdict.homology
     if not verdict.both_acyclic:
@@ -440,10 +444,8 @@ def _witness(c: ChainComplex, verdict: NovikovVerdict, order: int,
     ext = extend_complex(c)
     w = cech_complex(ext.sheaf)
     w_dims = homology_dims(w)
-    plus_dims, plus_order = stabilised_series_dims(
-        ext.sheaf.plus, order, order_max)
-    minus_dims, minus_order = stabilised_series_dims(
-        ext.sheaf.minus, order, order_max)
+    plus_dims, plus_order = stabilised_series_dims(ext.sheaf.plus, order)
+    minus_dims, minus_order = stabilised_series_dims(ext.sheaf.minus, order)
     rows = []
     degrees = sorted(set(w_dims) | set(plus_dims) | set(minus_dims)
                      | set(mid.entries))
@@ -600,8 +602,7 @@ class TheoremReport:
         return data
 
 
-def verify_theorem(c: ChainComplex, order: int = 16,
-                   order_max: int = 64) -> TheoremReport:
+def verify_theorem(c: ChainComplex, order: int = 16) -> TheoremReport:
     """Full pipeline: hypothesis check, witness production, ledger audit."""
     verdict = novikov_check(c)
     if not verdict.both_acyclic:
@@ -614,7 +615,7 @@ def verify_theorem(c: ChainComplex, order: int = 16,
                 f"{r} in degree {q}" for q, r in sorted(free.items()))),)
         return TheoremReport("FAIL", verdict, checks)
     _require_field(c)
-    witness = _witness(c, verdict, order, order_max)
+    witness = _witness(c, verdict, order)
     checks = []
     w = witness.w
     bounded = w.hi - w.lo < 10 ** 9

@@ -283,8 +283,7 @@ def divmod_laurent(a: LaurentPoly, b: LaurentPoly):
     """Division with remainder in K[x,x^-1], K a field.
 
     Returns (q, r) with a = q*b + r and either r = 0 or
-    core_degree(r) < core_degree(b).  This is the Euclidean structure used
-    by the Smith normal form routine.
+    core_degree(r) < core_degree(b): the Euclidean structure of the ring.
     """
     if b.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
@@ -356,46 +355,3 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
             else:
                 rem[t] = val
     return _canonical(ring, {e + va - vb: c for e, c in quo.items()})
-
-
-def divides(b: LaurentPoly, a: LaurentPoly) -> bool:
-    """True iff b divides a in K[x,x^-1] (field coefficients)."""
-    if a.is_zero:
-        return True
-    if b.is_zero:
-        return False
-    _, r = divmod_laurent(a, b)
-    return r.is_zero
-
-
-def xgcd_laurent(a: LaurentPoly, b: LaurentPoly):
-    """Extended gcd in K[x,x^-1]: returns (g, u, v) with u*a + v*b = g.
-
-    g is normalised to a monic core with zero valuation.  Remainders are
-    renormalised to unit content at every step (scaling the cofactor row by
-    the same unit keeps the Bezout identity), which keeps coefficient
-    growth tame over the rationals.
-    """
-    ring = a.ring
-    check_same_ring(ring, b.ring)
-    one = LaurentPoly.one(ring)
-    zero = LaurentPoly.zero(ring)
-    r0, u0, v0 = a, one, zero
-    r1, u1, v1 = b, zero, one
-    if r0.is_zero:
-        r0, u0, v0, r1, u1, v1 = r1, u1, v1, r0, u0, v0
-    while not r1.is_zero:
-        q, r2 = divmod_laurent(r0, r1)
-        u2 = u0 - q * u1
-        v2 = v0 - q * v1
-        if not r2.is_zero:
-            val, lead, core = r2.unit_normalise()
-            inv = LaurentPoly.monomial(ring, -val, 1).scale(
-                ring.invert(lead))
-            r2, u2, v2 = core, u2 * inv, v2 * inv
-        r0, u0, v0, r1, u1, v1 = r1, u1, v1, r2, u2, v2
-    if r0.is_zero:
-        return zero, zero, zero
-    val, lead, core = r0.unit_normalise()
-    inv = LaurentPoly.monomial(ring, -val, 1).scale(ring.invert(lead))
-    return core, u0 * inv, v0 * inv

@@ -22,7 +22,7 @@ from .matrices import LaurentMatrix
 from .scalars import QQ, ZZ
 from .series import TruncatedSeries, power_series
 from .sheaves import cech_cohomology, twisting_sheaf
-from .smith import smith_normal_form
+from .smith import invariant_factors
 
 
 def _poly(ring, pairs):
@@ -65,16 +65,14 @@ def group_series():
 def group_exact_algebra():
     ring = QQ
     a = LaurentMatrix(ring, 1, 1, [[_poly(ring, [(1, 1), (0, -1)])]])
-    s = smith_normal_form(a)
-    if [str(f) for f in s.factors] != ["-1 + x"] or s.rank != 1:
+    if [str(f) for f in invariant_factors(a)] != ["-1 + x"]:
         return False, "single-entry normal form"
     diag = LaurentMatrix(ring, 2, 2, [
         [_poly(ring, [(1, 1)]), LaurentPoly.zero(ring)],
         [LaurentPoly.zero(ring), _poly(ring, [(2, 1), (1, -1)])]])
-    s2 = smith_normal_form(diag)
-    if [str(f) for f in s2.factors] != ["1", "-1 + x"]:
+    if [str(f) for f in invariant_factors(diag)] != ["1", "-1 + x"]:
         return False, "unit-monomial normalisation"
-    if smith_normal_form(LaurentMatrix.zero(ring, 2, 3)).free_coker_rank != 2:
+    if invariant_factors(LaurentMatrix.zero(ring, 2, 3)) != ():
         return False, "zero matrix cokernel"
     return True, "normal forms"
 

@@ -1,341 +1,50 @@
-"""Smith normal form over K[x,x^-1] for a field K.
+"""Invariant factors and kernels over K[x,x^-1] for a field K.
 
-The Laurent ring is Euclidean with norm maxdeg - mindeg (the degree of the
-monic core); units are exactly the monomials c*x^n.  Invariant factors are
-reported monic with zero x-adic valuation, so torsion detection reads off
-the monic cores while unit factors normalise to the constant 1.
+The Laurent ring is a Euclidean PID with norm maxdeg - mindeg (the degree
+of the monic core); units are exactly the monomials c*x^n.  Invariant
+factors are reported monic with zero x-adic valuation, so torsion
+detection reads off the monic cores while unit factors normalise to the
+constant 1.
 
-Two entry points share the elimination order: a pivot of least core
-degree, an entry it divides cleared by one division, a Bezout 2x2
-transform otherwise, and a repair step for the divisibility chain.
-``smith_normal_form`` works on ``LaurentPoly`` entries and returns the
-transforms U, V and Vinv with the factors.  ``invariant_factors`` returns
-the factors only and eliminates on plain coefficient lists: residues mod
-p over GF(p), and integers over Q, as ``scalar_rank`` does for scalars
-after Bareiss (1968).  Each Q row is cleared of denominators once, every
-row and column is kept primitive by its content gcd, divisions are
-pseudo-divisions and the Bezout cofactors come from an integer Euclidean
-algorithm.  Nonzero constants are units of Q[x,x^-1], so none of these
-scalings moves a factor; the factors alone are built as ``LaurentPoly``.
+Both kernels eliminate on plain coefficient lists: residues mod p over
+GF(p), and integers over Q, as ``scalar_rank`` does for scalars after
+Bareiss (1968).  Each Q row or column is cleared of denominators once and
+kept primitive by its content gcd, divisions are pseudo-divisions and the
+Bezout cofactors come from an integer Euclidean algorithm.  Nonzero
+constants are units of Q[x,x^-1], so none of these scalings changes a
+factor or a module; ``LaurentPoly`` values are built only for the output.
+
+``invariant_factors`` is a Smith elimination without transforms: a pivot
+of least core degree, an entry it divides cleared by one division, a
+Bezout 2x2 transform otherwise, and a repair step for the divisibility
+chain.  ``kernel_basis`` and ``kernel_coordinates`` need no Smith form.
+They run a column echelon (Hermite) reduction A*V = [H | 0] by column
+operations and Bezout 2x2 column transforms only (Kannan-Bachem 1979;
+Storjohann 2000).  Every transform has a nonzero constant determinant,
+so V is invertible over K[x,x^-1]: the last n - r columns of V are a
+basis of ker A, and a saturated one, and K*X = B is solved by forward
+substitution on the echelon form of K.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import ShapeError, UnsupportedRingError
-from .laurent import (LaurentPoly, divides, divmod_laurent, exact_div,
-                      xgcd_laurent)
+from .laurent import LaurentPoly, divmod_laurent
 from .matrices import LaurentMatrix, ScalarMatrix, scalar_rank
 from .scalars import CoefficientRing
-
-
-@dataclass(frozen=True)
-class SmithForm:
-    """Result of smith_normal_form: U @ A @ V is diagonal.
-
-    ``factors`` are the invariant factors d_1 | d_2 | ... | d_r, each
-    normalised to a monic polynomial with nonzero constant term (so a unit
-    entry becomes the constant 1).  ``free_coker_rank`` is the rank of the
-    free part of the cokernel, rows - r.
-    """
-
-    ring: CoefficientRing
-    matrix_rows: int
-    matrix_cols: int
-    factors: tuple
-    U: LaurentMatrix
-    V: LaurentMatrix
-    Vinv: LaurentMatrix
-
-    @property
-    def rank(self) -> int:
-        return len(self.factors)
-
-    @property
-    def free_coker_rank(self) -> int:
-        return self.matrix_rows - self.rank
-
-    def diagonal(self) -> LaurentMatrix:
-        d = LaurentMatrix.zero(self.ring, self.matrix_rows, self.matrix_cols)
-        entries = [list(row) for row in d.entries]
-        for i, f in enumerate(self.factors):
-            entries[i][i] = f
-        return LaurentMatrix(self.ring, self.matrix_rows, self.matrix_cols,
-                             entries, check=False)
-
-    def kernel_basis(self) -> LaurentMatrix:
-        """Columns forming a basis of ker(A) over K[x,x^-1]."""
-        cols = list(range(self.rank, self.matrix_cols))
-        return self.V.submatrix(range(self.matrix_cols), cols)
-
-    def kernel_coordinates(self, B: LaurentMatrix) -> LaurentMatrix:
-        """Express the columns of B (all lying in ker A) in the kernel basis.
-
-        Raises ShapeError if some column is not in the kernel.
-        """
-        y = self.Vinv @ B
-        for i in range(self.rank):
-            for j in range(B.cols):
-                if not y.entries[i][j].is_zero:
-                    raise ShapeError(
-                        f"column {j} is not in the kernel of the matrix")
-        return y.submatrix(range(self.rank, self.matrix_cols),
-                           range(B.cols))
 
 
 def _require_field(a: LaurentMatrix) -> CoefficientRing:
     if not a.ring.is_field:
         raise UnsupportedRingError(
-            "Smith normal form requires field coefficients")
+            "K[x,x^-1] is a PID only for field coefficients")
     return a.ring
 
 
-def _identity_rows(ring, n):
-    one = LaurentPoly.one(ring)
-    zero = LaurentPoly.zero(ring)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def smith_normal_form(a: LaurentMatrix) -> SmithForm:
-    """Diagonalise over K[x,x^-1] by unit-determinant row/column operations.
-
-    Pivoting rule: nonzero entry of minimal core degree, ties broken by
-    lowest (row, col).  Z coefficients are rejected; Z[x,x^-1] is not a PID.
-    A caller that reads only the factors calls ``invariant_factors``.
-    """
-    ring = _require_field(a)
-    rows, cols = a.rows, a.cols
-    s = [list(r) for r in a.entries]
-    u = _identity_rows(ring, rows)
-    v = _identity_rows(ring, cols)
-    vinv = _identity_rows(ring, cols)
-    # grids that row operations act on (with their widths), and grids
-    # whose columns column operations act on; vinv takes inverse row ops
-    row_grids = [(s, cols), (u, rows)]
-    col_grids = [s, v]
-
-    def swap_rows(i, k):
-        for grid, _ in row_grids:
-            grid[i], grid[k] = grid[k], grid[i]
-
-    def swap_cols(j, k):
-        for grid in col_grids:
-            for row in grid:
-                row[j], row[k] = row[k], row[j]
-        vinv[j], vinv[k] = vinv[k], vinv[j]
-
-    def row_sub(i, t, q):
-        # row_i -= q * row_t
-        for grid, width in row_grids:
-            ri, rt = grid[i], grid[t]
-            for j in range(width):
-                if not rt[j].is_zero:
-                    ri[j] = ri[j] - q * rt[j]
-
-    def col_sub(j, t, q):
-        # col_j -= q * col_t ; inverse op on vinv: row_t += q * row_j
-        for grid in col_grids:
-            for row in grid:
-                if not row[t].is_zero:
-                    row[j] = row[j] - q * row[t]
-        rj, rt = vinv[j], vinv[t]
-        for jj in range(cols):
-            if not rj[jj].is_zero:
-                rt[jj] = rt[jj] + q * rj[jj]
-
-    def row_add(t, i):
-        # row_t += row_i
-        for grid, width in row_grids:
-            rt, ri = grid[t], grid[i]
-            for j in range(width):
-                if not ri[j].is_zero:
-                    rt[j] = rt[j] + ri[j]
-
-    def scale_row(t, unit: LaurentPoly):
-        inv = unit.inverse_unit()
-        for grid, width in row_grids:
-            rt = grid[t]
-            for j in range(width):
-                if not rt[j].is_zero:
-                    rt[j] = rt[j] * inv
-
-    def rational_content(polys):
-        """gcd(numerators)/lcm(denominators) of all coefficients; keeps
-        intermediate fractions small over Q (constants are units)."""
-        nums = []
-        den = 1
-        for p in polys:
-            for _, c in p.items():
-                nums.append(c.numerator)
-                den = lcm(den, c.denominator)
-        if not nums:
-            return None
-        g = 0
-        for v in nums:
-            g = gcd(g, abs(v))
-        factor = Fraction(g, den)
-        return None if factor == 1 else factor
-
-    def tidy_row(i):
-        if ring.kind != "Q":
-            return
-        factor = rational_content(s[i])
-        if factor is not None:
-            scale_row(i, LaurentPoly.constant(ring, factor))
-
-    def tidy_col(j):
-        if ring.kind != "Q":
-            return
-        factor = rational_content([row[j] for row in s])
-        if factor is None:
-            return
-        inv = Fraction(1) / factor
-        for grid in col_grids:
-            for row in grid:
-                if not row[j].is_zero:
-                    row[j] = row[j].scale(inv)
-        rj = vinv[j]
-        for jj in range(cols):
-            if not rj[jj].is_zero:
-                rj[jj] = rj[jj].scale(factor)
-
-    def find_pivot(t):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                p = s[i][j]
-                if p.is_zero:
-                    continue
-                key = (p.core_degree, i, j)
-                if best is None or key < best:
-                    best = key
-        return best
-
-    def two_row_transform(t, i, c_tt, c_ti, c_it, c_ii):
-        # rows (t, i) <- [[c_tt, c_ti], [c_it, c_ii]] @ rows (t, i);
-        # the caller guarantees determinant 1
-        for grid, width in row_grids:
-            rt, ri = grid[t], grid[i]
-            for jj in range(width):
-                a, b = rt[jj], ri[jj]
-                rt[jj] = c_tt * a + c_ti * b
-                ri[jj] = c_it * a + c_ii * b
-
-    def two_col_transform(t, j, c_tt, c_jt, c_tj, c_jj):
-        # col_t <- c_tt*col_t + c_jt*col_j ; col_j <- c_tj*col_t + c_jj*col_j
-        for grid in col_grids:
-            for row in grid:
-                a, b = row[t], row[j]
-                row[t] = a * c_tt + b * c_jt
-                row[j] = a * c_tj + b * c_jj
-        # determinant 1: the inverse acts on vinv rows as
-        # [[c_jj, -c_tj], [-c_jt, c_tt]]
-        rt, rj = vinv[t], vinv[j]
-        for jj in range(cols):
-            a, b = rt[jj], rj[jj]
-            rt[jj] = c_jj * a - c_tj * b
-            rj[jj] = -c_jt * a + c_tt * b
-
-    def clear_row_entry(i, t):
-        """Zero s[i][t]; returns True when a gcd transform replaced the
-        pivot (strictly smaller core degree)."""
-        e = s[i][t]
-        if e.is_zero:
-            return False
-        p = s[t][t]
-        q, r = divmod_laurent(e, p)
-        if r.is_zero:
-            row_sub(i, t, q)
-            tidy_row(i)
-            return False
-        g, uu, vv = xgcd_laurent(p, e)
-        two_row_transform(t, i, uu, vv,
-                          -exact_div(e, g), exact_div(p, g))
-        tidy_row(t)
-        tidy_row(i)
-        return True
-
-    def clear_col_entry(j, t):
-        e = s[t][j]
-        if e.is_zero:
-            return False
-        p = s[t][t]
-        q, r = divmod_laurent(e, p)
-        if r.is_zero:
-            col_sub(j, t, q)
-            tidy_col(j)
-            return False
-        g, uu, vv = xgcd_laurent(p, e)
-        two_col_transform(t, j, uu, vv,
-                          -exact_div(e, g), exact_div(p, g))
-        tidy_col(t)
-        tidy_col(j)
-        return True
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        best = find_pivot(t)
-        if best is None:
-            break
-        while True:
-            _, pi, pj = find_pivot(t)
-            if pi != t:
-                swap_rows(t, pi)
-            if pj != t:
-                swap_cols(t, pj)
-            for i in range(t + 1, rows):
-                clear_row_entry(i, t)
-            disturbed = False
-            for j in range(t + 1, cols):
-                if clear_col_entry(j, t):
-                    disturbed = True
-            if disturbed:
-                # a column gcd transform mixed entries back into column t;
-                # the pivot core degree strictly dropped, so this loops at
-                # most core-degree many times
-                continue
-            # Row and column are clear; enforce the divisibility chain.
-            if s[t][t].core_degree > 0:
-                bad = None
-                for i in range(t + 1, rows):
-                    for j in range(t + 1, cols):
-                        if not s[i][j].is_zero and \
-                                not divides(s[t][t], s[i][j]):
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
-                if bad is not None:
-                    row_add(t, bad)
-                    tidy_row(t)
-                    continue
-            break
-        # Normalise the pivot to a monic core with zero valuation.
-        val, lead, core = s[t][t].unit_normalise()
-        unit = LaurentPoly.monomial(ring, val, 1).scale(lead)
-        if not (unit.is_unit and unit * core == s[t][t]):
-            raise ShapeError("internal: unit normalisation failed")
-        scale_row(t, unit)
-        s[t][t] = core
-        t += 1
-
-    factors = tuple(s[i][i] for i in range(t))
-    return SmithForm(
-        ring=ring,
-        matrix_rows=rows,
-        matrix_cols=cols,
-        factors=factors,
-        U=LaurentMatrix(ring, rows, rows, u, check=False),
-        V=LaurentMatrix(ring, cols, cols, v, check=False),
-        Vinv=LaurentMatrix(ring, cols, cols, vinv, check=False),
-    )
-
-
-# -- factors only, on coefficient lists --------------------------------------
+# -- coefficient lists -------------------------------------------------------
 #
 # An entry is None (zero) or a pair (v, c): the Laurent polynomial
 # x^v * (c[0] + c[1] x + ... + c[n] x^n) with c[0] and c[-1] nonzero, so its
@@ -484,9 +193,10 @@ def _bezout(pivot, e, p):
     pivot/g), each up to a constant factor.
 
     (u, v) comes from the Euclidean algorithm on (r, u, v) triples with
-    r = u*pivot + v*e, every remainder normalised (``_normalised``) as
-    ``xgcd_laurent`` normalises its remainders monic.  Over Q the division
-    is pseudo-division, so every coefficient stays an integer.
+    r = u*pivot + v*e, every remainder normalised (``_normalised``): shifted
+    to valuation 0, and made monic over GF(p) or primitive over Q.  Over Q
+    the division is pseudo-division, so every coefficient stays an
+    integer.
     """
     r0, u0, v0 = pivot, _ONE, None
     r1, u1, v1 = _normalised(e, None, _ONE, p)
@@ -534,13 +244,13 @@ def _factor(ring, core):
 
 
 def invariant_factors(a: LaurentMatrix) -> tuple:
-    """The invariant factors of ``a`` over K[x,x^-1], as SmithForm.factors.
+    """The invariant factors d_1 | d_2 | ... | d_r of ``a`` over
+    K[x,x^-1], r its rank.
 
-    The elimination of ``smith_normal_form`` without transforms, on
-    coefficient lists (see the module docstring): the same pivot rule, a
-    divisible entry cleared by one (pseudo-)division, a Bezout transform
-    otherwise, and the same divisibility-chain repair.  Only the factors
-    are built as ``LaurentPoly``, monic with zero valuation.
+    A Smith elimination without transforms on coefficient lists (see the
+    module docstring).  Only the factors are built as ``LaurentPoly``,
+    each monic with zero valuation, so a unit factor is the constant 1.
+    Z coefficients are rejected; Z[x,x^-1] is not a PID.
     """
     ring = _require_field(a)
     p = ring.p
@@ -659,6 +369,121 @@ def invariant_factors(a: LaurentMatrix) -> tuple:
         factors.append(_factor(ring, s[t][t][1]))
         t += 1
     return tuple(factors)
+
+
+# -- kernels by column echelon form -----------------------------------------
+
+
+def _combine(f, x, g, y, p):
+    """The column f*x + g*y, made primitive over Q."""
+    column = [_lincomb(f, s, g, t, p) for s, t in zip(x, y)]
+    if not p:
+        _make_primitive(column, range(len(column)))
+    return column
+
+
+def _column_echelon(a: LaurentMatrix):
+    """Columns of a*V stacked on V, and the pivot rows of a*V.
+
+    a*V is in column echelon form: column t < r = len(pivots) has its
+    first nonzero entry in row pivots[t], the pivot rows increase, and the
+    columns from r on are zero.  V is invertible over K[x,x^-1].  Each row
+    of a takes one pass: the column of least core degree in that row
+    becomes the pivot column, and every later column is cleared by a
+    (pseudo-)division or, when the pivot does not divide, by a Bezout 2x2
+    column transform.
+    """
+    p = _require_field(a).p
+    rows, n = a.rows, a.cols
+    columns = []
+    for j in range(n):
+        column = [_entry(row[j]) for row in a.entries] + [None] * n
+        column[rows + j] = _ONE
+        columns.append(column if p else _integer_row(column))
+    pivots = []
+    for i in range(rows):
+        r = len(pivots)
+        live = [j for j in range(r, n) if columns[j][i] is not None]
+        if not live:
+            continue
+        best = min(live, key=lambda j: len(columns[j][i][1]))
+        columns[r], columns[best] = columns[best], columns[r]
+        for j in range(r + 1, n):
+            e, pivot = columns[j][i], columns[r][i]
+            if e is None:
+                continue
+            m, q, rem = _divmod(e, pivot, p)
+            if rem is None:
+                columns[j] = _combine((0, [m]), columns[j],
+                                      _scaled(q, -1, p), columns[r], p)
+                continue
+            u, v, ne, pg = _bezout(pivot, e, p)
+            x, y = columns[r], columns[j]
+            columns[r] = _combine(u, x, v, y, p)
+            columns[j] = _combine(ne, x, pg, y, p)
+        pivots.append(i)
+    return columns, pivots
+
+
+def _poly(ring, e):
+    """The LaurentPoly of a coefficient entry."""
+    if e is None:
+        return LaurentPoly.zero(ring)
+    v, c = e
+    return LaurentPoly(ring, {v + k: x for k, x in enumerate(c)})
+
+
+def kernel_basis(a: LaurentMatrix) -> LaurentMatrix:
+    """Columns forming a basis of ker(a) over K[x,x^-1]: the last n - r
+    columns of V in a*V = [H | 0].  They span a direct summand."""
+    columns, pivots = _column_echelon(a)
+    kernel = columns[len(pivots):]
+    return LaurentMatrix(a.ring, a.cols, len(kernel), [
+        [_poly(a.ring, column[a.rows + i]) for column in kernel]
+        for i in range(a.cols)], check=False)
+
+
+def kernel_coordinates(k: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
+    """X with k @ X == b.
+
+    With k*V = [H | 0] in column echelon form, H*Y = b is solved row by
+    row: a pivot row fixes the next entry of Y by one exact division, any
+    other row must already hold.  Then X = V*Y.  Raises ShapeError naming
+    the first column of b that is not in the span of k's columns.
+    """
+    if b.rows != k.rows:
+        raise ShapeError(f"cannot solve a {k.rows}-row system for "
+                         f"{b.rows} rows")
+    ring = k.ring
+    columns, pivots = _column_echelon(k)
+    r = len(pivots)
+    h = [[_poly(ring, column[i]) for column in columns[:r]]
+         for i in range(k.rows)]
+    solution = []
+    for j in range(b.cols):
+        y = []
+        for i, h_row in enumerate(h):
+            rest = b.entries[i][j]
+            for coefficient, value in zip(h_row, y):
+                if not coefficient.is_zero:
+                    rest = rest - coefficient * value
+            t = len(y)
+            if t < r and pivots[t] == i:
+                q, remainder = divmod_laurent(rest, h_row[t])
+                if remainder.is_zero:
+                    y.append(q)
+                    continue
+            elif rest.is_zero:
+                continue
+            raise ShapeError(
+                f"column {j} is not in the span of the matrix columns")
+        solution.append(y)
+    v = LaurentMatrix(ring, k.cols, r, [
+        [_poly(ring, column[k.rows + i]) for column in columns[:r]]
+        for i in range(k.cols)], check=False)
+    return v @ LaurentMatrix(ring, r, b.cols,
+                             [[solution[j][t] for j in range(b.cols)]
+                              for t in range(r)], check=False)
 
 
 def matrix_rank(a: LaurentMatrix) -> int:

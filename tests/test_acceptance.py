@@ -154,7 +154,7 @@ def test_criterion_theorem_desk_scale():
     for i in range(100):
         ring = _mixed_ring(i)
         c = random_novikov_acyclic(rng, ring)
-        rep = verify_theorem(c, order=16, order_max=64)
+        rep = verify_theorem(c, order=16)
         assert rep.passed
         assert rep.witness.plus_order <= 64
         assert rep.witness.minus_order <= 64

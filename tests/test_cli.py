@@ -144,6 +144,24 @@ def test_trunc_exceeding_max_is_input_error(xm1_file):
                  "--trunc-max", "64"]) == 2
 
 
+@pytest.mark.parametrize("flags, env", [
+    ([], {}),
+    (["--trunc", "1", "--trunc-max", "1"], {}),
+    ([], {"P1DOM_TRUNC": "2", "P1DOM_TRUNC_MAX": "2"}),
+])
+def test_trunc_max_does_not_bound_the_order(flags, env, monkeypatch,
+                                            capsys):
+    # x^70 (x - 1): the plus chart needs order 128, past every --trunc-max
+    # given here, and verify still passes
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    sample = os.path.join(os.path.dirname(__file__), os.pardir, "samples",
+                          "deep-x-minus-1.cplx")
+    assert main(["verify", sample] + flags) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("PASS") and "orders (plus 128, minus " in out
+
+
 def test_selftest_runs(capsys):
     assert main(["selftest", "--seed", "1"]) == 0
     out = capsys.readouterr().out

@@ -125,12 +125,12 @@ def _canonical_torsion_chain(ring, factors):
     Concatenated factor lists are recombined by diagonalising the diagonal
     presentation, which is the canonical form the structure theorem gives.
     """
-    from p1dom.smith import smith_normal_form
+    from p1dom.smith import invariant_factors
 
     if not factors:
         return []
     diag = LaurentMatrix.scalar_diag(ring, list(factors))
-    return [str(f) for f in smith_normal_form(diag).factors
+    return [str(f) for f in invariant_factors(diag)
             if f.core_degree > 0]
 
 

@@ -129,6 +129,14 @@ def test_levelwise_h1_detection():
     z = ChainComplex.zero(QQ)
     bad = ComplexDiagram(z, c, z, ChainMap.zero(z, c), ChainMap.zero(z, c))
     assert not levelwise_h1_trivial(bad)
+    # identities in degree 0, and a summand in degree 3 that only the
+    # middle occupies: level 3 has H^1 = K[x,x^-1]
+    mid = c.direct_sum(ChainComplex.single(QQ, BaseRing.LAURENT, 3, 1))
+    ident = {0: LaurentMatrix.identity(QQ, 1)}
+    gap = ComplexDiagram(c, mid, c, ChainMap(c, mid, ident),
+                         ChainMap(c, mid, ident))
+    assert not levelwise_h1_trivial(gap)
+    assert not iota_is_quasi_iso(gap)
 
 
 def test_iota_not_quasi_iso_without_h1_vanishing():

@@ -144,7 +144,7 @@ def test_dominate_escalates_truncation_order():
     # x^20 (1 - x): the plus chart carries K[[x]]/x^20, which needs a
     # window beyond the default 16 to stabilise
     c = two_term(QQ, [(20, 1), (21, -1)])
-    w = dominate(c, order=16, order_max=64)
+    w = dominate(c, order=16)
     assert w.plus_order > 16
     rows = {r.degree: r for r in w.ledger}
     assert rows[0].plus_dim == 20
@@ -154,11 +154,15 @@ def test_dominate_escalates_truncation_order():
 
 
 def test_dominate_stabilisation_failure_beyond_max():
-    from p1dom.errors import StabilisationFailureError
-
+    # x^70 (1 - x): the plus chart carries K[[x]]/x^70, so the order
+    # doubles from 16 to 128 with no cap, and the ledger holds
     c = two_term(QQ, [(70, 1), (71, -1)])
-    with pytest.raises(StabilisationFailureError):
-        dominate(c, order=16, order_max=64)
+    w = dominate(c, order=16)
+    assert (w.plus_order, w.minus_order) == (128, 16)
+    rows = {r.degree: r for r in w.ledger}
+    assert (rows[0].plus_dim, rows[0].mid_kdim, rows[0].minus_dim) == \
+        (70, 1, 0)
+    assert w.ledger_holds
 
 
 def test_ledger_additivity():

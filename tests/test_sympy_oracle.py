@@ -4,9 +4,9 @@ A Laurent matrix A becomes the polynomial matrix x^s A (s clears the
 negative exponents).  Multiplying by a unit does not move invariant
 factors, and over K[x] a factor of the form x^k g is, over K[x,x^-1], the
 factor g: so sympy's invariant factors over Q[x] or GF(7)[x], with powers
-of x stripped and made monic, must be the factors p1dom reports, both
-from the Smith form with transforms and from the factors-only kernel.
-sympy is used here only.
+of x stripped and made monic, must be the factors that
+``smith.invariant_factors`` reports.  ``test_smith.py`` uses
+``sympy_factors`` as its reference too.
 """
 
 import random
@@ -18,10 +18,9 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import invariant_factors
 
 from p1dom.complexes import homology
-from p1dom.laurent import LaurentPoly, divides
+from p1dom.laurent import LaurentPoly, divmod_laurent
 from p1dom.scalars import GF, QQ
 from p1dom.smith import invariant_factors as kernel_factors
-from p1dom.smith import smith_normal_form
 
 from helpers import HOMOLOGY_KINDS, M, homology_case, random_matrix
 
@@ -76,13 +75,10 @@ def sympy_factors(a):
 def test_laurent_smith_form_against_sympy(seed, ring):
     rng = random.Random(seed)
     a = random_matrix(rng, ring, rng.randint(1, 4), rng.randint(1, 4), 2)
-    s = smith_normal_form(a)
-    assert s.U @ a @ s.V == s.diagonal()
-    assert s.U.determinant().is_unit and s.V.determinant().is_unit
-    for f, g in zip(s.factors, s.factors[1:]):
-        assert divides(f, g)
-    assert list(s.factors) == sympy_factors(a)
-    assert kernel_factors(a) == s.factors
+    factors = kernel_factors(a)
+    for f, g in zip(factors, factors[1:]):
+        assert divmod_laurent(g, f)[1].is_zero
+    assert list(factors) == sympy_factors(a)
 
 
 def test_sympy_reads_a_known_chain():
@@ -91,7 +87,7 @@ def test_sympy_reads_a_known_chain():
     expected = [LaurentPoly(QQ, {0: -1, 1: 1}),
                 LaurentPoly(QQ, {0: -1, 2: 1})]
     assert sympy_factors(a) == expected
-    assert list(smith_normal_form(a).factors) == expected
+    assert list(kernel_factors(a)) == expected
 
 
 @settings(deadline=None, max_examples=150)
