@@ -2,12 +2,15 @@
 
 Exit codes: 0 on success or mathematical PASS, 1 on mathematical FAIL
 (hypothesis violated, invalid complex, selftest failure), 2 on input or
-usage errors.  Flags can be preset through environment variables with the
-P1DOM_ prefix (P1DOM_RING, P1DOM_TRUNC, P1DOM_TRUNC_MAX, P1DOM_SEED,
-P1DOM_FORMAT, P1DOM_OUT); explicit flags win.  A preset is checked like the
-flag it stands for.  ``--trunc-max`` (and P1DOM_TRUNC_MAX) is still
-accepted, bounded and checked against ``--trunc``, but bounds nothing: the
-chart orders of ``verify`` and ``dominate`` come from exact valuations.
+usage errors, among them a complex whose base ring the command does not
+take (``BASES``: K[x,x^-1] for novikov, extend, dominate and verify, K or
+K[x,x^-1] for homology, K[x] for hyper).  Flags can be preset through
+environment variables with the P1DOM_ prefix (P1DOM_RING, P1DOM_TRUNC,
+P1DOM_TRUNC_MAX, P1DOM_SEED, P1DOM_FORMAT, P1DOM_OUT); explicit flags win.
+A preset is checked like the flag it stands for.  ``--trunc-max`` (and
+P1DOM_TRUNC_MAX) is still accepted, bounded and checked against
+``--trunc``, but bounds nothing: the chart orders of ``verify`` and
+``dominate`` come from exact valuations.
 
 Sizes are bounded as file contents are: a truncation order is at most
 MAX_ORDER, ``hyper`` refuses an order whose widest window would exceed
@@ -31,6 +34,7 @@ from .errors import (FormatError, NotNovikovAcyclicError, P1DomError,
                      ShapeError, StabilisationFailureError,
                      UnsupportedRingError)
 from .extension import extend_complex
+from .laurent import BaseRing
 from .scalars import ring_from_tag
 from .selftest import run_selftest
 from .sheaves import cech_cohomology, cech_complex, twisting_sheaf
@@ -79,6 +83,17 @@ def _output_format(text):
             f"must be human or report, got {text!r}")
     return text
 
+
+# command -> the base rings its input complex may have; a file of another
+# base is an input error
+BASES = {
+    "homology": (BaseRing.K, BaseRing.LAURENT),
+    "novikov": (BaseRing.LAURENT,),
+    "extend": (BaseRing.LAURENT,),
+    "hyper": (BaseRing.POLY,),
+    "dominate": (BaseRing.LAURENT,),
+    "verify": (BaseRing.LAURENT,),
+}
 
 # flag attribute -> (environment variable, converter, built-in default);
 # the flags default to None so that a preset is read when main() runs
@@ -203,6 +218,12 @@ def _read_input(args):
 def _load_complex(args):
     c = ff.complex_from_dict(ff.loads(_read_input(args)))
     _check_ring_flag(args, c.ring.tag)
+    needed = BASES.get(args.command)
+    if needed and c.base not in needed:
+        raise FormatError(
+            f"{args.command} needs a "
+            f"{' or '.join(b.tag for b in needed)}-complex, "
+            f"the file has base {c.base.tag}", "base")
     return c
 
 

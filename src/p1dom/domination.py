@@ -18,12 +18,18 @@ The chart columns are exact.  K[[x]] and K[[x^-1]] are discrete valuation
 rings, so H_q of a chart complex after base change is a sum of torsion
 modules K[[t]]/t^v, one for each nonzero elementary divisor of d_{q+1},
 and its K-dimension is the sum of their valuations v.  These come from one
-local elimination pass per differential (``stabilised_series_dims``); no
-window is built.  The quotient window C+/x^N of ``window_complex`` has
-dimension sum min(N, v) over the valuations of d_{q+1} and of d_q (the
-universal-coefficient carry) in degree q, which is how the reported order,
-the first doubled order at which windows at N and 2N agree, is read off
-the valuations.
+local elimination pass per differential (``_elementary_valuations``) on
+plain int coefficient lists (``polylists``): residues mod p over GF(p),
+integer rows over Q with Bareiss's exact division.  The witness reads each
+chart differential straight off the torus differential and the twists,
+entry (i, j) being x^(a_j(m) - a_i(m-1)) d_m[i][j] with a = -l on the plus
+side and a = k on the minus side, so it builds no chart complex, does no
+``LaurentPoly`` arithmetic and no window; ``stabilised_series_dims`` runs
+the same elimination on an explicit K[x] or K[x^-1] complex.  The
+quotient window C+/x^N of ``window_complex`` has dimension sum min(N, v)
+over the valuations of d_{q+1} and of d_q (the universal-coefficient
+carry) in degree q, which is how the reported order, the first doubled
+order at which windows at N and 2N agree, is read off the valuations.
 
 ``window_complex`` remains for the truncated fpqc models and as an oracle.
 It writes each differential as sparse scalar rows straight from the
@@ -42,10 +48,12 @@ from .complexes import (ChainComplex, HomologyReport, ScalarComplex, homology,
 from .errors import (NotAUnitError, NotNovikovAcyclicError, ShapeError,
                      StabilisationFailureError, UnsupportedRingError)
 from .extension import ExtensionResult, extend_complex
-from .laurent import BaseRing, LaurentPoly, exact_div
+from .laurent import BaseRing, LaurentPoly
 from .matrices import LaurentMatrix, ScalarMatrix
+from .polylists import (exact_quotient, from_laurent, integer_row, lincomb,
+                        scaled)
 from .series import TruncatedSeries, laurent_series
-from .sheaves import cech_complex
+from .sheaves import SheafComplex, cech_complex
 
 
 # ---------------------------------------------------------------------------
@@ -89,47 +97,94 @@ def window_complex(c: ChainComplex, order: int) -> ScalarComplex:
     return ScalarComplex(c.ring, c.lo, c.hi, ranks, diffs)
 
 
-def _elementary_valuations(d: LaurentMatrix, direction: int) -> list:
-    """t-adic valuations of the nonzero elementary divisors of d over K[[t]].
+def _elementary_valuations(d: LaurentMatrix, direction: int,
+                           row_exps=None, col_exps=None) -> list:
+    """t-adic valuations of the nonzero elementary divisors over K[[t]] of
+    the chart matrix x^(col_exps[j] - row_exps[i]) d[i][j] (no shift when
+    the exponent lists are left out).
 
-    t is x for direction 1 and x^-1 for direction -1.  K[[t]] is a discrete
-    valuation ring, so an entry of least valuation v is a pivot: it is
-    t^v u with u a unit, and row <- u row - (c / t^v) pivot_row clears its
-    column by an invertible row operation, with no inverse and no
-    truncation.  The pivot row's other entries are multiples of t^v, which
-    column operations clear without touching the rest, so the pivot row
-    and column drop out and v is one valuation.  As in Bareiss's
-    fraction-free elimination every remaining row is then divided, exactly,
-    by the previous pivot's unit: entries stay minors of d up to a power
-    of t, so their degrees grow linearly, not exponentially.
+    t is x for direction 1 and x^-1 for direction -1, whose coefficient
+    lists are the reversed lists in x.  K[[t]] is a discrete valuation
+    ring, so an entry of least valuation v is a pivot: it is t^v u with u
+    a unit, and row <- u row - (c / t^v) pivot_row clears its column by an
+    invertible row operation, with no inverse and no truncation.  The pivot
+    row's other entries are multiples of t^v, which column operations
+    clear without touching the rest, so the pivot row and column drop out
+    and v is one valuation.  As in Bareiss's fraction-free elimination
+    every remaining row is then divided, exactly, by the previous pivot's
+    unit: entries stay minors of d up to a power of t, so their degrees
+    and, over Q, the bit lengths of their coefficients grow linearly, not
+    exponentially.
+
+    The elimination runs on coefficient lists (``polylists``): residues
+    mod p over GF(p); over Q each row is cleared of denominators once and
+    the elimination runs in Z[t], where the Bareiss division is exact
+    because the minors are integral.  Scaling a row by a nonzero constant
+    moves no valuation, but rows are not made primitive between steps,
+    which would break that exactness.  A division that leaves a remainder
+    raises ShapeError.
     """
-    rows = [live for live in ({j: p for j, p in enumerate(row) if p}
-                              for row in d.entries) if live]
+    p = d.ring.p
+    rows = []
+    for i, row in enumerate(d.entries):
+        shift = -row_exps[i] if row_exps else 0
+        live = {}
+        for j, poly in enumerate(row):
+            if poly:
+                v, c = from_laurent(poly)
+                v += shift + (col_exps[j] if col_exps else 0)
+                live[j] = (v, c) if direction == 1 else (1 - v - len(c),
+                                                         c[::-1])
+        if live and not p:
+            live = dict(zip(live, integer_row(list(live.values()))))
+        if live:
+            rows.append(live)
     found = []
     prev = None
     while rows:
-        v, r, j = min((p.mindeg if direction == 1 else -p.maxdeg, r, j)
-                      for r, row in enumerate(rows) for j, p in row.items())
+        v, r, j = min((e[0], r, j)
+                      for r, row in enumerate(rows) for j, e in row.items())
         pivot_row = rows.pop(r)
-        shift = -direction * v
-        unit = pivot_row.pop(j).times_monomial(shift)
+        unit = (0, pivot_row.pop(j)[1])
         kept = []
         for row in rows:
             c = row.pop(j, None)
-            new = {k: unit * p for k, p in row.items()}
-            if c is not None:
-                factor = c.times_monomial(shift)
-                for k, p in pivot_row.items():
-                    term = factor * p
-                    new[k] = new[k] - term if k in new else -term
-            row = {k: p if prev is None else exact_div(p, prev)
-                   for k, p in new.items() if p}
+            if c is None:
+                new = {k: lincomb(unit, e, None, None, p)
+                       for k, e in row.items()}
+            else:
+                factor = scaled((c[0] - v, c[1]), -1, p)
+                new = {k: lincomb(unit, row.get(k), factor, pivot_row.get(k),
+                                  p)
+                       for k in row.keys() | pivot_row.keys()}
+            row = {k: e if prev is None else exact_quotient(e, prev, p)
+                   for k, e in new.items() if e is not None}
             if row:
                 kept.append(row)
         rows = kept
         prev = unit
         found.append(v)
     return found
+
+
+def _series_dims(c, valuations: dict, order: int):
+    """Chart homology dimensions and order from the valuations of each
+    differential of a chart with the ranks of ``c``; see
+    ``stabilised_series_dims``."""
+    dims = {q: sum(valuations.get(q + 1, ())) for q in c.degrees()}
+    free = any(c.rank(q) > len(valuations.get(q, ()))
+               + len(valuations.get(q + 1, ())) for q in c.degrees())
+    top = max((v for vs in valuations.values() for v in vs), default=0)
+    if free:
+        raise StabilisationFailureError(
+            "chart homology has a free part; its dimensions never stabilise")
+    if order < 1 and top:
+        raise StabilisationFailureError(
+            f"order {order} cannot be doubled to valuation {top}")
+    n = order
+    while n < top:
+        n *= 2
+    return dims, n
 
 
 def stabilised_series_dims(c: ChainComplex, order: int):
@@ -146,22 +201,22 @@ def stabilised_series_dims(c: ChainComplex, order: int):
     is below 1 and some valuation is positive.
     """
     direction = _chart_direction(c)
-    valuations = {m: _elementary_valuations(c.diff(m), direction)
-                  for m in range(c.lo + 1, c.hi + 1)}
-    dims = {q: sum(valuations.get(q + 1, ())) for q in c.degrees()}
-    free = any(c.rank(q) > len(valuations.get(q, ()))
-               + len(valuations.get(q + 1, ())) for q in c.degrees())
-    top = max((v for vs in valuations.values() for v in vs), default=0)
-    if free:
-        raise StabilisationFailureError(
-            "chart homology has a free part; its dimensions never stabilise")
-    if order < 1 and top:
-        raise StabilisationFailureError(
-            f"order {order} cannot be doubled to valuation {top}")
-    n = order
-    while n < top:
-        n *= 2
-    return dims, n
+    return _series_dims(c, {
+        m: _elementary_valuations(c.diff(m), direction)
+        for m in range(c.lo + 1, c.hi + 1)}, order)
+
+
+def _sheaf_chart_dims(sheaf: SheafComplex, side: str, order: int):
+    """``stabilised_series_dims`` of the chart ``side`` of ``sheaf``, read
+    off its middle differentials and twists: the chart differential is
+    x^(a_j(m) - a_i(m-1)) d_m[i][j] (``SheafComplex.chart_exponents``), so
+    no chart complex is built."""
+    mid = sheaf.mid
+    a = sheaf.chart_exponents(side)
+    direction = 1 if side == "plus" else -1
+    return _series_dims(mid, {
+        m: _elementary_valuations(mid.diff(m), direction, a[m - 1], a[m])
+        for m in range(mid.lo + 1, mid.hi + 1)}, order)
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +499,8 @@ def _witness(c: ChainComplex, verdict: NovikovVerdict,
     ext = extend_complex(c)
     w = cech_complex(ext.sheaf)
     w_dims = homology_dims(w)
-    plus_dims, plus_order = stabilised_series_dims(ext.sheaf.plus, order)
-    minus_dims, minus_order = stabilised_series_dims(ext.sheaf.minus, order)
+    plus_dims, plus_order = _sheaf_chart_dims(ext.sheaf, "plus", order)
+    minus_dims, minus_order = _sheaf_chart_dims(ext.sheaf, "minus", order)
     rows = []
     degrees = sorted(set(w_dims) | set(plus_dims) | set(minus_dims)
                      | set(mid.entries))

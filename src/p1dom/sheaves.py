@@ -307,8 +307,7 @@ class SheafComplex:
         x^a is the torus map of a summand (a = k on the minus side, -l on
         the plus side)."""
         mid = self.mid
-        a = {m: [t.k if side == "minus" else -t.l for t in ts]
-             for m, ts in self.twists.items()}
+        a = self.chart_exponents(side)
         diffs = {}
         for m in range(mid.lo + 1, mid.hi + 1):
             d = mid.diff(m)
@@ -317,6 +316,13 @@ class SheafComplex:
                 for row, a_i in zip(d.entries, a[m - 1])], base, check=False)
         return ChainComplex(mid.ring, base, mid.lo, mid.hi, dict(mid.ranks),
                             diffs)
+
+    def chart_exponents(self, side: str) -> dict:
+        """degree m -> the exponents a of the torus maps x^a of the
+        summands of level m: a = k on the minus side, -l on the plus
+        side."""
+        return {m: [t.k if side == "minus" else -t.l for t in ts]
+                for m, ts in self.twists.items()}
 
     def level(self, m: int) -> SheafDiagram:
         """Level m as a diagram with identity structure matrices."""

@@ -6,8 +6,9 @@ factors are reported monic with zero x-adic valuation, so torsion
 detection reads off the monic cores while unit factors normalise to the
 constant 1.
 
-Both kernels eliminate on plain coefficient lists: residues mod p over
-GF(p), and integers over Q, as ``scalar_rank`` does for scalars after
+Both kernels eliminate on plain coefficient lists (``polylists``, whose
+arithmetic the chart valuations of ``domination`` share): residues mod p
+over GF(p), and integers over Q, as ``scalar_rank`` does for scalars after
 Bareiss (1968).  Each Q row or column is cleared of denominators once and
 kept primitive by its content gcd, divisions are pseudo-divisions and the
 Bezout cofactors come from an integer Euclidean algorithm.  Nonzero
@@ -29,11 +30,13 @@ substitution on the echelon form of K.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import ShapeError, UnsupportedRingError
 from .laurent import LaurentPoly, divmod_laurent
 from .matrices import LaurentMatrix, ScalarMatrix, scalar_rank
+from .polylists import (ONE, divided, from_laurent, integer_row, lincomb,
+                        make_primitive, scaled, to_laurent, trim)
 from .scalars import CoefficientRing
 
 
@@ -44,87 +47,7 @@ def _require_field(a: LaurentMatrix) -> CoefficientRing:
     return a.ring
 
 
-# -- coefficient lists -------------------------------------------------------
-#
-# An entry is None (zero) or a pair (v, c): the Laurent polynomial
-# x^v * (c[0] + c[1] x + ... + c[n] x^n) with c[0] and c[-1] nonzero, so its
-# core degree is len(c) - 1.  Coefficients are ints: residues mod p over
-# GF(p), integers over Q (p = 0).  Entry lists are never changed in place.
-
-_ONE = (0, [1])
-
-
-def _entry(poly):
-    """The coefficient entry of a LaurentPoly."""
-    if poly.is_zero:
-        return None
-    items = poly.items()
-    lo, hi = items[0][0], items[-1][0]
-    if lo == hi:
-        return lo, [items[0][1]]
-    c = [0] * (hi - lo + 1)
-    for e, x in items:
-        c[e - lo] = x
-    return lo, c
-
-
-def _integer_row(row):
-    """Entries of a Q row times the lcm of their denominators, divided by
-    their content."""
-    den = lcm(*(x.denominator for e in row if e is not None for x in e[1]))
-    row = [None if e is None else
-           (e[0], [x.numerator * (den // x.denominator) for x in e[1]])
-           for e in row]
-    _make_primitive(row, range(len(row)))
-    return row
-
-
-def _trim(v, c):
-    hi = len(c)
-    while hi and not c[hi - 1]:
-        hi -= 1
-    if not hi:
-        return None
-    lo = 0
-    while not c[lo]:
-        lo += 1
-    return v + lo, c[lo:hi] if lo or hi < len(c) else c
-
-
-def _lincomb(f, a, g, b, p):
-    """f*a + g*b; reduced mod p when p is nonzero."""
-    if f is None or a is None:
-        if g is None or b is None:
-            return None
-        terms = ((g, b),)
-    elif g is None or b is None:
-        terms = ((f, a),)
-    else:
-        terms = ((f, a), (g, b))
-    lo = min(x[0] + y[0] for x, y in terms)
-    hi = max(x[0] + y[0] + len(x[1]) + len(y[1]) for x, y in terms) - 1
-    acc = [0] * (hi - lo)
-    for (vx, cx), (vy, cy) in terms:
-        off = vx + vy - lo
-        for i, u in enumerate(cx, off):
-            for k, w in enumerate(cy, i):
-                acc[k] += u * w
-    if p:
-        acc = [u % p for u in acc]
-    return _trim(lo, acc)
-
-
-def _scaled(a, k, p):
-    """k*a for a nonzero int k."""
-    if a is None:
-        return None
-    v, c = a
-    return v, [x * k % p for x in c] if p else [x * k for x in c]
-
-
-def _divided(a, k):
-    """a/k for an int k that divides every coefficient of a."""
-    return a[0], [x // k for x in a[1]]
+# -- division on coefficient lists (see ``polylists``) ---------------------
 
 
 def _divmod(a, b, p):
@@ -169,7 +92,7 @@ def _divmod(a, b, p):
             quo[k] = f
             for i, y in enumerate(cb, k):
                 rem[i] -= f * y
-    return m, _trim(va - vb, quo), _trim(va, rem[:n])
+    return m, trim(va - vb, quo), trim(va, rem[:n])
 
 
 def _normalised(r, u, v, p):
@@ -182,8 +105,8 @@ def _normalised(r, u, v, p):
                             for e in (u, v)]
     if p:
         inv = pow(r[1][-1], p - 2, p)
-        return [_scaled(e, inv, p) for e in triple]
-    _make_primitive(triple, range(3))
+        return [scaled(e, inv, p) for e in triple]
+    make_primitive(triple, range(3))
     return triple
 
 
@@ -198,15 +121,15 @@ def _bezout(pivot, e, p):
     the division is pseudo-division, so every coefficient stays an
     integer.
     """
-    r0, u0, v0 = pivot, _ONE, None
-    r1, u1, v1 = _normalised(e, None, _ONE, p)
+    r0, u0, v0 = pivot, ONE, None
+    r1, u1, v1 = _normalised(e, None, ONE, p)
     while True:
         m, q, r2 = _divmod(r0, r1, p)
         if r2 is None:
             break
         # r2 = m*r0 - q*r1
-        f, nq = (0, [m]), _scaled(q, -1, p)
-        u2, v2 = _lincomb(f, u0, nq, u1, p), _lincomb(f, v0, nq, v1, p)
+        f, nq = (0, [m]), scaled(q, -1, p)
+        u2, v2 = lincomb(f, u0, nq, u1, p), lincomb(f, v0, nq, v1, p)
         r0, u0, v0 = r1, u1, v1
         r1, u1, v1 = _normalised(r2, u2, v2, p)
     g = r1
@@ -214,21 +137,11 @@ def _bezout(pivot, e, p):
         # primitive with a positive lead, g divides pivot and e over Z
         # (Gauss's lemma), so both divisions below have m = 1
         content = gcd(*g[1])
-        g = _divided(g, content if g[1][-1] > 0 else -content)
+        g = divided(g, content if g[1][-1] > 0 else -content)
     m_e, e_g, _ = _divmod(e, g, p)
     m_p, pivot_g, _ = _divmod(pivot, g, p)
     # m_e*e = e_g*g and m_p*pivot = pivot_g*g
-    return u1, v1, _scaled(e_g, -m_p, p), _scaled(pivot_g, m_e, p)
-
-
-def _make_primitive(entries, indices):
-    """Divide entries[i], i in indices, by the gcd of their coefficients."""
-    g = gcd(*(x for i in indices if entries[i] is not None
-              for x in entries[i][1]))
-    if g > 1:
-        for i in indices:
-            if entries[i] is not None:
-                entries[i] = _divided(entries[i], g)
+    return u1, v1, scaled(e_g, -m_p, p), scaled(pivot_g, m_e, p)
 
 
 def _factor(ring, core):
@@ -255,18 +168,18 @@ def invariant_factors(a: LaurentMatrix) -> tuple:
     ring = _require_field(a)
     p = ring.p
     rows, cols = a.rows, a.cols
-    s = [[_entry(poly) for poly in row] for row in a.entries]
+    s = [[from_laurent(poly) for poly in row] for row in a.entries]
     if not p:
-        s = [_integer_row(row) for row in s]
+        s = [integer_row(row) for row in s]
 
     def tidy_row(i, t):
         if not p:
-            _make_primitive(s[i], range(t, cols))
+            make_primitive(s[i], range(t, cols))
 
     def tidy_col(j, t):
         if not p:
             column = [row[j] for row in s]
-            _make_primitive(column, range(t, rows))
+            make_primitive(column, range(t, rows))
             for i in range(t, rows):
                 s[i][j] = column[i]
 
@@ -287,17 +200,17 @@ def invariant_factors(a: LaurentMatrix) -> tuple:
         ri, rt = s[i], s[t]
         m, q, r = _divmod(e, rt[t], p)
         if r is None:
-            f, nq = (0, [m]), _scaled(q, -1, p)
+            f, nq = (0, [m]), scaled(q, -1, p)
             for j in range(t + 1, cols):
-                ri[j] = _lincomb(f, ri[j], nq, rt[j], p)
+                ri[j] = lincomb(f, ri[j], nq, rt[j], p)
             ri[t] = None
             tidy_row(i, t)
             return
         u, v, ne, pg = _bezout(rt[t], e, p)
         for j in range(t, cols):
             x, y = rt[j], ri[j]
-            rt[j] = _lincomb(u, x, v, y, p)
-            ri[j] = _lincomb(ne, x, pg, y, p)
+            rt[j] = lincomb(u, x, v, y, p)
+            ri[j] = lincomb(ne, x, pg, y, p)
         tidy_row(t, t)
         tidy_row(i, t)
 
@@ -309,10 +222,10 @@ def invariant_factors(a: LaurentMatrix) -> tuple:
             return False
         m, q, r = _divmod(e, s[t][t], p)
         if r is None:
-            f, nq = (0, [m]), _scaled(q, -1, p)
+            f, nq = (0, [m]), scaled(q, -1, p)
             for i in range(t + 1, rows):
                 row = s[i]
-                row[j] = _lincomb(f, row[j], nq, row[t], p)
+                row[j] = lincomb(f, row[j], nq, row[t], p)
             s[t][j] = None
             tidy_col(j, t)
             return False
@@ -320,8 +233,8 @@ def invariant_factors(a: LaurentMatrix) -> tuple:
         for i in range(t, rows):
             row = s[i]
             x, y = row[t], row[j]
-            row[t] = _lincomb(u, x, v, y, p)
-            row[j] = _lincomb(ne, x, pg, y, p)
+            row[t] = lincomb(u, x, v, y, p)
+            row[j] = lincomb(ne, x, pg, y, p)
         tidy_col(t, t)
         tidy_col(j, t)
         return True
@@ -358,7 +271,7 @@ def invariant_factors(a: LaurentMatrix) -> tuple:
                 if bad is not None:
                     rt, rb = s[t], s[bad]
                     for j in range(t + 1, cols):
-                        rt[j] = _lincomb(_ONE, rt[j], _ONE, rb[j], p)
+                        rt[j] = lincomb(ONE, rt[j], ONE, rb[j], p)
                     tidy_row(t, t)
                     disturbed = True
             if not disturbed:
@@ -376,9 +289,9 @@ def invariant_factors(a: LaurentMatrix) -> tuple:
 
 def _combine(f, x, g, y, p):
     """The column f*x + g*y, made primitive over Q."""
-    column = [_lincomb(f, s, g, t, p) for s, t in zip(x, y)]
+    column = [lincomb(f, s, g, t, p) for s, t in zip(x, y)]
     if not p:
-        _make_primitive(column, range(len(column)))
+        make_primitive(column, range(len(column)))
     return column
 
 
@@ -397,9 +310,9 @@ def _column_echelon(a: LaurentMatrix):
     rows, n = a.rows, a.cols
     columns = []
     for j in range(n):
-        column = [_entry(row[j]) for row in a.entries] + [None] * n
-        column[rows + j] = _ONE
-        columns.append(column if p else _integer_row(column))
+        column = [from_laurent(row[j]) for row in a.entries] + [None] * n
+        column[rows + j] = ONE
+        columns.append(column if p else integer_row(column))
     pivots = []
     for i in range(rows):
         r = len(pivots)
@@ -415,7 +328,7 @@ def _column_echelon(a: LaurentMatrix):
             m, q, rem = _divmod(e, pivot, p)
             if rem is None:
                 columns[j] = _combine((0, [m]), columns[j],
-                                      _scaled(q, -1, p), columns[r], p)
+                                      scaled(q, -1, p), columns[r], p)
                 continue
             u, v, ne, pg = _bezout(pivot, e, p)
             x, y = columns[r], columns[j]
@@ -425,21 +338,13 @@ def _column_echelon(a: LaurentMatrix):
     return columns, pivots
 
 
-def _poly(ring, e):
-    """The LaurentPoly of a coefficient entry."""
-    if e is None:
-        return LaurentPoly.zero(ring)
-    v, c = e
-    return LaurentPoly(ring, {v + k: x for k, x in enumerate(c)})
-
-
 def kernel_basis(a: LaurentMatrix) -> LaurentMatrix:
     """Columns forming a basis of ker(a) over K[x,x^-1]: the last n - r
     columns of V in a*V = [H | 0].  They span a direct summand."""
     columns, pivots = _column_echelon(a)
     kernel = columns[len(pivots):]
     return LaurentMatrix(a.ring, a.cols, len(kernel), [
-        [_poly(a.ring, column[a.rows + i]) for column in kernel]
+        [to_laurent(a.ring, column[a.rows + i]) for column in kernel]
         for i in range(a.cols)], check=False)
 
 
@@ -457,7 +362,7 @@ def kernel_coordinates(k: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     ring = k.ring
     columns, pivots = _column_echelon(k)
     r = len(pivots)
-    h = [[_poly(ring, column[i]) for column in columns[:r]]
+    h = [[to_laurent(ring, column[i]) for column in columns[:r]]
          for i in range(k.rows)]
     solution = []
     for j in range(b.cols):
@@ -479,7 +384,7 @@ def kernel_coordinates(k: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
                 f"column {j} is not in the span of the matrix columns")
         solution.append(y)
     v = LaurentMatrix(ring, k.cols, r, [
-        [_poly(ring, column[k.rows + i]) for column in columns[:r]]
+        [to_laurent(ring, column[k.rows + i]) for column in columns[:r]]
         for i in range(k.cols)], check=False)
     return v @ LaurentMatrix(ring, r, b.cols,
                              [[solution[j][t] for j in range(b.cols)]

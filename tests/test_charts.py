@@ -3,10 +3,14 @@
 The oracles are the quotient windows C/t^N, whose dimension in degree q is
 sum min(N, v) over the valuations of d_{q+1} and d_q, the N/2N doubling
 loop with its telescoping (kept below as a reference), and, for square
-matrices of full rank, the t-adic valuation of the determinant.
+matrices of full rank, the t-adic valuation of the determinant.  Any
+shape and rank is checked against sympy's Smith form over K[t] in
+``test_sympy_oracle.py``.
 """
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +24,7 @@ from p1dom.generators import random_complex, random_novikov_acyclic
 from p1dom.laurent import BaseRing, LaurentPoly
 from p1dom.matrices import LaurentMatrix
 from p1dom.scalars import GF, QQ
+from p1dom.sheaves import SheafComplex
 from p1dom.smith import matrix_rank
 
 from helpers import two_term
@@ -162,25 +167,76 @@ def test_square_valuations_sum_to_determinant_valuation(ring, sign):
 def test_elimination_degrees_grow_linearly(monkeypatch):
     # dividing by the previous pivot's unit keeps entries minors of d up to
     # a power of t, so no product passes degree 2 n D (D the entry degree);
-    # without it the degrees can double at every pivot
-    ring, n, deg = GF(7), 10, 2
-    rng = random.Random(10)
-    grid = [[LaurentPoly(ring, {e: ring.from_int(rng.randint(1, 6))
-                                for e in range(deg + 1)})
-             for _ in range(n)] for _ in range(n)]
-    d = LaurentMatrix(ring, n, n, grid, BaseRing.POLY)
-    degrees = []
-    original = LaurentPoly.__mul__
+    # without it the degrees can double at every pivot.  Over Q the same
+    # division keeps the coefficients of every product below 2 H^2: an
+    # entry's coefficients are those of a minor of d, whose l1 norm is at
+    # most H, the product of the rows' l1 norms (a Hadamard-type bound),
+    # and a product is a difference of two products of entries
+    import p1dom.domination as domination
 
-    def recording(a, b):
-        out = original(a, b)
-        if out:
-            degrees.append(out.maxdeg)
+    degrees, bits = [], []
+    original = domination.lincomb
+
+    def recording(*args):
+        out = original(*args)
+        if out is not None:
+            v, c = out
+            degrees.append(v + len(c) - 1)
+            bits.append(max(abs(x) for x in c).bit_length())
         return out
 
-    monkeypatch.setattr(LaurentPoly, "__mul__", recording)
-    _elementary_valuations(d, 1)
-    assert degrees and max(degrees) <= 2 * n * deg
+    monkeypatch.setattr(domination, "lincomb", recording)
+    n, deg = 10, 2
+    for ring in (GF(7), QQ):
+        rng = random.Random(10)
+        grid = [[LaurentPoly(ring, {e: ring.from_int(rng.choice([-1, 1])
+                                                     * rng.randint(1, 6))
+                                    for e in range(deg + 1)})
+                 for _ in range(n)] for _ in range(n)]
+        d = LaurentMatrix(ring, n, n, grid, BaseRing.POLY)
+        degrees.clear()
+        bits.clear()
+        assert len(domination._elementary_valuations(d, 1)) == n
+        assert degrees and max(degrees) <= 2 * n * deg
+        if not ring.p:
+            h = math.prod(sum(abs(x) for p in row for _, x in p.items())
+                          for row in grid)
+            assert max(bits) <= 2 * int(h).bit_length() + 1
+
+
+def test_chart_stage_does_no_laurent_or_fraction_arithmetic(monkeypatch):
+    # the witness reads both charts' valuations off the middle complex and
+    # the twists, on coefficient lists: no chart complex, no LaurentPoly
+    # product or shift and no Fraction arithmetic
+    import p1dom.domination as domination
+
+    rng = random.Random(5)
+    sheaves = [extend_complex(random_novikov_acyclic(
+        rng, ring, max_rank=6, span=3)).sheaf for ring in RINGS
+        for _ in range(3)]
+    want = [stabilised_series_dims(getattr(s, side), 16)
+            for s in sheaves for side in ("plus", "minus")]
+    calls = []
+
+    def recording(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for name in ("__add__", "__sub__", "__mul__", "__neg__",
+                 "times_monomial", "scale"):
+        recording(LaurentPoly, name)
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__"):
+        recording(Fraction, name)
+    recording(SheafComplex, "_chart")
+    got = [domination._sheaf_chart_dims(s, side, 16)
+           for s in sheaves for side in ("plus", "minus")]
+    monkeypatch.undo()
+    assert calls == []
+    assert got == want
 
 
 def test_verify_builds_no_window(monkeypatch):

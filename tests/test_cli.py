@@ -52,6 +52,34 @@ def test_verify_pass_exit_zero(xm1_file, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("base", list(BaseRing), ids=lambda b: b.tag)
+def test_wrong_base_is_an_input_error(base, tmp_path, capsys):
+    # a file of a base ring the command does not take is an input error
+    # (exit 2) naming the base it needs, never a mathematical FAIL;
+    # validate takes every base
+    path = tmp_path / "c.cplx"
+    if base == BaseRing.K:
+        c = ChainComplex.single(QQ, BaseRing.POLY, 0, 1)
+        data = ff.complex_to_dict(c)
+        data["base"] = "K"
+    else:
+        data = ff.complex_to_dict(two_term(QQ, [(0, 1)], base=base))
+    ff.save_path(path, data)
+    takes = {"homology": (BaseRing.K, BaseRing.LAURENT),
+             "hyper": (BaseRing.POLY,)}
+    for command in ("homology", "novikov", "extend", "hyper", "dominate",
+                    "verify", "validate"):
+        code = main([command, str(path)])
+        err = capsys.readouterr().err
+        if command == "validate" or base in takes.get(
+                command, (BaseRing.LAURENT,)):
+            assert code != 2, (command, err)
+        else:
+            assert code == 2, (command, err)
+            assert err.startswith(f"input error: {command} needs a ")
+            assert f"the file has base {base.tag}" in err
+
+
 def test_verify_fail_exit_one(free_rank_file, capsys):
     assert main(["verify", free_rank_file]) == 1
     out = capsys.readouterr().out

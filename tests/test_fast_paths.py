@@ -359,11 +359,11 @@ def test_charts_are_built_only_when_read(monkeypatch):
         cech_complex(s)
         assert s.validate() == []
     assert calls == []
+    # the chart valuations are read off the middle complex and the twists
     for c in inputs:
         if c.ring.is_field:
-            calls.clear()
             assert verify_theorem(c).passed
-            assert sorted(calls) == ["minus", "plus"]
+    assert calls == []
 
 
 def test_torus_path_builds_no_level_matrices(monkeypatch):

@@ -1,4 +1,5 @@
-"""sympy as an independent oracle for the Smith form over K[x,x^-1].
+"""sympy as an independent oracle for the Smith form over K[x,x^-1] and
+the chart valuations over K[[x]] and K[[x^-1]].
 
 A Laurent matrix A becomes the polynomial matrix x^s A (s clears the
 negative exponents).  Multiplying by a unit does not move invariant
@@ -7,6 +8,10 @@ factor g: so sympy's invariant factors over Q[x] or GF(7)[x], with powers
 of x stripped and made monic, must be the factors that
 ``smith.invariant_factors`` reports.  ``test_smith.py`` uses
 ``sympy_factors`` as its reference too.
+
+The Smith form of a K[t]-matrix is also one over K[[t]] after scaling by
+units of K[[t]], so the t-adic orders of sympy's nonzero invariant factors
+over K[t] are the chart valuations.
 """
 
 import random
@@ -18,7 +23,9 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import invariant_factors
 
 from p1dom.complexes import homology
-from p1dom.laurent import LaurentPoly, divmod_laurent
+from p1dom.domination import _elementary_valuations
+from p1dom.laurent import BaseRing, LaurentPoly, divmod_laurent
+from p1dom.matrices import LaurentMatrix
 from p1dom.scalars import GF, QQ
 from p1dom.smith import invariant_factors as kernel_factors
 
@@ -101,3 +108,76 @@ def test_homology_torsion_against_sympy(seed, ring, kind):
         nonunit = [f for f in sympy_factors(c.diff(q + 1))
                    if f.core_degree > 0]
         assert list(report.entry(q).torsion) == nonunit
+
+
+def _chart_case(rng, ring, t):
+    """A K[t]-matrix as a grid of {exponent: coefficient} maps and as a
+    sympy matrix in t: 1 to 5 rows and columns, entries with up to three
+    terms of t-degree below 4 (over Q with denominators up to 3), made
+    rank-deficient as B @ C with a short inner dimension half the time."""
+    rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+
+    def coefficient():
+        x = rng.randint(-4, 4)
+        return Fraction(x, rng.randint(1, 3)) if ring is QQ else x
+
+    def grid(r, c):
+        return [[{rng.randint(0, 3): coefficient()
+                  for _ in range(rng.randint(0, 3))}
+                 for _ in range(c)] for _ in range(r)]
+
+    if rng.random() < 0.5:
+        a = grid(rows, cols)
+    else:
+        inner = rng.randint(0, min(rows, cols) - 1)
+        b, c = grid(rows, inner), grid(inner, cols)
+        a = [[{} for _ in range(cols)] for _ in range(rows)]
+        for i in range(rows):
+            for j in range(cols):
+                for k in range(inner):
+                    for e, x in b[i][k].items():
+                        for f, y in c[k][j].items():
+                            a[i][j][e + f] = a[i][j].get(e + f, 0) + x * y
+    expr = sympy.Matrix(rows, cols, lambda i, j: sum(
+        (sympy.Rational(x.numerator, x.denominator) * t ** e
+         for e, x in a[i][j].items()), sympy.Integer(0)))
+    return a, expr
+
+
+def _orders(ring, expr, t):
+    """t-adic orders of the nonzero invariant factors of a sympy matrix
+    over K[t]."""
+    domain = sympy.QQ[t] if ring is QQ else sympy.GF(ring.p)[t]
+    orders = []
+    for f in invariant_factors(expr, domain=domain):
+        poly = (sympy.Poly(f, t, domain=sympy.QQ) if ring is QQ
+                else sympy.Poly(f, t, modulus=ring.p))
+        if not poly.is_zero:
+            orders.append(min(m[0] for m in poly.monoms()))
+    return sorted(orders)
+
+
+@settings(deadline=None, max_examples=120)
+@given(seed=st.integers(0, 2 ** 32 - 1), ring=st.sampled_from([QQ, GF7]),
+       direction=st.sampled_from([1, -1]))
+def test_chart_valuations_against_sympy(seed, ring, direction):
+    # the chart matrix x^(c_j - r_i) d[i][j] is read off a Laurent matrix d
+    # with random row and column exponents r, c; over K[x^-1] (direction
+    # -1) entry t^e is x^-e
+    rng = random.Random(seed)
+    a, expr = _chart_case(rng, ring, X)
+    r = [rng.randint(-3, 3) for _ in a]
+    c = [rng.randint(-3, 3) for _ in a[0]]
+    d = LaurentMatrix(ring, len(r), len(c), [
+        [LaurentPoly(ring, {direction * e + r_i - c_j: x
+                            for e, x in cell.items()})
+         for cell, c_j in zip(row, c)] for row, r_i in zip(a, r)])
+    want = _orders(ring, expr, X)
+    assert sorted(_elementary_valuations(d, direction, r, c)) == want
+    # the same chart given as an explicit K[t] matrix, with no shifts
+    base = BaseRing.POLY if direction == 1 else BaseRing.POLY_INV
+    chart = LaurentMatrix(ring, len(r), len(c), [
+        [LaurentPoly(ring, {direction * e: x for e, x in cell.items()})
+         for cell in row]
+        for row in a], base)
+    assert sorted(_elementary_valuations(chart, direction)) == want
