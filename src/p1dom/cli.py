@@ -4,7 +4,9 @@ Exit codes: 0 on success or mathematical PASS, 1 on mathematical FAIL
 (hypothesis violated, invalid complex, selftest failure), 2 on input or
 usage errors, among them a complex whose base ring the command does not
 take (``BASES``: K[x,x^-1] for novikov, extend, dominate and verify, K or
-K[x,x^-1] for homology, K[x] for hyper).  Flags can be preset through
+K[x,x^-1] for homology, K[x] for hyper) and a Z-coefficient complex given
+to a command that needs a field (``FIELD_COMMANDS``: homology, dominate,
+verify).  Flags can be preset through
 environment variables with the P1DOM_ prefix (P1DOM_RING, P1DOM_TRUNC,
 P1DOM_TRUNC_MAX, P1DOM_SEED, P1DOM_FORMAT, P1DOM_OUT); explicit flags win.
 A preset is checked like the flag it stands for.  ``--trunc-max`` (and
@@ -17,7 +19,8 @@ MAX_ORDER, ``hyper`` refuses an order whose widest window would exceed
 HYPER_ROW_BUDGET rows, ``twist-cohomology`` takes a rank r from 0 to
 MAX_RANK, a twist n, split k and n - k within MAX_EXPONENT and at most
 HYPER_ROW_BUDGET basis monomials, and ``extend`` and ``h0`` write no file
-that the loader's bounds would refuse (exit 2 in each case).
+that the loader refuses: they run it on the data first (exit 2 in each
+case).
 """
 
 from __future__ import annotations
@@ -94,6 +97,9 @@ BASES = {
     "dominate": (BaseRing.LAURENT,),
     "verify": (BaseRing.LAURENT,),
 }
+
+# commands that need field coefficients; a Z file is an input error
+FIELD_COMMANDS = ("homology", "dominate", "verify")
 
 # flag attribute -> (environment variable, converter, built-in default);
 # the flags default to None so that a preset is read when main() runs
@@ -187,10 +193,12 @@ def _write(args, text):
 
 
 def _write_file(args, data):
-    """Write a complex or sheaf file, or nothing when the loader would
-    refuse it."""
+    """Write a complex or sheaf file, or nothing when the loader refuses
+    it: the loader itself reads the dict first."""
+    load = (ff.sheaf_from_dict if data["format"] == ff.SHEAF_FORMAT
+            else ff.complex_from_dict)
     try:
-        ff.check_bounds(data)
+        load(data)
     except FormatError as exc:
         raise FormatError(
             f"output not written, p1dom could not read it back: {exc}"
@@ -224,6 +232,10 @@ def _load_complex(args):
             f"{args.command} needs a "
             f"{' or '.join(b.tag for b in needed)}-complex, "
             f"the file has base {c.base.tag}", "base")
+    if args.command in FIELD_COMMANDS and not c.ring.is_field:
+        raise FormatError(
+            f"{args.command} needs field coefficients (Q or GF:p), "
+            f"the file has ring {c.ring.tag}", "ring")
     return c
 
 

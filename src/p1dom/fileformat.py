@@ -11,9 +11,9 @@ Loading is bounded before anything is built: a degree span above
 MAX_DEGREE_SPAN, a rank above MAX_RANK or an exponent or twist above
 MAX_EXPONENT in absolute value is a FormatError naming the field.  (An
 omitted differential is a dense zero matrix; exponents and twists set the
-sizes of the monomial bands of the global sections.)  ``check_bounds``
-runs the same checks on a dict about to be written, so that no file is
-written that the loader would refuse.  Wherever the format wants an
+sizes of the monomial bands of the global sections.)  The CLI runs the
+loader on every dict it is about to write, so that no file is written
+that the loader would refuse.  Wherever the format wants an
 integer (version, degree, rank, exponent, twist) only a JSON integer is
 accepted: ``true`` and ``false`` are a FormatError naming the field.
 
@@ -88,13 +88,6 @@ def _check_exponent(e: int, where: str):
 def _check_rank(rank: int, where: str):
     if rank > MAX_RANK:
         raise FormatError(f"rank {rank} exceeds {MAX_RANK}", where)
-
-
-def _check_span(degrees):
-    span = max(degrees) - min(degrees)
-    if span > MAX_DEGREE_SPAN:
-        raise FormatError(f"degree span {span} exceeds {MAX_DEGREE_SPAN}",
-                          "degrees")
 
 
 def matrix_to_rows(m: LaurentMatrix):
@@ -188,7 +181,10 @@ def _read_degrees(data):
         if degree in ranks:
             raise FormatError("duplicate degree", loc)
         ranks[degree] = rank
-    _check_span(ranks)
+    span = max(ranks) - min(ranks)
+    if span > MAX_DEGREE_SPAN:
+        raise FormatError(f"degree span {span} exceeds {MAX_DEGREE_SPAN}",
+                          "degrees")
     return ranks
 
 
@@ -300,25 +296,6 @@ def sheaf_from_dict(data: dict) -> SheafComplex:
     if problems:
         raise FormatError("; ".join(problems), "$")
     return sheaf
-
-
-def check_bounds(data: dict):
-    """Raise the loader's FormatError if the dict of a complex or sheaf
-    file, as complex_to_dict or sheaf_to_dict made it, breaks a bound."""
-    degrees = data["degrees"]
-    for idx, item in enumerate(degrees):
-        _check_rank(item["rank"], f"degrees[{idx}].rank")
-    _check_span([item["degree"] for item in degrees])
-    for key in ("differentials", "minus", "plus"):
-        for idx, item in enumerate(data.get(key, ())):
-            where = f"{key}[{idx}].matrix"
-            for i, row in enumerate(item["matrix"]):
-                for j, cell in enumerate(row):
-                    for t, pair in enumerate(cell):
-                        _check_exponent(pair[0], f"{where}[{i}][{j}][{t}][0]")
-    for idx, item in enumerate(data.get("twist_profile", ())):
-        for f in ("k", "l"):
-            _check_exponent(item[f], f"twist_profile[{idx}].{f}")
 
 
 # -- canonical bytes ------------------------------------------------------------------

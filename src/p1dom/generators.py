@@ -2,7 +2,10 @@
 
 Valid complexes are built from elementary pieces (two-term complexes and
 single free levels) conjugated by random invertible basis changes, so
-d.d = 0 holds by construction while differentials look generic.  The same
+d.d = 0 holds by construction while differentials look generic.  Each
+basis change T is a product of elementary operations and its inverse is
+built alongside it (``random_invertible_pair``), so no inverse is
+computed from minors.  The same
 recipe with unit-monomial or acyclic pieces yields Novikov-acyclic
 instances and quasi-isomorphisms for the diagram properties.
 """
@@ -46,7 +49,19 @@ def random_unit_monomial(rng, ring, span=1) -> LaurentPoly:
 
 def random_invertible(rng, ring, n, ops=None, span=1) -> LaurentMatrix:
     """Product of elementary operations: unit-monomial determinant."""
+    return random_invertible_pair(rng, ring, n, ops, span)[0]
+
+
+def random_invertible_pair(rng, ring, n, ops=None, span=1):
+    """(T, T^-1) for the T of ``random_invertible`` with the same draws.
+
+    T is built by row operations on the identity, and T^-1 alongside it by
+    the inverse of each operation as a column operation, in the same
+    order: row i += q*row j becomes col j -= q*col i, a row swap the same
+    column swap, and row i *= u becomes col i *= u^-1.
+    """
     m = [list(r) for r in LaurentMatrix.identity(ring, n).entries]
+    inv = [list(r) for r in m]
     ops = ops if ops is not None else 2 * n
     for _ in range(ops):
         kind = rng.randint(0, 2)
@@ -57,15 +72,23 @@ def random_invertible(rng, ring, n, ops=None, span=1) -> LaurentMatrix:
             q = random_poly(rng, ring, -span, span, 2)
             for col in range(n):
                 m[i][col] = m[i][col] + q * m[j][col]
+            for row in inv:
+                row[j] = row[j] - q * row[i]
         elif kind == 1:
             i, j = rng.sample(range(n), 2)
             m[i], m[j] = m[j], m[i]
+            for row in inv:
+                row[i], row[j] = row[j], row[i]
         else:
             i = rng.randrange(n)
             u = random_unit_monomial(rng, ring, span)
             for col in range(n):
                 m[i][col] = m[i][col] * u
-    return LaurentMatrix(ring, n, n, m, check=False)
+            u_inv = u.inverse_unit()
+            for row in inv:
+                row[i] = row[i] * u_inv
+    return (LaurentMatrix(ring, n, n, m, check=False),
+            LaurentMatrix(ring, n, n, inv, check=False))
 
 
 def random_complex(rng, ring, max_length=4, max_rank=4, span=1,
@@ -95,37 +118,11 @@ def random_complex(rng, ring, max_length=4, max_rank=4, span=1,
 def basis_change(rng, c: ChainComplex, span=1) -> ChainComplex:
     """Conjugate by random invertible matrices in every degree."""
     ring = c.ring
-    t = {m: random_invertible(rng, ring, c.rank(m), span=span)
-         for m in c.degrees()}
-    tinv = {m: _invert_unit_det(t[m]) for m in c.degrees()}
-    diffs = {}
-    for m in range(c.lo + 1, c.hi + 1):
-        left = tinv.get(m - 1, LaurentMatrix.identity(ring, c.rank(m - 1)))
-        right = t.get(m, LaurentMatrix.identity(ring, c.rank(m)))
-        diffs[m] = left @ c.diff(m) @ right
+    pairs = {m: random_invertible_pair(rng, ring, c.rank(m), span=span)
+             for m in c.degrees()}
+    diffs = {m: pairs[m - 1][1] @ c.diff(m) @ pairs[m][0]
+             for m in range(c.lo + 1, c.hi + 1)}
     return ChainComplex(ring, c.base, c.lo, c.hi, c.ranks, diffs)
-
-
-def _invert_unit_det(m: LaurentMatrix) -> LaurentMatrix:
-    """Inverse of a unit-determinant Laurent matrix via the adjugate."""
-    n = m.rows
-    ring = m.ring
-    if n == 0:
-        return m
-    det = m.determinant()
-    det_inv = det.inverse_unit()
-    cof = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            idx_r = [r for r in range(n) if r != j]
-            idx_c = [c for c in range(n) if c != i]
-            minor = m.submatrix(idx_r, idx_c).determinant()
-            if (i + j) % 2:
-                minor = -minor
-            row.append(minor * det_inv)
-        cof.append(row)
-    return LaurentMatrix(ring, n, n, cof, check=False)
 
 
 def random_novikov_acyclic(rng, ring, max_rank=3, span=1) -> ChainComplex:

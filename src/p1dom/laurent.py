@@ -4,7 +4,8 @@ A polynomial is a sparse map ``exponent -> coefficient`` with no zero values
 stored; the zero polynomial is the empty map.  Exponents may be negative.
 The four base rings K, K[x], K[x^-1] and K[x,x^-1] are tags restricting
 which exponents a value may use; arithmetic itself always happens in the
-full Laurent ring.
+full Laurent ring.  This module holds ring arithmetic only: division and
+elimination run on the coefficient lists of ``polylists``.
 """
 
 from __future__ import annotations
@@ -277,81 +278,3 @@ def _power(ring, base, n):
     for _ in range(n):
         out = ring.mul(out, base)
     return out
-
-
-def divmod_laurent(a: LaurentPoly, b: LaurentPoly):
-    """Division with remainder in K[x,x^-1], K a field.
-
-    Returns (q, r) with a = q*b + r and either r = 0 or
-    core_degree(r) < core_degree(b): the Euclidean structure of the ring.
-    """
-    if b.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    ring = a.ring
-    check_same_ring(ring, b.ring)
-    if a.is_zero:
-        return LaurentPoly.zero(ring), LaurentPoly.zero(ring)
-    va = a.mindeg
-    vb = b.mindeg
-    # Polynomial long division of the shifted operands inside K[x].
-    rem = {e - va: c for e, c in a._c.items()}
-    den = {e - vb: c for e, c in b._c.items()}
-    deg_den = max(den)
-    lead_inv = ring.invert(den[deg_den])
-    quo = {}
-    while rem and max(rem) >= deg_den:
-        deg_rem = max(rem)
-        factor = ring.mul(rem[deg_rem], lead_inv)
-        shift = deg_rem - deg_den
-        quo[shift] = factor
-        for e, c in den.items():
-            t = e + shift
-            val = ring.sub(rem.get(t, ring.zero()), ring.mul(factor, c))
-            if val == 0:
-                rem.pop(t, None)
-            else:
-                rem[t] = val
-    q = _canonical(ring, {e + va - vb: c for e, c in quo.items()})
-    r = _canonical(ring, {e + va: c for e, c in rem.items()})
-    return q, r
-
-
-def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact division; raises if b does not divide a.
-
-    Over Z this performs polynomial division on the integer coefficients
-    and verifies exactness (used by the fraction-free determinant).
-    """
-    ring = a.ring
-    if a.is_zero:
-        return LaurentPoly.zero(ring)
-    if ring.is_field:
-        q, r = divmod_laurent(a, b)
-        if not r.is_zero:
-            raise ShapeError(f"{b} does not divide {a}")
-        return q
-    # Integer coefficients: long division tracking exactness.
-    check_same_ring(ring, b.ring)
-    if b.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    va, vb = a.mindeg, b.mindeg
-    rem = {e - va: c for e, c in a._c.items()}
-    den = {e - vb: c for e, c in b._c.items()}
-    deg_den = max(den)
-    lead = den[deg_den]
-    quo = {}
-    while rem:
-        deg_rem = max(rem)
-        if deg_rem < deg_den or rem[deg_rem] % lead != 0:
-            raise ShapeError(f"{b} does not divide {a} over Z")
-        factor = rem[deg_rem] // lead
-        shift = deg_rem - deg_den
-        quo[shift] = factor
-        for e, c in den.items():
-            t = e + shift
-            val = rem.get(t, 0) - factor * c
-            if val == 0:
-                rem.pop(t, None)
-            else:
-                rem[t] = val
-    return _canonical(ring, {e + va - vb: c for e, c in quo.items()})

@@ -2,16 +2,19 @@
 
 Laurent matrices carry a base-ring tag; every entry must respect the tag's
 exponent constraint.  Their storage is dense row-major, suitable for the
-desk-scale sizes this package targets.  Scalar matrices over K store sparse
-rows and carry the one exact rank kernel, ``scalar_rank``.
+desk-scale sizes this package targets; their determinant is computed on
+the coefficient lists of ``polylists``.  Scalar matrices over K store
+sparse rows and carry the one exact rank kernel, ``scalar_rank``.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from fractions import Fraction
+from math import gcd, lcm, prod
 
+from . import polylists
 from .errors import BaseRingViolationError, ShapeError
-from .laurent import BaseRing, LaurentPoly, exact_div
+from .laurent import BaseRing, LaurentPoly
 from .scalars import CoefficientRing, check_same_ring
 
 
@@ -227,36 +230,22 @@ class LaurentMatrix:
     # -- determinant (fraction-free Bareiss) --------------------------------
 
     def determinant(self) -> LaurentPoly:
-        """Exact determinant via Bareiss elimination.
+        """Exact determinant by Bareiss elimination on coefficient lists
+        (``polylists.determinant``), over any supported coefficient ring.
 
-        Works over any of the supported coefficient rings; all divisions
-        are exact by the Bareiss identity.
+        Over Q each row is first cleared of its denominators (over GF(p)
+        and Z that changes nothing), and the integer determinant is divided
+        by their product.
         """
         if not self.is_square:
             raise ShapeError("determinant of a non-square matrix")
-        n = self.rows
         ring = self.ring
-        if n == 0:
-            return LaurentPoly.one(ring)
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = LaurentPoly.one(ring)
-        for k in range(n - 1):
-            if m[k][k].is_zero:
-                for i in range(k + 1, n):
-                    if not m[i][k].is_zero:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return LaurentPoly.zero(ring)
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                    m[i][j] = exact_div(num, prev)
-            prev = m[k][k]
-        det = m[n - 1][n - 1]
-        return det if sign > 0 else -det
+        rows = [polylists.cleared([polylists.from_laurent(p) for p in row])
+                for row in self.entries]
+        den = prod(row_den for row_den, _ in rows)
+        det = polylists.to_laurent(ring, polylists.determinant(
+            [row for _, row in rows], ring.p))
+        return det if den == 1 else det.scale(Fraction(1, den))
 
     # -- comparisons -----------------------------------------------------------
 

@@ -1,16 +1,19 @@
 """Laurent polynomials as coefficient lists: the arithmetic that the
-elimination kernels share.
+elimination kernels share, and the only module that divides them.
 
 An entry is None (zero) or a pair (v, c): the Laurent polynomial
 x^v * (c[0] + c[1] x + ... + c[n] x^n) with c[0] and c[-1] nonzero, so its
 core degree is len(c) - 1 and its x-adic valuation is v.  Coefficients are
 ints: residues mod p over GF(p), integers over Q (p = 0) once a row is
-cleared of denominators (``integer_row``).  Entry lists are never changed
-in place.
+cleared of denominators (``cleared``, ``integer_row``) and over Z.  Entry
+lists are never changed in place.
 
-The Smith kernels of ``smith`` and the chart valuations of ``domination``
-eliminate on these entries; ``LaurentPoly`` values are built only for
-their input and output.
+One long division, ``pseudo_divmod``, serves every kernel: the Smith and
+column echelon eliminations of ``smith``, the forward substitution of
+``smith.kernel_coordinates``, and, as ``exact_quotient``, the Bareiss
+divisions of ``determinant`` (behind ``LaurentMatrix.determinant``) and of
+the chart valuations of ``domination``.  ``LaurentPoly`` values are built
+only for their input and output.
 """
 
 from __future__ import annotations
@@ -45,13 +48,19 @@ def to_laurent(ring, e):
     return LaurentPoly(ring, {v + k: x for k, x in enumerate(c)})
 
 
+def cleared(row):
+    """(den, the entries of a Q row times den), den the lcm of their
+    denominators, so that the new entries have int coefficients."""
+    den = lcm(*(x.denominator for e in row if e is not None for x in e[1]))
+    return den, [None if e is None else
+                 (e[0], [x.numerator * (den // x.denominator) for x in e[1]])
+                 for e in row]
+
+
 def integer_row(row):
     """Entries of a Q row times the lcm of their denominators, divided by
     their content."""
-    den = lcm(*(x.denominator for e in row if e is not None for x in e[1]))
-    row = [None if e is None else
-           (e[0], [x.numerator * (den // x.denominator) for x in e[1]])
-           for e in row]
+    row = cleared(row)[1]
     make_primitive(row, range(len(row)))
     return row
 
@@ -106,50 +115,96 @@ def divided(a, k):
     return a[0], [x // k for x in a[1]]
 
 
+def pseudo_divmod(a, b, p):
+    """(m, q, r) with m*a = q*b + r, m a nonzero int and r zero (None) or
+    of smaller core degree than b.
+
+    Over GF(p) m is 1.  Over Z (p = 0) this is pseudo-division: a step
+    whose leading coefficient lead(b) does not divide first multiplies
+    the remainder and the quotient by lead(b)/gcd, and m collects those
+    multipliers.
+    """
+    va, ca = a
+    vb, cb = b
+    n = len(cb) - 1
+    top = len(ca) - 1 - n
+    if top < 0:
+        return 1, None, a
+    rem = list(ca)
+    quo = [0] * (top + 1)
+    lead = cb[-1]
+    m = 1
+    if p:
+        inv = pow(lead, p - 2, p)
+        for k in range(top, -1, -1):
+            f = rem[k + n] * inv % p
+            if f:
+                quo[k] = f
+                for i, y in enumerate(cb, k):
+                    rem[i] = (rem[i] - f * y) % p
+    else:
+        for k in range(top, -1, -1):
+            x = rem[k + n]
+            if not x:
+                continue
+            g = gcd(x, lead)
+            s = lead // g
+            if s != 1:
+                rem = [s * y for y in rem]
+                quo = [s * y for y in quo]
+                m *= s
+            f = x // g
+            quo[k] = f
+            for i, y in enumerate(cb, k):
+                rem[i] -= f * y
+    return m, trim(va - vb, quo), trim(va, rem[:n])
+
+
 def exact_quotient(a, b, p):
     """a/b when b divides a: over GF(p), or over Z for p = 0.
 
-    Long division from the top coefficient; raises ShapeError when a
-    quotient coefficient is not an integer (p = 0) or the remainder is not
-    zero.
+    The pseudo-division of a by b, which is exact when it leaves no
+    remainder and needs no multiplier but a sign: over Z a negative
+    lead(b) makes each step's multiplier -1.  Raises ShapeError otherwise.
     """
     if a is None:
         return None
-    va, ca = a
-    vb, cb = b
-    lead = cb[-1]
-    n = len(cb) - 1
-    top = len(ca) - 1 - n
-    if top >= 0:
-        if not n:
-            if p:
-                inv = pow(lead, p - 2, p)
-                return va - vb, [x * inv % p for x in ca]
-            quo = [x // lead for x in ca]
-            if all(q * lead == x for q, x in zip(quo, ca)):
-                return va - vb, quo
-        else:
-            rem = list(ca)
-            quo = [0] * (top + 1)
-            inv = pow(lead, p - 2, p) if p else None
-            for k in range(top, -1, -1):
-                x = rem[k + n]
-                if not x:
-                    continue
-                if p:
-                    f = x * inv % p
-                else:
-                    f, r = divmod(x, lead)
-                    if r:
-                        break
-                quo[k] = f
-                for i, y in enumerate(cb, k):
-                    rem[i] = (rem[i] - f * y) % p if p else rem[i] - f * y
-            else:
-                if not any(rem[:n]):
-                    return trim(va - vb, quo)
+    m, q, r = pseudo_divmod(a, b, p)
+    if r is None and m in (1, -1):
+        return q if m == 1 else scaled(q, -1, p)
     raise ShapeError("exact division failed: the divisor leaves a "
                      "nonzero remainder")
+
+
+def determinant(rows, p):
+    """The determinant of a square matrix of entries, over GF(p) or Z.
+
+    Bareiss's (1968) fraction-free elimination: each 2x2 cross product is
+    divided exactly by the previous pivot, so every entry stays a minor.
+    A zero pivot is swapped with a nonzero entry below it.
+    """
+    m = [list(row) for row in rows]
+    n = len(m)
+    sign = 1
+    prev = ONE
+    for k in range(n - 1):
+        if m[k][k] is None:
+            swap = next((i for i in range(k + 1, n) if m[i][k] is not None),
+                        None)
+            if swap is None:
+                return None
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        top, pivot = m[k], m[k][k]
+        for row in m[k + 1:]:
+            factor = scaled(row[k], -1, p)
+            for j in range(k + 1, n):
+                row[j] = exact_quotient(
+                    lincomb(row[j], pivot, factor, top[j], p), prev, p)
+        prev = pivot
+    if not n:
+        return ONE
+    return m[-1][-1] if sign > 0 else scaled(m[-1][-1], -1, p)
 
 
 def make_primitive(entries, indices):

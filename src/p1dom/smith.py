@@ -10,8 +10,9 @@ Both kernels eliminate on plain coefficient lists (``polylists``, whose
 arithmetic the chart valuations of ``domination`` share): residues mod p
 over GF(p), and integers over Q, as ``scalar_rank`` does for scalars after
 Bareiss (1968).  Each Q row or column is cleared of denominators once and
-kept primitive by its content gcd, divisions are pseudo-divisions and the
-Bezout cofactors come from an integer Euclidean algorithm.  Nonzero
+kept primitive by its content gcd, divisions are the pseudo-divisions of
+``polylists.pseudo_divmod`` and the Bezout cofactors come from an integer
+Euclidean algorithm.  Nonzero
 constants are units of Q[x,x^-1], so none of these scalings changes a
 factor or a module; ``LaurentPoly`` values are built only for the output.
 
@@ -24,7 +25,8 @@ operations and Bezout 2x2 column transforms only (Kannan-Bachem 1979;
 Storjohann 2000).  Every transform has a nonzero constant determinant,
 so V is invertible over K[x,x^-1]: the last n - r columns of V are a
 basis of ker A, and a saturated one, and K*X = B is solved by forward
-substitution on the echelon form of K.
+substitution on the echelon form of K, each step one division of
+coefficient lists.
 """
 
 from __future__ import annotations
@@ -33,10 +35,11 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import ShapeError, UnsupportedRingError
-from .laurent import LaurentPoly, divmod_laurent
+from .laurent import LaurentPoly
 from .matrices import LaurentMatrix, ScalarMatrix, scalar_rank
-from .polylists import (ONE, divided, from_laurent, integer_row, lincomb,
-                        make_primitive, scaled, to_laurent, trim)
+from .polylists import (ONE, cleared, divided, from_laurent, integer_row,
+                        lincomb, make_primitive, pseudo_divmod, scaled,
+                        to_laurent)
 from .scalars import CoefficientRing
 
 
@@ -45,54 +48,6 @@ def _require_field(a: LaurentMatrix) -> CoefficientRing:
         raise UnsupportedRingError(
             "K[x,x^-1] is a PID only for field coefficients")
     return a.ring
-
-
-# -- division on coefficient lists (see ``polylists``) ---------------------
-
-
-def _divmod(a, b, p):
-    """(m, q, r) with m*a = q*b + r, m a nonzero int and r zero (None) or
-    of smaller core degree than b.
-
-    Over GF(p) m is 1.  Over Q this is pseudo-division: a step whose
-    leading coefficient lead(b) does not divide first multiplies the
-    remainder and the quotient by lead(b)/gcd, and m collects those
-    multipliers.
-    """
-    va, ca = a
-    vb, cb = b
-    n = len(cb) - 1
-    top = len(ca) - 1 - n
-    if top < 0:
-        return 1, None, a
-    rem = list(ca)
-    quo = [0] * (top + 1)
-    lead = cb[-1]
-    m = 1
-    if p:
-        inv = pow(lead, p - 2, p)
-        for k in range(top, -1, -1):
-            f = rem[k + n] * inv % p
-            if f:
-                quo[k] = f
-                for i, y in enumerate(cb, k):
-                    rem[i] = (rem[i] - f * y) % p
-    else:
-        for k in range(top, -1, -1):
-            x = rem[k + n]
-            if not x:
-                continue
-            g = gcd(x, lead)
-            s = lead // g
-            if s != 1:
-                rem = [s * y for y in rem]
-                quo = [s * y for y in quo]
-                m *= s
-            f = x // g
-            quo[k] = f
-            for i, y in enumerate(cb, k):
-                rem[i] -= f * y
-    return m, trim(va - vb, quo), trim(va, rem[:n])
 
 
 def _normalised(r, u, v, p):
@@ -124,7 +79,7 @@ def _bezout(pivot, e, p):
     r0, u0, v0 = pivot, ONE, None
     r1, u1, v1 = _normalised(e, None, ONE, p)
     while True:
-        m, q, r2 = _divmod(r0, r1, p)
+        m, q, r2 = pseudo_divmod(r0, r1, p)
         if r2 is None:
             break
         # r2 = m*r0 - q*r1
@@ -138,8 +93,8 @@ def _bezout(pivot, e, p):
         # (Gauss's lemma), so both divisions below have m = 1
         content = gcd(*g[1])
         g = divided(g, content if g[1][-1] > 0 else -content)
-    m_e, e_g, _ = _divmod(e, g, p)
-    m_p, pivot_g, _ = _divmod(pivot, g, p)
+    m_e, e_g, _ = pseudo_divmod(e, g, p)
+    m_p, pivot_g, _ = pseudo_divmod(pivot, g, p)
     # m_e*e = e_g*g and m_p*pivot = pivot_g*g
     return u1, v1, scaled(e_g, -m_p, p), scaled(pivot_g, m_e, p)
 
@@ -198,7 +153,7 @@ def invariant_factors(a: LaurentMatrix) -> tuple:
         if e is None:
             return
         ri, rt = s[i], s[t]
-        m, q, r = _divmod(e, rt[t], p)
+        m, q, r = pseudo_divmod(e, rt[t], p)
         if r is None:
             f, nq = (0, [m]), scaled(q, -1, p)
             for j in range(t + 1, cols):
@@ -220,7 +175,7 @@ def invariant_factors(a: LaurentMatrix) -> tuple:
         e = s[t][j]
         if e is None:
             return False
-        m, q, r = _divmod(e, s[t][t], p)
+        m, q, r = pseudo_divmod(e, s[t][t], p)
         if r is None:
             f, nq = (0, [m]), scaled(q, -1, p)
             for i in range(t + 1, rows):
@@ -244,7 +199,8 @@ def invariant_factors(a: LaurentMatrix) -> tuple:
         pivot = s[t][t]
         for i in range(t + 1, rows):
             for e in s[i][t + 1:]:
-                if e is not None and _divmod(e, pivot, p)[2] is not None:
+                if (e is not None
+                        and pseudo_divmod(e, pivot, p)[2] is not None):
                     return i
         return None
 
@@ -325,7 +281,7 @@ def _column_echelon(a: LaurentMatrix):
             e, pivot = columns[j][i], columns[r][i]
             if e is None:
                 continue
-            m, q, rem = _divmod(e, pivot, p)
+            m, q, rem = pseudo_divmod(e, pivot, p)
             if rem is None:
                 columns[j] = _combine((0, [m]), columns[j],
                                       scaled(q, -1, p), columns[r], p)
@@ -352,9 +308,11 @@ def kernel_coordinates(k: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     """X with k @ X == b.
 
     With k*V = [H | 0] in column echelon form, H*Y = b is solved row by
-    row: a pivot row fixes the next entry of Y by one exact division, any
-    other row must already hold.  Then X = V*Y.  Raises ShapeError naming
-    the first column of b that is not in the span of k's columns.
+    row: a pivot row fixes the next entry of Y by one exact division of
+    coefficient lists (over Q, of the remainder cleared of denominators by
+    the integer pivot, scaled back afterwards), any other row must already
+    hold.  Then X = V*Y.  Raises ShapeError naming the first column of b
+    that is not in the span of k's columns.
     """
     if b.rows != k.rows:
         raise ShapeError(f"cannot solve a {k.rows}-row system for "
@@ -374,9 +332,16 @@ def kernel_coordinates(k: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
                     rest = rest - coefficient * value
             t = len(y)
             if t < r and pivots[t] == i:
-                q, remainder = divmod_laurent(rest, h_row[t])
-                if remainder.is_zero:
-                    y.append(q)
+                if rest.is_zero:
+                    y.append(rest)
+                    continue
+                den, (e,) = cleared([from_laurent(rest)])
+                m, q, remainder = pseudo_divmod(e, columns[t][i], ring.p)
+                if remainder is None:
+                    # m*den*rest = q*pivot
+                    q = to_laurent(ring, q)
+                    y.append(q if m * den == 1 else q.scale(
+                        Fraction(1, m * den)))
                     continue
             elif rest.is_zero:
                 continue

@@ -80,6 +80,33 @@ def test_wrong_base_is_an_input_error(base, tmp_path, capsys):
             assert f"the file has base {base.tag}" in err
 
 
+@pytest.mark.parametrize("base", [BaseRing.K, BaseRing.LAURENT],
+                         ids=lambda b: b.tag)
+def test_z_coefficients_are_an_input_error(base, tmp_path, capsys):
+    # homology, dominate and verify need field coefficients: a Z file is
+    # an input error (exit 2) naming the ring, never a mathematical FAIL;
+    # the commands that run over Z still succeed
+    path = tmp_path / "z.cplx"
+    if base == BaseRing.K:
+        data = ff.complex_to_dict(ChainComplex.single(ZZ, BaseRing.POLY, 0, 1))
+        data["base"] = "K"
+        commands = ("homology", "validate")
+    else:
+        data = ff.complex_to_dict(two_term(ZZ, [(1, 1), (0, -1)]))
+        commands = ("homology", "novikov", "extend", "dominate", "verify",
+                    "validate")
+    ff.save_path(path, data)
+    for command in commands:
+        code = main([command, str(path)])
+        err = capsys.readouterr().err
+        if command in ("homology", "dominate", "verify"):
+            assert code == 2, (command, err)
+            assert err == (f"input error: {command} needs field coefficients "
+                           "(Q or GF:p), the file has ring Z (at ring)\n")
+        else:
+            assert code == 0, (command, err)
+
+
 def test_verify_fail_exit_one(free_rank_file, capsys):
     assert main(["verify", free_rank_file]) == 1
     out = capsys.readouterr().out

@@ -7,6 +7,7 @@ from p1dom.complexes import (ChainComplex, ChainMap, Homotopy, cone,
                              verify_homotopy_retract)
 from p1dom.errors import RingMismatchError, UnsupportedRingError
 from p1dom.generators import (basis_change, random_complex,
+                              random_invertible, random_invertible_pair,
                               random_retract_witness, random_ring)
 from p1dom.laurent import BaseRing, LaurentPoly
 from p1dom.matrices import LaurentMatrix
@@ -189,6 +190,22 @@ def test_retract_generated_witnesses():
         assert verify_homotopy_retract(d, r, s, h)
 
 
+@pytest.mark.parametrize("ring", [QQ, GF(7), ZZ])
+def test_random_invertible_pair_is_inverse(ring):
+    # T^-1 is built alongside T by inverse column operations, with the
+    # same draws as random_invertible
+    rng = random.Random(21)
+    for n in range(6):
+        state = rng.getstate()
+        t, t_inv = random_invertible_pair(rng, ring, n, span=2)
+        rng.setstate(state)
+        assert random_invertible(rng, ring, n, span=2) == t
+        assert (t @ t_inv).is_identity
+        assert (t_inv @ t).is_identity
+        if n:
+            assert t.determinant().is_unit
+
+
 def test_retract_invariant_under_basis_change():
     # replace C by a basis-changed copy; transported (r, s, h) still verify
     rng = random.Random(12)
@@ -196,9 +213,10 @@ def test_retract_invariant_under_basis_change():
         ring = random_ring(rng)
         d, r, s, h = random_retract_witness(rng, ring)
         c = r.target
-        from p1dom.generators import random_invertible, _invert_unit_det
-        t = {m: random_invertible(rng, ring, c.rank(m)) for m in c.degrees()}
-        tinv = {m: _invert_unit_det(t[m]) for m in c.degrees()}
+        pairs = {m: random_invertible_pair(rng, ring, c.rank(m))
+                 for m in c.degrees()}
+        t = {m: pair[0] for m, pair in pairs.items()}
+        tinv = {m: pair[1] for m, pair in pairs.items()}
 
         def T(m):
             return t.get(m, LaurentMatrix.identity(ring, c.rank(m)))

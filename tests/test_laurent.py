@@ -3,7 +3,7 @@ import random
 import pytest
 
 from p1dom.errors import RingMismatchError, ShapeError
-from p1dom.laurent import BaseRing, LaurentPoly, divmod_laurent, exact_div
+from p1dom.laurent import BaseRing, LaurentPoly
 from p1dom.scalars import GF, QQ, ZZ
 
 from helpers import P
@@ -72,30 +72,6 @@ def test_ring_axioms_randomised(ring):
         assert a * (b + c) == a * b + a * c
         assert (a + b) * c == a * c + b * c
         assert a + b == b + a
-
-
-def test_divmod_euclidean_property():
-    rng = random.Random(3)
-    for _ in range(200):
-        a = _random_poly(rng, QQ)
-        b = _random_poly(rng, QQ)
-        if b.is_zero:
-            continue
-        q, r = divmod_laurent(a, b)
-        assert q * b + r == a
-        assert r.is_zero or r.core_degree < b.core_degree
-
-
-def test_exact_division():
-    a = P(QQ, (1, 1), (0, -1)) * P(QQ, (-2, 1), (3, 5))
-    assert exact_div(a, P(QQ, (1, 1), (0, -1))) == P(QQ, (-2, 1), (3, 5))
-
-
-def test_exact_division_integers():
-    a = P(ZZ, (1, 2), (0, -2)) * P(ZZ, (-1, 3), (2, 5))
-    assert exact_div(a, P(ZZ, (1, 2), (0, -2))) == P(ZZ, (-1, 3), (2, 5))
-    with pytest.raises(ShapeError):
-        exact_div(P(ZZ, (0, 3)), P(ZZ, (0, 2)))
 
 
 def test_evaluation():

@@ -148,16 +148,17 @@ def test_outputs_at_the_bounds_are_written_and_read_back(tmp_path):
     assert max(ff.load_complex(str(w)).ranks.values()) == ff.MAX_RANK
 
 
-def test_check_bounds_names_twists_and_spans():
+def test_loader_bounds_name_twists_and_spans():
+    # the bounds that guard written files are the loader's own
     data = ff.sheaf_to_dict(extend_complex(two_term(QQ, [(0, 1)])).sheaf)
-    ff.check_bounds(data)
+    ff.sheaf_from_dict(data)
     data["twist_profile"][0]["l"] = -ff.MAX_EXPONENT - 1
     with pytest.raises(FormatError, match=r"at twist_profile\[0\]\.l"):
-        ff.check_bounds(data)
+        ff.sheaf_from_dict(data)
     data = ff.complex_to_dict(two_term(QQ, [(0, 1)]))
     data["degrees"][1]["degree"] = ff.MAX_DEGREE_SPAN + 1
     with pytest.raises(FormatError, match="degree span 17 exceeds 16"):
-        ff.check_bounds(data)
+        ff.complex_from_dict(data)
 
 
 @pytest.mark.parametrize("command", ["homology", "novikov"])

@@ -1,5 +1,5 @@
-"""sympy as an independent oracle for the Smith form over K[x,x^-1] and
-the chart valuations over K[[x]] and K[[x^-1]].
+"""sympy as an independent oracle for the Smith form over K[x,x^-1], the
+chart valuations over K[[x]] and K[[x^-1]] and the determinant.
 
 A Laurent matrix A becomes the polynomial matrix x^s A (s clears the
 negative exponents).  Multiplying by a unit does not move invariant
@@ -12,6 +12,10 @@ of x stripped and made monic, must be the factors that
 The Smith form of a K[t]-matrix is also one over K[[t]] after scaling by
 units of K[[t]], so the t-adic orders of sympy's nonzero invariant factors
 over K[t] are the chart valuations.
+
+A determinant is checked on x^s A with s clearing the negative
+exponents: det(x^s A) = x^(ns) det(A) for n x n matrices.  Over GF(7)
+sympy takes the residues as integers and reduces its determinant mod 7.
 """
 
 import random
@@ -24,9 +28,9 @@ from sympy.matrices.normalforms import invariant_factors
 
 from p1dom.complexes import homology
 from p1dom.domination import _elementary_valuations
-from p1dom.laurent import BaseRing, LaurentPoly, divmod_laurent
+from p1dom.laurent import BaseRing, LaurentPoly
 from p1dom.matrices import LaurentMatrix
-from p1dom.scalars import GF, QQ
+from p1dom.scalars import GF, QQ, ZZ
 from p1dom.smith import invariant_factors as kernel_factors
 
 from helpers import HOMOLOGY_KINDS, M, homology_case, random_matrix
@@ -64,6 +68,14 @@ def _from_sympy(ring, expr) -> LaurentPoly:
     return p.unit_normalise()[2]
 
 
+def sympy_divides(f, g):
+    """Whether f divides g over K[x], by sympy's remainder; f and g are
+    factors as p1dom reports them (monic, zero valuation)."""
+    options = ({"domain": sympy.QQ} if f.ring is QQ
+               else {"modulus": f.ring.p})
+    return sympy.rem(_to_sympy(g, 0), _to_sympy(f, 0), X, **options) == 0
+
+
 def sympy_factors(a):
     """Nonzero invariant factors of a, normalised as p1dom reports them."""
     if a.rows == 0 or a.cols == 0:
@@ -84,7 +96,7 @@ def test_laurent_smith_form_against_sympy(seed, ring):
     a = random_matrix(rng, ring, rng.randint(1, 4), rng.randint(1, 4), 2)
     factors = kernel_factors(a)
     for f, g in zip(factors, factors[1:]):
-        assert divmod_laurent(g, f)[1].is_zero
+        assert sympy_divides(f, g)
     assert list(factors) == sympy_factors(a)
 
 
@@ -181,3 +193,66 @@ def test_chart_valuations_against_sympy(seed, ring, direction):
          for cell in row]
         for row in a], base)
     assert sorted(_elementary_valuations(chart, direction)) == want
+
+
+def _sympy_det(a):
+    """sympy's determinant of a Laurent matrix, as a LaurentPoly."""
+    n = a.rows
+    exps = [e for _, _, p in a.nonzero_entries() for e, _ in p.items()]
+    shift = -min(exps, default=0)
+    det = sympy.Matrix(n, n, lambda i, j: _to_sympy(a.entries[i][j], shift)
+                       ).det(method="berkowitz")
+    poly = (sympy.Poly(det, X, modulus=a.ring.p) if a.ring.p
+            else sympy.Poly(det, X, domain=sympy.QQ))
+    return LaurentPoly(a.ring, {
+        e - n * shift: Fraction(int(c.p), int(c.q)) if a.ring is QQ
+        else int(c)
+        for (e,), c in zip(poly.monoms(), poly.coeffs())})
+
+
+def _det_case(rng, ring, n, kind):
+    """An n x n matrix: random, a product B @ C through n - 1 (singular),
+    with a zero top-left entry above a nonzero one (Bareiss swaps rows),
+    or over Q with a different denominator in every row."""
+    if kind == "singular":
+        return (random_matrix(rng, ring, n, n - 1, 2)
+                @ random_matrix(rng, ring, n - 1, n, 2))
+    a = random_matrix(rng, ring, n, n, 2)
+    if kind == "swap" and n > 1:
+        grid = [list(row) for row in a.entries]
+        grid[0][0] = LaurentPoly.zero(ring)
+        grid[-1][0] = LaurentPoly(ring, {rng.randint(-2, 2): 1})
+        a = LaurentMatrix(ring, n, n, grid)
+    if kind == "denominators" and ring is QQ:
+        a = LaurentMatrix(ring, n, n, [
+            [p.scale(Fraction(1, den)) for p in row]
+            for row, den in zip(a.entries, (2, 3, 5, 7, 9, 4))])
+    return a
+
+
+@settings(deadline=None, max_examples=120)
+@given(seed=st.integers(0, 2 ** 32 - 1), ring=st.sampled_from([QQ, GF7, ZZ]),
+       n=st.integers(0, 5),
+       kind=st.sampled_from(["random", "singular", "swap", "denominators"]))
+def test_determinant_against_sympy(seed, ring, n, kind):
+    if kind == "singular" and n == 0:
+        n = 1
+    a = _det_case(random.Random(seed), ring, n, kind)
+    det = a.determinant()
+    assert det == _sympy_det(a)
+    if kind == "singular":
+        assert det.is_zero
+
+
+def test_determinant_swaps_a_zero_pivot_and_clears_denominators():
+    # [[0, x], [2, 1]] needs a row swap; the sign comes back
+    for ring in (QQ, GF7, ZZ):
+        a = M(ring, [[0, [(1, 1)]], [2, 1]])
+        assert a.determinant() == LaurentPoly(ring, {1: -2})
+        assert a.determinant() == _sympy_det(a)
+    # rows with denominators 2 and 3: det = 1/2 - x/3
+    a = LaurentMatrix(QQ, 2, 2, [
+        [LaurentPoly(QQ, {0: Fraction(1, 2)}), LaurentPoly(QQ, {1: 1})],
+        [LaurentPoly(QQ, {0: Fraction(1, 3)}), LaurentPoly(QQ, {0: 1})]])
+    assert a.determinant() == LaurentPoly(QQ, {0: Fraction(1, 2),
+                                               1: Fraction(-1, 3)})
