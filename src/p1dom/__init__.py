@@ -3,9 +3,10 @@
 Bounded complexes of free modules over K[x,x^-1] extend constructively to
 complexes of twisted sums on the projective line; their global sections
 give a finite complex over K, and Novikov acyclicity (decided exactly over
-a field via Smith normal form torsion) makes that complex a finite
-domination witness, audited degree by degree against the exact homology
-of the two charts over the power-series rings.
+a field via Smith normal form torsion; over Z by a sound unit-pivot search
+on truncated Laurent series, kept as coefficient-list windows) makes that
+complex a finite domination witness, audited degree by degree against the
+exact homology of the two charts over the power-series rings.
 """
 
 from .complexes import (ChainComplex, ChainMap, Homotopy, HomologyReport,
@@ -21,7 +22,6 @@ from .extension import (ExtensionResult, MorphismExtension, extend_complex,
 from .laurent import BaseRing, LaurentPoly
 from .matrices import LaurentMatrix
 from .scalars import GF, QQ, ZZ, CoefficientRing, ring_from_tag
-from .series import TruncatedSeries, laurent_series, power_series
 from .sheaves import (CechCohomology, SheafComplex, SheafDiagram,
                       TwistSummand, cech_cohomology, cech_complex,
                       sheaf_hyper_homology_dims, sheaf_iota, sheaf_iota_exact,

@@ -3,9 +3,11 @@
 Field mode decides acyclicity over both formal Laurent series rings at once:
 over a field those rings contain K[x,x^-1], so acyclicity after base change
 is equivalent to every homology module being torsion, which the Smith
-normal form decides exactly.  Z mode uses series arithmetic: determinant
-head units for two-term complexes, and a greedy unit-pivot elimination on
-truncated series matrices for longer ones (sound, possibly "unknown").
+normal form decides exactly.  Z mode runs on Z windows of ``order`` terms
+(``polylists.window``: a coefficient entry in t = x or t = x^-1 and its
+first unknown t-exponent): determinant head units for two-term complexes,
+and a greedy unit-pivot elimination on matrices of windows for longer ones
+(sound, possibly "unknown").
 
 The witness produced for a Novikov-acyclic complex is the complex of global
 sections W of the extension to the projective line (a ``ScalarComplex``:
@@ -45,14 +47,14 @@ from dataclasses import dataclass, field
 
 from .complexes import (ChainComplex, HomologyReport, ScalarComplex, homology,
                         homology_dims)
-from .errors import (NotAUnitError, NotNovikovAcyclicError, ShapeError,
+from .errors import (NotAUnitError, NotNovikovAcyclicError,
                      StabilisationFailureError, UnsupportedRingError)
 from .extension import ExtensionResult, extend_complex
 from .laurent import BaseRing, LaurentPoly
 from .matrices import LaurentMatrix, ScalarMatrix
 from .polylists import (exact_quotient, from_laurent, integer_row, lincomb,
-                        scaled)
-from .series import TruncatedSeries, laurent_series
+                        scaled, window, window_difference, window_inverse,
+                        window_product)
 from .sheaves import SheafComplex, cech_complex
 
 
@@ -296,15 +298,12 @@ def _two_term_square(c: ChainComplex):
 
 
 def _unit_det_side(det: LaurentPoly, direction: int, order: int) -> SideVerdict:
-    ring = det.ring
     var = "x" if direction == 1 else "x^-1"
     if det.is_zero:
         return SideVerdict("no", "unit-determinant",
                            {"determinant": "0", "side": var})
-    series = TruncatedSeries.from_laurent(
-        det, laurent_series(ring, direction), order)
     try:
-        inverse = series.invert()
+        (v, c), _ = window_inverse(window(det, direction, order))
     except NotAUnitError as exc:
         return SideVerdict("no", "unit-determinant", {
             "determinant": str(det),
@@ -314,37 +313,37 @@ def _unit_det_side(det: LaurentPoly, direction: int, order: int) -> SideVerdict:
     return SideVerdict("yes", "unit-determinant", {
         "determinant": str(det),
         "side": var,
-        "inverse_terms": [[e, ring.render(co)] for e, co in inverse.x_terms()],
+        "inverse_terms": [[direction * (v + k), str(x)]
+                          for k, x in enumerate(c) if x],
         "order": order,
     })
 
 
 def _contraction_side(c: ChainComplex, direction: int, order: int) -> SideVerdict:
-    """Greedy unit-pivot elimination over truncated series.
+    """Greedy unit-pivot elimination on Z windows (``polylists.window``).
 
-    Each pivot with certified unit head splits off a contractible two-term
-    summand; if everything cancels the complex is acyclic over the series
-    ring.  Failure to finish yields "unknown" (the search is sound but
-    incomplete: Z[x,x^-1] is not a PID).
+    Each pivot with a unit lowest coefficient splits off a contractible
+    two-term summand; if everything cancels the complex is acyclic over
+    the series ring.  Failure to finish yields "unknown" (the search is
+    sound but incomplete: Z[x,x^-1] is not a PID).  Every update is
+    defined: each stored window has width at least 1 (a difference that
+    is zero on its window is dropped), and over the integral domain Z a
+    product of nonzero windows has a nonzero lowest coefficient.
     """
-    sring = laurent_series(c.ring, direction)
     gens = {m: set(range(c.rank(m))) for m in c.degrees()}
-    mats = {}
-    for m in range(c.lo + 1, c.hi + 1):
-        entries = {}
-        for i, j, p in c.diff(m).nonzero_entries():
-            entries[(i, j)] = TruncatedSeries.from_laurent(p, sring, order)
-        mats[m] = entries
+    mats = {m: {(i, j): window(p, direction, order)
+                for i, j, p in c.diff(m).nonzero_entries()}
+            for m in range(c.lo + 1, c.hi + 1)}
     transcript = []
     var = "x" if direction == 1 else "x^-1"
     while True:
-        pivot = _find_unit_pivot(mats, c.ring)
+        pivot = _find_unit_pivot(mats)
         if pivot is None:
             break
         m, (pi, pj) = pivot
         a = mats[m].pop((pi, pj))
         try:
-            a_inv = a.invert()
+            a_inv = window_inverse(a)
         except NotAUnitError as exc:
             raise AssertionError(
                 f"novikov {var}-side contraction, degree {m}: pivot "
@@ -352,29 +351,17 @@ def _contraction_side(c: ChainComplex, direction: int, order: int) -> SideVerdic
             ) from exc
         row = {j: s for (i, j), s in mats[m].items() if i == pi}
         col = {i: s for (i, j), s in mats[m].items() if j == pj}
-        ok = True
-        updates = {}
         for i2, cs in col.items():
+            ca = window_product(cs, a_inv)
             for j2, bs in row.items():
-                try:
-                    delta = cs * a_inv * bs
-                except ShapeError:
-                    ok = False
-                    break
-                key = (i2, j2)
-                cur = mats[m].get(key)
-                updates[key] = (-delta) if cur is None else (cur - delta)
-            if not ok:
-                break
-        if not ok:
-            # window died; put the pivot back and give up on this side
-            mats[m][(pi, pj)] = a
-            break
-        for (i2, j2), val in updates.items():
-            if val.is_zero_on_window and val.lower_exact:
-                mats[m].pop((i2, j2), None)
-            else:
-                mats[m][(i2, j2)] = val
+                delta = window_product(ca, bs)
+                cur = mats[m].get((i2, j2))
+                val = ((scaled(delta[0], -1, 0), delta[1]) if cur is None
+                       else window_difference(cur, delta))
+                if val is None:
+                    del mats[m][(i2, j2)]
+                else:
+                    mats[m][(i2, j2)] = val
         for key in list(mats[m]):
             if key[0] == pi or key[1] == pj:
                 del mats[m][key]
@@ -389,7 +376,7 @@ def _contraction_side(c: ChainComplex, direction: int, order: int) -> SideVerdic
         gens[m].discard(pj)
         gens[m - 1].discard(pi)
         transcript.append({"degree": m, "row": pi, "col": pj,
-                           "pivot_valuation": a.valuation})
+                           "pivot_valuation": a[0][0]})
     remaining = sum(len(g) for g in gens.values())
     if remaining == 0:
         return SideVerdict("yes", "truncated-contraction", {
@@ -404,15 +391,15 @@ def _contraction_side(c: ChainComplex, direction: int, order: int) -> SideVerdic
     })
 
 
-def _find_unit_pivot(mats, ring):
+def _find_unit_pivot(mats):
+    """The window of widest width, then of least |valuation|, whose lowest
+    coefficient is a unit and whose width is at least 2."""
     best = None
     for m, entries in mats.items():
-        for (i, j), s in entries.items():
-            if s.valuation is None or s.width < 2:
+        for (i, j), ((v, c), end) in entries.items():
+            if end - v < 2 or c[0] not in (1, -1):
                 continue
-            if not ring.is_unit(s.coeffs[0]):
-                continue
-            key = (-s.width, abs(s.valuation), m, i, j)
+            key = (v - end, abs(v), m, i, j)
             if best is None or key < best[0]:
                 best = (key, m, (i, j))
     if best is None:

@@ -12,15 +12,23 @@ One long division, ``pseudo_divmod``, serves every kernel: the Smith and
 column echelon eliminations of ``smith``, the forward substitution of
 ``smith.kernel_coordinates``, and, as ``exact_quotient``, the Bareiss
 divisions of ``determinant`` (behind ``LaurentMatrix.determinant``) and of
-the chart valuations of ``domination``.  ``LaurentPoly`` values are built
-only for their input and output.
+the chart valuations of ``domination``.  ``window_inverse``, the series
+inverse of a Z window, serves the Z-mode Novikov check of ``domination``.
+``LaurentPoly`` values are built only for their input and output.
+
+A Z window (entry, end) is an entry in t (t = x, or t = x^-1 with the
+list reversed) whose terms are known below the t-exponent ``end`` and
+unknown from it on.  A window is cut from a Laurent polynomial
+(``window``), multiplied (``window_product``), subtracted
+(``window_difference``) and inverted (``window_inverse``); every result is
+known on the widest window its operands determine.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from .errors import ShapeError
+from .errors import NotAUnitError, ShapeError
 from .laurent import LaurentPoly
 
 ONE = (0, [1])
@@ -215,3 +223,51 @@ def make_primitive(entries, indices):
         for i in indices:
             if entries[i] is not None:
                 entries[i] = divided(entries[i], g)
+
+
+def window(poly, direction, order):
+    """The Z window of the nonzero LaurentPoly ``poly`` in t = x^direction,
+    cut to ``order`` terms from its t-adic valuation."""
+    v, c = from_laurent(poly)
+    if direction == -1:
+        v, c = 1 - v - len(c), c[::-1]
+    return trim(v, c[:order]), v + order
+
+
+def window_product(a, b):
+    """a*b, known on the narrower of the two widths (end - valuation)."""
+    (va, ca), end_a = a
+    (vb, cb), end_b = b
+    n = min(end_a - va, end_b - vb)
+    acc = [0] * min(n, len(ca) + len(cb) - 1)
+    for i, x in enumerate(ca[:n]):
+        for k, y in enumerate(cb[:n - i], i):
+            acc[k] += x * y
+    # over Z the lowest coefficient ca[0] * cb[0] is nonzero
+    return trim(va + vb, acc), va + vb + n
+
+
+def window_difference(a, b):
+    """a - b, known below the lower end; None when it is zero there."""
+    end = min(a[1], b[1])
+    lo = min(a[0][0], b[0][0])
+    acc = [0] * (end - lo)
+    for ((v, c), _), sign in ((a, 1), (b, -1)):
+        for k, x in enumerate(c[:max(end - v, 0)], v - lo):
+            acc[k] += sign * x
+    e = trim(lo, acc)
+    return None if e is None else (e, end)
+
+
+def window_inverse(a):
+    """1/a on the width of a, whose lowest coefficient must be 1 or -1."""
+    (v, c), end = a
+    head = c[0]
+    if head not in (1, -1):
+        raise NotAUnitError(f"lowest coefficient {head} is not a unit of Z")
+    n = end - v
+    out = [head] + [0] * (n - 1)
+    for k in range(1, n):
+        out[k] = -head * sum(c[i] * out[k - i]
+                             for i in range(1, min(k + 1, len(c))))
+    return trim(-v, out), n - v

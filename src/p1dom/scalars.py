@@ -103,17 +103,11 @@ class CoefficientRing:
     def add(self, a, b):
         return (a + b) % self.p if self.kind == "GF" else a + b
 
-    def sub(self, a, b):
-        return (a - b) % self.p if self.kind == "GF" else a - b
-
     def mul(self, a, b):
         return (a * b) % self.p if self.kind == "GF" else a * b
 
     def neg(self, a):
         return (-a) % self.p if self.kind == "GF" else -a
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def is_unit(self, a) -> bool:
         if self.kind == "Z":

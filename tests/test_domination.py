@@ -272,15 +272,30 @@ def test_verify_theorem_randomised():
         assert report.witness.plus_order <= 64
 
 
+def test_contraction_pivot_is_widest_then_least_valuation():
+    from p1dom.domination import _find_unit_pivot
+
+    mats = {1: {(0, 0): ((0, [1]), 2),        # width 2
+                (0, 1): ((-1, [1, 3]), 3),    # width 4, |valuation| 1
+                (1, 0): ((1, [-1]), 5),       # width 4, |valuation| 1
+                (1, 1): ((0, [2, 1]), 16),    # lowest coefficient 2
+                (2, 2): ((0, [1]), 1)},       # width 1
+            2: {(0, 0): ((2, [1]), 5)}}       # width 3
+    assert _find_unit_pivot(mats) == (1, (0, 1))
+    mats[2][(1, 1)] = ((0, [-1]), 4)          # width 4, valuation 0
+    assert _find_unit_pivot(mats) == (2, (1, 1))
+    assert _find_unit_pivot({1: {(0, 0): ((0, [3]), 9)}}) is None
+
+
 def test_contraction_pivot_that_does_not_invert_is_internal_error(
         monkeypatch):
+    import p1dom.domination as domination
     from p1dom.errors import NotAUnitError
-    from p1dom.series import TruncatedSeries
 
-    def refuse(self):
+    def refuse(a):
         raise NotAUnitError("refused")
 
-    monkeypatch.setattr(TruncatedSeries, "invert", refuse)
+    monkeypatch.setattr(domination, "window_inverse", refuse)
     c = two_term(ZZ, [(1, 1), (0, -1)]).direct_sum(
         two_term(ZZ, [(1, 1), (0, -1)], top=2))
     with pytest.raises(AssertionError, match="contraction, degree"):

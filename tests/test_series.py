@@ -1,86 +1,83 @@
+"""Z windows: truncated Laurent series over Z in t = x or t = x^-1.
+
+A window (entry, end) holds the terms of a series known below the
+t-exponent ``end`` (``p1dom.polylists.window`` and its arithmetic).
+"""
+
 import random
 
 import pytest
 
 from p1dom.errors import NotAUnitError
 from p1dom.laurent import LaurentPoly
-from p1dom.scalars import GF, QQ, ZZ
-from p1dom.series import TruncatedSeries, laurent_series, power_series
+from p1dom.polylists import (window, window_difference, window_inverse,
+                             window_product)
+from p1dom.scalars import ZZ
 
 from helpers import P
 
 
 def test_geometric_series():
-    # oracle: 1/(1-x) = 1 + x + x^2 + x^3 + ...
-    f = TruncatedSeries.from_laurent(P(QQ, (0, 1), (1, -1)),
-                                     power_series(QQ), 4)
-    g = f.invert()
-    assert g.x_terms() == [(0, QQ.one()), (1, QQ.one()),
-                           (2, QQ.one()), (3, QQ.one())]
+    # oracle: 1/(1-x) = 1 + x + x^2 + x^3 + O(x^4)
+    f = window(P(ZZ, (0, 1), (1, -1)), 1, 4)
+    assert f == ((0, [1, -1]), 4)
+    assert window_inverse(f) == ((0, [1, 1, 1, 1]), 4)
 
 
 def test_integer_non_unit_head():
-    f = TruncatedSeries.from_laurent(P(ZZ, (0, 2), (1, -1)),
-                                     power_series(ZZ), 4)
-    with pytest.raises(NotAUnitError):
-        f.invert()
+    f = window(P(ZZ, (0, 2), (1, -1)), 1, 4)
+    with pytest.raises(NotAUnitError,
+                       match="^lowest coefficient 2 is not a unit of Z$"):
+        window_inverse(f)
 
 
 def test_inverse_direction_expansion():
-    # -x(1 - 2x^-1) = -x + 2 in Z((x^-1)); inverse is
-    # -x^-1 (1 + 2 x^-1 + 4 x^-2) by hand expansion
-    f = TruncatedSeries.from_laurent(P(ZZ, (1, -1), (0, 2)),
-                                     laurent_series(ZZ, direction=-1), 3)
-    g = f.invert()
-    assert g.x_terms() == [(-1, -1), (-2, -2), (-3, -4)]
-
-
-def test_positive_valuation_not_invertible_in_power_series():
-    f = TruncatedSeries.from_laurent(P(QQ, (1, 1)), power_series(QQ), 4)
-    with pytest.raises(NotAUnitError):
-        f.invert()
-    # but fine in the Laurent series ring
-    g = TruncatedSeries.from_laurent(P(QQ, (1, 1)),
-                                     laurent_series(QQ), 4).invert()
-    assert g.x_terms() == [(-1, QQ.one())]
-
-
-@pytest.mark.parametrize("ring", [QQ, GF(7), ZZ])
-def test_inverse_identity_on_window(ring):
-    rng = random.Random(hash(ring.tag) & 0xFF)
-    one = TruncatedSeries.one(laurent_series(ring), 6)
-    for _ in range(50):
-        coeffs = {0: ring.from_int(rng.choice([1, -1]))}
-        for _ in range(rng.randint(0, 4)):
-            coeffs[rng.randint(1, 5)] = ring.from_int(rng.randint(-4, 4))
-        f = TruncatedSeries.from_laurent(
-            LaurentPoly(ring, coeffs).times_monomial(rng.randint(-2, 2)),
-            laurent_series(ring), 6)
-        err = f * f.invert() - TruncatedSeries.one(
-            laurent_series(ring), 6)
-        assert err.is_zero_on_window
+    # 2 - x = -x(1 - 2x^-1) in Z((x^-1)), t = x^-1: -t^-1 + 2, whose
+    # inverse is -t (1 + 2t + 4t^2) = -x^-1 - 2x^-2 - 4x^-3 + O(x^-4)
+    f = window(P(ZZ, (0, 2), (1, -1)), -1, 3)
+    assert f == ((-1, [-1, 2]), 2)
+    assert window_inverse(f) == ((1, [-1, -2, -4]), 4)
 
 
 def test_multiplication_window_tracking():
-    f = TruncatedSeries.from_laurent(P(QQ, (0, 1), (1, 1)),
-                                     power_series(QQ), 5)
-    g = TruncatedSeries.from_laurent(P(QQ, (2, 1)), power_series(QQ), 3)
-    h = f * g
-    assert h.start == 2
-    assert h.width == 3          # min of the operand widths
-    assert h.end == 5
+    # (1 + x + O(x^5)) * (x^2 + O(x^5)): width min(5, 3) from x^2
+    f = window(P(ZZ, (0, 1), (1, 1)), 1, 5)
+    g = window(P(ZZ, (2, 1)), 1, 3)
+    assert window_product(f, g) == ((2, [1, 1]), 5)
+    # the product is cut at the narrower width, not at the longer entry
+    h = window(P(ZZ, (0, 1), (1, 1), (2, 1), (3, 1)), 1, 4)
+    assert window_product(h, window(P(ZZ, (0, 1), (1, 1)), 1, 2)) == (
+        (0, [1, 2]), 2)
 
 
 def test_addition_window_is_intersection():
-    f = TruncatedSeries.from_laurent(P(QQ, (0, 1)), power_series(QQ), 6)
-    g = TruncatedSeries.from_laurent(P(QQ, (1, 1)), power_series(QQ), 3)
-    s = f + g
-    assert s.end == min(f.end, g.end)
-    assert s.coeff(0) == QQ.one() and s.coeff(1) == QQ.one()
+    # a difference is known below the lower of the two ends
+    f = window(P(ZZ, (0, 1)), 1, 6)
+    g = window(P(ZZ, (1, -1), (4, 7)), 1, 3)
+    assert window_difference(f, g) == ((0, [1, 1]), 4)
+    # a term of f past the end of g is not known in the difference
+    late = window(P(ZZ, (5, 3)), 1, 2)
+    assert window_difference(late, g) == ((1, [1]), 4)
 
 
 def test_zero_window_has_no_valuation():
-    z = TruncatedSeries.zero_window(power_series(QQ), 4)
-    assert z.valuation is None
-    with pytest.raises(NotAUnitError):
-        z.invert()
+    # there is no zero window: a difference that vanishes on its window
+    # is None, although the operands differ beyond it
+    f = window(P(ZZ, (0, 1), (2, 3)), 1, 2)
+    g = window(P(ZZ, (0, 1), (3, 5)), 1, 3)
+    assert window_difference(f, g) is None
+
+
+def test_inverse_identity_on_window():
+    rng = random.Random(0)
+    for _ in range(50):
+        coeffs = {0: rng.choice([1, -1])}
+        for _ in range(rng.randint(0, 4)):
+            coeffs[rng.randint(1, 5)] = rng.randint(-4, 4)
+        poly = LaurentPoly(ZZ, coeffs).times_monomial(rng.randint(-2, 2))
+        for direction in (1, -1):
+            if direction == -1 and poly.items()[-1][1] not in (1, -1):
+                continue
+            w = window(poly, direction, 6)
+            prod = window_product(w, window_inverse(w))
+            assert prod == ((0, [1]), 6)
