@@ -3,9 +3,15 @@
 All files are JSON.  Laurent polynomials serialise as arrays of
 [exponent, coefficient-string] pairs with exponents ascending; rationals
 render as "a/b" or "a", GF(p) residues and integers as decimal strings.
-Serialisation is bit-stable: degrees ascend, field order is fixed, and
-dumps always end with a newline.  A complex with base "K" loads as a
-``ScalarComplex`` of sparse rows of constants.
+A coefficient string is read as ASCII ``-?[0-9]+``, over Q also
+``-?[0-9]+/[0-9]+``: a plus sign, spaces, underscores and non-ASCII
+digits are a FormatError.  Serialisation is bit-stable: degrees ascend,
+field order is fixed, and every file and report is laid out by
+``dumps_canonical``: each array item and object member on its own line
+under a two-space indent, "," after each but the last, ": " after each
+key, empty arrays and objects as ``[]`` and ``{}``, ``\\uXXXX`` escapes
+for non-ASCII and control characters, and a final newline.  A complex
+with base "K" loads as a ``ScalarComplex`` of sparse rows of constants.
 
 Loading is bounded before anything is built: a degree span above
 MAX_DEGREE_SPAN, a rank above MAX_RANK or an exponent or twist above
@@ -28,9 +34,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii as _escape
 
 from .complexes import ChainComplex, ScalarComplex
-from .errors import FormatError
+from .errors import FormatError, UnsupportedRingError
 from .laurent import BaseRing, LaurentPoly, base_from_tag
 from .matrices import LaurentMatrix, ScalarMatrix
 from .scalars import CoefficientRing, ring_from_tag
@@ -56,17 +63,17 @@ def poly_from_pairs(ring: CoefficientRing, pairs, where: str) -> LaurentPoly:
         raise FormatError("polynomial must be an array of pairs", where)
     acc = []
     for idx, pair in enumerate(pairs):
-        loc = f"{where}[{idx}]"
         if (not isinstance(pair, list) or len(pair) != 2
                 or not isinstance(pair[1], str)):
-            raise FormatError(
-                "expected [exponent, coefficient-string]", loc)
-        _check_exponent(_integer(pair[0], "exponent", f"{loc}[0]"),
-                        f"{loc}[0]")
+            raise FormatError("expected [exponent, coefficient-string]",
+                              f"{where}[{idx}]")
+        if type(pair[0]) is not int or abs(pair[0]) > MAX_EXPONENT:
+            _check_exponent(pair[0], f"{where}[{idx}][0]")
         try:
             acc.append((pair[0], ring.parse(pair[1])))
-        except Exception as exc:
-            raise FormatError(f"bad coefficient: {exc}", loc) from exc
+        except UnsupportedRingError as exc:
+            raise FormatError(f"bad coefficient: {exc}",
+                              f"{where}[{idx}]") from exc
     return LaurentPoly.from_pairs(ring, acc)
 
 
@@ -79,8 +86,8 @@ def _integer(value, field: str, where: str) -> int:
     return value
 
 
-def _check_exponent(e: int, where: str):
-    if abs(e) > MAX_EXPONENT:
+def _check_exponent(e, where: str):
+    if abs(_integer(e, "exponent", where)) > MAX_EXPONENT:
         raise FormatError(
             f"exponent {e} exceeds {MAX_EXPONENT} in absolute value", where)
 
@@ -302,9 +309,64 @@ def sheaf_from_dict(data: dict) -> SheafComplex:
 
 
 def dumps_canonical(obj) -> str:
-    """Fixed-layout JSON text; byte-stable for identical inputs."""
-    return json.dumps(obj, indent=2, sort_keys=False,
-                      separators=(",", ": ")) + "\n"
+    """Fixed-layout JSON text; byte-stable for identical inputs.
+
+    The text the standard library's encoder writes with ``indent=2``,
+    separators ``","`` and ``": "`` and ASCII escapes, and a final
+    newline.  It is written by hand because up to Python 3.12 any indent
+    sends the standard library to its pure-Python encoder, three times
+    slower.  Only dict (str keys), list, str, int, bool and None are
+    written; anything else is a TypeError naming its type.
+    """
+    out = []
+    _write_json(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _write_json(o, out: list, nl: str):
+    """Append the text of ``o`` to ``out``; ``nl`` is the newline and
+    indent of the line ``o`` starts on."""
+    t = type(o)
+    if t is str:
+        out.append(_escape(o))
+    elif t is int:
+        out.append(int.__repr__(o))
+    elif t is list:
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in o:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif t is dict:
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in o.items():
+            if type(key) is not str:
+                raise TypeError(
+                    f"keys must be str, not {type(key).__name__}")
+            out.append(sep)
+            out.append(_escape(key))
+            out.append(": ")
+            _write_json(value, out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif o is None or t is bool:
+        out.append(_LITERALS[o])
+    else:
+        raise TypeError(
+            f"Object of type {t.__name__} is not JSON serializable")
 
 
 def loads(text: str):

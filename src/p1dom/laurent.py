@@ -85,7 +85,7 @@ class LaurentPoly:
         """Build from ``[(exponent, coefficient), ...]``, summing repeats."""
         acc = {}
         for e, c in pairs:
-            acc[e] = ring.add(acc.get(e, ring.zero()), ring.normalise(c))
+            acc[e] = acc[e] + c if e in acc else c
         return cls(ring, acc)
 
     # -- canonical data ----------------------------------------------------

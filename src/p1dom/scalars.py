@@ -8,10 +8,15 @@ appears anywhere in this package.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NotAUnitError, RingMismatchError, UnsupportedRingError
+
+# coefficient strings of every file format; unlike int(), [0-9] is ASCII only
+_DECIMAL = re.compile(r"-?[0-9]+")
+_FRACTION = re.compile(r"-?[0-9]+/[0-9]+")
 
 
 def _is_prime(n: int) -> bool:
@@ -133,18 +138,17 @@ class CoefficientRing:
         return str(a)
 
     def parse(self, text: str):
-        text = text.strip()
+        """The element written ``text``: ASCII decimal ``-?[0-9]+``, over Q
+        also ``-?[0-9]+/[0-9]+``; nothing else, not even whitespace."""
         try:
-            if self.kind == "Q":
-                if "/" in text:
-                    num, den = text.split("/")
-                    return Fraction(int(num), int(den))
-                return Fraction(int(text))
-            return self.normalise(int(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UnsupportedRingError(
-                f"cannot parse {text!r} as an element of {self.tag}"
-            ) from exc
+            if _DECIMAL.fullmatch(text):
+                return self.from_int(int(text))
+            if self.kind == "Q" and _FRACTION.fullmatch(text):
+                return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass  # past Python's digit limit, or a zero denominator
+        raise UnsupportedRingError(
+            f"cannot parse {text!r} as an element of {self.tag}")
 
 
 QQ = CoefficientRing("Q")

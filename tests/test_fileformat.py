@@ -1,9 +1,14 @@
 import json
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p1dom import fileformat as ff
+from p1dom.cli import main
 from p1dom.complexes import ChainComplex
 from p1dom.errors import FormatError
 from p1dom.extension import extend_complex, restrict_to_torus
@@ -103,3 +108,98 @@ def test_base_ring_enforced_on_load():
     data["base"] = "K[x]"
     with pytest.raises(FormatError):
         ff.complex_from_dict(data)
+
+
+# -- the canonical writer against the standard library ---------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+# any code point, lone surrogates included: both writers escape them
+JSON_TEXT = st.text(st.characters(blacklist_categories=()))
+JSON_TREES = st.recursive(
+    st.none() | st.booleans()
+    | st.integers(-2**70, 2**70) | st.integers(-3, 3)
+    | st.sampled_from([2**64, -2**64 - 1, 10**30])
+    | JSON_TEXT
+    | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é", "\U0001d11e", "\ud800"]),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=40)
+
+
+def _depth(obj):
+    if isinstance(obj, (list, dict)):
+        values = obj.values() if isinstance(obj, dict) else obj
+        return 1 + max(map(_depth, values), default=0)
+    return 0
+
+
+@settings(deadline=None, max_examples=400)
+@given(obj=JSON_TREES.filter(lambda o: _depth(o) <= 6))
+def test_dumps_canonical_matches_stdlib_indent_encoder(obj):
+    assert ff.dumps_canonical(obj) == json.dumps(
+        obj, indent=2, separators=(",", ": ")) + "\n"
+
+
+@pytest.mark.parametrize("obj, name", [
+    (1.5, "float"), ((1, 2), "tuple"), ({1, 2}, "set"), ({1: "x"}, "int"),
+    ([{"a": [0.0]}], "float"), ({"a": {(0,): 1}}, "tuple"),
+], ids=["float", "tuple", "set", "int-key", "nested-float", "tuple-key"])
+def test_dumps_canonical_refuses_other_types(obj, name):
+    with pytest.raises(TypeError, match=name):
+        ff.dumps_canonical(obj)
+
+
+JSON_FILES = sorted(
+    p for p in [*ROOT.glob("tests/golden/*.out"), *ROOT.glob("samples/*")]
+    if p.read_text(encoding="utf-8").startswith("{"))
+
+
+def test_json_files_found():
+    # every sample, and the golden reports and files of the exit-0 runs
+    assert len(JSON_FILES) >= 30
+
+
+@pytest.mark.parametrize("path", JSON_FILES,
+                         ids=[p.name for p in JSON_FILES])
+def test_json_files_redump_to_their_own_bytes(path):
+    text = path.read_text(encoding="utf-8")
+    assert ff.dumps_canonical(json.loads(text)) == text
+
+
+# -- coefficient strings ------------------------------------------------------
+
+
+@pytest.mark.parametrize("text", [
+    "1_0", "+5", " 5 ", "5\n", "\u0663", "\uff15", "1/-2", "1/+2", "", "-",
+    "1/", "/2", "1.0", "1e3", "0x10", "--1",
+], ids=["underscore", "plus", "spaces", "newline", "arabic-indic",
+        "fullwidth", "negative-denominator", "plus-denominator", "empty",
+        "sign-only", "no-denominator", "no-numerator", "decimal-point",
+        "exponent", "hex", "double-sign"])
+def test_non_decimal_coefficient_exits_2(text, tmp_path, capsys):
+    data = json.loads((ROOT / "samples/x-minus-1.cplx").read_text())
+    data["differentials"][0]["matrix"][0][0][1][1] = text
+    path = tmp_path / "bad.cplx"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"input error: bad coefficient: cannot parse {text!r} as an element "
+        "of Q (at differentials[0].matrix[0][0][1])\n")
+
+
+@pytest.mark.parametrize("ring, text, value", [
+    (QQ, "3/6", Fraction(1, 2)), (QQ, "-0", 0), (QQ, "007", 7),
+    (GF(7), "12", 5), (GF(7), "-1", 6), (ZZ, "-12", -12),
+])
+def test_decimal_coefficients_load(ring, text, value):
+    c = ff.complex_from_dict({
+        "format": ff.COMPLEX_FORMAT, "version": 1, "ring": ring.tag,
+        "degrees": [{"degree": 0, "rank": 1}, {"degree": 1, "rank": 1}],
+        "differentials": [{"degree": 1, "matrix": [[[[0, text]]]]}]})
+    assert c.diff(1).entries[0][0].coeff(0) == value
+
+
+def test_fraction_strings_are_refused_outside_q():
+    for ring in (GF(7), ZZ):
+        with pytest.raises(FormatError, match="cannot parse '1/2'"):
+            ff.poly_from_pairs(ring, [[0, "1/2"]], "cell")
