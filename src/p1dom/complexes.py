@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .errors import RingMismatchError, ShapeError, UnsupportedRingError
 from .laurent import BaseRing, LaurentPoly
 from .matrices import LaurentMatrix, scalar_rank
+from .polylists import dot
 from .scalars import CoefficientRing
 from .smith import invariant_factors
 
@@ -107,18 +108,18 @@ class ChainComplex:
 
     def validate(self):
         """Full d.d = 0 and exponent-constraint report; [] means valid."""
-        problems = []
-        for m in range(self.lo + 1, self.hi + 1):
-            d = self.diff(m)
-            for i, row in enumerate(d.entries):
-                for j, p in enumerate(row):
-                    if not p.respects(self.base):
-                        problems.append(
-                            f"degree {m}: entry ({i},{j}) = {p} violates "
-                            f"{self.base.tag}")
+        problems = [
+            f"degree {m}: entry ({i},{j}) = {p} violates {self.base.tag}"
+            for m in range(self.lo + 1, self.hi + 1)
+            for i, j, p in self.diff(m).nonzero_entries()
+            if not p.respects(self.base)]
+        p = self.ring.p
         for m in range(self.lo + 2, self.hi + 1):
-            prod = self.diff(m - 1) @ self.diff(m)
-            if not prod.is_zero:
+            rows = [[q.entry for q in row] for row in self.diff(m - 1).entries]
+            cols = [[q.entry for q in col]
+                    for col in zip(*self.diff(m).entries)]
+            if any(dot(row, col, p) is not None
+                   for row in rows for col in cols):
                 problems.append(f"degree {m}: d.d != 0")
         return problems
 

@@ -52,9 +52,8 @@ from .errors import (NotAUnitError, NotNovikovAcyclicError,
 from .extension import ExtensionResult, extend_complex
 from .laurent import BaseRing, LaurentPoly
 from .matrices import LaurentMatrix, ScalarMatrix
-from .polylists import (exact_quotient, from_laurent, integer_row, lincomb,
-                        scaled, window, window_difference, window_inverse,
-                        window_product)
+from .polylists import (exact_quotient, integer_row, lincomb, scaled, window,
+                        window_difference, window_inverse, window_product)
 from .sheaves import SheafComplex, cech_complex
 
 
@@ -132,8 +131,8 @@ def _elementary_valuations(d: LaurentMatrix, direction: int,
         shift = -row_exps[i] if row_exps else 0
         live = {}
         for j, poly in enumerate(row):
-            if poly:
-                v, c = from_laurent(poly)
+            if poly.entry is not None:
+                v, c = poly.entry
                 v += shift + (col_exps[j] if col_exps else 0)
                 live[j] = (v, c) if direction == 1 else (1 - v - len(c),
                                                          c[::-1])
@@ -303,7 +302,7 @@ def _unit_det_side(det: LaurentPoly, direction: int, order: int) -> SideVerdict:
         return SideVerdict("no", "unit-determinant",
                            {"determinant": "0", "side": var})
     try:
-        (v, c), _ = window_inverse(window(det, direction, order))
+        (v, c), _ = window_inverse(window(det.entry, direction, order))
     except NotAUnitError as exc:
         return SideVerdict("no", "unit-determinant", {
             "determinant": str(det),
@@ -331,7 +330,7 @@ def _contraction_side(c: ChainComplex, direction: int, order: int) -> SideVerdic
     product of nonzero windows has a nonzero lowest coefficient.
     """
     gens = {m: set(range(c.rank(m))) for m in c.degrees()}
-    mats = {m: {(i, j): window(p, direction, order)
+    mats = {m: {(i, j): window(p.entry, direction, order)
                 for i, j, p in c.diff(m).nonzero_entries()}
             for m in range(c.lo + 1, c.hi + 1)}
     transcript = []

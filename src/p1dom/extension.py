@@ -65,12 +65,12 @@ def extend_morphism(z: SheafDiagram, y: SheafDiagram,
         l = max(l, zt.l - yt.l - p.mindeg)
         k = max(k, zt.k - yt.k + p.maxdeg)
     # f as maps of the chart modules of z into those of y twisted by (k, l)
-    f_minus = f.monomial_row_scale([-k - t.k for t in y.twists]) \
-               .monomial_col_scale([t.k for t in z.twists]) \
-               .with_base(BaseRing.POLY_INV)
-    f_plus = f.monomial_row_scale([l + t.l for t in y.twists]) \
-              .monomial_col_scale([-t.l for t in z.twists]) \
-              .with_base(BaseRing.POLY)
+    f_minus = f.monomial_scale([-k - t.k for t in y.twists],
+                               [t.k for t in z.twists]).with_base(
+                                   BaseRing.POLY_INV)
+    f_plus = f.monomial_scale([l + t.l for t in y.twists],
+                              [-t.l for t in z.twists]).with_base(
+                                  BaseRing.POLY)
     ext = MorphismExtension(k, l, f_minus, f_plus)
     _check_extension_squares(z, y, f, ext)
     return ext

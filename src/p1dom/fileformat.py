@@ -40,6 +40,7 @@ from .complexes import ChainComplex, ScalarComplex
 from .errors import FormatError, UnsupportedRingError
 from .laurent import BaseRing, LaurentPoly, base_from_tag
 from .matrices import LaurentMatrix, ScalarMatrix
+from .polylists import from_terms
 from .scalars import CoefficientRing, ring_from_tag
 from .sheaves import SheafComplex, TwistSummand
 
@@ -74,7 +75,8 @@ def poly_from_pairs(ring: CoefficientRing, pairs, where: str) -> LaurentPoly:
         except UnsupportedRingError as exc:
             raise FormatError(f"bad coefficient: {exc}",
                               f"{where}[{idx}]") from exc
-    return LaurentPoly.from_pairs(ring, acc)
+    # dense over a span of at most 2 * MAX_EXPONENT + 1
+    return LaurentPoly.from_entry(ring, from_terms(acc, ring.p))
 
 
 def _integer(value, field: str, where: str) -> int:

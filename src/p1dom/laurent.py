@@ -1,19 +1,24 @@
 """Laurent polynomials in one variable with exact coefficients.
 
-A polynomial is a sparse map ``exponent -> coefficient`` with no zero values
-stored; the zero polynomial is the empty map.  Exponents may be negative.
+A polynomial stores exactly its ``polylists`` entry, ``entry``: None for
+zero, or (v, c) for x^v * (c[0] + c[1] x + ... + c[n] x^n), c a tuple of
+canonical coefficients with c[0] and c[-1] nonzero (a zero inside may be
+the int 0).  Storage is dense over the exponent span, the working form of
+every kernel; the kernels read ``entry`` as is and share its tuple, which
+nothing changes in place, and file input bounds the span by
+``fileformat.MAX_EXPONENT``.  Degrees and base-ring checks are O(1), and
+arithmetic runs through ``polylists.lincomb``, ``scaled`` and ``trim``.
 The four base rings K, K[x], K[x^-1] and K[x,x^-1] are tags restricting
-which exponents a value may use; arithmetic itself always happens in the
-full Laurent ring.  This module holds ring arithmetic only: division and
-elimination run on the coefficient lists of ``polylists``.
+which exponents a value may use; arithmetic always happens in the full
+Laurent ring.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
-from .errors import BaseRingViolationError, NotAUnitError, ShapeError
+from .errors import NotAUnitError, ShapeError
+from .polylists import MINUS_ONE, ONE, from_terms, lincomb, scaled
 from .scalars import CoefficientRing, check_same_ring
 
 
@@ -46,31 +51,45 @@ def base_from_tag(tag: str) -> BaseRing:
     raise ShapeError(f"unknown base ring tag {tag!r}")
 
 
-class LaurentPoly:
-    """Immutable sparse Laurent polynomial over a coefficient ring."""
+def _exponent(e) -> int:
+    if type(e) is not int:
+        raise ShapeError(f"exponent {e!r} is not an int")
+    return e
 
-    __slots__ = ("ring", "_c", "_hash")
+
+class LaurentPoly:
+    """Immutable Laurent polynomial over a coefficient ring, stored as its
+    coefficient entry (see the module docstring)."""
+
+    __slots__ = ("ring", "entry", "_hash")
 
     def __init__(self, ring: CoefficientRing, coeffs=None):
+        """The sum of c x^e over the items e: c of ``coeffs``."""
         self.ring = ring
-        clean = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = ring.normalise(c)
-                if c != 0:
-                    clean[int(e)] = c
-        self._c = clean
+        self.entry = _checked(ring, (coeffs or {}).items())
         self._hash = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def from_entry(cls, ring, entry):
+        """The polynomial of a ``polylists`` entry whose coefficients are
+        already canonical elements of ``ring`` (a kernel's result)."""
+        if entry is not None and type(entry[1]) is not tuple:
+            entry = entry[0], tuple(entry[1])
+        p = object.__new__(cls)
+        p.ring = ring
+        p.entry = entry
+        p._hash = None
+        return p
+
+    @classmethod
     def zero(cls, ring):
-        return _canonical(ring, {})
+        return cls.from_entry(ring, None)
 
     @classmethod
     def one(cls, ring):
-        return _canonical(ring, {0: ring.one()})
+        return cls.from_entry(ring, (0, (ring.one(),)))
 
     @classmethod
     def constant(cls, ring, value):
@@ -78,44 +97,45 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, ring, exponent: int, coeff=1):
-        return cls(ring, {exponent: ring.from_int(coeff) if isinstance(coeff, int) else coeff})
+        return cls(ring, {exponent: coeff})
 
     @classmethod
     def from_pairs(cls, ring, pairs):
         """Build from ``[(exponent, coefficient), ...]``, summing repeats."""
-        acc = {}
-        for e, c in pairs:
-            acc[e] = acc[e] + c if e in acc else c
-        return cls(ring, acc)
+        return cls.from_entry(ring, _checked(ring, pairs))
 
     # -- canonical data ----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self._c
+        return self.entry is None
 
     @property
     def is_one(self) -> bool:
-        return self._c == {0: 1}
+        return self.entry == (0, (1,))
 
     def items(self):
         """Sorted (exponent, coefficient) pairs, exponents ascending."""
-        return sorted(self._c.items())
+        v, c = self.entry or (0, ())
+        return [(v + k, x) for k, x in enumerate(c) if x]
 
     def coeff(self, exponent: int):
-        return self._c.get(exponent, self.ring.zero())
+        v, c = self.entry or (0, ())
+        k = exponent - v
+        return c[k] if 0 <= k < len(c) and c[k] else self.ring.zero()
 
     @property
     def mindeg(self) -> int:
-        if not self._c:
+        if self.entry is None:
             raise ShapeError("mindeg undefined on the zero polynomial")
-        return min(self._c)
+        return self.entry[0]
 
     @property
     def maxdeg(self) -> int:
-        if not self._c:
+        if self.entry is None:
             raise ShapeError("maxdeg undefined on the zero polynomial")
-        return max(self._c)
+        v, c = self.entry
+        return v + len(c) - 1
 
     @property
     def core_degree(self) -> int:
@@ -124,70 +144,59 @@ class LaurentPoly:
         return self.maxdeg - self.mindeg
 
     def respects(self, base: BaseRing) -> bool:
-        return all(base.allows(e) for e in self._c)
-
-    def check_base(self, base: BaseRing):
-        if not self.respects(base):
-            raise BaseRingViolationError(
-                f"{self} has exponents outside {base.tag}"
-            )
+        if base is BaseRing.LAURENT or self.entry is None:
+            return True
+        v, c = self.entry  # each base ring allows an interval of exponents
+        return base.allows(v) and base.allows(v + len(c) - 1)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         check_same_ring(self.ring, other.ring)
-        acc = dict(self._c)
-        for e, c in other._c.items():
-            a = acc.get(e)
-            acc[e] = c if a is None else a + c
-        return _canonical(self.ring, _reduced(self.ring, acc))
+        return LaurentPoly.from_entry(self.ring, lincomb(
+            ONE, self.entry, ONE, other.entry, self.ring.p))
 
     def __sub__(self, other):
-        return self + (-other)
+        check_same_ring(self.ring, other.ring)
+        return LaurentPoly.from_entry(self.ring, lincomb(
+            ONE, self.entry, MINUS_ONE, other.entry, self.ring.p))
 
     def __neg__(self):
-        neg = self.ring.neg
-        return _canonical(self.ring, {e: neg(c) for e, c in self._c.items()})
+        return LaurentPoly.from_entry(
+            self.ring, scaled(self.entry, -1, self.ring.p))
 
     def __mul__(self, other):
         check_same_ring(self.ring, other.ring)
-        acc = {}
-        for e1, c1 in self._c.items():
-            for e2, c2 in other._c.items():
-                e = e1 + e2
-                a = acc.get(e)
-                acc[e] = c1 * c2 if a is None else a + c1 * c2
-        return _canonical(self.ring, _reduced(self.ring, acc))
+        return LaurentPoly.from_entry(self.ring, lincomb(
+            self.entry, other.entry, None, None, self.ring.p))
 
     def scale(self, coeff):
+        """coeff * self for an int coefficient, over Q also a Fraction."""
         coeff = self.ring.normalise(coeff)
-        mul = self.ring.mul
-        return _canonical(self.ring,
-                          {e: mul(c, coeff) for e, c in self._c.items()})
+        return LaurentPoly.from_entry(
+            self.ring, scaled(self.entry, coeff, self.ring.p) if coeff
+            else None)
 
     def times_monomial(self, exponent: int, coeff=None):
-        if coeff is None:
-            return _canonical(self.ring, {e + exponent: c
-                                          for e, c in self._c.items()})
-        coeff = self.ring.normalise(coeff)
-        mul = self.ring.mul
-        return _canonical(self.ring, {e + exponent: mul(c, coeff)
-                                      for e, c in self._c.items()})
+        """coeff * x^exponent * self (coeff as for ``scale``)."""
+        _exponent(exponent)
+        out = self if coeff is None else self.scale(coeff)
+        if out.entry is None:
+            return out
+        v, c = out.entry
+        return LaurentPoly.from_entry(self.ring, (v + exponent, c))
 
     def evaluate(self, point):
         """Evaluate at a scalar point (the point must be a unit when
         negative exponents occur)."""
         ring = self.ring
+        v, c = self.entry or (0, ())
         total = ring.zero()
-        inv = None
-        for e, c in self._c.items():
-            if e >= 0:
-                term = ring.mul(c, _power(ring, point, e))
-            else:
-                if inv is None:
-                    inv = ring.invert(point)
-                term = ring.mul(c, _power(ring, inv, -e))
-            total = ring.add(total, term)
+        for x in reversed(c):  # Horner's rule, then times point^v
+            total = ring.add(ring.mul(total, point), x)
+        unit = point if v >= 0 else ring.invert(point)
+        for _ in range(abs(v)):
+            total = ring.mul(total, unit)
         return total
 
     # -- units and normal form ----------------------------------------------
@@ -195,10 +204,8 @@ class LaurentPoly:
     @property
     def is_unit(self) -> bool:
         """Unit of K[x,x^-1]: a single term with unit coefficient."""
-        if len(self._c) != 1:
-            return False
-        (_, c), = self._c.items()
-        return self.ring.is_unit(c)
+        return (self.entry is not None and len(self.entry[1]) == 1
+                and self.ring.is_unit(self.entry[1][0]))
 
     def unit_normalise(self):
         """Write self = c * x^v * core with core monic and core(0) != 0.
@@ -206,39 +213,36 @@ class LaurentPoly:
         Returns ``(v, c, core)``.  Requires a field (or a unit leading
         coefficient over Z) and a nonzero polynomial.
         """
-        if self.is_zero:
+        if self.entry is None:
             raise ShapeError("cannot normalise the zero polynomial")
-        v = self.mindeg
-        lead = self._c[self.maxdeg]
-        inv = self.ring.invert(lead)
-        mul = self.ring.mul
-        core = _canonical(self.ring,
-                          {e - v: mul(c, inv) for e, c in self._c.items()})
-        return v, lead, core
+        v, c = self.entry
+        lead = c[-1]
+        core = scaled((0, c), self.ring.invert(lead), self.ring.p)
+        return v, lead, LaurentPoly.from_entry(self.ring, core)
 
     def inverse_unit(self):
         if not self.is_unit:
             raise NotAUnitError(f"{self} is not a unit of K[x,x^-1]")
-        (e, c), = self._c.items()
-        return _canonical(self.ring, {-e: self.ring.invert(c)})
+        v, (c,) = self.entry
+        return LaurentPoly.from_entry(self.ring, (-v, (self.ring.invert(c),)))
 
     # -- comparisons ---------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.ring == other.ring and self._c == other._c
+        return self.ring == other.ring and self.entry == other.entry
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.ring, tuple(sorted(self._c.items()))))
+            self._hash = hash((self.ring, self.entry))
         return self._hash
 
     def __bool__(self):
-        return bool(self._c)
+        return self.entry is not None
 
     def __repr__(self):
-        if not self._c:
+        if self.entry is None:
             return "0"
         parts = []
         for e, c in self.items():
@@ -252,29 +256,14 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
-def _canonical(ring, coeffs) -> LaurentPoly:
-    """Wrap coefficients that are already canonical elements of ``ring``.
-
-    Results of arithmetic on canonical operands need no normalisation,
-    only the zeros dropped; outside input goes through the constructor.
-    """
-    p = object.__new__(LaurentPoly)
-    p.ring = ring
-    p._c = {e: c for e, c in coeffs.items() if c}
-    p._hash = None
-    return p
-
-
-def _reduced(ring, acc):
-    """Raw sums and products of canonical values, brought back mod p."""
-    if ring.p:
-        p = ring.p
-        return {e: c % p for e, c in acc.items()}
-    return acc
-
-
-def _power(ring, base, n):
-    out = ring.one()
-    for _ in range(n):
-        out = ring.mul(out, base)
-    return out
+def _checked(ring, pairs):
+    """The entry of the sum of c x^e over the pairs (e, c): exponents must
+    be ints (else ShapeError) and coefficients ints, over Q also Fractions
+    (else UnsupportedRingError, from ``CoefficientRing.normalise``)."""
+    terms = [(e if type(e) is int else _exponent(e), ring.normalise(c))
+             for e, c in pairs]
+    if len(terms) == 1:  # a monomial, already canonical
+        (e, c), = terms
+        return (e, (c,)) if c else None
+    e = from_terms(terms, ring.p)
+    return e and (e[0], tuple(e[1]))

@@ -2,9 +2,10 @@
 
 Laurent matrices carry a base-ring tag; every entry must respect the tag's
 exponent constraint.  Their storage is dense row-major, suitable for the
-desk-scale sizes this package targets; their determinant is computed on
-the coefficient lists of ``polylists``.  Scalar matrices over K store
-sparse rows and carry the one exact rank kernel, ``scalar_rank``.
+desk-scale sizes this package targets; products and the determinant are
+computed on the entries (``LaurentPoly.entry``) with the coefficient-list
+arithmetic of ``polylists``.  Scalar matrices over K store sparse rows and
+carry the one exact rank kernel, ``scalar_rank``.
 """
 
 from __future__ import annotations
@@ -111,12 +112,13 @@ class LaurentMatrix:
 
     def global_maxdeg(self):
         """Largest exponent among all entries; None for the zero matrix."""
-        degs = [p.maxdeg for _, _, p in self.nonzero_entries()]
-        return max(degs) if degs else None
+        return max((p.entry[0] + len(p.entry[1]) - 1
+                    for row in self.entries for p in row if p.entry),
+                   default=None)
 
     def global_mindeg(self):
-        degs = [p.mindeg for _, _, p in self.nonzero_entries()]
-        return min(degs) if degs else None
+        return min((p.entry[0] for row in self.entries for p in row
+                    if p.entry), default=None)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -140,7 +142,9 @@ class LaurentMatrix:
         return self + (-other)
 
     def __neg__(self):
-        return self.map_entries(lambda p: -p)
+        return LaurentMatrix(self.ring, self.rows, self.cols,
+                             [[-p for p in row] for row in self.entries],
+                             self.base, check=False)
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -149,52 +153,32 @@ class LaurentMatrix:
                 f"{other.rows}x{other.cols}"
             )
         check_same_ring(self.ring, other.ring)
-        z = LaurentPoly.zero(self.ring)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if not (a.is_zero or b.is_zero):
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
+        ring = self.ring
+        # with no rows, other still has other.cols (empty) columns
+        cols = [[p.entry for p in col] for col in zip(*other.entries)] \
+            or [[]] * other.cols
+        out = [[LaurentPoly.from_entry(ring, polylists.dot(row, col, ring.p))
+                for col in cols]
+               for row in ([p.entry for p in row] for row in self.entries)]
         base = self.base if self.base == other.base else BaseRing.LAURENT
         return LaurentMatrix(self.ring, self.rows, other.cols, out,
                              base, check=False)
 
-    def map_entries(self, fn, base=None):
-        return LaurentMatrix(
-            self.ring, self.rows, self.cols,
-            [[fn(p) for p in row] for row in self.entries],
-            base if base is not None else self.base, check=False)
-
     def times_monomial(self, exponent: int):
-        return self.map_entries(
-            lambda p: p.times_monomial(exponent), base=BaseRing.LAURENT)
+        return self.monomial_scale([exponent] * self.rows)
 
-    def monomial_row_scale(self, exponents):
-        """Multiply row i by x^exponents[i]."""
-        if len(exponents) != self.rows:
-            raise ShapeError("row exponent list has wrong length")
+    def monomial_scale(self, row_exps=None, col_exps=None,
+                       base=BaseRing.LAURENT):
+        """Entry (i, j) times x^(row_exps[i] + col_exps[j]), a list left
+        out being zeros, tagged ``base`` unchecked."""
+        row_exps = row_exps or [0] * self.rows
+        col_exps = col_exps or [0] * self.cols
+        if len(row_exps) != self.rows or len(col_exps) != self.cols:
+            raise ShapeError("exponent list has wrong length")
         return LaurentMatrix(
             self.ring, self.rows, self.cols,
-            [[p.times_monomial(exponents[i]) for p in row]
-             for i, row in enumerate(self.entries)],
-            BaseRing.LAURENT, check=False)
-
-    def monomial_col_scale(self, exponents):
-        """Multiply column j by x^exponents[j]."""
-        if len(exponents) != self.cols:
-            raise ShapeError("column exponent list has wrong length")
-        return LaurentMatrix(
-            self.ring, self.rows, self.cols,
-            [[p.times_monomial(exponents[j]) for j, p in enumerate(row)]
-             for row in self.entries],
-            BaseRing.LAURENT, check=False)
+            [[p.times_monomial(a + b) for p, b in zip(row, col_exps)]
+             for row, a in zip(self.entries, row_exps)], base, check=False)
 
     def check_base(self, base: BaseRing):
         """Raise unless every entry is over this ring and respects ``base``."""
@@ -230,22 +214,24 @@ class LaurentMatrix:
     # -- determinant (fraction-free Bareiss) --------------------------------
 
     def determinant(self) -> LaurentPoly:
-        """Exact determinant by Bareiss elimination on coefficient lists
+        """Exact determinant by Bareiss elimination on the entries
         (``polylists.determinant``), over any supported coefficient ring.
 
-        Over Q each row is first cleared of its denominators (over GF(p)
-        and Z that changes nothing), and the integer determinant is divided
-        by their product.
+        Over Q each row is first cleared of its denominators, and the
+        integer determinant is divided by their product.
         """
         if not self.is_square:
             raise ShapeError("determinant of a non-square matrix")
         ring = self.ring
-        rows = [polylists.cleared([polylists.from_laurent(p) for p in row])
-                for row in self.entries]
-        den = prod(row_den for row_den, _ in rows)
-        det = polylists.to_laurent(ring, polylists.determinant(
-            [row for _, row in rows], ring.p))
-        return det if den == 1 else det.scale(Fraction(1, den))
+        rows = [[p.entry for p in row] for row in self.entries]
+        if ring.kind != "Q":
+            return LaurentPoly.from_entry(
+                ring, polylists.determinant(rows, ring.p))
+        rows = [polylists.cleared(row) for row in rows]
+        det = LaurentPoly.from_entry(ring, polylists.determinant(
+            [row for _, row in rows], 0))
+        # scaling by 1/den also makes the int coefficients Fractions
+        return det.scale(Fraction(1, prod(den for den, _ in rows)))
 
     # -- comparisons -----------------------------------------------------------
 
@@ -293,11 +279,12 @@ class ScalarMatrix:
         for row in m.entries:
             out = {}
             for j, p in enumerate(row):
-                if p.is_zero:
+                if p.entry is None:
                     continue
-                if p.maxdeg != 0 or p.mindeg != 0:
+                v, c = p.entry
+                if v or len(c) != 1:
                     raise ShapeError("scalar matrix of a non-constant matrix")
-                out[j] = p.coeff(0)
+                out[j] = c[0]
             data.append(out)
         return cls(m.ring, m.rows, m.cols, data)
 

@@ -3,10 +3,13 @@ elimination kernels share, and the only module that divides them.
 
 An entry is None (zero) or a pair (v, c): the Laurent polynomial
 x^v * (c[0] + c[1] x + ... + c[n] x^n) with c[0] and c[-1] nonzero, so its
-core degree is len(c) - 1 and its x-adic valuation is v.  Coefficients are
-ints: residues mod p over GF(p), integers over Q (p = 0) once a row is
-cleared of denominators (``cleared``, ``integer_row``) and over Z.  Entry
-lists are never changed in place.
+core degree is len(c) - 1 and its x-adic valuation is v.  A ``LaurentPoly``
+stores exactly its entry (``LaurentPoly.entry``, c a tuple of canonical
+coefficients: residues mod p over GF(p), ints over Z, Fractions over Q),
+its arithmetic runs on ``lincomb``, ``scaled`` and ``trim``, and every
+kernel reads the entry as is, so no c is ever changed in place.  The
+kernels clear a Q row of denominators once (``cleared``,
+``integer_row``) and then eliminate on int coefficients with p = 0.
 
 One long division, ``pseudo_divmod``, serves every kernel: the Smith and
 column echelon eliminations of ``smith``, the forward substitution of
@@ -14,11 +17,10 @@ column echelon eliminations of ``smith``, the forward substitution of
 divisions of ``determinant`` (behind ``LaurentMatrix.determinant``) and of
 the chart valuations of ``domination``.  ``window_inverse``, the series
 inverse of a Z window, serves the Z-mode Novikov check of ``domination``.
-``LaurentPoly`` values are built only for their input and output.
 
 A Z window (entry, end) is an entry in t (t = x, or t = x^-1 with the
 list reversed) whose terms are known below the t-exponent ``end`` and
-unknown from it on.  A window is cut from a Laurent polynomial
+unknown from it on.  A window is cut from an entry
 (``window``), multiplied (``window_product``), subtracted
 (``window_difference``) and inverted (``window_inverse``); every result is
 known on the widest window its operands determine.
@@ -29,31 +31,9 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .errors import NotAUnitError, ShapeError
-from .laurent import LaurentPoly
 
-ONE = (0, [1])
-
-
-def from_laurent(poly):
-    """The coefficient entry of a LaurentPoly."""
-    if poly.is_zero:
-        return None
-    items = poly.items()
-    lo, hi = items[0][0], items[-1][0]
-    if lo == hi:
-        return lo, [items[0][1]]
-    c = [0] * (hi - lo + 1)
-    for e, x in items:
-        c[e - lo] = x
-    return lo, c
-
-
-def to_laurent(ring, e):
-    """The LaurentPoly of a coefficient entry."""
-    if e is None:
-        return LaurentPoly.zero(ring)
-    v, c = e
-    return LaurentPoly(ring, {v + k: x for k, x in enumerate(c)})
+ONE = (0, (1,))
+MINUS_ONE = (0, (-1,))
 
 
 def cleared(row):
@@ -73,6 +53,17 @@ def integer_row(row):
     return row
 
 
+def from_terms(terms, p):
+    """The entry of the sum of x * x^e over the pairs (e, x) of ``terms``,
+    x canonical coefficients; reduced mod p when p is nonzero."""
+    exps = [e for e, _ in terms]
+    lo = min(exps, default=0)
+    c = [0] * (max(exps, default=-1) - lo + 1)
+    for e, x in terms:
+        c[e - lo] = c[e - lo] + x if c[e - lo] else x
+    return trim(lo, [x % p for x in c] if p else c)
+
+
 def trim(v, c):
     """The entry x^v * (c[0] + c[1] x + ...) with zero end coefficients
     dropped."""
@@ -88,30 +79,48 @@ def trim(v, c):
 
 
 def lincomb(f, a, g, b, p):
-    """f*a + g*b; reduced mod p when p is nonzero."""
+    """f*a + g*b; reduced mod p when p is nonzero.
+
+    Products by the int 1 or -1 (put ``ONE`` first) and sums with 0 are
+    not computed, which matters for Fraction coefficients."""
     if f is None or a is None:
-        if g is None or b is None:
+        f, a, g = g, b, None
+        if f is None or a is None:
             return None
-        terms = ((g, b),)
-    elif g is None or b is None:
-        terms = ((f, a),)
-    else:
-        terms = ((f, a), (g, b))
-    lo = min(x[0] + y[0] for x, y in terms)
-    hi = max(x[0] + y[0] + len(x[1]) + len(y[1]) for x, y in terms) - 1
-    acc = [0] * (hi - lo)
-    for (vx, cx), (vy, cy) in terms:
-        off = vx + vy - lo
-        for i, u in enumerate(cx, off):
-            for k, w in enumerate(cy, i):
-                acc[k] += u * w
+    elif b is None:
+        g = None
+    lo = f[0] + a[0]
+    hi = lo + len(f[1]) + len(a[1])
+    if g is not None:
+        lo, hi = (min(lo, g[0] + b[0]),
+                  max(hi, g[0] + b[0] + len(g[1]) + len(b[1])))
+    acc = [0] * (hi - 1 - lo)
+    for (vx, cx), (vy, cy) in ((f, a),) if g is None else ((f, a), (g, b)):
+        if len(cx) > len(cy):
+            cx, cy = cy, cx  # the outer loop runs over the shorter list
+        for i, u in enumerate(cx, vx + vy - lo):
+            if type(u) is not int or u not in (1, -1):
+                row = [u * w for w in cy]
+            else:
+                row = cy if u == 1 else [-w for w in cy]
+            for k, w in enumerate(row, i):
+                acc[k] = acc[k] + w if acc[k] else w
     if p:
         acc = [u % p for u in acc]
     return trim(lo, acc)
 
 
+def dot(xs, ys, p):
+    """The sum of x*y over the pairs of entries of xs and ys."""
+    acc = None
+    for x, y in zip(xs, ys):
+        if x is not None and y is not None:
+            acc = lincomb(x, y, ONE, acc, p)
+    return acc
+
+
 def scaled(a, k, p):
-    """k*a for a nonzero int k."""
+    """k*a for a nonzero scalar k: an int, or over Q (p = 0) a Fraction."""
     if a is None:
         return None
     v, c = a
@@ -225,10 +234,10 @@ def make_primitive(entries, indices):
                 entries[i] = divided(entries[i], g)
 
 
-def window(poly, direction, order):
-    """The Z window of the nonzero LaurentPoly ``poly`` in t = x^direction,
-    cut to ``order`` terms from its t-adic valuation."""
-    v, c = from_laurent(poly)
+def window(entry, direction, order):
+    """The Z window of the nonzero ``entry`` in t = x^direction, cut to
+    ``order`` terms from its t-adic valuation."""
+    v, c = entry
     if direction == -1:
         v, c = 1 - v - len(c), c[::-1]
     return trim(v, c[:order]), v + order
@@ -266,8 +275,11 @@ def window_inverse(a):
     if head not in (1, -1):
         raise NotAUnitError(f"lowest coefficient {head} is not a unit of Z")
     n = end - v
-    out = [head] + [0] * (n - 1)
-    for k in range(1, n):
-        out[k] = -head * sum(c[i] * out[k - i]
-                             for i in range(1, min(k + 1, len(c))))
+    # out[k] holds 1 - sum c[i] out[k - i] over i >= 1 until term k is due
+    out = [1] + [0] * (n - 1)
+    for k in range(n):
+        x = out[k] = out[k] * head
+        if x:
+            for i, y in enumerate(c[1:n - k], k + 1):
+                out[i] -= y * x
     return trim(-v, out), n - v

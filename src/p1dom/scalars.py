@@ -96,12 +96,14 @@ class CoefficientRing:
         return int(n)
 
     def normalise(self, value):
-        """Coerce ``value`` into the canonical representative."""
-        if self.kind == "Q":
-            return Fraction(value)
-        if self.kind == "GF":
-            return int(value) % self.p
-        return int(value)
+        """The canonical representative of an int or, over Q, a Fraction;
+        anything else, a float or bool included, is UnsupportedRingError."""
+        if type(value) is int:
+            return self.from_int(value)
+        if self.kind == "Q" and isinstance(value, Fraction):
+            return value
+        raise UnsupportedRingError(
+            f"coefficient {value!r} is not an exact element of {self.tag}")
 
     # -- arithmetic ------------------------------------------------------
 
@@ -177,5 +179,5 @@ def ring_from_tag(tag: str) -> CoefficientRing:
 
 
 def check_same_ring(a: CoefficientRing, b: CoefficientRing):
-    if a != b:
+    if a is not b and a != b:
         raise RingMismatchError(f"mixed coefficient rings {a.tag} and {b.tag}")

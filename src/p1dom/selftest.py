@@ -49,11 +49,11 @@ def group_twist_table():
 
 
 def group_series():
-    geom = window_inverse(window(_poly(ZZ, [(0, 1), (1, -1)]), 1, 4))
+    geom = window_inverse(window(_poly(ZZ, [(0, 1), (1, -1)]).entry, 1, 4))
     if geom != ((0, [1, 1, 1, 1]), 4):
         return False, "geometric series"
     try:
-        window_inverse(window(_poly(ZZ, [(0, 2), (1, -1)]), 1, 4))
+        window_inverse(window(_poly(ZZ, [(0, 2), (1, -1)]).entry, 1, 4))
         return False, "2-x must not invert in Z[[x]]"
     except NotAUnitError:
         pass

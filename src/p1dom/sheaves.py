@@ -92,10 +92,10 @@ class SheafDiagram:
     # -- the actual structure maps over the torus ----------------------------
 
     def mu_minus_torus(self) -> LaurentMatrix:
-        return self.p_minus.monomial_row_scale([t.k for t in self.twists])
+        return self.p_minus.monomial_scale([t.k for t in self.twists])
 
     def mu_plus_torus(self) -> LaurentMatrix:
-        return self.p_plus.monomial_row_scale([-t.l for t in self.twists])
+        return self.p_plus.monomial_scale([-t.l for t in self.twists])
 
     def twist(self, n: int, k: int | None = None) -> "SheafDiagram":
         """The nth twist; the split defaults to (n, 0)."""
@@ -279,10 +279,11 @@ class SheafComplex:
         for m in range(mid.lo + 1, mid.hi + 1):
             prev, lvl = self.twists[m - 1], self.twists[m]
             for i, j, p in mid.diff(m).nonzero_entries():
-                if p.maxdeg > prev[i].k - lvl[j].k:
+                v, c = p.entry
+                if v + len(c) - 1 > prev[i].k - lvl[j].k:
                     side, base = "minus", BaseRing.POLY_INV
                     shift = lvl[j].k - prev[i].k
-                elif p.mindeg < lvl[j].l - prev[i].l:
+                elif v < lvl[j].l - prev[i].l:
                     side, base = "plus", BaseRing.POLY
                     shift = prev[i].l - lvl[j].l
                 else:
@@ -308,14 +309,9 @@ class SheafComplex:
         the plus side)."""
         mid = self.mid
         a = self.chart_exponents(side)
-        diffs = {}
-        for m in range(mid.lo + 1, mid.hi + 1):
-            d = mid.diff(m)
-            diffs[m] = LaurentMatrix(mid.ring, d.rows, d.cols, [
-                [p.times_monomial(a_j - a_i) for p, a_j in zip(row, a[m])]
-                for row, a_i in zip(d.entries, a[m - 1])], base, check=False)
-        return ChainComplex(mid.ring, base, mid.lo, mid.hi, dict(mid.ranks),
-                            diffs)
+        return ChainComplex(mid.ring, base, mid.lo, mid.hi, dict(mid.ranks), {
+            m: mid.diff(m).monomial_scale([-e for e in a[m - 1]], a[m], base)
+            for m in range(mid.lo + 1, mid.hi + 1)})
 
     def chart_exponents(self, side: str) -> dict:
         """degree m -> the exponents a of the torus maps x^a of the
@@ -375,34 +371,38 @@ def cech_complex(s: SheafComplex) -> ScalarComplex:
     degree m - 1.
     """
     ring = s.ring
-    bands = {}
+    # the band of summand i in degree m has rows offsets[m][i] + e for
+    # its exponents e in [-l_i, k_i]
+    offsets, ranks = {}, {}
     for m, twists in s.twists.items():
+        offsets[m], ranks[m] = [], 0
         for i, t in enumerate(twists):
             if t.n <= -2:
                 raise NonVanishingH1Error(
                     f"level {m} summand {i} has twist {t.n} <= -2")
-        band = []
-        for i, t in enumerate(twists):
-            band.extend((i, e) for e in range(-t.l, t.k + 1))
-        bands[m] = band
-    ranks = {m: len(bands[m]) for m in s.degrees()}
-    index = {m: {be: pos for pos, be in enumerate(bands[m])}
-             for m in s.degrees()}
+            offsets[m].append(ranks[m] + t.l)
+            ranks[m] += t.n + 1
     diffs = {}
     for m in range(s.mid.lo + 1, s.mid.hi + 1):
-        rows = [{} for _ in range(ranks.get(m - 1, 0))]
+        rows = [{} for _ in range(ranks[m - 1])]
         d = s.mid.diff(m)
-        # column j of d as (row, sorted terms) over its nonzero entries
-        by_col = [[(i, d.entries[i][j].items()) for i in range(d.rows)
-                   if not d.entries[i][j].is_zero] for j in range(d.cols)]
-        tgt_index = index[m - 1]
-        for col, (j, e) in enumerate(bands[m]):
-            # distinct (row, exponent) pairs hit distinct target monomials,
-            # so every cell is written once
-            for i, terms in by_col[j]:
-                for ee, c in terms:
-                    rows[tgt_index[(i, ee + e)]][col] = c
-        diffs[m] = ScalarMatrix(ring, len(rows), ranks.get(m, 0), rows)
+        col = 0
+        for j, t in enumerate(s.twists[m]):
+            # column j of d as (row of the target band at x^0 plus the
+            # entry's valuation, coefficients) over its nonzero entries
+            column = [(off + p.entry[0], p.entry[1])
+                      for off, p in zip(offsets[m - 1],
+                                        (row[j] for row in d.entries))
+                      if p.entry is not None]
+            for e in range(-t.l, t.k + 1):
+                # distinct (row, exponent) pairs hit distinct target
+                # monomials, so every cell is written once
+                for start, c in column:
+                    for k, x in enumerate(c, start + e):
+                        if x:
+                            rows[k][col] = x
+                col += 1
+        diffs[m] = ScalarMatrix(ring, len(rows), ranks[m], rows)
     return ScalarComplex(ring, s.mid.lo, s.mid.hi, ranks, diffs)
 
 
@@ -499,8 +499,8 @@ def sheaf_iota_exact(s: SheafComplex) -> bool:
     for m, twists in s.twists.items():
         # diag(x^-l) @ plus_emb - diag(x^k) @ minus_emb
         composite = (
-            plus_emb[m].monomial_row_scale([-t.l for t in twists])
-            - minus_emb[m].monomial_row_scale([t.k for t in twists]))
+            plus_emb[m].monomial_scale([-t.l for t in twists])
+            - minus_emb[m].monomial_scale([t.k for t in twists]))
         if not composite.is_zero:
             return False
         # kernel saturation: for a summand of twist n = k + l the pairs

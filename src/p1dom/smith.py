@@ -6,15 +6,16 @@ factors are reported monic with zero x-adic valuation, so torsion
 detection reads off the monic cores while unit factors normalise to the
 constant 1.
 
-Both kernels eliminate on plain coefficient lists (``polylists``, whose
-arithmetic the chart valuations of ``domination`` share): residues mod p
-over GF(p), and integers over Q, as ``scalar_rank`` does for scalars after
-Bareiss (1968).  Each Q row or column is cleared of denominators once and
-kept primitive by its content gcd, divisions are the pseudo-divisions of
+Both kernels eliminate on the entries of the input (``LaurentPoly.entry``,
+read as is) with the coefficient-list arithmetic of ``polylists``, which
+the chart valuations of ``domination`` share: residues mod p over GF(p),
+and integers over Q, as ``scalar_rank`` does for scalars after Bareiss
+(1968).  Each Q row or column is cleared of denominators once and kept
+primitive by its content gcd, divisions are the pseudo-divisions of
 ``polylists.pseudo_divmod`` and the Bezout cofactors come from an integer
-Euclidean algorithm.  Nonzero
-constants are units of Q[x,x^-1], so none of these scalings changes a
-factor or a module; ``LaurentPoly`` values are built only for the output.
+Euclidean algorithm.  Nonzero constants are units of Q[x,x^-1], so none
+of these scalings changes a factor or a module.  Results are wrapped with
+``LaurentPoly.from_entry``, their int coefficients made Fractions over Q.
 
 ``invariant_factors`` is a Smith elimination without transforms: a pivot
 of least core degree, an entry it divides cleared by one division, a
@@ -37,9 +38,8 @@ from math import gcd
 from .errors import ShapeError, UnsupportedRingError
 from .laurent import LaurentPoly
 from .matrices import LaurentMatrix, ScalarMatrix, scalar_rank
-from .polylists import (ONE, cleared, divided, from_laurent, integer_row,
-                        lincomb, make_primitive, pseudo_divmod, scaled,
-                        to_laurent)
+from .polylists import (MINUS_ONE, ONE, cleared, divided, dot, integer_row,
+                        lincomb, make_primitive, pseudo_divmod, scaled)
 from .scalars import CoefficientRing
 
 
@@ -106,24 +106,32 @@ def _factor(ring, core):
     lead = core[-1]
     if ring.p:
         inv = pow(lead, ring.p - 2, ring.p)
-        return LaurentPoly(ring, {k: x * inv for k, x in enumerate(core)})
-    return LaurentPoly(ring, {k: Fraction(x, lead)
-                              for k, x in enumerate(core)})
+        return LaurentPoly.from_entry(
+            ring, (0, tuple(x * inv % ring.p for x in core)))
+    return LaurentPoly.from_entry(
+        ring, (0, tuple(Fraction(x, lead) for x in core)))
+
+
+def _poly(ring, e):
+    """The LaurentPoly of a kernel entry, int coefficients made Fractions
+    over Q."""
+    return LaurentPoly.from_entry(ring, e if e is None or ring.p else (
+        e[0], tuple(map(Fraction, e[1]))))
 
 
 def invariant_factors(a: LaurentMatrix) -> tuple:
     """The invariant factors d_1 | d_2 | ... | d_r of ``a`` over
     K[x,x^-1], r its rank.
 
-    A Smith elimination without transforms on coefficient lists (see the
-    module docstring).  Only the factors are built as ``LaurentPoly``,
-    each monic with zero valuation, so a unit factor is the constant 1.
+    A Smith elimination without transforms on the entries (see the
+    module docstring).  Each factor is monic with zero valuation, so a
+    unit factor is the constant 1.
     Z coefficients are rejected; Z[x,x^-1] is not a PID.
     """
     ring = _require_field(a)
     p = ring.p
     rows, cols = a.rows, a.cols
-    s = [[from_laurent(poly) for poly in row] for row in a.entries]
+    s = [[poly.entry for poly in row] for row in a.entries]
     if not p:
         s = [integer_row(row) for row in s]
 
@@ -266,7 +274,7 @@ def _column_echelon(a: LaurentMatrix):
     rows, n = a.rows, a.cols
     columns = []
     for j in range(n):
-        column = [from_laurent(row[j]) for row in a.entries] + [None] * n
+        column = [row[j].entry for row in a.entries] + [None] * n
         column[rows + j] = ONE
         columns.append(column if p else integer_row(column))
     pivots = []
@@ -300,7 +308,7 @@ def kernel_basis(a: LaurentMatrix) -> LaurentMatrix:
     columns, pivots = _column_echelon(a)
     kernel = columns[len(pivots):]
     return LaurentMatrix(a.ring, a.cols, len(kernel), [
-        [to_laurent(a.ring, column[a.rows + i]) for column in kernel]
+        [_poly(a.ring, column[a.rows + i]) for column in kernel]
         for i in range(a.cols)], check=False)
 
 
@@ -317,51 +325,48 @@ def kernel_coordinates(k: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     if b.rows != k.rows:
         raise ShapeError(f"cannot solve a {k.rows}-row system for "
                          f"{b.rows} rows")
-    ring = k.ring
+    ring, p = k.ring, k.ring.p
     columns, pivots = _column_echelon(k)
     r = len(pivots)
-    h = [[to_laurent(ring, column[i]) for column in columns[:r]]
-         for i in range(k.rows)]
     solution = []
     for j in range(b.cols):
         y = []
-        for i, h_row in enumerate(h):
-            rest = b.entries[i][j]
-            for coefficient, value in zip(h_row, y):
-                if not coefficient.is_zero:
-                    rest = rest - coefficient * value
+        for i in range(k.rows):
+            # what row i of H*Y = b leaves for the entries of Y not yet fixed
+            rest = lincomb(ONE, b.entries[i][j].entry, MINUS_ONE,
+                           dot([column[i] for column in columns[:len(y)]],
+                               y, p), p)
             t = len(y)
             if t < r and pivots[t] == i:
-                if rest.is_zero:
-                    y.append(rest)
+                if rest is None:
+                    y.append(None)
                     continue
-                den, (e,) = cleared([from_laurent(rest)])
-                m, q, remainder = pseudo_divmod(e, columns[t][i], ring.p)
+                den, (e,) = cleared([rest]) if not p else (1, (rest,))
+                m, q, remainder = pseudo_divmod(e, columns[t][i], p)
                 if remainder is None:
-                    # m*den*rest = q*pivot
-                    q = to_laurent(ring, q)
-                    y.append(q if m * den == 1 else q.scale(
-                        Fraction(1, m * den)))
+                    # m*den*rest = q*pivot; over Q the scaling also makes
+                    # the coefficients Fractions
+                    y.append(scaled(q, Fraction(1, m * den), p) if not p
+                             else q)
                     continue
-            elif rest.is_zero:
+            elif rest is None:
                 continue
             raise ShapeError(
                 f"column {j} is not in the span of the matrix columns")
         solution.append(y)
-    v = LaurentMatrix(ring, k.cols, r, [
-        [to_laurent(ring, column[k.rows + i]) for column in columns[:r]]
-        for i in range(k.cols)], check=False)
-    return v @ LaurentMatrix(ring, r, b.cols,
-                             [[solution[j][t] for j in range(b.cols)]
-                              for t in range(r)], check=False)
+    # X = V*Y
+    return LaurentMatrix(ring, k.cols, b.cols, [
+        [LaurentPoly.from_entry(ring, dot(
+            [column[k.rows + i] for column in columns[:r]], y, p))
+         for y in solution] for i in range(k.cols)], check=False)
 
 
 def matrix_rank(a: LaurentMatrix) -> int:
     """Rank over the fraction field of K[x,x^-1]."""
     if a.rows == 0 or a.cols == 0:
         return 0
-    degs = {p.maxdeg for _, _, p in a.nonzero_entries()}
-    degs |= {p.mindeg for _, _, p in a.nonzero_entries()}
-    if degs <= {0} and a.ring.is_field:
+    if a.ring.is_field and all(
+            e is None or e[0] == 0 and len(e[1]) == 1
+            for row in a.entries for e in (p.entry for p in row)):
         return scalar_rank(ScalarMatrix.from_laurent(a))
     return len(invariant_factors(a))

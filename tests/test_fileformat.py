@@ -13,7 +13,7 @@ from p1dom.complexes import ChainComplex
 from p1dom.errors import FormatError
 from p1dom.extension import extend_complex, restrict_to_torus
 from p1dom.generators import random_complex, random_ring
-from p1dom.laurent import BaseRing
+from p1dom.laurent import BaseRing, LaurentPoly
 from p1dom.scalars import GF, QQ, ZZ
 
 from helpers import two_term
@@ -203,3 +203,21 @@ def test_fraction_strings_are_refused_outside_q():
     for ring in (GF(7), ZZ):
         with pytest.raises(FormatError, match="cannot parse '1/2'"):
             ff.poly_from_pairs(ring, [[0, "1/2"]], "cell")
+
+
+@pytest.mark.parametrize("ring, pairs, entry", [
+    (GF(7), [[2, "1"], [0, "3"], [0, "4"]], (2, (1,))),
+    (GF(7), [[-1, "5"], [3, "2"], [-1, "3"]], (-1, (1, 0, 0, 0, 2))),
+    (QQ, [[1, "1/2"], [1, "-1/2"]], None),
+    (QQ, [[0, "1/3"], [2, "2"], [0, "1/6"]], (0, (Fraction(1, 2), 0, 2))),
+    (ZZ, [[4, "-2"], [-4, "1"]], (-4, (1,) + (0,) * 7 + (-2,))),
+])
+def test_loader_builds_the_entry_from_the_pairs(ring, pairs, entry):
+    # repeated exponents summed (mod p), zero ends trimmed, dense between
+    p = ff.poly_from_pairs(ring, pairs, "cell")
+    assert p.entry == entry
+    assert p == LaurentPoly.from_pairs(
+        ring, [(e, ring.parse(x)) for e, x in pairs])
+    if entry is not None:
+        assert type(p.entry[1]) is tuple
+        assert all(type(x) is type(ring.one()) for _, x in p.items())

@@ -1,8 +1,10 @@
 import random
+import re
+from fractions import Fraction
 
 import pytest
 
-from p1dom.errors import RingMismatchError, ShapeError
+from p1dom.errors import RingMismatchError, ShapeError, UnsupportedRingError
 from p1dom.laurent import BaseRing, LaurentPoly
 from p1dom.scalars import GF, QQ, ZZ
 
@@ -16,7 +18,7 @@ def test_product_identity_case():
 
 
 def test_cancellation_to_zero():
-    # (2-x) + (x-2) = 0, stored as the empty map
+    # (2-x) + (x-2) = 0, stored as the entry None
     s = P(QQ, (0, 2), (1, -1)) + P(QQ, (1, 1), (0, -2))
     assert s.is_zero
     with pytest.raises(ShapeError):
@@ -80,3 +82,61 @@ def test_evaluation():
     x = 7
     want = r.add(r.mul(3, r.invert(x)), r.mul(4, pow(x, 2, 101)))
     assert p.evaluate(x) == want
+
+
+@pytest.mark.parametrize("ring, coeffs, error, named", [
+    (QQ, {1.5: 1}, ShapeError, "1.5"),
+    (QQ, {1.5: 0}, ShapeError, "1.5"),
+    (GF(7), {True: 1}, ShapeError, "True"),
+    (ZZ, {0: 2.7}, UnsupportedRingError, "2.7"),
+    (GF(7), {0: 0.5}, UnsupportedRingError, "0.5"),
+    (QQ, {0: 0.1}, UnsupportedRingError, "0.1"),
+    (QQ, {0: True}, UnsupportedRingError, "True"),
+    (GF(7), {0: Fraction(1, 2)}, UnsupportedRingError, "Fraction(1, 2)"),
+    (ZZ, {0: Fraction(2)}, UnsupportedRingError, "Fraction(2, 1)"),
+    (ZZ, {0: "3"}, UnsupportedRingError, "'3'"),
+])
+def test_constructor_rejects_inexact_input(ring, coeffs, error, named):
+    # once coerced: {1.5: 1} was x, 2.7 over Z was 2, 0.5 over GF(7) was 0
+    # and 0.1 over Q was Fraction(0.1)
+    with pytest.raises(error, match=re.escape(named)):
+        LaurentPoly(ring, coeffs)
+    with pytest.raises(error, match=re.escape(named)):
+        LaurentPoly.from_pairs(ring, list(coeffs.items()))
+
+
+def test_named_constructors_reject_inexact_input():
+    with pytest.raises(ShapeError, match="1.5"):
+        LaurentPoly.monomial(QQ, 1.5)
+    with pytest.raises(UnsupportedRingError, match="2.7"):
+        LaurentPoly.monomial(ZZ, 0, 2.7)
+    with pytest.raises(UnsupportedRingError, match="0.5"):
+        LaurentPoly.constant(GF(7), 0.5)
+
+
+@pytest.mark.parametrize("ring, coeff", [
+    (QQ, 0.5), (ZZ, 2.7), (GF(7), 0.5), (GF(7), Fraction(1, 2)),
+    (ZZ, Fraction(3)), (QQ, True)])
+def test_scale_and_times_monomial_reject_inexact_coefficients(ring, coeff):
+    for p in (P(ring, (0, 1), (2, 3)), LaurentPoly.zero(ring)):
+        with pytest.raises(UnsupportedRingError, match=re.escape(repr(coeff))):
+            p.scale(coeff)
+        with pytest.raises(UnsupportedRingError, match=re.escape(repr(coeff))):
+            p.times_monomial(1, coeff)
+
+
+def test_times_monomial_rejects_a_non_int_exponent():
+    for p in (P(QQ, (0, 1)), LaurentPoly.zero(QQ)):
+        with pytest.raises(ShapeError, match="1.5"):
+            p.times_monomial(1.5)
+
+
+def test_exact_input_is_accepted_and_normalised():
+    q = LaurentPoly(QQ, {0: 1, 2: Fraction(1, 2)})
+    assert q.entry == (0, (Fraction(1), 0, Fraction(1, 2)))
+    assert all(type(x) is Fraction for _, x in q.items())
+    assert LaurentPoly(GF(7), {-1: 9, 1: 7}).entry == (-1, (2,))
+    assert LaurentPoly(ZZ, {3: -4}).entry == (3, (-4,))
+    assert P(QQ, (0, 1)).scale(Fraction(2, 3)) == LaurentPoly(
+        QQ, {0: Fraction(2, 3)})
+    assert P(GF(7), (0, 3)).times_monomial(-2, 5) == P(GF(7), (-2, 1))
