@@ -7,9 +7,8 @@ K[x^-1], K[x] or K[x,x^-1] and stores dense Laurent matrices; its homology
 over K[x,x^-1] (free rank plus torsion invariant factors) is read from the
 invariant factors of each differential, computed by the factors-only kernel
 ``smith.invariant_factors`` (integer coefficients over Q).  Every complex
-over the base ring K (the global sections W, the chart windows, the fpqc
-totals, base-K files) is a ``ScalarComplex`` of sparse scalar rows, where
-plain rank-nullity applies.
+over the base ring K (the global sections W, base-K files) is a
+``ScalarComplex`` of sparse scalar rows, where plain rank-nullity applies.
 """
 
 from __future__ import annotations

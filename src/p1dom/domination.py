@@ -28,17 +28,10 @@ entry (i, j) being x^(a_j(m) - a_i(m-1)) d_m[i][j] with a = -l on the plus
 side and a = k on the minus side, so it builds no chart complex, does no
 ``LaurentPoly`` arithmetic and no window; ``stabilised_series_dims`` runs
 the same elimination on an explicit K[x] or K[x^-1] complex.  The
-quotient window C+/x^N of ``window_complex`` has dimension sum min(N, v)
-over the valuations of d_{q+1} and of d_q (the universal-coefficient
-carry) in degree q, which is how the reported order, the first doubled
-order at which windows at N and 2N agree, is read off the valuations.
-
-``window_complex`` remains for the truncated fpqc models and as an oracle.
-It writes each differential as sparse scalar rows straight from the
-coefficients of the chart complex; numbering slot tau of generator j as
-tau * rank + j makes the matrix a banded Toeplitz block, ranked by
-``matrices.scalar_rank``.  The fpqc total of two windows is written as
-sparse rows too, by the block formula of ``diagrams.hypercohomology``.
+quotient window C+/x^N has dimension sum min(N, v) over the valuations of
+d_{q+1} and of d_q, plus N times the free rank, in degree q; the reported
+order (the first doubled order at which windows at N and 2N agree) and
+the truncated fpqc model of ``fpqc_hyper`` are read off the valuations.
 """
 
 from __future__ import annotations
@@ -51,7 +44,7 @@ from .errors import (NotAUnitError, NotNovikovAcyclicError,
                      StabilisationFailureError, UnsupportedRingError)
 from .extension import ExtensionResult, extend_complex
 from .laurent import BaseRing, LaurentPoly
-from .matrices import LaurentMatrix, ScalarMatrix
+from .matrices import LaurentMatrix
 from .polylists import (exact_quotient, integer_row, lincomb, scaled, window,
                         window_difference, window_inverse, window_product)
 from .sheaves import SheafComplex, cech_complex
@@ -69,33 +62,7 @@ def _chart_direction(c: ChainComplex) -> int:
     if c.base == BaseRing.POLY_INV:
         return -1
     raise UnsupportedRingError(
-        "window models exist for K[x] and K[x^-1] complexes")
-
-
-def window_complex(c: ChainComplex, order: int) -> ScalarComplex:
-    """Quotient model of c tensored with the chart power-series ring.
-
-    Each generator becomes ``order`` monomial slots in the chart variable
-    (x for a K[x]-complex, x^-1 for a K[x^-1]-complex); multiplication drops
-    everything at or beyond the cutoff, which is exactly the quotient by the
-    Nth power of the variable.  Slot tau of generator j has index
-    tau * rank + j, so every differential is a banded Toeplitz matrix whose
-    sparse rows are filled straight from the coefficients of c.
-    """
-    direction = _chart_direction(c)
-    ranks = {m: c.rank(m) * order for m in c.degrees()}
-    diffs = {}
-    for m in range(c.lo + 1, c.hi + 1):
-        src = c.rank(m)
-        tgt = c.rank(m - 1)
-        rows = [{} for _ in range(ranks[m - 1])]
-        for i, j, p in c.diff(m).nonzero_entries():
-            for e, coeff in p.items():
-                shift = e * direction
-                for tau in range(order - shift):
-                    rows[(tau + shift) * tgt + i][tau * src + j] = coeff
-        diffs[m] = ScalarMatrix(c.ring, ranks[m - 1], ranks[m], rows)
-    return ScalarComplex(c.ring, c.lo, c.hi, ranks, diffs)
+        "chart valuations are defined for K[x] and K[x^-1] complexes")
 
 
 def _elementary_valuations(d: LaurentMatrix, direction: int,
@@ -514,88 +481,37 @@ class FpqcModel:
     """Truncated totalisation of the chart cover of the affine line."""
 
     order: int
-    total: ScalarComplex
     dims: dict
     dims_double: dict
-    window_dims: dict
-    window_dims_double: dict
 
     @property
     def stabilised(self) -> bool:
         return self.dims == self.dims_double
 
-    @property
-    def window_matched(self) -> bool:
-        return (self.dims == self.window_dims
-                and self.dims_double == self.window_dims_double)
-
 
 def fpqc_hyper(c_plus: ChainComplex, order: int = 16) -> FpqcModel:
-    """Totalisation of (C+ (x) K[[x]] -> C+ (x) K((x)) <- C+ (x) K[x,x^-1])
-    on truncated windows, compared against the window model of C+ itself.
+    """Homology of the totalisation of (C+ (x) K[[x]] -> C+ (x) K((x)) <-
+    C+ (x) K[x,x^-1]) on truncated windows, at order N and at 2N.
 
     The power-series chart keeps exponents [0, N); the other two keep
-    [-N, N).  All three quotients are honest complexes because the
-    differential only raises exponents.
+    [-N, N).  The wide -> wide leg is the identity, so the total is
+    quasi-isomorphic to the window C+/x^N, where d_m has rank sum
+    max(N - v, 0) over its valuations v.  So dim H_q is sum min(N, v)
+    over the valuations of d_{q+1} and of d_q plus N times the free rank.
+    Degrees run from lo - 1, where the total starts, to hi.  ``c_plus``
+    must be a complex (d.d = 0).
     """
     if c_plus.base != BaseRing.POLY:
         raise UnsupportedRingError("fpqc model starts from a K[x]-complex")
-    # the window [-N, N) of the two Laurent charts is the window model of
-    # width 2N, shifted down by N
-    windows = {n: window_complex(c_plus, n)
-               for n in (order, 2 * order, 4 * order)}
-    total = _fpqc_total(windows[order], windows[2 * order])
-    total2 = _fpqc_total(windows[2 * order], windows[4 * order])
-    model = FpqcModel(
-        order=order,
-        total=total,
-        dims=homology_dims(total),
-        dims_double=homology_dims(total2),
-        window_dims=_pad_degrees(homology_dims(windows[order]), total),
-        window_dims_double=_pad_degrees(
-            homology_dims(windows[2 * order]), total2),
-    )
-    if not model.window_matched:
-        raise StabilisationFailureError(
-            "truncated fpqc totalisation does not match the chart window")
-    return model
+    vals = {m: _elementary_valuations(c_plus.diff(m), 1)
+            for m in range(c_plus.lo + 1, c_plus.hi + 1)}
 
+    def dims(n):
+        rank = {m: sum(max(n - v, 0) for v in vs) for m, vs in vals.items()}
+        return {q: n * c_plus.rank(q) - rank.get(q, 0) - rank.get(q + 1, 0)
+                for q in range(c_plus.lo - 1, c_plus.hi + 1)}
 
-def _pad_degrees(dims: dict, like: ScalarComplex) -> dict:
-    return {q: dims.get(q, 0) for q in like.degrees()}
-
-
-def _fpqc_total(narrow: ScalarComplex, wide: ScalarComplex) -> ScalarComplex:
-    """Totalisation of (narrow -> wide <- wide), wide twice as long.
-
-    The block formula is that of ``diagrams.hypercohomology``: degree n
-    stacks narrow_n, wide_n and wide_{n+1}, and the differential is
-    [[d, 0, 0], [0, d, 0], [-incl, id, -d]].  The inclusion sends slot tau
-    of the narrow window to slot tau + N of the wide one; with slot-major
-    indices that is index i -> i + a, a = rank_n * N the narrow rank.
-    Windows have every differential in their support, and none below it,
-    where the target is zero.
-    """
-    ring = narrow.ring
-    one, minus_one = ring.one(), ring.neg(ring.one())
-    lo, hi = narrow.lo - 1, narrow.hi
-    ranks = {n: narrow.rank(n) + wide.rank(n) + wide.rank(n + 1)
-             for n in range(lo, hi + 1)}
-    diffs = {}
-    for n in range(lo + 1, hi + 1):
-        a, b = narrow.rank(n), wide.rank(n)
-        rows = [{j + shift: v for j, v in row.items()}
-                for c, shift in ((narrow, 0), (wide, a)) if n in c.diffs
-                for row in c.diffs[n].data]
-        for i, top in enumerate(wide.diffs[n + 1].data if n < hi
-                                else [{}] * b):
-            row = {a + b + j: ring.neg(v) for j, v in top.items()}
-            row[a + i] = one
-            if i >= a:
-                row[i - a] = minus_one
-            rows.append(row)
-        diffs[n] = ScalarMatrix(ring, len(rows), ranks[n], rows)
-    return ScalarComplex(ring, lo, hi, ranks, diffs)
+    return FpqcModel(order, dims(order), dims(2 * order))
 
 
 # ---------------------------------------------------------------------------

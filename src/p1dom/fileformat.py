@@ -17,7 +17,11 @@ Loading is bounded before anything is built: a degree span above
 MAX_DEGREE_SPAN, a rank above MAX_RANK or an exponent or twist above
 MAX_EXPONENT in absolute value is a FormatError naming the field.  (An
 omitted differential is a dense zero matrix; exponents and twists set the
-sizes of the monomial bands of the global sections.)  The CLI runs the
+sizes of the monomial bands of the global sections.)  Each polynomial is
+stored dense over its exponent span, so the sum of max - min + 1 over the
+cells of a file, its dense coefficient slots, may not pass
+MAX_DENSE_SLOTS: the cell that passes it is a FormatError, raised before
+that cell is built.  The CLI runs the
 loader on every dict it is about to write, so that no file is written
 that the loader would refuse.  Wherever the format wants an
 integer (version, degree, rank, exponent, twist) only a JSON integer is
@@ -50,6 +54,8 @@ VERSION = 1
 MAX_DEGREE_SPAN = 16
 MAX_RANK = 512
 MAX_EXPONENT = 4096
+# dense coefficient slots in one file, summed over every cell it stores
+MAX_DENSE_SLOTS = 1 << 20
 
 
 # -- polynomials and matrices ---------------------------------------------------
@@ -59,7 +65,10 @@ def poly_to_pairs(p: LaurentPoly):
     return [[e, p.ring.render(c)] for e, c in p.items()]
 
 
-def poly_from_pairs(ring: CoefficientRing, pairs, where: str) -> LaurentPoly:
+def poly_from_pairs(ring: CoefficientRing, pairs, where: str,
+                    budget=None) -> LaurentPoly:
+    """The polynomial of ``pairs``; its dense slots are taken from
+    ``budget``, a one-item list of the slots left in the file, if given."""
     if not isinstance(pairs, list):
         raise FormatError("polynomial must be an array of pairs", where)
     acc = []
@@ -75,6 +84,12 @@ def poly_from_pairs(ring: CoefficientRing, pairs, where: str) -> LaurentPoly:
         except UnsupportedRingError as exc:
             raise FormatError(f"bad coefficient: {exc}",
                               f"{where}[{idx}]") from exc
+    if budget is not None and acc:
+        budget[0] -= max(acc)[0] - min(acc)[0] + 1
+        if budget[0] < 0:
+            raise FormatError(
+                "the file's polynomials span more than MAX_DENSE_SLOTS = "
+                f"{MAX_DENSE_SLOTS} dense coefficient slots", where)
     # dense over a span of at most 2 * MAX_EXPONENT + 1
     return LaurentPoly.from_entry(ring, from_terms(acc, ring.p))
 
@@ -103,7 +118,8 @@ def matrix_to_rows(m: LaurentMatrix):
     return [[poly_to_pairs(p) for p in row] for row in m.entries]
 
 
-def matrix_from_rows(ring, rows, cols, data, base: BaseRing, where: str):
+def matrix_from_rows(ring, rows, cols, data, base: BaseRing, where: str,
+                     budget):
     if not isinstance(data, list) or len(data) != rows:
         raise FormatError(f"expected {rows} matrix rows", where)
     entries = []
@@ -111,7 +127,7 @@ def matrix_from_rows(ring, rows, cols, data, base: BaseRing, where: str):
         if not isinstance(row, list) or len(row) != cols:
             raise FormatError(f"expected {cols} entries", f"{where}[{i}]")
         entries.append([
-            poly_from_pairs(ring, cell, f"{where}[{i}][{j}]")
+            poly_from_pairs(ring, cell, f"{where}[{i}][{j}]", budget)
             for j, cell in enumerate(row)
         ])
     try:
@@ -197,7 +213,7 @@ def _read_degrees(data):
     return ranks
 
 
-def _read_differentials(data, ring, base, ranks, key: str):
+def _read_differentials(data, ring, base, ranks, key: str, budget):
     raw = data.get(key, [])
     if not isinstance(raw, list):
         raise FormatError(f"{key} must be an array", key)
@@ -213,7 +229,7 @@ def _read_differentials(data, ring, base, ranks, key: str):
         rows = ranks.get(m - 1, 0)
         cols = ranks.get(m, 0)
         diffs[m] = matrix_from_rows(ring, rows, cols, item.get("matrix"),
-                                    base, f"{loc}.matrix")
+                                    base, f"{loc}.matrix", budget)
     return diffs
 
 
@@ -221,7 +237,8 @@ def complex_from_dict(data: dict) -> ChainComplex | ScalarComplex:
     ring, base = _header(data, COMPLEX_FORMAT)
     ranks = _read_degrees(data)
     lo, hi = min(ranks), max(ranks)
-    diffs = _read_differentials(data, ring, base, ranks, "differentials")
+    diffs = _read_differentials(data, ring, base, ranks, "differentials",
+                                [MAX_DENSE_SLOTS])
     if base == BaseRing.K:
         return ScalarComplex(ring, lo, hi, ranks, {
             m: ScalarMatrix.from_laurent(d) for m, d in diffs.items()})
@@ -257,8 +274,11 @@ def sheaf_from_dict(data: dict) -> SheafComplex:
         raise FormatError("sheaf complexes have base K[x,x^-1]", "base")
     ranks = _read_degrees(data)
     lo, hi = min(ranks), max(ranks)
-    mid_diffs = _read_differentials(data, ring, base, ranks, "differentials")
-    charts = {key: _read_differentials(data, ring, chart_base, ranks, key)
+    budget = [MAX_DENSE_SLOTS]
+    mid_diffs = _read_differentials(data, ring, base, ranks, "differentials",
+                                    budget)
+    charts = {key: _read_differentials(data, ring, chart_base, ranks, key,
+                                       budget)
               for key, chart_base in (("minus", BaseRing.POLY_INV),
                                       ("plus", BaseRing.POLY))}
     raw_profile = data.get("twist_profile")

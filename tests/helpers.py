@@ -2,7 +2,8 @@
 
 import random
 
-from p1dom.complexes import ChainComplex
+from p1dom.complexes import ChainComplex, ScalarComplex
+from p1dom.domination import _chart_direction
 from p1dom.generators import random_complex, random_novikov_acyclic
 from p1dom.laurent import BaseRing, LaurentPoly
 from p1dom.matrices import LaurentMatrix, ScalarMatrix
@@ -38,6 +39,32 @@ def M(ring, rows, base=BaseRing.LAURENT):
 
 def two_term(ring, pairs, top=1, base=BaseRing.LAURENT):
     return ChainComplex.two_term(ring, P(ring, *pairs), top, base)
+
+
+def window_complex(c: ChainComplex, order: int) -> ScalarComplex:
+    """Quotient model of c tensored with the chart power-series ring.
+
+    Each generator becomes ``order`` monomial slots in the chart variable
+    (x for a K[x]-complex, x^-1 for a K[x^-1]-complex); multiplication drops
+    everything at or beyond the cutoff, which is exactly the quotient by the
+    Nth power of the variable.  Slot tau of generator j has index
+    tau * rank + j, so every differential is a banded Toeplitz matrix whose
+    sparse rows are filled straight from the coefficients of c.
+    """
+    direction = _chart_direction(c)
+    ranks = {m: c.rank(m) * order for m in c.degrees()}
+    diffs = {}
+    for m in range(c.lo + 1, c.hi + 1):
+        src = c.rank(m)
+        tgt = c.rank(m - 1)
+        rows = [{} for _ in range(ranks[m - 1])]
+        for i, j, p in c.diff(m).nonzero_entries():
+            for e, coeff in p.items():
+                shift = e * direction
+                for tau in range(order - shift):
+                    rows[(tau + shift) * tgt + i][tau * src + j] = coeff
+        diffs[m] = ScalarMatrix(c.ring, ranks[m - 1], ranks[m], rows)
+    return ScalarComplex(c.ring, c.lo, c.hi, ranks, diffs)
 
 
 def S(ring, grid):

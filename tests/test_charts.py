@@ -15,9 +15,7 @@ from fractions import Fraction
 import pytest
 
 from p1dom.complexes import ChainComplex, homology_dims
-from p1dom.domination import (_elementary_valuations, dominate,
-                              stabilised_series_dims, verify_theorem,
-                              window_complex)
+from p1dom.domination import _elementary_valuations, stabilised_series_dims
 from p1dom.errors import StabilisationFailureError, UnsupportedRingError
 from p1dom.extension import extend_complex
 from p1dom.generators import random_complex, random_novikov_acyclic
@@ -27,7 +25,7 @@ from p1dom.scalars import GF, QQ
 from p1dom.sheaves import SheafComplex
 from p1dom.smith import matrix_rank
 
-from helpers import two_term
+from helpers import two_term, window_complex
 
 RINGS = [QQ, GF(7), GF(10007)]
 FREE = "chart homology has a free part; its dimensions never stabilise"
@@ -237,22 +235,3 @@ def test_chart_stage_does_no_laurent_or_fraction_arithmetic(monkeypatch):
     monkeypatch.undo()
     assert calls == []
     assert got == want
-
-
-def test_verify_builds_no_window(monkeypatch):
-    import p1dom.domination as domination
-
-    built = []
-    original = domination.window_complex
-
-    def counting(c, order):
-        built.append(order)
-        return original(c, order)
-
-    monkeypatch.setattr(domination, "window_complex", counting)
-    rng = random.Random(777)
-    for ring in RINGS:
-        c = random_novikov_acyclic(rng, ring)
-        assert verify_theorem(c).passed
-        assert dominate(c).ledger_holds
-    assert built == []

@@ -11,7 +11,7 @@ from p1dom.complexes import ChainComplex
 from p1dom.laurent import BaseRing
 from p1dom.scalars import QQ, ZZ
 
-from helpers import two_term
+from helpers import M, two_term
 
 
 @pytest.fixture
@@ -161,6 +161,21 @@ def test_hyper_command(tmp_path, capsys):
         two_term(QQ, [(1, 1)], base=BaseRing.POLY)))
     assert main(["hyper", str(path), "--trunc", "8"]) == 0
     assert "window-matched True" in capsys.readouterr().out
+
+
+def test_hyper_refuses_an_invalid_complex(tmp_path, capsys):
+    # the model is read off the valuations of a complex; with d.d != 0
+    # it would be no homology at all
+    one = M(QQ, [[1]], base=BaseRing.POLY)
+    x = M(QQ, [[[(1, 1)]]], base=BaseRing.POLY)
+    c = ChainComplex(QQ, BaseRing.POLY, 0, 2, {0: 1, 1: 1, 2: 1},
+                     {1: one, 2: x})
+    path = tmp_path / "bad.cplx"
+    ff.save_path(path, ff.complex_to_dict(c))
+    assert main(["hyper", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid complex: degree 2: d.d != 0\n"
 
 
 def test_report_format_deterministic(xm1_file, tmp_path):

@@ -5,13 +5,13 @@ import pytest
 from p1dom.complexes import (ChainComplex, ChainMap, cone, homology,
                              homology_dims)
 from p1dom.domination import (dominate, fpqc_hyper, novikov_check,
-                              verify_theorem, window_complex)
+                              verify_theorem)
 from p1dom.errors import (NotNovikovAcyclicError, UnsupportedRingError)
 from p1dom.generators import random_novikov_acyclic, random_ring
 from p1dom.laurent import BaseRing
 from p1dom.scalars import GF, QQ, ZZ
 
-from helpers import M, P, two_term
+from helpers import M, P, two_term, window_complex
 
 
 # -- novikov_check ------------------------------------------------------------
@@ -203,7 +203,6 @@ def test_fpqc_zero_differential_window_growth():
     c = ChainComplex.single(QQ, BaseRing.POLY, 0, 1)
     m = fpqc_hyper(c, 8)
     assert m.dims[0] == 8          # the window count of K[x]
-    assert m.window_matched
     assert not m.stabilised
 
 
@@ -211,7 +210,6 @@ def test_fpqc_multiplication_by_x():
     c = two_term(QQ, [(1, 1)], base=BaseRing.POLY)
     m = fpqc_hyper(c, 8)
     assert m.dims[0] == 1          # the class of 1 mod x
-    assert m.window_matched
 
 
 def test_fpqc_zero_complex():

