@@ -31,11 +31,10 @@ import stat
 import sys
 
 from . import fileformat as ff
-from .complexes import homology
+from .complexes import homology, require_valid
 from .domination import dominate, fpqc_hyper, novikov_check, verify_theorem
 from .errors import (FormatError, NotNovikovAcyclicError, P1DomError,
-                     ShapeError, StabilisationFailureError,
-                     UnsupportedRingError)
+                     StabilisationFailureError, UnsupportedRingError)
 from .extension import extend_complex
 from .laurent import BaseRing
 from .scalars import ring_from_tag
@@ -242,9 +241,7 @@ def _load_valid_complex(args):
     """A complex whose d.d = 0 is checked: homology reads it from ranks
     of the differentials, which a non-complex does not contradict."""
     c = _load_complex(args)
-    problems = c.validate()
-    if problems:
-        raise ShapeError("invalid complex: " + "; ".join(problems))
+    require_valid(c)
     return c
 
 

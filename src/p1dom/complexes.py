@@ -53,7 +53,7 @@ class ChainComplex:
                     f"differential at degree {m} has shape "
                     f"{d.rows}x{d.cols}, expected "
                     f"{self.rank(m - 1)}x{self.rank(m)}")
-            if d.ring != ring:
+            if d.ring is not ring and d.ring != ring:
                 raise RingMismatchError("differential over a different ring")
             clean[m] = d
         for m in diffs:
@@ -106,8 +106,12 @@ class ChainComplex:
     # -- validation ----------------------------------------------------------
 
     def validate(self):
-        """Full d.d = 0 and exponent-constraint report; [] means valid."""
-        problems = [
+        """Full d.d = 0 and exponent-constraint report; [] means valid.
+
+        Every entry respects K[x,x^-1], so only the other base rings scan
+        the entries' exponents.
+        """
+        problems = [] if self.base is BaseRing.LAURENT else [
             f"degree {m}: entry ({i},{j}) = {p} violates {self.base.tag}"
             for m in range(self.lo + 1, self.hi + 1)
             for i, j, p in self.diff(m).nonzero_entries()
@@ -348,14 +352,15 @@ def homology(c: ChainComplex | ScalarComplex) -> HomologyReport:
     factors = {m: invariant_factors(d)
                for m, d in c.diffs.items() if d.rows and d.cols}
     entries = {}
-    for q in c.degrees():
+    for q, rank in c.ranks.items():
         incoming = factors.get(q + 1, ())
-        free = c.rank(q) - len(factors.get(q, ())) - len(incoming)
+        free = rank - len(factors.get(q, ())) - len(incoming)
         if free < 0:
             # rank d_q + rank d_{q+1} <= rank C_q holds in any complex
             raise ShapeError(f"invalid complex: degree {q + 1}: d.d != 0")
-        torsion = tuple(f for f in incoming if f.core_degree > 0)
-        kdim = None if free else sum(f.core_degree for f in torsion)
+        # core degrees, maxdeg - mindeg, read off the entries
+        torsion = tuple(f for f in incoming if len(f.entry[1]) > 1)
+        kdim = None if free else sum(len(f.entry[1]) - 1 for f in torsion)
         entries[q] = HomologyEntry(free, torsion, kdim)
     return HomologyReport(c.ring.tag, c.base.tag, entries)
 
@@ -403,6 +408,13 @@ class ScalarComplex:
                     problems.append(f"degree {m}: d.d != 0")
                     break
         return problems
+
+
+def require_valid(c: ChainComplex | ScalarComplex):
+    """Raise ShapeError naming every problem ``c.validate()`` finds."""
+    problems = c.validate()
+    if problems:
+        raise ShapeError("invalid complex: " + "; ".join(problems))
 
 
 def homology_dims(c: ScalarComplex) -> dict:

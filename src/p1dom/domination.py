@@ -5,9 +5,14 @@ over a field those rings contain K[x,x^-1], so acyclicity after base change
 is equivalent to every homology module being torsion, which the Smith
 normal form decides exactly.  Z mode runs on Z windows of ``order`` terms
 (``polylists.window``: a coefficient entry in t = x or t = x^-1 and its
-first unknown t-exponent): determinant head units for two-term complexes,
-and a greedy unit-pivot elimination on matrices of windows for longer ones
-(sound, possibly "unknown").
+first unknown t-exponent).  A square two-term complex is acyclic on a side
+exactly when its determinant's window there has head coefficient 1 or -1,
+the condition under which ``window_inverse`` succeeds, so the verdict reads
+that coefficient alone and the inverse series is computed only for the
+certificate.  Longer complexes run a greedy unit-pivot elimination on
+matrices of windows (sound, possibly "unknown").  A verdict renders its
+certificate (strings of factors, determinants and series) only when a
+caller reads it.
 
 The witness produced for a Novikov-acyclic complex is the complex of global
 sections W of the extension to the projective line (a ``ScalarComplex``:
@@ -37,12 +42,14 @@ the truncated fpqc model of ``fpqc_hyper`` are read off the valuations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 from .complexes import (ChainComplex, HomologyReport, ScalarComplex, homology,
-                        homology_dims)
+                        homology_dims, require_valid)
 from .errors import (NotAUnitError, NotNovikovAcyclicError,
                      StabilisationFailureError, UnsupportedRingError)
-from .extension import ExtensionResult, extend_complex
+from .extension import ExtensionResult, extend_valid_complex
 from .laurent import BaseRing, LaurentPoly
 from .matrices import LaurentMatrix
 from .polylists import (exact_quotient, integer_row, lincomb, scaled, window,
@@ -192,12 +199,30 @@ def _sheaf_chart_dims(sheaf: SheafComplex, side: str, order: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SideVerdict:
+    """The Novikov verdict of one side and the method that decided it.
+
+    ``certificate`` is rendered by ``render`` on its first read and kept
+    on the verdict, so a caller that reads only the answer builds none of
+    its strings.  Two verdicts are equal when their answers, methods and
+    rendered certificates are.
+    """
+
     acyclic: str               # "yes" | "no" | "unknown"
     method: str                # snf-torsion | unit-determinant |
     #                            truncated-contraction | euler
-    certificate: dict | None = None
+    render: Callable[[], dict] = field(repr=False)
+
+    @cached_property
+    def certificate(self) -> dict:
+        return self.render()
+
+    def __eq__(self, other):
+        if not isinstance(other, SideVerdict):
+            return NotImplemented
+        return (self.acyclic == other.acyclic and self.method == other.method
+                and self.certificate == other.certificate)
 
 
 @dataclass(frozen=True)
@@ -224,24 +249,27 @@ def novikov_check(c: ChainComplex, order: int = 16) -> NovikovVerdict:
 
 def _novikov_field(c: ChainComplex) -> NovikovVerdict:
     report = homology(c)
-    torsion_only = report.all_torsion
-    cert = {
-        "method": "snf-torsion",
-        "free_ranks": {str(q): e.free_rank
-                       for q, e in report.entries.items()},
-        "torsion": {str(q): [str(f) for f in e.torsion]
-                    for q, e in report.entries.items() if e.torsion},
-    }
-    side = SideVerdict("yes" if torsion_only else "no", "snf-torsion", cert)
+
+    def render():
+        return {
+            "method": "snf-torsion",
+            "free_ranks": {str(q): e.free_rank
+                           for q, e in report.entries.items()},
+            "torsion": {str(q): [str(f) for f in e.torsion]
+                        for q, e in report.entries.items() if e.torsion},
+        }
+
+    side = SideVerdict("yes" if report.all_torsion else "no", "snf-torsion",
+                       render)
     # over a field both Novikov conditions coincide with torsion homology
     return NovikovVerdict(side, side, report)
 
 
 def _novikov_integers(c: ChainComplex, order: int) -> NovikovVerdict:
-    euler = sum((1 if m % 2 == 0 else -1) * c.rank(m) for m in c.degrees())
+    euler = sum(r if m % 2 == 0 else -r for m, r in c.ranks.items())
     if euler != 0:
-        cert = {"method": "euler", "euler_characteristic": euler}
-        side = SideVerdict("no", "euler", cert)
+        side = SideVerdict("no", "euler", lambda: {
+            "method": "euler", "euler_characteristic": euler})
         return NovikovVerdict(side, side)
     two_term = _two_term_square(c)
     if two_term is not None:
@@ -253,7 +281,7 @@ def _novikov_integers(c: ChainComplex, order: int) -> NovikovVerdict:
 
 
 def _two_term_square(c: ChainComplex):
-    present = [m for m in c.degrees() if c.rank(m) > 0]
+    present = [m for m, r in c.ranks.items() if r]
     if not present:
         return LaurentMatrix.zero(c.ring, 0, 0)
     if len(present) != 2 or present[1] - present[0] != 1:
@@ -267,22 +295,27 @@ def _unit_det_side(det: LaurentPoly, direction: int, order: int) -> SideVerdict:
     var = "x" if direction == 1 else "x^-1"
     if det.is_zero:
         return SideVerdict("no", "unit-determinant",
-                           {"determinant": "0", "side": var})
-    try:
-        (v, c), _ = window_inverse(window(det.entry, direction, order))
-    except NotAUnitError as exc:
-        return SideVerdict("no", "unit-determinant", {
+                           lambda: {"determinant": "0", "side": var})
+    w = window(det.entry, direction, order)
+
+    def render():
+        try:
+            (v, c), _ = window_inverse(w)
+        except NotAUnitError as exc:
+            return {"determinant": str(det), "side": var,
+                    "reason": str(exc)}
+        return {
             "determinant": str(det),
             "side": var,
-            "reason": str(exc),
-        })
-    return SideVerdict("yes", "unit-determinant", {
-        "determinant": str(det),
-        "side": var,
-        "inverse_terms": [[direction * (v + k), str(x)]
-                          for k, x in enumerate(c) if x],
-        "order": order,
-    })
+            "inverse_terms": [[direction * (v + k), str(x)]
+                              for k, x in enumerate(c) if x],
+            "order": order,
+        }
+
+    # window_inverse raises NotAUnitError exactly when this head is not
+    # a unit of Z
+    unit = w[0][1][0] in (1, -1)
+    return SideVerdict("yes" if unit else "no", "unit-determinant", render)
 
 
 def _contraction_side(c: ChainComplex, direction: int, order: int) -> SideVerdict:
@@ -296,10 +329,11 @@ def _contraction_side(c: ChainComplex, direction: int, order: int) -> SideVerdic
     is zero on its window is dropped), and over the integral domain Z a
     product of nonzero windows has a nonzero lowest coefficient.
     """
-    gens = {m: set(range(c.rank(m))) for m in c.degrees()}
+    gens = {m: set(range(r)) for m, r in c.ranks.items()}
     mats = {m: {(i, j): window(p.entry, direction, order)
-                for i, j, p in c.diff(m).nonzero_entries()}
-            for m in range(c.lo + 1, c.hi + 1)}
+                for i, row in enumerate(d.entries)
+                for j, p in enumerate(row) if p.entry is not None}
+            for m, d in c.diffs.items()}
     transcript = []
     var = "x" if direction == 1 else "x^-1"
     while True:
@@ -345,12 +379,12 @@ def _contraction_side(c: ChainComplex, direction: int, order: int) -> SideVerdic
                            "pivot_valuation": a[0][0]})
     remaining = sum(len(g) for g in gens.values())
     if remaining == 0:
-        return SideVerdict("yes", "truncated-contraction", {
+        return SideVerdict("yes", "truncated-contraction", lambda: {
             "side": var,
             "order": order,
             "eliminations": transcript,
         })
-    return SideVerdict("unknown", "truncated-contraction", {
+    return SideVerdict("unknown", "truncated-contraction", lambda: {
         "side": var,
         "order": order,
         "remaining_generators": remaining,
@@ -430,9 +464,12 @@ class DominationWitness:
 def dominate(c: ChainComplex, order: int = 16) -> DominationWitness:
     """Produce and validate the finite-domination witness.
 
-    Requires field coefficients and Novikov acyclicity on both sides.
+    Requires field coefficients, d.d = 0 (ShapeError otherwise, checked
+    before Novikov, whose field mode reads only the ranks of the
+    differentials) and Novikov acyclicity on both sides.
     """
     _require_field(c)
+    require_valid(c)
     return _witness(c, novikov_check(c), order)
 
 
@@ -443,13 +480,14 @@ def _require_field(c: ChainComplex):
 
 def _witness(c: ChainComplex, verdict: NovikovVerdict,
              order: int) -> DominationWitness:
-    """The witness for a field complex whose Novikov verdict is known."""
+    """The witness for a field complex whose d.d = 0 is checked and whose
+    Novikov verdict is known."""
     mid = verdict.homology
     if not verdict.both_acyclic:
         raise NotNovikovAcyclicError(
             "homology has nonzero free rank in degrees "
             f"{sorted(mid.free_ranks())}")
-    ext = extend_complex(c)
+    ext = extend_valid_complex(c)
     w = cech_complex(ext.sheaf)
     w_dims = homology_dims(w)
     plus_dims, plus_order = _sheaf_chart_dims(ext.sheaf, "plus", order)
@@ -560,7 +598,12 @@ class TheoremReport:
 
 
 def verify_theorem(c: ChainComplex, order: int = 16) -> TheoremReport:
-    """Full pipeline: hypothesis check, witness production, ledger audit."""
+    """Full pipeline: hypothesis check, witness production, ledger audit.
+
+    d.d = 0 is checked once, first: a non-complex is a ShapeError, not a
+    FAIL.
+    """
+    require_valid(c)
     verdict = novikov_check(c)
     if not verdict.both_acyclic:
         # Z mode has no homology report; homology(c) then names the reason

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import ChainComplex, ChainMap, cone
+from .complexes import ChainComplex, ChainMap, cone, require_valid
 from .errors import ShapeError, UnsupportedRingError
 from .laurent import BaseRing
 from .matrices import LaurentMatrix
@@ -106,25 +106,46 @@ def extend_complex(c: ChainComplex) -> ExtensionResult:
     if c.base != BaseRing.LAURENT:
         raise UnsupportedRingError(
             "extension starts from a K[x,x^-1]-complex")
-    problems = c.validate()
-    if problems:
-        raise ShapeError("invalid complex: " + "; ".join(problems))
+    require_valid(c)
+    return extend_valid_complex(c)
+
+
+def extend_valid_complex(c: ChainComplex) -> ExtensionResult:
+    """``extend_complex`` of a K[x,x^-1]-complex whose d.d = 0 the caller
+    has already checked."""
     profile = {}
     k, l = 0, 0
     profile[c.hi] = (0, 0)
     for m in range(c.hi - 1, c.lo - 1, -1):
-        d = c.diff(m + 1)
-        hi_deg = d.global_maxdeg()
-        lo_deg = d.global_mindeg()
-        if hi_deg is None:
+        span = _degree_span(c.diffs[m + 1])
+        if span is None:
             k, l = max(0, k), max(0, l)
         else:
-            k = max(0, k + hi_deg)
-            l = max(0, l - lo_deg)
+            k = max(0, k + span[1])
+            l = max(0, l - span[0])
         profile[m] = (k, l)
-    twists = {m: (TwistSummand(*profile[m]),) * c.rank(m)
-              for m in c.degrees()}
+    twists = {m: (TwistSummand(*profile[m]),) * r
+              for m, r in c.ranks.items()}
     return ExtensionResult(SheafComplex(c, twists), profile)
+
+
+def _degree_span(d: LaurentMatrix):
+    """(mindeg, maxdeg) over the nonzero entries of d in one pass; None
+    for the zero matrix."""
+    lo = hi = None
+    for row in d.entries:
+        for p in row:
+            if p.entry is not None:
+                v, cs = p.entry
+                top = v + len(cs) - 1
+                if lo is None:
+                    lo, hi = v, top
+                else:
+                    if v < lo:
+                        lo = v
+                    if top > hi:
+                        hi = top
+    return None if lo is None else (lo, hi)
 
 
 def restrict_to_torus(s: SheafComplex) -> ChainComplex:

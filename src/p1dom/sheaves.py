@@ -276,21 +276,24 @@ class SheafComplex:
             if len(ts) != mid.rank(m):
                 raise ShapeError(f"level {m} has {len(ts)} twists for "
                                  f"rank {mid.rank(m)}")
-        for m in range(mid.lo + 1, mid.hi + 1):
-            prev, lvl = self.twists[m - 1], self.twists[m]
-            for i, j, p in mid.diff(m).nonzero_entries():
-                v, c = p.entry
-                if v + len(c) - 1 > prev[i].k - lvl[j].k:
-                    side, base = "minus", BaseRing.POLY_INV
-                    shift = lvl[j].k - prev[i].k
-                elif v < lvl[j].l - prev[i].l:
-                    side, base = "plus", BaseRing.POLY
-                    shift = prev[i].l - lvl[j].l
-                else:
-                    continue
-                raise BaseRingViolationError(
-                    f"degree {m}: {side} chart entry ({i},{j}) = "
-                    f"{p.times_monomial(shift)} violates {base.tag}")
+        for m, d in mid.diffs.items():
+            lvl = self.twists[m]
+            for i, (row, t) in enumerate(zip(d.entries, self.twists[m - 1])):
+                for j, p in enumerate(row):
+                    if p.entry is None:
+                        continue
+                    v, c = p.entry
+                    if v + len(c) - 1 > t.k - lvl[j].k:
+                        side, base = "minus", BaseRing.POLY_INV
+                        shift = lvl[j].k - t.k
+                    elif v < lvl[j].l - t.l:
+                        side, base = "plus", BaseRing.POLY
+                        shift = t.l - lvl[j].l
+                    else:
+                        continue
+                    raise BaseRingViolationError(
+                        f"degree {m}: {side} chart entry ({i},{j}) = "
+                        f"{p.times_monomial(shift)} violates {base.tag}")
 
     @property
     def minus(self) -> ChainComplex:
@@ -383,17 +386,17 @@ def cech_complex(s: SheafComplex) -> ScalarComplex:
             offsets[m].append(ranks[m] + t.l)
             ranks[m] += t.n + 1
     diffs = {}
-    for m in range(s.mid.lo + 1, s.mid.hi + 1):
+    for m, d in s.mid.diffs.items():
         rows = [{} for _ in range(ranks[m - 1])]
-        d = s.mid.diff(m)
+        # the columns of d as (row of the target band at x^0 plus the
+        # entry's valuation, coefficients) over their nonzero entries
+        columns = [[] for _ in range(d.cols)]
+        for off, row in zip(offsets[m - 1], d.entries):
+            for column, p in zip(columns, row):
+                if p.entry is not None:
+                    column.append((off + p.entry[0], p.entry[1]))
         col = 0
-        for j, t in enumerate(s.twists[m]):
-            # column j of d as (row of the target band at x^0 plus the
-            # entry's valuation, coefficients) over its nonzero entries
-            column = [(off + p.entry[0], p.entry[1])
-                      for off, p in zip(offsets[m - 1],
-                                        (row[j] for row in d.entries))
-                      if p.entry is not None]
+        for column, t in zip(columns, s.twists[m]):
             for e in range(-t.l, t.k + 1):
                 # distinct (row, exponent) pairs hit distinct target
                 # monomials, so every cell is written once
@@ -410,15 +413,17 @@ def sheaf_hyper_homology_dims(s: SheafComplex) -> dict:
     """Hypercohomology dimensions for a complex with zero differentials.
 
     With no differentials the totalisation splits levelwise, so its
-    homology in degree n is H0 of level n plus H1 of level n+1.  General
-    sheaf complexes are handled through the truncated models in the
-    domination module.
+    homology in degree n is H0 of level n plus H1 of level n+1.  When
+    every twist is at least -1, first cohomology vanishes and
+    ``homology_dims(cech_complex(s))`` gives the hypercohomology of any
+    sheaf complex.
     """
     for m in s.degrees():
         if not s.mid.diff(m).is_zero:
             raise UnsupportedRingError(
                 "exact sheaf hypercohomology dims need zero differentials; "
-                "use the truncated fpqc models otherwise")
+                "with every twist at least -1 use "
+                "homology_dims(cech_complex(s))")
     dims = {}
     coh = {m: cech_cohomology(s.level(m)) for m in s.degrees()}
     for n in range(s.mid.lo - 1, s.mid.hi + 1):

@@ -105,9 +105,11 @@ def _factor(ring, core):
         return LaurentPoly.one(ring)
     lead = core[-1]
     if ring.p:
-        inv = pow(lead, ring.p - 2, ring.p)
+        inv = pow(lead, -1, ring.p)
         return LaurentPoly.from_entry(
             ring, (0, tuple(x * inv % ring.p for x in core)))
+    if lead == 1:  # integer coefficients: no gcd to take
+        return LaurentPoly.from_entry(ring, (0, tuple(map(Fraction, core))))
     return LaurentPoly.from_entry(
         ring, (0, tuple(Fraction(x, lead) for x in core)))
 

@@ -178,6 +178,18 @@ def test_hyper_refuses_an_invalid_complex(tmp_path, capsys):
     assert captured.err == "error: invalid complex: degree 2: d.d != 0\n"
 
 
+@pytest.mark.parametrize("command", ["verify", "dominate"])
+def test_witness_commands_refuse_an_invalid_complex(command, capsys):
+    # ranks {0: 1, 1: 3, 2: 1} leave room for d_1 d_2 = 1: without the
+    # d.d check first this was a false Novikov FAIL
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "samples",
+                        "not-a-complex.cplx")
+    assert main([command, path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid complex: degree 2: d.d != 0\n"
+
+
 def test_report_format_deterministic(xm1_file, tmp_path):
     out1 = str(tmp_path / "r1.json")
     out2 = str(tmp_path / "r2.json")

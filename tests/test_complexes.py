@@ -32,9 +32,15 @@ def test_validate_reports_dd_violation():
 
 
 def test_validate_reports_base_violation():
-    c = ChainComplex(QQ, BaseRing.POLY, 0, 1, {0: 1, 1: 1},
-                     {1: M(QQ, [[[(-1, 1)]]], BaseRing.LAURENT)})
-    assert any("violates K[x]" in p for p in c.validate())
+    # only K[x,x^-1], which every entry respects, skips the exponent scan
+    for base, exponent in ((BaseRing.POLY, -1), (BaseRing.POLY_INV, 2)):
+        c = ChainComplex(QQ, base, 0, 1, {0: 1, 1: 1},
+                         {1: M(QQ, [[[(exponent, 1)]]], BaseRing.LAURENT)})
+        assert c.validate() == [
+            f"degree 1: entry (0,0) = x^{exponent} violates {base.tag}"]
+    c = ChainComplex(QQ, BaseRing.LAURENT, 0, 2, {0: 1, 1: 1, 2: 1},
+                     {1: M(QQ, [[[(-1, 1)]]]), 2: M(QQ, [[[(1, 1)]]])})
+    assert c.validate() == ["degree 2: d.d != 0"]
 
 
 def test_homology_torsion_example():

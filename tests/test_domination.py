@@ -1,17 +1,24 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
+
+from p1dom import fileformat as ff
 
 from p1dom.complexes import (ChainComplex, ChainMap, cone, homology,
                              homology_dims)
 from p1dom.domination import (dominate, fpqc_hyper, novikov_check,
                               verify_theorem)
-from p1dom.errors import (NotNovikovAcyclicError, UnsupportedRingError)
+from p1dom.errors import (NotNovikovAcyclicError, ShapeError,
+                          UnsupportedRingError)
 from p1dom.generators import random_novikov_acyclic, random_ring
 from p1dom.laurent import BaseRing
 from p1dom.scalars import GF, QQ, ZZ
 
 from helpers import M, P, two_term, window_complex
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # -- novikov_check ------------------------------------------------------------
@@ -37,6 +44,46 @@ def test_integer_mode_asymmetry():
     assert cert["order"] == 16
     # -1/x * (1 + 2/x + 4/x^2 + ...): geometric expansion of 1/(2 - x)
     assert cert["inverse_terms"][:3] == [[-1, "-1"], [-2, "-2"], [-3, "-4"]]
+
+
+def test_certificates_render_on_first_read(monkeypatch):
+    # the verdicts need no strings and no inverse series; the first read
+    # of a certificate renders the dict the eager code built
+    import p1dom.domination as domination
+    from p1dom.laurent import LaurentPoly
+
+    calls = []
+    poly_repr, inverse = LaurentPoly.__repr__, domination.window_inverse
+
+    def counting_repr(self):
+        calls.append("repr")
+        return poly_repr(self)
+
+    def counting_inverse(a):
+        calls.append("window_inverse")
+        return inverse(a)
+
+    monkeypatch.setattr(LaurentPoly, "__repr__", counting_repr)
+    monkeypatch.setattr(domination, "window_inverse", counting_inverse)
+    for name in ("x-minus-1", "two-minus-x"):
+        verdict = novikov_check(ff.load_complex(ROOT / f"samples/{name}.cplx"))
+        assert calls == []
+        golden = json.loads(
+            (ROOT / f"tests/golden/{name}.novikov.out").read_text())
+        for side in ("x_side", "x_inv_side"):
+            assert (getattr(verdict, side).certificate
+                    == golden[side]["certificate"])
+        assert "repr" in calls
+        calls.clear()
+    z = novikov_check(two_term(ZZ, [(0, 2), (1, -1)]))
+    assert z.x_inv_side.certificate["inverse_terms"][0] == [-1, "-1"]
+    assert calls.count("window_inverse") == 1
+    # equal answers and methods, different certificates
+    other = novikov_check(two_term(ZZ, [(0, 3), (1, -1)]))
+    assert (other.x_side.acyclic, other.x_side.method) == (
+        z.x_side.acyclic, z.x_side.method)
+    assert other.x_side != z.x_side and other != z
+    assert novikov_check(two_term(ZZ, [(0, 2), (1, -1)])) == z
 
 
 def test_integer_mode_both_sides_for_x_minus_one():
@@ -298,6 +345,35 @@ def test_contraction_pivot_that_does_not_invert_is_internal_error(
         two_term(ZZ, [(1, 1), (0, -1)], top=2))
     with pytest.raises(AssertionError, match="contraction, degree"):
         novikov_check(c)
+
+
+def not_a_complex():
+    # d_1 d_2 = 1, while the ranks of d_1 and d_2 fit in rank C_1
+    return ChainComplex(QQ, BaseRing.LAURENT, 0, 2, {0: 1, 1: 3, 2: 1},
+                        {1: M(QQ, [[1, 0, 0]]), 2: M(QQ, [[1], [0], [0]])})
+
+
+@pytest.mark.parametrize("run", [verify_theorem, dominate],
+                         ids=["verify_theorem", "dominate"])
+def test_a_non_complex_is_refused_not_failed(run):
+    with pytest.raises(ShapeError,
+                       match=r"^invalid complex: degree 2: d\.d != 0$"):
+        run(not_a_complex())
+
+
+@pytest.mark.parametrize("run", [verify_theorem, dominate],
+                         ids=["verify_theorem", "dominate"])
+def test_witness_pipeline_validates_once(monkeypatch, run):
+    calls = []
+    original = ChainComplex.validate
+
+    def counting(c):
+        calls.append(c)
+        return original(c)
+
+    monkeypatch.setattr(ChainComplex, "validate", counting)
+    run(random_novikov_acyclic(random.Random(5), QQ))
+    assert len(calls) == 1
 
 
 def test_verify_theorem_computes_homology_once(monkeypatch):

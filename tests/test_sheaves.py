@@ -5,7 +5,7 @@ import pytest
 from p1dom import sheaves
 from p1dom.complexes import ChainComplex, homology_dims
 from p1dom.errors import (BaseRingViolationError, NonVanishingH1Error,
-                          ShapeError)
+                          ShapeError, UnsupportedRingError)
 from p1dom.extension import extend_complex
 from p1dom.laurent import BaseRing
 from p1dom.matrices import LaurentMatrix, scalar_rank
@@ -407,6 +407,25 @@ def test_sheaf_hyper_dims_of_negative_twist():
         {0: (TwistSummand(-1, -1),)})
     dims = sheaf_hyper_homology_dims(single)
     assert dims == {-1: 1, 0: 0}
+
+
+def test_sheaf_hyper_dims_names_the_section_complex():
+    # a nonzero differential is refused with the entry point that takes
+    # it: with every twist at least -1, H(W) is the hypercohomology, and
+    # on the extension of x - 1 it is the w_dim column of the ledger
+    from pathlib import Path
+
+    from p1dom import fileformat as ff
+    from p1dom.domination import dominate
+
+    samples = Path(__file__).resolve().parents[1] / "samples"
+    s = ff.load_sheaf(samples / "x-minus-1.sheaf")
+    with pytest.raises(UnsupportedRingError,
+                       match=r"homology_dims\(cech_complex\(s\)\)"):
+        sheaf_hyper_homology_dims(s)
+    ledger = dominate(ff.load_complex(samples / "x-minus-1.cplx")).ledger
+    assert homology_dims(cech_complex(s)) == {
+        row.degree: row.w_dim for row in ledger}
 
 
 def test_sheaf_iota_exactness_for_extensions():
