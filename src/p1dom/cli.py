@@ -8,11 +8,11 @@ K[x,x^-1] for homology, K[x] for hyper) and a Z-coefficient complex given
 to a command that needs a field (``FIELD_COMMANDS``: homology, dominate,
 verify).  Flags can be preset through
 environment variables with the P1DOM_ prefix (P1DOM_RING, P1DOM_TRUNC,
-P1DOM_TRUNC_MAX, P1DOM_SEED, P1DOM_FORMAT, P1DOM_OUT); explicit flags win.
-A preset is checked like the flag it stands for.  ``--trunc-max`` (and
-P1DOM_TRUNC_MAX) is still accepted, bounded and checked against
-``--trunc``, but bounds nothing: the chart orders of ``verify`` and
-``dominate`` come from exact valuations.
+P1DOM_SEED, P1DOM_FORMAT, P1DOM_OUT); explicit flags win.  A preset is
+checked like the flag it stands for.  ``--trunc`` is common to every
+command but read only by ``novikov`` (the Z windows) and ``hyper`` (the
+window order of the fpqc model): ``verify`` and ``dominate`` report the
+exact chart valuations, which no order bounds.
 
 Sizes are bounded as file contents are: a truncation order is at most
 MAX_ORDER (``hyper`` reads its model off the chart valuations, so nothing
@@ -44,7 +44,7 @@ from .sheaves import cech_cohomology, cech_complex, twisting_sheaf
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
 EXIT_INPUT_ERROR = 2
-# largest --trunc / --trunc-max, the exponent bound of the file format
+# largest --trunc, the exponent bound of the file format
 MAX_ORDER = ff.MAX_EXPONENT
 # the most basis monomials twist-cohomology may list, r * (|n| + 1)
 HYPER_ROW_BUDGET = 1 << 16
@@ -59,7 +59,7 @@ def _integer(text):
 
 
 def _order(text):
-    """--trunc / --trunc-max: an integer from 1 to MAX_ORDER."""
+    """--trunc: an integer from 1 to MAX_ORDER."""
     value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -104,7 +104,6 @@ FIELD_COMMANDS = ("homology", "dominate", "verify")
 PRESETS = {
     "ring": ("P1DOM_RING", _ring_tag, None),
     "trunc": ("P1DOM_TRUNC", _order, 16),
-    "trunc_max": ("P1DOM_TRUNC_MAX", _order, 64),
     "seed": ("P1DOM_SEED", _integer, 0),
     "format": ("P1DOM_FORMAT", _output_format, "human"),
     "out": ("P1DOM_OUT", str, None),
@@ -124,10 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ring", type=_ring_tag,
                        help="Q | GF:p | Z; must match the file header")
         p.add_argument("--trunc", type=_order,
-                       help="truncation order N (default 16)")
-        p.add_argument("--trunc-max", type=_order,
-                       help="accepted and checked against --trunc; "
-                            "no longer bounds the order (default 64)")
+                       help="truncation order N of novikov's Z windows "
+                            "and of hyper (default 16)")
         p.add_argument("--seed", type=_integer)
         p.add_argument("--format", type=_output_format,
                        metavar="{human,report}")
@@ -330,16 +327,13 @@ def cmd_h0(args):
 def cmd_hyper(args):
     c = _load_valid_complex(args)
     model = fpqc_hyper(c, order=args.trunc)
-    # window_matched is kept for byte-stable reports: true by construction
-    lines = [f"order {model.order}, stabilised {model.stabilised}, "
-             "window-matched True"]
+    lines = [f"order {model.order}, stabilised {model.stabilised}"]
     for q in sorted(model.dims):
         lines.append(f"H_{q}: dim {model.dims[q]} "
                      f"(2N: {model.dims_double.get(q)})")
     report = {"command": "hyper", "input_digest": args.input_digest,
               "order": model.order,
               "stabilised": model.stabilised,
-              "window_matched": True,
               "dims": {str(q): model.dims[q] for q in sorted(model.dims)},
               "dims_double": {str(q): model.dims_double[q]
                               for q in sorted(model.dims_double)}}
@@ -358,7 +352,7 @@ def _witness_report(args, witness, command):
 
 def cmd_dominate(args):
     c = _load_complex(args)
-    witness = dominate(c, order=args.trunc)
+    witness = dominate(c)
     ranks = ", ".join(f"{m}:{r}" for m, r in sorted(witness.w_ranks().items()))
     lines = [f"W ranks {{{ranks}}}",
              f"ledger holds: {witness.ledger_holds}"]
@@ -371,7 +365,7 @@ def cmd_dominate(args):
 
 def cmd_verify(args):
     c = _load_complex(args)
-    report = verify_theorem(c, order=args.trunc)
+    report = verify_theorem(c)
     lines = [report.verdict]
     for ch in report.checks:
         lines.append(f"  {ch.name}: {'ok' if ch.passed else 'FAIL'}"
@@ -442,8 +436,6 @@ def main(argv=None) -> int:
         return EXIT_INPUT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
         _apply_presets(args)
-        if args.trunc > args.trunc_max:
-            raise FormatError("--trunc exceeds --trunc-max")
         return HANDLERS[args.command](args)
     except FormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)

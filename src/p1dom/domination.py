@@ -31,12 +31,13 @@ integer rows over Q with Bareiss's exact division.  The witness reads each
 chart differential straight off the torus differential and the twists,
 entry (i, j) being x^(a_j(m) - a_i(m-1)) d_m[i][j] with a = -l on the plus
 side and a = k on the minus side, so it builds no chart complex, does no
-``LaurentPoly`` arithmetic and no window; ``stabilised_series_dims`` runs
+``LaurentPoly`` arithmetic and no window; ``chart_homology_dims`` runs
 the same elimination on an explicit K[x] or K[x^-1] complex.  The
-quotient window C+/x^N has dimension sum min(N, v) over the valuations of
-d_{q+1} and of d_q, plus N times the free rank, in degree q; the reported
-order (the first doubled order at which windows at N and 2N agree) and
-the truncated fpqc model of ``fpqc_hyper`` are read off the valuations.
+witness keeps the valuations, per side and differential degree, as the
+record of the chart stage.  The quotient window C+/x^N has dimension sum
+min(N, v) over the valuations of d_{q+1} and of d_q, plus N times the
+free rank, in degree q; the truncated fpqc model of ``fpqc_hyper`` is
+read off the valuations that way.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .laurent import BaseRing, LaurentPoly
 from .matrices import LaurentMatrix
 from .polylists import (exact_quotient, integer_row, lincomb, scaled, window,
                         window_difference, window_inverse, window_product)
-from .sheaves import SheafComplex, cech_complex
+from .sheaves import cech_complex
 
 
 # ---------------------------------------------------------------------------
@@ -142,56 +143,41 @@ def _elementary_valuations(d: LaurentMatrix, direction: int,
     return found
 
 
-def _series_dims(c, valuations: dict, order: int):
-    """Chart homology dimensions and order from the valuations of each
-    differential of a chart with the ranks of ``c``; see
-    ``stabilised_series_dims``."""
-    dims = {q: sum(valuations.get(q + 1, ())) for q in c.degrees()}
-    free = any(c.rank(q) > len(valuations.get(q, ()))
-               + len(valuations.get(q + 1, ())) for q in c.degrees())
-    top = max((v for vs in valuations.values() for v in vs), default=0)
-    if free:
-        raise StabilisationFailureError(
-            "chart homology has a free part; its dimensions never stabilise")
-    if order < 1 and top:
-        raise StabilisationFailureError(
-            f"order {order} cannot be doubled to valuation {top}")
-    n = order
-    while n < top:
-        n *= 2
-    return dims, n
+def _valuations(c: ChainComplex, direction: int, exps=None) -> dict:
+    """Sorted ``_elementary_valuations`` of each differential of ``c``,
+    by degree; with ``exps`` (``SheafComplex.chart_exponents``) those of
+    the chart matrices x^(exps[m][j] - exps[m-1][i]) d_m[i][j]."""
+    out = {}
+    for m in range(c.lo + 1, c.hi + 1):
+        shifts = (exps[m - 1], exps[m]) if exps else ()
+        out[m] = sorted(_elementary_valuations(c.diff(m), direction, *shifts))
+    return out
 
 
-def stabilised_series_dims(c: ChainComplex, order: int):
+def _series_dims(c, valuations: dict, side: str) -> dict:
+    """Chart homology dimensions from the valuations of each differential
+    of the ``side`` chart, whose ranks are those of ``c``; see
+    ``chart_homology_dims``."""
+    for q in c.degrees():
+        if c.rank(q) > len(valuations.get(q, ())) + len(
+                valuations.get(q + 1, ())):
+            raise StabilisationFailureError(
+                f"{side} chart homology has a free part in degree {q}")
+    return {q: sum(valuations.get(q + 1, ())) for q in c.degrees()}
+
+
+def chart_homology_dims(c: ChainComplex) -> dict:
     """Torsion K-dimensions of the chart homology after base change.
 
     Over the discrete valuation ring K[[t]] the homology in degree q is
     the torsion module sum K[[t]]/t^v over the valuations v of the
     elementary divisors of d_{q+1}, so its K-dimension is their sum.
-    Returns those dimensions and an order N: the smallest order * 2^k at
-    least every valuation, the precision at which the quotient windows
-    C/t^N and C/t^2N agree.  N has no cap: the valuations are exact, and
-    no window is built.  Raises StabilisationFailureError when the chart
-    homology has a free part (the windows never agree), or when ``order``
-    is below 1 and some valuation is positive.
+    Raises StabilisationFailureError, naming the degree, when the chart
+    homology has a free part.
     """
     direction = _chart_direction(c)
-    return _series_dims(c, {
-        m: _elementary_valuations(c.diff(m), direction)
-        for m in range(c.lo + 1, c.hi + 1)}, order)
-
-
-def _sheaf_chart_dims(sheaf: SheafComplex, side: str, order: int):
-    """``stabilised_series_dims`` of the chart ``side`` of ``sheaf``, read
-    off its middle differentials and twists: the chart differential is
-    x^(a_j(m) - a_i(m-1)) d_m[i][j] (``SheafComplex.chart_exponents``), so
-    no chart complex is built."""
-    mid = sheaf.mid
-    a = sheaf.chart_exponents(side)
-    direction = 1 if side == "plus" else -1
-    return _series_dims(mid, {
-        m: _elementary_valuations(mid.diff(m), direction, a[m - 1], a[m])
-        for m in range(mid.lo + 1, mid.hi + 1)}, order)
+    return _series_dims(c, _valuations(c, direction),
+                        "plus" if direction == 1 else "minus")
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +416,9 @@ class DominationWitness:
     w: ScalarComplex
     extension: ExtensionResult
     ledger: tuple
-    plus_order: int
-    minus_order: int
+    # degree m -> the sorted valuations of the chart differential d_m
+    plus_valuations: dict
+    minus_valuations: dict
 
     @property
     def ledger_holds(self) -> bool:
@@ -440,12 +427,14 @@ class DominationWitness:
     def w_ranks(self) -> dict:
         return {m: self.w.rank(m) for m in self.w.degrees()}
 
-    def report_fields(self) -> dict:
-        """The witness keys shared by the verify and dominate reports.
+    def largest_valuations(self) -> tuple:
+        """The largest plus and minus chart valuations, 0 when none."""
+        return tuple(max((vs[-1] for vs in side.values() if vs), default=0)
+                     for side in (self.plus_valuations,
+                                  self.minus_valuations))
 
-        The chart columns are exact; ``stabilisation_heuristic`` is kept,
-        always true, only so that report bytes stay stable.
-        """
+    def report_fields(self) -> dict:
+        """The witness keys shared by the verify and dominate reports."""
         return {
             "twist_profile": [
                 {"degree": m, "k": k, "l": l}
@@ -455,13 +444,14 @@ class DominationWitness:
                  "mid_kdim": row.mid_kdim, "plus_dim": row.plus_dim,
                  "minus_dim": row.minus_dim, "holds": row.holds}
                 for row in self.ledger],
-            "plus_order": self.plus_order,
-            "minus_order": self.minus_order,
-            "stabilisation_heuristic": True,
+            "chart_valuations": [
+                {"degree": m, "plus": self.plus_valuations[m],
+                 "minus": self.minus_valuations[m]}
+                for m in sorted(self.plus_valuations)],
         }
 
 
-def dominate(c: ChainComplex, order: int = 16) -> DominationWitness:
+def dominate(c: ChainComplex) -> DominationWitness:
     """Produce and validate the finite-domination witness.
 
     Requires field coefficients, d.d = 0 (ShapeError otherwise, checked
@@ -470,7 +460,7 @@ def dominate(c: ChainComplex, order: int = 16) -> DominationWitness:
     """
     _require_field(c)
     require_valid(c)
-    return _witness(c, novikov_check(c), order)
+    return _witness(c, novikov_check(c))
 
 
 def _require_field(c: ChainComplex):
@@ -478,8 +468,7 @@ def _require_field(c: ChainComplex):
         raise UnsupportedRingError("dominate runs in field mode")
 
 
-def _witness(c: ChainComplex, verdict: NovikovVerdict,
-             order: int) -> DominationWitness:
+def _witness(c: ChainComplex, verdict: NovikovVerdict) -> DominationWitness:
     """The witness for a field complex whose d.d = 0 is checked and whose
     Novikov verdict is known."""
     mid = verdict.homology
@@ -490,8 +479,11 @@ def _witness(c: ChainComplex, verdict: NovikovVerdict,
     ext = extend_valid_complex(c)
     w = cech_complex(ext.sheaf)
     w_dims = homology_dims(w)
-    plus_dims, plus_order = _sheaf_chart_dims(ext.sheaf, "plus", order)
-    minus_dims, minus_order = _sheaf_chart_dims(ext.sheaf, "minus", order)
+    sheaf = ext.sheaf
+    plus = _valuations(sheaf.mid, 1, sheaf.chart_exponents("plus"))
+    minus = _valuations(sheaf.mid, -1, sheaf.chart_exponents("minus"))
+    plus_dims = _series_dims(sheaf.mid, plus, "plus")
+    minus_dims = _series_dims(sheaf.mid, minus, "minus")
     rows = []
     degrees = sorted(set(w_dims) | set(plus_dims) | set(minus_dims)
                      | set(mid.entries))
@@ -506,7 +498,7 @@ def _witness(c: ChainComplex, verdict: NovikovVerdict,
         ))
     witness = DominationWitness(
         w=w, extension=ext, ledger=tuple(rows),
-        plus_order=plus_order, minus_order=minus_order,
+        plus_valuations=plus, minus_valuations=minus,
     )
     if not witness.ledger_holds:
         raise StabilisationFailureError(
@@ -541,8 +533,7 @@ def fpqc_hyper(c_plus: ChainComplex, order: int = 16) -> FpqcModel:
     """
     if c_plus.base != BaseRing.POLY:
         raise UnsupportedRingError("fpqc model starts from a K[x]-complex")
-    vals = {m: _elementary_valuations(c_plus.diff(m), 1)
-            for m in range(c_plus.lo + 1, c_plus.hi + 1)}
+    vals = _valuations(c_plus, 1)
 
     def dims(n):
         rank = {m: sum(max(n - v, 0) for v in vs) for m, vs in vals.items()}
@@ -597,7 +588,7 @@ class TheoremReport:
         return data
 
 
-def verify_theorem(c: ChainComplex, order: int = 16) -> TheoremReport:
+def verify_theorem(c: ChainComplex) -> TheoremReport:
     """Full pipeline: hypothesis check, witness production, ledger audit.
 
     d.d = 0 is checked once, first: a non-complex is a ShapeError, not a
@@ -615,7 +606,7 @@ def verify_theorem(c: ChainComplex, order: int = 16) -> TheoremReport:
                 f"{r} in degree {q}" for q, r in sorted(free.items()))),)
         return TheoremReport("FAIL", verdict, checks)
     _require_field(c)
-    witness = _witness(c, verdict, order)
+    witness = _witness(c, verdict)
     checks = []
     w = witness.w
     bounded = w.hi - w.lo < 10 ** 9
@@ -629,7 +620,8 @@ def verify_theorem(c: ChainComplex, order: int = 16) -> TheoremReport:
         f"total dim_K = {total}"))
     checks.append(TheoremCheck(
         "ledger-equation", witness.ledger_holds,
-        f"orders (plus {witness.plus_order}, minus {witness.minus_order})"))
+        "largest chart valuation: plus {}, minus {}".format(
+            *witness.largest_valuations())))
     verdict_str = "PASS" if all(ch.passed for ch in checks) else "FAIL"
     return TheoremReport(verdict_str, verdict, tuple(checks), witness)
 

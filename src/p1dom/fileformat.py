@@ -224,6 +224,8 @@ def _read_differentials(data, ring, base, ranks, key: str, budget):
         if not isinstance(item, dict):
             raise FormatError("expected {degree, matrix}", loc)
         m = _integer(item.get("degree"), "degree", f"{loc}.degree")
+        if m in diffs:
+            raise FormatError("duplicate degree", f"{loc}.degree")
         if not (lo < m <= hi):
             raise FormatError(f"differential degree {m} out of support", loc)
         rows = ranks.get(m - 1, 0)

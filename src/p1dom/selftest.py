@@ -188,7 +188,7 @@ def group_fpqc():
     model = fpqc_hyper(c, 8)
     if model.dims.get(0) != 1:
         return False, "K[x]/x class missing"
-    return True, "window-matched"
+    return True, "K[x]/x at order 8"
 
 
 GROUPS = [

@@ -2,11 +2,12 @@
 
 import random
 
-from p1dom.complexes import ChainComplex, ScalarComplex
+from p1dom.complexes import ChainComplex, ChainMap, ScalarComplex, cone
 from p1dom.domination import _chart_direction
-from p1dom.generators import random_complex, random_novikov_acyclic
+from p1dom.generators import (null_homotopic_map, random_complex,
+                              random_novikov_acyclic)
 from p1dom.laurent import BaseRing, LaurentPoly
-from p1dom.matrices import LaurentMatrix, ScalarMatrix
+from p1dom.matrices import LaurentMatrix, ScalarMatrix, scalar_rank
 from p1dom.smith import kernel_basis
 
 
@@ -110,3 +111,31 @@ def homology_case(seed, ring, kind):
         return ChainComplex(ring, BaseRing.LAURENT, 0, 1,
                             {0: rows, 1: cols}, {1: d})
     return three_term_complex(rng, ring)
+
+
+def random_mapping_torus(rng, ring, a):
+    """(D, T): a random complex D with constant differentials and the
+    mapping torus T = cone(x - f) of f = a id + (a null-homotopic map).
+
+    The Mather trick (Ranicki, "Finite domination and Novikov rings",
+    Topology 34, 1995): x - f = x (1 - x^-1 f) is invertible over
+    R[[x^-1]], so T is Novikov acyclic on the x^-1 side; x lies in the
+    Jacobson radical of R[[x]], so T is acyclic on the x side exactly
+    when f is a quasi-isomorphism over R.  f is homotopic to a id.  Over
+    a field with a a unit, H_q(T) is K[x,x^-1]^b / (x - a), b the Betti
+    number of D in degree q, so dim_K H_q(T) = b.
+    """
+    d = random_complex(rng, ring, span=0)
+    null = null_homotopic_map(rng, d, d, span=0)
+    x_minus_a = LaurentPoly(ring, {1: ring.one(), 0: ring.from_int(-a)})
+    return d, cone(ChainMap(d, d, {
+        m: LaurentMatrix.scalar_diag(ring, [x_minus_a] * d.rank(m))
+        - null.component(m) for m in d.degrees()}))[0]
+
+
+def betti_numbers(d):
+    """Ranks of the homology of a complex with constant differentials,
+    over the fraction field of its coefficient ring."""
+    ranks = {m: scalar_rank(ScalarMatrix.from_laurent(d.diff(m)))
+             for m in range(d.lo, d.hi + 2)}
+    return {q: d.rank(q) - ranks[q] - ranks[q + 1] for q in d.degrees()}

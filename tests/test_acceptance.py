@@ -154,10 +154,9 @@ def test_criterion_theorem_desk_scale():
     for i in range(100):
         ring = _mixed_ring(i)
         c = random_novikov_acyclic(rng, ring)
-        rep = verify_theorem(c, order=16)
+        rep = verify_theorem(c)
         assert rep.passed
-        assert rep.witness.plus_order <= 64
-        assert rep.witness.minus_order <= 64
+        assert max(rep.witness.largest_valuations()) <= 64
     elapsed = time.time() - t0
     assert elapsed < 300.0
     _report("theorem pipeline, desk scale",

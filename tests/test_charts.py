@@ -2,7 +2,8 @@
 
 The oracles are the quotient windows C/t^N, whose dimension in degree q is
 sum min(N, v) over the valuations of d_{q+1} and d_q, the N/2N doubling
-loop with its telescoping (kept below as a reference), and, for square
+loop with its telescoping (kept below as a reference for the dimensions;
+the exact columns need no order), and, for square
 matrices of full rank, the t-adic valuation of the determinant.  Any
 shape and rank is checked against sympy's Smith form over K[t] in
 ``test_sympy_oracle.py``.
@@ -15,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from p1dom.complexes import ChainComplex, homology_dims
-from p1dom.domination import _elementary_valuations, stabilised_series_dims
+from p1dom.domination import _elementary_valuations, chart_homology_dims
 from p1dom.errors import StabilisationFailureError, UnsupportedRingError
 from p1dom.extension import extend_complex
 from p1dom.generators import random_complex, random_novikov_acyclic
@@ -28,7 +29,7 @@ from p1dom.smith import matrix_rank
 from helpers import two_term, window_complex
 
 RINGS = [QQ, GF(7), GF(10007)]
-FREE = "chart homology has a free part; its dimensions never stabilise"
+FREE = "{} chart homology has a free part in degree {}"
 
 
 def doubling_reference(c, order, order_max):
@@ -77,6 +78,10 @@ def direction(chart):
     return 1 if chart.base == BaseRing.POLY else -1
 
 
+def side(chart):
+    return "plus" if chart.base == BaseRing.POLY else "minus"
+
+
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.tag)
 def test_window_dims_are_truncated_valuation_sums(ring):
     for chart in charts(ring, 2279, 8):
@@ -94,51 +99,54 @@ def test_matches_the_doubling_loop(ring):
     rng = random.Random(778)
     for acyclic in (True, False):
         for chart in charts(ring, 777, 10, acyclic):
-            free = any(chart.rank(q) > matrix_rank(chart.diff(q))
-                       + matrix_rank(chart.diff(q + 1))
-                       for q in chart.degrees())
+            free = [q for q in chart.degrees()
+                    if chart.rank(q) > matrix_rank(chart.diff(q))
+                    + matrix_rank(chart.diff(q + 1))]
+            got = outcome(chart_homology_dims, chart)
             for order, order_max in ((16, 64), (1, 1), (1, 2), (2, 4),
                                      (rng.choice([1, 2, 4]),
                                       rng.choice([1, 4, 8, 64]))):
-                got = outcome(stabilised_series_dims, chart, order)
                 want = outcome(doubling_reference, chart, order, order_max)
                 if want[0] != "raised":
-                    assert got == want
+                    assert got == want[0]
                 elif free:
-                    assert got == ("raised", FREE)
+                    assert got == ("raised", FREE.format(side(chart),
+                                                         free[0]))
                 else:
                     # the reference stopped at its cap before the windows
-                    # agreed, so the exact order lies beyond the cap
-                    assert got[1] > order_max
-                    assert got == doubling_reference(chart, order, got[1])
+                    # agreed; uncapped, it agrees
+                    assert got == doubling_reference(chart, order,
+                                                     math.inf)[0]
 
 
 def test_orders_of_the_named_examples():
+    # the reference doubles 16 to 32 and to 128; the exact columns read
+    # the valuations 20 and 70 with no order
     plus = extend_complex(two_term(QQ, [(20, 1), (21, -1)])).sheaf.plus
-    assert stabilised_series_dims(plus, 16) == ({0: 20, 1: 0}, 32)
+    assert chart_homology_dims(plus) == {0: 20, 1: 0}
     assert doubling_reference(plus, 16, 64) == ({0: 20, 1: 0}, 32)
-    # an order beyond every valuation is reported as it is
-    assert stabilised_series_dims(plus, 32)[1] == 32
     deep = extend_complex(two_term(QQ, [(70, 1), (71, -1)])).sheaf.plus
-    assert stabilised_series_dims(deep, 16) == ({0: 70, 1: 0}, 128)
+    assert chart_homology_dims(deep) == {0: 70, 1: 0}
     assert doubling_reference(deep, 16, 128) == ({0: 70, 1: 0}, 128)
     with pytest.raises(StabilisationFailureError, match="by N=64"):
         doubling_reference(deep, 16, 64)
-    # an order below 1 cannot double to a positive valuation
-    with pytest.raises(StabilisationFailureError, match="order 0 cannot"):
-        stabilised_series_dims(deep, 0)
 
 
 def test_free_chart_homology_never_stabilises():
-    c = ChainComplex.single(QQ, BaseRing.POLY, 0, 1)
-    for order in (8, 1, 4096):
-        with pytest.raises(StabilisationFailureError, match=FREE):
-            stabilised_series_dims(c, order)
+    # the error names the chart and the degree of the free part
+    for base, name, degree in ((BaseRing.POLY, "plus", 0),
+                               (BaseRing.POLY_INV, "minus", 2)):
+        c = ChainComplex.single(QQ, base, degree, 1)
+        with pytest.raises(StabilisationFailureError) as err:
+            chart_homology_dims(c)
+        assert str(err.value) == FREE.format(name, degree)
+        with pytest.raises(StabilisationFailureError, match="by N=4096"):
+            doubling_reference(c, 8, 4096)
 
 
 def test_laurent_complex_is_rejected():
     with pytest.raises(UnsupportedRingError):
-        stabilised_series_dims(two_term(QQ, [(1, 1)]), 16)
+        chart_homology_dims(two_term(QQ, [(1, 1)]))
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.tag)
@@ -212,7 +220,7 @@ def test_chart_stage_does_no_laurent_or_fraction_arithmetic(monkeypatch):
     sheaves = [extend_complex(random_novikov_acyclic(
         rng, ring, max_rank=6, span=3)).sheaf for ring in RINGS
         for _ in range(3)]
-    want = [stabilised_series_dims(getattr(s, side), 16)
+    want = [chart_homology_dims(getattr(s, side))
             for s in sheaves for side in ("plus", "minus")]
     calls = []
 
@@ -230,8 +238,9 @@ def test_chart_stage_does_no_laurent_or_fraction_arithmetic(monkeypatch):
     for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__"):
         recording(Fraction, name)
     recording(SheafComplex, "_chart")
-    got = [domination._sheaf_chart_dims(s, side, 16)
-           for s in sheaves for side in ("plus", "minus")]
+    got = [domination._series_dims(s.mid, domination._valuations(
+               s.mid, sign, s.chart_exponents(side)), side)
+           for s in sheaves for side, sign in (("plus", 1), ("minus", -1))]
     monkeypatch.undo()
     assert calls == []
     assert got == want

@@ -13,6 +13,8 @@ from p1dom.scalars import QQ, ZZ
 
 from helpers import M, two_term
 
+SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
+
 
 @pytest.fixture
 def xm1_file(tmp_path):
@@ -160,7 +162,7 @@ def test_hyper_command(tmp_path, capsys):
     ff.save_path(path, ff.complex_to_dict(
         two_term(QQ, [(1, 1)], base=BaseRing.POLY)))
     assert main(["hyper", str(path), "--trunc", "8"]) == 0
-    assert "window-matched True" in capsys.readouterr().out
+    assert capsys.readouterr().out.startswith("order 8, stabilised True\n")
 
 
 def test_hyper_refuses_an_invalid_complex(tmp_path, capsys):
@@ -221,27 +223,36 @@ def test_env_var_overrides(xm1_file, tmp_path, monkeypatch, capsys):
     assert data["command"] == "homology"
 
 
-def test_trunc_exceeding_max_is_input_error(xm1_file):
-    assert main(["verify", xm1_file, "--trunc", "128",
+def test_trunc_max_is_an_unknown_flag(monkeypatch, capsys):
+    # --trunc-max bounded no computation and is gone: the flag is refused
+    # and its old preset is not read, so --trunc alone may pass 64
+    assert main(["verify", os.path.join(SAMPLES, "x-minus-1.cplx"),
                  "--trunc-max", "64"]) == 2
+    assert "unrecognized arguments: --trunc-max" in capsys.readouterr().err
+    monkeypatch.setenv("P1DOM_TRUNC_MAX", "1")
+    assert main(["novikov", "--format", "report", "--trunc", "128",
+                 os.path.join(SAMPLES, "two-minus-x.cplx")]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["x_inv_side"]["certificate"]["order"] == 128
 
 
 @pytest.mark.parametrize("flags, env", [
     ([], {}),
-    (["--trunc", "1", "--trunc-max", "1"], {}),
+    (["--trunc", "1"], {}),
     ([], {"P1DOM_TRUNC": "2", "P1DOM_TRUNC_MAX": "2"}),
 ])
 def test_trunc_max_does_not_bound_the_order(flags, env, monkeypatch,
                                             capsys):
-    # x^70 (x - 1): the plus chart needs order 128, past every --trunc-max
-    # given here, and verify still passes
+    # x^70 (x - 1): the plus chart valuation is 70, past every --trunc
+    # given here; no order bounds it (P1DOM_TRUNC_MAX is no longer read),
+    # and verify passes
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    sample = os.path.join(os.path.dirname(__file__), os.pardir, "samples",
-                          "deep-x-minus-1.cplx")
-    assert main(["verify", sample] + flags) == 0
+    assert main(["verify", os.path.join(SAMPLES, "deep-x-minus-1.cplx")]
+                + flags) == 0
     out = capsys.readouterr().out
-    assert out.startswith("PASS") and "orders (plus 128, minus " in out
+    assert out.startswith("PASS")
+    assert "(largest chart valuation: plus 70, minus 0)" in out
 
 
 def test_selftest_runs(capsys):
@@ -269,7 +280,6 @@ def test_bad_flag_is_input_error(xm1_file, flags, capsys):
     ("P1DOM_TRUNC", "abc"),
     ("P1DOM_TRUNC", "0"),
     ("P1DOM_TRUNC", "-3"),
-    ("P1DOM_TRUNC_MAX", "0"),
     ("P1DOM_SEED", "1.5"),
     ("P1DOM_FORMAT", "xml"),
     ("P1DOM_RING", "R"),
@@ -282,10 +292,12 @@ def test_bad_preset_is_input_error(xm1_file, var, value, monkeypatch,
     assert err.startswith("input error:") and var in err
 
 
-def test_flag_overrides_bad_preset(xm1_file, monkeypatch, capsys):
+def test_flag_overrides_bad_preset(monkeypatch, capsys):
     monkeypatch.setenv("P1DOM_TRUNC", "abc")
-    assert main(["verify", xm1_file, "--trunc", "8"]) == 0
-    assert "orders (plus 8, minus 8)" in capsys.readouterr().out
+    assert main(["novikov", "--format", "report", "--trunc", "8",
+                 os.path.join(SAMPLES, "two-minus-x.cplx")]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["x_inv_side"]["certificate"]["order"] == 8
 
 
 def test_out_shrinks_a_longer_file_to_the_new_bytes(xm1_file, tmp_path,
@@ -344,9 +356,6 @@ def test_non_utf8_input_is_input_error(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and str(path) in err
-
-
-SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
 
 
 @pytest.mark.parametrize("command, sample", [

@@ -188,11 +188,12 @@ def test_dominate_rejects_free_homology():
 
 
 def test_dominate_escalates_truncation_order():
-    # x^20 (1 - x): the plus chart carries K[[x]]/x^20, which needs a
-    # window beyond the default 16 to stabilise
+    # x^20 (1 - x): the plus chart carries K[[x]]/x^20, past the default
+    # window of 16 terms, and the witness reads the valuation 20 exactly
     c = two_term(QQ, [(20, 1), (21, -1)])
-    w = dominate(c, order=16)
-    assert w.plus_order > 16
+    w = dominate(c)
+    assert w.plus_valuations == {1: [20]}
+    assert w.largest_valuations() == (20, 0)
     rows = {r.degree: r for r in w.ledger}
     assert rows[0].plus_dim == 20
     assert rows[0].mid_kdim == 1
@@ -201,11 +202,13 @@ def test_dominate_escalates_truncation_order():
 
 
 def test_dominate_stabilisation_failure_beyond_max():
-    # x^70 (1 - x): the plus chart carries K[[x]]/x^70, so the order
-    # doubles from 16 to 128 with no cap, and the ledger holds
+    # x^70 (1 - x): the plus chart carries K[[x]]/x^70 with no cap on
+    # the valuation, and the ledger holds
     c = two_term(QQ, [(70, 1), (71, -1)])
-    w = dominate(c, order=16)
-    assert (w.plus_order, w.minus_order) == (128, 16)
+    w = dominate(c)
+    assert (w.plus_valuations, w.minus_valuations) == ({1: [70]}, {1: [0]})
+    assert w.report_fields()["chart_valuations"] == [
+        {"degree": 1, "plus": [70], "minus": [0]}]
     rows = {r.degree: r for r in w.ledger}
     assert (rows[0].plus_dim, rows[0].mid_kdim, rows[0].minus_dim) == \
         (70, 1, 0)
@@ -314,7 +317,7 @@ def test_verify_theorem_randomised():
         c = random_novikov_acyclic(rng, ring)
         report = verify_theorem(c)
         assert report.passed
-        assert report.witness.plus_order <= 64
+        assert max(report.witness.largest_valuations()) <= 64
 
 
 def test_contraction_pivot_is_widest_then_least_valuation():

@@ -176,6 +176,33 @@ def test_twist_profile_degree_must_be_new_and_listed(entry, message):
     assert str(err.value) == f"{message} (at twist_profile[2].degree)"
 
 
+@pytest.mark.parametrize("source, key", [
+    (COMPLEX, "differentials"), (SHEAF, "differentials"), (SHEAF, "minus"),
+    (SHEAF, "plus"),
+], ids=["complex", "sheaf", "sheaf-minus", "sheaf-plus"])
+def test_differential_degree_must_be_new(source, key):
+    # without the check the last entry of a degree won, silently
+    data = json.loads(json.dumps(source))
+    data[key].append({"degree": 1, "matrix": [[[[0, "1"]]]]})
+    load = (ff.sheaf_from_dict if source is SHEAF
+            else ff.complex_from_dict)
+    with pytest.raises(FormatError) as err:
+        load(data)
+    assert str(err.value) == (
+        f"duplicate degree (at {key}[{len(data[key]) - 1}].degree)")
+
+
+def test_sample_with_a_duplicate_differential_exits_2(tmp_path, capsys):
+    sample = Path(__file__).resolve().parents[1] / "samples/x-minus-1.cplx"
+    data = json.loads(sample.read_text(encoding="utf-8"))
+    data["differentials"].append({"degree": 1, "matrix": [[[[0, "1"]]]]})
+    path = tmp_path / "dup.cplx"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: duplicate degree (at differentials[1].degree)\n")
+
+
 def test_extended_sample_with_stray_twists_exits_2(tmp_path, capsys):
     # without the checks the last duplicate won and the stray entry was
     # dropped, and h0 exited 0

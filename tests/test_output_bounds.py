@@ -32,9 +32,9 @@ def test_max_order_is_the_exponent_bound():
     assert MAX_ORDER == ff.MAX_EXPONENT == 4096
 
 
-@pytest.mark.parametrize("flag", ["--trunc", "--trunc-max"])
+@pytest.mark.parametrize("flag", ["--trunc"])
 def test_order_flags_at_and_past_the_bound(flag, capsys):
-    args = ["novikov", XM1, "--trunc-max", str(MAX_ORDER), flag]
+    args = ["novikov", XM1, flag]
     assert main(args + [str(MAX_ORDER)]) == 0
     capsys.readouterr()
     assert main(args + [str(MAX_ORDER + 1)]) == 2
@@ -43,9 +43,8 @@ def test_order_flags_at_and_past_the_bound(flag, capsys):
         in err
 
 
-@pytest.mark.parametrize("var", ["P1DOM_TRUNC", "P1DOM_TRUNC_MAX"])
+@pytest.mark.parametrize("var", ["P1DOM_TRUNC"])
 def test_order_presets_at_and_past_the_bound(var, monkeypatch, capsys):
-    monkeypatch.setenv("P1DOM_TRUNC_MAX", str(MAX_ORDER))
     monkeypatch.setenv(var, str(MAX_ORDER))
     assert main(["novikov", XM1]) == 0
     capsys.readouterr()
@@ -71,8 +70,7 @@ def _chart_file(tmp_path, rank):
 
 def test_hyper_runs_at_max_order(tmp_path, capsys):
     path = _chart_file(tmp_path, 8)
-    assert main(["hyper", path, "--trunc", str(MAX_ORDER), "--trunc-max",
-                 str(MAX_ORDER)]) == 0
+    assert main(["hyper", path, "--trunc", str(MAX_ORDER)]) == 0
     assert "H_0: dim 16" in capsys.readouterr().out
 
 

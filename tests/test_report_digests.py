@@ -7,8 +7,12 @@ an elimination kernel that moves any report byte fails here.  For each
 ring and span the sha256 of the canonical dumps of ``verify_theorem``'s
 report, and of the witness that ``dominate`` returns (W and the report
 fields, as the CLI writes them), is compared with a stored digest.  The
-stored digests were computed before the chart valuations moved to
-coefficient lists.
+stored digests were last rewritten when the chart valuations replaced
+the truncation orders in the witness keys; before that rewrite every new
+report was checked to equal the old one with ``plus_order``,
+``minus_order`` and ``stabilisation_heuristic`` replaced by
+``chart_valuations`` and the ``ledger-equation`` detail by the largest
+valuation on each side.
 
 After a declared change to the reports, print the new digests with
 
@@ -31,41 +35,41 @@ PER_RING = 80
 
 DIGESTS = {
     "Q/1": (
-        "6eb0e65851e1371a5db65af9a25f5f038985655b93b97e17c1d5bbe228a50d54",
-        "a40fb2685506146ddf9f1f2e5ff7359fe7b9586f6523ec8cd9a6d2fabb359308"),
+        "ae2c5f84152b6c72cf617603820adc6ce8c56e490b814f37d7c73c54df49bf8a",
+        "a5af9dc10ffc8a7f21aa703f13ba70af656806ccd76fd9e17e6c8587c434b73a"),
     "Q/2": (
-        "4036f4a19ef9149d7274a7a286dae3299355c73f28fb8170f4fbb16d3ec701f5",
-        "71eae759124b0c1e6f7d196babde5214b47033ab01e04a0b183b1a77d2ac7ef0"),
+        "7bc2561e1b04b8aedb230baf5c05fba45c42ee0f56f0db8c8dda4b697ac25922",
+        "0fbe82592d4c3dad2d682f6548952d2534dc963b3b7eee71f586fb100cecd239"),
     "Q/3": (
-        "ba553d8f38e182c2559b4e58bd58c5e38ba9f92caee38085d03f98618a82331b",
-        "5e8f9aa9d3e6c5639d7a0ce81443382cf2777febc79dc60f30a31b4cab294821"),
+        "002f05ac36c1f26af8730d65078227de793bd6d0b51068f86a9576418fc3bc94",
+        "9412207957d6f2ea9347cc1403611688487e51e99acd8cb82226462da5a211d1"),
     "Q/4": (
-        "438d2aa3483bff7486bb9346c4b19b0ee2664d626e515642c96b8d803108db55",
-        "9d3f3de579e6cd6aad35a84d6e52068f96f48b5895c9c8193cb785c13fa26615"),
+        "a92e7c2d9fdafc609427451e8f076770849e98b5bae4eb0bf5a79b727b1c770d",
+        "de229bc6d587ff4001467d12772c1d95c6026db8c1049908c7ac5824374abf39"),
     "GF(7)/1": (
-        "80311f37d0bdb045b9d8f5d49f2a62c865b7bee160951e56dd1df29d4be2ad00",
-        "88a9ba85705861876f5b388e4a819ef4482ba471b7ed29e99c90f10ebdb0f7a2"),
+        "1134ec55124edf865dcfce652a4b199393d8ec40a79b87e9f4efef992cb80c5b",
+        "04976ab75c8f60b283b88e829558e5c28d37fc478cadad7e44f30ee03b53dacb"),
     "GF(7)/2": (
-        "339b190dba9d843d5d7f53a4c44639770c55023399169021bc563fc46dfface2",
-        "3518f8646be706889f472ef45b0d42e60b1819a8ab45cbadb880ef9c8078e5bb"),
+        "0959be8b3f723ed187b2cf861f5502880c54b5ca05a222ee1f380667b581f60c",
+        "e8714221e98d7f7c3ac92677e44d69f9a3f91e55818803e87a31a3506c0b6399"),
     "GF(7)/3": (
-        "36f8a214f2bfaf70e6cb025f1db211a9342b289d38b3930df01f1d4cf5b66266",
-        "2cee799c010ca743764af46e2f1e44da4e1d9112af2611d30b0bbbe4c0f8c68b"),
+        "a2102919e7562298c32d816586fa7c4cde2028907c88bd4e9b9f864f60216e68",
+        "6dde8d5f08a64eff73933f82aa34d3d33fdea5c8a0d362f53cee674e41ae69f5"),
     "GF(7)/4": (
-        "08a3f6abef6a254685470e93f956e60ce29ea91f4fa969ef92a7b8fc270e3d52",
-        "4790d63ed0d56e9994cb419339fc1c011e089f32a28f140bcc056ac5dd8335a0"),
+        "306b1890e3f8b25496452c8587bdbfe79262eb6ebcf92d94f1e104af28495d90",
+        "eb82b401c888128b56934de0217acfda552018cac917f1cd7be74acecde73140"),
     "GF(10007)/1": (
-        "8aa36e3c23b82e696ad0e57d083bd306dd61cb881d77825ed1e1edb40504e826",
-        "d526579967c20b9d311c1d3cf0d28f7970b2b47b97e53cdc37c5af0908610dc8"),
+        "0e028de0523c5e95a48a6ef1ab62545e42fb638aef9ceb837a07f86a7a8293d8",
+        "7873efa86cbd57a8d019c58577359386b71800a1758992cc20637e8fde7a4902"),
     "GF(10007)/2": (
-        "afb6a5c327d1ff2ded41756b014b5112c02bfa46e927b8baca325f25c90a74b3",
-        "f1cd45f51278712e1f04eaf6bf1dd12ed40c0048c628efe79322bcb9d6c93bbd"),
+        "70470d41ddf8c04cdafbcc1ac93c16c2c16e7d06a43681df5edf98e1ea57c655",
+        "18d136ae9887bc05989b903715fbc349e0811504e4dcbb96c0446c4725e72310"),
     "GF(10007)/3": (
-        "36e80f328fc04aa12f6314ba205d85184a85532ab2031c7e8c5841ec52c1414f",
-        "645bc319f6f2684bcb5f7fcaf06c22a9f4b5f26e3724d50225b470e51841710c"),
+        "53c4a9ff77501121e97f0d4c9bd90a0c1fa37513f2c6093f95e6bc7a79104e52",
+        "ea0f2ea4ac17242133f3e21cedd496e737ece9d3348fb029989b689daae7d579"),
     "GF(10007)/4": (
-        "926efd70d7bfd2fb4d4850273060fc64b6ebe8a85eea3e15b576cba1b3479e2a",
-        "9f15d89bcc7cb55817311a1276cad6d7ebc7fd4c291cd016c987b9777e546926"),
+        "a8e0d7270af3cb516d3bb2df95fd724c143489a3ebebdbfa595f811576faa081",
+        "aa7f84d221357e3e996870c1bae09b9209fd2445a9f3ce828e3defcf4bca84cf"),
 }
 
 
