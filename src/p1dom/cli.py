@@ -6,13 +6,15 @@ usage errors, among them a complex whose base ring the command does not
 take (``BASES``: K[x,x^-1] for novikov, extend, dominate and verify, K or
 K[x,x^-1] for homology, K[x] for hyper) and a Z-coefficient complex given
 to a command that needs a field (``FIELD_COMMANDS``: homology, dominate,
-verify).  Flags can be preset through
+verify).  Each command takes only the flags it reads: ``--trunc`` belongs
+to ``novikov`` (the Z windows) and ``hyper`` (the window order of the
+fpqc model), ``--seed`` to ``selftest``; elsewhere either is an unknown
+argument (exit 2).  ``verify`` and ``dominate`` report the exact chart
+valuations, which no order bounds.  Flags can be preset through
 environment variables with the P1DOM_ prefix (P1DOM_RING, P1DOM_TRUNC,
 P1DOM_SEED, P1DOM_FORMAT, P1DOM_OUT); explicit flags win.  A preset is
-checked like the flag it stands for.  ``--trunc`` is common to every
-command but read only by ``novikov`` (the Z windows) and ``hyper`` (the
-window order of the fpqc model): ``verify`` and ``dominate`` report the
-exact chart valuations, which no order bounds.
+read only by a command that takes its flag, and is checked like that
+flag.
 
 Sizes are bounded as file contents are: a truncation order is at most
 MAX_ORDER (``hyper`` reads its model off the chart valuations, so nothing
@@ -122,21 +124,24 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("input", help="input file")
         p.add_argument("--ring", type=_ring_tag,
                        help="Q | GF:p | Z; must match the file header")
-        p.add_argument("--trunc", type=_order,
-                       help="truncation order N of novikov's Z windows "
-                            "and of hyper (default 16)")
-        p.add_argument("--seed", type=_integer)
         p.add_argument("--format", type=_output_format,
                        metavar="{human,report}")
         p.add_argument("--out",
                        help="write output to this path instead of stdout")
+        return p
+
+    def windowed(p):
+        common(p).add_argument(
+            "--trunc", type=_order,
+            help="truncation order N of novikov's Z windows and of hyper "
+                 "(default 16)")
 
     common(sub.add_parser("validate", help="check d.d = 0 and exponent legality"))
     common(sub.add_parser("homology", help="homology report of a complex"))
-    common(sub.add_parser("novikov", help="Novikov acyclicity verdicts"))
+    windowed(sub.add_parser("novikov", help="Novikov acyclicity verdicts"))
     common(sub.add_parser("extend", help="extend a complex to the projective line"))
     common(sub.add_parser("h0", help="global sections of a sheaf complex"))
-    common(sub.add_parser("hyper", help="truncated chart-cover totalisation of a K[x] complex"))
+    windowed(sub.add_parser("hyper", help="truncated chart-cover totalisation of a K[x] complex"))
     common(sub.add_parser("dominate", help="produce the finite-domination witness"))
     common(sub.add_parser("verify", help="full theorem pipeline with ledger"))
     tw = sub.add_parser("twist-cohomology",
@@ -146,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     tw.add_argument("--k", type=int, default=0, help="twist split (k, n-k)")
     common(tw, with_input=False)
     st = sub.add_parser("selftest", help="run the embedded example corpus")
-    common(st, with_input=False)
+    common(st, with_input=False).add_argument("--seed", type=_integer)
     return parser
 
 
@@ -154,9 +159,10 @@ PARSER = build_parser()
 
 
 def _apply_presets(args):
-    """Fill each flag left unset from its P1DOM_ variable or default."""
+    """Fill each flag of the parsed command left unset from its P1DOM_
+    variable or default; a command without the flag reads neither."""
     for attr, (var, convert, default) in PRESETS.items():
-        if getattr(args, attr) is not None:
+        if not hasattr(args, attr) or getattr(args, attr) is not None:
             continue
         raw = os.environ.get(var)
         if raw is None:

@@ -1,9 +1,23 @@
 """Novikov acyclicity and the finite-domination witness pipeline.
 
-Field mode decides acyclicity over both formal Laurent series rings at once:
-over a field those rings contain K[x,x^-1], so acyclicity after base change
-is equivalent to every homology module being torsion, which the Smith
-normal form decides exactly.  Z mode runs on Z windows of ``order`` terms
+Field mode decides acyclicity over both formal Laurent series rings at once,
+by ranks.  Over a field K the rings K((x)) and K((x^-1)) are fields that
+contain K(x), and the rank of a matrix over K(x) is the size of its largest
+nonzero minor, which no field extension changes.  So C (x) K((x)) and
+C (x) K((x^-1)) are acyclic exactly when every free rank
+
+    f_q = rank C_q - rank d_q - rank d_{q+1}      (ranks over K(x))
+
+is zero, which is also when every homology module over K[x,x^-1] is
+torsion.  The rank terms telescope, so sum (-1)^q f_q is the Euler
+characteristic chi(C): a nonzero chi is a sure "no".  Otherwise rank d_m
+is the number of pivots of the chart kernel ``_elementary_valuations``
+in t = x, one per nonzero elementary divisor over K[[x]], that is the rank
+over K((x)) and so over K(x).  The Smith normal form (``homology``) is
+computed only when the ``snf-torsion`` certificate or the homology report
+is read.  Like ``homology``, ``novikov_check`` assumes d.d = 0 (in a
+complex f_q >= 0); the CLI, ``verify_theorem`` and ``dominate`` check it
+first.  Z mode runs on Z windows of ``order`` terms
 (``polylists.window``: a coefficient entry in t = x or t = x^-1 and its
 first unknown t-exponent).  A square two-term complex is acyclic on a side
 exactly when its determinant's window there has head coefficient 1 or -1,
@@ -48,7 +62,7 @@ from typing import Callable
 
 from .complexes import (ChainComplex, HomologyReport, ScalarComplex, homology,
                         homology_dims, require_valid)
-from .errors import (NotAUnitError, NotNovikovAcyclicError,
+from .errors import (NotAUnitError, NotNovikovAcyclicError, ShapeError,
                      StabilisationFailureError, UnsupportedRingError)
 from .extension import ExtensionResult, extend_valid_complex
 from .laurent import BaseRing, LaurentPoly
@@ -215,9 +229,16 @@ class SideVerdict:
 class NovikovVerdict:
     x_side: SideVerdict
     x_inv_side: SideVerdict
-    # field mode: the homology over K[x,x^-1] both sides were read from
-    homology: HomologyReport | None = field(default=None, compare=False,
-                                            repr=False)
+    # field mode: returns the homology over K[x,x^-1], computing it on its
+    # first call only; None in Z mode
+    read_homology: Callable[[], HomologyReport] | None = field(
+        default=None, compare=False, repr=False)
+
+    @property
+    def homology(self) -> HomologyReport | None:
+        """Field mode: the homology over K[x,x^-1] (Smith normal form),
+        computed on first read and kept.  Z mode: None."""
+        return self.read_homology() if self.read_homology else None
 
     @property
     def both_acyclic(self) -> bool:
@@ -225,6 +246,8 @@ class NovikovVerdict:
 
 
 def novikov_check(c: ChainComplex, order: int = 16) -> NovikovVerdict:
+    """Novikov verdicts on the x and x^-1 sides; ``c`` must be a complex
+    (d.d = 0), which is not checked (see the module docstring)."""
     if c.base != BaseRing.LAURENT:
         raise UnsupportedRingError(
             "Novikov acyclicity applies to K[x,x^-1]-complexes")
@@ -233,26 +256,90 @@ def novikov_check(c: ChainComplex, order: int = 16) -> NovikovVerdict:
     return _novikov_integers(c, order)
 
 
-def _novikov_field(c: ChainComplex) -> NovikovVerdict:
-    report = homology(c)
+def _checked_verdict(c: ChainComplex) -> NovikovVerdict:
+    """``novikov_check`` of a complex whose d.d = 0 is checked.  A field
+    verdict is read off ``homology(c)``, which the ledger needs anyway:
+    one Smith pass and no rank pass."""
+    if c.ring.is_field and c.base == BaseRing.LAURENT:
+        return _novikov_field(c, homology(c))
+    return novikov_check(c)
+
+
+def _euler(c: ChainComplex) -> int:
+    return sum(r if m % 2 == 0 else -r for m, r in c.ranks.items())
+
+
+def _novikov_field(c: ChainComplex,
+                   report: HomologyReport | None = None) -> NovikovVerdict:
+    """Both sides' verdict over a field: "yes" exactly when every free
+    rank f_q = rank C_q - rank d_q - rank d_{q+1} over K(x) is zero.
+
+    Over the fields K((x)) and K((x^-1)), which contain K(x), C (x) K((x))
+    is acyclic iff rank C_q = rank d_q + rank d_{q+1} in every degree, the
+    ranks being over K((x)); a minor of d_m lies in K(x), so the rank over
+    K((x)) is the rank over K(x), and likewise on the x^-1 side.  These f_q
+    are the free ranks of H_q over K[x,x^-1] (``homology``), so the answer
+    is ``homology(c).all_torsion``.  With r_m = rank d_m,
+
+        sum (-1)^q f_q = sum (-1)^q rank C_q - sum (-1)^q (r_q + r_{q+1})
+                       = chi(C),
+
+    as each r_m appears once with each sign.  In a complex f_q >= 0, so
+    chi(C) != 0 forces some f_q > 0: "no" without a rank.  Otherwise
+    r_m is the number of pivots ``_elementary_valuations(d_m, 1)`` finds:
+    it eliminates x^s d_m over the discrete valuation ring K[[x]], for an
+    s that clears the negative exponents (a shift moves every valuation by
+    s and no rank), and keeps one pivot per nonzero elementary divisor, so
+    it counts the rank over K((x)).  As in ``homology``, d.d = 0 is
+    assumed, not checked (the CLI, ``verify_theorem`` and ``dominate``
+    check it first); a degree where r_q + r_{q+1} exceeds rank C_q raises
+    ShapeError.
+
+    ``report``, when the caller has ``homology(c)``, decides the verdict
+    instead.  Otherwise the Smith form is computed only when the
+    ``snf-torsion`` certificate or ``NovikovVerdict.homology`` is read.
+    """
+    acyclic = (report.all_torsion if report is not None
+               else _euler(c) == 0 and _free_ranks_vanish(c))
+
+    def read():
+        nonlocal report
+        if report is None:
+            report = homology(c)
+        return report
 
     def render():
+        entries = read().entries
         return {
             "method": "snf-torsion",
-            "free_ranks": {str(q): e.free_rank
-                           for q, e in report.entries.items()},
+            "free_ranks": {str(q): e.free_rank for q, e in entries.items()},
             "torsion": {str(q): [str(f) for f in e.torsion]
-                        for q, e in report.entries.items() if e.torsion},
+                        for q, e in entries.items() if e.torsion},
         }
 
-    side = SideVerdict("yes" if report.all_torsion else "no", "snf-torsion",
-                       render)
-    # over a field both Novikov conditions coincide with torsion homology
-    return NovikovVerdict(side, side, report)
+    side = SideVerdict("yes" if acyclic else "no", "snf-torsion", render)
+    # over a field both Novikov conditions are the same rank condition
+    return NovikovVerdict(side, side, read)
+
+
+def _free_ranks_vanish(c: ChainComplex) -> bool:
+    """Every f_q = rank C_q - rank d_q - rank d_{q+1} is zero, each rank
+    the pivot count of the chart kernel; ShapeError, as ``homology``
+    raises it, for a degree where f_q < 0."""
+    ranks = {m: len(_elementary_valuations(d, 1))
+             for m, d in c.diffs.items()}
+    vanish = True
+    for q, rank in c.ranks.items():
+        free = rank - ranks.get(q, 0) - ranks.get(q + 1, 0)
+        if free < 0:
+            # rank d_q + rank d_{q+1} <= rank C_q holds in any complex
+            raise ShapeError(f"invalid complex: degree {q + 1}: d.d != 0")
+        vanish = vanish and free == 0
+    return vanish
 
 
 def _novikov_integers(c: ChainComplex, order: int) -> NovikovVerdict:
-    euler = sum(r if m % 2 == 0 else -r for m, r in c.ranks.items())
+    euler = _euler(c)
     if euler != 0:
         side = SideVerdict("no", "euler", lambda: {
             "method": "euler", "euler_characteristic": euler})
@@ -456,11 +543,13 @@ def dominate(c: ChainComplex) -> DominationWitness:
 
     Requires field coefficients, d.d = 0 (ShapeError otherwise, checked
     before Novikov, whose field mode reads only the ranks of the
-    differentials) and Novikov acyclicity on both sides.
+    differentials) and Novikov acyclicity on both sides.  The homology
+    over K[x,x^-1] is computed once, for both the verdict and the
+    ledger's mid column.
     """
     _require_field(c)
     require_valid(c)
-    return _witness(c, novikov_check(c))
+    return _witness(c, _checked_verdict(c))
 
 
 def _require_field(c: ChainComplex):
@@ -592,10 +681,11 @@ def verify_theorem(c: ChainComplex) -> TheoremReport:
     """Full pipeline: hypothesis check, witness production, ledger audit.
 
     d.d = 0 is checked once, first: a non-complex is a ShapeError, not a
-    FAIL.
+    FAIL.  In field mode the homology over K[x,x^-1] is computed once and
+    serves the verdict, the FAIL detail and the ledger.
     """
     require_valid(c)
-    verdict = novikov_check(c)
+    verdict = _checked_verdict(c)
     if not verdict.both_acyclic:
         # Z mode has no homology report; homology(c) then names the reason
         mid = verdict.homology if verdict.homology is not None else homology(c)

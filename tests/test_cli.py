@@ -239,20 +239,53 @@ def test_trunc_max_is_an_unknown_flag(monkeypatch, capsys):
 @pytest.mark.parametrize("flags, env", [
     ([], {}),
     (["--trunc", "1"], {}),
-    ([], {"P1DOM_TRUNC": "2", "P1DOM_TRUNC_MAX": "2"}),
+    ([], {"P1DOM_TRUNC": "2"}),
 ])
 def test_trunc_max_does_not_bound_the_order(flags, env, monkeypatch,
                                             capsys):
-    # x^70 (x - 1): the plus chart valuation is 70, past every --trunc
-    # given here; no order bounds it (P1DOM_TRUNC_MAX is no longer read),
-    # and verify passes
+    # x^70 (x - 1): the plus chart valuation is 70, and verify reads no
+    # order: --trunc is not one of its flags (exit 2), P1DOM_TRUNC is not
+    # read, and verify passes
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    assert main(["verify", os.path.join(SAMPLES, "deep-x-minus-1.cplx")]
-                + flags) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("PASS")
-    assert "(largest chart valuation: plus 70, minus 0)" in out
+    code = main(["verify", os.path.join(SAMPLES, "deep-x-minus-1.cplx")]
+                + flags)
+    captured = capsys.readouterr()
+    if flags:
+        assert code == 2 and captured.out == ""
+        assert "unrecognized arguments: --trunc 1" in captured.err
+        return
+    assert code == 0
+    assert captured.out.startswith("PASS")
+    assert "(largest chart valuation: plus 70, minus 0)" in captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "x-minus-1.cplx", "--seed", "3"],
+    ["extend", "x-minus-1.cplx", "--trunc", "8"],
+    ["novikov", "x-minus-1.cplx", "--seed", "3"],
+    ["twist-cohomology", "2", "--seed", "3"],
+    ["selftest", "--trunc", "8"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_flag_of_another_command_is_unknown(argv, capsys):
+    # --trunc belongs to novikov and hyper, --seed to selftest
+    argv = [os.path.join(SAMPLES, a) if a.endswith(".cplx") else a
+            for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+
+
+@pytest.mark.parametrize("var, command", [
+    ("P1DOM_TRUNC", ["verify", "x-minus-1.cplx"]),
+    ("P1DOM_SEED", ["validate", "x-minus-1.cplx"]),
+    ("P1DOM_TRUNC", ["selftest"]),
+])
+def test_preset_of_another_command_is_not_read(var, command, monkeypatch):
+    monkeypatch.setenv(var, "abc")
+    assert main([os.path.join(SAMPLES, a) if a.endswith(".cplx") else a
+                 for a in command]) == 0
 
 
 def test_selftest_runs(capsys):
@@ -272,7 +305,8 @@ def test_selftest_runs(capsys):
     ["--ring", "GF:x"],
 ])
 def test_bad_flag_is_input_error(xm1_file, flags, capsys):
-    assert main(["verify", xm1_file] + flags) == 2
+    # novikov takes --trunc, so its value is checked
+    assert main(["novikov", xm1_file] + flags) == 2
     assert "error" in capsys.readouterr().err
 
 
@@ -286,8 +320,11 @@ def test_bad_flag_is_input_error(xm1_file, flags, capsys):
 ])
 def test_bad_preset_is_input_error(xm1_file, var, value, monkeypatch,
                                    capsys):
+    # each preset is read by a command that takes its flag
     monkeypatch.setenv(var, value)
-    assert main(["verify", xm1_file]) == 2
+    argv = {"P1DOM_TRUNC": ["novikov", xm1_file],
+            "P1DOM_SEED": ["selftest"]}.get(var, ["verify", xm1_file])
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and var in err
 

@@ -8,13 +8,15 @@ from p1dom import fileformat as ff
 
 from p1dom.complexes import (ChainComplex, ChainMap, cone, homology,
                              homology_dims)
-from p1dom.domination import (dominate, fpqc_hyper, novikov_check,
-                              verify_theorem)
+from p1dom.domination import (_elementary_valuations, dominate, fpqc_hyper,
+                              novikov_check, verify_theorem)
 from p1dom.errors import (NotNovikovAcyclicError, ShapeError,
                           UnsupportedRingError)
-from p1dom.generators import random_novikov_acyclic, random_ring
+from p1dom.generators import (random_complex, random_novikov_acyclic,
+                               random_ring)
 from p1dom.laurent import BaseRing
 from p1dom.scalars import GF, QQ, ZZ
+from p1dom.smith import invariant_factors
 
 from helpers import M, P, two_term, window_complex
 
@@ -379,17 +381,124 @@ def test_witness_pipeline_validates_once(monkeypatch, run):
     assert len(calls) == 1
 
 
-def test_verify_theorem_computes_homology_once(monkeypatch):
+def _count_calls(monkeypatch, name):
+    """The arguments of every call of ``domination.<name>`` from now on."""
     import p1dom.domination as domination
 
     calls = []
-    original = domination.homology
+    original = getattr(domination, name)
 
-    def counting(c):
-        calls.append(c)
-        return original(c)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(domination, "homology", counting)
-    report = verify_theorem(random_novikov_acyclic(random.Random(5), QQ))
+    monkeypatch.setattr(domination, name, counting)
+    return calls
+
+
+def _chart_passes(c):
+    # one _elementary_valuations pass per differential on each chart
+    return 2 * (c.hi - c.lo)
+
+
+def test_verify_theorem_computes_homology_once(monkeypatch):
+    smith = _count_calls(monkeypatch, "homology")
+    ranks = _count_calls(monkeypatch, "_elementary_valuations")
+    c = random_novikov_acyclic(random.Random(5), QQ)
+    report = verify_theorem(c)
     assert report.passed
-    assert len(calls) == 1
+    assert len(smith) == 1
+    assert len(ranks) == _chart_passes(c)
+    # a FAIL reads its free ranks off the same report and runs no chart
+    smith.clear()
+    ranks.clear()
+    assert not verify_theorem(ChainComplex.single(QQ, BaseRing.LAURENT, 0,
+                                                  1)).passed
+    assert (len(smith), len(ranks)) == (1, 0)
+
+
+def test_dominate_computes_homology_once(monkeypatch):
+    smith = _count_calls(monkeypatch, "homology")
+    ranks = _count_calls(monkeypatch, "_elementary_valuations")
+    c = random_novikov_acyclic(random.Random(6), GF(7))
+    witness = dominate(c)
+    assert witness.ledger_holds
+    assert len(smith) == 1
+    assert len(ranks) == _chart_passes(c)
+
+
+def test_field_verdict_computes_no_smith_form_until_read(monkeypatch):
+    smith = _count_calls(monkeypatch, "homology")
+    ranks = _count_calls(monkeypatch, "_elementary_valuations")
+    # chi = 0 (x - 1: yes; zero map: no) and chi = 2 (no differential)
+    for c, answer, rank_passes in (
+            (two_term(QQ, [(1, 1), (0, -1)]), "yes", 1),
+            (two_term(GF(7), [], top=1), "no", 1),
+            (ChainComplex.single(GF(7), BaseRing.LAURENT, 0, 2), "no", 0)):
+        smith.clear()
+        ranks.clear()
+        verdict = novikov_check(c)
+        assert verdict.x_side.acyclic == verdict.x_inv_side.acyclic == answer
+        assert smith == [] and len(ranks) == rank_passes
+        # the certificate and the report share one Smith form
+        certificate = verdict.x_side.certificate
+        assert verdict.homology is verdict.homology
+        assert verdict.x_inv_side.certificate is certificate
+        assert len(smith) == 1 and len(ranks) == rank_passes
+
+
+def _snf_certificate(report):
+    """The snf-torsion certificate, rendered from ``homology(c)``."""
+    return {
+        "method": "snf-torsion",
+        "free_ranks": {str(q): e.free_rank for q, e in report.entries.items()},
+        "torsion": {str(q): [str(f) for f in e.torsion]
+                    for q, e in report.entries.items() if e.torsion},
+    }
+
+
+FIELDS = (QQ, GF(2), GF(7), GF(10007))
+
+
+def _field_corpus():
+    """420 fixed-seed field complexes: torus-sections' random_complex
+    draws (mostly not Novikov acyclic) and Novikov-acyclic ones."""
+    rng = random.Random(2103)
+    for i in range(420):
+        ring = FIELDS[i % 4]
+        if i % 3 == 2:
+            yield random_novikov_acyclic(rng, ring, max_rank=3, span=2)
+        else:
+            yield random_complex(rng, ring, max_length=4, max_rank=3, span=3)
+
+
+def test_field_verdict_from_ranks_equals_the_smith_form():
+    seen = set()
+    for c in _field_corpus():
+        verdict = novikov_check(c)
+        answer = verdict.x_side.acyclic
+        report = homology(c)
+        assert answer == ("yes" if report.all_torsion else "no")
+        assert verdict.x_inv_side.acyclic == answer
+        assert verdict.x_side.certificate == _snf_certificate(report)
+        euler = sum((-1) ** (m % 2) * r for m, r in c.ranks.items())
+        seen.add((c.ring, euler == 0, answer))
+        for d in c.diffs.values():
+            factors = len(invariant_factors(d))
+            assert len(_elementary_valuations(d, 1)) == factors
+            assert len(_elementary_valuations(d, -1)) == factors
+    for ring in FIELDS:
+        # the Euler shortcut and both answers of the rank test, per field
+        assert {(ring, False, "no"), (ring, True, "no"),
+                (ring, True, "yes")} <= seen
+
+
+def test_rank_overflow_is_an_invalid_complex():
+    # chi = 0, so the ranks are read: rank d_1 + rank d_2 = 2 > rank C_1
+    one = M(QQ, [[1]])
+    c = ChainComplex(QQ, BaseRing.LAURENT, 0, 3, {0: 1, 1: 1, 2: 1, 3: 1},
+                     {1: one, 2: one, 3: one})
+    for run in (novikov_check, homology):
+        with pytest.raises(ShapeError,
+                           match=r"^invalid complex: degree 2: d\.d != 0$"):
+            run(c)
