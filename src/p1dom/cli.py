@@ -6,15 +6,16 @@ usage errors, among them a complex whose base ring the command does not
 take (``BASES``: K[x,x^-1] for novikov, extend, dominate and verify, K or
 K[x,x^-1] for homology, K[x] for hyper) and a Z-coefficient complex given
 to a command that needs a field (``FIELD_COMMANDS``: homology, dominate,
-verify).  Each command takes only the flags it reads: ``--trunc`` belongs
-to ``novikov`` (the Z windows) and ``hyper`` (the window order of the
-fpqc model), ``--seed`` to ``selftest``; elsewhere either is an unknown
-argument (exit 2).  ``verify`` and ``dominate`` report the exact chart
-valuations, which no order bounds.  Flags can be preset through
-environment variables with the P1DOM_ prefix (P1DOM_RING, P1DOM_TRUNC,
-P1DOM_SEED, P1DOM_FORMAT, P1DOM_OUT); explicit flags win.  A preset is
-read only by a command that takes its flag, and is checked like that
-flag.
+verify).  Each command parses only the flags it reads: ``--trunc`` is
+``novikov``'s (the Z windows) and ``hyper``'s (the fpqc model's window
+order), ``--seed`` is ``selftest``'s, and ``selftest`` takes no
+``--ring``, ``h0`` no ``--format``; another flag is an unknown argument
+(exit 2), which the top-level parser reports, as it does a missing
+command.  ``verify`` and ``dominate`` report the exact chart valuations,
+which no order bounds.  Flags can be preset through environment variables
+with the P1DOM_ prefix (P1DOM_RING, P1DOM_TRUNC, P1DOM_SEED, P1DOM_FORMAT,
+P1DOM_OUT); explicit flags win.  A preset is read only by a command that
+takes its flag, and is checked like that flag.
 
 Sizes are bounded as file contents are: a truncation order is at most
 MAX_ORDER (``hyper`` reads its model off the chart valuations, so nothing
@@ -112,20 +113,23 @@ PRESETS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The top-level parser and its map of command name -> own parser."""
     parser = argparse.ArgumentParser(
         prog="p1dom",
         description="exact chain-complex extension, cohomology and "
                     "Novikov/finite-domination checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
+    def common(p, with_input=True, flags=("ring", "format")):
         if with_input:
             p.add_argument("input", help="input file")
-        p.add_argument("--ring", type=_ring_tag,
-                       help="Q | GF:p | Z; must match the file header")
-        p.add_argument("--format", type=_output_format,
-                       metavar="{human,report}")
+        if "ring" in flags:
+            p.add_argument("--ring", type=_ring_tag,
+                           help="Q | GF:p | Z; must match the file header")
+        if "format" in flags:
+            p.add_argument("--format", type=_output_format,
+                           metavar="{human,report}")
         p.add_argument("--out",
                        help="write output to this path instead of stdout")
         return p
@@ -140,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("homology", help="homology report of a complex"))
     windowed(sub.add_parser("novikov", help="Novikov acyclicity verdicts"))
     common(sub.add_parser("extend", help="extend a complex to the projective line"))
-    common(sub.add_parser("h0", help="global sections of a sheaf complex"))
+    common(sub.add_parser("h0", help="global sections of a sheaf complex"), flags=("ring",))
     windowed(sub.add_parser("hyper", help="truncated chart-cover totalisation of a K[x] complex"))
     common(sub.add_parser("dominate", help="produce the finite-domination witness"))
     common(sub.add_parser("verify", help="full theorem pipeline with ledger"))
@@ -151,11 +155,13 @@ def build_parser() -> argparse.ArgumentParser:
     tw.add_argument("--k", type=int, default=0, help="twist split (k, n-k)")
     common(tw, with_input=False)
     st = sub.add_parser("selftest", help="run the embedded example corpus")
-    common(st, with_input=False).add_argument("--seed", type=_integer)
-    return parser
+    common(st, with_input=False, flags=("format",)).add_argument("--seed", type=_integer)
+    for name, p in sub.choices.items():
+        p.set_defaults(command=name)
+    return parser, sub.choices
 
 
-PARSER = build_parser()
+PARSER, COMMANDS = build_parser()
 
 
 def _apply_presets(args):
@@ -435,9 +441,19 @@ HANDLERS = {
 }
 
 
+def _parse(argv):
+    """The command's own parser reads argv; PARSER reports what it cannot."""
+    parser = COMMANDS.get(argv[0]) if argv else None
+    if parser is not None:
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return PARSER.parse_args(argv)
+
+
 def main(argv=None) -> int:
     try:
-        args = PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:

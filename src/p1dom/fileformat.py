@@ -61,37 +61,41 @@ MAX_DENSE_SLOTS = 1 << 20
 # -- polynomials and matrices ---------------------------------------------------
 
 
-def poly_to_pairs(p: LaurentPoly):
-    return [[e, p.ring.render(c)] for e, c in p.items()]
-
-
 def poly_from_pairs(ring: CoefficientRing, pairs, where: str,
-                    budget=None) -> LaurentPoly:
-    """The polynomial of ``pairs``; its dense slots are taken from
-    ``budget``, a one-item list of the slots left in the file, if given."""
+                    budget=None, index=()) -> LaurentPoly:
+    """The polynomial of ``pairs`` at ``where`` subscripted by ``index``;
+    its dense slots are taken from ``budget``, a one-item list of the slots
+    left in the file, if given."""
     if not isinstance(pairs, list):
-        raise FormatError("polynomial must be an array of pairs", where)
-    acc = []
-    for idx, pair in enumerate(pairs):
+        raise FormatError("polynomial must be an array of pairs",
+                          _at(where, *index))
+    terms = []
+    for pair in pairs:
         if (not isinstance(pair, list) or len(pair) != 2
                 or not isinstance(pair[1], str)):
             raise FormatError("expected [exponent, coefficient-string]",
-                              f"{where}[{idx}]")
+                              _at(where, *index, len(terms)))
         if type(pair[0]) is not int or abs(pair[0]) > MAX_EXPONENT:
-            _check_exponent(pair[0], f"{where}[{idx}][0]")
+            _check_exponent(pair[0], _at(where, *index, len(terms), 0))
         try:
-            acc.append((pair[0], ring.parse(pair[1])))
+            terms.append((pair[0], ring.parse(pair[1])))
         except UnsupportedRingError as exc:
             raise FormatError(f"bad coefficient: {exc}",
-                              f"{where}[{idx}]") from exc
-    if budget is not None and acc:
-        budget[0] -= max(acc)[0] - min(acc)[0] + 1
+                              _at(where, *index, len(terms))) from exc
+    if budget is not None and terms:
+        budget[0] -= max(terms)[0] - min(terms)[0] + 1 if len(terms) > 1 else 1
         if budget[0] < 0:
             raise FormatError(
                 "the file's polynomials span more than MAX_DENSE_SLOTS = "
-                f"{MAX_DENSE_SLOTS} dense coefficient slots", where)
+                f"{MAX_DENSE_SLOTS} dense coefficient slots",
+                _at(where, *index))
     # dense over a span of at most 2 * MAX_EXPONENT + 1
-    return LaurentPoly.from_entry(ring, from_terms(acc, ring.p))
+    return LaurentPoly.from_entry(ring, from_terms(terms, ring.p))
+
+
+def _at(where: str, *index) -> str:
+    """The location ``where[i][j]...`` of the item at ``index``."""
+    return where + "".join(f"[{k}]" for k in index)
 
 
 def _integer(value, field: str, where: str) -> int:
@@ -115,7 +119,8 @@ def _check_rank(rank: int, where: str):
 
 
 def matrix_to_rows(m: LaurentMatrix):
-    return [[poly_to_pairs(p) for p in row] for row in m.entries]
+    return [[[[e, m.ring.render(c)] for e, c in p.items()] for p in row]
+            for row in m.entries]
 
 
 def matrix_from_rows(ring, rows, cols, data, base: BaseRing, where: str,
@@ -125,13 +130,12 @@ def matrix_from_rows(ring, rows, cols, data, base: BaseRing, where: str,
     entries = []
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
-            raise FormatError(f"expected {cols} entries", f"{where}[{i}]")
-        entries.append([
-            poly_from_pairs(ring, cell, f"{where}[{i}][{j}]", budget)
-            for j, cell in enumerate(row)
-        ])
-    try:
-        return LaurentMatrix(ring, rows, cols, entries, base)
+            raise FormatError(f"expected {cols} entries", _at(where, i))
+        entries.append([poly_from_pairs(ring, cell, where, budget, (i, j))
+                        for j, cell in enumerate(row)])
+    try:  # every entry is over ring, and K[x,x^-1] holds every entry
+        return LaurentMatrix(ring, rows, cols, entries, base,
+                             check=base is not BaseRing.LAURENT)
     except Exception as exc:
         raise FormatError(str(exc), where) from exc
 

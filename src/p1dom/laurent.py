@@ -262,8 +262,4 @@ def _checked(ring, pairs):
     (else UnsupportedRingError, from ``CoefficientRing.normalise``)."""
     terms = [(e if type(e) is int else _exponent(e), ring.normalise(c))
              for e, c in pairs]
-    if len(terms) == 1:  # a monomial, already canonical
-        (e, c), = terms
-        return (e, (c,)) if c else None
-    e = from_terms(terms, ring.p)
-    return e and (e[0], tuple(e[1]))
+    return from_terms(terms, ring.p)

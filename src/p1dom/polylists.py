@@ -55,13 +55,17 @@ def integer_row(row):
 
 def from_terms(terms, p):
     """The entry of the sum of x * x^e over the pairs (e, x) of ``terms``,
-    x canonical coefficients; reduced mod p when p is nonzero."""
+    x canonical, c a tuple; reduced mod p when p is nonzero."""
+    if len(terms) < 2:  # zero or a monomial, whose coefficient is canonical
+        e, x = terms[0] if terms else (0, 0)
+        return (e, (x,)) if x else None
     exps = [e for e, _ in terms]
-    lo = min(exps, default=0)
-    c = [0] * (max(exps, default=-1) - lo + 1)
+    lo = min(exps)
+    c = [0] * (max(exps) - lo + 1)
     for e, x in terms:
         c[e - lo] = c[e - lo] + x if c[e - lo] else x
-    return trim(lo, [x % p for x in c] if p else c)
+    entry = trim(lo, [x % p for x in c] if p else c)
+    return entry and (entry[0], tuple(entry[1]))
 
 
 def trim(v, c):

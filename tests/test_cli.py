@@ -6,7 +6,8 @@ import os
 import pytest
 
 from p1dom import fileformat as ff
-from p1dom.cli import main
+from p1dom.cli import (COMMANDS, HANDLERS, PARSER, _apply_presets,
+                       main)
 from p1dom.complexes import ChainComplex
 from p1dom.laurent import BaseRing
 from p1dom.scalars import QQ, ZZ
@@ -266,11 +267,13 @@ def test_trunc_max_does_not_bound_the_order(flags, env, monkeypatch,
     ["novikov", "x-minus-1.cplx", "--seed", "3"],
     ["twist-cohomology", "2", "--seed", "3"],
     ["selftest", "--trunc", "8"],
+    ["selftest", "--ring", "GF:7"],
+    ["h0", "x-minus-1.sheaf", "--format", "human"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_flag_of_another_command_is_unknown(argv, capsys):
-    # --trunc belongs to novikov and hyper, --seed to selftest
-    argv = [os.path.join(SAMPLES, a) if a.endswith(".cplx") else a
-            for a in argv]
+    # --trunc belongs to novikov and hyper, --seed to selftest; selftest
+    # reads no ring and h0 writes its complex file in every format
+    argv = [_sample(a) for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -281,11 +284,101 @@ def test_flag_of_another_command_is_unknown(argv, capsys):
     ("P1DOM_TRUNC", ["verify", "x-minus-1.cplx"]),
     ("P1DOM_SEED", ["validate", "x-minus-1.cplx"]),
     ("P1DOM_TRUNC", ["selftest"]),
+    ("P1DOM_RING", ["selftest"]),
+    ("P1DOM_FORMAT", ["h0", "x-minus-1.sheaf"]),
 ])
 def test_preset_of_another_command_is_not_read(var, command, monkeypatch):
     monkeypatch.setenv(var, "abc")
-    assert main([os.path.join(SAMPLES, a) if a.endswith(".cplx") else a
-                 for a in command]) == 0
+    assert main([_sample(a) for a in command]) == 0
+
+
+def _sample(arg):
+    """``arg``, or the path of the sample file it names."""
+    if arg.endswith((".cplx", ".sheaf")):
+        return os.path.join(SAMPLES, arg)
+    return arg
+
+
+def _two_pass(argv, capsys):
+    """(exit code, stdout, stderr) of the top-level parser reading argv
+    and handing the rest to the command's parser."""
+    try:
+        PARSER.parse_args(argv)
+        code = 0
+    except SystemExit as exc:
+        code = 0 if exc.code in (0, None) else 2
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["bogus", "x-minus-1.cplx"],
+    ["--ring", "Q", "verify", "x-minus-1.cplx"],
+    ["verify", "x-minus-1.cplx", "--trunc", "1"],
+    ["--help"],
+] + [[command, "--help"] for command in HANDLERS],
+    ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_usage_and_help_match_the_two_pass_parse(argv, capsys):
+    argv = [_sample(a) for a in argv]
+    expected = _two_pass(argv, capsys)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == expected
+    if argv[-1:] == ["--help"]:
+        parser = COMMANDS[argv[0]] if len(argv) == 2 else PARSER
+        assert code == 0 and captured.out == parser.format_help()
+        return
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(PARSER.format_usage())
+    if argv[:1] == ["bogus"]:
+        assert "invalid choice: 'bogus'" in captured.err
+
+
+PRESET_VALUES = {"ring": "Q", "format": "report", "out": "out.json",
+                 "trunc": 5, "seed": 3}
+
+
+VALID_ARGVS = [
+    (["validate", "x-minus-1.cplx"], {}),
+    (["homology", "x-minus-1.cplx", "--ring", "Q"], {}),
+    (["novikov", "x-minus-1.cplx", "--trunc", "8"], {"trunc": 8}),
+    (["extend", "x-minus-1.cplx"], {}),
+    (["h0", "x-minus-1.sheaf"], {}),
+    (["hyper", "chart-x2-x3.cplx", "--format", "human"], {"format": "human"}),
+    (["dominate", "x-minus-1.cplx"], {}),
+    (["verify", "x-minus-1.cplx", "--out", "v.json"], {"out": "v.json"}),
+    (["twist-cohomology", "2", "--k", "1"], {"n": 2, "r": 1, "k": 1}),
+    (["selftest", "--seed", "1"], {"seed": 1}),
+]
+
+
+@pytest.mark.parametrize("argv, given", VALID_ARGVS,
+                         ids=[argv[0] for argv, _ in VALID_ARGVS])
+def test_command_namespace_carries_command_and_presets(argv, given,
+                                                       monkeypatch):
+    # each command's own flags, filled from the presets unless given, and
+    # nothing of another command's
+    flags = {"novikov": ("ring", "format", "out", "trunc"),
+             "hyper": ("ring", "format", "out", "trunc"),
+             "h0": ("ring", "out"),
+             "selftest": ("format", "out", "seed")}.get(
+                 argv[0], ("ring", "format", "out"))
+    for flag, value in PRESET_VALUES.items():
+        monkeypatch.setenv(f"P1DOM_{flag.upper()}", str(value))
+    seen = []
+    monkeypatch.setitem(HANDLERS, argv[0],
+                        lambda args: seen.append(args) or 0)
+    argv = [_sample(a) for a in argv]
+    assert main(argv) == 0
+    expected = {"command": argv[0],
+                **{flag: PRESET_VALUES[flag] for flag in flags}, **given}
+    if argv[0] not in ("twist-cohomology", "selftest"):
+        expected["input"] = argv[1]
+    assert vars(seen[0]) == expected
+    two_pass = PARSER.parse_args(argv)
+    _apply_presets(two_pass)
+    assert vars(two_pass) == expected
 
 
 def test_selftest_runs(capsys):

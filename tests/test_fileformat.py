@@ -12,7 +12,8 @@ from p1dom.cli import main
 from p1dom.complexes import ChainComplex
 from p1dom.errors import FormatError
 from p1dom.extension import extend_complex, restrict_to_torus
-from p1dom.generators import random_complex, random_ring
+from p1dom.generators import (random_complex, random_novikov_acyclic,
+                              random_ring)
 from p1dom.laurent import BaseRing, LaurentPoly
 from p1dom.scalars import GF, QQ, ZZ
 
@@ -221,3 +222,88 @@ def test_loader_builds_the_entry_from_the_pairs(ring, pairs, entry):
     if entry is not None:
         assert type(p.entry[1]) is tuple
         assert all(type(x) is type(ring.one()) for _, x in p.items())
+
+
+def _sums(ring, pairs):
+    """The nonzero (exponent, coefficient) sums of ``pairs``, ascending: an
+    oracle that builds no entry."""
+    acc = {}
+    for e, x in pairs:
+        acc[e] = ring.add(acc.get(e, ring.zero()), ring.parse(x))
+    return [(e, x) for e, x in sorted(acc.items()) if x]
+
+
+def test_loader_builds_every_cell_of_the_acceptance_corpus():
+    # the 100 instances of the acceptance corpus (seed 777), as written
+    rng = random.Random(777)
+    cells = 0
+    for k in range(100):
+        ring = QQ if k % 5 == 0 else GF(7)
+        c = random_novikov_acyclic(rng, ring)
+        data = ff.complex_to_dict(c)
+        for item in data["differentials"]:
+            d = c.diff(item["degree"])
+            for i, row in enumerate(item["matrix"]):
+                for j, pairs in enumerate(row):
+                    p = ff.poly_from_pairs(ring, pairs, "cell")
+                    assert p == LaurentPoly.from_pairs(
+                        ring, [(e, ring.parse(x)) for e, x in pairs])
+                    assert p == d.entries[i][j]
+                    assert p.items() == _sums(ring, pairs)
+                    assert p.entry is None or type(p.entry[1]) is tuple
+                    cells += 1
+    assert cells > 400
+
+
+# a 2x3 differential whose cell at row 1, column 2 has a bad pair 1; the
+# list item before it is a 3x43 differential, which fills 127 x 8193 of
+# the MAX_DENSE_SLOTS = 2^20 in the budget case
+BAD_CELLS = {
+    "not-a-list": ("1", "polynomial must be an array of pairs", ""),
+    "pair-shape": ([[0, "1"], [1, "1", 2]],
+                   "expected [exponent, coefficient-string]", "[1]"),
+    "bool-exponent": ([[0, "1"], [True, "1"]],
+                      "exponent must be an integer, got True", "[1][0]"),
+    "exponent-bound": ([[0, "1"], [4097, "1"]],
+                       "exponent 4097 exceeds 4096 in absolute value",
+                       "[1][0]"),
+    "coefficient": ([[0, "1"], [1, "+1"]],
+                    "bad coefficient: cannot parse '+1' as an element of Q",
+                    "[1]"),
+    "dense-slots": ([[-4096, "1"], [4096, "1"]],
+                    "the file's polynomials span more than MAX_DENSE_SLOTS "
+                    "= 1048576 dense coefficient slots", ""),
+}
+
+
+def _bad_file(key, cell, fill):
+    """A complex file (key "differentials") or a sheaf file (key "minus" or
+    "plus") with ``cell`` at key[1].matrix[1][2]."""
+    span = [[-ff.MAX_EXPONENT, "1"], [ff.MAX_EXPONENT, "1"]]
+    filler = [[span if fill and 43 * i + j < 127 else [] for j in range(43)]
+              for i in range(3)]
+    target = [[[] for _ in range(3)] for _ in range(2)]
+    target[1][2] = cell
+    data = {"format": ff.COMPLEX_FORMAT, "version": 1, "ring": "Q",
+            "variable": "x", "base": "K[x,x^-1]",
+            "degrees": [{"degree": 0, "rank": 2}, {"degree": 1, "rank": 3},
+                        {"degree": 2, "rank": 43}],
+            "differentials": [{"degree": 2, "matrix": filler}]}
+    if key != "differentials":
+        data["format"] = ff.SHEAF_FORMAT
+        empty = [[[] for _ in range(43)] for _ in range(3)]
+        data[key] = [{"degree": 2, "matrix": empty}]
+    data[key].append({"degree": 1, "matrix": target})
+    return data
+
+
+@pytest.mark.parametrize("key", ["differentials", "minus", "plus"])
+@pytest.mark.parametrize("case", list(BAD_CELLS))
+def test_bad_cell_error_names_the_cell(case, key):
+    cell, message, below = BAD_CELLS[case]
+    data = _bad_file(key, cell, case == "dense-slots")
+    load = (ff.complex_from_dict if key == "differentials"
+            else ff.sheaf_from_dict)
+    with pytest.raises(FormatError) as err:
+        load(data)
+    assert str(err.value) == f"{message} (at {key}[1].matrix[1][2]{below})"
