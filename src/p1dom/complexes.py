@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import RingMismatchError, ShapeError, UnsupportedRingError
 from .laurent import BaseRing, LaurentPoly
 from .matrices import LaurentMatrix, scalar_rank
-from .polylists import dot
+from .polylists import cleared, dot
 from .scalars import CoefficientRing
 from .smith import invariant_factors
 
@@ -109,7 +109,10 @@ class ChainComplex:
         """Full d.d = 0 and exponent-constraint report; [] means valid.
 
         Every entry respects K[x,x^-1], so only the other base rings scan
-        the entries' exponents.
+        the entries' exponents.  Over Q each row of d_{m-1} and each column
+        of d_m is cleared of denominators once (``polylists.cleared``) and
+        the products run on ints: scaling rows and columns by nonzero
+        integers changes no product entry's vanishing.
         """
         problems = [] if self.base is BaseRing.LAURENT else [
             f"degree {m}: entry ({i},{j}) = {p} violates {self.base.tag}"
@@ -117,10 +120,14 @@ class ChainComplex:
             for i, j, p in self.diff(m).nonzero_entries()
             if not p.respects(self.base)]
         p = self.ring.p
+        clear = self.ring.kind == "Q"
         for m in range(self.lo + 2, self.hi + 1):
             rows = [[q.entry for q in row] for row in self.diff(m - 1).entries]
             cols = [[q.entry for q in col]
                     for col in zip(*self.diff(m).entries)]
+            if clear:
+                rows = [cleared(row)[1] for row in rows]
+                cols = [cleared(col)[1] for col in cols]
             if any(dot(row, col, p) is not None
                    for row in rows for col in cols):
                 problems.append(f"degree {m}: d.d != 0")

@@ -45,10 +45,10 @@ class BaseRing(Enum):
 
 
 def base_from_tag(tag: str) -> BaseRing:
-    for base in BaseRing:
-        if base.value == tag:
-            return base
-    raise ShapeError(f"unknown base ring tag {tag!r}")
+    try:
+        return BaseRing(tag)
+    except ValueError:
+        raise ShapeError(f"unknown base ring tag {tag!r}") from None
 
 
 def _exponent(e) -> int:

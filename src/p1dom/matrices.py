@@ -292,16 +292,25 @@ class ScalarMatrix:
 def scalar_rank(m: ScalarMatrix) -> int:
     """Rank of ``m`` over the fraction field of its coefficient ring.
 
-    Rows are reduced one at a time against the pivot rows found so far,
-    each pivot keyed by its leading (smallest) column, so a banded matrix
-    keeps its fill-in inside the band.  Over GF(p) pivots are scaled to a
-    leading 1.  Over Q (and Z) each row is first multiplied by the lcm of
-    its denominators; elimination is then fraction-free, as in Bareiss
+    The kernel reduces the shorter side: a tall matrix (rows > cols) is
+    first transposed into column dicts in one pass over its nonzeros, which
+    is exact since rank A = rank A^T and spares reducing every surplus row
+    to zero.  Rows are reduced one at a time against the pivot rows found
+    so far, each pivot keyed by its leading (smallest) column, so a banded
+    matrix keeps its fill-in inside the band.  Over GF(p) pivots are scaled
+    to a leading 1.  Over Q (and Z) each row is first multiplied by the lcm
+    of its denominators; elimination is then fraction-free, as in Bareiss
     (1968): cross-multiply by the pivot and divide by the row's content.
     """
+    data = m.data
+    if m.rows > m.cols:
+        data = [{} for _ in range(m.cols)]
+        for i, row in enumerate(m.data):
+            for j, v in row.items():
+                data[j][i] = v
     if m.ring.kind == "GF":
-        return _rank_mod_p(m.data, m.ring.p)
-    return _rank_integer(m.data)
+        return _rank_mod_p(data, m.ring.p)
+    return _rank_integer(data)
 
 
 def _rank_mod_p(data, p: int) -> int:

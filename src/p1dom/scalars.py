@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import NotAUnitError, RingMismatchError, UnsupportedRingError
 
@@ -161,10 +162,13 @@ def GF(p: int) -> CoefficientRing:
     return CoefficientRing("GF", p)
 
 
+@lru_cache(maxsize=64)
 def ring_from_tag(tag: str) -> CoefficientRing:
     """Parse the ring tags used in file headers and on the command line.
 
-    Accepts ``Q``, ``Z``, ``GF(p)`` and the CLI spelling ``GF:p``.
+    Accepts ``Q``, ``Z``, ``GF(p)`` and the CLI spelling ``GF:p``.  A
+    ``CoefficientRing`` is frozen, so a tag seen before returns the ring
+    built then, with no second primality test; a bad tag raises each time.
     """
     tag = tag.strip()
     if tag == "Q":

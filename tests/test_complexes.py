@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -41,6 +42,91 @@ def test_validate_reports_base_violation():
     c = ChainComplex(QQ, BaseRing.LAURENT, 0, 2, {0: 1, 1: 1, 2: 1},
                      {1: M(QQ, [[[(-1, 1)]]]), 2: M(QQ, [[[(1, 1)]]])})
     assert c.validate() == ["degree 2: d.d != 0"]
+
+
+# -- the d.d = 0 check over Q on entries with denominators ------------------
+
+
+def matmul_problems(c):
+    """The d.d = 0 report by LaurentMatrix products, in Fraction
+    arithmetic: the oracle of the integer check of ``validate``."""
+    return [f"degree {m}: d.d != 0" for m in range(c.lo + 2, c.hi + 1)
+            if not (c.diff(m - 1) @ c.diff(m)).is_zero]
+
+
+def q_complexes_with_denominators(rng, count):
+    """Q complexes conjugated by invertible matrices whose unit monomials
+    have coefficients 2 and 3, so their inverses bring denominators."""
+    for _ in range(count):
+        yield basis_change(rng, random_complex(rng, QQ, max_length=5,
+                                               max_rank=6, span=2))
+
+
+def with_term(c, m, i, j, term):
+    """c with ``term`` added to entry (i, j) of d_m."""
+    d = c.diff(m)
+    entries = [list(row) for row in d.entries]
+    entries[i][j] = entries[i][j] + term
+    diffs = dict(c.diffs)
+    diffs[m] = LaurentMatrix(c.ring, d.rows, d.cols, entries)
+    return ChainComplex(c.ring, c.base, c.lo, c.hi, c.ranks, diffs)
+
+
+def nonzero_column(d, i):
+    return any(not d[r, i].is_zero for r in range(d.rows))
+
+
+def nonzero_row(d, j):
+    return any(not p.is_zero for p in d.entries[j])
+
+
+def test_q_validate_with_denominators_matches_matmul():
+    dens = set()
+    for c in q_complexes_with_denominators(random.Random(23), 40):
+        dens.update(x.denominator for m in range(c.lo + 1, c.hi + 1)
+                    for _, _, p in c.diff(m).nonzero_entries()
+                    for _, x in p.items())
+        assert c.validate() == [] == matmul_problems(c)
+    assert any(k % 2 == 0 for k in dens) and any(k % 3 == 0 for k in dens)
+
+
+def test_q_validate_reports_a_fractional_defect():
+    # a term 1/7 x^k added to entry (i, j) of d_m, with column i of d_{m-1}
+    # nonzero, breaks d.d = 0 in degree m; degree m + 1 breaks too exactly
+    # when row j of d_{m+1} is nonzero, and the degrees are listed in order
+    rng = random.Random(7)
+    seen, several = 0, 0
+    for c in q_complexes_with_denominators(rng, 60):
+        for m in range(c.lo + 2, c.hi + 1):
+            below = c.diff(m - 1)
+            cols = [i for i in range(below.cols) if nonzero_column(below, i)]
+            if not cols or not c.diff(m).cols:
+                continue
+            for j in range(c.diff(m).cols):
+                term = LaurentPoly.monomial(QQ, rng.randint(-3, 3),
+                                            Fraction(1, 7))
+                bad = with_term(c, m, rng.choice(cols), j, term)
+                problems = bad.validate()
+                assert problems == matmul_problems(bad)
+                expected = [m]
+                if m < c.hi and nonzero_row(c.diff(m + 1), j):
+                    expected.append(m + 1)
+                    several += 1
+                assert problems == [f"degree {q}: d.d != 0" for q in expected]
+                seen += 1
+    assert seen >= 40 and several >= 10, (seen, several)
+
+
+def test_q_validate_lists_every_failing_degree_in_order():
+    def q(*pairs):
+        return LaurentPoly(QQ, dict(pairs))
+
+    d = {1: q((1, Fraction(1, 2))), 2: q((0, Fraction(1, 3))),
+         3: q((-1, 1), (0, Fraction(-1, 6))), 4: q((0, 0))}
+    c = ChainComplex(QQ, BaseRing.LAURENT, 0, 4, dict.fromkeys(range(5), 1),
+                     {m: LaurentMatrix(QQ, 1, 1, [[p]]) for m, p in d.items()})
+    assert c.validate() == matmul_problems(c) == [
+        "degree 2: d.d != 0", "degree 3: d.d != 0"]
 
 
 def test_homology_torsion_example():

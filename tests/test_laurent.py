@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from p1dom.errors import RingMismatchError, ShapeError, UnsupportedRingError
-from p1dom.laurent import BaseRing, LaurentPoly
+from p1dom.laurent import BaseRing, LaurentPoly, base_from_tag
 from p1dom.scalars import GF, QQ, ZZ
 
 from helpers import P
@@ -42,6 +42,15 @@ def test_base_ring_constraints():
     assert not p.respects(BaseRing.POLY)
     assert not p.respects(BaseRing.POLY_INV)
     assert P(QQ, (0, 5)).respects(BaseRing.K)
+
+
+def test_base_tags_round_trip():
+    for base in BaseRing:
+        assert base_from_tag(base.tag) is base
+    for tag in ("K[x^-1,x]", "k[x]", ""):
+        with pytest.raises(ShapeError) as info:
+            base_from_tag(tag)
+        assert str(info.value) == f"unknown base ring tag {tag!r}"
 
 
 def test_unit_normalisation():

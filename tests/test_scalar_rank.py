@@ -21,6 +21,7 @@ from p1dom.generators import random_complex, random_novikov_acyclic
 from p1dom.laurent import BaseRing
 from p1dom.matrices import ScalarMatrix, scalar_rank
 from p1dom.scalars import GF, QQ, ZZ
+from p1dom.sheaves import cech_complex
 
 from helpers import S, window_complex
 
@@ -118,6 +119,104 @@ def test_integer_rank_mod_p_at_most_rank_over_q(p, shape_grid):
     assert scalar_rank(S(ZZ, grid)) == over_q
     reduced = [[v % p for v in row] for row in grid]
     assert scalar_rank(S(GF(p), reduced)) <= over_q
+
+
+# -- shapes of W: the kernel reduces the shorter side ----------------------
+
+
+def transposed(grid):
+    return [list(col) for col in zip(*grid)]
+
+
+def banded_grid(rng, rows, cols, values, band):
+    """A rows x cols grid nonzero only within ``band`` of the scaled
+    diagonal, like the Čech matrices of W; a few rows are then made sums of
+    two others and a few rows and columns zeroed, so the rank drops."""
+    grid = [[values(rng) if abs(i * cols - j * rows) <= band * max(rows, cols)
+             else 0 for j in range(cols)] for i in range(rows)]
+    for _ in range(rng.randint(0, 3)):
+        i, a, b = (rng.randrange(rows) for _ in range(3))
+        grid[i] = [x + y for x, y in zip(grid[a], grid[b])]
+    for i in rng.sample(range(rows), rng.randint(0, min(2, rows))):
+        grid[i] = [0] * cols
+    for j in rng.sample(range(cols), rng.randint(0, min(2, cols))):
+        for row in grid:
+            row[j] = 0
+    return grid
+
+
+def rational(rng):
+    if rng.random() < 0.3:
+        return 0
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+SHAPES = [(48, 24), (24, 48), (38, 21), (21, 38), (30, 12), (12, 30),
+          (24, 24), (48, 1), (1, 48)]
+
+
+@pytest.mark.parametrize("rows,cols", SHAPES)
+def test_rank_at_w_sizes_over_q_matches_sympy(rows, cols):
+    rng = random.Random(rows * 100 + cols)
+    for band in (1, 2, 4):
+        grid = banded_grid(rng, rows, cols, rational, band)
+        rank = scalar_rank(S(QQ, grid))
+        assert rank == scalar_rank(S(QQ, transposed(grid)))
+        assert rank == sympy_domain_rank(grid, cols)
+
+
+@pytest.mark.parametrize("p", [7, 10007])
+@pytest.mark.parametrize("rows,cols", SHAPES)
+def test_rank_at_w_sizes_over_gf_matches_dense_reference(p, rows, cols):
+    rng = random.Random(rows * 100 + cols + p)
+    for band in (1, 2, 4):
+        grid = banded_grid(rng, rows, cols, lambda r: r.randint(0, p - 1),
+                           band)
+        grid = [[v % p for v in row] for row in grid]
+        rank = scalar_rank(S(GF(p), grid))
+        assert rank == scalar_rank(S(GF(p), transposed(grid)))
+        assert rank == dense_rank_mod_p(grid, p)
+
+
+@pytest.mark.parametrize("rows,cols", SHAPES)
+def test_rank_at_w_sizes_over_z_matches_q(rows, cols):
+    rng = random.Random(rows * 100 + cols + 1)
+    for band in (1, 2, 4):
+        grid = banded_grid(rng, rows, cols, lambda r: r.randint(-40, 40),
+                           band)
+        rank = scalar_rank(S(ZZ, grid))
+        assert rank == scalar_rank(S(ZZ, transposed(grid)))
+        assert rank == scalar_rank(
+            S(QQ, [[Fraction(v) for v in row] for row in grid]))
+
+
+def w_differentials(ring, count):
+    """The Čech differentials of W for complexes drawn as torus-sections
+    draws them."""
+    rng = random.Random(1403)
+    for _ in range(count):
+        c = random_complex(rng, ring, max_length=4, max_rank=3, span=3)
+        yield from cech_complex(extend_complex(c).sheaf).diffs.values()
+
+
+def dense(d):
+    return [[row.get(j, 0) for j in range(d.cols)] for row in d.data]
+
+
+def test_w_ranks_over_q_match_sympy():
+    tall = 0
+    for d in w_differentials(QQ, 30):
+        tall += d.rows > d.cols
+        assert scalar_rank(d) == sympy_domain_rank(dense(d), d.cols)
+    assert tall >= 10
+
+
+def test_w_ranks_over_gf_match_dense_reference():
+    tall = 0
+    for d in w_differentials(GF(10007), 30):
+        tall += d.rows > d.cols
+        assert scalar_rank(d) == dense_rank_mod_p(dense(d), 10007)
+    assert tall >= 10
 
 
 def test_rank_of_empty_shapes():

@@ -45,3 +45,15 @@ def test_ring_tags_round_trip():
     assert ring_from_tag("GF:13") == GF(13)
     with pytest.raises(UnsupportedRingError):
         ring_from_tag("R")
+
+
+def test_ring_tags_are_parsed_once():
+    # a frozen ring is shared: the second load of a tag runs no primality
+    # test, and a bad tag raises every time, since exceptions are not cached
+    assert ring_from_tag("GF(7)") is ring_from_tag("GF(7)")
+    assert ring_from_tag("GF(7)") == ring_from_tag("GF:7") == GF(7)
+    for _ in range(2):
+        with pytest.raises(UnsupportedRingError, match="not prime"):
+            ring_from_tag("GF(8)")
+        with pytest.raises(ValueError):
+            ring_from_tag("GF(x)")
