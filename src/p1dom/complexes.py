@@ -5,8 +5,9 @@ A complex stores explicit support bounds [lo, hi]; every operation treats
 degrees outside the support as rank zero.  A ``ChainComplex`` lives over
 K[x^-1], K[x] or K[x,x^-1] and stores dense Laurent matrices; its homology
 over K[x,x^-1] (free rank plus torsion invariant factors) is read from the
-invariant factors of each differential, computed by the factors-only kernel
-``smith.invariant_factors`` (integer coefficients over Q).  Every complex
+invariant factors of each differential, computed by
+``smith.invariant_factors`` from alternating column echelon forms with no
+transforms kept (integer coefficients over Q).  Every complex
 over the base ring K (the global sections W, base-K files) is a
 ``ScalarComplex`` of sparse scalar rows, where plain rank-nullity applies.
 """
@@ -110,9 +111,10 @@ class ChainComplex:
 
         Every entry respects K[x,x^-1], so only the other base rings scan
         the entries' exponents.  Over Q each row of d_{m-1} and each column
-        of d_m is cleared of denominators once (``polylists.cleared``) and
-        the products run on ints: scaling rows and columns by nonzero
-        integers changes no product entry's vanishing.
+        of d_m that shares a nonzero position with a partner is cleared of
+        denominators once (``polylists.cleared``) and the products run on
+        ints: scaling rows and columns by nonzero integers changes no
+        product entry's vanishing.
         """
         problems = [] if self.base is BaseRing.LAURENT else [
             f"degree {m}: entry ({i},{j}) = {p} violates {self.base.tag}"
@@ -126,8 +128,19 @@ class ChainComplex:
             cols = [[q.entry for q in col]
                     for col in zip(*self.diff(m).entries)]
             if clear:
-                rows = [cleared(row)[1] for row in rows]
-                cols = [cleared(col)[1] for col in cols]
+                # only a row and a column that share a nonzero position
+                # multiply anything
+                shared = [k for k in range(self.rank(m - 1))
+                          if any(row[k] is not None for row in rows)
+                          and any(col[k] is not None for col in cols)]
+                if not shared:
+                    continue
+                rows = [cleared(row)[1] if any(row[k] is not None
+                                               for k in shared) else row
+                        for row in rows]
+                cols = [cleared(col)[1] if any(col[k] is not None
+                                               for k in shared) else col
+                        for col in cols]
             if any(dot(row, col, p) is not None
                    for row in rows for col in cols):
                 problems.append(f"degree {m}: d.d != 0")

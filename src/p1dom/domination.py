@@ -13,7 +13,7 @@ torsion.  The rank terms telescope, so sum (-1)^q f_q is the Euler
 characteristic chi(C): a nonzero chi is a sure "no".  Otherwise rank d_m
 is the number of pivots of the chart kernel ``_elementary_valuations``
 in t = x, one per nonzero elementary divisor over K[[x]], that is the rank
-over K((x)) and so over K(x).  The Smith normal form (``homology``) is
+over K((x)) and so over K(x).  The invariant factors (``homology``) are
 computed only when the ``snf-torsion`` certificate or the homology report
 is read.  Like ``homology``, ``novikov_check`` assumes d.d = 0 (in a
 complex f_q >= 0); the CLI, ``verify_theorem`` and ``dominate`` check it
@@ -259,7 +259,7 @@ def novikov_check(c: ChainComplex, order: int = 16) -> NovikovVerdict:
 def _checked_verdict(c: ChainComplex) -> NovikovVerdict:
     """``novikov_check`` of a complex whose d.d = 0 is checked.  A field
     verdict is read off ``homology(c)``, which the ledger needs anyway:
-    one Smith pass and no rank pass."""
+    one invariant-factor pass and no rank pass."""
     if c.ring.is_field and c.base == BaseRing.LAURENT:
         return _novikov_field(c, homology(c))
     return novikov_check(c)
@@ -296,7 +296,7 @@ def _novikov_field(c: ChainComplex,
     ShapeError.
 
     ``report``, when the caller has ``homology(c)``, decides the verdict
-    instead.  Otherwise the Smith form is computed only when the
+    instead.  Otherwise the invariant factors are computed only when the
     ``snf-torsion`` certificate or ``NovikovVerdict.homology`` is read.
     """
     acyclic = (report.all_torsion if report is not None

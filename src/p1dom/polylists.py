@@ -8,14 +8,15 @@ stores exactly its entry (``LaurentPoly.entry``, c a tuple of canonical
 coefficients: residues mod p over GF(p), ints over Z, Fractions over Q),
 its arithmetic runs on ``lincomb``, ``scaled`` and ``trim``, and every
 kernel reads the entry as is, so no c is ever changed in place.  The
-kernels clear a Q row of denominators once (``cleared``,
+kernels clear a Q row or column of denominators once (``cleared``,
 ``integer_row``) and then eliminate on int coefficients with p = 0.
 
-One long division, ``pseudo_divmod``, serves every kernel: the Smith and
-column echelon eliminations of ``smith``, the forward substitution of
-``smith.kernel_coordinates``, and, as ``exact_quotient``, the Bareiss
-divisions of ``determinant`` (behind ``LaurentMatrix.determinant``) and of
-the chart valuations of ``domination``.  ``window_inverse``, the series
+One long division, ``pseudo_divmod``, serves every kernel: the column
+echelon elimination of ``smith`` and the gcds of its invariant factors,
+the forward substitution of ``smith.kernel_coordinates``, and, as
+``exact_quotient``, the Bareiss divisions of ``determinant`` (behind
+``LaurentMatrix.determinant``), the lcms of the invariant factors and the
+chart valuations of ``domination``.  ``window_inverse``, the series
 inverse of a Z window, serves the Z-mode Novikov check of ``domination``.
 
 A Z window (entry, end) is an entry in t (t = x, or t = x^-1 with the

@@ -6,28 +6,28 @@ factors are reported monic with zero x-adic valuation, so torsion
 detection reads off the monic cores while unit factors normalise to the
 constant 1.
 
-Both kernels eliminate on the entries of the input (``LaurentPoly.entry``,
-read as is) with the coefficient-list arithmetic of ``polylists``, which
-the chart valuations of ``domination`` share: residues mod p over GF(p),
-and integers over Q, as ``scalar_rank`` does for scalars after Bareiss
-(1968).  Each Q row or column is cleared of denominators once and kept
+Every result comes from one elimination, the column echelon form of
+``_echelon``, on the entries of the input (``LaurentPoly.entry``, read as
+is) with the coefficient-list arithmetic of ``polylists``, which the
+chart valuations of ``domination`` share: residues mod p over GF(p), and
+integers over Q, as ``scalar_rank`` does for scalars after Bareiss
+(1968).  Each Q column is cleared of denominators once and kept
 primitive by its content gcd, divisions are the pseudo-divisions of
 ``polylists.pseudo_divmod`` and the Bezout cofactors come from an integer
 Euclidean algorithm.  Nonzero constants are units of Q[x,x^-1], so none
 of these scalings changes a factor or a module.  Results are wrapped with
 ``LaurentPoly.from_entry``, their int coefficients made Fractions over Q.
 
-``invariant_factors`` is a Smith elimination without transforms: a pivot
-of least core degree, an entry it divides cleared by one division, a
-Bezout 2x2 transform otherwise, and a repair step for the divisibility
-chain.  ``kernel_basis`` and ``kernel_coordinates`` need no Smith form.
-They run a column echelon (Hermite) reduction A*V = [H | 0] by column
-operations and Bezout 2x2 column transforms only (Kannan-Bachem 1979;
-Storjohann 2000).  Every transform has a nonzero constant determinant,
-so V is invertible over K[x,x^-1]: the last n - r columns of V are a
-basis of ker A, and a saturated one, and K*X = B is solved by forward
-substitution on the echelon form of K, each step one division of
-coefficient lists.
+The echelon form A*V = [H | 0] is reached by column operations and
+Bezout 2x2 column transforms only (Kannan-Bachem 1979; Storjohann 2000).
+Every transform has a nonzero constant determinant, so V is invertible
+over K[x,x^-1]: ``kernel_basis`` returns the last n - r columns of V, a
+saturated basis of ker A, ``kernel_coordinates`` solves K*X = B by
+forward substitution on the echelon form of K, each step one division of
+coefficient lists, and ``matrix_rank`` is the pivot count r.
+``invariant_factors`` keeps no V: it alternates the echelon form of the
+matrix and of its transpose, each brought to Hermite form, until the
+matrix is diagonal, and then makes the diagonal a divisibility chain.
 """
 
 from __future__ import annotations
@@ -38,8 +38,9 @@ from math import gcd
 from .errors import ShapeError, UnsupportedRingError
 from .laurent import LaurentPoly
 from .matrices import LaurentMatrix, ScalarMatrix, scalar_rank
-from .polylists import (MINUS_ONE, ONE, cleared, divided, dot, integer_row,
-                        lincomb, make_primitive, pseudo_divmod, scaled)
+from .polylists import (MINUS_ONE, ONE, cleared, divided, dot,
+                        exact_quotient, integer_row, lincomb, make_primitive,
+                        pseudo_divmod, scaled)
 from .scalars import CoefficientRing
 
 
@@ -99,160 +100,6 @@ def _bezout(pivot, e, p):
     return u1, v1, scaled(e_g, -m_p, p), scaled(pivot_g, m_e, p)
 
 
-def _factor(ring, core):
-    """The monic LaurentPoly of a core's coefficients."""
-    if len(core) == 1:
-        return LaurentPoly.one(ring)
-    lead = core[-1]
-    if ring.p:
-        inv = pow(lead, -1, ring.p)
-        return LaurentPoly.from_entry(
-            ring, (0, tuple(x * inv % ring.p for x in core)))
-    if lead == 1:  # integer coefficients: no gcd to take
-        return LaurentPoly.from_entry(ring, (0, tuple(map(Fraction, core))))
-    return LaurentPoly.from_entry(
-        ring, (0, tuple(Fraction(x, lead) for x in core)))
-
-
-def _poly(ring, e):
-    """The LaurentPoly of a kernel entry, int coefficients made Fractions
-    over Q."""
-    return LaurentPoly.from_entry(ring, e if e is None or ring.p else (
-        e[0], tuple(map(Fraction, e[1]))))
-
-
-def invariant_factors(a: LaurentMatrix) -> tuple:
-    """The invariant factors d_1 | d_2 | ... | d_r of ``a`` over
-    K[x,x^-1], r its rank.
-
-    A Smith elimination without transforms on the entries (see the
-    module docstring).  Each factor is monic with zero valuation, so a
-    unit factor is the constant 1.
-    Z coefficients are rejected; Z[x,x^-1] is not a PID.
-    """
-    ring = _require_field(a)
-    p = ring.p
-    rows, cols = a.rows, a.cols
-    s = [[poly.entry for poly in row] for row in a.entries]
-    if not p:
-        s = [integer_row(row) for row in s]
-
-    def tidy_row(i, t):
-        if not p:
-            make_primitive(s[i], range(t, cols))
-
-    def tidy_col(j, t):
-        if not p:
-            column = [row[j] for row in s]
-            make_primitive(column, range(t, rows))
-            for i in range(t, rows):
-                s[i][j] = column[i]
-
-    def find_pivot(t):
-        best = None
-        for i in range(t, rows):
-            row = s[i]
-            for j in range(t, cols):
-                e = row[j]
-                if e is not None and (best is None or len(e[1]) < best[0]):
-                    best = len(e[1]), i, j
-        return best
-
-    def clear_row_entry(i, t):
-        e = s[i][t]
-        if e is None:
-            return
-        ri, rt = s[i], s[t]
-        m, q, r = pseudo_divmod(e, rt[t], p)
-        if r is None:
-            f, nq = (0, [m]), scaled(q, -1, p)
-            for j in range(t + 1, cols):
-                ri[j] = lincomb(f, ri[j], nq, rt[j], p)
-            ri[t] = None
-            tidy_row(i, t)
-            return
-        u, v, ne, pg = _bezout(rt[t], e, p)
-        for j in range(t, cols):
-            x, y = rt[j], ri[j]
-            rt[j] = lincomb(u, x, v, y, p)
-            ri[j] = lincomb(ne, x, pg, y, p)
-        tidy_row(t, t)
-        tidy_row(i, t)
-
-    def clear_col_entry(j, t):
-        """Zero s[t][j]; True when a Bezout transform replaced the pivot
-        (strictly smaller core degree)."""
-        e = s[t][j]
-        if e is None:
-            return False
-        m, q, r = pseudo_divmod(e, s[t][t], p)
-        if r is None:
-            f, nq = (0, [m]), scaled(q, -1, p)
-            for i in range(t + 1, rows):
-                row = s[i]
-                row[j] = lincomb(f, row[j], nq, row[t], p)
-            s[t][j] = None
-            tidy_col(j, t)
-            return False
-        u, v, ne, pg = _bezout(s[t][t], e, p)
-        for i in range(t, rows):
-            row = s[i]
-            x, y = row[t], row[j]
-            row[t] = lincomb(u, x, v, y, p)
-            row[j] = lincomb(ne, x, pg, y, p)
-        tidy_col(t, t)
-        tidy_col(j, t)
-        return True
-
-    def chain_breaker(t):
-        """A row below t with an entry the pivot does not divide."""
-        pivot = s[t][t]
-        for i in range(t + 1, rows):
-            for e in s[i][t + 1:]:
-                if (e is not None
-                        and pseudo_divmod(e, pivot, p)[2] is not None):
-                    return i
-        return None
-
-    factors = []
-    t = 0
-    while t < min(rows, cols):
-        best = find_pivot(t)
-        if best is None:
-            break
-        while True:
-            _, pi, pj = best
-            if pi != t:
-                s[t], s[pi] = s[pi], s[t]
-            if pj != t:
-                for row in s:
-                    row[t], row[pj] = row[pj], row[t]
-            for i in range(t + 1, rows):
-                clear_row_entry(i, t)
-            disturbed = False
-            for j in range(t + 1, cols):
-                disturbed = clear_col_entry(j, t) or disturbed
-            if not disturbed and len(s[t][t][1]) > 1:
-                bad = chain_breaker(t)
-                if bad is not None:
-                    rt, rb = s[t], s[bad]
-                    for j in range(t + 1, cols):
-                        rt[j] = lincomb(ONE, rt[j], ONE, rb[j], p)
-                    tidy_row(t, t)
-                    disturbed = True
-            if not disturbed:
-                break
-            # the pivot's core degree strictly dropped, or a row the pivot
-            # does not divide was added to the pivot row
-            best = find_pivot(t)
-        factors.append(_factor(ring, s[t][t][1]))
-        t += 1
-    return tuple(factors)
-
-
-# -- kernels by column echelon form -----------------------------------------
-
-
 def _combine(f, x, g, y, p):
     """The column f*x + g*y, made primitive over Q."""
     column = [lincomb(f, s, g, t, p) for s, t in zip(x, y)]
@@ -261,31 +108,30 @@ def _combine(f, x, g, y, p):
     return column
 
 
-def _column_echelon(a: LaurentMatrix):
-    """Columns of a*V stacked on V, and the pivot rows of a*V.
+def _echelon(columns, rows, p):
+    """Bring the first ``rows`` entries of ``columns`` to column echelon
+    form in place, and return the pivot rows.
 
-    a*V is in column echelon form: column t < r = len(pivots) has its
-    first nonzero entry in row pivots[t], the pivot rows increase, and the
-    columns from r on are zero.  V is invertible over K[x,x^-1].  Each row
-    of a takes one pass: the column of least core degree in that row
-    becomes the pivot column, and every later column is cleared by a
+    Column t < r = len(pivots) then has its first nonzero entry in row
+    pivots[t], the pivot rows increase, and the columns from r on are zero
+    in their first ``rows`` entries.  Each row takes one pass: the column
+    of least core degree in that row (the first on a tie) becomes the
+    pivot column, and every later column is cleared by a
     (pseudo-)division or, when the pivot does not divide, by a Bezout 2x2
-    column transform.
+    column transform.  Every transform acts on whole columns and has a
+    nonzero constant determinant.
     """
-    p = _require_field(a).p
-    rows, n = a.rows, a.cols
-    columns = []
-    for j in range(n):
-        column = [row[j].entry for row in a.entries] + [None] * n
-        column[rows + j] = ONE
-        columns.append(column if p else integer_row(column))
+    n = len(columns)
     pivots = []
     for i in range(rows):
         r = len(pivots)
-        live = [j for j in range(r, n) if columns[j][i] is not None]
-        if not live:
+        best = None
+        for j in range(r, n):
+            e = columns[j][i]
+            if e is not None and (best is None or len(e[1]) < size):
+                best, size = j, len(e[1])
+        if best is None:
             continue
-        best = min(live, key=lambda j: len(columns[j][i][1]))
         columns[r], columns[best] = columns[best], columns[r]
         for j in range(r + 1, n):
             e, pivot = columns[j][i], columns[r][i]
@@ -301,7 +147,142 @@ def _column_echelon(a: LaurentMatrix):
             columns[r] = _combine(u, x, v, y, p)
             columns[j] = _combine(ne, x, pg, y, p)
         pivots.append(i)
-    return columns, pivots
+    return pivots
+
+
+def _columns(a: LaurentMatrix, p):
+    """The columns of ``a``'s entries, over Q cleared of denominators and
+    primitive."""
+    columns = [[row[j].entry for row in a.entries] for j in range(a.cols)]
+    return columns if p else [integer_row(column) for column in columns]
+
+
+def matrix_rank(a: LaurentMatrix) -> int:
+    """Rank over the fraction field of K[x,x^-1]."""
+    if a.rows == 0 or a.cols == 0:
+        return 0
+    if a.ring.is_field and all(
+            e is None or e[0] == 0 and len(e[1]) == 1
+            for row in a.entries for e in (p.entry for p in row)):
+        return scalar_rank(ScalarMatrix.from_laurent(a))
+    p = _require_field(a).p
+    return len(_echelon(_columns(a, p), a.rows, p))
+
+
+# -- invariant factors by alternating echelon forms -----------------------
+
+
+def _factor(ring, core):
+    """The monic LaurentPoly of a core's coefficients."""
+    if len(core) == 1:
+        return LaurentPoly.one(ring)
+    lead = core[-1]
+    if ring.p:
+        inv = pow(lead, -1, ring.p)
+        return LaurentPoly.from_entry(
+            ring, (0, tuple(x * inv % ring.p for x in core)))
+    if lead == 1:  # integer coefficients: no gcd to take
+        return LaurentPoly.from_entry(ring, (0, tuple(map(Fraction, core))))
+    return LaurentPoly.from_entry(
+        ring, (0, tuple(Fraction(x, lead) for x in core)))
+
+
+def _gcd(a, b, p):
+    """The gcd of two cores, an entry of valuation 0, by a remainder
+    sequence in which every remainder is shifted to valuation 0 and, over
+    Q, divided by its content, so that the coefficients stay small."""
+    a, b = (0, a), (0, b)
+    while True:
+        if not p:
+            b = divided(b, gcd(*b[1]))
+        r = pseudo_divmod(a, b, p)[2]
+        if r is None:
+            return b
+        a, b = b, (0, r[1])
+
+
+def _reduce(columns, pivots, p):
+    """Reduce, from the top pivot row down, each entry left of a pivot
+    modulo the pivot, by subtracting a multiple of the pivot column, which
+    is zero above its pivot row (the Hermite form of Kannan-Bachem 1979).
+    This bounds every entry of a pivot row by its pivot's core degree."""
+    for t, i in enumerate(pivots):
+        pivot = columns[t][i]
+        for s in range(t):
+            e = columns[s][i]
+            if e is not None:
+                m, q, _ = pseudo_divmod(e, pivot, p)
+                if q is not None:
+                    columns[s] = _combine((0, [m]), columns[s],
+                                          scaled(q, -1, p), columns[t], p)
+
+
+def invariant_factors(a: LaurentMatrix) -> tuple:
+    """The invariant factors d_1 | d_2 | ... | d_r of ``a`` over
+    K[x,x^-1], r its rank.
+
+    ``_echelon`` runs on the matrix and on its transpose in turn
+    (Kannan-Bachem 1979) until every column has one nonzero entry.  Each
+    pass drops the zero columns and ends in Hermite form (``_reduce``),
+    which keeps the next pass from swelling; over Q each transposed
+    column is made primitive.  The diagonal then becomes a divisibility
+    chain by the pairwise rule (d_s, d_t) -> (gcd, lcm), with gcds from
+    ``_gcd``.  Each factor is monic with zero valuation, so a unit factor
+    is the constant 1.  Z coefficients are rejected; Z[x,x^-1] is not a
+    PID.
+    """
+    p = _require_field(a).p
+    rows, columns = a.rows, _columns(a, p)
+    while True:
+        pivots = _echelon(columns, rows, p)
+        del columns[len(pivots):]
+        _reduce(columns, pivots, p)
+        # every column holds its pivot: diagonal when nothing else
+        if sum([column.count(None) for column in columns]) == (
+                rows - 1) * len(pivots):
+            break
+        rows = len(columns)
+        # the transpose, without its zero columns
+        columns = [row for row in map(list, zip(*columns))
+                   if row.count(None) < rows]
+        if not p:
+            for column in columns:
+                make_primitive(column, range(rows))
+    cores = [columns[t][i][1] for t, i in enumerate(pivots)]
+    for s in range(len(cores)):
+        for t in range(s + 1, len(cores)):
+            if len(cores[s]) > 1:
+                g = _gcd(cores[s], cores[t], p)
+                lcm = lincomb(exact_quotient((0, cores[s]), g, p),
+                              (0, cores[t]), None, None, p)
+                cores[s], cores[t] = g[1], lcm[1]
+    return tuple([_factor(a.ring, core) for core in cores])
+
+
+# -- kernels by column echelon form -----------------------------------------
+
+
+def _poly(ring, e):
+    """The LaurentPoly of a kernel entry, int coefficients made Fractions
+    over Q."""
+    return LaurentPoly.from_entry(ring, e if e is None or ring.p else (
+        e[0], tuple(map(Fraction, e[1]))))
+
+
+def _column_echelon(a: LaurentMatrix):
+    """Columns of a*V stacked on V, and the pivot rows of a*V.
+
+    a*V is the column echelon form of ``_echelon``, and V, the product of
+    its transforms, is invertible over K[x,x^-1].
+    """
+    p = _require_field(a).p
+    rows, n = a.rows, a.cols
+    columns = []
+    for j in range(n):
+        column = [row[j].entry for row in a.entries] + [None] * n
+        column[rows + j] = ONE
+        columns.append(column if p else integer_row(column))
+    return columns, _echelon(columns, rows, p)
 
 
 def kernel_basis(a: LaurentMatrix) -> LaurentMatrix:
@@ -361,14 +342,3 @@ def kernel_coordinates(k: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
         [LaurentPoly.from_entry(ring, dot(
             [column[k.rows + i] for column in columns[:r]], y, p))
          for y in solution] for i in range(k.cols)], check=False)
-
-
-def matrix_rank(a: LaurentMatrix) -> int:
-    """Rank over the fraction field of K[x,x^-1]."""
-    if a.rows == 0 or a.cols == 0:
-        return 0
-    if a.ring.is_field and all(
-            e is None or e[0] == 0 and len(e[1]) == 1
-            for row in a.entries for e in (p.entry for p in row)):
-        return scalar_rank(ScalarMatrix.from_laurent(a))
-    return len(invariant_factors(a))

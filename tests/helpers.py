@@ -68,6 +68,13 @@ def window_complex(c: ChainComplex, order: int) -> ScalarComplex:
     return ScalarComplex(c.ring, c.lo, c.hi, ranks, diffs)
 
 
+def transpose(a):
+    """The transpose of a LaurentMatrix."""
+    return LaurentMatrix(a.ring, a.cols, a.rows, [
+        [a.entries[i][j] for i in range(a.rows)] for j in range(a.cols)],
+        a.base)
+
+
 def S(ring, grid):
     """ScalarMatrix from a dense grid of ring elements."""
     return ScalarMatrix(ring, len(grid), len(grid[0]) if grid else 0,

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from p1dom import smith
 from p1dom.errors import ShapeError, UnsupportedRingError
+from p1dom.generators import random_novikov_acyclic
 from p1dom.laurent import LaurentPoly
 from p1dom.matrices import LaurentMatrix, scalar_rank
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.smith import (invariant_factors, kernel_basis, kernel_coordinates,
                          matrix_rank)
 
-from helpers import M, S
+from helpers import M, S, transpose
 from test_sympy_oracle import sympy_divides, sympy_factors
 
 
@@ -78,12 +80,31 @@ def test_snf_rank_matches_evaluation():
         point = rng.randint(1, 10006)
         evaluated = [[a.entries[i][j].evaluate(point) for j in range(cols)]
                      for i in range(rows)]
-        assert len(invariant_factors(a)) == scalar_rank(S(ring, evaluated))
+        rank = scalar_rank(S(ring, evaluated))
+        assert len(invariant_factors(a)) == matrix_rank(a) == rank
 
 
 def test_matrix_rank_scalar_fast_path():
     a = M(QQ, [[1, 2], [2, 4]])
     assert matrix_rank(a) == 1
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(7)])
+@pytest.mark.parametrize("diagonal, expected", [
+    # coprime entries: the chain is (1, their product)
+    ([[(1, 1), (0, -1)], [(1, 1), (0, -2)]], ["1", "2 + -3*x + x^2"]),
+    # a chain only once reordered
+    ([[(2, 1), (1, -2), (0, 1)], [(1, 1), (0, -1)]],
+     ["-1 + x", "1 + -2*x + x^2"]),
+])
+def test_diagonal_inputs_become_a_divisibility_chain(ring, diagonal,
+                                                     expected):
+    a = M(ring, [[diagonal[0], 0], [0, diagonal[1]]])
+    factors = invariant_factors(a)
+    if ring is QQ:
+        assert [str(f) for f in factors] == expected
+    assert list(factors) == sympy_factors(a)
+    assert invariant_factors(transpose(a)) == factors
 
 
 # -- the kernels on coefficient lists against independent oracles ----------
@@ -129,6 +150,7 @@ def test_invariant_factors_match_the_smith_form(seed, ring, rows, cols,
     a = _kernel_case(random.Random(seed), ring, rows, cols, shape)
     factors = invariant_factors(a)
     assert list(factors) == sympy_factors(a)
+    assert invariant_factors(transpose(a)) == factors
     if shape == "row-sum" and rows >= 3:
         assert len(factors) < rows
 
@@ -168,3 +190,44 @@ def test_kernel_coordinates_needs_matching_rows():
     k = kernel_basis(M(QQ, [[1, [(1, 1)]]]))
     with pytest.raises(ShapeError, match="2-row system for 1 rows"):
         kernel_coordinates(k, M(QQ, [[1]]))
+
+
+# -- Q differentials on which a Smith elimination once swelled ---------------
+
+
+def _swelling_differentials():
+    """The 19x47 d_0 of a Random(5) complex, which took minutes, and the
+    69x36 d_2 of the sixth Random(11) draw, which took seconds."""
+    d_0 = random_novikov_acyclic(random.Random(5), QQ, max_rank=80,
+                                 span=6).diff(0)
+    rng = random.Random(11)
+    for _ in range(6):
+        c = random_novikov_acyclic(rng, QQ, max_rank=80, span=4)
+    return [d_0, c.diff(2)]
+
+
+def _mod_p(a, ring):
+    """a with its Q coefficients mapped to GF(p)."""
+    return LaurentMatrix(ring, a.rows, a.cols, [
+        [LaurentPoly(ring, {e: x.numerator * pow(x.denominator, -1, ring.p)
+                            for e, x in poly.items()}) for poly in row]
+        for row in a.entries])
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_q_factors_do_not_swell(monkeypatch, index):
+    a = _swelling_differentials()[index]
+    assert (a.rows, a.cols) == [(19, 47), (69, 36)][index]
+    lincomb = smith.lincomb
+
+    def guarded(*args):
+        e = lincomb(*args)
+        if e is not None and max(abs(x) for x in e[1]).bit_length() > 1024:
+            raise AssertionError("a coefficient exceeds 1024 bits")
+        return e
+    monkeypatch.setattr(smith, "lincomb", guarded)
+    factors = invariant_factors(a)
+    assert invariant_factors(transpose(a)) == factors
+    # the degrees agree over GF(p) for all but finitely many p
+    modular = invariant_factors(_mod_p(a, GF(10007)))
+    assert [f.maxdeg for f in modular] == [f.maxdeg for f in factors]
