@@ -554,7 +554,8 @@ def dominate(c: ChainComplex) -> DominationWitness:
 
 def _require_field(c: ChainComplex):
     if not c.ring.is_field:
-        raise UnsupportedRingError("dominate runs in field mode")
+        raise UnsupportedRingError(
+            "the domination witness needs field coefficients (Q or GF(p))")
 
 
 def _witness(c: ChainComplex, verdict: NovikovVerdict) -> DominationWitness:
@@ -680,22 +681,21 @@ class TheoremReport:
 def verify_theorem(c: ChainComplex) -> TheoremReport:
     """Full pipeline: hypothesis check, witness production, ledger audit.
 
-    d.d = 0 is checked once, first: a non-complex is a ShapeError, not a
-    FAIL.  In field mode the homology over K[x,x^-1] is computed once and
-    serves the verdict, the FAIL detail and the ledger.
+    Field coefficients are checked first, as in ``dominate``: over Z no
+    Novikov search runs.  d.d = 0 is checked once, next: a non-complex is
+    a ShapeError, not a FAIL.  The homology over K[x,x^-1] is computed
+    once and serves the verdict, the FAIL detail and the ledger.
     """
+    _require_field(c)
     require_valid(c)
     verdict = _checked_verdict(c)
     if not verdict.both_acyclic:
-        # Z mode has no homology report; homology(c) then names the reason
-        mid = verdict.homology if verdict.homology is not None else homology(c)
-        free = mid.free_ranks()
+        free = verdict.homology.free_ranks()
         checks = (TheoremCheck(
             "novikov-acyclic", False,
             "free rank " + ", ".join(
                 f"{r} in degree {q}" for q, r in sorted(free.items()))),)
         return TheoremReport("FAIL", verdict, checks)
-    _require_field(c)
     witness = _witness(c, verdict)
     checks = []
     w = witness.w

@@ -125,6 +125,8 @@ def matrix_to_rows(m: LaurentMatrix):
 
 def matrix_from_rows(ring, rows, cols, data, base: BaseRing, where: str,
                      budget):
+    """The matrix of ``data`` over ``base``: a LaurentMatrix, or over K a
+    ScalarMatrix of sparse rows of constants."""
     if not isinstance(data, list) or len(data) != rows:
         raise FormatError(f"expected {rows} matrix rows", where)
     entries = []
@@ -133,6 +135,15 @@ def matrix_from_rows(ring, rows, cols, data, base: BaseRing, where: str,
             raise FormatError(f"expected {cols} entries", _at(where, i))
         entries.append([poly_from_pairs(ring, cell, where, budget, (i, j))
                         for j, cell in enumerate(row)])
+    if base is BaseRing.K:
+        for i, row in enumerate(entries):
+            for j, p in enumerate(row):
+                if not p.respects(base):
+                    raise FormatError(f"entry ({i},{j}) = {p} violates K",
+                                      where)
+        return ScalarMatrix(ring, rows, cols, [
+            {j: p.entry[1][0] for j, p in enumerate(row) if p.entry}
+            for row in entries])
     try:  # every entry is over ring, and K[x,x^-1] holds every entry
         return LaurentMatrix(ring, rows, cols, entries, base,
                              check=base is not BaseRing.LAURENT)
@@ -246,8 +257,7 @@ def complex_from_dict(data: dict) -> ChainComplex | ScalarComplex:
     diffs = _read_differentials(data, ring, base, ranks, "differentials",
                                 [MAX_DENSE_SLOTS])
     if base == BaseRing.K:
-        return ScalarComplex(ring, lo, hi, ranks, {
-            m: ScalarMatrix.from_laurent(d) for m, d in diffs.items()})
+        return ScalarComplex(ring, lo, hi, ranks, diffs)
     try:
         c = ChainComplex(ring, base, lo, hi, ranks, diffs)
     except Exception as exc:

@@ -190,12 +190,6 @@ class LaurentMatrix:
                         f"entry ({i},{j}) = {p} violates {base.tag}"
                     )
 
-    def with_base(self, base: BaseRing):
-        """Re-tag, re-validating the exponent constraint."""
-        self.check_base(base)
-        return LaurentMatrix(self.ring, self.rows, self.cols,
-                             self.entries, base, check=False)
-
     def hstack(self, other):
         if self.rows != other.rows:
             raise ShapeError("row counts differ")
@@ -271,22 +265,6 @@ class ScalarMatrix:
         self.rows = rows
         self.cols = cols
         self.data = data
-
-    @classmethod
-    def from_laurent(cls, m: LaurentMatrix) -> "ScalarMatrix":
-        """The constants of ``m``; any other exponent is a ShapeError."""
-        data = []
-        for row in m.entries:
-            out = {}
-            for j, p in enumerate(row):
-                if p.entry is None:
-                    continue
-                v, c = p.entry
-                if v or len(c) != 1:
-                    raise ShapeError("scalar matrix of a non-constant matrix")
-                out[j] = c[0]
-            data.append(out)
-        return cls(m.ring, m.rows, m.cols, data)
 
 
 def scalar_rank(m: ScalarMatrix) -> int:

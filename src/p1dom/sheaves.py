@@ -17,6 +17,12 @@ K[x], ``minus`` and ``plus`` build them only when asked, and
 ``SheafComplex.level`` builds a level's diagram only for a caller that
 asks for one.
 
+The gluing rule for a torus map between two twist sums is written once:
+``chart_shifts`` gives each nonzero entry its two chart exponents, and
+``twist_shift`` the least twist of the target that makes every entry
+legal.  The SheafComplex constructor checks the rule, and the extension
+of complexes, morphisms and cones (``extension``) solves it.
+
 Global sections and first cohomology of a sum of twists are banded monomial
 spaces: for a summand of twist n = k + l the section basis is
 x^-l, ..., x^k (when n >= 0) and the obstruction basis is
@@ -51,6 +57,40 @@ class TwistSummand:
 
     def shifted(self, dk: int, dl: int) -> "TwistSummand":
         return TwistSummand(self.k + dk, self.l + dl)
+
+
+def chart_shifts(d: LaurentMatrix, target, source):
+    """(i, j, p, a, b) for each nonzero entry p = d[i][j] of a torus map d
+    from the twist sum ``source`` to the twist sum ``target`` (sequences
+    of TwistSummand): its chart entries are x^a p over K[x^-1] and x^b p
+    over K[x], with the chart exponents
+
+        a = k_j(source) - k_i(target),   b = l_i(target) - l_j(source),
+
+    so p is legal over K[x^-1] iff maxdeg p + a <= 0 and over K[x] iff
+    mindeg p + b >= 0.  This is the one gluing rule of the package."""
+    for i, (row, t) in enumerate(zip(d.entries, target)):
+        for j, (p, s) in enumerate(zip(row, source)):
+            if p.entry is not None:
+                yield i, j, p, s.k - t.k, t.l - s.l
+
+
+def twist_shift(d: LaurentMatrix, target, source):
+    """The least (k, l) >= (0, 0) such that d is legal on both charts once
+    every summand of ``target`` is shifted by (k, l), which lowers each a
+    of ``chart_shifts`` by k and raises each b by l: k is the largest
+    maxdeg p + a and l the largest -(mindeg p + b), each at least 0.
+    None for the zero map, which any (k, l) makes legal."""
+    k = l = 0
+    zero = True
+    for _, _, p, a, b in chart_shifts(d, target, source):
+        v, c = p.entry
+        zero = False
+        if v + len(c) - 1 + a > k:
+            k = v + len(c) - 1 + a
+        if -v - b > l:
+            l = -v - b
+    return None if zero else (k, l)
 
 
 class SheafDiagram:
@@ -251,11 +291,12 @@ class SheafComplex:
         d^-_m[i][j] = x^(k_j(m) - k_i(m-1)) d_m[i][j]   over K[x^-1],
         d^+_m[i][j] = x^(l_i(m-1) - l_j(m)) d_m[i][j]   over K[x],
 
-    so the constructor checks, on each nonzero entry p of d_m at (i, j),
-    maxdeg p <= k_i(m-1) - k_j(m) and mindeg p >= l_j(m) - l_i(m-1), and
-    raises BaseRingViolationError naming the degree, the entry and the
-    chart ring otherwise.  ``minus`` and ``plus`` build the charts on each
-    call.  A chart is the middle complex conjugated by the diagonal units
+    which are x^a d_m[i][j] and x^b d_m[i][j] for the chart exponents
+    (a, b) of ``chart_shifts`` from level m to level m - 1.  The
+    constructor raises BaseRingViolationError at the first entry that
+    leaves its chart ring, naming the degree, the entry and the chart
+    ring (minus before plus).  ``minus`` and ``plus`` build the charts on
+    each call.  A chart is the middle complex conjugated by the diagonal units
     diag(x^k), diag(x^-l), so it has d.d = 0 exactly when ``mid`` has, and
     the squares commute by construction: ``validate`` checks ``mid`` alone.
     """
@@ -277,23 +318,18 @@ class SheafComplex:
                 raise ShapeError(f"level {m} has {len(ts)} twists for "
                                  f"rank {mid.rank(m)}")
         for m, d in mid.diffs.items():
-            lvl = self.twists[m]
-            for i, (row, t) in enumerate(zip(d.entries, self.twists[m - 1])):
-                for j, p in enumerate(row):
-                    if p.entry is None:
-                        continue
-                    v, c = p.entry
-                    if v + len(c) - 1 > t.k - lvl[j].k:
-                        side, base = "minus", BaseRing.POLY_INV
-                        shift = lvl[j].k - t.k
-                    elif v < lvl[j].l - t.l:
-                        side, base = "plus", BaseRing.POLY
-                        shift = t.l - lvl[j].l
-                    else:
-                        continue
-                    raise BaseRingViolationError(
-                        f"degree {m}: {side} chart entry ({i},{j}) = "
-                        f"{p.times_monomial(shift)} violates {base.tag}")
+            for i, j, p, a, b in chart_shifts(d, self.twists[m - 1],
+                                              self.twists[m]):
+                v, c = p.entry
+                if v + len(c) - 1 + a > 0:
+                    side, base, shift = "minus", BaseRing.POLY_INV, a
+                elif v + b < 0:
+                    side, base, shift = "plus", BaseRing.POLY, b
+                else:
+                    continue
+                raise BaseRingViolationError(
+                    f"degree {m}: {side} chart entry ({i},{j}) = "
+                    f"{p.times_monomial(shift)} violates {base.tag}")
 
     @property
     def minus(self) -> ChainComplex:
@@ -368,10 +404,10 @@ def cech_complex(s: SheafComplex) -> ScalarComplex:
     the differential is the restriction of the middle differential to the
     bands.  It maps each band into its target band: a monomial x^e of
     summand j in degree m has -l_j(m) <= e <= k_j(m), and a nonzero entry
-    p = d_m[i][j] has maxdeg p <= k_i(m-1) - k_j(m) and mindeg p >=
-    l_j(m) - l_i(m-1) (the SheafComplex legality check), so every exponent
-    of p x^e lies in [-l_i(m-1), k_i(m-1)], the band of summand i in
-    degree m - 1.
+    p = d_m[i][j] has maxdeg p + a <= 0 and mindeg p + b >= 0 for its
+    chart exponents a = k_j(m) - k_i(m-1), b = l_i(m-1) - l_j(m) (the
+    SheafComplex legality check), so every exponent of p x^e lies in
+    [-l_i(m-1), k_i(m-1)], the band of summand i in degree m - 1.
     """
     ring = s.ring
     # the band of summand i in degree m has rows offsets[m][i] + e for

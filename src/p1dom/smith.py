@@ -37,7 +37,7 @@ from math import gcd
 
 from .errors import ShapeError, UnsupportedRingError
 from .laurent import LaurentPoly
-from .matrices import LaurentMatrix, ScalarMatrix, scalar_rank
+from .matrices import LaurentMatrix
 from .polylists import (MINUS_ONE, ONE, cleared, divided, dot,
                         exact_quotient, integer_row, lincomb, make_primitive,
                         pseudo_divmod, scaled)
@@ -161,10 +161,6 @@ def matrix_rank(a: LaurentMatrix) -> int:
     """Rank over the fraction field of K[x,x^-1]."""
     if a.rows == 0 or a.cols == 0:
         return 0
-    if a.ring.is_field and all(
-            e is None or e[0] == 0 and len(e[1]) == 1
-            for row in a.entries for e in (p.entry for p in row)):
-        return scalar_rank(ScalarMatrix.from_laurent(a))
     p = _require_field(a).p
     return len(_echelon(_columns(a, p), a.rows, p))
 

@@ -140,9 +140,21 @@ def random_mapping_torus(rng, ring, a):
         - null.component(m) for m in d.degrees()}))[0]
 
 
+def constants(m):
+    """The ScalarMatrix of a LaurentMatrix whose entries are constants."""
+    data = []
+    for row in m.entries:
+        data.append({})
+        for j, p in enumerate(row):
+            if p.entry is not None:
+                assert p.entry[0] == 0 and len(p.entry[1]) == 1, p
+                data[-1][j] = p.entry[1][0]
+    return ScalarMatrix(m.ring, m.rows, m.cols, data)
+
+
 def betti_numbers(d):
     """Ranks of the homology of a complex with constant differentials,
     over the fraction field of its coefficient ring."""
-    ranks = {m: scalar_rank(ScalarMatrix.from_laurent(d.diff(m)))
+    ranks = {m: scalar_rank(constants(d.diff(m)))
              for m in range(d.lo, d.hi + 2)}
     return {q: d.rank(q) - ranks[q] - ranks[q + 1] for q in d.degrees()}

@@ -322,6 +322,26 @@ def test_verify_theorem_randomised():
         assert max(report.witness.largest_valuations()) <= 64
 
 
+@pytest.mark.parametrize("run", [verify_theorem, dominate],
+                         ids=["verify_theorem", "dominate"])
+def test_integer_complex_is_refused_before_any_novikov_search(monkeypatch,
+                                                              run):
+    import p1dom.domination as domination
+
+    def no_search(*args):
+        raise AssertionError("Z Novikov search on a refused complex")
+
+    monkeypatch.setattr(domination, "_novikov_integers", no_search)
+    # Novikov acyclic or not, with chi = 0 or not: each is refused alike
+    for c in (two_term(ZZ, [(1, 1), (0, -1)]), two_term(ZZ, [(0, 2)]),
+              ChainComplex.single(ZZ, BaseRing.LAURENT, 0, 1),
+              random_novikov_acyclic(random.Random(4), ZZ)):
+        with pytest.raises(UnsupportedRingError,
+                           match=r"^the domination witness needs field "
+                                 r"coefficients"):
+            run(c)
+
+
 def test_contraction_pivot_is_widest_then_least_valuation():
     from p1dom.domination import _find_unit_pivot
 

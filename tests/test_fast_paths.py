@@ -4,13 +4,15 @@ A sheaf complex stores its torus complex and its twists: its levels are
 valid by construction, its constructor checks chart legality by exponent
 comparisons that build no matrix, and its charts are derived on demand,
 so no gluing square is ever compared; the loader compares a file's charts
-with the derived ones.  Homology reads the invariant factors of each
-differential from the factors-only kernel, and Laurent arithmetic builds
-its results without renormalising.  Each fast
-path is compared here with the dense or normalising computation it
+with the derived ones.  Morphism and cone extension take their twists
+from ``twist_shift`` and compare no chart square either.  Homology reads
+the invariant factors of each differential from the factors-only kernel,
+and Laurent arithmetic builds its results without renormalising.  Each
+fast path is compared here with the dense or normalising computation it
 replaces (charts as products of monomial diagonal matrices, gluing
-squares as products of level torus maps), kept in this file so that it
-stays independent of the code under test.
+squares and the chart squares of a morphism extension as products of
+level torus maps), kept in this file so that it stays independent of the
+code under test.
 """
 
 import random
@@ -24,13 +26,15 @@ from p1dom import fileformat as ff
 from p1dom.complexes import ChainComplex, ChainMap, HomologyEntry, homology
 from p1dom.domination import verify_theorem
 from p1dom.errors import BaseRingViolationError, FormatError, ShapeError
-from p1dom.extension import extend_complex, extend_cone
-from p1dom.generators import random_complex, random_novikov_acyclic
+from p1dom.extension import (MorphismExtension, extend_complex,
+                             extend_cone, extend_morphism)
+from p1dom.generators import (null_homotopic_map, random_complex,
+                              random_novikov_acyclic)
 from p1dom.laurent import BaseRing, LaurentPoly
 from p1dom.matrices import LaurentMatrix
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import (SheafComplex, SheafDiagram, TwistSummand,
-                           cech_complex)
+                           cech_complex, twist_shift)
 from p1dom.smith import (invariant_factors, kernel_basis,
                          kernel_coordinates)
 
@@ -406,6 +410,150 @@ def test_twist_sum_detection_scans_entries():
     assert not M(QQ, [[1, 0], [1, 1]]).is_identity
     assert not M(QQ, [[[(1, 1)]]]).is_identity
     assert not LaurentMatrix.zero(QQ, 1, 2).is_identity
+
+
+# -- morphism and cone extension against the dense reference -----------------
+
+
+def dense_extension_problems(z, y, f, ext):
+    """The chart maps of ``extend_morphism`` checked densely: their base
+    tags, every entry in its chart ring, and both chart squares
+    mu(Y(k, l)) f_chart = f mu(Z) as products of level torus maps."""
+    problems = []
+    y_tw = y.twist(ext.k + ext.l, ext.k)
+    for side, chart, lhs, rhs, base in (
+            ("minus", ext.f_minus, y_tw.mu_minus_torus(), z.mu_minus_torus(),
+             BaseRing.POLY_INV),
+            ("plus", ext.f_plus, y_tw.mu_plus_torus(), z.mu_plus_torus(),
+             BaseRing.POLY)):
+        if chart.base != base:
+            problems.append(f"{side} chart map is tagged {chart.base.tag}")
+        problems += [f"{side} entry ({i},{j}) violates {base.tag}"
+                     for i, j, p in chart.nonzero_entries()
+                     if not p.respects(base)]
+        if lhs @ chart != f @ rhs:
+            problems.append(f"{side} chart square does not commute")
+    return problems
+
+
+def dense_legal(z, y, f, k, l):
+    """Are both charts of f legal once y is twisted by (k, l)?  The charts
+    are the products diag(x^-(k_i + k)) f diag(x^k_j) and
+    diag(x^(l_i + l)) f diag(x^-l_j)."""
+    ring = f.ring
+    minus = (_monomial_diag(ring, [-t.k - k for t in y.twists]) @ f
+             @ _monomial_diag(ring, [t.k for t in z.twists]))
+    plus = (_monomial_diag(ring, [t.l + l for t in y.twists]) @ f
+            @ _monomial_diag(ring, [-t.l for t in z.twists]))
+    return (all(p.respects(BaseRing.POLY_INV) for row in minus.entries
+                for p in row)
+            and all(p.respects(BaseRing.POLY) for row in plus.entries
+                    for p in row))
+
+
+def random_twist_sum(rng, ring, rank):
+    """A sum of twisting sheaves with an independent split per summand."""
+    return SheafDiagram.twist_sum(ring, [
+        TwistSummand(rng.randint(-3, 3), rng.randint(-3, 3))
+        for _ in range(rank)])
+
+
+@settings(deadline=None, max_examples=200)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       ring=st.sampled_from([QQ, GF(7), ZZ]))
+def test_morphism_extension_matches_dense_reference(seed, ring):
+    rng = random.Random(seed)
+    z = random_twist_sum(rng, ring, rng.randint(0, 3))
+    y = random_twist_sum(rng, ring, rng.randint(0, 3))
+    f = random_matrix(rng, ring, y.mid_rank, z.mid_rank, 3)
+    ext = extend_morphism(z, y, f)
+    assert dense_extension_problems(z, y, f, ext) == []
+    shift = twist_shift(f, y.twists, z.twists)
+    assert (shift is None) == f.is_zero
+    assert (ext.k, ext.l) == (shift or (0, 0))
+    # twist_shift is the least legal (k, l) >= 0
+    assert dense_legal(z, y, f, ext.k, ext.l)
+    if ext.k:
+        assert not dense_legal(z, y, f, ext.k - 1, ext.l)
+    if ext.l:
+        assert not dense_legal(z, y, f, ext.k, ext.l - 1)
+
+
+def test_morphism_extension_reference_sees_a_broken_chart():
+    z = SheafDiagram.twist_sum(QQ, [TwistSummand(1, 0)])
+    y = SheafDiagram.twist_sum(QQ, [TwistSummand(0, 2)])
+    f = M(QQ, [[[(-1, 1), (2, 3)]]])
+    ext = extend_morphism(z, y, f)
+    assert (ext.k, ext.l) == (3, 0)
+    assert dense_extension_problems(z, y, f, ext) == []
+    wrong = MorphismExtension(ext.k, ext.l, ext.f_minus,
+                              ext.f_plus.monomial_scale([1], [0],
+                                                        BaseRing.POLY))
+    assert dense_extension_problems(z, y, f, wrong) == [
+        "plus chart square does not commute"]
+    low = MorphismExtension(ext.k - 1, ext.l,
+                            ext.f_minus.monomial_scale([1], [0],
+                                                       BaseRing.POLY_INV),
+                            ext.f_plus)
+    assert dense_extension_problems(z, y, f, low) == [
+        "minus entry (0,0) violates K[x^-1]"]
+
+
+def _cone_cases(rng, ring):
+    """(v1, v2, omega) for extensions of random complexes and chain maps
+    between their middles: identities, zero maps and null-homotopic maps
+    between different complexes."""
+    a = random_complex(rng, ring, max_length=3, max_rank=3, span=2)
+    b = random_complex(rng, ring, max_length=3, max_rank=3, span=2,
+                       lo=rng.randint(-1, 1))
+    va, vb = extend_complex(a).sheaf, extend_complex(b).sheaf
+    return [(va, va, ChainMap.identity(a)), (va, vb, ChainMap.zero(a, b)),
+            (va, vb, null_homotopic_map(rng, a, b, span=2)),
+            (vb, va, null_homotopic_map(rng, b, a, span=2))]
+
+
+def test_cone_twist_is_the_largest_morphism_twist():
+    rng = random.Random(23)
+    shifted = 0
+    for ring in (QQ, GF(7), GF(10007), ZZ):
+        for _ in range(8):
+            for v1, v2, omega in _cone_cases(rng, ring):
+                exts = [extend_morphism(v1.level(m), v2.level(m), f)
+                        for m, f in omega.components.items()]
+                k = max(ext.k for ext in exts)
+                l = max(ext.l for ext in exts)
+                s = extend_cone(v1, v2, omega)
+                for m in s.degrees():
+                    assert s.twists[m] == tuple(
+                        t.shifted(k, l) for t in v2.twists.get(m, ())
+                    ) + v1.twists.get(m - 1, ())
+                assert_charts_match_dense(s)
+                assert s.validate() == dense_validate(s.mid, s.twists) == []
+                shifted += k + l > 0
+    assert shifted
+
+
+def test_cone_lifting_builds_no_level_or_chart(monkeypatch):
+    rng = random.Random(29)
+    cases = [case for ring in (QQ, GF(7), ZZ) for _ in range(4)
+             for case in _cone_cases(rng, ring)]
+    calls = []
+    make_level = SheafDiagram.__init__
+    make_chart = SheafComplex._chart
+
+    def level(self, *args, **kwargs):
+        calls.append("level")
+        make_level(self, *args, **kwargs)
+
+    def chart(self, *args, **kwargs):
+        calls.append("chart")
+        return make_chart(self, *args, **kwargs)
+
+    monkeypatch.setattr(SheafDiagram, "__init__", level)
+    monkeypatch.setattr(SheafComplex, "_chart", chart)
+    for v1, v2, omega in cases:
+        extend_cone(v1, v2, omega)
+    assert calls == []
 
 
 # -- homology from the factors-only kernel ----------------------------------

@@ -29,7 +29,7 @@ from p1dom.matrices import LaurentMatrix, ScalarMatrix
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import cech_complex
 
-from helpers import two_term, window_complex
+from helpers import constants, two_term, window_complex
 
 FIELDS = [QQ, GF(7), GF(10007)]
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -67,7 +67,7 @@ def reference_dims(chart: ChainComplex, order: int) -> dict:
                             window_complex(chart, 2 * order))
     return homology_dims(ScalarComplex(
         total.ring, total.lo, total.hi, total.ranks,
-        {m: ScalarMatrix.from_laurent(total.diff(m))
+        {m: constants(total.diff(m))
          for m in range(total.lo + 1, total.hi + 1)}))
 
 

@@ -204,8 +204,9 @@ def _serre_dual_twisted(d):
     k = cof_m.global_maxdeg()
     l = -cof_p.global_mindeg()
     dual = SheafDiagram(ring, [TwistSummand(k, l)] * r,
-                        cof_m.times_monomial(-k).with_base(BaseRing.POLY_INV),
-                        cof_p.times_monomial(l).with_base(BaseRing.POLY))
+                        cof_m.monomial_scale([-k] * r, None,
+                                             BaseRing.POLY_INV),
+                        cof_p.monomial_scale([l] * r, None, BaseRing.POLY))
     assert dual.is_valid
     return dual.twist(-2)
 

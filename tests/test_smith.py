@@ -84,7 +84,7 @@ def test_snf_rank_matches_evaluation():
         assert len(invariant_factors(a)) == matrix_rank(a) == rank
 
 
-def test_matrix_rank_scalar_fast_path():
+def test_matrix_rank_of_a_constant_matrix():
     a = M(QQ, [[1, 2], [2, 4]])
     assert matrix_rank(a) == 1
 
