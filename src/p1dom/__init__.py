@@ -3,8 +3,9 @@
 Bounded complexes of free modules over K[x,x^-1] extend constructively to
 complexes of twisted sums on the projective line; their global sections
 give a finite complex over K, and Novikov acyclicity (decided exactly over
-a field via Smith normal form torsion; over Z by a sound unit-pivot search
-on truncated Laurent series, kept as coefficient-list windows) makes that
+a field by the ranks of the differentials over K(x), the Smith form only
+rendering the certificate; over Z by a sound unit-pivot search on
+truncated Laurent series, kept as coefficient-list windows) makes that
 complex a finite domination witness, audited degree by degree against the
 exact homology of the two charts over the power-series rings.
 """
@@ -24,8 +25,8 @@ from .matrices import LaurentMatrix
 from .scalars import GF, QQ, ZZ, CoefficientRing, ring_from_tag
 from .sheaves import (CechCohomology, SheafComplex, SheafDiagram,
                       TwistSummand, cech_cohomology, cech_complex,
-                      sheaf_hyper_homology_dims, sheaf_iota, sheaf_iota_exact,
-                      torus_diagram, twisting_sheaf)
+                      sheaf_hyper_homology_dims, torus_diagram,
+                      twisting_sheaf)
 from .smith import invariant_factors, kernel_basis, kernel_coordinates
 
 __version__ = "0.1.0"

@@ -322,7 +322,8 @@ def cmd_extend(args):
     data = ff.sheaf_to_dict(ext.sheaf)
     if args.format == "human" and not args.out:
         profile = ", ".join(
-            f"{m}:(k={k},l={l})" for m, (k, l) in sorted(ext.profile.items()))
+            f"{m}:(k={k},l={l})"
+            for m, (k, l) in sorted(ext.sheaf.twist_profile().items()))
         _emit(args, [f"twist profile: {profile}"], data)
         return EXIT_OK
     _write_file(args, data)

@@ -47,8 +47,7 @@ class ChainComplex:
         for m in range(lo + 1, hi + 1):
             d = diffs.get(m)
             if d is None:
-                d = LaurentMatrix.zero(ring, self.rank(m - 1), self.rank(m),
-                                       base)
+                d = LaurentMatrix.zero(ring, self.rank(m - 1), self.rank(m))
             if d.rows != self.rank(m - 1) or d.cols != self.rank(m):
                 raise ShapeError(
                     f"differential at degree {m} has shape "
@@ -76,7 +75,7 @@ class ChainComplex:
     def two_term(cls, ring, poly: LaurentPoly, top: int = 1,
                  base=BaseRing.LAURENT):
         """rank-1 complex (base^1 --poly--> base^1) in degrees top, top-1."""
-        d = LaurentMatrix(ring, 1, 1, [[poly]], base)
+        d = LaurentMatrix(ring, 1, 1, [[poly]])
         return cls(ring, base, top - 1, top,
                    {top: 1, top - 1: 1}, {top: d})
 
@@ -90,7 +89,7 @@ class ChainComplex:
         d = self.diffs.get(m)
         if d is None:
             return LaurentMatrix.zero(self.ring, self.rank(m - 1),
-                                      self.rank(m), self.base)
+                                      self.rank(m))
         return d
 
     @property
@@ -172,10 +171,9 @@ class ChainComplex:
         for m in range(lo + 1, hi + 1):
             a = self.diff(m)
             b = other.diff(m)
-            zal = LaurentMatrix.zero(self.ring, a.rows, b.cols, self.base)
-            zbl = LaurentMatrix.zero(self.ring, b.rows, a.cols, self.base)
-            diffs[m] = LaurentMatrix.block(
-                self.ring, [[a, zal], [zbl, b]], self.base)
+            zal = LaurentMatrix.zero(self.ring, a.rows, b.cols)
+            zbl = LaurentMatrix.zero(self.ring, b.rows, a.cols)
+            diffs[m] = LaurentMatrix.block(self.ring, [[a, zal], [zbl, b]])
         return ChainComplex(self.ring, self.base, lo, hi, ranks, diffs)
 
     def __eq__(self, other):
@@ -213,7 +211,7 @@ class ChainMap:
             f = (components or {}).get(m)
             if f is None:
                 f = LaurentMatrix.zero(source.ring, target.rank(m),
-                                       source.rank(m), source.base)
+                                       source.rank(m))
             if f.rows != target.rank(m) or f.cols != source.rank(m):
                 raise ShapeError(
                     f"component at degree {m} has shape {f.rows}x{f.cols}, "
@@ -223,7 +221,7 @@ class ChainMap:
 
     @classmethod
     def identity(cls, c: ChainComplex):
-        return cls(c, c, {m: LaurentMatrix.identity(c.ring, c.rank(m), c.base)
+        return cls(c, c, {m: LaurentMatrix.identity(c.ring, c.rank(m))
                           for m in c.degrees()})
 
     @classmethod
@@ -234,7 +232,7 @@ class ChainMap:
         f = self.components.get(m)
         if f is None:
             return LaurentMatrix.zero(self.source.ring, self.target.rank(m),
-                                      self.source.rank(m), self.source.base)
+                                      self.source.rank(m))
         return f
 
     def validate(self):
@@ -269,7 +267,7 @@ class Homotopy:
             h = (components or {}).get(m)
             if h is None:
                 h = LaurentMatrix.zero(source.ring, target.rank(m + 1),
-                                       source.rank(m), source.base)
+                                       source.rank(m))
             if h.rows != target.rank(m + 1) or h.cols != source.rank(m):
                 raise ShapeError(
                     f"homotopy at degree {m} has shape {h.rows}x{h.cols}, "
@@ -286,7 +284,7 @@ class Homotopy:
         if h is None:
             return LaurentMatrix.zero(self.source.ring,
                                       self.target.rank(m + 1),
-                                      self.source.rank(m), self.source.base)
+                                      self.source.rank(m))
         return h
 
 
@@ -308,8 +306,6 @@ class HomologyEntry:
 
 @dataclass(frozen=True)
 class HomologyReport:
-    ring_tag: str
-    base_tag: str
     entries: dict             # degree -> HomologyEntry
 
     def entry(self, q: int) -> HomologyEntry:
@@ -363,7 +359,7 @@ def homology(c: ChainComplex | ScalarComplex) -> HomologyReport:
         raise UnsupportedRingError(
             "homology needs field coefficients (Z[x,x^-1] is not a PID)")
     if isinstance(c, ScalarComplex):
-        return HomologyReport(c.ring.tag, c.base.tag, {
+        return HomologyReport({
             q: HomologyEntry(dim, (), dim)
             for q, dim in homology_dims(c).items()})
     if c.base != BaseRing.LAURENT:
@@ -382,7 +378,7 @@ def homology(c: ChainComplex | ScalarComplex) -> HomologyReport:
         torsion = tuple(f for f in incoming if len(f.entry[1]) > 1)
         kdim = None if free else sum(len(f.entry[1]) - 1 for f in torsion)
         entries[q] = HomologyEntry(free, torsion, kdim)
-    return HomologyReport(c.ring.tag, c.base.tag, entries)
+    return HomologyReport(entries)
 
 
 @dataclass(frozen=True)
@@ -468,21 +464,21 @@ def cone(f: ChainMap):
         db = b.diff(m)
         da = a.diff(m - 1)
         fm = f.component(m - 1)
-        z = LaurentMatrix.zero(ring, da.rows, db.cols, a.base)
-        diffs[m] = LaurentMatrix.block(ring, [[db, fm], [z, -da]], a.base)
+        z = LaurentMatrix.zero(ring, da.rows, db.cols)
+        diffs[m] = LaurentMatrix.block(ring, [[db, fm], [z, -da]])
     cc = ChainComplex(ring, a.base, lo, hi, ranks, diffs)
     incl = ChainMap(b, cc, {
         m: LaurentMatrix.block(ring, [
-            [LaurentMatrix.identity(ring, b.rank(m), a.base)],
-            [LaurentMatrix.zero(ring, a.rank(m - 1), b.rank(m), a.base)],
-        ], a.base)
+            [LaurentMatrix.identity(ring, b.rank(m))],
+            [LaurentMatrix.zero(ring, a.rank(m - 1), b.rank(m))],
+        ])
         for m in b.degrees()})
     shifted = a.shift(1)
     proj = ChainMap(cc, shifted, {
         m: LaurentMatrix.block(ring, [[
-            LaurentMatrix.zero(ring, a.rank(m - 1), b.rank(m), a.base),
-            LaurentMatrix.identity(ring, a.rank(m - 1), a.base),
-        ]], a.base)
+            LaurentMatrix.zero(ring, a.rank(m - 1), b.rank(m)),
+            LaurentMatrix.identity(ring, a.rank(m - 1)),
+        ]])
         for m in range(lo, hi + 1)})
     return cc, incl, proj
 
@@ -510,7 +506,7 @@ def verify_homotopy_retract(d: ChainComplex, r: ChainMap, s: ChainMap,
         rs = r.component(m) @ s.component(m)
         dh = c.diff(m + 1) @ h.component(m)
         hd = h.component(m - 1) @ c.diff(m)
-        ident = LaurentMatrix.identity(c.ring, c.rank(m), c.base)
+        ident = LaurentMatrix.identity(c.ring, c.rank(m))
         if rs + dh + hd != ident:
             return False
     return True

@@ -118,7 +118,6 @@ def hyper_block_ranks(d: ComplexDiagram, n: int):
 def hypercohomology(d: ComplexDiagram) -> ChainComplex:
     """Total complex of the diagram, blocks ordered (minus, plus, mid[1])."""
     ring = d.ring
-    base = d.base
     lo, hi = _hyper_support(d)
     ranks = {n: sum(hyper_block_ranks(d, n)) for n in range(lo, hi + 1)}
     diffs = {}
@@ -130,16 +129,12 @@ def hypercohomology(d: ComplexDiagram) -> ChainComplex:
         mu_p = d.from_plus.component(n)
         z = LaurentMatrix.zero
         grid = [
-            [dm,
-             z(ring, dm.rows, dp.cols, base),
-             z(ring, dm.rows, dmid.cols, base)],
-            [z(ring, dp.rows, dm.cols, base),
-             dp,
-             z(ring, dp.rows, dmid.cols, base)],
+            [dm, z(ring, dm.rows, dp.cols), z(ring, dm.rows, dmid.cols)],
+            [z(ring, dp.rows, dm.cols), dp, z(ring, dp.rows, dmid.cols)],
             [-mu_m, mu_p, -dmid],
         ]
-        diffs[n] = LaurentMatrix.block(ring, grid, base)
-    return ChainComplex(ring, base, lo, hi, ranks, diffs)
+        diffs[n] = LaurentMatrix.block(ring, grid)
+    return ChainComplex(ring, d.base, lo, hi, ranks, diffs)
 
 
 def phi_star(phi: DiagramMap) -> ChainMap:
@@ -147,7 +142,6 @@ def phi_star(phi: DiagramMap) -> ChainMap:
     src = hypercohomology(phi.source)
     tgt = hypercohomology(phi.target)
     ring = src.ring
-    base = src.base
     comps = {}
     for n in range(min(src.lo, tgt.lo), max(src.hi, tgt.hi) + 1):
         fm = phi.on_minus.component(n)
@@ -155,11 +149,11 @@ def phi_star(phi: DiagramMap) -> ChainMap:
         fmid = phi.on_mid.component(n + 1)
         z = LaurentMatrix.zero
         grid = [
-            [fm, z(ring, fm.rows, fp.cols, base), z(ring, fm.rows, fmid.cols, base)],
-            [z(ring, fp.rows, fm.cols, base), fp, z(ring, fp.rows, fmid.cols, base)],
-            [z(ring, fmid.rows, fm.cols, base), z(ring, fmid.rows, fp.cols, base), fmid],
+            [fm, z(ring, fm.rows, fp.cols), z(ring, fm.rows, fmid.cols)],
+            [z(ring, fp.rows, fm.cols), fp, z(ring, fp.rows, fmid.cols)],
+            [z(ring, fmid.rows, fm.cols), z(ring, fmid.rows, fp.cols), fmid],
         ]
-        comps[n] = LaurentMatrix.block(ring, grid, base)
+        comps[n] = LaurentMatrix.block(ring, grid)
     return ChainMap(src, tgt, comps)
 
 
@@ -199,7 +193,6 @@ def sections_complex(d: ComplexDiagram):
     the basis K_{n-1}.
     """
     ring = d.ring
-    base = d.base
     hyper = hypercohomology(d)
     lo = min(d.minus.lo, d.plus.lo)
     hi = max(d.minus.hi, d.plus.hi)
@@ -210,17 +203,17 @@ def sections_complex(d: ComplexDiagram):
     for n in range(lo + 1, hi + 1):
         dm = d.minus.diff(n)
         dp = d.plus.diff(n)
-        z1 = LaurentMatrix.zero(ring, dm.rows, dp.cols, base)
-        z2 = LaurentMatrix.zero(ring, dp.rows, dm.cols, base)
-        block = LaurentMatrix.block(ring, [[dm, z1], [z2, dp]], base)
+        z1 = LaurentMatrix.zero(ring, dm.rows, dp.cols)
+        z2 = LaurentMatrix.zero(ring, dp.rows, dm.cols)
+        block = LaurentMatrix.block(ring, [[dm, z1], [z2, dp]])
         image = block @ kernels[n]
         diffs[n] = kernel_coordinates(kernels[n - 1], image)
-    h0 = ChainComplex(ring, base, lo, hi, ranks, diffs)
+    h0 = ChainComplex(ring, d.base, lo, hi, ranks, diffs)
     comps = {}
     for n in range(lo, hi + 1):
         kb = kernels[n]
-        pad = LaurentMatrix.zero(ring, d.mid.rank(n + 1), kb.cols, base)
-        comps[n] = LaurentMatrix.block(ring, [[kb], [pad]], base)
+        pad = LaurentMatrix.zero(ring, d.mid.rank(n + 1), kb.cols)
+        comps[n] = LaurentMatrix.block(ring, [[kb], [pad]])
     iota_map = ChainMap(h0, hyper, comps)
     return h0, iota_map
 
@@ -254,7 +247,6 @@ def ses_check(d: ComplexDiagram, hyper: ChainComplex | None = None) -> bool:
     sub = d.mid.shift(-1)
     quot = d.minus.direct_sum(d.plus)
     ring = d.ring
-    base = d.base
     for n in range(lo, hi + 1):
         rm, rp, rmid = hyper_block_ranks(d, n)
         # ranks add
@@ -271,13 +263,13 @@ def ses_check(d: ComplexDiagram, hyper: ChainComplex | None = None) -> bool:
     for n in range(lo, hi + 1):
         rm, rp, rmid = hyper_block_ranks(d, n)
         incl[n] = LaurentMatrix.block(ring, [
-            [LaurentMatrix.zero(ring, rm + rp, rmid, base)],
-            [LaurentMatrix.identity(ring, rmid, base)],
-        ], base)
+            [LaurentMatrix.zero(ring, rm + rp, rmid)],
+            [LaurentMatrix.identity(ring, rmid)],
+        ])
         proj[n] = LaurentMatrix.block(ring, [[
-            LaurentMatrix.identity(ring, rm + rp, base),
-            LaurentMatrix.zero(ring, rm + rp, rmid, base),
-        ]], base)
+            LaurentMatrix.identity(ring, rm + rp),
+            LaurentMatrix.zero(ring, rm + rp, rmid),
+        ]])
     try:
         incl_map = ChainMap(sub, hyper, incl)
         proj_map = ChainMap(hyper, quot, proj)

@@ -34,8 +34,8 @@ class MorphismExtension:
 
     k: int
     l: int
-    f_minus: LaurentMatrix     # over K[x^-1]
-    f_plus: LaurentMatrix      # over K[x]
+    f_minus: LaurentMatrix     # the K[x^-1] chart map; entries in K[x^-1]
+    f_plus: LaurentMatrix      # the K[x] chart map; entries in K[x]
 
 
 def extend_morphism(z: SheafDiagram, y: SheafDiagram,
@@ -71,9 +71,9 @@ def extend_morphism(z: SheafDiagram, y: SheafDiagram,
             f"{y.mid_rank}x{z.mid_rank}")
     k, l = twist_shift(f, y.twists, z.twists) or (0, 0)
     f_minus = f.monomial_scale([-k - t.k for t in y.twists],
-                               [t.k for t in z.twists], BaseRing.POLY_INV)
+                               [t.k for t in z.twists])
     f_plus = f.monomial_scale([l + t.l for t in y.twists],
-                              [-t.l for t in z.twists], BaseRing.POLY)
+                              [-t.l for t in z.twists])
     return MorphismExtension(k, l, f_minus, f_plus)
 
 

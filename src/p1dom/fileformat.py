@@ -126,7 +126,8 @@ def matrix_to_rows(m: LaurentMatrix):
 def matrix_from_rows(ring, rows, cols, data, base: BaseRing, where: str,
                      budget):
     """The matrix of ``data`` over ``base``: a LaurentMatrix, or over K a
-    ScalarMatrix of sparse rows of constants."""
+    ScalarMatrix of sparse rows of constants.  Every entry is read over
+    ``ring``; the first one outside ``base`` is a FormatError."""
     if not isinstance(data, list) or len(data) != rows:
         raise FormatError(f"expected {rows} matrix rows", where)
     entries = []
@@ -135,20 +136,17 @@ def matrix_from_rows(ring, rows, cols, data, base: BaseRing, where: str,
             raise FormatError(f"expected {cols} entries", _at(where, i))
         entries.append([poly_from_pairs(ring, cell, where, budget, (i, j))
                         for j, cell in enumerate(row)])
-    if base is BaseRing.K:
+    if base is not BaseRing.LAURENT:
         for i, row in enumerate(entries):
             for j, p in enumerate(row):
                 if not p.respects(base):
-                    raise FormatError(f"entry ({i},{j}) = {p} violates K",
-                                      where)
+                    raise FormatError(
+                        f"entry ({i},{j}) = {p} violates {base.tag}", where)
+    if base is BaseRing.K:
         return ScalarMatrix(ring, rows, cols, [
             {j: p.entry[1][0] for j, p in enumerate(row) if p.entry}
             for row in entries])
-    try:  # every entry is over ring, and K[x,x^-1] holds every entry
-        return LaurentMatrix(ring, rows, cols, entries, base,
-                             check=base is not BaseRing.LAURENT)
-    except Exception as exc:
-        raise FormatError(str(exc), where) from exc
+    return LaurentMatrix(ring, rows, cols, entries)
 
 
 # -- chain complexes ---------------------------------------------------------------

@@ -87,8 +87,7 @@ def random_invertible_pair(rng, ring, n, ops=None, span=1):
             u_inv = u.inverse_unit()
             for row in inv:
                 row[i] = row[i] * u_inv
-    return (LaurentMatrix(ring, n, n, m, check=False),
-            LaurentMatrix(ring, n, n, inv, check=False))
+    return LaurentMatrix(ring, n, n, m), LaurentMatrix(ring, n, n, inv)
 
 
 def random_complex(rng, ring, max_length=4, max_rank=4, span=1,
@@ -163,12 +162,12 @@ def null_homotopic_map(rng, source: ChainComplex,
         h[m] = LaurentMatrix(
             ring, rows, cols,
             [[random_poly(rng, ring, -span, span, 2) for _ in range(cols)]
-             for _ in range(rows)], source.base, check=False)
+             for _ in range(rows)])
     def h_at(m):
         got = h.get(m)
         if got is None:
             return LaurentMatrix.zero(ring, target.rank(m + 1),
-                                      source.rank(m), source.base)
+                                      source.rank(m))
         return got
 
     comps = {}

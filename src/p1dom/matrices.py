@@ -1,10 +1,13 @@
 """Dense matrices of Laurent polynomials and sparse matrices of scalars.
 
-Laurent matrices carry a base-ring tag; every entry must respect the tag's
-exponent constraint.  Their storage is dense row-major, suitable for the
-desk-scale sizes this package targets; products and the determinant are
-computed on the entries (``LaurentPoly.entry``) with the coefficient-list
-arithmetic of ``polylists``.  Scalar matrices over K store sparse rows and
+A Laurent matrix is a grid of entries over K[x,x^-1]; which subring
+(K[x], K[x^-1]) a matrix lives over belongs to the complex or chart that
+holds it, and is checked there (``ChainComplex.validate``, the
+``SheafDiagram`` constructor, the file loader) or by ``check_base``.
+Storage is dense row-major, suitable for the desk-scale sizes this package
+targets; products and the determinant are computed on the entries
+(``LaurentPoly.entry``) with the coefficient-list arithmetic of
+``polylists``.  Scalar matrices over K store sparse rows and
 carry the one exact rank kernel, ``scalar_rank``.
 """
 
@@ -20,16 +23,15 @@ from .scalars import CoefficientRing, check_same_ring
 
 
 class LaurentMatrix:
-    """Immutable rows x cols matrix over K[x,x^-1] (or a sub base ring)."""
+    """Immutable rows x cols matrix over K[x,x^-1]; its entries are not
+    scanned."""
 
-    __slots__ = ("ring", "base", "rows", "cols", "entries")
+    __slots__ = ("ring", "rows", "cols", "entries")
 
-    def __init__(self, ring: CoefficientRing, rows: int, cols: int,
-                 entries, base: BaseRing = BaseRing.LAURENT, check=True):
+    def __init__(self, ring: CoefficientRing, rows: int, cols: int, entries):
         if rows < 0 or cols < 0:
             raise ShapeError("negative matrix dimensions")
         self.ring = ring
-        self.base = base
         self.rows = rows
         self.cols = cols
         if len(entries) != rows or any(len(r) != cols for r in entries):
@@ -37,35 +39,31 @@ class LaurentMatrix:
                 f"entry grid does not match shape {rows}x{cols}"
             )
         self.entries = tuple(tuple(row) for row in entries)
-        if check:
-            self.check_base(base)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, ring, rows, cols, base=BaseRing.LAURENT):
+    def zero(cls, ring, rows, cols):
         z = LaurentPoly.zero(ring)
-        return cls(ring, rows, cols, [[z] * cols for _ in range(rows)],
-                   base, check=False)
+        return cls(ring, rows, cols, [[z] * cols for _ in range(rows)])
 
     @classmethod
-    def identity(cls, ring, n, base=BaseRing.LAURENT):
+    def identity(cls, ring, n):
         one = LaurentPoly.one(ring)
         z = LaurentPoly.zero(ring)
         return cls(ring, n, n,
-                   [[one if i == j else z for j in range(n)] for i in range(n)],
-                   base, check=False)
+                   [[one if i == j else z for j in range(n)] for i in range(n)])
 
     @classmethod
-    def scalar_diag(cls, ring, polys, base=BaseRing.LAURENT):
+    def scalar_diag(cls, ring, polys):
         n = len(polys)
         z = LaurentPoly.zero(ring)
         return cls(ring, n, n,
                    [[polys[i] if i == j else z for j in range(n)]
-                    for i in range(n)], base)
+                    for i in range(n)])
 
     @classmethod
-    def block(cls, ring, grid, base=BaseRing.LAURENT):
+    def block(cls, ring, grid):
         """Assemble from a 2d grid of LaurentMatrix blocks."""
         row_heights = [grid[i][0].rows for i in range(len(grid))]
         col_widths = [grid[0][j].cols for j in range(len(grid[0]))]
@@ -79,7 +77,7 @@ class LaurentMatrix:
                 entries.append(
                     [b.entries[r][c] for b in brow for c in range(b.cols)]
                 )
-        return cls(ring, sum(row_heights), sum(col_widths), entries, base)
+        return cls(ring, sum(row_heights), sum(col_widths), entries)
 
     # -- access -----------------------------------------------------------
 
@@ -131,20 +129,17 @@ class LaurentMatrix:
 
     def __add__(self, other):
         self._same_shape(other)
-        base = self.base if self.base == other.base else BaseRing.LAURENT
         return LaurentMatrix(
             self.ring, self.rows, self.cols,
             [[self.entries[i][j] + other.entries[i][j]
-              for j in range(self.cols)] for i in range(self.rows)],
-            base, check=False)
+              for j in range(self.cols)] for i in range(self.rows)])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
         return LaurentMatrix(self.ring, self.rows, self.cols,
-                             [[-p for p in row] for row in self.entries],
-                             self.base, check=False)
+                             [[-p for p in row] for row in self.entries])
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -160,17 +155,14 @@ class LaurentMatrix:
         out = [[LaurentPoly.from_entry(ring, polylists.dot(row, col, ring.p))
                 for col in cols]
                for row in ([p.entry for p in row] for row in self.entries)]
-        base = self.base if self.base == other.base else BaseRing.LAURENT
-        return LaurentMatrix(self.ring, self.rows, other.cols, out,
-                             base, check=False)
+        return LaurentMatrix(self.ring, self.rows, other.cols, out)
 
     def times_monomial(self, exponent: int):
         return self.monomial_scale([exponent] * self.rows)
 
-    def monomial_scale(self, row_exps=None, col_exps=None,
-                       base=BaseRing.LAURENT):
+    def monomial_scale(self, row_exps=None, col_exps=None):
         """Entry (i, j) times x^(row_exps[i] + col_exps[j]), a list left
-        out being zeros, tagged ``base`` unchecked."""
+        out being zeros."""
         row_exps = row_exps or [0] * self.rows
         col_exps = col_exps or [0] * self.cols
         if len(row_exps) != self.rows or len(col_exps) != self.cols:
@@ -178,7 +170,7 @@ class LaurentMatrix:
         return LaurentMatrix(
             self.ring, self.rows, self.cols,
             [[p.times_monomial(a + b) for p, b in zip(row, col_exps)]
-             for row, a in zip(self.entries, row_exps)], base, check=False)
+             for row, a in zip(self.entries, row_exps)])
 
     def check_base(self, base: BaseRing):
         """Raise unless every entry is over this ring and respects ``base``."""
@@ -196,14 +188,12 @@ class LaurentMatrix:
         return LaurentMatrix(
             self.ring, self.rows, self.cols + other.cols,
             [list(self.entries[i]) + list(other.entries[i])
-             for i in range(self.rows)],
-            BaseRing.LAURENT, check=False)
+             for i in range(self.rows)])
 
     def submatrix(self, row_idx, col_idx):
         return LaurentMatrix(
             self.ring, len(row_idx), len(col_idx),
-            [[self.entries[i][j] for j in col_idx] for i in row_idx],
-            self.base, check=False)
+            [[self.entries[i][j] for j in col_idx] for i in row_idx])
 
     # -- determinant (fraction-free Bareiss) --------------------------------
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from .complexes import ChainComplex, ScalarComplex
 from .errors import (BaseRingViolationError, NonVanishingH1Error,
                      ShapeError, UnsupportedRingError)
-from .laurent import BaseRing, LaurentPoly
+from .laurent import BaseRing
 from .matrices import LaurentMatrix, ScalarMatrix, scalar_rank
 
 
@@ -118,10 +118,8 @@ class SheafDiagram:
     def twist_sum(cls, ring, twists):
         """Sum of twisting sheaves with identity structure matrices."""
         twists = tuple(twists)
-        r = len(twists)
-        ident_m = LaurentMatrix.identity(ring, r, BaseRing.POLY_INV)
-        ident_p = LaurentMatrix.identity(ring, r, BaseRing.POLY)
-        return cls(ring, twists, ident_m, ident_p)
+        ident = LaurentMatrix.identity(ring, len(twists))
+        return cls(ring, twists, ident, ident)
 
     # -- shape --------------------------------------------------------------
 
@@ -151,16 +149,12 @@ class SheafDiagram:
     def _validated(self):
         """The problems of ``validate`` and the pairs (torus map, its
         determinant) it computed: none for a twist sum, whose entries are
-        constant and whose torus maps diag(x^k), diag(x^-l) are units."""
+        constant and whose torus maps diag(x^k), diag(x^-l) are units.
+        The constructor has checked the entries against the chart rings,
+        so only the torus maps are left."""
         if self.is_twist_sum:
             return [], []
         problems = []
-        for label, m in (("minus", self.p_minus), ("plus", self.p_plus)):
-            base = BaseRing.POLY_INV if label == "minus" else BaseRing.POLY
-            for i, j, p in m.nonzero_entries():
-                if not p.respects(base):
-                    problems.append(
-                        f"{label} entry ({i},{j}) violates {base.tag}")
         maps = []
         for label, mu in (("minus", self.mu_minus_torus()),
                           ("plus", self.mu_plus_torus())):
@@ -342,14 +336,14 @@ class SheafComplex:
         return self._chart("plus", BaseRing.POLY)
 
     def _chart(self, side: str, base: BaseRing) -> ChainComplex:
-        """The chart complex of ``side`` in one pass over the middle
-        entries, tagged ``base``: d_m[i][j] x^(a_j(m) - a_i(m-1)), where
+        """The chart complex of ``side`` over ``base`` in one pass over the
+        middle entries: d_m[i][j] x^(a_j(m) - a_i(m-1)), where
         x^a is the torus map of a summand (a = k on the minus side, -l on
         the plus side)."""
         mid = self.mid
         a = self.chart_exponents(side)
         return ChainComplex(mid.ring, base, mid.lo, mid.hi, dict(mid.ranks), {
-            m: mid.diff(m).monomial_scale([-e for e in a[m - 1]], a[m], base)
+            m: mid.diff(m).monomial_scale([-e for e in a[m - 1]], a[m])
             for m in range(mid.lo + 1, mid.hi + 1)})
 
     def chart_exponents(self, side: str) -> dict:
@@ -472,36 +466,6 @@ def sheaf_hyper_homology_dims(s: SheafComplex) -> dict:
     return {n: v for n, v in dims.items()}
 
 
-def sheaf_iota(s: SheafComplex):
-    """Global-sections complex with its chart embeddings.
-
-    Returns (w, minus_embedding, plus_embedding) where the embeddings send
-    the band monomial x^e of summand i to x^{e-k_i} on the K[x^-1] chart and
-    x^{e+l_i} on the K[x] chart.  Dropping the middle coordinate of the
-    canonical inclusion into the totalisation loses nothing: the middle
-    block of that inclusion is zero.
-    """
-    w = cech_complex(s)
-    minus_emb = {}
-    plus_emb = {}
-    ring = s.ring
-    for m, twists in s.twists.items():
-        r = len(twists)
-        band = []
-        for i, t in enumerate(twists):
-            band.extend((i, t, e) for e in range(-t.l, t.k + 1))
-        mrows = [[LaurentPoly.zero(ring) for _ in band] for _ in range(r)]
-        prows = [[LaurentPoly.zero(ring) for _ in band] for _ in range(r)]
-        for col, (i, t, e) in enumerate(band):
-            mrows[i][col] = LaurentPoly.monomial(ring, e - t.k)
-            prows[i][col] = LaurentPoly.monomial(ring, e + t.l)
-        minus_emb[m] = LaurentMatrix(ring, r, len(band), mrows,
-                                     BaseRing.POLY_INV)
-        plus_emb[m] = LaurentMatrix(ring, r, len(band), prows,
-                                    BaseRing.POLY)
-    return w, minus_emb, plus_emb
-
-
 def torus_diagram(s: SheafComplex):
     """The base change of a sheaf complex to the torus as a one-ring diagram.
 
@@ -523,31 +487,3 @@ def torus_diagram(s: SheafComplex):
         m: s.level(m).mu_plus_torus() for m in s.degrees()})
     return ComplexDiagram(minus, mid, plus, from_minus, from_plus)
 
-
-def sheaf_iota_exact(s: SheafComplex) -> bool:
-    """Levelwise exactness of 0 -> W -> C- (+) C+ -> C -> 0.
-
-    This is the hypothesis under which the section complex includes
-    quasi-isomorphically into the hypercohomology: the embeddings compose
-    to zero with (-mu_minus + mu_plus), the per-summand monomial bands
-    exhaust the kernel (distinct exponent pairs are K-independent, so the
-    embedding is injective for free), and every twist is at least -1 so
-    the level map is onto.
-    """
-    if any(t.n <= -2 for ts in s.twists.values() for t in ts):
-        return False
-    w, minus_emb, plus_emb = sheaf_iota(s)
-    for m, twists in s.twists.items():
-        # diag(x^-l) @ plus_emb - diag(x^k) @ minus_emb
-        composite = (
-            plus_emb[m].monomial_scale([-t.l for t in twists])
-            - minus_emb[m].monomial_scale([t.k for t in twists]))
-        if not composite.is_zero:
-            return False
-        # kernel saturation: for a summand of twist n = k + l the pairs
-        # (x^{e-k}, x^{e+l}) with e in [-l, k] are exactly the solutions
-        # of x^k a- = x^-l a+ with a- in K[x^-1], a+ in K[x]
-        expected = sum(t.n + 1 for t in twists if t.n >= 0)
-        if w.rank(m) != expected:
-            return False
-    return True

@@ -288,7 +288,7 @@ def kernel_basis(a: LaurentMatrix) -> LaurentMatrix:
     kernel = columns[len(pivots):]
     return LaurentMatrix(a.ring, a.cols, len(kernel), [
         [_poly(a.ring, column[a.rows + i]) for column in kernel]
-        for i in range(a.cols)], check=False)
+        for i in range(a.cols)])
 
 
 def kernel_coordinates(k: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
@@ -337,4 +337,4 @@ def kernel_coordinates(k: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
     return LaurentMatrix(ring, k.cols, b.cols, [
         [LaurentPoly.from_entry(ring, dot(
             [column[k.rows + i] for column in columns[:r]], y, p))
-         for y in solution] for i in range(k.cols)], check=False)
+         for y in solution] for i in range(k.cols)])

@@ -18,7 +18,8 @@ def P(ring, *pairs):
 
 
 def M(ring, rows, base=BaseRing.LAURENT):
-    """Matrix from a grid of (exponent, coeff) pair-lists or ints.
+    """Matrix from a grid of (exponent, coeff) pair-lists or ints, each
+    entry checked to lie in ``base``.
 
     Entry syntax: int c means the constant c; a list of pairs means a
     polynomial.
@@ -35,7 +36,9 @@ def M(ring, rows, base=BaseRing.LAURENT):
         grid.append(out)
     nrows = len(grid)
     ncols = len(grid[0]) if grid else 0
-    return LaurentMatrix(ring, nrows, ncols, grid, base)
+    m = LaurentMatrix(ring, nrows, ncols, grid)
+    m.check_base(base)
+    return m
 
 
 def two_term(ring, pairs, top=1, base=BaseRing.LAURENT):
@@ -71,8 +74,7 @@ def window_complex(c: ChainComplex, order: int) -> ScalarComplex:
 def transpose(a):
     """The transpose of a LaurentMatrix."""
     return LaurentMatrix(a.ring, a.cols, a.rows, [
-        [a.entries[i][j] for i in range(a.rows)] for j in range(a.cols)],
-        a.base)
+        [a.entries[i][j] for i in range(a.rows)] for j in range(a.cols)])
 
 
 def S(ring, grid):

@@ -158,6 +158,64 @@ def test_extend_h0_pipeline(xm1_file, tmp_path, capsys):
     assert open(w_path).read() == open(again).read()
 
 
+def test_extend_prints_the_twist_profile_it_writes(tmp_path, capsys):
+    # degree 1 has rank 0; its level has no summands, so it is untwisted
+    x3 = M(QQ, [[[(0, -1), (3, 1)]]])
+    c = ChainComplex(QQ, BaseRing.LAURENT, 0, 3, {0: 1, 1: 0, 2: 1, 3: 1},
+                     {3: x3})
+    path = tmp_path / "gap.cplx"
+    sheaf = tmp_path / "gap.sheaf"
+    ff.save_path(path, ff.complex_to_dict(c))
+    assert main(["extend", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "twist profile: 0:(k=3,l=0), 1:(k=0,l=0), 2:(k=3,l=0), "
+        "3:(k=0,l=0)\n")
+    assert main(["extend", str(path), "--out", str(sheaf)]) == 0
+    written = json.loads(sheaf.read_text())["twist_profile"]
+    assert [(t["degree"], t["k"], t["l"]) for t in written] == [
+        (0, 3, 0), (1, 0, 0), (2, 3, 0), (3, 0, 0)]
+
+
+def _complex_file(tmp_path, base, cell):
+    """A file of one differential C_1 -> C_0 over ``base`` whose one
+    entry is the raw JSON ``cell``."""
+    path = tmp_path / "cell.cplx"
+    path.write_text(json.dumps({
+        "format": "p1dom-complex", "version": 1, "ring": "Q",
+        "variable": "x", "base": base,
+        "degrees": [{"degree": 0, "rank": 1}, {"degree": 1, "rank": 1}],
+        "differentials": [{"degree": 1, "matrix": [[cell]]}]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("base, cell, shown", [
+    ("K[x]", [[-1, "1"], [2, "3"]], "x^-1 + 3*x^2"),
+    ("K[x^-1]", [[0, "1"], [1, "1"]], "1 + x"),
+    ("K", [[1, "2"]], "2*x"),
+])
+def test_loader_names_the_entry_outside_the_base(base, cell, shown,
+                                                 tmp_path, capsys):
+    assert main(["validate", _complex_file(tmp_path, base, cell)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"input error: entry (0,0) = {shown} violates "
+                            f"{base} (at differentials[0].matrix)\n")
+
+
+def test_sheaf_loader_names_the_chart_entry_outside_its_ring(tmp_path,
+                                                             capsys):
+    with open(os.path.join(SAMPLES, "x-minus-1.sheaf")) as f:
+        data = json.load(f)
+    data["minus"][0]["matrix"] = [[[[1, "1"]]]]
+    path = tmp_path / "bad-minus.sheaf"
+    path.write_text(json.dumps(data))
+    assert main(["h0", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("input error: entry (0,0) = x violates K[x^-1] "
+                            "(at minus[0].matrix)\n")
+
+
 def test_hyper_command(tmp_path, capsys):
     path = tmp_path / "plus.cplx"
     ff.save_path(path, ff.complex_to_dict(

@@ -145,7 +145,7 @@ def _replace_diff(c, m, d):
 def _with_entry(mat, i, j, poly):
     entries = [list(row) for row in mat.entries]
     entries[i][j] = entries[i][j] + poly
-    return LaurentMatrix(mat.ring, mat.rows, mat.cols, entries, mat.base)
+    return LaurentMatrix(mat.ring, mat.rows, mat.cols, entries)
 
 
 def perturbed_problems(rng, s, variant):
@@ -235,14 +235,14 @@ def test_perturbed_extensions_are_caught():
 def test_non_twist_sum_level_with_non_unit_determinant_is_reported():
     lvl = SheafDiagram(QQ, [TwistSummand(1, 0)],
                        M(QQ, [[[(0, 1), (-1, 1)]]], BaseRing.POLY_INV),
-                       LaurentMatrix.identity(QQ, 1, BaseRing.POLY))
+                       LaurentMatrix.identity(QQ, 1))
     assert not lvl.is_twist_sum
     expected = ["minus adjoint map is not an isomorphism over the torus"]
     assert lvl.validate() == dense_level_problems(lvl) == expected
     # a unit-monomial structure matrix is not a twist sum, but it is valid
     unit = SheafDiagram(QQ, [TwistSummand(0, 0)],
                         M(QQ, [[[(-2, 3)]]], BaseRing.POLY_INV),
-                        LaurentMatrix.identity(QQ, 1, BaseRing.POLY))
+                        LaurentMatrix.identity(QQ, 1))
     assert not unit.is_twist_sum and unit.validate() == []
 
 
@@ -416,8 +416,8 @@ def test_twist_sum_detection_scans_entries():
 
 
 def dense_extension_problems(z, y, f, ext):
-    """The chart maps of ``extend_morphism`` checked densely: their base
-    tags, every entry in its chart ring, and both chart squares
+    """The chart maps of ``extend_morphism`` checked densely: every entry
+    in its chart ring, and both chart squares
     mu(Y(k, l)) f_chart = f mu(Z) as products of level torus maps."""
     problems = []
     y_tw = y.twist(ext.k + ext.l, ext.k)
@@ -426,8 +426,6 @@ def dense_extension_problems(z, y, f, ext):
              BaseRing.POLY_INV),
             ("plus", ext.f_plus, y_tw.mu_plus_torus(), z.mu_plus_torus(),
              BaseRing.POLY)):
-        if chart.base != base:
-            problems.append(f"{side} chart map is tagged {chart.base.tag}")
         problems += [f"{side} entry ({i},{j}) violates {base.tag}"
                      for i, j, p in chart.nonzero_entries()
                      if not p.respects(base)]
@@ -487,13 +485,11 @@ def test_morphism_extension_reference_sees_a_broken_chart():
     assert (ext.k, ext.l) == (3, 0)
     assert dense_extension_problems(z, y, f, ext) == []
     wrong = MorphismExtension(ext.k, ext.l, ext.f_minus,
-                              ext.f_plus.monomial_scale([1], [0],
-                                                        BaseRing.POLY))
+                              ext.f_plus.monomial_scale([1], [0]))
     assert dense_extension_problems(z, y, f, wrong) == [
         "plus chart square does not commute"]
     low = MorphismExtension(ext.k - 1, ext.l,
-                            ext.f_minus.monomial_scale([1], [0],
-                                                       BaseRing.POLY_INV),
+                            ext.f_minus.monomial_scale([1], [0]),
                             ext.f_plus)
     assert dense_extension_problems(z, y, f, low) == [
         "minus entry (0,0) violates K[x^-1]"]

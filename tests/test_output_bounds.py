@@ -61,7 +61,7 @@ def _chart_file(tmp_path, rank):
     zero = P(QQ)
     d = LaurentMatrix(QQ, rank, rank,
                       [[p if i == j else zero for j in range(rank)]
-                       for i in range(rank)], BaseRing.POLY)
+                       for i in range(rank)])
     c = ChainComplex(QQ, BaseRing.POLY, 0, 1, {0: rank, 1: rank}, {1: d})
     path = tmp_path / f"chart-{rank}.cplx"
     ff.save_path(path, ff.complex_to_dict(c))

@@ -103,8 +103,8 @@ def random_chart(rng, ring):
             e = LaurentPoly.monomial(ring, rng.randint(0, 2),
                                      ring.from_int(rng.randint(1, 3)))
             g[i][j], g_inv[i][j] = e, -e
-        change[m] = [LaurentMatrix(ring, c.rank(m), c.rank(m), grid,
-                                   BaseRing.POLY) for grid in (g, g_inv)]
+        change[m] = [LaurentMatrix(ring, c.rank(m), c.rank(m), grid)
+                     for grid in (g, g_inv)]
     diffs = {m: change[m - 1][1] @ c.diff(m) @ change[m][0]
              for m in range(lo + 1, hi + 1)}
     return ChainComplex(ring, BaseRing.POLY, lo, hi, c.ranks, diffs)

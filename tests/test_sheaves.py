@@ -12,8 +12,7 @@ from p1dom.matrices import LaurentMatrix, scalar_rank
 from p1dom.scalars import GF, QQ
 from p1dom.sheaves import (SheafComplex, SheafDiagram, TwistSummand,
                            cech_cohomology, cech_complex,
-                           sheaf_hyper_homology_dims, sheaf_iota_exact,
-                           twisting_sheaf)
+                           sheaf_hyper_homology_dims, twisting_sheaf)
 
 from helpers import M, S, two_term
 
@@ -31,7 +30,7 @@ def test_twisting_sheaf_structure_two():
     d = twisting_sheaf(QQ, 2, 1, 1)
     assert d.mu_minus_torus() == M(QQ, [[[(1, 1)]]])
     assert d.mu_plus_torus() == M(QQ, [[[(-1, 1)]]])
-    assert d.p_plus == LaurentMatrix.identity(QQ, 1, BaseRing.POLY)
+    assert d.p_plus == LaurentMatrix.identity(QQ, 1)
     assert d.is_valid
 
 
@@ -101,7 +100,7 @@ def test_general_diagram_counts_untouched_cokernel_monomials():
 
 
 def _elementary_product(rng, ring, r, sign, base):
-    m = LaurentMatrix.identity(ring, r, base)
+    m = LaurentMatrix.identity(ring, r)
     for _ in range(rng.randint(0, 3) if r > 1 else 0):
         i, j = rng.sample(range(r), 2)
         grid = [[1 if a == b else 0 for b in range(r)] for a in range(r)]
@@ -204,9 +203,8 @@ def _serre_dual_twisted(d):
     k = cof_m.global_maxdeg()
     l = -cof_p.global_mindeg()
     dual = SheafDiagram(ring, [TwistSummand(k, l)] * r,
-                        cof_m.monomial_scale([-k] * r, None,
-                                             BaseRing.POLY_INV),
-                        cof_p.monomial_scale([l] * r, None, BaseRing.POLY))
+                        cof_m.monomial_scale([-k] * r),
+                        cof_p.monomial_scale([l] * r))
     assert dual.is_valid
     return dual.twist(-2)
 
@@ -429,15 +427,6 @@ def test_sheaf_hyper_dims_names_the_section_complex():
         row.degree: row.w_dim for row in ledger}
 
 
-def test_sheaf_iota_exactness_for_extensions():
-    rng = random.Random(2)
-    from p1dom.generators import random_complex, random_ring
-    for _ in range(10):
-        ring = random_ring(rng)
-        ext = extend_complex(random_complex(rng, ring, 3, 3))
-        assert sheaf_iota_exact(ext.sheaf)
-
-
 def test_torus_diagram_of_extension():
     from p1dom.complexes import is_quasi_iso
     from p1dom.diagrams import iota, levelwise_h1_trivial
@@ -453,9 +442,3 @@ def test_torus_diagram_of_extension():
         assert levelwise_h1_trivial(d)
         assert is_quasi_iso(iota(d))
 
-
-def test_sheaf_iota_exactness_fails_on_negative_twist():
-    single = SheafComplex(
-        ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1),
-        {0: (TwistSummand(-1, -1),)})
-    assert not sheaf_iota_exact(single)

@@ -191,7 +191,8 @@ def test_chart_valuations_against_sympy(seed, ring, direction):
     chart = LaurentMatrix(ring, len(r), len(c), [
         [LaurentPoly(ring, {direction * e: x for e, x in cell.items()})
          for cell in row]
-        for row in a], base)
+        for row in a])
+    chart.check_base(base)
     assert sorted(_elementary_valuations(chart, direction)) == want
 
 
