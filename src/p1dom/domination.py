@@ -399,8 +399,10 @@ def _contraction_side(c: ChainComplex, direction: int, order: int) -> SideVerdic
     the series ring.  Failure to finish yields "unknown" (the search is
     sound but incomplete: Z[x,x^-1] is not a PID).  Every update is
     defined: each stored window has width at least 1 (a difference that
-    is zero on its window is dropped), and over the integral domain Z a
-    product of nonzero windows has a nonzero lowest coefficient.
+    is zero on its window is dropped), over the integral domain Z a
+    product of nonzero windows has a nonzero lowest coefficient, and
+    ``_find_unit_pivot`` returns only windows whose lowest coefficient is
+    1 or -1, exactly those that ``window_inverse`` inverts.
     """
     gens = {m: set(range(r)) for m, r in c.ranks.items()}
     mats = {m: {(i, j): window(p.entry, direction, order)
@@ -415,13 +417,7 @@ def _contraction_side(c: ChainComplex, direction: int, order: int) -> SideVerdic
             break
         m, (pi, pj) = pivot
         a = mats[m].pop((pi, pj))
-        try:
-            a_inv = window_inverse(a)
-        except NotAUnitError as exc:
-            raise AssertionError(
-                f"novikov {var}-side contraction, degree {m}: pivot "
-                f"({pi},{pj}) was certified a unit but does not invert"
-            ) from exc
+        a_inv = window_inverse(a)
         row = {j: s for (i, j), s in mats[m].items() if i == pi}
         col = {i: s for (i, j), s in mats[m].items() if j == pj}
         for i2, cs in col.items():

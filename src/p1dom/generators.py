@@ -91,8 +91,9 @@ def random_invertible_pair(rng, ring, n, ops=None, span=1):
 
 
 def random_complex(rng, ring, max_length=4, max_rank=4, span=1,
-                   base=BaseRing.LAURENT, lo=0) -> ChainComplex:
-    """Random valid bounded free complex via basis-changed elementary sums."""
+                   lo=0) -> ChainComplex:
+    """Random valid bounded free K[x,x^-1]-complex via basis-changed
+    elementary sums."""
     length = rng.randint(1, max_length)
     hi = lo + length - 1
     pieces = []
@@ -101,16 +102,15 @@ def random_complex(rng, ring, max_length=4, max_rank=4, span=1,
         if length >= 2 and rng.random() < 0.7:
             top = rng.randint(lo + 1, hi)
             p = random_poly(rng, ring, -span, span, 3, nonzero=rng.random() < 0.8)
-            pieces.append(ChainComplex.two_term(ring, p, top, base))
+            pieces.append(ChainComplex.two_term(ring, p, top))
         else:
             d = rng.randint(lo, hi)
-            pieces.append(ChainComplex.single(ring, base, d, 1))
+            pieces.append(ChainComplex.single(ring, BaseRing.LAURENT, d, 1))
     total = pieces[0]
     for piece in pieces[1:]:
         total = total.direct_sum(piece)
-    total = ChainComplex(ring, base, lo, hi, total.ranks, total.diffs)
-    if base != BaseRing.LAURENT:
-        return total
+    total = ChainComplex(ring, BaseRing.LAURENT, lo, hi, total.ranks,
+                         total.diffs)
     return basis_change(rng, total, span)
 
 
@@ -178,11 +178,11 @@ def null_homotopic_map(rng, source: ChainComplex,
     return ChainMap(source, target, comps)
 
 
-def random_diagram(rng, ring, max_length=3, max_rank=3, span=1,
-                   base=BaseRing.LAURENT) -> ComplexDiagram:
-    mid = random_complex(rng, ring, max_length, max_rank, span, base)
-    minus = random_complex(rng, ring, max_length, max_rank, span, base)
-    plus = random_complex(rng, ring, max_length, max_rank, span, base)
+def random_diagram(rng, ring, max_length=3, max_rank=3,
+                   span=1) -> ComplexDiagram:
+    mid = random_complex(rng, ring, max_length, max_rank, span)
+    minus = random_complex(rng, ring, max_length, max_rank, span)
+    plus = random_complex(rng, ring, max_length, max_rank, span)
     return ComplexDiagram(
         minus, mid, plus,
         null_homotopic_map(rng, minus, mid, span),

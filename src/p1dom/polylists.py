@@ -21,10 +21,11 @@ inverse of a Z window, serves the Z-mode Novikov check of ``domination``.
 
 A Z window (entry, end) is an entry in t (t = x, or t = x^-1 with the
 list reversed) whose terms are known below the t-exponent ``end`` and
-unknown from it on.  A window is cut from an entry
-(``window``), multiplied (``window_product``), subtracted
-(``window_difference``) and inverted (``window_inverse``); every result is
-known on the widest window its operands determine.
+unknown from it on; ``cut`` drops the terms from ``end`` on.  A window is
+cut from an entry (``window``), multiplied (``window_product``),
+subtracted (``window_difference``), both by ``lincomb`` and a cut, and
+inverted (``window_inverse``); every result is known on the widest window
+its operands determine.
 """
 
 from __future__ import annotations
@@ -239,37 +240,36 @@ def make_primitive(entries, indices):
                 entries[i] = divided(entries[i], g)
 
 
+def cut(entry, end):
+    """The terms of ``entry`` at exponents below ``end``; None when there
+    are none."""
+    if entry is None:
+        return None
+    v, c = entry
+    return trim(v, c[:max(end - v, 0)])
+
+
 def window(entry, direction, order):
     """The Z window of the nonzero ``entry`` in t = x^direction, cut to
     ``order`` terms from its t-adic valuation."""
     v, c = entry
     if direction == -1:
         v, c = 1 - v - len(c), c[::-1]
-    return trim(v, c[:order]), v + order
+    return cut((v, c), v + order), v + order
 
 
 def window_product(a, b):
     """a*b, known on the narrower of the two widths (end - valuation)."""
-    (va, ca), end_a = a
-    (vb, cb), end_b = b
-    n = min(end_a - va, end_b - vb)
-    acc = [0] * min(n, len(ca) + len(cb) - 1)
-    for i, x in enumerate(ca[:n]):
-        for k, y in enumerate(cb[:n - i], i):
-            acc[k] += x * y
-    # over Z the lowest coefficient ca[0] * cb[0] is nonzero
-    return trim(va + vb, acc), va + vb + n
+    (ea, end_a), (eb, end_b) = a, b
+    end = ea[0] + eb[0] + min(end_a - ea[0], end_b - eb[0])
+    # over Z the lowest coefficient of the product is nonzero
+    return cut(lincomb(ea, eb, None, None, 0), end), end
 
 
 def window_difference(a, b):
     """a - b, known below the lower end; None when it is zero there."""
     end = min(a[1], b[1])
-    lo = min(a[0][0], b[0][0])
-    acc = [0] * (end - lo)
-    for ((v, c), _), sign in ((a, 1), (b, -1)):
-        for k, x in enumerate(c[:max(end - v, 0)], v - lo):
-            acc[k] += sign * x
-    e = trim(lo, acc)
+    e = cut(lincomb(ONE, a[0], MINUS_ONE, b[0], 0), end)
     return None if e is None else (e, end)
 
 

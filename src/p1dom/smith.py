@@ -24,10 +24,10 @@ Every transform has a nonzero constant determinant, so V is invertible
 over K[x,x^-1]: ``kernel_basis`` returns the last n - r columns of V, a
 saturated basis of ker A, ``kernel_coordinates`` solves K*X = B by
 forward substitution on the echelon form of K, each step one division of
-coefficient lists, and ``matrix_rank`` is the pivot count r.
-``invariant_factors`` keeps no V: it alternates the echelon form of the
-matrix and of its transpose, each brought to Hermite form, until the
-matrix is diagonal, and then makes the diagonal a divisibility chain.
+coefficient lists.  ``invariant_factors`` keeps no V: it alternates the
+echelon form of the matrix and of its transpose, each brought to Hermite
+form, until the matrix is diagonal, and then makes the diagonal a
+divisibility chain; their number is the rank r.
 """
 
 from __future__ import annotations
@@ -155,14 +155,6 @@ def _columns(a: LaurentMatrix, p):
     primitive."""
     columns = [[row[j].entry for row in a.entries] for j in range(a.cols)]
     return columns if p else [integer_row(column) for column in columns]
-
-
-def matrix_rank(a: LaurentMatrix) -> int:
-    """Rank over the fraction field of K[x,x^-1]."""
-    if a.rows == 0 or a.cols == 0:
-        return 0
-    p = _require_field(a).p
-    return len(_echelon(_columns(a, p), a.rows, p))
 
 
 # -- invariant factors by alternating echelon forms -----------------------

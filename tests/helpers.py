@@ -3,6 +3,7 @@
 import random
 
 from p1dom.complexes import ChainComplex, ChainMap, ScalarComplex, cone
+from p1dom.diagrams import ComplexDiagram
 from p1dom.domination import _chart_direction
 from p1dom.generators import (null_homotopic_map, random_complex,
                               random_novikov_acyclic)
@@ -43,6 +44,16 @@ def M(ring, rows, base=BaseRing.LAURENT):
 
 def two_term(ring, pairs, top=1, base=BaseRing.LAURENT):
     return ChainComplex.two_term(ring, P(ring, *pairs), top, base)
+
+
+def diagram_with_a_non_chain_map(ring):
+    """(C --f--> C <-- 0) for C = (x - 1: O -> O) in degrees 1, 0 and f
+    the identity in degree 1 and zero in degree 0, which is no chain map:
+    f d = 0 but d f = x - 1."""
+    c = two_term(ring, [(1, 1), (0, -1)])
+    zero = ChainComplex.zero(ring)
+    return ComplexDiagram(c, c, zero, ChainMap(c, c, {1: M(ring, [[1]])}),
+                          ChainMap.zero(zero, c))
 
 
 def window_complex(c: ChainComplex, order: int) -> ScalarComplex:

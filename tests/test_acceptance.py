@@ -23,7 +23,7 @@ from p1dom.laurent import BaseRing
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import cech_cohomology, cech_complex, twisting_sheaf
 
-from helpers import M, P, two_term
+from helpers import M, P, diagram_with_a_non_chain_map, two_term
 
 
 def _report(name, detail=""):
@@ -79,9 +79,13 @@ def test_criterion_ses_property():
             continue
         assert ses_check(d)
         done += 1
+    # negative control: a structure map that is no chain map
+    for ring in (QQ, GF(7)):
+        assert not ses_check(diagram_with_a_non_chain_map(ring))
     elapsed = time.time() - t0
     assert elapsed < 10.0
-    _report("SES property", f"100 diagrams, {elapsed:.1f}s")
+    _report("SES property", f"100 diagrams and a negative control, "
+                            f"{elapsed:.1f}s")
 
 
 def test_criterion_lemma_quasi_iso_claims():

@@ -14,7 +14,7 @@ from p1dom.laurent import BaseRing
 from p1dom.matrices import LaurentMatrix
 from p1dom.scalars import GF, QQ
 
-from helpers import M, P
+from helpers import M, P, diagram_with_a_non_chain_map
 
 
 def constant_diagram(c):
@@ -95,6 +95,18 @@ def test_ses_check_rejects_corrupted_differential():
     bad = ChainComplex(h.ring, h.base, h.lo, h.hi, h.ranks, corrupted_diffs)
     assert not ses_check(d, hyper=bad)
     assert ses_check(d, hyper=h)
+
+
+def test_ses_check_rejects_an_invalid_diagram():
+    # the total of a diagram whose structure map is no chain map has
+    # d.d != 0, with or without the candidate totalisation
+    for ring in (QQ, GF(7)):
+        d = diagram_with_a_non_chain_map(ring)
+        assert d.validate() == ["from_minus: degree 1: f.d != d.f"]
+        h = hypercohomology(d)
+        assert h.validate() == ["degree 1: d.d != 0"]
+        assert not ses_check(d)
+        assert not ses_check(d, hyper=h)
 
 
 def test_phi_star_of_quasi_iso_components():

@@ -357,21 +357,6 @@ def test_contraction_pivot_is_widest_then_least_valuation():
     assert _find_unit_pivot({1: {(0, 0): ((0, [3]), 9)}}) is None
 
 
-def test_contraction_pivot_that_does_not_invert_is_internal_error(
-        monkeypatch):
-    import p1dom.domination as domination
-    from p1dom.errors import NotAUnitError
-
-    def refuse(a):
-        raise NotAUnitError("refused")
-
-    monkeypatch.setattr(domination, "window_inverse", refuse)
-    c = two_term(ZZ, [(1, 1), (0, -1)]).direct_sum(
-        two_term(ZZ, [(1, 1), (0, -1)], top=2))
-    with pytest.raises(AssertionError, match="contraction, degree"):
-        novikov_check(c)
-
-
 def not_a_complex():
     # d_1 d_2 = 1, while the ranks of d_1 and d_2 fit in rank C_1
     return ChainComplex(QQ, BaseRing.LAURENT, 0, 2, {0: 1, 1: 3, 2: 1},

@@ -5,7 +5,9 @@ every sheaf file (``*.sheaf``) through ``h0``, which writes its complex
 file whatever the format and so takes no ``--format``.
 
 Each command's stdout, stderr and exit code are compared exactly with the
-copies stored under tests/golden/.  After a declared change to a report,
+copies stored under tests/golden/, and so is the stdout of
+``selftest --format report`` (seed 0), so that no selftest group drops out
+or changes unnoticed.  After a declared change to a report,
 rewrite the copies with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -30,26 +32,35 @@ COMMANDS = ("verify", "dominate", "hyper", "homology", "novikov", "extend",
 SHEAF_SAMPLES = sorted((ROOT / "samples").glob("*.sheaf"))
 CASES = ([(s, c) for s in SAMPLES for c in COMMANDS]
          + [(s, "h0") for s in SHEAF_SAMPLES])
+SELFTEST = GOLDEN / "selftest.report.out"
 
 
 def _name(sample, command):
     return f"{sample.stem}.{command}"
 
 
-def run_report(sample, command):
-    """(exit code, stdout, stderr) of one report run, with no presets."""
+def run(argv):
+    """(exit code, stdout, stderr) of one command line, with no presets."""
     saved = {var: os.environ.pop(var, None) for var, _, _ in PRESETS.values()}
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command]
-                        + ([] if command == "h0" else ["--format", "report"])
-                        + [str(sample)])
+            code = main(argv)
     finally:
         for var, value in saved.items():
             if value is not None:
                 os.environ[var] = value
     return code, out.getvalue(), err.getvalue()
+
+
+def run_report(sample, command):
+    """(exit code, stdout, stderr) of one report run, with no presets."""
+    return run([command] + ([] if command == "h0" else ["--format", "report"])
+               + [str(sample)])
+
+
+def run_selftest():
+    return run(["selftest", "--format", "report"])
 
 
 def _load_manifest():
@@ -72,6 +83,12 @@ def test_report_bytes_match_golden(sample, command):
     assert code == expected["exit"]
 
 
+def test_selftest_report_bytes_match_golden():
+    code, out, err = run_selftest()
+    assert out.encode("utf-8") == SELFTEST.read_bytes()
+    assert (code, err) == (0, "")
+
+
 def write_golden():
     GOLDEN.mkdir(exist_ok=True)
     manifest = {}
@@ -80,6 +97,7 @@ def write_golden():
         name = _name(sample, command)
         (GOLDEN / f"{name}.out").write_bytes(out.encode("utf-8"))
         manifest[name] = {"exit": code, "stderr": err}
+    SELFTEST.write_bytes(run_selftest()[1].encode("utf-8"))
     (GOLDEN / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
