@@ -202,15 +202,18 @@ def _write(args, text):
 def _write_file(args, data):
     """Write a complex or sheaf file, or nothing when the loader refuses
     it: the loader itself reads the dict first."""
-    load = (ff.sheaf_from_dict if data["format"] == ff.SHEAF_FORMAT
-            else ff.complex_from_dict)
+    _read_back(ff.sheaf_from_dict if data["format"] == ff.SHEAF_FORMAT
+               else ff.complex_from_dict, data)
+    _write(args, ff.dumps_canonical(data))
+
+
+def _read_back(load, data):
     try:
         load(data)
     except FormatError as exc:
         raise FormatError(
             f"output not written, p1dom could not read it back: {exc}"
         ) from None
-    _write(args, ff.dumps_canonical(data))
 
 
 def _emit(args, human_lines, report_obj):
@@ -333,6 +336,10 @@ def cmd_extend(args):
 def cmd_h0(args):
     s = _load_sheaf(args)
     w = cech_complex(s)
+    # W is sparse but its file is dense: the loader's rank check runs
+    # before any cell is written
+    _read_back(ff._read_degrees, {"degrees": [
+        {"degree": m, "rank": w.rank(m)} for m in w.degrees()]})
     _write_file(args, ff.complex_to_dict(w))
     return EXIT_OK
 

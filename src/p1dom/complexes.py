@@ -10,6 +10,9 @@ invariant factors of each differential, computed by
 transforms kept (integer coefficients over Q).  Every complex
 over the base ring K (the global sections W, base-K files) is a
 ``ScalarComplex`` of sparse scalar rows, where plain rank-nullity applies.
+``homology_ranks`` states that rule once (rank C_q - rank d_q - rank
+d_{q+1}); every homology count in the package reads it, and a negative
+count is d.d != 0.
 """
 
 from __future__ import annotations
@@ -349,11 +352,9 @@ def homology(c: ChainComplex | ScalarComplex) -> HomologyReport:
     coker d_{q+1}, the nonunit invariant factors of d_{q+1}, and
     free_q = rank C_q - rank d_q - rank d_{q+1}.  The factors come monic
     with zero valuation, as a Smith form of a presentation of H_q would
-    give them.  d.d = 0 is assumed and not checked beyond that rank count:
-    a degree where rank d_q + rank d_{q+1} exceeds rank C_q raises
-    ShapeError.
-    Over the base ring K only dimensions are needed.  Z coefficients are
-    unsupported.
+    give them.  d.d = 0 is assumed and not checked beyond that rank count
+    (``homology_ranks``).  Over the base ring K only dimensions are
+    needed.  Z coefficients are unsupported.
     """
     if not c.ring.is_field:
         raise UnsupportedRingError(
@@ -368,12 +369,9 @@ def homology(c: ChainComplex | ScalarComplex) -> HomologyReport:
     factors = {m: invariant_factors(d)
                for m, d in c.diffs.items() if d.rows and d.cols}
     entries = {}
-    for q, rank in c.ranks.items():
+    ranks = {m: len(fs) for m, fs in factors.items()}
+    for q, free in homology_ranks(c.ranks, ranks).items():
         incoming = factors.get(q + 1, ())
-        free = rank - len(factors.get(q, ())) - len(incoming)
-        if free < 0:
-            # rank d_q + rank d_{q+1} <= rank C_q holds in any complex
-            raise ShapeError(f"invalid complex: degree {q + 1}: d.d != 0")
         # core degrees, maxdeg - mindeg, read off the entries
         torsion = tuple(f for f in incoming if len(f.entry[1]) > 1)
         kdim = None if free else sum(len(f.entry[1]) - 1 for f in torsion)
@@ -433,12 +431,28 @@ def require_valid(c: ChainComplex | ScalarComplex):
         raise ShapeError("invalid complex: " + "; ".join(problems))
 
 
+def homology_ranks(ranks: dict, diff_ranks: dict) -> dict:
+    """Rank-nullity over a field: degree q of ``ranks`` -> rank C_q -
+    r_q - r_{q+1}, where ``diff_ranks`` maps m to r_m = rank d_m (0 when
+    missing).  This is the rank of H_q: of the homology over K, of the
+    free part over K[x,x^-1] (ranks over K(x)), of a chart complex over
+    K((t)).  In a complex im d_{q+1} lies in ker d_q, so r_q + r_{q+1} <=
+    rank C_q; a degree where it does not raises ShapeError."""
+    out = {}
+    for q, rank in ranks.items():
+        free = rank - diff_ranks.get(q, 0) - diff_ranks.get(q + 1, 0)
+        if free < 0:
+            raise ShapeError(f"invalid complex: degree {q + 1}: d.d != 0")
+        out[q] = free
+    return out
+
+
 def homology_dims(c: ScalarComplex) -> dict:
-    """Degree -> K-dimension of the homology of a K-complex."""
-    ranks = {m: scalar_rank(d) for m, d in c.diffs.items()
-             if d.rows and d.cols}
-    return {q: c.ranks.get(q, 0) - ranks.get(q, 0) - ranks.get(q + 1, 0)
-            for q in range(c.lo, c.hi + 1)}
+    """Degree -> K-dimension of the homology of a K-complex; ShapeError
+    for a degree where the ranks show d.d != 0."""
+    return homology_ranks(
+        {q: c.rank(q) for q in c.degrees()},
+        {m: scalar_rank(d) for m, d in c.diffs.items() if d.rows and d.cols})
 
 
 def is_acyclic(c: ChainComplex) -> bool:

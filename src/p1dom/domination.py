@@ -14,10 +14,10 @@ characteristic chi(C): a nonzero chi is a sure "no".  Otherwise rank d_m
 is the number of pivots of the chart kernel ``_elementary_valuations``
 in t = x, one per nonzero elementary divisor over K[[x]], that is the rank
 over K((x)) and so over K(x).  The invariant factors (``homology``) are
-computed only when the ``snf-torsion`` certificate or the homology report
-is read.  Like ``homology``, ``novikov_check`` assumes d.d = 0 (in a
-complex f_q >= 0); the CLI, ``verify_theorem`` and ``dominate`` check it
-first.  Z mode runs on Z windows of ``order`` terms
+computed only when the ``snf-torsion`` certificate is read.  Like
+``homology``, ``novikov_check`` assumes d.d = 0 (in a complex f_q >= 0,
+``complexes.homology_ranks``); the CLI, ``verify_theorem`` and
+``dominate`` check it first.  Z mode runs on Z windows of ``order`` terms
 (``polylists.window``: a coefficient entry in t = x or t = x^-1 and its
 first unknown t-exponent).  A square two-term complex is acyclic on a side
 exactly when its determinant's window there has head coefficient 1 or -1,
@@ -61,8 +61,8 @@ from functools import cached_property
 from typing import Callable
 
 from .complexes import (ChainComplex, HomologyReport, ScalarComplex, homology,
-                        homology_dims, require_valid)
-from .errors import (NotAUnitError, NotNovikovAcyclicError, ShapeError,
+                        homology_dims, homology_ranks, require_valid)
+from .errors import (NotAUnitError, NotNovikovAcyclicError,
                      StabilisationFailureError, UnsupportedRingError)
 from .extension import ExtensionResult, extend_valid_complex
 from .laurent import BaseRing, LaurentPoly
@@ -172,9 +172,10 @@ def _series_dims(c, valuations: dict, side: str) -> dict:
     """Chart homology dimensions from the valuations of each differential
     of the ``side`` chart, whose ranks are those of ``c``; see
     ``chart_homology_dims``."""
-    for q in c.degrees():
-        if c.rank(q) > len(valuations.get(q, ())) + len(
-                valuations.get(q + 1, ())):
+    free = homology_ranks(c.ranks,
+                          {m: len(vs) for m, vs in valuations.items()})
+    for q, rank in free.items():
+        if rank:
             raise StabilisationFailureError(
                 f"{side} chart homology has a free part in degree {q}")
     return {q: sum(valuations.get(q + 1, ())) for q in c.degrees()}
@@ -187,7 +188,8 @@ def chart_homology_dims(c: ChainComplex) -> dict:
     the torsion module sum K[[t]]/t^v over the valuations v of the
     elementary divisors of d_{q+1}, so its K-dimension is their sum.
     Raises StabilisationFailureError, naming the degree, when the chart
-    homology has a free part.
+    homology has a free part, and ShapeError when the ranks show
+    d.d != 0 (``homology_ranks``).
     """
     direction = _chart_direction(c)
     return _series_dims(c, _valuations(c, direction),
@@ -229,16 +231,6 @@ class SideVerdict:
 class NovikovVerdict:
     x_side: SideVerdict
     x_inv_side: SideVerdict
-    # field mode: returns the homology over K[x,x^-1], computing it on its
-    # first call only; None in Z mode
-    read_homology: Callable[[], HomologyReport] | None = field(
-        default=None, compare=False, repr=False)
-
-    @property
-    def homology(self) -> HomologyReport | None:
-        """Field mode: the homology over K[x,x^-1] (Smith normal form),
-        computed on first read and kept.  Z mode: None."""
-        return self.read_homology() if self.read_homology else None
 
     @property
     def both_acyclic(self) -> bool:
@@ -254,15 +246,6 @@ def novikov_check(c: ChainComplex, order: int = 16) -> NovikovVerdict:
     if c.ring.is_field:
         return _novikov_field(c)
     return _novikov_integers(c, order)
-
-
-def _checked_verdict(c: ChainComplex) -> NovikovVerdict:
-    """``novikov_check`` of a complex whose d.d = 0 is checked.  A field
-    verdict is read off ``homology(c)``, which the ledger needs anyway:
-    one invariant-factor pass and no rank pass."""
-    if c.ring.is_field and c.base == BaseRing.LAURENT:
-        return _novikov_field(c, homology(c))
-    return novikov_check(c)
 
 
 def _euler(c: ChainComplex) -> int:
@@ -293,23 +276,17 @@ def _novikov_field(c: ChainComplex,
     it counts the rank over K((x)).  As in ``homology``, d.d = 0 is
     assumed, not checked (the CLI, ``verify_theorem`` and ``dominate``
     check it first); a degree where r_q + r_{q+1} exceeds rank C_q raises
-    ShapeError.
+    ShapeError (``homology_ranks``).
 
     ``report``, when the caller has ``homology(c)``, decides the verdict
     instead.  Otherwise the invariant factors are computed only when the
-    ``snf-torsion`` certificate or ``NovikovVerdict.homology`` is read.
+    ``snf-torsion`` certificate is read; both sides share it.
     """
     acyclic = (report.all_torsion if report is not None
                else _euler(c) == 0 and _free_ranks_vanish(c))
 
-    def read():
-        nonlocal report
-        if report is None:
-            report = homology(c)
-        return report
-
     def render():
-        entries = read().entries
+        entries = (report or homology(c)).entries
         return {
             "method": "snf-torsion",
             "free_ranks": {str(q): e.free_rank for q, e in entries.items()},
@@ -319,23 +296,15 @@ def _novikov_field(c: ChainComplex,
 
     side = SideVerdict("yes" if acyclic else "no", "snf-torsion", render)
     # over a field both Novikov conditions are the same rank condition
-    return NovikovVerdict(side, side, read)
+    return NovikovVerdict(side, side)
 
 
 def _free_ranks_vanish(c: ChainComplex) -> bool:
-    """Every f_q = rank C_q - rank d_q - rank d_{q+1} is zero, each rank
-    the pivot count of the chart kernel; ShapeError, as ``homology``
-    raises it, for a degree where f_q < 0."""
+    """Every f_q (``homology_ranks``) is zero, each rank the pivot count
+    of the chart kernel."""
     ranks = {m: len(_elementary_valuations(d, 1))
              for m, d in c.diffs.items()}
-    vanish = True
-    for q, rank in c.ranks.items():
-        free = rank - ranks.get(q, 0) - ranks.get(q + 1, 0)
-        if free < 0:
-            # rank d_q + rank d_{q+1} <= rank C_q holds in any complex
-            raise ShapeError(f"invalid complex: degree {q + 1}: d.d != 0")
-        vanish = vanish and free == 0
-    return vanish
+    return not any(homology_ranks(c.ranks, ranks).values())
 
 
 def _novikov_integers(c: ChainComplex, order: int) -> NovikovVerdict:
@@ -537,28 +506,33 @@ class DominationWitness:
 def dominate(c: ChainComplex) -> DominationWitness:
     """Produce and validate the finite-domination witness.
 
-    Requires field coefficients, d.d = 0 (ShapeError otherwise, checked
-    before Novikov, whose field mode reads only the ranks of the
-    differentials) and Novikov acyclicity on both sides.  The homology
-    over K[x,x^-1] is computed once, for both the verdict and the
-    ledger's mid column.
+    Requires field coefficients, d.d = 0 (ShapeError otherwise) and
+    Novikov acyclicity on both sides.  The homology over K[x,x^-1] is
+    computed once, for both the verdict and the ledger's mid column.
     """
-    _require_field(c)
-    require_valid(c)
-    return _witness(c, _checked_verdict(c))
+    return _witness(c, _valid_homology(c))
 
 
-def _require_field(c: ChainComplex):
+def _valid_homology(c: ChainComplex) -> HomologyReport:
+    """``homology(c)`` once ``c`` passes, in this order: field
+    coefficients (over Z no Novikov search runs), d.d = 0 (a non-complex
+    is a ShapeError, not a FAIL, and Novikov's field mode reads only the
+    ranks of the differentials), the base K[x,x^-1]."""
     if not c.ring.is_field:
         raise UnsupportedRingError(
             "the domination witness needs field coefficients (Q or GF(p))")
+    require_valid(c)
+    if c.base != BaseRing.LAURENT:
+        raise UnsupportedRingError(
+            "Novikov acyclicity applies to K[x,x^-1]-complexes")
+    return homology(c)
 
 
-def _witness(c: ChainComplex, verdict: NovikovVerdict) -> DominationWitness:
-    """The witness for a field complex whose d.d = 0 is checked and whose
-    Novikov verdict is known."""
-    mid = verdict.homology
-    if not verdict.both_acyclic:
+def _witness(c: ChainComplex, mid: HomologyReport) -> DominationWitness:
+    """The witness for a field complex whose d.d = 0 is checked, from its
+    homology ``mid`` over K[x,x^-1]; Novikov acyclic exactly when ``mid``
+    is all torsion (``_novikov_field``)."""
+    if not mid.all_torsion:
         raise NotNovikovAcyclicError(
             "homology has nonzero free rank in degrees "
             f"{sorted(mid.free_ranks())}")
@@ -574,11 +548,10 @@ def _witness(c: ChainComplex, verdict: NovikovVerdict) -> DominationWitness:
     degrees = sorted(set(w_dims) | set(plus_dims) | set(minus_dims)
                      | set(mid.entries))
     for q in degrees:
-        entry = mid.entry(q)
         rows.append(LedgerRow(
             degree=q,
             w_dim=w_dims.get(q, 0),
-            mid_kdim=entry.kdim if entry.kdim is not None else -1,
+            mid_kdim=mid.entry(q).kdim,
             plus_dim=plus_dims.get(q, 0),
             minus_dim=minus_dims.get(q, 0),
         ))
@@ -615,16 +588,18 @@ def fpqc_hyper(c_plus: ChainComplex, order: int = 16) -> FpqcModel:
     max(N - v, 0) over its valuations v.  So dim H_q is sum min(N, v)
     over the valuations of d_{q+1} and of d_q plus N times the free rank.
     Degrees run from lo - 1, where the total starts, to hi.  ``c_plus``
-    must be a complex (d.d = 0).
+    must be a complex (d.d = 0); a negative count raises ShapeError
+    (``homology_ranks``).
     """
     if c_plus.base != BaseRing.POLY:
         raise UnsupportedRingError("fpqc model starts from a K[x]-complex")
     vals = _valuations(c_plus, 1)
 
     def dims(n):
-        rank = {m: sum(max(n - v, 0) for v in vs) for m, vs in vals.items()}
-        return {q: n * c_plus.rank(q) - rank.get(q, 0) - rank.get(q + 1, 0)
-                for q in range(c_plus.lo - 1, c_plus.hi + 1)}
+        return homology_ranks(
+            {q: n * c_plus.rank(q)
+             for q in range(c_plus.lo - 1, c_plus.hi + 1)},
+            {m: sum(max(n - v, 0) for v in vs) for m, vs in vals.items()})
 
     return FpqcModel(order, dims(order), dims(2 * order))
 
@@ -677,22 +652,21 @@ class TheoremReport:
 def verify_theorem(c: ChainComplex) -> TheoremReport:
     """Full pipeline: hypothesis check, witness production, ledger audit.
 
-    Field coefficients are checked first, as in ``dominate``: over Z no
-    Novikov search runs.  d.d = 0 is checked once, next: a non-complex is
-    a ShapeError, not a FAIL.  The homology over K[x,x^-1] is computed
-    once and serves the verdict, the FAIL detail and the ledger.
+    The checks run in the order of ``dominate`` (``_valid_homology``):
+    over Z no Novikov search runs, and a non-complex is a ShapeError, not
+    a FAIL.  The homology over K[x,x^-1] is computed once and serves the
+    verdict, the FAIL detail and the ledger.
     """
-    _require_field(c)
-    require_valid(c)
-    verdict = _checked_verdict(c)
+    mid = _valid_homology(c)
+    verdict = _novikov_field(c, mid)
     if not verdict.both_acyclic:
-        free = verdict.homology.free_ranks()
+        free = mid.free_ranks()
         checks = (TheoremCheck(
             "novikov-acyclic", False,
             "free rank " + ", ".join(
                 f"{r} in degree {q}" for q, r in sorted(free.items()))),)
         return TheoremReport("FAIL", verdict, checks)
-    witness = _witness(c, verdict)
+    witness = _witness(c, mid)
     checks = []
     w = witness.w
     bounded = w.hi - w.lo < 10 ** 9
@@ -700,7 +674,7 @@ def verify_theorem(c: ChainComplex) -> TheoremReport:
         "witness-strict-perfect", bounded and all(
             r >= 0 for r in w.ranks.values()),
         f"ranks {sorted(witness.w_ranks().items())}"))
-    total = verdict.homology.total_kdim()
+    total = mid.total_kdim()
     checks.append(TheoremCheck(
         "finite-total-homology", total is not None,
         f"total dim_K = {total}"))

@@ -153,29 +153,19 @@ def null_homotopic_map(rng, source: ChainComplex,
                        target: ChainComplex, span=1) -> ChainMap:
     """d.h + h.d for a random degree-raising h: always a chain map."""
     ring = source.ring
-    h = {}
     lo = min(source.lo, target.lo) - 1
     hi = max(source.hi, target.hi)
-    for m in range(lo, hi + 1):
-        rows = target.rank(m + 1)
-        cols = source.rank(m)
-        h[m] = LaurentMatrix(
-            ring, rows, cols,
-            [[random_poly(rng, ring, -span, span, 2) for _ in range(cols)]
-             for _ in range(rows)])
-    def h_at(m):
-        got = h.get(m)
-        if got is None:
-            return LaurentMatrix.zero(ring, target.rank(m + 1),
-                                      source.rank(m))
-        return got
-
-    comps = {}
-    for m in range(lo, hi + 1):
-        dh = target.diff(m + 1) @ h_at(m)
-        hd = h_at(m - 1) @ source.diff(m)
-        comps[m] = dh + hd
-    return ChainMap(source, target, comps)
+    h = Homotopy(source, target, {
+        m: LaurentMatrix(
+            ring, target.rank(m + 1), source.rank(m),
+            [[random_poly(rng, ring, -span, span, 2)
+              for _ in range(source.rank(m))]
+             for _ in range(target.rank(m + 1))])
+        for m in range(lo, hi + 1)})
+    return ChainMap(source, target, {
+        m: target.diff(m + 1) @ h.component(m)
+        + h.component(m - 1) @ source.diff(m)
+        for m in range(lo, hi + 1)})
 
 
 def random_diagram(rng, ring, max_length=3, max_rank=3,

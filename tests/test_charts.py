@@ -17,7 +17,8 @@ import pytest
 
 from p1dom.complexes import ChainComplex, homology_dims
 from p1dom.domination import _elementary_valuations, chart_homology_dims
-from p1dom.errors import StabilisationFailureError, UnsupportedRingError
+from p1dom.errors import (ShapeError, StabilisationFailureError,
+                          UnsupportedRingError)
 from p1dom.extension import extend_complex
 from p1dom.generators import random_complex, random_novikov_acyclic
 from p1dom.laurent import BaseRing, LaurentPoly
@@ -26,7 +27,7 @@ from p1dom.scalars import GF, QQ
 from p1dom.sheaves import SheafComplex
 from p1dom.smith import invariant_factors
 
-from helpers import two_term, window_complex
+from helpers import P, two_term, window_complex
 
 RINGS = [QQ, GF(7), GF(10007)]
 FREE = "{} chart homology has a free part in degree {}"
@@ -142,6 +143,16 @@ def test_free_chart_homology_never_stabilises():
         assert str(err.value) == FREE.format(name, degree)
         with pytest.raises(StabilisationFailureError, match="by N=4096"):
             doubling_reference(c, 8, 4096)
+
+
+def test_rank_excess_is_an_invalid_chart_complex():
+    # d_1 = x and d_2 = 1 have rank 1 each over K((x)), one more than C_1
+    c = ChainComplex(QQ, BaseRing.POLY, 0, 2, {0: 1, 1: 1, 2: 1}, {
+        1: LaurentMatrix(QQ, 1, 1, [[P(QQ, (1, 1))]]),
+        2: LaurentMatrix(QQ, 1, 1, [[P(QQ, (0, 1))]])})
+    with pytest.raises(ShapeError,
+                       match=r"^invalid complex: degree 2: d\.d != 0$"):
+        chart_homology_dims(c)
 
 
 def test_laurent_complex_is_rejected():

@@ -101,6 +101,33 @@ def test_h0_refuses_a_w_above_the_rank_bound(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_h0_checks_w_ranks_before_writing_any_cell(tmp_path, monkeypatch,
+                                                   capsys):
+    # d_1 = [1] with k = l = 400 in both degrees: W has ranks 801/801, and
+    # its dense file would have 801^2 cells
+    one = [[[[0, "1"]]]]
+    sheaf = tmp_path / "wide-twist.sheaf"
+    ff.save_path(sheaf, {
+        "format": ff.SHEAF_FORMAT, "version": 1, "ring": "Q",
+        "variable": "x", "base": "K[x,x^-1]",
+        "degrees": [{"degree": 0, "rank": 1}, {"degree": 1, "rank": 1}],
+        "differentials": [{"degree": 1, "matrix": one}],
+        "twist_profile": [{"degree": m, "k": 400, "l": 400} for m in (0, 1)],
+        "minus": [{"degree": 1, "matrix": one}],
+        "plus": [{"degree": 1, "matrix": one}]})
+
+    def no_dict(c):
+        raise AssertionError("complex_to_dict of a W the loader refuses")
+
+    monkeypatch.setattr(ff, "complex_to_dict", no_dict)
+    assert main(["h0", str(sheaf)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "input error: output not written, p1dom could not read it back: "
+        f"rank 801 exceeds {ff.MAX_RANK} (at degrees[0].rank)\n")
+
+
 def test_extend_refuses_a_chart_exponent_past_the_bound(tmp_path, capsys):
     # x^4096 - x^-4096 is in bounds; its minus chart has exponent -8192
     src = _extension_file(tmp_path, "wide", P(QQ, (4096, 1), (-4096, -1)))

@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 
 from p1dom import fileformat as ff
 from p1dom.cli import main
-from p1dom.complexes import ChainComplex, ChainMap, ScalarComplex, homology_dims
+from p1dom.complexes import (ChainComplex, ChainMap, ScalarComplex, homology,
+                             homology_dims)
 from p1dom.diagrams import ComplexDiagram, hypercohomology
 from p1dom.domination import dominate, fpqc_hyper
-from p1dom.errors import FormatError, UnsupportedRingError
+from p1dom.errors import FormatError, ShapeError, UnsupportedRingError
 from p1dom.extension import extend_complex
 from p1dom.generators import random_complex, random_novikov_acyclic
 from p1dom.laurent import BaseRing, LaurentPoly
@@ -211,6 +212,16 @@ def test_validate_reports_each_broken_degree():
     assert ScalarComplex(GF(7), 0, 2, {0: 1, 1: 1, 2: 1}, {
         1: ScalarMatrix(GF(7), 1, 1, [{0: 3}]),
         2: ScalarMatrix(GF(7), 1, 1, [{0: 0}])}).validate() == []
+
+
+def test_rank_excess_is_an_invalid_k_complex():
+    # rank d_1 + rank d_2 = 2 > rank C_1: no homology has dimension -1
+    d = ScalarMatrix(GF(7), 1, 1, [{0: 1}])
+    c = ScalarComplex(GF(7), 0, 2, {0: 1, 1: 1, 2: 1}, {1: d, 2: d})
+    for run in (homology, homology_dims):
+        with pytest.raises(ShapeError,
+                           match=r"^invalid complex: degree 2: d\.d != 0$"):
+            run(c)
 
 
 # -- one representation -------------------------------------------------------
