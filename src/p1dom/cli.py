@@ -306,15 +306,18 @@ def cmd_novikov(args):
     verdict = novikov_check(c, order=args.trunc)
     lines = [f"x-side: {verdict.x_side.acyclic}",
              f"x^-1-side: {verdict.x_inv_side.acyclic}"]
-    report = {"command": "novikov", "input_digest": args.input_digest,
-              "x_side": {
-                  "acyclic": verdict.x_side.acyclic,
-                  "method": verdict.x_side.method,
-                  "certificate": verdict.x_side.certificate},
-              "x_inv_side": {
-                  "acyclic": verdict.x_inv_side.acyclic,
-                  "method": verdict.x_inv_side.method,
-                  "certificate": verdict.x_inv_side.certificate}}
+    report = None
+    if args.format == "report":
+        # the certificates are rendered on read: only a report reads them
+        report = {"command": "novikov", "input_digest": args.input_digest,
+                  "x_side": {
+                      "acyclic": verdict.x_side.acyclic,
+                      "method": verdict.x_side.method,
+                      "certificate": verdict.x_side.certificate},
+                  "x_inv_side": {
+                      "acyclic": verdict.x_inv_side.acyclic,
+                      "method": verdict.x_inv_side.method,
+                      "certificate": verdict.x_inv_side.certificate}}
     _emit(args, lines, report)
     return EXIT_OK
 

@@ -172,11 +172,8 @@ class ChainComplex:
         ranks = {m: self.rank(m) + other.rank(m) for m in range(lo, hi + 1)}
         diffs = {}
         for m in range(lo + 1, hi + 1):
-            a = self.diff(m)
-            b = other.diff(m)
-            zal = LaurentMatrix.zero(self.ring, a.rows, b.cols)
-            zbl = LaurentMatrix.zero(self.ring, b.rows, a.cols)
-            diffs[m] = LaurentMatrix.block(self.ring, [[a, zal], [zbl, b]])
+            diffs[m] = LaurentMatrix.block(
+                self.ring, [[self.diff(m), None], [None, other.diff(m)]])
         return ChainComplex(self.ring, self.base, lo, hi, ranks, diffs)
 
     def __eq__(self, other):
@@ -196,31 +193,47 @@ class ChainComplex:
                 f"ranks {{{ranks}}})")
 
 
-class ChainMap:
-    """Degreewise matrices commuting with the differentials."""
+class GradedMap:
+    """Degreewise matrices f_m: source_m -> target_{m + SHIFT} between
+    complexes over one ring, a zero matrix in every degree not given."""
 
     __slots__ = ("source", "target", "components")
+    SHIFT = 0
+    KIND = "chain map"        # names the map in the ring error
+    PART = "component"        # names a component in the shape error
 
     def __init__(self, source: ChainComplex, target: ChainComplex,
                  components=None):
         if source.ring != target.ring or source.base != target.base:
-            raise RingMismatchError("chain map between different rings")
+            raise RingMismatchError(f"{self.KIND} between different rings")
         self.source = source
         self.target = target
-        comps = {}
-        lo = min(source.lo, target.lo)
-        hi = max(source.hi, target.hi)
-        for m in range(lo, hi + 1):
+        self.components = {}
+        for m in range(min(source.lo, target.lo) - self.SHIFT,
+                       max(source.hi, target.hi) + 1):
             f = (components or {}).get(m)
             if f is None:
-                f = LaurentMatrix.zero(source.ring, target.rank(m),
-                                       source.rank(m))
-            if f.rows != target.rank(m) or f.cols != source.rank(m):
+                f = self.component(m)
+            rows, cols = target.rank(m + self.SHIFT), source.rank(m)
+            if f.rows != rows or f.cols != cols:
                 raise ShapeError(
-                    f"component at degree {m} has shape {f.rows}x{f.cols}, "
-                    f"expected {target.rank(m)}x{source.rank(m)}")
-            comps[m] = f
-        self.components = comps
+                    f"{self.PART} at degree {m} has shape {f.rows}x{f.cols}, "
+                    f"expected {rows}x{cols}")
+            self.components[m] = f
+
+    def component(self, m: int) -> LaurentMatrix:
+        f = self.components.get(m)
+        if f is None:
+            return LaurentMatrix.zero(self.source.ring,
+                                      self.target.rank(m + self.SHIFT),
+                                      self.source.rank(m))
+        return f
+
+
+class ChainMap(GradedMap):
+    """Degreewise matrices commuting with the differentials."""
+
+    __slots__ = ()
 
     @classmethod
     def identity(cls, c: ChainComplex):
@@ -230,13 +243,6 @@ class ChainMap:
     @classmethod
     def zero(cls, source, target):
         return cls(source, target)
-
-    def component(self, m: int) -> LaurentMatrix:
-        f = self.components.get(m)
-        if f is None:
-            return LaurentMatrix.zero(self.source.ring, self.target.rank(m),
-                                      self.source.rank(m))
-        return f
 
     def validate(self):
         problems = []
@@ -254,41 +260,16 @@ class ChainMap:
         return not self.validate()
 
 
-class Homotopy:
+class Homotopy(GradedMap):
     """Degree +1 family h_m: source_m -> target_{m+1}."""
 
-    __slots__ = ("source", "target", "components")
-
-    def __init__(self, source: ChainComplex, target: ChainComplex,
-                 components=None):
-        self.source = source
-        self.target = target
-        comps = {}
-        lo = min(source.lo, target.lo) - 1
-        hi = max(source.hi, target.hi)
-        for m in range(lo, hi + 1):
-            h = (components or {}).get(m)
-            if h is None:
-                h = LaurentMatrix.zero(source.ring, target.rank(m + 1),
-                                       source.rank(m))
-            if h.rows != target.rank(m + 1) or h.cols != source.rank(m):
-                raise ShapeError(
-                    f"homotopy at degree {m} has shape {h.rows}x{h.cols}, "
-                    f"expected {target.rank(m + 1)}x{source.rank(m)}")
-            comps[m] = h
-        self.components = comps
+    __slots__ = ()
+    SHIFT = 1
+    KIND = PART = "homotopy"
 
     @classmethod
     def zero(cls, c: ChainComplex):
         return cls(c, c)
-
-    def component(self, m: int) -> LaurentMatrix:
-        h = self.components.get(m)
-        if h is None:
-            return LaurentMatrix.zero(self.source.ring,
-                                      self.target.rank(m + 1),
-                                      self.source.rank(m))
-        return h
 
 
 # -- homology -----------------------------------------------------------------
@@ -475,18 +456,9 @@ def cone(f: ChainMap):
     ranks = {m: b.rank(m) + a.rank(m - 1) for m in range(lo, hi + 1)}
     diffs = {}
     for m in range(lo + 1, hi + 1):
-        db = b.diff(m)
-        da = a.diff(m - 1)
-        fm = f.component(m - 1)
-        z = LaurentMatrix.zero(ring, da.rows, db.cols)
-        diffs[m] = LaurentMatrix.block(ring, [[db, fm], [z, -da]])
+        diffs[m] = LaurentMatrix.block(ring, [
+            [b.diff(m), f.component(m - 1)], [None, -a.diff(m - 1)]])
     cc = ChainComplex(ring, a.base, lo, hi, ranks, diffs)
-    incl = ChainMap(b, cc, {
-        m: LaurentMatrix.block(ring, [
-            [LaurentMatrix.identity(ring, b.rank(m))],
-            [LaurentMatrix.zero(ring, a.rank(m - 1), b.rank(m))],
-        ])
-        for m in b.degrees()})
     shifted = a.shift(1)
     proj = ChainMap(cc, shifted, {
         m: LaurentMatrix.block(ring, [[
@@ -494,7 +466,20 @@ def cone(f: ChainMap):
             LaurentMatrix.identity(ring, a.rank(m - 1)),
         ]])
         for m in range(lo, hi + 1)})
-    return cc, incl, proj
+    return cc, inclusion(b, cc), proj
+
+
+def inclusion(small: ChainComplex, big: ChainComplex) -> ChainMap:
+    """The inclusion of ``small`` as the leading summands of ``big`` in
+    every degree: the identity over a zero block."""
+    ring = small.ring
+    return ChainMap(small, big, {
+        m: LaurentMatrix.block(ring, [
+            [LaurentMatrix.identity(ring, small.rank(m))],
+            [LaurentMatrix.zero(ring, big.rank(m) - small.rank(m),
+                                small.rank(m))],
+        ])
+        for m in big.degrees()})
 
 
 def is_quasi_iso(f: ChainMap) -> bool:

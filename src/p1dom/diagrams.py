@@ -121,18 +121,12 @@ def hypercohomology(d: ComplexDiagram) -> ChainComplex:
              for n in range(lo, hi + 1)}
     diffs = {}
     for n in range(lo + 1, hi + 1):
-        dm = d.minus.diff(n)
-        dp = d.plus.diff(n)
-        dmid = d.mid.diff(n + 1)
-        mu_m = d.from_minus.component(n)
-        mu_p = d.from_plus.component(n)
-        z = LaurentMatrix.zero
-        grid = [
-            [dm, z(ring, dm.rows, dp.cols), z(ring, dm.rows, dmid.cols)],
-            [z(ring, dp.rows, dm.cols), dp, z(ring, dp.rows, dmid.cols)],
-            [-mu_m, mu_p, -dmid],
-        ]
-        diffs[n] = LaurentMatrix.block(ring, grid)
+        diffs[n] = LaurentMatrix.block(ring, [
+            [d.minus.diff(n), None, None],
+            [None, d.plus.diff(n), None],
+            [-d.from_minus.component(n), d.from_plus.component(n),
+             -d.mid.diff(n + 1)],
+        ])
     return ChainComplex(ring, d.base, lo, hi, ranks, diffs)
 
 
@@ -143,22 +137,18 @@ def phi_star(phi: DiagramMap) -> ChainMap:
     ring = src.ring
     comps = {}
     for n in range(min(src.lo, tgt.lo), max(src.hi, tgt.hi) + 1):
-        fm = phi.on_minus.component(n)
-        fp = phi.on_plus.component(n)
-        fmid = phi.on_mid.component(n + 1)
-        z = LaurentMatrix.zero
-        grid = [
-            [fm, z(ring, fm.rows, fp.cols), z(ring, fm.rows, fmid.cols)],
-            [z(ring, fp.rows, fm.cols), fp, z(ring, fp.rows, fmid.cols)],
-            [z(ring, fmid.rows, fm.cols), z(ring, fmid.rows, fp.cols), fmid],
-        ]
-        comps[n] = LaurentMatrix.block(ring, grid)
+        comps[n] = LaurentMatrix.block(ring, [
+            [phi.on_minus.component(n), None, None],
+            [None, phi.on_plus.component(n), None],
+            [None, None, phi.on_mid.component(n + 1)],
+        ])
     return ChainMap(src, tgt, comps)
 
 
 def sections_matrix(d: ComplexDiagram, n: int) -> LaurentMatrix:
     """The level-n map (-mu_minus | mu_plus): minus_n + plus_n -> mid_n."""
-    return (-d.from_minus.component(n)).hstack(d.from_plus.component(n))
+    return LaurentMatrix.block(d.ring, [[-d.from_minus.component(n),
+                                         d.from_plus.component(n)]])
 
 
 def levelwise_h1_trivial(d: ComplexDiagram) -> bool:
@@ -200,11 +190,8 @@ def sections_complex(d: ComplexDiagram):
     ranks = {n: kernels[n].cols for n in range(lo, hi + 1)}
     diffs = {}
     for n in range(lo + 1, hi + 1):
-        dm = d.minus.diff(n)
-        dp = d.plus.diff(n)
-        z1 = LaurentMatrix.zero(ring, dm.rows, dp.cols)
-        z2 = LaurentMatrix.zero(ring, dp.rows, dm.cols)
-        block = LaurentMatrix.block(ring, [[dm, z1], [z2, dp]])
+        block = LaurentMatrix.block(ring, [[d.minus.diff(n), None],
+                                           [None, d.plus.diff(n)]])
         image = block @ kernels[n]
         diffs[n] = kernel_coordinates(kernels[n - 1], image)
     h0 = ChainComplex(ring, d.base, lo, hi, ranks, diffs)

@@ -656,6 +656,12 @@ def verify_theorem(c: ChainComplex) -> TheoremReport:
     over Z no Novikov search runs, and a non-complex is a ShapeError, not
     a FAIL.  The homology over K[x,x^-1] is computed once and serves the
     verdict, the FAIL detail and the ledger.
+
+    A PASS reports one check, ``ledger-equation``: the audit ``_witness``
+    makes, which raises StabilisationFailureError when it fails.  Nothing
+    else can fail once the witness exists: W has ranks counted over the
+    degree span of C, so it is strictly perfect, and ``_witness`` runs
+    only on an all-torsion report, whose total K-dimension is finite.
     """
     mid = _valid_homology(c)
     verdict = _novikov_field(c, mid)
@@ -667,21 +673,8 @@ def verify_theorem(c: ChainComplex) -> TheoremReport:
                 f"{r} in degree {q}" for q, r in sorted(free.items()))),)
         return TheoremReport("FAIL", verdict, checks)
     witness = _witness(c, mid)
-    checks = []
-    w = witness.w
-    bounded = w.hi - w.lo < 10 ** 9
-    checks.append(TheoremCheck(
-        "witness-strict-perfect", bounded and all(
-            r >= 0 for r in w.ranks.values()),
-        f"ranks {sorted(witness.w_ranks().items())}"))
-    total = mid.total_kdim()
-    checks.append(TheoremCheck(
-        "finite-total-homology", total is not None,
-        f"total dim_K = {total}"))
-    checks.append(TheoremCheck(
-        "ledger-equation", witness.ledger_holds,
+    checks = (TheoremCheck(
+        "ledger-equation", True,
         "largest chart valuation: plus {}, minus {}".format(
-            *witness.largest_valuations())))
-    verdict_str = "PASS" if all(ch.passed for ch in checks) else "FAIL"
-    return TheoremReport(verdict_str, verdict, tuple(checks), witness)
-
+            *witness.largest_valuations())),)
+    return TheoremReport("PASS", verdict, checks, witness)

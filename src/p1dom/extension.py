@@ -82,7 +82,11 @@ class ExtensionResult:
     """A complex on the projective line restricting to the input."""
 
     sheaf: SheafComplex
-    profile: dict              # degree -> (k, l)
+
+    @property
+    def profile(self) -> dict:
+        """degree -> (k, l): ``SheafComplex.twist_profile`` of the sheaf."""
+        return self.sheaf.twist_profile()
 
 
 def extend_complex(c: ChainComplex) -> ExtensionResult:
@@ -100,14 +104,13 @@ _UNTWISTED = TwistSummand(0, 0)
 def extend_valid_complex(c: ChainComplex) -> ExtensionResult:
     """``extend_complex`` of a K[x,x^-1]-complex whose d.d = 0 the caller
     has already checked."""
-    profile = {c.hi: (0, 0)}
+    split = (0, 0)
     twists = {c.hi: (_UNTWISTED,) * c.rank(c.hi)}
     for m in range(c.hi - 1, c.lo - 1, -1):
-        shift = twist_shift(c.diffs[m + 1], (_UNTWISTED,) * c.rank(m),
-                            twists[m + 1])
-        profile[m] = shift or profile[m + 1]
-        twists[m] = (TwistSummand(*profile[m]),) * c.rank(m)
-    return ExtensionResult(SheafComplex(c, twists), profile)
+        split = twist_shift(c.diffs[m + 1], (_UNTWISTED,) * c.rank(m),
+                            twists[m + 1]) or split
+        twists[m] = (TwistSummand(*split),) * c.rank(m)
+    return ExtensionResult(SheafComplex(c, twists))
 
 
 def restrict_to_torus(s: SheafComplex) -> ChainComplex:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 
-from .complexes import ChainComplex, ChainMap, Homotopy, cone
+from .complexes import ChainComplex, ChainMap, Homotopy, cone, inclusion
 from .diagrams import ComplexDiagram, DiagramMap
 from .laurent import BaseRing, LaurentPoly
 from .matrices import LaurentMatrix
@@ -229,9 +229,9 @@ def quasi_iso_inflation(rng, diagram: ComplexDiagram, span=1):
                  null_homotopic_map(rng, a_plus, a_mid, span)))
     phi = DiagramMap(
         diagram, big,
-        _inclusion(diagram.minus, big.minus),
-        _inclusion(diagram.mid, big.mid),
-        _inclusion(diagram.plus, big.plus))
+        inclusion(diagram.minus, big.minus),
+        inclusion(diagram.mid, big.mid),
+        inclusion(diagram.plus, big.plus))
     return big, phi
 
 
@@ -240,28 +240,10 @@ def _sum_map(f: ChainMap, a_src: ChainComplex, a_tgt: ChainComplex,
     src = f.source.direct_sum(a_src)
     tgt = f.target.direct_sum(a_tgt)
     ring = f.source.ring
-    comps = {}
-    for m in src.degrees():
-        fm = f.component(m)
-        gm = g.component(m)
-        comps[m] = LaurentMatrix.block(ring, [
-            [fm, LaurentMatrix.zero(ring, fm.rows, gm.cols)],
-            [LaurentMatrix.zero(ring, gm.rows, fm.cols), gm],
-        ])
-    return ChainMap(src, tgt, comps)
-
-
-def _inclusion(small: ChainComplex, big: ChainComplex) -> ChainMap:
-    ring = small.ring
-    comps = {}
-    for m in big.degrees():
-        r_small = small.rank(m)
-        r_big = big.rank(m)
-        comps[m] = LaurentMatrix.block(ring, [
-            [LaurentMatrix.identity(ring, r_small)],
-            [LaurentMatrix.zero(ring, r_big - r_small, r_small)],
-        ])
-    return ChainMap(small, big, comps)
+    return ChainMap(src, tgt, {
+        m: LaurentMatrix.block(ring, [[f.component(m), None],
+                                      [None, g.component(m)]])
+        for m in src.degrees()})
 
 
 def random_retract_witness(rng, ring, span=1):
@@ -275,6 +257,6 @@ def random_retract_witness(rng, ring, span=1):
         LaurentMatrix.identity(ring, c.rank(m)),
         LaurentMatrix.zero(ring, c.rank(m), acy.rank(m)),
     ]]) for m in d.degrees()})
-    s = _inclusion(c, d)
+    s = inclusion(c, d)
     h = Homotopy.zero(c)
     return d, r, s, h

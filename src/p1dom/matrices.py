@@ -64,20 +64,29 @@ class LaurentMatrix:
 
     @classmethod
     def block(cls, ring, grid):
-        """Assemble from a 2d grid of LaurentMatrix blocks."""
-        row_heights = [grid[i][0].rows for i in range(len(grid))]
-        col_widths = [grid[0][j].cols for j in range(len(grid[0]))]
-        for i, brow in enumerate(grid):
-            for j, b in enumerate(brow):
-                if b.rows != row_heights[i] or b.cols != col_widths[j]:
-                    raise ShapeError("ragged block grid")
+        """Assemble from a 2d grid of LaurentMatrix blocks, None being a
+        zero block sized by the other blocks of its block row and column.
+
+        ShapeError for a ragged grid (block rows of different lengths, or
+        blocks whose shapes disagree along a block row or column) and for
+        a block row or column with no sized block.
+        """
+        if any(len(brow) != len(grid[0]) for brow in grid):
+            raise ShapeError("ragged block grid")
+        heights = [_block_size("row", i, {b.rows for b in brow
+                                          if b is not None})
+                   for i, brow in enumerate(grid)]
+        widths = [_block_size("column", j, {b.cols for b in bcol
+                                             if b is not None})
+                  for j, bcol in enumerate(zip(*grid))]
+        z = LaurentPoly.zero(ring)
         entries = []
-        for i, brow in enumerate(grid):
-            for r in range(row_heights[i]):
-                entries.append(
-                    [b.entries[r][c] for b in brow for c in range(b.cols)]
-                )
-        return cls(ring, sum(row_heights), sum(col_widths), entries)
+        for brow, height in zip(grid, heights):
+            for r in range(height):
+                entries.append([p for b, width in zip(brow, widths)
+                                for p in (b.entries[r] if b is not None
+                                          else [z] * width)])
+        return cls(ring, sum(heights), sum(widths), entries)
 
     # -- access -----------------------------------------------------------
 
@@ -182,14 +191,6 @@ class LaurentMatrix:
                         f"entry ({i},{j}) = {p} violates {base.tag}"
                     )
 
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise ShapeError("row counts differ")
-        return LaurentMatrix(
-            self.ring, self.rows, self.cols + other.cols,
-            [list(self.entries[i]) + list(other.entries[i])
-             for i in range(self.rows)])
-
     def submatrix(self, row_idx, col_idx):
         return LaurentMatrix(
             self.ring, len(row_idx), len(col_idx),
@@ -234,6 +235,14 @@ class LaurentMatrix:
         body = "; ".join(
             ", ".join(str(p) for p in row) for row in self.entries)
         return f"[{body}]"
+
+
+def _block_size(kind, index, sizes):
+    """The one size of block ``kind`` ``index`` of ``LaurentMatrix.block``."""
+    if len(sizes) != 1:
+        raise ShapeError(f"block {kind} {index} has no sized block"
+                         if not sizes else "ragged block grid")
+    return sizes.pop()
 
 
 class ScalarMatrix:

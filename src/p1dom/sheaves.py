@@ -365,13 +365,17 @@ class SheafComplex:
         return self.mid.degrees()
 
     def twist_profile(self):
-        """degree -> (k, l) when every level has one uniform twist split."""
+        """degree -> (k, l) when every level has one uniform twist split;
+        an empty level has the split of the level above it, and an empty
+        top level (0, 0), as ``extend_complex`` carries a twist through a
+        zero differential."""
         profile = {}
-        for m, ts in self.twists.items():
-            splits = {(t.k, t.l) for t in ts}
+        split = (0, 0)
+        for m in sorted(self.twists, reverse=True):
+            splits = {(t.k, t.l) for t in self.twists[m]}
             if len(splits) > 1:
                 raise ShapeError(f"level {m} mixes twist splits")
-            profile[m] = splits.pop() if splits else (0, 0)
+            split = profile[m] = splits.pop() if splits else split
         return profile
 
     def twist(self, n: int, k: int | None = None) -> "SheafComplex":

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from p1dom import complexes
 from p1dom import fileformat as ff
 from p1dom.cli import (COMMANDS, HANDLERS, PARSER, _apply_presets,
                        main)
@@ -158,8 +159,23 @@ def test_extend_h0_pipeline(xm1_file, tmp_path, capsys):
     assert open(w_path).read() == open(again).read()
 
 
+def test_novikov_renders_its_certificates_only_for_a_report(monkeypatch,
+                                                          capsys):
+    calls = []
+    factors = complexes.invariant_factors
+    monkeypatch.setattr(complexes, "invariant_factors",
+                        lambda d: calls.append(d) or factors(d))
+    sample = os.path.join(SAMPLES, "q-denominators.cplx")
+    assert main(["novikov", sample, "--format", "human"]) == 0
+    assert capsys.readouterr().out == "x-side: yes\nx^-1-side: yes\n"
+    assert calls == []
+    assert main(["novikov", sample, "--format", "report"]) == 0
+    assert len(calls) == 2
+
+
 def test_extend_prints_the_twist_profile_it_writes(tmp_path, capsys):
-    # degree 1 has rank 0; its level has no summands, so it is untwisted
+    # degree 1 has rank 0; its empty level has the split of degree 2, as
+    # the twist is carried through the zero differentials
     x3 = M(QQ, [[[(0, -1), (3, 1)]]])
     c = ChainComplex(QQ, BaseRing.LAURENT, 0, 3, {0: 1, 1: 0, 2: 1, 3: 1},
                      {3: x3})
@@ -168,12 +184,12 @@ def test_extend_prints_the_twist_profile_it_writes(tmp_path, capsys):
     ff.save_path(path, ff.complex_to_dict(c))
     assert main(["extend", str(path)]) == 0
     assert capsys.readouterr().out == (
-        "twist profile: 0:(k=3,l=0), 1:(k=0,l=0), 2:(k=3,l=0), "
+        "twist profile: 0:(k=3,l=0), 1:(k=3,l=0), 2:(k=3,l=0), "
         "3:(k=0,l=0)\n")
     assert main(["extend", str(path), "--out", str(sheaf)]) == 0
     written = json.loads(sheaf.read_text())["twist_profile"]
     assert [(t["degree"], t["k"], t["l"]) for t in written] == [
-        (0, 3, 0), (1, 0, 0), (2, 3, 0), (3, 0, 0)]
+        (0, 3, 0), (1, 3, 0), (2, 3, 0), (3, 0, 0)]
 
 
 def _complex_file(tmp_path, base, cell):

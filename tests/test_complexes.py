@@ -4,12 +4,13 @@ from fractions import Fraction
 import pytest
 
 from p1dom.complexes import (ChainComplex, ChainMap, Homotopy, cone,
-                             homology, is_acyclic, is_quasi_iso,
+                             homology, inclusion, is_acyclic, is_quasi_iso,
                              verify_homotopy_retract)
-from p1dom.errors import RingMismatchError, UnsupportedRingError
-from p1dom.generators import (basis_change, random_complex,
-                              random_invertible, random_invertible_pair,
-                              random_retract_witness, random_ring)
+from p1dom.errors import RingMismatchError, ShapeError, UnsupportedRingError
+from p1dom.generators import (basis_change, null_homotopic_map,
+                              random_complex, random_invertible,
+                              random_invertible_pair, random_retract_witness,
+                              random_ring)
 from p1dom.laurent import BaseRing, LaurentPoly
 from p1dom.matrices import LaurentMatrix
 from p1dom.scalars import GF, QQ, ZZ
@@ -193,6 +194,67 @@ def test_direct_sum_ranks_add():
     for m in s.degrees():
         assert s.rank(m) == a.rank(m) + b.rank(m)
     assert s.validate() == []
+
+
+def test_block_sizes_none_from_its_block_row_and_column():
+    a = M(QQ, [[1, 2]])
+    b = M(QQ, [[3], [[(1, 4)]]])
+    c = M(QQ, [[5, 6, 7]])
+    z = LaurentMatrix.zero
+    got = LaurentMatrix.block(QQ, [[a, None, None], [None, b, None],
+                                   [None, None, c]])
+    assert (got.rows, got.cols) == (4, 6)
+    assert got == LaurentMatrix.block(QQ, [
+        [a, z(QQ, 1, 1), z(QQ, 1, 3)],
+        [z(QQ, 2, 2), b, z(QQ, 2, 3)],
+        [z(QQ, 1, 2), z(QQ, 1, 1), c]])
+    # a block row of height 0 sizes its None blocks as 0 rows
+    got = LaurentMatrix.block(QQ, [[z(QQ, 0, 2), None], [None, b]])
+    assert got == LaurentMatrix.block(QQ, [[z(QQ, 2, 2), b]])
+
+
+def test_block_rejects_a_ragged_or_unsized_grid():
+    a = M(QQ, [[1, 2]])
+    b = M(QQ, [[3], [4]])
+    with pytest.raises(ShapeError, match="ragged block grid"):
+        LaurentMatrix.block(QQ, [[a, None], [b]])
+    with pytest.raises(ShapeError, match="ragged block grid"):
+        LaurentMatrix.block(QQ, [[a], [b]])
+    with pytest.raises(ShapeError, match="block row 1 has no sized block"):
+        LaurentMatrix.block(QQ, [[a, b.submatrix([0], [0])], [None, None]])
+    with pytest.raises(ShapeError,
+                       match="block column 1 has no sized block"):
+        LaurentMatrix.block(QQ, [[a, None], [M(QQ, [[1, 1]]), None]])
+
+
+def test_cone_returns_the_inclusion_of_its_target():
+    rng = random.Random(29)
+    for ring in (QQ, GF(7)):
+        for _ in range(10):
+            a = random_complex(rng, ring, 3, 3)
+            b = random_complex(rng, ring, 3, 3)
+            cc, incl, _ = cone(null_homotopic_map(rng, a, b))
+            ref = inclusion(b, cc)
+            # ChainMap has no __eq__: compare ends and components
+            assert (incl.source, incl.target) == (ref.source, ref.target)
+            assert incl.components == ref.components
+            assert incl.is_valid
+
+
+def test_homotopy_fills_a_missing_component_with_a_shifted_zero():
+    c = two_term(QQ, [(1, 1)])
+    d = ChainComplex(QQ, BaseRing.LAURENT, 0, 2, {0: 2, 1: 3, 2: 1})
+    h = Homotopy(c, d)
+    for m in range(-3, 5):
+        assert h.component(m) == LaurentMatrix.zero(QQ, d.rank(m + 1),
+                                                    c.rank(m))
+    assert (h.component(0).rows, h.component(0).cols) == (3, 1)
+    with pytest.raises(ShapeError, match="homotopy at degree 0 has shape "
+                                         "1x1, expected 3x1"):
+        Homotopy(c, d, {0: M(QQ, [[1]])})
+    with pytest.raises(RingMismatchError,
+                       match="homotopy between different rings"):
+        Homotopy(c, two_term(GF(7), [(1, 1)]))
 
 
 def test_direct_sum_ring_mismatch():

@@ -10,7 +10,7 @@ from p1dom.extension import (extend_complex, extend_cone, extend_morphism,
 from p1dom.generators import random_complex, random_ring
 from p1dom.laurent import BaseRing
 from p1dom.matrices import LaurentMatrix
-from p1dom.scalars import QQ
+from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import cech_cohomology, twisting_sheaf
 
 from helpers import M, P, two_term
@@ -108,6 +108,24 @@ def test_extend_complex_zero_matrix_propagates():
                      {2: x2, 1: LaurentMatrix.zero(QQ, 1, 1)})
     ext = extend_complex(c)
     assert ext.profile == {2: (0, 0), 1: (2, 0), 0: (2, 0)}
+
+
+def test_extend_complex_carries_a_twist_through_an_empty_level():
+    # ranks 0/1/1 and d_2 = x - 1, samples/empty-level.cplx
+    c = ChainComplex(QQ, BaseRing.LAURENT, 0, 2, {0: 0, 1: 1, 2: 1},
+                     {2: M(QQ, [[[(0, -1), (1, 1)]]])})
+    ext = extend_complex(c)
+    assert ext.profile == ext.sheaf.twist_profile() == {
+        2: (0, 0), 1: (1, 0), 0: (1, 0)}
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(7), ZZ], ids=lambda r: r.tag)
+def test_extension_profile_is_the_sheaf_twist_profile(ring):
+    rng = random.Random(f"profile/{ring.tag}")
+    for _ in range(80):
+        ext = extend_complex(random_complex(rng, ring, max_length=4,
+                                            max_rank=3, span=3))
+        assert ext.profile == ext.sheaf.twist_profile()
 
 
 def test_extend_complex_requires_valid_input():

@@ -12,7 +12,11 @@ the truncation orders in the witness keys; before that rewrite every new
 report was checked to equal the old one with ``plus_order``,
 ``minus_order`` and ``stabilisation_heuristic`` replaced by
 ``chart_valuations`` and the ``ledger-equation`` detail by the largest
-valuation on each side.
+valuation on each side.  The verify digests were rewritten once more
+when a PASS dropped its two checks that cannot fail
+(``witness-strict-perfect`` and ``finite-total-homology``); every new
+verify report was checked to equal the old one without them, and the
+dominate digests did not move.
 
 After a declared change to the reports, print the new digests with
 
@@ -35,40 +39,40 @@ PER_RING = 80
 
 DIGESTS = {
     "Q/1": (
-        "ae2c5f84152b6c72cf617603820adc6ce8c56e490b814f37d7c73c54df49bf8a",
+        "9640a05712f5362e8fb69f82e16f20822061c4d631911f5ac7f64fc904b56036",
         "a5af9dc10ffc8a7f21aa703f13ba70af656806ccd76fd9e17e6c8587c434b73a"),
     "Q/2": (
-        "7bc2561e1b04b8aedb230baf5c05fba45c42ee0f56f0db8c8dda4b697ac25922",
+        "8ed778c332a67af38670726cb160fc208e5b94a44ffaf6f4c0fcfb4bb1ff4bd0",
         "0fbe82592d4c3dad2d682f6548952d2534dc963b3b7eee71f586fb100cecd239"),
     "Q/3": (
-        "002f05ac36c1f26af8730d65078227de793bd6d0b51068f86a9576418fc3bc94",
+        "050238144adbf46db0f71d2bdf06262690807c1e0b9a45b46d4d435d9e50ff2a",
         "9412207957d6f2ea9347cc1403611688487e51e99acd8cb82226462da5a211d1"),
     "Q/4": (
-        "a92e7c2d9fdafc609427451e8f076770849e98b5bae4eb0bf5a79b727b1c770d",
+        "79c25aed17c2aadf1a14281387160bbe984f3bfb356e07c091e155ae180d924c",
         "de229bc6d587ff4001467d12772c1d95c6026db8c1049908c7ac5824374abf39"),
     "GF(7)/1": (
-        "1134ec55124edf865dcfce652a4b199393d8ec40a79b87e9f4efef992cb80c5b",
+        "303bc053a0b047ae9082d4e5dc1bf076f1701b139f171e09b43a94581ac582be",
         "04976ab75c8f60b283b88e829558e5c28d37fc478cadad7e44f30ee03b53dacb"),
     "GF(7)/2": (
-        "0959be8b3f723ed187b2cf861f5502880c54b5ca05a222ee1f380667b581f60c",
+        "a1317ad4539536cb86c3ea3fcf77f0aed2cbf37d14c16b9a145d17cf868acca4",
         "e8714221e98d7f7c3ac92677e44d69f9a3f91e55818803e87a31a3506c0b6399"),
     "GF(7)/3": (
-        "a2102919e7562298c32d816586fa7c4cde2028907c88bd4e9b9f864f60216e68",
+        "7e41fcd33020ea953972e41edc0a695a30d4755f19655e7a71bab318b4c06078",
         "6dde8d5f08a64eff73933f82aa34d3d33fdea5c8a0d362f53cee674e41ae69f5"),
     "GF(7)/4": (
-        "306b1890e3f8b25496452c8587bdbfe79262eb6ebcf92d94f1e104af28495d90",
+        "60c316174960bfff626f0efe4f0e1200869ecb4e3e37657bbd3aaa26c67f33d3",
         "eb82b401c888128b56934de0217acfda552018cac917f1cd7be74acecde73140"),
     "GF(10007)/1": (
-        "0e028de0523c5e95a48a6ef1ab62545e42fb638aef9ceb837a07f86a7a8293d8",
+        "a599c8a13e0e9122eda658e0c459faf829b5d4990ce8de1ee053b58ff7b5e835",
         "7873efa86cbd57a8d019c58577359386b71800a1758992cc20637e8fde7a4902"),
     "GF(10007)/2": (
-        "70470d41ddf8c04cdafbcc1ac93c16c2c16e7d06a43681df5edf98e1ea57c655",
+        "d7ecf437ff2672bd4442a2ccd44eede75272d856592463586d617c1bcc11ff5a",
         "18d136ae9887bc05989b903715fbc349e0811504e4dcbb96c0446c4725e72310"),
     "GF(10007)/3": (
-        "53c4a9ff77501121e97f0d4c9bd90a0c1fa37513f2c6093f95e6bc7a79104e52",
+        "38aebe6d0494372df006d36bb633e10df8dac0860ff22203c089e93f254f16d5",
         "ea0f2ea4ac17242133f3e21cedd496e737ece9d3348fb029989b689daae7d579"),
     "GF(10007)/4": (
-        "a8e0d7270af3cb516d3bb2df95fd724c143489a3ebebdbfa595f811576faa081",
+        "91b046f48a47251704a0853f7fae9454b9da3b358f07693c5b9a38784abcfee7",
         "aa7f84d221357e3e996870c1bae09b9209fd2445a9f3ce828e3defcf4bca84cf"),
 }
 

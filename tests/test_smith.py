@@ -174,7 +174,7 @@ def test_kernel_basis_spans_kernel(seed, ring, rows, cols, shape):
             e_j = LaurentMatrix.identity(ring, cols).submatrix(
                 range(cols), [j])
             with pytest.raises(ShapeError, match=f"column {k.cols} "):
-                kernel_coordinates(k, k.hstack(e_j))
+                kernel_coordinates(k, LaurentMatrix.block(ring, [[k, e_j]]))
             break
 
 
