@@ -14,7 +14,7 @@ from .complexes import (ChainComplex, ChainMap, Homotopy, HomologyReport,
                         cone, homology, is_acyclic, is_quasi_iso,
                         verify_homotopy_retract)
 from .diagrams import (ComplexDiagram, DiagramMap, hypercohomology, iota,
-                       iota_is_quasi_iso, phi_star, ses_check)
+                       phi_star, ses_check)
 from .domination import (DominationWitness, FpqcModel, NovikovVerdict,
                          TheoremReport, dominate, fpqc_hyper, novikov_check,
                          verify_theorem)

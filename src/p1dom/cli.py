@@ -216,9 +216,11 @@ def _read_back(load, data):
         ) from None
 
 
-def _emit(args, human_lines, report_obj):
+def _emit(args, human_lines, report):
+    """Write ``human_lines``, or with --format report the canonical JSON
+    of ``report()``: a report dict is built only when it is written."""
     if args.format == "report":
-        text = ff.dumps_canonical(report_obj)
+        text = ff.dumps_canonical(report())
     else:
         text = "\n".join(human_lines) + "\n"
     _write(args, text)
@@ -275,29 +277,28 @@ def _check_ring_flag(args, header_tag):
 def cmd_validate(args):
     c = _load_complex(args)
     problems = c.validate()
-    report = {"command": "validate", "input_digest": args.input_digest,
-              "valid": not problems, "violations": problems}
-    _emit(args, ["ok"] if not problems else problems, report)
+    _emit(args, ["ok"] if not problems else problems, lambda: {
+        "command": "validate", "input_digest": args.input_digest,
+        "valid": not problems, "violations": problems})
     return EXIT_OK if not problems else EXIT_MATH_FAIL
 
 
 def cmd_homology(args):
     c = _load_valid_complex(args)
     rep = homology(c)
+    entries = sorted(rep.entries.items())
     lines = []
-    entries = []
-    for q in sorted(rep.entries):
-        e = rep.entries[q]
+    for q, e in entries:
         tors = ", ".join(str(f) for f in e.torsion) or "-"
         kdim = "inf" if e.kdim is None else e.kdim
         lines.append(f"H_{q}: free rank {e.free_rank}, torsion [{tors}], "
                      f"K-dim {kdim}")
-        entries.append({"degree": q, "free_rank": e.free_rank,
-                        "torsion": [str(f) for f in e.torsion],
-                        "kdim": None if e.kdim is None else e.kdim})
-    report = {"command": "homology", "input_digest": args.input_digest,
-              "ring": c.ring.tag, "entries": entries}
-    _emit(args, lines, report)
+    _emit(args, lines, lambda: {
+        "command": "homology", "input_digest": args.input_digest,
+        "ring": c.ring.tag, "entries": [
+            {"degree": q, "free_rank": e.free_rank,
+             "torsion": [str(f) for f in e.torsion], "kdim": e.kdim}
+            for q, e in entries]})
     return EXIT_OK
 
 
@@ -306,45 +307,46 @@ def cmd_novikov(args):
     verdict = novikov_check(c, order=args.trunc)
     lines = [f"x-side: {verdict.x_side.acyclic}",
              f"x^-1-side: {verdict.x_inv_side.acyclic}"]
-    report = None
-    if args.format == "report":
-        # the certificates are rendered on read: only a report reads them
-        report = {"command": "novikov", "input_digest": args.input_digest,
-                  "x_side": {
-                      "acyclic": verdict.x_side.acyclic,
-                      "method": verdict.x_side.method,
-                      "certificate": verdict.x_side.certificate},
-                  "x_inv_side": {
-                      "acyclic": verdict.x_inv_side.acyclic,
-                      "method": verdict.x_inv_side.method,
-                      "certificate": verdict.x_inv_side.certificate}}
-    _emit(args, lines, report)
+    # the certificates are rendered on read: only a report reads them
+    _emit(args, lines, lambda: {
+        "command": "novikov", "input_digest": args.input_digest,
+        "x_side": {
+            "acyclic": verdict.x_side.acyclic,
+            "method": verdict.x_side.method,
+            "certificate": verdict.x_side.certificate},
+        "x_inv_side": {
+            "acyclic": verdict.x_inv_side.acyclic,
+            "method": verdict.x_inv_side.method,
+            "certificate": verdict.x_inv_side.certificate}})
     return EXIT_OK
 
 
 def cmd_extend(args):
     c = _load_complex(args)
     ext = extend_complex(c)
-    data = ff.sheaf_to_dict(ext.sheaf)
     if args.format == "human" and not args.out:
         profile = ", ".join(
             f"{m}:(k={k},l={l})"
             for m, (k, l) in sorted(ext.sheaf.twist_profile().items()))
-        _emit(args, [f"twist profile: {profile}"], data)
+        _write(args, f"twist profile: {profile}\n")
         return EXIT_OK
-    _write_file(args, data)
+    _write_file(args, ff.sheaf_to_dict(ext.sheaf))
     return EXIT_OK
 
 
 def cmd_h0(args):
     s = _load_sheaf(args)
     w = cech_complex(s)
-    # W is sparse but its file is dense: the loader's rank check runs
-    # before any cell is written
-    _read_back(ff._read_degrees, {"degrees": [
-        {"degree": m, "rank": w.rank(m)} for m in w.degrees()]})
+    _check_w_ranks(w)
     _write_file(args, ff.complex_to_dict(w))
     return EXIT_OK
+
+
+def _check_w_ranks(w):
+    """W is sparse but its file is dense: the loader's rank check runs
+    before any cell is written."""
+    _read_back(ff._read_degrees, {"degrees": [
+        {"degree": m, "rank": w.rank(m)} for m in w.degrees()]})
 
 
 def cmd_hyper(args):
@@ -354,23 +356,14 @@ def cmd_hyper(args):
     for q in sorted(model.dims):
         lines.append(f"H_{q}: dim {model.dims[q]} "
                      f"(2N: {model.dims_double.get(q)})")
-    report = {"command": "hyper", "input_digest": args.input_digest,
-              "order": model.order,
-              "stabilised": model.stabilised,
-              "dims": {str(q): model.dims[q] for q in sorted(model.dims)},
-              "dims_double": {str(q): model.dims_double[q]
-                              for q in sorted(model.dims_double)}}
-    _emit(args, lines, report)
+    _emit(args, lines, lambda: {
+        "command": "hyper", "input_digest": args.input_digest,
+        "order": model.order,
+        "stabilised": model.stabilised,
+        "dims": {str(q): model.dims[q] for q in sorted(model.dims)},
+        "dims_double": {str(q): model.dims_double[q]
+                        for q in sorted(model.dims_double)}})
     return EXIT_OK
-
-
-def _witness_report(args, witness, command):
-    return {
-        "command": command,
-        "input_digest": args.input_digest,
-        "w": ff.complex_to_dict(witness.w),
-        **witness.report_fields(),
-    }
 
 
 def cmd_dominate(args):
@@ -382,8 +375,18 @@ def cmd_dominate(args):
     for row in witness.ledger:
         lines.append(f"  degree {row.degree}: {row.w_dim} = "
                      f"{row.mid_kdim} + {row.plus_dim} + {row.minus_dim}")
-    _emit(args, lines, _witness_report(args, witness, "dominate"))
+    _emit(args, lines, lambda: _dominate_report(args, witness))
     return EXIT_OK
+
+
+def _dominate_report(args, witness):
+    _check_w_ranks(witness.w)
+    return {
+        "command": "dominate",
+        "input_digest": args.input_digest,
+        "w": ff.complex_to_dict(witness.w),
+        **witness.report_fields(),
+    }
 
 
 def cmd_verify(args):
@@ -393,10 +396,8 @@ def cmd_verify(args):
     for ch in report.checks:
         lines.append(f"  {ch.name}: {'ok' if ch.passed else 'FAIL'}"
                      + (f" ({ch.detail})" if ch.detail else ""))
-    data = report.to_dict()
-    data["command"] = "verify"
-    data["input_digest"] = args.input_digest
-    _emit(args, lines, data)
+    _emit(args, lines, lambda: {**report.to_dict(), "command": "verify",
+                                "input_digest": args.input_digest})
     return EXIT_OK if report.passed else EXIT_MATH_FAIL
 
 
@@ -422,19 +423,19 @@ def cmd_twist_cohomology(args):
     if coh.h1_basis:
         lines.append("H^1 basis: "
                      + ", ".join(f"x^{e}" for _, e in coh.h1_basis))
-    report = {"command": "twist-cohomology", "n": args.n, "r": args.r,
-              "k": args.k, "h0_dim": coh.h0_dim, "h1_dim": coh.h1_dim,
-              "h0_basis": [[i, e] for i, e in (coh.h0_basis or ())],
-              "h1_basis": [[i, e] for i, e in (coh.h1_basis or ())]}
-    _emit(args, lines, report)
+    _emit(args, lines, lambda: {
+        "command": "twist-cohomology", "n": args.n, "r": args.r,
+        "k": args.k, "h0_dim": coh.h0_dim, "h1_dim": coh.h1_dim,
+        "h0_basis": [[i, e] for i, e in (coh.h0_basis or ())],
+        "h1_basis": [[i, e] for i, e in (coh.h1_basis or ())]})
     return EXIT_OK
 
 
 def cmd_selftest(args):
     ok, lines = run_selftest(seed=args.seed)
-    report = {"command": "selftest", "seed": args.seed, "passed": ok,
-              "lines": lines}
-    _emit(args, lines + ["PASS" if ok else "FAIL"], report)
+    _emit(args, lines + ["PASS" if ok else "FAIL"], lambda: {
+        "command": "selftest", "seed": args.seed, "passed": ok,
+        "lines": lines})
     return EXIT_OK if ok else EXIT_MATH_FAIL
 
 

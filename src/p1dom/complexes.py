@@ -96,10 +96,6 @@ class ChainComplex:
         return d
 
     @property
-    def support(self):
-        return (self.lo, self.hi)
-
-    @property
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.ranks.values())
 
@@ -147,10 +143,6 @@ class ChainComplex:
                    for row in rows for col in cols):
                 problems.append(f"degree {m}: d.d != 0")
         return problems
-
-    @property
-    def is_valid(self) -> bool:
-        return not self.validate()
 
     # -- basic operations -----------------------------------------------------
 
@@ -240,10 +232,6 @@ class ChainMap(GradedMap):
         return cls(c, c, {m: LaurentMatrix.identity(c.ring, c.rank(m))
                           for m in c.degrees()})
 
-    @classmethod
-    def zero(cls, source, target):
-        return cls(source, target)
-
     def validate(self):
         problems = []
         lo = min(self.source.lo, self.target.lo)
@@ -255,10 +243,6 @@ class ChainMap(GradedMap):
                 problems.append(f"degree {m}: f.d != d.f")
         return problems
 
-    @property
-    def is_valid(self) -> bool:
-        return not self.validate()
-
 
 class Homotopy(GradedMap):
     """Degree +1 family h_m: source_m -> target_{m+1}."""
@@ -266,10 +250,6 @@ class Homotopy(GradedMap):
     __slots__ = ()
     SHIFT = 1
     KIND = PART = "homotopy"
-
-    @classmethod
-    def zero(cls, c: ChainComplex):
-        return cls(c, c)
 
 
 # -- homology -----------------------------------------------------------------
@@ -303,14 +283,6 @@ class HomologyReport:
     @property
     def all_torsion(self) -> bool:
         return all(e.free_rank == 0 for e in self.entries.values())
-
-    def total_kdim(self) -> int | None:
-        total = 0
-        for e in self.entries.values():
-            if e.kdim is None:
-                return None
-            total += e.kdim
-        return total
 
     def free_ranks(self) -> dict:
         return {q: e.free_rank for q, e in self.entries.items()

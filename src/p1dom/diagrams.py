@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import ChainComplex, ChainMap, is_quasi_iso
+from .complexes import ChainComplex, ChainMap
 from .errors import RingMismatchError, ShapeError
 from .matrices import LaurentMatrix
 from .smith import invariant_factors, kernel_basis, kernel_coordinates
@@ -63,16 +63,6 @@ class ComplexDiagram:
         problems += [f"from_plus: {p}" for p in self.from_plus.validate()]
         return problems
 
-    @property
-    def is_valid(self):
-        return not self.validate()
-
-    @classmethod
-    def constant(cls, c: ChainComplex):
-        """The diagram (C == C == C) with identity structure maps."""
-        ident = ChainMap.identity(c)
-        return cls(c, c, c, ident, ident)
-
 
 @dataclass(frozen=True)
 class DiagramMap:
@@ -101,10 +91,6 @@ class DiagramMap:
             if left != right:
                 problems.append(f"degree {m}: plus square does not commute")
         return problems
-
-    @property
-    def is_valid(self):
-        return not self.validate()
 
 
 def _hyper_support(d: ComplexDiagram):
@@ -210,28 +196,19 @@ def iota(d: ComplexDiagram) -> ChainMap:
     return incl
 
 
-def iota_is_quasi_iso(d: ComplexDiagram) -> bool:
-    return is_quasi_iso(iota(d))
-
-
-def ses_check(d: ComplexDiagram, hyper: ChainComplex | None = None) -> bool:
+def ses_check(d: ComplexDiagram) -> bool:
     """The natural short exact sequence of complexes
 
         0 -> mid[1] -> total -> minus (+) plus -> 0
 
     holds for the canonical totalisation exactly when that is a complex.
 
-    ``hyper``, when given, must equal ``hypercohomology(d)``, so a corrupted
-    differential is rejected.  The rest needs no computation: the total
-    differential is block lower triangular with diagonal blocks d_minus,
-    d_plus and -d_mid, so in each degree the inclusion of the mid block and
-    the projection onto the (minus, plus) blocks are split exact, and the
-    block form alone makes them commute with the differentials.  What can
-    fail is d.d = 0: its off-diagonal blocks are d mu - mu d for the two
-    structure maps, so the total is a complex exactly when the three
-    complexes are and both structure maps are chain maps.
+    The total differential is block lower triangular with diagonal blocks
+    d_minus, d_plus and -d_mid, so in each degree the inclusion of the mid
+    block and the projection onto the (minus, plus) blocks are split exact,
+    and the block form alone makes them commute with the differentials.
+    What can fail is d.d = 0: its off-diagonal blocks are d mu - mu d for
+    the two structure maps, so the total is a complex exactly when the
+    three complexes are and both structure maps are chain maps.
     """
-    canonical = hypercohomology(d)
-    if hyper is not None and hyper != canonical:
-        return False
-    return not canonical.validate()
+    return not hypercohomology(d).validate()

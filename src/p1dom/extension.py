@@ -65,10 +65,10 @@ def extend_morphism(z: SheafDiagram, y: SheafDiagram,
     if not (z.is_twist_sum and y.is_twist_sum):
         raise UnsupportedRingError(
             "morphism extension is implemented for sums of twists")
-    if f.rows != y.mid_rank or f.cols != z.mid_rank:
+    if f.rows != len(y.twists) or f.cols != len(z.twists):
         raise ShapeError(
             f"map has shape {f.rows}x{f.cols}, expected "
-            f"{y.mid_rank}x{z.mid_rank}")
+            f"{len(y.twists)}x{len(z.twists)}")
     k, l = twist_shift(f, y.twists, z.twists) or (0, 0)
     f_minus = f.monomial_scale([-k - t.k for t in y.twists],
                                [t.k for t in z.twists])

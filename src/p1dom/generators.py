@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 
-from .complexes import ChainComplex, ChainMap, Homotopy, cone, inclusion
+from .complexes import ChainComplex, ChainMap, Homotopy, inclusion
 from .diagrams import ComplexDiagram, DiagramMap
 from .laurent import BaseRing, LaurentPoly
 from .matrices import LaurentMatrix
@@ -47,13 +47,9 @@ def random_unit_monomial(rng, ring, span=1) -> LaurentPoly:
     return LaurentPoly.monomial(ring, rng.randint(-span, span)).scale(c)
 
 
-def random_invertible(rng, ring, n, ops=None, span=1) -> LaurentMatrix:
-    """Product of elementary operations: unit-monomial determinant."""
-    return random_invertible_pair(rng, ring, n, ops, span)[0]
-
-
 def random_invertible_pair(rng, ring, n, ops=None, span=1):
-    """(T, T^-1) for the T of ``random_invertible`` with the same draws.
+    """(T, T^-1) for a product T of elementary operations, whose
+    determinant is a unit monomial.
 
     T is built by row operations on the identity, and T^-1 alongside it by
     the inverse of each operation as a column operation, in the same
@@ -125,11 +121,12 @@ def basis_change(rng, c: ChainComplex, span=1) -> ChainComplex:
 
 
 def random_novikov_acyclic(rng, ring, max_rank=3, span=1) -> ChainComplex:
-    """Iterated cones of self-maps and torsion two-term pieces.
+    """Sums of torsion two-term pieces and two-term pieces of 1,
+    basis-changed.
 
     Torsion two-term complexes have nonzero differential (hence torsion
-    homology) and cones of identity maps are acyclic, so every output has
-    torsion homology in all degrees.
+    homology) and the two-term complex of 1 is acyclic, so every output
+    has torsion homology in all degrees.
     """
     pieces = []
     for _ in range(rng.randint(1, max_rank)):
@@ -139,10 +136,8 @@ def random_novikov_acyclic(rng, ring, max_rank=3, span=1) -> ChainComplex:
             pieces.append(ChainComplex.two_term(
                 ring, p, rng.randint(0, 2)))
         else:
-            base_piece = ChainComplex.single(ring, BaseRing.LAURENT,
-                                             rng.randint(0, 1), 1)
-            cc, _, _ = cone(ChainMap.identity(base_piece))
-            pieces.append(cc)
+            pieces.append(ChainComplex.two_term(
+                ring, LaurentPoly.one(ring), rng.randint(0, 1) + 1))
     total = pieces[0]
     for piece in pieces[1:]:
         total = total.direct_sum(piece)
@@ -205,16 +200,15 @@ def random_surjective_diagram(rng, ring, max_length=3, max_rank=3,
 def quasi_iso_inflation(rng, diagram: ComplexDiagram, span=1):
     """A diagram map with quasi-isomorphism components.
 
-    Direct-sums an acyclic diagram (cones of identities) onto the target
-    and includes the source; every component is a split injection with
-    acyclic cokernel, hence a quasi-isomorphism.
+    Direct-sums an acyclic diagram (two-term complexes of 1) onto the
+    target and includes the source; every component is a split injection
+    with acyclic cokernel, hence a quasi-isomorphism.
     """
     ring = diagram.ring
 
     def acyclic_like(c: ChainComplex) -> ChainComplex:
-        piece = ChainComplex.single(ring, c.base, rng.randint(c.lo, c.hi), 1)
-        cc, _, _ = cone(ChainMap.identity(piece))
-        return cc
+        return ChainComplex.two_term(ring, LaurentPoly.one(ring),
+                                     rng.randint(c.lo, c.hi) + 1, c.base)
 
     a_minus = acyclic_like(diagram.minus)
     a_mid = acyclic_like(diagram.mid)
@@ -250,13 +244,13 @@ def random_retract_witness(rng, ring, span=1):
     """(D, r, s, h) with id - r.s = d.h + h.d, from a basis-changed
     projection of C (+) acyclic onto C."""
     c = random_complex(rng, ring, 3, 2, span)
-    piece = ChainComplex.single(ring, c.base, rng.randint(c.lo, c.hi), 1)
-    acy, _, _ = cone(ChainMap.identity(piece))
+    acy = ChainComplex.two_term(ring, LaurentPoly.one(ring),
+                                rng.randint(c.lo, c.hi) + 1, c.base)
     d = c.direct_sum(acy)
     r = ChainMap(d, c, {m: LaurentMatrix.block(ring, [[
         LaurentMatrix.identity(ring, c.rank(m)),
         LaurentMatrix.zero(ring, c.rank(m), acy.rank(m)),
     ]]) for m in d.degrees()})
     s = inclusion(c, d)
-    h = Homotopy.zero(c)
+    h = Homotopy(c, c)
     return d, r, s, h

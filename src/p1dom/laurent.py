@@ -92,10 +92,6 @@ class LaurentPoly:
         return cls.from_entry(ring, (0, (ring.one(),)))
 
     @classmethod
-    def constant(cls, ring, value):
-        return cls(ring, {0: value})
-
-    @classmethod
     def monomial(cls, ring, exponent: int, coeff=1):
         return cls(ring, {exponent: coeff})
 

@@ -114,9 +114,6 @@ class CoefficientRing:
     def mul(self, a, b):
         return (a * b) % self.p if self.kind == "GF" else a * b
 
-    def neg(self, a):
-        return (-a) % self.p if self.kind == "GF" else -a
-
     def is_unit(self, a) -> bool:
         if self.kind == "Z":
             return a in (1, -1)

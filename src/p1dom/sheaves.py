@@ -121,12 +121,6 @@ class SheafDiagram:
         ident = LaurentMatrix.identity(ring, len(twists))
         return cls(ring, twists, ident, ident)
 
-    # -- shape --------------------------------------------------------------
-
-    @property
-    def mid_rank(self) -> int:
-        return len(self.twists)
-
     # -- the actual structure maps over the torus ----------------------------
 
     def mu_minus_torus(self) -> LaurentMatrix:
@@ -167,10 +161,6 @@ class SheafDiagram:
                                     "isomorphism over the torus")
                 maps.append((mu, det))
         return problems, maps
-
-    @property
-    def is_valid(self):
-        return not self.validate()
 
     def __eq__(self, other):
         if not isinstance(other, SheafDiagram):
@@ -236,13 +226,13 @@ def cech_cohomology(d: SheafDiagram) -> CechCohomology:
         h0 = []
         h1 = []
         for i, t in enumerate(d.twists):
-            if t.n >= 0:
-                h0.extend((i, e) for e in range(-t.l, t.k + 1))
-            elif t.n <= -2:
-                h1.extend((i, e) for e in range(t.k + 1, -t.l))
+            # the first range is empty unless n >= 0, the second unless
+            # n <= -2
+            h0.extend((i, e) for e in range(-t.l, t.k + 1))
+            h1.extend((i, e) for e in range(t.k + 1, -t.l))
         return CechCohomology(len(h0), len(h1), tuple(h0), tuple(h1))
     ring = d.ring
-    r = d.mid_rank
+    r = len(d.twists)
     # a valid general level has r >= 1: an empty one is a twist sum
     (mu_m, det_m), (mu_p, det_p) = maps
     e_m = det_m.mindeg
@@ -389,10 +379,6 @@ class SheafComplex:
 
     def validate(self):
         return [f"mid: {p}" for p in self.mid.validate()]
-
-    @property
-    def is_valid(self):
-        return not self.validate()
 
 
 def cech_complex(s: SheafComplex) -> ScalarComplex:

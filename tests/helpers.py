@@ -53,7 +53,7 @@ def diagram_with_a_non_chain_map(ring):
     c = two_term(ring, [(1, 1), (0, -1)])
     zero = ChainComplex.zero(ring)
     return ComplexDiagram(c, c, zero, ChainMap(c, c, {1: M(ring, [[1]])}),
-                          ChainMap.zero(zero, c))
+                          ChainMap(zero, c))
 
 
 def window_complex(c: ChainComplex, order: int) -> ScalarComplex:

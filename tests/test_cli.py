@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from p1dom import complexes
+from p1dom import complexes, domination
 from p1dom import fileformat as ff
 from p1dom.cli import (COMMANDS, HANDLERS, PARSER, _apply_presets,
                        main)
@@ -171,6 +171,32 @@ def test_novikov_renders_its_certificates_only_for_a_report(monkeypatch,
     assert calls == []
     assert main(["novikov", sample, "--format", "report"]) == 0
     assert len(calls) == 2
+
+
+def test_human_extend_builds_no_sheaf_dict(monkeypatch, capsys):
+    calls = []
+    real = ff.sheaf_to_dict
+    monkeypatch.setattr(ff, "sheaf_to_dict",
+                        lambda s: calls.append(s) or real(s))
+    sample = os.path.join(SAMPLES, "q-denominators.cplx")
+    assert main(["extend", sample]) == 0
+    assert capsys.readouterr().out.startswith("twist profile: ")
+    assert calls == []
+    assert main(["extend", sample, "--format", "report"]) == 0
+    assert len(calls) == 1
+
+
+def test_human_verify_builds_no_report_dict(monkeypatch, capsys):
+    calls = []
+    real = domination.TheoremReport.to_dict
+    monkeypatch.setattr(domination.TheoremReport, "to_dict",
+                        lambda r: calls.append(r) or real(r))
+    sample = os.path.join(SAMPLES, "q-denominators.cplx")
+    assert main(["verify", sample]) == 0
+    assert capsys.readouterr().out.startswith("PASS\n")
+    assert calls == []
+    assert main(["verify", sample, "--format", "report"]) == 0
+    assert len(calls) == 1
 
 
 def test_extend_prints_the_twist_profile_it_writes(tmp_path, capsys):

@@ -315,7 +315,7 @@ def test_derived_charts_match_dense_reference():
         for _ in range(3):
             a = random_complex(rng, ring, max_length=3, max_rank=2, span=2)
             v1, v2 = extend_complex(a).sheaf, extend_complex(a).sheaf
-            for omega in (ChainMap.identity(a), ChainMap.zero(a, a)):
+            for omega in (ChainMap.identity(a), ChainMap(a, a)):
                 sheaves.append(extend_cone(v1, v2, omega))
             b = ChainComplex.single(ring, BaseRing.LAURENT, 0, 2)
             omega = ChainMap(b, b, {0: random_matrix(rng, ring, 2, 2, 2)})
@@ -463,7 +463,7 @@ def test_morphism_extension_matches_dense_reference(seed, ring):
     rng = random.Random(seed)
     z = random_twist_sum(rng, ring, rng.randint(0, 3))
     y = random_twist_sum(rng, ring, rng.randint(0, 3))
-    f = random_matrix(rng, ring, y.mid_rank, z.mid_rank, 3)
+    f = random_matrix(rng, ring, len(y.twists), len(z.twists), 3)
     ext = extend_morphism(z, y, f)
     assert dense_extension_problems(z, y, f, ext) == []
     shift = twist_shift(f, y.twists, z.twists)
@@ -503,7 +503,7 @@ def _cone_cases(rng, ring):
     b = random_complex(rng, ring, max_length=3, max_rank=3, span=2,
                        lo=rng.randint(-1, 1))
     va, vb = extend_complex(a).sheaf, extend_complex(b).sheaf
-    return [(va, va, ChainMap.identity(a)), (va, vb, ChainMap.zero(a, b)),
+    return [(va, va, ChainMap.identity(a)), (va, vb, ChainMap(a, b)),
             (va, vb, null_homotopic_map(rng, a, b, span=2)),
             (vb, va, null_homotopic_map(rng, b, a, span=2))]
 

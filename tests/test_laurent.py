@@ -120,7 +120,7 @@ def test_named_constructors_reject_inexact_input():
     with pytest.raises(UnsupportedRingError, match="2.7"):
         LaurentPoly.monomial(ZZ, 0, 2.7)
     with pytest.raises(UnsupportedRingError, match="0.5"):
-        LaurentPoly.constant(GF(7), 0.5)
+        LaurentPoly(GF(7), {0: 0.5})
 
 
 @pytest.mark.parametrize("ring, coeff", [

@@ -128,6 +128,51 @@ def test_h0_checks_w_ranks_before_writing_any_cell(tmp_path, monkeypatch,
         f"rank 801 exceeds {ff.MAX_RANK} (at degrees[0].rank)\n")
 
 
+def _wide_witness_file(tmp_path):
+    """Ranks 1/2/1 with d_2 = [x^300 - 1; 0] and d_1 = [0, x^300 - 1]: a
+    file in bounds whose W has ranks 601/602/1, above MAX_RANK."""
+    f, zero = P(QQ, (300, 1), (0, -1)), P(QQ)
+    c = ChainComplex(QQ, BaseRing.LAURENT, 0, 2, {0: 1, 1: 2, 2: 1}, {
+        1: LaurentMatrix(QQ, 1, 2, [[zero, f]]),
+        2: LaurentMatrix(QQ, 2, 1, [[f], [zero]])})
+    path = tmp_path / "wide-witness.cplx"
+    ff.save_path(path, ff.complex_to_dict(c))
+    return str(path)
+
+
+def _complex_to_dict_calls(monkeypatch):
+    calls = []
+    real = ff.complex_to_dict
+    monkeypatch.setattr(ff, "complex_to_dict",
+                        lambda c: calls.append(c) or real(c))
+    return calls
+
+
+def test_human_dominate_builds_no_w_file(tmp_path, monkeypatch, capsys):
+    path = _wide_witness_file(tmp_path)
+    calls = _complex_to_dict_calls(monkeypatch)
+    assert main(["dominate", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "W ranks {0:601, 1:602, 2:1}"
+    assert calls == []
+
+
+def test_dominate_report_checks_w_ranks_before_writing_any_cell(
+        tmp_path, monkeypatch, capsys):
+    path = _wide_witness_file(tmp_path)
+    calls = _complex_to_dict_calls(monkeypatch)
+    out = tmp_path / "dominate.json"
+    args = ["dominate", path, "--format", "report", "--out", str(out)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "input error: output not written, p1dom could not read it back: "
+        f"rank 601 exceeds {ff.MAX_RANK} (at degrees[0].rank)\n")
+    assert calls == []
+    assert not out.exists()
+
+
 def test_extend_refuses_a_chart_exponent_past_the_bound(tmp_path, capsys):
     # x^4096 - x^-4096 is in bounds; its minus chart has exponent -8192
     src = _extension_file(tmp_path, "wide", P(QQ, (4096, 1), (-4096, -1)))

@@ -42,7 +42,7 @@ SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 def as_laurent(c: ScalarComplex) -> ChainComplex:
     """The same complex as Laurent matrices of constants."""
     diffs = {m: LaurentMatrix(c.ring, d.rows, d.cols, [
-        [LaurentPoly.constant(c.ring, row.get(j, 0)) for j in range(d.cols)]
+        [LaurentPoly(c.ring, {0: row.get(j, 0)}) for j in range(d.cols)]
         for row in d.data]) for m, d in c.diffs.items()}
     return ChainComplex(c.ring, BaseRing.LAURENT, c.lo, c.hi, c.ranks, diffs)
 
