@@ -20,8 +20,12 @@ asks for one.
 The gluing rule for a torus map between two twist sums is written once:
 ``chart_shifts`` gives each nonzero entry its two chart exponents, and
 ``twist_shift`` the least twist of the target that makes every entry
-legal.  The SheafComplex constructor checks the rule, and the extension
-of complexes, morphisms and cones (``extension``) solves it.
+legal.  The extension of complexes, morphisms and cones (``extension``)
+solves the rule.  The public SheafComplex constructor checks it, and so
+does the file loader, which builds through that constructor; the
+extension of a complex chooses its twists by ``twist_shift`` and so is
+legal by construction (the proof is in ``extend_valid_complex``): it
+stores its sheaf through ``SheafComplex._legal``, which makes no scan.
 
 Global sections and first cohomology of a sum of twists are banded monomial
 spaces: for a summand of twist n = k + l the section basis is
@@ -279,10 +283,14 @@ class SheafComplex:
     (a, b) of ``chart_shifts`` from level m to level m - 1.  The
     constructor raises BaseRingViolationError at the first entry that
     leaves its chart ring, naming the degree, the entry and the chart
-    ring (minus before plus).  ``minus`` and ``plus`` build the charts on
-    each call.  A chart is the middle complex conjugated by the diagonal units
-    diag(x^k), diag(x^-l), so it has d.d = 0 exactly when ``mid`` has, and
-    the squares commute by construction: ``validate`` checks ``mid`` alone.
+    ring (minus before plus); it is the check for the loader, the
+    extended cone, ``twist`` and any library caller.  The extension of a
+    complex is legal by the choice of its twists and is stored by
+    ``_legal`` without this scan.  ``minus`` and ``plus`` build the charts
+    on each call.  A chart is the middle complex conjugated by the
+    diagonal units diag(x^k), diag(x^-l), so it has d.d = 0 exactly when
+    ``mid`` has, and the squares commute by construction: ``validate``
+    checks ``mid`` alone.
     """
 
     __slots__ = ("mid", "twists")
@@ -314,6 +322,17 @@ class SheafComplex:
                 raise BaseRingViolationError(
                     f"degree {m}: {side} chart entry ({i},{j}) = "
                     f"{p.times_monomial(shift)} violates {base.tag}")
+
+    @classmethod
+    def _legal(cls, mid: ChainComplex, twists: dict) -> "SheafComplex":
+        """A sheaf complex whose twists the caller has proved legal: a
+        tuple of ``mid.rank(m)`` summands for each degree m of the
+        support, in ascending order, each entry inside its chart rings.
+        Only stores them; ``extend_valid_complex`` is the one caller."""
+        s = object.__new__(cls)
+        s.mid = mid
+        s.twists = twists
+        return s
 
     @property
     def minus(self) -> ChainComplex:

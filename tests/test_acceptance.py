@@ -23,7 +23,7 @@ from p1dom.laurent import BaseRing
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import cech_cohomology, cech_complex, twisting_sheaf
 
-from helpers import M, P, diagram_with_a_non_chain_map, two_term
+from helpers import M, diagram_with_a_non_chain_map, two_term
 
 
 def _report(name, detail=""):

@@ -14,7 +14,7 @@ from p1dom.laurent import BaseRing, LaurentPoly
 from p1dom.matrices import LaurentMatrix
 from p1dom.scalars import GF, QQ, ZZ
 
-from helpers import M, P, two_term
+from helpers import M, two_term
 
 
 def test_validate_zero_complex():

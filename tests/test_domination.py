@@ -18,7 +18,7 @@ from p1dom.laurent import BaseRing
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.smith import invariant_factors
 
-from helpers import M, P, two_term, window_complex
+from helpers import M, two_term, window_complex
 
 ROOT = Path(__file__).resolve().parents[1]
 

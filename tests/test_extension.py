@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from p1dom.complexes import (ChainComplex, ChainMap, cone, homology,
-                             is_acyclic)
-from p1dom.errors import ShapeError, UnsupportedRingError
+from p1dom.complexes import ChainComplex, ChainMap, cone, is_acyclic
+from p1dom.errors import ShapeError
 from p1dom.extension import (extend_complex, extend_cone, extend_morphism,
                              restrict_to_torus)
 from p1dom.generators import random_complex, random_ring

@@ -2,21 +2,23 @@
 
 A sheaf complex stores its torus complex and its twists: its levels are
 valid by construction, its constructor checks chart legality by exponent
-comparisons that build no matrix, and its charts are derived on demand,
-so no gluing square is ever compared; the loader compares a file's charts
-with the derived ones.  Morphism and cone extension take their twists
-from ``twist_shift`` and compare no chart square either.  Homology reads
-the invariant factors of each differential from the factors-only kernel,
-and Laurent arithmetic builds its results without renormalising.  Each
-fast path is compared here with the dense or normalising computation it
-replaces (charts as products of monomial diagonal matrices, gluing
-squares and the chart squares of a morphism extension as products of
-level torus maps), kept in this file so that it stays independent of the
-code under test.
+comparisons that build no matrix (the extension of a complex, legal by
+the choice of its twists, skips that scan and is checked against it
+here), and its charts are derived on demand, so no gluing square is
+ever compared; the loader compares a file's charts with the derived ones.
+Morphism and cone extension take their twists from ``twist_shift`` and
+compare no chart square either.  Homology reads the invariant factors of
+each differential from the factors-only kernel, and Laurent arithmetic
+builds its results without renormalising.  Each fast path is compared
+here with the dense or normalising computation it replaces (charts as
+products of monomial diagonal matrices, gluing squares and the chart
+squares of a morphism extension as products of level torus maps), kept
+in this file so that it stays independent of the code under test.
 """
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,18 +29,21 @@ from p1dom.complexes import ChainComplex, ChainMap, HomologyEntry, homology
 from p1dom.domination import verify_theorem
 from p1dom.errors import BaseRingViolationError, FormatError, ShapeError
 from p1dom.extension import (MorphismExtension, extend_complex,
-                             extend_cone, extend_morphism)
+                             extend_cone, extend_morphism,
+                             extend_valid_complex)
 from p1dom.generators import (null_homotopic_map, random_complex,
                               random_novikov_acyclic)
 from p1dom.laurent import BaseRing, LaurentPoly
 from p1dom.matrices import LaurentMatrix
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import (SheafComplex, SheafDiagram, TwistSummand,
-                           cech_complex, twist_shift)
+                           cech_complex, chart_shifts, twist_shift)
 from p1dom.smith import (invariant_factors, kernel_basis,
                          kernel_coordinates)
 
 from helpers import HOMOLOGY_KINDS, M, P, homology_case, random_matrix
+
+SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
 
 # -- sheaf charts and validation against the dense reference ----------------
@@ -344,6 +349,54 @@ def test_constructor_accepts_exactly_the_legal_twists(seed, ring):
         return
     assert not violations
     assert_charts_match_dense(s)
+
+
+def extension_inputs():
+    """The complexes the benchmark and the CLI extend: every K[x,x^-1]
+    complex of samples/*.cplx, the first 100 verify-desk draws (seed 777)
+    and the first 300 torus-sections draws (seed 1403), drawn as those
+    workloads draw them."""
+    for path in sorted(SAMPLES.glob("*.cplx")):
+        c = ff.load_complex(path)
+        if c.base == BaseRing.LAURENT and not c.validate():
+            yield c
+    rng = random.Random(777)
+    for i in range(100):
+        yield random_novikov_acyclic(rng, QQ if i % 5 == 0 else GF(7))
+    rng = random.Random(1403)
+    for i in range(300):
+        ring = (QQ, GF(10007), ZZ)[i % 3]
+        yield (random_novikov_acyclic(rng, ZZ) if ring is ZZ else
+               random_complex(rng, ring, max_length=4, max_rank=3, span=3))
+
+
+def test_extended_sheaves_pass_the_constructor_scan():
+    # the extension stores its sheaf without the constructor's scan;
+    # the dense reference and the public constructor both accept it
+    seen = set()
+    for c in extension_inputs():
+        s = extend_complex(c).sheaf
+        assert list(s.twists) == list(c.degrees())
+        assert all(len(s.twists[m]) == c.rank(m) for m in c.degrees())
+        assert dense_violations(s.mid, s.twists) == []
+        assert SheafComplex(s.mid, s.twists).twists == s.twists
+        seen.add(c.ring.tag)
+    assert seen == {"Q", "GF(7)", "GF(10007)", "Z"}
+
+
+def test_extension_scans_each_differential_once(monkeypatch):
+    calls = []
+
+    def counting(d, target, source):
+        calls.append(d)
+        return chart_shifts(d, target, source)
+
+    monkeypatch.setattr("p1dom.sheaves.chart_shifts", counting)
+    for c in extension_inputs():
+        calls.clear()
+        extend_valid_complex(c)
+        assert ([id(d) for d in calls]
+                == [id(c.diffs[m]) for m in range(c.hi, c.lo, -1)])
 
 
 def test_charts_are_built_only_when_read(monkeypatch):
