@@ -11,8 +11,7 @@ exact homology of the two charts over the power-series rings.
 """
 
 from .complexes import (ChainComplex, ChainMap, Homotopy, HomologyReport,
-                        cone, homology, is_acyclic, is_quasi_iso,
-                        verify_homotopy_retract)
+                        cone, homology, is_acyclic, is_quasi_iso)
 from .diagrams import (ComplexDiagram, DiagramMap, hypercohomology, iota,
                        phi_star, ses_check)
 from .domination import (DominationWitness, FpqcModel, NovikovVerdict,
@@ -23,10 +22,8 @@ from .extension import (ExtensionResult, MorphismExtension, extend_complex,
 from .laurent import BaseRing, LaurentPoly
 from .matrices import LaurentMatrix
 from .scalars import GF, QQ, ZZ, CoefficientRing, ring_from_tag
-from .sheaves import (CechCohomology, SheafComplex, SheafDiagram,
-                      TwistSummand, cech_cohomology, cech_complex,
-                      sheaf_hyper_homology_dims, torus_diagram,
-                      twisting_sheaf)
+from .sheaves import (CechCohomology, SheafComplex, TwistSummand,
+                      cech_cohomology, cech_complex, twisting_sheaf)
 from .smith import invariant_factors, kernel_basis, kernel_coordinates
 
 __version__ = "0.1.0"

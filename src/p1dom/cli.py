@@ -8,14 +8,15 @@ K[x,x^-1] for homology, K[x] for hyper) and a Z-coefficient complex given
 to a command that needs a field (``FIELD_COMMANDS``: homology, dominate,
 verify).  Each command parses only the flags it reads: ``--trunc`` is
 ``novikov``'s (the Z windows) and ``hyper``'s (the fpqc model's window
-order), ``--seed`` is ``selftest``'s, and ``selftest`` takes no
-``--ring``, ``h0`` no ``--format``; another flag is an unknown argument
-(exit 2), which the top-level parser reports, as it does a missing
-command.  ``verify`` and ``dominate`` report the exact chart valuations,
-which no order bounds.  Flags can be preset through environment variables
-with the P1DOM_ prefix (P1DOM_RING, P1DOM_TRUNC, P1DOM_SEED, P1DOM_FORMAT,
-P1DOM_OUT); explicit flags win.  A preset is read only by a command that
-takes its flag, and is checked like that flag.
+order), ``--seed`` is ``selftest``'s, and ``selftest`` and
+``twist-cohomology`` take no ``--ring``, ``h0`` no ``--format``; another
+flag is an unknown argument (exit 2), which the top-level parser reports,
+as it does a missing command.  ``verify`` and ``dominate`` report the
+exact chart valuations, which no order bounds.  Flags can be preset
+through environment variables with the P1DOM_ prefix (P1DOM_RING,
+P1DOM_TRUNC, P1DOM_SEED, P1DOM_FORMAT, P1DOM_OUT); explicit flags win.
+A preset is read only by a command that takes its flag, and is checked
+like that flag.
 
 Sizes are bounded as file contents are: a truncation order is at most
 MAX_ORDER (``hyper`` reads its model off the chart valuations, so nothing
@@ -153,7 +154,7 @@ def build_parser():
     tw.add_argument("n", type=int)
     tw.add_argument("r", type=int, nargs="?", default=1)
     tw.add_argument("--k", type=int, default=0, help="twist split (k, n-k)")
-    common(tw, with_input=False)
+    common(tw, with_input=False, flags=("format",))
     st = sub.add_parser("selftest", help="run the embedded example corpus")
     common(st, with_input=False, flags=("format",)).add_argument("--seed", type=_integer)
     for name, p in sub.choices.items():
@@ -413,22 +414,29 @@ def cmd_twist_cohomology(args):
         raise FormatError(
             f"r * (|n| + 1) = {size} basis monomials, above "
             f"HYPER_ROW_BUDGET = {HYPER_ROW_BUDGET}", "r, n")
-    ring = ring_from_tag(args.ring or "Q")
-    sheaf = twisting_sheaf(ring, args.n, args.k, args.r)
-    coh = cech_cohomology(sheaf)
+    coh = cech_cohomology(twisting_sheaf(args.n, args.k, args.r))
     lines = [f"dim H^0 = {coh.h0_dim}", f"dim H^1 = {coh.h1_dim}"]
-    if coh.h0_basis:
-        lines.append("H^0 basis: "
-                     + ", ".join(f"x^{e}" for _, e in coh.h0_basis))
-    if coh.h1_basis:
-        lines.append("H^1 basis: "
-                     + ", ".join(f"x^{e}" for _, e in coh.h1_basis))
+    for degree, basis in ((0, coh.h0_basis), (1, coh.h1_basis)):
+        if basis:
+            lines.append(f"H^{degree} basis: " + _monomials(basis, args.r))
     _emit(args, lines, lambda: {
         "command": "twist-cohomology", "n": args.n, "r": args.r,
         "k": args.k, "h0_dim": coh.h0_dim, "h1_dim": coh.h1_dim,
-        "h0_basis": [[i, e] for i, e in (coh.h0_basis or ())],
-        "h1_basis": [[i, e] for i, e in (coh.h1_basis or ())]})
+        "h0_basis": [[i, e] for i, e in coh.h0_basis],
+        "h1_basis": [[i, e] for i, e in coh.h1_basis]})
     return EXIT_OK
+
+
+def _monomials(basis, r):
+    """A basis of (summand, exponent) pairs as monomials x^e, grouped by
+    summand as "summand i: ..." when there are r >= 2 summands."""
+    if r < 2:
+        return ", ".join(f"x^{e}" for _, e in basis)
+    groups = {}
+    for i, e in basis:
+        groups.setdefault(i, []).append(f"x^{e}")
+    return "; ".join(f"summand {i}: " + ", ".join(monomials)
+                     for i, monomials in groups.items())
 
 
 def cmd_selftest(args):

@@ -412,7 +412,7 @@ def is_acyclic(c: ChainComplex) -> bool:
     return homology(c).is_acyclic
 
 
-# -- cones and retracts -------------------------------------------------------
+# -- cones and inclusions -----------------------------------------------------
 
 
 def cone(f: ChainMap):
@@ -458,27 +458,3 @@ def is_quasi_iso(f: ChainMap) -> bool:
     """Mapping-cone acyclicity, the derived-category meaning used here."""
     cc, _, _ = cone(f)
     return is_acyclic(cc)
-
-
-def verify_homotopy_retract(d: ChainComplex, r: ChainMap, s: ChainMap,
-                            h: Homotopy) -> bool:
-    """Check r.s + d.h + h.d = id exactly in every degree.
-
-    ``r: D -> C`` and ``s: C -> D`` exhibit C as a homotopy retract of the
-    bounded free complex D; ``h`` is the witnessing homotopy on C.  The sign
-    convention fixed here is id - r.s = d.h + h.d.
-    """
-    c = r.target
-    if r.source != d:
-        raise ShapeError("r must map out of D")
-    if s.source != c or s.target != d:
-        raise ShapeError("s must map C into D")
-    for m in range(c.lo, c.hi + 1):
-        rs = r.component(m) @ s.component(m)
-        dh = c.diff(m + 1) @ h.component(m)
-        hd = h.component(m - 1) @ c.diff(m)
-        ident = LaurentMatrix.identity(c.ring, c.rank(m))
-        if rs + dh + hd != ident:
-            return False
-    return True
-

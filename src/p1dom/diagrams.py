@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .complexes import ChainComplex, ChainMap
 from .errors import RingMismatchError, ShapeError
 from .matrices import LaurentMatrix
-from .smith import invariant_factors, kernel_basis, kernel_coordinates
+from .smith import kernel_basis, kernel_coordinates
 
 
 @dataclass(frozen=True)
@@ -135,26 +135,6 @@ def sections_matrix(d: ComplexDiagram, n: int) -> LaurentMatrix:
     """The level-n map (-mu_minus | mu_plus): minus_n + plus_n -> mid_n."""
     return LaurentMatrix.block(d.ring, [[-d.from_minus.component(n),
                                          d.from_plus.component(n)]])
-
-
-def levelwise_h1_trivial(d: ComplexDiagram) -> bool:
-    """True iff every level map (-mu_minus + mu_plus) is surjective.
-
-    A level that only ``mid`` occupies has the zero map into mid_n, which
-    is surjective only when mid_n is zero.
-    """
-    lo = min(d.minus.lo, d.plus.lo, d.mid.lo)
-    hi = max(d.minus.hi, d.plus.hi, d.mid.hi)
-    for n in range(lo, hi + 1):
-        a = sections_matrix(d, n)
-        if a.rows == 0:
-            continue
-        factors = invariant_factors(a)
-        if len(factors) < a.rows:
-            return False
-        if any(f.core_degree > 0 for f in factors):
-            return False
-    return True
 
 
 def sections_complex(d: ComplexDiagram):

@@ -45,8 +45,8 @@ integer rows over Q with Bareiss's exact division.  The witness reads each
 chart differential straight off the torus differential and the twists,
 entry (i, j) being x^(a_j(m) - a_i(m-1)) d_m[i][j] with a = -l on the plus
 side and a = k on the minus side, so it builds no chart complex, does no
-``LaurentPoly`` arithmetic and no window; ``chart_homology_dims`` runs
-the same elimination on an explicit K[x] or K[x^-1] complex.  The
+``LaurentPoly`` arithmetic and no window; ``fpqc_hyper`` runs the same
+elimination on an explicit K[x] complex.  The
 witness keeps the valuations, per side and differential degree, as the
 record of the chart stage.  The quotient window C+/x^N has dimension sum
 min(N, v) over the valuations of d_{q+1} and of d_q, plus N times the
@@ -169,9 +169,16 @@ def _valuations(c: ChainComplex, direction: int, exps=None) -> dict:
 
 
 def _series_dims(c, valuations: dict, side: str) -> dict:
-    """Chart homology dimensions from the valuations of each differential
-    of the ``side`` chart, whose ranks are those of ``c``; see
-    ``chart_homology_dims``."""
+    """Torsion K-dimensions of the ``side`` chart homology from the
+    valuations of each differential of that chart, whose ranks are those
+    of ``c``.
+
+    Over the discrete valuation ring K[[t]] the homology in degree q is
+    the torsion module sum K[[t]]/t^v over the valuations v of the
+    elementary divisors of d_{q+1}, so its K-dimension is their sum.
+    Raises StabilisationFailureError, naming the degree, when the chart
+    homology has a free part, and ShapeError when the ranks show
+    d.d != 0 (``homology_ranks``)."""
     free = homology_ranks(c.ranks,
                           {m: len(vs) for m, vs in valuations.items()})
     for q, rank in free.items():
@@ -179,21 +186,6 @@ def _series_dims(c, valuations: dict, side: str) -> dict:
             raise StabilisationFailureError(
                 f"{side} chart homology has a free part in degree {q}")
     return {q: sum(valuations.get(q + 1, ())) for q in c.degrees()}
-
-
-def chart_homology_dims(c: ChainComplex) -> dict:
-    """Torsion K-dimensions of the chart homology after base change.
-
-    Over the discrete valuation ring K[[t]] the homology in degree q is
-    the torsion module sum K[[t]]/t^v over the valuations v of the
-    elementary divisors of d_{q+1}, so its K-dimension is their sum.
-    Raises StabilisationFailureError, naming the degree, when the chart
-    homology has a free part, and ShapeError when the ranks show
-    d.d != 0 (``homology_ranks``).
-    """
-    direction = _chart_direction(c)
-    return _series_dims(c, _valuations(c, direction),
-                        "plus" if direction == 1 else "minus")
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .complexes import ChainComplex, ChainMap, cone, require_valid
 from .errors import ShapeError, UnsupportedRingError
 from .laurent import BaseRing
 from .matrices import LaurentMatrix
-from .sheaves import SheafComplex, SheafDiagram, TwistSummand, twist_shift
+from .sheaves import SheafComplex, TwistSummand, twist_shift
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,12 @@ class MorphismExtension:
     f_plus: LaurentMatrix      # the K[x] chart map; entries in K[x]
 
 
-def extend_morphism(z: SheafDiagram, y: SheafDiagram,
-                    f: LaurentMatrix) -> MorphismExtension:
-    """Extend f: Z|_T -> Y|_T to a sheaf map into the (k+l)-twist of Y.
+def extend_morphism(z, y, f: LaurentMatrix) -> MorphismExtension:
+    """Extend f: Z|_T -> Y|_T to a sheaf map into the (k+l)-twist of Y,
+    for twist sums Z and Y given as their sequences of TwistSummand.
 
-    (k, l) is ``twist_shift(f, y.twists, z.twists)``, (0, 0) for f = 0,
-    and the chart maps are
+    (k, l) is ``twist_shift(f, y, z)``, (0, 0) for f = 0, and the chart
+    maps are
 
         f_minus[i][j] = x^(k_j(z) - k_i(y) - k) f[i][j]   over K[x^-1],
         f_plus[i][j]  = x^(l_i(y) + l - l_j(z)) f[i][j]   over K[x].
@@ -53,29 +53,22 @@ def extend_morphism(z: SheafDiagram, y: SheafDiagram,
     They lie in their rings: the exponents are a - k and b + l for the
     chart exponents (a, b) of f[i][j], and k >= maxdeg f[i][j] + a,
     l >= -(mindeg f[i][j] + b) by the choice of (k, l).  Both chart
-    squares commute identically.  Y twisted by (k, l) has the torus maps
-    diag(x^(k_i(y) + k)) and diag(x^-(l_i(y) + l)), so
+    squares commute identically: Y twisted by (k, l) has the torus maps
+    diag(x^(k_i(y) + k)) and diag(x^-(l_i(y) + l)), and Z has
+    diag(x^k_j(z)) and diag(x^-l_j(z)), so
 
-        (mu_minus(Y(k, l)) f_minus)[i][j] = x^(k_j(z)) f[i][j]
-                                          = (f mu_minus(Z))[i][j],
-        (mu_plus(Y(k, l)) f_plus)[i][j]   = x^(-l_j(z)) f[i][j]
-                                          = (f mu_plus(Z))[i][j],
+        x^(k_i(y) + k) f_minus[i][j]  = f[i][j] x^(k_j(z)),
+        x^-(l_i(y) + l) f_plus[i][j]  = f[i][j] x^(-l_j(z)),
 
     entry by entry, so no product is formed here; the tests multiply the
     squares out as an oracle.
     """
-    if not (z.is_twist_sum and y.is_twist_sum):
-        raise UnsupportedRingError(
-            "morphism extension is implemented for sums of twists")
-    if f.rows != len(y.twists) or f.cols != len(z.twists):
+    if f.rows != len(y) or f.cols != len(z):
         raise ShapeError(
-            f"map has shape {f.rows}x{f.cols}, expected "
-            f"{len(y.twists)}x{len(z.twists)}")
-    k, l = twist_shift(f, y.twists, z.twists) or (0, 0)
-    f_minus = f.monomial_scale([-k - t.k for t in y.twists],
-                               [t.k for t in z.twists])
-    f_plus = f.monomial_scale([l + t.l for t in y.twists],
-                              [-t.l for t in z.twists])
+            f"map has shape {f.rows}x{f.cols}, expected {len(y)}x{len(z)}")
+    k, l = twist_shift(f, y, z) or (0, 0)
+    f_minus = f.monomial_scale([-k - t.k for t in y], [t.k for t in z])
+    f_plus = f.monomial_scale([l + t.l for t in y], [-t.l for t in z])
     return MorphismExtension(k, l, f_minus, f_plus)
 
 

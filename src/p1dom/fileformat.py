@@ -429,8 +429,3 @@ def save_path(path, obj):
 def load_complex(path) -> ChainComplex | ScalarComplex:
     with open(path, encoding="utf-8") as fh:
         return complex_from_dict(loads(fh.read()))
-
-
-def load_sheaf(path) -> SheafComplex:
-    with open(path, encoding="utf-8") as fh:
-        return sheaf_from_dict(loads(fh.read()))

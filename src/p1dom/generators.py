@@ -163,17 +163,6 @@ def null_homotopic_map(rng, source: ChainComplex,
         for m in range(lo, hi + 1)})
 
 
-def random_diagram(rng, ring, max_length=3, max_rank=3,
-                   span=1) -> ComplexDiagram:
-    mid = random_complex(rng, ring, max_length, max_rank, span)
-    minus = random_complex(rng, ring, max_length, max_rank, span)
-    plus = random_complex(rng, ring, max_length, max_rank, span)
-    return ComplexDiagram(
-        minus, mid, plus,
-        null_homotopic_map(rng, minus, mid, span),
-        null_homotopic_map(rng, plus, mid, span))
-
-
 def random_surjective_diagram(rng, ring, max_length=3, max_rank=3,
                               span=1) -> ComplexDiagram:
     """Diagram whose level maps (-mu_minus + mu_plus) are all onto.
@@ -238,19 +227,3 @@ def _sum_map(f: ChainMap, a_src: ChainComplex, a_tgt: ChainComplex,
         m: LaurentMatrix.block(ring, [[f.component(m), None],
                                       [None, g.component(m)]])
         for m in src.degrees()})
-
-
-def random_retract_witness(rng, ring, span=1):
-    """(D, r, s, h) with id - r.s = d.h + h.d, from a basis-changed
-    projection of C (+) acyclic onto C."""
-    c = random_complex(rng, ring, 3, 2, span)
-    acy = ChainComplex.two_term(ring, LaurentPoly.one(ring),
-                                rng.randint(c.lo, c.hi) + 1, c.base)
-    d = c.direct_sum(acy)
-    r = ChainMap(d, c, {m: LaurentMatrix.block(ring, [[
-        LaurentMatrix.identity(ring, c.rank(m)),
-        LaurentMatrix.zero(ring, c.rank(m), acy.rank(m)),
-    ]]) for m in d.degrees()})
-    s = inclusion(c, d)
-    h = Homotopy(c, c)
-    return d, r, s, h

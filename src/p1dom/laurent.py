@@ -106,10 +106,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return self.entry is None
 
-    @property
-    def is_one(self) -> bool:
-        return self.entry == (0, (1,))
-
     def items(self):
         """Sorted (exponent, coefficient) pairs, exponents ascending."""
         v, c = self.entry or (0, ())
@@ -119,25 +115,6 @@ class LaurentPoly:
         v, c = self.entry or (0, ())
         k = exponent - v
         return c[k] if 0 <= k < len(c) and c[k] else self.ring.zero()
-
-    @property
-    def mindeg(self) -> int:
-        if self.entry is None:
-            raise ShapeError("mindeg undefined on the zero polynomial")
-        return self.entry[0]
-
-    @property
-    def maxdeg(self) -> int:
-        if self.entry is None:
-            raise ShapeError("maxdeg undefined on the zero polynomial")
-        v, c = self.entry
-        return v + len(c) - 1
-
-    @property
-    def core_degree(self) -> int:
-        """maxdeg - mindeg: the degree of the monic core, the Euclidean
-        norm of K[x,x^-1]."""
-        return self.maxdeg - self.mindeg
 
     def respects(self, base: BaseRing) -> bool:
         if base is BaseRing.LAURENT or self.entry is None:
@@ -182,19 +159,6 @@ class LaurentPoly:
         v, c = out.entry
         return LaurentPoly.from_entry(self.ring, (v + exponent, c))
 
-    def evaluate(self, point):
-        """Evaluate at a scalar point (the point must be a unit when
-        negative exponents occur)."""
-        ring = self.ring
-        v, c = self.entry or (0, ())
-        total = ring.zero()
-        for x in reversed(c):  # Horner's rule, then times point^v
-            total = ring.add(ring.mul(total, point), x)
-        unit = point if v >= 0 else ring.invert(point)
-        for _ in range(abs(v)):
-            total = ring.mul(total, unit)
-        return total
-
     # -- units and normal form ----------------------------------------------
 
     @property
@@ -202,19 +166,6 @@ class LaurentPoly:
         """Unit of K[x,x^-1]: a single term with unit coefficient."""
         return (self.entry is not None and len(self.entry[1]) == 1
                 and self.ring.is_unit(self.entry[1][0]))
-
-    def unit_normalise(self):
-        """Write self = c * x^v * core with core monic and core(0) != 0.
-
-        Returns ``(v, c, core)``.  Requires a field (or a unit leading
-        coefficient over Z) and a nonzero polynomial.
-        """
-        if self.entry is None:
-            raise ShapeError("cannot normalise the zero polynomial")
-        v, c = self.entry
-        lead = c[-1]
-        core = scaled((0, c), self.ring.invert(lead), self.ring.p)
-        return v, lead, LaurentPoly.from_entry(self.ring, core)
 
     def inverse_unit(self):
         if not self.is_unit:

@@ -3,7 +3,7 @@
 A Laurent matrix is a grid of entries over K[x,x^-1]; which subring
 (K[x], K[x^-1]) a matrix lives over belongs to the complex or chart that
 holds it, and is checked there (``ChainComplex.validate``, the
-``SheafDiagram`` constructor, the file loader) or by ``check_base``.
+``SheafComplex`` constructor, the file loader).
 Storage is dense row-major, suitable for the desk-scale sizes this package
 targets; products and the determinant are computed on the entries
 (``LaurentPoly.entry``) with the coefficient-list arithmetic of
@@ -17,8 +17,8 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from . import polylists
-from .errors import BaseRingViolationError, ShapeError
-from .laurent import BaseRing, LaurentPoly
+from .errors import ShapeError
+from .laurent import LaurentPoly
 from .scalars import CoefficientRing, check_same_ring
 
 
@@ -53,14 +53,6 @@ class LaurentMatrix:
         z = LaurentPoly.zero(ring)
         return cls(ring, n, n,
                    [[one if i == j else z for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def scalar_diag(cls, ring, polys):
-        n = len(polys)
-        z = LaurentPoly.zero(ring)
-        return cls(ring, n, n,
-                   [[polys[i] if i == j else z for j in range(n)]
-                    for i in range(n)])
 
     @classmethod
     def block(cls, ring, grid):
@@ -102,30 +94,11 @@ class LaurentMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    @property
-    def is_identity(self) -> bool:
-        """Square with ones on the diagonal and zeros elsewhere (a scan of
-        the entries; no comparison matrix is built)."""
-        return self.is_square and all(
-            p.is_one if i == j else p.is_zero
-            for i, row in enumerate(self.entries)
-            for j, p in enumerate(row))
-
     def nonzero_entries(self):
         for i, row in enumerate(self.entries):
             for j, p in enumerate(row):
                 if not p.is_zero:
                     yield i, j, p
-
-    def global_maxdeg(self):
-        """Largest exponent among all entries; None for the zero matrix."""
-        return max((p.entry[0] + len(p.entry[1]) - 1
-                    for row in self.entries for p in row if p.entry),
-                   default=None)
-
-    def global_mindeg(self):
-        return min((p.entry[0] for row in self.entries for p in row
-                    if p.entry), default=None)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -180,21 +153,6 @@ class LaurentMatrix:
             self.ring, self.rows, self.cols,
             [[p.times_monomial(a + b) for p, b in zip(row, col_exps)]
              for row, a in zip(self.entries, row_exps)])
-
-    def check_base(self, base: BaseRing):
-        """Raise unless every entry is over this ring and respects ``base``."""
-        for i, row in enumerate(self.entries):
-            for j, p in enumerate(row):
-                check_same_ring(self.ring, p.ring)
-                if not p.respects(base):
-                    raise BaseRingViolationError(
-                        f"entry ({i},{j}) = {p} violates {base.tag}"
-                    )
-
-    def submatrix(self, row_idx, col_idx):
-        return LaurentMatrix(
-            self.ring, len(row_idx), len(col_idx),
-            [[self.entries[i][j] for j in col_idx] for i in row_idx])
 
     # -- determinant (fraction-free Bareiss) --------------------------------
 

@@ -33,7 +33,7 @@ def _poly(ring, pairs):
 def group_twist_table():
     for n in range(-8, 9):
         for k in (0, n, n // 2):
-            coh = cech_cohomology(twisting_sheaf(QQ, n, k))
+            coh = cech_cohomology(twisting_sheaf(n, k))
             want_h0 = n + 1 if n >= 0 else 0
             want_h1 = -n - 1 if n <= -2 else 0
             if (coh.h0_dim, coh.h1_dim) != (want_h0, want_h1):
@@ -77,12 +77,12 @@ def group_exact_algebra():
 
 def group_extension_examples():
     ring = QQ
-    ext = extend_morphism(twisting_sheaf(ring, 0), twisting_sheaf(ring, 0),
+    ext = extend_morphism(twisting_sheaf(0), twisting_sheaf(0),
                           LaurentMatrix(ring, 1, 1,
                                         [[_poly(ring, [(3, 1)])]]))
     if (ext.k, ext.l) != (3, 0):
         return False, "monomial factorisation"
-    ext2 = extend_morphism(twisting_sheaf(ring, 0), twisting_sheaf(ring, 0),
+    ext2 = extend_morphism(twisting_sheaf(0), twisting_sheaf(0),
                            LaurentMatrix(ring, 1, 1,
                                          [[_poly(ring, [(-2, 1), (1, 1)])]]))
     if (ext2.k, ext2.l) != (1, 2):
@@ -128,7 +128,7 @@ def group_extension_roundtrip(rng, cases=20):
         if any(k < 0 or l < 0 for k, l in ext.profile.values()):
             return False, "negative twist"
         for m in ext.sheaf.degrees():
-            if cech_cohomology(ext.sheaf.level(m)).h1_dim:
+            if cech_cohomology(ext.sheaf.twists[m]).h1_dim:
                 return False, "levelwise H1 nonzero"
     return True, f"{cases} cases"
 

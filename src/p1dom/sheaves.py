@@ -1,21 +1,18 @@
-"""Sheaves on the projective line as gluing diagrams.
+"""Sheaves on the projective line as sums of twisting sheaves.
 
-A sheaf diagram holds free modules over K[x^-1], K[x,x^-1] and K[x] with
-structure maps into the middle.  Each middle basis vector carries a twist
-split (k, l): the stored matrices p_minus / p_plus are legal over K[x^-1]
-and K[x], and the true torus maps are diag(x^k) @ p_minus and
-diag(x^-l) @ p_plus.  With this bookkeeping the nth twisting sheaf stores
-identity matrices and all legality checks are integer comparisons.
+A level of a sheaf is a tuple of ``TwistSummand``: summand i with the
+split (k, l) is the twisting sheaf O(k + l), whose torus maps from the
+K[x^-1] and K[x] charts are x^k and x^-l.  By Birkhoff-Grothendieck
+(Grothendieck 1957) every vector bundle on P^1 is such a sum up to
+isomorphism, so no other level is represented.
 
 A sheaf complex is its torus complex and its twists: level m is the sum
-of the twisting sheaves listed in ``twists[m]``, whose torus maps diag(x^k)
-and diag(x^-l) have the unit determinants x^(sum k) and x^-(sum l), so a
-level is valid by construction.  The gluing squares then force the two
-chart complexes, the monomial conjugates of the middle one; the
-constructor checks by integer comparisons that they lie in K[x^-1] and
-K[x], ``minus`` and ``plus`` build them only when asked, and
-``SheafComplex.level`` builds a level's diagram only for a caller that
-asks for one.
+of the twisting sheaves listed in ``twists[m]``, whose torus maps are the
+units diag(x^k) and diag(x^-l), so a level is valid by construction.  The
+gluing squares then force the two chart complexes, the monomial
+conjugates of the middle one; the constructor checks by integer
+comparisons that they lie in K[x^-1] and K[x], and ``minus`` and
+``plus`` build them only when asked.
 
 The gluing rule for a torus map between two twist sums is written once:
 ``chart_shifts`` gives each nonzero entry its two chart exponents, and
@@ -30,11 +27,7 @@ stores its sheaf through ``SheafComplex._legal``, which makes no scan.
 Global sections and first cohomology of a sum of twists are banded monomial
 spaces: for a summand of twist n = k + l the section basis is
 x^-l, ..., x^k (when n >= 0) and the obstruction basis is
-x^{k+1}, ..., x^{-l-1} (when n <= -2).  A general (valid) level is a
-vector bundle whose sections lie in one exponent band that the entry
-degrees and determinants of its structure maps fix in advance; h0 is the
-nullity of one scalar matrix on that band, h1 follows by Riemann-Roch, and
-no bases are returned.
+x^{k+1}, ..., x^{-l-1} (when n <= -2).
 """
 
 from __future__ import annotations
@@ -45,7 +38,7 @@ from .complexes import ChainComplex, ScalarComplex
 from .errors import (BaseRingViolationError, NonVanishingH1Error,
                      ShapeError, UnsupportedRingError)
 from .laurent import BaseRing
-from .matrices import LaurentMatrix, ScalarMatrix, scalar_rank
+from .matrices import LaurentMatrix, ScalarMatrix
 
 
 @dataclass(frozen=True)
@@ -97,167 +90,43 @@ def twist_shift(d: LaurentMatrix, target, source):
     return None if zero else (k, l)
 
 
-class SheafDiagram:
-    """One level of a sheaf of modules on the projective line."""
-
-    __slots__ = ("ring", "twists", "p_minus", "p_plus", "is_twist_sum")
-
-    def __init__(self, ring, twists, p_minus: LaurentMatrix,
-                 p_plus: LaurentMatrix):
-        self.ring = ring
-        self.twists = tuple(twists)
-        r = len(self.twists)
-        if p_minus.rows != r or p_plus.rows != r:
-            raise ShapeError("structure matrices must have one row per summand")
-        p_minus.check_base(BaseRing.POLY_INV)
-        p_plus.check_base(BaseRing.POLY)
-        self.p_minus = p_minus
-        self.p_plus = p_plus
-        # identity structure matrices: a sum of twisting sheaves
-        self.is_twist_sum = p_minus.is_identity and p_plus.is_identity
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def twist_sum(cls, ring, twists):
-        """Sum of twisting sheaves with identity structure matrices."""
-        twists = tuple(twists)
-        ident = LaurentMatrix.identity(ring, len(twists))
-        return cls(ring, twists, ident, ident)
-
-    # -- the actual structure maps over the torus ----------------------------
-
-    def mu_minus_torus(self) -> LaurentMatrix:
-        return self.p_minus.monomial_scale([t.k for t in self.twists])
-
-    def mu_plus_torus(self) -> LaurentMatrix:
-        return self.p_plus.monomial_scale([-t.l for t in self.twists])
-
-    def twist(self, n: int, k: int | None = None) -> "SheafDiagram":
-        """The nth twist; the split defaults to (n, 0)."""
-        dk = n if k is None else k
-        dl = n - dk
-        return SheafDiagram(self.ring,
-                            [t.shifted(dk, dl) for t in self.twists],
-                            self.p_minus, self.p_plus)
-
-    def validate(self):
-        return self._validated()[0]
-
-    def _validated(self):
-        """The problems of ``validate`` and the pairs (torus map, its
-        determinant) it computed: none for a twist sum, whose entries are
-        constant and whose torus maps diag(x^k), diag(x^-l) are units.
-        The constructor has checked the entries against the chart rings,
-        so only the torus maps are left."""
-        if self.is_twist_sum:
-            return [], []
-        problems = []
-        maps = []
-        for label, mu in (("minus", self.mu_minus_torus()),
-                          ("plus", self.mu_plus_torus())):
-            if not mu.is_square:
-                problems.append(f"{label} adjoint map is not square")
-            elif mu.rows:
-                det = mu.determinant()
-                if not det.is_unit:
-                    problems.append(f"{label} adjoint map is not an "
-                                    "isomorphism over the torus")
-                maps.append((mu, det))
-        return problems, maps
-
-    def __eq__(self, other):
-        if not isinstance(other, SheafDiagram):
-            return NotImplemented
-        return (self.ring == other.ring and self.twists == other.twists
-                and self.p_minus == other.p_minus
-                and self.p_plus == other.p_plus)
-
-    def __repr__(self):
-        ts = ", ".join(f"O({t.n})[{t.k},{t.l}]" for t in self.twists)
-        return f"SheafDiagram({self.ring.tag}; {ts})"
-
-
-def twisting_sheaf(ring, n: int, k: int = 0, rank: int = 1) -> SheafDiagram:
+def twisting_sheaf(n: int, k: int = 0, rank: int = 1) -> tuple:
     """r copies of the nth twisting sheaf with the split (k, l = n - k)."""
-    return SheafDiagram.twist_sum(ring, [TwistSummand(k, n - k)] * rank)
+    return (TwistSummand(k, n - k),) * rank
 
 
-# -- cohomology of a single diagram ---------------------------------------------
+# -- cohomology of a single level -----------------------------------------------
 
 
 @dataclass(frozen=True)
 class CechCohomology:
-    """Dimensions of the kernel and cokernel of the two-term section
-    complex of a level.
-
-    For twist sums both bases are explicit monomial lists of pairs
-    (summand index, exponent).  A general level is solved on one band
-    fixed in advance and gets h1 from Riemann-Roch; it has no bases.
-    """
+    """H0 and H1 of one level: dimensions and monomial bases, each basis
+    a tuple of pairs (summand index, exponent)."""
 
     h0_dim: int
     h1_dim: int
-    h0_basis: tuple | None
-    h1_basis: tuple | None
+    h0_basis: tuple
+    h1_basis: tuple
 
 
-def cech_cohomology(d: SheafDiagram) -> CechCohomology:
-    """H0 and H1 of one level; an invalid level is a ShapeError.
+def cech_cohomology(twists) -> CechCohomology:
+    """H0 and H1 of the sum of the twisting sheaves ``twists`` (a sequence
+    of TwistSummand).
 
-    For a general level let r be the middle rank, det mu_pm = c_pm x^e_pm
-    (units over the torus), and M_pm / m_pm the largest / smallest exponent
-    among the entries of mu_pm.  A section is a pair (a-, a+) over K[x^-1]
-    and K[x] with mu_minus a- = mu_plus a+.  Then
-
-        a+ = adj(mu_plus) mu_minus a- / (c+ x^e+),
-
-    and every adjugate entry is a sum of products of r - 1 entries, so
-    deg a+ <= (r-1) M+ + M- + deg a- - e+ <= H = (r-1) M+ - e+ + M-, as
-    deg a- <= 0.  In the same way a- = adj(mu_minus) mu_plus a+ / (c- x^e-)
-    has lowest exponent >= L = (r-1) m- - e- + m+.  So every section lies
-    in the band of a- exponents [min(0, L), 0] and a+ exponents
-    [0, max(0, H)], and the matrix of (-mu_minus | mu_plus) on that band,
-    with a row for every (summand, exponent) its columns reach, has the
-    sections as its kernel: h0 is its nullity.  Riemann-Roch,
-    h0 - h1 = r + e- - e+ (Grothendieck 1957; Gohberg-Krein 1958), gives
-    h1.
+    A summand of split (k, l) has the torus maps x^k and x^-l, so its
+    sections x^k K[x^-1] meet x^-l K[x] in the Laurent polynomials with
+    exponents in [-l, k], and its first cohomology, the cokernel of
+    x^k K[x^-1] + x^-l K[x] in K[x,x^-1], is spanned by the monomials x^e
+    with k < e < -l.
     """
-    problems, maps = d._validated()
-    if problems:
-        raise ShapeError("invalid sheaf level: " + "; ".join(problems))
-    if d.is_twist_sum:
-        h0 = []
-        h1 = []
-        for i, t in enumerate(d.twists):
-            # the first range is empty unless n >= 0, the second unless
-            # n <= -2
-            h0.extend((i, e) for e in range(-t.l, t.k + 1))
-            h1.extend((i, e) for e in range(t.k + 1, -t.l))
-        return CechCohomology(len(h0), len(h1), tuple(h0), tuple(h1))
-    ring = d.ring
-    r = len(d.twists)
-    # a valid general level has r >= 1: an empty one is a twist sum
-    (mu_m, det_m), (mu_p, det_p) = maps
-    e_m = det_m.mindeg
-    e_p = det_p.mindeg
-    lo = min(0, (r - 1) * mu_m.global_mindeg() - e_m + mu_p.global_mindeg())
-    hi = max(0, (r - 1) * mu_p.global_maxdeg() - e_p + mu_m.global_maxdeg())
-    rows = {}
-    col = 0
-    for mat, band in ((-mu_m, range(lo, 1)), (mu_p, range(0, hi + 1))):
-        for j in range(mat.cols):
-            column = [(i, mat.entries[i][j].items()) for i in range(r)]
-            for e in band:
-                # distinct (summand, exponent) pairs in one column hit
-                # distinct rows, so every cell is written once
-                for i, terms in column:
-                    for ee, c in terms:
-                        rows.setdefault((i, ee + e), {})[col] = c
-                col += 1
-    rank = scalar_rank(ScalarMatrix(ring, len(rows), col, list(rows.values())))
-    h0 = col - rank
-    return CechCohomology(h0, h0 - (r + e_m - e_p), None, None)
+    h0 = []
+    h1 = []
+    for i, t in enumerate(twists):
+        # the first range is empty unless n >= 0, the second unless
+        # n <= -2
+        h0.extend((i, e) for e in range(-t.l, t.k + 1))
+        h1.extend((i, e) for e in range(t.k + 1, -t.l))
+    return CechCohomology(len(h0), len(h1), tuple(h0), tuple(h1))
 
 
 # -- complexes of sheaves ---------------------------------------------------------
@@ -284,7 +153,7 @@ class SheafComplex:
     constructor raises BaseRingViolationError at the first entry that
     leaves its chart ring, naming the degree, the entry and the chart
     ring (minus before plus); it is the check for the loader, the
-    extended cone, ``twist`` and any library caller.  The extension of a
+    extended cone and any library caller.  The extension of a
     complex is legal by the choice of its twists and is stored by
     ``_legal`` without this scan.  ``minus`` and ``plus`` build the charts
     on each call.  A chart is the middle complex conjugated by the
@@ -362,10 +231,6 @@ class SheafComplex:
         return {m: [t.k if side == "minus" else -t.l for t in ts]
                 for m, ts in self.twists.items()}
 
-    def level(self, m: int) -> SheafDiagram:
-        """Level m as a diagram with identity structure matrices."""
-        return SheafDiagram.twist_sum(self.ring, self.twists.get(m, ()))
-
     @property
     def ring(self):
         return self.mid.ring
@@ -386,15 +251,6 @@ class SheafComplex:
                 raise ShapeError(f"level {m} mixes twist splits")
             split = profile[m] = splits.pop() if splits else split
         return profile
-
-    def twist(self, n: int, k: int | None = None) -> "SheafComplex":
-        """Twist every level by n with the split (k, n-k); differentials on
-        the two charts are unchanged by a uniform twist."""
-        dk = n if k is None else k
-        dl = n - dk
-        twists = {m: tuple(t.shifted(dk, dl) for t in ts)
-                  for m, ts in self.twists.items()}
-        return SheafComplex(self.mid, twists)
 
     def validate(self):
         return [f"mid: {p}" for p in self.mid.validate()]
@@ -446,53 +302,3 @@ def cech_complex(s: SheafComplex) -> ScalarComplex:
                 col += 1
         diffs[m] = ScalarMatrix(ring, len(rows), ranks[m], rows)
     return ScalarComplex(ring, s.mid.lo, s.mid.hi, ranks, diffs)
-
-
-def sheaf_hyper_homology_dims(s: SheafComplex) -> dict:
-    """Hypercohomology dimensions for a complex with zero differentials.
-
-    With no differentials the totalisation splits levelwise, so its
-    homology in degree n is H0 of level n plus H1 of level n+1.  When
-    every twist is at least -1, first cohomology vanishes and
-    ``homology_dims(cech_complex(s))`` gives the hypercohomology of any
-    sheaf complex.
-    """
-    for m in s.degrees():
-        if not s.mid.diff(m).is_zero:
-            raise UnsupportedRingError(
-                "exact sheaf hypercohomology dims need zero differentials; "
-                "with every twist at least -1 use "
-                "homology_dims(cech_complex(s))")
-    dims = {}
-    coh = {m: cech_cohomology(s.level(m)) for m in s.degrees()}
-    for n in range(s.mid.lo - 1, s.mid.hi + 1):
-        total = 0
-        if n in coh:
-            total += coh[n].h0_dim
-        if n + 1 in coh:
-            total += coh[n + 1].h1_dim
-        dims[n] = total
-    return {n: v for n, v in dims.items()}
-
-
-def torus_diagram(s: SheafComplex):
-    """The base change of a sheaf complex to the torus as a one-ring diagram.
-
-    Both chart complexes become K[x,x^-1]-complexes and the structure maps
-    turn into honest chain maps, so the quasi-isomorphism machinery for
-    one-ring diagrams (sections inclusion, totalisation, cones) applies
-    exactly.  The level maps are onto because the plus adjoint map is an
-    isomorphism over the torus.
-    """
-    from .complexes import ChainMap
-    from .diagrams import ComplexDiagram
-
-    minus = s._chart("minus", BaseRing.LAURENT)
-    plus = s._chart("plus", BaseRing.LAURENT)
-    mid = s.mid
-    from_minus = ChainMap(minus, mid, {
-        m: s.level(m).mu_minus_torus() for m in s.degrees()})
-    from_plus = ChainMap(plus, mid, {
-        m: s.level(m).mu_plus_torus() for m in s.degrees()})
-    return ComplexDiagram(minus, mid, plus, from_minus, from_plus)
-

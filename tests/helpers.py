@@ -2,14 +2,21 @@
 
 import random
 
-from p1dom.complexes import ChainComplex, ChainMap, ScalarComplex, cone
-from p1dom.diagrams import ComplexDiagram
-from p1dom.domination import _chart_direction
+from p1dom import fileformat as ff
+from p1dom.complexes import (ChainComplex, ChainMap, Homotopy, ScalarComplex,
+                             cone, inclusion)
+from p1dom.diagrams import ComplexDiagram, sections_matrix
+from p1dom.domination import _chart_direction, _series_dims, _valuations
+from p1dom.errors import (BaseRingViolationError, ShapeError,
+                          UnsupportedRingError)
 from p1dom.generators import (null_homotopic_map, random_complex,
                               random_novikov_acyclic)
 from p1dom.laurent import BaseRing, LaurentPoly
 from p1dom.matrices import LaurentMatrix, ScalarMatrix, scalar_rank
-from p1dom.smith import kernel_basis
+from p1dom.polylists import scaled
+from p1dom.scalars import check_same_ring
+from p1dom.sheaves import SheafComplex, cech_cohomology
+from p1dom.smith import invariant_factors, kernel_basis
 
 
 def P(ring, *pairs):
@@ -38,8 +45,19 @@ def M(ring, rows, base=BaseRing.LAURENT):
     nrows = len(grid)
     ncols = len(grid[0]) if grid else 0
     m = LaurentMatrix(ring, nrows, ncols, grid)
-    m.check_base(base)
+    check_base(m, base)
     return m
+
+
+def check_base(m, base):
+    """Raise unless every entry of the LaurentMatrix m is over its ring
+    and respects ``base``."""
+    for i, row in enumerate(m.entries):
+        for j, p in enumerate(row):
+            check_same_ring(m.ring, p.ring)
+            if not p.respects(base):
+                raise BaseRingViolationError(
+                    f"entry ({i},{j}) = {p} violates {base.tag}")
 
 
 def two_term(ring, pairs, top=1, base=BaseRing.LAURENT):
@@ -149,7 +167,7 @@ def random_mapping_torus(rng, ring, a):
     null = null_homotopic_map(rng, d, d, span=0)
     x_minus_a = LaurentPoly(ring, {1: ring.one(), 0: ring.from_int(-a)})
     return d, cone(ChainMap(d, d, {
-        m: LaurentMatrix.scalar_diag(ring, [x_minus_a] * d.rank(m))
+        m: scalar_diag(ring, [x_minus_a] * d.rank(m))
         - null.component(m) for m in d.degrees()}))[0]
 
 
@@ -171,3 +189,200 @@ def betti_numbers(d):
     ranks = {m: scalar_rank(constants(d.diff(m)))
              for m in range(d.lo, d.hi + 2)}
     return {q: d.rank(q) - ranks[q] - ranks[q + 1] for q in d.degrees()}
+
+
+# -- Laurent polynomials and matrices -------------------------------------------
+
+
+def mindeg(p):
+    """The least exponent of a nonzero LaurentPoly."""
+    return p.entry[0]
+
+
+def maxdeg(p):
+    """The largest exponent of a nonzero LaurentPoly."""
+    v, c = p.entry
+    return v + len(c) - 1
+
+
+def core_degree(p):
+    """maxdeg - mindeg: the degree of the monic core of a nonzero
+    LaurentPoly, the Euclidean norm of K[x,x^-1]."""
+    return len(p.entry[1]) - 1
+
+
+def evaluate(p, point):
+    """p at a scalar point (the point must be a unit when negative
+    exponents occur)."""
+    ring = p.ring
+    v, c = p.entry or (0, ())
+    total = ring.zero()
+    for x in reversed(c):  # Horner's rule, then times point^v
+        total = ring.add(ring.mul(total, point), x)
+    unit = point if v >= 0 else ring.invert(point)
+    for _ in range(abs(v)):
+        total = ring.mul(total, unit)
+    return total
+
+
+def unit_normalise(p):
+    """(v, c, core) with p = c * x^v * core, core monic and core(0) != 0.
+    Needs a field (or a unit leading coefficient over Z) and p != 0."""
+    if p.entry is None:
+        raise ShapeError("cannot normalise the zero polynomial")
+    v, c = p.entry
+    lead = c[-1]
+    core = scaled((0, c), p.ring.invert(lead), p.ring.p)
+    return v, lead, LaurentPoly.from_entry(p.ring, core)
+
+
+def scalar_diag(ring, polys):
+    """The diagonal LaurentMatrix of ``polys``."""
+    n = len(polys)
+    z = LaurentPoly.zero(ring)
+    return LaurentMatrix(ring, n, n, [[polys[i] if i == j else z
+                                       for j in range(n)] for i in range(n)])
+
+
+def submatrix(a, row_idx, col_idx):
+    """The rows ``row_idx`` and columns ``col_idx`` of a LaurentMatrix."""
+    return LaurentMatrix(a.ring, len(row_idx), len(col_idx),
+                         [[a.entries[i][j] for j in col_idx] for i in row_idx])
+
+
+# -- complexes, diagrams and sheaves --------------------------------------------
+
+
+def verify_homotopy_retract(d, r, s, h):
+    """Check r.s + d.h + h.d = id exactly in every degree.
+
+    ``r: D -> C`` and ``s: C -> D`` exhibit C as a homotopy retract of the
+    bounded free complex D; ``h`` is the witnessing homotopy on C.  The sign
+    convention fixed here is id - r.s = d.h + h.d.
+    """
+    c = r.target
+    if r.source != d:
+        raise ShapeError("r must map out of D")
+    if s.source != c or s.target != d:
+        raise ShapeError("s must map C into D")
+    for m in range(c.lo, c.hi + 1):
+        rs = r.component(m) @ s.component(m)
+        dh = c.diff(m + 1) @ h.component(m)
+        hd = h.component(m - 1) @ c.diff(m)
+        if rs + dh + hd != LaurentMatrix.identity(c.ring, c.rank(m)):
+            return False
+    return True
+
+
+def random_retract_witness(rng, ring, span=1):
+    """(D, r, s, h) with id - r.s = d.h + h.d, from a basis-changed
+    projection of C (+) acyclic onto C."""
+    c = random_complex(rng, ring, 3, 2, span)
+    acy = ChainComplex.two_term(ring, LaurentPoly.one(ring),
+                                rng.randint(c.lo, c.hi) + 1, c.base)
+    d = c.direct_sum(acy)
+    r = ChainMap(d, c, {m: LaurentMatrix.block(ring, [[
+        LaurentMatrix.identity(ring, c.rank(m)),
+        LaurentMatrix.zero(ring, c.rank(m), acy.rank(m)),
+    ]]) for m in d.degrees()})
+    return d, r, inclusion(c, d), Homotopy(c, c)
+
+
+def random_diagram(rng, ring, max_length=3, max_rank=3, span=1):
+    """Three random complexes with null-homotopic structure maps."""
+    mid = random_complex(rng, ring, max_length, max_rank, span)
+    minus = random_complex(rng, ring, max_length, max_rank, span)
+    plus = random_complex(rng, ring, max_length, max_rank, span)
+    return ComplexDiagram(
+        minus, mid, plus,
+        null_homotopic_map(rng, minus, mid, span),
+        null_homotopic_map(rng, plus, mid, span))
+
+
+def levelwise_h1_trivial(d):
+    """True iff every level map (-mu_minus + mu_plus) is surjective.
+
+    A level that only ``mid`` occupies has the zero map into mid_n, which
+    is surjective only when mid_n is zero.
+    """
+    lo = min(d.minus.lo, d.plus.lo, d.mid.lo)
+    hi = max(d.minus.hi, d.plus.hi, d.mid.hi)
+    for n in range(lo, hi + 1):
+        a = sections_matrix(d, n)
+        if a.rows == 0:
+            continue
+        factors = invariant_factors(a)
+        if len(factors) < a.rows:
+            return False
+        if any(core_degree(f) > 0 for f in factors):
+            return False
+    return True
+
+
+def chart_homology_dims(c):
+    """Torsion K-dimensions of the homology of a K[x] or K[x^-1] chart
+    complex after base change to K[[t]] (``domination._series_dims``)."""
+    direction = _chart_direction(c)
+    return _series_dims(c, _valuations(c, direction),
+                        "plus" if direction == 1 else "minus")
+
+
+def load_sheaf(path):
+    """The SheafComplex of a sheaf file."""
+    with open(path, encoding="utf-8") as fh:
+        return ff.sheaf_from_dict(ff.loads(fh.read()))
+
+
+def twist(s, n, k=None):
+    """Twist every level of the SheafComplex s by n with the split
+    (k, n - k), k defaulting to n; the chart differentials are unchanged
+    by a uniform twist."""
+    dk = n if k is None else k
+    return SheafComplex(s.mid, {m: tuple(t.shifted(dk, n - dk) for t in ts)
+                                for m, ts in s.twists.items()})
+
+
+def sheaf_hyper_homology_dims(s):
+    """Hypercohomology dimensions for a sheaf complex with zero
+    differentials.
+
+    With no differentials the totalisation splits levelwise, so its
+    homology in degree n is H0 of level n plus H1 of level n+1.  When
+    every twist is at least -1, first cohomology vanishes and
+    ``homology_dims(cech_complex(s))`` gives the hypercohomology of any
+    sheaf complex.
+    """
+    for m in s.degrees():
+        if not s.mid.diff(m).is_zero:
+            raise UnsupportedRingError(
+                "exact sheaf hypercohomology dims need zero differentials; "
+                "with every twist at least -1 use "
+                "homology_dims(cech_complex(s))")
+    coh = {m: cech_cohomology(s.twists[m]) for m in s.degrees()}
+    return {n: (coh[n].h0_dim if n in coh else 0)
+            + (coh[n + 1].h1_dim if n + 1 in coh else 0)
+            for n in range(s.mid.lo - 1, s.mid.hi + 1)}
+
+
+def torus_diagram(s):
+    """The base change of a sheaf complex to the torus as a one-ring
+    diagram.
+
+    Both chart complexes become K[x,x^-1]-complexes and the structure
+    maps, the torus maps diag(x^k) and diag(x^-l) of each level, turn into
+    honest chain maps, so the quasi-isomorphism machinery for one-ring
+    diagrams (sections inclusion, totalisation, cones) applies exactly.
+    The level maps are onto because the plus torus map is an isomorphism.
+    """
+    ring = s.ring
+    minus = s._chart("minus", BaseRing.LAURENT)
+    plus = s._chart("plus", BaseRing.LAURENT)
+
+    def torus_maps(side):
+        return {m: scalar_diag(ring, [LaurentPoly.monomial(ring, e)
+                                      for e in exps])
+                for m, exps in s.chart_exponents(side).items()}
+
+    return ComplexDiagram(minus, s.mid, plus,
+                          ChainMap(minus, s.mid, torus_maps("minus")),
+                          ChainMap(plus, s.mid, torus_maps("plus")))

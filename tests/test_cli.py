@@ -146,6 +146,56 @@ def test_twist_cohomology_example(capsys):
     assert "dim H^1 = 2" in out
 
 
+# sha256 of the report bytes, and the report they decode to; flags go
+# before "--", after which argparse reads everything as a positional
+TWIST_REPORTS = [
+    (["--k", "1", "--format", "report", "--", "-3", "2"],
+     "da8444bb356c2560f30296f158b335dc7ac20ace0044dd25de0377512f89ca3a",
+     {"command": "twist-cohomology", "n": -3, "r": 2, "k": 1, "h0_dim": 0,
+      "h1_dim": 4, "h0_basis": [],
+      "h1_basis": [[0, 2], [0, 3], [1, 2], [1, 3]]}),
+    (["4", "2", "--k", "1", "--format", "report"],
+     "a7a3089ca98da287573673889e56340302f5a9c83f48c8f015f832b7ab353696",
+     {"command": "twist-cohomology", "n": 4, "r": 2, "k": 1, "h0_dim": 10,
+      "h1_dim": 0, "h0_basis": [[i, e] for i in (0, 1)
+                                for e in range(-3, 2)],
+      "h1_basis": []}),
+]
+
+
+@pytest.mark.parametrize("argv, digest, report", TWIST_REPORTS,
+                         ids=["O(-3)^2", "O(4)^2"])
+def test_twist_cohomology_report_bytes_are_pinned(argv, digest, report,
+                                                  capsys):
+    assert main(["twist-cohomology"] + argv) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out) == report
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_twist_cohomology_human_bytes_are_pinned(capsys):
+    assert main(["twist-cohomology", "--", "-3", "1"]) == 0
+    assert capsys.readouterr().out == ("dim H^0 = 0\n"
+                                       "dim H^1 = 2\n"
+                                       "H^1 basis: x^1, x^2\n")
+
+
+def test_twist_cohomology_names_the_summand_of_each_monomial(capsys):
+    # r copies of O(n) list the same exponents once per summand, as the
+    # report's [i, e] pairs do
+    assert main(["twist-cohomology", "--k", "5", "--", "-3", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "dim H^0 = 0\n"
+        "dim H^1 = 4\n"
+        "H^1 basis: summand 0: x^6, x^7; summand 1: x^6, x^7\n")
+    assert main(["twist-cohomology", "1", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "dim H^0 = 6\n"
+        "dim H^1 = 0\n"
+        "H^0 basis: summand 0: x^-1, x^0; summand 1: x^-1, x^0; "
+        "summand 2: x^-1, x^0\n")
+
+
 def test_extend_h0_pipeline(xm1_file, tmp_path, capsys):
     sheaf_path = str(tmp_path / "ext.sheaf")
     w_path = str(tmp_path / "w.cplx")
@@ -369,10 +419,12 @@ def test_trunc_max_does_not_bound_the_order(flags, env, monkeypatch,
     ["selftest", "--trunc", "8"],
     ["selftest", "--ring", "GF:7"],
     ["h0", "x-minus-1.sheaf", "--format", "human"],
+    ["twist-cohomology", "2", "--ring", "Q"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_flag_of_another_command_is_unknown(argv, capsys):
     # --trunc belongs to novikov and hyper, --seed to selftest; selftest
-    # reads no ring and h0 writes its complex file in every format
+    # and twist-cohomology read no ring, and h0 writes its complex file
+    # in every format
     argv = [_sample(a) for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -386,6 +438,7 @@ def test_flag_of_another_command_is_unknown(argv, capsys):
     ("P1DOM_TRUNC", ["selftest"]),
     ("P1DOM_RING", ["selftest"]),
     ("P1DOM_FORMAT", ["h0", "x-minus-1.sheaf"]),
+    ("P1DOM_RING", ["twist-cohomology", "2"]),
 ])
 def test_preset_of_another_command_is_not_read(var, command, monkeypatch):
     monkeypatch.setenv(var, "abc")
@@ -462,6 +515,7 @@ def test_command_namespace_carries_command_and_presets(argv, given,
     flags = {"novikov": ("ring", "format", "out", "trunc"),
              "hyper": ("ring", "format", "out", "trunc"),
              "h0": ("ring", "out"),
+             "twist-cohomology": ("format", "out"),
              "selftest": ("format", "out", "seed")}.get(
                  argv[0], ("ring", "format", "out"))
     for flag, value in PRESET_VALUES.items():

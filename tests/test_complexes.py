@@ -4,17 +4,17 @@ from fractions import Fraction
 import pytest
 
 from p1dom.complexes import (ChainComplex, ChainMap, Homotopy, cone,
-                             homology, inclusion, is_acyclic, is_quasi_iso,
-                             verify_homotopy_retract)
+                             homology, inclusion, is_acyclic, is_quasi_iso)
 from p1dom.errors import RingMismatchError, ShapeError, UnsupportedRingError
 from p1dom.generators import (basis_change, null_homotopic_map,
                               random_complex, random_invertible_pair,
-                              random_retract_witness, random_ring)
+                              random_ring)
 from p1dom.laurent import BaseRing, LaurentPoly
 from p1dom.matrices import LaurentMatrix
 from p1dom.scalars import GF, QQ, ZZ
 
-from helpers import M, two_term
+from helpers import (M, core_degree, random_retract_witness, scalar_diag,
+                     submatrix, two_term, verify_homotopy_retract)
 
 
 def test_validate_zero_complex():
@@ -231,7 +231,7 @@ def test_block_rejects_a_ragged_or_unsized_grid():
     with pytest.raises(ShapeError, match="ragged block grid"):
         LaurentMatrix.block(QQ, [[a], [b]])
     with pytest.raises(ShapeError, match="block row 1 has no sized block"):
-        LaurentMatrix.block(QQ, [[a, b.submatrix([0], [0])], [None, None]])
+        LaurentMatrix.block(QQ, [[a, submatrix(b, [0], [0])], [None, None]])
     with pytest.raises(ShapeError,
                        match="block column 1 has no sized block"):
         LaurentMatrix.block(QQ, [[a, None], [M(QQ, [[1, 1]]), None]])
@@ -294,9 +294,9 @@ def _canonical_torsion_chain(ring, factors):
 
     if not factors:
         return []
-    diag = LaurentMatrix.scalar_diag(ring, list(factors))
+    diag = scalar_diag(ring, list(factors))
     return [str(f) for f in invariant_factors(diag)
-            if f.core_degree > 0]
+            if core_degree(f) > 0]
 
 
 def test_homology_additive_on_sums():
@@ -364,8 +364,8 @@ def test_random_invertible_pair_is_inverse(ring):
         t, t_inv = random_invertible_pair(rng, ring, n, span=2)
         rng.setstate(state)
         assert random_invertible_pair(rng, ring, n, span=2)[0] == t
-        assert (t @ t_inv).is_identity
-        assert (t_inv @ t).is_identity
+        assert t @ t_inv == LaurentMatrix.identity(ring, n)
+        assert t_inv @ t == LaurentMatrix.identity(ring, n)
         if n:
             assert t.determinant().is_unit
 

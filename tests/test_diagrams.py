@@ -4,15 +4,15 @@ import pytest
 
 from p1dom.complexes import ChainComplex, ChainMap, homology, is_quasi_iso
 from p1dom.diagrams import (ComplexDiagram, hypercohomology, iota,
-                            levelwise_h1_trivial, phi_star, sections_complex,
-                            ses_check)
+                            phi_star, sections_complex, ses_check)
 from p1dom.generators import (quasi_iso_inflation, random_complex,
-                              random_diagram, random_surjective_diagram)
+                              random_surjective_diagram)
 from p1dom.laurent import BaseRing
 from p1dom.matrices import LaurentMatrix
 from p1dom.scalars import GF, QQ
 
-from helpers import diagram_with_a_non_chain_map
+from helpers import (diagram_with_a_non_chain_map, levelwise_h1_trivial,
+                     random_diagram)
 
 
 def constant_diagram(c):

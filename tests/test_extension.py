@@ -12,12 +12,12 @@ from p1dom.matrices import LaurentMatrix
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import cech_cohomology, twisting_sheaf
 
-from helpers import M, P, two_term
+from helpers import M, P, maxdeg, mindeg, two_term
 
 
 def test_extend_morphism_monomial():
     # f = x^3 between trivial bundles factors after twisting by 3
-    ext = extend_morphism(twisting_sheaf(QQ, 0), twisting_sheaf(QQ, 0),
+    ext = extend_morphism(twisting_sheaf(0), twisting_sheaf(0),
                           M(QQ, [[[(3, 1)]]]))
     assert (ext.k, ext.l) == (3, 0)
     assert ext.f_plus == M(QQ, [[[(3, 1)]]], BaseRing.POLY)
@@ -25,7 +25,7 @@ def test_extend_morphism_monomial():
 
 
 def test_extend_morphism_identity():
-    ext = extend_morphism(twisting_sheaf(QQ, 2, 1), twisting_sheaf(QQ, 2, 1),
+    ext = extend_morphism(twisting_sheaf(2, 1), twisting_sheaf(2, 1),
                           M(QQ, [[1]]))
     assert (ext.k, ext.l) == (0, 0)
     assert ext.f_plus == M(QQ, [[1]], BaseRing.POLY)
@@ -34,7 +34,7 @@ def test_extend_morphism_identity():
 
 def test_extend_morphism_mixed_exponents():
     # f = x^-2 + x needs l = 2 and k = 1; the plus chart sees 1 + x^3
-    ext = extend_morphism(twisting_sheaf(QQ, 0), twisting_sheaf(QQ, 0),
+    ext = extend_morphism(twisting_sheaf(0), twisting_sheaf(0),
                           M(QQ, [[[(-2, 1), (1, 1)]]]))
     assert (ext.k, ext.l) == (1, 2)
     assert ext.f_plus == M(QQ, [[[(0, 1), (3, 1)]]], BaseRing.POLY)
@@ -42,7 +42,7 @@ def test_extend_morphism_mixed_exponents():
 
 
 def test_extend_morphism_zero_map():
-    ext = extend_morphism(twisting_sheaf(QQ, 0), twisting_sheaf(QQ, 3),
+    ext = extend_morphism(twisting_sheaf(0), twisting_sheaf(3),
                           LaurentMatrix.zero(QQ, 1, 1))
     assert (ext.k, ext.l) == (0, 0)
 
@@ -50,9 +50,9 @@ def test_extend_morphism_zero_map():
 def _legal_with(z, y, f, k, l):
     """Brute-force legality: do both chart matrices stay in their rings?"""
     for i, j, p in f.nonzero_entries():
-        if l + y.twists[i].l - z.twists[j].l + p.mindeg < 0:
+        if l + y[i].l - z[j].l + mindeg(p) < 0:
             return False
-        if -k - y.twists[i].k + z.twists[j].k + p.maxdeg > 0:
+        if -k - y[i].k + z[j].k + maxdeg(p) > 0:
             return False
     return True
 
@@ -61,14 +61,14 @@ def test_extend_morphism_minimality_scan():
     rng = random.Random(21)
     for _ in range(40):
         ring = random_ring(rng)
-        z = twisting_sheaf(ring, rng.randint(-2, 3), rng.randint(-1, 2),
+        z = twisting_sheaf(rng.randint(-2, 3), rng.randint(-1, 2),
                            rng.randint(1, 2))
-        y = twisting_sheaf(ring, rng.randint(-2, 3), rng.randint(-1, 2),
-                           len(z.twists))
+        y = twisting_sheaf(rng.randint(-2, 3), rng.randint(-1, 2),
+                           len(z))
         grid = [[P(ring, *[(rng.randint(-3, 3), rng.randint(-2, 2))
                            for _ in range(2)])
-                 for _ in range(len(z.twists))] for _ in range(len(y.twists))]
-        f = LaurentMatrix(ring, len(y.twists), len(z.twists), grid)
+                 for _ in range(len(z))] for _ in range(len(y))]
+        f = LaurentMatrix(ring, len(y), len(z), grid)
         if f.is_zero:
             continue
         ext = extend_morphism(z, y, f)
@@ -97,7 +97,7 @@ def test_extend_complex_zero_differential():
     c = ChainComplex.single(QQ, BaseRing.LAURENT, 0, 3)
     ext = extend_complex(c)
     assert ext.profile == {0: (0, 0)}
-    assert ext.sheaf.level(0).twists[0].n == 0
+    assert ext.sheaf.twists[0][0].n == 0
 
 
 def test_extend_complex_zero_matrix_propagates():
@@ -173,7 +173,7 @@ def test_round_trip_randomised_with_invariants():
         assert restrict_to_torus(ext.sheaf) == c
         assert all(k >= 0 and l >= 0 for k, l in ext.profile.values())
         for m in ext.sheaf.degrees():
-            coh = cech_cohomology(ext.sheaf.level(m))
+            coh = cech_cohomology(ext.sheaf.twists[m])
             assert coh.h1_dim == 0
             # section counts: n + 1 per summand
             n = ext.profile[m][0] + ext.profile[m][1]

@@ -36,12 +36,13 @@ from p1dom.generators import (null_homotopic_map, random_complex,
 from p1dom.laurent import BaseRing, LaurentPoly
 from p1dom.matrices import LaurentMatrix
 from p1dom.scalars import GF, QQ, ZZ
-from p1dom.sheaves import (SheafComplex, SheafDiagram, TwistSummand,
-                           cech_complex, chart_shifts, twist_shift)
+from p1dom.sheaves import (SheafComplex, TwistSummand, cech_complex,
+                           chart_shifts, twist_shift)
 from p1dom.smith import (invariant_factors, kernel_basis,
                          kernel_coordinates)
 
-from helpers import HOMOLOGY_KINDS, M, P, homology_case, random_matrix
+from helpers import (HOMOLOGY_KINDS, M, P, core_degree, homology_case,
+                     random_matrix, scalar_diag, unit_normalise)
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
@@ -49,27 +50,9 @@ SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 # -- sheaf charts and validation against the dense reference ----------------
 
 
-def dense_level_problems(lvl):
-    """SheafDiagram.validate by entry scans and Bareiss determinants."""
-    problems = []
-    for label, mat, base in (("minus", lvl.p_minus, BaseRing.POLY_INV),
-                             ("plus", lvl.p_plus, BaseRing.POLY)):
-        for i, j, p in mat.nonzero_entries():
-            if not p.respects(base):
-                problems.append(f"{label} entry ({i},{j}) violates {base.tag}")
-    for label, mu in (("minus", lvl.mu_minus_torus()),
-                      ("plus", lvl.mu_plus_torus())):
-        if not mu.is_square:
-            problems.append(f"{label} adjoint map is not square")
-        elif mu.rows and not mu.determinant().is_unit:
-            problems.append(
-                f"{label} adjoint map is not an isomorphism over the torus")
-    return problems
-
-
 def _monomial_diag(ring, exponents):
-    return LaurentMatrix.scalar_diag(
-        ring, [LaurentPoly.monomial(ring, e) for e in exponents])
+    return scalar_diag(ring, [LaurentPoly.monomial(ring, e)
+                              for e in exponents])
 
 
 def dense_charts(mid, twists):
@@ -108,15 +91,21 @@ def dense_gluing(minus, mid, plus, twists):
     """The gluing squares, every one a product of level torus maps."""
     problems = []
     for m in range(mid.lo + 1, mid.hi + 1):
-        prev = SheafDiagram.twist_sum(mid.ring, twists[m - 1])
-        lvl = SheafDiagram.twist_sum(mid.ring, twists[m])
-        if (prev.mu_minus_torus() @ minus.diff(m)
-                != mid.diff(m) @ lvl.mu_minus_torus()):
+        prev, lvl = twists[m - 1], twists[m]
+        if (torus_map(mid.ring, prev, "minus") @ minus.diff(m)
+                != mid.diff(m) @ torus_map(mid.ring, lvl, "minus")):
             problems.append(f"level {m}: minus structure map not a chain map")
-        if (prev.mu_plus_torus() @ plus.diff(m)
-                != mid.diff(m) @ lvl.mu_plus_torus()):
+        if (torus_map(mid.ring, prev, "plus") @ plus.diff(m)
+                != mid.diff(m) @ torus_map(mid.ring, lvl, "plus")):
             problems.append(f"level {m}: plus structure map not a chain map")
     return problems
+
+
+def torus_map(ring, twists, side):
+    """The torus map of a level from its ``side`` chart: diag(x^k) from
+    K[x^-1] and diag(x^-l) from K[x]."""
+    return _monomial_diag(ring, [t.k if side == "minus" else -t.l
+                                 for t in twists])
 
 
 def dense_validate(mid, twists):
@@ -235,20 +224,6 @@ def test_perturbed_extensions_are_caught():
     # a moved split is legal when the entries it touches leave room
     assert caught["plain"] == 0 and caught["entry"] == 60
     assert 0 < caught["twist"] < 60
-
-
-def test_non_twist_sum_level_with_non_unit_determinant_is_reported():
-    lvl = SheafDiagram(QQ, [TwistSummand(1, 0)],
-                       M(QQ, [[[(0, 1), (-1, 1)]]], BaseRing.POLY_INV),
-                       LaurentMatrix.identity(QQ, 1))
-    assert not lvl.is_twist_sum
-    expected = ["minus adjoint map is not an isomorphism over the torus"]
-    assert lvl.validate() == dense_level_problems(lvl) == expected
-    # a unit-monomial structure matrix is not a twist sum, but it is valid
-    unit = SheafDiagram(QQ, [TwistSummand(0, 0)],
-                        M(QQ, [[[(-2, 3)]]], BaseRing.POLY_INV),
-                        LaurentMatrix.identity(QQ, 1))
-    assert not unit.is_twist_sum and unit.validate() == []
 
 
 def test_twist_sum_validation_multiplies_no_torus_maps(monkeypatch):
@@ -429,40 +404,20 @@ def test_torus_path_builds_no_level_matrices(monkeypatch):
               for ring in (QQ, GF(7), GF(10007), ZZ) for _ in range(4)]
     calls = []
     make_identity = LaurentMatrix.identity.__func__
-    make_level = SheafDiagram.__init__
 
     def identity(cls, *args, **kwargs):
         calls.append("identity")
         return make_identity(cls, *args, **kwargs)
 
-    def level(self, *args, **kwargs):
-        calls.append("level")
-        make_level(self, *args, **kwargs)
-
     monkeypatch.setattr(LaurentMatrix, "identity", classmethod(identity))
-    monkeypatch.setattr(SheafDiagram, "__init__", level)
-    sheaves = []
     for c in inputs:
         s = extend_complex(c).sheaf
         cech_complex(s)
         assert s.validate() == []
         assert ff.sheaf_from_dict(ff.sheaf_to_dict(s)).twists == s.twists
-        sheaves.append(s)
+        # a level is its tuple of summands
+        assert all(isinstance(s.twists[m], tuple) for m in s.degrees())
     assert calls == []
-    monkeypatch.undo()
-    for s in sheaves:
-        for m in s.degrees():
-            assert s.level(m) == SheafDiagram.twist_sum(s.ring, s.twists[m])
-            assert s.level(m).is_twist_sum
-
-
-def test_twist_sum_detection_scans_entries():
-    assert LaurentMatrix.identity(QQ, 3).is_identity
-    assert LaurentMatrix.identity(GF(7), 0).is_identity
-    assert not M(QQ, [[1, 0], [0, 2]]).is_identity
-    assert not M(QQ, [[1, 0], [1, 1]]).is_identity
-    assert not M(QQ, [[[(1, 1)]]]).is_identity
-    assert not LaurentMatrix.zero(QQ, 1, 2).is_identity
 
 
 # -- morphism and cone extension against the dense reference -----------------
@@ -473,12 +428,12 @@ def dense_extension_problems(z, y, f, ext):
     in its chart ring, and both chart squares
     mu(Y(k, l)) f_chart = f mu(Z) as products of level torus maps."""
     problems = []
-    y_tw = y.twist(ext.k + ext.l, ext.k)
-    for side, chart, lhs, rhs, base in (
-            ("minus", ext.f_minus, y_tw.mu_minus_torus(), z.mu_minus_torus(),
-             BaseRing.POLY_INV),
-            ("plus", ext.f_plus, y_tw.mu_plus_torus(), z.mu_plus_torus(),
-             BaseRing.POLY)):
+    ring = f.ring
+    y_tw = tuple(t.shifted(ext.k, ext.l) for t in y)
+    for side, chart, base in (("minus", ext.f_minus, BaseRing.POLY_INV),
+                              ("plus", ext.f_plus, BaseRing.POLY)):
+        lhs = torus_map(ring, y_tw, side)
+        rhs = torus_map(ring, z, side)
         problems += [f"{side} entry ({i},{j}) violates {base.tag}"
                      for i, j, p in chart.nonzero_entries()
                      if not p.respects(base)]
@@ -492,10 +447,10 @@ def dense_legal(z, y, f, k, l):
     are the products diag(x^-(k_i + k)) f diag(x^k_j) and
     diag(x^(l_i + l)) f diag(x^-l_j)."""
     ring = f.ring
-    minus = (_monomial_diag(ring, [-t.k - k for t in y.twists]) @ f
-             @ _monomial_diag(ring, [t.k for t in z.twists]))
-    plus = (_monomial_diag(ring, [t.l + l for t in y.twists]) @ f
-            @ _monomial_diag(ring, [-t.l for t in z.twists]))
+    minus = (_monomial_diag(ring, [-t.k - k for t in y]) @ f
+             @ _monomial_diag(ring, [t.k for t in z]))
+    plus = (_monomial_diag(ring, [t.l + l for t in y]) @ f
+            @ _monomial_diag(ring, [-t.l for t in z]))
     return (all(p.respects(BaseRing.POLY_INV) for row in minus.entries
                 for p in row)
             and all(p.respects(BaseRing.POLY) for row in plus.entries
@@ -504,9 +459,8 @@ def dense_legal(z, y, f, k, l):
 
 def random_twist_sum(rng, ring, rank):
     """A sum of twisting sheaves with an independent split per summand."""
-    return SheafDiagram.twist_sum(ring, [
-        TwistSummand(rng.randint(-3, 3), rng.randint(-3, 3))
-        for _ in range(rank)])
+    return tuple(TwistSummand(rng.randint(-3, 3), rng.randint(-3, 3))
+                 for _ in range(rank))
 
 
 @settings(deadline=None, max_examples=200)
@@ -516,10 +470,10 @@ def test_morphism_extension_matches_dense_reference(seed, ring):
     rng = random.Random(seed)
     z = random_twist_sum(rng, ring, rng.randint(0, 3))
     y = random_twist_sum(rng, ring, rng.randint(0, 3))
-    f = random_matrix(rng, ring, len(y.twists), len(z.twists), 3)
+    f = random_matrix(rng, ring, len(y), len(z), 3)
     ext = extend_morphism(z, y, f)
     assert dense_extension_problems(z, y, f, ext) == []
-    shift = twist_shift(f, y.twists, z.twists)
+    shift = twist_shift(f, y, z)
     assert (shift is None) == f.is_zero
     assert (ext.k, ext.l) == (shift or (0, 0))
     # twist_shift is the least legal (k, l) >= 0
@@ -531,8 +485,8 @@ def test_morphism_extension_matches_dense_reference(seed, ring):
 
 
 def test_morphism_extension_reference_sees_a_broken_chart():
-    z = SheafDiagram.twist_sum(QQ, [TwistSummand(1, 0)])
-    y = SheafDiagram.twist_sum(QQ, [TwistSummand(0, 2)])
+    z = (TwistSummand(1, 0),)
+    y = (TwistSummand(0, 2),)
     f = M(QQ, [[[(-1, 1), (2, 3)]]])
     ext = extend_morphism(z, y, f)
     assert (ext.k, ext.l) == (3, 0)
@@ -567,7 +521,8 @@ def test_cone_twist_is_the_largest_morphism_twist():
     for ring in (QQ, GF(7), GF(10007), ZZ):
         for _ in range(8):
             for v1, v2, omega in _cone_cases(rng, ring):
-                exts = [extend_morphism(v1.level(m), v2.level(m), f)
+                exts = [extend_morphism(v1.twists.get(m, ()),
+                                        v2.twists.get(m, ()), f)
                         for m, f in omega.components.items()]
                 k = max(ext.k for ext in exts)
                 l = max(ext.l for ext in exts)
@@ -586,19 +541,14 @@ def test_cone_lifting_builds_no_level_or_chart(monkeypatch):
     rng = random.Random(29)
     cases = [case for ring in (QQ, GF(7), ZZ) for _ in range(4)
              for case in _cone_cases(rng, ring)]
+    # a level is its tuple of summands, so only a chart could be built
     calls = []
-    make_level = SheafDiagram.__init__
     make_chart = SheafComplex._chart
-
-    def level(self, *args, **kwargs):
-        calls.append("level")
-        make_level(self, *args, **kwargs)
 
     def chart(self, *args, **kwargs):
         calls.append("chart")
         return make_chart(self, *args, **kwargs)
 
-    monkeypatch.setattr(SheafDiagram, "__init__", level)
     monkeypatch.setattr(SheafComplex, "_chart", chart)
     for v1, v2, omega in cases:
         extend_cone(v1, v2, omega)
@@ -655,8 +605,8 @@ def two_form_homology(c):
         else:
             factors = invariant_factors(kernel_coordinates(kernel, incoming))
             free = kernel_rank - len(factors)
-            torsion = tuple(f for f in factors if f.core_degree > 0)
-        kdim = None if free else sum(f.core_degree for f in torsion)
+            torsion = tuple(f for f in factors if core_degree(f) > 0)
+        kdim = None if free else sum(core_degree(f) for f in torsion)
         entries[q] = HomologyEntry(free, torsion, kdim)
     return entries
 
@@ -767,13 +717,13 @@ def test_arithmetic_results_equal_the_normalising_constructor(data, ring):
 def test_field_operations_are_canonical(data, ring):
     a = data.draw(polys(ring))
     if not a.is_zero:
-        v, lead, core = a.unit_normalise()
+        v, lead, core = unit_normalise(a)
         assert_canonical(core)
         assert LaurentPoly.monomial(ring, v, 1).scale(lead) * core == a
     if a.is_unit:
         inv = a.inverse_unit()
         assert_canonical(inv)
-        assert (a * inv).is_one
+        assert a * inv == LaurentPoly.one(ring)
 
 
 def test_scale_normalises_outside_coefficients():

@@ -1,0 +1,114 @@
+"""Every public name of the library has a caller outside the tests.
+
+A public module-level function or class, or a public method, under
+src/p1dom/ must be read somewhere else in src/p1dom/ (its own
+definition and ``__init__.py``, the package's export list, do not
+count) or in perfbench/.  A name only tests call belongs in
+``tests/helpers.py``.  The walk uses the standard ``ast`` module, as
+``test_unused_imports`` does, and matches by name: an attribute ``.f``
+anywhere counts as a read of every method ``f``.  In perfbench a string
+constant counts too when it equals the name or ends in ``.name``, as
+the span tables of ``perfbench/tracing.py`` name what they wrap.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = ROOT / "src" / "p1dom"
+PERFBENCH = ROOT / "perfbench"
+
+
+def definitions(tree):
+    """(qualified name, name, node) of each public module-level function
+    and class and each public method of a module-level class."""
+    out = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            out.append((node.name, node.name, node))
+        if isinstance(node, ast.ClassDef):
+            out += [(f"{node.name}.{item.name}", item.name, item)
+                    for item in node.body
+                    if isinstance(item, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef))
+                    and not item.name.startswith("_")]
+    return out
+
+
+def reads(tree, strings=False, skip=None):
+    """The names a tree reads: loaded names and attributes, and with
+    ``strings`` each string constant and its last dotted part.  Nothing
+    under the node ``skip`` counts."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            found.add(node.value)
+            found.add(node.value.rpartition(".")[2])
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def uncalled(library: dict, perfbench: dict) -> list:
+    """Sorted "module.qualname" of each public definition in ``library``
+    (module name -> source) that no other part of it, nor any source in
+    ``perfbench``, reads; the module ``__init__`` is not searched."""
+    trees = {name: ast.parse(source) for name, source in library.items()
+             if name != "__init__"}
+    outside = set()
+    for source in perfbench.values():
+        outside |= reads(ast.parse(source), strings=True)
+    everywhere = {name: reads(tree) for name, tree in trees.items()}
+    missing = []
+    for module, tree in trees.items():
+        for qualname, name, node in definitions(tree):
+            if name in outside:
+                continue
+            if any(name in found for other, found in everywhere.items()
+                   if other != module):
+                continue
+            if name not in reads(tree, skip=node):
+                missing.append(f"{module}.{qualname}")
+    return sorted(missing)
+
+
+def test_the_check_sees_an_uncalled_name():
+    library = {
+        "__init__": "from .a import only_exported\n",
+        "a": ("def used(): return helper_b()\n"
+              "def only_exported(): pass\n"
+              "def recursive(n): return recursive(n - 1)\n"
+              "def _private(): pass\n"
+              "class Shape:\n"
+              "    def area(self): return self.area_of()\n"
+              "    def area_of(self): pass\n"
+              "    def spanned(self): pass\n"
+              "    def _hidden(self): pass\n"
+              "    def __eq__(self, other): pass\n"),
+        "b": ("from .a import used, Shape\n"
+              "def helper_b(): return used(), Shape\n"
+              "def traced(): pass\n"),
+    }
+    perfbench = {"tracing": "SPANS = [('p1dom.a', 'Shape.spanned')]\n"
+                            "LABEL = 'traced'\n"}
+    assert uncalled(library, perfbench) == [
+        "a.Shape.area", "a.only_exported", "a.recursive"]
+
+
+def test_every_public_name_has_a_library_or_perfbench_caller():
+    library = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(LIBRARY.glob("*.py"))}
+    perfbench = {p.stem: p.read_text(encoding="utf-8")
+                 for p in sorted(PERFBENCH.glob("*.py"))}
+    assert uncalled(library, perfbench) == []

@@ -22,7 +22,7 @@ from p1dom.laurent import BaseRing
 from p1dom.matrices import LaurentMatrix
 from p1dom.scalars import GF, QQ
 
-from helpers import P, two_term
+from helpers import P, load_sheaf, two_term
 
 SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
 XM1 = os.path.join(SAMPLES, "x-minus-1.cplx")
@@ -89,7 +89,7 @@ def test_h0_refuses_a_w_above_the_rank_bound(tmp_path, capsys):
     src = _extension_file(tmp_path, "g7", P(GF(7), (1000, 1), (0, -1)))
     sheaf = str(tmp_path / "g7.sheaf")
     assert main(["extend", src, "--out", sheaf]) == 0
-    ff.load_sheaf(sheaf)
+    load_sheaf(sheaf)
     out = tmp_path / "w.cplx"
     for extra in (["--out", str(out)], []):
         assert main(["h0", sheaf] + extra) == 2
@@ -198,7 +198,7 @@ def test_outputs_at_the_bounds_are_written_and_read_back(tmp_path):
     exps = [pair[0] for item in data["minus"] for row in item["matrix"]
             for cell in row for pair in cell]
     assert min(exps) == -ff.MAX_EXPONENT
-    ff.load_sheaf(str(sheaf))
+    load_sheaf(str(sheaf))
     src = _extension_file(tmp_path, "g7", P(GF(7), (511, 1), (0, -1)))
     sheaf = tmp_path / "g7.sheaf"
     w = tmp_path / "w.cplx"
