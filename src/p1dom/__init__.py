@@ -4,18 +4,20 @@ Bounded complexes of free modules over K[x,x^-1] extend constructively to
 complexes of twisted sums on the projective line; their global sections
 give a finite complex over K, and Novikov acyclicity (decided exactly over
 a field by the ranks of the differentials over K(x), the Smith form only
-rendering the certificate; over Z by a sound unit-pivot search on
-truncated Laurent series, kept as coefficient-list windows) makes that
-complex a finite domination witness, audited degree by degree against the
-exact homology of the two charts over the power-series rings.
+rendering the certificate; over Z exactly for a square two-term complex by
+the end coefficients of its determinant, otherwise by a sound unit-pivot
+search on truncated Laurent series, kept as coefficient-list windows)
+makes that complex a finite domination witness, audited degree by degree
+against the exact homology of the two charts over the power-series rings
+(``chart_homology``).
 """
 
 from .complexes import (ChainComplex, ChainMap, Homotopy, HomologyReport,
                         cone, homology, is_acyclic, is_quasi_iso)
 from .diagrams import (ComplexDiagram, DiagramMap, hypercohomology, iota,
                        phi_star, ses_check)
-from .domination import (DominationWitness, FpqcModel, NovikovVerdict,
-                         TheoremReport, dominate, fpqc_hyper, novikov_check,
+from .domination import (DominationWitness, NovikovVerdict, TheoremReport,
+                         chart_homology, dominate, novikov_check,
                          verify_theorem)
 from .extension import (ExtensionResult, MorphismExtension, extend_complex,
                         extend_cone, extend_morphism, restrict_to_torus)

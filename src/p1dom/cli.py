@@ -7,24 +7,22 @@ take (``BASES``: K[x,x^-1] for novikov, extend, dominate and verify, K or
 K[x,x^-1] for homology, K[x] for hyper) and a Z-coefficient complex given
 to a command that needs a field (``FIELD_COMMANDS``: homology, dominate,
 verify).  Each command parses only the flags it reads: ``--trunc`` is
-``novikov``'s (the Z windows) and ``hyper``'s (the fpqc model's window
-order), ``--seed`` is ``selftest``'s, and ``selftest`` and
-``twist-cohomology`` take no ``--ring``, ``h0`` no ``--format``; another
-flag is an unknown argument (exit 2), which the top-level parser reports,
-as it does a missing command.  ``verify`` and ``dominate`` report the
-exact chart valuations, which no order bounds.  Flags can be preset
-through environment variables with the P1DOM_ prefix (P1DOM_RING,
-P1DOM_TRUNC, P1DOM_SEED, P1DOM_FORMAT, P1DOM_OUT); explicit flags win.
-A preset is read only by a command that takes its flag, and is checked
-like that flag.
+``novikov``'s (the Z windows of its unit-pivot search), ``--seed`` is
+``selftest``'s, and ``selftest`` and ``twist-cohomology`` take no
+``--ring``, ``h0`` no ``--format``; another flag is an unknown argument
+(exit 2), which the top-level parser reports, as it does a missing
+command.  ``verify`` and ``dominate`` report the exact chart valuations
+and ``hyper`` the exact chart homology, which no order bounds.  Flags can
+be preset through environment variables with the P1DOM_ prefix
+(P1DOM_RING, P1DOM_TRUNC, P1DOM_SEED, P1DOM_FORMAT, P1DOM_OUT); explicit
+flags win.  A preset is read only by a command that takes its flag, and
+is checked like that flag.
 
 Sizes are bounded as file contents are: a truncation order is at most
-MAX_ORDER (``hyper`` reads its model off the chart valuations, so nothing
-it builds grows with the order), ``twist-cohomology`` takes a rank r from
-0 to MAX_RANK, a twist n, split k and n - k within MAX_EXPONENT and at
-most HYPER_ROW_BUDGET basis monomials, and ``extend`` and ``h0`` write no
-file that the loader refuses: they run it on the data first (exit 2 in
-each case).
+MAX_ORDER, ``twist-cohomology`` takes a rank r from 0 to MAX_RANK, a twist
+n, split k and n - k within MAX_EXPONENT and at most HYPER_ROW_BUDGET
+basis monomials, and ``extend`` and ``h0`` write no file that the loader
+refuses: they run it on the data first (exit 2 in each case).
 """
 
 from __future__ import annotations
@@ -36,7 +34,8 @@ import sys
 
 from . import fileformat as ff
 from .complexes import homology, require_valid
-from .domination import dominate, fpqc_hyper, novikov_check, verify_theorem
+from .domination import (chart_homology, dominate, novikov_check,
+                         verify_theorem)
 from .errors import (FormatError, NotNovikovAcyclicError, P1DomError,
                      StabilisationFailureError, UnsupportedRingError)
 from .extension import extend_complex
@@ -135,18 +134,15 @@ def build_parser():
                        help="write output to this path instead of stdout")
         return p
 
-    def windowed(p):
-        common(p).add_argument(
-            "--trunc", type=_order,
-            help="truncation order N of novikov's Z windows and of hyper "
-                 "(default 16)")
-
     common(sub.add_parser("validate", help="check d.d = 0 and exponent legality"))
     common(sub.add_parser("homology", help="homology report of a complex"))
-    windowed(sub.add_parser("novikov", help="Novikov acyclicity verdicts"))
+    nv = sub.add_parser("novikov", help="Novikov acyclicity verdicts")
+    common(nv).add_argument("--trunc", type=_order,
+                            help="truncation order N of the Z windows "
+                                 "(default 16)")
     common(sub.add_parser("extend", help="extend a complex to the projective line"))
     common(sub.add_parser("h0", help="global sections of a sheaf complex"), flags=("ring",))
-    windowed(sub.add_parser("hyper", help="truncated chart-cover totalisation of a K[x] complex"))
+    common(sub.add_parser("hyper", help="exact homology of a K[x] complex over K[[x]]"))
     common(sub.add_parser("dominate", help="produce the finite-domination witness"))
     common(sub.add_parser("verify", help="full theorem pipeline with ledger"))
     tw = sub.add_parser("twist-cohomology",
@@ -352,18 +348,12 @@ def _check_w_ranks(w):
 
 def cmd_hyper(args):
     c = _load_valid_complex(args)
-    model = fpqc_hyper(c, order=args.trunc)
-    lines = [f"order {model.order}, stabilised {model.stabilised}"]
-    for q in sorted(model.dims):
-        lines.append(f"H_{q}: dim {model.dims[q]} "
-                     f"(2N: {model.dims_double.get(q)})")
-    _emit(args, lines, lambda: {
+    entries = sorted(chart_homology(c).items())
+    _emit(args, [f"H_{q}: free rank {f}, torsion dim {t}"
+                 for q, (f, t) in entries], lambda: {
         "command": "hyper", "input_digest": args.input_digest,
-        "order": model.order,
-        "stabilised": model.stabilised,
-        "dims": {str(q): model.dims[q] for q in sorted(model.dims)},
-        "dims_double": {str(q): model.dims_double[q]
-                        for q in sorted(model.dims_double)}})
+        "entries": [{"degree": q, "free_rank": f, "torsion_dim": t}
+                    for q, (f, t) in entries]})
     return EXIT_OK
 
 

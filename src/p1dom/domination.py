@@ -17,16 +17,15 @@ over K((x)) and so over K(x).  The invariant factors (``homology``) are
 computed only when the ``snf-torsion`` certificate is read.  Like
 ``homology``, ``novikov_check`` assumes d.d = 0 (in a complex f_q >= 0,
 ``complexes.homology_ranks``); the CLI, ``verify_theorem`` and
-``dominate`` check it first.  Z mode runs on Z windows of ``order`` terms
-(``polylists.window``: a coefficient entry in t = x or t = x^-1 and its
-first unknown t-exponent).  A square two-term complex is acyclic on a side
-exactly when its determinant's window there has head coefficient 1 or -1,
-the condition under which ``window_inverse`` succeeds, so the verdict reads
-that coefficient alone and the inverse series is computed only for the
-certificate.  Longer complexes run a greedy unit-pivot elimination on
-matrices of windows (sound, possibly "unknown").  A verdict renders its
-certificate (strings of factors, determinants and series) only when a
-caller reads it.
+``dominate`` check it first.  Over Z a square two-term complex is acyclic
+on a side exactly when its determinant is a unit of Z((t)), t = x or
+x^-1, that is when the determinant's lowest coefficient in t is 1 or -1;
+that end coefficient is the whole certificate, with no truncation order.
+Longer complexes run a greedy unit-pivot elimination on Z windows of
+``order`` terms (``polylists.window``: a coefficient entry in t and its
+first unknown t-exponent), which is sound but may answer "unknown".  A
+verdict renders its certificate (strings of factors, determinants and
+windows) only when a caller reads it.
 
 The witness produced for a Novikov-acyclic complex is the complex of global
 sections W of the extension to the projective line (a ``ScalarComplex``:
@@ -45,13 +44,11 @@ integer rows over Q with Bareiss's exact division.  The witness reads each
 chart differential straight off the torus differential and the twists,
 entry (i, j) being x^(a_j(m) - a_i(m-1)) d_m[i][j] with a = -l on the plus
 side and a = k on the minus side, so it builds no chart complex, does no
-``LaurentPoly`` arithmetic and no window; ``fpqc_hyper`` runs the same
-elimination on an explicit K[x] complex.  The
-witness keeps the valuations, per side and differential degree, as the
-record of the chart stage.  The quotient window C+/x^N has dimension sum
-min(N, v) over the valuations of d_{q+1} and of d_q, plus N times the
-free rank, in degree q; the truncated fpqc model of ``fpqc_hyper`` is
-read off the valuations that way.
+``LaurentPoly`` arithmetic and no window.  ``chart_homology`` reads the
+free rank and the torsion K-dimension of each degree off the valuations,
+for the ledger and for ``p1dom hyper``, which runs the elimination on an
+explicit K[x] complex.  The witness keeps the valuations, per side and
+differential degree, as the record of the chart stage.
 """
 
 from __future__ import annotations
@@ -62,8 +59,8 @@ from typing import Callable
 
 from .complexes import (ChainComplex, HomologyReport, ScalarComplex, homology,
                         homology_dims, homology_ranks, require_valid)
-from .errors import (NotAUnitError, NotNovikovAcyclicError,
-                     StabilisationFailureError, UnsupportedRingError)
+from .errors import (NotNovikovAcyclicError, StabilisationFailureError,
+                     UnsupportedRingError)
 from .extension import ExtensionResult, extend_valid_complex
 from .laurent import BaseRing, LaurentPoly
 from .matrices import LaurentMatrix
@@ -168,24 +165,36 @@ def _valuations(c: ChainComplex, direction: int, exps=None) -> dict:
     return out
 
 
-def _series_dims(c, valuations: dict, side: str) -> dict:
-    """Torsion K-dimensions of the ``side`` chart homology from the
-    valuations of each differential of that chart, whose ranks are those
-    of ``c``.
+def chart_homology(c: ChainComplex, valuations: dict | None = None) -> dict:
+    """Degree q -> (free rank, torsion K-dimension) of H_q of the chart
+    complex ``c`` after base change to K[[t]] (t = x on K[x], x^-1 on
+    K[x^-1]), for q from lo to hi.
 
-    Over the discrete valuation ring K[[t]] the homology in degree q is
-    the torsion module sum K[[t]]/t^v over the valuations v of the
-    elementary divisors of d_{q+1}, so its K-dimension is their sum.
-    Raises StabilisationFailureError, naming the degree, when the chart
-    homology has a free part, and ShapeError when the ranks show
-    d.d != 0 (``homology_ranks``)."""
+    K[[t]] is a discrete valuation ring, so H_q is a free module of rank
+    ``homology_ranks`` on the pivot counts (the ranks over K((t))) plus the
+    torsion sum K[[t]]/t^v over the valuations v of the nonzero elementary
+    divisors of d_{q+1}, whose K-dimension is the sum of those v.  Given
+    ``valuations`` (``_valuations``) no elimination runs and ``c`` gives
+    only the ranks, as the middle complex of a sheaf does for its charts.
+    Raises ShapeError when the counts show d.d != 0 (``homology_ranks``).
+    """
+    if valuations is None:
+        valuations = _valuations(c, _chart_direction(c))
     free = homology_ranks(c.ranks,
                           {m: len(vs) for m, vs in valuations.items()})
-    for q, rank in free.items():
-        if rank:
+    return {q: (free[q], sum(valuations.get(q + 1, ())))
+            for q in c.degrees()}
+
+
+def _torsion_dims(chart: dict, side: str) -> dict:
+    """The torsion K-dimensions of the ``side`` chart's ``chart_homology``
+    ``chart``; StabilisationFailureError, naming the degree, when it has a
+    free part."""
+    for q, (free, _) in chart.items():
+        if free:
             raise StabilisationFailureError(
                 f"{side} chart homology has a free part in degree {q}")
-    return {q: sum(valuations.get(q + 1, ())) for q in c.degrees()}
+    return {q: torsion for q, (_, torsion) in chart.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +317,7 @@ def _novikov_integers(c: ChainComplex, order: int) -> NovikovVerdict:
     two_term = _two_term_square(c)
     if two_term is not None:
         det = two_term.determinant()
-        return NovikovVerdict(
-            _unit_det_side(det, 1, order), _unit_det_side(det, -1, order))
+        return NovikovVerdict(_unit_det_side(det, 1), _unit_det_side(det, -1))
     return NovikovVerdict(
         _contraction_side(c, 1, order), _contraction_side(c, -1, order))
 
@@ -325,31 +333,17 @@ def _two_term_square(c: ChainComplex):
     return c.diff(present[1])
 
 
-def _unit_det_side(det: LaurentPoly, direction: int, order: int) -> SideVerdict:
-    var = "x" if direction == 1 else "x^-1"
-    if det.is_zero:
-        return SideVerdict("no", "unit-determinant",
-                           lambda: {"determinant": "0", "side": var})
-    w = window(det.entry, direction, order)
-
-    def render():
-        try:
-            (v, c), _ = window_inverse(w)
-        except NotAUnitError as exc:
-            return {"determinant": str(det), "side": var,
-                    "reason": str(exc)}
-        return {
-            "determinant": str(det),
-            "side": var,
-            "inverse_terms": [[direction * (v + k), str(x)]
-                              for k, x in enumerate(c) if x],
-            "order": order,
-        }
-
-    # window_inverse raises NotAUnitError exactly when this head is not
-    # a unit of Z
-    unit = w[0][1][0] in (1, -1)
-    return SideVerdict("yes" if unit else "no", "unit-determinant", render)
+def _unit_det_side(det: LaurentPoly, direction: int) -> SideVerdict:
+    """The verdict of a square two-term complex on one side: it is acyclic
+    over Z((t)) exactly when its determinant is a unit there, t^v times a
+    series whose constant term is 1 or -1.  So the answer and its proof
+    are the determinant's lowest coefficient in t: at the x end for t = x,
+    at the x^-1 end for t = x^-1 (0 for a zero determinant)."""
+    end = 0 if det.is_zero else det.entry[1][0 if direction == 1 else -1]
+    return SideVerdict("yes" if end in (1, -1) else "no", "unit-determinant",
+                       lambda: {"determinant": str(det),
+                                "side": "x" if direction == 1 else "x^-1",
+                                "end_coefficient": str(end)})
 
 
 def _contraction_side(c: ChainComplex, direction: int, order: int) -> SideVerdict:
@@ -378,20 +372,23 @@ def _contraction_side(c: ChainComplex, direction: int, order: int) -> SideVerdic
             break
         m, (pi, pj) = pivot
         a = mats[m].pop((pi, pj))
-        a_inv = window_inverse(a)
         row = {j: s for (i, j), s in mats[m].items() if i == pi}
         col = {i: s for (i, j), s in mats[m].items() if j == pj}
-        for i2, cs in col.items():
-            ca = window_product(cs, a_inv)
-            for j2, bs in row.items():
-                delta = window_product(ca, bs)
-                cur = mats[m].get((i2, j2))
-                val = ((scaled(delta[0], -1, 0), delta[1]) if cur is None
-                       else window_difference(cur, delta))
-                if val is None:
-                    del mats[m][(i2, j2)]
-                else:
-                    mats[m][(i2, j2)] = val
+        # the rest changes by c a^-1 b only when the pivot's row and
+        # column both hold other entries
+        if row and col:
+            a_inv = window_inverse(a)
+            for i2, cs in col.items():
+                ca = window_product(cs, a_inv)
+                for j2, bs in row.items():
+                    delta = window_product(ca, bs)
+                    cur = mats[m].get((i2, j2))
+                    val = ((scaled(delta[0], -1, 0), delta[1])
+                           if cur is None else window_difference(cur, delta))
+                    if val is None:
+                        del mats[m][(i2, j2)]
+                    else:
+                        mats[m][(i2, j2)] = val
         for key in list(mats[m]):
             if key[0] == pi or key[1] == pj:
                 del mats[m][key]
@@ -534,8 +531,8 @@ def _witness(c: ChainComplex, mid: HomologyReport) -> DominationWitness:
     sheaf = ext.sheaf
     plus = _valuations(sheaf.mid, 1, sheaf.chart_exponents("plus"))
     minus = _valuations(sheaf.mid, -1, sheaf.chart_exponents("minus"))
-    plus_dims = _series_dims(sheaf.mid, plus, "plus")
-    minus_dims = _series_dims(sheaf.mid, minus, "minus")
+    plus_dims = _torsion_dims(chart_homology(sheaf.mid, plus), "plus")
+    minus_dims = _torsion_dims(chart_homology(sheaf.mid, minus), "minus")
     rows = []
     degrees = sorted(set(w_dims) | set(plus_dims) | set(minus_dims)
                      | set(mid.entries))
@@ -555,45 +552,6 @@ def _witness(c: ChainComplex, mid: HomologyReport) -> DominationWitness:
         raise StabilisationFailureError(
             "ledger equation failed; chart dimensions disagree with H(W)")
     return witness
-
-
-@dataclass(frozen=True)
-class FpqcModel:
-    """Truncated totalisation of the chart cover of the affine line."""
-
-    order: int
-    dims: dict
-    dims_double: dict
-
-    @property
-    def stabilised(self) -> bool:
-        return self.dims == self.dims_double
-
-
-def fpqc_hyper(c_plus: ChainComplex, order: int = 16) -> FpqcModel:
-    """Homology of the totalisation of (C+ (x) K[[x]] -> C+ (x) K((x)) <-
-    C+ (x) K[x,x^-1]) on truncated windows, at order N and at 2N.
-
-    The power-series chart keeps exponents [0, N); the other two keep
-    [-N, N).  The wide -> wide leg is the identity, so the total is
-    quasi-isomorphic to the window C+/x^N, where d_m has rank sum
-    max(N - v, 0) over its valuations v.  So dim H_q is sum min(N, v)
-    over the valuations of d_{q+1} and of d_q plus N times the free rank.
-    Degrees run from lo - 1, where the total starts, to hi.  ``c_plus``
-    must be a complex (d.d = 0); a negative count raises ShapeError
-    (``homology_ranks``).
-    """
-    if c_plus.base != BaseRing.POLY:
-        raise UnsupportedRingError("fpqc model starts from a K[x]-complex")
-    vals = _valuations(c_plus, 1)
-
-    def dims(n):
-        return homology_ranks(
-            {q: n * c_plus.rank(q)
-             for q in range(c_plus.lo - 1, c_plus.hi + 1)},
-            {m: sum(max(n - v, 0) for v in vs) for m, vs in vals.items()})
-
-    return FpqcModel(order, dims(order), dims(2 * order))
 
 
 # ---------------------------------------------------------------------------

@@ -100,9 +100,12 @@ def _bezout(pivot, e, p):
     return u1, v1, scaled(e_g, -m_p, p), scaled(pivot_g, m_e, p)
 
 
-def _combine(f, x, g, y, p):
-    """The column f*x + g*y, made primitive over Q."""
-    column = [lincomb(f, s, g, t, p) for s, t in zip(x, y)]
+def _combine(f, x, g, y, p, known=()):
+    """The column f*x + g*y, made primitive over Q, whose first entries
+    are already ``known``: only the rows below them are computed."""
+    column = list(known)
+    column += [lincomb(f, x[k], g, y[k], p)
+               for k in range(len(column), len(x))]
     if not p:
         make_primitive(column, range(len(column)))
     return column
@@ -119,7 +122,9 @@ def _echelon(columns, rows, p):
     pivot column, and every later column is cleared by a
     (pseudo-)division or, when the pivot does not divide, by a Bezout 2x2
     column transform.  Every transform acts on whole columns and has a
-    nonzero constant determinant.
+    nonzero constant determinant.  The columns from r on are zero above
+    row i and a cleared column is zero in row i, so a transform computes
+    only the rows after those.
     """
     n = len(columns)
     pivots = []
@@ -139,13 +144,13 @@ def _echelon(columns, rows, p):
                 continue
             m, q, rem = pseudo_divmod(e, pivot, p)
             if rem is None:
-                columns[j] = _combine((0, [m]), columns[j],
-                                      scaled(q, -1, p), columns[r], p)
+                columns[j] = _combine((0, [m]), columns[j], scaled(q, -1, p),
+                                      columns[r], p, [None] * (i + 1))
                 continue
             u, v, ne, pg = _bezout(pivot, e, p)
             x, y = columns[r], columns[j]
-            columns[r] = _combine(u, x, v, y, p)
-            columns[j] = _combine(ne, x, pg, y, p)
+            columns[r] = _combine(u, x, v, y, p, [None] * i)
+            columns[j] = _combine(ne, x, pg, y, p, [None] * (i + 1))
         pivots.append(i)
     return pivots
 
@@ -193,16 +198,22 @@ def _reduce(columns, pivots, p):
     """Reduce, from the top pivot row down, each entry left of a pivot
     modulo the pivot, by subtracting a multiple of the pivot column, which
     is zero above its pivot row (the Hermite form of Kannan-Bachem 1979).
-    This bounds every entry of a pivot row by its pivot's core degree."""
+    This bounds every entry of a pivot row by its pivot's core degree.
+    Above the pivot row the column is only scaled by the pseudo-division's
+    multiplier m (1 over GF(p)), and the pivot row takes the remainder."""
     for t, i in enumerate(pivots):
         pivot = columns[t][i]
         for s in range(t):
             e = columns[s][i]
             if e is not None:
-                m, q, _ = pseudo_divmod(e, pivot, p)
+                m, q, rem = pseudo_divmod(e, pivot, p)
                 if q is not None:
+                    above = columns[s][:i]
+                    if m != 1:
+                        above = [scaled(a, m, p) for a in above]
                     columns[s] = _combine((0, [m]), columns[s],
-                                          scaled(q, -1, p), columns[t], p)
+                                          scaled(q, -1, p), columns[t], p,
+                                          above + [rem])
 
 
 def invariant_factors(a: LaurentMatrix) -> tuple:

@@ -6,7 +6,7 @@ from p1dom import fileformat as ff
 from p1dom.complexes import (ChainComplex, ChainMap, Homotopy, ScalarComplex,
                              cone, inclusion)
 from p1dom.diagrams import ComplexDiagram, sections_matrix
-from p1dom.domination import _chart_direction, _series_dims, _valuations
+from p1dom.domination import _chart_direction, _torsion_dims, chart_homology
 from p1dom.errors import (BaseRingViolationError, ShapeError,
                           UnsupportedRingError)
 from p1dom.generators import (null_homotopic_map, random_complex,
@@ -321,10 +321,10 @@ def levelwise_h1_trivial(d):
 
 def chart_homology_dims(c):
     """Torsion K-dimensions of the homology of a K[x] or K[x^-1] chart
-    complex after base change to K[[t]] (``domination._series_dims``)."""
-    direction = _chart_direction(c)
-    return _series_dims(c, _valuations(c, direction),
-                        "plus" if direction == 1 else "minus")
+    complex after base change to K[[t]], refused on a free part as the
+    ledger refuses it (``domination._torsion_dims``)."""
+    side = "plus" if _chart_direction(c) == 1 else "minus"
+    return _torsion_dims(chart_homology(c), side)
 
 
 def load_sheaf(path):

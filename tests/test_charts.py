@@ -251,8 +251,9 @@ def test_chart_stage_does_no_laurent_or_fraction_arithmetic(monkeypatch):
     for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__"):
         recording(Fraction, name)
     recording(SheafComplex, "_chart")
-    got = [domination._series_dims(s.mid, domination._valuations(
-               s.mid, sign, s.chart_exponents(side)), side)
+    got = [domination._torsion_dims(domination.chart_homology(
+               s.mid, domination._valuations(
+                   s.mid, sign, s.chart_exponents(side))), side)
            for s in sheaves for side, sign in (("plus", 1), ("minus", -1))]
     monkeypatch.undo()
     assert calls == []

@@ -33,6 +33,17 @@ def two_minus_x_file(tmp_path):
 
 
 @pytest.fixture
+def three_term_z_file(tmp_path):
+    # d_2 = (1, 0)^T and d_1 = (0, 2 - x): no two-term determinant, so
+    # novikov runs the unit-pivot search on windows of --trunc terms
+    path = tmp_path / "three-term-z.cplx"
+    c = ChainComplex(ZZ, BaseRing.LAURENT, 0, 2, {0: 1, 1: 2, 2: 1}, {
+        1: M(ZZ, [[0, [(0, 2), (1, -1)]]]), 2: M(ZZ, [[1], [0]])})
+    ff.save_path(path, ff.complex_to_dict(c))
+    return str(path)
+
+
+@pytest.fixture
 def free_rank_file(tmp_path):
     path = tmp_path / "rank1.cplx"
     c = ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1)
@@ -312,8 +323,9 @@ def test_hyper_command(tmp_path, capsys):
     path = tmp_path / "plus.cplx"
     ff.save_path(path, ff.complex_to_dict(
         two_term(QQ, [(1, 1)], base=BaseRing.POLY)))
-    assert main(["hyper", str(path), "--trunc", "8"]) == 0
-    assert capsys.readouterr().out.startswith("order 8, stabilised True\n")
+    assert main(["hyper", str(path)]) == 0
+    assert capsys.readouterr().out == ("H_0: free rank 0, torsion dim 1\n"
+                                       "H_1: free rank 0, torsion dim 0\n")
 
 
 def test_hyper_refuses_an_invalid_complex(tmp_path, capsys):
@@ -374,7 +386,8 @@ def test_env_var_overrides(xm1_file, tmp_path, monkeypatch, capsys):
     assert data["command"] == "homology"
 
 
-def test_trunc_max_is_an_unknown_flag(monkeypatch, capsys):
+def test_trunc_max_is_an_unknown_flag(three_term_z_file, monkeypatch,
+                                     capsys):
     # --trunc-max bounded no computation and is gone: the flag is refused
     # and its old preset is not read, so --trunc alone may pass 64
     assert main(["verify", os.path.join(SAMPLES, "x-minus-1.cplx"),
@@ -382,9 +395,10 @@ def test_trunc_max_is_an_unknown_flag(monkeypatch, capsys):
     assert "unrecognized arguments: --trunc-max" in capsys.readouterr().err
     monkeypatch.setenv("P1DOM_TRUNC_MAX", "1")
     assert main(["novikov", "--format", "report", "--trunc", "128",
-                 os.path.join(SAMPLES, "two-minus-x.cplx")]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["x_inv_side"]["certificate"]["order"] == 128
+                 three_term_z_file]) == 0
+    side = json.loads(capsys.readouterr().out)["x_inv_side"]
+    assert side["method"] == "truncated-contraction"
+    assert side["certificate"]["order"] == 128
 
 
 @pytest.mark.parametrize("flags, env", [
@@ -417,12 +431,13 @@ def test_trunc_max_does_not_bound_the_order(flags, env, monkeypatch,
     ["novikov", "x-minus-1.cplx", "--seed", "3"],
     ["twist-cohomology", "2", "--seed", "3"],
     ["selftest", "--trunc", "8"],
+    ["hyper", "chart-x2-x3.cplx", "--trunc", "8"],
     ["selftest", "--ring", "GF:7"],
     ["h0", "x-minus-1.sheaf", "--format", "human"],
     ["twist-cohomology", "2", "--ring", "Q"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_flag_of_another_command_is_unknown(argv, capsys):
-    # --trunc belongs to novikov and hyper, --seed to selftest; selftest
+    # --trunc belongs to novikov, --seed to selftest; selftest
     # and twist-cohomology read no ring, and h0 writes its complex file
     # in every format
     argv = [_sample(a) for a in argv]
@@ -439,6 +454,7 @@ def test_flag_of_another_command_is_unknown(argv, capsys):
     ("P1DOM_RING", ["selftest"]),
     ("P1DOM_FORMAT", ["h0", "x-minus-1.sheaf"]),
     ("P1DOM_RING", ["twist-cohomology", "2"]),
+    ("P1DOM_TRUNC", ["hyper", "chart-x2-x3.cplx"]),
 ])
 def test_preset_of_another_command_is_not_read(var, command, monkeypatch):
     monkeypatch.setenv(var, "abc")
@@ -513,7 +529,6 @@ def test_command_namespace_carries_command_and_presets(argv, given,
     # each command's own flags, filled from the presets unless given, and
     # nothing of another command's
     flags = {"novikov": ("ring", "format", "out", "trunc"),
-             "hyper": ("ring", "format", "out", "trunc"),
              "h0": ("ring", "out"),
              "twist-cohomology": ("format", "out"),
              "selftest": ("format", "out", "seed")}.get(
@@ -576,12 +591,13 @@ def test_bad_preset_is_input_error(xm1_file, var, value, monkeypatch,
     assert err.startswith("input error:") and var in err
 
 
-def test_flag_overrides_bad_preset(monkeypatch, capsys):
+def test_flag_overrides_bad_preset(three_term_z_file, monkeypatch, capsys):
     monkeypatch.setenv("P1DOM_TRUNC", "abc")
     assert main(["novikov", "--format", "report", "--trunc", "8",
-                 os.path.join(SAMPLES, "two-minus-x.cplx")]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["x_inv_side"]["certificate"]["order"] == 8
+                 three_term_z_file]) == 0
+    side = json.loads(capsys.readouterr().out)["x_inv_side"]
+    assert side["method"] == "truncated-contraction"
+    assert side["certificate"]["order"] == 8
 
 
 def test_out_shrinks_a_longer_file_to_the_new_bytes(xm1_file, tmp_path,

@@ -8,8 +8,8 @@ from p1dom import fileformat as ff
 
 from p1dom.complexes import (ChainComplex, ChainMap, cone, homology,
                              homology_dims)
-from p1dom.domination import (_elementary_valuations, dominate, fpqc_hyper,
-                              novikov_check, verify_theorem)
+from p1dom.domination import (_elementary_valuations, chart_homology,
+                              dominate, novikov_check, verify_theorem)
 from p1dom.errors import (NotNovikovAcyclicError, ShapeError,
                           UnsupportedRingError)
 from p1dom.generators import (random_complex, random_novikov_acyclic,
@@ -42,31 +42,28 @@ def test_integer_mode_asymmetry():
     v = novikov_check(two_term(ZZ, [(0, 2), (1, -1)]), order=16)
     assert v.x_side.acyclic == "no"
     assert v.x_inv_side.acyclic == "yes"
-    cert = v.x_inv_side.certificate
-    assert cert["order"] == 16
-    # -1/x * (1 + 2/x + 4/x^2 + ...): geometric expansion of 1/(2 - x)
-    assert cert["inverse_terms"][:3] == [[-1, "-1"], [-2, "-2"], [-3, "-4"]]
+    # 2 - x is a unit of Z((x^-1)), whose end coefficient is -1, and not
+    # of Z((x)), whose end coefficient is 2; no order enters the proof
+    assert v.x_side.certificate == {
+        "determinant": "2 + -1*x", "side": "x", "end_coefficient": "2"}
+    assert v.x_inv_side.certificate == {
+        "determinant": "2 + -1*x", "side": "x^-1", "end_coefficient": "-1"}
+    assert novikov_check(two_term(ZZ, [(0, 2), (1, -1)]), order=1) == v
 
 
 def test_certificates_render_on_first_read(monkeypatch):
-    # the verdicts need no strings and no inverse series; the first read
-    # of a certificate renders the dict the eager code built
-    import p1dom.domination as domination
+    # the verdicts need no strings; the first read of a certificate
+    # renders the dict the eager code built
     from p1dom.laurent import LaurentPoly
 
     calls = []
-    poly_repr, inverse = LaurentPoly.__repr__, domination.window_inverse
+    poly_repr = LaurentPoly.__repr__
 
     def counting_repr(self):
         calls.append("repr")
         return poly_repr(self)
 
-    def counting_inverse(a):
-        calls.append("window_inverse")
-        return inverse(a)
-
     monkeypatch.setattr(LaurentPoly, "__repr__", counting_repr)
-    monkeypatch.setattr(domination, "window_inverse", counting_inverse)
     for name in ("x-minus-1", "two-minus-x"):
         verdict = novikov_check(ff.load_complex(ROOT / f"samples/{name}.cplx"))
         assert calls == []
@@ -78,14 +75,22 @@ def test_certificates_render_on_first_read(monkeypatch):
         assert "repr" in calls
         calls.clear()
     z = novikov_check(two_term(ZZ, [(0, 2), (1, -1)]))
-    assert z.x_inv_side.certificate["inverse_terms"][0] == [-1, "-1"]
-    assert calls.count("window_inverse") == 1
+    assert calls == []
+    assert z.x_inv_side.certificate["end_coefficient"] == "-1"
+    assert calls == ["repr"]
     # equal answers and methods, different certificates
     other = novikov_check(two_term(ZZ, [(0, 3), (1, -1)]))
     assert (other.x_side.acyclic, other.x_side.method) == (
         z.x_side.acyclic, z.x_side.method)
     assert other.x_side != z.x_side and other != z
     assert novikov_check(two_term(ZZ, [(0, 2), (1, -1)])) == z
+
+
+def test_integer_mode_zero_determinant():
+    v = novikov_check(two_term(ZZ, []))
+    assert (v.x_side.acyclic, v.x_inv_side.acyclic) == ("no", "no")
+    assert v.x_side.certificate == {
+        "determinant": "0", "side": "x", "end_coefficient": "0"}
 
 
 def test_integer_mode_both_sides_for_x_minus_one():
@@ -248,45 +253,47 @@ def test_ledger_invariant_under_acyclic_padding():
             (b.w_dim - b.plus_dim - b.minus_dim if b else 0)
 
 
-# -- fpqc ----------------------------------------------------------------------
+# -- chart homology over K[[x]] -------------------------------------------------
 
 
 def test_fpqc_zero_differential_window_growth():
+    # K[x] in degree 0 is free over K[[x]]: its windows C/x^N grow with N
     c = ChainComplex.single(QQ, BaseRing.POLY, 0, 1)
-    m = fpqc_hyper(c, 8)
-    assert m.dims[0] == 8          # the window count of K[x]
-    assert not m.stabilised
+    assert chart_homology(c) == {0: (1, 0)}
+    for n in (8, 16):
+        assert homology_dims(window_complex(c, n)) == {0: n}
 
 
 def test_fpqc_multiplication_by_x():
     c = two_term(QQ, [(1, 1)], base=BaseRing.POLY)
-    m = fpqc_hyper(c, 8)
-    assert m.dims[0] == 1          # the class of 1 mod x
+    assert chart_homology(c) == {0: (0, 1), 1: (0, 0)}  # K[[x]]/x
 
 
 def test_fpqc_zero_complex():
-    c = ChainComplex.zero(QQ, BaseRing.POLY)
-    m = fpqc_hyper(c, 4)
-    assert all(v == 0 for v in m.dims.values())
+    assert chart_homology(ChainComplex.zero(QQ, BaseRing.POLY)) == {0: (0, 0)}
 
 
 def test_fpqc_stabilised_dimension_survives_doubling():
+    # the plus chart of an extension has no free part, so its windows at
+    # N beyond the largest valuation and at 2N both have dimension
+    # t_q + t_{q-1} in degree q, t the torsion dimensions
     from p1dom.extension import extend_complex
 
     rng = random.Random(19)
     for _ in range(5):
-        c = random_novikov_acyclic(rng, GF(7), 2)
-        ext_plus = extend_complex(c).sheaf.plus
-        m8 = fpqc_hyper(ext_plus, 8)
-        m16 = fpqc_hyper(ext_plus, 16)
-        for q, v in m8.dims.items():
-            if m8.dims_double.get(q) == v:      # stabilised at 8
-                assert m16.dims.get(q) == v
+        plus = extend_complex(random_novikov_acyclic(rng, GF(7), 2)).sheaf.plus
+        exact = chart_homology(plus)
+        assert all(free == 0 for free, _ in exact.values())
+        torsion = {q: t for q, (_, t) in exact.items()}
+        n = 1 + max(torsion.values())
+        want = {q: t + torsion.get(q - 1, 0) for q, t in torsion.items()}
+        for order in (n, 2 * n):
+            assert homology_dims(window_complex(plus, order)) == want
 
 
 def test_fpqc_requires_poly_base():
     with pytest.raises(UnsupportedRingError):
-        fpqc_hyper(two_term(QQ, [(1, 1)]), 4)
+        chart_homology(two_term(QQ, [(1, 1)]))
 
 
 # -- verify_theorem -----------------------------------------------------------

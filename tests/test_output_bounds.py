@@ -4,8 +4,8 @@ Truncation orders stop at MAX_ORDER (for flags and presets alike),
 twist-cohomology refuses a rank, twist or split past the file bounds or a
 basis past HYPER_ROW_BUDGET monomials, and extend and h0 write nothing
 that the loader would refuse.  Each bound is tested at its value and one
-past it.  hyper reads its model off the chart valuations, so it runs at
-MAX_ORDER on a rank-8 file with no row budget.
+past it.  hyper reports the exact chart homology, with no order and no
+row budget.
 """
 
 import os
@@ -68,10 +68,13 @@ def _chart_file(tmp_path, rank):
     return str(path)
 
 
-def test_hyper_runs_at_max_order(tmp_path, capsys):
+def test_hyper_is_exact_on_a_rank_8_chart(tmp_path, capsys):
+    # eight copies of K[[x]]/x^2, and hyper takes no order
     path = _chart_file(tmp_path, 8)
-    assert main(["hyper", path, "--trunc", str(MAX_ORDER)]) == 0
-    assert "H_0: dim 16" in capsys.readouterr().out
+    assert main(["hyper", path]) == 0
+    assert capsys.readouterr().out == ("H_0: free rank 0, torsion dim 16\n"
+                                       "H_1: free rank 0, torsion dim 0\n")
+    assert main(["hyper", path, "--trunc", str(MAX_ORDER)]) == 2
 
 
 # -- outputs the loader would refuse ---------------------------------------------

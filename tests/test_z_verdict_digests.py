@@ -1,16 +1,18 @@
 """Z-mode Novikov verdicts pinned on a generated corpus.
 
-Over Z, ``novikov_check`` decides each side by unit-determinant inversion
-or by the greedy unit-pivot contraction on windows of ``order`` terms.
+Over Z, ``novikov_check`` decides each side of a square two-term complex
+by the end coefficient of its determinant, and of a longer one by the
+greedy unit-pivot contraction on windows of ``order`` terms.
 This test pins both sides (acyclic, method, certificate) of 300 generated
 Z complexes, 100 for each span 1 to 3, alternately from
 ``random_novikov_acyclic`` and ``random_complex`` with 2 to 9 pieces at
 most, at the orders 1, 2, 3 and 16, so that a change to the Z kernel
 that moves any verdict or any certificate byte fails here.  For each span
 and order the sha256 of the canonical dumps of both sides is compared
-with a stored digest.  The
-stored digests were computed while Z mode still ran on truncated series
-objects, before it moved to coefficient-list windows.
+with a stored digest.  The digests were last regenerated when the
+unit-determinant certificate traded its inverse series for the
+determinant's end coefficient; every answer, method and contraction
+certificate kept its bytes then.
 
 After a declared change to the Z verdicts, print the new digests with
 
@@ -33,29 +35,29 @@ PER_SPAN = 100
 
 DIGESTS = {
     "1/1":
-        "8872a65dc92577eed26d05da0b83cbde9d6216a8159b6956b39f4c168f56c287",
+        "68ae9c4ea55a149016f7da2484a780d1104b4c614161eaaae7a4020e5a278895",
     "1/2":
-        "5a98e2b189feedcdec068d041b00ceab61301fc034ffb656751fbf9721d22b58",
+        "fbe9a1a8af55344862f45c7f5529256520a6cec4fe77be2382525d0ab094ce00",
     "1/3":
-        "c9d68608f3a3725b26a78dd4a87b9f38efb9f47bbdfcbe19e32cfb84159d122d",
+        "514c0bc52a80e91378ec5e4959037e9c92feb4f8ce817ac9fdee65f33953447a",
     "1/16":
-        "e102625441e6891be7c376be3169faebebe392cfef94169e797fa4266f3eaf49",
+        "d765304d741ea4f687c7faf223603cfee3a61cb547488c5fae592ef5fe8377ff",
     "2/1":
-        "7bbdb1317d3a36a5e0cabdf3164e55dde3d6b0dbcfedc385f4b5b2cde20b8129",
+        "ebaf8be5f73ecaa533e8fbf3dbc23f6d1d6620ad99cd1bb7b061fb9ffd31b8e4",
     "2/2":
-        "5ba0f33f23ec0fbb04be38980e4913102d5a52814e3e8f5f7deef2420d22e959",
+        "1d5423ee79370d37637068918dc63d64a60b587ee5a5268307353e0afaed810f",
     "2/3":
-        "a6a6d94e79aa2293d2647d35afe0faf7f2bc24e7132db6a60a206ebd9741d156",
+        "31e5244b13c83b82d82345920c8dbd13146145fb04161f518608049ff395e462",
     "2/16":
-        "c7f821a4b91bd5ca8ea320cdf56c81a6ab8d34477790080d749a3f095da4bace",
+        "af8e82c7b8d7eb9cb70562d7e79eaeab62ec41876bfffb7a13bdfa42c4a9ed52",
     "3/1":
-        "305eca9ab4b15955e3be4aa67c9214aafa2c5c595a8e36c31308ed13ae05318c",
+        "5fb0595cb01121b67b646042ad6485bd09ca786700d6587adc220b3d545df5d4",
     "3/2":
-        "7744e9cad50fb58f62a28f83d78983148a25b8e95e003e5b848378a787342d3b",
+        "201077b500f18b0b9e9ece600ae0363eed608290fee86f81b16bdb4b742b0b07",
     "3/3":
-        "5affddd08e3d5e83aa3bd3e8e47e96dca921501b58cc03ffeb95312a5d96d6fd",
+        "98bcc6349864a93b5c9945ebbffc25503ea877031e090ec10dc9db730f13374c",
     "3/16":
-        "a27d98be924202e5fc0e55222fe9f1426fc79abbd4aedbe49958c9946e84dc04",
+        "57a7385ae265fec020c256b629a3a48c445cf7b10796f44a2be31330cb711adf",
 }
 
 
