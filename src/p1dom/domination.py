@@ -357,7 +357,10 @@ def _contraction_side(c: ChainComplex, direction: int, order: int) -> SideVerdic
     is zero on its window is dropped), over the integral domain Z a
     product of nonzero windows has a nonzero lowest coefficient, and
     ``_find_unit_pivot`` returns only windows whose lowest coefficient is
-    1 or -1, exactly those that ``window_inverse`` inverts.
+    1 or -1, exactly those that ``window_inverse`` inverts.  A window of
+    width 1 is a pivot too: a lowest coefficient of 1 or -1 makes the
+    series a unit of Z[[t]] whatever its later terms, and its inverse is
+    known to the same width.
     """
     gens = {m: set(range(r)) for m, r in c.ranks.items()}
     mats = {m: {(i, j): window(p.entry, direction, order)
@@ -420,11 +423,11 @@ def _contraction_side(c: ChainComplex, direction: int, order: int) -> SideVerdic
 
 def _find_unit_pivot(mats):
     """The window of widest width, then of least |valuation|, whose lowest
-    coefficient is a unit and whose width is at least 2."""
+    coefficient is a unit."""
     best = None
     for m, entries in mats.items():
         for (i, j), ((v, c), end) in entries.items():
-            if end - v < 2 or c[0] not in (1, -1):
+            if c[0] not in (1, -1):
                 continue
             key = (v - end, abs(v), m, i, j)
             if best is None or key < best[0]:

@@ -139,9 +139,6 @@ class LaurentMatrix:
                for row in ([p.entry for p in row] for row in self.entries)]
         return LaurentMatrix(self.ring, self.rows, other.cols, out)
 
-    def times_monomial(self, exponent: int):
-        return self.monomial_scale([exponent] * self.rows)
-
     def monomial_scale(self, row_exps=None, col_exps=None):
         """Entry (i, j) times x^(row_exps[i] + col_exps[j]), a list left
         out being zeros."""

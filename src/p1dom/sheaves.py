@@ -11,8 +11,9 @@ of the twisting sheaves listed in ``twists[m]``, whose torus maps are the
 units diag(x^k) and diag(x^-l), so a level is valid by construction.  The
 gluing squares then force the two chart complexes, the monomial
 conjugates of the middle one; the constructor checks by integer
-comparisons that they lie in K[x^-1] and K[x], and ``minus`` and
-``plus`` build them only when asked.
+comparisons that they lie in K[x^-1] and K[x].  No chart complex is
+stored or built: ``chart_exponents`` gives the exponents the chart
+valuations of the witness read.
 
 The gluing rule for a torus map between two twist sums is written once:
 ``chart_shifts`` gives each nonzero entry its two chart exponents, and
@@ -155,11 +156,10 @@ class SheafComplex:
     ring (minus before plus); it is the check for the loader, the
     extended cone and any library caller.  The extension of a
     complex is legal by the choice of its twists and is stored by
-    ``_legal`` without this scan.  ``minus`` and ``plus`` build the charts
-    on each call.  A chart is the middle complex conjugated by the
-    diagonal units diag(x^k), diag(x^-l), so it has d.d = 0 exactly when
-    ``mid`` has, and the squares commute by construction: ``validate``
-    checks ``mid`` alone.
+    ``_legal`` without this scan.  No chart is stored: a chart is the
+    middle complex conjugated by the diagonal units diag(x^k),
+    diag(x^-l), so it has d.d = 0 exactly when ``mid`` has, and the
+    squares commute by construction: ``validate`` checks ``mid`` alone.
     """
 
     __slots__ = ("mid", "twists")
@@ -202,27 +202,6 @@ class SheafComplex:
         s.mid = mid
         s.twists = twists
         return s
-
-    @property
-    def minus(self) -> ChainComplex:
-        """The K[x^-1] chart complex."""
-        return self._chart("minus", BaseRing.POLY_INV)
-
-    @property
-    def plus(self) -> ChainComplex:
-        """The K[x] chart complex."""
-        return self._chart("plus", BaseRing.POLY)
-
-    def _chart(self, side: str, base: BaseRing) -> ChainComplex:
-        """The chart complex of ``side`` over ``base`` in one pass over the
-        middle entries: d_m[i][j] x^(a_j(m) - a_i(m-1)), where
-        x^a is the torus map of a summand (a = k on the minus side, -l on
-        the plus side)."""
-        mid = self.mid
-        a = self.chart_exponents(side)
-        return ChainComplex(mid.ring, base, mid.lo, mid.hi, dict(mid.ranks), {
-            m: mid.diff(m).monomial_scale([-e for e in a[m - 1]], a[m])
-            for m in range(mid.lo + 1, mid.hi + 1)})
 
     def chart_exponents(self, side: str) -> dict:
         """degree m -> the exponents a of the torus maps x^a of the

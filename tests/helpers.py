@@ -364,6 +364,23 @@ def sheaf_hyper_homology_dims(s):
             for n in range(s.mid.lo - 1, s.mid.hi + 1)}
 
 
+def chart(s, side, base=None):
+    """The ``side`` chart complex of the SheafComplex s, over K[x^-1] for
+    "minus" and K[x] for "plus" unless ``base`` is given, in one pass over
+    the middle entries: d_m[i][j] x^(a_j(m) - a_i(m-1)), where x^a is the
+    torus map of a summand (a = k on the minus side, -l on the plus side,
+    as ``SheafComplex.chart_exponents`` gives them).  The library stores
+    and builds no chart; this is the oracle of the chart, extension and
+    diagram tests."""
+    if base is None:
+        base = BaseRing.POLY_INV if side == "minus" else BaseRing.POLY
+    mid = s.mid
+    a = s.chart_exponents(side)
+    return ChainComplex(mid.ring, base, mid.lo, mid.hi, dict(mid.ranks), {
+        m: mid.diff(m).monomial_scale([-e for e in a[m - 1]], a[m])
+        for m in range(mid.lo + 1, mid.hi + 1)})
+
+
 def torus_diagram(s):
     """The base change of a sheaf complex to the torus as a one-ring
     diagram.
@@ -375,8 +392,8 @@ def torus_diagram(s):
     The level maps are onto because the plus torus map is an isomorphism.
     """
     ring = s.ring
-    minus = s._chart("minus", BaseRing.LAURENT)
-    plus = s._chart("plus", BaseRing.LAURENT)
+    minus = chart(s, "minus", BaseRing.LAURENT)
+    plus = chart(s, "plus", BaseRing.LAURENT)
 
     def torus_maps(side):
         return {m: scalar_diag(ring, [LaurentPoly.monomial(ring, e)

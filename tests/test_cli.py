@@ -10,10 +10,12 @@ from p1dom import fileformat as ff
 from p1dom.cli import (COMMANDS, HANDLERS, PARSER, _apply_presets,
                        main)
 from p1dom.complexes import ChainComplex
+from p1dom.errors import BaseRingViolationError
 from p1dom.laurent import BaseRing
 from p1dom.scalars import QQ, ZZ
+from p1dom.sheaves import SheafComplex, TwistSummand
 
-from helpers import M, two_term
+from helpers import M, chart, two_term
 
 SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
 
@@ -307,16 +309,40 @@ def test_loader_names_the_entry_outside_the_base(base, cell, shown,
 
 def test_sheaf_loader_names_the_chart_entry_outside_its_ring(tmp_path,
                                                              capsys):
+    # l = 1 in degree 1 is too small a twist for x - 1: its K[x] chart
+    # entry is x^-1 (x - 1), which the constructor's scan refuses
     with open(os.path.join(SAMPLES, "x-minus-1.sheaf")) as f:
         data = json.load(f)
-    data["minus"][0]["matrix"] = [[[[1, "1"]]]]
-    path = tmp_path / "bad-minus.sheaf"
+    data["twist_profile"][1]["l"] = 1
+    path = tmp_path / "small-twist.sheaf"
+    path.write_text(json.dumps(data))
+    assert main(["h0", str(path)]) == 2
+    captured = capsys.readouterr()
+    mid = ff.load_complex(os.path.join(SAMPLES, "x-minus-1.cplx"))
+    with pytest.raises(BaseRingViolationError) as exc:
+        SheafComplex(mid, {0: (TwistSummand(1, 0),),
+                           1: (TwistSummand(0, 1),)})
+    assert str(exc.value).startswith("degree 1: plus chart entry (0,0) = ")
+    assert str(exc.value).endswith(" violates K[x]")
+    assert captured.out == ""
+    assert captured.err == f"input error: {exc.value} (at $)\n"
+
+
+def test_version_1_sheaf_file_is_refused(tmp_path, capsys):
+    # version 1 stored the two chart complexes beside the middle one
+    with open(os.path.join(SAMPLES, "x-minus-1.sheaf")) as f:
+        data = json.load(f)
+    sheaf = ff.sheaf_from_dict(data)
+    data["version"] = 1
+    for side in ("minus", "plus"):
+        data[side] = [{"degree": 1, "matrix": ff.matrix_to_rows(
+            chart(sheaf, side).diff(1))}]
+    path = tmp_path / "v1.sheaf"
     path.write_text(json.dumps(data))
     assert main(["h0", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("input error: entry (0,0) = x violates K[x^-1] "
-                            "(at minus[0].matrix)\n")
+    assert captured.err == "input error: unsupported version 1 (at version)\n"
 
 
 def test_hyper_command(tmp_path, capsys):

@@ -12,7 +12,7 @@ from p1dom.matrices import LaurentMatrix
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import cech_cohomology, twisting_sheaf
 
-from helpers import M, P, maxdeg, mindeg, two_term
+from helpers import M, P, chart, maxdeg, mindeg, two_term
 
 
 def test_extend_morphism_monomial():
@@ -87,10 +87,10 @@ def test_extend_morphism_minimality_scan():
 def test_extend_complex_x_minus_one():
     ext = extend_complex(two_term(QQ, [(1, 1), (0, -1)]))
     assert ext.profile == {1: (0, 0), 0: (1, 0)}
-    assert ext.sheaf.plus.diff(1) == M(QQ, [[[(1, 1), (0, -1)]]],
-                                       BaseRing.POLY)
-    assert ext.sheaf.minus.diff(1) == M(QQ, [[[(0, 1), (-1, -1)]]],
-                                        BaseRing.POLY_INV)
+    assert chart(ext.sheaf, "plus").diff(1) == M(
+        QQ, [[[(1, 1), (0, -1)]]], BaseRing.POLY)
+    assert chart(ext.sheaf, "minus").diff(1) == M(
+        QQ, [[[(0, 1), (-1, -1)]]], BaseRing.POLY_INV)
 
 
 def test_extend_complex_zero_differential():

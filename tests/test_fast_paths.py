@@ -4,8 +4,8 @@ A sheaf complex stores its torus complex and its twists: its levels are
 valid by construction, its constructor checks chart legality by exponent
 comparisons that build no matrix (the extension of a complex, legal by
 the choice of its twists, skips that scan and is checked against it
-here), and its charts are derived on demand, so no gluing square is
-ever compared; the loader compares a file's charts with the derived ones.
+here), and no chart complex is stored or built, so no gluing square is
+ever compared; a sheaf file stores no chart either.
 Morphism and cone extension take their twists from ``twist_shift`` and
 compare no chart square either.  Homology reads the invariant factors of
 each differential from the factors-only kernel, and Laurent arithmetic
@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from p1dom import fileformat as ff
 from p1dom.complexes import ChainComplex, ChainMap, HomologyEntry, homology
 from p1dom.domination import verify_theorem
-from p1dom.errors import BaseRingViolationError, FormatError, ShapeError
+from p1dom.errors import BaseRingViolationError, ShapeError
 from p1dom.extension import (MorphismExtension, extend_complex,
                              extend_cone, extend_morphism,
                              extend_valid_complex)
@@ -41,8 +41,9 @@ from p1dom.sheaves import (SheafComplex, TwistSummand, cech_complex,
 from p1dom.smith import (invariant_factors, kernel_basis,
                          kernel_coordinates)
 
-from helpers import (HOMOLOGY_KINDS, M, P, core_degree, homology_case,
-                     random_matrix, scalar_diag, unit_normalise)
+from helpers import (HOMOLOGY_KINDS, M, P, chart as derived, core_degree,
+                     homology_case, random_matrix, scalar_diag,
+                     unit_normalise)
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
@@ -122,24 +123,12 @@ def dense_validate(mid, twists):
 
 def assert_charts_match_dense(s):
     minus, plus = dense_charts(s.mid, s.twists)
-    for chart, dense, base in ((s.minus, minus, BaseRing.POLY_INV),
-                               (s.plus, plus, BaseRing.POLY)):
+    for chart, dense, base in ((derived(s, "minus"), minus, BaseRing.POLY_INV),
+                               (derived(s, "plus"), plus, BaseRing.POLY)):
         assert chart.base == base
         assert (chart.lo, chart.hi, chart.ranks) == (s.mid.lo, s.mid.hi,
                                                      s.mid.ranks)
         assert chart.diffs == dense
-
-
-def _replace_diff(c, m, d):
-    diffs = dict(c.diffs)
-    diffs[m] = d
-    return ChainComplex(c.ring, c.base, c.lo, c.hi, dict(c.ranks), diffs)
-
-
-def _with_entry(mat, i, j, poly):
-    entries = [list(row) for row in mat.entries]
-    entries[i][j] = entries[i][j] + poly
-    return LaurentMatrix(mat.ring, mat.rows, mat.cols, entries)
 
 
 def perturbed_problems(rng, s, variant):
@@ -147,40 +136,10 @@ def perturbed_problems(rng, s, variant):
     variant of the extension ``s``; some variants break it.
 
     ``twist`` moves one level's split, which the constructor refuses
-    exactly when a chart entry leaves its ring (it names the first one);
-    ``entry`` moves one chart entry of the sheaf file, which the loader
-    compares with the chart the twists force.
+    exactly when a chart entry leaves its ring (it names the first one).
     """
-    ring = s.ring
     twists = dict(s.twists)
-    degs = [m for m in range(s.mid.lo + 1, s.mid.hi + 1)
-            if s.mid.diff(m).rows and s.mid.diff(m).cols]
     ranked = [m for m in s.degrees() if s.mid.rank(m)]
-    coeff = ring.from_int(rng.choice([1, -1, 2]))
-    if variant == "entry" and degs:
-        # one chart-differential entry moved by a legal monomial
-        minus, plus = s.minus, s.plus
-        m = rng.choice(degs)
-        on_minus = rng.random() < 0.5
-        chart = minus if on_minus else plus
-        d = chart.diff(m)
-        e = -rng.randint(0, 2) if on_minus else rng.randint(0, 2)
-        d = _with_entry(d, rng.randrange(d.rows), rng.randrange(d.cols),
-                        LaurentPoly.monomial(ring, e, coeff))
-        if on_minus:
-            minus = _replace_diff(minus, m, d)
-        else:
-            plus = _replace_diff(plus, m, d)
-        data = ff.sheaf_to_dict(s)
-        for key, c in (("minus", minus), ("plus", plus)):
-            data[key] = [{"degree": n, "matrix": ff.matrix_to_rows(c.diff(n))}
-                         for n in range(c.lo + 1, c.hi + 1)]
-        try:
-            ff.sheaf_from_dict(data)
-            found = []
-        except FormatError as exc:
-            found = str(exc).removesuffix(" (at $)").split("; ")
-        return found, dense_gluing(minus, s.mid, plus, twists)
     if variant == "twist" and ranked:
         m = rng.choice(ranked)
         dk, dl = rng.choice([(1, 0), (0, 1), (-1, 0), (0, -1)])
@@ -194,7 +153,7 @@ def perturbed_problems(rng, s, variant):
     return t.validate(), dense
 
 
-VARIANTS = ["plain", "twist", "entry"]
+VARIANTS = ["plain", "twist"]
 
 
 @settings(deadline=None, max_examples=150)
@@ -222,7 +181,7 @@ def test_perturbed_extensions_are_caught():
             assert found == dense
             caught[variant] += bool(found)
     # a moved split is legal when the entries it touches leave room
-    assert caught["plain"] == 0 and caught["entry"] == 60
+    assert caught["plain"] == 0
     assert 0 < caught["twist"] < 60
 
 
@@ -374,28 +333,40 @@ def test_extension_scans_each_differential_once(monkeypatch):
                 == [id(c.diffs[m]) for m in range(c.hi, c.lo, -1)])
 
 
+def chart_complexes_built(monkeypatch):
+    """The list of bases of each K[x] or K[x^-1] complex built from now
+    on: a chart complex would be one of them."""
+    built = []
+    original = ChainComplex.__init__
+
+    def recording(self, ring, base, *args, **kwargs):
+        if base in (BaseRing.POLY, BaseRing.POLY_INV):
+            built.append(base)
+        original(self, ring, base, *args, **kwargs)
+
+    monkeypatch.setattr(ChainComplex, "__init__", recording)
+    return built
+
+
 def test_charts_are_built_only_when_read(monkeypatch):
+    # the library builds no chart complex: only the tests' oracle does
     rng = random.Random(13)
     inputs = [random_novikov_acyclic(rng, ring, span=2)
               for ring in (QQ, GF(7), GF(10007), ZZ) for _ in range(4)]
-    calls = []
-    original = SheafComplex._chart
-
-    def counting(self, side, base):
-        calls.append(side)
-        return original(self, side, base)
-
-    monkeypatch.setattr(SheafComplex, "_chart", counting)
+    calls = chart_complexes_built(monkeypatch)
     for c in inputs:
         s = extend_complex(c).sheaf
         cech_complex(s)
         assert s.validate() == []
+        ff.sheaf_from_dict(ff.sheaf_to_dict(s))
     assert calls == []
     # the chart valuations are read off the middle complex and the twists
     for c in inputs:
         if c.ring.is_field:
             assert verify_theorem(c).passed
     assert calls == []
+    derived(s, "plus")
+    assert calls == [BaseRing.POLY]
 
 
 def test_torus_path_builds_no_level_matrices(monkeypatch):
@@ -542,14 +513,7 @@ def test_cone_lifting_builds_no_level_or_chart(monkeypatch):
     cases = [case for ring in (QQ, GF(7), ZZ) for _ in range(4)
              for case in _cone_cases(rng, ring)]
     # a level is its tuple of summands, so only a chart could be built
-    calls = []
-    make_chart = SheafComplex._chart
-
-    def chart(self, *args, **kwargs):
-        calls.append("chart")
-        return make_chart(self, *args, **kwargs)
-
-    monkeypatch.setattr(SheafComplex, "_chart", chart)
+    calls = chart_complexes_built(monkeypatch)
     for v1, v2, omega in cases:
         extend_cone(v1, v2, omega)
     assert calls == []

@@ -50,9 +50,13 @@ def test_sheaf_round_trip():
         data = ff.sheaf_to_dict(ext.sheaf)
         back = ff.sheaf_from_dict(data)
         assert restrict_to_torus(back) == restrict_to_torus(ext.sheaf)
-        assert back.twist_profile() == ext.sheaf.twist_profile()
-        assert back.plus.diffs == ext.sheaf.plus.diffs
-        assert back.minus.diffs == ext.sheaf.minus.diffs
+        assert back.twists == ext.sheaf.twists
+        # a sheaf file is the complex file and the twists, at version 2
+        assert data.pop("twist_profile") and data.pop("version") == 2
+        assert data.pop("format") == ff.SHEAF_FORMAT
+        complex_data = ff.complex_to_dict(ext.sheaf.mid)
+        del complex_data["format"], complex_data["version"]
+        assert data == complex_data
 
 
 def test_canonical_bytes_stable():
@@ -276,34 +280,35 @@ BAD_CELLS = {
 }
 
 
-def _bad_file(key, cell, fill):
-    """A complex file (key "differentials") or a sheaf file (key "minus" or
-    "plus") with ``cell`` at key[1].matrix[1][2]."""
+def _bad_file(fmt, cell, fill):
+    """A complex or sheaf file, by ``fmt``, with ``cell`` at
+    differentials[1].matrix[1][2]."""
     span = [[-ff.MAX_EXPONENT, "1"], [ff.MAX_EXPONENT, "1"]]
     filler = [[span if fill and 43 * i + j < 127 else [] for j in range(43)]
               for i in range(3)]
     target = [[[] for _ in range(3)] for _ in range(2)]
     target[1][2] = cell
-    data = {"format": ff.COMPLEX_FORMAT, "version": 1, "ring": "Q",
+    data = {"format": fmt, "version": ff.VERSIONS[fmt], "ring": "Q",
             "variable": "x", "base": "K[x,x^-1]",
             "degrees": [{"degree": 0, "rank": 2}, {"degree": 1, "rank": 3},
                         {"degree": 2, "rank": 43}],
-            "differentials": [{"degree": 2, "matrix": filler}]}
-    if key != "differentials":
-        data["format"] = ff.SHEAF_FORMAT
-        empty = [[[] for _ in range(43)] for _ in range(3)]
-        data[key] = [{"degree": 2, "matrix": empty}]
-    data[key].append({"degree": 1, "matrix": target})
+            "differentials": [{"degree": 2, "matrix": filler},
+                              {"degree": 1, "matrix": target}]}
+    if fmt == ff.SHEAF_FORMAT:
+        data["twist_profile"] = [{"degree": m, "k": 0, "l": 0}
+                                 for m in range(3)]
     return data
 
 
-@pytest.mark.parametrize("key", ["differentials", "minus", "plus"])
+@pytest.mark.parametrize("fmt", [ff.COMPLEX_FORMAT, ff.SHEAF_FORMAT],
+                         ids=["differentials", "sheaf"])
 @pytest.mark.parametrize("case", list(BAD_CELLS))
-def test_bad_cell_error_names_the_cell(case, key):
+def test_bad_cell_error_names_the_cell(case, fmt):
     cell, message, below = BAD_CELLS[case]
-    data = _bad_file(key, cell, case == "dense-slots")
-    load = (ff.complex_from_dict if key == "differentials"
+    data = _bad_file(fmt, cell, case == "dense-slots")
+    load = (ff.complex_from_dict if fmt == ff.COMPLEX_FORMAT
             else ff.sheaf_from_dict)
     with pytest.raises(FormatError) as err:
         load(data)
-    assert str(err.value) == f"{message} (at {key}[1].matrix[1][2]{below})"
+    assert str(err.value) == (
+        f"{message} (at differentials[1].matrix[1][2]{below})")

@@ -111,13 +111,12 @@ def test_h0_checks_w_ranks_before_writing_any_cell(tmp_path, monkeypatch,
     one = [[[[0, "1"]]]]
     sheaf = tmp_path / "wide-twist.sheaf"
     ff.save_path(sheaf, {
-        "format": ff.SHEAF_FORMAT, "version": 1, "ring": "Q",
+        "format": ff.SHEAF_FORMAT, "version": 2, "ring": "Q",
         "variable": "x", "base": "K[x,x^-1]",
         "degrees": [{"degree": 0, "rank": 1}, {"degree": 1, "rank": 1}],
         "differentials": [{"degree": 1, "matrix": one}],
-        "twist_profile": [{"degree": m, "k": 400, "l": 400} for m in (0, 1)],
-        "minus": [{"degree": 1, "matrix": one}],
-        "plus": [{"degree": 1, "matrix": one}]})
+        "twist_profile": [{"degree": m, "k": 400, "l": 400}
+                          for m in (0, 1)]})
 
     def no_dict(c):
         raise AssertionError("complex_to_dict of a W the loader refuses")
@@ -177,30 +176,36 @@ def test_dominate_report_checks_w_ranks_before_writing_any_cell(
 
 
 def test_extend_refuses_a_chart_exponent_past_the_bound(tmp_path, capsys):
-    # x^4096 - x^-4096 is in bounds; its minus chart has exponent -8192
-    src = _extension_file(tmp_path, "wide", P(QQ, (4096, 1), (-4096, -1)))
-    out = tmp_path / "wide.sheaf"
+    # ranks 1/2/1 with d_2 = [x^4096; 0] and d_1 = [0, x^4096]: every
+    # exponent is in bounds, but the twists add up, and degree 0 gets the
+    # torus map x^8192 from the K[x^-1] chart
+    f, zero = P(QQ, (4096, 1)), P(QQ)
+    c = ChainComplex(QQ, BaseRing.LAURENT, 0, 2, {0: 1, 1: 2, 2: 1}, {
+        1: LaurentMatrix(QQ, 1, 2, [[zero, f]]),
+        2: LaurentMatrix(QQ, 2, 1, [[f], [zero]])})
+    src = tmp_path / "deep-twist.cplx"
+    ff.save_path(src, ff.complex_to_dict(c))
+    out = tmp_path / "deep-twist.sheaf"
     for extra in (["--out", str(out)], ["--format", "report"]):
-        assert main(["extend", src] + extra) == 2
+        assert main(["extend", str(src)] + extra) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(
+        assert captured.err == (
             "input error: output not written, p1dom could not read it back: "
-            f"exponent -8192 exceeds {ff.MAX_EXPONENT} in absolute value "
-            "(at minus[")
+            f"exponent 8192 exceeds {ff.MAX_EXPONENT} in absolute value "
+            "(at twist_profile[0].k)\n")
     assert not out.exists()
 
 
 def test_outputs_at_the_bounds_are_written_and_read_back(tmp_path):
-    # x^2048 - x^-2048 puts -4096 in the minus chart; x^511 - 1 over GF(7)
-    # gives a W of rank 512
-    src = _extension_file(tmp_path, "edge", P(QQ, (2048, 1), (-2048, -1)))
+    # x^4096 - x^-4096 twists degree 0 by (4096, 4096); x^511 - 1 over
+    # GF(7) gives a W of rank 512
+    src = _extension_file(tmp_path, "edge", P(QQ, (4096, 1), (-4096, -1)))
     sheaf = tmp_path / "edge.sheaf"
     assert main(["extend", src, "--out", str(sheaf)]) == 0
     data = ff.loads(sheaf.read_text())
-    exps = [pair[0] for item in data["minus"] for row in item["matrix"]
-            for cell in row for pair in cell]
-    assert min(exps) == -ff.MAX_EXPONENT
+    assert data["twist_profile"][0] == {
+        "degree": 0, "k": ff.MAX_EXPONENT, "l": ff.MAX_EXPONENT}
     load_sheaf(str(sheaf))
     src = _extension_file(tmp_path, "g7", P(GF(7), (511, 1), (0, -1)))
     sheaf = tmp_path / "g7.sheaf"
@@ -208,6 +213,45 @@ def test_outputs_at_the_bounds_are_written_and_read_back(tmp_path):
     assert main(["extend", src, "--out", str(sheaf)]) == 0
     assert main(["h0", str(sheaf), "--out", str(w)]) == 0
     assert max(ff.load_complex(str(w)).ranks.values()) == ff.MAX_RANK
+
+
+def _wide_entry_file(tmp_path, ring, rows, cols, e):
+    """A two-term complex with every entry of its rows x cols
+    differential x^-e + x^e."""
+    p = P(ring, (-e, 1), (e, 1))
+    c = ChainComplex(ring, BaseRing.LAURENT, 0, 1, {0: rows, 1: cols}, {
+        1: LaurentMatrix(ring, rows, cols, [[p] * cols] * rows)})
+    path = tmp_path / f"wide-{rows}x{cols}.cplx"
+    ff.save_path(path, ff.complex_to_dict(c))
+    return path
+
+
+@pytest.mark.parametrize("ring, rows, cols, e", [
+    (GF(7), 1, 1, 3000), (QQ, 10, 9, 2000)], ids=["x3000", "10x9-x2000"])
+def test_extend_writes_the_extension_of_a_loadable_complex(
+        ring, rows, cols, e, tmp_path, capsys):
+    # the charts would shift an exponent past MAX_EXPONENT or, at three
+    # times the stored cells, pass MAX_DENSE_SLOTS; a sheaf file stores
+    # only the complex and its twists, within the bounds the complex met
+    src = _wide_entry_file(tmp_path, ring, rows, cols, e)
+    slots = rows * cols * (2 * e + 1)
+    assert slots <= ff.MAX_DENSE_SLOTS
+    assert 2 * e > ff.MAX_EXPONENT or 3 * slots > ff.MAX_DENSE_SLOTS
+    c = ff.load_complex(str(src))
+    assert main(["extend", str(src)]) == 0
+    human = capsys.readouterr().out
+    assert human == f"twist profile: 0:(k={e},l={e}), 1:(k=0,l=0)\n"
+    out = tmp_path / "wide.sheaf"
+    assert main(["extend", str(src), "--out", str(out)]) == 0
+    assert main(["extend", str(src), "--format", "report"]) == 0
+    assert capsys.readouterr().out == out.read_text()
+    data = ff.loads(out.read_text())
+    assert data["version"] == 2 and "minus" not in data and "plus" not in data
+    s = ff.sheaf_from_dict(data)
+    assert s.mid == c
+    profile = ", ".join(f"{m}:(k={k},l={l})"
+                        for m, (k, l) in sorted(s.twist_profile().items()))
+    assert human == f"twist profile: {profile}\n"
 
 
 def test_loader_bounds_name_twists_and_spans():

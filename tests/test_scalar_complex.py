@@ -30,7 +30,8 @@ from p1dom.matrices import LaurentMatrix, ScalarMatrix
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import cech_complex
 
-from helpers import constants, two_term, window_complex
+from helpers import (chart as sheaf_chart, constants, two_term,
+                     window_complex)
 
 FIELDS = [QQ, GF(7), GF(10007)]
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -122,7 +123,8 @@ def test_fpqc_total_equals_hypercohomology(seed, ring):
     if rng.random() < 0.5:
         chart = random_chart(rng, ring)
     else:
-        chart = extend_complex(random_novikov_acyclic(rng, ring, 2)).sheaf.plus
+        chart = sheaf_chart(extend_complex(
+            random_novikov_acyclic(rng, ring, 2)).sheaf, "plus")
     assert chart.validate() == []
     exact = chart_homology(chart)
     assert list(exact) == list(chart.degrees())

@@ -23,7 +23,7 @@ from p1dom.matrices import ScalarMatrix, scalar_rank
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import cech_complex
 
-from helpers import S, window_complex
+from helpers import S, chart, window_complex
 
 
 def dense_rank_mod_p(grid, p):
@@ -261,8 +261,8 @@ def chart_complexes(ring, count):
         else:
             c = random_complex(rng, ring, max_length=3, max_rank=3, span=2)
         sheaf = extend_complex(c).sheaf
-        yield sheaf.plus
-        yield sheaf.minus
+        yield chart(sheaf, "plus")
+        yield chart(sheaf, "minus")
 
 
 @pytest.mark.parametrize("order", [1, 8, 16])

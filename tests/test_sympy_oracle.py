@@ -26,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import invariant_factors
 
+from p1dom import smith
 from p1dom.complexes import homology
 from p1dom.domination import _elementary_valuations
 from p1dom.laurent import BaseRing, LaurentPoly
@@ -108,6 +109,31 @@ def test_sympy_reads_a_known_chain():
                 LaurentPoly(QQ, {0: -1, 2: 1})]
     assert sympy_factors(a) == expected
     assert list(kernel_factors(a)) == expected
+
+
+def test_q_hermite_step_with_a_multiplier_against_sympy(monkeypatch):
+    # lower triangular over Q with the non-monic pivots 3 - 3x + 3x^2 and
+    # 2 - 2x: the Hermite step reduces the entries left of them by
+    # pseudo-division with a multiplier m != 1, which must scale the rows
+    # above the pivot row as well as the rows below it
+    a = M(QQ, [[[(0, 1), (1, 1), (2, -2)], 0, 0],
+               [[(1, 2), (2, 1)], [(0, 3), (1, -3), (2, 3)], 0],
+               [[(0, -1), (2, 2)], [(0, 3), (1, -1), (2, -1), (3, -2)],
+                [(0, 2), (1, -2)]]])
+    multipliers = []
+    combine = smith._combine
+
+    def recording(f, x, g, y, p, known=()):
+        # only the Hermite step knows a nonzero entry of the new column
+        if any(e is not None for e in known):
+            multipliers.append(f[1][0])
+        return combine(f, x, g, y, p, known)
+
+    monkeypatch.setattr(smith, "_combine", recording)
+    factors = kernel_factors(a)
+    assert any(m != 1 for m in multipliers)
+    assert list(factors) == sympy_factors(a)
+    assert [core_degree(f) for f in factors] == [0, 0, 5]
 
 
 @settings(deadline=None, max_examples=150)
