@@ -333,17 +333,19 @@ def cmd_extend(args):
 
 def cmd_h0(args):
     s = _load_sheaf(args)
-    w = cech_complex(s)
-    _check_w_ranks(w)
-    _write_file(args, ff.complex_to_dict(w))
+    # a summand of twist n >= -1 gives W a band of n + 1 monomials
+    # (cech_complex refuses n <= -2), so W is bounded before it is built
+    _check_w_ranks({m: sum(max(t.n + 1, 0) for t in twists)
+                    for m, twists in s.twists.items()})
+    _write_file(args, ff.complex_to_dict(cech_complex(s)))
     return EXIT_OK
 
 
-def _check_w_ranks(w):
+def _check_w_ranks(ranks):
     """W is sparse but its file is dense: the loader's rank check runs
     before any cell is written."""
     _read_back(ff._read_degrees, {"degrees": [
-        {"degree": m, "rank": w.rank(m)} for m in w.degrees()]})
+        {"degree": m, "rank": r} for m, r in ranks.items()]})
 
 
 def cmd_hyper(args):
@@ -371,7 +373,7 @@ def cmd_dominate(args):
 
 
 def _dominate_report(args, witness):
-    _check_w_ranks(witness.w)
+    _check_w_ranks(witness.w_ranks())
     return {
         "command": "dominate",
         "input_digest": args.input_digest,

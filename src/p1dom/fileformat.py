@@ -14,14 +14,15 @@ for non-ASCII and control characters, and a final newline.  A complex
 with base "K" loads as a ``ScalarComplex`` of sparse rows of constants.
 
 Loading is bounded before anything is built: a degree span above
-MAX_DEGREE_SPAN, a rank above MAX_RANK or an exponent or twist above
-MAX_EXPONENT in absolute value is a FormatError naming the field.  (An
-omitted differential is a dense zero matrix; exponents and twists set the
-sizes of the monomial bands of the global sections.)  Each polynomial is
-stored dense over its exponent span, so the sum of max - min + 1 over the
-cells of a file, its dense coefficient slots, may not pass
-MAX_DENSE_SLOTS: the cell that passes it is a FormatError, raised before
-that cell is built.  The CLI runs the
+MAX_DEGREE_SPAN, a rank above MAX_RANK, an exponent above MAX_EXPONENT or
+a twist above MAX_TWIST (MAX_DEGREE_SPAN * MAX_EXPONENT, as an extension's
+twists add up over its differentials) in absolute value is a FormatError
+naming the field.  (An omitted differential is a dense zero matrix;
+exponents and twists set the sizes of the monomial bands of the global
+sections.)  Each polynomial is stored dense over its exponent span, so the
+sum of max - min + 1 over the cells of a file, its dense coefficient
+slots, may not pass MAX_DENSE_SLOTS: the cell that passes it is a
+FormatError, raised before that cell is built.  The CLI runs the
 loader on every dict it is about to write, so that no file is written
 that the loader would refuse.  Wherever the format wants an
 integer (version, degree, rank, exponent, twist) only a JSON integer is
@@ -59,6 +60,7 @@ VERSIONS = {COMPLEX_FORMAT: 1, SHEAF_FORMAT: 2}
 MAX_DEGREE_SPAN = 16
 MAX_RANK = 512
 MAX_EXPONENT = 4096
+MAX_TWIST = MAX_DEGREE_SPAN * MAX_EXPONENT
 # dense coefficient slots in one file, summed over every cell it stores
 MAX_DENSE_SLOTS = 1 << 20
 
@@ -112,10 +114,10 @@ def _integer(value, field: str, where: str) -> int:
     return value
 
 
-def _check_exponent(e, where: str):
-    if abs(_integer(e, "exponent", where)) > MAX_EXPONENT:
+def _check_exponent(e, where: str, field="exponent", bound=MAX_EXPONENT):
+    if abs(_integer(e, field, where)) > bound:
         raise FormatError(
-            f"exponent {e} exceeds {MAX_EXPONENT} in absolute value", where)
+            f"{field} {e} exceeds {bound} in absolute value", where)
 
 
 def _check_rank(rank: int, where: str):
@@ -306,8 +308,8 @@ def sheaf_from_dict(data: dict) -> SheafComplex:
         if degree not in ranks:
             raise FormatError(f"degree {degree} not in degrees",
                               f"{loc}.degree")
-        _check_exponent(k, f"{loc}.k")
-        _check_exponent(l, f"{loc}.l")
+        _check_exponent(k, f"{loc}.k", "twist", MAX_TWIST)
+        _check_exponent(l, f"{loc}.l", "twist", MAX_TWIST)
         profile[degree] = (k, l)
     for m in ranks:
         if ranks[m] and m not in profile:

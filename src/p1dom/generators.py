@@ -1,13 +1,21 @@
 """Seeded random instances for property suites.
 
-Valid complexes are built from elementary pieces (two-term complexes and
-single free levels) conjugated by random invertible basis changes, so
-d.d = 0 holds by construction while differentials look generic.  Each
-basis change T is a product of elementary operations and its inverse is
-built alongside it (``random_invertible_pair``), so no inverse is
-computed from minors.  The same
-recipe with unit-monomial or acyclic pieces yields Novikov-acyclic
+Valid complexes are elementary pieces (two-term complexes and single free
+levels) conjugated by random invertible basis changes, so d.d = 0 holds
+by construction while differentials look generic.  It all runs on
+``polylists`` entries (None for zero): the pieces go straight into one
+block-diagonal grid per degree, a basis change T is a grid built by
+elementary operations with its inverse alongside it (``_invertible_pair``,
+so no inverse is computed from minors), and T^-1 d T is formed with
+``polylists.dot``, each result wrapped in a ``LaurentPoly`` once.  The
+same recipe with unit-monomial or acyclic pieces yields Novikov-acyclic
 instances and quasi-isomorphisms for the diagram properties.
+
+The same seed gives the same draws: the same calls to ``random`` in the
+same order and the same polynomials with the same coefficient types.  The
+acceptance corpus, the report digests, ``p1dom selftest`` and the
+benchmark's corpora and expected outputs rely on it, and
+``tests/test_generator_digests.py`` pins it.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from .complexes import ChainComplex, ChainMap, Homotopy, inclusion
 from .diagrams import ComplexDiagram, DiagramMap
 from .laurent import BaseRing, LaurentPoly
 from .matrices import LaurentMatrix
+from .polylists import ONE, dot, from_terms, lincomb, scaled
 from .scalars import GF, QQ, CoefficientRing
 
 
@@ -27,63 +36,118 @@ def random_ring(rng: random.Random) -> CoefficientRing:
 
 def random_poly(rng, ring, min_exp=-3, max_exp=3, terms=3,
                 nonzero=False) -> LaurentPoly:
+    return LaurentPoly.from_entry(
+        ring, _poly_entry(rng, ring, min_exp, max_exp, terms, nonzero))
+
+
+def _poly_entry(rng, ring, min_exp, max_exp, terms, nonzero=False):
+    """The entry of up to ``terms`` terms c x^e, c from -3 to 3; with
+    ``nonzero`` a zero draw falls back to one monomial, whose coefficient
+    is 1 where the drawn one is zero in the ring (2 over GF(2))."""
     acc = {}
     for _ in range(rng.randint(1 if nonzero else 0, terms)):
         e = rng.randint(min_exp, max_exp)
         c = rng.randint(-3, 3)
         if c:
-            acc[e] = ring.add(acc.get(e, ring.zero()), ring.from_int(c))
-    p = LaurentPoly(ring, acc)
-    if nonzero and p.is_zero:
-        return LaurentPoly.monomial(ring, rng.randint(min_exp, max_exp),
-                                    rng.choice([1, -1, 2]))
-    return p
+            acc[e] = acc.get(e, 0) + c
+    entry = from_terms([(e, ring.from_int(c)) for e, c in acc.items()],
+                       ring.p)
+    if nonzero and entry is None:
+        e = rng.randint(min_exp, max_exp)
+        entry = e, (ring.from_int(rng.choice([1, -1, 2])) or ring.one(),)
+    return entry
 
 
-def random_unit_monomial(rng, ring, span=1) -> LaurentPoly:
-    c = ring.from_int(rng.choice([1, -1, 2, 3]))
-    while not ring.is_unit(c):
-        c = ring.from_int(rng.choice([1, -1]))
-    return LaurentPoly.monomial(ring, rng.randint(-span, span)).scale(c)
+def _times_unit(a, e, c, p):
+    """The entry c x^e a (None for a zero a)."""
+    return a and (a[0] + e, scaled(a, c, p)[1])
 
 
-def random_invertible_pair(rng, ring, n, ops=None, span=1):
-    """(T, T^-1) for a product T of elementary operations, whose
-    determinant is a unit monomial.
+def _invertible_pair(rng, ring, n, span):
+    """(T, T^-1) as n x n grids of entries, for a product T of 2n
+    elementary operations, whose determinant is a unit monomial.
 
     T is built by row operations on the identity, and T^-1 alongside it by
     the inverse of each operation as a column operation, in the same
     order: row i += q*row j becomes col j -= q*col i, a row swap the same
     column swap, and row i *= u becomes col i *= u^-1.
     """
-    m = [list(r) for r in LaurentMatrix.identity(ring, n).entries]
-    inv = [list(r) for r in m]
-    ops = ops if ops is not None else 2 * n
-    for _ in range(ops):
+    p = ring.p
+    one = 0, (ring.one(),)
+    t = [[one if i == j else None for j in range(n)] for i in range(n)]
+    t_inv = [list(row) for row in t]
+    for _ in range(2 * n):
         kind = rng.randint(0, 2)
         if n < 2 and kind != 2:
             kind = 2
         if kind == 0:
             i, j = rng.sample(range(n), 2)
-            q = random_poly(rng, ring, -span, span, 2)
-            for col in range(n):
-                m[i][col] = m[i][col] + q * m[j][col]
-            for row in inv:
-                row[j] = row[j] - q * row[i]
+            q = _poly_entry(rng, ring, -span, span, 2)
+            if q is None:
+                continue
+            row = t[i]
+            for col, b in enumerate(t[j]):
+                if b is not None:
+                    row[col] = lincomb(ONE, row[col], q, b, p)
+            q = scaled(q, -1, p)
+            for row in t_inv:
+                if row[i] is not None:
+                    row[j] = lincomb(ONE, row[j], q, row[i], p)
         elif kind == 1:
             i, j = rng.sample(range(n), 2)
-            m[i], m[j] = m[j], m[i]
-            for row in inv:
+            t[i], t[j] = t[j], t[i]
+            for row in t_inv:
                 row[i], row[j] = row[j], row[i]
         else:
             i = rng.randrange(n)
-            u = random_unit_monomial(rng, ring, span)
-            for col in range(n):
-                m[i][col] = m[i][col] * u
-            u_inv = u.inverse_unit()
-            for row in inv:
-                row[i] = row[i] * u_inv
-    return LaurentMatrix(ring, n, n, m), LaurentMatrix(ring, n, n, inv)
+            c = ring.from_int(rng.choice([1, -1, 2, 3]))
+            while not ring.is_unit(c):
+                c = ring.from_int(rng.choice([1, -1]))
+            e = rng.randint(-span, span)  # u = c x^e
+            t[i] = [_times_unit(a, e, c, p) for a in t[i]]
+            e, c = -e, ring.invert(c)
+            for row in t_inv:
+                row[i] = _times_unit(row[i], e, c, p)
+    return t, t_inv
+
+
+def _conjugated(rng, ring, base, ranks, grids, span):
+    """T_{m-1}^-1 d_m T_m for the entry grids d_m = ``grids[m]`` on
+    ``ranks`` (one interval of degrees) and a random pair per degree."""
+    lo, hi = min(ranks), max(ranks)
+    p = ring.p
+    pairs = {m: _invertible_pair(rng, ring, ranks[m], span)
+             for m in range(lo, hi + 1)}
+    zero = LaurentPoly.zero(ring)
+    diffs = {}
+    for m in range(lo + 1, hi + 1):
+        left = [[dot(row, col, p) for col in zip(*grids[m])]
+                for row in pairs[m - 1][1]]
+        t = list(zip(*pairs[m][0]))
+        out = [[dot(row, col, p) for col in t] for row in left]
+        diffs[m] = LaurentMatrix(ring, ranks[m - 1], ranks[m], [
+            [zero if e is None else LaurentPoly.from_entry(ring, e)
+             for e in row] for row in out])
+    return ChainComplex(ring, base, lo, hi, ranks, diffs)
+
+
+def _conjugated_sum(rng, ring, ranks, cells, span):
+    """``_conjugated`` of the direct sum of elementary pieces: ``ranks``
+    counts the generators, and each cell (m, i, j, entry) is the
+    differential of a two-term piece at (i, j) of the block-diagonal d_m."""
+    grids = {m: [[None] * ranks[m] for _ in range(ranks[m - 1])]
+             for m in ranks if m - 1 in ranks}
+    for m, i, j, entry in cells:
+        grids[m][i][j] = entry
+    return _conjugated(rng, ring, BaseRing.LAURENT, ranks, grids, span)
+
+
+def _two_term(ranks, cells, top, entry):
+    """Add the two-term piece of ``entry`` in degrees top, top - 1 to the
+    sum of pieces (ranks, cells) of ``_conjugated_sum``."""
+    i, j = ranks.get(top - 1, 0), ranks.get(top, 0)
+    cells.append((top, i, j, entry))
+    ranks[top - 1], ranks[top] = i + 1, j + 1
 
 
 def random_complex(rng, ring, max_length=4, max_rank=4, span=1,
@@ -92,32 +156,17 @@ def random_complex(rng, ring, max_length=4, max_rank=4, span=1,
     elementary sums."""
     length = rng.randint(1, max_length)
     hi = lo + length - 1
-    pieces = []
+    ranks = dict.fromkeys(range(lo, hi + 1), 0)
+    cells = []
     # two-term pieces give nontrivial differentials, singles give homology
     for _ in range(rng.randint(1, max_rank)):
         if length >= 2 and rng.random() < 0.7:
             top = rng.randint(lo + 1, hi)
-            p = random_poly(rng, ring, -span, span, 3, nonzero=rng.random() < 0.8)
-            pieces.append(ChainComplex.two_term(ring, p, top))
+            _two_term(ranks, cells, top, _poly_entry(
+                rng, ring, -span, span, 3, nonzero=rng.random() < 0.8))
         else:
-            d = rng.randint(lo, hi)
-            pieces.append(ChainComplex.single(ring, BaseRing.LAURENT, d, 1))
-    total = pieces[0]
-    for piece in pieces[1:]:
-        total = total.direct_sum(piece)
-    total = ChainComplex(ring, BaseRing.LAURENT, lo, hi, total.ranks,
-                         total.diffs)
-    return basis_change(rng, total, span)
-
-
-def basis_change(rng, c: ChainComplex, span=1) -> ChainComplex:
-    """Conjugate by random invertible matrices in every degree."""
-    ring = c.ring
-    pairs = {m: random_invertible_pair(rng, ring, c.rank(m), span=span)
-             for m in c.degrees()}
-    diffs = {m: pairs[m - 1][1] @ c.diff(m) @ pairs[m][0]
-             for m in range(c.lo + 1, c.hi + 1)}
-    return ChainComplex(ring, c.base, c.lo, c.hi, c.ranks, diffs)
+            ranks[rng.randint(lo, hi)] += 1
+    return _conjugated_sum(rng, ring, ranks, cells, span)
 
 
 def random_novikov_acyclic(rng, ring, max_rank=3, span=1) -> ChainComplex:
@@ -128,20 +177,16 @@ def random_novikov_acyclic(rng, ring, max_rank=3, span=1) -> ChainComplex:
     homology) and the two-term complex of 1 is acyclic, so every output
     has torsion homology in all degrees.
     """
-    pieces = []
+    ranks, cells = {}, []
     for _ in range(rng.randint(1, max_rank)):
-        style = rng.random()
-        if style < 0.6:
-            p = random_poly(rng, ring, -span, span, 3, nonzero=True)
-            pieces.append(ChainComplex.two_term(
-                ring, p, rng.randint(0, 2)))
+        if rng.random() < 0.6:
+            entry = _poly_entry(rng, ring, -span, span, 3, nonzero=True)
+            _two_term(ranks, cells, rng.randint(0, 2), entry)
         else:
-            pieces.append(ChainComplex.two_term(
-                ring, LaurentPoly.one(ring), rng.randint(0, 1) + 1))
-    total = pieces[0]
-    for piece in pieces[1:]:
-        total = total.direct_sum(piece)
-    return basis_change(rng, total, span)
+            _two_term(ranks, cells, rng.randint(0, 1) + 1,
+                      (0, (ring.one(),)))
+    ranks = {m: ranks.get(m, 0) for m in range(min(ranks), max(ranks) + 1)}
+    return _conjugated_sum(rng, ring, ranks, cells, span)
 
 
 def null_homotopic_map(rng, source: ChainComplex,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .errors import NotAUnitError, ShapeError
+from .errors import ShapeError
 from .polylists import MINUS_ONE, ONE, from_terms, lincomb, scaled
 from .scalars import CoefficientRing, check_same_ring
 
@@ -92,10 +92,6 @@ class LaurentPoly:
         return cls.from_entry(ring, (0, (ring.one(),)))
 
     @classmethod
-    def monomial(cls, ring, exponent: int, coeff=1):
-        return cls(ring, {exponent: coeff})
-
-    @classmethod
     def from_pairs(cls, ring, pairs):
         """Build from ``[(exponent, coefficient), ...]``, summing repeats."""
         return cls.from_entry(ring, _checked(ring, pairs))
@@ -166,12 +162,6 @@ class LaurentPoly:
         """Unit of K[x,x^-1]: a single term with unit coefficient."""
         return (self.entry is not None and len(self.entry[1]) == 1
                 and self.ring.is_unit(self.entry[1][0]))
-
-    def inverse_unit(self):
-        if not self.is_unit:
-            raise NotAUnitError(f"{self} is not a unit of K[x,x^-1]")
-        v, (c,) = self.entry
-        return LaurentPoly.from_entry(self.ring, (-v, (self.ring.invert(c),)))
 
     # -- comparisons ---------------------------------------------------------
 

@@ -155,6 +155,7 @@ QQ = CoefficientRing("Q")
 ZZ = CoefficientRing("Z")
 
 
+@lru_cache(maxsize=64)  # a modulus seen before is not tested again
 def GF(p: int) -> CoefficientRing:
     return CoefficientRing("GF", p)
 

@@ -9,7 +9,8 @@ from p1dom.diagrams import ComplexDiagram, sections_matrix
 from p1dom.domination import _chart_direction, _torsion_dims, chart_homology
 from p1dom.errors import (BaseRingViolationError, ShapeError,
                           UnsupportedRingError)
-from p1dom.generators import (null_homotopic_map, random_complex,
+from p1dom.generators import (_conjugated, _invertible_pair,
+                              null_homotopic_map, random_complex,
                               random_novikov_acyclic)
 from p1dom.laurent import BaseRing, LaurentPoly
 from p1dom.matrices import LaurentMatrix, ScalarMatrix, scalar_rank
@@ -23,6 +24,18 @@ def P(ring, *pairs):
     """Polynomial from (exponent, int-coefficient) pairs."""
     return LaurentPoly.from_pairs(ring, [(e, ring.from_int(c))
                                          for e, c in pairs])
+
+
+def monomial(ring, exponent, coeff=1):
+    """coeff * x^exponent, both checked by the ``LaurentPoly``
+    constructor."""
+    return LaurentPoly(ring, {exponent: coeff})
+
+
+def inverse_unit(p):
+    """The inverse c^-1 x^-v of a unit c x^v of K[x,x^-1]."""
+    v, (c,) = p.entry
+    return LaurentPoly.from_entry(p.ring, (-v, (p.ring.invert(c),)))
 
 
 def M(ring, rows, base=BaseRing.LAURENT):
@@ -396,10 +409,35 @@ def torus_diagram(s):
     plus = chart(s, "plus", BaseRing.LAURENT)
 
     def torus_maps(side):
-        return {m: scalar_diag(ring, [LaurentPoly.monomial(ring, e)
-                                      for e in exps])
+        return {m: scalar_diag(ring, [monomial(ring, e) for e in exps])
                 for m, exps in s.chart_exponents(side).items()}
 
     return ComplexDiagram(minus, s.mid, plus,
                           ChainMap(minus, s.mid, torus_maps("minus")),
                           ChainMap(plus, s.mid, torus_maps("plus")))
+
+
+def random_invertible_pair(rng, ring, n, span=1):
+    """(T, T^-1) of ``generators._invertible_pair`` as Laurent matrices."""
+    return tuple(LaurentMatrix(ring, n, n, [
+        [LaurentPoly.from_entry(ring, e) for e in row] for row in grid])
+        for grid in _invertible_pair(rng, ring, n, span))
+
+
+def basis_change(rng, c, span=1):
+    """Conjugate by random invertible matrices in every degree: the
+    complex T_{m-1}^-1 d_m T_m of ``generators._conjugated``."""
+    grids = {m: [[p.entry for p in row] for row in d.entries]
+             for m, d in c.diffs.items()}
+    return _conjugated(rng, c.ring, c.base, c.ranks, grids, span)
+
+
+def basis_change_reference(rng, c, span=1):
+    """``basis_change`` as T^-1 @ d @ T with ``LaurentMatrix``
+    products, on the pairs of ``random_invertible_pair``: the same draws
+    give the same complex."""
+    pairs = {m: random_invertible_pair(rng, c.ring, c.rank(m), span=span)
+             for m in c.degrees()}
+    diffs = {m: pairs[m - 1][1] @ c.diff(m) @ pairs[m][0]
+             for m in range(c.lo + 1, c.hi + 1)}
+    return ChainComplex(c.ring, c.base, c.lo, c.hi, c.ranks, diffs)

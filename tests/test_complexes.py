@@ -6,15 +6,15 @@ import pytest
 from p1dom.complexes import (ChainComplex, ChainMap, Homotopy, cone,
                              homology, inclusion, is_acyclic, is_quasi_iso)
 from p1dom.errors import RingMismatchError, ShapeError, UnsupportedRingError
-from p1dom.generators import (basis_change, null_homotopic_map,
-                              random_complex, random_invertible_pair,
-                              random_ring)
+from p1dom.generators import null_homotopic_map, random_complex, random_ring
 from p1dom.laurent import BaseRing, LaurentPoly
 from p1dom.matrices import LaurentMatrix
 from p1dom.scalars import GF, QQ, ZZ
 
-from helpers import (M, core_degree, random_retract_witness, scalar_diag,
-                     submatrix, two_term, verify_homotopy_retract)
+from helpers import (M, basis_change, core_degree, monomial,
+                     random_invertible_pair, random_retract_witness,
+                     scalar_diag, submatrix, two_term,
+                     verify_homotopy_retract)
 
 
 def test_validate_zero_complex():
@@ -103,8 +103,7 @@ def test_q_validate_reports_a_fractional_defect():
             if not cols or not c.diff(m).cols:
                 continue
             for j in range(c.diff(m).cols):
-                term = LaurentPoly.monomial(QQ, rng.randint(-3, 3),
-                                            Fraction(1, 7))
+                term = monomial(QQ, rng.randint(-3, 3), Fraction(1, 7))
                 bad = with_term(c, m, rng.choice(cols), j, term)
                 problems = bad.validate()
                 assert problems == matmul_problems(bad)

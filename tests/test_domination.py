@@ -13,7 +13,7 @@ from p1dom.domination import (_elementary_valuations, chart_homology,
 from p1dom.errors import (NotNovikovAcyclicError, ShapeError,
                           UnsupportedRingError)
 from p1dom.generators import (random_complex, random_novikov_acyclic,
-                               random_ring)
+                              random_poly, random_ring)
 from p1dom.laurent import BaseRing
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.smith import invariant_factors
@@ -144,8 +144,6 @@ def test_zero_complex_is_acyclic_over_z():
 def test_field_mode_matches_determinant_criterion():
     # on square two-term complexes: acyclic over both series fields iff
     # the determinant is nonzero over K[x,x^-1]
-    from p1dom.generators import random_poly
-
     rng = random.Random(61)
     for _ in range(40):
         ring = random_ring(rng)
@@ -515,6 +513,17 @@ def test_field_verdict_from_ranks_equals_the_smith_form():
         # the Euler shortcut and both answers of the rank test, per field
         assert {(ring, False, "no"), (ring, True, "no"),
                 (ring, True, "yes")} <= seen
+
+
+def test_gf2_draws_are_nonzero_and_novikov_acyclic():
+    # a nonzero draw whose terms cancel falls back to one monomial, and
+    # its coefficient 2, zero over GF(2), becomes 1
+    rng = random.Random(0)
+    assert all(random_poly(rng, GF(2), nonzero=True) for _ in range(4000))
+    rng = random.Random(1)
+    for _ in range(500):
+        c = random_novikov_acyclic(rng, GF(2))
+        assert novikov_check(c).x_side.acyclic == "yes"
 
 
 def test_rank_overflow_is_an_invalid_complex():

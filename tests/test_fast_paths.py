@@ -42,8 +42,8 @@ from p1dom.smith import (invariant_factors, kernel_basis,
                          kernel_coordinates)
 
 from helpers import (HOMOLOGY_KINDS, M, P, chart as derived, core_degree,
-                     homology_case, random_matrix, scalar_diag,
-                     unit_normalise)
+                     homology_case, inverse_unit, monomial, random_matrix,
+                     scalar_diag, unit_normalise)
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
@@ -52,8 +52,7 @@ SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
 
 def _monomial_diag(ring, exponents):
-    return scalar_diag(ring, [LaurentPoly.monomial(ring, e)
-                              for e in exponents])
+    return scalar_diag(ring, [monomial(ring, e) for e in exponents])
 
 
 def dense_charts(mid, twists):
@@ -683,9 +682,9 @@ def test_field_operations_are_canonical(data, ring):
     if not a.is_zero:
         v, lead, core = unit_normalise(a)
         assert_canonical(core)
-        assert LaurentPoly.monomial(ring, v, 1).scale(lead) * core == a
+        assert monomial(ring, v, lead) * core == a
     if a.is_unit:
-        inv = a.inverse_unit()
+        inv = inverse_unit(a)
         assert_canonical(inv)
         assert a * inv == LaurentPoly.one(ring)
 

@@ -8,7 +8,7 @@ from p1dom.errors import RingMismatchError, ShapeError, UnsupportedRingError
 from p1dom.laurent import BaseRing, LaurentPoly, base_from_tag
 from p1dom.scalars import GF, QQ, ZZ
 
-from helpers import P, evaluate, unit_normalise
+from helpers import P, evaluate, monomial, unit_normalise
 
 
 def test_product_identity_case():
@@ -57,7 +57,7 @@ def test_unit_normalisation():
     v, lead, core = unit_normalise(p)
     assert v == -2 and QQ.render(lead) == "-3"
     assert core == P(QQ, (3, 1), (0, -1))
-    assert LaurentPoly.monomial(QQ, v).scale(lead) * core == p
+    assert monomial(QQ, v, lead) * core == p
 
 
 def test_units_of_laurent_ring():
@@ -114,9 +114,9 @@ def test_constructor_rejects_inexact_input(ring, coeffs, error, named):
 
 def test_named_constructors_reject_inexact_input():
     with pytest.raises(ShapeError, match="1.5"):
-        LaurentPoly.monomial(QQ, 1.5)
+        monomial(QQ, 1.5)
     with pytest.raises(UnsupportedRingError, match="2.7"):
-        LaurentPoly.monomial(ZZ, 0, 2.7)
+        monomial(ZZ, 0, 2.7)
     with pytest.raises(UnsupportedRingError, match="0.5"):
         LaurentPoly(GF(7), {0: 0.5})
 

@@ -130,6 +130,30 @@ def test_h0_checks_w_ranks_before_writing_any_cell(tmp_path, monkeypatch,
         f"rank 801 exceeds {ff.MAX_RANK} (at degrees[0].rank)\n")
 
 
+def test_h0_bounds_w_from_the_twists_before_building_it(tmp_path,
+                                                        monkeypatch, capsys):
+    # a file of a few hundred bytes: ranks 128/128, the differential
+    # omitted and twists (4096, 4096), so W would have rank 128 * 8193
+    # in each degree
+    sheaf = tmp_path / "wide.sheaf"
+    sheaf.write_text(
+        '{"format": "p1dom-sheaf-complex", "version": 2, "ring": "GF(7)", '
+        '"base": "K[x,x^-1]", "degrees": [{"degree": 0, "rank": 128}, '
+        '{"degree": 1, "rank": 128}], "twist_profile": [{"degree": 0, '
+        '"k": 4096, "l": 4096}, {"degree": 1, "k": 4096, "l": 4096}]}')
+
+    def no_w(s):
+        raise AssertionError("cech_complex of a W the loader refuses")
+
+    monkeypatch.setattr(cli, "cech_complex", no_w)
+    assert main(["h0", str(sheaf)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "input error: output not written, p1dom could not read it back: "
+        f"rank 1048704 exceeds {ff.MAX_RANK} (at degrees[0].rank)\n")
+
+
 def _wide_witness_file(tmp_path):
     """Ranks 1/2/1 with d_2 = [x^300 - 1; 0] and d_1 = [0, x^300 - 1]: a
     file in bounds whose W has ranks 601/602/1, above MAX_RANK."""
@@ -175,10 +199,14 @@ def test_dominate_report_checks_w_ranks_before_writing_any_cell(
     assert not out.exists()
 
 
-def test_extend_refuses_a_chart_exponent_past_the_bound(tmp_path, capsys):
+def test_max_twist_is_the_degree_span_times_the_exponent_bound():
+    assert ff.MAX_TWIST == ff.MAX_DEGREE_SPAN * ff.MAX_EXPONENT == 65536
+
+
+def test_extend_writes_and_reads_back_a_twist_past_the_exponent_bound(
+        tmp_path, capsys):
     # ranks 1/2/1 with d_2 = [x^4096; 0] and d_1 = [0, x^4096]: every
-    # exponent is in bounds, but the twists add up, and degree 0 gets the
-    # torus map x^8192 from the K[x^-1] chart
+    # exponent is in bounds, and the twists add up to k = 8192 in degree 0
     f, zero = P(QQ, (4096, 1)), P(QQ)
     c = ChainComplex(QQ, BaseRing.LAURENT, 0, 2, {0: 1, 1: 2, 2: 1}, {
         1: LaurentMatrix(QQ, 1, 2, [[zero, f]]),
@@ -186,15 +214,27 @@ def test_extend_refuses_a_chart_exponent_past_the_bound(tmp_path, capsys):
     src = tmp_path / "deep-twist.cplx"
     ff.save_path(src, ff.complex_to_dict(c))
     out = tmp_path / "deep-twist.sheaf"
-    for extra in (["--out", str(out)], ["--format", "report"]):
-        assert main(["extend", str(src)] + extra) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "input error: output not written, p1dom could not read it back: "
-            f"exponent 8192 exceeds {ff.MAX_EXPONENT} in absolute value "
-            "(at twist_profile[0].k)\n")
-    assert not out.exists()
+    assert main(["extend", str(src), "--out", str(out)]) == 0
+    assert main(["extend", str(src), "--format", "report"]) == 0
+    assert capsys.readouterr().out == out.read_text()
+    sheaf = load_sheaf(str(out))
+    assert sheaf.mid == c
+    assert sheaf.twist_profile()[0][0] == 2 * ff.MAX_EXPONENT
+    assert sheaf.twist_profile() == extend_complex(c).sheaf.twist_profile()
+
+
+def test_h0_refuses_a_twist_past_max_twist(tmp_path, capsys):
+    # the loader's bound, tested at its value in test_scalar_complex
+    data = ff.sheaf_to_dict(extend_complex(two_term(QQ, [(0, 1)])).sheaf)
+    data["twist_profile"][0]["k"] = ff.MAX_TWIST + 1
+    path = tmp_path / "past-twist.sheaf"
+    ff.save_path(path, data)
+    assert main(["h0", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"input error: twist {ff.MAX_TWIST + 1} exceeds {ff.MAX_TWIST} in "
+        "absolute value (at twist_profile[0].k)\n")
 
 
 def test_outputs_at_the_bounds_are_written_and_read_back(tmp_path):
@@ -258,7 +298,7 @@ def test_loader_bounds_name_twists_and_spans():
     # the bounds that guard written files are the loader's own
     data = ff.sheaf_to_dict(extend_complex(two_term(QQ, [(0, 1)])).sheaf)
     ff.sheaf_from_dict(data)
-    data["twist_profile"][0]["l"] = -ff.MAX_EXPONENT - 1
+    data["twist_profile"][0]["l"] = -ff.MAX_TWIST - 1
     with pytest.raises(FormatError, match=r"at twist_profile\[0\]\.l"):
         ff.sheaf_from_dict(data)
     data = ff.complex_to_dict(two_term(QQ, [(0, 1)]))

@@ -30,7 +30,7 @@ from p1dom.matrices import LaurentMatrix, ScalarMatrix
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import cech_complex
 
-from helpers import (chart as sheaf_chart, constants, two_term,
+from helpers import (chart as sheaf_chart, constants, monomial, two_term,
                      window_complex)
 
 FIELDS = [QQ, GF(7), GF(10007)]
@@ -102,8 +102,8 @@ def random_chart(rng, ring):
         g_inv = [row[:] for row in g]
         if c.rank(m) > 1:
             i, j = rng.sample(range(c.rank(m)), 2)
-            e = LaurentPoly.monomial(ring, rng.randint(0, 2),
-                                     ring.from_int(rng.randint(1, 3)))
+            e = monomial(ring, rng.randint(0, 2),
+                         ring.from_int(rng.randint(1, 3)))
             g[i][j], g_inv[i][j] = e, -e
         change[m] = [LaurentMatrix(ring, c.rank(m), c.rank(m), grid)
                      for grid in (g, g_inv)]
@@ -343,8 +343,9 @@ def test_complex_bounds(build, ok, bad, where):
 
 
 def test_twist_bound():
+    ff.sheaf_from_dict(_twist_file(ff.MAX_TWIST))
     with pytest.raises(FormatError, match=r"at twist_profile\[0\]\.k"):
-        ff.sheaf_from_dict(_twist_file(ff.MAX_EXPONENT + 1))
+        ff.sheaf_from_dict(_twist_file(ff.MAX_TWIST + 1))
 
 
 @pytest.mark.parametrize("data", [
