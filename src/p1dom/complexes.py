@@ -12,7 +12,9 @@ over the base ring K (the global sections W, base-K files) is a
 ``ScalarComplex`` of sparse scalar rows, where plain rank-nullity applies.
 ``homology_ranks`` states that rule once (rank C_q - rank d_q - rank
 d_{q+1}); every homology count in the package reads it, and a negative
-count is d.d != 0.
+count is d.d != 0.  Complexes are what the pipeline reads and builds:
+the chain maps, homotopies and mapping cones of the paper's lemmas are
+test oracles (``tests/paper_lemmas.py``).
 """
 
 from __future__ import annotations
@@ -146,28 +148,6 @@ class ChainComplex:
 
     # -- basic operations -----------------------------------------------------
 
-    def shift(self, n: int) -> "ChainComplex":
-        """Re-index degrees by +n; the differential picks up (-1)^n."""
-        sign = 1 if n % 2 == 0 else -1
-        ranks = {m + n: r for m, r in self.ranks.items()}
-        diffs = {}
-        for m, d in self.diffs.items():
-            diffs[m + n] = d if sign == 1 else -d
-        return ChainComplex(self.ring, self.base, self.lo + n, self.hi + n,
-                            ranks, diffs)
-
-    def direct_sum(self, other: "ChainComplex") -> "ChainComplex":
-        if self.ring != other.ring or self.base != other.base:
-            raise RingMismatchError("direct sum over different rings")
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        ranks = {m: self.rank(m) + other.rank(m) for m in range(lo, hi + 1)}
-        diffs = {}
-        for m in range(lo + 1, hi + 1):
-            diffs[m] = LaurentMatrix.block(
-                self.ring, [[self.diff(m), None], [None, other.diff(m)]])
-        return ChainComplex(self.ring, self.base, lo, hi, ranks, diffs)
-
     def __eq__(self, other):
         if not isinstance(other, ChainComplex):
             return NotImplemented
@@ -183,73 +163,6 @@ class ChainComplex:
         ranks = ", ".join(f"{m}:{self.rank(m)}" for m in self.degrees())
         return (f"ChainComplex({self.ring.tag}, {self.base.tag}, "
                 f"ranks {{{ranks}}})")
-
-
-class GradedMap:
-    """Degreewise matrices f_m: source_m -> target_{m + SHIFT} between
-    complexes over one ring, a zero matrix in every degree not given."""
-
-    __slots__ = ("source", "target", "components")
-    SHIFT = 0
-    KIND = "chain map"        # names the map in the ring error
-    PART = "component"        # names a component in the shape error
-
-    def __init__(self, source: ChainComplex, target: ChainComplex,
-                 components=None):
-        if source.ring != target.ring or source.base != target.base:
-            raise RingMismatchError(f"{self.KIND} between different rings")
-        self.source = source
-        self.target = target
-        self.components = {}
-        for m in range(min(source.lo, target.lo) - self.SHIFT,
-                       max(source.hi, target.hi) + 1):
-            f = (components or {}).get(m)
-            if f is None:
-                f = self.component(m)
-            rows, cols = target.rank(m + self.SHIFT), source.rank(m)
-            if f.rows != rows or f.cols != cols:
-                raise ShapeError(
-                    f"{self.PART} at degree {m} has shape {f.rows}x{f.cols}, "
-                    f"expected {rows}x{cols}")
-            self.components[m] = f
-
-    def component(self, m: int) -> LaurentMatrix:
-        f = self.components.get(m)
-        if f is None:
-            return LaurentMatrix.zero(self.source.ring,
-                                      self.target.rank(m + self.SHIFT),
-                                      self.source.rank(m))
-        return f
-
-
-class ChainMap(GradedMap):
-    """Degreewise matrices commuting with the differentials."""
-
-    __slots__ = ()
-
-    @classmethod
-    def identity(cls, c: ChainComplex):
-        return cls(c, c, {m: LaurentMatrix.identity(c.ring, c.rank(m))
-                          for m in c.degrees()})
-
-    def validate(self):
-        problems = []
-        lo = min(self.source.lo, self.target.lo)
-        hi = max(self.source.hi, self.target.hi)
-        for m in range(lo + 1, hi + 1):
-            lhs = self.component(m - 1) @ self.source.diff(m)
-            rhs = self.target.diff(m) @ self.component(m)
-            if lhs != rhs:
-                problems.append(f"degree {m}: f.d != d.f")
-        return problems
-
-
-class Homotopy(GradedMap):
-    """Degree +1 family h_m: source_m -> target_{m+1}."""
-
-    __slots__ = ()
-    SHIFT = 1
-    KIND = PART = "homotopy"
 
 
 # -- homology -----------------------------------------------------------------
@@ -275,10 +188,6 @@ class HomologyReport:
     def entry(self, q: int) -> HomologyEntry:
         return self.entries.get(
             q, HomologyEntry(free_rank=0, torsion=(), kdim=0))
-
-    @property
-    def is_acyclic(self) -> bool:
-        return all(e.is_zero for e in self.entries.values())
 
     @property
     def all_torsion(self) -> bool:
@@ -406,55 +315,3 @@ def homology_dims(c: ScalarComplex) -> dict:
     return homology_ranks(
         {q: c.rank(q) for q in c.degrees()},
         {m: scalar_rank(d) for m, d in c.diffs.items() if d.rows and d.cols})
-
-
-def is_acyclic(c: ChainComplex) -> bool:
-    return homology(c).is_acyclic
-
-
-# -- cones and inclusions -----------------------------------------------------
-
-
-def cone(f: ChainMap):
-    """Mapping cone with the block differential [[d_target, f], [0, -d_source]].
-
-    Returns (cone complex, inclusion of the target, projection onto the
-    source shifted by +1).
-    """
-    a, b = f.source, f.target
-    ring = a.ring
-    lo = min(b.lo, a.lo + 1)
-    hi = max(b.hi, a.hi + 1)
-    ranks = {m: b.rank(m) + a.rank(m - 1) for m in range(lo, hi + 1)}
-    diffs = {}
-    for m in range(lo + 1, hi + 1):
-        diffs[m] = LaurentMatrix.block(ring, [
-            [b.diff(m), f.component(m - 1)], [None, -a.diff(m - 1)]])
-    cc = ChainComplex(ring, a.base, lo, hi, ranks, diffs)
-    shifted = a.shift(1)
-    proj = ChainMap(cc, shifted, {
-        m: LaurentMatrix.block(ring, [[
-            LaurentMatrix.zero(ring, a.rank(m - 1), b.rank(m)),
-            LaurentMatrix.identity(ring, a.rank(m - 1)),
-        ]])
-        for m in range(lo, hi + 1)})
-    return cc, inclusion(b, cc), proj
-
-
-def inclusion(small: ChainComplex, big: ChainComplex) -> ChainMap:
-    """The inclusion of ``small`` as the leading summands of ``big`` in
-    every degree: the identity over a zero block."""
-    ring = small.ring
-    return ChainMap(small, big, {
-        m: LaurentMatrix.block(ring, [
-            [LaurentMatrix.identity(ring, small.rank(m))],
-            [LaurentMatrix.zero(ring, big.rank(m) - small.rank(m),
-                                small.rank(m))],
-        ])
-        for m in big.degrees()})
-
-
-def is_quasi_iso(f: ChainMap) -> bool:
-    """Mapping-cone acyclicity, the derived-category meaning used here."""
-    cc, _, _ = cone(f)
-    return is_acyclic(cc)

@@ -61,12 +61,12 @@ from .complexes import (ChainComplex, HomologyReport, ScalarComplex, homology,
                         homology_dims, homology_ranks, require_valid)
 from .errors import (NotNovikovAcyclicError, StabilisationFailureError,
                      UnsupportedRingError)
-from .extension import ExtensionResult, extend_valid_complex
+from .extension import extend_valid_complex
 from .laurent import BaseRing, LaurentPoly
 from .matrices import LaurentMatrix
 from .polylists import (exact_quotient, integer_row, lincomb, scaled, window,
                         window_difference, window_inverse, window_product)
-from .sheaves import cech_complex
+from .sheaves import SheafComplex, cech_complex
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +458,7 @@ class LedgerRow:
 @dataclass(frozen=True)
 class DominationWitness:
     w: ScalarComplex
-    extension: ExtensionResult
+    sheaf: SheafComplex
     ledger: tuple
     # degree m -> the sorted valuations of the chart differential d_m
     plus_valuations: dict
@@ -482,7 +482,7 @@ class DominationWitness:
         return {
             "twist_profile": [
                 {"degree": m, "k": k, "l": l}
-                for m, (k, l) in sorted(self.extension.profile.items())],
+                for m, (k, l) in sorted(self.sheaf.twist_profile().items())],
             "ledger": [
                 {"degree": row.degree, "w_dim": row.w_dim,
                  "mid_kdim": row.mid_kdim, "plus_dim": row.plus_dim,
@@ -502,7 +502,8 @@ def dominate(c: ChainComplex) -> DominationWitness:
     Novikov acyclicity on both sides.  The homology over K[x,x^-1] is
     computed once, for both the verdict and the ledger's mid column.
     """
-    return _witness(c, _valid_homology(c))
+    mid = _valid_homology(c)
+    return _witness(extend_valid_complex(c).sheaf, mid)
 
 
 def _valid_homology(c: ChainComplex) -> HomologyReport:
@@ -520,18 +521,23 @@ def _valid_homology(c: ChainComplex) -> HomologyReport:
     return homology(c)
 
 
-def _witness(c: ChainComplex, mid: HomologyReport) -> DominationWitness:
-    """The witness for a field complex whose d.d = 0 is checked, from its
-    homology ``mid`` over K[x,x^-1]; Novikov acyclic exactly when ``mid``
-    is all torsion (``_novikov_field``)."""
+def _witness(sheaf: SheafComplex, mid: HomologyReport) -> DominationWitness:
+    """The witness of a sheaf complex over a field complex C = sheaf.mid
+    whose d.d = 0 is checked, from the homology ``mid`` of C over
+    K[x,x^-1]; C is Novikov acyclic exactly when ``mid`` is all torsion
+    (``_novikov_field``).  W is ``cech_complex(sheaf)``, which refuses a
+    summand with n = k + l <= -2, so every level has H^1 = 0 and W
+    computes the hypercohomology.  The numbers on both sides of the
+    ledger depend on the twists, the equation does not: the tests check
+    it on the extension of C and on the paper's lifted mapping cone, whose
+    levels mix twist splits.  StabilisationFailureError names each degree
+    where it fails, with its four numbers."""
     if not mid.all_torsion:
         raise NotNovikovAcyclicError(
             "homology has nonzero free rank in degrees "
             f"{sorted(mid.free_ranks())}")
-    ext = extend_valid_complex(c)
-    w = cech_complex(ext.sheaf)
+    w = cech_complex(sheaf)
     w_dims = homology_dims(w)
-    sheaf = ext.sheaf
     plus = _valuations(sheaf.mid, 1, sheaf.chart_exponents("plus"))
     minus = _valuations(sheaf.mid, -1, sheaf.chart_exponents("minus"))
     plus_dims = _torsion_dims(chart_homology(sheaf.mid, plus), "plus")
@@ -548,12 +554,18 @@ def _witness(c: ChainComplex, mid: HomologyReport) -> DominationWitness:
             minus_dim=minus_dims.get(q, 0),
         ))
     witness = DominationWitness(
-        w=w, extension=ext, ledger=tuple(rows),
+        w=w, sheaf=sheaf, ledger=tuple(rows),
         plus_valuations=plus, minus_valuations=minus,
     )
-    if not witness.ledger_holds:
+    failed = [row for row in witness.ledger if not row.holds]
+    if failed:
         raise StabilisationFailureError(
-            "ledger equation failed; chart dimensions disagree with H(W)")
+            "ledger equation failed; chart dimensions disagree with H(W) "
+            "in " + "; ".join(
+                f"degree {r.degree}: w_dim {r.w_dim} != "
+                f"{r.mid_kdim + r.plus_dim + r.minus_dim} = mid_kdim "
+                f"{r.mid_kdim} + plus_dim {r.plus_dim} + minus_dim "
+                f"{r.minus_dim}" for r in failed))
     return witness
 
 
@@ -625,7 +637,7 @@ def verify_theorem(c: ChainComplex) -> TheoremReport:
             "free rank " + ", ".join(
                 f"{r} in degree {q}" for q, r in sorted(free.items()))),)
         return TheoremReport("FAIL", verdict, checks)
-    witness = _witness(c, mid)
+    witness = _witness(extend_valid_complex(c).sheaf, mid)
     checks = (TheoremCheck(
         "ledger-equation", True,
         "largest chart valuation: plus {}, minus {}".format(

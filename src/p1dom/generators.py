@@ -8,8 +8,9 @@ block-diagonal grid per degree, a basis change T is a grid built by
 elementary operations with its inverse alongside it (``_invertible_pair``,
 so no inverse is computed from minors), and T^-1 d T is formed with
 ``polylists.dot``, each result wrapped in a ``LaurentPoly`` once.  The
-same recipe with unit-monomial or acyclic pieces yields Novikov-acyclic
-instances and quasi-isomorphisms for the diagram properties.
+same recipe with unit-monomial pieces yields Novikov-acyclic
+instances.  The maps and diagrams of the paper's lemmas are drawn by the
+tests (``tests/paper_lemmas.py``) from the same entries.
 
 The same seed gives the same draws: the same calls to ``random`` in the
 same order and the same polynomials with the same coefficient types.  The
@@ -22,8 +23,7 @@ from __future__ import annotations
 
 import random
 
-from .complexes import ChainComplex, ChainMap, Homotopy, inclusion
-from .diagrams import ComplexDiagram, DiagramMap
+from .complexes import ChainComplex
 from .laurent import BaseRing, LaurentPoly
 from .matrices import LaurentMatrix
 from .polylists import ONE, dot, from_terms, lincomb, scaled
@@ -32,12 +32,6 @@ from .scalars import GF, QQ, CoefficientRing
 
 def random_ring(rng: random.Random) -> CoefficientRing:
     return rng.choice([QQ, GF(5), GF(7), GF(10007)])
-
-
-def random_poly(rng, ring, min_exp=-3, max_exp=3, terms=3,
-                nonzero=False) -> LaurentPoly:
-    return LaurentPoly.from_entry(
-        ring, _poly_entry(rng, ring, min_exp, max_exp, terms, nonzero))
 
 
 def _poly_entry(rng, ring, min_exp, max_exp, terms, nonzero=False):
@@ -187,88 +181,3 @@ def random_novikov_acyclic(rng, ring, max_rank=3, span=1) -> ChainComplex:
                       (0, (ring.one(),)))
     ranks = {m: ranks.get(m, 0) for m in range(min(ranks), max(ranks) + 1)}
     return _conjugated_sum(rng, ring, ranks, cells, span)
-
-
-def null_homotopic_map(rng, source: ChainComplex,
-                       target: ChainComplex, span=1) -> ChainMap:
-    """d.h + h.d for a random degree-raising h: always a chain map."""
-    ring = source.ring
-    lo = min(source.lo, target.lo) - 1
-    hi = max(source.hi, target.hi)
-    h = Homotopy(source, target, {
-        m: LaurentMatrix(
-            ring, target.rank(m + 1), source.rank(m),
-            [[random_poly(rng, ring, -span, span, 2)
-              for _ in range(source.rank(m))]
-             for _ in range(target.rank(m + 1))])
-        for m in range(lo, hi + 1)})
-    return ChainMap(source, target, {
-        m: target.diff(m + 1) @ h.component(m)
-        + h.component(m - 1) @ source.diff(m)
-        for m in range(lo, hi + 1)})
-
-
-def random_surjective_diagram(rng, ring, max_length=3, max_rank=3,
-                              span=1) -> ComplexDiagram:
-    """Diagram whose level maps (-mu_minus + mu_plus) are all onto.
-
-    The plus complex contains the middle as a summand and the plus map is
-    (identity on that summand) + (a null-homotopic perturbation), so every
-    level map is surjective and the levelwise first cohomology vanishes.
-    """
-    mid = random_complex(rng, ring, max_length, max_rank, span)
-    extra = random_complex(rng, ring, max_length, max_rank, span)
-    plus = mid.direct_sum(extra)
-    tail = null_homotopic_map(rng, extra, mid, span)
-    from_plus = ChainMap(plus, mid, {
-        m: LaurentMatrix.block(mid.ring, [[
-            LaurentMatrix.identity(mid.ring, mid.rank(m)),
-            tail.component(m),
-        ]]) for m in plus.degrees()})
-    minus = random_complex(rng, ring, max_length, max_rank, span)
-    return ComplexDiagram(minus, mid, plus,
-                          null_homotopic_map(rng, minus, mid, span),
-                          from_plus)
-
-
-def quasi_iso_inflation(rng, diagram: ComplexDiagram, span=1):
-    """A diagram map with quasi-isomorphism components.
-
-    Direct-sums an acyclic diagram (two-term complexes of 1) onto the
-    target and includes the source; every component is a split injection
-    with acyclic cokernel, hence a quasi-isomorphism.
-    """
-    ring = diagram.ring
-
-    def acyclic_like(c: ChainComplex) -> ChainComplex:
-        return ChainComplex.two_term(ring, LaurentPoly.one(ring),
-                                     rng.randint(c.lo, c.hi) + 1, c.base)
-
-    a_minus = acyclic_like(diagram.minus)
-    a_mid = acyclic_like(diagram.mid)
-    a_plus = acyclic_like(diagram.plus)
-    big = ComplexDiagram(
-        diagram.minus.direct_sum(a_minus),
-        diagram.mid.direct_sum(a_mid),
-        diagram.plus.direct_sum(a_plus),
-        _sum_map(diagram.from_minus, a_minus, a_mid,
-                 null_homotopic_map(rng, a_minus, a_mid, span)),
-        _sum_map(diagram.from_plus, a_plus, a_mid,
-                 null_homotopic_map(rng, a_plus, a_mid, span)))
-    phi = DiagramMap(
-        diagram, big,
-        inclusion(diagram.minus, big.minus),
-        inclusion(diagram.mid, big.mid),
-        inclusion(diagram.plus, big.plus))
-    return big, phi
-
-
-def _sum_map(f: ChainMap, a_src: ChainComplex, a_tgt: ChainComplex,
-             g: ChainMap) -> ChainMap:
-    src = f.source.direct_sum(a_src)
-    tgt = f.target.direct_sum(a_tgt)
-    ring = f.source.ring
-    return ChainMap(src, tgt, {
-        m: LaurentMatrix.block(ring, [[f.component(m), None],
-                                      [None, g.component(m)]])
-        for m in src.degrees()})

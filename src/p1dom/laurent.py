@@ -107,11 +107,6 @@ class LaurentPoly:
         v, c = self.entry or (0, ())
         return [(v + k, x) for k, x in enumerate(c) if x]
 
-    def coeff(self, exponent: int):
-        v, c = self.entry or (0, ())
-        k = exponent - v
-        return c[k] if 0 <= k < len(c) and c[k] else self.ring.zero()
-
     def respects(self, base: BaseRing) -> bool:
         if base is BaseRing.LAURENT or self.entry is None:
             return True

@@ -47,39 +47,6 @@ class LaurentMatrix:
         z = LaurentPoly.zero(ring)
         return cls(ring, rows, cols, [[z] * cols for _ in range(rows)])
 
-    @classmethod
-    def identity(cls, ring, n):
-        one = LaurentPoly.one(ring)
-        z = LaurentPoly.zero(ring)
-        return cls(ring, n, n,
-                   [[one if i == j else z for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def block(cls, ring, grid):
-        """Assemble from a 2d grid of LaurentMatrix blocks, None being a
-        zero block sized by the other blocks of its block row and column.
-
-        ShapeError for a ragged grid (block rows of different lengths, or
-        blocks whose shapes disagree along a block row or column) and for
-        a block row or column with no sized block.
-        """
-        if any(len(brow) != len(grid[0]) for brow in grid):
-            raise ShapeError("ragged block grid")
-        heights = [_block_size("row", i, {b.rows for b in brow
-                                          if b is not None})
-                   for i, brow in enumerate(grid)]
-        widths = [_block_size("column", j, {b.cols for b in bcol
-                                             if b is not None})
-                  for j, bcol in enumerate(zip(*grid))]
-        z = LaurentPoly.zero(ring)
-        entries = []
-        for brow, height in zip(grid, heights):
-            for r in range(height):
-                entries.append([p for b, width in zip(brow, widths)
-                                for p in (b.entries[r] if b is not None
-                                          else [z] * width)])
-        return cls(ring, sum(heights), sum(widths), entries)
-
     # -- access -----------------------------------------------------------
 
     def __getitem__(self, pos):
@@ -139,18 +106,6 @@ class LaurentMatrix:
                for row in ([p.entry for p in row] for row in self.entries)]
         return LaurentMatrix(self.ring, self.rows, other.cols, out)
 
-    def monomial_scale(self, row_exps=None, col_exps=None):
-        """Entry (i, j) times x^(row_exps[i] + col_exps[j]), a list left
-        out being zeros."""
-        row_exps = row_exps or [0] * self.rows
-        col_exps = col_exps or [0] * self.cols
-        if len(row_exps) != self.rows or len(col_exps) != self.cols:
-            raise ShapeError("exponent list has wrong length")
-        return LaurentMatrix(
-            self.ring, self.rows, self.cols,
-            [[p.times_monomial(a + b) for p, b in zip(row, col_exps)]
-             for row, a in zip(self.entries, row_exps)])
-
     # -- determinant (fraction-free Bareiss) --------------------------------
 
     def determinant(self) -> LaurentPoly:
@@ -190,14 +145,6 @@ class LaurentMatrix:
         body = "; ".join(
             ", ".join(str(p) for p in row) for row in self.entries)
         return f"[{body}]"
-
-
-def _block_size(kind, index, sizes):
-    """The one size of block ``kind`` ``index`` of ``LaurentMatrix.block``."""
-    if len(sizes) != 1:
-        raise ShapeError(f"block {kind} {index} has no sized block"
-                         if not sizes else "ragged block grid")
-    return sizes.pop()
 
 
 class ScalarMatrix:

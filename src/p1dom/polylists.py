@@ -13,10 +13,9 @@ kernels clear a Q row or column of denominators once (``cleared``,
 
 One long division, ``pseudo_divmod``, serves every kernel: the column
 echelon elimination of ``smith`` and the gcds of its invariant factors,
-the forward substitution of ``smith.kernel_coordinates``, and, as
-``exact_quotient``, the Bareiss divisions of ``determinant`` (behind
-``LaurentMatrix.determinant``), the lcms of the invariant factors and the
-chart valuations of ``domination``.  ``window_inverse``, the series
+and, as ``exact_quotient``, the Bareiss divisions of ``determinant``
+(behind ``LaurentMatrix.determinant``), the lcms of the invariant factors
+and the chart valuations of ``domination``.  ``window_inverse``, the series
 inverse of a Z window, serves the Z-mode Novikov check of ``domination``.
 
 A Z window (entry, end) is an entry in t (t = x, or t = x^-1 with the

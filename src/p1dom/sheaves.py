@@ -18,12 +18,13 @@ valuations of the witness read.
 The gluing rule for a torus map between two twist sums is written once:
 ``chart_shifts`` gives each nonzero entry its two chart exponents, and
 ``twist_shift`` the least twist of the target that makes every entry
-legal.  The extension of complexes, morphisms and cones (``extension``)
-solves the rule.  The public SheafComplex constructor checks it, and so
-does the file loader, which builds through that constructor; the
-extension of a complex chooses its twists by ``twist_shift`` and so is
-legal by construction (the proof is in ``extend_valid_complex``): it
-stores its sheaf through ``SheafComplex._legal``, which makes no scan.
+legal.  The extension of complexes (``extension``) solves the rule, as
+do the tests' lifts of morphisms and cones.  The public SheafComplex
+constructor checks it, and so does the file loader, which builds
+through that constructor; the extension of a complex chooses its twists
+by ``twist_shift`` and so is legal by construction (the proof is in
+``extend_valid_complex``): it stores its sheaf through
+``SheafComplex._legal``, which makes no scan.
 
 Global sections and first cohomology of a sum of twists are banded monomial
 spaces: for a summand of twist n = k + l the section basis is
@@ -52,9 +53,6 @@ class TwistSummand:
     @property
     def n(self) -> int:
         return self.k + self.l
-
-    def shifted(self, dk: int, dl: int) -> "TwistSummand":
-        return TwistSummand(self.k + dk, self.l + dl)
 
 
 def chart_shifts(d: LaurentMatrix, target, source):
@@ -153,11 +151,11 @@ class SheafComplex:
     (a, b) of ``chart_shifts`` from level m to level m - 1.  The
     constructor raises BaseRingViolationError at the first entry that
     leaves its chart ring, naming the degree, the entry and the chart
-    ring (minus before plus); it is the check for the loader, the
-    extended cone and any library caller.  The extension of a
-    complex is legal by the choice of its twists and is stored by
-    ``_legal`` without this scan.  No chart is stored: a chart is the
-    middle complex conjugated by the diagonal units diag(x^k),
+    ring (minus before plus); it is the check for the loader and any
+    other caller, the tests' lifted mapping cone among them.  The
+    extension of a complex is legal by the choice of its twists and is
+    stored by ``_legal`` without this scan.  No chart is stored: a chart
+    is the middle complex conjugated by the diagonal units diag(x^k),
     diag(x^-l), so it has d.d = 0 exactly when ``mid`` has, and the
     squares commute by construction: ``validate`` checks ``mid`` alone.
     """

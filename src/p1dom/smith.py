@@ -1,4 +1,4 @@
-"""Invariant factors and kernels over K[x,x^-1] for a field K.
+"""Invariant factors over K[x,x^-1] for a field K.
 
 The Laurent ring is a Euclidean PID with norm maxdeg - mindeg (the degree
 of the monic core); units are exactly the monomials c*x^n.  Invariant
@@ -6,7 +6,7 @@ factors are reported monic with zero x-adic valuation, so torsion
 detection reads off the monic cores while unit factors normalise to the
 constant 1.
 
-Every result comes from one elimination, the column echelon form of
+The factors come from one elimination, the column echelon form of
 ``_echelon``, on the entries of the input (``LaurentPoly.entry``, read as
 is) with the coefficient-list arithmetic of ``polylists``, which the
 chart valuations of ``domination`` share: residues mod p over GF(p), and
@@ -21,13 +21,12 @@ of these scalings changes a factor or a module.  Results are wrapped with
 The echelon form A*V = [H | 0] is reached by column operations and
 Bezout 2x2 column transforms only (Kannan-Bachem 1979; Storjohann 2000).
 Every transform has a nonzero constant determinant, so V is invertible
-over K[x,x^-1]: ``kernel_basis`` returns the last n - r columns of V, a
-saturated basis of ker A, ``kernel_coordinates`` solves K*X = B by
-forward substitution on the echelon form of K, each step one division of
-coefficient lists.  ``invariant_factors`` keeps no V: it alternates the
-echelon form of the matrix and of its transpose, each brought to Hermite
-form, until the matrix is diagonal, and then makes the diagonal a
-divisibility chain; their number is the rank r.
+over K[x,x^-1]; the tests read a saturated kernel basis and solve
+K*X = B off the same echelon form of [A; I].  ``invariant_factors``
+keeps no V: it alternates the echelon form of the matrix and of its
+transpose, each brought to Hermite form, until the matrix is diagonal,
+and then makes the diagonal a divisibility chain; their number is the
+rank r.
 """
 
 from __future__ import annotations
@@ -35,12 +34,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import ShapeError, UnsupportedRingError
+from .errors import UnsupportedRingError
 from .laurent import LaurentPoly
 from .matrices import LaurentMatrix
-from .polylists import (MINUS_ONE, ONE, cleared, divided, dot,
-                        exact_quotient, integer_row, lincomb, make_primitive,
-                        pseudo_divmod, scaled)
+from .polylists import (ONE, divided, exact_quotient, integer_row, lincomb,
+                        make_primitive, pseudo_divmod, scaled)
 from .scalars import CoefficientRing
 
 
@@ -256,88 +254,3 @@ def invariant_factors(a: LaurentMatrix) -> tuple:
                               (0, cores[t]), None, None, p)
                 cores[s], cores[t] = g[1], lcm[1]
     return tuple([_factor(a.ring, core) for core in cores])
-
-
-# -- kernels by column echelon form -----------------------------------------
-
-
-def _poly(ring, e):
-    """The LaurentPoly of a kernel entry, int coefficients made Fractions
-    over Q."""
-    return LaurentPoly.from_entry(ring, e if e is None or ring.p else (
-        e[0], tuple(map(Fraction, e[1]))))
-
-
-def _column_echelon(a: LaurentMatrix):
-    """Columns of a*V stacked on V, and the pivot rows of a*V.
-
-    a*V is the column echelon form of ``_echelon``, and V, the product of
-    its transforms, is invertible over K[x,x^-1].
-    """
-    p = _require_field(a).p
-    rows, n = a.rows, a.cols
-    columns = []
-    for j in range(n):
-        column = [row[j].entry for row in a.entries] + [None] * n
-        column[rows + j] = ONE
-        columns.append(column if p else integer_row(column))
-    return columns, _echelon(columns, rows, p)
-
-
-def kernel_basis(a: LaurentMatrix) -> LaurentMatrix:
-    """Columns forming a basis of ker(a) over K[x,x^-1]: the last n - r
-    columns of V in a*V = [H | 0].  They span a direct summand."""
-    columns, pivots = _column_echelon(a)
-    kernel = columns[len(pivots):]
-    return LaurentMatrix(a.ring, a.cols, len(kernel), [
-        [_poly(a.ring, column[a.rows + i]) for column in kernel]
-        for i in range(a.cols)])
-
-
-def kernel_coordinates(k: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
-    """X with k @ X == b.
-
-    With k*V = [H | 0] in column echelon form, H*Y = b is solved row by
-    row: a pivot row fixes the next entry of Y by one exact division of
-    coefficient lists (over Q, of the remainder cleared of denominators by
-    the integer pivot, scaled back afterwards), any other row must already
-    hold.  Then X = V*Y.  Raises ShapeError naming the first column of b
-    that is not in the span of k's columns.
-    """
-    if b.rows != k.rows:
-        raise ShapeError(f"cannot solve a {k.rows}-row system for "
-                         f"{b.rows} rows")
-    ring, p = k.ring, k.ring.p
-    columns, pivots = _column_echelon(k)
-    r = len(pivots)
-    solution = []
-    for j in range(b.cols):
-        y = []
-        for i in range(k.rows):
-            # what row i of H*Y = b leaves for the entries of Y not yet fixed
-            rest = lincomb(ONE, b.entries[i][j].entry, MINUS_ONE,
-                           dot([column[i] for column in columns[:len(y)]],
-                               y, p), p)
-            t = len(y)
-            if t < r and pivots[t] == i:
-                if rest is None:
-                    y.append(None)
-                    continue
-                den, (e,) = cleared([rest]) if not p else (1, (rest,))
-                m, q, remainder = pseudo_divmod(e, columns[t][i], p)
-                if remainder is None:
-                    # m*den*rest = q*pivot; over Q the scaling also makes
-                    # the coefficients Fractions
-                    y.append(scaled(q, Fraction(1, m * den), p) if not p
-                             else q)
-                    continue
-            elif rest is None:
-                continue
-            raise ShapeError(
-                f"column {j} is not in the span of the matrix columns")
-        solution.append(y)
-    # X = V*Y
-    return LaurentMatrix(ring, k.cols, b.cols, [
-        [LaurentPoly.from_entry(ring, dot(
-            [column[k.rows + i] for column in columns[:r]], y, p))
-         for y in solution] for i in range(k.cols)])

@@ -1,23 +1,22 @@
 """Shared builders for the test suite."""
 
 import random
+from fractions import Fraction
 
 from p1dom import fileformat as ff
-from p1dom.complexes import (ChainComplex, ChainMap, Homotopy, ScalarComplex,
-                             cone, inclusion)
-from p1dom.diagrams import ComplexDiagram, sections_matrix
+from p1dom.complexes import ChainComplex, ScalarComplex
 from p1dom.domination import _chart_direction, _torsion_dims, chart_homology
-from p1dom.errors import (BaseRingViolationError, ShapeError,
-                          UnsupportedRingError)
-from p1dom.generators import (_conjugated, _invertible_pair,
-                              null_homotopic_map, random_complex,
-                              random_novikov_acyclic)
+from p1dom.errors import (BaseRingViolationError, RingMismatchError,
+                          ShapeError, UnsupportedRingError)
+from p1dom.generators import (_conjugated, _invertible_pair, _poly_entry,
+                              random_complex, random_novikov_acyclic)
 from p1dom.laurent import BaseRing, LaurentPoly
 from p1dom.matrices import LaurentMatrix, ScalarMatrix, scalar_rank
-from p1dom.polylists import scaled
+from p1dom.polylists import (MINUS_ONE, ONE, cleared, dot, integer_row,
+                             lincomb, pseudo_divmod, scaled)
 from p1dom.scalars import check_same_ring
-from p1dom.sheaves import SheafComplex, cech_cohomology
-from p1dom.smith import invariant_factors, kernel_basis
+from p1dom.sheaves import SheafComplex, TwistSummand, cech_cohomology
+from p1dom.smith import _echelon, _require_field
 
 
 def P(ring, *pairs):
@@ -75,16 +74,6 @@ def check_base(m, base):
 
 def two_term(ring, pairs, top=1, base=BaseRing.LAURENT):
     return ChainComplex.two_term(ring, P(ring, *pairs), top, base)
-
-
-def diagram_with_a_non_chain_map(ring):
-    """(C --f--> C <-- 0) for C = (x - 1: O -> O) in degrees 1, 0 and f
-    the identity in degree 1 and zero in degree 0, which is no chain map:
-    f d = 0 but d f = x - 1."""
-    c = two_term(ring, [(1, 1), (0, -1)])
-    zero = ChainComplex.zero(ring)
-    return ComplexDiagram(c, c, zero, ChainMap(c, c, {1: M(ring, [[1]])}),
-                          ChainMap(zero, c))
 
 
 def window_complex(c: ChainComplex, order: int) -> ScalarComplex:
@@ -162,26 +151,6 @@ def homology_case(seed, ring, kind):
         return ChainComplex(ring, BaseRing.LAURENT, 0, 1,
                             {0: rows, 1: cols}, {1: d})
     return three_term_complex(rng, ring)
-
-
-def random_mapping_torus(rng, ring, a):
-    """(D, T): a random complex D with constant differentials and the
-    mapping torus T = cone(x - f) of f = a id + (a null-homotopic map).
-
-    The Mather trick (Ranicki, "Finite domination and Novikov rings",
-    Topology 34, 1995): x - f = x (1 - x^-1 f) is invertible over
-    R[[x^-1]], so T is Novikov acyclic on the x^-1 side; x lies in the
-    Jacobson radical of R[[x]], so T is acyclic on the x side exactly
-    when f is a quasi-isomorphism over R.  f is homotopic to a id.  Over
-    a field with a a unit, H_q(T) is K[x,x^-1]^b / (x - a), b the Betti
-    number of D in degree q, so dim_K H_q(T) = b.
-    """
-    d = random_complex(rng, ring, span=0)
-    null = null_homotopic_map(rng, d, d, span=0)
-    x_minus_a = LaurentPoly(ring, {1: ring.one(), 0: ring.from_int(-a)})
-    return d, cone(ChainMap(d, d, {
-        m: scalar_diag(ring, [x_minus_a] * d.rank(m))
-        - null.component(m) for m in d.degrees()}))[0]
 
 
 def constants(m):
@@ -263,73 +232,180 @@ def submatrix(a, row_idx, col_idx):
                          [[a.entries[i][j] for j in col_idx] for i in row_idx])
 
 
-# -- complexes, diagrams and sheaves --------------------------------------------
+def identity(ring, n):
+    """The n x n identity LaurentMatrix."""
+    return scalar_diag(ring, [LaurentPoly.one(ring)] * n)
 
 
-def verify_homotopy_retract(d, r, s, h):
-    """Check r.s + d.h + h.d = id exactly in every degree.
+def block(ring, grid):
+    """Assemble from a 2d grid of LaurentMatrix blocks, None being a zero
+    block sized by the other blocks of its block row and column.
 
-    ``r: D -> C`` and ``s: C -> D`` exhibit C as a homotopy retract of the
-    bounded free complex D; ``h`` is the witnessing homotopy on C.  The sign
-    convention fixed here is id - r.s = d.h + h.d.
+    ShapeError for a ragged grid (block rows of different lengths, or
+    blocks whose shapes disagree along a block row or column) and for a
+    block row or column with no sized block.
     """
-    c = r.target
-    if r.source != d:
-        raise ShapeError("r must map out of D")
-    if s.source != c or s.target != d:
-        raise ShapeError("s must map C into D")
-    for m in range(c.lo, c.hi + 1):
-        rs = r.component(m) @ s.component(m)
-        dh = c.diff(m + 1) @ h.component(m)
-        hd = h.component(m - 1) @ c.diff(m)
-        if rs + dh + hd != LaurentMatrix.identity(c.ring, c.rank(m)):
-            return False
-    return True
+    if any(len(brow) != len(grid[0]) for brow in grid):
+        raise ShapeError("ragged block grid")
+    heights = [_block_size("row", i, {b.rows for b in brow
+                                      if b is not None})
+               for i, brow in enumerate(grid)]
+    widths = [_block_size("column", j, {b.cols for b in bcol
+                                         if b is not None})
+              for j, bcol in enumerate(zip(*grid))]
+    z = LaurentPoly.zero(ring)
+    entries = []
+    for brow, height in zip(grid, heights):
+        for r in range(height):
+            entries.append([p for b, width in zip(brow, widths)
+                            for p in (b.entries[r] if b is not None
+                                      else [z] * width)])
+    return LaurentMatrix(ring, sum(heights), sum(widths), entries)
 
 
-def random_retract_witness(rng, ring, span=1):
-    """(D, r, s, h) with id - r.s = d.h + h.d, from a basis-changed
-    projection of C (+) acyclic onto C."""
-    c = random_complex(rng, ring, 3, 2, span)
-    acy = ChainComplex.two_term(ring, LaurentPoly.one(ring),
-                                rng.randint(c.lo, c.hi) + 1, c.base)
-    d = c.direct_sum(acy)
-    r = ChainMap(d, c, {m: LaurentMatrix.block(ring, [[
-        LaurentMatrix.identity(ring, c.rank(m)),
-        LaurentMatrix.zero(ring, c.rank(m), acy.rank(m)),
-    ]]) for m in d.degrees()})
-    return d, r, inclusion(c, d), Homotopy(c, c)
+def _block_size(kind, index, sizes):
+    """The one size of block ``kind`` ``index`` of ``block``."""
+    if len(sizes) != 1:
+        raise ShapeError(f"block {kind} {index} has no sized block"
+                         if not sizes else "ragged block grid")
+    return sizes.pop()
 
 
-def random_diagram(rng, ring, max_length=3, max_rank=3, span=1):
-    """Three random complexes with null-homotopic structure maps."""
-    mid = random_complex(rng, ring, max_length, max_rank, span)
-    minus = random_complex(rng, ring, max_length, max_rank, span)
-    plus = random_complex(rng, ring, max_length, max_rank, span)
-    return ComplexDiagram(
-        minus, mid, plus,
-        null_homotopic_map(rng, minus, mid, span),
-        null_homotopic_map(rng, plus, mid, span))
+def monomial_scale(a, row_exps, col_exps):
+    """Entry (i, j) of the LaurentMatrix a times x^(row_exps[i] +
+    col_exps[j])."""
+    return LaurentMatrix(
+        a.ring, a.rows, a.cols,
+        [[p.times_monomial(e + f) for p, f in zip(row, col_exps)]
+         for row, e in zip(a.entries, row_exps)])
 
 
-def levelwise_h1_trivial(d):
-    """True iff every level map (-mu_minus + mu_plus) is surjective.
+def coeff(p, exponent):
+    """The coefficient of x^exponent in the LaurentPoly p."""
+    v, c = p.entry or (0, ())
+    k = exponent - v
+    return c[k] if 0 <= k < len(c) and c[k] else p.ring.zero()
 
-    A level that only ``mid`` occupies has the zero map into mid_n, which
-    is surjective only when mid_n is zero.
+
+def random_poly(rng, ring, min_exp=-3, max_exp=3, terms=3, nonzero=False):
+    """The LaurentPoly of one ``generators._poly_entry`` draw."""
+    return LaurentPoly.from_entry(
+        ring, _poly_entry(rng, ring, min_exp, max_exp, terms, nonzero))
+
+
+# -- kernels by column echelon form ---------------------------------------------
+
+
+def _poly(ring, e):
+    """The LaurentPoly of a kernel entry, int coefficients made Fractions
+    over Q."""
+    return LaurentPoly.from_entry(ring, e if e is None or ring.p else (
+        e[0], tuple(map(Fraction, e[1]))))
+
+
+def _column_echelon(a):
+    """Columns of a*V stacked on V, and the pivot rows of a*V.
+
+    a*V is the column echelon form of ``smith._echelon``, and V, the
+    product of its transforms, is invertible over K[x,x^-1].
     """
-    lo = min(d.minus.lo, d.plus.lo, d.mid.lo)
-    hi = max(d.minus.hi, d.plus.hi, d.mid.hi)
-    for n in range(lo, hi + 1):
-        a = sections_matrix(d, n)
-        if a.rows == 0:
-            continue
-        factors = invariant_factors(a)
-        if len(factors) < a.rows:
-            return False
-        if any(core_degree(f) > 0 for f in factors):
-            return False
-    return True
+    p = _require_field(a).p
+    rows, n = a.rows, a.cols
+    columns = []
+    for j in range(n):
+        column = [row[j].entry for row in a.entries] + [None] * n
+        column[rows + j] = ONE
+        columns.append(column if p else integer_row(column))
+    return columns, _echelon(columns, rows, p)
+
+
+def kernel_basis(a):
+    """Columns forming a basis of ker(a) over K[x,x^-1]: the last n - r
+    columns of V in a*V = [H | 0].  They span a direct summand."""
+    columns, pivots = _column_echelon(a)
+    kernel = columns[len(pivots):]
+    return LaurentMatrix(a.ring, a.cols, len(kernel), [
+        [_poly(a.ring, column[a.rows + i]) for column in kernel]
+        for i in range(a.cols)])
+
+
+def kernel_coordinates(k, b):
+    """X with k @ X == b.
+
+    With k*V = [H | 0] in column echelon form, H*Y = b is solved row by
+    row: a pivot row fixes the next entry of Y by one exact division of
+    coefficient lists (over Q, of the remainder cleared of denominators by
+    the integer pivot, scaled back afterwards), any other row must already
+    hold.  Then X = V*Y.  Raises ShapeError naming the first column of b
+    that is not in the span of k's columns.
+    """
+    if b.rows != k.rows:
+        raise ShapeError(f"cannot solve a {k.rows}-row system for "
+                         f"{b.rows} rows")
+    ring, p = k.ring, k.ring.p
+    columns, pivots = _column_echelon(k)
+    r = len(pivots)
+    solution = []
+    for j in range(b.cols):
+        y = []
+        for i in range(k.rows):
+            # what row i of H*Y = b leaves for the entries of Y not yet fixed
+            rest = lincomb(ONE, b.entries[i][j].entry, MINUS_ONE,
+                           dot([column[i] for column in columns[:len(y)]],
+                               y, p), p)
+            t = len(y)
+            if t < r and pivots[t] == i:
+                if rest is None:
+                    y.append(None)
+                    continue
+                den, (e,) = cleared([rest]) if not p else (1, (rest,))
+                m, q, remainder = pseudo_divmod(e, columns[t][i], p)
+                if remainder is None:
+                    # m*den*rest = q*pivot; over Q the scaling also makes
+                    # the coefficients Fractions
+                    y.append(scaled(q, Fraction(1, m * den), p) if not p
+                             else q)
+                    continue
+            elif rest is None:
+                continue
+            raise ShapeError(
+                f"column {j} is not in the span of the matrix columns")
+        solution.append(y)
+    # X = V*Y
+    return LaurentMatrix(ring, k.cols, b.cols, [
+        [LaurentPoly.from_entry(ring, dot(
+            [column[k.rows + i] for column in columns[:r]], y, p))
+         for y in solution] for i in range(k.cols)])
+
+
+# -- complexes and sheaves ------------------------------------------------------
+
+
+def shift(c, n):
+    """Re-index the degrees of a ChainComplex by +n; the differential
+    picks up (-1)^n."""
+    sign = 1 if n % 2 == 0 else -1
+    return ChainComplex(c.ring, c.base, c.lo + n, c.hi + n,
+                        {m + n: r for m, r in c.ranks.items()},
+                        {m + n: d if sign == 1 else -d
+                         for m, d in c.diffs.items()})
+
+
+def direct_sum(a, b):
+    """The degreewise direct sum of two ChainComplexes over one ring."""
+    if a.ring != b.ring or a.base != b.base:
+        raise RingMismatchError("direct sum over different rings")
+    lo, hi = min(a.lo, b.lo), max(a.hi, b.hi)
+    return ChainComplex(
+        a.ring, a.base, lo, hi,
+        {m: a.rank(m) + b.rank(m) for m in range(lo, hi + 1)},
+        {m: block(a.ring, [[a.diff(m), None], [None, b.diff(m)]])
+         for m in range(lo + 1, hi + 1)})
+
+
+def shifted_summand(t, dk, dl):
+    """The TwistSummand t with its split raised by (dk, dl)."""
+    return TwistSummand(t.k + dk, t.l + dl)
 
 
 def chart_homology_dims(c):
@@ -351,7 +427,8 @@ def twist(s, n, k=None):
     (k, n - k), k defaulting to n; the chart differentials are unchanged
     by a uniform twist."""
     dk = n if k is None else k
-    return SheafComplex(s.mid, {m: tuple(t.shifted(dk, n - dk) for t in ts)
+    return SheafComplex(s.mid, {m: tuple(shifted_summand(t, dk, n - dk)
+                                      for t in ts)
                                 for m, ts in s.twists.items()})
 
 
@@ -390,31 +467,8 @@ def chart(s, side, base=None):
     mid = s.mid
     a = s.chart_exponents(side)
     return ChainComplex(mid.ring, base, mid.lo, mid.hi, dict(mid.ranks), {
-        m: mid.diff(m).monomial_scale([-e for e in a[m - 1]], a[m])
+        m: monomial_scale(mid.diff(m), [-e for e in a[m - 1]], a[m])
         for m in range(mid.lo + 1, mid.hi + 1)})
-
-
-def torus_diagram(s):
-    """The base change of a sheaf complex to the torus as a one-ring
-    diagram.
-
-    Both chart complexes become K[x,x^-1]-complexes and the structure
-    maps, the torus maps diag(x^k) and diag(x^-l) of each level, turn into
-    honest chain maps, so the quasi-isomorphism machinery for one-ring
-    diagrams (sections inclusion, totalisation, cones) applies exactly.
-    The level maps are onto because the plus torus map is an isomorphism.
-    """
-    ring = s.ring
-    minus = chart(s, "minus", BaseRing.LAURENT)
-    plus = chart(s, "plus", BaseRing.LAURENT)
-
-    def torus_maps(side):
-        return {m: scalar_diag(ring, [monomial(ring, e) for e in exps])
-                for m, exps in s.chart_exponents(side).items()}
-
-    return ComplexDiagram(minus, s.mid, plus,
-                          ChainMap(minus, s.mid, torus_maps("minus")),
-                          ChainMap(plus, s.mid, torus_maps("plus")))
 
 
 def random_invertible_pair(rng, ring, n, span=1):

@@ -11,20 +11,19 @@ import time
 
 from p1dom import fileformat as ff
 from p1dom.cli import main as cli_main
-from p1dom.complexes import (ChainComplex, ChainMap, cone, homology_dims,
-                             is_acyclic, is_quasi_iso)
-from p1dom.diagrams import iota, phi_star, ses_check
+from p1dom.complexes import ChainComplex, homology_dims
 from p1dom.domination import novikov_check, verify_theorem
-from p1dom.extension import (extend_complex, extend_cone, restrict_to_torus)
-from p1dom.generators import (quasi_iso_inflation, random_complex,
-                              random_novikov_acyclic,
-                              random_surjective_diagram)
+from p1dom.extension import extend_complex, restrict_to_torus
+from p1dom.generators import random_complex, random_novikov_acyclic
 from p1dom.laurent import BaseRing
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import cech_cohomology, cech_complex, twisting_sheaf
 
-from helpers import (M, diagram_with_a_non_chain_map, maxdeg, mindeg,
-                     torus_diagram, two_term)
+from helpers import M, maxdeg, mindeg, two_term
+from paper_lemmas import (ChainMap, cone, diagram_with_a_non_chain_map,
+                          extend_cone, iota, is_acyclic, is_quasi_iso,
+                          phi_star, quasi_iso_inflation,
+                          random_surjective_diagram, ses_check, torus_diagram)
 
 
 def _report(name, detail=""):

@@ -6,19 +6,23 @@ import pytest
 
 from p1dom import fileformat as ff
 
-from p1dom.complexes import (ChainComplex, ChainMap, cone, homology,
-                             homology_dims)
-from p1dom.domination import (_elementary_valuations, chart_homology,
-                              dominate, novikov_check, verify_theorem)
+from p1dom.cli import main
+from p1dom.complexes import ChainComplex, homology, homology_dims
+from p1dom.domination import (_elementary_valuations, _witness,
+                              chart_homology, dominate, novikov_check,
+                              verify_theorem)
 from p1dom.errors import (NotNovikovAcyclicError, ShapeError,
-                          UnsupportedRingError)
+                          StabilisationFailureError, UnsupportedRingError)
+from p1dom.extension import extend_complex
 from p1dom.generators import (random_complex, random_novikov_acyclic,
-                              random_poly, random_ring)
+                              random_ring)
 from p1dom.laurent import BaseRing
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.smith import invariant_factors
 
-from helpers import M, chart, two_term, window_complex
+from helpers import (M, chart, direct_sum, random_poly, two_term,
+                     window_complex)
+from paper_lemmas import ChainMap, cone, extend_cone, null_homotopic_map
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -106,8 +110,8 @@ def test_integer_mode_euler_obstruction():
 
 def test_integer_mode_longer_complex_contraction():
     # sum of two shifted (x-1) complexes: eliminable with unit pivots
-    c = two_term(ZZ, [(1, 1), (0, -1)]).direct_sum(
-        two_term(ZZ, [(1, 1), (0, -1)], top=2))
+    c = direct_sum(two_term(ZZ, [(1, 1), (0, -1)]),
+                   two_term(ZZ, [(1, 1), (0, -1)], top=2))
     v = novikov_check(c)
     assert v.x_side.acyclic == "yes"
     assert v.x_side.method == "truncated-contraction"
@@ -129,8 +133,8 @@ def test_integer_mode_contracts_on_windows_of_width_one():
 def test_integer_mode_unknown_on_hard_instance():
     # 2 - x in both degrees of a longer complex: no unit pivot on the
     # x side, so the search must answer unknown rather than guess
-    c = two_term(ZZ, [(0, 2), (1, -1)]).direct_sum(
-        two_term(ZZ, [(0, 2), (1, -1)], top=2))
+    c = direct_sum(two_term(ZZ, [(0, 2), (1, -1)]),
+                   two_term(ZZ, [(0, 2), (1, -1)], top=2))
     v = novikov_check(c)
     assert v.x_side.acyclic == "unknown"
     assert v.x_inv_side.acyclic == "yes"
@@ -237,7 +241,7 @@ def test_ledger_additivity():
     b = two_term(QQ, [(1, 1)])
     wa = {r.degree: r for r in dominate(a).ledger}
     wb = {r.degree: r for r in dominate(b).ledger}
-    ws = {r.degree: r for r in dominate(a.direct_sum(b)).ledger}
+    ws = {r.degree: r for r in dominate(direct_sum(a, b)).ledger}
     for q, row in ws.items():
         for fieldname in ("w_dim", "mid_kdim", "plus_dim", "minus_dim"):
             va = getattr(wa[q], fieldname) if q in wa else 0
@@ -250,7 +254,7 @@ def test_ledger_invariant_under_acyclic_padding():
     c = random_novikov_acyclic(rng, GF(7))
     piece = ChainComplex.single(GF(7), BaseRing.LAURENT, 1, 1)
     acyclic_factor, _, _ = cone(ChainMap.identity(piece))
-    padded = c.direct_sum(acyclic_factor)
+    padded = direct_sum(c, acyclic_factor)
     base_rows = {r.degree: r for r in dominate(c).ledger}
     padded_rows = {r.degree: r for r in dominate(padded).ledger}
     for q in set(base_rows) | set(padded_rows):
@@ -287,8 +291,6 @@ def test_fpqc_stabilised_dimension_survives_doubling():
     # the plus chart of an extension has no free part, so its windows at
     # N beyond the largest valuation and at 2N both have dimension
     # t_q + t_{q-1} in degree q, t the torsion dimensions
-    from p1dom.extension import extend_complex
-
     rng = random.Random(19)
     for _ in range(5):
         plus = chart(extend_complex(random_novikov_acyclic(rng, GF(7), 2))
@@ -438,6 +440,45 @@ def test_verify_theorem_computes_homology_once(monkeypatch):
     assert not verify_theorem(ChainComplex.single(QQ, BaseRing.LAURENT, 0,
                                                   1)).passed
     assert (len(smith), len(ranks)) == (1, 0)
+
+
+def test_the_ledger_holds_on_the_lifted_cone():
+    # the paper's own extension of cone(omega) for a null-homotopic omega
+    # between Novikov-acyclic complexes: a legal sheaf whose levels may
+    # mix twist splits, so the witness is read off the ledger rows and
+    # not off report_fields, which needs one split per level
+    rng = random.Random(36)
+    mixed = 0
+    for i in range(200):
+        ring = (QQ, GF(7), GF(10007))[i % 3]
+        a = random_novikov_acyclic(rng, ring)
+        b = random_novikov_acyclic(rng, ring)
+        omega = null_homotopic_map(rng, a, b)
+        lifted = extend_cone(extend_complex(a).sheaf,
+                             extend_complex(b).sheaf, omega)
+        witness = _witness(lifted, homology(lifted.mid))
+        assert witness.ledger_holds and witness.sheaf is lifted
+        mixed += any(len(set(ts)) > 1 for ts in lifted.twists.values())
+    assert mixed
+
+
+def test_a_ledger_failure_names_its_degree(monkeypatch, tmp_path, capsys):
+    import p1dom.domination as domination
+
+    original = domination.homology_dims
+    monkeypatch.setattr(domination, "homology_dims", lambda w: {
+        q: dim + (q == 0) for q, dim in original(w).items()})
+    c = two_term(QQ, [(1, 1), (0, -1)])
+    message = ("ledger equation failed; chart dimensions disagree with "
+               "H(W) in degree 0: w_dim 2 != 1 = mid_kdim 1 + plus_dim 0 "
+               "+ minus_dim 0")
+    with pytest.raises(StabilisationFailureError) as info:
+        dominate(c)
+    assert str(info.value) == message
+    path = tmp_path / "x-minus-1.cplx"
+    ff.save_path(path, ff.complex_to_dict(c))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err == f"FAIL: {message}\n"
 
 
 def test_dominate_computes_homology_once(monkeypatch):

@@ -9,9 +9,9 @@ from p1dom.complexes import ChainComplex
 from p1dom.domination import novikov_check, verify_theorem
 from p1dom.generators import random_complex, random_novikov_acyclic
 from p1dom.scalars import GF, QQ, ZZ
-from p1dom.smith import invariant_factors, kernel_basis, kernel_coordinates
+from p1dom.smith import invariant_factors
 
-from helpers import random_matrix
+from helpers import kernel_basis, kernel_coordinates, random_matrix
 
 
 def _snapshot(objects):

@@ -17,7 +17,7 @@ from p1dom.generators import (random_complex, random_novikov_acyclic,
 from p1dom.laurent import BaseRing, LaurentPoly
 from p1dom.scalars import GF, QQ, ZZ
 
-from helpers import two_term
+from helpers import coeff, two_term
 
 
 def test_complex_round_trip_simple():
@@ -201,7 +201,7 @@ def test_decimal_coefficients_load(ring, text, value):
         "format": ff.COMPLEX_FORMAT, "version": 1, "ring": ring.tag,
         "degrees": [{"degree": 0, "rank": 1}, {"degree": 1, "rank": 1}],
         "differentials": [{"degree": 1, "matrix": [[[[0, text]]]]}]})
-    assert c.diff(1).entries[0][0].coeff(0) == value
+    assert coeff(c.diff(1).entries[0][0], 0) == value
 
 
 def test_fraction_strings_are_refused_outside_q():

@@ -19,12 +19,12 @@ from fractions import Fraction
 import pytest
 
 from p1dom import fileformat as ff
-from p1dom.generators import (random_complex, random_novikov_acyclic,
-                              random_surjective_diagram)
+from p1dom.generators import random_complex, random_novikov_acyclic
 from p1dom.scalars import GF, QQ, ZZ
 
 from helpers import (basis_change, basis_change_reference,
                      random_invertible_pair)
+from paper_lemmas import random_surjective_diagram
 
 RINGS = {"Q": QQ, "GF(5)": GF(5), "GF(7)": GF(7), "GF(10007)": GF(10007),
          "Z": ZZ}

@@ -5,10 +5,13 @@ src/p1dom/ must be read somewhere else in src/p1dom/ (its own
 definition and ``__init__.py``, the package's export list, do not
 count) or in perfbench/.  A name only tests call belongs in
 ``tests/helpers.py``.  The walk uses the standard ``ast`` module, as
-``test_unused_imports`` does, and matches by name: an attribute ``.f``
-anywhere counts as a read of every method ``f``.  In perfbench a string
-constant counts too when it equals the name or ends in ``.name``, as
-the span tables of ``perfbench/tracing.py`` name what they wrap.
+``test_unused_imports`` does, and matches by name.  A module-level name
+``f`` is read by a loaded name ``f`` or an attribute ``.f``; a method
+``f`` only by an attribute ``.f`` anywhere, so that a local variable or a
+parameter of the same name does not hide an uncalled method.  In
+perfbench a string constant counts too, for both, when it equals the
+name or ends in ``.name``, as the span tables of ``perfbench/tracing.py``
+name what they wrap.
 """
 
 import ast
@@ -39,25 +42,26 @@ def definitions(tree):
 
 
 def reads(tree, strings=False, skip=None):
-    """The names a tree reads: loaded names and attributes, and with
-    ``strings`` each string constant and its last dotted part.  Nothing
-    under the node ``skip`` counts."""
-    found = set()
+    """(names, attributes) a tree reads: its loaded names and its
+    attributes, and with ``strings`` each string constant and its last
+    dotted part in both.  Nothing under the node ``skip`` counts."""
+    names, attributes = set(), set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            found.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
+            attributes.add(node.attr)
         elif (strings and isinstance(node, ast.Constant)
               and isinstance(node.value, str)):
-            found.add(node.value)
-            found.add(node.value.rpartition(".")[2])
+            for found in (names, attributes):
+                found.add(node.value)
+                found.add(node.value.rpartition(".")[2])
         stack.extend(ast.iter_child_nodes(node))
-    return found
+    return names, attributes
 
 
 def uncalled(library: dict, perfbench: dict) -> list:
@@ -66,19 +70,24 @@ def uncalled(library: dict, perfbench: dict) -> list:
     ``perfbench``, reads; the module ``__init__`` is not searched."""
     trees = {name: ast.parse(source) for name, source in library.items()
              if name != "__init__"}
-    outside = set()
-    for source in perfbench.values():
-        outside |= reads(ast.parse(source), strings=True)
+    outside = [reads(ast.parse(source), strings=True)
+               for source in perfbench.values()]
     everywhere = {name: reads(tree) for name, tree in trees.items()}
     missing = []
     for module, tree in trees.items():
         for qualname, name, node in definitions(tree):
-            if name in outside:
+            method = qualname != name
+
+            def seen(found):
+                names, attributes = found
+                return name in attributes or (not method and name in names)
+
+            if any(seen(found) for found in outside):
                 continue
-            if any(name in found for other, found in everywhere.items()
+            if any(seen(found) for other, found in everywhere.items()
                    if other != module):
                 continue
-            if name not in reads(tree, skip=node):
+            if not seen(reads(tree, skip=node)):
                 missing.append(f"{module}.{qualname}")
     return sorted(missing)
 
@@ -94,16 +103,21 @@ def test_the_check_sees_an_uncalled_name():
               "    def area(self): return self.area_of()\n"
               "    def area_of(self): pass\n"
               "    def spanned(self): pass\n"
+              "    def scaled(self): pass\n"
+              "    def stacked(self): pass\n"
               "    def _hidden(self): pass\n"
               "    def __eq__(self, other): pass\n"),
+        # a parameter and a local that share a method's name read no method
         "b": ("from .a import used, Shape\n"
-              "def helper_b(): return used(), Shape\n"
+              "def helper_b(scaled=1): return used(), Shape, scaled\n"
               "def traced(): pass\n"),
     }
     perfbench = {"tracing": "SPANS = [('p1dom.a', 'Shape.spanned')]\n"
-                            "LABEL = 'traced'\n"}
+                            "LABEL = 'traced'\n",
+                 "run": "stacked = [1]\nprint(stacked)\n"}
     assert uncalled(library, perfbench) == [
-        "a.Shape.area", "a.only_exported", "a.recursive"]
+        "a.Shape.area", "a.Shape.scaled", "a.Shape.stacked",
+        "a.only_exported", "a.recursive"]
 
 
 def test_every_public_name_has_a_library_or_perfbench_caller():

@@ -1,10 +1,10 @@
 """Mapping tori: Novikov-acyclic complexes with known answers.
 
 T = cone(x - f) for a self-map f = a id + (null-homotopic) of a random
-complex D with constant differentials (``helpers.random_mapping_torus``).
-Over a field with a a unit, T passes the theorem pipeline and H_q(T) has
-K-dimension the Betti number of D in degree q.  Over Z the x^-1 side is
-always acyclic, and the x side is acyclic exactly when f is a
+complex D with constant differentials (``paper_lemmas``).  Over a field
+with a a unit, T passes the theorem pipeline and H_q(T) has K-dimension
+the Betti number of D in degree q.  Over Z the x^-1 side is always
+acyclic, and the x side is acyclic exactly when f is a
 quasi-isomorphism: for a = 1 or -1 always, for a = 2 or 3 never when D
 has rational homology.  Z mode may still answer "unknown" (its unit-pivot
 search is incomplete), but never a wrong "yes" or "no".
@@ -17,7 +17,8 @@ import pytest
 from p1dom.domination import novikov_check, verify_theorem
 from p1dom.scalars import GF, QQ, ZZ
 
-from helpers import betti_numbers, random_mapping_torus
+from helpers import betti_numbers
+from paper_lemmas import random_mapping_torus
 
 
 @pytest.mark.parametrize("ring", [QQ, GF(7)], ids=lambda r: r.tag)

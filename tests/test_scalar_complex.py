@@ -2,7 +2,7 @@
 
 The global sections W and base-K files are sparse scalar complexes.  The
 exact chart homology that ``hyper`` reports is compared here with
-``diagrams.hypercohomology`` of the truncated chart-cover diagram written
+``paper_lemmas.hypercohomology`` of the truncated chart-cover diagram written
 as Laurent matrices of constants, and ``ScalarComplex.validate`` with a
 dense d.d product; both references are kept in this file.  The input
 bounds of the file format are checked on tiny files.
@@ -18,9 +18,8 @@ from hypothesis import strategies as st
 
 from p1dom import fileformat as ff
 from p1dom.cli import main
-from p1dom.complexes import (ChainComplex, ChainMap, ScalarComplex, homology,
+from p1dom.complexes import (ChainComplex, ScalarComplex, homology,
                              homology_dims)
-from p1dom.diagrams import ComplexDiagram, hypercohomology
 from p1dom.domination import _valuations, chart_homology, dominate
 from p1dom.errors import FormatError, ShapeError, UnsupportedRingError
 from p1dom.extension import extend_complex
@@ -30,8 +29,9 @@ from p1dom.matrices import LaurentMatrix, ScalarMatrix
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import cech_complex
 
-from helpers import (chart as sheaf_chart, constants, monomial, two_term,
-                     window_complex)
+from helpers import (chart as sheaf_chart, constants, direct_sum, monomial,
+                     two_term, window_complex)
+from paper_lemmas import ChainMap, ComplexDiagram, hypercohomology
 
 FIELDS = [QQ, GF(7), GF(10007)]
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -94,7 +94,7 @@ def random_chart(rng, ring):
         else:
             piece = ChainComplex.single(ring, BaseRing.POLY,
                                         rng.randint(lo, hi), 1)
-        c = c.direct_sum(piece)
+        c = direct_sum(c, piece)
     change = {}
     for m in range(lo, hi + 1):
         g = [[LaurentPoly.one(ring) if i == j else LaurentPoly.zero(ring)

@@ -12,9 +12,9 @@ from p1dom.scalars import QQ
 from p1dom.sheaves import (SheafComplex, TwistSummand, cech_cohomology,
                            cech_complex, twisting_sheaf)
 
-from helpers import (S, levelwise_h1_trivial, load_sheaf,
-                     sheaf_hyper_homology_dims, torus_diagram, twist,
-                     two_term)
+from helpers import (S, load_sheaf, sheaf_hyper_homology_dims,
+                     shifted_summand, twist, two_term)
+from paper_lemmas import levelwise_h1_trivial, torus_diagram
 
 
 def test_twisting_sheaf_structure_zero():
@@ -58,7 +58,7 @@ def test_twist_composition():
         for n in range(-4, 5):
             k1 = rng.randint(-2, 2)
             dk = rng.randint(-2, 2)
-            twisted = tuple(t.shifted(dk, n - dk)
+            twisted = tuple(shifted_summand(t, dk, n - dk)
                             for t in twisting_sheaf(m, k1, 1))
             got = cech_cohomology(twisted)
             want = cech_cohomology(twisting_sheaf(m + n, 0, 1))
@@ -196,8 +196,7 @@ def test_sheaf_hyper_dims_names_the_section_complex():
 
 
 def test_torus_diagram_of_extension():
-    from p1dom.complexes import is_quasi_iso
-    from p1dom.diagrams import iota
+    from paper_lemmas import iota, is_quasi_iso
 
     rng = random.Random(14)
     from p1dom.generators import random_complex, random_ring

@@ -11,9 +11,10 @@ from p1dom.generators import random_novikov_acyclic
 from p1dom.laurent import LaurentPoly
 from p1dom.matrices import LaurentMatrix, scalar_rank
 from p1dom.scalars import GF, QQ, ZZ
-from p1dom.smith import invariant_factors, kernel_basis, kernel_coordinates
+from p1dom.smith import invariant_factors
 
-from helpers import M, S, evaluate, maxdeg, mindeg, submatrix, transpose
+from helpers import (M, S, block, coeff, evaluate, identity, kernel_basis,
+                     kernel_coordinates, maxdeg, mindeg, submatrix, transpose)
 from test_sympy_oracle import sympy_divides, sympy_factors
 
 
@@ -64,7 +65,7 @@ def test_snf_soundness_randomised(ring):
         for f in factors:
             assert not f.is_zero
             assert mindeg(f) == 0  # zero valuation
-            assert f.coeff(maxdeg(f)) == ring.one()  # monic
+            assert coeff(f, maxdeg(f)) == ring.one()  # monic
 
 
 def test_snf_rank_matches_evaluation():
@@ -171,10 +172,10 @@ def test_kernel_basis_spans_kernel(seed, ring, rows, cols, shape):
     # span of k
     for j in range(cols):
         if any(not row[j].is_zero for row in a.entries):
-            e_j = submatrix(LaurentMatrix.identity(ring, cols),
+            e_j = submatrix(identity(ring, cols),
                             range(cols), [j])
             with pytest.raises(ShapeError, match=f"column {k.cols} "):
-                kernel_coordinates(k, LaurentMatrix.block(ring, [[k, e_j]]))
+                kernel_coordinates(k, block(ring, [[k, e_j]]))
             break
 
 
