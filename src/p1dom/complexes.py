@@ -3,8 +3,8 @@
 Complexes are homologically indexed: the differential decreases the degree.
 A complex stores explicit support bounds [lo, hi]; every operation treats
 degrees outside the support as rank zero.  A ``ChainComplex`` lives over
-K[x^-1], K[x] or K[x,x^-1] and stores dense Laurent matrices; its homology
-over K[x,x^-1] (free rank plus torsion invariant factors) is read from the
+K[x^-1], K[x] or K[x,x^-1] and stores Laurent matrices of sparse rows; its
+homology over K[x,x^-1] (free rank plus torsion invariant factors) is read from the
 invariant factors of each differential, computed by
 ``smith.invariant_factors`` from alternating column echelon forms with no
 transforms kept (integer coefficients over Q).  Every complex
@@ -69,10 +69,6 @@ class ChainComplex:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, ring, base=BaseRing.LAURENT):
-        return cls(ring, base, 0, 0)
-
-    @classmethod
     def single(cls, ring, base, degree, rank):
         return cls(ring, base, degree, degree, {degree: rank})
 
@@ -80,7 +76,7 @@ class ChainComplex:
     def two_term(cls, ring, poly: LaurentPoly, top: int = 1,
                  base=BaseRing.LAURENT):
         """rank-1 complex (base^1 --poly--> base^1) in degrees top, top-1."""
-        d = LaurentMatrix(ring, 1, 1, [[poly]])
+        d = LaurentMatrix(ring, 1, 1, [{0: poly.entry} if poly else {}])
         return cls(ring, base, top - 1, top,
                    {top: 1, top - 1: 1}, {top: d})
 
@@ -97,10 +93,6 @@ class ChainComplex:
                                       self.rank(m))
         return d
 
-    @property
-    def is_zero(self) -> bool:
-        return all(r == 0 for r in self.ranks.values())
-
     def degrees(self):
         return range(self.lo, self.hi + 1)
 
@@ -110,37 +102,34 @@ class ChainComplex:
         """Full d.d = 0 and exponent-constraint report; [] means valid.
 
         Every entry respects K[x,x^-1], so only the other base rings scan
-        the entries' exponents.  Over Q each row of d_{m-1} and each column
-        of d_m that shares a nonzero position with a partner is cleared of
-        denominators once (``polylists.cleared``) and the products run on
-        ints: scaling rows and columns by nonzero integers changes no
-        product entry's vanishing.
+        the entries' exponents.  The columns of d_m are gathered in one
+        pass over its rows, and only a row of d_{m-1} and a column of d_m
+        that share a nonzero position are multiplied; over Q each is
+        cleared of denominators once (``polylists.cleared``) and the
+        products run on ints: scaling rows and columns by nonzero
+        integers changes no product entry's vanishing.
         """
         problems = [] if self.base is BaseRing.LAURENT else [
-            f"degree {m}: entry ({i},{j}) = {p} violates {self.base.tag}"
-            for m in range(self.lo + 1, self.hi + 1)
-            for i, j, p in self.diff(m).nonzero_entries()
-            if not p.respects(self.base)]
+            f"degree {m}: entry ({i},{j}) = {d[i, j]} violates "
+            f"{self.base.tag}"
+            for m, d in self.diffs.items()
+            for i, row in enumerate(d.data)
+            for j, e in row.items() if not self.base.admits(e)]
         p = self.ring.p
-        clear = self.ring.kind == "Q"
         for m in range(self.lo + 2, self.hi + 1):
-            rows = [[q.entry for q in row] for row in self.diff(m - 1).entries]
-            cols = [[q.entry for q in col]
-                    for col in zip(*self.diff(m).entries)]
-            if clear:
-                # only a row and a column that share a nonzero position
-                # multiply anything
-                shared = [k for k in range(self.rank(m - 1))
-                          if any(row[k] is not None for row in rows)
-                          and any(col[k] is not None for col in cols)]
-                if not shared:
-                    continue
-                rows = [cleared(row)[1] if any(row[k] is not None
-                                               for k in shared) else row
-                        for row in rows]
-                cols = [cleared(col)[1] if any(col[k] is not None
-                                               for k in shared) else col
-                        for col in cols]
+            right = self.diffs[m].data
+            cols = [{} for _ in range(self.rank(m))]
+            for k, row in enumerate(right):
+                for j, e in row.items():
+                    cols[j][k] = e
+            reached = {k for k, row in enumerate(right) if row}
+            rows = [row for row in self.diffs[m - 1].data
+                    if not reached.isdisjoint(row)]
+            used = set().union(*rows)
+            cols = [col for col in cols if not used.isdisjoint(col)]
+            if self.ring.kind == "Q":
+                rows = [dict(zip(r, cleared(r.values())[1])) for r in rows]
+                cols = [dict(zip(c, cleared(c.values())[1])) for c in cols]
             if any(dot(row, col, p) is not None
                    for row in rows for col in cols):
                 problems.append(f"degree {m}: d.d != 0")
@@ -175,10 +164,6 @@ class HomologyEntry:
     free_rank: int
     torsion: tuple            # monic nonconstant invariant factors
     kdim: int | None          # dimension over K; None means infinite
-
-    @property
-    def is_zero(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
 
 
 @dataclass(frozen=True)
@@ -262,10 +247,6 @@ class ScalarComplex:
 
     def degrees(self):
         return range(self.lo, self.hi + 1)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.ranks.values())
 
     def validate(self):
         """d.d = 0 report in the words of ChainComplex.validate."""

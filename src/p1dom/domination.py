@@ -41,10 +41,10 @@ and its K-dimension is the sum of their valuations v.  These come from one
 local elimination pass per differential (``_elementary_valuations``) on
 plain int coefficient lists (``polylists``): residues mod p over GF(p),
 integer rows over Q with Bareiss's exact division.  The witness reads each
-chart differential straight off the torus differential and the twists,
-entry (i, j) being x^(a_j(m) - a_i(m-1)) d_m[i][j] with a = -l on the plus
-side and a = k on the minus side, so it builds no chart complex, does no
-``LaurentPoly`` arithmetic and no window.  ``chart_homology`` reads the
+chart differential straight off the rows of the torus differential and
+the twists, entry (i, j) being x^(a_j(m) - a_i(m-1)) d_m[i][j] with a = -l
+on the plus side and a = k on the minus side, so it builds no chart
+complex, no ``LaurentPoly`` and no window.  ``chart_homology`` reads the
 free rank and the torsion K-dimension of each degree off the valuations,
 for the ledger and for ``p1dom hyper``, which runs the elimination on an
 explicit K[x] complex.  The witness keeps the valuations, per side and
@@ -113,15 +113,12 @@ def _elementary_valuations(d: LaurentMatrix, direction: int,
     """
     p = d.ring.p
     rows = []
-    for i, row in enumerate(d.entries):
+    for i, row in enumerate(d.data):
         shift = -row_exps[i] if row_exps else 0
         live = {}
-        for j, poly in enumerate(row):
-            if poly.entry is not None:
-                v, c = poly.entry
-                v += shift + (col_exps[j] if col_exps else 0)
-                live[j] = (v, c) if direction == 1 else (1 - v - len(c),
-                                                         c[::-1])
+        for j, (v, c) in row.items():
+            v += shift + (col_exps[j] if col_exps else 0)
+            live[j] = (v, c) if direction == 1 else (1 - v - len(c), c[::-1])
         if live and not p:
             live = dict(zip(live, integer_row(list(live.values()))))
         if live:
@@ -363,9 +360,8 @@ def _contraction_side(c: ChainComplex, direction: int, order: int) -> SideVerdic
     known to the same width.
     """
     gens = {m: set(range(r)) for m, r in c.ranks.items()}
-    mats = {m: {(i, j): window(p.entry, direction, order)
-                for i, row in enumerate(d.entries)
-                for j, p in enumerate(row) if p.entry is not None}
+    mats = {m: {(i, j): window(e, direction, order)
+                for i, row in enumerate(d.data) for j, e in row.items()}
             for m, d in c.diffs.items()}
     transcript = []
     var = "x" if direction == 1 else "x^-1"

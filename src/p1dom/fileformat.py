@@ -5,19 +5,20 @@ All files are JSON.  Laurent polynomials serialise as arrays of
 render as "a/b" or "a", GF(p) residues and integers as decimal strings.
 A coefficient string is read as ASCII ``-?[0-9]+``, over Q also
 ``-?[0-9]+/[0-9]+``: a plus sign, spaces, underscores and non-ASCII
-digits are a FormatError.  Serialisation is bit-stable: degrees ascend,
-field order is fixed, and every file and report is laid out by
+digits are a FormatError, as in the modulus of a ring tag.  Serialisation
+is bit-stable: degrees ascend, field order is fixed, and every file and report is laid out by
 ``dumps_canonical``: each array item and object member on its own line
 under a two-space indent, "," after each but the last, ": " after each
 key, empty arrays and objects as ``[]`` and ``{}``, ``\\uXXXX`` escapes
 for non-ASCII and control characters, and a final newline.  A complex
-with base "K" loads as a ``ScalarComplex`` of sparse rows of constants.
+with base "K" loads as a ``ScalarComplex`` of sparse rows of constants,
+any other with sparse rows of entries, no ``LaurentPoly`` per cell.
 
 Loading is bounded before anything is built: a degree span above
 MAX_DEGREE_SPAN, a rank above MAX_RANK, an exponent above MAX_EXPONENT or
 a twist above MAX_TWIST (MAX_DEGREE_SPAN * MAX_EXPONENT, as an extension's
 twists add up over its differentials) in absolute value is a FormatError
-naming the field.  (An omitted differential is a dense zero matrix;
+naming the field.  (An omitted differential is a zero matrix of empty rows;
 exponents and twists set the sizes of the monomial bands of the global
 sections.)  Each polynomial is stored dense over its exponent span, so the
 sum of max - min + 1 over the cells of a file, its dense coefficient
@@ -68,11 +69,11 @@ MAX_DENSE_SLOTS = 1 << 20
 # -- polynomials and matrices ---------------------------------------------------
 
 
-def poly_from_pairs(ring: CoefficientRing, pairs, where: str,
-                    budget=None, index=()) -> LaurentPoly:
-    """The polynomial of ``pairs`` at ``where`` subscripted by ``index``;
-    its dense slots are taken from ``budget``, a one-item list of the slots
-    left in the file, if given."""
+def entry_from_pairs(ring: CoefficientRing, pairs, where: str,
+                     budget=None, index=()):
+    """The ``polylists`` entry of ``pairs`` at ``where`` subscripted by
+    ``index``; its dense slots are taken from ``budget``, a one-item list
+    of the slots left in the file, if given."""
     if not isinstance(pairs, list):
         raise FormatError("polynomial must be an array of pairs",
                           _at(where, *index))
@@ -97,7 +98,7 @@ def poly_from_pairs(ring: CoefficientRing, pairs, where: str,
                 f"{MAX_DENSE_SLOTS} dense coefficient slots",
                 _at(where, *index))
     # dense over a span of at most 2 * MAX_EXPONENT + 1
-    return LaurentPoly.from_entry(ring, from_terms(terms, ring.p))
+    return from_terms(terms, ring.p)
 
 
 def _at(where: str, *index) -> str:
@@ -125,9 +126,17 @@ def _check_rank(rank: int, where: str):
         raise FormatError(f"rank {rank} exceeds {MAX_RANK}", where)
 
 
+def _pairs(entry, render):
+    """The [exponent, coefficient-string] pairs of a nonzero entry."""
+    v, c = entry
+    return [[v + k, render(x)] for k, x in enumerate(c) if x]
+
+
 def matrix_to_rows(m: LaurentMatrix):
-    return [[[[e, m.ring.render(c)] for e, c in p.items()] for p in row]
-            for row in m.entries]
+    """The cells of ``m`` row by row, zero as the empty polynomial."""
+    render = m.ring.render
+    return [[_pairs(row[j], render) if j in row else []
+             for j in range(m.cols)] for row in m.data]
 
 
 def matrix_from_rows(ring, rows, cols, data, base: BaseRing, where: str,
@@ -137,23 +146,25 @@ def matrix_from_rows(ring, rows, cols, data, base: BaseRing, where: str,
     ``ring``; the first one outside ``base`` is a FormatError."""
     if not isinstance(data, list) or len(data) != rows:
         raise FormatError(f"expected {rows} matrix rows", where)
-    entries = []
+    out = []
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
             raise FormatError(f"expected {cols} entries", _at(where, i))
-        entries.append([poly_from_pairs(ring, cell, where, budget, (i, j))
-                        for j, cell in enumerate(row)])
+        cells = [entry_from_pairs(ring, cell, where, budget, (i, j))
+                 for j, cell in enumerate(row)]
+        out.append({j: e for j, e in enumerate(cells) if e is not None})
     if base is not BaseRing.LAURENT:
-        for i, row in enumerate(entries):
-            for j, p in enumerate(row):
-                if not p.respects(base):
+        for i, row in enumerate(out):
+            for j, e in row.items():
+                if not base.admits(e):
                     raise FormatError(
-                        f"entry ({i},{j}) = {p} violates {base.tag}", where)
+                        f"entry ({i},{j}) = "
+                        f"{LaurentPoly.from_entry(ring, e)} violates "
+                        f"{base.tag}", where)
     if base is BaseRing.K:
         return ScalarMatrix(ring, rows, cols, [
-            {j: p.entry[1][0] for j, p in enumerate(row) if p.entry}
-            for row in entries])
-    return LaurentMatrix(ring, rows, cols, entries)
+            {j: e[1][0] for j, e in row.items()} for row in out])
+    return LaurentMatrix(ring, rows, cols, out)
 
 
 # -- chain complexes ---------------------------------------------------------------
@@ -178,7 +189,7 @@ def _diff_rows(c, m: int):
     """The differential at degree m as rows of cells; K entries are
     written as constants, zero as the empty polynomial."""
     if c.base != BaseRing.K:
-        return matrix_to_rows(c.diff(m))
+        return matrix_to_rows(c.diffs[m])
     d = c.diffs.get(m)
     render = c.ring.render
     return [[[[0, render(row[j])]] if j in row else []
@@ -413,8 +424,3 @@ def digest(text: str) -> str:
 def save_path(path, obj):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_canonical(obj))
-
-
-def load_complex(path) -> ChainComplex | ScalarComplex:
-    with open(path, encoding="utf-8") as fh:
-        return complex_from_dict(loads(fh.read()))

@@ -3,11 +3,11 @@
 Valid complexes are elementary pieces (two-term complexes and single free
 levels) conjugated by random invertible basis changes, so d.d = 0 holds
 by construction while differentials look generic.  It all runs on
-``polylists`` entries (None for zero): the pieces go straight into one
-block-diagonal grid per degree, a basis change T is a grid built by
+``polylists`` entries: the pieces go straight into the rows of one
+block-diagonal matrix per degree, a basis change T is built by
 elementary operations with its inverse alongside it (``_invertible_pair``,
-so no inverse is computed from minors), and T^-1 d T is formed with
-``polylists.dot``, each result wrapped in a ``LaurentPoly`` once.  The
+so no inverse is computed from minors), and T^-1 d T is a product of
+``LaurentMatrix`` rows, with no ``LaurentPoly`` built.  The
 same recipe with unit-monomial pieces yields Novikov-acyclic
 instances.  The maps and diagrams of the paper's lemmas are drawn by the
 tests (``tests/paper_lemmas.py``) from the same entries.
@@ -24,9 +24,9 @@ from __future__ import annotations
 import random
 
 from .complexes import ChainComplex
-from .laurent import BaseRing, LaurentPoly
+from .laurent import BaseRing
 from .matrices import LaurentMatrix
-from .polylists import ONE, dot, from_terms, lincomb, scaled
+from .polylists import ONE, from_terms, lincomb, scaled
 from .scalars import GF, QQ, CoefficientRing
 
 
@@ -58,13 +58,14 @@ def _times_unit(a, e, c, p):
 
 
 def _invertible_pair(rng, ring, n, span):
-    """(T, T^-1) as n x n grids of entries, for a product T of 2n
+    """(T, T^-1) as n x n Laurent matrices, for a product T of 2n
     elementary operations, whose determinant is a unit monomial.
 
     T is built by row operations on the identity, and T^-1 alongside it by
     the inverse of each operation as a column operation, in the same
     order: row i += q*row j becomes col j -= q*col i, a row swap the same
-    column swap, and row i *= u becomes col i *= u^-1.
+    column swap, and row i *= u becomes col i *= u^-1, both on grids of
+    entries (None for zero).
     """
     p = ring.p
     one = 0, (ring.one(),)
@@ -102,38 +103,35 @@ def _invertible_pair(rng, ring, n, span):
             e, c = -e, ring.invert(c)
             for row in t_inv:
                 row[i] = _times_unit(row[i], e, c, p)
-    return t, t_inv
+    return tuple(LaurentMatrix(ring, n, n, [
+        {j: (e[0], tuple(e[1])) for j, e in enumerate(row) if e is not None}
+        for row in grid]) for grid in (t, t_inv))
 
 
-def _conjugated(rng, ring, base, ranks, grids, span):
-    """T_{m-1}^-1 d_m T_m for the entry grids d_m = ``grids[m]`` on
-    ``ranks`` (one interval of degrees) and a random pair per degree."""
+def _conjugated(rng, ring, base, ranks, rows, span):
+    """T_{m-1}^-1 d_m T_m for the differentials d_m of sparse rows
+    ``rows[m]`` on ``ranks`` (one interval of degrees) and a random pair
+    per degree."""
     lo, hi = min(ranks), max(ranks)
-    p = ring.p
     pairs = {m: _invertible_pair(rng, ring, ranks[m], span)
              for m in range(lo, hi + 1)}
-    zero = LaurentPoly.zero(ring)
-    diffs = {}
-    for m in range(lo + 1, hi + 1):
-        left = [[dot(row, col, p) for col in zip(*grids[m])]
-                for row in pairs[m - 1][1]]
-        t = list(zip(*pairs[m][0]))
-        out = [[dot(row, col, p) for col in t] for row in left]
-        diffs[m] = LaurentMatrix(ring, ranks[m - 1], ranks[m], [
-            [zero if e is None else LaurentPoly.from_entry(ring, e)
-             for e in row] for row in out])
+    diffs = {m: pairs[m - 1][1] @ LaurentMatrix(
+        ring, ranks[m - 1], ranks[m], rows[m]) @ pairs[m][0]
+        for m in range(lo + 1, hi + 1)}
     return ChainComplex(ring, base, lo, hi, ranks, diffs)
 
 
 def _conjugated_sum(rng, ring, ranks, cells, span):
     """``_conjugated`` of the direct sum of elementary pieces: ``ranks``
     counts the generators, and each cell (m, i, j, entry) is the
-    differential of a two-term piece at (i, j) of the block-diagonal d_m."""
-    grids = {m: [[None] * ranks[m] for _ in range(ranks[m - 1])]
-             for m in ranks if m - 1 in ranks}
+    differential of a two-term piece at (i, j) of the block-diagonal d_m,
+    alone in its row."""
+    rows = {m: [{} for _ in range(ranks[m - 1])]
+            for m in ranks if m - 1 in ranks}
     for m, i, j, entry in cells:
-        grids[m][i][j] = entry
-    return _conjugated(rng, ring, BaseRing.LAURENT, ranks, grids, span)
+        if entry is not None:
+            rows[m][i][j] = entry
+    return _conjugated(rng, ring, BaseRing.LAURENT, ranks, rows, span)
 
 
 def _two_term(ranks, cells, top, entry):

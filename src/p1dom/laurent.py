@@ -4,13 +4,13 @@ A polynomial stores exactly its ``polylists`` entry, ``entry``: None for
 zero, or (v, c) for x^v * (c[0] + c[1] x + ... + c[n] x^n), c a tuple of
 canonical coefficients with c[0] and c[-1] nonzero (a zero inside may be
 the int 0).  Storage is dense over the exponent span, the working form of
-every kernel; the kernels read ``entry`` as is and share its tuple, which
-nothing changes in place, and file input bounds the span by
-``fileformat.MAX_EXPONENT``.  Degrees and base-ring checks are O(1), and
-arithmetic runs through ``polylists.lincomb``, ``scaled`` and ``trim``.
+every kernel; file input bounds the span by ``fileformat.MAX_EXPONENT``.
+A matrix stores bare entries, so a polynomial is the boundary form: a
+cell read as ``d[i, j]``, a determinant, an invariant factor, a message.
+Arithmetic runs through ``polylists.lincomb``, ``scaled`` and ``trim``.
 The four base rings K, K[x], K[x^-1] and K[x,x^-1] are tags restricting
-which exponents a value may use; arithmetic always happens in the full
-Laurent ring.
+which exponents a value may use (``BaseRing.admits`` reads an entry's
+ends); arithmetic always happens in the full Laurent ring.
 """
 
 from __future__ import annotations
@@ -30,14 +30,15 @@ class BaseRing(Enum):
     POLY_INV = "K[x^-1]"
     LAURENT = "K[x,x^-1]"
 
-    def allows(self, exponent: int) -> bool:
+    def admits(self, entry) -> bool:
+        """Whether the ``polylists`` entry uses only exponents this ring
+        allows; each base ring allows an interval, so its ends decide."""
+        if entry is None or self is BaseRing.LAURENT:
+            return True
+        lo, hi = entry[0], entry[0] + len(entry[1]) - 1
         if self is BaseRing.K:
-            return exponent == 0
-        if self is BaseRing.POLY:
-            return exponent >= 0
-        if self is BaseRing.POLY_INV:
-            return exponent <= 0
-        return True
+            return lo == hi == 0
+        return lo >= 0 if self is BaseRing.POLY else hi <= 0
 
     @property
     def tag(self) -> str:
@@ -84,10 +85,6 @@ class LaurentPoly:
         return p
 
     @classmethod
-    def zero(cls, ring):
-        return cls.from_entry(ring, None)
-
-    @classmethod
     def one(cls, ring):
         return cls.from_entry(ring, (0, (ring.one(),)))
 
@@ -106,12 +103,6 @@ class LaurentPoly:
         """Sorted (exponent, coefficient) pairs, exponents ascending."""
         v, c = self.entry or (0, ())
         return [(v + k, x) for k, x in enumerate(c) if x]
-
-    def respects(self, base: BaseRing) -> bool:
-        if base is BaseRing.LAURENT or self.entry is None:
-            return True
-        v, c = self.entry  # each base ring allows an interval of exponents
-        return base.allows(v) and base.allows(v + len(c) - 1)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -140,23 +131,6 @@ class LaurentPoly:
         return LaurentPoly.from_entry(
             self.ring, scaled(self.entry, coeff, self.ring.p) if coeff
             else None)
-
-    def times_monomial(self, exponent: int, coeff=None):
-        """coeff * x^exponent * self (coeff as for ``scale``)."""
-        _exponent(exponent)
-        out = self if coeff is None else self.scale(coeff)
-        if out.entry is None:
-            return out
-        v, c = out.entry
-        return LaurentPoly.from_entry(self.ring, (v + exponent, c))
-
-    # -- units and normal form ----------------------------------------------
-
-    @property
-    def is_unit(self) -> bool:
-        """Unit of K[x,x^-1]: a single term with unit coefficient."""
-        return (self.entry is not None and len(self.entry[1]) == 1
-                and self.ring.is_unit(self.entry[1][0]))
 
     # -- comparisons ---------------------------------------------------------
 

@@ -1,14 +1,13 @@
-"""Dense matrices of Laurent polynomials and sparse matrices of scalars.
+"""Sparse matrices over K[x,x^-1] and over K.
 
-A Laurent matrix is a grid of entries over K[x,x^-1]; which subring
-(K[x], K[x^-1]) a matrix lives over belongs to the complex or chart that
-holds it, and is checked there (``ChainComplex.validate``, the
-``SheafComplex`` constructor, the file loader).
-Storage is dense row-major, suitable for the desk-scale sizes this package
-targets; products and the determinant are computed on the entries
-(``LaurentPoly.entry``) with the coefficient-list arithmetic of
-``polylists``.  Scalar matrices over K store sparse rows and
-carry the one exact rank kernel, ``scalar_rank``.
+Both store ``data[i]``, row i as a dict ``{col: value}`` of its nonzero
+values.  A Laurent matrix holds ``polylists`` entries (v, c), c a tuple,
+columns ascending, which every producer builds and every kernel reads as
+is; a ``LaurentPoly`` appears only at the boundary (``d[i, j]``, the
+determinant).  Which subring (K[x], K[x^-1]) it lives over is checked by
+the complex or chart that holds it (``ChainComplex.validate``, the
+``SheafComplex`` constructor, the file loader).  A scalar matrix holds
+ring elements and carries the one exact rank kernel, ``scalar_rank``.
 """
 
 from __future__ import annotations
@@ -19,76 +18,75 @@ from math import gcd, lcm, prod
 from . import polylists
 from .errors import ShapeError
 from .laurent import LaurentPoly
+from .polylists import MINUS_ONE, ONE, lincomb
 from .scalars import CoefficientRing, check_same_ring
 
 
-class LaurentMatrix:
-    """Immutable rows x cols matrix over K[x,x^-1]; its entries are not
-    scanned."""
+class _Rows:
+    """rows x cols matrix of sparse rows, which are not scanned."""
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    __slots__ = ("ring", "rows", "cols", "data")
 
-    def __init__(self, ring: CoefficientRing, rows: int, cols: int, entries):
+    def __init__(self, ring: CoefficientRing, rows: int, cols: int, data):
         if rows < 0 or cols < 0:
             raise ShapeError("negative matrix dimensions")
+        if len(data) != rows:
+            raise ShapeError(f"{len(data)} row dicts for {rows} rows")
         self.ring = ring
         self.rows = rows
         self.cols = cols
-        if len(entries) != rows or any(len(r) != cols for r in entries):
-            raise ShapeError(
-                f"entry grid does not match shape {rows}x{cols}"
-            )
-        self.entries = tuple(tuple(row) for row in entries)
+        self.data = data
 
-    # -- constructors ---------------------------------------------------
+
+def _row(acc: dict) -> dict:
+    """The nonzero entries of ``acc`` in ascending columns, each c a
+    tuple."""
+    return {j: (e[0], tuple(e[1])) for j, e in sorted(acc.items())
+            if e is not None}
+
+
+class LaurentMatrix(_Rows):
+    """Matrix over K[x,x^-1] (see the module docstring); nothing changes
+    its rows once built, but they are dicts, so it is not hashable."""
+
+    __slots__ = ()
 
     @classmethod
     def zero(cls, ring, rows, cols):
-        z = LaurentPoly.zero(ring)
-        return cls(ring, rows, cols, [[z] * cols for _ in range(rows)])
+        return cls(ring, rows, cols, [{} for _ in range(rows)])
 
-    # -- access -----------------------------------------------------------
-
-    def __getitem__(self, pos):
+    def __getitem__(self, pos) -> LaurentPoly:
         i, j = pos
-        return self.entries[i][j]
+        return LaurentPoly.from_entry(self.ring, self.data[i].get(j))
 
     @property
     def is_zero(self) -> bool:
-        return all(p.is_zero for row in self.entries for p in row)
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def nonzero_entries(self):
-        for i, row in enumerate(self.entries):
-            for j, p in enumerate(row):
-                if not p.is_zero:
-                    yield i, j, p
+        return not any(self.data)
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _same_shape(self, other):
+    def _combined(self, g, other):
+        """self + g*other for g = ONE or MINUS_ONE."""
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeError(
                 f"shape mismatch {self.rows}x{self.cols} vs "
                 f"{other.rows}x{other.cols}"
             )
+        check_same_ring(self.ring, other.ring)
+        p = self.ring.p
+        return LaurentMatrix(self.ring, self.rows, self.cols, [
+            _row({j: lincomb(ONE, a.get(j), g, b.get(j), p)
+                  for j in a.keys() | b.keys()})
+            for a, b in zip(self.data, other.data)])
 
     def __add__(self, other):
-        self._same_shape(other)
-        return LaurentMatrix(
-            self.ring, self.rows, self.cols,
-            [[self.entries[i][j] + other.entries[i][j]
-              for j in range(self.cols)] for i in range(self.rows)])
+        return self._combined(ONE, other)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combined(MINUS_ONE, other)
 
     def __neg__(self):
-        return LaurentMatrix(self.ring, self.rows, self.cols,
-                             [[-p for p in row] for row in self.entries])
+        return LaurentMatrix.zero(self.ring, self.rows, self.cols) - self
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -97,13 +95,14 @@ class LaurentMatrix:
                 f"{other.rows}x{other.cols}"
             )
         check_same_ring(self.ring, other.ring)
-        ring = self.ring
-        # with no rows, other still has other.cols (empty) columns
-        cols = [[p.entry for p in col] for col in zip(*other.entries)] \
-            or [[]] * other.cols
-        out = [[LaurentPoly.from_entry(ring, polylists.dot(row, col, ring.p))
-                for col in cols]
-               for row in ([p.entry for p in row] for row in self.entries)]
+        p = self.ring.p
+        out = []
+        for row in self.data:
+            acc = {}
+            for k, a in row.items():
+                for j, b in other.data[k].items():
+                    acc[j] = lincomb(a, b, ONE, acc.get(j), p)
+            out.append(_row(acc))
         return LaurentMatrix(self.ring, self.rows, other.cols, out)
 
     # -- determinant (fraction-free Bareiss) --------------------------------
@@ -115,10 +114,10 @@ class LaurentMatrix:
         Over Q each row is first cleared of its denominators, and the
         integer determinant is divided by their product.
         """
-        if not self.is_square:
+        if self.rows != self.cols:
             raise ShapeError("determinant of a non-square matrix")
         ring = self.ring
-        rows = [[p.entry for p in row] for row in self.entries]
+        rows = [[row.get(j) for j in range(self.cols)] for row in self.data]
         if ring.kind != "Q":
             return LaurentPoly.from_entry(
                 ring, polylists.determinant(rows, ring.p))
@@ -134,38 +133,23 @@ class LaurentMatrix:
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
         return (self.ring == other.ring and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.ring, self.rows, self.cols, self.entries))
+                and self.cols == other.cols
+                and all(a == b for a, b in zip(self.data, other.data)))
 
     def __repr__(self):
         if self.rows == 0 or self.cols == 0:
             return f"<{self.rows}x{self.cols} empty>"
-        body = "; ".join(
-            ", ".join(str(p) for p in row) for row in self.entries)
-        return f"[{body}]"
+        return "[" + "; ".join(
+            ", ".join(str(self[i, j]) for j in range(self.cols))
+            for i in range(self.rows)) + "]"
 
 
-class ScalarMatrix:
-    """Sparse rows x cols matrix over the coefficient ring K.
-
-    ``data[i]`` is row i as a dict ``{col: value}``; absent columns are
-    zero.  Values are exact ring elements (ints for GF(p) and Z, Fractions
-    or ints over Q).  Every differential of a ``ScalarComplex`` is one.
+class ScalarMatrix(_Rows):
+    """Matrix over K of exact ring elements (ints for GF(p) and Z,
+    Fractions or ints over Q): every differential of a ``ScalarComplex``.
     """
 
-    __slots__ = ("ring", "rows", "cols", "data")
-
-    def __init__(self, ring: CoefficientRing, rows: int, cols: int, data):
-        if rows < 0 or cols < 0:
-            raise ShapeError("negative matrix dimensions")
-        if len(data) != rows:
-            raise ShapeError(f"{len(data)} row dicts for {rows} rows")
-        self.ring = ring
-        self.rows = rows
-        self.cols = cols
-        self.data = data
+    __slots__ = ()
 
 
 def scalar_rank(m: ScalarMatrix) -> int:

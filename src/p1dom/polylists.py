@@ -3,11 +3,11 @@ elimination kernels share, and the only module that divides them.
 
 An entry is None (zero) or a pair (v, c): the Laurent polynomial
 x^v * (c[0] + c[1] x + ... + c[n] x^n) with c[0] and c[-1] nonzero, so its
-core degree is len(c) - 1 and its x-adic valuation is v.  A ``LaurentPoly``
-stores exactly its entry (``LaurentPoly.entry``, c a tuple of canonical
-coefficients: residues mod p over GF(p), ints over Z, Fractions over Q),
-its arithmetic runs on ``lincomb``, ``scaled`` and ``trim``, and every
-kernel reads the entry as is, so no c is ever changed in place.  The
+core degree is len(c) - 1 and its x-adic valuation is v.  A Laurent
+matrix row and a ``LaurentPoly`` store entries with c a tuple of canonical
+coefficients (residues mod p over GF(p), ints over Z, Fractions over Q),
+their arithmetic runs on ``lincomb``, ``scaled`` and ``trim``, and every
+kernel reads the entries as is, so no c is ever changed in place.  The
 kernels clear a Q row or column of denominators once (``cleared``,
 ``integer_row``) and then eliminate on int coefficients with p = 0.
 
@@ -116,10 +116,12 @@ def lincomb(f, a, g, b, p):
 
 
 def dot(xs, ys, p):
-    """The sum of x*y over the pairs of entries of xs and ys."""
+    """The sum of xs[k]*ys[k] over the keys k that the dicts of entries
+    xs and ys share."""
     acc = None
-    for x, y in zip(xs, ys):
-        if x is not None and y is not None:
+    for k, x in xs.items():
+        y = ys.get(k)
+        if y is not None:
             acc = lincomb(x, y, ONE, acc, p)
     return acc
 

@@ -15,9 +15,10 @@ from functools import lru_cache
 
 from .errors import NotAUnitError, RingMismatchError, UnsupportedRingError
 
-# coefficient strings of every file format; unlike int(), [0-9] is ASCII only
+# coefficient strings and ring moduli; unlike int(), [0-9] is ASCII only
 _DECIMAL = re.compile(r"-?[0-9]+")
 _FRACTION = re.compile(r"-?[0-9]+/[0-9]+")
+_MODULUS = re.compile(r"GF\(([0-9]+)\)|GF:([0-9]+)")
 
 
 def _is_prime(n: int) -> bool:
@@ -83,9 +84,6 @@ class CoefficientRing:
 
     # -- element constructors -------------------------------------------
 
-    def zero(self):
-        return Fraction(0) if self.kind == "Q" else 0
-
     def one(self):
         return Fraction(1) if self.kind == "Q" else 1
 
@@ -107,12 +105,6 @@ class CoefficientRing:
             f"coefficient {value!r} is not an exact element of {self.tag}")
 
     # -- arithmetic ------------------------------------------------------
-
-    def add(self, a, b):
-        return (a + b) % self.p if self.kind == "GF" else a + b
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.kind == "GF" else a * b
 
     def is_unit(self, a) -> bool:
         if self.kind == "Z":
@@ -164,19 +156,18 @@ def GF(p: int) -> CoefficientRing:
 def ring_from_tag(tag: str) -> CoefficientRing:
     """Parse the ring tags used in file headers and on the command line.
 
-    Accepts ``Q``, ``Z``, ``GF(p)`` and the CLI spelling ``GF:p``.  A
-    ``CoefficientRing`` is frozen, so a tag seen before returns the ring
+    Accepts ``Q``, ``Z``, ``GF(p)`` and the CLI spelling ``GF:p``, p in
+    ASCII ``[0-9]+`` as in coefficient strings, and nothing around them.
+    A ``CoefficientRing`` is frozen, so a tag seen before returns the ring
     built then, with no second primality test; a bad tag raises each time.
     """
-    tag = tag.strip()
     if tag == "Q":
         return QQ
     if tag == "Z":
         return ZZ
-    if tag.startswith("GF(") and tag.endswith(")"):
-        return GF(int(tag[3:-1]))
-    if tag.startswith("GF:"):
-        return GF(int(tag[3:]))
+    modulus = _MODULUS.fullmatch(tag)
+    if modulus:
+        return GF(int(modulus[1] or modulus[2]))
     raise UnsupportedRingError(f"unknown ring tag {tag!r}")
 
 

@@ -62,12 +62,12 @@ def group_series():
 
 def group_exact_algebra():
     ring = QQ
-    a = LaurentMatrix(ring, 1, 1, [[_poly(ring, [(1, 1), (0, -1)])]])
+    a = LaurentMatrix(ring, 1, 1, [{0: _poly(ring, [(1, 1), (0, -1)]).entry}])
     if [str(f) for f in invariant_factors(a)] != ["-1 + x"]:
         return False, "single-entry normal form"
     diag = LaurentMatrix(ring, 2, 2, [
-        [_poly(ring, [(1, 1)]), LaurentPoly.zero(ring)],
-        [LaurentPoly.zero(ring), _poly(ring, [(2, 1), (1, -1)])]])
+        {0: _poly(ring, [(1, 1)]).entry},
+        {1: _poly(ring, [(2, 1), (1, -1)]).entry}])
     if [str(f) for f in invariant_factors(diag)] != ["1", "-1 + x"]:
         return False, "unit-monomial normalisation"
     if invariant_factors(LaurentMatrix.zero(ring, 2, 3)) != ():

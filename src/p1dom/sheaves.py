@@ -16,7 +16,7 @@ stored or built: ``chart_exponents`` gives the exponents the chart
 valuations of the witness read.
 
 The gluing rule for a torus map between two twist sums is written once:
-``chart_shifts`` gives each nonzero entry its two chart exponents, and
+``chart_shifts`` gives each entry of its rows its two chart exponents, and
 ``twist_shift`` the least twist of the target that makes every entry
 legal.  The extension of complexes (``extension``) solves the rule, as
 do the tests' lifts of morphisms and cones.  The public SheafComplex
@@ -29,7 +29,8 @@ by ``twist_shift`` and so is legal by construction (the proof is in
 Global sections and first cohomology of a sum of twists are banded monomial
 spaces: for a summand of twist n = k + l the section basis is
 x^-l, ..., x^k (when n >= 0) and the obstruction basis is
-x^{k+1}, ..., x^{-l-1} (when n <= -2).
+x^{k+1}, ..., x^{-l-1} (when n <= -2).  ``cech_complex`` fills W's rows
+straight from the entries of each differential's rows.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from .complexes import ChainComplex, ScalarComplex
 from .errors import (BaseRingViolationError, NonVanishingH1Error,
                      ShapeError, UnsupportedRingError)
-from .laurent import BaseRing
+from .laurent import BaseRing, LaurentPoly
 from .matrices import LaurentMatrix, ScalarMatrix
 
 
@@ -56,31 +57,30 @@ class TwistSummand:
 
 
 def chart_shifts(d: LaurentMatrix, target, source):
-    """(i, j, p, a, b) for each nonzero entry p = d[i][j] of a torus map d
-    from the twist sum ``source`` to the twist sum ``target`` (sequences
-    of TwistSummand): its chart entries are x^a p over K[x^-1] and x^b p
+    """(i, j, e, a, b) for each entry e = d[i][j] of the rows of a torus map
+    d from the twist sum ``source`` to the twist sum ``target`` (sequences
+    of TwistSummand): its chart entries are x^a e over K[x^-1] and x^b e
     over K[x], with the chart exponents
 
         a = k_j(source) - k_i(target),   b = l_i(target) - l_j(source),
 
-    so p is legal over K[x^-1] iff maxdeg p + a <= 0 and over K[x] iff
-    mindeg p + b >= 0.  This is the one gluing rule of the package."""
-    for i, (row, t) in enumerate(zip(d.entries, target)):
-        for j, (p, s) in enumerate(zip(row, source)):
-            if p.entry is not None:
-                yield i, j, p, s.k - t.k, t.l - s.l
+    so e is legal over K[x^-1] iff maxdeg e + a <= 0 and over K[x] iff
+    mindeg e + b >= 0.  This is the one gluing rule of the package."""
+    for i, (row, t) in enumerate(zip(d.data, target)):
+        for j, e in row.items():
+            s = source[j]
+            yield i, j, e, s.k - t.k, t.l - s.l
 
 
 def twist_shift(d: LaurentMatrix, target, source):
     """The least (k, l) >= (0, 0) such that d is legal on both charts once
     every summand of ``target`` is shifted by (k, l), which lowers each a
     of ``chart_shifts`` by k and raises each b by l: k is the largest
-    maxdeg p + a and l the largest -(mindeg p + b), each at least 0.
+    maxdeg e + a and l the largest -(mindeg e + b), each at least 0.
     None for the zero map, which any (k, l) makes legal."""
     k = l = 0
     zero = True
-    for _, _, p, a, b in chart_shifts(d, target, source):
-        v, c = p.entry
+    for _, _, (v, c), a, b in chart_shifts(d, target, source):
         zero = False
         if v + len(c) - 1 + a > k:
             k = v + len(c) - 1 + a
@@ -177,18 +177,18 @@ class SheafComplex:
                 raise ShapeError(f"level {m} has {len(ts)} twists for "
                                  f"rank {mid.rank(m)}")
         for m, d in mid.diffs.items():
-            for i, j, p, a, b in chart_shifts(d, self.twists[m - 1],
-                                              self.twists[m]):
-                v, c = p.entry
+            for i, j, (v, c), a, b in chart_shifts(d, self.twists[m - 1],
+                                                   self.twists[m]):
                 if v + len(c) - 1 + a > 0:
                     side, base, shift = "minus", BaseRing.POLY_INV, a
                 elif v + b < 0:
                     side, base, shift = "plus", BaseRing.POLY, b
                 else:
                     continue
+                entry = LaurentPoly.from_entry(mid.ring, (v + shift, c))
                 raise BaseRingViolationError(
                     f"degree {m}: {side} chart entry ({i},{j}) = "
-                    f"{p.times_monomial(shift)} violates {base.tag}")
+                    f"{entry} violates {base.tag}")
 
     @classmethod
     def _legal(cls, mid: ChainComplex, twists: dict) -> "SheafComplex":
@@ -263,10 +263,9 @@ def cech_complex(s: SheafComplex) -> ScalarComplex:
         # the columns of d as (row of the target band at x^0 plus the
         # entry's valuation, coefficients) over their nonzero entries
         columns = [[] for _ in range(d.cols)]
-        for off, row in zip(offsets[m - 1], d.entries):
-            for column, p in zip(columns, row):
-                if p.entry is not None:
-                    column.append((off + p.entry[0], p.entry[1]))
+        for off, row in zip(offsets[m - 1], d.data):
+            for j, (v, c) in row.items():
+                columns[j].append((off + v, c))
         col = 0
         for column, t in zip(columns, s.twists[m]):
             for e in range(-t.l, t.k + 1):

@@ -7,8 +7,8 @@ detection reads off the monic cores while unit factors normalise to the
 constant 1.
 
 The factors come from one elimination, the column echelon form of
-``_echelon``, on the entries of the input (``LaurentPoly.entry``, read as
-is) with the coefficient-list arithmetic of ``polylists``, which the
+``_echelon``, on the entries of the input's rows, read as is into dense
+columns, with the coefficient-list arithmetic of ``polylists``, which the
 chart valuations of ``domination`` share: residues mod p over GF(p), and
 integers over Q, as ``scalar_rank`` does for scalars after Bareiss
 (1968).  Each Q column is cleared of denominators once and kept
@@ -154,9 +154,9 @@ def _echelon(columns, rows, p):
 
 
 def _columns(a: LaurentMatrix, p):
-    """The columns of ``a``'s entries, over Q cleared of denominators and
-    primitive."""
-    columns = [[row[j].entry for row in a.entries] for j in range(a.cols)]
+    """The dense columns of ``a``'s entries, None for zero, over Q cleared
+    of denominators and primitive."""
+    columns = [[row.get(j) for row in a.data] for j in range(a.cols)]
     return columns if p else [integer_row(column) for column in columns]
 
 

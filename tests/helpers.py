@@ -4,13 +4,13 @@ import random
 from fractions import Fraction
 
 from p1dom import fileformat as ff
-from p1dom.complexes import ChainComplex, ScalarComplex
+from p1dom.complexes import ChainComplex, HomologyEntry, ScalarComplex
 from p1dom.domination import _chart_direction, _torsion_dims, chart_homology
 from p1dom.errors import (BaseRingViolationError, RingMismatchError,
                           ShapeError, UnsupportedRingError)
 from p1dom.generators import (_conjugated, _invertible_pair, _poly_entry,
                               random_complex, random_novikov_acyclic)
-from p1dom.laurent import BaseRing, LaurentPoly
+from p1dom.laurent import BaseRing, LaurentPoly, _exponent
 from p1dom.matrices import LaurentMatrix, ScalarMatrix, scalar_rank
 from p1dom.polylists import (MINUS_ONE, ONE, cleared, dot, integer_row,
                              lincomb, pseudo_divmod, scaled)
@@ -37,6 +37,95 @@ def inverse_unit(p):
     return LaurentPoly.from_entry(p.ring, (-v, (p.ring.invert(c),)))
 
 
+# -- members the library does not call -----------------------------------------
+
+
+def zero(ring):
+    """The zero of a coefficient ring."""
+    return Fraction(0) if ring.kind == "Q" else 0
+
+
+def add(ring, a, b):
+    """a + b in a coefficient ring."""
+    return (a + b) % ring.p if ring.p else a + b
+
+
+def mul(ring, a, b):
+    """a * b in a coefficient ring."""
+    return (a * b) % ring.p if ring.p else a * b
+
+
+def is_unit(p):
+    """Whether the LaurentPoly p is a unit of K[x,x^-1]: a single term
+    with a unit coefficient."""
+    return (p.entry is not None and len(p.entry[1]) == 1
+            and p.ring.is_unit(p.entry[1][0]))
+
+
+def respects(p, base):
+    """Whether every exponent of the LaurentPoly p lies in ``base``."""
+    return base.admits(p.entry)
+
+
+def times_monomial(p, exponent, coeff=None):
+    """coeff * x^exponent * p for a LaurentPoly p (coeff as for
+    ``LaurentPoly.scale``); the exponent must be an int."""
+    _exponent(exponent)
+    out = p if coeff is None else p.scale(coeff)
+    if out.entry is None:
+        return out
+    v, c = out.entry
+    return LaurentPoly.from_entry(p.ring, (v + exponent, c))
+
+
+def vanishes(x):
+    """Whether a HomologyEntry is zero, or a ChainComplex or ScalarComplex
+    has rank zero in every degree."""
+    if isinstance(x, HomologyEntry):
+        return x.free_rank == 0 and not x.torsion
+    return not any(x.ranks.values())
+
+
+def zero_complex(ring, base=BaseRing.LAURENT):
+    """The zero complex, supported in degree 0."""
+    return ChainComplex(ring, base, 0, 0)
+
+
+def load_complex(path):
+    """The complex of a complex file."""
+    with open(path, encoding="utf-8") as fh:
+        return ff.complex_from_dict(ff.loads(fh.read()))
+
+
+# -- matrices as grids ----------------------------------------------------------
+
+
+def grid_matrix(ring, rows, cols, grid):
+    """The LaurentMatrix of a rows x cols grid of LaurentPoly, each nonzero
+    cell stored as its entry."""
+    if len(grid) != rows or any(len(row) != cols for row in grid):
+        raise ShapeError(f"entry grid does not match shape {rows}x{cols}")
+    for row in grid:
+        for q in row:
+            check_same_ring(ring, q.ring)
+    return LaurentMatrix(ring, rows, cols, [
+        {j: q.entry for j, q in enumerate(row) if q.entry is not None}
+        for row in grid])
+
+
+def dense(m):
+    """The cells of a LaurentMatrix as a grid of LaurentPoly."""
+    return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+
+
+def nonzero_entries(m):
+    """(i, j, LaurentPoly) for each nonzero cell of a LaurentMatrix, row
+    by row."""
+    for i, row in enumerate(m.data):
+        for j, e in row.items():
+            yield i, j, LaurentPoly.from_entry(m.ring, e)
+
+
 def M(ring, rows, base=BaseRing.LAURENT):
     """Matrix from a grid of (exponent, coeff) pair-lists or ints, each
     entry checked to lie in ``base``.
@@ -50,26 +139,22 @@ def M(ring, rows, base=BaseRing.LAURENT):
         for cell in row:
             if isinstance(cell, int):
                 out.append(P(ring, (0, cell)) if cell else
-                           LaurentPoly.zero(ring))
+                           P(ring))
             else:
                 out.append(P(ring, *cell))
         grid.append(out)
-    nrows = len(grid)
-    ncols = len(grid[0]) if grid else 0
-    m = LaurentMatrix(ring, nrows, ncols, grid)
+    m = grid_matrix(ring, len(grid), len(grid[0]) if grid else 0, grid)
     check_base(m, base)
     return m
 
 
 def check_base(m, base):
-    """Raise unless every entry of the LaurentMatrix m is over its ring
-    and respects ``base``."""
-    for i, row in enumerate(m.entries):
-        for j, p in enumerate(row):
-            check_same_ring(m.ring, p.ring)
-            if not p.respects(base):
-                raise BaseRingViolationError(
-                    f"entry ({i},{j}) = {p} violates {base.tag}")
+    """Raise unless every entry of the LaurentMatrix m respects
+    ``base``."""
+    for i, j, p in nonzero_entries(m):
+        if not respects(p, base):
+            raise BaseRingViolationError(
+                f"entry ({i},{j}) = {p} violates {base.tag}")
 
 
 def two_term(ring, pairs, top=1, base=BaseRing.LAURENT):
@@ -93,7 +178,7 @@ def window_complex(c: ChainComplex, order: int) -> ScalarComplex:
         src = c.rank(m)
         tgt = c.rank(m - 1)
         rows = [{} for _ in range(ranks[m - 1])]
-        for i, j, p in c.diff(m).nonzero_entries():
+        for i, j, p in nonzero_entries(c.diff(m)):
             for e, coeff in p.items():
                 shift = e * direction
                 for tau in range(order - shift):
@@ -104,8 +189,11 @@ def window_complex(c: ChainComplex, order: int) -> ScalarComplex:
 
 def transpose(a):
     """The transpose of a LaurentMatrix."""
-    return LaurentMatrix(a.ring, a.cols, a.rows, [
-        [a.entries[i][j] for i in range(a.rows)] for j in range(a.cols)])
+    data = [{} for _ in range(a.cols)]
+    for i, row in enumerate(a.data):
+        for j, e in row.items():
+            data[j][i] = e
+    return LaurentMatrix(a.ring, a.cols, a.rows, data)
 
 
 def S(ring, grid):
@@ -117,7 +205,7 @@ def S(ring, grid):
 
 def random_matrix(rng, ring, rows, cols, span=3):
     """Laurent matrix with up to three random terms per entry."""
-    return LaurentMatrix(ring, rows, cols, [
+    return grid_matrix(ring, rows, cols, [
         [LaurentPoly(ring, {rng.randint(-span, span):
                             ring.from_int(rng.randint(-4, 4))
                             for _ in range(rng.randint(0, 3))})
@@ -155,14 +243,11 @@ def homology_case(seed, ring, kind):
 
 def constants(m):
     """The ScalarMatrix of a LaurentMatrix whose entries are constants."""
-    data = []
-    for row in m.entries:
-        data.append({})
-        for j, p in enumerate(row):
-            if p.entry is not None:
-                assert p.entry[0] == 0 and len(p.entry[1]) == 1, p
-                data[-1][j] = p.entry[1][0]
-    return ScalarMatrix(m.ring, m.rows, m.cols, data)
+    for row in m.data:
+        for e in row.values():
+            assert e[0] == 0 and len(e[1]) == 1, e
+    return ScalarMatrix(m.ring, m.rows, m.cols, [
+        {j: e[1][0] for j, e in row.items()} for row in m.data])
 
 
 def betti_numbers(d):
@@ -198,12 +283,12 @@ def evaluate(p, point):
     exponents occur)."""
     ring = p.ring
     v, c = p.entry or (0, ())
-    total = ring.zero()
+    total = zero(ring)
     for x in reversed(c):  # Horner's rule, then times point^v
-        total = ring.add(ring.mul(total, point), x)
+        total = add(ring, mul(ring, total, point), x)
     unit = point if v >= 0 else ring.invert(point)
     for _ in range(abs(v)):
-        total = ring.mul(total, unit)
+        total = mul(ring, total, unit)
     return total
 
 
@@ -221,15 +306,14 @@ def unit_normalise(p):
 def scalar_diag(ring, polys):
     """The diagonal LaurentMatrix of ``polys``."""
     n = len(polys)
-    z = LaurentPoly.zero(ring)
-    return LaurentMatrix(ring, n, n, [[polys[i] if i == j else z
-                                       for j in range(n)] for i in range(n)])
+    return LaurentMatrix(ring, n, n, [{i: p.entry} if p.entry else {}
+                                      for i, p in enumerate(polys)])
 
 
 def submatrix(a, row_idx, col_idx):
     """The rows ``row_idx`` and columns ``col_idx`` of a LaurentMatrix."""
-    return LaurentMatrix(a.ring, len(row_idx), len(col_idx),
-                         [[a.entries[i][j] for j in col_idx] for i in row_idx])
+    return grid_matrix(a.ring, len(row_idx), len(col_idx),
+                       [[a[i, j] for j in col_idx] for i in row_idx])
 
 
 def identity(ring, n):
@@ -253,14 +337,16 @@ def block(ring, grid):
     widths = [_block_size("column", j, {b.cols for b in bcol
                                          if b is not None})
               for j, bcol in enumerate(zip(*grid))]
-    z = LaurentPoly.zero(ring)
-    entries = []
+    data = []
     for brow, height in zip(grid, heights):
         for r in range(height):
-            entries.append([p for b, width in zip(brow, widths)
-                            for p in (b.entries[r] if b is not None
-                                      else [z] * width)])
-    return LaurentMatrix(ring, sum(heights), sum(widths), entries)
+            row, offset = {}, 0
+            for b, width in zip(brow, widths):
+                if b is not None:
+                    row.update((offset + j, e) for j, e in b.data[r].items())
+                offset += width
+            data.append(row)
+    return LaurentMatrix(ring, sum(heights), sum(widths), data)
 
 
 def _block_size(kind, index, sizes):
@@ -274,17 +360,16 @@ def _block_size(kind, index, sizes):
 def monomial_scale(a, row_exps, col_exps):
     """Entry (i, j) of the LaurentMatrix a times x^(row_exps[i] +
     col_exps[j])."""
-    return LaurentMatrix(
-        a.ring, a.rows, a.cols,
-        [[p.times_monomial(e + f) for p, f in zip(row, col_exps)]
-         for row, e in zip(a.entries, row_exps)])
+    return LaurentMatrix(a.ring, a.rows, a.cols, [
+        {j: (v + e + col_exps[j], c) for j, (v, c) in row.items()}
+        for row, e in zip(a.data, row_exps)])
 
 
 def coeff(p, exponent):
     """The coefficient of x^exponent in the LaurentPoly p."""
     v, c = p.entry or (0, ())
     k = exponent - v
-    return c[k] if 0 <= k < len(c) and c[k] else p.ring.zero()
+    return c[k] if 0 <= k < len(c) and c[k] else zero(p.ring)
 
 
 def random_poly(rng, ring, min_exp=-3, max_exp=3, terms=3, nonzero=False):
@@ -296,11 +381,16 @@ def random_poly(rng, ring, min_exp=-3, max_exp=3, terms=3, nonzero=False):
 # -- kernels by column echelon form ---------------------------------------------
 
 
-def _poly(ring, e):
-    """The LaurentPoly of a kernel entry, int coefficients made Fractions
-    over Q."""
-    return LaurentPoly.from_entry(ring, e if e is None or ring.p else (
-        e[0], tuple(map(Fraction, e[1]))))
+def _entry(ring, e):
+    """A kernel entry as a matrix stores it: c a tuple, int coefficients
+    made Fractions over Q."""
+    return e and (e[0], tuple(e[1]) if ring.p else tuple(map(Fraction,
+                                                             e[1])))
+
+
+def _dot(xs, ys, p):
+    """``polylists.dot`` of two lists of entries, None for zero."""
+    return dot(dict(enumerate(xs)), dict(enumerate(ys)), p)
 
 
 def _column_echelon(a):
@@ -313,7 +403,7 @@ def _column_echelon(a):
     rows, n = a.rows, a.cols
     columns = []
     for j in range(n):
-        column = [row[j].entry for row in a.entries] + [None] * n
+        column = [row.get(j) for row in a.data] + [None] * n
         column[rows + j] = ONE
         columns.append(column if p else integer_row(column))
     return columns, _echelon(columns, rows, p)
@@ -325,7 +415,8 @@ def kernel_basis(a):
     columns, pivots = _column_echelon(a)
     kernel = columns[len(pivots):]
     return LaurentMatrix(a.ring, a.cols, len(kernel), [
-        [_poly(a.ring, column[a.rows + i]) for column in kernel]
+        {t: _entry(a.ring, column[a.rows + i])
+         for t, column in enumerate(kernel) if column[a.rows + i]}
         for i in range(a.cols)])
 
 
@@ -350,9 +441,9 @@ def kernel_coordinates(k, b):
         y = []
         for i in range(k.rows):
             # what row i of H*Y = b leaves for the entries of Y not yet fixed
-            rest = lincomb(ONE, b.entries[i][j].entry, MINUS_ONE,
-                           dot([column[i] for column in columns[:len(y)]],
-                               y, p), p)
+            rest = lincomb(ONE, b.data[i].get(j), MINUS_ONE,
+                           _dot([column[i] for column in columns[:len(y)]],
+                                y, p), p)
             t = len(y)
             if t < r and pivots[t] == i:
                 if rest is None:
@@ -372,10 +463,10 @@ def kernel_coordinates(k, b):
                 f"column {j} is not in the span of the matrix columns")
         solution.append(y)
     # X = V*Y
+    x = [[_dot([column[k.rows + i] for column in columns[:r]], y, p)
+          for y in solution] for i in range(k.cols)]
     return LaurentMatrix(ring, k.cols, b.cols, [
-        [LaurentPoly.from_entry(ring, dot(
-            [column[k.rows + i] for column in columns[:r]], y, p))
-         for y in solution] for i in range(k.cols)])
+        {j: _entry(ring, e) for j, e in enumerate(row) if e} for row in x])
 
 
 # -- complexes and sheaves ------------------------------------------------------
@@ -472,26 +563,35 @@ def chart(s, side, base=None):
 
 
 def random_invertible_pair(rng, ring, n, span=1):
-    """(T, T^-1) of ``generators._invertible_pair`` as Laurent matrices."""
-    return tuple(LaurentMatrix(ring, n, n, [
-        [LaurentPoly.from_entry(ring, e) for e in row] for row in grid])
-        for grid in _invertible_pair(rng, ring, n, span))
+    """(T, T^-1) of ``generators._invertible_pair``."""
+    return _invertible_pair(rng, ring, n, span)
 
 
 def basis_change(rng, c, span=1):
     """Conjugate by random invertible matrices in every degree: the
     complex T_{m-1}^-1 d_m T_m of ``generators._conjugated``."""
-    grids = {m: [[p.entry for p in row] for row in d.entries]
-             for m, d in c.diffs.items()}
-    return _conjugated(rng, c.ring, c.base, c.ranks, grids, span)
+    return _conjugated(rng, c.ring, c.base, c.ranks,
+                       {m: d.data for m, d in c.diffs.items()}, span)
+
+
+def grid_product(a, b):
+    """a @ b for LaurentMatrix a and b, each cell summed with
+    ``LaurentPoly`` arithmetic over the dense grids: the oracle of the
+    products on rows."""
+    ga, gb = dense(a), dense(b)
+    z = P(a.ring)
+    return grid_matrix(a.ring, a.rows, b.cols, [
+        [sum((ga[i][k] * gb[k][j] for k in range(a.cols)), z)
+         for j in range(b.cols)] for i in range(a.rows)])
 
 
 def basis_change_reference(rng, c, span=1):
-    """``basis_change`` as T^-1 @ d @ T with ``LaurentMatrix``
-    products, on the pairs of ``random_invertible_pair``: the same draws
-    give the same complex."""
+    """``basis_change`` as T^-1 d T with ``grid_product``, on the pairs
+    of ``random_invertible_pair``: the same draws give the same
+    complex."""
     pairs = {m: random_invertible_pair(rng, c.ring, c.rank(m), span=span)
              for m in c.degrees()}
-    diffs = {m: pairs[m - 1][1] @ c.diff(m) @ pairs[m][0]
+    diffs = {m: grid_product(grid_product(pairs[m - 1][1], c.diff(m)),
+                             pairs[m][0])
              for m in range(c.lo + 1, c.hi + 1)}
     return ChainComplex(c.ring, c.base, c.lo, c.hi, c.ranks, diffs)

@@ -26,10 +26,10 @@ from p1dom.matrices import LaurentMatrix
 from p1dom.sheaves import SheafComplex, twist_shift
 from p1dom.smith import invariant_factors
 
-from helpers import (M, block, chart, core_degree, direct_sum, identity,
-                     kernel_basis, kernel_coordinates, monomial,
+from helpers import (M, block, chart, core_degree, direct_sum, grid_matrix,
+                     identity, kernel_basis, kernel_coordinates, monomial,
                      monomial_scale, random_poly, scalar_diag, shift,
-                     shifted_summand, two_term)
+                     shifted_summand, two_term, vanishes, zero_complex)
 
 
 # -- chain maps, homotopies and cones ------------------------------------------
@@ -103,7 +103,7 @@ class Homotopy(GradedMap):
 
 
 def is_acyclic(c: ChainComplex) -> bool:
-    return all(e.is_zero for e in homology(c).entries.values())
+    return all(vanishes(e) for e in homology(c).entries.values())
 
 
 def cone(f: ChainMap):
@@ -361,7 +361,7 @@ def diagram_with_a_non_chain_map(ring):
     the identity in degree 1 and zero in degree 0, which is no chain map:
     f d = 0 but d f = x - 1."""
     c = two_term(ring, [(1, 1), (0, -1)])
-    zero = ChainComplex.zero(ring)
+    zero = zero_complex(ring)
     return ComplexDiagram(c, c, zero, ChainMap(c, c, {1: M(ring, [[1]])}),
                           ChainMap(zero, c))
 
@@ -476,7 +476,7 @@ def null_homotopic_map(rng, source: ChainComplex,
     lo = min(source.lo, target.lo) - 1
     hi = max(source.hi, target.hi)
     h = Homotopy(source, target, {
-        m: LaurentMatrix(
+        m: grid_matrix(
             ring, target.rank(m + 1), source.rank(m),
             [[random_poly(rng, ring, -span, span, 2)
               for _ in range(source.rank(m))]

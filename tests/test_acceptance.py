@@ -19,7 +19,7 @@ from p1dom.laurent import BaseRing
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import cech_cohomology, cech_complex, twisting_sheaf
 
-from helpers import M, maxdeg, mindeg, two_term
+from helpers import M, maxdeg, mindeg, nonzero_entries, two_term
 from paper_lemmas import (ChainMap, cone, diagram_with_a_non_chain_map,
                           extend_cone, iota, is_acyclic, is_quasi_iso,
                           phi_star, quasi_iso_inflation,
@@ -37,7 +37,7 @@ def _mixed_ring(i):
 def _exponents_bounded(c, bound=3):
     return all(-bound <= mindeg(p) and maxdeg(p) <= bound
                for m in range(c.lo + 1, c.hi + 1)
-               for _, _, p in c.diff(m).nonzero_entries())
+               for _, _, p in nonzero_entries(c.diff(m)))
 
 
 def test_criterion_twist_cohomology_table():

@@ -22,12 +22,11 @@ from p1dom.errors import (ShapeError, StabilisationFailureError,
 from p1dom.extension import extend_complex
 from p1dom.generators import random_complex, random_novikov_acyclic
 from p1dom.laurent import BaseRing, LaurentPoly
-from p1dom.matrices import LaurentMatrix
 from p1dom.scalars import GF, QQ
 from p1dom.smith import invariant_factors
 
-from helpers import (P, chart, chart_homology_dims, check_base, maxdeg,
-                     mindeg, two_term, window_complex)
+from helpers import (P, chart, chart_homology_dims, check_base, grid_matrix,
+                     maxdeg, mindeg, two_term, window_complex)
 
 RINGS = [QQ, GF(7), GF(10007)]
 FREE = "{} chart homology has a free part in degree {}"
@@ -150,8 +149,8 @@ def test_free_chart_homology_never_stabilises():
 def test_rank_excess_is_an_invalid_chart_complex():
     # d_1 = x and d_2 = 1 have rank 1 each over K((x)), one more than C_1
     c = ChainComplex(QQ, BaseRing.POLY, 0, 2, {0: 1, 1: 1, 2: 1}, {
-        1: LaurentMatrix(QQ, 1, 1, [[P(QQ, (1, 1))]]),
-        2: LaurentMatrix(QQ, 1, 1, [[P(QQ, (0, 1))]])})
+        1: grid_matrix(QQ, 1, 1, [[P(QQ, (1, 1))]]),
+        2: grid_matrix(QQ, 1, 1, [[P(QQ, (0, 1))]])})
     with pytest.raises(ShapeError,
                        match=r"^invalid complex: degree 2: d\.d != 0$"):
         chart_homology_dims(c)
@@ -173,7 +172,7 @@ def test_square_valuations_sum_to_determinant_valuation(ring, sign):
                                     for e in range(rng.randint(0, 2),
                                                    rng.randint(1, 4))})
                  for _ in range(n)] for _ in range(n)]
-        d = LaurentMatrix(ring, n, n, grid)
+        d = grid_matrix(ring, n, n, grid)
         check_base(d, base)
         det = d.determinant()
         vals = _elementary_valuations(d, sign)
@@ -213,7 +212,7 @@ def test_elimination_degrees_grow_linearly(monkeypatch):
                                                      * rng.randint(1, 6))
                                     for e in range(deg + 1)})
                  for _ in range(n)] for _ in range(n)]
-        d = LaurentMatrix(ring, n, n, grid)
+        d = grid_matrix(ring, n, n, grid)
         degrees.clear()
         bits.clear()
         assert len(domination._elementary_valuations(d, 1)) == n
@@ -227,7 +226,7 @@ def test_elimination_degrees_grow_linearly(monkeypatch):
 def test_chart_stage_does_no_laurent_or_fraction_arithmetic(monkeypatch):
     # the witness reads both charts' valuations off the middle complex and
     # the twists, on coefficient lists: no chart complex, no LaurentPoly
-    # product or shift and no Fraction arithmetic
+    # built or multiplied and no Fraction arithmetic
     import p1dom.domination as domination
 
     rng = random.Random(5)
@@ -247,7 +246,7 @@ def test_chart_stage_does_no_laurent_or_fraction_arithmetic(monkeypatch):
         monkeypatch.setattr(cls, name, wrapper)
 
     for name in ("__add__", "__sub__", "__mul__", "__neg__",
-                 "times_monomial", "scale"):
+                 "from_entry", "scale"):
         recording(LaurentPoly, name)
     for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__"):
         recording(Fraction, name)

@@ -15,7 +15,7 @@ from p1dom.laurent import BaseRing
 from p1dom.scalars import QQ, ZZ
 from p1dom.sheaves import SheafComplex, TwistSummand
 
-from helpers import M, chart, two_term
+from helpers import M, chart, load_complex, two_term
 
 SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
 
@@ -214,7 +214,7 @@ def test_extend_h0_pipeline(xm1_file, tmp_path, capsys):
     w_path = str(tmp_path / "w.cplx")
     assert main(["extend", xm1_file, "--out", sheaf_path]) == 0
     assert main(["h0", sheaf_path, "--out", w_path]) == 0
-    w = ff.load_complex(w_path)
+    w = load_complex(w_path)
     assert {m: w.rank(m) for m in w.degrees()} == {0: 2, 1: 1}
     # emitted files re-ingest to equal values
     again = str(tmp_path / "w2.cplx")
@@ -307,6 +307,21 @@ def test_loader_names_the_entry_outside_the_base(base, cell, shown,
                             f"{base} (at differentials[0].matrix)\n")
 
 
+@pytest.mark.parametrize("tag", ["GF(1_0007)", "GF(+7)", "GF( 7)",
+                                 "GF(\uff17)", " Q"])
+def test_malformed_ring_tag_in_a_header_is_input_error(tag, tmp_path,
+                                                       capsys):
+    path = tmp_path / "tag.cplx"
+    path.write_text(json.dumps({
+        "format": "p1dom-complex", "version": 1, "ring": tag,
+        "degrees": [{"degree": 0, "rank": 1}]}))
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"input error: bad ring tag: unknown ring tag "
+                            f"{tag!r} (at ring)\n")
+
+
 def test_sheaf_loader_names_the_chart_entry_outside_its_ring(tmp_path,
                                                              capsys):
     # l = 1 in degree 1 is too small a twist for x - 1: its K[x] chart
@@ -318,7 +333,7 @@ def test_sheaf_loader_names_the_chart_entry_outside_its_ring(tmp_path,
     path.write_text(json.dumps(data))
     assert main(["h0", str(path)]) == 2
     captured = capsys.readouterr()
-    mid = ff.load_complex(os.path.join(SAMPLES, "x-minus-1.cplx"))
+    mid = load_complex(os.path.join(SAMPLES, "x-minus-1.cplx"))
     with pytest.raises(BaseRingViolationError) as exc:
         SheafComplex(mid, {0: (TwistSummand(1, 0),),
                            1: (TwistSummand(0, 1),)})
@@ -591,6 +606,9 @@ def test_selftest_runs(capsys):
     ["--format", "xml"],
     ["--ring", "GF:4"],
     ["--ring", "GF:x"],
+    ["--ring", "GF:0_7"],
+    ["--ring", "GF:+7"],
+    ["--ring", " Q"],
 ])
 def test_bad_flag_is_input_error(xm1_file, flags, capsys):
     # novikov takes --trunc, so its value is checked

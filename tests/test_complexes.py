@@ -10,16 +10,17 @@ from p1dom.laurent import BaseRing, LaurentPoly
 from p1dom.matrices import LaurentMatrix
 from p1dom.scalars import GF, QQ, ZZ
 
-from helpers import (M, basis_change, block, core_degree, direct_sum,
-                     identity, monomial, random_invertible_pair, scalar_diag,
-                     shift, submatrix, two_term)
+from helpers import (M, basis_change, block, core_degree, dense, direct_sum,
+                     grid_matrix, identity, is_unit, monomial,
+                     nonzero_entries, random_invertible_pair, scalar_diag,
+                     shift, submatrix, two_term, vanishes, zero_complex)
 from paper_lemmas import (ChainMap, Homotopy, cone, inclusion, is_acyclic,
                           is_quasi_iso, null_homotopic_map,
                           random_retract_witness, verify_homotopy_retract)
 
 
 def test_validate_zero_complex():
-    assert ChainComplex.zero(QQ).validate() == []
+    assert zero_complex(QQ).validate() == []
 
 
 def test_validate_two_term():
@@ -66,10 +67,10 @@ def q_complexes_with_denominators(rng, count):
 def with_term(c, m, i, j, term):
     """c with ``term`` added to entry (i, j) of d_m."""
     d = c.diff(m)
-    entries = [list(row) for row in d.entries]
+    entries = dense(d)
     entries[i][j] = entries[i][j] + term
     diffs = dict(c.diffs)
-    diffs[m] = LaurentMatrix(c.ring, d.rows, d.cols, entries)
+    diffs[m] = grid_matrix(c.ring, d.rows, d.cols, entries)
     return ChainComplex(c.ring, c.base, c.lo, c.hi, c.ranks, diffs)
 
 
@@ -78,14 +79,14 @@ def nonzero_column(d, i):
 
 
 def nonzero_row(d, j):
-    return any(not p.is_zero for p in d.entries[j])
+    return bool(d.data[j])
 
 
 def test_q_validate_with_denominators_matches_matmul():
     dens = set()
     for c in q_complexes_with_denominators(random.Random(23), 40):
         dens.update(x.denominator for m in range(c.lo + 1, c.hi + 1)
-                    for _, _, p in c.diff(m).nonzero_entries()
+                    for _, _, p in nonzero_entries(c.diff(m))
                     for _, x in p.items())
         assert c.validate() == [] == matmul_problems(c)
     assert any(k % 2 == 0 for k in dens) and any(k % 3 == 0 for k in dens)
@@ -124,7 +125,7 @@ def test_q_validate_lists_every_failing_degree_in_order():
     d = {1: q((1, Fraction(1, 2))), 2: q((0, Fraction(1, 3))),
          3: q((-1, 1), (0, Fraction(-1, 6))), 4: q((0, 0))}
     c = ChainComplex(QQ, BaseRing.LAURENT, 0, 4, dict.fromkeys(range(5), 1),
-                     {m: LaurentMatrix(QQ, 1, 1, [[p]]) for m, p in d.items()})
+                     {m: grid_matrix(QQ, 1, 1, [[p]]) for m, p in d.items()})
     assert c.validate() == matmul_problems(c) == [
         "degree 2: d.d != 0", "degree 3: d.d != 0"]
 
@@ -133,7 +134,7 @@ def test_homology_torsion_example():
     rep = homology(two_term(QQ, [(1, 1), (0, -1)]))
     assert rep.entry(0).free_rank == 0
     assert [str(f) for f in rep.entry(0).torsion] == ["-1 + x"]
-    assert rep.entry(1).is_zero
+    assert vanishes(rep.entry(1))
     assert sum(e.kdim for e in rep.entries.values()) == 1
 
 
@@ -162,9 +163,9 @@ def test_cone_identity_is_acyclic():
 
 
 def test_cone_of_zero_between_zero_complexes():
-    z = ChainComplex.zero(QQ)
+    z = zero_complex(QQ)
     cc, _, _ = cone(ChainMap(z, z))
-    assert cc.is_zero
+    assert vanishes(cc)
 
 
 @pytest.mark.parametrize("ring", [QQ, GF(7), ZZ])
@@ -187,7 +188,7 @@ def test_cone_of_multiplication_matches_two_term():
 
 
 def test_shift_of_zero():
-    assert shift(ChainComplex.zero(QQ), 5).is_zero
+    assert vanishes(shift(zero_complex(QQ), 5))
 
 
 def test_shift_sign_convention():
@@ -269,7 +270,7 @@ def test_homotopy_fills_a_missing_component_with_a_shifted_zero():
 
 def test_direct_sum_ring_mismatch():
     with pytest.raises(RingMismatchError):
-        direct_sum(ChainComplex.zero(QQ), ChainComplex.zero(GF(5)))
+        direct_sum(zero_complex(QQ), zero_complex(GF(5)))
 
 
 def test_euler_characteristic_matches_free_ranks():
@@ -332,7 +333,7 @@ def test_retract_identity_witness():
 def test_retract_contraction_of_unit_complex():
     # C = (x) two-term acyclic, D = 0, h0 = [x^-1]: x * x^-1 = 1 = id - 0
     c = two_term(QQ, [(1, 1)])
-    d = ChainComplex.zero(QQ)
+    d = zero_complex(QQ)
     r = ChainMap(d, c)
     s = ChainMap(c, d)
     h = Homotopy(c, c, {0: M(QQ, [[[(-1, 1)]]])})
@@ -341,7 +342,7 @@ def test_retract_contraction_of_unit_complex():
 
 def test_retract_rejects_wrong_homotopy():
     c = two_term(QQ, [(1, 1)])
-    d = ChainComplex.zero(QQ)
+    d = zero_complex(QQ)
     r = ChainMap(d, c)
     s = ChainMap(c, d)
     assert not verify_homotopy_retract(d, r, s, Homotopy(c, c))
@@ -367,7 +368,7 @@ def test_random_invertible_pair_is_inverse(ring):
         assert t @ t_inv == identity(ring, n)
         assert t_inv @ t == identity(ring, n)
         if n:
-            assert t.determinant().is_unit
+            assert is_unit(t.determinant())
 
 
 def test_retract_invariant_under_basis_change():
@@ -402,6 +403,6 @@ def test_retract_invariant_under_basis_change():
 
 def test_quasi_iso_detects_non_iso():
     a = ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1)
-    z = ChainComplex.zero(QQ)
+    z = zero_complex(QQ)
     assert not is_quasi_iso(ChainMap(a, z))
     assert is_quasi_iso(ChainMap.identity(a))

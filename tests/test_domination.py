@@ -20,8 +20,8 @@ from p1dom.laurent import BaseRing
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.smith import invariant_factors
 
-from helpers import (M, chart, direct_sum, random_poly, two_term,
-                     window_complex)
+from helpers import (M, chart, direct_sum, grid_matrix, load_complex,
+                     random_poly, two_term, window_complex, zero_complex)
 from paper_lemmas import ChainMap, cone, extend_cone, null_homotopic_map
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,7 +69,7 @@ def test_certificates_render_on_first_read(monkeypatch):
 
     monkeypatch.setattr(LaurentPoly, "__repr__", counting_repr)
     for name in ("x-minus-1", "two-minus-x"):
-        verdict = novikov_check(ff.load_complex(ROOT / f"samples/{name}.cplx"))
+        verdict = novikov_check(load_complex(ROOT / f"samples/{name}.cplx"))
         assert calls == []
         golden = json.loads(
             (ROOT / f"tests/golden/{name}.novikov.out").read_text())
@@ -141,7 +141,7 @@ def test_integer_mode_unknown_on_hard_instance():
 
 
 def test_zero_complex_is_acyclic_over_z():
-    v = novikov_check(ChainComplex.zero(ZZ))
+    v = novikov_check(zero_complex(ZZ))
     assert v.both_acyclic
 
 
@@ -154,11 +154,9 @@ def test_field_mode_matches_determinant_criterion():
         if not ring.is_field:
             continue
         n = rng.randint(1, 3)
-        from p1dom.matrices import LaurentMatrix
-
         grid = [[random_poly(rng, ring, -2, 2, 2) for _ in range(n)]
                 for _ in range(n)]
-        d = LaurentMatrix(ring, n, n, grid)
+        d = grid_matrix(ring, n, n, grid)
         c = ChainComplex(ring, BaseRing.LAURENT, 0, 1, {0: n, 1: n}, {1: d})
         v = novikov_check(c)
         assert v.both_acyclic == (not d.determinant().is_zero)
@@ -284,7 +282,7 @@ def test_fpqc_multiplication_by_x():
 
 
 def test_fpqc_zero_complex():
-    assert chart_homology(ChainComplex.zero(QQ, BaseRing.POLY)) == {0: (0, 0)}
+    assert chart_homology(zero_complex(QQ, BaseRing.POLY)) == {0: (0, 0)}
 
 
 def test_fpqc_stabilised_dimension_survives_doubling():

@@ -1,5 +1,5 @@
-"""The kernels read ``LaurentPoly.entry`` as is and share its coefficient
-sequence: none of them may change a stored entry."""
+"""The kernels read the entries of a matrix's rows as is and share their
+coefficient tuples: none of them may change a stored row or entry."""
 
 import random
 
@@ -15,24 +15,25 @@ from helpers import kernel_basis, kernel_coordinates, random_matrix
 
 
 def _snapshot(objects):
-    """(poly, its entry, a copy of the entry with c as a list) for every
-    entry of the given matrices and complexes."""
+    """(row, a copy of the row, a copy of each entry with c as a list) for
+    every row of the given matrices and complexes."""
     out = []
     for o in objects:
         mats = o.diffs.values() if isinstance(o, ChainComplex) else [o]
         for m in mats:
-            for row in m.entries:
-                for p in row:
-                    e = p.entry
-                    out.append((p, e, e and (e[0], list(e[1]))))
+            for row in m.data:
+                out.append((row, dict(row), {j: (e[0], list(e[1]))
+                                             for j, e in row.items()}))
     return out
 
 
 def _assert_unchanged(snapshot):
-    for p, entry, value in snapshot:
-        assert p.entry is entry
-        assert entry is None or type(entry[1]) is tuple
-        assert (entry and (entry[0], list(entry[1]))) == value
+    for row, entries, values in snapshot:
+        assert row.keys() == entries.keys()
+        for j, entry in entries.items():
+            assert row[j] is entry
+            assert type(entry[1]) is tuple
+            assert (entry[0], list(entry[1])) == values[j]
 
 
 @settings(deadline=None, max_examples=60)
@@ -45,7 +46,7 @@ def test_kernels_leave_every_stored_entry_unchanged(seed, ring):
     square = random_matrix(rng, ring, rows, rows, 2)
     acyclic = random_novikov_acyclic(rng, ring)
     other = random_complex(rng, ring, max_length=3, max_rank=3)
-    two_term = ChainComplex.two_term(ring, square.entries[0][0])
+    two_term = ChainComplex.two_term(ring, square[0, 0])
     snapshot = _snapshot([a, square, acyclic, other, two_term])
     square.determinant()
     for c in (acyclic, other, two_term):

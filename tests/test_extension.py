@@ -11,7 +11,8 @@ from p1dom.matrices import LaurentMatrix
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import cech_cohomology, twisting_sheaf
 
-from helpers import M, P, chart, direct_sum, maxdeg, mindeg, shift, two_term
+from helpers import (M, P, chart, direct_sum, grid_matrix, maxdeg, mindeg,
+                     nonzero_entries, shift, two_term, vanishes, zero_complex)
 from paper_lemmas import (ChainMap, cone, extend_cone, extend_morphism,
                           is_acyclic)
 
@@ -50,7 +51,7 @@ def test_extend_morphism_zero_map():
 
 def _legal_with(z, y, f, k, l):
     """Brute-force legality: do both chart matrices stay in their rings?"""
-    for i, j, p in f.nonzero_entries():
+    for i, j, p in nonzero_entries(f):
         if l + y[i].l - z[j].l + mindeg(p) < 0:
             return False
         if -k - y[i].k + z[j].k + maxdeg(p) > 0:
@@ -69,7 +70,7 @@ def test_extend_morphism_minimality_scan():
         grid = [[P(ring, *[(rng.randint(-3, 3), rng.randint(-2, 2))
                            for _ in range(2)])
                  for _ in range(len(z))] for _ in range(len(y))]
-        f = LaurentMatrix(ring, len(y), len(z), grid)
+        f = grid_matrix(ring, len(y), len(z), grid)
         if f.is_zero:
             continue
         ext = extend_morphism(z, y, f)
@@ -158,8 +159,8 @@ def test_restriction_round_trip_examples():
     for pairs in ([(1, 1), (0, -1)], [(1, 1)], [(0, 2), (-3, 5)]):
         c = two_term(QQ, pairs)
         assert restrict_to_torus(extend_complex(c).sheaf) == c
-    z = ChainComplex.zero(QQ)
-    assert restrict_to_torus(extend_complex(z).sheaf).is_zero
+    z = zero_complex(QQ)
+    assert vanishes(restrict_to_torus(extend_complex(z).sheaf))
     single = extend_complex(ChainComplex.single(QQ, BaseRing.LAURENT, 0, 2))
     r = restrict_to_torus(single.sheaf)
     assert r.rank(0) == 2 and r.validate() == []

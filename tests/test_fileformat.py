@@ -17,7 +17,7 @@ from p1dom.generators import (random_complex, random_novikov_acyclic,
 from p1dom.laurent import BaseRing, LaurentPoly
 from p1dom.scalars import GF, QQ, ZZ
 
-from helpers import coeff, two_term
+from helpers import add, coeff, two_term, zero
 
 
 def test_complex_round_trip_simple():
@@ -201,13 +201,19 @@ def test_decimal_coefficients_load(ring, text, value):
         "format": ff.COMPLEX_FORMAT, "version": 1, "ring": ring.tag,
         "degrees": [{"degree": 0, "rank": 1}, {"degree": 1, "rank": 1}],
         "differentials": [{"degree": 1, "matrix": [[[[0, text]]]]}]})
-    assert coeff(c.diff(1).entries[0][0], 0) == value
+    assert coeff(c.diff(1)[0, 0], 0) == value
 
 
 def test_fraction_strings_are_refused_outside_q():
     for ring in (GF(7), ZZ):
         with pytest.raises(FormatError, match="cannot parse '1/2'"):
-            ff.poly_from_pairs(ring, [[0, "1/2"]], "cell")
+            ff.entry_from_pairs(ring, [[0, "1/2"]], "cell")
+
+
+def _poly(ring, pairs):
+    """The LaurentPoly of the entry the loader reads from ``pairs``."""
+    return LaurentPoly.from_entry(ring, ff.entry_from_pairs(ring, pairs,
+                                                            "cell"))
 
 
 @pytest.mark.parametrize("ring, pairs, entry", [
@@ -219,7 +225,7 @@ def test_fraction_strings_are_refused_outside_q():
 ])
 def test_loader_builds_the_entry_from_the_pairs(ring, pairs, entry):
     # repeated exponents summed (mod p), zero ends trimmed, dense between
-    p = ff.poly_from_pairs(ring, pairs, "cell")
+    p = _poly(ring, pairs)
     assert p.entry == entry
     assert p == LaurentPoly.from_pairs(
         ring, [(e, ring.parse(x)) for e, x in pairs])
@@ -233,7 +239,7 @@ def _sums(ring, pairs):
     oracle that builds no entry."""
     acc = {}
     for e, x in pairs:
-        acc[e] = ring.add(acc.get(e, ring.zero()), ring.parse(x))
+        acc[e] = add(ring, acc.get(e, zero(ring)), ring.parse(x))
     return [(e, x) for e, x in sorted(acc.items()) if x]
 
 
@@ -249,10 +255,10 @@ def test_loader_builds_every_cell_of_the_acceptance_corpus():
             d = c.diff(item["degree"])
             for i, row in enumerate(item["matrix"]):
                 for j, pairs in enumerate(row):
-                    p = ff.poly_from_pairs(ring, pairs, "cell")
+                    p = _poly(ring, pairs)
                     assert p == LaurentPoly.from_pairs(
                         ring, [(e, ring.parse(x)) for e, x in pairs])
-                    assert p == d.entries[i][j]
+                    assert p == d[i, j]
                     assert p.items() == _sums(ring, pairs)
                     assert p.entry is None or type(p.entry[1]) is tuple
                     cells += 1
@@ -312,3 +318,20 @@ def test_bad_cell_error_names_the_cell(case, fmt):
         load(data)
     assert str(err.value) == (
         f"{message} (at differentials[1].matrix[1][2]{below})")
+
+
+@pytest.mark.parametrize("tag", ["GF(1_0007)", "GF(+7)", "GF( 7)",
+                                 "GF(\uff17)", " Q", "GF:0_7"])
+def test_malformed_ring_tags_are_refused(tag):
+    # the modulus is ASCII [0-9]+, as coefficient strings are, and nothing
+    # around a tag is stripped
+    data = {"format": ff.COMPLEX_FORMAT, "version": 1, "ring": tag,
+            "degrees": [{"degree": 0, "rank": 1}]}
+    with pytest.raises(FormatError) as err:
+        ff.complex_from_dict(data)
+    assert str(err.value) == (
+        f"bad ring tag: unknown ring tag {tag!r} (at ring)")
+    for good in ("GF(7)", "GF:7", "GF(10007)", "Q", "Z"):
+        data["ring"] = good
+        assert ff.complex_from_dict(data).ring.tag == good.replace(
+            "GF:7", "GF(7)")

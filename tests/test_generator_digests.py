@@ -164,9 +164,9 @@ DIGESTS = {
 
 def _check_coefficients(ring, matrices):
     for a in matrices:
-        for row in a.entries:
-            for p in row:
-                for _, x in p.items():
+        for row in a.data:
+            for _, c in row.values():
+                for x in filter(None, c):
                     if ring is QQ:
                         assert type(x) is Fraction
                     else:

@@ -8,10 +8,14 @@ count) or in perfbench/.  A name only tests call belongs in
 ``test_unused_imports`` does, and matches by name.  A module-level name
 ``f`` is read by a loaded name ``f`` or an attribute ``.f``; a method
 ``f`` only by an attribute ``.f`` anywhere, so that a local variable or a
-parameter of the same name does not hide an uncalled method.  In
-perfbench a string constant counts too, for both, when it equals the
-name or ends in ``.name``, as the span tables of ``perfbench/tracing.py``
-name what they wrap.
+parameter of the same name does not hide an uncalled method.  A string
+constant is no read, in perfbench either: the span tables of
+``perfbench/tracing.py`` name what they wrap, and a name that only a
+tracing table names is dead code the tracer reports as absent.
+
+Matching by name cannot tell two methods of one name apart: a read of
+``.f`` counts for every method ``f``, so an uncalled method that shares
+its name with a called one is not seen.
 """
 
 import ast
@@ -41,10 +45,9 @@ def definitions(tree):
     return out
 
 
-def reads(tree, strings=False, skip=None):
+def reads(tree, skip=None):
     """(names, attributes) a tree reads: its loaded names and its
-    attributes, and with ``strings`` each string constant and its last
-    dotted part in both.  Nothing under the node ``skip`` counts."""
+    attributes.  Nothing under the node ``skip`` counts."""
     names, attributes = set(), set()
     stack = [tree]
     while stack:
@@ -55,11 +58,6 @@ def reads(tree, strings=False, skip=None):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             attributes.add(node.attr)
-        elif (strings and isinstance(node, ast.Constant)
-              and isinstance(node.value, str)):
-            for found in (names, attributes):
-                found.add(node.value)
-                found.add(node.value.rpartition(".")[2])
         stack.extend(ast.iter_child_nodes(node))
     return names, attributes
 
@@ -70,8 +68,7 @@ def uncalled(library: dict, perfbench: dict) -> list:
     ``perfbench``, reads; the module ``__init__`` is not searched."""
     trees = {name: ast.parse(source) for name, source in library.items()
              if name != "__init__"}
-    outside = [reads(ast.parse(source), strings=True)
-               for source in perfbench.values()]
+    outside = [reads(ast.parse(source)) for source in perfbench.values()]
     everywhere = {name: reads(tree) for name, tree in trees.items()}
     missing = []
     for module, tree in trees.items():
@@ -110,14 +107,17 @@ def test_the_check_sees_an_uncalled_name():
         # a parameter and a local that share a method's name read no method
         "b": ("from .a import used, Shape\n"
               "def helper_b(scaled=1): return used(), Shape, scaled\n"
-              "def traced(): pass\n"),
+              "def traced(): pass\n"
+              "def measured(): pass\n"),
     }
+    # a string naming a function or method is no read; code is
     perfbench = {"tracing": "SPANS = [('p1dom.a', 'Shape.spanned')]\n"
                             "LABEL = 'traced'\n",
-                 "run": "stacked = [1]\nprint(stacked)\n"}
+                 "run": "from p1dom import b\nb.measured()\n"
+                        "stacked = [1]\nprint(stacked)\n"}
     assert uncalled(library, perfbench) == [
-        "a.Shape.area", "a.Shape.scaled", "a.Shape.stacked",
-        "a.only_exported", "a.recursive"]
+        "a.Shape.area", "a.Shape.scaled", "a.Shape.spanned",
+        "a.Shape.stacked", "a.only_exported", "a.recursive", "b.traced"]
 
 
 def test_every_public_name_has_a_library_or_perfbench_caller():

@@ -1,0 +1,85 @@
+"""Every Laurent matrix the library builds stores canonical sparse rows.
+
+Row i of ``LaurentMatrix.data`` maps the column of each nonzero entry to
+its ``polylists`` entry (v, c): c a tuple of canonical coefficients with
+nonzero ends, no zero entry and no ``LaurentPoly``, columns ascending.
+The loader, both generators, the zero differential of a missing degree,
+the middle complex of an extension and the sums, differences and
+products of matrices are checked here; the arithmetic also against
+``LaurentPoly`` arithmetic on dense grids.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from p1dom import fileformat as ff
+from p1dom.extension import extend_complex
+from p1dom.generators import random_complex, random_novikov_acyclic
+from p1dom.matrices import LaurentMatrix
+from p1dom.scalars import GF, QQ, ZZ
+
+from helpers import dense, grid_matrix, grid_product, random_matrix
+
+
+def assert_canonical_rows(m):
+    assert type(m) is LaurentMatrix and len(m.data) == m.rows
+    for row in m.data:
+        assert type(row) is dict
+        assert list(row) == sorted(row)
+        for j, e in row.items():
+            assert type(j) is int and 0 <= j < m.cols
+            assert type(e) is tuple and len(e) == 2
+            v, c = e
+            assert type(v) is int and type(c) is tuple
+            assert c and c[0] and c[-1]
+            for x in filter(None, c):
+                want = m.ring.normalise(x)
+                assert x == want and type(x) is type(want)
+                assert m.ring is not QQ or type(x) is Fraction
+
+
+def built_matrices(rng, ring):
+    """The matrices the library builds from one draw of each generator."""
+    for c in (random_complex(rng, ring, max_length=4, max_rank=4, span=2),
+              random_novikov_acyclic(rng, ring, span=2)):
+        loaded = ff.complex_from_dict(ff.complex_to_dict(c))
+        for m in range(c.lo + 1, c.hi + 1):
+            assert loaded.diff(m) == c.diff(m)
+        yield from c.diffs.values()
+        yield from loaded.diffs.values()
+        # the zero differentials around the support
+        yield c.diff(c.lo)
+        yield c.diff(c.hi + 1)
+        yield from extend_complex(c).sheaf.mid.diffs.values()
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       ring=st.sampled_from([QQ, GF(7), ZZ]))
+def test_built_matrices_hold_canonical_rows(seed, ring):
+    rng = random.Random(seed)
+    for m in built_matrices(rng, ring):
+        assert_canonical_rows(m)
+    rows, cols, n = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+    a = random_matrix(rng, ring, rows, cols, 2)
+    b = random_matrix(rng, ring, rows, cols, 2)
+    k = random_matrix(rng, ring, cols, n, 2)
+    ga, gb = dense(a), dense(b)
+    results = {
+        "add": (a + b, [[x + y for x, y in zip(r, s)]
+                        for r, s in zip(ga, gb)]),
+        "sub": (a - b, [[x - y for x, y in zip(r, s)]
+                        for r, s in zip(ga, gb)]),
+        "cancel": (a - a, [[x - x for x in r] for r in ga]),
+        "neg": (-a, [[-x for x in r] for r in ga]),
+    }
+    for name, (got, grid) in results.items():
+        assert_canonical_rows(got)
+        assert got == grid_matrix(ring, rows, cols, grid), name
+    assert not any((a - a).data)
+    product = a @ k
+    assert_canonical_rows(product)
+    assert product == grid_product(a, k)
+    assert_canonical_rows(LaurentMatrix.zero(ring, rows, cols) @ k)

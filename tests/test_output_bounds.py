@@ -19,10 +19,9 @@ from p1dom.complexes import ChainComplex
 from p1dom.errors import FormatError
 from p1dom.extension import extend_complex
 from p1dom.laurent import BaseRing
-from p1dom.matrices import LaurentMatrix
 from p1dom.scalars import GF, QQ
 
-from helpers import P, load_sheaf, two_term
+from helpers import P, grid_matrix, load_complex, load_sheaf, two_term
 
 SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
 XM1 = os.path.join(SAMPLES, "x-minus-1.cplx")
@@ -59,9 +58,9 @@ def _chart_file(tmp_path, rank):
     """rank generators in each of degrees 0, 1, joined by x^2 - x^3."""
     p = P(QQ, (2, 1), (3, -1))
     zero = P(QQ)
-    d = LaurentMatrix(QQ, rank, rank,
-                      [[p if i == j else zero for j in range(rank)]
-                       for i in range(rank)])
+    d = grid_matrix(QQ, rank, rank,
+                    [[p if i == j else zero for j in range(rank)]
+                     for i in range(rank)])
     c = ChainComplex(QQ, BaseRing.POLY, 0, 1, {0: rank, 1: rank}, {1: d})
     path = tmp_path / f"chart-{rank}.cplx"
     ff.save_path(path, ff.complex_to_dict(c))
@@ -159,8 +158,8 @@ def _wide_witness_file(tmp_path):
     file in bounds whose W has ranks 601/602/1, above MAX_RANK."""
     f, zero = P(QQ, (300, 1), (0, -1)), P(QQ)
     c = ChainComplex(QQ, BaseRing.LAURENT, 0, 2, {0: 1, 1: 2, 2: 1}, {
-        1: LaurentMatrix(QQ, 1, 2, [[zero, f]]),
-        2: LaurentMatrix(QQ, 2, 1, [[f], [zero]])})
+        1: grid_matrix(QQ, 1, 2, [[zero, f]]),
+        2: grid_matrix(QQ, 2, 1, [[f], [zero]])})
     path = tmp_path / "wide-witness.cplx"
     ff.save_path(path, ff.complex_to_dict(c))
     return str(path)
@@ -209,8 +208,8 @@ def test_extend_writes_and_reads_back_a_twist_past_the_exponent_bound(
     # exponent is in bounds, and the twists add up to k = 8192 in degree 0
     f, zero = P(QQ, (4096, 1)), P(QQ)
     c = ChainComplex(QQ, BaseRing.LAURENT, 0, 2, {0: 1, 1: 2, 2: 1}, {
-        1: LaurentMatrix(QQ, 1, 2, [[zero, f]]),
-        2: LaurentMatrix(QQ, 2, 1, [[f], [zero]])})
+        1: grid_matrix(QQ, 1, 2, [[zero, f]]),
+        2: grid_matrix(QQ, 2, 1, [[f], [zero]])})
     src = tmp_path / "deep-twist.cplx"
     ff.save_path(src, ff.complex_to_dict(c))
     out = tmp_path / "deep-twist.sheaf"
@@ -252,7 +251,7 @@ def test_outputs_at_the_bounds_are_written_and_read_back(tmp_path):
     w = tmp_path / "w.cplx"
     assert main(["extend", src, "--out", str(sheaf)]) == 0
     assert main(["h0", str(sheaf), "--out", str(w)]) == 0
-    assert max(ff.load_complex(str(w)).ranks.values()) == ff.MAX_RANK
+    assert max(load_complex(str(w)).ranks.values()) == ff.MAX_RANK
 
 
 def _wide_entry_file(tmp_path, ring, rows, cols, e):
@@ -260,7 +259,7 @@ def _wide_entry_file(tmp_path, ring, rows, cols, e):
     differential x^-e + x^e."""
     p = P(ring, (-e, 1), (e, 1))
     c = ChainComplex(ring, BaseRing.LAURENT, 0, 1, {0: rows, 1: cols}, {
-        1: LaurentMatrix(ring, rows, cols, [[p] * cols] * rows)})
+        1: grid_matrix(ring, rows, cols, [[p] * cols] * rows)})
     path = tmp_path / f"wide-{rows}x{cols}.cplx"
     ff.save_path(path, ff.complex_to_dict(c))
     return path
@@ -277,7 +276,7 @@ def test_extend_writes_the_extension_of_a_loadable_complex(
     slots = rows * cols * (2 * e + 1)
     assert slots <= ff.MAX_DENSE_SLOTS
     assert 2 * e > ff.MAX_EXPONENT or 3 * slots > ff.MAX_DENSE_SLOTS
-    c = ff.load_complex(str(src))
+    c = load_complex(str(src))
     assert main(["extend", str(src)]) == 0
     human = capsys.readouterr().out
     assert human == f"twist profile: 0:(k={e},l={e}), 1:(k=0,l=0)\n"
@@ -311,7 +310,7 @@ def test_loader_bounds_name_twists_and_spans():
 def test_homology_and_novikov_refuse_a_non_complex(command, tmp_path, capsys):
     # d_1 d_2 = diag(1, 0) != 0, but rank d_1 + rank d_2 = rank C_1: only
     # the validation the command runs first sees it
-    one = LaurentMatrix(QQ, 2, 2, [[P(QQ, (0, 1)), P(QQ)], [P(QQ), P(QQ)]])
+    one = grid_matrix(QQ, 2, 2, [[P(QQ, (0, 1)), P(QQ)], [P(QQ), P(QQ)]])
     c = ChainComplex(QQ, BaseRing.LAURENT, 0, 2, {0: 2, 1: 2, 2: 2},
                      {1: one, 2: one})
     path = tmp_path / "bad.cplx"

@@ -25,12 +25,13 @@ from p1dom.errors import FormatError, ShapeError, UnsupportedRingError
 from p1dom.extension import extend_complex
 from p1dom.generators import random_complex, random_novikov_acyclic
 from p1dom.laurent import BaseRing, LaurentPoly
-from p1dom.matrices import LaurentMatrix, ScalarMatrix
+from p1dom.matrices import ScalarMatrix
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import cech_complex
 
-from helpers import (chart as sheaf_chart, constants, direct_sum, monomial,
-                     two_term, window_complex)
+from helpers import (P, chart as sheaf_chart, constants, direct_sum,
+                     grid_matrix, load_complex, monomial, mul, two_term,
+                     window_complex)
 from paper_lemmas import ChainMap, ComplexDiagram, hypercohomology
 
 FIELDS = [QQ, GF(7), GF(10007)]
@@ -42,7 +43,7 @@ SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 def as_laurent(c: ScalarComplex) -> ChainComplex:
     """The same complex as Laurent matrices of constants."""
-    diffs = {m: LaurentMatrix(c.ring, d.rows, d.cols, [
+    diffs = {m: grid_matrix(c.ring, d.rows, d.cols, [
         [LaurentPoly(c.ring, {0: row.get(j, 0)}) for j in range(d.cols)]
         for row in d.data]) for m, d in c.diffs.items()}
     return ChainComplex(c.ring, BaseRing.LAURENT, c.lo, c.hi, c.ranks, diffs)
@@ -52,9 +53,9 @@ def reference_total(narrow: ScalarComplex, wide: ScalarComplex):
     """hypercohomology of (narrow -> wide <- wide): slot tau goes to
     slot tau + N, index i to i + rank of the narrow window."""
     ring = narrow.ring
-    one, zero = LaurentPoly.one(ring), LaurentPoly.zero(ring)
+    one, zero = LaurentPoly.one(ring), P(ring)
     n_c, w_c = as_laurent(narrow), as_laurent(wide)
-    incl = {m: LaurentMatrix(ring, wide.rank(m), narrow.rank(m), [
+    incl = {m: grid_matrix(ring, wide.rank(m), narrow.rank(m), [
         [one if i == j + narrow.rank(m) else zero
          for j in range(narrow.rank(m))] for i in range(wide.rank(m))])
         for m in narrow.degrees()}
@@ -97,7 +98,7 @@ def random_chart(rng, ring):
         c = direct_sum(c, piece)
     change = {}
     for m in range(lo, hi + 1):
-        g = [[LaurentPoly.one(ring) if i == j else LaurentPoly.zero(ring)
+        g = [[LaurentPoly.one(ring) if i == j else P(ring)
               for j in range(c.rank(m))] for i in range(c.rank(m))]
         g_inv = [row[:] for row in g]
         if c.rank(m) > 1:
@@ -105,7 +106,7 @@ def random_chart(rng, ring):
             e = monomial(ring, rng.randint(0, 2),
                          ring.from_int(rng.randint(1, 3)))
             g[i][j], g_inv[i][j] = e, -e
-        change[m] = [LaurentMatrix(ring, c.rank(m), c.rank(m), grid)
+        change[m] = [grid_matrix(ring, c.rank(m), c.rank(m), grid)
                      for grid in (g, g_inv)]
     diffs = {m: change[m - 1][1] @ c.diff(m) @ change[m][0]
              for m in range(lo + 1, hi + 1)}
@@ -159,7 +160,7 @@ def dense_problems(c: ScalarComplex):
             continue
         for i in range(a.rows):
             if any(ring.normalise(sum(
-                    ring.mul(a.data[i].get(k, 0), b.data[k].get(j, 0))
+                    mul(ring, a.data[i].get(k, 0), b.data[k].get(j, 0))
                     for k in range(a.cols))) for j in range(b.cols)):
                 problems.append(f"degree {m}: d.d != 0")
                 break
@@ -249,7 +250,7 @@ def test_k_complexes_are_scalar():
     c = two_term(QQ, [(1, 1), (0, -1)])
     assert isinstance(cech_complex(extend_complex(c).sheaf), ScalarComplex)
     assert isinstance(dominate(c).w, ScalarComplex)
-    w = ff.load_complex(SAMPLES / "x-minus-1-w.cplx")
+    w = load_complex(SAMPLES / "x-minus-1-w.cplx")
     assert isinstance(w, ScalarComplex)
     assert w.base == BaseRing.K and w.validate() == []
 
@@ -375,7 +376,7 @@ def _dense_slots(data):
 
 def _wide_file(rank, e):
     """A GF(7) file with a rank x rank differential of x^-e + x^e."""
-    d = LaurentMatrix(GF(7), rank, rank, [[LaurentPoly.from_pairs(
+    d = grid_matrix(GF(7), rank, rank, [[LaurentPoly.from_pairs(
         GF(7), [(-e, 1), (e, 1)])] * rank] * rank)
     return ff.complex_to_dict(ChainComplex(
         GF(7), BaseRing.LAURENT, 0, 1, {0: rank, 1: rank}, {1: d}))

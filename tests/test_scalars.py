@@ -4,6 +4,8 @@ from fractions import Fraction
 from p1dom.errors import NotAUnitError, UnsupportedRingError
 from p1dom.scalars import GF, QQ, ZZ, ring_from_tag
 
+from helpers import add, mul
+
 
 def test_rational_representation():
     assert QQ.parse("3/6") == Fraction(1, 2)
@@ -15,8 +17,8 @@ def test_rational_representation():
 def test_gf_canonical_representatives():
     r = GF(7)
     assert r.normalise(-1) == 6
-    assert r.add(5, 4) == 2
-    assert r.mul(3, 5) == 1
+    assert add(r, 5, 4) == 2
+    assert mul(r, 3, 5) == 1
     assert r.invert(3) == 5
     assert r.parse("12") == 5
 
@@ -36,7 +38,7 @@ def test_integer_units():
 def test_field_inverse_exhaustive_gf11():
     r = GF(11)
     for a in range(1, 11):
-        assert r.mul(a, r.invert(a)) == 1
+        assert mul(r, a, r.invert(a)) == 1
 
 
 def test_ring_tags_round_trip():
@@ -57,3 +59,14 @@ def test_ring_tags_are_parsed_once():
             ring_from_tag("GF(8)")
         with pytest.raises(ValueError):
             ring_from_tag("GF(x)")
+
+
+@pytest.mark.parametrize("tag", [
+    "GF(1_0007)", "GF(+7)", "GF( 7)", "GF(7 )", "GF(\uff17)", " Q", "Z\n",
+    "GF:0_7", "GF: 7", "GF:\u0667", "GF()", "GF:"])
+def test_ring_tags_take_an_ascii_modulus(tag):
+    # as in coefficient strings, the modulus is ASCII [0-9]+ and nothing
+    # around the tag is stripped
+    with pytest.raises(UnsupportedRingError, match="unknown ring tag"):
+        ring_from_tag(tag)
+    assert ring_from_tag("GF(007)") is ring_from_tag("GF:7") is GF(7)

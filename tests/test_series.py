@@ -14,7 +14,7 @@ from p1dom.polylists import (window, window_difference, window_inverse,
                              window_product)
 from p1dom.scalars import ZZ
 
-from helpers import P
+from helpers import P, times_monomial
 
 
 def test_geometric_series():
@@ -74,7 +74,7 @@ def test_inverse_identity_on_window():
         coeffs = {0: rng.choice([1, -1])}
         for _ in range(rng.randint(0, 4)):
             coeffs[rng.randint(1, 5)] = rng.randint(-4, 4)
-        poly = LaurentPoly(ZZ, coeffs).times_monomial(rng.randint(-2, 2))
+        poly = times_monomial(LaurentPoly(ZZ, coeffs), rng.randint(-2, 2))
         for direction in (1, -1):
             if direction == -1 and poly.items()[-1][1] not in (1, -1):
                 continue

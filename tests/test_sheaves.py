@@ -12,8 +12,8 @@ from p1dom.scalars import QQ
 from p1dom.sheaves import (SheafComplex, TwistSummand, cech_cohomology,
                            cech_complex, twisting_sheaf)
 
-from helpers import (S, load_sheaf, sheaf_hyper_homology_dims,
-                     shifted_summand, twist, two_term)
+from helpers import (S, load_complex, load_sheaf, sheaf_hyper_homology_dims,
+                     shifted_summand, twist, two_term, vanishes, zero_complex)
 from paper_lemmas import levelwise_h1_trivial, torus_diagram
 
 
@@ -126,8 +126,8 @@ def test_cech_complex_of_x_minus_one_extension():
 
 
 def test_cech_complex_zero():
-    z = SheafComplex(ChainComplex.zero(QQ, BaseRing.LAURENT), {0: ()})
-    assert cech_complex(z).is_zero
+    z = SheafComplex(zero_complex(QQ, BaseRing.LAURENT), {0: ()})
+    assert vanishes(cech_complex(z))
 
 
 def test_cech_complex_rejects_negative_twists():
@@ -182,7 +182,6 @@ def test_sheaf_hyper_dims_names_the_section_complex():
     # on the extension of x - 1 it is the w_dim column of the ledger
     from pathlib import Path
 
-    from p1dom import fileformat as ff
     from p1dom.domination import dominate
 
     samples = Path(__file__).resolve().parents[1] / "samples"
@@ -190,7 +189,7 @@ def test_sheaf_hyper_dims_names_the_section_complex():
     with pytest.raises(UnsupportedRingError,
                        match=r"homology_dims\(cech_complex\(s\)\)"):
         sheaf_hyper_homology_dims(s)
-    ledger = dominate(ff.load_complex(samples / "x-minus-1.cplx")).ledger
+    ledger = dominate(load_complex(samples / "x-minus-1.cplx")).ledger
     assert homology_dims(cech_complex(s)) == {
         row.degree: row.w_dim for row in ledger}
 

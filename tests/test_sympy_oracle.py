@@ -30,12 +30,12 @@ from p1dom import smith
 from p1dom.complexes import homology
 from p1dom.domination import _elementary_valuations
 from p1dom.laurent import BaseRing, LaurentPoly
-from p1dom.matrices import LaurentMatrix
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.smith import invariant_factors as kernel_factors
 
-from helpers import (HOMOLOGY_KINDS, M, check_base, core_degree,
-                     homology_case, random_matrix, unit_normalise)
+from helpers import (HOMOLOGY_KINDS, M, P, check_base, core_degree, dense,
+                     grid_matrix, homology_case, nonzero_entries,
+                     random_matrix, unit_normalise)
 
 X = sympy.symbols("x")
 GF7 = GF(7)
@@ -82,10 +82,10 @@ def sympy_factors(a):
     """Nonzero invariant factors of a, normalised as p1dom reports them."""
     if a.rows == 0 or a.cols == 0:
         return []
-    exps = [e for _, _, p in a.nonzero_entries() for e, _ in p.items()]
+    exps = [e for _, _, p in nonzero_entries(a) for e, _ in p.items()]
     shift = -min(exps, default=0)
     m = sympy.Matrix(a.rows, a.cols,
-                     lambda i, j: _to_sympy(a.entries[i][j], shift))
+                     lambda i, j: _to_sympy(a[i, j], shift))
     factors = [_from_sympy(a.ring, f) for f in
                invariant_factors(m, domain=_sympy_domain(a.ring))]
     return [f for f in factors if not f.is_zero]
@@ -207,7 +207,7 @@ def test_chart_valuations_against_sympy(seed, ring, direction):
     a, expr = _chart_case(rng, ring, X)
     r = [rng.randint(-3, 3) for _ in a]
     c = [rng.randint(-3, 3) for _ in a[0]]
-    d = LaurentMatrix(ring, len(r), len(c), [
+    d = grid_matrix(ring, len(r), len(c), [
         [LaurentPoly(ring, {direction * e + r_i - c_j: x
                             for e, x in cell.items()})
          for cell, c_j in zip(row, c)] for row, r_i in zip(a, r)])
@@ -215,7 +215,7 @@ def test_chart_valuations_against_sympy(seed, ring, direction):
     assert sorted(_elementary_valuations(d, direction, r, c)) == want
     # the same chart given as an explicit K[t] matrix, with no shifts
     base = BaseRing.POLY if direction == 1 else BaseRing.POLY_INV
-    chart = LaurentMatrix(ring, len(r), len(c), [
+    chart = grid_matrix(ring, len(r), len(c), [
         [LaurentPoly(ring, {direction * e: x for e, x in cell.items()})
          for cell in row]
         for row in a])
@@ -226,9 +226,9 @@ def test_chart_valuations_against_sympy(seed, ring, direction):
 def _sympy_det(a):
     """sympy's determinant of a Laurent matrix, as a LaurentPoly."""
     n = a.rows
-    exps = [e for _, _, p in a.nonzero_entries() for e, _ in p.items()]
+    exps = [e for _, _, p in nonzero_entries(a) for e, _ in p.items()]
     shift = -min(exps, default=0)
-    det = sympy.Matrix(n, n, lambda i, j: _to_sympy(a.entries[i][j], shift)
+    det = sympy.Matrix(n, n, lambda i, j: _to_sympy(a[i, j], shift)
                        ).det(method="berkowitz")
     poly = (sympy.Poly(det, X, modulus=a.ring.p) if a.ring.p
             else sympy.Poly(det, X, domain=sympy.QQ))
@@ -247,14 +247,14 @@ def _det_case(rng, ring, n, kind):
                 @ random_matrix(rng, ring, n - 1, n, 2))
     a = random_matrix(rng, ring, n, n, 2)
     if kind == "swap" and n > 1:
-        grid = [list(row) for row in a.entries]
-        grid[0][0] = LaurentPoly.zero(ring)
+        grid = dense(a)
+        grid[0][0] = P(ring)
         grid[-1][0] = LaurentPoly(ring, {rng.randint(-2, 2): 1})
-        a = LaurentMatrix(ring, n, n, grid)
+        a = grid_matrix(ring, n, n, grid)
     if kind == "denominators" and ring is QQ:
-        a = LaurentMatrix(ring, n, n, [
+        a = grid_matrix(ring, n, n, [
             [p.scale(Fraction(1, den)) for p in row]
-            for row, den in zip(a.entries, (2, 3, 5, 7, 9, 4))])
+            for row, den in zip(dense(a), (2, 3, 5, 7, 9, 4))])
     return a
 
 
@@ -279,7 +279,7 @@ def test_determinant_swaps_a_zero_pivot_and_clears_denominators():
         assert a.determinant() == LaurentPoly(ring, {1: -2})
         assert a.determinant() == _sympy_det(a)
     # rows with denominators 2 and 3: det = 1/2 - x/3
-    a = LaurentMatrix(QQ, 2, 2, [
+    a = grid_matrix(QQ, 2, 2, [
         [LaurentPoly(QQ, {0: Fraction(1, 2)}), LaurentPoly(QQ, {1: 1})],
         [LaurentPoly(QQ, {0: Fraction(1, 3)}), LaurentPoly(QQ, {0: 1})]])
     assert a.determinant() == LaurentPoly(QQ, {0: Fraction(1, 2),
