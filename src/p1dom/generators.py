@@ -4,13 +4,13 @@ Valid complexes are elementary pieces (two-term complexes and single free
 levels) conjugated by random invertible basis changes, so d.d = 0 holds
 by construction while differentials look generic.  It all runs on
 ``polylists`` entries: the pieces go straight into the rows of one
-block-diagonal matrix per degree, a basis change T is built by
-elementary operations with its inverse alongside it (``_invertible_pair``,
-so no inverse is computed from minors), and T^-1 d T is a product of
-``LaurentMatrix`` rows, with no ``LaurentPoly`` built.  The
-same recipe with unit-monomial pieces yields Novikov-acyclic
-instances.  The maps and diagrams of the paper's lemmas are drawn by the
-tests (``tests/paper_lemmas.py``) from the same entries.
+block-diagonal matrix per degree, and a basis change T is drawn as
+elementary row operations, each with its inverse (``_elementary_ops``),
+which act on the nonzero entries of d to form T^-1 d T: no T, no matrix
+product and no ``LaurentPoly`` is built.  The same recipe with
+unit-monomial pieces yields Novikov-acyclic instances.  The maps and
+diagrams of the paper's lemmas are drawn by the tests
+(``tests/paper_lemmas.py``) from the same entries.
 
 The same seed gives the same draws: the same calls to ``random`` in the
 same order and the same polynomials with the same coefficient types.  The
@@ -52,25 +52,14 @@ def _poly_entry(rng, ring, min_exp, max_exp, terms, nonzero=False):
     return entry
 
 
-def _times_unit(a, e, c, p):
-    """The entry c x^e a (None for a zero a)."""
-    return a and (a[0] + e, scaled(a, c, p)[1])
-
-
-def _invertible_pair(rng, ring, n, span):
-    """(T, T^-1) as n x n Laurent matrices, for a product T of 2n
-    elementary operations, whose determinant is a unit monomial.
-
-    T is built by row operations on the identity, and T^-1 alongside it by
-    the inverse of each operation as a column operation, in the same
-    order: row i += q*row j becomes col j -= q*col i, a row swap the same
-    column swap, and row i *= u becomes col i *= u^-1, both on grids of
-    entries (None for zero).
-    """
-    p = ring.p
-    one = 0, (ring.one(),)
-    t = [[one if i == j else None for j in range(n)] for i in range(n)]
-    t_inv = [list(row) for row in t]
+def _elementary_ops(rng, ring, n, span):
+    """The row operations E_1, ..., E_k of a random basis change
+    T = E_k...E_1 of rank n, from 2n draws, whose determinant is a unit
+    monomial.  Each is a record (kind, i, j, x, y), y undoing x: kind 0
+    adds x times row j to row i (y = -x), kind 1 swaps rows i and j, and
+    kind 2 multiplies row i by the unit x = (e, c), that is c x^e
+    (y = (-e, c^-1))."""
+    ops = []
     for _ in range(2 * n):
         kind = rng.randint(0, 2)
         if n < 2 and kind != 2:
@@ -80,44 +69,66 @@ def _invertible_pair(rng, ring, n, span):
             q = _poly_entry(rng, ring, -span, span, 2)
             if q is None:
                 continue
-            row = t[i]
-            for col, b in enumerate(t[j]):
-                if b is not None:
-                    row[col] = lincomb(ONE, row[col], q, b, p)
-            q = scaled(q, -1, p)
-            for row in t_inv:
-                if row[i] is not None:
-                    row[j] = lincomb(ONE, row[j], q, row[i], p)
+            ops.append((0, i, j, q, scaled(q, -1, ring.p)))
         elif kind == 1:
             i, j = rng.sample(range(n), 2)
-            t[i], t[j] = t[j], t[i]
-            for row in t_inv:
-                row[i], row[j] = row[j], row[i]
+            ops.append((1, i, j, None, None))
         else:
             i = rng.randrange(n)
             c = ring.from_int(rng.choice([1, -1, 2, 3]))
             while not ring.is_unit(c):
                 c = ring.from_int(rng.choice([1, -1]))
-            e = rng.randint(-span, span)  # u = c x^e
-            t[i] = [_times_unit(a, e, c, p) for a in t[i]]
-            e, c = -e, ring.invert(c)
-            for row in t_inv:
-                row[i] = _times_unit(row[i], e, c, p)
-    return tuple(LaurentMatrix(ring, n, n, [
-        {j: (e[0], tuple(e[1])) for j, e in enumerate(row) if e is not None}
-        for row in grid]) for grid in (t, t_inv))
+            e = rng.randint(-span, span)
+            ops.append((2, i, None, (e, c), (-e, ring.invert(c))))
+    return ops
+
+
+def _operated(lines, ops, inverse, p):
+    """Apply ``ops`` to ``lines``, the rows or the columns of a matrix as
+    dicts of nonzero entries, last drawn first: with ``inverse`` each
+    E^-1 as a row operation, else each E as a column operation (row
+    i += x*row j becomes col j += x*col i).  An addition edits its
+    target line in place, so the caller hands in copies."""
+    for kind, i, j, x, y in reversed(ops):
+        if kind == 1:
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == 2:
+            e, c = y if inverse else x
+            lines[i] = {k: (a[0] + e, scaled(a, c, p)[1])
+                        for k, a in lines[i].items()}
+        else:
+            target, source, q = (i, j, y) if inverse else (j, i, x)
+            line = lines[target]
+            for k, b in lines[source].items():
+                a = lincomb(ONE, line.get(k), q, b, p)
+                if a is None:
+                    del line[k]
+                else:
+                    line[k] = a
+    return lines
 
 
 def _conjugated(rng, ring, base, ranks, rows, span):
     """T_{m-1}^-1 d_m T_m for the differentials d_m of sparse rows
-    ``rows[m]`` on ``ranks`` (one interval of degrees) and a random pair
-    per degree."""
+    ``rows[m]`` on ``ranks`` (one interval of degrees) and a random
+    T_m = E_k...E_1 per degree: T_{m-1}^-1 d_m = E_1^-1...E_k^-1 d_m is
+    formed by inverse row operations on copies of the rows, then d_m T_m
+    by column operations on its columns, with no matrix product."""
     lo, hi = min(ranks), max(ranks)
-    pairs = {m: _invertible_pair(rng, ring, ranks[m], span)
-             for m in range(lo, hi + 1)}
-    diffs = {m: pairs[m - 1][1] @ LaurentMatrix(
-        ring, ranks[m - 1], ranks[m], rows[m]) @ pairs[m][0]
-        for m in range(lo + 1, hi + 1)}
+    ops = {m: _elementary_ops(rng, ring, ranks[m], span)
+           for m in range(lo, hi + 1)}
+    diffs = {}
+    for m in range(lo + 1, hi + 1):
+        cols = [{} for _ in range(ranks[m])]
+        for i, row in enumerate(_operated([dict(r) for r in rows[m]],
+                                          ops[m - 1], True, ring.p)):
+            for j, a in row.items():
+                cols[j][i] = a
+        d = [{} for _ in range(ranks[m - 1])]  # columns ascending
+        for j, col in enumerate(_operated(cols, ops[m], False, ring.p)):
+            for i, a in col.items():
+                d[i][j] = a[0], tuple(a[1])
+        diffs[m] = LaurentMatrix(ring, ranks[m - 1], ranks[m], d)
     return ChainComplex(ring, base, lo, hi, ranks, diffs)
 
 

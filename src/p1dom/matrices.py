@@ -6,8 +6,10 @@ columns ascending, which every producer builds and every kernel reads as
 is; a ``LaurentPoly`` appears only at the boundary (``d[i, j]``, the
 determinant).  Which subring (K[x], K[x^-1]) it lives over is checked by
 the complex or chart that holds it (``ChainComplex.validate``, the
-``SheafComplex`` constructor, the file loader).  A scalar matrix holds
-ring elements and carries the one exact rank kernel, ``scalar_rank``.
+``SheafComplex`` constructor, the file loader).  The library forms no
+sum or product of Laurent matrices: ``+``, ``-`` and ``@`` serve the
+tests.  A scalar matrix holds ring elements and carries the one exact
+rank kernel, ``scalar_rank``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .scalars import CoefficientRing, check_same_ring
 
 
 class _Rows:
-    """rows x cols matrix of sparse rows, which are not scanned."""
+    """rows x cols matrix of sparse rows, of which only the keys are read."""
 
     __slots__ = ("ring", "rows", "cols", "data")
 
@@ -32,6 +34,11 @@ class _Rows:
             raise ShapeError("negative matrix dimensions")
         if len(data) != rows:
             raise ShapeError(f"{len(data)} row dicts for {rows} rows")
+        for i, row in enumerate(data):
+            if row and (min(row) < 0 or max(row) >= cols):
+                j = min(row) if min(row) < 0 else max(row)
+                raise ShapeError(
+                    f"row {i} has column {j} outside 0..{cols - 1}")
         self.ring = ring
         self.rows = rows
         self.cols = cols

@@ -8,7 +8,7 @@ from p1dom.complexes import ChainComplex, HomologyEntry, ScalarComplex
 from p1dom.domination import _chart_direction, _torsion_dims, chart_homology
 from p1dom.errors import (BaseRingViolationError, RingMismatchError,
                           ShapeError, UnsupportedRingError)
-from p1dom.generators import (_conjugated, _invertible_pair, _poly_entry,
+from p1dom.generators import (_conjugated, _elementary_ops, _poly_entry,
                               random_complex, random_novikov_acyclic)
 from p1dom.laurent import BaseRing, LaurentPoly, _exponent
 from p1dom.matrices import LaurentMatrix, ScalarMatrix, scalar_rank
@@ -563,13 +563,50 @@ def chart(s, side, base=None):
 
 
 def random_invertible_pair(rng, ring, n, span=1):
-    """(T, T^-1) of ``generators._invertible_pair``."""
-    return _invertible_pair(rng, ring, n, span)
+    """(T, T^-1) for the operations E_1, ..., E_k that
+    ``generators._elementary_ops`` draws, T = E_k...E_1.  Both are built
+    on grids of entries (None for zero) from the identity, in the order
+    drawn: T by each operation as a row operation, T^-1 alongside it by
+    each inverse as a column operation (row i += q*row j becomes
+    col j -= q*col i, a row swap the same column swap, and row i *= u
+    becomes col i *= u^-1)."""
+    p = ring.p
+    one = 0, (ring.one(),)
+    t = [[one if i == j else None for j in range(n)] for i in range(n)]
+    t_inv = [list(row) for row in t]
+    for kind, i, j, x, y in _elementary_ops(rng, ring, n, span):
+        if kind == 0:
+            row = t[i]
+            for col, b in enumerate(t[j]):
+                if b is not None:
+                    row[col] = lincomb(ONE, row[col], x, b, p)
+            for row in t_inv:
+                if row[i] is not None:
+                    row[j] = lincomb(ONE, row[j], y, row[i], p)
+        elif kind == 1:
+            t[i], t[j] = t[j], t[i]
+            for row in t_inv:
+                row[i], row[j] = row[j], row[i]
+        else:
+            t[i] = [_times_unit(a, x, p) for a in t[i]]
+            for row in t_inv:
+                row[i] = _times_unit(row[i], y, p)
+    return tuple(LaurentMatrix(ring, n, n, [
+        {j: (e[0], tuple(e[1])) for j, e in enumerate(row) if e is not None}
+        for row in grid]) for grid in (t, t_inv))
+
+
+def _times_unit(a, unit, p):
+    """The entry c x^e a for the unit (e, c) (None for a zero a)."""
+    e, c = unit
+    return a and (a[0] + e, scaled(a, c, p)[1])
 
 
 def basis_change(rng, c, span=1):
     """Conjugate by random invertible matrices in every degree: the
-    complex T_{m-1}^-1 d_m T_m of ``generators._conjugated``."""
+    complex T_{m-1}^-1 d_m T_m of ``generators._conjugated``, which
+    applies the elementary operations of each T to copies of the rows of
+    c, so c itself is left as it is."""
     return _conjugated(rng, c.ring, c.base, c.ranks,
                        {m: d.data for m, d in c.diffs.items()}, span)
 
@@ -586,9 +623,10 @@ def grid_product(a, b):
 
 
 def basis_change_reference(rng, c, span=1):
-    """``basis_change`` as T^-1 d T with ``grid_product``, on the pairs
-    of ``random_invertible_pair``: the same draws give the same
-    complex."""
+    """``basis_change`` as the products T^-1 d T of ``grid_product``,
+    for the pairs (T, T^-1) that ``random_invertible_pair`` builds from
+    the same draws: the oracle of the row and column operations of
+    ``generators._conjugated``, which form no T and no product."""
     pairs = {m: random_invertible_pair(rng, c.ring, c.rank(m), span=span)
              for m in c.degrees()}
     diffs = {m: grid_product(grid_product(pairs[m - 1][1], c.diff(m)),

@@ -9,17 +9,21 @@ with the next ``rng.random()``, so that a change which moves one draw, one
 coefficient or one call to ``random`` fails here.  The coefficient types
 are checked as well: Fractions over Q, residues in [0, p) over GF(p) and
 ints over Z.  ``helpers.basis_change`` is compared with the product
-oracle ``helpers.basis_change_reference`` on a cloned generator.
+oracle ``helpers.basis_change_reference`` on a cloned generator, and
+must leave the complex it conjugates unchanged.
 """
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from p1dom import fileformat as ff
+from p1dom.complexes import ChainComplex
 from p1dom.generators import random_complex, random_novikov_acyclic
+from p1dom.laurent import BaseRing
 from p1dom.scalars import GF, QQ, ZZ
 
 from helpers import (basis_change, basis_change_reference,
@@ -193,14 +197,45 @@ def test_the_same_seed_gives_the_same_draws(kind, tag):
     assert draw_digest(kind, tag) == DIGESTS[kind, tag]
 
 
+# the complexes that the product oracle conjugates: the digest case's,
+# and the large-rank case's, whose operations meet fill-in (cancellation
+# is met by test_basis_change_of_t_cancels_t)
+GIVEN = (
+    _given,
+    lambda ring, seed: random_complex(
+        random.Random(200 + seed), ring, max_length=3, max_rank=9, span=2),
+)
+
+
 @pytest.mark.parametrize("tag", sorted(RINGS))
 def test_basis_change_equals_the_product_oracle(tag):
     ring = RINGS[tag]
-    for seed in range(12):
-        c = _given(ring, seed)
+    for given, seed in itertools.product(GIVEN, range(12)):
+        c = given(ring, seed)
+        copy = ff.complex_from_dict(ff.complex_to_dict(c))
+        span = 1 + seed % 3
         rng = random.Random(seed)
         clone = random.Random()
         clone.setstate(rng.getstate())
-        assert basis_change(rng, c, 1 + seed % 3) == \
-            basis_change_reference(clone, c, 1 + seed % 3)
+        assert basis_change(rng, c, span) == \
+            basis_change_reference(clone, c, span)
         assert rng.random() == clone.random()
+        assert c == copy  # no row of the input was edited
+
+
+@pytest.mark.parametrize("tag", sorted(RINGS))
+def test_basis_change_of_t_cancels_t(tag):
+    """d_1 = T_0 conjugates to T_0^-1 T_0 T_1 = T_1, for the matrices T_0
+    and T_1 that ``basis_change`` draws: the inverse row operations
+    cancel every entry of T_0 off the diagonal."""
+    ring = RINGS[tag]
+    for seed in range(12):
+        n, span = 1 + seed % 6, 1 + seed % 3
+        rng = random.Random(seed)
+        clone = random.Random()
+        clone.setstate(rng.getstate())
+        t0, t1 = (random_invertible_pair(clone, ring, n, span)[0]
+                  for _ in range(2))
+        c = ChainComplex(ring, BaseRing.LAURENT, 0, 1, {0: n, 1: n},
+                         {1: t0})
+        assert basis_change(rng, c, span).diff(1) == t1

@@ -6,18 +6,21 @@ nonzero ends, no zero entry and no ``LaurentPoly``, columns ascending.
 The loader, both generators, the zero differential of a missing degree,
 the middle complex of an extension and the sums, differences and
 products of matrices are checked here; the arithmetic also against
-``LaurentPoly`` arithmetic on dense grids.
+``LaurentPoly`` arithmetic on dense grids.  A row with a column key
+outside the matrix is refused when the matrix is built.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from p1dom import fileformat as ff
 from p1dom.extension import extend_complex
 from p1dom.generators import random_complex, random_novikov_acyclic
-from p1dom.matrices import LaurentMatrix
+from p1dom.errors import ShapeError
+from p1dom.matrices import LaurentMatrix, ScalarMatrix
 from p1dom.scalars import GF, QQ, ZZ
 
 from helpers import dense, grid_matrix, grid_product, random_matrix
@@ -83,3 +86,12 @@ def test_built_matrices_hold_canonical_rows(seed, ring):
     assert_canonical_rows(product)
     assert product == grid_product(a, k)
     assert_canonical_rows(LaurentMatrix.zero(ring, rows, cols) @ k)
+
+
+@pytest.mark.parametrize("cls, value", [
+    (LaurentMatrix, (0, (Fraction(1),))), (ScalarMatrix, Fraction(1))])
+@pytest.mark.parametrize("key", [5, 1, -1])
+def test_a_column_key_outside_the_matrix_is_refused(cls, value, key):
+    with pytest.raises(ShapeError, match=f"row 1 has column {key} "):
+        cls(QQ, 2, 1, [{0: value}, {0: value, key: value}])
+    assert cls(QQ, 2, 1, [{0: value}, {}]).data[0] == {0: value}
