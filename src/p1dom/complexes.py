@@ -69,6 +69,24 @@ class ChainComplex:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _stored(cls, ring, base: BaseRing, lo: int, hi: int, ranks: dict,
+                diffs: dict) -> "ChainComplex":
+        """A complex whose shapes the caller has proved: ``ranks`` maps
+        each degree lo..hi, ascending, to a nonnegative int, and
+        ``diffs`` each degree lo + 1..hi to a LaurentMatrix over ``ring``
+        of shape rank(m - 1) x rank(m); ``base`` is not K.  Only stores
+        them, with none of the constructor's checks;
+        ``generators._conjugated`` is the one caller."""
+        c = object.__new__(cls)
+        c.ring = ring
+        c.base = base
+        c.lo = lo
+        c.hi = hi
+        c.ranks = ranks
+        c.diffs = diffs
+        return c
+
+    @classmethod
     def single(cls, ring, base, degree, rank):
         return cls(ring, base, degree, degree, {degree: rank})
 

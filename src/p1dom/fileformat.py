@@ -161,10 +161,11 @@ def matrix_from_rows(ring, rows, cols, data, base: BaseRing, where: str,
                         f"entry ({i},{j}) = "
                         f"{LaurentPoly.from_entry(ring, e)} violates "
                         f"{base.tag}", where)
+    # the keys are positions in rows of cols cells, met ascending: no scan
     if base is BaseRing.K:
-        return ScalarMatrix(ring, rows, cols, [
+        return ScalarMatrix._stored(ring, rows, cols, [
             {j: e[1][0] for j, e in row.items()} for row in out])
-    return LaurentMatrix(ring, rows, cols, out)
+    return LaurentMatrix._stored(ring, rows, cols, out)
 
 
 # -- chain complexes ---------------------------------------------------------------

@@ -3,25 +3,35 @@
 Valid complexes are elementary pieces (two-term complexes and single free
 levels) conjugated by random invertible basis changes, so d.d = 0 holds
 by construction while differentials look generic.  It all runs on
-``polylists`` entries: the pieces go straight into the rows of one
+``polylists`` entries with int coefficients for every ring (residues mod
+p over GF(p), plain ints over Q and Z), as ``validate``, the chart
+valuations and ``smith`` do.  The pieces go straight into the rows of one
 block-diagonal matrix per degree, and a basis change T is drawn as
-elementary row operations, each with its inverse (``_elementary_ops``),
-which act on the nonzero entries of d to form T^-1 d T: no T, no matrix
-product and no ``LaurentPoly`` is built.  The same recipe with
-unit-monomial pieces yields Novikov-acyclic instances.  The maps and
-diagrams of the paper's lemmas are drawn by the tests
+elementary row operations (``_elementary_ops``), which act on the nonzero
+entries of d to form T^-1 d T: no T, no matrix product and no
+``LaurentPoly`` is built.  Over Q each row of T_{m-1}^-1 d_m carries one
+denominator, which a row scaling by c^-1 multiplies by |c| and a row
+addition raises to the lcm of both rows'; the column operations keep it,
+as they combine entries of one row.  Each stored Q coefficient is made
+once, the Fraction of its numerator over its row's denominator, when the
+rows of the result are written, so no Fraction arithmetic runs.  The
+same recipe with unit-monomial pieces yields Novikov-acyclic instances.
+The maps and diagrams of the paper's lemmas are drawn by the tests
 (``tests/paper_lemmas.py``) from the same entries.
 
 The same seed gives the same draws: the same calls to ``random`` in the
-same order and the same polynomials with the same coefficient types.  The
-acceptance corpus, the report digests, ``p1dom selftest`` and the
-benchmark's corpora and expected outputs rely on it, and
+same order and the same polynomials with the same coefficient types
+(Fractions over Q, residues over GF(p), ints over Z).  The acceptance
+corpus, the report digests, ``p1dom selftest`` and the benchmark's
+corpora and expected outputs rely on it, and
 ``tests/test_generator_digests.py`` pins it.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from math import lcm
 
 from .complexes import ChainComplex
 from .laurent import BaseRing
@@ -34,31 +44,37 @@ def random_ring(rng: random.Random) -> CoefficientRing:
     return rng.choice([QQ, GF(5), GF(7), GF(10007)])
 
 
-def _poly_entry(rng, ring, min_exp, max_exp, terms, nonzero=False):
-    """The entry of up to ``terms`` terms c x^e, c from -3 to 3; with
-    ``nonzero`` a zero draw falls back to one monomial, whose coefficient
-    is 1 where the drawn one is zero in the ring (2 over GF(2))."""
+def _residue(c, p):
+    """The int c mod p, or c itself for p = 0 (over Q and Z)."""
+    return c % p if p else c
+
+
+def _poly_entry(rng, p, min_exp, max_exp, terms, nonzero=False):
+    """The entry of up to ``terms`` terms c x^e, c from -3 to 3 taken mod
+    p; with ``nonzero`` a zero draw falls back to one monomial, whose
+    coefficient is 1 where the drawn one is zero mod p (2 over GF(2))."""
     acc = {}
     for _ in range(rng.randint(1 if nonzero else 0, terms)):
         e = rng.randint(min_exp, max_exp)
         c = rng.randint(-3, 3)
         if c:
             acc[e] = acc.get(e, 0) + c
-    entry = from_terms([(e, ring.from_int(c)) for e, c in acc.items()],
-                       ring.p)
+    entry = from_terms([(e, _residue(c, p)) for e, c in acc.items()], p)
     if nonzero and entry is None:
         e = rng.randint(min_exp, max_exp)
-        entry = e, (ring.from_int(rng.choice([1, -1, 2])) or ring.one(),)
+        entry = e, (_residue(rng.choice([1, -1, 2]), p) or 1,)
     return entry
 
 
 def _elementary_ops(rng, ring, n, span):
     """The row operations E_1, ..., E_k of a random basis change
     T = E_k...E_1 of rank n, from 2n draws, whose determinant is a unit
-    monomial.  Each is a record (kind, i, j, x, y), y undoing x: kind 0
-    adds x times row j to row i (y = -x), kind 1 swaps rows i and j, and
-    kind 2 multiplies row i by the unit x = (e, c), that is c x^e
-    (y = (-e, c^-1))."""
+    monomial.  Each is a record (kind, i, j, x) on int coefficients:
+    kind 0 adds x times row j to row i, kind 1 swaps rows i and j, and
+    kind 2 multiplies row i by the unit x = (e, c), that is c x^e.  No
+    inverse is formed here: an operation that meets a nonzero line forms
+    its own (``_inverse_row_operated``)."""
+    p = ring.p
     ops = []
     for _ in range(2 * n):
         kind = rng.randint(0, 2)
@@ -66,70 +82,130 @@ def _elementary_ops(rng, ring, n, span):
             kind = 2
         if kind == 0:
             i, j = rng.sample(range(n), 2)
-            q = _poly_entry(rng, ring, -span, span, 2)
+            q = _poly_entry(rng, p, -span, span, 2)
             if q is None:
                 continue
-            ops.append((0, i, j, q, scaled(q, -1, ring.p)))
+            ops.append((0, i, j, q))
         elif kind == 1:
             i, j = rng.sample(range(n), 2)
-            ops.append((1, i, j, None, None))
+            ops.append((1, i, j, None))
         else:
             i = rng.randrange(n)
-            c = ring.from_int(rng.choice([1, -1, 2, 3]))
+            c = _residue(rng.choice([1, -1, 2, 3]), p)
             while not ring.is_unit(c):
-                c = ring.from_int(rng.choice([1, -1]))
-            e = rng.randint(-span, span)
-            ops.append((2, i, None, (e, c), (-e, ring.invert(c))))
+                c = _residue(rng.choice([1, -1]), p)
+            ops.append((2, i, None, (rng.randint(-span, span), c)))
     return ops
 
 
-def _operated(lines, ops, inverse, p):
-    """Apply ``ops`` to ``lines``, the rows or the columns of a matrix as
-    dicts of nonzero entries, last drawn first: with ``inverse`` each
-    E^-1 as a row operation, else each E as a column operation (row
-    i += x*row j becomes col j += x*col i).  An addition edits its
-    target line in place, so the caller hands in copies."""
-    for kind, i, j, x, y in reversed(ops):
+def _inverse_row_operated(rows, dens, ops, p):
+    """E_1^-1...E_k^-1 applied to ``rows``, dicts of nonzero entries, as
+    row operations, the inverse of each record of ``ops`` last drawn
+    first.  For p = 0 row i stands for rows[i] / dens[i]: the scaling by
+    c^-1 x^-e multiplies dens[i] by |c| and its entries by the sign of
+    c, and an addition first brings its two rows to the lcm of their
+    denominators.  An addition edits its target row in place."""
+    for kind, i, j, x in reversed(ops):
         if kind == 1:
-            lines[i], lines[j] = lines[j], lines[i]
+            rows[i], rows[j] = rows[j], rows[i]
+            dens[i], dens[j] = dens[j], dens[i]
         elif kind == 2:
-            e, c = y if inverse else x
-            lines[i] = {k: (a[0] + e, scaled(a, c, p)[1])
-                        for k, a in lines[i].items()}
-        else:
-            target, source, q = (i, j, y) if inverse else (j, i, x)
-            line = lines[target]
-            for k, b in lines[source].items():
-                a = lincomb(ONE, line.get(k), q, b, p)
-                if a is None:
-                    del line[k]
+            if rows[i]:
+                e, c = x
+                if p:
+                    k = pow(c, p - 2, p)
                 else:
-                    line[k] = a
-    return lines
+                    k = 1 if c > 0 else -1
+                    dens[i] *= abs(c)
+                rows[i] = {col: (a[0] - e, a[1] if k == 1 else
+                                 scaled(a, k, p)[1])
+                           for col, a in rows[i].items()}
+        elif rows[j]:
+            row, f, g = rows[i], 1, 1
+            if dens[i] != dens[j]:
+                den = lcm(dens[i], dens[j])
+                f, g = den // dens[i], den // dens[j]
+                dens[i] = den
+            if f != 1:
+                row = rows[i] = {col: (a[0], [f * y for y in a[1]])
+                                 for col, a in row.items()}
+            q = scaled(x, -g, p)
+            for col, b in rows[j].items():
+                a = lincomb(ONE, row.get(col), q, b, p)
+                if a is None:
+                    del row[col]
+                else:
+                    row[col] = a
+    return rows
 
 
-def _conjugated(rng, ring, base, ranks, rows, span):
-    """T_{m-1}^-1 d_m T_m for the differentials d_m of sparse rows
-    ``rows[m]`` on ``ranks`` (one interval of degrees) and a random
-    T_m = E_k...E_1 per degree: T_{m-1}^-1 d_m = E_1^-1...E_k^-1 d_m is
-    formed by inverse row operations on copies of the rows, then d_m T_m
-    by column operations on its columns, with no matrix product."""
+def _column_operated(cols, ops, p):
+    """E_k...E_1 applied to ``cols``, dicts of nonzero entries, as column
+    operations, last drawn first: row i += x*row j becomes col j +=
+    x*col i, a swap the same swap and a scaling the same scaling.  Each
+    combines entries of one row, so the row denominators of
+    ``_inverse_row_operated`` stay.  An addition edits its target column
+    in place."""
+    for kind, i, j, x in reversed(ops):
+        if kind == 1:
+            cols[i], cols[j] = cols[j], cols[i]
+        elif kind == 2:
+            e, c = x
+            cols[i] = {r: (a[0] + e, a[1] if c == 1 else scaled(a, c, p)[1])
+                       for r, a in cols[i].items()}
+        elif cols[i]:
+            col = cols[j]
+            for r, b in cols[i].items():
+                a = lincomb(ONE, col.get(r), x, b, p)
+                if a is None:
+                    del col[r]
+                else:
+                    col[r] = a
+    return cols
+
+
+def _conjugated(rng, ring, base, ranks, rows, span, dens=None):
+    """T_{m-1}^-1 d_m T_m for a random T_m = E_k...E_1 per degree, where
+    ``ranks`` maps each degree of one interval, ascending, to its rank
+    and d_m has the sparse rows ``rows[m]`` of int entries, row i over Q
+    divided by ``dens[m][i]`` (1 when ``dens`` is None).  The rows of
+    each d_m, which are edited in place, take the inverse row operations,
+    E_1^-1...E_k^-1 d_m, then its columns the column operations, with no
+    matrix product.
+
+    The result is stored with no scan (``LaurentMatrix._stored``,
+    ``ChainComplex._stored``), and it holds what those scans check:
+    ``ranks`` covers lo..hi; each degree above lo has its d_m over
+    ``ring``, of ``ranks[m - 1]`` rows keyed by the positions j of
+    ``cols``, 0..ranks[m] - 1, written in ascending order; each entry
+    (v, c) has c[0] and c[-1] nonzero (``lincomb`` trims, a scaling by a
+    unit keeps them, an entry that cancels is deleted), and canonical
+    coefficients: residues, as every operation reduces mod p, over
+    GF(p), ints over Z and Fractions made here over Q."""
     lo, hi = min(ranks), max(ranks)
+    p = ring.p
     ops = {m: _elementary_ops(rng, ring, ranks[m], span)
            for m in range(lo, hi + 1)}
+    over_q = ring.kind == "Q"
     diffs = {}
     for m in range(lo + 1, hi + 1):
+        row_dens = list(dens[m]) if dens else [1] * ranks[m - 1]
         cols = [{} for _ in range(ranks[m])]
-        for i, row in enumerate(_operated([dict(r) for r in rows[m]],
-                                          ops[m - 1], True, ring.p)):
+        for i, row in enumerate(_inverse_row_operated(
+                rows[m], row_dens, ops[m - 1], p)):
             for j, a in row.items():
                 cols[j][i] = a
         d = [{} for _ in range(ranks[m - 1])]  # columns ascending
-        for j, col in enumerate(_operated(cols, ops[m], False, ring.p)):
-            for i, a in col.items():
-                d[i][j] = a[0], tuple(a[1])
-        diffs[m] = LaurentMatrix(ring, ranks[m - 1], ranks[m], d)
-    return ChainComplex(ring, base, lo, hi, ranks, diffs)
+        for j, col in enumerate(_column_operated(cols, ops[m], p)):
+            for i, (v, c) in col.items():
+                if not over_q:
+                    d[i][j] = v, tuple(c)
+                elif row_dens[i] == 1:
+                    d[i][j] = v, tuple(map(Fraction, c))
+                else:
+                    d[i][j] = v, tuple([Fraction(x, row_dens[i]) for x in c])
+        diffs[m] = LaurentMatrix._stored(ring, ranks[m - 1], ranks[m], d)
+    return ChainComplex._stored(ring, base, lo, hi, ranks, diffs)
 
 
 def _conjugated_sum(rng, ring, ranks, cells, span):
@@ -166,7 +242,7 @@ def random_complex(rng, ring, max_length=4, max_rank=4, span=1,
         if length >= 2 and rng.random() < 0.7:
             top = rng.randint(lo + 1, hi)
             _two_term(ranks, cells, top, _poly_entry(
-                rng, ring, -span, span, 3, nonzero=rng.random() < 0.8))
+                rng, ring.p, -span, span, 3, nonzero=rng.random() < 0.8))
         else:
             ranks[rng.randint(lo, hi)] += 1
     return _conjugated_sum(rng, ring, ranks, cells, span)
@@ -183,10 +259,9 @@ def random_novikov_acyclic(rng, ring, max_rank=3, span=1) -> ChainComplex:
     ranks, cells = {}, []
     for _ in range(rng.randint(1, max_rank)):
         if rng.random() < 0.6:
-            entry = _poly_entry(rng, ring, -span, span, 3, nonzero=True)
+            entry = _poly_entry(rng, ring.p, -span, span, 3, nonzero=True)
             _two_term(ranks, cells, rng.randint(0, 2), entry)
         else:
-            _two_term(ranks, cells, rng.randint(0, 1) + 1,
-                      (0, (ring.one(),)))
+            _two_term(ranks, cells, rng.randint(0, 1) + 1, ONE)
     ranks = {m: ranks.get(m, 0) for m in range(min(ranks), max(ranks) + 1)}
     return _conjugated_sum(rng, ring, ranks, cells, span)

@@ -7,9 +7,10 @@ is; a ``LaurentPoly`` appears only at the boundary (``d[i, j]``, the
 determinant).  Which subring (K[x], K[x^-1]) it lives over is checked by
 the complex or chart that holds it (``ChainComplex.validate``, the
 ``SheafComplex`` constructor, the file loader).  The library forms no
-sum or product of Laurent matrices: ``+``, ``-`` and ``@`` serve the
-tests.  A scalar matrix holds ring elements and carries the one exact
-rank kernel, ``scalar_rank``.
+sum or product of Laurent matrices, so a matrix has no arithmetic: the
+sums, negations and products that the tests' oracles form are functions
+of ``tests/helpers.py``.  A scalar matrix holds ring elements and
+carries the one exact rank kernel, ``scalar_rank``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from math import gcd, lcm, prod
 from . import polylists
 from .errors import ShapeError
 from .laurent import LaurentPoly
-from .polylists import MINUS_ONE, ONE, lincomb
-from .scalars import CoefficientRing, check_same_ring
+from .scalars import CoefficientRing
 
 
 class _Rows:
@@ -35,21 +35,29 @@ class _Rows:
         if len(data) != rows:
             raise ShapeError(f"{len(data)} row dicts for {rows} rows")
         for i, row in enumerate(data):
-            if row and (min(row) < 0 or max(row) >= cols):
-                j = min(row) if min(row) < 0 else max(row)
-                raise ShapeError(
-                    f"row {i} has column {j} outside 0..{cols - 1}")
+            for j in row:
+                if type(j) is not int or not 0 <= j < cols:
+                    raise ShapeError(
+                        f"row {i} has column {j!r} outside 0..{cols - 1}")
         self.ring = ring
         self.rows = rows
         self.cols = cols
         self.data = data
 
-
-def _row(acc: dict) -> dict:
-    """The nonzero entries of ``acc`` in ascending columns, each c a
-    tuple."""
-    return {j: (e[0], tuple(e[1])) for j, e in sorted(acc.items())
-            if e is not None}
+    @classmethod
+    def _stored(cls, ring, rows: int, cols: int, data):
+        """The matrix of ``data``, which the caller has built in shape:
+        ``rows`` dicts keyed by ints in 0..cols - 1, in ascending order,
+        of canonical nonzero values.  Only stores them, with none of the
+        constructor's scans; each caller proves the shape where it
+        builds the rows (``generators._conjugated``, the file loader's
+        ``matrix_from_rows``, ``sheaves.cech_complex``)."""
+        m = object.__new__(cls)
+        m.ring = ring
+        m.rows = rows
+        m.cols = cols
+        m.data = data
+        return m
 
 
 class LaurentMatrix(_Rows):
@@ -69,48 +77,6 @@ class LaurentMatrix(_Rows):
     @property
     def is_zero(self) -> bool:
         return not any(self.data)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _combined(self, g, other):
-        """self + g*other for g = ONE or MINUS_ONE."""
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeError(
-                f"shape mismatch {self.rows}x{self.cols} vs "
-                f"{other.rows}x{other.cols}"
-            )
-        check_same_ring(self.ring, other.ring)
-        p = self.ring.p
-        return LaurentMatrix(self.ring, self.rows, self.cols, [
-            _row({j: lincomb(ONE, a.get(j), g, b.get(j), p)
-                  for j in a.keys() | b.keys()})
-            for a, b in zip(self.data, other.data)])
-
-    def __add__(self, other):
-        return self._combined(ONE, other)
-
-    def __sub__(self, other):
-        return self._combined(MINUS_ONE, other)
-
-    def __neg__(self):
-        return LaurentMatrix.zero(self.ring, self.rows, self.cols) - self
-
-    def __matmul__(self, other):
-        if self.cols != other.rows:
-            raise ShapeError(
-                f"cannot multiply {self.rows}x{self.cols} by "
-                f"{other.rows}x{other.cols}"
-            )
-        check_same_ring(self.ring, other.ring)
-        p = self.ring.p
-        out = []
-        for row in self.data:
-            acc = {}
-            for k, a in row.items():
-                for j, b in other.data[k].items():
-                    acc[j] = lincomb(a, b, ONE, acc.get(j), p)
-            out.append(_row(acc))
-        return LaurentMatrix(self.ring, self.rows, other.cols, out)
 
     # -- determinant (fraction-free Bareiss) --------------------------------
 

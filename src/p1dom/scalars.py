@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NotAUnitError, RingMismatchError, UnsupportedRingError
+from .errors import RingMismatchError, UnsupportedRingError
 
 # coefficient strings and ring moduli; unlike int(), [0-9] is ASCII only
 _DECIMAL = re.compile(r"-?[0-9]+")
@@ -110,15 +110,6 @@ class CoefficientRing:
         if self.kind == "Z":
             return a in (1, -1)
         return a != 0
-
-    def invert(self, a):
-        if not self.is_unit(a):
-            raise NotAUnitError(f"{a!r} is not a unit of {self.tag}")
-        if self.kind == "Q":
-            return Fraction(1) / a
-        if self.kind == "GF":
-            return pow(a, self.p - 2, self.p)
-        return a  # 1 or -1
 
     # -- text form (shared by every file format) -------------------------
 

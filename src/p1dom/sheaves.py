@@ -276,5 +276,6 @@ def cech_complex(s: SheafComplex) -> ScalarComplex:
                         if x:
                             rows[k][col] = x
                 col += 1
-        diffs[m] = ScalarMatrix(ring, len(rows), ranks[m], rows)
+        # col ran up through 0..ranks[m] - 1, so no key scan is needed
+        diffs[m] = ScalarMatrix._stored(ring, len(rows), ranks[m], rows)
     return ScalarComplex(ring, s.mid.lo, s.mid.hi, ranks, diffs)

@@ -6,8 +6,9 @@ from fractions import Fraction
 from p1dom import fileformat as ff
 from p1dom.complexes import ChainComplex, HomologyEntry, ScalarComplex
 from p1dom.domination import _chart_direction, _torsion_dims, chart_homology
-from p1dom.errors import (BaseRingViolationError, RingMismatchError,
-                          ShapeError, UnsupportedRingError)
+from p1dom.errors import (BaseRingViolationError, NotAUnitError,
+                          RingMismatchError, ShapeError,
+                          UnsupportedRingError)
 from p1dom.generators import (_conjugated, _elementary_ops, _poly_entry,
                               random_complex, random_novikov_acyclic)
 from p1dom.laurent import BaseRing, LaurentPoly, _exponent
@@ -34,7 +35,7 @@ def monomial(ring, exponent, coeff=1):
 def inverse_unit(p):
     """The inverse c^-1 x^-v of a unit c x^v of K[x,x^-1]."""
     v, (c,) = p.entry
-    return LaurentPoly.from_entry(p.ring, (-v, (p.ring.invert(c),)))
+    return LaurentPoly.from_entry(p.ring, (-v, (invert(p.ring, c),)))
 
 
 # -- members the library does not call -----------------------------------------
@@ -53,6 +54,18 @@ def add(ring, a, b):
 def mul(ring, a, b):
     """a * b in a coefficient ring."""
     return (a * b) % ring.p if ring.p else a * b
+
+
+def invert(ring, a):
+    """The inverse of a unit a of a coefficient ring; NotAUnitError for
+    any other a."""
+    if not ring.is_unit(a):
+        raise NotAUnitError(f"{a!r} is not a unit of {ring.tag}")
+    if ring.kind == "Q":
+        return Fraction(1) / a
+    if ring.kind == "GF":
+        return pow(a, ring.p - 2, ring.p)
+    return a  # 1 or -1
 
 
 def is_unit(p):
@@ -213,12 +226,12 @@ def random_matrix(rng, ring, rows, cols, span=3):
 
 
 def three_term_complex(rng, ring):
-    """C_2 -> C_1 -> C_0 with d_1 a random matrix and d_2 = K @ R for a
+    """C_2 -> C_1 -> C_0 with d_1 a random matrix and d_2 = K R for a
     kernel basis K of d_1: not a sum of two-term pieces."""
     r0, r1, r2 = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 3)
     d1 = random_matrix(rng, ring, r0, r1, 2)
     kernel = kernel_basis(d1)
-    d2 = kernel @ random_matrix(rng, ring, kernel.cols, r2, 1)
+    d2 = matmul(kernel, random_matrix(rng, ring, kernel.cols, r2, 1))
     return ChainComplex(ring, BaseRing.LAURENT, 0, 2, {0: r0, 1: r1, 2: r2},
                         {1: d1, 2: d2})
 
@@ -261,6 +274,62 @@ def betti_numbers(d):
 # -- Laurent polynomials and matrices -------------------------------------------
 
 
+def _row(acc):
+    """The nonzero entries of ``acc`` in ascending columns, each c a
+    tuple."""
+    return {j: (e[0], tuple(e[1])) for j, e in sorted(acc.items())
+            if e is not None}
+
+
+def _combined(a, g, b):
+    """a + g*b for LaurentMatrix a and b of one shape and ring, g = ONE or
+    MINUS_ONE."""
+    if a.rows != b.rows or a.cols != b.cols:
+        raise ShapeError(f"shape mismatch {a.rows}x{a.cols} vs "
+                         f"{b.rows}x{b.cols}")
+    check_same_ring(a.ring, b.ring)
+    p = a.ring.p
+    return LaurentMatrix(a.ring, a.rows, a.cols, [
+        _row({j: lincomb(ONE, x.get(j), g, y.get(j), p)
+              for j in x.keys() | y.keys()})
+        for x, y in zip(a.data, b.data)])
+
+
+def matadd(a, b):
+    """a + b for LaurentMatrix a and b, on their rows."""
+    return _combined(a, ONE, b)
+
+
+def matsub(a, b):
+    """a - b for LaurentMatrix a and b, on their rows."""
+    return _combined(a, MINUS_ONE, b)
+
+
+def matneg(a):
+    """-a for a LaurentMatrix a."""
+    return matsub(LaurentMatrix.zero(a.ring, a.rows, a.cols), a)
+
+
+def matmul(a, *factors):
+    """The product of the LaurentMatrix a and ``factors``, left to right,
+    each row of a product summed from the rows of the next factor."""
+    for b in factors:
+        if a.cols != b.rows:
+            raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by "
+                             f"{b.rows}x{b.cols}")
+        check_same_ring(a.ring, b.ring)
+        p = a.ring.p
+        out = []
+        for row in a.data:
+            acc = {}
+            for k, x in row.items():
+                for j, y in b.data[k].items():
+                    acc[j] = lincomb(x, y, ONE, acc.get(j), p)
+            out.append(_row(acc))
+        a = LaurentMatrix(a.ring, a.rows, b.cols, out)
+    return a
+
+
 def mindeg(p):
     """The least exponent of a nonzero LaurentPoly."""
     return p.entry[0]
@@ -286,7 +355,7 @@ def evaluate(p, point):
     total = zero(ring)
     for x in reversed(c):  # Horner's rule, then times point^v
         total = add(ring, mul(ring, total, point), x)
-    unit = point if v >= 0 else ring.invert(point)
+    unit = point if v >= 0 else invert(ring, point)
     for _ in range(abs(v)):
         total = mul(ring, total, unit)
     return total
@@ -299,7 +368,7 @@ def unit_normalise(p):
         raise ShapeError("cannot normalise the zero polynomial")
     v, c = p.entry
     lead = c[-1]
-    core = scaled((0, c), p.ring.invert(lead), p.ring.p)
+    core = scaled((0, c), invert(p.ring, lead), p.ring.p)
     return v, lead, LaurentPoly.from_entry(p.ring, core)
 
 
@@ -374,8 +443,14 @@ def coeff(p, exponent):
 
 def random_poly(rng, ring, min_exp=-3, max_exp=3, terms=3, nonzero=False):
     """The LaurentPoly of one ``generators._poly_entry`` draw."""
-    return LaurentPoly.from_entry(
-        ring, _poly_entry(rng, ring, min_exp, max_exp, terms, nonzero))
+    return LaurentPoly.from_entry(ring, _ring_entry(
+        ring, _poly_entry(rng, ring.p, min_exp, max_exp, terms, nonzero)))
+
+
+def _ring_entry(ring, e):
+    """An entry of int coefficients as a matrix stores it over ``ring``:
+    c a tuple, the ints made Fractions over Q."""
+    return e and (e[0], tuple(map(ring.normalise, e[1])))
 
 
 # -- kernels by column echelon form ---------------------------------------------
@@ -421,7 +496,7 @@ def kernel_basis(a):
 
 
 def kernel_coordinates(k, b):
-    """X with k @ X == b.
+    """X with k X == b.
 
     With k*V = [H | 0] in column echelon form, H*Y = b is solved row by
     row: a pivot row fixes the next entry of Y by one exact division of
@@ -478,7 +553,7 @@ def shift(c, n):
     sign = 1 if n % 2 == 0 else -1
     return ChainComplex(c.ring, c.base, c.lo + n, c.hi + n,
                         {m + n: r for m, r in c.ranks.items()},
-                        {m + n: d if sign == 1 else -d
+                        {m + n: d if sign == 1 else matneg(d)
                          for m, d in c.diffs.items()})
 
 
@@ -565,17 +640,20 @@ def chart(s, side, base=None):
 def random_invertible_pair(rng, ring, n, span=1):
     """(T, T^-1) for the operations E_1, ..., E_k that
     ``generators._elementary_ops`` draws, T = E_k...E_1.  Both are built
-    on grids of entries (None for zero) from the identity, in the order
-    drawn: T by each operation as a row operation, T^-1 alongside it by
-    each inverse as a column operation (row i += q*row j becomes
-    col j -= q*col i, a row swap the same column swap, and row i *= u
-    becomes col i *= u^-1)."""
+    in ring arithmetic, independent of the integer kernels of
+    ``generators._conjugated``, on grids of entries (None for zero) from
+    the identity, in the order drawn: T by each operation as a row
+    operation, T^-1 alongside it by each inverse as a column operation
+    (row i += q*row j becomes col j -= q*col i, a row swap the same
+    column swap, and row i *= u becomes col i *= u^-1)."""
     p = ring.p
     one = 0, (ring.one(),)
     t = [[one if i == j else None for j in range(n)] for i in range(n)]
     t_inv = [list(row) for row in t]
-    for kind, i, j, x, y in _elementary_ops(rng, ring, n, span):
+    for kind, i, j, x in _elementary_ops(rng, ring, n, span):
         if kind == 0:
+            x = _ring_entry(ring, x)
+            y = scaled(x, ring.from_int(-1), p)
             row = t[i]
             for col, b in enumerate(t[j]):
                 if b is not None:
@@ -588,6 +666,8 @@ def random_invertible_pair(rng, ring, n, span=1):
             for row in t_inv:
                 row[i], row[j] = row[j], row[i]
         else:
+            e, c = x[0], ring.normalise(x[1])
+            x, y = (e, c), (-e, invert(ring, c))
             t[i] = [_times_unit(a, x, p) for a in t[i]]
             for row in t_inv:
                 row[i] = _times_unit(row[i], y, p)
@@ -606,13 +686,23 @@ def basis_change(rng, c, span=1):
     """Conjugate by random invertible matrices in every degree: the
     complex T_{m-1}^-1 d_m T_m of ``generators._conjugated``, which
     applies the elementary operations of each T to copies of the rows of
-    c, so c itself is left as it is."""
-    return _conjugated(rng, c.ring, c.base, c.ranks,
-                       {m: d.data for m, d in c.diffs.items()}, span)
+    c, so c itself is left as it is.  A Q row is handed over as its
+    numerators over one denominator (``polylists.cleared``)."""
+    over_q = c.ring.kind == "Q"
+    rows, dens = {}, {} if over_q else None
+    for m, d in c.diffs.items():
+        if over_q:
+            parts = [cleared(row.values()) for row in d.data]
+            dens[m] = [den for den, _ in parts]
+            rows[m] = [dict(zip(row, entries))
+                       for row, (_, entries) in zip(d.data, parts)]
+        else:
+            rows[m] = [dict(row) for row in d.data]
+    return _conjugated(rng, c.ring, c.base, dict(c.ranks), rows, span, dens)
 
 
 def grid_product(a, b):
-    """a @ b for LaurentMatrix a and b, each cell summed with
+    """a b for LaurentMatrix a and b, each cell summed with
     ``LaurentPoly`` arithmetic over the dense grids: the oracle of the
     products on rows."""
     ga, gb = dense(a), dense(b)

@@ -27,9 +27,10 @@ from p1dom.sheaves import SheafComplex, twist_shift
 from p1dom.smith import invariant_factors
 
 from helpers import (M, block, chart, core_degree, direct_sum, grid_matrix,
-                     identity, kernel_basis, kernel_coordinates, monomial,
-                     monomial_scale, random_poly, scalar_diag, shift,
-                     shifted_summand, two_term, vanishes, zero_complex)
+                     identity, kernel_basis, kernel_coordinates, matadd,
+                     matmul, matneg, matsub, monomial, monomial_scale,
+                     random_poly, scalar_diag, shift, shifted_summand,
+                     two_term, vanishes, zero_complex)
 
 
 # -- chain maps, homotopies and cones ------------------------------------------
@@ -87,8 +88,8 @@ class ChainMap(GradedMap):
         lo = min(self.source.lo, self.target.lo)
         hi = max(self.source.hi, self.target.hi)
         for m in range(lo + 1, hi + 1):
-            lhs = self.component(m - 1) @ self.source.diff(m)
-            rhs = self.target.diff(m) @ self.component(m)
+            lhs = matmul(self.component(m - 1), self.source.diff(m))
+            rhs = matmul(self.target.diff(m), self.component(m))
             if lhs != rhs:
                 problems.append(f"degree {m}: f.d != d.f")
         return problems
@@ -120,7 +121,7 @@ def cone(f: ChainMap):
     diffs = {}
     for m in range(lo + 1, hi + 1):
         diffs[m] = block(ring, [
-            [b.diff(m), f.component(m - 1)], [None, -a.diff(m - 1)]])
+            [b.diff(m), f.component(m - 1)], [None, matneg(a.diff(m - 1))]])
     cc = ChainComplex(ring, a.base, lo, hi, ranks, diffs)
     proj = ChainMap(cc, shift(a, 1), {
         m: block(ring, [[
@@ -163,10 +164,10 @@ def verify_homotopy_retract(d, r, s, h):
     if s.source != c or s.target != d:
         raise ShapeError("s must map C into D")
     for m in range(c.lo, c.hi + 1):
-        rs = r.component(m) @ s.component(m)
-        dh = c.diff(m + 1) @ h.component(m)
-        hd = h.component(m - 1) @ c.diff(m)
-        if rs + dh + hd != identity(c.ring, c.rank(m)):
+        rs = matmul(r.component(m), s.component(m))
+        dh = matmul(c.diff(m + 1), h.component(m))
+        hd = matmul(h.component(m - 1), c.diff(m))
+        if matadd(matadd(rs, dh), hd) != identity(c.ring, c.rank(m)):
             return False
     return True
 
@@ -231,12 +232,16 @@ class DiagramMap:
         lo = min(self.source.mid.lo, self.target.mid.lo)
         hi = max(self.source.mid.hi, self.target.mid.hi)
         for m in range(lo, hi + 1):
-            left = self.on_mid.component(m) @ self.source.from_minus.component(m)
-            right = self.target.from_minus.component(m) @ self.on_minus.component(m)
+            left = matmul(self.on_mid.component(m),
+                          self.source.from_minus.component(m))
+            right = matmul(self.target.from_minus.component(m),
+                           self.on_minus.component(m))
             if left != right:
                 problems.append(f"degree {m}: minus square does not commute")
-            left = self.on_mid.component(m) @ self.source.from_plus.component(m)
-            right = self.target.from_plus.component(m) @ self.on_plus.component(m)
+            left = matmul(self.on_mid.component(m),
+                          self.source.from_plus.component(m))
+            right = matmul(self.target.from_plus.component(m),
+                           self.on_plus.component(m))
             if left != right:
                 problems.append(f"degree {m}: plus square does not commute")
         return problems
@@ -254,8 +259,8 @@ def hypercohomology(d: ComplexDiagram) -> ChainComplex:
         diffs[n] = block(ring, [
             [d.minus.diff(n), None, None],
             [None, d.plus.diff(n), None],
-            [-d.from_minus.component(n), d.from_plus.component(n),
-             -d.mid.diff(n + 1)],
+            [matneg(d.from_minus.component(n)), d.from_plus.component(n),
+             matneg(d.mid.diff(n + 1))],
         ])
     return ChainComplex(ring, d.base, lo, hi, ranks, diffs)
 
@@ -277,7 +282,7 @@ def phi_star(phi: DiagramMap) -> ChainMap:
 
 def sections_matrix(d: ComplexDiagram, n: int) -> LaurentMatrix:
     """The level-n map (-mu_minus | mu_plus): minus_n + plus_n -> mid_n."""
-    return block(d.ring, [[-d.from_minus.component(n),
+    return block(d.ring, [[matneg(d.from_minus.component(n)),
                            d.from_plus.component(n)]])
 
 
@@ -300,8 +305,8 @@ def sections_complex(d: ComplexDiagram):
     ranks = {n: kernels[n].cols for n in range(lo, hi + 1)}
     diffs = {}
     for n in range(lo + 1, hi + 1):
-        image = block(ring, [[d.minus.diff(n), None],
-                             [None, d.plus.diff(n)]]) @ kernels[n]
+        image = matmul(block(ring, [[d.minus.diff(n), None],
+                                    [None, d.plus.diff(n)]]), kernels[n])
         diffs[n] = kernel_coordinates(kernels[n - 1], image)
     h0 = ChainComplex(ring, d.base, lo, hi, ranks, diffs)
     comps = {}
@@ -483,8 +488,8 @@ def null_homotopic_map(rng, source: ChainComplex,
              for _ in range(target.rank(m + 1))])
         for m in range(lo, hi + 1)})
     return ChainMap(source, target, {
-        m: target.diff(m + 1) @ h.component(m)
-        + h.component(m - 1) @ source.diff(m)
+        m: matadd(matmul(target.diff(m + 1), h.component(m)),
+                  matmul(h.component(m - 1), source.diff(m)))
         for m in range(lo, hi + 1)})
 
 
@@ -593,5 +598,5 @@ def random_mapping_torus(rng, ring, a):
     null = null_homotopic_map(rng, d, d, span=0)
     x_minus_a = LaurentPoly(ring, {1: ring.one(), 0: ring.from_int(-a)})
     return d, cone(ChainMap(d, d, {
-        m: scalar_diag(ring, [x_minus_a] * d.rank(m))
-        - null.component(m) for m in d.degrees()}))[0]
+        m: matsub(scalar_diag(ring, [x_minus_a] * d.rank(m)),
+                  null.component(m)) for m in d.degrees()}))[0]

@@ -39,10 +39,10 @@ from p1dom.smith import invariant_factors
 
 from helpers import (HOMOLOGY_KINDS, M, P, add, chart as derived, coeff,
                      core_degree, dense, homology_case, inverse_unit, is_unit,
-                     kernel_basis, kernel_coordinates, load_complex, monomial,
-                     monomial_scale, mul, nonzero_entries, random_matrix,
-                     respects, scalar_diag, shifted_summand, times_monomial,
-                     unit_normalise, zero)
+                     kernel_basis, kernel_coordinates, load_complex, matmul,
+                     monomial, monomial_scale, mul, nonzero_entries,
+                     random_matrix, respects, scalar_diag, shifted_summand,
+                     times_monomial, unit_normalise, zero)
 from paper_lemmas import (ChainMap, MorphismExtension, extend_cone,
                           extend_morphism, null_homotopic_map)
 
@@ -57,17 +57,17 @@ def _monomial_diag(ring, exponents):
 
 
 def dense_charts(mid, twists):
-    """The chart differentials by matrix products: diag(x^-k) @ d @ diag(x^k)
-    for the K[x^-1] chart and diag(x^l) @ d @ diag(x^-l) for the K[x]
+    """The chart differentials by matrix products: diag(x^-k) d diag(x^k)
+    for the K[x^-1] chart and diag(x^l) d diag(x^-l) for the K[x]
     chart, as {degree: matrix} over K[x,x^-1]."""
     ring = mid.ring
     minus, plus = {}, {}
     for m in range(mid.lo + 1, mid.hi + 1):
         prev, lvl, d = twists[m - 1], twists[m], mid.diff(m)
-        minus[m] = (_monomial_diag(ring, [-t.k for t in prev]) @ d
-                    @ _monomial_diag(ring, [t.k for t in lvl]))
-        plus[m] = (_monomial_diag(ring, [t.l for t in prev]) @ d
-                   @ _monomial_diag(ring, [-t.l for t in lvl]))
+        minus[m] = matmul(_monomial_diag(ring, [-t.k for t in prev]), d,
+                          _monomial_diag(ring, [t.k for t in lvl]))
+        plus[m] = matmul(_monomial_diag(ring, [t.l for t in prev]), d,
+                         _monomial_diag(ring, [-t.l for t in lvl]))
     return minus, plus
 
 
@@ -93,11 +93,11 @@ def dense_gluing(minus, mid, plus, twists):
     problems = []
     for m in range(mid.lo + 1, mid.hi + 1):
         prev, lvl = twists[m - 1], twists[m]
-        if (torus_map(mid.ring, prev, "minus") @ minus.diff(m)
-                != mid.diff(m) @ torus_map(mid.ring, lvl, "minus")):
+        if (matmul(torus_map(mid.ring, prev, "minus"), minus.diff(m))
+                != matmul(mid.diff(m), torus_map(mid.ring, lvl, "minus"))):
             problems.append(f"level {m}: minus structure map not a chain map")
-        if (torus_map(mid.ring, prev, "plus") @ plus.diff(m)
-                != mid.diff(m) @ torus_map(mid.ring, lvl, "plus")):
+        if (matmul(torus_map(mid.ring, prev, "plus"), plus.diff(m))
+                != matmul(mid.diff(m), torus_map(mid.ring, lvl, "plus"))):
             problems.append(f"level {m}: plus structure map not a chain map")
     return problems
 
@@ -189,23 +189,16 @@ def test_twist_sum_validation_multiplies_no_torus_maps(monkeypatch):
     rng = random.Random(3)
     sheaves = [extend_complex(random_novikov_acyclic(rng, ring, span=2)).sheaf
                for ring in (QQ, GF(7), ZZ) for _ in range(5)]
-    matmuls = []
-    original = LaurentMatrix.__matmul__
-
-    def counting(self, other):
-        matmuls.append(1)
-        return original(self, other)
+    # the d.d = 0 checks of the middle complex run on entries: a Laurent
+    # matrix has no product for them to call
+    assert not hasattr(LaurentMatrix, "__matmul__")
 
     def no_determinant(self):
         raise AssertionError("determinant on a twist-sum level")
 
-    monkeypatch.setattr(LaurentMatrix, "__matmul__", counting)
     monkeypatch.setattr(LaurentMatrix, "determinant", no_determinant)
     for s in sheaves:
-        matmuls.clear()
         assert s.validate() == []
-        # the d.d = 0 checks of the middle complex run on entries
-        assert not matmuls
 
 
 def test_twist_sum_gluing_builds_no_matrix(monkeypatch):
@@ -400,7 +393,7 @@ def dense_extension_problems(z, y, f, ext):
         problems += [f"{side} entry ({i},{j}) violates {base.tag}"
                      for i, j, p in nonzero_entries(chart)
                      if not respects(p, base)]
-        if lhs @ chart != f @ rhs:
+        if matmul(lhs, chart) != matmul(f, rhs):
             problems.append(f"{side} chart square does not commute")
     return problems
 
@@ -410,10 +403,10 @@ def dense_legal(z, y, f, k, l):
     are the products diag(x^-(k_i + k)) f diag(x^k_j) and
     diag(x^(l_i + l)) f diag(x^-l_j)."""
     ring = f.ring
-    minus = (_monomial_diag(ring, [-t.k - k for t in y]) @ f
-             @ _monomial_diag(ring, [t.k for t in z]))
-    plus = (_monomial_diag(ring, [t.l + l for t in y]) @ f
-            @ _monomial_diag(ring, [-t.l for t in z]))
+    minus = matmul(_monomial_diag(ring, [-t.k - k for t in y]), f,
+                   _monomial_diag(ring, [t.k for t in z]))
+    plus = matmul(_monomial_diag(ring, [t.l + l for t in y]), f,
+                  _monomial_diag(ring, [-t.l for t in z]))
     return (all(respects(p, BaseRing.POLY_INV) for row in dense(minus)
                 for p in row)
             and all(respects(p, BaseRing.POLY) for row in dense(plus)

@@ -10,7 +10,9 @@ coefficient or one call to ``random`` fails here.  The coefficient types
 are checked as well: Fractions over Q, residues in [0, p) over GF(p) and
 ints over Z.  ``helpers.basis_change`` is compared with the product
 oracle ``helpers.basis_change_reference`` on a cloned generator, and
-must leave the complex it conjugates unchanged.
+must leave the complex it conjugates unchanged.  The generators run on
+int coefficients: a Q draw makes its Fractions and does no Fraction
+arithmetic.
 """
 
 import hashlib
@@ -221,6 +223,45 @@ def test_basis_change_equals_the_product_oracle(tag):
             basis_change_reference(clone, c, span)
         assert rng.random() == clone.random()
         assert c == copy  # no row of the input was edited
+
+
+# the arithmetic of Fraction, reflected forms included
+FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
+                       "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                       "__neg__")
+
+
+def test_q_draws_do_no_fraction_arithmetic(monkeypatch):
+    """With Fraction's arithmetic refused, Q draws still succeed and equal
+    the draws made without the refusal; making a Fraction stays
+    allowed."""
+    given = [_given(QQ, seed) for seed in range(8)]
+
+    def draws():
+        out = []
+        for seed in SEEDS:
+            rng = random.Random(seed)
+            out.append(random_complex(rng, QQ, max_length=4, max_rank=9,
+                                      span=3))
+            out.append(random_novikov_acyclic(rng, QQ, max_rank=10, span=2))
+            out.append(basis_change(rng, given[seed % 8], 2))
+        return out
+
+    want = draws()
+
+    def refused(*args):
+        raise AssertionError("Fraction arithmetic while drawing")
+
+    for name in FRACTION_ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, refused)
+    with pytest.raises(AssertionError, match="Fraction arithmetic"):
+        Fraction(1, 2) + 1
+    got = draws()
+    monkeypatch.undo()
+    assert got == want
+    # the inputs of basis_change carry denominators that are not 1
+    assert any(x.denominator > 1 for c in given for d in c.diffs.values()
+               for row in d.data for _, xs in row.values() for x in xs)
 
 
 @pytest.mark.parametrize("tag", sorted(RINGS))

@@ -30,8 +30,8 @@ from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import cech_complex
 
 from helpers import (P, chart as sheaf_chart, constants, direct_sum,
-                     grid_matrix, load_complex, monomial, mul, two_term,
-                     window_complex)
+                     grid_matrix, load_complex, matmul, monomial, mul,
+                     two_term, window_complex)
 from paper_lemmas import ChainMap, ComplexDiagram, hypercohomology
 
 FIELDS = [QQ, GF(7), GF(10007)]
@@ -108,7 +108,7 @@ def random_chart(rng, ring):
             g[i][j], g_inv[i][j] = e, -e
         change[m] = [grid_matrix(ring, c.rank(m), c.rank(m), grid)
                      for grid in (g, g_inv)]
-    diffs = {m: change[m - 1][1] @ c.diff(m) @ change[m][0]
+    diffs = {m: matmul(change[m - 1][1], c.diff(m), change[m][0])
              for m in range(lo + 1, hi + 1)}
     return ChainComplex(ring, BaseRing.POLY, lo, hi, c.ranks, diffs)
 

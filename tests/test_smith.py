@@ -14,8 +14,8 @@ from p1dom.scalars import GF, QQ, ZZ
 from p1dom.smith import invariant_factors
 
 from helpers import (M, P, S, block, coeff, dense, evaluate, grid_matrix,
-                     identity, kernel_basis, kernel_coordinates, maxdeg,
-                     mindeg, submatrix, transpose)
+                     identity, kernel_basis, kernel_coordinates, matmul,
+                     maxdeg, mindeg, submatrix, transpose)
 from test_sympy_oracle import sympy_divides, sympy_factors
 
 
@@ -162,13 +162,13 @@ def test_kernel_basis_spans_kernel(seed, ring, rows, cols, shape):
     rng = random.Random(seed)
     a = _kernel_case(rng, ring, rows, cols, shape)
     k = kernel_basis(a)
-    assert k.rows == cols and (a @ k).is_zero
+    assert k.rows == cols and matmul(a, k).is_zero
     # saturated: n - r columns, and every invariant factor is 1, so the
     # columns span a direct summand, hence all of ker a
     assert k.cols == cols - len(invariant_factors(a))
     assert invariant_factors(k) == (LaurentPoly.one(ring),) * k.cols
     r = _kernel_case(rng, ring, k.cols, rng.randint(0, 3), "plain")
-    assert kernel_coordinates(k, k @ r) == r
+    assert kernel_coordinates(k, matmul(k, r)) == r
     # e_j lies outside ker a when column j of a is nonzero, so outside the
     # span of k
     for j in range(cols):

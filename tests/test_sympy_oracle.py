@@ -34,7 +34,7 @@ from p1dom.scalars import GF, QQ, ZZ
 from p1dom.smith import invariant_factors as kernel_factors
 
 from helpers import (HOMOLOGY_KINDS, M, P, check_base, core_degree, dense,
-                     grid_matrix, homology_case, nonzero_entries,
+                     grid_matrix, homology_case, matmul, nonzero_entries,
                      random_matrix, unit_normalise)
 
 X = sympy.symbols("x")
@@ -153,7 +153,7 @@ def _chart_case(rng, ring, t):
     """A K[t]-matrix as a grid of {exponent: coefficient} maps and as a
     sympy matrix in t: 1 to 5 rows and columns, entries with up to three
     terms of t-degree below 4 (over Q with denominators up to 3), made
-    rank-deficient as B @ C with a short inner dimension half the time."""
+    rank-deficient as B C with a short inner dimension half the time."""
     rows, cols = rng.randint(1, 5), rng.randint(1, 5)
 
     def coefficient():
@@ -239,12 +239,12 @@ def _sympy_det(a):
 
 
 def _det_case(rng, ring, n, kind):
-    """An n x n matrix: random, a product B @ C through n - 1 (singular),
+    """An n x n matrix: random, a product B C through n - 1 (singular),
     with a zero top-left entry above a nonzero one (Bareiss swaps rows),
     or over Q with a different denominator in every row."""
     if kind == "singular":
-        return (random_matrix(rng, ring, n, n - 1, 2)
-                @ random_matrix(rng, ring, n - 1, n, 2))
+        return matmul(random_matrix(rng, ring, n, n - 1, 2),
+                      random_matrix(rng, ring, n - 1, n, 2))
     a = random_matrix(rng, ring, n, n, 2)
     if kind == "swap" and n > 1:
         grid = dense(a)
