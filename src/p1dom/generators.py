@@ -19,9 +19,13 @@ same recipe with unit-monomial pieces yields Novikov-acyclic instances.
 The maps and diagrams of the paper's lemmas are drawn by the tests
 (``tests/paper_lemmas.py``) from the same entries.
 
-The same seed gives the same draws: the same calls to ``random`` in the
-same order and the same polynomials with the same coefficient types
-(Fractions over Q, residues over GF(p), ints over Z).  The acceptance
+The same seed gives the same draws: the same bits of ``getrandbits``
+in the same order, and the same polynomials with the same coefficient
+types (Fractions over Q, residues over GF(p), ints over Z).  Every
+integer is drawn by ``_below``, the loop that CPython's ``randint``,
+``randrange``, ``choice`` and ``sample`` run on those bits (Python
+3.10-3.13), so the draws are theirs with fewer Python calls; the
+floats come from ``random()``.  The acceptance
 corpus, the report digests, ``p1dom selftest`` and the benchmark's
 corpora and expected outputs rely on it, and
 ``tests/test_generator_digests.py`` pins it.
@@ -40,8 +44,37 @@ from .polylists import ONE, from_terms, lincomb, scaled
 from .scalars import GF, QQ, CoefficientRing
 
 
+def _below(rng, n):
+    """A draw from range(n): CPython's ``_randbelow_with_getrandbits``
+    loop, which ``randrange``, ``randint``, ``choice`` and ``sample``
+    run, on ``rng.getrandbits`` with none of their layers.  ``n`` must be
+    positive: ``getrandbits(0)`` is 0, so the loop would never end."""
+    if n <= 0:
+        raise ValueError(f"empty range for a draw below {n}")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
+def _two_rows(rng, n):
+    """The distinct rows (i, j), n >= 2, that ``sample(range(n), 2)`` draws:
+    for n <= 21 ``sample`` draws j from the n - 1 rows left after moving
+    row n - 1 into i's place, above 21 it redraws j until j != i."""
+    i = _below(rng, n)
+    if n <= 21:
+        j = _below(rng, n - 1)
+        return i, n - 1 if j == i else j
+    j = _below(rng, n)
+    while j == i:
+        j = _below(rng, n)
+    return i, j
+
+
 def random_ring(rng: random.Random) -> CoefficientRing:
-    return rng.choice([QQ, GF(5), GF(7), GF(10007)])
+    rings = [QQ, GF(5), GF(7), GF(10007)]
+    return rings[_below(rng, len(rings))]
 
 
 def _residue(c, p):
@@ -54,15 +87,17 @@ def _poly_entry(rng, p, min_exp, max_exp, terms, nonzero=False):
     p; with ``nonzero`` a zero draw falls back to one monomial, whose
     coefficient is 1 where the drawn one is zero mod p (2 over GF(2))."""
     acc = {}
-    for _ in range(rng.randint(1 if nonzero else 0, terms)):
-        e = rng.randint(min_exp, max_exp)
-        c = rng.randint(-3, 3)
+    least = 1 if nonzero else 0
+    width = max_exp - min_exp + 1
+    for _ in range(least + _below(rng, terms + 1 - least)):
+        e = min_exp + _below(rng, width)
+        c = _below(rng, 7) - 3
         if c:
             acc[e] = acc.get(e, 0) + c
     entry = from_terms([(e, _residue(c, p)) for e, c in acc.items()], p)
     if nonzero and entry is None:
-        e = rng.randint(min_exp, max_exp)
-        entry = e, (_residue(rng.choice([1, -1, 2]), p) or 1,)
+        e = min_exp + _below(rng, width)
+        entry = e, (_residue((1, -1, 2)[_below(rng, 3)], p) or 1,)
     return entry
 
 
@@ -77,24 +112,24 @@ def _elementary_ops(rng, ring, n, span):
     p = ring.p
     ops = []
     for _ in range(2 * n):
-        kind = rng.randint(0, 2)
+        kind = _below(rng, 3)
         if n < 2 and kind != 2:
             kind = 2
         if kind == 0:
-            i, j = rng.sample(range(n), 2)
+            i, j = _two_rows(rng, n)
             q = _poly_entry(rng, p, -span, span, 2)
             if q is None:
                 continue
             ops.append((0, i, j, q))
         elif kind == 1:
-            i, j = rng.sample(range(n), 2)
+            i, j = _two_rows(rng, n)
             ops.append((1, i, j, None))
         else:
-            i = rng.randrange(n)
-            c = _residue(rng.choice([1, -1, 2, 3]), p)
+            i = _below(rng, n)
+            c = _residue((1, -1, 2, 3)[_below(rng, 4)], p)
             while not ring.is_unit(c):
-                c = _residue(rng.choice([1, -1]), p)
-            ops.append((2, i, None, (rng.randint(-span, span), c)))
+                c = _residue((1, -1)[_below(rng, 2)], p)
+            ops.append((2, i, None, (_below(rng, 2 * span + 1) - span, c)))
     return ops
 
 
@@ -182,6 +217,8 @@ def _conjugated(rng, ring, base, ranks, rows, span, dens=None):
     unit keeps them, an entry that cancels is deleted), and canonical
     coefficients: residues, as every operation reduces mod p, over
     GF(p), ints over Z and Fractions made here over Q."""
+    if span < 0:  # a basis change may make no draw that would refuse it
+        raise ValueError(f"negative span {span}")
     lo, hi = min(ranks), max(ranks)
     p = ring.p
     ops = {m: _elementary_ops(rng, ring, ranks[m], span)
@@ -233,18 +270,18 @@ def random_complex(rng, ring, max_length=4, max_rank=4, span=1,
                    lo=0) -> ChainComplex:
     """Random valid bounded free K[x,x^-1]-complex via basis-changed
     elementary sums."""
-    length = rng.randint(1, max_length)
+    length = 1 + _below(rng, max_length)
     hi = lo + length - 1
     ranks = dict.fromkeys(range(lo, hi + 1), 0)
     cells = []
     # two-term pieces give nontrivial differentials, singles give homology
-    for _ in range(rng.randint(1, max_rank)):
+    for _ in range(1 + _below(rng, max_rank)):
         if length >= 2 and rng.random() < 0.7:
-            top = rng.randint(lo + 1, hi)
+            top = lo + 1 + _below(rng, length - 1)
             _two_term(ranks, cells, top, _poly_entry(
                 rng, ring.p, -span, span, 3, nonzero=rng.random() < 0.8))
         else:
-            ranks[rng.randint(lo, hi)] += 1
+            ranks[lo + _below(rng, length)] += 1
     return _conjugated_sum(rng, ring, ranks, cells, span)
 
 
@@ -257,11 +294,11 @@ def random_novikov_acyclic(rng, ring, max_rank=3, span=1) -> ChainComplex:
     has torsion homology in all degrees.
     """
     ranks, cells = {}, []
-    for _ in range(rng.randint(1, max_rank)):
+    for _ in range(1 + _below(rng, max_rank)):
         if rng.random() < 0.6:
             entry = _poly_entry(rng, ring.p, -span, span, 3, nonzero=True)
-            _two_term(ranks, cells, rng.randint(0, 2), entry)
+            _two_term(ranks, cells, _below(rng, 3), entry)
         else:
-            _two_term(ranks, cells, rng.randint(0, 1) + 1, ONE)
+            _two_term(ranks, cells, _below(rng, 2) + 1, ONE)
     ranks = {m: ranks.get(m, 0) for m in range(min(ranks), max(ranks) + 1)}
     return _conjugated_sum(rng, ring, ranks, cells, span)

@@ -128,22 +128,27 @@ class ScalarMatrix(_Rows):
 def scalar_rank(m: ScalarMatrix) -> int:
     """Rank of ``m`` over the fraction field of its coefficient ring.
 
-    The kernel reduces the shorter side: a tall matrix (rows > cols) is
-    first transposed into column dicts in one pass over its nonzeros, which
-    is exact since rank A = rank A^T and spares reducing every surplus row
-    to zero.  Rows are reduced one at a time against the pivot rows found
-    so far, each pivot keyed by its leading (smallest) column, so a banded
-    matrix keeps its fill-in inside the band.  Over GF(p) pivots are scaled
+    The kernel reads only the nonempty rows, so a matrix with no nonzero
+    entry has rank 0 at once, and reduces the shorter side: a matrix with
+    more nonempty rows than columns is first transposed into its nonempty
+    column dicts in one pass over its nonzeros, which is exact since
+    rank A = rank A^T and spares reducing every surplus row to zero.  Rows
+    are reduced one at a time against the pivot rows found so far, each
+    pivot keyed by its leading (smallest) column, so a banded matrix keeps
+    its fill-in inside the band.  Over GF(p) pivots are scaled
     to a leading 1.  Over Q (and Z) each row is first multiplied by the lcm
     of its denominators; elimination is then fraction-free, as in Bareiss
     (1968): cross-multiply by the pivot and divide by the row's content.
     """
-    data = m.data
-    if m.rows > m.cols:
-        data = [{} for _ in range(m.cols)]
-        for i, row in enumerate(m.data):
+    data = [row for row in m.data if row]
+    if not data:
+        return 0
+    if len(data) > m.cols:
+        cols = [{} for _ in range(m.cols)]
+        for i, row in enumerate(data):
             for j, v in row.items():
-                data[j][i] = v
+                cols[j][i] = v
+        data = [col for col in cols if col]
     if m.ring.kind == "GF":
         return _rank_mod_p(data, m.ring.p)
     return _rank_integer(data)

@@ -268,6 +268,9 @@ def cech_complex(s: SheafComplex) -> ScalarComplex:
                 columns[j].append((off + v, c))
         col = 0
         for column, t in zip(columns, s.twists[m]):
+            if not column:  # writes no cell: skip its band of t.n + 1
+                col += t.n + 1
+                continue
             for e in range(-t.l, t.k + 1):
                 # distinct (row, exponent) pairs hit distinct target
                 # monomials, so every cell is written once

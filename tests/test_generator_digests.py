@@ -6,7 +6,9 @@ selftest`` and the perfbench corpora are all drawn from
 ring and hashes the canonical text of what it drew (``dumps_canonical`` of
 ``complex_to_dict``, or of ``matrix_to_rows`` for bare matrices) together
 with the next ``rng.random()``, so that a change which moves one draw, one
-coefficient or one call to ``random`` fails here.  The coefficient types
+coefficient or one bit of the generator's stream fails here.  The
+generators' integer draws are checked against ``randrange``,
+``randint``, ``choice`` and ``sample`` on cloned generators.  The coefficient types
 are checked as well: Fractions over Q, residues in [0, p) over GF(p) and
 ints over Z.  ``helpers.basis_change`` is compared with the product
 oracle ``helpers.basis_change_reference`` on a cloned generator, and
@@ -24,7 +26,8 @@ import pytest
 
 from p1dom import fileformat as ff
 from p1dom.complexes import ChainComplex
-from p1dom.generators import random_complex, random_novikov_acyclic
+from p1dom.generators import (_below, _two_rows, random_complex,
+                              random_novikov_acyclic)
 from p1dom.laurent import BaseRing
 from p1dom.scalars import GF, QQ, ZZ
 
@@ -280,3 +283,50 @@ def test_basis_change_of_t_cancels_t(tag):
         c = ChainComplex(ring, BaseRing.LAURENT, 0, 1, {0: n, 1: n},
                          {1: t0})
         assert basis_change(rng, c, span).diff(1) == t1
+
+
+def _cloned(seed):
+    rng, clone = random.Random(seed), random.Random()
+    clone.setstate(rng.getstate())
+    return rng, clone
+
+
+def test_draws_are_the_standard_library_draws():
+    """``_below`` and ``_two_rows`` draw what ``randrange``, ``randint``,
+    ``choice`` and ``sample(range(n), 2)`` draw, and leave the stream
+    where they leave it: the next ``random()`` agrees after each draw.
+    n = 2..21 is ``sample``'s pool branch, n > 21 its set branch; 30
+    draws per n meet clashes of the two rows in both."""
+    for n in range(1, 65):
+        rng, clone = _cloned(n)
+        seq = [object() for _ in range(n)]
+        for _ in range(30):
+            pairs = [(_below(rng, n), clone.randrange(n)),
+                     (_below(rng, n) - 3, clone.randint(-3, n - 4)),
+                     (seq[_below(rng, n)], clone.choice(seq))]
+            if n >= 2:
+                pairs.append((_two_rows(rng, n),
+                              tuple(clone.sample(range(n), 2))))
+            for mine, theirs in pairs:
+                assert mine == theirs
+            assert rng.random() == clone.random()
+
+
+@pytest.mark.parametrize("n", [0, -1, -64])
+def test_a_draw_from_an_empty_range_is_refused(n):
+    with pytest.raises(ValueError, match="empty range"):
+        _below(random.Random(0), n)
+
+
+@pytest.mark.parametrize("generate, arg", [
+    (random_complex, {"span": -1}), (random_complex, {"max_rank": 0}),
+    (random_complex, {"max_length": 0}),
+    (random_novikov_acyclic, {"span": -1}),
+    (random_novikov_acyclic, {"max_rank": 0})])
+@pytest.mark.parametrize("tag", ["Q", "GF(7)"])
+def test_an_empty_range_of_draws_is_refused(generate, arg, tag):
+    """Every seed refuses it, also one whose draws never reach the span
+    (seed 28 of ``random_complex(span=-1)`` draws no exponent)."""
+    for seed in SEEDS:
+        with pytest.raises(ValueError):
+            generate(random.Random(seed), RINGS[tag], **arg)

@@ -220,7 +220,7 @@ def test_w_ranks_over_gf_match_dense_reference():
 
 
 def test_rank_of_empty_shapes():
-    for rows, cols in ((0, 0), (0, 3), (3, 0)):
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (4, 2)):
         for ring in (QQ, GF(7)):
             m = ScalarMatrix(ring, rows, cols, [{} for _ in range(rows)])
             assert scalar_rank(m) == 0

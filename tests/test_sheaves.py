@@ -7,7 +7,8 @@ from p1dom.errors import (BaseRingViolationError, NonVanishingH1Error,
                           ShapeError, UnsupportedRingError)
 from p1dom.extension import extend_complex
 from p1dom.laurent import BaseRing
-from p1dom.matrices import scalar_rank
+from p1dom.matrices import LaurentMatrix, scalar_rank
+from p1dom.polylists import ONE
 from p1dom.scalars import QQ
 from p1dom.sheaves import (SheafComplex, TwistSummand, cech_cohomology,
                            cech_complex, twisting_sheaf)
@@ -152,6 +153,19 @@ def test_cech_complex_band_violation():
     w = cech_complex(SheafComplex(mid, {0: (TwistSummand(2, 0),),
                                         1: (TwistSummand(0, 0),)}))
     assert w.diffs[1].data == [{}, {}, {0: 1}]
+
+
+def test_cech_complex_skips_the_band_of_a_zero_column():
+    # d_1 = [0, 1]: column 0 of degree 1 has no entry, and its band
+    # {x^-1, 1, x, x^2} still takes W's columns 0..3, so the image of
+    # column 1 lies in W's column 4
+    mid = ChainComplex(QQ, BaseRing.LAURENT, 0, 1, {0: 1, 1: 2},
+                       {1: LaurentMatrix(QQ, 1, 2, [{1: ONE}])})
+    w = cech_complex(SheafComplex(mid, {
+        0: (TwistSummand(0, 0),),
+        1: (TwistSummand(2, 1), TwistSummand(0, 0))}))
+    assert w.diffs[1].data == [{4: 1}]
+    assert (w.rank(0), w.rank(1)) == (1, 5)
 
 
 def test_stray_twist_is_refused():
