@@ -525,9 +525,12 @@ def _witness(sheaf: SheafComplex, mid: HomologyReport) -> DominationWitness:
     summand with n = k + l <= -2, so every level has H^1 = 0 and W
     computes the hypercohomology.  The numbers on both sides of the
     ledger depend on the twists, the equation does not: the tests check
-    it on the extension of C and on the paper's lifted mapping cone, whose
-    levels mix twist splits.  StabilisationFailureError names each degree
-    where it fails, with its four numbers."""
+    it on the extension of C, on that extension shifted to n = -1 in
+    either split, on random legal profiles (per-row least twists given
+    the level above, raised by 0-3 in k and in l) and on the paper's
+    lifted mapping cone, whose levels mix twist splits.
+    StabilisationFailureError names each degree where it fails, with its
+    four numbers."""
     if not mid.all_torsion:
         raise NotNovikovAcyclicError(
             "homology has nonzero free rank in degrees "

@@ -7,10 +7,12 @@ the int 0).  Storage is dense over the exponent span, the working form of
 every kernel; file input bounds the span by ``fileformat.MAX_EXPONENT``.
 A matrix stores bare entries, so a polynomial is the boundary form: a
 cell read as ``d[i, j]``, a determinant, an invariant factor, a message.
-Arithmetic runs through ``polylists.lincomb``, ``scaled`` and ``trim``.
+It has no arithmetic: every kernel works on the entries with
+``polylists``, and the sums and products of polynomials that the tests
+form are functions of ``tests/helpers.py`` (``polyadd``, ``polymul``).
 The four base rings K, K[x], K[x^-1] and K[x,x^-1] are tags restricting
 which exponents a value may use (``BaseRing.admits`` reads an entry's
-ends); arithmetic always happens in the full Laurent ring.
+ends); the kernels always compute in the full Laurent ring.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import ShapeError
-from .polylists import MINUS_ONE, ONE, from_terms, lincomb, scaled
-from .scalars import CoefficientRing, check_same_ring
+from .polylists import from_terms
+from .scalars import CoefficientRing
 
 
 class BaseRing(Enum):
@@ -103,34 +105,6 @@ class LaurentPoly:
         """Sorted (exponent, coefficient) pairs, exponents ascending."""
         v, c = self.entry or (0, ())
         return [(v + k, x) for k, x in enumerate(c) if x]
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other):
-        check_same_ring(self.ring, other.ring)
-        return LaurentPoly.from_entry(self.ring, lincomb(
-            ONE, self.entry, ONE, other.entry, self.ring.p))
-
-    def __sub__(self, other):
-        check_same_ring(self.ring, other.ring)
-        return LaurentPoly.from_entry(self.ring, lincomb(
-            ONE, self.entry, MINUS_ONE, other.entry, self.ring.p))
-
-    def __neg__(self):
-        return LaurentPoly.from_entry(
-            self.ring, scaled(self.entry, -1, self.ring.p))
-
-    def __mul__(self, other):
-        check_same_ring(self.ring, other.ring)
-        return LaurentPoly.from_entry(self.ring, lincomb(
-            self.entry, other.entry, None, None, self.ring.p))
-
-    def scale(self, coeff):
-        """coeff * self for an int coefficient, over Q also a Fraction."""
-        coeff = self.ring.normalise(coeff)
-        return LaurentPoly.from_entry(
-            self.ring, scaled(self.entry, coeff, self.ring.p) if coeff
-            else None)
 
     # -- comparisons ---------------------------------------------------------
 

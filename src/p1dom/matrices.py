@@ -7,10 +7,12 @@ is; a ``LaurentPoly`` appears only at the boundary (``d[i, j]``, the
 determinant).  Which subring (K[x], K[x^-1]) it lives over is checked by
 the complex or chart that holds it (``ChainComplex.validate``, the
 ``SheafComplex`` constructor, the file loader).  The library forms no
-sum or product of Laurent matrices, so a matrix has no arithmetic: the
-sums, negations and products that the tests' oracles form are functions
-of ``tests/helpers.py``.  A scalar matrix holds ring elements and
-carries the one exact rank kernel, ``scalar_rank``.
+sum or product of Laurent matrices or of their cells, so neither has
+arithmetic: the determinant scales its Q result on the entry
+(``polylists.scaled``), and the sums, negations and products that the
+tests' oracles form are functions of ``tests/helpers.py``.  A scalar
+matrix holds ring elements and carries the one exact rank kernel,
+``scalar_rank``.
 """
 
 from __future__ import annotations
@@ -95,10 +97,10 @@ class LaurentMatrix(_Rows):
             return LaurentPoly.from_entry(
                 ring, polylists.determinant(rows, ring.p))
         rows = [polylists.cleared(row) for row in rows]
-        det = LaurentPoly.from_entry(ring, polylists.determinant(
-            [row for _, row in rows], 0))
+        det = polylists.determinant([row for _, row in rows], 0)
         # scaling by 1/den also makes the int coefficients Fractions
-        return det.scale(Fraction(1, prod(den for den, _ in rows)))
+        return LaurentPoly.from_entry(ring, polylists.scaled(
+            det, Fraction(1, prod(den for den, _ in rows)), 0))
 
     # -- comparisons -----------------------------------------------------------
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import RingMismatchError, UnsupportedRingError
+from .errors import UnsupportedRingError
 
 # coefficient strings and ring moduli; unlike int(), [0-9] is ASCII only
 _DECIMAL = re.compile(r"-?[0-9]+")
@@ -161,7 +161,3 @@ def ring_from_tag(tag: str) -> CoefficientRing:
         return GF(int(modulus[1] or modulus[2]))
     raise UnsupportedRingError(f"unknown ring tag {tag!r}")
 
-
-def check_same_ring(a: CoefficientRing, b: CoefficientRing):
-    if a is not b and a != b:
-        raise RingMismatchError(f"mixed coefficient rings {a.tag} and {b.tag}")

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 from p1dom import fileformat as ff
 from p1dom.complexes import ChainComplex, HomologyEntry, ScalarComplex
@@ -15,7 +16,6 @@ from p1dom.laurent import BaseRing, LaurentPoly, _exponent
 from p1dom.matrices import LaurentMatrix, ScalarMatrix, scalar_rank
 from p1dom.polylists import (MINUS_ONE, ONE, cleared, dot, integer_row,
                              lincomb, pseudo_divmod, scaled)
-from p1dom.scalars import check_same_ring
 from p1dom.sheaves import SheafComplex, TwistSummand, cech_cohomology
 from p1dom.smith import _echelon, _require_field
 
@@ -39,6 +39,12 @@ def inverse_unit(p):
 
 
 # -- members the library does not call -----------------------------------------
+
+
+def check_same_ring(a, b):
+    """RingMismatchError unless the coefficient rings a and b are one."""
+    if a is not b and a != b:
+        raise RingMismatchError(f"mixed coefficient rings {a.tag} and {b.tag}")
 
 
 def zero(ring):
@@ -82,9 +88,9 @@ def respects(p, base):
 
 def times_monomial(p, exponent, coeff=None):
     """coeff * x^exponent * p for a LaurentPoly p (coeff as for
-    ``LaurentPoly.scale``); the exponent must be an int."""
+    ``polyscale``); the exponent must be an int."""
     _exponent(exponent)
-    out = p if coeff is None else p.scale(coeff)
+    out = p if coeff is None else polyscale(p, coeff)
     if out.entry is None:
         return out
     v, c = out.entry
@@ -272,6 +278,44 @@ def betti_numbers(d):
 
 
 # -- Laurent polynomials and matrices -------------------------------------------
+
+
+def _combination(a, g, b):
+    """a + g*b for LaurentPoly a and b over one ring, g = ONE or
+    MINUS_ONE."""
+    check_same_ring(a.ring, b.ring)
+    return LaurentPoly.from_entry(a.ring, lincomb(ONE, a.entry, g, b.entry,
+                                                  a.ring.p))
+
+
+def polyadd(a, b):
+    """a + b for LaurentPoly a and b, by ``polylists.lincomb``."""
+    return _combination(a, ONE, b)
+
+
+def polysub(a, b):
+    """a - b for LaurentPoly a and b, by ``polylists.lincomb``."""
+    return _combination(a, MINUS_ONE, b)
+
+
+def polymul(a, b):
+    """a * b for LaurentPoly a and b, by ``polylists.lincomb``."""
+    check_same_ring(a.ring, b.ring)
+    return LaurentPoly.from_entry(a.ring, lincomb(a.entry, b.entry, None,
+                                                  None, a.ring.p))
+
+
+def polyneg(a):
+    """-a for a LaurentPoly a, by ``polylists.scaled``."""
+    return LaurentPoly.from_entry(a.ring, scaled(a.entry, -1, a.ring.p))
+
+
+def polyscale(a, coeff):
+    """coeff * a for a LaurentPoly a and an int coefficient, over Q also
+    a Fraction (anything else is UnsupportedRingError)."""
+    coeff = a.ring.normalise(coeff)
+    return LaurentPoly.from_entry(
+        a.ring, scaled(a.entry, coeff, a.ring.p) if coeff else None)
 
 
 def _row(acc):
@@ -598,6 +642,30 @@ def twist(s, n, k=None):
                                 for m, ts in s.twists.items()})
 
 
+def raised_profile(rng, c, most):
+    """A legal SheafComplex over the K[x,x^-1]-complex c, built by the
+    public constructor, whose levels are drawn from the top down: each
+    summand of level m takes the least (k, l) that the entries of its row
+    of d_{m+1} allow given level m + 1 (k_i >= maxdeg d[i][j] + k_j and
+    l_i >= l_j - mindeg d[i][j]; (0, 0) on the top level and for a zero
+    row), then k and l are each raised by a draw from 0..``most``.  Every
+    summand has k + l >= 0, so W computes the hypercohomology."""
+    twists = {}
+    above = ()
+    for m in range(c.hi, c.lo - 1, -1):
+        level = []
+        for i in range(c.rank(m)):
+            row = c.diff(m + 1).data[i] if above else {}
+            k = max((v + len(e) - 1 + above[j].k
+                     for j, (v, e) in row.items()), default=0)
+            l = max((above[j].l - v for j, (v, _) in row.items()),
+                    default=0)
+            level.append(TwistSummand(k + rng.randint(0, most),
+                                      l + rng.randint(0, most)))
+        twists[m] = above = tuple(level)
+    return SheafComplex(c, twists)
+
+
 def sheaf_hyper_homology_dims(s):
     """Hypercohomology dimensions for a sheaf complex with zero
     differentials.
@@ -702,13 +770,13 @@ def basis_change(rng, c, span=1):
 
 
 def grid_product(a, b):
-    """a b for LaurentMatrix a and b, each cell summed with
-    ``LaurentPoly`` arithmetic over the dense grids: the oracle of the
+    """a b for LaurentMatrix a and b, each cell summed with ``polyadd``
+    and ``polymul`` over the dense grids: the oracle of the
     products on rows."""
     ga, gb = dense(a), dense(b)
-    z = P(a.ring)
     return grid_matrix(a.ring, a.rows, b.cols, [
-        [sum((ga[i][k] * gb[k][j] for k in range(a.cols)), z)
+        [reduce(polyadd, (polymul(ga[i][k], gb[k][j])
+                          for k in range(a.cols)), P(a.ring))
          for j in range(b.cols)] for i in range(a.rows)])
 
 

@@ -12,7 +12,8 @@ from p1dom.scalars import GF, QQ, ZZ
 
 from helpers import (M, basis_change, block, core_degree, dense, direct_sum,
                      grid_matrix, identity, is_unit, matmul, matneg,
-                     monomial, nonzero_entries, random_invertible_pair,
+                     monomial, nonzero_entries, polyadd,
+                     random_invertible_pair,
                      scalar_diag, shift, submatrix, two_term, vanishes,
                      zero_complex)
 from paper_lemmas import (ChainMap, Homotopy, cone, inclusion, is_acyclic,
@@ -69,7 +70,7 @@ def with_term(c, m, i, j, term):
     """c with ``term`` added to entry (i, j) of d_m."""
     d = c.diff(m)
     entries = dense(d)
-    entries[i][j] = entries[i][j] + term
+    entries[i][j] = polyadd(entries[i][j], term)
     diffs = dict(c.diffs)
     diffs[m] = grid_matrix(c.ring, d.rows, d.cols, entries)
     return ChainComplex(c.ring, c.base, c.lo, c.hi, c.ranks, diffs)

@@ -7,8 +7,8 @@ from p1dom.generators import random_complex
 from p1dom.laurent import BaseRing
 from p1dom.scalars import GF, QQ
 
-from helpers import (dense, direct_sum, grid_matrix, identity, vanishes,
-                     zero_complex)
+from helpers import (dense, direct_sum, grid_matrix, identity, polyneg,
+                     vanishes, zero_complex)
 from paper_lemmas import (ChainMap, ComplexDiagram,
                           diagram_with_a_non_chain_map, hypercohomology, iota,
                           is_quasi_iso, levelwise_h1_trivial, phi_star,
@@ -89,7 +89,7 @@ def test_ses_check_rejects_corrupted_differential():
             for j in range(rm + rp):
                 if not rows[i][j].is_zero:
                     changed = True
-                rows[i][j] = -rows[i][j]
+                rows[i][j] = polyneg(rows[i][j])
         corrupted_diffs[m] = grid_matrix(h.ring, mat.rows, mat.cols, rows)
     if not changed:
         pytest.skip("degenerate instance without mixing entries")

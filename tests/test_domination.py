@@ -11,17 +11,20 @@ from p1dom.complexes import ChainComplex, homology, homology_dims
 from p1dom.domination import (_elementary_valuations, _witness,
                               chart_homology, dominate, novikov_check,
                               verify_theorem)
-from p1dom.errors import (NotNovikovAcyclicError, ShapeError,
-                          StabilisationFailureError, UnsupportedRingError)
+from p1dom.errors import (NonVanishingH1Error, NotNovikovAcyclicError,
+                          ShapeError, StabilisationFailureError,
+                          UnsupportedRingError)
 from p1dom.extension import extend_complex
 from p1dom.generators import (random_complex, random_novikov_acyclic,
                               random_ring)
 from p1dom.laurent import BaseRing
 from p1dom.scalars import GF, QQ, ZZ
+from p1dom.sheaves import cech_complex
 from p1dom.smith import invariant_factors
 
 from helpers import (M, chart, direct_sum, grid_matrix, load_complex,
-                     random_poly, two_term, window_complex, zero_complex)
+                     raised_profile, random_poly, twist, two_term,
+                     window_complex, zero_complex)
 from paper_lemmas import ChainMap, cone, extend_cone, null_homotopic_map
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -458,6 +461,24 @@ def test_the_ledger_holds_on_the_lifted_cone():
         assert witness.ledger_holds and witness.sheaf is lifted
         mixed += any(len(set(ts)) > 1 for ts in lifted.twists.values())
     assert mixed
+
+
+def test_the_ledger_holds_on_random_legal_profiles():
+    # the equation does not depend on the profile: per-row least twists
+    # given the level above, unraised and twice raised by 0..3 in k and
+    # in l; the extension's profile shifted to n = -1 in either split
+    # still has H^1 = 0 on every level, and one more step down is refused
+    rng = random.Random(2279)
+    for i in range(300):
+        ring = (QQ, GF(7), GF(10007))[i % 3]
+        c = random_novikov_acyclic(rng, ring)
+        mid = homology(c)
+        ext = extend_complex(c).sheaf
+        for sheaf in ([raised_profile(rng, c, most) for most in (0, 3, 3)]
+                      + [twist(ext, -1, -1), twist(ext, -1, 0)]):
+            assert _witness(sheaf, mid).ledger_holds
+        with pytest.raises(NonVanishingH1Error):
+            cech_complex(twist(ext, -2, -1))
 
 
 def test_a_ledger_failure_names_its_degree(monkeypatch, tmp_path, capsys):

@@ -15,7 +15,9 @@ tracing table names is dead code the tracer reports as absent.
 
 Matching by name cannot tell two methods of one name apart: a read of
 ``.f`` counts for every method ``f``, so an uncalled method that shares
-its name with a called one is not seen.
+its name with a called one is not seen.  An operator method is outside
+this check: its name starts with "_", and no name reads it (``a + b``
+calls ``__add__``); ``test_operator_callers`` probes those at run time.
 """
 
 import ast

@@ -29,7 +29,8 @@ from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import cech_complex
 
 from helpers import (dense, grid_matrix, grid_product, matadd, matmul,
-                     matneg, matsub, random_matrix)
+                     matneg, matsub, polyadd, polyneg, polysub,
+                     random_matrix)
 
 
 def assert_canonical_rows(m):
@@ -96,12 +97,12 @@ def test_built_matrices_hold_canonical_rows(seed, ring):
     k = random_matrix(rng, ring, cols, n, 2)
     ga, gb = dense(a), dense(b)
     results = {
-        "add": (matadd(a, b), [[x + y for x, y in zip(r, s)]
+        "add": (matadd(a, b), [[polyadd(x, y) for x, y in zip(r, s)]
                                for r, s in zip(ga, gb)]),
-        "sub": (matsub(a, b), [[x - y for x, y in zip(r, s)]
+        "sub": (matsub(a, b), [[polysub(x, y) for x, y in zip(r, s)]
                                for r, s in zip(ga, gb)]),
-        "cancel": (matsub(a, a), [[x - x for x in r] for r in ga]),
-        "neg": (matneg(a), [[-x for x in r] for r in ga]),
+        "cancel": (matsub(a, a), [[polysub(x, x) for x in r] for r in ga]),
+        "neg": (matneg(a), [[polyneg(x) for x in r] for r in ga]),
     }
     for name, (got, grid) in results.items():
         assert_canonical_rows(got)

@@ -31,7 +31,7 @@ from p1dom.sheaves import cech_complex
 
 from helpers import (P, chart as sheaf_chart, constants, direct_sum,
                      grid_matrix, load_complex, matmul, monomial, mul,
-                     two_term, window_complex)
+                     polyneg, two_term, window_complex)
 from paper_lemmas import ChainMap, ComplexDiagram, hypercohomology
 
 FIELDS = [QQ, GF(7), GF(10007)]
@@ -105,7 +105,7 @@ def random_chart(rng, ring):
             i, j = rng.sample(range(c.rank(m)), 2)
             e = monomial(ring, rng.randint(0, 2),
                          ring.from_int(rng.randint(1, 3)))
-            g[i][j], g_inv[i][j] = e, -e
+            g[i][j], g_inv[i][j] = e, polyneg(e)
         change[m] = [grid_matrix(ring, c.rank(m), c.rank(m), grid)
                      for grid in (g, g_inv)]
     diffs = {m: matmul(change[m - 1][1], c.diff(m), change[m][0])

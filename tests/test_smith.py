@@ -15,7 +15,7 @@ from p1dom.smith import invariant_factors
 
 from helpers import (M, P, S, block, coeff, dense, evaluate, grid_matrix,
                      identity, kernel_basis, kernel_coordinates, matmul,
-                     maxdeg, mindeg, submatrix, transpose)
+                     maxdeg, mindeg, polyadd, submatrix, transpose)
 from test_sympy_oracle import sympy_divides, sympy_factors
 
 
@@ -132,7 +132,7 @@ def _kernel_case(rng, ring, rows, cols, shape):
             row[j] = P(ring)
     if shape == "row-sum" and rows >= 3:
         i, j, k = rng.sample(range(rows), 3)
-        grid[i] = [a + b for a, b in zip(grid[j], grid[k])]
+        grid[i] = [polyadd(a, b) for a, b in zip(grid[j], grid[k])]
     return grid_matrix(ring, rows, cols, grid)
 
 

@@ -35,7 +35,7 @@ from p1dom.smith import invariant_factors as kernel_factors
 
 from helpers import (HOMOLOGY_KINDS, M, P, check_base, core_degree, dense,
                      grid_matrix, homology_case, matmul, nonzero_entries,
-                     random_matrix, unit_normalise)
+                     polyscale, random_matrix, unit_normalise)
 
 X = sympy.symbols("x")
 GF7 = GF(7)
@@ -253,7 +253,7 @@ def _det_case(rng, ring, n, kind):
         a = grid_matrix(ring, n, n, grid)
     if kind == "denominators" and ring is QQ:
         a = grid_matrix(ring, n, n, [
-            [p.scale(Fraction(1, den)) for p in row]
+            [polyscale(p, Fraction(1, den)) for p in row]
             for row, den in zip(dense(a), (2, 3, 5, 7, 9, 4))])
     return a
 
