@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .errors import RingMismatchError, ShapeError, UnsupportedRingError
 from .laurent import BaseRing, LaurentPoly
 from .matrices import LaurentMatrix, scalar_rank
-from .polylists import cleared, dot
+from .polylists import ONE, cleared, lincomb
 from .scalars import CoefficientRing
 from .smith import invariant_factors
 
@@ -120,12 +120,13 @@ class ChainComplex:
         """Full d.d = 0 and exponent-constraint report; [] means valid.
 
         Every entry respects K[x,x^-1], so only the other base rings scan
-        the entries' exponents.  The columns of d_m are gathered in one
-        pass over its rows, and only a row of d_{m-1} and a column of d_m
-        that share a nonzero position are multiplied; over Q each is
-        cleared of denominators once (``polylists.cleared``) and the
-        products run on ints: scaling rows and columns by nonzero
-        integers changes no product entry's vanishing.
+        the entries' exponents.  d_{m-1}.d_m is formed row by row, as in
+        ``ScalarComplex.validate``: a row of d_{m-1} times the rows of d_m
+        that it meets, summed with ``lincomb``.  Over Q each row of
+        d_{m-1} and all of d_m at once are cleared of denominators
+        (``polylists.cleared``) and the products run on ints: scaling the
+        rows of the product, or all of it, by a nonzero integer changes no
+        entry's vanishing.
         """
         problems = [] if self.base is BaseRing.LAURENT else [
             f"degree {m}: entry ({i},{j}) = {d[i, j]} violates "
@@ -135,22 +136,20 @@ class ChainComplex:
             for j, e in row.items() if not self.base.admits(e)]
         p = self.ring.p
         for m in range(self.lo + 2, self.hi + 1):
-            right = self.diffs[m].data
-            cols = [{} for _ in range(self.rank(m))]
-            for k, row in enumerate(right):
-                for j, e in row.items():
-                    cols[j][k] = e
-            reached = {k for k, row in enumerate(right) if row}
-            rows = [row for row in self.diffs[m - 1].data
-                    if not reached.isdisjoint(row)]
-            used = set().union(*rows)
-            cols = [col for col in cols if not used.isdisjoint(col)]
+            rows, right = self.diffs[m - 1].data, self.diffs[m].data
             if self.ring.kind == "Q":
                 rows = [dict(zip(r, cleared(r.values())[1])) for r in rows]
-                cols = [dict(zip(c, cleared(c.values())[1])) for c in cols]
-            if any(dot(row, col, p) is not None
-                   for row in rows for col in cols):
-                problems.append(f"degree {m}: d.d != 0")
+                entries = iter(cleared(
+                    [e for r in right for e in r.values()])[1])
+                right = [dict(zip(r, entries)) for r in right]
+            for row in rows:
+                acc = {}
+                for k, e in row.items():
+                    for j, f in right[k].items():
+                        acc[j] = lincomb(e, f, ONE, acc.get(j), p)
+                if any(x is not None for x in acc.values()):
+                    problems.append(f"degree {m}: d.d != 0")
+                    break
         return problems
 
     # -- basic operations -----------------------------------------------------

@@ -320,12 +320,14 @@ def _novikov_integers(c: ChainComplex, order: int) -> NovikovVerdict:
 
 
 def _two_term_square(c: ChainComplex):
+    """The differential of a complex with two adjacent nonzero degrees
+    (the 0x0 matrix when every rank is 0), None otherwise.  The caller
+    has checked chi(C) = 0, so the two ranks are equal and the matrix is
+    square."""
     present = [m for m, r in c.ranks.items() if r]
     if not present:
         return LaurentMatrix.zero(c.ring, 0, 0)
     if len(present) != 2 or present[1] - present[0] != 1:
-        return None
-    if c.rank(present[0]) != c.rank(present[1]):
         return None
     return c.diff(present[1])
 

@@ -34,7 +34,10 @@ class NotNovikovAcyclicError(P1DomError, ValueError):
 
 
 class StabilisationFailureError(P1DomError, RuntimeError):
-    """Truncated power-series homology dimensions did not stabilise."""
+    """The finite-domination witness fails its audit: a chart homology
+    has a free part (``domination._torsion_dims``), or a ledger equation
+    dim_K H_q(W) = dim_K H_q(C) + the two chart dimensions does not hold
+    (``domination._witness``)."""
 
 
 class FormatError(P1DomError, ValueError):

@@ -116,17 +116,6 @@ def lincomb(f, a, g, b, p):
     return trim(lo, acc)
 
 
-def dot(xs, ys, p):
-    """The sum of xs[k]*ys[k] over the keys k that the dicts of entries
-    xs and ys share."""
-    acc = None
-    for k, x in xs.items():
-        y = ys.get(k)
-        if y is not None:
-            acc = lincomb(x, y, ONE, acc, p)
-    return acc
-
-
 def scaled(a, k, p):
     """k*a for a nonzero scalar k: an int, or over Q (p = 0) a Fraction."""
     if a is None:

@@ -13,9 +13,10 @@ chart valuations of ``domination`` share: residues mod p over GF(p), and
 integers over Q, as ``scalar_rank`` does for scalars after Bareiss
 (1968).  Each Q column is cleared of denominators once and kept
 primitive by its content gcd, divisions are the pseudo-divisions of
-``polylists.pseudo_divmod`` and the Bezout cofactors come from an integer
-Euclidean algorithm.  Nonzero constants are units of Q[x,x^-1], so none
-of these scalings changes a factor or a module.  Results are wrapped with
+``polylists.pseudo_divmod``, and the Bezout cofactors and the gcds of the
+invariant factors come from one integer Euclidean algorithm, ``_xgcd``.
+Nonzero constants are units of Q[x,x^-1], so none of these scalings
+changes a factor or a module.  Results are wrapped with
 ``LaurentPoly.from_entry``, their int coefficients made Fractions over Q.
 
 The echelon form A*V = [H | 0] is reached by column operations and
@@ -64,19 +65,18 @@ def _normalised(r, u, v, p):
     return triple
 
 
-def _bezout(pivot, e, p):
-    """Rows of a 2x2 transform taking (pivot, e) to (c*g, 0), with g their
-    gcd and c and the determinant nonzero constants: (u, v) and (-e/g,
-    pivot/g), each up to a constant factor.
+def _xgcd(a, b, p):
+    """(g, u, v) with u*a + v*b = c*g for a nonzero constant c, where g,
+    the gcd of the nonzero entries a and b, has valuation 0 and is monic
+    over GF(p), primitive with a positive lead over Q.
 
-    (u, v) comes from the Euclidean algorithm on (r, u, v) triples with
-    r = u*pivot + v*e, every remainder normalised (``_normalised``): shifted
-    to valuation 0, and made monic over GF(p) or primitive over Q.  Over Q
-    the division is pseudo-division, so every coefficient stays an
-    integer.
+    The Euclidean algorithm on (r, u, v) triples with r = u*a + v*b,
+    every remainder normalised (``_normalised``): shifted to valuation 0,
+    and made monic over GF(p) or primitive over Q.  Over Q the division
+    is pseudo-division, so every coefficient stays an integer.
     """
-    r0, u0, v0 = pivot, ONE, None
-    r1, u1, v1 = _normalised(e, None, ONE, p)
+    r0, u0, v0 = a, ONE, None
+    r1, u1, v1 = _normalised(b, None, ONE, p)
     while True:
         m, q, r2 = pseudo_divmod(r0, r1, p)
         if r2 is None:
@@ -86,16 +86,23 @@ def _bezout(pivot, e, p):
         u2, v2 = lincomb(f, u0, nq, u1, p), lincomb(f, v0, nq, v1, p)
         r0, u0, v0 = r1, u1, v1
         r1, u1, v1 = _normalised(r2, u2, v2, p)
-    g = r1
     if not p:
-        # primitive with a positive lead, g divides pivot and e over Z
-        # (Gauss's lemma), so both divisions below have m = 1
-        content = gcd(*g[1])
-        g = divided(g, content if g[1][-1] > 0 else -content)
+        content = gcd(*r1[1])
+        r1 = divided(r1, content if r1[1][-1] > 0 else -content)
+    return r1, u1, v1
+
+
+def _bezout(pivot, e, p):
+    """Rows of a 2x2 transform taking (pivot, e) to (c*g, 0), with g their
+    gcd (``_xgcd``) and c and the determinant nonzero constants: (u, v)
+    and (-e/g, pivot/g), each up to a constant factor."""
+    g, u, v = _xgcd(pivot, e, p)
+    # over Q g is primitive and divides pivot and e over Z (Gauss's
+    # lemma), so both divisions below have m = 1
     m_e, e_g, _ = pseudo_divmod(e, g, p)
     m_p, pivot_g, _ = pseudo_divmod(pivot, g, p)
     # m_e*e = e_g*g and m_p*pivot = pivot_g*g
-    return u1, v1, scaled(e_g, -m_p, p), scaled(pivot_g, m_e, p)
+    return u, v, scaled(e_g, -m_p, p), scaled(pivot_g, m_e, p)
 
 
 def _combine(f, x, g, y, p, known=()):
@@ -178,20 +185,6 @@ def _factor(ring, core):
         ring, (0, tuple(Fraction(x, lead) for x in core)))
 
 
-def _gcd(a, b, p):
-    """The gcd of two cores, an entry of valuation 0, by a remainder
-    sequence in which every remainder is shifted to valuation 0 and, over
-    Q, divided by its content, so that the coefficients stay small."""
-    a, b = (0, a), (0, b)
-    while True:
-        if not p:
-            b = divided(b, gcd(*b[1]))
-        r = pseudo_divmod(a, b, p)[2]
-        if r is None:
-            return b
-        a, b = b, (0, r[1])
-
-
 def _reduce(columns, pivots, p):
     """Reduce, from the top pivot row down, each entry left of a pivot
     modulo the pivot, by subtracting a multiple of the pivot column, which
@@ -224,9 +217,10 @@ def invariant_factors(a: LaurentMatrix) -> tuple:
     which keeps the next pass from swelling; over Q each transposed
     column is made primitive.  The diagonal then becomes a divisibility
     chain by the pairwise rule (d_s, d_t) -> (gcd, lcm), with gcds from
-    ``_gcd``.  Each factor is monic with zero valuation, so a unit factor
-    is the constant 1.  Z coefficients are rejected; Z[x,x^-1] is not a
-    PID.
+    ``_xgcd``, the one Euclidean loop, which also gives the echelon's
+    Bezout transforms.  Each factor is monic with zero valuation, so a
+    unit factor is the constant 1.  Z coefficients are rejected;
+    Z[x,x^-1] is not a PID.
     """
     p = _require_field(a).p
     rows, columns = a.rows, _columns(a, p)
@@ -249,7 +243,7 @@ def invariant_factors(a: LaurentMatrix) -> tuple:
     for s in range(len(cores)):
         for t in range(s + 1, len(cores)):
             if len(cores[s]) > 1:
-                g = _gcd(cores[s], cores[t], p)
+                g = _xgcd((0, cores[s]), (0, cores[t]), p)[0]
                 lcm = lincomb(exact_quotient((0, cores[s]), g, p),
                               (0, cores[t]), None, None, p)
                 cores[s], cores[t] = g[1], lcm[1]

@@ -14,7 +14,7 @@ from p1dom.generators import (_conjugated, _elementary_ops, _poly_entry,
                               random_complex, random_novikov_acyclic)
 from p1dom.laurent import BaseRing, LaurentPoly, _exponent
 from p1dom.matrices import LaurentMatrix, ScalarMatrix, scalar_rank
-from p1dom.polylists import (MINUS_ONE, ONE, cleared, dot, integer_row,
+from p1dom.polylists import (MINUS_ONE, ONE, cleared, integer_row,
                              lincomb, pseudo_divmod, scaled)
 from p1dom.sheaves import SheafComplex, TwistSummand, cech_cohomology
 from p1dom.smith import _echelon, _require_field
@@ -508,8 +508,11 @@ def _entry(ring, e):
 
 
 def _dot(xs, ys, p):
-    """``polylists.dot`` of two lists of entries, None for zero."""
-    return dot(dict(enumerate(xs)), dict(enumerate(ys)), p)
+    """The sum of xs[k]*ys[k] over two lists of entries, None for zero."""
+    acc = None
+    for x, y in zip(xs, ys):
+        acc = lincomb(x, y, ONE, acc, p)
+    return acc
 
 
 def _column_echelon(a):

@@ -219,7 +219,8 @@ def test_extend_h0_pipeline(xm1_file, tmp_path, capsys):
     # emitted files re-ingest to equal values
     again = str(tmp_path / "w2.cplx")
     assert main(["h0", sheaf_path, "--out", again]) == 0
-    assert open(w_path).read() == open(again).read()
+    with open(w_path) as first, open(again) as second:
+        assert first.read() == second.read()
 
 
 def test_novikov_renders_its_certificates_only_for_a_report(monkeypatch,
@@ -403,7 +404,8 @@ def test_report_format_deterministic(xm1_file, tmp_path):
                  "--out", out1]) == 0
     assert main(["verify", xm1_file, "--format", "report",
                  "--out", out2]) == 0
-    b1, b2 = open(out1, "rb").read(), open(out2, "rb").read()
+    with open(out1, "rb") as f1, open(out2, "rb") as f2:
+        b1, b2 = f1.read(), f2.read()
     assert b1 == b2
     data = json.loads(b1)
     assert data["verdict"] == "PASS"
@@ -423,7 +425,8 @@ def test_env_var_overrides(xm1_file, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("P1DOM_OUT", target)
     assert main(["homology", xm1_file]) == 0
     assert os.path.exists(target)
-    data = json.loads(open(target).read())
+    with open(target) as f:
+        data = json.load(f)
     assert data["command"] == "homology"
 
 

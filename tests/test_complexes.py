@@ -36,6 +36,22 @@ def test_validate_reports_dd_violation():
     assert problems == ["degree 2: d.d != 0"]
 
 
+@pytest.mark.parametrize("lo, hi, ranks, diffs, error, message", [
+    (1, 0, {}, {}, ShapeError, r"support interval \[1, 0\] is empty"),
+    (0, 0, {0: -1}, {}, ShapeError, "negative rank"),
+    (0, 1, {0: 1, 1: 1}, {1: M(QQ, [[1, 1]])}, ShapeError,
+     "differential at degree 1 has shape 1x2, expected 1x1"),
+    (0, 1, {0: 1, 1: 1}, {1: M(GF(7), [[1]])}, RingMismatchError,
+     "differential over a different ring"),
+    (0, 1, {0: 1, 1: 1}, {2: M(QQ, [[1]])}, ShapeError,
+     "differential at degree 2 out of support"),
+], ids=["empty-support", "negative-rank", "shape", "ring", "out-of-support"])
+def test_constructor_refuses_a_malformed_complex(lo, hi, ranks, diffs, error,
+                                                 message):
+    with pytest.raises(error, match=f"^{message}$"):
+        ChainComplex(QQ, BaseRing.LAURENT, lo, hi, ranks, diffs)
+
+
 def test_validate_reports_base_violation():
     # only K[x,x^-1], which every entry respects, skips the exponent scan
     for base, exponent in ((BaseRing.POLY, -1), (BaseRing.POLY_INV, 2)):

@@ -196,6 +196,28 @@ def test_sample_with_a_duplicate_differential_exits_2(tmp_path, capsys):
         "input error: duplicate degree (at differentials[1].degree)\n")
 
 
+@pytest.mark.parametrize("command, sample, path, value, message", [
+    ("verify", "x-minus-1.cplx", ("degrees", 1, "degree"), 0,
+     "duplicate degree (at degrees[1])"),
+    ("verify", "x-minus-1.cplx", ("differentials", 0, "degree"), 0,
+     "differential degree 0 out of support (at differentials[0])"),
+    ("h0", "x-minus-1.sheaf", ("base",), "K[x]",
+     "sheaf complexes have base K[x,x^-1] (at base)"),
+], ids=["duplicate-degree", "differential-out-of-support", "sheaf-base"])
+def test_sample_with_a_bad_field_exits_2(command, sample, path, value,
+                                         message, tmp_path, capsys):
+    source = Path(__file__).resolve().parents[1] / "samples" / sample
+    data = json.loads(source.read_text(encoding="utf-8"))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    target = tmp_path / sample
+    target.write_text(json.dumps(data))
+    assert main([command, str(target)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 def test_extended_sample_with_stray_twists_exits_2(tmp_path, capsys):
     # without the checks the last duplicate won and the stray entry was
     # dropped, and h0 exited 0

@@ -125,3 +125,24 @@ def test_a_column_key_outside_the_matrix_is_refused(cls, value, key):
                        match=f"row 1 has column {re.escape(repr(key))} "):
         cls(QQ, 2, cols, [{0: value}, {0: value, key: value}])
     assert cls(QQ, 2, 1, [{0: value}, {}]).data[0] == {0: value}
+
+
+@pytest.mark.parametrize("cls, value", [
+    (LaurentMatrix, (0, (Fraction(1),))), (ScalarMatrix, Fraction(1))])
+@pytest.mark.parametrize("rows, cols, count, message", [
+    (-1, 1, 0, "negative matrix dimensions"),
+    (1, -1, 1, "negative matrix dimensions"),
+    (2, 1, 1, "1 row dicts for 2 rows"),
+    (1, 1, 2, "2 row dicts for 1 rows"),
+])
+def test_a_shape_that_does_not_match_the_rows_is_refused(cls, value, rows,
+                                                         cols, count,
+                                                         message):
+    with pytest.raises(ShapeError, match=f"^{message}$"):
+        cls(QQ, rows, cols, [{} for _ in range(count)])
+
+
+def test_determinant_of_a_non_square_matrix_is_refused():
+    with pytest.raises(ShapeError,
+                       match="^determinant of a non-square matrix$"):
+        LaurentMatrix.zero(QQ, 1, 2).determinant()

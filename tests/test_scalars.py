@@ -2,7 +2,7 @@ import pytest
 from fractions import Fraction
 
 from p1dom.errors import NotAUnitError, UnsupportedRingError
-from p1dom.scalars import GF, QQ, ZZ, ring_from_tag
+from p1dom.scalars import GF, QQ, ZZ, CoefficientRing, ring_from_tag
 
 from helpers import add, invert, mul
 
@@ -70,3 +70,13 @@ def test_ring_tags_take_an_ascii_modulus(tag):
     with pytest.raises(UnsupportedRingError, match="unknown ring tag"):
         ring_from_tag(tag)
     assert ring_from_tag("GF(007)") is ring_from_tag("GF:7") is GF(7)
+
+
+@pytest.mark.parametrize("kind, p, message", [
+    ("R", 0, "unknown ring kind 'R'"),
+    ("Q", 7, "modulus only allowed for GF rings"),
+    ("Z", 7, "modulus only allowed for GF rings"),
+])
+def test_ring_kind_and_modulus_are_checked(kind, p, message):
+    with pytest.raises(UnsupportedRingError, match=f"^{message}$"):
+        CoefficientRing(kind, p)

@@ -181,6 +181,21 @@ def test_stray_twist_is_refused():
         SheafComplex(mid, {0: (TwistSummand(0, 0),) * 2})
 
 
+def test_sheaf_complex_needs_a_laurent_middle_complex():
+    mid = ChainComplex.single(QQ, BaseRing.POLY, 0, 1)
+    with pytest.raises(UnsupportedRingError,
+                       match=r"^sheaf complex needs a K\[x,x\^-1\] middle "
+                             "complex$"):
+        SheafComplex(mid, {0: (TwistSummand(0, 0),)})
+
+
+def test_twist_profile_refuses_a_level_of_two_splits():
+    mid = ChainComplex.single(QQ, BaseRing.LAURENT, 0, 2)
+    s = SheafComplex(mid, {0: (TwistSummand(0, 0), TwistSummand(1, 0))})
+    with pytest.raises(ShapeError, match="^level 0 mixes twist splits$"):
+        s.twist_profile()
+
+
 def test_sheaf_hyper_dims_of_negative_twist():
     # a single O(-2) level: hypercohomology is one K in degree -1
     single = SheafComplex(
