@@ -333,6 +333,7 @@ def cmd_extend(args):
 
 def cmd_h0(args):
     s = _load_sheaf(args)
+    require_valid(s.mid)
     # a summand of twist n >= -1 gives W a band of n + 1 monomials
     # (cech_complex refuses n <= -2), so W is bounded before it is built
     _check_w_ranks({m: sum(max(t.n + 1, 0) for t in twists)

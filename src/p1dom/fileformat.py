@@ -33,11 +33,13 @@ A sheaf file is a complex file over K[x,x^-1] with the format
 "p1dom-sheaf-complex", version 2, and a ``twist_profile``: one split
 (k, l) per degree.  Its chart complexes are not stored, since the twists
 force them (see SheafComplex); version 1 stored them as ``minus`` and
-``plus`` and is refused.  The loader builds the sheaf from the middle
-complex and the profile through the SheafComplex constructor, whose scan
-of the gluing rule refuses twists too small for a differential; a profile
-degree that repeats or is not in ``degrees`` is a FormatError at that
-entry.  The bounds above count only what the file stores.
+``plus`` and is refused.  One reader reads the header, degrees and
+differentials of both kinds and builds the complex, with no d.d check;
+the sheaf loader adds the profile and builds the sheaf through the
+SheafComplex constructor, whose scan of the gluing rule refuses twists
+too small for a differential.  A profile degree that repeats or is not
+in ``degrees`` is a FormatError at that entry.  The bounds above count
+only what the file stores.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ import json
 from json.encoder import encode_basestring_ascii as _escape
 
 from .complexes import ChainComplex, ScalarComplex
-from .errors import FormatError, UnsupportedRingError
+from .errors import (BaseRingViolationError, FormatError,
+                     UnsupportedRingError)
 from .laurent import BaseRing, LaurentPoly, base_from_tag
 from .matrices import LaurentMatrix, ScalarMatrix
 from .polylists import from_terms
@@ -198,29 +201,6 @@ def _diff_rows(c, m: int):
             for row in (d.data if d else [{}] * c.rank(m - 1))]
 
 
-def _header(data: dict, expected_format: str):
-    if not isinstance(data, dict):
-        raise FormatError("top level must be an object", "$")
-    fmt = data.get("format")
-    if fmt != expected_format:
-        raise FormatError(f"format must be {expected_format!r}, got {fmt!r}",
-                          "format")
-    version = _integer(data.get("version"), "version", "version")
-    if version != VERSIONS[expected_format]:
-        raise FormatError(f"unsupported version {version!r}", "version")
-    if data.get("variable", "x") != "x":
-        raise FormatError("variable must be 'x'", "variable")
-    try:
-        ring = ring_from_tag(str(data.get("ring")))
-    except Exception as exc:
-        raise FormatError(f"bad ring tag: {exc}", "ring") from exc
-    try:
-        base = base_from_tag(str(data.get("base", "K[x,x^-1]")))
-    except Exception as exc:
-        raise FormatError(f"bad base tag: {exc}", "base") from exc
-    return ring, base
-
-
 def _read_degrees(data):
     degrees = data.get("degrees")
     if not isinstance(degrees, list) or not degrees:
@@ -245,14 +225,40 @@ def _read_degrees(data):
     return ranks
 
 
-def _read_differentials(data, ring, base, ranks, key: str, budget):
-    raw = data.get(key, [])
-    if not isinstance(raw, list):
-        raise FormatError(f"{key} must be an array", key)
+def _read_complex(data: dict, expected_format: str):
+    """The complex a file of ``expected_format`` stores: its header,
+    degrees and differentials, read with no d.d check.  A sheaf file must
+    have base K[x,x^-1]."""
+    if not isinstance(data, dict):
+        raise FormatError("top level must be an object", "$")
+    fmt = data.get("format")
+    if fmt != expected_format:
+        raise FormatError(f"format must be {expected_format!r}, got {fmt!r}",
+                          "format")
+    version = _integer(data.get("version"), "version", "version")
+    if version != VERSIONS[expected_format]:
+        raise FormatError(f"unsupported version {version!r}", "version")
+    if data.get("variable", "x") != "x":
+        raise FormatError("variable must be 'x'", "variable")
+    try:
+        ring = ring_from_tag(str(data.get("ring")))
+    except Exception as exc:
+        raise FormatError(f"bad ring tag: {exc}", "ring") from exc
+    try:
+        base = base_from_tag(str(data.get("base", "K[x,x^-1]")))
+    except Exception as exc:
+        raise FormatError(f"bad base tag: {exc}", "base") from exc
+    if expected_format == SHEAF_FORMAT and base != BaseRing.LAURENT:
+        raise FormatError("sheaf complexes have base K[x,x^-1]", "base")
+    ranks = _read_degrees(data)
     lo, hi = min(ranks), max(ranks)
+    raw = data.get("differentials", [])
+    if not isinstance(raw, list):
+        raise FormatError("differentials must be an array", "differentials")
+    budget = [MAX_DENSE_SLOTS]
     diffs = {}
     for idx, item in enumerate(raw):
-        loc = f"{key}[{idx}]"
+        loc = f"differentials[{idx}]"
         if not isinstance(item, dict):
             raise FormatError("expected {degree, matrix}", loc)
         m = _integer(item.get("degree"), "degree", f"{loc}.degree")
@@ -260,26 +266,17 @@ def _read_differentials(data, ring, base, ranks, key: str, budget):
             raise FormatError("duplicate degree", f"{loc}.degree")
         if not (lo < m <= hi):
             raise FormatError(f"differential degree {m} out of support", loc)
-        rows = ranks.get(m - 1, 0)
-        cols = ranks.get(m, 0)
-        diffs[m] = matrix_from_rows(ring, rows, cols, item.get("matrix"),
+        diffs[m] = matrix_from_rows(ring, ranks.get(m - 1, 0),
+                                    ranks.get(m, 0), item.get("matrix"),
                                     base, f"{loc}.matrix", budget)
-    return diffs
+    # every shape and degree is checked above: the constructor cannot refuse
+    if base == BaseRing.K:
+        return ScalarComplex(ring, lo, hi, ranks, diffs)
+    return ChainComplex(ring, base, lo, hi, ranks, diffs)
 
 
 def complex_from_dict(data: dict) -> ChainComplex | ScalarComplex:
-    ring, base = _header(data, COMPLEX_FORMAT)
-    ranks = _read_degrees(data)
-    lo, hi = min(ranks), max(ranks)
-    diffs = _read_differentials(data, ring, base, ranks, "differentials",
-                                [MAX_DENSE_SLOTS])
-    if base == BaseRing.K:
-        return ScalarComplex(ring, lo, hi, ranks, diffs)
-    try:
-        c = ChainComplex(ring, base, lo, hi, ranks, diffs)
-    except Exception as exc:
-        raise FormatError(str(exc), "differentials") from exc
-    return c
+    return _read_complex(data, COMPLEX_FORMAT)
 
 
 # -- sheaf complexes ------------------------------------------------------------
@@ -298,13 +295,9 @@ def sheaf_to_dict(s: SheafComplex) -> dict:
 
 
 def sheaf_from_dict(data: dict) -> SheafComplex:
-    ring, base = _header(data, SHEAF_FORMAT)
-    if base != BaseRing.LAURENT:
-        raise FormatError("sheaf complexes have base K[x,x^-1]", "base")
-    ranks = _read_degrees(data)
-    lo, hi = min(ranks), max(ranks)
-    mid_diffs = _read_differentials(data, ring, base, ranks, "differentials",
-                                    [MAX_DENSE_SLOTS])
+    mid = _read_complex(data, SHEAF_FORMAT)
+    # the degrees as the file lists them, which may leave gaps in the support
+    listed = {item["degree"]: item["rank"] for item in data["degrees"]}
     raw_profile = data.get("twist_profile")
     if not isinstance(raw_profile, list):
         raise FormatError("twist_profile must be an array", "twist_profile")
@@ -317,29 +310,22 @@ def sheaf_from_dict(data: dict) -> SheafComplex:
                         for f in ("degree", "k", "l"))
         if degree in profile:
             raise FormatError("duplicate degree", f"{loc}.degree")
-        if degree not in ranks:
+        if degree not in listed:
             raise FormatError(f"degree {degree} not in degrees",
                               f"{loc}.degree")
         _check_exponent(k, f"{loc}.k", "twist", MAX_TWIST)
         _check_exponent(l, f"{loc}.l", "twist", MAX_TWIST)
         profile[degree] = (k, l)
-    for m in ranks:
-        if ranks[m] and m not in profile:
+    for m, rank in listed.items():
+        if rank and m not in profile:
             raise FormatError(f"degree {m} missing from twist_profile",
                               "twist_profile")
+    twists = {m: (TwistSummand(*profile.get(m, (0, 0))),) * r
+              for m, r in mid.ranks.items()}
     try:
-        mid = ChainComplex(ring, BaseRing.LAURENT, lo, hi, ranks, mid_diffs)
-        twists = {m: (TwistSummand(*profile.get(m, (0, 0))),) * ranks[m]
-                  for m in ranks}
-        sheaf = SheafComplex(mid, twists)
-    except FormatError:
-        raise
-    except Exception as exc:
+        return SheafComplex(mid, twists)
+    except BaseRingViolationError as exc:
         raise FormatError(str(exc), "$") from exc
-    problems = sheaf.validate()
-    if problems:
-        raise FormatError("; ".join(problems), "$")
-    return sheaf
 
 
 # -- canonical bytes ------------------------------------------------------------------

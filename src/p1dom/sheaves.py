@@ -20,10 +20,12 @@ The gluing rule for a torus map between two twist sums is written once:
 ``twist_shift`` the least twist of the target that makes every entry
 legal.  The extension of complexes (``extension``) solves the rule, as
 do the tests' lifts of morphisms and cones.  The public SheafComplex
-constructor checks it, and so does the file loader, which builds
-through that constructor; the extension of a complex chooses its twists
-by ``twist_shift`` and so is legal by construction (the proof is in
-``extend_valid_complex``): it stores its sheaf through
+constructor checks it, and so does the file loader, which reads the
+middle complex with the complex-file reader and builds through that
+constructor; like the complex loader it checks no d.d = 0, which
+``require_valid(s.mid)`` checks.  The extension of a complex chooses
+its twists by ``twist_shift`` and so is legal by construction (the proof
+is in ``extend_valid_complex``): it stores its sheaf through
 ``SheafComplex._legal``, which makes no scan.
 
 Global sections and first cohomology of a sum of twists are banded monomial
@@ -157,7 +159,7 @@ class SheafComplex:
     stored by ``_legal`` without this scan.  No chart is stored: a chart
     is the middle complex conjugated by the diagonal units diag(x^k),
     diag(x^-l), so it has d.d = 0 exactly when ``mid`` has, and the
-    squares commute by construction: ``validate`` checks ``mid`` alone.
+    squares commute by construction: ``mid.validate()`` checks all three.
     """
 
     __slots__ = ("mid", "twists")
@@ -228,9 +230,6 @@ class SheafComplex:
                 raise ShapeError(f"level {m} mixes twist splits")
             split = profile[m] = splits.pop() if splits else split
         return profile
-
-    def validate(self):
-        return [f"mid: {p}" for p in self.mid.validate()]
 
 
 def cech_complex(s: SheafComplex) -> ScalarComplex:

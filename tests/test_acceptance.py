@@ -188,7 +188,7 @@ def test_criterion_cone_lifting():
     v2 = extend_complex(c)
     omega = ChainMap(c, c, {0: M(QQ, [[[(0, -1), (1, 1)]]])})
     lifted = extend_cone(v1.sheaf, v2.sheaf, omega)
-    assert not lifted.validate()
+    assert not lifted.mid.validate()
     restricted = restrict_to_torus(lifted)
     reference = two_term(QQ, [(0, -1), (1, 1)])
     comparison = ChainMap.identity(reference)

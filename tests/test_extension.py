@@ -151,7 +151,7 @@ def test_extend_complex_validates_each_complex_once(monkeypatch):
     ext = extend_complex(c)
     assert calls == [BaseRing.LAURENT]
     calls.clear()
-    assert ext.sheaf.validate() == []
+    assert ext.sheaf.mid.validate() == []
     assert calls == [BaseRing.LAURENT]
 
 
@@ -180,7 +180,7 @@ def test_round_trip_randomised_with_invariants():
             # section counts: n + 1 per summand
             n = ext.profile[m][0] + ext.profile[m][1]
             assert coh.h0_dim == (n + 1) * c.rank(m)
-        assert not ext.sheaf.validate()
+        assert not ext.sheaf.mid.validate()
 
 
 def test_extend_cone_identity():
@@ -229,4 +229,4 @@ def test_extend_cone_random_quasi_iso_to_cone():
         restricted = restrict_to_torus(result)
         target, _, _ = cone(omega)
         assert restricted == target
-        assert not result.validate()
+        assert not result.mid.validate()

@@ -112,8 +112,9 @@ def torus_map(ring, twists, side):
 
 
 def dense_validate(mid, twists):
-    """SheafComplex.validate with the charts built by dense_charts: ring
-    violations, d.d = 0 of all three complexes and the gluing squares."""
+    """What ``s.mid.validate()`` finds, each problem prefixed "mid: ",
+    found with the charts built by dense_charts: ring violations, d.d = 0
+    of all three complexes and the gluing squares."""
     minus, plus = (ChainComplex(mid.ring, BaseRing.LAURENT, mid.lo, mid.hi,
                                 dict(mid.ranks), diffs)
                    for diffs in dense_charts(mid, twists))
@@ -152,7 +153,7 @@ def perturbed_problems(rng, s, variant):
     except BaseRingViolationError as exc:
         return [str(exc)], dense[:1]
     assert_charts_match_dense(t)
-    return t.validate(), dense
+    return [f"mid: {p}" for p in t.mid.validate()], dense
 
 
 VARIANTS = ["plain", "twist"]
@@ -200,7 +201,7 @@ def test_twist_sum_validation_multiplies_no_torus_maps(monkeypatch):
 
     monkeypatch.setattr(LaurentMatrix, "determinant", no_determinant)
     for s in sheaves:
-        assert s.validate() == []
+        assert s.mid.validate() == []
 
 
 def test_twist_sum_gluing_builds_no_matrix(monkeypatch):
@@ -259,7 +260,7 @@ def test_derived_charts_match_dense_reference():
     assert any(s.mid.hi > s.mid.lo + 1 for s in sheaves)
     for s in sheaves:
         assert_charts_match_dense(s)
-        assert s.validate() == dense_validate(s.mid, s.twists) == []
+        assert s.mid.validate() == dense_validate(s.mid, s.twists) == []
 
 
 @settings(deadline=None, max_examples=200)
@@ -353,7 +354,7 @@ def test_charts_are_built_only_when_read(monkeypatch):
     for c in inputs:
         s = extend_complex(c).sheaf
         cech_complex(s)
-        assert s.validate() == []
+        assert s.mid.validate() == []
         ff.sheaf_from_dict(ff.sheaf_to_dict(s))
     assert calls == []
     # the chart valuations are read off the middle complex and the twists
@@ -373,7 +374,7 @@ def test_torus_path_builds_no_level_matrices():
     for c in inputs:
         s = extend_complex(c).sheaf
         cech_complex(s)
-        assert s.validate() == []
+        assert s.mid.validate() == []
         assert ff.sheaf_from_dict(ff.sheaf_to_dict(s)).twists == s.twists
         assert all(isinstance(s.twists[m], tuple) for m in s.degrees())
 
@@ -491,7 +492,8 @@ def test_cone_twist_is_the_largest_morphism_twist():
                         for t in v2.twists.get(m, ())
                     ) + v1.twists.get(m - 1, ())
                 assert_charts_match_dense(s)
-                assert s.validate() == dense_validate(s.mid, s.twists) == []
+                assert (s.mid.validate()
+                        == dense_validate(s.mid, s.twists) == [])
                 shifted += k + l > 0
     assert shifted
 

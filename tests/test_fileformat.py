@@ -59,6 +59,36 @@ def test_sheaf_round_trip():
         assert data == complex_data
 
 
+
+def as_complex_file(data):
+    """The complex file a sheaf file ``data`` carries: the complex header
+    and no ``twist_profile``."""
+    data = dict(data, format=ff.COMPLEX_FORMAT,
+                version=ff.VERSIONS[ff.COMPLEX_FORMAT])
+    del data["twist_profile"]
+    return data
+
+
+def test_sheaf_loader_reads_its_complex_as_the_complex_loader():
+    rng = random.Random(43)
+    files = {p.name: json.loads(p.read_text(encoding="utf-8"))
+             for p in sorted(ROOT.glob("samples/*.sheaf"))}
+    assert {"x-minus-1.sheaf", "x-minus-1-bad-twist.sheaf"} <= set(files)
+    for ring in (QQ, GF(7), ZZ):
+        for i in range(4):
+            files[f"{ring.tag}-{i}"] = ff.sheaf_to_dict(
+                extend_complex(random_complex(rng, ring)).sheaf)
+    for name, data in files.items():
+        mid = ff.complex_from_dict(as_complex_file(data))
+        if name == "x-minus-1-bad-twist.sheaf":
+            # the complex reads; the twists are too small for it
+            with pytest.raises(FormatError, match=r"violates K\[x\^-1\] "
+                                                  r"\(at \$\)"):
+                ff.sheaf_from_dict(data)
+        else:
+            assert ff.sheaf_from_dict(data).mid == mid
+
+
 def test_canonical_bytes_stable():
     c = two_term(GF(5), [(1, 4), (0, 3)])
     a = ff.dumps_canonical(ff.complex_to_dict(c))

@@ -123,6 +123,10 @@ INTEGER_FIELDS = [
      "differentials[0].matrix[0][0][1][0]"),
     (SHEAF, ff.sheaf_from_dict, ("version",), "version"),
     (SHEAF, ff.sheaf_from_dict, ("degrees", 0, "rank"), "degrees[0].rank"),
+    # the complex case reads pair 1 of the same cell: ids stay distinct
+    (SHEAF, ff.sheaf_from_dict,
+     ("differentials", 0, "matrix", 0, 0, 0, 0),
+     "differentials[0].matrix[0][0][0][0]"),
     (SHEAF, ff.sheaf_from_dict, ("twist_profile", 0, "degree"),
      "twist_profile[0].degree"),
     (SHEAF, ff.sheaf_from_dict, ("twist_profile", 0, "k"),

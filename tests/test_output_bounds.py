@@ -20,6 +20,7 @@ from p1dom.errors import FormatError
 from p1dom.extension import extend_complex
 from p1dom.laurent import BaseRing
 from p1dom.scalars import GF, QQ
+from p1dom.sheaves import SheafComplex, twisting_sheaf
 
 from helpers import P, grid_matrix, load_complex, load_sheaf, two_term
 
@@ -306,7 +307,17 @@ def test_loader_bounds_name_twists_and_spans():
         ff.complex_from_dict(data)
 
 
-@pytest.mark.parametrize("command", ["homology", "novikov"])
+def non_complex_sheaf():
+    """Ranks 1/1/1 over Q with d_1 = d_2 = 1 as a sheaf file with the
+    twists (0, 0): the loader takes it, d_1 d_2 = 1 != 0."""
+    one = grid_matrix(QQ, 1, 1, [[P(QQ, (0, 1))]])
+    mid = ChainComplex(QQ, BaseRing.LAURENT, 0, 2, {0: 1, 1: 1, 2: 1},
+                       {1: one, 2: one})
+    return ff.sheaf_to_dict(
+        SheafComplex(mid, {m: twisting_sheaf(0) for m in range(3)}))
+
+
+@pytest.mark.parametrize("command", ["homology", "novikov", "h0"])
 def test_homology_and_novikov_refuse_a_non_complex(command, tmp_path, capsys):
     # d_1 d_2 = diag(1, 0) != 0, but rank d_1 + rank d_2 = rank C_1: only
     # the validation the command runs first sees it
@@ -314,11 +325,14 @@ def test_homology_and_novikov_refuse_a_non_complex(command, tmp_path, capsys):
     c = ChainComplex(QQ, BaseRing.LAURENT, 0, 2, {0: 2, 1: 2, 2: 2},
                      {1: one, 2: one})
     path = tmp_path / "bad.cplx"
-    ff.save_path(path, ff.complex_to_dict(c))
-    assert main([command, str(path)]) == 1
+    ff.save_path(path, non_complex_sheaf() if command == "h0"
+                 else ff.complex_to_dict(c))
+    out = tmp_path / "out.json"
+    assert main([command, str(path), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: invalid complex: degree 2: d.d != 0\n"
+    assert not out.exists()
 
 
 # -- twist-cohomology arguments --------------------------------------------------
