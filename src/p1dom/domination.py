@@ -21,6 +21,8 @@ computed only when the ``snf-torsion`` certificate is read.  Like
 on a side exactly when its determinant is a unit of Z((t)), t = x or
 x^-1, that is when the determinant's lowest coefficient in t is 1 or -1;
 that end coefficient is the whole certificate, with no truncation order.
+The determinant is read off the chart kernel in t = x (``_determinant``),
+so one elimination serves the ranks, the chart valuations and Z mode.
 Longer complexes run a greedy unit-pivot elimination on Z windows of
 ``order`` terms (``polylists.window``: a coefficient entry in t and its
 first unknown t-exponent), which is sound but may answer "unknown".  A
@@ -40,15 +42,16 @@ modules K[[t]]/t^v, one for each nonzero elementary divisor of d_{q+1},
 and its K-dimension is the sum of their valuations v.  These come from one
 local elimination pass per differential (``_elementary_valuations``) on
 plain int coefficient lists (``polylists``): residues mod p over GF(p),
-integer rows over Q with Bareiss's exact division.  The witness reads each
-chart differential straight off the rows of the torus differential and
-the twists, entry (i, j) being x^(a_j(m) - a_i(m-1)) d_m[i][j] with a = -l
-on the plus side and a = k on the minus side, so it builds no chart
-complex, no ``LaurentPoly`` and no window.  ``chart_homology`` reads the
-free rank and the torsion K-dimension of each degree off the valuations,
-for the ledger and for ``p1dom hyper``, which runs the elimination on an
-explicit K[x] complex.  The witness keeps the valuations, per side and
-differential degree, as the record of the chart stage.
+ints over Z and integer rows over Q, with Bareiss's exact division.  The
+witness reads each chart differential straight off the rows of the torus
+differential and the twists, entry (i, j) being
+x^(a_j(m) - a_i(m-1)) d_m[i][j] with a = -l on the plus side and a = k on
+the minus side, so it builds no chart complex, no ``LaurentPoly`` and no
+window.  ``chart_homology`` reads the free rank and the torsion
+K-dimension of each degree off the valuations, for the ledger and for
+``p1dom hyper``, which runs the elimination on an explicit K[x] complex.
+The witness keeps the valuations, per side and differential degree, as
+the record of the chart stage.
 """
 
 from __future__ import annotations
@@ -64,8 +67,9 @@ from .errors import (NotNovikovAcyclicError, StabilisationFailureError,
 from .extension import extend_valid_complex
 from .laurent import BaseRing, LaurentPoly
 from .matrices import LaurentMatrix
-from .polylists import (exact_quotient, integer_row, lincomb, scaled, window,
-                        window_difference, window_inverse, window_product)
+from .polylists import (ONE, exact_quotient, integer_row, lincomb, scaled,
+                        window, window_difference, window_inverse,
+                        window_product)
 from .sheaves import SheafComplex, cech_complex
 
 
@@ -85,10 +89,13 @@ def _chart_direction(c: ChainComplex) -> int:
 
 
 def _elementary_valuations(d: LaurentMatrix, direction: int,
-                           row_exps=None, col_exps=None) -> list:
-    """t-adic valuations of the nonzero elementary divisors over K[[t]] of
-    the chart matrix x^(col_exps[j] - row_exps[i]) d[i][j] (no shift when
-    the exponent lists are left out).
+                           row_exps=None, col_exps=None) -> tuple:
+    """(valuations, pivots, unit): the t-adic valuations of the nonzero
+    elementary divisors over K[[t]] of the chart matrix
+    x^(col_exps[j] - row_exps[i]) d[i][j] (no shift when the exponent
+    lists are left out), one per pivot; each pivot's (r, j), r its row's
+    position among the rows left and j its column; and the last pivot's
+    unit u, None when nothing pivots (``_determinant`` reads these).
 
     t is x for direction 1 and x^-1 for direction -1, whose coefficient
     lists are the reversed lists in x.  K[[t]] is a discrete valuation
@@ -104,14 +111,16 @@ def _elementary_valuations(d: LaurentMatrix, direction: int,
     exponentially.
 
     The elimination runs on coefficient lists (``polylists``): residues
-    mod p over GF(p); over Q each row is cleared of denominators once and
-    the elimination runs in Z[t], where the Bareiss division is exact
-    because the minors are integral.  Scaling a row by a nonzero constant
-    moves no valuation, but rows are not made primitive between steps,
-    which would break that exactness.  A division that leaves a remainder
-    raises ShapeError.
+    mod p over GF(p), ints over Z; over Q each row is cleared of
+    denominators (and made primitive) once and the elimination runs in
+    Z[t], where the Bareiss division is exact because the minors are
+    integral.  Scaling a row by a nonzero constant moves no valuation, but
+    it would move a Z determinant, so only Q rows are scaled; rows are not
+    made primitive between steps, which would break the exactness.  A
+    division that leaves a remainder raises ShapeError.
     """
     p = d.ring.p
+    clear = d.ring.kind == "Q"
     rows = []
     for i, row in enumerate(d.data):
         shift = -row_exps[i] if row_exps else 0
@@ -119,11 +128,12 @@ def _elementary_valuations(d: LaurentMatrix, direction: int,
         for j, (v, c) in row.items():
             v += shift + (col_exps[j] if col_exps else 0)
             live[j] = (v, c) if direction == 1 else (1 - v - len(c), c[::-1])
-        if live and not p:
+        if live and clear:
             live = dict(zip(live, integer_row(list(live.values()))))
         if live:
             rows.append(live)
     found = []
+    pivots = []
     prev = None
     while rows:
         v, r, j = min((e[0], r, j)
@@ -148,7 +158,8 @@ def _elementary_valuations(d: LaurentMatrix, direction: int,
         rows = kept
         prev = unit
         found.append(v)
-    return found
+        pivots.append((r, j))
+    return found, pivots, prev
 
 
 def _valuations(c: ChainComplex, direction: int, exps=None) -> dict:
@@ -158,7 +169,8 @@ def _valuations(c: ChainComplex, direction: int, exps=None) -> dict:
     out = {}
     for m in range(c.lo + 1, c.hi + 1):
         shifts = (exps[m - 1], exps[m]) if exps else ()
-        out[m] = sorted(_elementary_valuations(c.diff(m), direction, *shifts))
+        out[m] = sorted(
+            _elementary_valuations(c.diff(m), direction, *shifts)[0])
     return out
 
 
@@ -300,7 +312,7 @@ def _novikov_field(c: ChainComplex,
 def _free_ranks_vanish(c: ChainComplex) -> bool:
     """Every f_q (``homology_ranks``) is zero, each rank the pivot count
     of the chart kernel."""
-    ranks = {m: len(_elementary_valuations(d, 1))
+    ranks = {m: len(_elementary_valuations(d, 1)[0])
              for m, d in c.diffs.items()}
     return not any(homology_ranks(c.ranks, ranks).values())
 
@@ -313,7 +325,7 @@ def _novikov_integers(c: ChainComplex, order: int) -> NovikovVerdict:
         return NovikovVerdict(side, side)
     two_term = _two_term_square(c)
     if two_term is not None:
-        det = two_term.determinant()
+        det = _determinant(two_term)
         return NovikovVerdict(_unit_det_side(det, 1), _unit_det_side(det, -1))
     return NovikovVerdict(
         _contraction_side(c, 1, order), _contraction_side(c, -1, order))
@@ -330,6 +342,34 @@ def _two_term_square(c: ChainComplex):
     if len(present) != 2 or present[1] - present[0] != 1:
         return None
     return c.diff(present[1])
+
+
+def _determinant(d: LaurentMatrix) -> LaurentPoly:
+    """The determinant of the square matrix ``d`` over Z or GF(p), read off
+    the chart kernel in t = x: (-1)^s x^(sum v) u, the v the valuations
+    and u the last unit of ``_elementary_valuations(d, 1)``, when every
+    row pivots, and 0 otherwise; s is the sum over the pivots (r, j) of r
+    plus the position of j among the columns not yet taken.
+
+    Each step of the kernel is a Bareiss step on d with its pivot column
+    divided by t^v.  Dividing a column commutes with the later minors,
+    which are linear in it, so the last unit is the determinant of d with
+    every pivot column j divided by its t^v, up to the sign of the row and
+    column orders: bringing the pivot to the front of the rows and columns
+    left takes r plus that position transpositions.  Over Z every
+    division is exact and no row is scaled (the kernel scales only Q
+    rows), so this is det d.
+    """
+    valuations, pivots, unit = _elementary_valuations(d, 1)
+    if len(valuations) < d.rows:
+        return LaurentPoly.from_entry(d.ring, None)
+    s, taken = 0, []
+    for r, j in pivots:
+        s += r + j - sum(k < j for k in taken)
+        taken.append(j)
+    det = sum(valuations), (unit or ONE)[1]
+    return LaurentPoly.from_entry(
+        d.ring, scaled(det, -1, d.ring.p) if s % 2 else det)
 
 
 def _unit_det_side(det: LaurentPoly, direction: int) -> SideVerdict:

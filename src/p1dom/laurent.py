@@ -6,7 +6,8 @@ canonical coefficients with c[0] and c[-1] nonzero (a zero inside may be
 the int 0).  Storage is dense over the exponent span, the working form of
 every kernel; file input bounds the span by ``fileformat.MAX_EXPONENT``.
 A matrix stores bare entries, so a polynomial is the boundary form: a
-cell read as ``d[i, j]``, a determinant, an invariant factor, a message.
+cell read as ``d[i, j]``, the Z two-term determinant, an invariant factor,
+a message.
 It has no arithmetic: every kernel works on the entries with
 ``polylists``, and the sums and products of polynomials that the tests
 form are functions of ``tests/helpers.py`` (``polyadd``, ``polymul``).

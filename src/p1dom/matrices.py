@@ -3,24 +3,22 @@
 Both store ``data[i]``, row i as a dict ``{col: value}`` of its nonzero
 values.  A Laurent matrix holds ``polylists`` entries (v, c), c a tuple,
 columns ascending, which every producer builds and every kernel reads as
-is; a ``LaurentPoly`` appears only at the boundary (``d[i, j]``, the
-determinant).  Which subring (K[x], K[x^-1]) it lives over is checked by
-the complex or chart that holds it (``ChainComplex.validate``, the
-``SheafComplex`` constructor, the file loader).  The library forms no
-sum or product of Laurent matrices or of their cells, so neither has
-arithmetic: the determinant scales its Q result on the entry
-(``polylists.scaled``), and the sums, negations and products that the
-tests' oracles form are functions of ``tests/helpers.py``.  A scalar
+is; a ``LaurentPoly`` appears only at the boundary (``d[i, j]``).  Which
+subring (K[x], K[x^-1]) it lives over is checked by the complex or chart
+that holds it (``ChainComplex.validate``, the ``SheafComplex``
+constructor, the file loader).  The library forms no sum or product of
+Laurent matrices or of their cells, and takes its one determinant off the
+chart elimination (``domination._determinant``), so neither has
+arithmetic: the sums, negations, products and Bareiss determinants that
+the tests' oracles form are functions of ``tests/helpers.py``.  A scalar
 matrix holds ring elements and carries the one exact rank kernel,
 ``scalar_rank``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
-from . import polylists
 from .errors import ShapeError
 from .laurent import LaurentPoly
 from .scalars import CoefficientRing
@@ -79,28 +77,6 @@ class LaurentMatrix(_Rows):
     @property
     def is_zero(self) -> bool:
         return not any(self.data)
-
-    # -- determinant (fraction-free Bareiss) --------------------------------
-
-    def determinant(self) -> LaurentPoly:
-        """Exact determinant by Bareiss elimination on the entries
-        (``polylists.determinant``), over any supported coefficient ring.
-
-        Over Q each row is first cleared of its denominators, and the
-        integer determinant is divided by their product.
-        """
-        if self.rows != self.cols:
-            raise ShapeError("determinant of a non-square matrix")
-        ring = self.ring
-        rows = [[row.get(j) for j in range(self.cols)] for row in self.data]
-        if ring.kind != "Q":
-            return LaurentPoly.from_entry(
-                ring, polylists.determinant(rows, ring.p))
-        rows = [polylists.cleared(row) for row in rows]
-        det = polylists.determinant([row for _, row in rows], 0)
-        # scaling by 1/den also makes the int coefficients Fractions
-        return LaurentPoly.from_entry(ring, polylists.scaled(
-            det, Fraction(1, prod(den for den, _ in rows)), 0))
 
     # -- comparisons -----------------------------------------------------------
 

@@ -14,9 +14,9 @@ int coefficients with p = 0.
 
 One long division, ``pseudo_divmod``, serves every kernel: the column
 echelon elimination of ``smith`` and the gcds of its invariant factors,
-and, as ``exact_quotient``, the Bareiss divisions of ``determinant``
-(behind ``LaurentMatrix.determinant``), the lcms of the invariant factors
-and the chart valuations of ``domination``.  ``window_inverse``, the series
+and, as ``exact_quotient``, the lcms of the invariant factors and the
+Bareiss divisions of the chart elimination of ``domination``, which also
+gives the Z two-term determinant.  ``window_inverse``, the series
 inverse of a Z window, serves the Z-mode Novikov check of ``domination``.
 
 A Z window (entry, end) is an entry in t (t = x, or t = x^-1 with the
@@ -188,37 +188,6 @@ def exact_quotient(a, b, p):
         return q if m == 1 else scaled(q, -1, p)
     raise ShapeError("exact division failed: the divisor leaves a "
                      "nonzero remainder")
-
-
-def determinant(rows, p):
-    """The determinant of a square matrix of entries, over GF(p) or Z.
-
-    Bareiss's (1968) fraction-free elimination: each 2x2 cross product is
-    divided exactly by the previous pivot, so every entry stays a minor.
-    A zero pivot is swapped with a nonzero entry below it.
-    """
-    m = [list(row) for row in rows]
-    n = len(m)
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        if m[k][k] is None:
-            swap = next((i for i in range(k + 1, n) if m[i][k] is not None),
-                        None)
-            if swap is None:
-                return None
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        top, pivot = m[k], m[k][k]
-        for row in m[k + 1:]:
-            factor = scaled(row[k], -1, p)
-            for j in range(k + 1, n):
-                row[j] = exact_quotient(
-                    lincomb(row[j], pivot, factor, top[j], p), prev, p)
-        prev = pivot
-    if not n:
-        return ONE
-    return m[-1][-1] if sign > 0 else scaled(m[-1][-1], -1, p)
 
 
 def make_primitive(entries, indices):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from math import prod
 
 from p1dom import fileformat as ff
 from p1dom.complexes import ChainComplex, HomologyEntry, ScalarComplex
@@ -14,8 +15,8 @@ from p1dom.generators import (_conjugated, _elementary_ops, _poly_entry,
                               random_complex, random_novikov_acyclic)
 from p1dom.laurent import BaseRing, LaurentPoly, _exponent
 from p1dom.matrices import LaurentMatrix, ScalarMatrix, scalar_rank
-from p1dom.polylists import (MINUS_ONE, ONE, cleared, integer_row,
-                             lincomb, pseudo_divmod, scaled)
+from p1dom.polylists import (MINUS_ONE, ONE, cleared, exact_quotient,
+                             integer_row, lincomb, pseudo_divmod, scaled)
 from p1dom.sheaves import SheafComplex, TwistSummand, cech_cohomology
 from p1dom.smith import _echelon, _require_field
 
@@ -372,6 +373,45 @@ def matmul(a, *factors):
             out.append(_row(acc))
         a = LaurentMatrix(a.ring, a.rows, b.cols, out)
     return a
+
+
+def determinant(m):
+    """The determinant of a square LaurentMatrix over any supported ring,
+    the reference for ``domination._determinant``.
+
+    Bareiss's (1968) fraction-free elimination: each 2x2 cross product is
+    divided exactly by the previous pivot, so every entry stays a minor.
+    A zero pivot is swapped with the first nonzero entry below it.  Over Q
+    each row is first cleared of its denominators, and the integer
+    determinant is divided by their product.
+    """
+    if m.rows != m.cols:
+        raise ShapeError("determinant of a non-square matrix")
+    ring, n, p = m.ring, m.rows, m.ring.p
+    rows = [[row.get(j) for j in range(n)] for row in m.data]
+    scale = 1
+    if ring.kind == "Q":
+        rows = [cleared(row) for row in rows]
+        scale = Fraction(1, prod(den for den, _ in rows))
+        rows = [row for _, row in rows]
+    prev = ONE
+    for k in range(n - 1):
+        if rows[k][k] is None:
+            swap = next((i for i in range(k + 1, n)
+                         if rows[i][k] is not None), None)
+            if swap is None:
+                return LaurentPoly(ring)
+            rows[k], rows[swap] = rows[swap], rows[k]
+            scale = -scale
+        top, pivot = rows[k], rows[k][k]
+        for row in rows[k + 1:]:
+            factor = scaled(row[k], -1, p)
+            for j in range(k + 1, n):
+                row[j] = exact_quotient(
+                    lincomb(row[j], pivot, factor, top[j], p), prev, p)
+        prev = pivot
+    return LaurentPoly.from_entry(
+        ring, scaled(rows[-1][-1] if n else ONE, scale, p))
 
 
 def mindeg(p):

@@ -25,8 +25,8 @@ from p1dom.laurent import BaseRing, LaurentPoly
 from p1dom.scalars import GF, QQ
 from p1dom.smith import invariant_factors
 
-from helpers import (P, chart, chart_homology_dims, check_base, grid_matrix,
-                     maxdeg, mindeg, two_term, window_complex)
+from helpers import (P, chart, chart_homology_dims, check_base, determinant,
+                     grid_matrix, maxdeg, mindeg, two_term, window_complex)
 
 RINGS = [QQ, GF(7), GF(10007)]
 FREE = "{} chart homology has a free part in degree {}"
@@ -85,7 +85,8 @@ def side(chart):
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.tag)
 def test_window_dims_are_truncated_valuation_sums(ring):
     for chart in charts(ring, 2279, 8):
-        vals = {m: _elementary_valuations(chart.diff(m), direction(chart))
+        vals = {m: _elementary_valuations(chart.diff(m),
+                                          direction(chart))[0]
                 for m in range(chart.lo + 1, chart.hi + 1)}
         for n in (1, 2, 8, 16, 32):
             want = {q: sum(min(n, v) for v in vals.get(q + 1, [])
@@ -174,8 +175,8 @@ def test_square_valuations_sum_to_determinant_valuation(ring, sign):
                  for _ in range(n)] for _ in range(n)]
         d = grid_matrix(ring, n, n, grid)
         check_base(d, base)
-        det = d.determinant()
-        vals = _elementary_valuations(d, sign)
+        det = determinant(d)
+        vals = _elementary_valuations(d, sign)[0]
         if det.is_zero:
             assert len(vals) < n
         else:
@@ -215,7 +216,7 @@ def test_elimination_degrees_grow_linearly(monkeypatch):
         d = grid_matrix(ring, n, n, grid)
         degrees.clear()
         bits.clear()
-        assert len(domination._elementary_valuations(d, 1)) == n
+        assert len(domination._elementary_valuations(d, 1)[0]) == n
         assert degrees and max(degrees) <= 2 * n * deg
         if not ring.p:
             h = math.prod(sum(abs(x) for p in row for _, x in p.items())

@@ -8,23 +8,24 @@ from p1dom import fileformat as ff
 
 from p1dom.cli import main
 from p1dom.complexes import ChainComplex, homology, homology_dims
-from p1dom.domination import (_elementary_valuations, _witness,
-                              chart_homology, dominate, novikov_check,
-                              verify_theorem)
+from p1dom.domination import (_determinant, _elementary_valuations,
+                              _witness, chart_homology, dominate,
+                              novikov_check, verify_theorem)
 from p1dom.errors import (NonVanishingH1Error, NotNovikovAcyclicError,
                           ShapeError, StabilisationFailureError,
                           UnsupportedRingError)
 from p1dom.extension import extend_complex
 from p1dom.generators import (random_complex, random_novikov_acyclic,
                               random_ring)
-from p1dom.laurent import BaseRing
+from p1dom.laurent import BaseRing, LaurentPoly
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import cech_complex
 from p1dom.smith import invariant_factors
 
-from helpers import (M, chart, direct_sum, grid_matrix, load_complex,
-                     raised_profile, random_poly, twist, two_term,
-                     window_complex, zero_complex)
+from helpers import (M, chart, determinant, direct_sum, grid_matrix,
+                     load_complex, matmul, raised_profile, random_matrix,
+                     random_poly, twist, two_term, window_complex,
+                     zero_complex)
 from paper_lemmas import ChainMap, cone, extend_cone, null_homotopic_map
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -100,6 +101,49 @@ def test_integer_mode_zero_determinant():
         "determinant": "0", "side": "x", "end_coefficient": "0"}
 
 
+def _determinant_case(rng, ring, n, kind):
+    """(an n x n matrix of entries with exponents -2..2, the column of
+    the kernel's first pivot or None): random; singular, a product through
+    n - 1; with a zero row; or with its one entry of valuation -2 off the
+    diagonal, where the kernel pivots first."""
+    if kind == "singular":
+        return matmul(random_matrix(rng, ring, n, n - 1, 1),
+                      random_matrix(rng, ring, n - 1, n, 1)), None
+    lo = -1 if kind == "off-diagonal" else -2
+    grid = [[LaurentPoly(ring, {rng.randint(lo, 2): ring.from_int(
+        rng.randint(-4, 4)) for _ in range(rng.randint(0, 3))})
+        for _ in range(n)] for _ in range(n)]
+    if kind == "zero-row":
+        grid[rng.randrange(n)] = [LaurentPoly(ring)] * n
+    if kind != "off-diagonal":
+        return grid_matrix(ring, n, n, grid), None
+    i, j = rng.sample(range(n), 2)
+    grid[i][j] = LaurentPoly(ring, {-2: ring.from_int(rng.choice([1, -1, 3]))})
+    return grid_matrix(ring, n, n, grid), j
+
+
+@pytest.mark.parametrize("ring", [ZZ, GF(2), GF(7)], ids=lambda r: r.tag)
+def test_determinant_off_the_chart_kernel_equals_bareiss(ring):
+    # _determinant reads det d off _elementary_valuations(d, 1): the
+    # valuations, the last unit and the sign of the pivots' row and
+    # column orders; no Z row may be divided by its content
+    rng = random.Random(44)
+    least_size = {"random": 0, "singular": 1, "zero-row": 1,
+                  "off-diagonal": 2}
+    seen = set()
+    for _ in range(200):
+        kind = rng.choice(list(least_size))
+        a, first = _determinant_case(
+            rng, ring, rng.randint(least_size[kind], 6), kind)
+        det = determinant(a)
+        assert _determinant(a) == det
+        if first is not None:
+            assert _elementary_valuations(a, 1)[1][0][1] == first
+        seen.add((kind, det.is_zero))
+    assert {("random", False), ("singular", True), ("zero-row", True),
+            ("off-diagonal", False)} <= seen
+
+
 def test_integer_mode_both_sides_for_x_minus_one():
     v = novikov_check(two_term(ZZ, [(1, 1), (0, -1)]))
     assert v.x_side.acyclic == "yes" and v.x_inv_side.acyclic == "yes"
@@ -162,7 +206,7 @@ def test_field_mode_matches_determinant_criterion():
         d = grid_matrix(ring, n, n, grid)
         c = ChainComplex(ring, BaseRing.LAURENT, 0, 1, {0: n, 1: n}, {1: d})
         v = novikov_check(c)
-        assert v.both_acyclic == (not d.determinant().is_zero)
+        assert v.both_acyclic == (not determinant(d).is_zero)
 
 
 # -- window models ------------------------------------------------------------
@@ -567,8 +611,8 @@ def test_field_verdict_from_ranks_equals_the_smith_form():
         seen.add((c.ring, euler == 0, answer))
         for d in c.diffs.values():
             factors = len(invariant_factors(d))
-            assert len(_elementary_valuations(d, 1)) == factors
-            assert len(_elementary_valuations(d, -1)) == factors
+            assert len(_elementary_valuations(d, 1)[0]) == factors
+            assert len(_elementary_valuations(d, -1)[0]) == factors
     for ring in FIELDS:
         # the Euler shortcut and both answers of the rank test, per field
         assert {(ring, False, "no"), (ring, True, "no"),

@@ -6,7 +6,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from p1dom.complexes import ChainComplex
-from p1dom.domination import novikov_check, verify_theorem
+from p1dom.domination import _determinant, novikov_check, verify_theorem
 from p1dom.generators import random_complex, random_novikov_acyclic
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.smith import invariant_factors
@@ -48,7 +48,7 @@ def test_kernels_leave_every_stored_entry_unchanged(seed, ring):
     other = random_complex(rng, ring, max_length=3, max_rank=3)
     two_term = ChainComplex.two_term(ring, square[0, 0])
     snapshot = _snapshot([a, square, acyclic, other, two_term])
-    square.determinant()
+    _determinant(square)
     for c in (acyclic, other, two_term):
         novikov_check(c)  # field mode, or Z mode over Z
     if ring.is_field:

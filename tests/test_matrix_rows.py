@@ -141,8 +141,3 @@ def test_a_shape_that_does_not_match_the_rows_is_refused(cls, value, rows,
     with pytest.raises(ShapeError, match=f"^{message}$"):
         cls(QQ, rows, cols, [{} for _ in range(count)])
 
-
-def test_determinant_of_a_non_square_matrix_is_refused():
-    with pytest.raises(ShapeError,
-                       match="^determinant of a non-square matrix$"):
-        LaurentMatrix.zero(QQ, 1, 2).determinant()
