@@ -25,7 +25,9 @@ The determinant is read off the chart kernel in t = x (``_determinant``),
 so one elimination serves the ranks, the chart valuations and Z mode.
 Longer complexes run a greedy unit-pivot elimination on Z windows of
 ``order`` terms (``polylists.window``: a coefficient entry in t and its
-first unknown t-exponent), which is sound but may answer "unknown".  A
+first unknown t-exponent), which is sound but may answer "unknown".  It
+keeps each differential as sparse row dicts of windows, the layout of
+``LaurentMatrix.data``, and counts the generators left.  A
 verdict renders its certificate (strings of factors, determinants and
 windows) only when a caller reads it.
 
@@ -400,52 +402,51 @@ def _contraction_side(c: ChainComplex, direction: int, order: int) -> SideVerdic
     width 1 is a pivot too: a lowest coefficient of 1 or -1 makes the
     series a unit of Z[[t]] whatever its later terms, and its inverse is
     known to the same width.
+
+    ``mats[m]`` holds the windows of d_m in the layout of
+    ``LaurentMatrix.data``, as {row: {column: window}}.  A pivot (m, i, j)
+    pops row i and column j of d_m, row j of d_{m+1} and column i of
+    d_{m-1}, each by key, and only counts the generators left: it removes
+    generator j of C_m and generator i of C_{m-1}, and neither comes back,
+    since afterwards no differential holds an entry of either and the
+    update writes only into the rows of the pivot column and the columns
+    of the pivot row.  So each generator leaves at most once, and
+    ``remaining`` falls by exactly 2 per pivot from the total rank.
     """
-    gens = {m: set(range(r)) for m, r in c.ranks.items()}
-    mats = {m: {(i, j): window(e, direction, order)
-                for i, row in enumerate(d.data) for j, e in row.items()}
+    mats = {m: {i: {j: window(e, direction, order) for j, e in row.items()}
+                for i, row in enumerate(d.data) if row}
             for m, d in c.diffs.items()}
+    remaining = sum(c.ranks.values())
     transcript = []
     var = "x" if direction == 1 else "x^-1"
-    while True:
-        pivot = _find_unit_pivot(mats)
-        if pivot is None:
-            break
-        m, (pi, pj) = pivot
-        a = mats[m].pop((pi, pj))
-        row = {j: s for (i, j), s in mats[m].items() if i == pi}
-        col = {i: s for (i, j), s in mats[m].items() if j == pj}
+    while (pivot := _find_unit_pivot(mats)) is not None:
+        m, pi, pj = pivot
+        rows = mats[m]
+        row = rows.pop(pi)
+        a = row.pop(pj)
+        col = {i: r.pop(pj) for i, r in rows.items() if pj in r}
         # the rest changes by c a^-1 b only when the pivot's row and
         # column both hold other entries
         if row and col:
             a_inv = window_inverse(a)
             for i2, cs in col.items():
                 ca = window_product(cs, a_inv)
+                target = rows[i2]
                 for j2, bs in row.items():
                     delta = window_product(ca, bs)
-                    cur = mats[m].get((i2, j2))
+                    cur = target.get(j2)
                     val = ((scaled(delta[0], -1, 0), delta[1])
                            if cur is None else window_difference(cur, delta))
                     if val is None:
-                        del mats[m][(i2, j2)]
+                        del target[j2]
                     else:
-                        mats[m][(i2, j2)] = val
-        for key in list(mats[m]):
-            if key[0] == pi or key[1] == pj:
-                del mats[m][key]
-        if m + 1 in mats:
-            for key in list(mats[m + 1]):
-                if key[0] == pj:
-                    del mats[m + 1][key]
-        if m - 1 in mats:
-            for key in list(mats[m - 1]):
-                if key[1] == pi:
-                    del mats[m - 1][key]
-        gens[m].discard(pj)
-        gens[m - 1].discard(pi)
+                        target[j2] = val
+        mats.get(m + 1, {}).pop(pj, None)
+        for r in mats.get(m - 1, {}).values():
+            r.pop(pi, None)
+        remaining -= 2
         transcript.append({"degree": m, "row": pi, "col": pj,
                            "pivot_valuation": a[0][0]})
-    remaining = sum(len(g) for g in gens.values())
     if remaining == 0:
         return SideVerdict("yes", "truncated-contraction", lambda: {
             "side": var,
@@ -460,19 +461,13 @@ def _contraction_side(c: ChainComplex, direction: int, order: int) -> SideVerdic
 
 
 def _find_unit_pivot(mats):
-    """The window of widest width, then of least |valuation|, whose lowest
-    coefficient is a unit."""
-    best = None
-    for m, entries in mats.items():
-        for (i, j), ((v, c), end) in entries.items():
-            if c[0] not in (1, -1):
-                continue
-            key = (v - end, abs(v), m, i, j)
-            if best is None or key < best[0]:
-                best = (key, m, (i, j))
-    if best is None:
-        return None
-    return best[1], best[2]
+    """(m, i, j) of the window of d_m[i][j] of widest width, then of least
+    |valuation|, whose lowest coefficient is a unit; None when none is."""
+    best = min(((v - end, abs(v), m, i, j)
+                for m, rows in mats.items() for i, row in rows.items()
+                for j, ((v, c), end) in row.items() if c[0] in (1, -1)),
+               default=None)
+    return None if best is None else best[2:]
 
 
 # ---------------------------------------------------------------------------

@@ -731,6 +731,38 @@ def sheaf_hyper_homology_dims(s):
             for n in range(s.mid.lo - 1, s.mid.hi + 1)}
 
 
+def sections_complex(s):
+    """The complex of global sections W of the SheafComplex s, built from
+    its definition as the oracle of ``sheaves.cech_complex``, with no band
+    offsets: level m has the basis x^e of summand j for e in [-l_j, k_j],
+    summand-major with exponents ascending, and d_m sends x^e of summand
+    j to x^e d_m[i][j] (``polymul``) in summand i of level m - 1.  Each
+    exponent of the product must lie in [-l_i, k_i], the window of that
+    summand, or AssertionError names the entry."""
+    ring = s.ring
+    index = {m: {(j, e): n for n, (j, e) in enumerate(
+        (j, e) for j, t in enumerate(ts) for e in range(-t.l, t.k + 1))}
+        for m, ts in s.twists.items()}
+    diffs = {}
+    for m, d in s.mid.diffs.items():
+        rows = [{} for _ in index[m - 1]]
+        for i, row in enumerate(d.data):
+            t = s.twists[m - 1][i]
+            for j, entry in row.items():
+                source = s.twists[m][j]
+                for e in range(-source.l, source.k + 1):
+                    product = polymul(monomial(ring, e),
+                                      LaurentPoly.from_entry(ring, entry))
+                    for x, c in product.items():
+                        assert -t.l <= x <= t.k, (
+                            f"degree {m}: x^{e} d[{i}][{j}] has x^{x} "
+                            f"outside [{-t.l}, {t.k}]")
+                        rows[index[m - 1][i, x]][index[m][j, e]] = c
+        diffs[m] = ScalarMatrix(ring, len(rows), len(index[m]), rows)
+    return ScalarComplex(ring, s.mid.lo, s.mid.hi,
+                         {m: len(ix) for m, ix in index.items()}, diffs)
+
+
 def chart(s, side, base=None):
     """The ``side`` chart complex of the SheafComplex s, over K[x^-1] for
     "minus" and K[x] for "plus" unless ``base`` is given, in one pass over

@@ -23,10 +23,11 @@ from p1dom.sheaves import cech_complex
 from p1dom.smith import invariant_factors
 
 from helpers import (M, chart, determinant, direct_sum, grid_matrix,
-                     load_complex, matmul, raised_profile, random_matrix,
-                     random_poly, twist, two_term, window_complex,
-                     zero_complex)
+                     load_complex, load_sheaf, matmul, raised_profile,
+                     random_matrix, random_poly, sections_complex, twist,
+                     two_term, window_complex, zero_complex)
 from paper_lemmas import ChainMap, cone, extend_cone, null_homotopic_map
+from test_fast_paths import extension_inputs
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -410,16 +411,41 @@ def test_integer_complex_is_refused_before_any_novikov_search(monkeypatch,
 def test_contraction_pivot_is_widest_then_least_valuation():
     from p1dom.domination import _find_unit_pivot
 
-    mats = {1: {(0, 0): ((0, [1]), 2),        # width 2
-                (0, 1): ((-1, [1, 3]), 3),    # width 4, |valuation| 1
-                (1, 0): ((1, [-1]), 5),       # width 4, |valuation| 1
-                (1, 1): ((0, [2, 1]), 16),    # lowest coefficient 2
-                (2, 2): ((0, [1]), 1)},       # width 1
-            2: {(0, 0): ((2, [1]), 5)}}       # width 3
-    assert _find_unit_pivot(mats) == (1, (0, 1))
-    mats[2][(1, 1)] = ((0, [-1]), 4)          # width 4, valuation 0
-    assert _find_unit_pivot(mats) == (2, (1, 1))
-    assert _find_unit_pivot({1: {(0, 0): ((0, [3]), 9)}}) is None
+    mats = {1: {0: {0: ((0, [1]), 2),         # width 2
+                    1: ((-1, [1, 3]), 3)},    # width 4, |valuation| 1
+                1: {0: ((1, [-1]), 5),        # width 4, |valuation| 1
+                    1: ((0, [2, 1]), 16)},    # lowest coefficient 2
+                2: {2: ((0, [1]), 1)}},       # width 1
+            2: {0: {0: ((2, [1]), 5)}}}       # width 3
+    assert _find_unit_pivot(mats) == (1, 0, 1)
+    mats[2][1] = {1: ((0, [-1]), 4)}          # width 4, valuation 0
+    assert _find_unit_pivot(mats) == (2, 1, 1)
+    assert _find_unit_pivot({1: {0: {0: ((0, [3]), 9)}}}) is None
+
+
+@pytest.mark.parametrize("name", ["A", "B"])
+def test_contraction_removes_both_generators_of_each_pivot(name):
+    # A: d_2 = [1; 1], d_1 = [1, -1] in degrees 0..2.  The first pivot
+    # takes generator 0 of C_1, so row 0 of d_2 must go with it.
+    # B: d_1 = [1; 1], d_0 = [x, -x] in degrees -1..1.  The first pivot
+    # takes generator 0 of C_0, so column 0 of d_0 must go with it.
+    # Each pivot removes two generators, so nothing is left at the end.
+    if name == "A":
+        c = ChainComplex(ZZ, BaseRing.LAURENT, 0, 2, {0: 1, 1: 2, 2: 1},
+                         {1: M(ZZ, [[1, -1]]), 2: M(ZZ, [[1], [1]])})
+        second = {"x": (2, 1, 0, 0), "x^-1": (2, 1, 0, 0)}
+    else:
+        c = ChainComplex(ZZ, BaseRing.LAURENT, -1, 1, {-1: 1, 0: 2, 1: 1},
+                         {0: M(ZZ, [[[(1, 1)], [(1, -1)]]]),
+                          1: M(ZZ, [[1], [1]])})
+        second = {"x": (0, 0, 1, 1), "x^-1": (0, 0, 1, -1)}
+    v = novikov_check(c)
+    for side in (v.x_side, v.x_inv_side):
+        var = side.certificate["side"]
+        assert (side.acyclic, side.method) == ("yes", "truncated-contraction")
+        assert side.certificate == {"side": var, "order": 16, "eliminations": [
+            {"degree": m, "row": i, "col": j, "pivot_valuation": val}
+            for m, i, j, val in ((1, 0, 0, 0), second[var])]}
 
 
 def not_a_complex():
@@ -507,22 +533,48 @@ def test_the_ledger_holds_on_the_lifted_cone():
     assert mixed
 
 
-def test_the_ledger_holds_on_random_legal_profiles():
-    # the equation does not depend on the profile: per-row least twists
-    # given the level above, unraised and twice raised by 0..3 in k and
-    # in l; the extension's profile shifted to n = -1 in either split
-    # still has H^1 = 0 on every level, and one more step down is refused
+def random_legal_profiles():
+    """(c, its extension, five legal sheaves over c) for 300 draws (seed
+    2279; Q, GF(7), GF(10007) in turn): per-row least twists given the
+    level above, unraised and twice raised by 0..3 in k and in l, and the
+    extension's profile shifted to n = -1 in either split."""
     rng = random.Random(2279)
     for i in range(300):
         ring = (QQ, GF(7), GF(10007))[i % 3]
         c = random_novikov_acyclic(rng, ring)
-        mid = homology(c)
         ext = extend_complex(c).sheaf
-        for sheaf in ([raised_profile(rng, c, most) for most in (0, 3, 3)]
-                      + [twist(ext, -1, -1), twist(ext, -1, 0)]):
+        yield c, ext, ([raised_profile(rng, c, most) for most in (0, 3, 3)]
+                       + [twist(ext, -1, -1), twist(ext, -1, 0)])
+
+
+def test_the_ledger_holds_on_random_legal_profiles():
+    # the equation does not depend on the profile; at n = -1 every level
+    # still has H^1 = 0, and one more step down is refused
+    for c, ext, sheaves in random_legal_profiles():
+        mid = homology(c)
+        for sheaf in sheaves:
             assert _witness(sheaf, mid).ledger_holds
         with pytest.raises(NonVanishingH1Error):
             cech_complex(twist(ext, -2, -1))
+
+
+def test_w_equals_the_sections_built_by_multiplication():
+    # the oracle multiplies x^e by each entry and places every product
+    # coefficient by its (summand, exponent) in W's basis, with no band
+    # offsets: it checks every row of cech_complex, on the sample sheaf,
+    # the extensions the CLI and the benchmark build and the random
+    # legal profiles
+    sheaves = [load_sheaf(ROOT / "samples" / "x-minus-1.sheaf")]
+    sheaves += [extend_complex(c).sheaf for c in extension_inputs()]
+    sheaves += [s for _, _, profiles in random_legal_profiles()
+                for s in profiles]
+    for s in sheaves:
+        w, oracle = cech_complex(s), sections_complex(s)
+        assert w.ranks == oracle.ranks
+        assert w.diffs.keys() == oracle.diffs.keys()
+        for m, d in oracle.diffs.items():
+            assert (w.diffs[m].rows, w.diffs[m].cols) == (d.rows, d.cols)
+            assert w.diffs[m].data == d.data, f"degree {m}"
 
 
 def test_a_ledger_failure_names_its_degree(monkeypatch, tmp_path, capsys):
