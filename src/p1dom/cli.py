@@ -1,22 +1,21 @@
 """Command-line front end.
 
 Exit codes: 0 on success or mathematical PASS, 1 on mathematical FAIL
-(hypothesis violated, invalid complex, selftest failure), 2 on input or
-usage errors, among them a complex whose base ring the command does not
-take (``BASES``: K[x,x^-1] for novikov, extend, dominate and verify, K or
+(hypothesis violated, invalid complex), 2 on input or usage errors,
+among them a complex whose base ring the command does not take
+(``BASES``: K[x,x^-1] for novikov, extend, dominate and verify, K or
 K[x,x^-1] for homology, K[x] for hyper) and a Z-coefficient complex given
 to a command that needs a field (``FIELD_COMMANDS``: homology, dominate,
 verify).  Each command parses only the flags it reads: ``--trunc`` is
-``novikov``'s (the Z windows of its unit-pivot search), ``--seed`` is
-``selftest``'s, and ``selftest`` and ``twist-cohomology`` take no
-``--ring``, ``h0`` no ``--format``; another flag is an unknown argument
-(exit 2), which the top-level parser reports, as it does a missing
-command.  ``verify`` and ``dominate`` report the exact chart valuations
-and ``hyper`` the exact chart homology, which no order bounds.  Flags can
-be preset through environment variables with the P1DOM_ prefix
-(P1DOM_RING, P1DOM_TRUNC, P1DOM_SEED, P1DOM_FORMAT, P1DOM_OUT); explicit
-flags win.  A preset is read only by a command that takes its flag, and
-is checked like that flag.
+``novikov``'s (the Z windows of its unit-pivot search),
+``twist-cohomology`` takes no ``--ring`` and ``h0`` no ``--format``;
+another flag is an unknown argument (exit 2), which the top-level parser
+reports, as it does a missing or unknown command.  ``verify`` and
+``dominate`` report the exact chart valuations and ``hyper`` the exact
+chart homology, which no order bounds.  Flags can be preset through
+environment variables with the P1DOM_ prefix (P1DOM_RING, P1DOM_TRUNC,
+P1DOM_FORMAT, P1DOM_OUT); explicit flags win.  A preset is read only by
+a command that takes its flag, and is checked like that flag.
 
 Sizes are bounded as file contents are: a truncation order is at most
 MAX_ORDER, ``twist-cohomology`` takes a rank r from 0 to MAX_RANK, a twist
@@ -41,7 +40,6 @@ from .errors import (FormatError, NotNovikovAcyclicError, P1DomError,
 from .extension import extend_complex
 from .laurent import BaseRing
 from .scalars import ring_from_tag
-from .selftest import run_selftest
 from .sheaves import cech_cohomology, cech_complex, twisting_sheaf
 
 EXIT_OK = 0
@@ -53,17 +51,13 @@ MAX_ORDER = ff.MAX_EXPONENT
 HYPER_ROW_BUDGET = 1 << 16
 
 
-def _integer(text):
+def _order(text):
+    """--trunc: an integer from 1 to MAX_ORDER."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid integer {text!r}") from None
-
-
-def _order(text):
-    """--trunc: an integer from 1 to MAX_ORDER."""
-    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     if value > MAX_ORDER:
@@ -102,12 +96,13 @@ BASES = {
 # commands that need field coefficients; a Z file is an input error
 FIELD_COMMANDS = ("homology", "dominate", "verify")
 
-# flag attribute -> (environment variable, converter, built-in default);
-# the flags default to None so that a preset is read when main() runs
+# flag attribute -> (environment variable, converter, built-in default),
+# one row for each flag that some command takes: --ring, novikov's
+# --trunc, --format and --out; the flags default to None so that a preset
+# is read when main() runs
 PRESETS = {
     "ring": ("P1DOM_RING", _ring_tag, None),
     "trunc": ("P1DOM_TRUNC", _order, 16),
-    "seed": ("P1DOM_SEED", _integer, 0),
     "format": ("P1DOM_FORMAT", _output_format, "human"),
     "out": ("P1DOM_OUT", str, None),
 }
@@ -151,8 +146,6 @@ def build_parser():
     tw.add_argument("r", type=int, nargs="?", default=1)
     tw.add_argument("--k", type=int, default=0, help="twist split (k, n-k)")
     common(tw, with_input=False, flags=("format",))
-    st = sub.add_parser("selftest", help="run the embedded example corpus")
-    common(st, with_input=False, flags=("format",)).add_argument("--seed", type=_integer)
     for name, p in sub.choices.items():
         p.set_defaults(command=name)
     return parser, sub.choices
@@ -432,14 +425,6 @@ def _monomials(basis, r):
                      for i, monomials in groups.items())
 
 
-def cmd_selftest(args):
-    ok, lines = run_selftest(seed=args.seed)
-    _emit(args, lines + ["PASS" if ok else "FAIL"], lambda: {
-        "command": "selftest", "seed": args.seed, "passed": ok,
-        "lines": lines})
-    return EXIT_OK if ok else EXIT_MATH_FAIL
-
-
 HANDLERS = {
     "validate": cmd_validate,
     "homology": cmd_homology,
@@ -450,7 +435,6 @@ HANDLERS = {
     "dominate": cmd_dominate,
     "verify": cmd_verify,
     "twist-cohomology": cmd_twist_cohomology,
-    "selftest": cmd_selftest,
 }
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import RingMismatchError, ShapeError, UnsupportedRingError
-from .laurent import BaseRing, LaurentPoly
+from .laurent import BaseRing
 from .matrices import LaurentMatrix, scalar_rank
 from .polylists import ONE, cleared, lincomb
 from .scalars import CoefficientRing
@@ -85,18 +85,6 @@ class ChainComplex:
         c.ranks = ranks
         c.diffs = diffs
         return c
-
-    @classmethod
-    def single(cls, ring, base, degree, rank):
-        return cls(ring, base, degree, degree, {degree: rank})
-
-    @classmethod
-    def two_term(cls, ring, poly: LaurentPoly, top: int = 1,
-                 base=BaseRing.LAURENT):
-        """rank-1 complex (base^1 --poly--> base^1) in degrees top, top-1."""
-        d = LaurentMatrix(ring, 1, 1, [{0: poly.entry} if poly else {}])
-        return cls(ring, base, top - 1, top,
-                   {top: 1, top - 1: 1}, {top: d})
 
     # -- access ------------------------------------------------------------
 

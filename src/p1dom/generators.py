@@ -26,14 +26,13 @@ integer is drawn by ``_below``, the loop that CPython's ``randint``,
 ``randrange``, ``choice`` and ``sample`` run on those bits (Python
 3.10-3.13), so the draws are theirs with fewer Python calls; the
 floats come from ``random()``.  The acceptance
-corpus, the report digests, ``p1dom selftest`` and the benchmark's
-corpora and expected outputs rely on it, and
-``tests/test_generator_digests.py`` pins it.
+corpus, the report digests and the benchmark's corpora and expected
+outputs rely on it, and ``tests/test_generator_digests.py`` pins it.
+No command reads this module: its callers are the tests and perfbench/.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import lcm
 
@@ -41,7 +40,6 @@ from .complexes import ChainComplex
 from .laurent import BaseRing
 from .matrices import LaurentMatrix
 from .polylists import ONE, from_terms, lincomb, scaled
-from .scalars import GF, QQ, CoefficientRing
 
 
 def _below(rng, n):
@@ -70,11 +68,6 @@ def _two_rows(rng, n):
     while j == i:
         j = _below(rng, n)
     return i, j
-
-
-def random_ring(rng: random.Random) -> CoefficientRing:
-    rings = [QQ, GF(5), GF(7), GF(10007)]
-    return rings[_below(rng, len(rings))]
 
 
 def _residue(c, p):

@@ -91,11 +91,6 @@ class LaurentPoly:
     def one(cls, ring):
         return cls.from_entry(ring, (0, (ring.one(),)))
 
-    @classmethod
-    def from_pairs(cls, ring, pairs):
-        """Build from ``[(exponent, coefficient), ...]``, summing repeats."""
-        return cls.from_entry(ring, _checked(ring, pairs))
-
     # -- canonical data ----------------------------------------------------
 
     @property

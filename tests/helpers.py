@@ -11,20 +11,28 @@ from p1dom.domination import _chart_direction, _torsion_dims, chart_homology
 from p1dom.errors import (BaseRingViolationError, NotAUnitError,
                           RingMismatchError, ShapeError,
                           UnsupportedRingError)
-from p1dom.generators import (_conjugated, _elementary_ops, _poly_entry,
-                              random_complex, random_novikov_acyclic)
-from p1dom.laurent import BaseRing, LaurentPoly, _exponent
+from p1dom.generators import (_below, _conjugated, _elementary_ops,
+                              _poly_entry, random_complex,
+                              random_novikov_acyclic)
+from p1dom.laurent import BaseRing, LaurentPoly, _checked, _exponent
 from p1dom.matrices import LaurentMatrix, ScalarMatrix, scalar_rank
 from p1dom.polylists import (MINUS_ONE, ONE, cleared, exact_quotient,
                              integer_row, lincomb, pseudo_divmod, scaled)
+from p1dom.scalars import GF, QQ
 from p1dom.sheaves import SheafComplex, TwistSummand, cech_cohomology
 from p1dom.smith import _echelon, _require_field
 
 
+def from_pairs(ring, pairs):
+    """The LaurentPoly of ``[(exponent, coefficient), ...]``, summing
+    repeats; the pairs are checked as the ``LaurentPoly`` constructor
+    checks its items (``laurent._checked``)."""
+    return LaurentPoly.from_entry(ring, _checked(ring, pairs))
+
+
 def P(ring, *pairs):
     """Polynomial from (exponent, int-coefficient) pairs."""
-    return LaurentPoly.from_pairs(ring, [(e, ring.from_int(c))
-                                         for e, c in pairs])
+    return from_pairs(ring, [(e, ring.from_int(c)) for e, c in pairs])
 
 
 def monomial(ring, exponent, coeff=1):
@@ -177,8 +185,18 @@ def check_base(m, base):
                 f"entry ({i},{j}) = {p} violates {base.tag}")
 
 
+def single(ring, base, degree, rank):
+    """The complex base^rank, supported in one degree."""
+    return ChainComplex(ring, base, degree, degree, {degree: rank})
+
+
 def two_term(ring, pairs, top=1, base=BaseRing.LAURENT):
-    return ChainComplex.two_term(ring, P(ring, *pairs), top, base)
+    """The rank-1 complex (base --p--> base) in degrees top, top - 1, for
+    p = P(ring, *pairs)."""
+    entry = P(ring, *pairs).entry
+    d = LaurentMatrix(ring, 1, 1, [{} if entry is None else {0: entry}])
+    return ChainComplex(ring, base, top - 1, top, {top: 1, top - 1: 1},
+                        {top: d})
 
 
 def window_complex(c: ChainComplex, order: int) -> ScalarComplex:
@@ -221,6 +239,13 @@ def S(ring, grid):
     return ScalarMatrix(ring, len(grid), len(grid[0]) if grid else 0,
                         [{j: v for j, v in enumerate(row) if v}
                          for row in grid])
+
+
+def random_ring(rng):
+    """One of Q, GF(5), GF(7) and GF(10007), drawn as the generators
+    draw (``generators._below``)."""
+    rings = [QQ, GF(5), GF(7), GF(10007)]
+    return rings[_below(rng, len(rings))]
 
 
 def random_matrix(rng, ring, rows, cols, span=3):

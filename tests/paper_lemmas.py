@@ -525,8 +525,8 @@ def quasi_iso_inflation(rng, diagram: ComplexDiagram, span=1):
     ring = diagram.ring
 
     def acyclic_like(c: ChainComplex) -> ChainComplex:
-        return ChainComplex.two_term(ring, LaurentPoly.one(ring),
-                                     rng.randint(c.lo, c.hi) + 1, c.base)
+        return two_term(ring, [(0, 1)], rng.randint(c.lo, c.hi) + 1,
+                        c.base)
 
     a_minus = acyclic_like(diagram.minus)
     a_mid = acyclic_like(diagram.mid)
@@ -572,8 +572,7 @@ def random_retract_witness(rng, ring, span=1):
     """(D, r, s, h) with id - r.s = d.h + h.d, from a basis-changed
     projection of C (+) acyclic onto C."""
     c = random_complex(rng, ring, 3, 2, span)
-    acy = ChainComplex.two_term(ring, LaurentPoly.one(ring),
-                                rng.randint(c.lo, c.hi) + 1, c.base)
+    acy = two_term(ring, [(0, 1)], rng.randint(c.lo, c.hi) + 1, c.base)
     d = direct_sum(c, acy)
     r = ChainMap(d, c, {m: block(ring, [[
         identity(ring, c.rank(m)),
@@ -588,11 +587,20 @@ def random_mapping_torus(rng, ring, a):
 
     The Mather trick (Ranicki, "Finite domination and Novikov rings",
     Topology 34, 1995): x - f = x (1 - x^-1 f) is invertible over
-    R[[x^-1]], so T is Novikov acyclic on the x^-1 side; x lies in the
-    Jacobson radical of R[[x]], so T is acyclic on the x side exactly
-    when f is a quasi-isomorphism over R.  f is homotopic to a id.  Over
-    a field with a a unit, H_q(T) is K[x,x^-1]^b / (x - a), b the Betti
-    number of D in degree q, so dim_K H_q(T) = b.
+    R[[x^-1]], so T is Novikov acyclic on the x^-1 side.  R((x)) is flat
+    over R, so the x side, T (x) R((x)), is acyclic exactly when x - f_*
+    is invertible on H(D) (x) R((x)); f is homotopic to a id, so
+    f_* = a.  Over a field that always holds (x - a has a unit end
+    coefficient).  Over Z it holds exactly when a is 0, 1 or -1 or
+    H(D; Q) = 0: on a finite summand Z/p^k of H(D), x - a is a unit of
+    (Z/p^k)((x)) for every a, as -a (1 - x/a) when p does not divide a
+    and as x (1 - a/x), a/x nilpotent, when it does.  "f is a
+    quasi-isomorphism" is the condition over R[[x]], where x lies in the
+    Jacobson radical; on the x side it is sufficient, not necessary:
+    D = (Z --2--> Z) with f = 2 id has an acyclic x side, though f is
+    not a quasi-isomorphism.  Over a field with a a unit, H_q(T) is
+    K[x,x^-1]^b / (x - a), b the Betti number of D in degree q, so
+    dim_K H_q(T) = b.
     """
     d = random_complex(rng, ring, span=0)
     null = null_homotopic_map(rng, d, d, span=0)

@@ -11,7 +11,7 @@ import time
 
 from p1dom import fileformat as ff
 from p1dom.cli import main as cli_main
-from p1dom.complexes import ChainComplex, homology_dims
+from p1dom.complexes import homology_dims
 from p1dom.domination import novikov_check, verify_theorem
 from p1dom.extension import extend_complex, restrict_to_torus
 from p1dom.generators import random_complex, random_novikov_acyclic
@@ -19,7 +19,7 @@ from p1dom.laurent import BaseRing
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import cech_cohomology, cech_complex, twisting_sheaf
 
-from helpers import M, maxdeg, mindeg, nonzero_entries, two_term
+from helpers import M, maxdeg, mindeg, nonzero_entries, single, two_term
 from paper_lemmas import (ChainMap, cone, diagram_with_a_non_chain_map,
                           extend_cone, iota, is_acyclic, is_quasi_iso,
                           phi_star, quasi_iso_inflation,
@@ -43,7 +43,7 @@ def _exponents_bounded(c, bound=3):
 def test_criterion_twist_cohomology_table():
     t0 = time.time()
     for n in range(-8, 9):
-        for k in (0, 1, -2, n):
+        for k in (0, 1, -2, n, n // 2):
             l = n - k
             coh = cech_cohomology(twisting_sheaf(n, k))
             want_h0 = n + 1 if n >= 0 else 0
@@ -161,7 +161,7 @@ def test_criterion_theorem_desk_scale():
 
 
 def test_criterion_negative_control(tmp_path):
-    c = ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1)
+    c = single(QQ, BaseRing.LAURENT, 0, 1)
     report = verify_theorem(c)
     assert not report.passed
     assert report.checks[0].name == "novikov-acyclic"
@@ -183,7 +183,7 @@ def test_criterion_integer_mode_asymmetry():
 
 
 def test_criterion_cone_lifting():
-    c = ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1)
+    c = single(QQ, BaseRing.LAURENT, 0, 1)
     v1 = extend_complex(c)
     v2 = extend_complex(c)
     omega = ChainMap(c, c, {0: M(QQ, [[[(0, -1), (1, 1)]]])})

@@ -26,7 +26,8 @@ from p1dom.scalars import GF, QQ
 from p1dom.smith import invariant_factors
 
 from helpers import (P, chart, chart_homology_dims, check_base, determinant,
-                     grid_matrix, maxdeg, mindeg, two_term, window_complex)
+                     grid_matrix, maxdeg, mindeg, single, two_term,
+                     window_complex)
 
 RINGS = [QQ, GF(7), GF(10007)]
 FREE = "{} chart homology has a free part in degree {}"
@@ -139,7 +140,7 @@ def test_free_chart_homology_never_stabilises():
     # the error names the chart and the degree of the free part
     for base, name, degree in ((BaseRing.POLY, "plus", 0),
                                (BaseRing.POLY_INV, "minus", 2)):
-        c = ChainComplex.single(QQ, base, degree, 1)
+        c = single(QQ, base, degree, 1)
         with pytest.raises(StabilisationFailureError) as err:
             chart_homology_dims(c)
         assert str(err.value) == FREE.format(name, degree)

@@ -15,7 +15,7 @@ from p1dom.laurent import BaseRing
 from p1dom.scalars import QQ, ZZ
 from p1dom.sheaves import SheafComplex, TwistSummand
 
-from helpers import M, chart, load_complex, two_term
+from helpers import M, chart, load_complex, single, two_term
 
 SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
 
@@ -48,7 +48,7 @@ def three_term_z_file(tmp_path):
 @pytest.fixture
 def free_rank_file(tmp_path):
     path = tmp_path / "rank1.cplx"
-    c = ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1)
+    c = single(QQ, BaseRing.LAURENT, 0, 1)
     ff.save_path(path, ff.complex_to_dict(c))
     return str(path)
 
@@ -76,7 +76,7 @@ def test_wrong_base_is_an_input_error(base, tmp_path, capsys):
     # validate takes every base
     path = tmp_path / "c.cplx"
     if base == BaseRing.K:
-        c = ChainComplex.single(QQ, BaseRing.POLY, 0, 1)
+        c = single(QQ, BaseRing.POLY, 0, 1)
         data = ff.complex_to_dict(c)
         data["base"] = "K"
     else:
@@ -105,7 +105,7 @@ def test_z_coefficients_are_an_input_error(base, tmp_path, capsys):
     # the commands that run over Z still succeed
     path = tmp_path / "z.cplx"
     if base == BaseRing.K:
-        data = ff.complex_to_dict(ChainComplex.single(ZZ, BaseRing.POLY, 0, 1))
+        data = ff.complex_to_dict(single(ZZ, BaseRing.POLY, 0, 1))
         data["base"] = "K"
         commands = ("homology", "validate")
     else:
@@ -469,21 +469,31 @@ def test_trunc_max_does_not_bound_the_order(flags, env, monkeypatch,
     assert "(largest chart valuation: plus 70, minus 0)" in captured.out
 
 
+# each command with its arguments, a valid command line
+COMMAND_LINES = [
+    ["validate", "x-minus-1.cplx"],
+    ["homology", "x-minus-1.cplx"],
+    ["novikov", "x-minus-1.cplx"],
+    ["extend", "x-minus-1.cplx"],
+    ["h0", "x-minus-1.sheaf"],
+    ["hyper", "chart-x2-x3.cplx"],
+    ["dominate", "x-minus-1.cplx"],
+    ["verify", "x-minus-1.cplx"],
+    ["twist-cohomology", "2"],
+]
+
+
 @pytest.mark.parametrize("argv", [
-    ["validate", "x-minus-1.cplx", "--seed", "3"],
     ["extend", "x-minus-1.cplx", "--trunc", "8"],
-    ["novikov", "x-minus-1.cplx", "--seed", "3"],
-    ["twist-cohomology", "2", "--seed", "3"],
-    ["selftest", "--trunc", "8"],
     ["hyper", "chart-x2-x3.cplx", "--trunc", "8"],
-    ["selftest", "--ring", "GF:7"],
     ["h0", "x-minus-1.sheaf", "--format", "human"],
     ["twist-cohomology", "2", "--ring", "Q"],
-], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+] + [argv + ["--seed", "3"] for argv in COMMAND_LINES],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_flag_of_another_command_is_unknown(argv, capsys):
-    # --trunc belongs to novikov, --seed to selftest; selftest
-    # and twist-cohomology read no ring, and h0 writes its complex file
-    # in every format
+    # --trunc belongs to novikov and no command takes --seed;
+    # twist-cohomology reads no ring, and h0 writes its complex file in
+    # every format
     argv = [_sample(a) for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -494,13 +504,16 @@ def test_flag_of_another_command_is_unknown(argv, capsys):
 @pytest.mark.parametrize("var, command", [
     ("P1DOM_TRUNC", ["verify", "x-minus-1.cplx"]),
     ("P1DOM_SEED", ["validate", "x-minus-1.cplx"]),
-    ("P1DOM_TRUNC", ["selftest"]),
-    ("P1DOM_RING", ["selftest"]),
+    ("P1DOM_TRUNC", ["twist-cohomology", "2"]),
+    ("P1DOM_RING", ["twist-cohomology", "2", "--format", "report"]),
     ("P1DOM_FORMAT", ["h0", "x-minus-1.sheaf"]),
     ("P1DOM_RING", ["twist-cohomology", "2"]),
     ("P1DOM_TRUNC", ["hyper", "chart-x2-x3.cplx"]),
-])
+    # validate's P1DOM_SEED row is the second above
+] + [("P1DOM_SEED", argv) for argv in COMMAND_LINES[1:]])
 def test_preset_of_another_command_is_not_read(var, command, monkeypatch):
+    # a preset is read only by a command that takes its flag, and
+    # P1DOM_SEED by none
     monkeypatch.setenv(var, "abc")
     assert main([_sample(a) for a in command]) == 0
 
@@ -524,9 +537,17 @@ def _two_pass(argv, capsys):
     return code, captured.out, captured.err
 
 
+# names that are no command of p1dom
+UNKNOWN_COMMANDS = ("bogus", "selftest")
+
+
 @pytest.mark.parametrize("argv", [
     [],
     ["bogus", "x-minus-1.cplx"],
+    # selftest is no command: with or without a flag, a usage error
+    ["selftest"],
+    ["selftest", "--seed", "1"],
+    ["selftest", "--help"],
     ["--ring", "Q", "verify", "x-minus-1.cplx"],
     ["verify", "x-minus-1.cplx", "--trunc", "1"],
     ["--help"],
@@ -538,18 +559,18 @@ def test_usage_and_help_match_the_two_pass_parse(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == expected
-    if argv[-1:] == ["--help"]:
+    if argv[-1:] == ["--help"] and argv[0] not in UNKNOWN_COMMANDS:
         parser = COMMANDS[argv[0]] if len(argv) == 2 else PARSER
         assert code == 0 and captured.out == parser.format_help()
         return
     assert code == 2 and captured.out == ""
     assert captured.err.startswith(PARSER.format_usage())
-    if argv[:1] == ["bogus"]:
-        assert "invalid choice: 'bogus'" in captured.err
+    if argv and argv[0] in UNKNOWN_COMMANDS:
+        assert f"invalid choice: '{argv[0]}'" in captured.err
 
 
 PRESET_VALUES = {"ring": "Q", "format": "report", "out": "out.json",
-                 "trunc": 5, "seed": 3}
+                 "trunc": 5}
 
 
 VALID_ARGVS = [
@@ -562,7 +583,6 @@ VALID_ARGVS = [
     (["dominate", "x-minus-1.cplx"], {}),
     (["verify", "x-minus-1.cplx", "--out", "v.json"], {"out": "v.json"}),
     (["twist-cohomology", "2", "--k", "1"], {"n": 2, "r": 1, "k": 1}),
-    (["selftest", "--seed", "1"], {"seed": 1}),
 ]
 
 
@@ -574,8 +594,7 @@ def test_command_namespace_carries_command_and_presets(argv, given,
     # nothing of another command's
     flags = {"novikov": ("ring", "format", "out", "trunc"),
              "h0": ("ring", "out"),
-             "twist-cohomology": ("format", "out"),
-             "selftest": ("format", "out", "seed")}.get(
+             "twist-cohomology": ("format", "out")}.get(
                  argv[0], ("ring", "format", "out"))
     for flag, value in PRESET_VALUES.items():
         monkeypatch.setenv(f"P1DOM_{flag.upper()}", str(value))
@@ -586,19 +605,12 @@ def test_command_namespace_carries_command_and_presets(argv, given,
     assert main(argv) == 0
     expected = {"command": argv[0],
                 **{flag: PRESET_VALUES[flag] for flag in flags}, **given}
-    if argv[0] not in ("twist-cohomology", "selftest"):
+    if argv[0] != "twist-cohomology":
         expected["input"] = argv[1]
     assert vars(seen[0]) == expected
     two_pass = PARSER.parse_args(argv)
     _apply_presets(two_pass)
     assert vars(two_pass) == expected
-
-
-def test_selftest_runs(capsys):
-    assert main(["selftest", "--seed", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "twist-cohomology-table" in out
-    assert "FAIL" not in out.replace("PASS", "")
 
 
 @pytest.mark.parametrize("flags", [
@@ -623,7 +635,6 @@ def test_bad_flag_is_input_error(xm1_file, flags, capsys):
     ("P1DOM_TRUNC", "abc"),
     ("P1DOM_TRUNC", "0"),
     ("P1DOM_TRUNC", "-3"),
-    ("P1DOM_SEED", "1.5"),
     ("P1DOM_FORMAT", "xml"),
     ("P1DOM_RING", "R"),
 ])
@@ -631,8 +642,7 @@ def test_bad_preset_is_input_error(xm1_file, var, value, monkeypatch,
                                    capsys):
     # each preset is read by a command that takes its flag
     monkeypatch.setenv(var, value)
-    argv = {"P1DOM_TRUNC": ["novikov", xm1_file],
-            "P1DOM_SEED": ["selftest"]}.get(var, ["verify", xm1_file])
+    argv = ["novikov" if var == "P1DOM_TRUNC" else "verify", xm1_file]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and var in err

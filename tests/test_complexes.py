@@ -5,7 +5,7 @@ import pytest
 
 from p1dom.complexes import ChainComplex, homology
 from p1dom.errors import RingMismatchError, ShapeError, UnsupportedRingError
-from p1dom.generators import random_complex, random_ring
+from p1dom.generators import random_complex
 from p1dom.laurent import BaseRing, LaurentPoly
 from p1dom.matrices import LaurentMatrix
 from p1dom.scalars import GF, QQ, ZZ
@@ -13,9 +13,8 @@ from p1dom.scalars import GF, QQ, ZZ
 from helpers import (M, basis_change, block, core_degree, dense, determinant,
                      direct_sum, grid_matrix, identity, is_unit, matmul,
                      matneg, monomial, nonzero_entries, polyadd,
-                     random_invertible_pair,
-                     scalar_diag, shift, submatrix, two_term, vanishes,
-                     zero_complex)
+                     random_invertible_pair, random_ring, scalar_diag, shift,
+                     single, submatrix, two_term, vanishes, zero_complex)
 from paper_lemmas import (ChainMap, Homotopy, cone, inclusion, is_acyclic,
                           is_quasi_iso, null_homotopic_map,
                           random_retract_witness, verify_homotopy_retract)
@@ -157,7 +156,7 @@ def test_homology_torsion_example():
 
 
 def test_homology_free_example():
-    rep = homology(ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1))
+    rep = homology(single(QQ, BaseRing.LAURENT, 0, 1))
     assert rep.entry(0).free_rank == 1
     assert rep.entry(0).kdim is None
 
@@ -172,7 +171,7 @@ def test_homology_integer_base_unsupported():
 
 
 def test_cone_identity_is_acyclic():
-    c = ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1)
+    c = single(QQ, BaseRing.LAURENT, 0, 1)
     cc, incl, proj = cone(ChainMap.identity(c))
     assert {m: cc.rank(m) for m in cc.degrees()} == {0: 1, 1: 1}
     assert cc.diff(1) == M(QQ, [[1]])
@@ -191,13 +190,13 @@ def test_cone_of_zero_between_zero_complexes():
                                   BaseRing.POLY_INV])
 def test_cone_of_an_identity_is_the_two_term_complex_of_one(ring, base):
     for d in range(-3, 4):
-        single = ChainComplex.single(ring, base, d, 1)
-        assert cone(ChainMap.identity(single))[0] == ChainComplex.two_term(
-            ring, LaurentPoly.one(ring), d + 1, base)
+        c = single(ring, base, d, 1)
+        assert cone(ChainMap.identity(c))[0] == two_term(
+            ring, [(0, 1)], d + 1, base)
 
 
 def test_cone_of_multiplication_matches_two_term():
-    c = ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1)
+    c = single(QQ, BaseRing.LAURENT, 0, 1)
     f = ChainMap(c, c, {0: M(QQ, [[[(1, 1), (0, -1)]]])})
     cc, _, _ = cone(f)
     ref = two_term(QQ, [(1, 1), (0, -1)])
@@ -420,7 +419,7 @@ def test_retract_invariant_under_basis_change():
 
 
 def test_quasi_iso_detects_non_iso():
-    a = ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1)
+    a = single(QQ, BaseRing.LAURENT, 0, 1)
     z = zero_complex(QQ)
     assert not is_quasi_iso(ChainMap(a, z))
     assert is_quasi_iso(ChainMap.identity(a))

@@ -7,7 +7,7 @@ from p1dom.generators import random_complex
 from p1dom.laurent import BaseRing
 from p1dom.scalars import GF, QQ
 
-from helpers import (dense, direct_sum, grid_matrix, identity, polyneg,
+from helpers import (dense, direct_sum, grid_matrix, identity, polyneg, single,
                      vanishes, zero_complex)
 from paper_lemmas import (ChainMap, ComplexDiagram,
                           diagram_with_a_non_chain_map, hypercohomology, iota,
@@ -23,7 +23,7 @@ def constant_diagram(c):
 
 
 def test_hyper_of_constant_diagram():
-    c = ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1)
+    c = single(QQ, BaseRing.LAURENT, 0, 1)
     h = hypercohomology(constant_diagram(c))
     assert {m: h.rank(m) for m in h.degrees()} == {0: 2, -1: 1}
     rep = homology(h)
@@ -46,7 +46,7 @@ def test_hyper_with_zero_middle_is_direct_sum():
 
 
 def test_iota_is_diagonal_for_constant_diagram():
-    c = ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1)
+    c = single(QQ, BaseRing.LAURENT, 0, 1)
     d = constant_diagram(c)
     h0, incl = sections_complex(d)
     assert h0.rank(0) == 1
@@ -123,7 +123,7 @@ def test_phi_star_of_quasi_iso_components():
 
 def test_phi_star_detects_non_quasi_iso():
     # a map with a non-quasi-iso component should fail the cone test
-    c = ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1)
+    c = single(QQ, BaseRing.LAURENT, 0, 1)
     z = zero_complex(QQ)
     d1 = constant_diagram(c)
     d0 = ComplexDiagram(z, z, z, ChainMap(z, z), ChainMap(z, z))
@@ -138,13 +138,13 @@ def test_levelwise_h1_detection():
     d = random_surjective_diagram(rng, QQ, 2, 2)
     assert levelwise_h1_trivial(d)
     # a diagram with zero structure maps and nonzero middle cannot be onto
-    c = ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1)
+    c = single(QQ, BaseRing.LAURENT, 0, 1)
     z = zero_complex(QQ)
     bad = ComplexDiagram(z, c, z, ChainMap(z, c), ChainMap(z, c))
     assert not levelwise_h1_trivial(bad)
     # identities in degree 0, and a summand in degree 3 that only the
     # middle occupies: level 3 has H^1 = K[x,x^-1]
-    mid = direct_sum(c, ChainComplex.single(QQ, BaseRing.LAURENT, 3, 1))
+    mid = direct_sum(c, single(QQ, BaseRing.LAURENT, 3, 1))
     ident = {0: identity(QQ, 1)}
     gap = ComplexDiagram(c, mid, c, ChainMap(c, mid, ident),
                          ChainMap(c, mid, ident))
@@ -154,7 +154,7 @@ def test_levelwise_h1_detection():
 
 def test_iota_not_quasi_iso_without_h1_vanishing():
     # middle with no sections at all: H0 complex is zero, H of mid is not
-    c = ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1)
+    c = single(QQ, BaseRing.LAURENT, 0, 1)
     z = zero_complex(QQ)
     bad = ComplexDiagram(z, c, z, ChainMap(z, c), ChainMap(z, c))
     assert not is_quasi_iso(iota(bad))

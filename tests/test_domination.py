@@ -15,8 +15,7 @@ from p1dom.errors import (NonVanishingH1Error, NotNovikovAcyclicError,
                           ShapeError, StabilisationFailureError,
                           UnsupportedRingError)
 from p1dom.extension import extend_complex
-from p1dom.generators import (random_complex, random_novikov_acyclic,
-                              random_ring)
+from p1dom.generators import random_complex, random_novikov_acyclic
 from p1dom.laurent import BaseRing, LaurentPoly
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import cech_complex
@@ -24,8 +23,8 @@ from p1dom.smith import invariant_factors
 
 from helpers import (M, chart, determinant, direct_sum, grid_matrix,
                      load_complex, load_sheaf, matmul, raised_profile,
-                     random_matrix, random_poly, sections_complex, twist,
-                     two_term, window_complex, zero_complex)
+                     random_matrix, random_poly, random_ring, sections_complex,
+                     single, twist, two_term, window_complex, zero_complex)
 from paper_lemmas import ChainMap, cone, extend_cone, null_homotopic_map
 from test_fast_paths import extension_inputs
 
@@ -43,7 +42,7 @@ def test_field_mode_torsion_is_acyclic():
 
 
 def test_field_mode_free_rank_blocks():
-    v = novikov_check(ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1))
+    v = novikov_check(single(QQ, BaseRing.LAURENT, 0, 1))
     assert v.x_side.acyclic == "no" and v.x_inv_side.acyclic == "no"
 
 
@@ -151,7 +150,7 @@ def test_integer_mode_both_sides_for_x_minus_one():
 
 
 def test_integer_mode_euler_obstruction():
-    v = novikov_check(ChainComplex.single(ZZ, BaseRing.LAURENT, 0, 2))
+    v = novikov_check(single(ZZ, BaseRing.LAURENT, 0, 2))
     assert v.x_side.acyclic == "no"
     assert v.x_side.method == "euler"
 
@@ -222,7 +221,7 @@ def test_window_complex_of_multiplication_by_x():
 
 
 def test_window_complex_detects_free_part():
-    c = ChainComplex.single(QQ, BaseRing.POLY, 0, 1)
+    c = single(QQ, BaseRing.POLY, 0, 1)
     # dimension grows with the window
     assert homology_dims(window_complex(c, 8)) == {0: 8}
     assert homology_dims(window_complex(c, 16)) == {0: 16}
@@ -251,7 +250,7 @@ def test_dominate_unit_complex_series_contribution():
 
 def test_dominate_rejects_free_homology():
     with pytest.raises(NotNovikovAcyclicError):
-        dominate(ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1))
+        dominate(single(QQ, BaseRing.LAURENT, 0, 1))
 
 
 def test_dominate_escalates_truncation_order():
@@ -298,7 +297,7 @@ def test_ledger_additivity():
 def test_ledger_invariant_under_acyclic_padding():
     rng = random.Random(41)
     c = random_novikov_acyclic(rng, GF(7))
-    piece = ChainComplex.single(GF(7), BaseRing.LAURENT, 1, 1)
+    piece = single(GF(7), BaseRing.LAURENT, 1, 1)
     acyclic_factor, _, _ = cone(ChainMap.identity(piece))
     padded = direct_sum(c, acyclic_factor)
     base_rows = {r.degree: r for r in dominate(c).ledger}
@@ -318,7 +317,7 @@ def test_ledger_invariant_under_acyclic_padding():
 
 def test_fpqc_zero_differential_window_growth():
     # K[x] in degree 0 is free over K[[x]]: its windows C/x^N grow with N
-    c = ChainComplex.single(QQ, BaseRing.POLY, 0, 1)
+    c = single(QQ, BaseRing.POLY, 0, 1)
     assert chart_homology(c) == {0: (1, 0)}
     for n in (8, 16):
         assert homology_dims(window_complex(c, n)) == {0: n}
@@ -367,7 +366,7 @@ def test_verify_theorem_pass_with_ledger():
 
 
 def test_verify_theorem_negative_control():
-    report = verify_theorem(ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1))
+    report = verify_theorem(single(QQ, BaseRing.LAURENT, 0, 1))
     assert not report.passed
     assert "degree 0" in report.checks[0].detail
     assert "1" in report.checks[0].detail
@@ -400,7 +399,7 @@ def test_integer_complex_is_refused_before_any_novikov_search(monkeypatch,
     monkeypatch.setattr(domination, "_novikov_integers", no_search)
     # Novikov acyclic or not, with chi = 0 or not: each is refused alike
     for c in (two_term(ZZ, [(1, 1), (0, -1)]), two_term(ZZ, [(0, 2)]),
-              ChainComplex.single(ZZ, BaseRing.LAURENT, 0, 1),
+              single(ZZ, BaseRing.LAURENT, 0, 1),
               random_novikov_acyclic(random.Random(4), ZZ)):
         with pytest.raises(UnsupportedRingError,
                            match=r"^the domination witness needs field "
@@ -508,8 +507,7 @@ def test_verify_theorem_computes_homology_once(monkeypatch):
     # a FAIL reads its free ranks off the same report and runs no chart
     smith.clear()
     ranks.clear()
-    assert not verify_theorem(ChainComplex.single(QQ, BaseRing.LAURENT, 0,
-                                                  1)).passed
+    assert not verify_theorem(single(QQ, BaseRing.LAURENT, 0, 1)).passed
     assert (len(smith), len(ranks)) == (1, 0)
 
 
@@ -613,7 +611,7 @@ def test_field_verdict_computes_no_smith_form_until_read(monkeypatch):
     for c, answer, rank_passes in (
             (two_term(QQ, [(1, 1), (0, -1)]), "yes", 1),
             (two_term(GF(7), [], top=1), "no", 1),
-            (ChainComplex.single(GF(7), BaseRing.LAURENT, 0, 2), "no", 0)):
+            (single(GF(7), BaseRing.LAURENT, 0, 2), "no", 0)):
         smith.clear()
         ranks.clear()
         verdict = novikov_check(c)

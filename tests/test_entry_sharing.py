@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 from p1dom.complexes import ChainComplex
 from p1dom.domination import _determinant, novikov_check, verify_theorem
 from p1dom.generators import random_complex, random_novikov_acyclic
+from p1dom.laurent import BaseRing
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.smith import invariant_factors
 
-from helpers import kernel_basis, kernel_coordinates, random_matrix
+from helpers import (kernel_basis, kernel_coordinates, random_matrix,
+                     submatrix)
 
 
 def _snapshot(objects):
@@ -46,7 +48,8 @@ def test_kernels_leave_every_stored_entry_unchanged(seed, ring):
     square = random_matrix(rng, ring, rows, rows, 2)
     acyclic = random_novikov_acyclic(rng, ring)
     other = random_complex(rng, ring, max_length=3, max_rank=3)
-    two_term = ChainComplex.two_term(ring, square[0, 0])
+    two_term = ChainComplex(ring, BaseRing.LAURENT, 0, 1, {0: 1, 1: 1},
+                            {1: submatrix(square, [0], [0])})
     snapshot = _snapshot([a, square, acyclic, other, two_term])
     _determinant(square)
     for c in (acyclic, other, two_term):

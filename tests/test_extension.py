@@ -5,14 +5,15 @@ import pytest
 from p1dom.complexes import ChainComplex
 from p1dom.errors import ShapeError
 from p1dom.extension import extend_complex, restrict_to_torus
-from p1dom.generators import random_complex, random_ring
+from p1dom.generators import random_complex
 from p1dom.laurent import BaseRing
 from p1dom.matrices import LaurentMatrix
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import cech_cohomology, twisting_sheaf
 
 from helpers import (M, P, chart, direct_sum, grid_matrix, maxdeg, mindeg,
-                     nonzero_entries, shift, two_term, vanishes, zero_complex)
+                     nonzero_entries, random_ring, shift, single, two_term,
+                     vanishes, zero_complex)
 from paper_lemmas import (ChainMap, cone, extend_cone, extend_morphism,
                           is_acyclic)
 
@@ -96,7 +97,7 @@ def test_extend_complex_x_minus_one():
 
 
 def test_extend_complex_zero_differential():
-    c = ChainComplex.single(QQ, BaseRing.LAURENT, 0, 3)
+    c = single(QQ, BaseRing.LAURENT, 0, 3)
     ext = extend_complex(c)
     assert ext.profile == {0: (0, 0)}
     assert ext.sheaf.twists[0][0].n == 0
@@ -161,8 +162,8 @@ def test_restriction_round_trip_examples():
         assert restrict_to_torus(extend_complex(c).sheaf) == c
     z = zero_complex(QQ)
     assert vanishes(restrict_to_torus(extend_complex(z).sheaf))
-    single = extend_complex(ChainComplex.single(QQ, BaseRing.LAURENT, 0, 2))
-    r = restrict_to_torus(single.sheaf)
+    ext = extend_complex(single(QQ, BaseRing.LAURENT, 0, 2))
+    r = restrict_to_torus(ext.sheaf)
     assert r.rank(0) == 2 and r.validate() == []
 
 
@@ -184,14 +185,14 @@ def test_round_trip_randomised_with_invariants():
 
 
 def test_extend_cone_identity():
-    c = ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1)
+    c = single(QQ, BaseRing.LAURENT, 0, 1)
     v = extend_complex(c)
     result = extend_cone(v.sheaf, v.sheaf, ChainMap.identity(c))
     assert is_acyclic(restrict_to_torus(result))
 
 
 def test_extend_cone_x_minus_one():
-    c = ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1)
+    c = single(QQ, BaseRing.LAURENT, 0, 1)
     v1 = extend_complex(c)
     v2 = extend_complex(c)
     omega = ChainMap(c, c, {0: M(QQ, [[[(1, 1), (0, -1)]]])})
@@ -207,7 +208,7 @@ def test_extend_cone_x_minus_one():
 
 
 def test_extend_cone_zero_map_is_shifted_sum():
-    c = ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1)
+    c = single(QQ, BaseRing.LAURENT, 0, 1)
     v = extend_complex(c)
     result = extend_cone(v.sheaf, v.sheaf, ChainMap(c, c))
     restricted = restrict_to_torus(result)

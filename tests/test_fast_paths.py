@@ -43,7 +43,7 @@ from helpers import (HOMOLOGY_KINDS, M, P, add, chart as derived, coeff,
                      kernel_basis, kernel_coordinates, load_complex, matmul,
                      monomial, monomial_scale, mul, nonzero_entries, polyadd,
                      polymul, polyneg, polyscale, polysub, random_matrix,
-                     respects, scalar_diag, shifted_summand,
+                     respects, scalar_diag, shifted_summand, single,
                      times_monomial, unit_normalise, zero)
 from paper_lemmas import (ChainMap, MorphismExtension, extend_cone,
                           extend_morphism, null_homotopic_map)
@@ -249,7 +249,7 @@ def test_derived_charts_match_dense_reference():
             v1, v2 = extend_complex(a).sheaf, extend_complex(a).sheaf
             for omega in (ChainMap.identity(a), ChainMap(a, a)):
                 sheaves.append(extend_cone(v1, v2, omega))
-            b = ChainComplex.single(ring, BaseRing.LAURENT, 0, 2)
+            b = single(ring, BaseRing.LAURENT, 0, 2)
             omega = ChainMap(b, b, {0: random_matrix(rng, ring, 2, 2, 2)})
             sheaves.append(extend_cone(extend_complex(b).sheaf,
                                        extend_complex(b).sheaf, omega))

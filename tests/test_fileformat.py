@@ -12,12 +12,11 @@ from p1dom.cli import main
 from p1dom.complexes import ChainComplex
 from p1dom.errors import FormatError
 from p1dom.extension import extend_complex, restrict_to_torus
-from p1dom.generators import (random_complex, random_novikov_acyclic,
-                              random_ring)
+from p1dom.generators import random_complex, random_novikov_acyclic
 from p1dom.laurent import BaseRing, LaurentPoly
 from p1dom.scalars import GF, QQ, ZZ
 
-from helpers import add, coeff, two_term, zero
+from helpers import add, coeff, from_pairs, random_ring, two_term, zero
 
 
 def test_complex_round_trip_simple():
@@ -257,7 +256,7 @@ def test_loader_builds_the_entry_from_the_pairs(ring, pairs, entry):
     # repeated exponents summed (mod p), zero ends trimmed, dense between
     p = _poly(ring, pairs)
     assert p.entry == entry
-    assert p == LaurentPoly.from_pairs(
+    assert p == from_pairs(
         ring, [(e, ring.parse(x)) for e, x in pairs])
     if entry is not None:
         assert type(p.entry[1]) is tuple
@@ -286,7 +285,7 @@ def test_loader_builds_every_cell_of_the_acceptance_corpus():
             for i, row in enumerate(item["matrix"]):
                 for j, pairs in enumerate(row):
                     p = _poly(ring, pairs)
-                    assert p == LaurentPoly.from_pairs(
+                    assert p == from_pairs(
                         ring, [(e, ring.parse(x)) for e, x in pairs])
                     assert p == d[i, j]
                     assert p.items() == _sums(ring, pairs)

@@ -1,10 +1,11 @@
 """The seeded generators draw the same instances from the same seed.
 
-The acceptance corpus, the report digests, the goldens, ``p1dom
-selftest`` and the perfbench corpora are all drawn from
-``p1dom.generators``.  Each case below draws from 40 fixed seeds per
-ring and hashes the canonical text of what it drew (``dumps_canonical`` of
-``complex_to_dict``, or of ``matrix_to_rows`` for bare matrices) together
+The acceptance corpus, the report digests, the goldens and the perfbench
+corpora are all drawn from ``p1dom.generators``, and the tests draw
+their rings with ``helpers.random_ring`` on the same integer loop.  Each
+case below draws from 40 fixed seeds per ring and hashes the canonical
+text of what it drew (``dumps_canonical`` of ``complex_to_dict``, or of
+``matrix_to_rows`` for bare matrices) together
 with the next ``rng.random()``, so that a change which moves one draw, one
 coefficient or one bit of the generator's stream fails here.  The
 generators' integer draws are checked against ``randrange``,

@@ -8,9 +8,9 @@ from p1dom.errors import RingMismatchError, ShapeError, UnsupportedRingError
 from p1dom.laurent import BaseRing, LaurentPoly, base_from_tag
 from p1dom.scalars import GF, QQ, ZZ
 
-from helpers import (P, add, evaluate, invert, is_unit, monomial, mul,
-                     polyadd, polymul, polyscale, respects, times_monomial,
-                     unit_normalise)
+from helpers import (P, add, evaluate, from_pairs, invert, is_unit, monomial,
+                     mul, polyadd, polymul, polyscale, respects,
+                     times_monomial, unit_normalise)
 
 
 def test_product_identity_case():
@@ -116,7 +116,7 @@ def test_constructor_rejects_inexact_input(ring, coeffs, error, named):
     with pytest.raises(error, match=re.escape(named)):
         LaurentPoly(ring, coeffs)
     with pytest.raises(error, match=re.escape(named)):
-        LaurentPoly.from_pairs(ring, list(coeffs.items()))
+        from_pairs(ring, list(coeffs.items()))
 
 
 def test_named_constructors_reject_inexact_input():

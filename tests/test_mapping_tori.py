@@ -4,10 +4,14 @@ T = cone(x - f) for a self-map f = a id + (null-homotopic) of a random
 complex D with constant differentials (``paper_lemmas``).  Over a field
 with a a unit, T passes the theorem pipeline and H_q(T) has K-dimension
 the Betti number of D in degree q.  Over Z the x^-1 side is always
-acyclic, and the x side is acyclic exactly when f is a
-quasi-isomorphism: for a = 1 or -1 always, for a = 2 or 3 never when D
-has rational homology.  Z mode may still answer "unknown" (its unit-pivot
-search is incomplete), but never a wrong "yes" or "no".
+acyclic, and the x side is acyclic exactly when x - a is invertible on
+H(D) (x) Z((x)): for a = 1 or -1 always, for a = 2 or 3 exactly when D
+has no rational homology, since on a finite H(D) x - a is a unit.  That
+f is a quasi-isomorphism is sufficient there, not necessary: for
+D = (Z --2--> Z) and f = 2 id the x side is acyclic, though f is not a
+quasi-isomorphism (that is the condition over Z[[x]]).  Z mode may still
+answer "unknown" (its unit-pivot search is incomplete), but never a
+wrong "yes" or "no"; the tests assert only that.
 """
 
 import random

@@ -11,8 +11,9 @@ matrix arithmetic does (``polyadd``, ``matmul``, ...).
 
 The entry points: ``verify``, ``dominate``, ``novikov``, ``extend``,
 ``homology`` and ``hyper`` in human and in report mode, and ``h0``, on
-every file of samples/; ``selftest``; and the first ``cycle`` instances
-of each perfbench workload at its default seed, the callers that
+every file of samples/ (``two-minus-x.cplx`` and ``z-contraction.cplx``
+take ``novikov`` down the Z paths); and the first ``cycle`` instances of
+each perfbench workload at its default seed, the callers that
 ``test_library_callers`` also counts.
 
 What the probe cannot reach:
@@ -111,9 +112,9 @@ def uncalled_operators(classes, roots, run):
 
 
 def run_entry_points(workdir):
-    """The CLI on every sample and ``selftest``, then the first instances
-    of each perfbench workload; returns the exit codes of the CLI runs
-    by argument list."""
+    """The CLI on every sample, then the first instances of each
+    perfbench workload; returns the exit codes of the CLI runs by
+    argument list."""
     codes = {}
     out = str(workdir / "out")
     runs = [[command, str(path), "--format", fmt]
@@ -121,7 +122,6 @@ def run_entry_points(workdir):
             for fmt in ("human", "report")]
     # h0 writes a complex file in either mode, so it takes no --format
     runs += [["h0", str(path), "--out", out] for path in SAMPLES]
-    runs.append(["selftest"])
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         for argv in runs:
@@ -188,8 +188,7 @@ def test_every_operator_method_has_a_library_or_perfbench_caller(tmp_path):
     missing = uncalled_operators(
         classes, [LIBRARY, PERFBENCH],
         lambda: codes.update(run_entry_points(tmp_path)))
-    # the runs reached the pipeline: selftest and verify pass
-    assert codes[("selftest",)] == 0
+    # the runs reached the pipeline: verify passes
     assert codes[("verify", str(ROOT / "samples" / "x-minus-1.cplx"),
                   "--format", "report")] == 0
     assert missing == [], (

@@ -80,16 +80,15 @@ def test_hyper_is_exact_on_a_rank_8_chart(tmp_path, capsys):
 # -- outputs the loader would refuse ---------------------------------------------
 
 
-def _extension_file(tmp_path, name, poly):
+def _extension_file(tmp_path, name, ring, *pairs):
     path = tmp_path / f"{name}.cplx"
-    ff.save_path(path, ff.complex_to_dict(ChainComplex.two_term(
-        poly.ring, poly)))
+    ff.save_path(path, ff.complex_to_dict(two_term(ring, pairs)))
     return str(path)
 
 
 def test_h0_refuses_a_w_above_the_rank_bound(tmp_path, capsys):
     # W of the extension of GF(7) x^1000 - 1 has rank 1001 > MAX_RANK
-    src = _extension_file(tmp_path, "g7", P(GF(7), (1000, 1), (0, -1)))
+    src = _extension_file(tmp_path, "g7", GF(7), (1000, 1), (0, -1))
     sheaf = str(tmp_path / "g7.sheaf")
     assert main(["extend", src, "--out", sheaf]) == 0
     load_sheaf(sheaf)
@@ -240,14 +239,14 @@ def test_h0_refuses_a_twist_past_max_twist(tmp_path, capsys):
 def test_outputs_at_the_bounds_are_written_and_read_back(tmp_path):
     # x^4096 - x^-4096 twists degree 0 by (4096, 4096); x^511 - 1 over
     # GF(7) gives a W of rank 512
-    src = _extension_file(tmp_path, "edge", P(QQ, (4096, 1), (-4096, -1)))
+    src = _extension_file(tmp_path, "edge", QQ, (4096, 1), (-4096, -1))
     sheaf = tmp_path / "edge.sheaf"
     assert main(["extend", src, "--out", str(sheaf)]) == 0
     data = ff.loads(sheaf.read_text())
     assert data["twist_profile"][0] == {
         "degree": 0, "k": ff.MAX_EXPONENT, "l": ff.MAX_EXPONENT}
     load_sheaf(str(sheaf))
-    src = _extension_file(tmp_path, "g7", P(GF(7), (511, 1), (0, -1)))
+    src = _extension_file(tmp_path, "g7", GF(7), (511, 1), (0, -1))
     sheaf = tmp_path / "g7.sheaf"
     w = tmp_path / "w.cplx"
     assert main(["extend", src, "--out", str(sheaf)]) == 0

@@ -30,8 +30,8 @@ from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import cech_complex
 
 from helpers import (P, chart as sheaf_chart, constants, direct_sum,
-                     grid_matrix, load_complex, matmul, monomial, mul,
-                     polyneg, two_term, window_complex)
+                     grid_matrix, load_complex, matmul, monomial, mul, polyneg,
+                     single, two_term, window_complex)
 from paper_lemmas import ChainMap, ComplexDiagram, hypercohomology
 
 FIELDS = [QQ, GF(7), GF(10007)]
@@ -74,10 +74,10 @@ def reference_dims(chart: ChainComplex, order: int) -> dict:
          for m in range(total.lo + 1, total.hi + 1)}))
 
 
-def poly_chart_entry(rng, ring):
-    return LaurentPoly.from_pairs(ring, [
-        (rng.randint(0, 3), ring.from_int(rng.randint(-3, 3)))
-        for _ in range(rng.randint(0, 2))])
+def poly_chart_entry(rng):
+    """(exponent, int) pairs of a K[x] entry for ``two_term``."""
+    return [(rng.randint(0, 3), rng.randint(-3, 3))
+            for _ in range(rng.randint(0, 2))]
 
 
 def random_chart(rng, ring):
@@ -86,15 +86,13 @@ def random_chart(rng, ring):
     basis change 1 + c x^k E_ij, which is invertible over K[x]."""
     lo = rng.randint(-1, 1)
     hi = lo + rng.randint(0, 2)
-    c = ChainComplex.single(ring, BaseRing.POLY, lo, 0)
+    c = single(ring, BaseRing.POLY, lo, 0)
     for _ in range(rng.randint(1, 3)):
         if hi > lo and rng.random() < 0.7:
-            piece = ChainComplex.two_term(ring, poly_chart_entry(rng, ring),
-                                          rng.randint(lo + 1, hi),
-                                          BaseRing.POLY)
+            piece = two_term(ring, poly_chart_entry(rng),
+                             rng.randint(lo + 1, hi), BaseRing.POLY)
         else:
-            piece = ChainComplex.single(ring, BaseRing.POLY,
-                                        rng.randint(lo, hi), 1)
+            piece = single(ring, BaseRing.POLY, rng.randint(lo, hi), 1)
         c = direct_sum(c, piece)
     change = {}
     for m in range(lo, hi + 1):
@@ -243,7 +241,7 @@ def test_chain_complex_over_k_raises():
     with pytest.raises(UnsupportedRingError):
         ChainComplex(QQ, BaseRing.K, 0, 1, {0: 1, 1: 1})
     with pytest.raises(UnsupportedRingError):
-        ChainComplex.single(GF(7), BaseRing.K, 0, 2)
+        single(GF(7), BaseRing.K, 0, 2)
 
 
 def test_k_complexes_are_scalar():
@@ -376,8 +374,8 @@ def _dense_slots(data):
 
 def _wide_file(rank, e):
     """A GF(7) file with a rank x rank differential of x^-e + x^e."""
-    d = grid_matrix(GF(7), rank, rank, [[LaurentPoly.from_pairs(
-        GF(7), [(-e, 1), (e, 1)])] * rank] * rank)
+    d = grid_matrix(GF(7), rank, rank,
+                    [[P(GF(7), (-e, 1), (e, 1))] * rank] * rank)
     return ff.complex_to_dict(ChainComplex(
         GF(7), BaseRing.LAURENT, 0, 1, {0: rank, 1: rank}, {1: d}))
 

@@ -13,8 +13,9 @@ from p1dom.scalars import QQ
 from p1dom.sheaves import (SheafComplex, TwistSummand, cech_cohomology,
                            cech_complex, twisting_sheaf)
 
-from helpers import (S, load_complex, load_sheaf, sheaf_hyper_homology_dims,
-                     shifted_summand, twist, two_term, vanishes, zero_complex)
+from helpers import (S, load_complex, load_sheaf, random_ring,
+                     sheaf_hyper_homology_dims, shifted_summand, single, twist,
+                     two_term, vanishes, zero_complex)
 from paper_lemmas import levelwise_h1_trivial, torus_diagram
 
 
@@ -107,10 +108,10 @@ def test_serre_dual_of_twist_sums():
 
 
 def test_cech_complex_single_twist():
-    ext = extend_complex(ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1))
-    single = twist(ext.sheaf, 2, 2)
-    assert single.twists == {0: (TwistSummand(2, 0),)}
-    w = cech_complex(single)
+    ext = extend_complex(single(QQ, BaseRing.LAURENT, 0, 1))
+    twisted = twist(ext.sheaf, 2, 2)
+    assert twisted.twists == {0: (TwistSummand(2, 0),)}
+    w = cech_complex(twisted)
     assert {m: w.rank(m) for m in w.degrees()} == {0: 3}
     assert w.base == BaseRing.K
 
@@ -132,11 +133,11 @@ def test_cech_complex_zero():
 
 
 def test_cech_complex_rejects_negative_twists():
-    single = SheafComplex(
-        ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1),
+    sheaf = SheafComplex(
+        single(QQ, BaseRing.LAURENT, 0, 1),
         {0: (TwistSummand(-1, -1),)})
     with pytest.raises(NonVanishingH1Error):
-        cech_complex(single)
+        cech_complex(sheaf)
 
 
 def test_cech_complex_band_violation():
@@ -169,7 +170,7 @@ def test_cech_complex_skips_the_band_of_a_zero_column():
 
 
 def test_stray_twist_is_refused():
-    mid = ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1)
+    mid = single(QQ, BaseRing.LAURENT, 0, 1)
     with pytest.raises(ShapeError, match="^level 7 has twists but lies "
                                          r"outside the support \[0, 0\]$"):
         SheafComplex(mid, {0: (TwistSummand(0, 0),),
@@ -182,7 +183,7 @@ def test_stray_twist_is_refused():
 
 
 def test_sheaf_complex_needs_a_laurent_middle_complex():
-    mid = ChainComplex.single(QQ, BaseRing.POLY, 0, 1)
+    mid = single(QQ, BaseRing.POLY, 0, 1)
     with pytest.raises(UnsupportedRingError,
                        match=r"^sheaf complex needs a K\[x,x\^-1\] middle "
                              "complex$"):
@@ -190,7 +191,7 @@ def test_sheaf_complex_needs_a_laurent_middle_complex():
 
 
 def test_twist_profile_refuses_a_level_of_two_splits():
-    mid = ChainComplex.single(QQ, BaseRing.LAURENT, 0, 2)
+    mid = single(QQ, BaseRing.LAURENT, 0, 2)
     s = SheafComplex(mid, {0: (TwistSummand(0, 0), TwistSummand(1, 0))})
     with pytest.raises(ShapeError, match="^level 0 mixes twist splits$"):
         s.twist_profile()
@@ -198,10 +199,10 @@ def test_twist_profile_refuses_a_level_of_two_splits():
 
 def test_sheaf_hyper_dims_of_negative_twist():
     # a single O(-2) level: hypercohomology is one K in degree -1
-    single = SheafComplex(
-        ChainComplex.single(QQ, BaseRing.LAURENT, 0, 1),
+    sheaf = SheafComplex(
+        single(QQ, BaseRing.LAURENT, 0, 1),
         {0: (TwistSummand(-1, -1),)})
-    dims = sheaf_hyper_homology_dims(single)
+    dims = sheaf_hyper_homology_dims(sheaf)
     assert dims == {-1: 1, 0: 0}
 
 
@@ -227,7 +228,7 @@ def test_torus_diagram_of_extension():
     from paper_lemmas import iota, is_quasi_iso
 
     rng = random.Random(14)
-    from p1dom.generators import random_complex, random_ring
+    from p1dom.generators import random_complex
     for _ in range(5):
         ring = random_ring(rng)
         ext = extend_complex(random_complex(rng, ring, 3, 2))
