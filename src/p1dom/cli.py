@@ -5,23 +5,21 @@ Exit codes: 0 on success or mathematical PASS, 1 on mathematical FAIL
 among them a complex whose base ring the command does not take
 (``BASES``: K[x,x^-1] for novikov, extend, dominate and verify, K or
 K[x,x^-1] for homology, K[x] for hyper) and a Z-coefficient complex given
-to a command that needs a field (``FIELD_COMMANDS``: homology, dominate,
-verify).  Each command parses only the flags it reads: ``--trunc`` is
-``novikov``'s (the Z windows of its unit-pivot search),
-``twist-cohomology`` takes no ``--ring`` and ``h0`` no ``--format``;
-another flag is an unknown argument (exit 2), which the top-level parser
-reports, as it does a missing or unknown command.  ``verify`` and
+to a command that needs a field (``FIELD_COMMANDS``: homology, hyper,
+dominate, verify).  Options come from the command line alone, and each
+command parses only the flags it reads: ``twist-cohomology`` takes no
+``--ring`` and ``h0`` no ``--format``; another flag is an unknown argument
+(exit 2), which the top-level parser reports, as it does a missing or
+unknown command.  ``novikov`` decides Z complexes longer than two terms
+on windows of ``domination.WINDOW_ORDER`` terms, ``verify`` and
 ``dominate`` report the exact chart valuations and ``hyper`` the exact
-chart homology, which no order bounds.  Flags can be preset through
-environment variables with the P1DOM_ prefix (P1DOM_RING, P1DOM_TRUNC,
-P1DOM_FORMAT, P1DOM_OUT); explicit flags win.  A preset is read only by
-a command that takes its flag, and is checked like that flag.
+chart homology, so no command takes a truncation order.
 
-Sizes are bounded as file contents are: a truncation order is at most
-MAX_ORDER, ``twist-cohomology`` takes a rank r from 0 to MAX_RANK, a twist
-n, split k and n - k within MAX_EXPONENT and at most HYPER_ROW_BUDGET
-basis monomials, and ``extend`` and ``h0`` write no file that the loader
-refuses: they run it on the data first (exit 2 in each case).
+Sizes are bounded as file contents are: ``twist-cohomology`` takes a rank
+r from 0 to MAX_RANK, a twist n, split k and n - k within MAX_EXPONENT and
+at most HYPER_ROW_BUDGET basis monomials, and ``extend`` and ``h0`` write
+no file that the loader refuses: they run it on the data first (exit 2 in
+each case).
 """
 
 from __future__ import annotations
@@ -45,25 +43,8 @@ from .sheaves import cech_cohomology, cech_complex, twisting_sheaf
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
 EXIT_INPUT_ERROR = 2
-# largest --trunc, the exponent bound of the file format
-MAX_ORDER = ff.MAX_EXPONENT
 # the most basis monomials twist-cohomology may list, r * (|n| + 1)
 HYPER_ROW_BUDGET = 1 << 16
-
-
-def _order(text):
-    """--trunc: an integer from 1 to MAX_ORDER."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid integer {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    if value > MAX_ORDER:
-        raise argparse.ArgumentTypeError(
-            f"must be at most MAX_ORDER = {MAX_ORDER}, got {value}")
-    return value
 
 
 def _ring_tag(text):
@@ -94,18 +75,7 @@ BASES = {
 }
 
 # commands that need field coefficients; a Z file is an input error
-FIELD_COMMANDS = ("homology", "dominate", "verify")
-
-# flag attribute -> (environment variable, converter, built-in default),
-# one row for each flag that some command takes: --ring, novikov's
-# --trunc, --format and --out; the flags default to None so that a preset
-# is read when main() runs
-PRESETS = {
-    "ring": ("P1DOM_RING", _ring_tag, None),
-    "trunc": ("P1DOM_TRUNC", _order, 16),
-    "format": ("P1DOM_FORMAT", _output_format, "human"),
-    "out": ("P1DOM_OUT", str, None),
-}
+FIELD_COMMANDS = ("homology", "hyper", "dominate", "verify")
 
 
 def build_parser():
@@ -123,7 +93,7 @@ def build_parser():
             p.add_argument("--ring", type=_ring_tag,
                            help="Q | GF:p | Z; must match the file header")
         if "format" in flags:
-            p.add_argument("--format", type=_output_format,
+            p.add_argument("--format", type=_output_format, default="human",
                            metavar="{human,report}")
         p.add_argument("--out",
                        help="write output to this path instead of stdout")
@@ -131,10 +101,7 @@ def build_parser():
 
     common(sub.add_parser("validate", help="check d.d = 0 and exponent legality"))
     common(sub.add_parser("homology", help="homology report of a complex"))
-    nv = sub.add_parser("novikov", help="Novikov acyclicity verdicts")
-    common(nv).add_argument("--trunc", type=_order,
-                            help="truncation order N of the Z windows "
-                                 "(default 16)")
+    common(sub.add_parser("novikov", help="Novikov acyclicity verdicts"))
     common(sub.add_parser("extend", help="extend a complex to the projective line"))
     common(sub.add_parser("h0", help="global sections of a sheaf complex"), flags=("ring",))
     common(sub.add_parser("hyper", help="exact homology of a K[x] complex over K[[x]]"))
@@ -152,22 +119,6 @@ def build_parser():
 
 
 PARSER, COMMANDS = build_parser()
-
-
-def _apply_presets(args):
-    """Fill each flag of the parsed command left unset from its P1DOM_
-    variable or default; a command without the flag reads neither."""
-    for attr, (var, convert, default) in PRESETS.items():
-        if not hasattr(args, attr) or getattr(args, attr) is not None:
-            continue
-        raw = os.environ.get(var)
-        if raw is None:
-            setattr(args, attr, default)
-            continue
-        try:
-            setattr(args, attr, convert(raw))
-        except argparse.ArgumentTypeError as exc:
-            raise FormatError(f"{var}: {exc}") from None
 
 
 def _write(args, text):
@@ -294,7 +245,7 @@ def cmd_homology(args):
 
 def cmd_novikov(args):
     c = _load_valid_complex(args)
-    verdict = novikov_check(c, order=args.trunc)
+    verdict = novikov_check(c)
     lines = [f"x-side: {verdict.x_side.acyclic}",
              f"x^-1-side: {verdict.x_inv_side.acyclic}"]
     # the certificates are rendered on read: only a report reads them
@@ -454,7 +405,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
-        _apply_presets(args)
         return HANDLERS[args.command](args)
     except FormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)

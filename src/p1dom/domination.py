@@ -24,10 +24,10 @@ that end coefficient is the whole certificate, with no truncation order.
 The determinant is read off the chart kernel in t = x (``_determinant``),
 so one elimination serves the ranks, the chart valuations and Z mode.
 Longer complexes run a greedy unit-pivot elimination on Z windows of
-``order`` terms (``polylists.window``: a coefficient entry in t and its
-first unknown t-exponent), which is sound but may answer "unknown".  It
-keeps each differential as sparse row dicts of windows, the layout of
-``LaurentMatrix.data``, and counts the generators left.  A
+``WINDOW_ORDER`` = 16 terms (``polylists.window``: a coefficient entry in
+t and its first unknown t-exponent), which is sound but may answer
+"unknown".  It keeps each differential as sparse row dicts of windows,
+the layout of ``LaurentMatrix.data``, and counts the generators left.  A
 verdict renders its certificate (strings of factors, determinants and
 windows) only when a caller reads it.
 
@@ -38,10 +38,10 @@ checking, degree by degree,
 
     dim H_q(W) = dim_K H_q(C) + dim H_q(C+ (x) K[[x]]) + dim H_q(C- (x) K[[x^-1]]).
 
-The chart columns are exact.  K[[x]] and K[[x^-1]] are discrete valuation
-rings, so H_q of a chart complex after base change is a sum of torsion
-modules K[[t]]/t^v, one for each nonzero elementary divisor of d_{q+1},
-and its K-dimension is the sum of their valuations v.  These come from one
+The chart columns are exact.  Over a field K, K[[x]] and K[[x^-1]] are
+discrete valuation rings, so H_q of a chart complex after base change is a
+sum of torsion modules K[[t]]/t^v, one for each nonzero elementary divisor
+of d_{q+1}, and its K-dimension is the sum of their valuations v.  These come from one
 local elimination pass per differential (``_elementary_valuations``) on
 plain int coefficient lists (``polylists``): residues mod p over GF(p),
 ints over Z and integer rows over Q, with Bareiss's exact division.  The
@@ -73,6 +73,10 @@ from .polylists import (ONE, exact_quotient, integer_row, lincomb, scaled,
                         window, window_difference, window_inverse,
                         window_product)
 from .sheaves import SheafComplex, cech_complex
+
+# the terms of each Z window of the unit-pivot search; on the pinned and
+# generated Z corpora no other order decided a side that 16 leaves unknown
+WINDOW_ORDER = 16
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +191,12 @@ def chart_homology(c: ChainComplex, valuations: dict | None = None) -> dict:
     divisors of d_{q+1}, whose K-dimension is the sum of those v.  Given
     ``valuations`` (``_valuations``) no elimination runs and ``c`` gives
     only the ranks, as the middle complex of a sheaf does for its charts.
-    Raises ShapeError when the counts show d.d != 0 (``homology_ranks``).
+    Raises ShapeError when the counts show d.d != 0 (``homology_ranks``),
+    and UnsupportedRingError over Z, where Z[[t]] is no such ring.
     """
+    if not c.ring.is_field:
+        raise UnsupportedRingError(
+            f"chart homology needs field coefficients, not {c.ring.tag}")
     if valuations is None:
         valuations = _valuations(c, _chart_direction(c))
     free = homology_ranks(c.ranks,
@@ -249,7 +257,7 @@ class NovikovVerdict:
         return self.x_side.acyclic == "yes" and self.x_inv_side.acyclic == "yes"
 
 
-def novikov_check(c: ChainComplex, order: int = 16) -> NovikovVerdict:
+def novikov_check(c: ChainComplex) -> NovikovVerdict:
     """Novikov verdicts on the x and x^-1 sides; ``c`` must be a complex
     (d.d = 0), which is not checked (see the module docstring)."""
     if c.base != BaseRing.LAURENT:
@@ -257,7 +265,7 @@ def novikov_check(c: ChainComplex, order: int = 16) -> NovikovVerdict:
             "Novikov acyclicity applies to K[x,x^-1]-complexes")
     if c.ring.is_field:
         return _novikov_field(c)
-    return _novikov_integers(c, order)
+    return _novikov_integers(c)
 
 
 def _euler(c: ChainComplex) -> int:
@@ -319,7 +327,7 @@ def _free_ranks_vanish(c: ChainComplex) -> bool:
     return not any(homology_ranks(c.ranks, ranks).values())
 
 
-def _novikov_integers(c: ChainComplex, order: int) -> NovikovVerdict:
+def _novikov_integers(c: ChainComplex) -> NovikovVerdict:
     euler = _euler(c)
     if euler != 0:
         side = SideVerdict("no", "euler", lambda: {
@@ -330,7 +338,7 @@ def _novikov_integers(c: ChainComplex, order: int) -> NovikovVerdict:
         det = _determinant(two_term)
         return NovikovVerdict(_unit_det_side(det, 1), _unit_det_side(det, -1))
     return NovikovVerdict(
-        _contraction_side(c, 1, order), _contraction_side(c, -1, order))
+        _contraction_side(c, 1), _contraction_side(c, -1))
 
 
 def _two_term_square(c: ChainComplex):
@@ -387,7 +395,7 @@ def _unit_det_side(det: LaurentPoly, direction: int) -> SideVerdict:
                                 "end_coefficient": str(end)})
 
 
-def _contraction_side(c: ChainComplex, direction: int, order: int) -> SideVerdict:
+def _contraction_side(c: ChainComplex, direction: int) -> SideVerdict:
     """Greedy unit-pivot elimination on Z windows (``polylists.window``).
 
     Each pivot with a unit lowest coefficient splits off a contractible
@@ -413,6 +421,7 @@ def _contraction_side(c: ChainComplex, direction: int, order: int) -> SideVerdic
     of the pivot row.  So each generator leaves at most once, and
     ``remaining`` falls by exactly 2 per pivot from the total rank.
     """
+    order = WINDOW_ORDER
     mats = {m: {i: {j: window(e, direction, order) for j, e in row.items()}
                 for i, row in enumerate(d.data) if row}
             for m, d in c.diffs.items()}

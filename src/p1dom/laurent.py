@@ -65,13 +65,12 @@ class LaurentPoly:
     """Immutable Laurent polynomial over a coefficient ring, stored as its
     coefficient entry (see the module docstring)."""
 
-    __slots__ = ("ring", "entry", "_hash")
+    __slots__ = ("ring", "entry")
 
     def __init__(self, ring: CoefficientRing, coeffs=None):
         """The sum of c x^e over the items e: c of ``coeffs``."""
         self.ring = ring
         self.entry = _checked(ring, (coeffs or {}).items())
-        self._hash = None
 
     # -- constructors ------------------------------------------------------
 
@@ -84,7 +83,6 @@ class LaurentPoly:
         p = object.__new__(cls)
         p.ring = ring
         p.entry = entry
-        p._hash = None
         return p
 
     @classmethod
@@ -110,9 +108,7 @@ class LaurentPoly:
         return self.ring == other.ring and self.entry == other.entry
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ring, self.entry))
-        return self._hash
+        return hash((self.ring, self.entry))
 
     def __bool__(self):
         return self.entry is not None

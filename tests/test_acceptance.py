@@ -173,7 +173,7 @@ def test_criterion_negative_control(tmp_path):
 
 
 def test_criterion_integer_mode_asymmetry():
-    v = novikov_check(two_term(ZZ, [(0, 2), (1, -1)]), order=16)
+    v = novikov_check(two_term(ZZ, [(0, 2), (1, -1)]))
     assert v.x_side.acyclic == "no"
     assert v.x_inv_side.acyclic == "yes"
     # 2 - x is a unit of Z((x^-1)) and not of Z((x)): its end coefficients

@@ -7,10 +7,9 @@ import pytest
 
 from p1dom import complexes, domination
 from p1dom import fileformat as ff
-from p1dom.cli import (COMMANDS, HANDLERS, PARSER, _apply_presets,
-                       main)
+from p1dom.cli import COMMANDS, HANDLERS, PARSER, main
 from p1dom.complexes import ChainComplex
-from p1dom.errors import BaseRingViolationError
+from p1dom.errors import BaseRingViolationError, UnsupportedRingError
 from p1dom.laurent import BaseRing
 from p1dom.scalars import QQ, ZZ
 from p1dom.sheaves import SheafComplex, TwistSummand
@@ -31,17 +30,6 @@ def xm1_file(tmp_path):
 def two_minus_x_file(tmp_path):
     path = tmp_path / "two-minus-x.cplx"
     ff.save_path(path, ff.complex_to_dict(two_term(ZZ, [(0, 2), (1, -1)])))
-    return str(path)
-
-
-@pytest.fixture
-def three_term_z_file(tmp_path):
-    # d_2 = (1, 0)^T and d_1 = (0, 2 - x): no two-term determinant, so
-    # novikov runs the unit-pivot search on windows of --trunc terms
-    path = tmp_path / "three-term-z.cplx"
-    c = ChainComplex(ZZ, BaseRing.LAURENT, 0, 2, {0: 1, 1: 2, 2: 1}, {
-        1: M(ZZ, [[0, [(0, 2), (1, -1)]]]), 2: M(ZZ, [[1], [0]])})
-    ff.save_path(path, ff.complex_to_dict(c))
     return str(path)
 
 
@@ -122,6 +110,26 @@ def test_z_coefficients_are_an_input_error(base, tmp_path, capsys):
                            "(Q or GF:p), the file has ring Z (at ring)\n")
         else:
             assert code == 0, (command, err)
+
+
+@pytest.mark.parametrize("entry", [[(0, 2)], [(0, 2), (1, 1)]],
+                         ids=["2", "2+x"])
+def test_hyper_refuses_z_coefficients(entry, tmp_path, capsys):
+    # coker 2 and coker 2 + x over Z[[x]] are not zero, but neither pivot
+    # has a positive x-adic valuation: the chart kernel counts torsion
+    # only over a field, where K[[x]] is a discrete valuation ring
+    c = two_term(ZZ, entry, base=BaseRing.POLY)
+    with pytest.raises(UnsupportedRingError,
+                       match=r"^chart homology needs field coefficients, "
+                             r"not Z$"):
+        domination.chart_homology(c)
+    path = tmp_path / "z-chart.cplx"
+    ff.save_path(path, ff.complex_to_dict(c))
+    assert main(["hyper", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("input error: hyper needs field coefficients "
+                            "(Q or GF:p), the file has ring Z (at ring)\n")
 
 
 def test_verify_fail_exit_one(free_rank_file, capsys):
@@ -419,30 +427,29 @@ def test_dominate_human_output(xm1_file, capsys):
     assert "ledger holds: True" in out
 
 
-def test_env_var_overrides(xm1_file, tmp_path, monkeypatch, capsys):
-    target = str(tmp_path / "env-report.json")
-    monkeypatch.setenv("P1DOM_FORMAT", "report")
-    monkeypatch.setenv("P1DOM_OUT", target)
-    assert main(["homology", xm1_file]) == 0
-    assert os.path.exists(target)
-    with open(target) as f:
-        data = json.load(f)
-    assert data["command"] == "homology"
+@pytest.mark.parametrize("command", ["verify", "novikov"])
+def test_p1dom_variables_are_not_read(command, tmp_path, monkeypatch,
+                                      capsys):
+    # options come from the command line alone: the variables that once
+    # preset --format, --out, --ring and --trunc change no byte and write
+    # no file
+    argv = [command, os.path.join(SAMPLES, "x-minus-1.cplx")]
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    target = tmp_path / "env-report.json"
+    for var, value in (("P1DOM_FORMAT", "report"), ("P1DOM_OUT", str(target)),
+                       ("P1DOM_RING", "Z"), ("P1DOM_TRUNC", "abc")):
+        monkeypatch.setenv(var, value)
+    assert main(argv) == 0
+    assert capsys.readouterr() == expected
+    assert not target.exists()
 
 
-def test_trunc_max_is_an_unknown_flag(three_term_z_file, monkeypatch,
-                                     capsys):
+def test_trunc_max_is_an_unknown_flag(capsys):
     # --trunc-max bounded no computation and is gone: the flag is refused
-    # and its old preset is not read, so --trunc alone may pass 64
     assert main(["verify", os.path.join(SAMPLES, "x-minus-1.cplx"),
                  "--trunc-max", "64"]) == 2
     assert "unrecognized arguments: --trunc-max" in capsys.readouterr().err
-    monkeypatch.setenv("P1DOM_TRUNC_MAX", "1")
-    assert main(["novikov", "--format", "report", "--trunc", "128",
-                 three_term_z_file]) == 0
-    side = json.loads(capsys.readouterr().out)["x_inv_side"]
-    assert side["method"] == "truncated-contraction"
-    assert side["certificate"]["order"] == 128
 
 
 @pytest.mark.parametrize("flags, env", [
@@ -484,6 +491,7 @@ COMMAND_LINES = [
 
 
 @pytest.mark.parametrize("argv", [
+    ["novikov", "z-contraction.cplx", "--trunc", "1"],
     ["extend", "x-minus-1.cplx", "--trunc", "8"],
     ["hyper", "chart-x2-x3.cplx", "--trunc", "8"],
     ["h0", "x-minus-1.sheaf", "--format", "human"],
@@ -491,9 +499,8 @@ COMMAND_LINES = [
 ] + [argv + ["--seed", "3"] for argv in COMMAND_LINES],
     ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_flag_of_another_command_is_unknown(argv, capsys):
-    # --trunc belongs to novikov and no command takes --seed;
-    # twist-cohomology reads no ring, and h0 writes its complex file in
-    # every format
+    # no command takes --trunc or --seed; twist-cohomology reads no ring,
+    # and h0 writes its complex file in every format
     argv = [_sample(a) for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -512,8 +519,8 @@ def test_flag_of_another_command_is_unknown(argv, capsys):
     # validate's P1DOM_SEED row is the second above
 ] + [("P1DOM_SEED", argv) for argv in COMMAND_LINES[1:]])
 def test_preset_of_another_command_is_not_read(var, command, monkeypatch):
-    # a preset is read only by a command that takes its flag, and
-    # P1DOM_SEED by none
+    # no command reads a P1DOM_ variable, so an invalid value changes
+    # nothing
     monkeypatch.setenv(var, "abc")
     assert main([_sample(a) for a in command]) == 0
 
@@ -569,14 +576,17 @@ def test_usage_and_help_match_the_two_pass_parse(argv, capsys):
         assert f"invalid choice: '{argv[0]}'" in captured.err
 
 
+# what the P1DOM_ variables once preset; none of it is read
 PRESET_VALUES = {"ring": "Q", "format": "report", "out": "out.json",
                  "trunc": 5}
+DEFAULTS = {"ring": None, "format": "human", "out": None}
 
 
 VALID_ARGVS = [
     (["validate", "x-minus-1.cplx"], {}),
-    (["homology", "x-minus-1.cplx", "--ring", "Q"], {}),
-    (["novikov", "x-minus-1.cplx", "--trunc", "8"], {"trunc": 8}),
+    (["homology", "x-minus-1.cplx", "--ring", "Q"], {"ring": "Q"}),
+    (["novikov", "x-minus-1.cplx", "--format", "report"],
+     {"format": "report"}),
     (["extend", "x-minus-1.cplx"], {}),
     (["h0", "x-minus-1.sheaf"], {}),
     (["hyper", "chart-x2-x3.cplx", "--format", "human"], {"format": "human"}),
@@ -590,10 +600,9 @@ VALID_ARGVS = [
                          ids=[argv[0] for argv, _ in VALID_ARGVS])
 def test_command_namespace_carries_command_and_presets(argv, given,
                                                        monkeypatch):
-    # each command's own flags, filled from the presets unless given, and
-    # nothing of another command's
-    flags = {"novikov": ("ring", "format", "out", "trunc"),
-             "h0": ("ring", "out"),
+    # each command's own flags, given or at their defaults whatever the
+    # P1DOM_ variables say, and nothing of another command's
+    flags = {"h0": ("ring", "out"),
              "twist-cohomology": ("format", "out")}.get(
                  argv[0], ("ring", "format", "out"))
     for flag, value in PRESET_VALUES.items():
@@ -604,13 +613,11 @@ def test_command_namespace_carries_command_and_presets(argv, given,
     argv = [_sample(a) for a in argv]
     assert main(argv) == 0
     expected = {"command": argv[0],
-                **{flag: PRESET_VALUES[flag] for flag in flags}, **given}
+                **{flag: DEFAULTS[flag] for flag in flags}, **given}
     if argv[0] != "twist-cohomology":
         expected["input"] = argv[1]
     assert vars(seen[0]) == expected
-    two_pass = PARSER.parse_args(argv)
-    _apply_presets(two_pass)
-    assert vars(two_pass) == expected
+    assert vars(PARSER.parse_args(argv)) == expected
 
 
 @pytest.mark.parametrize("flags", [
@@ -626,35 +633,10 @@ def test_command_namespace_carries_command_and_presets(argv, given,
     ["--ring", " Q"],
 ])
 def test_bad_flag_is_input_error(xm1_file, flags, capsys):
-    # novikov takes --trunc, so its value is checked
+    # a bad value of a flag novikov takes is checked, and --trunc and
+    # --trunc-max are no flags of it
     assert main(["novikov", xm1_file] + flags) == 2
     assert "error" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("var, value", [
-    ("P1DOM_TRUNC", "abc"),
-    ("P1DOM_TRUNC", "0"),
-    ("P1DOM_TRUNC", "-3"),
-    ("P1DOM_FORMAT", "xml"),
-    ("P1DOM_RING", "R"),
-])
-def test_bad_preset_is_input_error(xm1_file, var, value, monkeypatch,
-                                   capsys):
-    # each preset is read by a command that takes its flag
-    monkeypatch.setenv(var, value)
-    argv = ["novikov" if var == "P1DOM_TRUNC" else "verify", xm1_file]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("input error:") and var in err
-
-
-def test_flag_overrides_bad_preset(three_term_z_file, monkeypatch, capsys):
-    monkeypatch.setenv("P1DOM_TRUNC", "abc")
-    assert main(["novikov", "--format", "report", "--trunc", "8",
-                 three_term_z_file]) == 0
-    side = json.loads(capsys.readouterr().out)["x_inv_side"]
-    assert side["method"] == "truncated-contraction"
-    assert side["certificate"]["order"] == 8
 
 
 def test_out_shrinks_a_longer_file_to_the_new_bytes(xm1_file, tmp_path,

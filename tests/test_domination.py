@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from p1dom import domination
 from p1dom import fileformat as ff
 
 from p1dom.cli import main
@@ -46,8 +47,8 @@ def test_field_mode_free_rank_blocks():
     assert v.x_side.acyclic == "no" and v.x_inv_side.acyclic == "no"
 
 
-def test_integer_mode_asymmetry():
-    v = novikov_check(two_term(ZZ, [(0, 2), (1, -1)]), order=16)
+def test_integer_mode_asymmetry(monkeypatch):
+    v = novikov_check(two_term(ZZ, [(0, 2), (1, -1)]))
     assert v.x_side.acyclic == "no"
     assert v.x_inv_side.acyclic == "yes"
     # 2 - x is a unit of Z((x^-1)), whose end coefficient is -1, and not
@@ -56,7 +57,8 @@ def test_integer_mode_asymmetry():
         "determinant": "2 + -1*x", "side": "x", "end_coefficient": "2"}
     assert v.x_inv_side.certificate == {
         "determinant": "2 + -1*x", "side": "x^-1", "end_coefficient": "-1"}
-    assert novikov_check(two_term(ZZ, [(0, 2), (1, -1)]), order=1) == v
+    monkeypatch.setattr(domination, "WINDOW_ORDER", 1)
+    assert novikov_check(two_term(ZZ, [(0, 2), (1, -1)])) == v
 
 
 def test_certificates_render_on_first_read(monkeypatch):
@@ -165,15 +167,18 @@ def test_integer_mode_longer_complex_contraction():
     assert v.x_inv_side.acyclic == "yes"
 
 
-def test_integer_mode_contracts_on_windows_of_width_one():
+def test_integer_mode_contracts_on_windows_of_width_one(monkeypatch):
     # d_2 = (1, 0)^T, d_1 = (0, 1): each constant 1 is a unit of Z[[t]]
     # known to one term, so order 1 already decides both sides
     c = ChainComplex(ZZ, BaseRing.LAURENT, 0, 2, {0: 1, 1: 2, 2: 1}, {
         1: M(ZZ, [[0, 1]]), 2: M(ZZ, [[1], [0]])})
-    v = novikov_check(c, order=1)
+    monkeypatch.setattr(domination, "WINDOW_ORDER", 1)
+    v = novikov_check(c)
     assert (v.x_side.acyclic, v.x_inv_side.acyclic) == ("yes", "yes")
     assert v.x_side.method == "truncated-contraction"
-    v = novikov_check(c, order=2)
+    assert v.x_side.certificate["order"] == 1
+    monkeypatch.setattr(domination, "WINDOW_ORDER", 2)
+    v = novikov_check(c)
     assert (v.x_side.acyclic, v.x_inv_side.acyclic) == ("yes", "yes")
 
 
@@ -391,8 +396,6 @@ def test_verify_theorem_randomised():
                          ids=["verify_theorem", "dominate"])
 def test_integer_complex_is_refused_before_any_novikov_search(monkeypatch,
                                                               run):
-    import p1dom.domination as domination
-
     def no_search(*args):
         raise AssertionError("Z Novikov search on a refused complex")
 
@@ -478,8 +481,6 @@ def test_witness_pipeline_validates_once(monkeypatch, run):
 
 def _count_calls(monkeypatch, name):
     """The arguments of every call of ``domination.<name>`` from now on."""
-    import p1dom.domination as domination
-
     calls = []
     original = getattr(domination, name)
 
@@ -576,8 +577,6 @@ def test_w_equals_the_sections_built_by_multiplication():
 
 
 def test_a_ledger_failure_names_its_degree(monkeypatch, tmp_path, capsys):
-    import p1dom.domination as domination
-
     original = domination.homology_dims
     monkeypatch.setattr(domination, "homology_dims", lambda w: {
         q: dim + (q == 0) for q, dim in original(w).items()})

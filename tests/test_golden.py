@@ -14,13 +14,12 @@ rewrite the copies with
 import contextlib
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
 import pytest
 
-from p1dom.cli import PRESETS, main
+from p1dom.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLES = sorted((ROOT / "samples").glob("*.cplx"))
@@ -37,18 +36,12 @@ def _name(sample, command):
 
 
 def run_report(sample, command):
-    """(exit code, stdout, stderr) of one report run, with no presets."""
+    """(exit code, stdout, stderr) of one report run."""
     argv = ([command] + ([] if command == "h0" else ["--format", "report"])
             + [str(sample)])
-    saved = {var: os.environ.pop(var, None) for var, _, _ in PRESETS.values()}
     out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-    finally:
-        for var, value in saved.items():
-            if value is not None:
-                os.environ[var] = value
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 

@@ -1,6 +1,5 @@
 """Size bounds on what the CLI computes and writes.
 
-Truncation orders stop at MAX_ORDER (for flags and presets alike),
 twist-cohomology refuses a rank, twist or split past the file bounds or a
 basis past HYPER_ROW_BUDGET monomials, and extend and h0 write nothing
 that the loader would refuse.  Each bound is tested at its value and one
@@ -8,13 +7,11 @@ past it.  hyper reports the exact chart homology, with no order and no
 row budget.
 """
 
-import os
-
 import pytest
 
 from p1dom import cli
 from p1dom import fileformat as ff
-from p1dom.cli import HYPER_ROW_BUDGET, MAX_ORDER, main
+from p1dom.cli import HYPER_ROW_BUDGET, main
 from p1dom.complexes import ChainComplex
 from p1dom.errors import FormatError
 from p1dom.extension import extend_complex
@@ -23,36 +20,6 @@ from p1dom.scalars import GF, QQ
 from p1dom.sheaves import SheafComplex, twisting_sheaf
 
 from helpers import P, grid_matrix, load_complex, load_sheaf, two_term
-
-SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
-XM1 = os.path.join(SAMPLES, "x-minus-1.cplx")
-
-
-def test_max_order_is_the_exponent_bound():
-    assert MAX_ORDER == ff.MAX_EXPONENT == 4096
-
-
-@pytest.mark.parametrize("flag", ["--trunc"])
-def test_order_flags_at_and_past_the_bound(flag, capsys):
-    args = ["novikov", XM1, flag]
-    assert main(args + [str(MAX_ORDER)]) == 0
-    capsys.readouterr()
-    assert main(args + [str(MAX_ORDER + 1)]) == 2
-    err = capsys.readouterr().err
-    assert f"must be at most MAX_ORDER = {MAX_ORDER}, got {MAX_ORDER + 1}" \
-        in err
-
-
-@pytest.mark.parametrize("var", ["P1DOM_TRUNC"])
-def test_order_presets_at_and_past_the_bound(var, monkeypatch, capsys):
-    monkeypatch.setenv(var, str(MAX_ORDER))
-    assert main(["novikov", XM1]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv(var, str(MAX_ORDER + 1))
-    assert main(["novikov", XM1]) == 2
-    assert capsys.readouterr().err == (
-        f"input error: {var}: must be at most MAX_ORDER = {MAX_ORDER}, "
-        f"got {MAX_ORDER + 1}\n")
 
 
 def _chart_file(tmp_path, rank):
@@ -74,7 +41,7 @@ def test_hyper_is_exact_on_a_rank_8_chart(tmp_path, capsys):
     assert main(["hyper", path]) == 0
     assert capsys.readouterr().out == ("H_0: free rank 0, torsion dim 16\n"
                                        "H_1: free rank 0, torsion dim 0\n")
-    assert main(["hyper", path, "--trunc", str(MAX_ORDER)]) == 2
+    assert main(["hyper", path, "--trunc", str(ff.MAX_EXPONENT)]) == 2
 
 
 # -- outputs the loader would refuse ---------------------------------------------

@@ -117,7 +117,8 @@ def random_chart(rng, ring):
 def test_fpqc_total_equals_hypercohomology(seed, ring):
     # the total of the windows at N has dimension N f_q + t_q + t_{q-1}
     # once N exceeds every valuation: f the free ranks and t the torsion
-    # dimensions of the exact chart homology
+    # dimensions of the exact chart homology, which Z charts do not have
+    # (Z[[x]] is no discrete valuation ring)
     rng = random.Random(seed)
     if rng.random() < 0.5:
         chart = random_chart(rng, ring)
@@ -125,6 +126,10 @@ def test_fpqc_total_equals_hypercohomology(seed, ring):
         chart = sheaf_chart(extend_complex(
             random_novikov_acyclic(rng, ring, 2)).sheaf, "plus")
     assert chart.validate() == []
+    if not ring.is_field:
+        with pytest.raises(UnsupportedRingError):
+            chart_homology(chart)
+        return
     exact = chart_homology(chart)
     assert list(exact) == list(chart.degrees())
     free = {q: f for q, (f, _) in exact.items()}

@@ -2,12 +2,13 @@
 
 Over Z, ``novikov_check`` decides each side of a square two-term complex
 by the end coefficient of its determinant, and of a longer one by the
-greedy unit-pivot contraction on windows of ``order`` terms.
+greedy unit-pivot contraction on windows of ``WINDOW_ORDER`` terms.
 This test pins both sides (acyclic, method, certificate) of 300 generated
 Z complexes, 100 for each span 1 to 3, alternately from
 ``random_novikov_acyclic`` and ``random_complex`` with 2 to 9 pieces at
-most, at the orders 1, 2, 3 and 16, so that a change to the Z kernel
-that moves any verdict or any certificate byte fails here.  For each span
+most, at the orders 1, 2, 3 and 16 (``domination.WINDOW_ORDER`` set for
+each), so that a change to the Z kernel that moves any verdict or any
+certificate byte fails here.  For each span
 and order the sha256 of the canonical dumps of both sides is compared
 with a stored digest.  The digests at orders 1 to 3 were last
 regenerated when the unit-pivot search began to pivot on windows of
@@ -25,6 +26,7 @@ import random
 
 import pytest
 
+from p1dom import domination
 from p1dom import fileformat as ff
 from p1dom.domination import novikov_check
 from p1dom.generators import random_complex, random_novikov_acyclic
@@ -80,10 +82,10 @@ def side(verdict):
             "certificate": verdict.certificate}
 
 
-def digest(span, order):
+def digest(span):
     h = hashlib.sha256()
     for c in corpus(span):
-        verdict = novikov_check(c, order)
+        verdict = novikov_check(c)
         h.update(ff.dumps_canonical(
             [side(verdict.x_side), side(verdict.x_inv_side)])
             .encode("utf-8"))
@@ -92,12 +94,14 @@ def digest(span, order):
 
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("span", SPANS)
-def test_z_verdict_digests_are_pinned(span, order):
-    assert digest(span, order) == DIGESTS[f"{span}/{order}"]
+def test_z_verdict_digests_are_pinned(span, order, monkeypatch):
+    monkeypatch.setattr(domination, "WINDOW_ORDER", order)
+    assert digest(span) == DIGESTS[f"{span}/{order}"]
 
 
 if __name__ == "__main__":
     for span in SPANS:
         for order in ORDERS:
+            domination.WINDOW_ORDER = order
             print(f'    "{span}/{order}":\n'
-                  f'        "{digest(span, order)}",')
+                  f'        "{digest(span)}",')
