@@ -9,7 +9,7 @@ from p1dom import complexes, domination
 from p1dom import fileformat as ff
 from p1dom.cli import COMMANDS, HANDLERS, PARSER, main
 from p1dom.complexes import ChainComplex
-from p1dom.errors import BaseRingViolationError, UnsupportedRingError
+from p1dom.errors import BaseRingViolationError
 from p1dom.laurent import BaseRing
 from p1dom.scalars import QQ, ZZ
 from p1dom.sheaves import SheafComplex, TwistSummand
@@ -85,17 +85,23 @@ def test_wrong_base_is_an_input_error(base, tmp_path, capsys):
             assert f"the file has base {base.tag}" in err
 
 
-@pytest.mark.parametrize("base", [BaseRing.K, BaseRing.LAURENT],
+@pytest.mark.parametrize("base", [BaseRing.K, BaseRing.POLY,
+                                  BaseRing.LAURENT],
                          ids=lambda b: b.tag)
 def test_z_coefficients_are_an_input_error(base, tmp_path, capsys):
-    # homology, dominate and verify need field coefficients: a Z file is
-    # an input error (exit 2) naming the ring, never a mathematical FAIL;
-    # the commands that run over Z still succeed
+    # homology, hyper, dominate and verify need field coefficients: a Z
+    # file is an input error (exit 2) naming the ring, never a
+    # mathematical FAIL or a wrong count; the commands that run over Z
+    # still succeed
     path = tmp_path / "z.cplx"
     if base == BaseRing.K:
         data = ff.complex_to_dict(single(ZZ, BaseRing.POLY, 0, 1))
         data["base"] = "K"
         commands = ("homology", "validate")
+    elif base == BaseRing.POLY:
+        # coker 2 over Z[[x]] is (Z/2)[[x]], not zero
+        data = ff.complex_to_dict(two_term(ZZ, [(0, 2)], base=base))
+        commands = ("hyper", "validate")
     else:
         data = ff.complex_to_dict(two_term(ZZ, [(1, 1), (0, -1)]))
         commands = ("homology", "novikov", "extend", "dominate", "verify",
@@ -103,33 +109,14 @@ def test_z_coefficients_are_an_input_error(base, tmp_path, capsys):
     ff.save_path(path, data)
     for command in commands:
         code = main([command, str(path)])
-        err = capsys.readouterr().err
-        if command in ("homology", "dominate", "verify"):
-            assert code == 2, (command, err)
+        captured = capsys.readouterr()
+        err = captured.err
+        if command in ("homology", "hyper", "dominate", "verify"):
+            assert code == 2 and captured.out == "", (command, err)
             assert err == (f"input error: {command} needs field coefficients "
                            "(Q or GF:p), the file has ring Z (at ring)\n")
         else:
             assert code == 0, (command, err)
-
-
-@pytest.mark.parametrize("entry", [[(0, 2)], [(0, 2), (1, 1)]],
-                         ids=["2", "2+x"])
-def test_hyper_refuses_z_coefficients(entry, tmp_path, capsys):
-    # coker 2 and coker 2 + x over Z[[x]] are not zero, but neither pivot
-    # has a positive x-adic valuation: the chart kernel counts torsion
-    # only over a field, where K[[x]] is a discrete valuation ring
-    c = two_term(ZZ, entry, base=BaseRing.POLY)
-    with pytest.raises(UnsupportedRingError,
-                       match=r"^chart homology needs field coefficients, "
-                             r"not Z$"):
-        domination.chart_homology(c)
-    path = tmp_path / "z-chart.cplx"
-    ff.save_path(path, ff.complex_to_dict(c))
-    assert main(["hyper", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("input error: hyper needs field coefficients "
-                            "(Q or GF:p), the file has ring Z (at ring)\n")
 
 
 def test_verify_fail_exit_one(free_rank_file, capsys):
@@ -518,11 +505,16 @@ def test_flag_of_another_command_is_unknown(argv, capsys):
     ("P1DOM_TRUNC", ["hyper", "chart-x2-x3.cplx"]),
     # validate's P1DOM_SEED row is the second above
 ] + [("P1DOM_SEED", argv) for argv in COMMAND_LINES[1:]])
-def test_preset_of_another_command_is_not_read(var, command, monkeypatch):
-    # no command reads a P1DOM_ variable, so an invalid value changes
-    # nothing
+def test_preset_of_another_command_is_not_read(var, command, monkeypatch,
+                                                capsys):
+    # no command reads a P1DOM_ variable (they once preset the flags), so
+    # an invalid value changes no byte and no exit code
+    argv = [_sample(a) for a in command]
+    assert main(argv) == 0
+    expected = capsys.readouterr()
     monkeypatch.setenv(var, "abc")
-    assert main([_sample(a) for a in command]) == 0
+    assert main(argv) == 0
+    assert capsys.readouterr() == expected
 
 
 def _sample(arg):
@@ -577,8 +569,7 @@ def test_usage_and_help_match_the_two_pass_parse(argv, capsys):
 
 
 # what the P1DOM_ variables once preset; none of it is read
-PRESET_VALUES = {"ring": "Q", "format": "report", "out": "out.json",
-                 "trunc": 5}
+PRESET_VALUES = {"ring": "Q", "format": "report", "out": "out.json"}
 DEFAULTS = {"ring": None, "format": "human", "out": None}
 
 

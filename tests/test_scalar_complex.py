@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from p1dom import fileformat as ff
 from p1dom.cli import main
 from p1dom.complexes import (ChainComplex, ScalarComplex, homology,
-                             homology_dims)
+                             homology_dims, homology_ranks)
 from p1dom.domination import _valuations, chart_homology, dominate
 from p1dom.errors import FormatError, ShapeError, UnsupportedRingError
 from p1dom.extension import extend_complex
@@ -116,9 +116,9 @@ def random_chart(rng, ring):
        ring=st.sampled_from(FIELDS + [ZZ]))
 def test_fpqc_total_equals_hypercohomology(seed, ring):
     # the total of the windows at N has dimension N f_q + t_q + t_{q-1}
-    # once N exceeds every valuation: f the free ranks and t the torsion
-    # dimensions of the exact chart homology, which Z charts do not have
-    # (Z[[x]] is no discrete valuation ring)
+    # once N exceeds every valuation: f the free ranks and t the sums of
+    # the valuations, read off _valuations (chart_homology refuses Z
+    # charts, but _determinant and the pivot counts still read them)
     rng = random.Random(seed)
     if rng.random() < 0.5:
         chart = random_chart(rng, ring)
@@ -126,16 +126,18 @@ def test_fpqc_total_equals_hypercohomology(seed, ring):
         chart = sheaf_chart(extend_complex(
             random_novikov_acyclic(rng, ring, 2)).sheaf, "plus")
     assert chart.validate() == []
-    if not ring.is_field:
+    valuations = _valuations(chart, 1)
+    free = homology_ranks(chart.ranks,
+                          {m: len(vs) for m, vs in valuations.items()})
+    torsion = {q: sum(valuations.get(q + 1, ())) for q in chart.degrees()}
+    if ring.is_field:
+        exact = chart_homology(chart)
+        assert list(exact) == list(chart.degrees())
+        assert exact == {q: (free[q], torsion[q]) for q in chart.degrees()}
+    else:
         with pytest.raises(UnsupportedRingError):
             chart_homology(chart)
-        return
-    exact = chart_homology(chart)
-    assert list(exact) == list(chart.degrees())
-    free = {q: f for q, (f, _) in exact.items()}
-    torsion = {q: t for q, (_, t) in exact.items()}
-    largest = max((v for vs in _valuations(chart, 1).values() for v in vs),
-                  default=0)
+    largest = max((v for vs in valuations.values() for v in vs), default=0)
     # the total starts in degree lo - 1
     degrees = range(chart.lo - 1, chart.hi + 1)
     for n in (1 + largest, 2 * (1 + largest)):
@@ -149,6 +151,19 @@ def test_fpqc_total_equals_hypercohomology(seed, ring):
 def test_fpqc_hyper_dims_of_x2_minus_x3():
     chart = two_term(QQ, [(2, 1), (3, -1)], base=BaseRing.POLY)
     assert chart_homology(chart) == {0: (0, 2), 1: (0, 0)}
+
+
+@pytest.mark.parametrize("entry", [[(0, 2)], [(0, 2), (1, 1)]],
+                         ids=["2", "2+x"])
+def test_chart_homology_refuses_z_coefficients(entry):
+    # coker 2 and coker 2 + x over Z[[x]] are not zero, but neither pivot
+    # has a positive x-adic valuation: the valuations count torsion only
+    # over a field, where K[[x]] is a discrete valuation ring
+    chart = two_term(ZZ, entry, base=BaseRing.POLY)
+    with pytest.raises(UnsupportedRingError,
+                       match=r"^chart homology needs field coefficients, "
+                             r"not Z$"):
+        chart_homology(chart)
 
 
 # -- validate against a dense d.d product -----------------------------------
