@@ -23,8 +23,8 @@ from .extension import ExtensionResult, extend_complex, restrict_to_torus
 from .laurent import BaseRing, LaurentPoly
 from .matrices import LaurentMatrix
 from .scalars import GF, QQ, ZZ, CoefficientRing, ring_from_tag
-from .sheaves import (CechCohomology, SheafComplex, TwistSummand,
-                      cech_cohomology, cech_complex, twisting_sheaf)
+from .sheaves import (CechCohomology, SheafComplex, cech_cohomology,
+                      cech_complex, twisting_sheaf)
 from .smith import invariant_factors
 
 __version__ = "0.1.0"

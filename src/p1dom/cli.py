@@ -17,9 +17,11 @@ chart homology, so no command takes a truncation order.
 
 Sizes are bounded as file contents are: ``twist-cohomology`` takes a rank
 r from 0 to MAX_RANK, a twist n, split k and n - k within MAX_EXPONENT and
-at most HYPER_ROW_BUDGET basis monomials, and ``extend`` and ``h0`` write
-no file that the loader refuses: they run it on the data first (exit 2 in
-each case).
+at most HYPER_ROW_BUDGET basis monomials, ``extend`` and ``h0`` write
+no file that the loader refuses: they run it on the data first, and
+``h0``, ``dominate`` and ``verify`` build W through ``cech_complex``,
+which refuses a degree of W above MAX_RANK before it builds a row (exit
+2 in each case).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import stat
 import sys
 
 from . import fileformat as ff
-from .complexes import homology, require_valid
+from .complexes import check_rank, homology, require_valid
 from .domination import (chart_homology, dominate, novikov_check,
                          verify_theorem)
 from .errors import (FormatError, NotNovikovAcyclicError, P1DomError,
@@ -278,19 +280,8 @@ def cmd_extend(args):
 def cmd_h0(args):
     s = _load_sheaf(args)
     require_valid(s.mid)
-    # a summand of twist n >= -1 gives W a band of n + 1 monomials
-    # (cech_complex refuses n <= -2), so W is bounded before it is built
-    _check_w_ranks({m: sum(max(t.n + 1, 0) for t in twists)
-                    for m, twists in s.twists.items()})
     _write_file(args, ff.complex_to_dict(cech_complex(s)))
     return EXIT_OK
-
-
-def _check_w_ranks(ranks):
-    """W is sparse but its file is dense: the loader's rank check runs
-    before any cell is written."""
-    _read_back(ff._read_degrees, {"degrees": [
-        {"degree": m, "rank": r} for m, r in ranks.items()]})
 
 
 def cmd_hyper(args):
@@ -313,18 +304,10 @@ def cmd_dominate(args):
     for row in witness.ledger:
         lines.append(f"  degree {row.degree}: {row.w_dim} = "
                      f"{row.mid_kdim} + {row.plus_dim} + {row.minus_dim}")
-    _emit(args, lines, lambda: _dominate_report(args, witness))
+    _emit(args, lines, lambda: {
+        "command": "dominate", "input_digest": args.input_digest,
+        "w": ff.complex_to_dict(witness.w), **witness.report_fields()})
     return EXIT_OK
-
-
-def _dominate_report(args, witness):
-    _check_w_ranks(witness.w_ranks())
-    return {
-        "command": "dominate",
-        "input_digest": args.input_digest,
-        "w": ff.complex_to_dict(witness.w),
-        **witness.report_fields(),
-    }
 
 
 def cmd_verify(args):
@@ -342,7 +325,7 @@ def cmd_verify(args):
 def cmd_twist_cohomology(args):
     if args.r < 0:
         raise FormatError(f"rank must be at least 0, got {args.r}", "r")
-    ff._check_rank(args.r, "r")
+    check_rank(args.r, "r")
     for value, where in ((args.n, "n"), (args.k, "--k"),
                          (args.n - args.k, "n - k")):
         ff._check_exponent(value, where)

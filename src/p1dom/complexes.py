@@ -21,12 +21,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import RingMismatchError, ShapeError, UnsupportedRingError
+from .errors import (FormatError, RingMismatchError, ShapeError,
+                     UnsupportedRingError)
 from .laurent import BaseRing
 from .matrices import LaurentMatrix, scalar_rank
 from .polylists import ONE, cleared, lincomb
 from .scalars import CoefficientRing
 from .smith import invariant_factors
+
+# the largest rank of a degree in a file or in W: both are written densely
+MAX_RANK = 512
+
+
+def check_rank(rank: int, where: str):
+    """A rank above MAX_RANK is a FormatError at ``where``."""
+    if rank > MAX_RANK:
+        raise FormatError(f"rank {rank} exceeds {MAX_RANK}", where)
 
 
 class ChainComplex:

@@ -41,7 +41,9 @@ class StabilisationFailureError(P1DomError, RuntimeError):
 
 
 class FormatError(P1DomError, ValueError):
-    """A file or serialised object does not match the expected format.
+    """A file or serialised object does not match the expected format,
+    or a complex to be written densely is too large for it: a degree of
+    the global sections W above MAX_RANK (``sheaves.cech_complex``).
 
     Carries a ``location`` string pointing at the offending field.
     """

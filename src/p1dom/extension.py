@@ -9,8 +9,9 @@ extend_complex runs the downward-induction construction: the top level
 gets the trivial split (0, 0) and level m the twist_shift of d_{m+1} into
 an untwisted C_m, that is k_m = max(0, k_{m+1} + maxdeg d_{m+1}) and
 l_m = max(0, l_{m+1} - mindeg d_{m+1}), a zero differential carrying the
-twist of degree m + 1.  The result is the input complex with these
-twists, so it restricts to the input on the nose.  The twists are legal
+twist of degree m + 1.  Level m stores its split as rank(m) copies of
+the (k, l) pair.  The result is the input complex with these twists, so
+it restricts to the input on the nose.  The twists are legal
 by their choice, and the sheaf is stored without the constructor's
 legality scan (the proof is in ``extend_valid_complex``).  Minimality is
 checked in the tests by brute-force legality scans.  The paper's other
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from .complexes import ChainComplex, require_valid
 from .errors import UnsupportedRingError
 from .laurent import BaseRing
-from .sheaves import SheafComplex, TwistSummand, twist_shift
+from .sheaves import SheafComplex, twist_shift
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ def extend_complex(c: ChainComplex) -> ExtensionResult:
     return extend_valid_complex(c)
 
 
-_UNTWISTED = TwistSummand(0, 0)
+_UNTWISTED = (0, 0)
 
 
 def extend_valid_complex(c: ChainComplex) -> ExtensionResult:
@@ -76,7 +77,7 @@ def extend_valid_complex(c: ChainComplex) -> ExtensionResult:
     for m in range(c.hi - 1, c.lo - 1, -1):
         split = twist_shift(c.diffs[m + 1], (_UNTWISTED,) * c.rank(m),
                             twists[m + 1]) or split
-        twists[m] = (TwistSummand(*split),) * c.rank(m)
+        twists[m] = (split,) * c.rank(m)
     return ExtensionResult(SheafComplex._legal(c, dict(reversed(
         twists.items()))))
 

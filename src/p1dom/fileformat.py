@@ -18,9 +18,10 @@ Loading is bounded before anything is built: a degree span above
 MAX_DEGREE_SPAN, a rank above MAX_RANK, an exponent above MAX_EXPONENT or
 a twist above MAX_TWIST (MAX_DEGREE_SPAN * MAX_EXPONENT, as an extension's
 twists add up over its differentials) in absolute value is a FormatError
-naming the field.  (An omitted differential is a zero matrix of empty rows;
-exponents and twists set the sizes of the monomial bands of the global
-sections.)  Each polynomial is stored dense over its exponent span, so the
+naming the field.  MAX_RANK and its check come from ``complexes``, where
+``sheaves.cech_complex`` reads them too: W is written densely as well.
+(An omitted differential is a zero matrix of empty rows; exponents and
+twists set the sizes of the monomial bands of the global sections.)  Each polynomial is stored dense over its exponent span, so the
 sum of max - min + 1 over the cells of a file, its dense coefficient
 slots, may not pass MAX_DENSE_SLOTS: the cell that passes it is a
 FormatError, raised before that cell is built.  The CLI runs the
@@ -35,8 +36,9 @@ A sheaf file is a complex file over K[x,x^-1] with the format
 force them (see SheafComplex); version 1 stored them as ``minus`` and
 ``plus`` and is refused.  One reader reads the header, degrees and
 differentials of both kinds and builds the complex, with no d.d check;
-the sheaf loader adds the profile and builds the sheaf through the
-SheafComplex constructor, whose scan of the gluing rule refuses twists
+the sheaf loader adds the profile, each level its rank copies of the
+profile's (k, l) pair, and builds the sheaf through the SheafComplex
+constructor, whose scan of the gluing rule refuses twists
 too small for a differential.  A profile degree that repeats or is not
 in ``degrees`` is a FormatError at that entry.  The bounds above count
 only what the file stores.
@@ -48,21 +50,21 @@ import hashlib
 import json
 from json.encoder import encode_basestring_ascii as _escape
 
-from .complexes import ChainComplex, ScalarComplex
+from .complexes import MAX_RANK, ChainComplex, ScalarComplex, check_rank
 from .errors import (BaseRingViolationError, FormatError,
                      UnsupportedRingError)
 from .laurent import BaseRing, LaurentPoly, base_from_tag
 from .matrices import LaurentMatrix, ScalarMatrix
 from .polylists import from_terms
 from .scalars import CoefficientRing, ring_from_tag
-from .sheaves import SheafComplex, TwistSummand
+from .sheaves import SheafComplex
 
 COMPLEX_FORMAT = "p1dom-complex"
 SHEAF_FORMAT = "p1dom-sheaf-complex"
 # the version each format is written at and the one it is read at
 VERSIONS = {COMPLEX_FORMAT: 1, SHEAF_FORMAT: 2}
 MAX_DEGREE_SPAN = 16
-MAX_RANK = 512
+# MAX_RANK is imported from complexes, whose check bounds W as well
 MAX_EXPONENT = 4096
 MAX_TWIST = MAX_DEGREE_SPAN * MAX_EXPONENT
 # dense coefficient slots in one file, summed over every cell it stores
@@ -122,11 +124,6 @@ def _check_exponent(e, where: str, field="exponent", bound=MAX_EXPONENT):
     if abs(_integer(e, field, where)) > bound:
         raise FormatError(
             f"{field} {e} exceeds {bound} in absolute value", where)
-
-
-def _check_rank(rank: int, where: str):
-    if rank > MAX_RANK:
-        raise FormatError(f"rank {rank} exceeds {MAX_RANK}", where)
 
 
 def _pairs(entry, render):
@@ -214,7 +211,8 @@ def _read_degrees(data):
         rank = _integer(item.get("rank"), "rank", f"{loc}.rank")
         if rank < 0:
             raise FormatError("negative rank", loc)
-        _check_rank(rank, f"{loc}.rank")
+        if rank > MAX_RANK:  # the location is formatted for a refusal only
+            check_rank(rank, f"{loc}.rank")
         if degree in ranks:
             raise FormatError("duplicate degree", loc)
         ranks[degree] = rank
@@ -320,8 +318,7 @@ def sheaf_from_dict(data: dict) -> SheafComplex:
         if rank and m not in profile:
             raise FormatError(f"degree {m} missing from twist_profile",
                               "twist_profile")
-    twists = {m: (TwistSummand(*profile.get(m, (0, 0))),) * r
-              for m, r in mid.ranks.items()}
+    twists = {m: (profile.get(m, (0, 0)),) * r for m, r in mid.ranks.items()}
     try:
         return SheafComplex(mid, twists)
     except BaseRingViolationError as exc:

@@ -1,6 +1,6 @@
 """Sheaves on the projective line as sums of twisting sheaves.
 
-A level of a sheaf is a tuple of ``TwistSummand``: summand i with the
+A level of a sheaf is a tuple of (k, l) int pairs: summand i with the
 split (k, l) is the twisting sheaf O(k + l), whose torus maps from the
 K[x^-1] and K[x] charts are x^k and x^-l.  By Birkhoff-Grothendieck
 (Grothendieck 1957) every vector bundle on P^1 is such a sum up to
@@ -31,47 +31,37 @@ is in ``extend_valid_complex``): it stores its sheaf through
 Global sections and first cohomology of a sum of twists are banded monomial
 spaces: for a summand of twist n = k + l the section basis is
 x^-l, ..., x^k (when n >= 0) and the obstruction basis is
-x^{k+1}, ..., x^{-l-1} (when n <= -2).  ``cech_complex`` fills W's rows
-straight from the entries of each differential's rows.
+x^{k+1}, ..., x^{-l-1} (when n <= -2).  ``cech_complex`` counts the
+ranks of W from the twists, refuses one above MAX_RANK before it builds
+a row, and fills W's rows straight from the entries of each
+differential's rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import ChainComplex, ScalarComplex
+from .complexes import ChainComplex, ScalarComplex, check_rank
 from .errors import (BaseRingViolationError, NonVanishingH1Error,
                      ShapeError, UnsupportedRingError)
 from .laurent import BaseRing, LaurentPoly
 from .matrices import LaurentMatrix, ScalarMatrix
 
 
-@dataclass(frozen=True)
-class TwistSummand:
-    """Twist split of one line-bundle summand: n = k + l."""
-
-    k: int
-    l: int
-
-    @property
-    def n(self) -> int:
-        return self.k + self.l
-
-
 def chart_shifts(d: LaurentMatrix, target, source):
     """(i, j, e, a, b) for each entry e = d[i][j] of the rows of a torus map
     d from the twist sum ``source`` to the twist sum ``target`` (sequences
-    of TwistSummand): its chart entries are x^a e over K[x^-1] and x^b e
+    of (k, l) splits): its chart entries are x^a e over K[x^-1] and x^b e
     over K[x], with the chart exponents
 
         a = k_j(source) - k_i(target),   b = l_i(target) - l_j(source),
 
     so e is legal over K[x^-1] iff maxdeg e + a <= 0 and over K[x] iff
     mindeg e + b >= 0.  This is the one gluing rule of the package."""
-    for i, (row, t) in enumerate(zip(d.data, target)):
+    for i, (row, (k, l)) in enumerate(zip(d.data, target)):
         for j, e in row.items():
-            s = source[j]
-            yield i, j, e, s.k - t.k, t.l - s.l
+            sk, sl = source[j]
+            yield i, j, e, sk - k, l - sl
 
 
 def twist_shift(d: LaurentMatrix, target, source):
@@ -93,7 +83,7 @@ def twist_shift(d: LaurentMatrix, target, source):
 
 def twisting_sheaf(n: int, k: int = 0, rank: int = 1) -> tuple:
     """r copies of the nth twisting sheaf with the split (k, l = n - k)."""
-    return (TwistSummand(k, n - k),) * rank
+    return ((k, n - k),) * rank
 
 
 # -- cohomology of a single level -----------------------------------------------
@@ -112,7 +102,7 @@ class CechCohomology:
 
 def cech_cohomology(twists) -> CechCohomology:
     """H0 and H1 of the sum of the twisting sheaves ``twists`` (a sequence
-    of TwistSummand).
+    of (k, l) splits).
 
     A summand of split (k, l) has the torus maps x^k and x^-l, so its
     sections x^k K[x^-1] meet x^-l K[x] in the Laurent polynomials with
@@ -122,11 +112,11 @@ def cech_cohomology(twists) -> CechCohomology:
     """
     h0 = []
     h1 = []
-    for i, t in enumerate(twists):
+    for i, (k, l) in enumerate(twists):
         # the first range is empty unless n >= 0, the second unless
         # n <= -2
-        h0.extend((i, e) for e in range(-t.l, t.k + 1))
-        h1.extend((i, e) for e in range(t.k + 1, -t.l))
+        h0.extend((i, e) for e in range(-l, k + 1))
+        h1.extend((i, e) for e in range(k + 1, -l))
     return CechCohomology(len(h0), len(h1), tuple(h0), tuple(h1))
 
 
@@ -136,7 +126,7 @@ def cech_cohomology(twists) -> CechCohomology:
 class SheafComplex:
     """A bounded free K[x,x^-1]-complex with a twist split per generator.
 
-    ``twists`` maps a degree m to the TwistSummand of each generator of
+    ``twists`` maps a degree m to the split (k, l) of each generator of
     C_m: level m is their sum, with torus maps diag(x^k) from the K[x^-1]
     chart and diag(x^-l) from the K[x] chart.  A degree left out has no
     summands; a twist at a degree outside the support of ``mid`` is a
@@ -207,7 +197,7 @@ class SheafComplex:
         """degree m -> the exponents a of the torus maps x^a of the
         summands of level m: a = k on the minus side, -l on the plus
         side."""
-        return {m: [t.k if side == "minus" else -t.l for t in ts]
+        return {m: [k if side == "minus" else -l for k, l in ts]
                 for m, ts in self.twists.items()}
 
     @property
@@ -225,7 +215,7 @@ class SheafComplex:
         profile = {}
         split = (0, 0)
         for m in sorted(self.twists, reverse=True):
-            splits = {(t.k, t.l) for t in self.twists[m]}
+            splits = set(self.twists[m])
             if len(splits) > 1:
                 raise ShapeError(f"level {m} mixes twist splits")
             split = profile[m] = splits.pop() if splits else split
@@ -243,6 +233,10 @@ def cech_complex(s: SheafComplex) -> ScalarComplex:
     chart exponents a = k_j(m) - k_i(m-1), b = l_i(m-1) - l_j(m) (the
     SheafComplex legality check), so every exponent of p x^e lies in
     [-l_i(m-1), k_i(m-1)], the band of summand i in degree m - 1.
+
+    Every rank of W is counted before any row is built, and a rank above
+    MAX_RANK is a FormatError naming the degree of W (``check_rank``):
+    files and reports write W densely.
     """
     ring = s.ring
     # the band of summand i in degree m has rows offsets[m][i] + e for
@@ -250,12 +244,13 @@ def cech_complex(s: SheafComplex) -> ScalarComplex:
     offsets, ranks = {}, {}
     for m, twists in s.twists.items():
         offsets[m], ranks[m] = [], 0
-        for i, t in enumerate(twists):
-            if t.n <= -2:
+        for i, (k, l) in enumerate(twists):
+            if k + l <= -2:
                 raise NonVanishingH1Error(
-                    f"level {m} summand {i} has twist {t.n} <= -2")
-            offsets[m].append(ranks[m] + t.l)
-            ranks[m] += t.n + 1
+                    f"level {m} summand {i} has twist {k + l} <= -2")
+            offsets[m].append(ranks[m] + l)
+            ranks[m] += k + l + 1
+        check_rank(ranks[m], f"W degree {m}")
     diffs = {}
     for m, d in s.mid.diffs.items():
         rows = [{} for _ in range(ranks[m - 1])]
@@ -266,17 +261,17 @@ def cech_complex(s: SheafComplex) -> ScalarComplex:
             for j, (v, c) in row.items():
                 columns[j].append((off + v, c))
         col = 0
-        for column, t in zip(columns, s.twists[m]):
-            if not column:  # writes no cell: skip its band of t.n + 1
-                col += t.n + 1
+        for column, (k, l) in zip(columns, s.twists[m]):
+            if not column:  # writes no cell: skip its band of k + l + 1
+                col += k + l + 1
                 continue
-            for e in range(-t.l, t.k + 1):
+            for e in range(-l, k + 1):
                 # distinct (row, exponent) pairs hit distinct target
                 # monomials, so every cell is written once
                 for start, c in column:
-                    for k, x in enumerate(c, start + e):
+                    for r, x in enumerate(c, start + e):
                         if x:
-                            rows[k][col] = x
+                            rows[r][col] = x
                 col += 1
         # col ran up through 0..ranks[m] - 1, so no key scan is needed
         diffs[m] = ScalarMatrix._stored(ring, len(rows), ranks[m], rows)

@@ -19,7 +19,7 @@ from p1dom.matrices import LaurentMatrix, ScalarMatrix, scalar_rank
 from p1dom.polylists import (MINUS_ONE, ONE, cleared, exact_quotient,
                              integer_row, lincomb, pseudo_divmod, scaled)
 from p1dom.scalars import GF, QQ
-from p1dom.sheaves import SheafComplex, TwistSummand, cech_cohomology
+from p1dom.sheaves import SheafComplex, cech_cohomology
 from p1dom.smith import _echelon, _require_field
 
 
@@ -682,8 +682,8 @@ def direct_sum(a, b):
 
 
 def shifted_summand(t, dk, dl):
-    """The TwistSummand t with its split raised by (dk, dl)."""
-    return TwistSummand(t.k + dk, t.l + dl)
+    """The twist split t = (k, l) raised by (dk, dl)."""
+    return t[0] + dk, t[1] + dl
 
 
 def chart_homology_dims(c):
@@ -724,12 +724,12 @@ def raised_profile(rng, c, most):
         level = []
         for i in range(c.rank(m)):
             row = c.diff(m + 1).data[i] if above else {}
-            k = max((v + len(e) - 1 + above[j].k
+            k = max((v + len(e) - 1 + above[j][0]
                      for j, (v, e) in row.items()), default=0)
-            l = max((above[j].l - v for j, (v, _) in row.items()),
+            l = max((above[j][1] - v for j, (v, _) in row.items()),
                     default=0)
-            level.append(TwistSummand(k + rng.randint(0, most),
-                                      l + rng.randint(0, most)))
+            level.append((k + rng.randint(0, most),
+                          l + rng.randint(0, most)))
         twists[m] = above = tuple(level)
     return SheafComplex(c, twists)
 
@@ -766,22 +766,22 @@ def sections_complex(s):
     summand, or AssertionError names the entry."""
     ring = s.ring
     index = {m: {(j, e): n for n, (j, e) in enumerate(
-        (j, e) for j, t in enumerate(ts) for e in range(-t.l, t.k + 1))}
+        (j, e) for j, (k, l) in enumerate(ts) for e in range(-l, k + 1))}
         for m, ts in s.twists.items()}
     diffs = {}
     for m, d in s.mid.diffs.items():
         rows = [{} for _ in index[m - 1]]
         for i, row in enumerate(d.data):
-            t = s.twists[m - 1][i]
+            k, l = s.twists[m - 1][i]
             for j, entry in row.items():
-                source = s.twists[m][j]
-                for e in range(-source.l, source.k + 1):
+                sk, sl = s.twists[m][j]
+                for e in range(-sl, sk + 1):
                     product = polymul(monomial(ring, e),
                                       LaurentPoly.from_entry(ring, entry))
                     for x, c in product.items():
-                        assert -t.l <= x <= t.k, (
+                        assert -l <= x <= k, (
                             f"degree {m}: x^{e} d[{i}][{j}] has x^{x} "
-                            f"outside [{-t.l}, {t.k}]")
+                            f"outside [{-l}, {k}]")
                         rows[index[m - 1][i, x]][index[m][j, e]] = c
         diffs[m] = ScalarMatrix(ring, len(rows), len(index[m]), rows)
     return ScalarComplex(ring, s.mid.lo, s.mid.hi,

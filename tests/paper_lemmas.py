@@ -409,7 +409,7 @@ class MorphismExtension:
 
 def extend_morphism(z, y, f: LaurentMatrix) -> MorphismExtension:
     """Extend f: Z|_T -> Y|_T to a sheaf map into the (k+l)-twist of Y,
-    for twist sums Z and Y given as their sequences of TwistSummand.
+    for twist sums Z and Y given as their sequences of (k, l) splits.
 
     (k, l) is ``twist_shift(f, y, z)``, (0, 0) for f = 0, and the chart
     maps are
@@ -434,8 +434,8 @@ def extend_morphism(z, y, f: LaurentMatrix) -> MorphismExtension:
         raise ShapeError(
             f"map has shape {f.rows}x{f.cols}, expected {len(y)}x{len(z)}")
     k, l = twist_shift(f, y, z) or (0, 0)
-    f_minus = monomial_scale(f, [-k - t.k for t in y], [t.k for t in z])
-    f_plus = monomial_scale(f, [l + t.l for t in y], [-t.l for t in z])
+    f_minus = monomial_scale(f, [-k - t[0] for t in y], [t[0] for t in z])
+    f_plus = monomial_scale(f, [l + t[1] for t in y], [-t[1] for t in z])
     return MorphismExtension(k, l, f_minus, f_plus)
 
 

@@ -105,8 +105,8 @@ def test_criterion_lemma_quasi_iso_claims():
     for i in range(20):
         ring = _mixed_ring(i)
         ext = extend_complex(random_complex(rng, ring, 3, 2))
-        assert all(t.n >= 0 for m in ext.sheaf.degrees()
-                   for t in ext.sheaf.twists[m])
+        assert all(k + l >= 0 for m in ext.sheaf.degrees()
+                   for k, l in ext.sheaf.twists[m])
         assert is_quasi_iso(iota(torus_diagram(ext.sheaf)))
     elapsed = time.time() - t0
     assert elapsed < 60.0

@@ -12,7 +12,7 @@ from p1dom.complexes import ChainComplex
 from p1dom.errors import BaseRingViolationError
 from p1dom.laurent import BaseRing
 from p1dom.scalars import QQ, ZZ
-from p1dom.sheaves import SheafComplex, TwistSummand
+from p1dom.sheaves import SheafComplex
 
 from helpers import M, chart, load_complex, single, two_term
 
@@ -331,8 +331,7 @@ def test_sheaf_loader_names_the_chart_entry_outside_its_ring(tmp_path,
     captured = capsys.readouterr()
     mid = load_complex(os.path.join(SAMPLES, "x-minus-1.cplx"))
     with pytest.raises(BaseRingViolationError) as exc:
-        SheafComplex(mid, {0: (TwistSummand(1, 0),),
-                           1: (TwistSummand(0, 1),)})
+        SheafComplex(mid, {0: ((1, 0),), 1: ((0, 1),)})
     assert str(exc.value).startswith("degree 1: plus chart entry (0,0) = ")
     assert str(exc.value).endswith(" violates K[x]")
     assert captured.out == ""
@@ -414,24 +413,6 @@ def test_dominate_human_output(xm1_file, capsys):
     assert "ledger holds: True" in out
 
 
-@pytest.mark.parametrize("command", ["verify", "novikov"])
-def test_p1dom_variables_are_not_read(command, tmp_path, monkeypatch,
-                                      capsys):
-    # options come from the command line alone: the variables that once
-    # preset --format, --out, --ring and --trunc change no byte and write
-    # no file
-    argv = [command, os.path.join(SAMPLES, "x-minus-1.cplx")]
-    assert main(argv) == 0
-    expected = capsys.readouterr()
-    target = tmp_path / "env-report.json"
-    for var, value in (("P1DOM_FORMAT", "report"), ("P1DOM_OUT", str(target)),
-                       ("P1DOM_RING", "Z"), ("P1DOM_TRUNC", "abc")):
-        monkeypatch.setenv(var, value)
-    assert main(argv) == 0
-    assert capsys.readouterr() == expected
-    assert not target.exists()
-
-
 def test_trunc_max_is_an_unknown_flag(capsys):
     # --trunc-max bounded no computation and is gone: the flag is refused
     assert main(["verify", os.path.join(SAMPLES, "x-minus-1.cplx"),
@@ -439,18 +420,10 @@ def test_trunc_max_is_an_unknown_flag(capsys):
     assert "unrecognized arguments: --trunc-max" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags, env", [
-    ([], {}),
-    (["--trunc", "1"], {}),
-    ([], {"P1DOM_TRUNC": "2"}),
-])
-def test_trunc_max_does_not_bound_the_order(flags, env, monkeypatch,
-                                            capsys):
+@pytest.mark.parametrize("flags", [[], ["--trunc", "1"]])
+def test_trunc_max_does_not_bound_the_order(flags, capsys):
     # x^70 (x - 1): the plus chart valuation is 70, and verify reads no
-    # order: --trunc is not one of its flags (exit 2), P1DOM_TRUNC is not
-    # read, and verify passes
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
+    # order: --trunc is not one of its flags (exit 2), and verify passes
     code = main(["verify", os.path.join(SAMPLES, "deep-x-minus-1.cplx")]
                 + flags)
     captured = capsys.readouterr()
@@ -495,26 +468,26 @@ def test_flag_of_another_command_is_unknown(argv, capsys):
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
 
 
-@pytest.mark.parametrize("var, command", [
-    ("P1DOM_TRUNC", ["verify", "x-minus-1.cplx"]),
-    ("P1DOM_SEED", ["validate", "x-minus-1.cplx"]),
-    ("P1DOM_TRUNC", ["twist-cohomology", "2"]),
-    ("P1DOM_RING", ["twist-cohomology", "2", "--format", "report"]),
-    ("P1DOM_FORMAT", ["h0", "x-minus-1.sheaf"]),
-    ("P1DOM_RING", ["twist-cohomology", "2"]),
-    ("P1DOM_TRUNC", ["hyper", "chart-x2-x3.cplx"]),
-    # validate's P1DOM_SEED row is the second above
-] + [("P1DOM_SEED", argv) for argv in COMMAND_LINES[1:]])
-def test_preset_of_another_command_is_not_read(var, command, monkeypatch,
-                                                capsys):
-    # no command reads a P1DOM_ variable (they once preset the flags), so
-    # an invalid value changes no byte and no exit code
-    argv = [_sample(a) for a in command]
+@pytest.mark.parametrize(
+    "argv", COMMAND_LINES + [["twist-cohomology", "2", "--format", "report"]],
+    ids=[argv[0] for argv in COMMAND_LINES] + ["twist-cohomology-report"])
+def test_p1dom_variables_are_not_read(argv, tmp_path, monkeypatch, capsys):
+    # options come from the command line alone: the variables that once
+    # preset --format, --out, --ring, --trunc and --seed change no byte
+    # and no exit code and write no file, whether their values would
+    # change the output or be refused
+    argv = [_sample(a) for a in argv]
     assert main(argv) == 0
     expected = capsys.readouterr()
-    monkeypatch.setenv(var, "abc")
-    assert main(argv) == 0
-    assert capsys.readouterr() == expected
+    target = tmp_path / "env-out.json"
+    for values in (("report", "Z", "2", "3"), ("xml", "GF:4", "abc", "abc")):
+        for var, value in zip(("P1DOM_FORMAT", "P1DOM_RING", "P1DOM_TRUNC",
+                               "P1DOM_SEED"), values):
+            monkeypatch.setenv(var, value)
+        monkeypatch.setenv("P1DOM_OUT", str(target))
+        assert main(argv) == 0
+        assert capsys.readouterr() == expected
+        assert not target.exists()
 
 
 def _sample(arg):
@@ -568,8 +541,8 @@ def test_usage_and_help_match_the_two_pass_parse(argv, capsys):
         assert f"invalid choice: '{argv[0]}'" in captured.err
 
 
-# what the P1DOM_ variables once preset; none of it is read
-PRESET_VALUES = {"ring": "Q", "format": "report", "out": "out.json"}
+# values of the flags that P1DOM_ variables once set; none of it is read
+ENV_VALUES = {"ring": "Q", "format": "report", "out": "out.json"}
 DEFAULTS = {"ring": None, "format": "human", "out": None}
 
 
@@ -589,14 +562,14 @@ VALID_ARGVS = [
 
 @pytest.mark.parametrize("argv, given", VALID_ARGVS,
                          ids=[argv[0] for argv, _ in VALID_ARGVS])
-def test_command_namespace_carries_command_and_presets(argv, given,
-                                                       monkeypatch):
+def test_command_namespace_carries_command_and_own_flags(argv, given,
+                                                         monkeypatch):
     # each command's own flags, given or at their defaults whatever the
     # P1DOM_ variables say, and nothing of another command's
     flags = {"h0": ("ring", "out"),
              "twist-cohomology": ("format", "out")}.get(
                  argv[0], ("ring", "format", "out"))
-    for flag, value in PRESET_VALUES.items():
+    for flag, value in ENV_VALUES.items():
         monkeypatch.setenv(f"P1DOM_{flag.upper()}", str(value))
     seen = []
     monkeypatch.setitem(HANDLERS, argv[0],
@@ -612,10 +585,7 @@ def test_command_namespace_carries_command_and_presets(argv, given,
 
 
 @pytest.mark.parametrize("flags", [
-    ["--trunc", "0"],
-    ["--trunc", "-3"],
     ["--trunc-max", "0"],
-    ["--trunc", "abc"],
     ["--format", "xml"],
     ["--ring", "GF:4"],
     ["--ring", "GF:x"],
@@ -624,8 +594,9 @@ def test_command_namespace_carries_command_and_presets(argv, given,
     ["--ring", " Q"],
 ])
 def test_bad_flag_is_input_error(xm1_file, flags, capsys):
-    # a bad value of a flag novikov takes is checked, and --trunc and
-    # --trunc-max are no flags of it
+    # a bad value of a flag novikov takes is checked, and --trunc-max is
+    # no flag of it (test_flag_of_another_command_is_unknown refuses
+    # --trunc)
     assert main(["novikov", xm1_file] + flags) == 2
     assert "error" in capsys.readouterr().err
 

@@ -34,8 +34,8 @@ from p1dom.generators import random_complex, random_novikov_acyclic
 from p1dom.laurent import BaseRing, LaurentPoly
 from p1dom.matrices import LaurentMatrix
 from p1dom.scalars import GF, QQ, ZZ
-from p1dom.sheaves import (SheafComplex, TwistSummand, cech_complex,
-                           chart_shifts, twist_shift)
+from p1dom.sheaves import (SheafComplex, cech_complex, chart_shifts,
+                           twist_shift)
 from p1dom.smith import invariant_factors
 
 from helpers import (HOMOLOGY_KINDS, M, P, add, chart as derived, coeff,
@@ -66,10 +66,10 @@ def dense_charts(mid, twists):
     minus, plus = {}, {}
     for m in range(mid.lo + 1, mid.hi + 1):
         prev, lvl, d = twists[m - 1], twists[m], mid.diff(m)
-        minus[m] = matmul(_monomial_diag(ring, [-t.k for t in prev]), d,
-                          _monomial_diag(ring, [t.k for t in lvl]))
-        plus[m] = matmul(_monomial_diag(ring, [t.l for t in prev]), d,
-                         _monomial_diag(ring, [-t.l for t in lvl]))
+        minus[m] = matmul(_monomial_diag(ring, [-k for k, _ in prev]), d,
+                          _monomial_diag(ring, [k for k, _ in lvl]))
+        plus[m] = matmul(_monomial_diag(ring, [l for _, l in prev]), d,
+                         _monomial_diag(ring, [-l for _, l in lvl]))
     return minus, plus
 
 
@@ -107,8 +107,8 @@ def dense_gluing(minus, mid, plus, twists):
 def torus_map(ring, twists, side):
     """The torus map of a level from its ``side`` chart: diag(x^k) from
     K[x^-1] and diag(x^-l) from K[x]."""
-    return _monomial_diag(ring, [t.k if side == "minus" else -t.l
-                                 for t in twists])
+    return _monomial_diag(ring, [k if side == "minus" else -l
+                                 for k, l in twists])
 
 
 def dense_validate(mid, twists):
@@ -266,7 +266,7 @@ def test_constructor_accepts_exactly_the_legal_twists(seed, ring):
     # any split per generator, legal or not
     rng = random.Random(seed)
     c = random_complex(rng, ring, max_length=4, max_rank=3, span=2)
-    twists = {m: tuple(TwistSummand(rng.randint(-3, 3), rng.randint(-3, 3))
+    twists = {m: tuple((rng.randint(-3, 3), rng.randint(-3, 3))
                        for _ in range(c.rank(m))) for m in c.degrees()}
     violations = dense_violations(c, twists)
     try:
@@ -402,10 +402,10 @@ def dense_legal(z, y, f, k, l):
     are the products diag(x^-(k_i + k)) f diag(x^k_j) and
     diag(x^(l_i + l)) f diag(x^-l_j)."""
     ring = f.ring
-    minus = matmul(_monomial_diag(ring, [-t.k - k for t in y]), f,
-                   _monomial_diag(ring, [t.k for t in z]))
-    plus = matmul(_monomial_diag(ring, [t.l + l for t in y]), f,
-                  _monomial_diag(ring, [-t.l for t in z]))
+    minus = matmul(_monomial_diag(ring, [-yk - k for yk, _ in y]), f,
+                   _monomial_diag(ring, [zk for zk, _ in z]))
+    plus = matmul(_monomial_diag(ring, [yl + l for _, yl in y]), f,
+                  _monomial_diag(ring, [-zl for _, zl in z]))
     return (all(respects(p, BaseRing.POLY_INV) for row in dense(minus)
                 for p in row)
             and all(respects(p, BaseRing.POLY) for row in dense(plus)
@@ -414,7 +414,7 @@ def dense_legal(z, y, f, k, l):
 
 def random_twist_sum(rng, ring, rank):
     """A sum of twisting sheaves with an independent split per summand."""
-    return tuple(TwistSummand(rng.randint(-3, 3), rng.randint(-3, 3))
+    return tuple((rng.randint(-3, 3), rng.randint(-3, 3))
                  for _ in range(rank))
 
 
@@ -440,8 +440,8 @@ def test_morphism_extension_matches_dense_reference(seed, ring):
 
 
 def test_morphism_extension_reference_sees_a_broken_chart():
-    z = (TwistSummand(1, 0),)
-    y = (TwistSummand(0, 2),)
+    z = ((1, 0),)
+    y = ((0, 2),)
     f = M(QQ, [[[(-1, 1), (2, 3)]]])
     ext = extend_morphism(z, y, f)
     assert (ext.k, ext.l) == (3, 0)

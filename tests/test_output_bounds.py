@@ -2,10 +2,13 @@
 
 twist-cohomology refuses a rank, twist or split past the file bounds or a
 basis past HYPER_ROW_BUDGET monomials, and extend and h0 write nothing
-that the loader would refuse.  Each bound is tested at its value and one
+that the loader would refuse.  Every builder of W (h0, dominate, verify)
+refuses a degree of W above MAX_RANK before a row of W is built.  Each bound is tested at its value and one
 past it.  hyper reports the exact chart homology, with no order and no
 row budget.
 """
+
+import tracemalloc
 
 import pytest
 
@@ -53,6 +56,15 @@ def _extension_file(tmp_path, name, ring, *pairs):
     return str(path)
 
 
+def _peak_traced_bytes(call):
+    """``call()`` and the peak of the memory Python allocated during it."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_h0_refuses_a_w_above_the_rank_bound(tmp_path, capsys):
     # W of the extension of GF(7) x^1000 - 1 has rank 1001 > MAX_RANK
     src = _extension_file(tmp_path, "g7", GF(7), (1000, 1), (0, -1))
@@ -65,8 +77,7 @@ def test_h0_refuses_a_w_above_the_rank_bound(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "input error: output not written, p1dom could not read it back: "
-            f"rank 1001 exceeds {ff.MAX_RANK} (at degrees[0].rank)\n")
+            f"input error: rank 1001 exceeds {ff.MAX_RANK} (at W degree 0)\n")
     assert not out.exists()
 
 
@@ -85,49 +96,76 @@ def test_h0_checks_w_ranks_before_writing_any_cell(tmp_path, monkeypatch,
                           for m in (0, 1)]})
 
     def no_dict(c):
-        raise AssertionError("complex_to_dict of a W the loader refuses")
+        raise AssertionError("complex_to_dict of a W above MAX_RANK")
 
     monkeypatch.setattr(ff, "complex_to_dict", no_dict)
     assert main(["h0", str(sheaf)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "input error: output not written, p1dom could not read it back: "
-        f"rank 801 exceeds {ff.MAX_RANK} (at degrees[0].rank)\n")
+        f"input error: rank 801 exceeds {ff.MAX_RANK} (at W degree 0)\n")
 
 
-def test_h0_bounds_w_from_the_twists_before_building_it(tmp_path,
-                                                        monkeypatch, capsys):
+def test_h0_bounds_w_from_the_twists_before_building_it(tmp_path, capsys):
     # a file of a few hundred bytes: ranks 128/128, the differential
     # omitted and twists (4096, 4096), so W would have rank 128 * 8193
-    # in each degree
+    # in each degree; its rows alone would take tens of MB
     sheaf = tmp_path / "wide.sheaf"
     sheaf.write_text(
         '{"format": "p1dom-sheaf-complex", "version": 2, "ring": "GF(7)", '
         '"base": "K[x,x^-1]", "degrees": [{"degree": 0, "rank": 128}, '
         '{"degree": 1, "rank": 128}], "twist_profile": [{"degree": 0, '
         '"k": 4096, "l": 4096}, {"degree": 1, "k": 4096, "l": 4096}]}')
-
-    def no_w(s):
-        raise AssertionError("cech_complex of a W the loader refuses")
-
-    monkeypatch.setattr(cli, "cech_complex", no_w)
-    assert main(["h0", str(sheaf)]) == 2
+    code, peak = _peak_traced_bytes(lambda: main(["h0", str(sheaf)]))
+    assert code == 2
+    assert peak < 1 << 20
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "input error: output not written, p1dom could not read it back: "
-        f"rank 1048704 exceeds {ff.MAX_RANK} (at degrees[0].rank)\n")
+        f"input error: rank 1048704 exceeds {ff.MAX_RANK} (at W degree 0)\n")
 
 
-def _wide_witness_file(tmp_path):
-    """Ranks 1/2/1 with d_2 = [x^300 - 1; 0] and d_1 = [0, x^300 - 1]: a
-    file in bounds whose W has ranks 601/602/1, above MAX_RANK."""
-    f, zero = P(QQ, (300, 1), (0, -1)), P(QQ)
+def _deep_twist_file(tmp_path):
+    """Ranks 1 in degrees 0..15 with d_m = [x^4096] for odd m and 0 for
+    even m: a contractible file of about 2.9 KB in bounds, whose
+    extension twists degree 0 by k = 8 * 4096, so W would have rank
+    32769 there and 262160 in all."""
+    f, zero = P(QQ, (4096, 1)), P(QQ)
+    c = ChainComplex(QQ, BaseRing.LAURENT, 0, 15, dict.fromkeys(range(16), 1),
+                     {m: grid_matrix(QQ, 1, 1, [[f if m % 2 else zero]])
+                      for m in range(1, 16)})
+    path = tmp_path / "deep-twist-16.cplx"
+    ff.save_path(path, ff.complex_to_dict(c))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    ["verify"], ["verify", "--format", "report"], ["dominate"],
+    ["dominate", "--format", "report"]], ids=" ".join)
+def test_a_w_above_the_rank_bound_is_refused_before_a_row_is_built(
+        command, tmp_path, capsys):
+    path = _deep_twist_file(tmp_path)
+    out = tmp_path / "out.json"
+    code, peak = _peak_traced_bytes(
+        lambda: main(command[:1] + [path, "--out", str(out)] + command[1:]))
+    assert code == 2
+    # W's rows alone would take over 16 MB
+    assert peak < 1 << 20
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"input error: rank 32769 exceeds {ff.MAX_RANK} (at W degree 0)\n")
+    assert not out.exists()
+
+
+def _wide_witness_file(tmp_path, e):
+    """Ranks 1/2/1 with d_2 = [x^e - 1; 0] and d_1 = [0, x^e - 1]: a file
+    in bounds whose W has ranks 2e + 1/2e + 2/1."""
+    f, zero = P(QQ, (e, 1), (0, -1)), P(QQ)
     c = ChainComplex(QQ, BaseRing.LAURENT, 0, 2, {0: 1, 1: 2, 2: 1}, {
         1: grid_matrix(QQ, 1, 2, [[zero, f]]),
         2: grid_matrix(QQ, 2, 1, [[f], [zero]])})
-    path = tmp_path / "wide-witness.cplx"
+    path = tmp_path / f"wide-witness-{e}.cplx"
     ff.save_path(path, ff.complex_to_dict(c))
     return str(path)
 
@@ -141,17 +179,17 @@ def _complex_to_dict_calls(monkeypatch):
 
 
 def test_human_dominate_builds_no_w_file(tmp_path, monkeypatch, capsys):
-    path = _wide_witness_file(tmp_path)
+    path = _wide_witness_file(tmp_path, 200)
     calls = _complex_to_dict_calls(monkeypatch)
     assert main(["dominate", path]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "W ranks {0:601, 1:602, 2:1}"
+    assert lines[0] == "W ranks {0:401, 1:402, 2:1}"
     assert calls == []
 
 
 def test_dominate_report_checks_w_ranks_before_writing_any_cell(
         tmp_path, monkeypatch, capsys):
-    path = _wide_witness_file(tmp_path)
+    path = _wide_witness_file(tmp_path, 300)
     calls = _complex_to_dict_calls(monkeypatch)
     out = tmp_path / "dominate.json"
     args = ["dominate", path, "--format", "report", "--out", str(out)]
@@ -159,8 +197,7 @@ def test_dominate_report_checks_w_ranks_before_writing_any_cell(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "input error: output not written, p1dom could not read it back: "
-        f"rank 601 exceeds {ff.MAX_RANK} (at degrees[0].rank)\n")
+        f"input error: rank 601 exceeds {ff.MAX_RANK} (at W degree 0)\n")
     assert calls == []
     assert not out.exists()
 

@@ -10,8 +10,8 @@ from p1dom.laurent import BaseRing
 from p1dom.matrices import LaurentMatrix, scalar_rank
 from p1dom.polylists import ONE
 from p1dom.scalars import QQ
-from p1dom.sheaves import (SheafComplex, TwistSummand, cech_cohomology,
-                           cech_complex, twisting_sheaf)
+from p1dom.sheaves import (SheafComplex, cech_cohomology, cech_complex,
+                           twisting_sheaf)
 
 from helpers import (S, load_complex, load_sheaf, random_ring,
                      sheaf_hyper_homology_dims, shifted_summand, single, twist,
@@ -20,19 +20,19 @@ from paper_lemmas import levelwise_h1_trivial, torus_diagram
 
 
 def test_twisting_sheaf_structure_zero():
-    assert twisting_sheaf(0, 0, 1) == (TwistSummand(0, 0),)
+    assert twisting_sheaf(0, 0, 1) == ((0, 0),)
     assert twisting_sheaf(0) == twisting_sheaf(0, 0, 1)
     assert twisting_sheaf(0, 0, 0) == ()
 
 
 def test_twisting_sheaf_structure_two():
     # O(2) with split k = 1: the torus maps are x and x^-1
-    assert twisting_sheaf(2, 1, 1) == (TwistSummand(1, 1),)
-    assert twisting_sheaf(2, 1, 3) == (TwistSummand(1, 1),) * 3
+    assert twisting_sheaf(2, 1, 1) == ((1, 1),)
+    assert twisting_sheaf(2, 1, 3) == ((1, 1),) * 3
 
 
 def test_twisting_sheaf_negative_constructor_only():
-    assert twisting_sheaf(-2, -1, 1) == (TwistSummand(-1, -1),)
+    assert twisting_sheaf(-2, -1, 1) == ((-1, -1),)
 
 
 def test_cohomology_table_example_dimensions():
@@ -49,7 +49,7 @@ def test_cohomology_monomial_bases():
     coh = cech_cohomology(twisting_sheaf(-3, 1, 1))  # k=1, l=-4
     assert [e for _, e in coh.h1_basis] == [2, 3]
     assert coh.h0_basis == ()
-    coh = cech_cohomology((TwistSummand(1, 0), TwistSummand(-3, 0)))
+    coh = cech_cohomology(((1, 0), (-3, 0)))
     assert coh.h0_basis == ((0, 0), (0, 1))
     assert coh.h1_basis == ((1, -2), (1, -1))
 
@@ -86,9 +86,9 @@ def _brute_h0(twists, pad=5):
     band pad wider than the section bound on each side: the nullity of
     the map (a-, a+) -> -x^k a- + x^-l a+ on monomials."""
     cols = []
-    for i, t in enumerate(twists):
-        for sign, shift, band in ((-1, t.k, range(-t.n - pad, 1)),
-                                  (1, -t.l, range(0, t.n + pad + 1))):
+    for i, (k, l) in enumerate(twists):
+        for sign, shift, band in ((-1, k, range(-k - l - pad, 1)),
+                                  (1, -l, range(0, k + l + pad + 1))):
             for e in band:
                 cols.append({(i, e + shift): sign})
     keys = sorted({key for col in cols for key in col})
@@ -102,7 +102,7 @@ def test_serre_dual_of_twist_sums():
     # brute-force h0
     for n in range(-4, 4):
         twists = twisting_sheaf(n, 1, 2)
-        dual = tuple(TwistSummand(-t.k - 2, -t.l) for t in twists)
+        dual = tuple((-k - 2, -l) for k, l in twists)
         assert cech_cohomology(twists).h1_dim == _brute_h0(dual)
         assert cech_cohomology(twists).h0_dim == _brute_h0(twists)
 
@@ -110,7 +110,7 @@ def test_serre_dual_of_twist_sums():
 def test_cech_complex_single_twist():
     ext = extend_complex(single(QQ, BaseRing.LAURENT, 0, 1))
     twisted = twist(ext.sheaf, 2, 2)
-    assert twisted.twists == {0: (TwistSummand(2, 0),)}
+    assert twisted.twists == {0: ((2, 0),)}
     w = cech_complex(twisted)
     assert {m: w.rank(m) for m in w.degrees()} == {0: 3}
     assert w.base == BaseRing.K
@@ -135,7 +135,7 @@ def test_cech_complex_zero():
 def test_cech_complex_rejects_negative_twists():
     sheaf = SheafComplex(
         single(QQ, BaseRing.LAURENT, 0, 1),
-        {0: (TwistSummand(-1, -1),)})
+        {0: ((-1, -1),)})
     with pytest.raises(NonVanishingH1Error):
         cech_complex(sheaf)
 
@@ -145,14 +145,14 @@ def test_cech_complex_band_violation():
     # and the minus chart entry x^2 is not in K[x^-1], so the complex is
     # refused before any band is built
     mid = two_term(QQ, [(2, 1)])
-    twists = {0: (TwistSummand(0, 0),), 1: (TwistSummand(0, 0),)}
+    twists = {0: ((0, 0),), 1: ((0, 0),)}
     with pytest.raises(BaseRingViolationError,
                        match=r"^degree 1: minus chart entry \(0,0\) = x\^2 "
                              r"violates K\[x\^-1\]$"):
         SheafComplex(mid, twists)
     # with the split (2, 0) in degree 0 the band {1, x, x^2} holds it
-    w = cech_complex(SheafComplex(mid, {0: (TwistSummand(2, 0),),
-                                        1: (TwistSummand(0, 0),)}))
+    w = cech_complex(SheafComplex(mid, {0: ((2, 0),),
+                                        1: ((0, 0),)}))
     assert w.diffs[1].data == [{}, {}, {0: 1}]
 
 
@@ -163,8 +163,8 @@ def test_cech_complex_skips_the_band_of_a_zero_column():
     mid = ChainComplex(QQ, BaseRing.LAURENT, 0, 1, {0: 1, 1: 2},
                        {1: LaurentMatrix(QQ, 1, 2, [{1: ONE}])})
     w = cech_complex(SheafComplex(mid, {
-        0: (TwistSummand(0, 0),),
-        1: (TwistSummand(2, 1), TwistSummand(0, 0))}))
+        0: ((0, 0),),
+        1: ((2, 1), (0, 0))}))
     assert w.diffs[1].data == [{4: 1}]
     assert (w.rank(0), w.rank(1)) == (1, 5)
 
@@ -173,13 +173,13 @@ def test_stray_twist_is_refused():
     mid = single(QQ, BaseRing.LAURENT, 0, 1)
     with pytest.raises(ShapeError, match="^level 7 has twists but lies "
                                          r"outside the support \[0, 0\]$"):
-        SheafComplex(mid, {0: (TwistSummand(0, 0),),
-                           7: (TwistSummand(-5, 0),)})
+        SheafComplex(mid, {0: ((0, 0),),
+                           7: ((-5, 0),)})
     # an empty level outside the support has nothing to drop
-    s = SheafComplex(mid, {0: (TwistSummand(0, 0),), 7: ()})
-    assert s.twists == {0: (TwistSummand(0, 0),)}
+    s = SheafComplex(mid, {0: ((0, 0),), 7: ()})
+    assert s.twists == {0: ((0, 0),)}
     with pytest.raises(ShapeError, match="^level 0 has 2 twists for rank 1$"):
-        SheafComplex(mid, {0: (TwistSummand(0, 0),) * 2})
+        SheafComplex(mid, {0: ((0, 0),) * 2})
 
 
 def test_sheaf_complex_needs_a_laurent_middle_complex():
@@ -187,12 +187,12 @@ def test_sheaf_complex_needs_a_laurent_middle_complex():
     with pytest.raises(UnsupportedRingError,
                        match=r"^sheaf complex needs a K\[x,x\^-1\] middle "
                              "complex$"):
-        SheafComplex(mid, {0: (TwistSummand(0, 0),)})
+        SheafComplex(mid, {0: ((0, 0),)})
 
 
 def test_twist_profile_refuses_a_level_of_two_splits():
     mid = single(QQ, BaseRing.LAURENT, 0, 2)
-    s = SheafComplex(mid, {0: (TwistSummand(0, 0), TwistSummand(1, 0))})
+    s = SheafComplex(mid, {0: ((0, 0), (1, 0))})
     with pytest.raises(ShapeError, match="^level 0 mixes twist splits$"):
         s.twist_profile()
 
@@ -201,7 +201,7 @@ def test_sheaf_hyper_dims_of_negative_twist():
     # a single O(-2) level: hypercohomology is one K in degree -1
     sheaf = SheafComplex(
         single(QQ, BaseRing.LAURENT, 0, 1),
-        {0: (TwistSummand(-1, -1),)})
+        {0: ((-1, -1),)})
     dims = sheaf_hyper_homology_dims(sheaf)
     assert dims == {-1: 1, 0: 0}
 
