@@ -490,6 +490,28 @@ def test_p1dom_variables_are_not_read(argv, tmp_path, monkeypatch, capsys):
         assert not target.exists()
 
 
+@pytest.mark.parametrize("var, command", [
+    ("P1DOM_TRUNC", ["verify", "x-minus-1.cplx"]),
+    ("P1DOM_SEED", ["validate", "x-minus-1.cplx"]),
+    ("P1DOM_TRUNC", ["twist-cohomology", "2"]),
+    ("P1DOM_RING", ["twist-cohomology", "2", "--format", "report"]),
+    ("P1DOM_FORMAT", ["h0", "x-minus-1.sheaf"]),
+    ("P1DOM_RING", ["twist-cohomology", "2"]),
+    ("P1DOM_TRUNC", ["hyper", "chart-x2-x3.cplx"]),
+    # validate's P1DOM_SEED row is the second above
+] + [("P1DOM_SEED", argv) for argv in COMMAND_LINES[1:]])
+def test_preset_of_another_command_is_not_read(var, command, monkeypatch,
+                                                capsys):
+    # one variable at a time, alone in the environment: an invalid value
+    # changes no byte and no exit code
+    argv = [_sample(a) for a in command]
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    monkeypatch.setenv(var, "abc")
+    assert main(argv) == 0
+    assert capsys.readouterr() == expected
+
+
 def _sample(arg):
     """``arg``, or the path of the sample file it names."""
     if arg.endswith((".cplx", ".sheaf")):
