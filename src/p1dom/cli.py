@@ -3,17 +3,18 @@
 Exit codes: 0 on success or mathematical PASS, 1 on mathematical FAIL
 (hypothesis violated, invalid complex), 2 on input or usage errors,
 among them a complex whose base ring the command does not take
-(``BASES``: K[x,x^-1] for novikov, extend, dominate and verify, K or
+(``COMMANDS``: K[x,x^-1] for novikov, extend, dominate and verify, K or
 K[x,x^-1] for homology, K[x] for hyper) and a Z-coefficient complex given
-to a command that needs a field (``FIELD_COMMANDS``: homology, hyper,
-dominate, verify).  Options come from the command line alone, and each
-command parses only the flags it reads: ``twist-cohomology`` takes no
-``--ring`` and ``h0`` no ``--format``; another flag is an unknown argument
-(exit 2), which the top-level parser reports, as it does a missing or
-unknown command.  ``novikov`` decides Z complexes longer than two terms
-on windows of ``domination.WINDOW_ORDER`` terms, ``verify`` and
-``dominate`` report the exact chart valuations and ``hyper`` the exact
-chart homology, so no command takes a truncation order.
+to a command that needs a field (homology, hyper, dominate, verify).
+The coefficient ring is the one the file header states; no flag names
+it.  Options come from the command line alone, and each command parses
+only the flags it reads: ``h0`` takes no ``--format``; another flag is an
+unknown argument (exit 2), which the top-level parser reports, as it
+does a missing or unknown command.  ``novikov`` decides Z complexes
+longer than two terms on windows of ``domination.WINDOW_ORDER`` terms,
+``verify`` and ``dominate`` report the exact chart valuations and
+``hyper`` the exact chart homology, so no command takes a truncation
+order.
 
 Sizes are bounded as file contents are: ``twist-cohomology`` takes a rank
 r from 0 to MAX_RANK, a twist n, split k and n - k within MAX_EXPONENT and
@@ -30,16 +31,16 @@ import argparse
 import os
 import stat
 import sys
+from typing import Callable, NamedTuple
 
 from . import fileformat as ff
 from .complexes import check_rank, homology, require_valid
 from .domination import (chart_homology, dominate, novikov_check,
                          verify_theorem)
 from .errors import (FormatError, NotNovikovAcyclicError, P1DomError,
-                     StabilisationFailureError, UnsupportedRingError)
+                     StabilisationFailureError)
 from .extension import extend_complex
 from .laurent import BaseRing
-from .scalars import ring_from_tag
 from .sheaves import cech_cohomology, cech_complex, twisting_sheaf
 
 EXIT_OK = 0
@@ -47,80 +48,6 @@ EXIT_MATH_FAIL = 1
 EXIT_INPUT_ERROR = 2
 # the most basis monomials twist-cohomology may list, r * (|n| + 1)
 HYPER_ROW_BUDGET = 1 << 16
-
-
-def _ring_tag(text):
-    try:
-        ring_from_tag(text)
-    except (UnsupportedRingError, ValueError):
-        raise argparse.ArgumentTypeError(
-            f"expected Q, Z or GF:p with p prime, got {text!r}") from None
-    return text
-
-
-def _output_format(text):
-    if text not in ("human", "report"):
-        raise argparse.ArgumentTypeError(
-            f"must be human or report, got {text!r}")
-    return text
-
-
-# command -> the base rings its input complex may have; a file of another
-# base is an input error
-BASES = {
-    "homology": (BaseRing.K, BaseRing.LAURENT),
-    "novikov": (BaseRing.LAURENT,),
-    "extend": (BaseRing.LAURENT,),
-    "hyper": (BaseRing.POLY,),
-    "dominate": (BaseRing.LAURENT,),
-    "verify": (BaseRing.LAURENT,),
-}
-
-# commands that need field coefficients; a Z file is an input error
-FIELD_COMMANDS = ("homology", "hyper", "dominate", "verify")
-
-
-def build_parser():
-    """The top-level parser and its map of command name -> own parser."""
-    parser = argparse.ArgumentParser(
-        prog="p1dom",
-        description="exact chain-complex extension, cohomology and "
-                    "Novikov/finite-domination checks")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_input=True, flags=("ring", "format")):
-        if with_input:
-            p.add_argument("input", help="input file")
-        if "ring" in flags:
-            p.add_argument("--ring", type=_ring_tag,
-                           help="Q | GF:p | Z; must match the file header")
-        if "format" in flags:
-            p.add_argument("--format", type=_output_format, default="human",
-                           metavar="{human,report}")
-        p.add_argument("--out",
-                       help="write output to this path instead of stdout")
-        return p
-
-    common(sub.add_parser("validate", help="check d.d = 0 and exponent legality"))
-    common(sub.add_parser("homology", help="homology report of a complex"))
-    common(sub.add_parser("novikov", help="Novikov acyclicity verdicts"))
-    common(sub.add_parser("extend", help="extend a complex to the projective line"))
-    common(sub.add_parser("h0", help="global sections of a sheaf complex"), flags=("ring",))
-    common(sub.add_parser("hyper", help="exact homology of a K[x] complex over K[[x]]"))
-    common(sub.add_parser("dominate", help="produce the finite-domination witness"))
-    common(sub.add_parser("verify", help="full theorem pipeline with ledger"))
-    tw = sub.add_parser("twist-cohomology",
-                        help="cohomology of r copies of the nth twisting sheaf")
-    tw.add_argument("n", type=int)
-    tw.add_argument("r", type=int, nargs="?", default=1)
-    tw.add_argument("--k", type=int, default=0, help="twist split (k, n-k)")
-    common(tw, with_input=False, flags=("format",))
-    for name, p in sub.choices.items():
-        p.set_defaults(command=name)
-    return parser, sub.choices
-
-
-PARSER, COMMANDS = build_parser()
 
 
 def _write(args, text):
@@ -180,14 +107,13 @@ def _read_input(args):
 
 def _load_complex(args):
     c = ff.complex_from_dict(ff.loads(_read_input(args)))
-    _check_ring_flag(args, c.ring.tag)
-    needed = BASES.get(args.command)
-    if needed and c.base not in needed:
+    command = COMMANDS[args.command]
+    if command.bases and c.base not in command.bases:
         raise FormatError(
             f"{args.command} needs a "
-            f"{' or '.join(b.tag for b in needed)}-complex, "
+            f"{' or '.join(b.tag for b in command.bases)}-complex, "
             f"the file has base {c.base.tag}", "base")
-    if args.command in FIELD_COMMANDS and not c.ring.is_field:
+    if command.field and not c.ring.is_field:
         raise FormatError(
             f"{args.command} needs field coefficients (Q or GF:p), "
             f"the file has ring {c.ring.tag}", "ring")
@@ -200,21 +126,6 @@ def _load_valid_complex(args):
     c = _load_complex(args)
     require_valid(c)
     return c
-
-
-def _load_sheaf(args):
-    s = ff.sheaf_from_dict(ff.loads(_read_input(args)))
-    _check_ring_flag(args, s.ring.tag)
-    return s
-
-
-def _check_ring_flag(args, header_tag):
-    if args.ring is None:
-        return
-    if ring_from_tag(args.ring).tag != header_tag:
-        raise FormatError(
-            f"--ring {args.ring} does not match file header {header_tag}",
-            "ring")
 
 
 def cmd_validate(args):
@@ -278,7 +189,7 @@ def cmd_extend(args):
 
 
 def cmd_h0(args):
-    s = _load_sheaf(args)
+    s = ff.sheaf_from_dict(ff.loads(_read_input(args)))
     require_valid(s.mid)
     _write_file(args, ff.complex_to_dict(cech_complex(s)))
     return EXIT_OK
@@ -359,22 +270,69 @@ def _monomials(basis, r):
                      for i, monomials in groups.items())
 
 
-HANDLERS = {
-    "validate": cmd_validate,
-    "homology": cmd_homology,
-    "novikov": cmd_novikov,
-    "extend": cmd_extend,
-    "h0": cmd_h0,
-    "hyper": cmd_hyper,
-    "dominate": cmd_dominate,
-    "verify": cmd_verify,
-    "twist-cohomology": cmd_twist_cohomology,
+class Command(NamedTuple):
+    """A command's handler and help text, the base rings its input complex
+    may have (None: any) and whether it needs field coefficients: a file
+    of another base, or a Z file given to a command that needs a field,
+    is an input error."""
+    handler: Callable[[argparse.Namespace], int]
+    help: str
+    bases: tuple[BaseRing, ...] | None = None
+    field: bool = False
+
+
+COMMANDS = {
+    "validate": Command(cmd_validate, "check d.d = 0 and exponent legality"),
+    "homology": Command(cmd_homology, "homology report of a complex",
+                        (BaseRing.K, BaseRing.LAURENT), field=True),
+    "novikov": Command(cmd_novikov, "Novikov acyclicity verdicts",
+                       (BaseRing.LAURENT,)),
+    "extend": Command(cmd_extend, "extend a complex to the projective line",
+                      (BaseRing.LAURENT,)),
+    "h0": Command(cmd_h0, "global sections of a sheaf complex"),
+    "hyper": Command(cmd_hyper, "exact homology of a K[x] complex over K[[x]]",
+                     (BaseRing.POLY,), field=True),
+    "dominate": Command(cmd_dominate, "produce the finite-domination witness",
+                        (BaseRing.LAURENT,), field=True),
+    "verify": Command(cmd_verify, "full theorem pipeline with ledger",
+                      (BaseRing.LAURENT,), field=True),
+    "twist-cohomology": Command(
+        cmd_twist_cohomology,
+        "cohomology of r copies of the nth twisting sheaf"),
 }
+
+
+def build_parser():
+    """The top-level parser and its map of command name -> own parser."""
+    parser = argparse.ArgumentParser(
+        prog="p1dom",
+        description="exact chain-complex extension, cohomology and "
+                    "Novikov/finite-domination checks")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if name == "twist-cohomology":
+            p.add_argument("n", type=int)
+            p.add_argument("r", type=int, nargs="?", default=1)
+            p.add_argument("--k", type=int, default=0,
+                           help="twist split (k, n-k)")
+        else:
+            p.add_argument("input", help="input file")
+        if name != "h0":
+            p.add_argument("--format", choices=("human", "report"),
+                           default="human")
+        p.add_argument("--out",
+                       help="write output to this path instead of stdout")
+        p.set_defaults(command=name)
+    return parser, sub.choices
+
+
+PARSER, PARSERS = build_parser()
 
 
 def _parse(argv):
     """The command's own parser reads argv; PARSER reports what it cannot."""
-    parser = COMMANDS.get(argv[0]) if argv else None
+    parser = PARSERS.get(argv[0]) if argv else None
     if parser is not None:
         args, extra = parser.parse_known_args(argv[1:])
         if not extra:
@@ -388,13 +346,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
-        return HANDLERS[args.command](args)
-    except FormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
-        # a missing input, a directory, an unwritable --out: the message
-        # names the path
+        return COMMANDS[args.command].handler(args)
+    except (FormatError, OSError) as exc:
+        # an OSError is a missing input, a directory, an unwritable --out:
+        # the message names the path
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except UnicodeDecodeError as exc:

@@ -7,7 +7,7 @@ import pytest
 
 from p1dom import complexes, domination
 from p1dom import fileformat as ff
-from p1dom.cli import COMMANDS, HANDLERS, PARSER, main
+from p1dom.cli import COMMANDS, PARSER, PARSERS, main
 from p1dom.complexes import ChainComplex
 from p1dom.errors import BaseRingViolationError
 from p1dom.laurent import BaseRing
@@ -126,14 +126,20 @@ def test_verify_fail_exit_one(free_rank_file, capsys):
 
 
 def test_novikov_integer_asymmetry(two_minus_x_file, capsys):
-    assert main(["novikov", "--ring", "Z", two_minus_x_file]) == 0
+    # the file header states Z: novikov runs its Z mode with no flag
+    assert main(["novikov", two_minus_x_file]) == 0
     out = capsys.readouterr().out
     assert "x-side: no" in out
     assert "x^-1-side: yes" in out
 
 
-def test_ring_flag_mismatch_is_input_error(two_minus_x_file):
-    assert main(["novikov", "--ring", "Q", two_minus_x_file]) == 2
+def test_ring_flag_mismatch_is_input_error(two_minus_x_file, capsys):
+    # the header states Z, and no flag can restate or contradict it: a
+    # --ring is an unknown argument, refused before the file is read
+    assert main(["novikov", two_minus_x_file, "--ring", "Q"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --ring Q" in captured.err
 
 
 def test_missing_file_is_input_error(capsys):
@@ -455,12 +461,16 @@ COMMAND_LINES = [
     ["extend", "x-minus-1.cplx", "--trunc", "8"],
     ["hyper", "chart-x2-x3.cplx", "--trunc", "8"],
     ["h0", "x-minus-1.sheaf", "--format", "human"],
-    ["twist-cohomology", "2", "--ring", "Q"],
-] + [argv + ["--seed", "3"] for argv in COMMAND_LINES],
+] + [argv + ["--seed", "3"] for argv in COMMAND_LINES]
+  + [argv + ["--ring", "Q"] for argv in COMMAND_LINES]
+  + [pytest.param(["novikov", "x-minus-1.cplx", "--ring", tag],
+                  id=f"novikov--ring {tag!r}")
+     for tag in ("GF:4", "GF:x", "GF:0_7", "GF:+7", " Q")],
     ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_flag_of_another_command_is_unknown(argv, capsys):
-    # no command takes --trunc or --seed; twist-cohomology reads no ring,
-    # and h0 writes its complex file in every format
+    # no command takes --trunc, --seed or --ring: the file header states
+    # the ring, so a ring tag, valid or not, is never read; h0 writes its
+    # complex file in every format
     argv = [_sample(a) for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -545,7 +555,7 @@ UNKNOWN_COMMANDS = ("bogus", "selftest")
     ["--ring", "Q", "verify", "x-minus-1.cplx"],
     ["verify", "x-minus-1.cplx", "--trunc", "1"],
     ["--help"],
-] + [[command, "--help"] for command in HANDLERS],
+] + [[command, "--help"] for command in COMMANDS],
     ids=lambda argv: " ".join(argv) or "no-arguments")
 def test_usage_and_help_match_the_two_pass_parse(argv, capsys):
     argv = [_sample(a) for a in argv]
@@ -554,7 +564,7 @@ def test_usage_and_help_match_the_two_pass_parse(argv, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == expected
     if argv[-1:] == ["--help"] and argv[0] not in UNKNOWN_COMMANDS:
-        parser = COMMANDS[argv[0]] if len(argv) == 2 else PARSER
+        parser = PARSERS[argv[0]] if len(argv) == 2 else PARSER
         assert code == 0 and captured.out == parser.format_help()
         return
     assert code == 2 and captured.out == ""
@@ -564,13 +574,13 @@ def test_usage_and_help_match_the_two_pass_parse(argv, capsys):
 
 
 # values of the flags that P1DOM_ variables once set; none of it is read
-ENV_VALUES = {"ring": "Q", "format": "report", "out": "out.json"}
-DEFAULTS = {"ring": None, "format": "human", "out": None}
+ENV_VALUES = {"format": "report", "out": "out.json"}
+DEFAULTS = {"format": "human", "out": None}
 
 
 VALID_ARGVS = [
     (["validate", "x-minus-1.cplx"], {}),
-    (["homology", "x-minus-1.cplx", "--ring", "Q"], {"ring": "Q"}),
+    (["homology", "x-minus-1.cplx", "--out", "h.txt"], {"out": "h.txt"}),
     (["novikov", "x-minus-1.cplx", "--format", "report"],
      {"format": "report"}),
     (["extend", "x-minus-1.cplx"], {}),
@@ -588,14 +598,12 @@ def test_command_namespace_carries_command_and_own_flags(argv, given,
                                                          monkeypatch):
     # each command's own flags, given or at their defaults whatever the
     # P1DOM_ variables say, and nothing of another command's
-    flags = {"h0": ("ring", "out"),
-             "twist-cohomology": ("format", "out")}.get(
-                 argv[0], ("ring", "format", "out"))
+    flags = ("out",) if argv[0] == "h0" else ("format", "out")
     for flag, value in ENV_VALUES.items():
         monkeypatch.setenv(f"P1DOM_{flag.upper()}", str(value))
     seen = []
-    monkeypatch.setitem(HANDLERS, argv[0],
-                        lambda args: seen.append(args) or 0)
+    monkeypatch.setitem(COMMANDS, argv[0], COMMANDS[argv[0]]._replace(
+        handler=lambda args: seen.append(args) or 0))
     argv = [_sample(a) for a in argv]
     assert main(argv) == 0
     expected = {"command": argv[0],
@@ -609,18 +617,26 @@ def test_command_namespace_carries_command_and_own_flags(argv, given,
 @pytest.mark.parametrize("flags", [
     ["--trunc-max", "0"],
     ["--format", "xml"],
-    ["--ring", "GF:4"],
-    ["--ring", "GF:x"],
-    ["--ring", "GF:0_7"],
-    ["--ring", "GF:+7"],
-    ["--ring", " Q"],
 ])
 def test_bad_flag_is_input_error(xm1_file, flags, capsys):
     # a bad value of a flag novikov takes is checked, and --trunc-max is
     # no flag of it (test_flag_of_another_command_is_unknown refuses
-    # --trunc)
+    # --trunc and every --ring)
     assert main(["novikov", xm1_file] + flags) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [argv for argv in COMMAND_LINES
+                                  if argv[0] != "h0"],
+                         ids=lambda argv: argv[0])
+def test_bad_format_is_an_invalid_choice(argv, capsys):
+    # every command that takes --format reads human or report and no
+    # other value
+    argv = [_sample(a) for a in argv]
+    assert main(argv + ["--format", "xml"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --format: invalid choice: 'xml'" in captured.err
 
 
 def test_out_shrinks_a_longer_file_to_the_new_bytes(xm1_file, tmp_path,

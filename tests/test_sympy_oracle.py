@@ -16,8 +16,9 @@ units of K[[t]], so the t-adic orders of sympy's nonzero invariant factors
 over K[t] are the chart valuations.
 
 A determinant is checked on x^s A with s clearing the negative
-exponents: det(x^s A) = x^(ns) det(A) for n x n matrices.  Over GF(7)
-sympy takes the residues as integers and reduces its determinant mod 7.
+exponents: det(x^s A) = x^(ns) det(A) for n x n matrices.  sympy computes
+it as a ``DomainMatrix`` over Q[x], Z[x] or GF(7)[x], with its own
+polynomial arithmetic.
 """
 
 import random
@@ -27,6 +28,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import invariant_factors
+from sympy.polys.matrices import DomainMatrix
 
 from p1dom import smith
 from p1dom.complexes import homology
@@ -45,7 +47,9 @@ GF7 = GF(7)
 
 
 def _sympy_domain(ring):
-    return sympy.QQ[X] if ring is QQ else sympy.GF(ring.p)[X]
+    if ring is QQ:
+        return sympy.QQ[X]
+    return sympy.GF(ring.p)[X] if ring.p else sympy.ZZ[X]
 
 
 def _to_sympy(p: LaurentPoly, shift: int):
@@ -231,14 +235,14 @@ def _sympy_det(a):
     n = a.rows
     exps = [e for _, _, p in nonzero_entries(a) for e, _ in p.items()]
     shift = -min(exps, default=0)
-    det = sympy.Matrix(n, n, lambda i, j: _to_sympy(a[i, j], shift)
-                       ).det(method="berkowitz")
-    poly = (sympy.Poly(det, X, modulus=a.ring.p) if a.ring.p
-            else sympy.Poly(det, X, domain=sympy.QQ))
+    domain = _sympy_domain(a.ring)
+    det = DomainMatrix(
+        [[domain.from_sympy(_to_sympy(a[i, j], shift)) for j in range(n)]
+         for i in range(n)], (n, n), domain).det()
     return LaurentPoly(a.ring, {
-        e - n * shift: Fraction(int(c.p), int(c.q)) if a.ring is QQ
-        else int(c)
-        for (e,), c in zip(poly.monoms(), poly.coeffs())})
+        e - n * shift: Fraction(int(c.numerator), int(c.denominator))
+        if a.ring is QQ else int(c)
+        for (e,), c in det.terms()})
 
 
 def _det_case(rng, ring, n, kind):
