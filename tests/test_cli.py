@@ -2,6 +2,8 @@ import builtins
 import hashlib
 import json
 import os
+import shlex
+import shutil
 
 import pytest
 
@@ -9,14 +11,15 @@ from p1dom import complexes, domination
 from p1dom import fileformat as ff
 from p1dom.cli import COMMANDS, PARSER, PARSERS, main
 from p1dom.complexes import ChainComplex
-from p1dom.errors import BaseRingViolationError
+from p1dom.errors import BaseRingViolationError, UnsupportedRingError
 from p1dom.laurent import BaseRing
-from p1dom.scalars import QQ, ZZ
+from p1dom.scalars import QQ, ZZ, ring_from_tag
 from p1dom.sheaves import SheafComplex
 
 from helpers import M, chart, load_complex, single, two_term
 
 SAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "samples")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 @pytest.fixture
@@ -133,6 +136,22 @@ def test_novikov_integer_asymmetry(two_minus_x_file, capsys):
     assert "x^-1-side: yes" in out
 
 
+def test_z_determinant_keeps_the_sign_of_its_pivots(tmp_path, capsys):
+    # d_1 = [[0, 1], [1, x - 2]] over Z: the chart kernel pivots on row 0,
+    # column 1 first, so a lost pivot sign reports det d_1 = 1, not -1
+    d = M(ZZ, [[0, 1], [1, [(0, -2), (1, 1)]]])
+    path = tmp_path / "z-sign.cplx"
+    ff.save_path(path, ff.complex_to_dict(
+        ChainComplex(ZZ, BaseRing.LAURENT, 0, 1, {0: 2, 1: 2}, {1: d})))
+    assert main(["novikov", str(path), "--format", "report"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    for key, side in (("x_side", "x"), ("x_inv_side", "x^-1")):
+        assert report[key] == {
+            "acyclic": "yes", "method": "unit-determinant",
+            "certificate": {"determinant": "-1", "side": side,
+                            "end_coefficient": "-1"}}
+
+
 def test_ring_flag_mismatch_is_input_error(two_minus_x_file, capsys):
     # the header states Z, and no flag can restate or contradict it: a
     # --ring is an unknown argument, refused before the file is read
@@ -222,6 +241,39 @@ def test_extend_h0_pipeline(xm1_file, tmp_path, capsys):
     assert main(["h0", sheaf_path, "--out", again]) == 0
     with open(w_path) as first, open(again) as second:
         assert first.read() == second.read()
+
+
+def readme_command_lines():
+    """The argument lists of the README's "Command line" block, one per
+    line, with the leading ``p1dom`` and the comments dropped."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert all(words[0] == "p1dom" for words in lines)
+    return [words[1:] for words in lines]
+
+
+def test_readme_command_lines_run_as_written(tmp_path, monkeypatch, capsys):
+    # from a directory holding samples/, with somefile.cplx a copy of a
+    # sample, every line of the block succeeds, the block shows every
+    # command, and extend and h0 write the sample files of x - 1
+    shutil.copytree(SAMPLES, tmp_path / "samples")
+    shutil.copyfile(tmp_path / "samples" / "x-minus-1.cplx",
+                    tmp_path / "somefile.cplx")
+    monkeypatch.chdir(tmp_path)
+    lines = readme_command_lines()
+    assert {argv[0] for argv in lines} == set(COMMANDS)
+    for argv in lines:
+        assert main(argv) == 0, argv
+        captured = capsys.readouterr()
+        # the output goes to stdout or, with --out, to the file alone
+        assert captured.err == "", argv
+        assert bool(captured.out) != ("--out" in argv), argv
+    for written, sample in (("ext.sheaf", "x-minus-1.sheaf"),
+                            ("w.cplx", "x-minus-1-w.cplx")):
+        assert ((tmp_path / written).read_bytes()
+                == (tmp_path / "samples" / sample).read_bytes())
 
 
 def test_novikov_renders_its_certificates_only_for_a_report(monkeypatch,
@@ -322,6 +374,25 @@ def test_malformed_ring_tag_in_a_header_is_input_error(tag, tmp_path,
     assert captured.out == ""
     assert captured.err == (f"input error: bad ring tag: unknown ring tag "
                             f"{tag!r} (at ring)\n")
+
+
+@pytest.mark.parametrize("n", [1, 1681, 3215031751])
+def test_a_composite_ring_modulus_is_input_error(n, tmp_path, capsys):
+    # 1 is below 2; 1681 = 41^2 and 3215031751 = 151 * 751 * 28351, a
+    # strong pseudoprime to the bases 2, 3, 5 and 7, have no factor up to
+    # 37, so a Miller-Rabin round refuses them
+    with pytest.raises(UnsupportedRingError,
+                       match=f"^GF modulus {n} is not prime$"):
+        ring_from_tag(f"GF({n})")
+    path = tmp_path / "composite.cplx"
+    path.write_text(json.dumps({
+        "format": "p1dom-complex", "version": 1, "ring": f"GF({n})",
+        "degrees": [{"degree": 0, "rank": 1}]}))
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"input error: bad ring tag: GF modulus {n} is "
+                            "not prime (at ring)\n")
 
 
 def test_sheaf_loader_names_the_chart_entry_outside_its_ring(tmp_path,

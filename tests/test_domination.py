@@ -410,6 +410,24 @@ def test_integer_complex_is_refused_before_any_novikov_search(monkeypatch,
             run(c)
 
 
+@pytest.mark.parametrize("run, message", [
+    (homology, "homology is computed over K or K[x,x^-1], not K[x]"),
+    (novikov_check, "Novikov acyclicity applies to K[x,x^-1]-complexes"),
+    (verify_theorem, "Novikov acyclicity applies to K[x,x^-1]-complexes"),
+    (dominate, "Novikov acyclicity applies to K[x,x^-1]-complexes"),
+    (extend_complex, "extension starts from a K[x,x^-1]-complex"),
+], ids=["homology", "novikov_check", "verify_theorem", "dominate",
+        "extend_complex"])
+def test_a_k_x_complex_is_refused_by_the_library(run, message):
+    # the CLI refuses the base before any of these runs; called directly,
+    # each refuses a valid K[x] complex
+    c = two_term(QQ, [(1, 1)], base=BaseRing.POLY)
+    assert c.validate() == []
+    with pytest.raises(UnsupportedRingError) as exc:
+        run(c)
+    assert str(exc.value) == message
+
+
 def test_contraction_pivot_is_widest_then_least_valuation():
     from p1dom.domination import _find_unit_pivot
 

@@ -189,15 +189,16 @@ def test_human_dominate_builds_no_w_file(tmp_path, monkeypatch, capsys):
 
 def test_dominate_report_checks_w_ranks_before_writing_any_cell(
         tmp_path, monkeypatch, capsys):
+    # W of ranks 601/602/1 is refused in either format
     path = _wide_witness_file(tmp_path, 300)
     calls = _complex_to_dict_calls(monkeypatch)
     out = tmp_path / "dominate.json"
-    args = ["dominate", path, "--format", "report", "--out", str(out)]
-    assert main(args) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        f"input error: rank 601 exceeds {ff.MAX_RANK} (at W degree 0)\n")
+    for extra in ([], ["--format", "report", "--out", str(out)]):
+        assert main(["dominate", path] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"input error: rank 601 exceeds {ff.MAX_RANK} (at W degree 0)\n")
     assert calls == []
     assert not out.exists()
 
@@ -238,6 +239,30 @@ def test_h0_refuses_a_twist_past_max_twist(tmp_path, capsys):
     assert captured.err == (
         f"input error: twist {ff.MAX_TWIST + 1} exceeds {ff.MAX_TWIST} in "
         "absolute value (at twist_profile[0].k)\n")
+
+
+def test_h0_writes_no_file_that_it_cannot_read_back(tmp_path, monkeypatch,
+                                                   capsys):
+    # with MAX_DENSE_SLOTS = 3 the sheaf of d_1 = [1] over GF(7) with
+    # twists (3, 0) loads, but its W of ranks 4/4 has four nonzero
+    # cells, and the loader refuses it at the fourth
+    sheaf = tmp_path / "slots.sheaf"
+    ff.save_path(sheaf, {
+        "format": ff.SHEAF_FORMAT, "version": 2, "ring": "GF(7)",
+        "variable": "x", "base": "K[x,x^-1]",
+        "degrees": [{"degree": 0, "rank": 1}, {"degree": 1, "rank": 1}],
+        "differentials": [{"degree": 1, "matrix": [[[[0, "1"]]]]}],
+        "twist_profile": [{"degree": m, "k": 3, "l": 0} for m in (0, 1)]})
+    monkeypatch.setattr(ff, "MAX_DENSE_SLOTS", 3)
+    out = tmp_path / "w.cplx"
+    assert main(["h0", str(sheaf), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "input error: output not written, p1dom could not read it back: "
+        "the file's polynomials span more than MAX_DENSE_SLOTS = 3 dense "
+        "coefficient slots (at differentials[0].matrix[3][3])\n")
+    assert not out.exists()
 
 
 def test_outputs_at_the_bounds_are_written_and_read_back(tmp_path):

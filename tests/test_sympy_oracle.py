@@ -17,8 +17,9 @@ over K[t] are the chart valuations.
 
 A determinant is checked on x^s A with s clearing the negative
 exponents: det(x^s A) = x^(ns) det(A) for n x n matrices.  sympy computes
-it as a ``DomainMatrix`` over Q[x], Z[x] or GF(7)[x], with its own
-polynomial arithmetic.
+it, and the invariant factors, on a ``DomainMatrix`` over Q[x], Z[x] or
+GF(p)[x] built from the entries' terms, with its own polynomial
+arithmetic.
 """
 
 import random
@@ -29,6 +30,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import invariant_factors
 from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import (
+    invariant_factors as domain_invariant_factors)
 
 from p1dom import smith
 from p1dom.complexes import homology
@@ -61,20 +64,25 @@ def _to_sympy(p: LaurentPoly, shift: int):
     return expr
 
 
-def _from_sympy(ring, expr) -> LaurentPoly:
-    """x-power-free monic Laurent polynomial of a sympy factor; zero stays
-    zero."""
-    if ring is QQ:
-        coeffs = sympy.Poly(expr, X, domain=sympy.QQ).all_coeffs()
-        values = [Fraction(int(c.p), int(c.q)) for c in coeffs]
-    else:
-        coeffs = sympy.Poly(expr, X, modulus=ring.p).all_coeffs()
-        values = [int(c) % ring.p for c in coeffs]
-    top = len(values) - 1
-    p = LaurentPoly(ring, {top - i: v for i, v in enumerate(values)})
-    if p.is_zero:
-        return p
-    return unit_normalise(p)[2]
+def _domain_matrix(a):
+    """(x^s a as a sympy ``DomainMatrix`` over Q[x], GF(p)[x] or Z[x], s):
+    s clears the negative exponents, and each entry is built from its
+    terms."""
+    exps = [e for _, _, p in nonzero_entries(a) for e, _ in p.items()]
+    shift = -min(exps, default=0)
+    domain = _sympy_domain(a.ring)
+    grid = [[domain.ring.from_dict({(e + shift,): domain.dom.convert(c)
+                                    for e, c in a[i, j].items()})
+             for j in range(a.cols)] for i in range(a.rows)]
+    return DomainMatrix(grid, (a.rows, a.cols), domain), shift
+
+
+def _from_domain(ring, f, shift=0) -> LaurentPoly:
+    """x^-shift f as a LaurentPoly, for a polynomial f of a sympy
+    polynomial ring over Q, GF(p) or Z."""
+    return LaurentPoly(ring, {
+        e - shift: Fraction(int(c.numerator), int(c.denominator))
+        if ring is QQ else int(c) for (e,), c in f.terms()})
 
 
 def sympy_divides(f, g):
@@ -86,16 +94,13 @@ def sympy_divides(f, g):
 
 
 def sympy_factors(a):
-    """Nonzero invariant factors of a, normalised as p1dom reports them."""
+    """Nonzero invariant factors of a, normalised as p1dom reports them
+    (monic, with no power of x)."""
     if a.rows == 0 or a.cols == 0:
         return []
-    exps = [e for _, _, p in nonzero_entries(a) for e, _ in p.items()]
-    shift = -min(exps, default=0)
-    m = sympy.Matrix(a.rows, a.cols,
-                     lambda i, j: _to_sympy(a[i, j], shift))
-    factors = [_from_sympy(a.ring, f) for f in
-               invariant_factors(m, domain=_sympy_domain(a.ring))]
-    return [f for f in factors if not f.is_zero]
+    factors = [_from_domain(a.ring, f)
+               for f in domain_invariant_factors(_domain_matrix(a)[0])]
+    return [unit_normalise(f)[2] for f in factors if not f.is_zero]
 
 
 @settings(deadline=None, max_examples=150)
@@ -232,17 +237,8 @@ def test_chart_valuations_against_sympy(seed, ring, direction):
 
 def _sympy_det(a):
     """sympy's determinant of a Laurent matrix, as a LaurentPoly."""
-    n = a.rows
-    exps = [e for _, _, p in nonzero_entries(a) for e, _ in p.items()]
-    shift = -min(exps, default=0)
-    domain = _sympy_domain(a.ring)
-    det = DomainMatrix(
-        [[domain.from_sympy(_to_sympy(a[i, j], shift)) for j in range(n)]
-         for i in range(n)], (n, n), domain).det()
-    return LaurentPoly(a.ring, {
-        e - n * shift: Fraction(int(c.numerator), int(c.denominator))
-        if a.ring is QQ else int(c)
-        for (e,), c in det.terms()})
+    m, shift = _domain_matrix(a)
+    return _from_domain(a.ring, m.det(), a.rows * shift)
 
 
 def _det_case(rng, ring, n, kind):
