@@ -6,10 +6,11 @@ import pytest
 
 from p1dom.errors import RingMismatchError, ShapeError, UnsupportedRingError
 from p1dom.laurent import BaseRing, LaurentPoly, base_from_tag
+from p1dom.matrices import LaurentMatrix
 from p1dom.scalars import GF, QQ, ZZ
 
-from helpers import (P, add, evaluate, from_pairs, invert, is_unit, monomial,
-                     mul, polyadd, polymul, polyscale, respects,
+from helpers import (M, P, add, evaluate, from_pairs, invert, is_unit,
+                     monomial, mul, polyadd, polymul, polyscale, respects,
                      times_monomial, unit_normalise)
 
 
@@ -154,3 +155,13 @@ def test_exact_input_is_accepted_and_normalised():
     assert polyscale(P(QQ, (0, 1)), Fraction(2, 3)) == LaurentPoly(
         QQ, {0: Fraction(2, 3)})
     assert times_monomial(P(GF(7), (0, 3)), -2, 5) == P(GF(7), (-2, 1))
+
+
+def test_laurent_matrix_repr_prints_each_cell_as_a_report_does():
+    # rows joined by "; ", each cell in ascending exponents
+    q = M(QQ, [[[(1, 1), (0, -1)], 0],
+               [[(-2, Fraction(1, 2))], [(0, 3), (2, 1)]]])
+    assert repr(q) == "[-1 + x, 0; 1/2*x^-2, 3 + x^2]"
+    gf = M(GF(7), [[[(1, 6), (0, 1)], [(-1, 1)]], [0, 5]])
+    assert repr(gf) == "[1 + 6*x, x^-1; 0, 5]"
+    assert repr(LaurentMatrix.zero(QQ, 0, 3)) == "<0x3 empty>"
