@@ -12,7 +12,10 @@ windows) makes that complex a finite domination witness, audited degree
 by degree against the exact homology of the two charts over the
 power-series rings K[[x]] and K[[x^-1]], K a field (``chart_homology``).
 The package is that pipeline: the paper's lemmas on diagrams, chain maps
-and mapping cones are checked by the test suite, not computed here.
+and mapping cones are checked by the test suite, not computed here.  A
+Laurent polynomial is its ``polylists`` entry throughout, in a matrix
+cell, an invariant factor and a determinant alike; ``laurent.render``
+prints one.
 """
 
 from .complexes import ChainComplex, HomologyReport, homology
@@ -20,7 +23,7 @@ from .domination import (DominationWitness, NovikovVerdict, TheoremReport,
                          chart_homology, dominate, novikov_check,
                          verify_theorem)
 from .extension import ExtensionResult, extend_complex, restrict_to_torus
-from .laurent import BaseRing, LaurentPoly
+from .laurent import BaseRing
 from .matrices import LaurentMatrix
 from .scalars import GF, QQ, ZZ, CoefficientRing, ring_from_tag
 from .sheaves import (CechCohomology, SheafComplex, cech_cohomology,

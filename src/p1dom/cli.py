@@ -40,7 +40,7 @@ from .domination import (chart_homology, dominate, novikov_check,
 from .errors import (FormatError, NotNovikovAcyclicError, P1DomError,
                      StabilisationFailureError)
 from .extension import extend_complex
-from .laurent import BaseRing
+from .laurent import BaseRing, render
 from .sheaves import cech_cohomology, cech_complex, twisting_sheaf
 
 EXIT_OK = 0
@@ -143,7 +143,7 @@ def cmd_homology(args):
     entries = sorted(rep.entries.items())
     lines = []
     for q, e in entries:
-        tors = ", ".join(str(f) for f in e.torsion) or "-"
+        tors = ", ".join(render(c.ring, f) for f in e.torsion) or "-"
         kdim = "inf" if e.kdim is None else e.kdim
         lines.append(f"H_{q}: free rank {e.free_rank}, torsion [{tors}], "
                      f"K-dim {kdim}")
@@ -151,7 +151,8 @@ def cmd_homology(args):
         "command": "homology", "input_digest": args.input_digest,
         "ring": c.ring.tag, "entries": [
             {"degree": q, "free_rank": e.free_rank,
-             "torsion": [str(f) for f in e.torsion], "kdim": e.kdim}
+             "torsion": [render(c.ring, f) for f in e.torsion],
+             "kdim": e.kdim}
             for q, e in entries]})
     return EXIT_OK
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import (FormatError, RingMismatchError, ShapeError,
                      UnsupportedRingError)
-from .laurent import BaseRing
+from .laurent import BaseRing, render
 from .matrices import LaurentMatrix, scalar_rank
 from .polylists import ONE, cleared, lincomb
 from .scalars import CoefficientRing
@@ -127,7 +127,7 @@ class ChainComplex:
         entry's vanishing.
         """
         problems = [] if self.base is BaseRing.LAURENT else [
-            f"degree {m}: entry ({i},{j}) = {d[i, j]} violates "
+            f"degree {m}: entry ({i},{j}) = {render(self.ring, e)} violates "
             f"{self.base.tag}"
             for m, d in self.diffs.items()
             for i, row in enumerate(d.data)
@@ -159,10 +159,6 @@ class ChainComplex:
                 and self.lo == other.lo and self.hi == other.hi
                 and self.ranks == other.ranks and self.diffs == other.diffs)
 
-    def __hash__(self):
-        return hash((self.ring, self.base, self.lo, self.hi,
-                     tuple(sorted(self.ranks.items()))))
-
     def __repr__(self):
         ranks = ", ".join(f"{m}:{self.rank(m)}" for m in self.degrees())
         return (f"ChainComplex({self.ring.tag}, {self.base.tag}, "
@@ -177,7 +173,7 @@ class HomologyEntry:
     """Structure of one homology module over the base ring."""
 
     free_rank: int
-    torsion: tuple            # monic nonconstant invariant factors
+    torsion: tuple            # monic nonconstant invariant factors, entries
     kdim: int | None          # dimension over K; None means infinite
 
 
@@ -235,8 +231,8 @@ def homology(c: ChainComplex | ScalarComplex) -> HomologyReport:
     for q, free in homology_ranks(c.ranks, ranks).items():
         incoming = factors.get(q + 1, ())
         # core degrees, maxdeg - mindeg, read off the entries
-        torsion = tuple(f for f in incoming if len(f.entry[1]) > 1)
-        kdim = None if free else sum(len(f.entry[1]) - 1 for f in torsion)
+        torsion = tuple(f for f in incoming if len(f[1]) > 1)
+        kdim = None if free else sum(len(f[1]) - 1 for f in torsion)
         entries[q] = HomologyEntry(free, torsion, kdim)
     return HomologyReport(entries)
 

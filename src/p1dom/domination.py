@@ -48,8 +48,8 @@ ints over Z and integer rows over Q, with Bareiss's exact division.  The
 witness reads each chart differential straight off the rows of the torus
 differential and the twists, entry (i, j) being
 x^(a_j(m) - a_i(m-1)) d_m[i][j] with a = -l on the plus side and a = k on
-the minus side, so it builds no chart complex, no ``LaurentPoly`` and no
-window.  ``chart_homology`` reads the free rank and the torsion
+the minus side, so it builds no chart complex, renders no entry and
+builds no window.  ``chart_homology`` reads the free rank and the torsion
 K-dimension of each degree off the valuations, for the ledger and for
 ``p1dom hyper``, which runs the elimination on an explicit K[x] complex.
 The witness keeps the valuations, per side and differential degree, as
@@ -67,7 +67,7 @@ from .complexes import (ChainComplex, HomologyReport, ScalarComplex, homology,
 from .errors import (NotNovikovAcyclicError, StabilisationFailureError,
                      UnsupportedRingError)
 from .extension import extend_valid_complex
-from .laurent import BaseRing, LaurentPoly
+from .laurent import BaseRing, render
 from .matrices import LaurentMatrix
 from .polylists import (ONE, exact_quotient, integer_row, lincomb, scaled,
                         window, window_difference, window_inverse,
@@ -225,9 +225,9 @@ def _torsion_dims(chart: dict, side: str) -> dict:
 class SideVerdict:
     """The Novikov verdict of one side and the method that decided it.
 
-    ``certificate`` is rendered by ``render`` on its first read and kept
-    on the verdict, so a caller that reads only the answer builds none of
-    its strings.  Two verdicts are equal when their answers, methods and
+    ``certificate`` is built by the field ``render`` on its first read and
+    kept on the verdict, so a caller that reads only the answer builds
+    none of its strings.  Two verdicts are equal when their answers, methods and
     rendered certificates are.
     """
 
@@ -305,16 +305,16 @@ def _novikov_field(c: ChainComplex,
     acyclic = (report.all_torsion if report is not None
                else _euler(c) == 0 and _free_ranks_vanish(c))
 
-    def render():
+    def certificate():
         entries = (report or homology(c)).entries
         return {
             "method": "snf-torsion",
             "free_ranks": {str(q): e.free_rank for q, e in entries.items()},
-            "torsion": {str(q): [str(f) for f in e.torsion]
+            "torsion": {str(q): [render(c.ring, f) for f in e.torsion]
                         for q, e in entries.items() if e.torsion},
         }
 
-    side = SideVerdict("yes" if acyclic else "no", "snf-torsion", render)
+    side = SideVerdict("yes" if acyclic else "no", "snf-torsion", certificate)
     # over a field both Novikov conditions are the same rank condition
     return NovikovVerdict(side, side)
 
@@ -336,7 +336,8 @@ def _novikov_integers(c: ChainComplex) -> NovikovVerdict:
     two_term = _two_term_square(c)
     if two_term is not None:
         det = _determinant(two_term)
-        return NovikovVerdict(_unit_det_side(det, 1), _unit_det_side(det, -1))
+        return NovikovVerdict(_unit_det_side(c.ring, det, 1),
+                              _unit_det_side(c.ring, det, -1))
     return NovikovVerdict(
         _contraction_side(c, 1), _contraction_side(c, -1))
 
@@ -354,12 +355,13 @@ def _two_term_square(c: ChainComplex):
     return c.diff(present[1])
 
 
-def _determinant(d: LaurentMatrix) -> LaurentPoly:
-    """The determinant of the square matrix ``d`` over Z or GF(p), read off
-    the chart kernel in t = x: (-1)^s x^(sum v) u, the v the valuations
-    and u the last unit of ``_elementary_valuations(d, 1)``, when every
-    row pivots, and 0 otherwise; s is the sum over the pivots (r, j) of r
-    plus the position of j among the columns not yet taken.
+def _determinant(d: LaurentMatrix):
+    """The entry of the determinant of the square matrix ``d`` over Z or
+    GF(p), read off the chart kernel in t = x: (-1)^s x^(sum v) u, the v
+    the valuations and u the last unit of ``_elementary_valuations(d, 1)``,
+    when every row pivots, and None (zero) otherwise; s is the sum over
+    the pivots (r, j) of r plus the position of j among the columns not
+    yet taken.
 
     Each step of the kernel is a Bareiss step on d with its pivot column
     divided by t^v.  Dividing a column commutes with the later minors,
@@ -372,25 +374,26 @@ def _determinant(d: LaurentMatrix) -> LaurentPoly:
     """
     valuations, pivots, unit = _elementary_valuations(d, 1)
     if len(valuations) < d.rows:
-        return LaurentPoly.from_entry(d.ring, None)
+        return None
     s, taken = 0, []
     for r, j in pivots:
         s += r + j - sum(k < j for k in taken)
         taken.append(j)
     det = sum(valuations), (unit or ONE)[1]
-    return LaurentPoly.from_entry(
-        d.ring, scaled(det, -1, d.ring.p) if s % 2 else det)
+    if s % 2:
+        det = scaled(det, -1, d.ring.p)
+    return det[0], tuple(det[1])
 
 
-def _unit_det_side(det: LaurentPoly, direction: int) -> SideVerdict:
+def _unit_det_side(ring, det, direction: int) -> SideVerdict:
     """The verdict of a square two-term complex on one side: it is acyclic
     over Z((t)) exactly when its determinant is a unit there, t^v times a
     series whose constant term is 1 or -1.  So the answer and its proof
     are the determinant's lowest coefficient in t: at the x end for t = x,
     at the x^-1 end for t = x^-1 (0 for a zero determinant)."""
-    end = 0 if det.is_zero else det.entry[1][0 if direction == 1 else -1]
+    end = 0 if det is None else det[1][0 if direction == 1 else -1]
     return SideVerdict("yes" if end in (1, -1) else "no", "unit-determinant",
-                       lambda: {"determinant": str(det),
+                       lambda: {"determinant": render(ring, det),
                                 "side": "x" if direction == 1 else "x^-1",
                                 "end_coefficient": str(end)})
 

@@ -12,7 +12,7 @@ under a two-space indent, "," after each but the last, ": " after each
 key, empty arrays and objects as ``[]`` and ``{}``, ``\\uXXXX`` escapes
 for non-ASCII and control characters, and a final newline.  A complex
 with base "K" loads as a ``ScalarComplex`` of sparse rows of constants,
-any other with sparse rows of entries, no ``LaurentPoly`` per cell.
+any other with sparse rows of entries, each polynomial its entry.
 
 Loading is bounded before anything is built: a degree span above
 MAX_DEGREE_SPAN, a rank above MAX_RANK, an exponent above MAX_EXPONENT or
@@ -53,7 +53,7 @@ from json.encoder import encode_basestring_ascii as _escape
 from .complexes import MAX_RANK, ChainComplex, ScalarComplex, check_rank
 from .errors import (BaseRingViolationError, FormatError,
                      UnsupportedRingError)
-from .laurent import BaseRing, LaurentPoly, base_from_tag
+from .laurent import BaseRing, base_from_tag, render
 from .matrices import LaurentMatrix, ScalarMatrix
 from .polylists import from_terms
 from .scalars import CoefficientRing, ring_from_tag
@@ -158,8 +158,7 @@ def matrix_from_rows(ring, rows, cols, data, base: BaseRing, where: str,
             for j, e in row.items():
                 if not base.admits(e):
                     raise FormatError(
-                        f"entry ({i},{j}) = "
-                        f"{LaurentPoly.from_entry(ring, e)} violates "
+                        f"entry ({i},{j}) = {render(ring, e)} violates "
                         f"{base.tag}", where)
     # the keys are positions in rows of cols cells, met ascending: no scan
     if base is BaseRing.K:

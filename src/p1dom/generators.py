@@ -8,11 +8,11 @@ p over GF(p), plain ints over Q and Z), as ``validate``, the chart
 valuations and ``smith`` do.  The pieces go straight into the rows of one
 block-diagonal matrix per degree, and a basis change T is drawn as
 elementary row operations (``_elementary_ops``), which act on the nonzero
-entries of d to form T^-1 d T: no T, no matrix product and no
-``LaurentPoly`` is built.  Over Q each row of T_{m-1}^-1 d_m carries one
-denominator, which a row scaling by c^-1 multiplies by |c| and a row
-addition raises to the lcm of both rows'; the column operations keep it,
-as they combine entries of one row.  Each stored Q coefficient is made
+entries of d to form T^-1 d T: no T and no matrix product is built.
+Over Q each row of T_{m-1}^-1 d_m carries one denominator, which a row
+scaling by c^-1 multiplies by |c| and a row addition raises to the lcm
+of both rows'; the column operations keep it, as they combine entries of
+one row.  Each stored Q coefficient is made
 once, the Fraction of its numerator over its row's denominator, when the
 rows of the result are written, so no Fraction arithmetic runs.  The
 same recipe with unit-monomial pieces yields Novikov-acyclic instances.

@@ -3,10 +3,10 @@
 Both store ``data[i]``, row i as a dict ``{col: value}`` of its nonzero
 values.  A Laurent matrix holds ``polylists`` entries (v, c), c a tuple,
 columns ascending, which every producer builds and every kernel reads as
-is; a ``LaurentPoly`` appears only at the boundary (``d[i, j]``).  Which
-subring (K[x], K[x^-1]) it lives over is checked by the complex or chart
-that holds it (``ChainComplex.validate``, the ``SheafComplex``
-constructor, the file loader).  The library forms no sum or product of
+is; ``laurent.render`` prints one for a message.  Which subring (K[x],
+K[x^-1]) it lives over is checked by the complex or chart that holds it
+(``ChainComplex.validate``, the ``SheafComplex`` constructor, the file
+loader).  The library forms no sum or product of
 Laurent matrices or of their cells, and takes its one determinant off the
 chart elimination (``domination._determinant``), so neither has
 arithmetic: the sums, negations, products and Bareiss determinants that
@@ -20,7 +20,7 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .errors import ShapeError
-from .laurent import LaurentPoly
+from .laurent import render
 from .scalars import CoefficientRing
 
 
@@ -70,10 +70,6 @@ class LaurentMatrix(_Rows):
     def zero(cls, ring, rows, cols):
         return cls(ring, rows, cols, [{} for _ in range(rows)])
 
-    def __getitem__(self, pos) -> LaurentPoly:
-        i, j = pos
-        return LaurentPoly.from_entry(self.ring, self.data[i].get(j))
-
     @property
     def is_zero(self) -> bool:
         return not any(self.data)
@@ -91,8 +87,8 @@ class LaurentMatrix(_Rows):
         if self.rows == 0 or self.cols == 0:
             return f"<{self.rows}x{self.cols} empty>"
         return "[" + "; ".join(
-            ", ".join(str(self[i, j]) for j in range(self.cols))
-            for i in range(self.rows)) + "]"
+            ", ".join(render(self.ring, row.get(j)) for j in range(self.cols))
+            for row in self.data) + "]"
 
 
 class ScalarMatrix(_Rows):

@@ -3,14 +3,14 @@ elimination kernels share, and the only module that divides them.
 
 An entry is None (zero) or a pair (v, c): the Laurent polynomial
 x^v * (c[0] + c[1] x + ... + c[n] x^n) with c[0] and c[-1] nonzero, so its
-core degree is len(c) - 1 and its x-adic valuation is v.  A Laurent
-matrix row and a ``LaurentPoly`` store entries with c a tuple of canonical
-coefficients (residues mod p over GF(p), ints over Z, Fractions over Q);
-neither has arithmetic of its own.  Every kernel reads the entries as is
-and combines them with ``lincomb``, ``scaled`` and ``trim``, so no c is
-ever changed in place.  The kernels clear a Q row or column of
-denominators once (``cleared``, ``integer_row``) and then eliminate on
-int coefficients with p = 0.
+core degree is len(c) - 1 and its x-adic valuation is v.  The cells of a
+Laurent matrix, the invariant factors and the Z determinant are entries
+with c a tuple of canonical coefficients (residues mod p over GF(p), ints
+over Z, Fractions over Q); ``laurent.render`` prints one.  Every kernel
+reads the entries as is and combines them with ``lincomb``, ``scaled``
+and ``trim``, so no c is ever changed in place.  The kernels clear a Q
+row or column of denominators once (``cleared``, ``integer_row``) and
+then eliminate on int coefficients with p = 0.
 
 One long division, ``pseudo_divmod``, serves every kernel: the column
 echelon elimination of ``smith`` and the gcds of its invariant factors,

@@ -52,7 +52,7 @@ class CoefficientRing:
 
     ``kind`` is one of ``"Q"``, ``"GF"``, ``"Z"``; ``p`` is the modulus for
     GF(p) and 0 otherwise.  Elements are plain Python values (Fraction or
-    int); the ring object normalises, combines and renders them.
+    int); the ring object makes, parses and renders them.
     """
 
     kind: str
@@ -93,16 +93,6 @@ class CoefficientRing:
         if self.kind == "GF":
             return n % self.p
         return int(n)
-
-    def normalise(self, value):
-        """The canonical representative of an int or, over Q, a Fraction;
-        anything else, a float or bool included, is UnsupportedRingError."""
-        if type(value) is int:
-            return self.from_int(value)
-        if self.kind == "Q" and isinstance(value, Fraction):
-            return value
-        raise UnsupportedRingError(
-            f"coefficient {value!r} is not an exact element of {self.tag}")
 
     # -- arithmetic ------------------------------------------------------
 

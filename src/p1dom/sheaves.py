@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from .complexes import ChainComplex, ScalarComplex, check_rank
 from .errors import (BaseRingViolationError, NonVanishingH1Error,
                      ShapeError, UnsupportedRingError)
-from .laurent import BaseRing, LaurentPoly
+from .laurent import BaseRing, render
 from .matrices import LaurentMatrix, ScalarMatrix
 
 
@@ -177,10 +177,10 @@ class SheafComplex:
                     side, base, shift = "plus", BaseRing.POLY, b
                 else:
                     continue
-                entry = LaurentPoly.from_entry(mid.ring, (v + shift, c))
                 raise BaseRingViolationError(
                     f"degree {m}: {side} chart entry ({i},{j}) = "
-                    f"{entry} violates {base.tag}")
+                    f"{render(mid.ring, (v + shift, c))} violates "
+                    f"{base.tag}")
 
     @classmethod
     def _legal(cls, mid: ChainComplex, twists: dict) -> "SheafComplex":

@@ -16,8 +16,8 @@ primitive by its content gcd, divisions are the pseudo-divisions of
 ``polylists.pseudo_divmod``, and the Bezout cofactors and the gcds of the
 invariant factors come from one integer Euclidean algorithm, ``_xgcd``.
 Nonzero constants are units of Q[x,x^-1], so none of these scalings
-changes a factor or a module.  Results are wrapped with
-``LaurentPoly.from_entry``, their int coefficients made Fractions over Q.
+changes a factor or a module.  The factors are returned as entries, their
+int coefficients made Fractions over Q.
 
 The echelon form A*V = [H | 0] is reached by column operations and
 Bezout 2x2 column transforms only (Kannan-Bachem 1979; Storjohann 2000).
@@ -36,7 +36,6 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import UnsupportedRingError
-from .laurent import LaurentPoly
 from .matrices import LaurentMatrix
 from .polylists import (ONE, divided, exact_quotient, integer_row, lincomb,
                         make_primitive, pseudo_divmod, scaled)
@@ -171,18 +170,16 @@ def _columns(a: LaurentMatrix, p):
 
 
 def _factor(ring, core):
-    """The monic LaurentPoly of a core's coefficients."""
+    """The monic entry of a core's coefficients."""
     if len(core) == 1:
-        return LaurentPoly.one(ring)
+        return 0, (ring.one(),)
     lead = core[-1]
     if ring.p:
         inv = pow(lead, -1, ring.p)
-        return LaurentPoly.from_entry(
-            ring, (0, tuple(x * inv % ring.p for x in core)))
+        return 0, tuple(x * inv % ring.p for x in core)
     if lead == 1:  # integer coefficients: no gcd to take
-        return LaurentPoly.from_entry(ring, (0, tuple(map(Fraction, core))))
-    return LaurentPoly.from_entry(
-        ring, (0, tuple(Fraction(x, lead) for x in core)))
+        return 0, tuple(map(Fraction, core))
+    return 0, tuple(Fraction(x, lead) for x in core)
 
 
 def _reduce(columns, pivots, p):
@@ -209,7 +206,7 @@ def _reduce(columns, pivots, p):
 
 def invariant_factors(a: LaurentMatrix) -> tuple:
     """The invariant factors d_1 | d_2 | ... | d_r of ``a`` over
-    K[x,x^-1], r its rank.
+    K[x,x^-1], r its rank, as ``polylists`` entries.
 
     ``_echelon`` runs on the matrix and on its transpose in turn
     (Kannan-Bachem 1979) until every column has one nonzero entry.  Each

@@ -1,10 +1,13 @@
 """Shared builders for the test suite."""
 
+import importlib
+import pkgutil
 import random
 from fractions import Fraction
 from functools import reduce
 from math import prod
 
+import p1dom
 from p1dom import fileformat as ff
 from p1dom.complexes import ChainComplex, HomologyEntry, ScalarComplex
 from p1dom.domination import _chart_direction, _torsion_dims, chart_homology
@@ -14,13 +17,112 @@ from p1dom.errors import (BaseRingViolationError, NotAUnitError,
 from p1dom.generators import (_below, _conjugated, _elementary_ops,
                               _poly_entry, random_complex,
                               random_novikov_acyclic)
-from p1dom.laurent import BaseRing, LaurentPoly, _checked, _exponent
+from p1dom.laurent import BaseRing, render
 from p1dom.matrices import LaurentMatrix, ScalarMatrix, scalar_rank
 from p1dom.polylists import (MINUS_ONE, ONE, cleared, exact_quotient,
-                             integer_row, lincomb, pseudo_divmod, scaled)
+                             from_terms, integer_row, lincomb,
+                             pseudo_divmod, scaled)
 from p1dom.scalars import GF, QQ
 from p1dom.sheaves import SheafComplex, cech_cohomology
 from p1dom.smith import _echelon, _require_field
+
+
+def normalise(ring, value):
+    """The canonical representative of an int or, over Q, a Fraction, in
+    a coefficient ring; anything else, a float or bool included, is
+    UnsupportedRingError."""
+    if type(value) is int:
+        return ring.from_int(value)
+    if ring.kind == "Q" and isinstance(value, Fraction):
+        return value
+    raise UnsupportedRingError(
+        f"coefficient {value!r} is not an exact element of {ring.tag}")
+
+
+def _exponent(e) -> int:
+    if type(e) is not int:
+        raise ShapeError(f"exponent {e!r} is not an int")
+    return e
+
+
+def _checked(ring, pairs):
+    """The entry of the sum of c x^e over the pairs (e, c): exponents must
+    be ints (else ShapeError) and coefficients ints, over Q also Fractions
+    (else UnsupportedRingError, from ``normalise``)."""
+    terms = [(e if type(e) is int else _exponent(e), normalise(ring, c))
+             for e, c in pairs]
+    return from_terms(terms, ring.p)
+
+
+class LaurentPoly:
+    """An immutable Laurent polynomial of the tests' oracles: a coefficient
+    ring and the ``polylists`` entry that the library works on, compared
+    by both and printed by ``laurent.render``.  Comparing one with
+    anything else, a bare entry included, is a TypeError, so that no test
+    compares a polynomial with an entry by mistake."""
+
+    __slots__ = ("ring", "entry")
+
+    def __init__(self, ring, coeffs=None):
+        """The sum of c x^e over the items e: c of ``coeffs``."""
+        self.ring = ring
+        self.entry = _checked(ring, (coeffs or {}).items())
+
+    @classmethod
+    def from_entry(cls, ring, entry):
+        """The polynomial of a ``polylists`` entry whose coefficients are
+        already canonical elements of ``ring`` (a kernel's result)."""
+        if entry is not None and type(entry[1]) is not tuple:
+            entry = entry[0], tuple(entry[1])
+        p = object.__new__(cls)
+        p.ring = ring
+        p.entry = entry
+        return p
+
+    @classmethod
+    def one(cls, ring):
+        return cls.from_entry(ring, (0, (ring.one(),)))
+
+    @property
+    def is_zero(self) -> bool:
+        return self.entry is None
+
+    def items(self):
+        """Sorted (exponent, coefficient) pairs, exponents ascending."""
+        v, c = self.entry or (0, ())
+        return [(v + k, x) for k, x in enumerate(c) if x]
+
+    def __eq__(self, other):
+        if not isinstance(other, LaurentPoly):
+            raise TypeError(f"a LaurentPoly compared with {other!r}")
+        return self.ring == other.ring and self.entry == other.entry
+
+    def __bool__(self):
+        return self.entry is not None
+
+    def __repr__(self):
+        return render(self.ring, self.entry)
+
+
+def cell(a, i, j):
+    """The LaurentPoly of cell (i, j) of a LaurentMatrix."""
+    return LaurentPoly.from_entry(a.ring, a.data[i].get(j))
+
+
+def recorded_renders(monkeypatch):
+    """The list to which each later ``laurent.render`` call of the library
+    appends its entry: the name is patched in every module of ``p1dom``
+    that binds it."""
+    calls = []
+
+    def recording(ring, entry):
+        calls.append(entry)
+        return render(ring, entry)
+    for info in pkgutil.iter_modules(p1dom.__path__):
+        module = importlib.import_module(f"p1dom.{info.name}")
+        if getattr(module, "render", None) is render:
+            monkeypatch.setattr(module, "render", recording)
+    return calls
 
 
 def from_pairs(ring, pairs):
@@ -143,7 +245,7 @@ def grid_matrix(ring, rows, cols, grid):
 
 def dense(m):
     """The cells of a LaurentMatrix as a grid of LaurentPoly."""
-    return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+    return [[cell(m, i, j) for j in range(m.cols)] for i in range(m.rows)]
 
 
 def nonzero_entries(m):
@@ -339,7 +441,7 @@ def polyneg(a):
 def polyscale(a, coeff):
     """coeff * a for a LaurentPoly a and an int coefficient, over Q also
     a Fraction (anything else is UnsupportedRingError)."""
-    coeff = a.ring.normalise(coeff)
+    coeff = normalise(a.ring, coeff)
     return LaurentPoly.from_entry(
         a.ring, scaled(a.entry, coeff, a.ring.p) if coeff else None)
 
@@ -450,12 +552,6 @@ def maxdeg(p):
     return v + len(c) - 1
 
 
-def core_degree(p):
-    """maxdeg - mindeg: the degree of the monic core of a nonzero
-    LaurentPoly, the Euclidean norm of K[x,x^-1]."""
-    return len(p.entry[1]) - 1
-
-
 def evaluate(p, point):
     """p at a scalar point (the point must be a unit when negative
     exponents occur)."""
@@ -491,7 +587,7 @@ def scalar_diag(ring, polys):
 def submatrix(a, row_idx, col_idx):
     """The rows ``row_idx`` and columns ``col_idx`` of a LaurentMatrix."""
     return grid_matrix(a.ring, len(row_idx), len(col_idx),
-                       [[a[i, j] for j in col_idx] for i in row_idx])
+                       [[cell(a, i, j) for j in col_idx] for i in row_idx])
 
 
 def identity(ring, n):
@@ -559,7 +655,7 @@ def random_poly(rng, ring, min_exp=-3, max_exp=3, terms=3, nonzero=False):
 def _ring_entry(ring, e):
     """An entry of int coefficients as a matrix stores it over ``ring``:
     c a tuple, the ints made Fractions over Q."""
-    return e and (e[0], tuple(map(ring.normalise, e[1])))
+    return e and (e[0], tuple(normalise(ring, x) for x in e[1]))
 
 
 # -- kernels by column echelon form ---------------------------------------------
@@ -834,7 +930,7 @@ def random_invertible_pair(rng, ring, n, span=1):
             for row in t_inv:
                 row[i], row[j] = row[j], row[i]
         else:
-            e, c = x[0], ring.normalise(x[1])
+            e, c = x[0], normalise(ring, x[1])
             x, y = (e, c), (-e, invert(ring, c))
             t[i] = [_times_unit(a, x, p) for a in t[i]]
             for row in t_inv:

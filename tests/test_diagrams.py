@@ -7,8 +7,8 @@ from p1dom.generators import random_complex
 from p1dom.laurent import BaseRing
 from p1dom.scalars import GF, QQ
 
-from helpers import (dense, direct_sum, grid_matrix, identity, polyneg, single,
-                     vanishes, zero_complex)
+from helpers import (cell, dense, direct_sum, grid_matrix, identity, polyneg,
+                     single, vanishes, zero_complex)
 from paper_lemmas import (ChainMap, ComplexDiagram,
                           diagram_with_a_non_chain_map, hypercohomology, iota,
                           is_quasi_iso, levelwise_h1_trivial, phi_star,
@@ -52,8 +52,8 @@ def test_iota_is_diagonal_for_constant_diagram():
     assert h0.rank(0) == 1
     col = incl.component(0)
     # x maps to (x, x, 0); the kernel basis is scaled by a unit
-    assert col.rows == 2 and not col[0, 0].is_zero
-    assert col[0, 0] == col[1, 0]
+    assert col.rows == 2 and not cell(col, 0, 0).is_zero
+    assert cell(col, 0, 0) == cell(col, 1, 0)
     assert is_quasi_iso(iota(d))
 
 

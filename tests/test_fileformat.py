@@ -13,10 +13,11 @@ from p1dom.complexes import ChainComplex
 from p1dom.errors import FormatError
 from p1dom.extension import extend_complex, restrict_to_torus
 from p1dom.generators import random_complex, random_novikov_acyclic
-from p1dom.laurent import BaseRing, LaurentPoly
+from p1dom.laurent import BaseRing
 from p1dom.scalars import GF, QQ, ZZ
 
-from helpers import add, coeff, from_pairs, random_ring, two_term, zero
+from helpers import (LaurentPoly, add, cell, coeff, from_pairs, random_ring,
+                     two_term, zero)
 
 
 def test_complex_round_trip_simple():
@@ -230,7 +231,7 @@ def test_decimal_coefficients_load(ring, text, value):
         "format": ff.COMPLEX_FORMAT, "version": 1, "ring": ring.tag,
         "degrees": [{"degree": 0, "rank": 1}, {"degree": 1, "rank": 1}],
         "differentials": [{"degree": 1, "matrix": [[[[0, text]]]]}]})
-    assert coeff(c.diff(1)[0, 0], 0) == value
+    assert coeff(cell(c.diff(1), 0, 0), 0) == value
 
 
 def test_fraction_strings_are_refused_outside_q():
@@ -287,7 +288,7 @@ def test_loader_builds_every_cell_of_the_acceptance_corpus():
                     p = _poly(ring, pairs)
                     assert p == from_pairs(
                         ring, [(e, ring.parse(x)) for e, x in pairs])
-                    assert p == d[i, j]
+                    assert p == cell(d, i, j)
                     assert p.items() == _sums(ring, pairs)
                     assert p.entry is None or type(p.entry[1]) is tuple
                     cells += 1

@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from p1dom.errors import RingMismatchError, ShapeError, UnsupportedRingError
-from p1dom.laurent import BaseRing, LaurentPoly, base_from_tag
+from p1dom.laurent import BaseRing, base_from_tag
 from p1dom.matrices import LaurentMatrix
 from p1dom.scalars import GF, QQ, ZZ
 
-from helpers import (M, P, add, evaluate, from_pairs, invert, is_unit,
-                     monomial, mul, polyadd, polymul, polyscale, respects,
-                     times_monomial, unit_normalise)
+from helpers import (LaurentPoly, M, P, add, evaluate, from_pairs, invert,
+                     is_unit, monomial, mul, polyadd, polymul, polyscale,
+                     respects, times_monomial, unit_normalise)
 
 
 def test_product_identity_case():

@@ -28,8 +28,8 @@ from p1dom.matrices import LaurentMatrix, ScalarMatrix
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import cech_complex
 
-from helpers import (dense, grid_matrix, grid_product, matadd, matmul,
-                     matneg, matsub, polyadd, polyneg, polysub,
+from helpers import (dense, grid_matrix, grid_product, matadd, matmul, matneg,
+                     matsub, normalise, polyadd, polyneg, polysub,
                      random_matrix)
 
 
@@ -45,7 +45,7 @@ def assert_canonical_rows(m):
             assert type(v) is int and type(c) is tuple
             assert c and c[0] and c[-1]
             for x in filter(None, c):
-                want = m.ring.normalise(x)
+                want = normalise(m.ring, x)
                 assert x == want and type(x) is type(want)
                 assert m.ring is not QQ or type(x) is Fraction
 
@@ -57,7 +57,7 @@ def assert_canonical_scalar_rows(m):
         assert list(row) == sorted(row)
         for j, x in row.items():
             assert type(j) is int and 0 <= j < m.cols
-            want = m.ring.normalise(x)
+            want = normalise(m.ring, x)
             assert x and x == want and type(x) is type(want)
 
 

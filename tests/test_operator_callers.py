@@ -41,7 +41,7 @@ from pathlib import Path
 
 import p1dom
 from p1dom import cli
-from p1dom.laurent import LaurentPoly
+from p1dom.matrices import LaurentMatrix
 
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = ROOT / "src" / "p1dom"
@@ -183,7 +183,7 @@ def test_the_probe_names_an_operator_only_the_tests_call(tmp_path):
 
 def test_every_operator_method_has_a_library_or_perfbench_caller(tmp_path):
     classes = library_classes()
-    assert LaurentPoly in classes
+    assert LaurentMatrix in classes
     codes = {}
     missing = uncalled_operators(
         classes, [LIBRARY, PERFBENCH],

@@ -6,12 +6,11 @@ from fractions import Fraction
 import pytest
 
 from p1dom.errors import ShapeError
-from p1dom.laurent import LaurentPoly
 from p1dom.polylists import (exact_quotient, integer_row, lincomb,
                              pseudo_divmod, scaled)
 from p1dom.scalars import GF, QQ
 
-from helpers import P
+from helpers import LaurentPoly, P
 
 
 def test_laurent_round_trip():

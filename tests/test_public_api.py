@@ -19,7 +19,7 @@ from p1dom.scalars import QQ
 PUBLIC = [
     "BaseRing", "CechCohomology", "ChainComplex", "CoefficientRing",
     "DominationWitness", "ExtensionResult", "GF", "HomologyReport",
-    "LaurentMatrix", "LaurentPoly", "NovikovVerdict", "QQ", "SheafComplex",
+    "LaurentMatrix", "NovikovVerdict", "QQ", "SheafComplex",
     "TheoremReport", "ZZ", "cech_cohomology", "cech_complex",
     "chart_homology", "complexes", "dominate", "domination", "errors",
     "extend_complex", "extension", "homology", "invariant_factors",

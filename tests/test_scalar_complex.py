@@ -24,14 +24,14 @@ from p1dom.domination import _valuations, chart_homology, dominate
 from p1dom.errors import FormatError, ShapeError, UnsupportedRingError
 from p1dom.extension import extend_complex
 from p1dom.generators import random_complex, random_novikov_acyclic
-from p1dom.laurent import BaseRing, LaurentPoly
+from p1dom.laurent import BaseRing
 from p1dom.matrices import ScalarMatrix
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import cech_complex
 
-from helpers import (P, chart as sheaf_chart, constants, direct_sum,
-                     grid_matrix, load_complex, matmul, monomial, mul, polyneg,
-                     single, two_term, window_complex)
+from helpers import (LaurentPoly, P, chart as sheaf_chart, constants,
+                     direct_sum, grid_matrix, load_complex, matmul, monomial,
+                     mul, normalise, polyneg, single, two_term, window_complex)
 from paper_lemmas import ChainMap, ComplexDiagram, hypercohomology
 
 FIELDS = [QQ, GF(7), GF(10007)]
@@ -177,7 +177,7 @@ def dense_problems(c: ScalarComplex):
         if a is None or b is None:
             continue
         for i in range(a.rows):
-            if any(ring.normalise(sum(
+            if any(normalise(ring, sum(
                     mul(ring, a.data[i].get(k, 0), b.data[k].get(j, 0))
                     for k in range(a.cols))) for j in range(b.cols)):
                 problems.append(f"degree {m}: d.d != 0")
@@ -208,7 +208,7 @@ def corrupted(rng, c: ScalarComplex) -> ScalarComplex:
         return c
     m, i, j = rng.choice(cells)
     data = [dict(row) for row in c.diffs[m].data]
-    v = c.ring.normalise(data[i].get(j, 0) + 1)
+    v = normalise(c.ring, data[i].get(j, 0) + 1)
     if v:
         data[i][j] = v
     else:

@@ -23,7 +23,7 @@ from p1dom.matrices import ScalarMatrix, scalar_rank
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import cech_complex
 
-from helpers import S, chart, window_complex
+from helpers import S, cell, chart, window_complex
 
 
 def dense_rank_mod_p(grid, p):
@@ -238,7 +238,7 @@ def dense_window(c, order):
         grid = [[0] * (d.cols * order) for _ in range(d.rows * order)]
         for i in range(d.rows):
             for j in range(d.cols):
-                for e, coeff in d[i, j].items():
+                for e, coeff in cell(d, i, j).items():
                     shift = e * direction
                     for tau in range(order - shift):
                         grid[i * order + tau + shift][j * order + tau] = coeff

@@ -4,7 +4,7 @@ from fractions import Fraction
 from p1dom.errors import NotAUnitError, UnsupportedRingError
 from p1dom.scalars import GF, QQ, ZZ, CoefficientRing, ring_from_tag
 
-from helpers import add, invert, mul
+from helpers import add, invert, mul, normalise
 
 
 def test_rational_representation():
@@ -16,7 +16,7 @@ def test_rational_representation():
 
 def test_gf_canonical_representatives():
     r = GF(7)
-    assert r.normalise(-1) == 6
+    assert normalise(r, -1) == 6
     assert add(r, 5, 4) == 2
     assert mul(r, 3, 5) == 1
     assert invert(r, 3) == 5

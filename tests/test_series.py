@@ -9,12 +9,11 @@ import random
 import pytest
 
 from p1dom.errors import NotAUnitError
-from p1dom.laurent import LaurentPoly
 from p1dom.polylists import (window, window_difference, window_inverse,
                              window_product)
 from p1dom.scalars import ZZ
 
-from helpers import P, times_monomial
+from helpers import LaurentPoly, P, times_monomial
 
 
 def test_geometric_series():

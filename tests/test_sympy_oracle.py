@@ -8,8 +8,11 @@ negative exponents).  Multiplying by a unit does not move invariant
 factors, and over K[x] a factor of the form x^k g is, over K[x,x^-1], the
 factor g: so sympy's invariant factors over Q[x] or GF(7)[x], with powers
 of x stripped and made monic, must be the factors that
-``smith.invariant_factors`` reports.  ``test_smith.py`` uses
-``sympy_factors`` as its reference too.
+``smith.invariant_factors`` reports.  So must the quotients of the
+determinantal divisors, the gcds of the k x k minors, which sympy's
+determinants give at a fraction of the Smith form's cost:
+``determinantal_factors`` is the reference of ``test_smith.py``'s
+randomised check, and is itself checked against the Smith form here.
 
 The Smith form of a K[t]-matrix is also one over K[[t]] after scaling by
 units of K[[t]], so the t-adic orders of sympy's nonzero invariant factors
@@ -24,6 +27,7 @@ arithmetic.
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import sympy
 from hypothesis import given, settings
@@ -36,14 +40,14 @@ from sympy.polys.matrices.normalforms import (
 from p1dom import smith
 from p1dom.complexes import homology
 from p1dom.domination import _determinant, _elementary_valuations
-from p1dom.laurent import BaseRing, LaurentPoly
+from p1dom.laurent import BaseRing
+from p1dom.matrices import LaurentMatrix
 from p1dom.scalars import GF, QQ, ZZ
 from p1dom.smith import invariant_factors as kernel_factors
 
-from helpers import (HOMOLOGY_KINDS, M, P, check_base, core_degree, dense,
-                     determinant, grid_matrix, homology_case, matmul,
-                     nonzero_entries, polyscale, random_matrix,
-                     unit_normalise)
+from helpers import (HOMOLOGY_KINDS, LaurentPoly, M, P, cell, check_base,
+                     dense, determinant, grid_matrix, homology_case, matmul,
+                     nonzero_entries, polyscale, random_matrix, unit_normalise)
 
 X = sympy.symbols("x")
 GF7 = GF(7)
@@ -72,7 +76,7 @@ def _domain_matrix(a):
     shift = -min(exps, default=0)
     domain = _sympy_domain(a.ring)
     grid = [[domain.ring.from_dict({(e + shift,): domain.dom.convert(c)
-                                    for e, c in a[i, j].items()})
+                                    for e, c in cell(a, i, j).items()})
              for j in range(a.cols)] for i in range(a.rows)]
     return DomainMatrix(grid, (a.rows, a.cols), domain), shift
 
@@ -85,22 +89,67 @@ def _from_domain(ring, f, shift=0) -> LaurentPoly:
         if ring is QQ else int(c) for (e,), c in f.terms()})
 
 
-def sympy_divides(f, g):
+def sympy_divides(ring, f, g):
     """Whether f divides g over K[x], by sympy's remainder; f and g are
-    factors as p1dom reports them (monic, zero valuation)."""
-    options = ({"domain": sympy.QQ} if f.ring is QQ
-               else {"modulus": f.ring.p})
-    return sympy.rem(_to_sympy(g, 0), _to_sympy(f, 0), X, **options) == 0
+    the entries of factors as p1dom reports them (monic, zero
+    valuation)."""
+    options = ({"domain": sympy.QQ} if ring is QQ else {"modulus": ring.p})
+    f, g = (_to_sympy(LaurentPoly.from_entry(ring, e), 0) for e in (f, g))
+    return sympy.rem(g, f, X, **options) == 0
+
+
+def _reported(ring, factors):
+    """The entries of the nonzero polynomials ``factors`` of a sympy
+    polynomial ring, normalised as p1dom reports invariant factors
+    (monic, with no power of x)."""
+    return [unit_normalise(f)[2].entry
+            for f in (_from_domain(ring, f) for f in factors)
+            if not f.is_zero]
 
 
 def sympy_factors(a):
-    """Nonzero invariant factors of a, normalised as p1dom reports them
-    (monic, with no power of x)."""
+    """Nonzero invariant factors of a by sympy's Smith form, as entries
+    normalised as p1dom reports them."""
     if a.rows == 0 or a.cols == 0:
         return []
-    factors = [_from_domain(a.ring, f)
-               for f in domain_invariant_factors(_domain_matrix(a)[0])]
-    return [unit_normalise(f)[2] for f in factors if not f.is_zero]
+    return _reported(a.ring,
+                     domain_invariant_factors(_domain_matrix(a)[0]))
+
+
+def _x_free(domain, f):
+    """A nonzero f of ``domain`` divided by the largest power of x that
+    divides it."""
+    v = min(e for (e,), _ in f.terms())
+    return domain.ring.from_dict({(e - v,): c for (e,), c in f.terms()})
+
+
+def determinantal_factors(a):
+    """Nonzero invariant factors of a by determinantal divisors, as
+    ``sympy_factors`` reports them: D_k is the gcd of the k x k minors of
+    x^s a over K[x], each a sympy determinant, and d_k = D_k / D_{k-1}
+    for each k up to the rank, the largest k with D_k != 0.  x is a unit
+    of K[x,x^-1], so each minor is taken over its power of x, and a gcd
+    that reaches 1 is D_k."""
+    if a.rows == 0 or a.cols == 0:
+        return []
+    m, _ = _domain_matrix(a)
+    domain = m.domain
+    divisors = [domain.one]
+    for k in range(1, min(a.rows, a.cols) + 1):
+        minors = (m.extract(rows, cols).det()
+                  for rows in combinations(range(a.rows), k)
+                  for cols in combinations(range(a.cols), k))
+        g = domain.zero
+        for minor in minors:
+            if minor:
+                g = domain.gcd(g, _x_free(domain, minor))
+                if g == domain.one:
+                    break
+        if not g:
+            break
+        divisors.append(g)
+    return _reported(a.ring, [domain.exquo(d, c)
+                              for c, d in zip(divisors, divisors[1:])])
 
 
 @settings(deadline=None, max_examples=150)
@@ -110,16 +159,27 @@ def test_laurent_smith_form_against_sympy(seed, ring):
     a = random_matrix(rng, ring, rng.randint(1, 4), rng.randint(1, 4), 2)
     factors = kernel_factors(a)
     for f, g in zip(factors, factors[1:]):
-        assert sympy_divides(f, g)
+        assert sympy_divides(ring, f, g)
     assert list(factors) == sympy_factors(a)
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2 ** 32 - 1), ring=st.sampled_from([QQ, GF7]))
+def test_determinantal_divisors_match_the_smith_form(seed, ring):
+    # the reference of test_smith's randomised check against sympy's own
+    # Smith form, on small matrices with a repeated row, so a rank drop
+    rng = random.Random(seed)
+    a = random_matrix(rng, ring, rng.randint(1, 3), rng.randint(1, 4), 2)
+    a = LaurentMatrix(ring, a.rows + 1, a.cols, a.data + [a.data[0]])
+    assert determinantal_factors(a) == sympy_factors(a)
 
 
 def test_sympy_reads_a_known_chain():
     # diag(x^-1 (x - 1), 2 x^2 (x - 1)(x + 1)): chain [x - 1, x^2 - 1]
     a = M(QQ, [[[(0, 1), (-1, -1)], 0], [0, [(4, 2), (2, -2)]]])
-    expected = [LaurentPoly(QQ, {0: -1, 1: 1}),
-                LaurentPoly(QQ, {0: -1, 2: 1})]
-    assert sympy_factors(a) == expected
+    expected = [LaurentPoly(QQ, {0: -1, 1: 1}).entry,
+                LaurentPoly(QQ, {0: -1, 2: 1}).entry]
+    assert sympy_factors(a) == determinantal_factors(a) == expected
     assert list(kernel_factors(a)) == expected
 
 
@@ -145,7 +205,7 @@ def test_q_hermite_step_with_a_multiplier_against_sympy(monkeypatch):
     factors = kernel_factors(a)
     assert any(m != 1 for m in multipliers)
     assert list(factors) == sympy_factors(a)
-    assert [core_degree(f) for f in factors] == [0, 0, 5]
+    assert [len(f[1]) - 1 for f in factors] == [0, 0, 5]
 
 
 @settings(deadline=None, max_examples=150)
@@ -157,7 +217,7 @@ def test_homology_torsion_against_sympy(seed, ring, kind):
     report = homology(c)
     for q in c.degrees():
         nonunit = [f for f in sympy_factors(c.diff(q + 1))
-                   if core_degree(f) > 0]
+                   if len(f[1]) > 1]
         assert list(report.entry(q).torsion) == nonunit
 
 
@@ -274,7 +334,7 @@ def test_determinant_against_sympy(seed, ring, n, kind):
     if kind == "singular":
         assert det.is_zero
     if ring is not QQ:
-        assert _determinant(a) == det
+        assert _determinant(a) == det.entry
 
 
 def test_determinant_swaps_a_zero_pivot_and_clears_denominators():
@@ -285,7 +345,7 @@ def test_determinant_swaps_a_zero_pivot_and_clears_denominators():
         assert determinant(a) == LaurentPoly(ring, {1: -2})
         assert determinant(a) == _sympy_det(a)
         if ring is not QQ:
-            assert _determinant(a) == determinant(a)
+            assert _determinant(a) == determinant(a).entry
     # rows with denominators 2 and 3: det = 1/2 - x/3
     a = grid_matrix(QQ, 2, 2, [
         [LaurentPoly(QQ, {0: Fraction(1, 2)}), LaurentPoly(QQ, {1: 1})],
