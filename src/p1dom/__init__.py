@@ -5,10 +5,9 @@ complexes of twisted sums on the projective line; their global sections
 give a finite complex over K, and Novikov acyclicity (decided exactly over
 a field by the ranks of the differentials over K(x), the Smith form only
 rendering the certificate; over Z exactly for a square two-term complex by
-the end coefficients of its determinant, read off the same chart
-elimination that counts the ranks, otherwise by a sound unit-pivot
-search on Laurent series truncated to 16 terms, kept as coefficient-list
-windows) makes that complex a finite domination witness, audited degree
+the end coefficients of its determinant, otherwise by a sound unit-pivot
+contraction, both read off the same chart elimination that counts the
+ranks) makes that complex a finite domination witness, audited degree
 by degree against the exact homology of the two charts over the
 power-series rings K[[x]] and K[[x^-1]], K a field (``chart_homology``).
 The package is that pipeline: the paper's lemmas on diagrams, chain maps

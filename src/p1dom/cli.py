@@ -11,7 +11,7 @@ it.  Options come from the command line alone, and each command parses
 only the flags it reads: ``h0`` takes no ``--format``; another flag is an
 unknown argument (exit 2), which the top-level parser reports, as it
 does a missing or unknown command.  ``novikov`` decides Z complexes
-longer than two terms on windows of ``domination.WINDOW_ORDER`` terms,
+longer than two terms by a unit-pivot contraction on the exact entries,
 ``verify`` and ``dominate`` report the exact chart valuations and
 ``hyper`` the exact chart homology, so no command takes a truncation
 order.

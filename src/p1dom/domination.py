@@ -21,15 +21,12 @@ computed only when the ``snf-torsion`` certificate is read.  Like
 on a side exactly when its determinant is a unit of Z((t)), t = x or
 x^-1, that is when the determinant's lowest coefficient in t is 1 or -1;
 that end coefficient is the whole certificate, with no truncation order.
-The determinant is read off the chart kernel in t = x (``_determinant``),
-so one elimination serves the ranks, the chart valuations and Z mode.
-Longer complexes run a greedy unit-pivot elimination on Z windows of
-``WINDOW_ORDER`` = 16 terms (``polylists.window``: a coefficient entry in
-t and its first unknown t-exponent), which is sound but may answer
-"unknown".  It keeps each differential as sparse row dicts of windows,
-the layout of ``LaurentMatrix.data``, and counts the generators left.  A
-verdict renders its certificate (strings of factors, determinants and
-windows) only when a caller reads it.
+The determinant is read off the chart kernel in t = x (``_determinant``).
+Longer complexes run the same kernel as a unit-pivot contraction on the
+exact entries (``_contraction_side``), which is sound but may answer
+"unknown".  So one elimination serves the ranks, the chart valuations
+and both Z paths.  A verdict renders its certificate (strings of
+factors and determinants) only when a caller reads it.
 
 The witness produced for a Novikov-acyclic complex is the complex of global
 sections W of the extension to the projective line (a ``ScalarComplex``:
@@ -69,15 +66,8 @@ from .errors import (NotNovikovAcyclicError, StabilisationFailureError,
 from .extension import extend_valid_complex
 from .laurent import BaseRing, render
 from .matrices import LaurentMatrix
-from .polylists import (ONE, exact_quotient, integer_row, lincomb, scaled,
-                        window, window_difference, window_inverse,
-                        window_product)
+from .polylists import ONE, exact_quotient, integer_row, lincomb, scaled
 from .sheaves import SheafComplex, cech_complex
-
-# the terms of each Z window of the unit-pivot search; on the pinned and
-# generated Z corpora no other order decided a side that 16 leaves unknown
-WINDOW_ORDER = 16
-
 
 # ---------------------------------------------------------------------------
 # chart homology over K[[x]] and K[[x^-1]]
@@ -95,13 +85,15 @@ def _chart_direction(c: ChainComplex) -> int:
 
 
 def _elementary_valuations(d: LaurentMatrix, direction: int,
-                           row_exps=None, col_exps=None) -> tuple:
+                           row_exps=None, col_exps=None,
+                           _units=False) -> tuple:
     """(valuations, pivots, unit): the t-adic valuations of the nonzero
     elementary divisors over K[[t]] of the chart matrix
     x^(col_exps[j] - row_exps[i]) d[i][j] (no shift when the exponent
     lists are left out), one per pivot; each pivot's (r, j), r its row's
     position among the rows left and j its column; and the last pivot's
     unit u, None when nothing pivots (``_determinant`` reads these).
+    ``_units`` runs the Z contraction's variant (below).
 
     t is x for direction 1 and x^-1 for direction -1, whose coefficient
     lists are the reversed lists in x.  K[[t]] is a discrete valuation
@@ -115,6 +107,14 @@ def _elementary_valuations(d: LaurentMatrix, direction: int,
     unit: entries stay minors of d up to a power of t, so their degrees
     and, over Q, the bit lengths of their coefficients grow linearly, not
     exponentially.
+
+    With ``_units``, over Z, the pivot is an entry whose lowest
+    coefficient in t is 1 or -1, a unit of Z((t)), when there is one;
+    then, as without, the least valuation and the first row and column.
+    c / t^v may then have negative exponents, and the valuations are
+    only those of the pivots.  The elimination ends at the first pivot
+    whose lowest coefficient is not 1 or -1 and returns that pivot's
+    unit (``_contraction_side`` reads nothing else).
 
     The elimination runs on coefficient lists (``polylists``): residues
     mod p over GF(p), ints over Z; over Q each row is cleared of
@@ -142,10 +142,19 @@ def _elementary_valuations(d: LaurentMatrix, direction: int,
     pivots = []
     prev = None
     while rows:
-        v, r, j = min((e[0], r, j)
-                      for r, row in enumerate(rows) for j, e in row.items())
+        if _units:
+            v, r, j = min((e[1][0] not in (1, -1), e[0], r, j)
+                          for r, row in enumerate(rows)
+                          for j, e in row.items())[1:]
+        else:
+            v, r, j = min((e[0], r, j) for r, row in enumerate(rows)
+                          for j, e in row.items())
         pivot_row = rows.pop(r)
         unit = (0, pivot_row.pop(j)[1])
+        found.append(v)
+        pivots.append((r, j))
+        if _units and unit[1][0] not in (1, -1):
+            return found, pivots, unit
         kept = []
         for row in rows:
             c = row.pop(j, None)
@@ -163,8 +172,6 @@ def _elementary_valuations(d: LaurentMatrix, direction: int,
                 kept.append(row)
         rows = kept
         prev = unit
-        found.append(v)
-        pivots.append((r, j))
     return found, pivots, prev
 
 
@@ -233,7 +240,7 @@ class SideVerdict:
 
     acyclic: str               # "yes" | "no" | "unknown"
     method: str                # snf-torsion | unit-determinant |
-    #                            truncated-contraction | euler
+    #                            unit-contraction | euler
     render: Callable[[], dict] = field(repr=False)
 
     @cached_property
@@ -399,87 +406,64 @@ def _unit_det_side(ring, det, direction: int) -> SideVerdict:
 
 
 def _contraction_side(c: ChainComplex, direction: int) -> SideVerdict:
-    """Greedy unit-pivot elimination on Z windows (``polylists.window``).
+    """The Z-mode verdict of a longer complex on one side: "yes" when
+    unit pivots of the chart kernel split off every generator, "unknown"
+    at the first pivot whose lowest coefficient in t is not 1 or -1, or
+    when generators are left.
 
-    Each pivot with a unit lowest coefficient splits off a contractible
-    two-term summand; if everything cancels the complex is acyclic over
-    the series ring.  Failure to finish yields "unknown" (the search is
-    sound but incomplete: Z[x,x^-1] is not a PID).  Every update is
-    defined: each stored window has width at least 1 (a difference that
-    is zero on its window is dropped), over the integral domain Z a
-    product of nonzero windows has a nonzero lowest coefficient, and
-    ``_find_unit_pivot`` returns only windows whose lowest coefficient is
-    1 or -1, exactly those that ``window_inverse`` inverts.  A window of
-    width 1 is a pivot too: a lowest coefficient of 1 or -1 makes the
-    series a unit of Z[[t]] whatever its later terms, and its inverse is
-    known to the same width.
+    The walk runs the differentials in ascending degree.  From d_m it
+    drops the rows of the generators of C_{m-1} that d_{m-1}'s pivots
+    took, and runs ``_elementary_valuations`` with ``_units`` on the
+    exact entries, so the kernel prefers a pivot whose lowest coefficient
+    is 1 or -1.  Each pivot (r, j) takes generator j of C_m, whose row of
+    d_{m+1} the next step drops, and its row's generator of C_{m-1}; so
+    the generators left fall by 2 per pivot from the total rank.
 
-    ``mats[m]`` holds the windows of d_m in the layout of
-    ``LaurentMatrix.data``, as {row: {column: window}}.  A pivot (m, i, j)
-    pops row i and column j of d_m, row j of d_{m+1} and column i of
-    d_{m-1}, each by key, and only counts the generators left: it removes
-    generator j of C_m and generator i of C_{m-1}, and neither comes back,
-    since afterwards no differential holds an entry of either and the
-    update writes only into the rows of the pivot column and the columns
-    of the pivot row.  So each generator leaves at most once, and
-    ``remaining`` falls by exactly 2 per pivot from the total rank.
+    This is sound by the Gaussian elimination lemma over Z((t)), t = x or
+    x^-1 (as in computational homology: Kaczynski, Mischaikow and Mrozek
+    2004, section 4).  If d_m = [[a, b], [g, e]] has a unit a of Z((t))
+    at (i, j), C is homotopy equivalent to the complex C' without
+    generator j of C_m and generator i of C_{m-1}, where d_m' is
+    e - g a^-1 b, d_{m+1}' is d_{m+1} without row j and d_{m-1}' is
+    d_{m-1} without column i; so C (x) Z((t)) is acyclic when C' is.  A
+    kernel step on the pivot a = t^v u replaces each other row r of d_m
+    by (u r - (c / t^v) w) / u', w the pivot row, c the row's entry in
+    column j and u' the previous pivot's u.  That is the row of
+    e - g a^-1 b times u / u'.  A series whose lowest coefficient is 1
+    or -1 is a unit of Z((t)), so a and u / u' are units, and the factor
+    is a basis change of a generator of C_{m-1} left.  It changes d_{m-1}
+    only in that generator's column, which is already zero: degrees
+    ascend, and on d_{m-1} the kernel ran until no row was left, so
+    d_{m-1}' is zero on the generators left.  The next step drops row j
+    of d_{m+1}, and no later step reads d_{m-1}.  So when every
+    generator leaves, C (x) Z((t)) is contractible.  The stop at the
+    first non-unit pivot is the walk's answer anyway, and it spares the
+    kernel every later step.
     """
-    order = WINDOW_ORDER
-    mats = {m: {i: {j: window(e, direction, order) for j, e in row.items()}
-                for i, row in enumerate(d.data) if row}
-            for m, d in c.diffs.items()}
-    remaining = sum(c.ranks.values())
-    transcript = []
     var = "x" if direction == 1 else "x^-1"
-    while (pivot := _find_unit_pivot(mats)) is not None:
-        m, pi, pj = pivot
-        rows = mats[m]
-        row = rows.pop(pi)
-        a = row.pop(pj)
-        col = {i: r.pop(pj) for i, r in rows.items() if pj in r}
-        # the rest changes by c a^-1 b only when the pivot's row and
-        # column both hold other entries
-        if row and col:
-            a_inv = window_inverse(a)
-            for i2, cs in col.items():
-                ca = window_product(cs, a_inv)
-                target = rows[i2]
-                for j2, bs in row.items():
-                    delta = window_product(ca, bs)
-                    cur = target.get(j2)
-                    val = ((scaled(delta[0], -1, 0), delta[1])
-                           if cur is None else window_difference(cur, delta))
-                    if val is None:
-                        del target[j2]
-                    else:
-                        target[j2] = val
-        mats.get(m + 1, {}).pop(pj, None)
-        for r in mats.get(m - 1, {}).values():
-            r.pop(pi, None)
-        remaining -= 2
-        transcript.append({"degree": m, "row": pi, "col": pj,
-                           "pivot_valuation": a[0][0]})
-    if remaining == 0:
-        return SideVerdict("yes", "truncated-contraction", lambda: {
-            "side": var,
-            "order": order,
-            "eliminations": transcript,
-        })
-    return SideVerdict("unknown", "truncated-contraction", lambda: {
-        "side": var,
-        "order": order,
-        "remaining_generators": remaining,
-    })
-
-
-def _find_unit_pivot(mats):
-    """(m, i, j) of the window of d_m[i][j] of widest width, then of least
-    |valuation|, whose lowest coefficient is a unit; None when none is."""
-    best = min(((v - end, abs(v), m, i, j)
-                for m, rows in mats.items() for i, row in rows.items()
-                for j, ((v, c), end) in row.items() if c[0] in (1, -1)),
-               default=None)
-    return None if best is None else best[2:]
+    left = sum(c.ranks.values())
+    taken = ()
+    eliminations = []
+    for m in range(c.lo + 1, c.hi + 1):
+        d = c.diff(m)
+        if taken:
+            d = LaurentMatrix._stored(d.ring, d.rows, d.cols, [
+                {} if i in taken else row for i, row in enumerate(d.data)])
+        valuations, pivots, unit = _elementary_valuations(
+            d, direction, _units=True)
+        if unit is not None and unit[1][0] not in (1, -1):
+            return SideVerdict("unknown", "unit-contraction", lambda: {
+                "side": var, "degree": m,
+                "lowest_coefficient": str(unit[1][0])})
+        taken = {j for _, j in pivots}
+        left -= 2 * len(pivots)
+        eliminations += [{"degree": m, "col": j, "pivot_valuation": v}
+                         for v, (_, j) in zip(valuations, pivots)]
+    if left:
+        return SideVerdict("unknown", "unit-contraction", lambda: {
+            "side": var, "remaining_generators": left})
+    return SideVerdict("yes", "unit-contraction", lambda: {
+        "side": var, "eliminations": eliminations})
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,6 @@ class UnsupportedRingError(P1DomError, ValueError):
     """The requested operation is not defined over this coefficient ring."""
 
 
-class NotAUnitError(P1DomError, ArithmeticError):
-    """An element that must be invertible is not a unit of its ring."""
-
-
 class ShapeError(P1DomError, ValueError):
     """Matrix or complex dimensions are inconsistent."""
 

@@ -16,26 +16,16 @@ One long division, ``pseudo_divmod``, serves every kernel: the column
 echelon elimination of ``smith`` and the gcds of its invariant factors,
 and, as ``exact_quotient``, the lcms of the invariant factors and the
 Bareiss divisions of the chart elimination of ``domination``, which also
-gives the Z two-term determinant.  ``window_inverse``, the series
-inverse of a Z window, serves the Z-mode Novikov check of ``domination``.
-
-A Z window (entry, end) is an entry in t (t = x, or t = x^-1 with the
-list reversed) whose terms are known below the t-exponent ``end`` and
-unknown from it on; ``cut`` drops the terms from ``end`` on.  A window is
-cut from an entry (``window``), multiplied (``window_product``),
-subtracted (``window_difference``), both by ``lincomb`` and a cut, and
-inverted (``window_inverse``); every result is known on the widest window
-its operands determine.
+gives the Z two-term determinant and the Z-mode contraction.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from .errors import NotAUnitError, ShapeError
+from .errors import ShapeError
 
 ONE = (0, (1,))
-MINUS_ONE = (0, (-1,))
 
 
 def cleared(row):
@@ -198,53 +188,3 @@ def make_primitive(entries, indices):
         for i in indices:
             if entries[i] is not None:
                 entries[i] = divided(entries[i], g)
-
-
-def cut(entry, end):
-    """The terms of ``entry`` at exponents below ``end``; None when there
-    are none."""
-    if entry is None:
-        return None
-    v, c = entry
-    return trim(v, c[:max(end - v, 0)])
-
-
-def window(entry, direction, order):
-    """The Z window of the nonzero ``entry`` in t = x^direction, cut to
-    ``order`` terms from its t-adic valuation."""
-    v, c = entry
-    if direction == -1:
-        v, c = 1 - v - len(c), c[::-1]
-    return cut((v, c), v + order), v + order
-
-
-def window_product(a, b):
-    """a*b, known on the narrower of the two widths (end - valuation)."""
-    (ea, end_a), (eb, end_b) = a, b
-    end = ea[0] + eb[0] + min(end_a - ea[0], end_b - eb[0])
-    # over Z the lowest coefficient of the product is nonzero
-    return cut(lincomb(ea, eb, None, None, 0), end), end
-
-
-def window_difference(a, b):
-    """a - b, known below the lower end; None when it is zero there."""
-    end = min(a[1], b[1])
-    e = cut(lincomb(ONE, a[0], MINUS_ONE, b[0], 0), end)
-    return None if e is None else (e, end)
-
-
-def window_inverse(a):
-    """1/a on the width of a, whose lowest coefficient must be 1 or -1."""
-    (v, c), end = a
-    head = c[0]
-    if head not in (1, -1):
-        raise NotAUnitError(f"lowest coefficient {head} is not a unit of Z")
-    n = end - v
-    # out[k] holds 1 - sum c[i] out[k - i] over i >= 1 until term k is due
-    out = [1] + [0] * (n - 1)
-    for k in range(n):
-        x = out[k] = out[k] * head
-        if x:
-            for i, y in enumerate(c[1:n - k], k + 1):
-                out[i] -= y * x
-    return trim(-v, out), n - v

@@ -11,20 +11,20 @@ import p1dom
 from p1dom import fileformat as ff
 from p1dom.complexes import ChainComplex, HomologyEntry, ScalarComplex
 from p1dom.domination import _chart_direction, _torsion_dims, chart_homology
-from p1dom.errors import (BaseRingViolationError, NotAUnitError,
-                          RingMismatchError, ShapeError,
-                          UnsupportedRingError)
+from p1dom.errors import (BaseRingViolationError, RingMismatchError,
+                          ShapeError, UnsupportedRingError)
 from p1dom.generators import (_below, _conjugated, _elementary_ops,
                               _poly_entry, random_complex,
                               random_novikov_acyclic)
 from p1dom.laurent import BaseRing, render
 from p1dom.matrices import LaurentMatrix, ScalarMatrix, scalar_rank
-from p1dom.polylists import (MINUS_ONE, ONE, cleared, exact_quotient,
-                             from_terms, integer_row, lincomb,
-                             pseudo_divmod, scaled)
+from p1dom.polylists import (ONE, cleared, exact_quotient, from_terms,
+                             integer_row, lincomb, pseudo_divmod, scaled)
 from p1dom.scalars import GF, QQ
 from p1dom.sheaves import SheafComplex, cech_cohomology
 from p1dom.smith import _echelon, _require_field
+
+MINUS_ONE = (0, (-1,))
 
 
 def normalise(ring, value):
@@ -174,10 +174,10 @@ def mul(ring, a, b):
 
 
 def invert(ring, a):
-    """The inverse of a unit a of a coefficient ring; NotAUnitError for
-    any other a."""
+    """The inverse of a unit a of a coefficient ring; ArithmeticError
+    for any other a."""
     if not ring.is_unit(a):
-        raise NotAUnitError(f"{a!r} is not a unit of {ring.tag}")
+        raise ArithmeticError(f"{a!r} is not a unit of {ring.tag}")
     if ring.kind == "Q":
         return Fraction(1) / a
     if ring.kind == "GF":

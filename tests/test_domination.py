@@ -48,7 +48,7 @@ def test_field_mode_free_rank_blocks():
     assert v.x_side.acyclic == "no" and v.x_inv_side.acyclic == "no"
 
 
-def test_integer_mode_asymmetry(monkeypatch):
+def test_integer_mode_asymmetry():
     v = novikov_check(two_term(ZZ, [(0, 2), (1, -1)]))
     assert v.x_side.acyclic == "no"
     assert v.x_inv_side.acyclic == "yes"
@@ -58,8 +58,6 @@ def test_integer_mode_asymmetry(monkeypatch):
         "determinant": "2 + -1*x", "side": "x", "end_coefficient": "2"}
     assert v.x_inv_side.certificate == {
         "determinant": "2 + -1*x", "side": "x^-1", "end_coefficient": "-1"}
-    monkeypatch.setattr(domination, "WINDOW_ORDER", 1)
-    assert novikov_check(two_term(ZZ, [(0, 2), (1, -1)])) == v
 
 
 def test_certificates_render_on_first_read(monkeypatch):
@@ -154,34 +152,46 @@ def test_integer_mode_longer_complex_contraction():
     c = direct_sum(two_term(ZZ, [(1, 1), (0, -1)]),
                    two_term(ZZ, [(1, 1), (0, -1)], top=2))
     v = novikov_check(c)
-    assert v.x_side.acyclic == "yes"
-    assert v.x_side.method == "truncated-contraction"
-    assert v.x_inv_side.acyclic == "yes"
+    assert (v.x_side.acyclic, v.x_inv_side.acyclic) == ("yes", "yes")
+    # each x - 1 is a pivot of valuation 0 on the x side
+    assert v.x_side.method == "unit-contraction"
+    assert v.x_side.certificate == {"side": "x", "eliminations": [
+        {"degree": 1, "col": 0, "pivot_valuation": 0},
+        {"degree": 2, "col": 0, "pivot_valuation": 0}]}
 
 
-def test_integer_mode_contracts_on_windows_of_width_one(monkeypatch):
-    # d_2 = (1, 0)^T, d_1 = (0, 1): each constant 1 is a unit of Z[[t]]
-    # known to one term, so order 1 already decides both sides
+def test_integer_mode_contracts_constant_units():
+    # d_2 = (1, 0)^T, d_1 = (0, 1): the constant 1 of d_1 takes generator
+    # 1 of C_1, so the 1 of d_2, in row 0, is the second pivot
     c = ChainComplex(ZZ, BaseRing.LAURENT, 0, 2, {0: 1, 1: 2, 2: 1}, {
         1: M(ZZ, [[0, 1]]), 2: M(ZZ, [[1], [0]])})
-    monkeypatch.setattr(domination, "WINDOW_ORDER", 1)
     v = novikov_check(c)
     assert (v.x_side.acyclic, v.x_inv_side.acyclic) == ("yes", "yes")
-    assert v.x_side.method == "truncated-contraction"
-    assert v.x_side.certificate["order"] == 1
-    monkeypatch.setattr(domination, "WINDOW_ORDER", 2)
-    v = novikov_check(c)
-    assert (v.x_side.acyclic, v.x_inv_side.acyclic) == ("yes", "yes")
+    assert v.x_inv_side.certificate == {"side": "x^-1", "eliminations": [
+        {"degree": 1, "col": 1, "pivot_valuation": 0},
+        {"degree": 2, "col": 0, "pivot_valuation": 0}]}
 
 
 def test_integer_mode_unknown_on_hard_instance():
     # 2 - x in both degrees of a longer complex: no unit pivot on the
-    # x side, so the search must answer unknown rather than guess
+    # x side, so the search must answer unknown rather than guess, and
+    # names the degree and the lowest coefficient that stopped it
     c = direct_sum(two_term(ZZ, [(0, 2), (1, -1)]),
                    two_term(ZZ, [(0, 2), (1, -1)], top=2))
     v = novikov_check(c)
     assert v.x_side.acyclic == "unknown"
+    assert v.x_side.certificate == {
+        "side": "x", "degree": 1, "lowest_coefficient": "2"}
     assert v.x_inv_side.acyclic == "yes"
+
+
+def test_integer_mode_counts_the_generators_left():
+    # zero differentials in degrees 0..2: no pivot, and the four
+    # generators are left
+    c = ChainComplex(ZZ, BaseRing.LAURENT, 0, 2, {0: 1, 1: 2, 2: 1})
+    for side in novikov_check(c).x_side, novikov_check(c).x_inv_side:
+        assert side.acyclic == "unknown"
+        assert side.certificate["remaining_generators"] == 4
 
 
 def test_zero_complex_is_acyclic_over_z():
@@ -420,44 +430,52 @@ def test_a_k_x_complex_is_refused_by_the_library(run, message):
     assert str(exc.value) == message
 
 
-def test_contraction_pivot_is_widest_then_least_valuation():
-    from p1dom.domination import _find_unit_pivot
-
-    mats = {1: {0: {0: ((0, [1]), 2),         # width 2
-                    1: ((-1, [1, 3]), 3)},    # width 4, |valuation| 1
-                1: {0: ((1, [-1]), 5),        # width 4, |valuation| 1
-                    1: ((0, [2, 1]), 16)},    # lowest coefficient 2
-                2: {2: ((0, [1]), 1)}},       # width 1
-            2: {0: {0: ((2, [1]), 5)}}}       # width 3
-    assert _find_unit_pivot(mats) == (1, 0, 1)
-    mats[2][1] = {1: ((0, [-1]), 4)}          # width 4, valuation 0
-    assert _find_unit_pivot(mats) == (2, 1, 1)
-    assert _find_unit_pivot({1: {0: {0: ((0, [3]), 9)}}}) is None
+def test_contraction_pivot_is_a_unit_then_least_valuation():
+    # d_1 = [2, x], d_2 = [x; -2].  On the x side 2 has the least
+    # valuation but no unit lowest coefficient, so the pivot is x, which
+    # takes generator 1 of C_1; the row of -2 in d_2 goes with it, and x
+    # is the last pivot.  A least-valuation rule would stop at 2.
+    c = ChainComplex(ZZ, BaseRing.LAURENT, 0, 2, {0: 1, 1: 2, 2: 1},
+                     {1: M(ZZ, [[2, [(1, 1)]]]),
+                      2: M(ZZ, [[[(1, 1)]], [-2]])})
+    assert c.validate() == []
+    v = novikov_check(c)
+    assert (v.x_side.acyclic, v.x_inv_side.acyclic) == ("yes", "yes")
+    assert v.x_side.certificate["eliminations"] == [
+        {"degree": 1, "col": 1, "pivot_valuation": 1},
+        {"degree": 2, "col": 0, "pivot_valuation": 1}]
+    # the kernel's own key with _units: a unit first, then least
+    # valuation; without, the least valuation alone, as over a field
+    assert _elementary_valuations(c.diff(1), 1, _units=True)[1] == [(0, 1)]
+    assert _elementary_valuations(c.diff(1), 1)[1] == [(0, 0)]
+    assert _elementary_valuations(
+        M(ZZ, [[[(1, -1)], [(0, 1), (5, 3)], 3]]), 1,
+        _units=True)[1] == [(0, 1)]
 
 
 @pytest.mark.parametrize("name", ["A", "B"])
 def test_contraction_removes_both_generators_of_each_pivot(name):
-    # A: d_2 = [1; 1], d_1 = [1, -1] in degrees 0..2.  The first pivot
-    # takes generator 0 of C_1, so row 0 of d_2 must go with it.
-    # B: d_1 = [1; 1], d_0 = [x, -x] in degrees -1..1.  The first pivot
-    # takes generator 0 of C_0, so column 0 of d_0 must go with it.
-    # Each pivot removes two generators, so nothing is left at the end.
+    # A: d_1 = [1, -1], d_2 = [1; 1] in degrees 0..2; B: d_0 = [x, -x],
+    # d_1 = [1; 1] in degrees -1..1.  The first pivot takes generator 0
+    # of the middle module, so row 0 of the upper differential goes with
+    # it and row 1 is the second pivot.  Each pivot removes two
+    # generators, so nothing is left at the end.
     if name == "A":
         c = ChainComplex(ZZ, BaseRing.LAURENT, 0, 2, {0: 1, 1: 2, 2: 1},
                          {1: M(ZZ, [[1, -1]]), 2: M(ZZ, [[1], [1]])})
-        second = {"x": (2, 1, 0, 0), "x^-1": (2, 1, 0, 0)}
+        first = {"x": 0, "x^-1": 0}
     else:
         c = ChainComplex(ZZ, BaseRing.LAURENT, -1, 1, {-1: 1, 0: 2, 1: 1},
                          {0: M(ZZ, [[[(1, 1)], [(1, -1)]]]),
                           1: M(ZZ, [[1], [1]])})
-        second = {"x": (0, 0, 1, 1), "x^-1": (0, 0, 1, -1)}
+        first = {"x": 1, "x^-1": -1}
     v = novikov_check(c)
     for side in (v.x_side, v.x_inv_side):
         var = side.certificate["side"]
-        assert (side.acyclic, side.method) == ("yes", "truncated-contraction")
-        assert side.certificate == {"side": var, "order": 16, "eliminations": [
-            {"degree": m, "row": i, "col": j, "pivot_valuation": val}
-            for m, i, j, val in ((1, 0, 0, 0), second[var])]}
+        assert (side.acyclic, side.method) == ("yes", "unit-contraction")
+        assert side.certificate == {"side": var, "eliminations": [
+            {"degree": c.lo + 1, "col": 0, "pivot_valuation": first[var]},
+            {"degree": c.hi, "col": 0, "pivot_valuation": 0}]}
 
 
 def not_a_complex():

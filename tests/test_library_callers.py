@@ -17,7 +17,11 @@ Matching by name cannot tell two methods of one name apart: a read of
 ``.f`` counts for every method ``f``, so an uncalled method that shares
 its name with a called one is not seen.  An operator method is outside
 this check: its name starts with "_", and no name reads it (``a + b``
-calls ``__add__``); ``test_operator_callers`` probes those at run time.
+calls ``__add__``).  So a second rule keeps the library free of them:
+no class under src/p1dom/ defines an arithmetic operator method, by a
+``def`` or by an assignment such as ``__rmul__ = __mul__``.  The sums
+and products that only the tests form are functions of
+``tests/helpers.py`` (``polyadd``, ``matmul``, ...).
 """
 
 import ast
@@ -26,6 +30,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LIBRARY = ROOT / "src" / "p1dom"
 PERFBENCH = ROOT / "perfbench"
+
+_BINARY = ("add", "sub", "mul", "matmul", "truediv", "floordiv", "mod",
+           "divmod", "pow")
+OPERATORS = frozenset(
+    ["__neg__", "__pos__", "__abs__"]
+    + [f"__{op}__" for op in _BINARY]
+    + [f"__r{op}__" for op in _BINARY]
+    + [f"__i{op}__" for op in _BINARY if op != "divmod"])
 
 
 def definitions(tree):
@@ -89,6 +101,55 @@ def uncalled(library: dict, perfbench: dict) -> list:
             if not seen(reads(tree, skip=node)):
                 missing.append(f"{module}.{qualname}")
     return sorted(missing)
+
+
+def operator_methods(library: dict) -> list:
+    """Sorted "module.Class.name" of each name of OPERATORS that a class,
+    at any depth, in ``library`` (module name -> source) defines or
+    assigns in its body."""
+    found = []
+    for module, source in library.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [item.name]
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = (item.targets if isinstance(item, ast.Assign)
+                               else [item.target])
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                found += [f"{module}.{node.name}.{name}" for name in names
+                          if name in OPERATORS]
+    return sorted(found)
+
+
+def test_the_operator_rule_sees_an_operator_method():
+    library = {"vectors": (
+        "class Vec:\n"
+        "    def __init__(self, x): self.x = x\n"
+        "    def __add__(self, other): return Vec(self.x + other.x)\n"
+        "    def __neg__(self): return Vec(-self.x)\n"
+        "    __rmul__ = __mul__ = lambda self, k: Vec(self.x * k)\n"
+        "    def __eq__(self, other): return self.x == other.x\n"
+        "    def add(self, other): return self + other\n"
+        "def outer():\n"
+        "    class Inner:\n"
+        "        def __isub__(self, other): return self\n"
+        "    return Inner\n")}
+    assert operator_methods(library) == [
+        "vectors.Inner.__isub__", "vectors.Vec.__add__",
+        "vectors.Vec.__mul__", "vectors.Vec.__neg__",
+        "vectors.Vec.__rmul__"]
+
+
+def test_no_library_class_defines_an_operator_method():
+    library = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(LIBRARY.glob("*.py"))}
+    assert "LaurentMatrix" in library["matrices"]
+    assert operator_methods(library) == []
 
 
 def test_the_check_sees_an_uncalled_name():

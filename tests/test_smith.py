@@ -15,7 +15,7 @@ from p1dom.smith import invariant_factors
 
 from helpers import (LaurentPoly, M, P, S, block, cell, dense, evaluate,
                      grid_matrix, identity, kernel_basis, kernel_coordinates,
-                     matmul, polyadd, submatrix, transpose)
+                     matmul, polyadd, polymul, submatrix, transpose)
 from test_sympy_oracle import (determinantal_factors, sympy_divides,
                                sympy_factors)
 
@@ -114,7 +114,10 @@ def test_diagonal_inputs_become_a_divisibility_chain(ring, diagonal,
 def _kernel_case(rng, ring, rows, cols, shape):
     """A rows x cols Laurent matrix; over Q the coefficients have numerators
     up to 10^6 and mixed denominators.  ``shape`` adds a zero row, a zero
-    column, or a row that is the sum of two others."""
+    column, or a row that is the sum of two others, or multiplies every
+    row by one x + c, c from 1 to 5, so that each invariant factor is a
+    nonunit and a rank of 2 or more reaches the (gcd, lcm) chain repair
+    of ``invariant_factors``."""
     def coefficient():
         if ring is QQ:
             return Fraction(rng.randint(-10 ** 6, 10 ** 6),
@@ -133,6 +136,10 @@ def _kernel_case(rng, ring, rows, cols, shape):
     if shape == "row-sum" and rows >= 3:
         i, j, k = rng.sample(range(rows), 3)
         grid[i] = [polyadd(a, b) for a, b in zip(grid[j], grid[k])]
+    if shape == "common-factor":
+        f = LaurentPoly(ring, {0: ring.from_int(rng.randint(1, 5)),
+                               1: ring.one()})
+        grid = [[polymul(f, e) for e in row] for row in grid]
     return grid_matrix(ring, rows, cols, grid)
 
 
@@ -140,7 +147,7 @@ CASES = dict(seed=st.integers(0, 2 ** 32 - 1),
              ring=st.sampled_from([QQ, GF(7), GF(10007)]),
              rows=st.integers(0, 6), cols=st.integers(0, 6),
              shape=st.sampled_from(["plain", "zero-row", "zero-col",
-                                    "row-sum"]))
+                                    "row-sum", "common-factor"]))
 
 
 @settings(deadline=None, max_examples=200)
@@ -155,6 +162,8 @@ def test_invariant_factors_match_the_smith_form(seed, ring, rows, cols,
     assert invariant_factors(transpose(a)) == factors
     if shape == "row-sum" and rows >= 3:
         assert len(factors) < rows
+    if shape == "common-factor":
+        assert all(len(f[1]) > 1 for f in factors)
 
 
 @settings(deadline=None, max_examples=200)
