@@ -523,7 +523,6 @@ COMMAND_LINES = [
 
 @pytest.mark.parametrize("argv", [
     ["novikov", "z-contraction.cplx", "--trunc", "1"],
-    ["novikov", "x-minus-1.cplx", "--trunc-max", "0"],
     ["extend", "x-minus-1.cplx", "--trunc", "8"],
     ["hyper", "chart-x2-x3.cplx", "--trunc", "8"],
     ["verify", "deep-x-minus-1.cplx", "--trunc", "1"],
@@ -535,9 +534,9 @@ COMMAND_LINES = [
      for tag in ("GF:4", "GF:x", "GF:0_7", "GF:+7", " Q")],
     ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_flag_of_another_command_is_unknown(argv, capsys):
-    # no command takes --trunc, --trunc-max, --seed or --ring, whatever
-    # the value: the file header states the ring, so a ring tag, valid or
-    # not, is never read; h0 writes its complex file in every format
+    # no command takes --trunc, --seed or --ring: the file header states
+    # the ring, so a ring tag, valid or not, is never read; h0 writes its
+    # complex file in every format
     argv = [_sample(a) for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -552,24 +551,41 @@ def test_p1dom_variables_are_not_read(argv, tmp_path, monkeypatch, capsys):
     # options come from the command line alone: the variables that once
     # preset --format, --out, --ring, --trunc and --seed change no byte
     # and no exit code and write no file, whether their values would
-    # change the output or be refused, set together or each alone
+    # change the output or be refused
     argv = [_sample(a) for a in argv]
     assert main(argv) == 0
     expected = capsys.readouterr()
     target = tmp_path / "env-out.json"
-    names = ("P1DOM_FORMAT", "P1DOM_RING", "P1DOM_TRUNC", "P1DOM_SEED")
-    out = {"P1DOM_OUT": str(target)}
-    presets = [{**dict(zip(names, values)), **out} for values in (
-        ("report", "Z", "2", "3"), ("xml", "GF:4", "abc", "abc"))]
-    presets += [{var: "abc"} for var in names] + [out]
-    for preset in presets:
-        for var in names + tuple(out):
-            monkeypatch.delenv(var, raising=False)
-        for var, value in preset.items():
+    for values in (("report", "Z", "2", "3"), ("xml", "GF:4", "abc", "abc")):
+        for var, value in zip(("P1DOM_FORMAT", "P1DOM_RING", "P1DOM_TRUNC",
+                               "P1DOM_SEED"), values):
             monkeypatch.setenv(var, value)
+        monkeypatch.setenv("P1DOM_OUT", str(target))
         assert main(argv) == 0
         assert capsys.readouterr() == expected
         assert not target.exists()
+
+
+@pytest.mark.parametrize("var, command", [
+    ("P1DOM_TRUNC", ["verify", "x-minus-1.cplx"]),
+    ("P1DOM_SEED", ["validate", "x-minus-1.cplx"]),
+    ("P1DOM_TRUNC", ["twist-cohomology", "2"]),
+    ("P1DOM_RING", ["twist-cohomology", "2", "--format", "report"]),
+    ("P1DOM_FORMAT", ["h0", "x-minus-1.sheaf"]),
+    ("P1DOM_RING", ["twist-cohomology", "2"]),
+    ("P1DOM_TRUNC", ["hyper", "chart-x2-x3.cplx"]),
+    # validate's P1DOM_SEED row is the second above
+] + [("P1DOM_SEED", argv) for argv in COMMAND_LINES[1:]])
+def test_preset_of_another_command_is_not_read(var, command, monkeypatch,
+                                                capsys):
+    # one variable at a time, alone in the environment: an invalid value
+    # changes no byte and no exit code
+    argv = [_sample(a) for a in command]
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    monkeypatch.setenv(var, "abc")
+    assert main(argv) == 0
+    assert capsys.readouterr() == expected
 
 
 def _sample(arg):
@@ -662,6 +678,18 @@ def test_command_namespace_carries_command_and_own_flags(argv, given,
         expected["input"] = argv[1]
     assert vars(seen[0]) == expected
     assert vars(PARSER.parse_args(argv)) == expected
+
+
+@pytest.mark.parametrize("flags", [
+    ["--trunc-max", "0"],
+    ["--format", "xml"],
+])
+def test_bad_flag_is_input_error(xm1_file, flags, capsys):
+    # a bad value of a flag novikov takes is checked, and --trunc-max is
+    # no flag of it (test_flag_of_another_command_is_unknown refuses
+    # --trunc and every --ring)
+    assert main(["novikov", xm1_file] + flags) == 2
+    assert "error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [argv for argv in COMMAND_LINES
