@@ -115,7 +115,7 @@ def _load_complex(args):
             f"the file has base {c.base.tag}", "base")
     if command.field and not c.ring.is_field:
         raise FormatError(
-            f"{args.command} needs field coefficients (Q or GF:p), "
+            f"{args.command} needs field coefficients (Q or GF(p)), "
             f"the file has ring {c.ring.tag}", "ring")
     return c
 

@@ -18,7 +18,8 @@ Loading is bounded before anything is built: a degree span above
 MAX_DEGREE_SPAN, a rank above MAX_RANK, an exponent above MAX_EXPONENT or
 a twist above MAX_TWIST (MAX_DEGREE_SPAN * MAX_EXPONENT, as an extension's
 twists add up over its differentials) in absolute value is a FormatError
-naming the field.  MAX_RANK and its check come from ``complexes``, where
+naming the field, and so is a GF modulus above ``scalars.MAX_MODULUS``.
+MAX_RANK and its check come from ``complexes``, where
 ``sheaves.cech_complex`` reads them too: W is written densely as well.
 (An omitted differential is a zero matrix of empty rows; exponents and
 twists set the sizes of the monomial bands of the global sections.)  Each polynomial is stored dense over its exponent span, so the

@@ -4,6 +4,9 @@ Three rings are available: the rationals (elements are ``fractions.Fraction``,
 always reduced with positive denominator), the prime fields GF(p) (elements
 are ints in ``[0, p)``) and the integers (plain ints).  No floating point
 appears anywhere in this package.
+
+A GF modulus above MAX_MODULUS is refused before any primality work, and
+trial division, exact for every n, tests one up to it.
 """
 
 from __future__ import annotations
@@ -12,38 +15,26 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from .errors import UnsupportedRingError
 
+# the largest GF modulus: at most 32768 trial divisions test it, once
+MAX_MODULUS = 2**32 - 1
 # coefficient strings and ring moduli; unlike int(), [0-9] is ASCII only
 _DECIMAL = re.compile(r"-?[0-9]+")
 _FRACTION = re.compile(r"-?[0-9]+/[0-9]+")
-_MODULUS = re.compile(r"GF\(([0-9]+)\)|GF:([0-9]+)")
+_MODULUS = re.compile(r"GF\(([0-9]+)\)")
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond any practical modulus."""
+    """Trial division by 2 and by the odd d <= isqrt(n): exact for every
+    n, and meant for n <= MAX_MODULUS."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    if n % 2 == 0:
+        return n == 2
+    return all(n % d for d in range(3, isqrt(n) + 1, 2))
 
 
 @dataclass(frozen=True)
@@ -62,6 +53,9 @@ class CoefficientRing:
         if self.kind not in ("Q", "GF", "Z"):
             raise UnsupportedRingError(f"unknown ring kind {self.kind!r}")
         if self.kind == "GF":
+            if self.p > MAX_MODULUS:  # the modulus is not echoed
+                raise UnsupportedRingError(
+                    f"GF modulus exceeds MAX_MODULUS = {MAX_MODULUS}")
             if not _is_prime(self.p):
                 raise UnsupportedRingError(f"GF modulus {self.p} is not prime")
         elif self.p != 0:
@@ -133,14 +127,13 @@ def GF(p: int) -> CoefficientRing:
     return CoefficientRing("GF", p)
 
 
-@lru_cache(maxsize=64)
 def ring_from_tag(tag: str) -> CoefficientRing:
-    """Parse the ring tags used in file headers and on the command line.
-
-    Accepts ``Q``, ``Z``, ``GF(p)`` and the CLI spelling ``GF:p``, p in
-    ASCII ``[0-9]+`` as in coefficient strings, and nothing around them.
-    A ``CoefficientRing`` is frozen, so a tag seen before returns the ring
-    built then, with no second primality test; a bad tag raises each time.
+    """Parse the ring tags used in file headers: ``Q``, ``Z`` and
+    ``GF(p)``, p in ASCII ``[0-9]+`` as in coefficient strings, and
+    nothing around them.  A modulus above MAX_MODULUS is refused, one past
+    Python's int digit limit too; ``GF`` tests a modulus once, so a tag
+    seen before returns the ring built then, and a bad tag raises each
+    time.
     """
     if tag == "Q":
         return QQ
@@ -148,6 +141,9 @@ def ring_from_tag(tag: str) -> CoefficientRing:
         return ZZ
     modulus = _MODULUS.fullmatch(tag)
     if modulus:
-        return GF(int(modulus[1] or modulus[2]))
+        try:
+            p = int(modulus[1])
+        except ValueError:  # past Python's digit limit, far past the bound
+            p = MAX_MODULUS + 1
+        return GF(p)
     raise UnsupportedRingError(f"unknown ring tag {tag!r}")
-

@@ -4,6 +4,7 @@ import json
 import os
 import shlex
 import shutil
+import time
 
 import pytest
 
@@ -117,7 +118,7 @@ def test_z_coefficients_are_an_input_error(base, tmp_path, capsys):
         if command in ("homology", "hyper", "dominate", "verify"):
             assert code == 2 and captured.out == "", (command, err)
             assert err == (f"input error: {command} needs field coefficients "
-                           "(Q or GF:p), the file has ring Z (at ring)\n")
+                           "(Q or GF(p)), the file has ring Z (at ring)\n")
         else:
             assert code == 0, (command, err)
 
@@ -380,7 +381,7 @@ def test_malformed_ring_tag_in_a_header_is_input_error(tag, tmp_path,
 def test_a_composite_ring_modulus_is_input_error(n, tmp_path, capsys):
     # 1 is below 2; 1681 = 41^2 and 3215031751 = 151 * 751 * 28351, a
     # strong pseudoprime to the bases 2, 3, 5 and 7, have no factor up to
-    # 37, so a Miller-Rabin round refuses them
+    # 37, and trial division finds 41 and 151
     with pytest.raises(UnsupportedRingError,
                        match=f"^GF modulus {n} is not prime$"):
         ring_from_tag(f"GF({n})")
@@ -393,6 +394,51 @@ def test_a_composite_ring_modulus_is_input_error(n, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (f"input error: bad ring tag: GF modulus {n} is "
                             "not prime (at ring)\n")
+
+
+# psi_12 = 399165290221 * 798330580441, the least strong pseudoprime to
+# the twelve prime bases 2..37 (Sorenson and Webster 2017)
+PSI_12 = 318665857834031151167461
+
+
+@pytest.mark.parametrize("command", ["validate", "homology", "novikov",
+                                     "verify"])
+def test_a_modulus_above_the_bound_is_input_error(command, tmp_path, capsys):
+    # d_1 = [399165290221] is zero over one factor of psi_12 and a unit
+    # over the other: no answer over Z/psi_12 is an answer over a field,
+    # so every command refuses the header and names the bound, not the
+    # modulus
+    path = tmp_path / "psi12.cplx"
+    path.write_text(json.dumps({
+        "format": "p1dom-complex", "version": 1, "ring": f"GF({PSI_12})",
+        "degrees": [{"degree": 0, "rank": 1}, {"degree": 1, "rank": 1}],
+        "differentials": [{"degree": 1,
+                           "matrix": [[[[0, "399165290221"]]]]}]}))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("input error: bad ring tag: GF modulus exceeds "
+                            "MAX_MODULUS = 4294967295 (at ring)\n")
+
+
+@pytest.mark.parametrize("digits", [
+    str(2**32), str(2**11213 - 1), "1" + "0" * 4999 + "1"],
+    ids=["2^32", "2^11213-1", "5001-digits"])
+def test_a_long_modulus_is_refused_before_primality_work(digits, tmp_path,
+                                                         capsys):
+    # 2^11213 - 1 is a Mersenne prime of 3376 digits; 5001 digits pass
+    # Python's int digit limit
+    path = tmp_path / "long.cplx"
+    path.write_text(json.dumps({
+        "format": "p1dom-complex", "version": 1, "ring": f"GF({digits})",
+        "degrees": [{"degree": 0, "rank": 1}]}))
+    start = time.process_time()
+    assert main(["validate", str(path)]) == 2
+    assert time.process_time() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("input error: bad ring tag: GF modulus exceeds "
+                            "MAX_MODULUS = 4294967295 (at ring)\n")
 
 
 def test_sheaf_loader_names_the_chart_entry_outside_its_ring(tmp_path,

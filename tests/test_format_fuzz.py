@@ -26,7 +26,7 @@ KEYS = ["format", "version", "ring", "variable", "base", "degrees",
         "differentials", "twist_profile", "degree", "rank", "matrix", "k",
         "l"]
 STRINGS = st.sampled_from([
-    ff.COMPLEX_FORMAT, ff.SHEAF_FORMAT, "Q", "Z", "GF:7", "GF:8", "x", "y",
+    ff.COMPLEX_FORMAT, ff.SHEAF_FORMAT, "Q", "Z", "GF(7)", "GF(8)", "x", "y",
     "K", "K[x]", "K[x^-1]", "K[x,x^-1]", "1", "-1/2", "1/0", "a", ""])
 SCALARS = (st.none() | st.booleans() | st.integers(-3, 3)
            | st.integers() | st.floats(allow_nan=True) | STRINGS | st.text())
