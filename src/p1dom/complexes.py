@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (FormatError, RingMismatchError, ShapeError,
-                     UnsupportedRingError)
+                     UnsupportedRingError, shown)
 from .laurent import BaseRing, render
 from .matrices import LaurentMatrix, scalar_rank
 from .polylists import ONE, cleared, lincomb
@@ -36,7 +36,7 @@ MAX_RANK = 512
 def check_rank(rank: int, where: str):
     """A rank above MAX_RANK is a FormatError at ``where``."""
     if rank > MAX_RANK:
-        raise FormatError(f"rank {rank} exceeds {MAX_RANK}", where)
+        raise FormatError(f"rank {shown(rank)} exceeds {MAX_RANK}", where)
 
 
 class ChainComplex:

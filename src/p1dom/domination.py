@@ -11,7 +11,7 @@ C (x) K((x^-1)) are acyclic exactly when every free rank
 is zero, which is also when every homology module over K[x,x^-1] is
 torsion.  The rank terms telescope, so sum (-1)^q f_q is the Euler
 characteristic chi(C): a nonzero chi is a sure "no".  Otherwise rank d_m
-is the number of pivots of the chart kernel ``_elementary_valuations``
+is the number of pivots that the chart kernel ``_pivots`` yields
 in t = x, one per nonzero elementary divisor over K[[x]], that is the rank
 over K((x)) and so over K(x).  The invariant factors (``homology``) are
 computed only when the ``snf-torsion`` certificate is read.  Like
@@ -25,8 +25,9 @@ The determinant is read off the chart kernel in t = x (``_determinant``).
 Longer complexes run the same kernel as a unit-pivot contraction on the
 exact entries (``_contraction_side``), which is sound but may answer
 "unknown".  So one elimination serves the ranks, the chart valuations
-and both Z paths.  A verdict renders its certificate (strings of
-factors and determinants) only when a caller reads it.
+and both Z paths: a stream of pivots whose key the ring picks, each
+caller reading as far as it needs.  A verdict renders its certificate
+(strings of factors and determinants) only when a caller reads it.
 
 The witness produced for a Novikov-acyclic complex is the complex of global
 sections W of the extension to the projective line (a ``ScalarComplex``:
@@ -39,7 +40,7 @@ The chart columns are exact.  Over a field K, K[[x]] and K[[x^-1]] are
 discrete valuation rings, so H_q of a chart complex after base change is a
 sum of torsion modules K[[t]]/t^v, one for each nonzero elementary divisor
 of d_{q+1}, and its K-dimension is the sum of their valuations v.  These come from one
-local elimination pass per differential (``_elementary_valuations``) on
+local elimination pass per differential (``_pivots``) on
 plain int coefficient lists (``polylists``): residues mod p over GF(p),
 ints over Z and integer rows over Q, with Bareiss's exact division.  The
 witness reads each chart differential straight off the rows of the torus
@@ -84,37 +85,32 @@ def _chart_direction(c: ChainComplex) -> int:
         "chart valuations are defined for K[x] and K[x^-1] complexes")
 
 
-def _elementary_valuations(d: LaurentMatrix, direction: int,
-                           row_exps=None, col_exps=None,
-                           _units=False) -> tuple:
-    """(valuations, pivots, unit): the t-adic valuations of the nonzero
-    elementary divisors over K[[t]] of the chart matrix
-    x^(col_exps[j] - row_exps[i]) d[i][j] (no shift when the exponent
-    lists are left out), one per pivot; each pivot's (r, j), r its row's
-    position among the rows left and j its column; and the last pivot's
-    unit u, None when nothing pivots (``_determinant`` reads these).
-    ``_units`` runs the Z contraction's variant (below).
+def _pivots(ring, rows, direction: int, row_exps=None, col_exps=None):
+    """Yield (v, r, j, unit) for each pivot of the elimination over K[[t]]
+    of the chart matrix x^(col_exps[j] - row_exps[i]) rows[i][j] (no
+    shift when the exponent lists are left out), ``rows`` being sparse
+    rows of entries as in ``LaurentMatrix.data``, which it leaves as they
+    are: v the pivot's t-adic valuation, r its row's position among the
+    nonzero rows left, j its column and unit its unit u, an entry (0, c).
+    Each caller stops reading where it likes, and no later step runs.
 
     t is x for direction 1 and x^-1 for direction -1, whose coefficient
-    lists are the reversed lists in x.  K[[t]] is a discrete valuation
-    ring, so an entry of least valuation v is a pivot: it is t^v u with u
-    a unit, and row <- u row - (c / t^v) pivot_row clears its column by an
-    invertible row operation, with no inverse and no truncation.  The pivot
-    row's other entries are multiples of t^v, which column operations
-    clear without touching the rest, so the pivot row and column drop out
-    and v is one valuation.  As in Bareiss's fraction-free elimination
-    every remaining row is then divided, exactly, by the previous pivot's
-    unit: entries stay minors of d up to a power of t, so their degrees
-    and, over Q, the bit lengths of their coefficients grow linearly, not
-    exponentially.
-
-    With ``_units``, over Z, the pivot is an entry whose lowest
-    coefficient in t is 1 or -1, a unit of Z((t)), when there is one;
-    then, as without, the least valuation and the first row and column.
-    c / t^v may then have negative exponents, and the valuations are
-    only those of the pivots.  The elimination ends at the first pivot
-    whose lowest coefficient is not 1 or -1 and returns that pivot's
-    unit (``_contraction_side`` reads nothing else).
+    lists are the reversed lists in x.  The ring picks the pivot key.
+    Over a field the pivot is an entry of least valuation v, then the
+    first row and column; K[[t]] is a discrete valuation ring, so it is
+    t^v u with u a unit, and row <- u row - (c / t^v) pivot_row clears its
+    column by an invertible row operation, with no inverse and no
+    truncation.  The pivot row's other entries are multiples of t^v, which
+    column operations clear without touching the rest, so the pivot row
+    and column drop out and v is one valuation of a nonzero elementary
+    divisor.  Over Z an entry whose lowest coefficient in t is 1 or -1, a
+    unit of Z((t)), comes first, then as over a field; c / t^v may then
+    have negative exponents, and the v are only the pivots' valuations
+    (``_determinant`` and ``_contraction_side`` read them).  As in
+    Bareiss's fraction-free elimination every remaining row is then
+    divided, exactly, by the previous pivot's unit: entries stay minors of
+    d up to a power of t, so their degrees and, over Q, the bit lengths of
+    their coefficients grow linearly, not exponentially.
 
     The elimination runs on coefficient lists (``polylists``): residues
     mod p over GF(p), ints over Z; over Q each row is cleared of
@@ -125,10 +121,10 @@ def _elementary_valuations(d: LaurentMatrix, direction: int,
     made primitive between steps, which would break the exactness.  A
     division that leaves a remainder raises ShapeError.
     """
-    p = d.ring.p
-    clear = d.ring.kind == "Q"
-    rows = []
-    for i, row in enumerate(d.data):
+    p = ring.p
+    clear = ring.kind == "Q"
+    chart = []
+    for i, row in enumerate(rows):
         shift = -row_exps[i] if row_exps else 0
         live = {}
         for j, (v, c) in row.items():
@@ -137,24 +133,20 @@ def _elementary_valuations(d: LaurentMatrix, direction: int,
         if live and clear:
             live = dict(zip(live, integer_row(list(live.values()))))
         if live:
-            rows.append(live)
-    found = []
-    pivots = []
+            chart.append(live)
+    rows = chart
     prev = None
     while rows:
-        if _units:
+        if ring.is_field:
+            v, r, j = min((e[0], r, j) for r, row in enumerate(rows)
+                          for j, e in row.items())
+        else:
             v, r, j = min((e[1][0] not in (1, -1), e[0], r, j)
                           for r, row in enumerate(rows)
                           for j, e in row.items())[1:]
-        else:
-            v, r, j = min((e[0], r, j) for r, row in enumerate(rows)
-                          for j, e in row.items())
         pivot_row = rows.pop(r)
         unit = (0, pivot_row.pop(j)[1])
-        found.append(v)
-        pivots.append((r, j))
-        if _units and unit[1][0] not in (1, -1):
-            return found, pivots, unit
+        yield v, r, j, unit
         kept = []
         for row in rows:
             c = row.pop(j, None)
@@ -172,18 +164,17 @@ def _elementary_valuations(d: LaurentMatrix, direction: int,
                 kept.append(row)
         rows = kept
         prev = unit
-    return found, pivots, prev
 
 
 def _valuations(c: ChainComplex, direction: int, exps=None) -> dict:
-    """Sorted ``_elementary_valuations`` of each differential of ``c``,
-    by degree; with ``exps`` (``SheafComplex.chart_exponents``) those of
-    the chart matrices x^(exps[m][j] - exps[m-1][i]) d_m[i][j]."""
+    """The sorted pivot valuations (``_pivots``) of each differential of
+    ``c``, by degree; with ``exps`` (``SheafComplex.chart_exponents``)
+    those of the chart matrices x^(exps[m][j] - exps[m-1][i]) d_m[i][j]."""
     out = {}
     for m in range(c.lo + 1, c.hi + 1):
         shifts = (exps[m - 1], exps[m]) if exps else ()
-        out[m] = sorted(
-            _elementary_valuations(c.diff(m), direction, *shifts)[0])
+        out[m] = sorted([v for v, _, _, _ in _pivots(
+            c.ring, c.diff(m).data, direction, *shifts)])
     return out
 
 
@@ -296,7 +287,7 @@ def _novikov_field(c: ChainComplex,
 
     as each r_m appears once with each sign.  In a complex f_q >= 0, so
     chi(C) != 0 forces some f_q > 0: "no" without a rank.  Otherwise
-    r_m is the number of pivots ``_elementary_valuations(d_m, 1)`` finds:
+    r_m is the number of pivots ``_pivots`` yields for d_m in t = x:
     it eliminates x^s d_m over the discrete valuation ring K[[x]], for an
     s that clears the negative exponents (a shift moves every valuation by
     s and no rank), and keeps one pivot per nonzero elementary divisor, so
@@ -329,7 +320,7 @@ def _novikov_field(c: ChainComplex,
 def _free_ranks_vanish(c: ChainComplex) -> bool:
     """Every f_q (``homology_ranks``) is zero, each rank the pivot count
     of the chart kernel."""
-    ranks = {m: len(_elementary_valuations(d, 1)[0])
+    ranks = {m: sum(1 for _ in _pivots(c.ring, d.data, 1))
              for m, d in c.diffs.items()}
     return not any(homology_ranks(c.ranks, ranks).values())
 
@@ -365,10 +356,11 @@ def _two_term_square(c: ChainComplex):
 def _determinant(d: LaurentMatrix):
     """The entry of the determinant of the square matrix ``d`` over Z or
     GF(p), read off the chart kernel in t = x: (-1)^s x^(sum v) u, the v
-    the valuations and u the last unit of ``_elementary_valuations(d, 1)``,
+    the valuations and u the last unit of the pivots ``_pivots`` yields,
     when every row pivots, and None (zero) otherwise; s is the sum over
     the pivots (r, j) of r plus the position of j among the columns not
-    yet taken.
+    yet taken.  The pivot order, which the ring picks, moves no
+    determinant.
 
     Each step of the kernel is a Bareiss step on d with its pivot column
     divided by t^v.  Dividing a column commutes with the later minors,
@@ -379,14 +371,14 @@ def _determinant(d: LaurentMatrix):
     division is exact and no row is scaled (the kernel scales only Q
     rows), so this is det d.
     """
-    valuations, pivots, unit = _elementary_valuations(d, 1)
-    if len(valuations) < d.rows:
-        return None
-    s, taken = 0, []
-    for r, j in pivots:
+    s, total, taken, unit = 0, 0, [], ONE
+    for v, r, j, unit in _pivots(d.ring, d.data, 1):
         s += r + j - sum(k < j for k in taken)
+        total += v
         taken.append(j)
-    det = sum(valuations), (unit or ONE)[1]
+    if len(taken) < d.rows:
+        return None
+    det = total, unit[1]
     if s % 2:
         det = scaled(det, -1, d.ring.p)
     return det[0], tuple(det[1])
@@ -411,13 +403,14 @@ def _contraction_side(c: ChainComplex, direction: int) -> SideVerdict:
     at the first pivot whose lowest coefficient in t is not 1 or -1, or
     when generators are left.
 
-    The walk runs the differentials in ascending degree.  From d_m it
-    drops the rows of the generators of C_{m-1} that d_{m-1}'s pivots
-    took, and runs ``_elementary_valuations`` with ``_units`` on the
-    exact entries, so the kernel prefers a pivot whose lowest coefficient
-    is 1 or -1.  Each pivot (r, j) takes generator j of C_m, whose row of
-    d_{m+1} the next step drops, and its row's generator of C_{m-1}; so
-    the generators left fall by 2 per pivot from the total rank.
+    The walk runs the differentials in ascending degree.  It reads the
+    ``_pivots`` of d_m's exact entries, with the rows emptied of the
+    generators of C_{m-1} that d_{m-1}'s pivots took; over Z the kernel
+    prefers a pivot whose lowest coefficient is 1 or -1, and the walk
+    stops reading at the first pivot whose unit is no unit of Z((t)).
+    Each pivot (r, j) takes generator j of C_m, whose row of d_{m+1} the
+    next step empties, and its row's generator of C_{m-1}; so the
+    generators left are the total rank less 2 per pivot.
 
     This is sound by the Gaussian elimination lemma over Z((t)), t = x or
     x^-1 (as in computational homology: Kaczynski, Mischaikow and Mrozek
@@ -437,28 +430,24 @@ def _contraction_side(c: ChainComplex, direction: int) -> SideVerdict:
     d_{m-1}' is zero on the generators left.  The next step drops row j
     of d_{m+1}, and no later step reads d_{m-1}.  So when every
     generator leaves, C (x) Z((t)) is contractible.  The stop at the
-    first non-unit pivot is the walk's answer anyway, and it spares the
-    kernel every later step.
+    first non-unit pivot is the walk's answer anyway, and as the walk
+    reads no further pivot, the kernel runs no later step.
     """
     var = "x" if direction == 1 else "x^-1"
-    left = sum(c.ranks.values())
-    taken = ()
+    taken = set()
     eliminations = []
     for m in range(c.lo + 1, c.hi + 1):
-        d = c.diff(m)
-        if taken:
-            d = LaurentMatrix._stored(d.ring, d.rows, d.cols, [
-                {} if i in taken else row for i, row in enumerate(d.data)])
-        valuations, pivots, unit = _elementary_valuations(
-            d, direction, _units=True)
-        if unit is not None and unit[1][0] not in (1, -1):
-            return SideVerdict("unknown", "unit-contraction", lambda: {
-                "side": var, "degree": m,
-                "lowest_coefficient": str(unit[1][0])})
-        taken = {j for _, j in pivots}
-        left -= 2 * len(pivots)
-        eliminations += [{"degree": m, "col": j, "pivot_valuation": v}
-                         for v, (_, j) in zip(valuations, pivots)]
+        rows = [{} if i in taken else row
+                for i, row in enumerate(c.diff(m).data)]
+        taken = set()
+        for v, _, j, unit in _pivots(c.ring, rows, direction):
+            if not c.ring.is_unit(unit[1][0]):
+                return SideVerdict("unknown", "unit-contraction", lambda: {
+                    "side": var, "degree": m,
+                    "lowest_coefficient": str(unit[1][0])})
+            taken.add(j)
+            eliminations.append({"degree": m, "col": j, "pivot_valuation": v})
+    left = sum(c.ranks.values()) - 2 * len(eliminations)
     if left:
         return SideVerdict("unknown", "unit-contraction", lambda: {
             "side": var, "remaining_generators": left})

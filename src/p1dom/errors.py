@@ -49,3 +49,10 @@ class FormatError(P1DomError, ValueError):
         if location:
             message = f"{message} (at {location})"
         super().__init__(message)
+
+
+def shown(value) -> str:
+    """``repr(value)`` for a message, whole up to 40 characters; a longer
+    one is cut to its first 40 and its length, so no input echoes whole."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} chars)"

@@ -53,7 +53,7 @@ from json.encoder import encode_basestring_ascii as _escape
 
 from .complexes import MAX_RANK, ChainComplex, ScalarComplex, check_rank
 from .errors import (BaseRingViolationError, FormatError,
-                     UnsupportedRingError)
+                     UnsupportedRingError, shown)
 from .laurent import BaseRing, base_from_tag, render
 from .matrices import LaurentMatrix, ScalarMatrix
 from .polylists import from_terms
@@ -116,15 +116,15 @@ def _integer(value, field: str, where: str) -> int:
     """``value`` if it is a JSON integer; a boolean, which Python counts
     as an int, or any other type is a FormatError naming the field."""
     if type(value) is not int:
-        raise FormatError(f"{field} must be an integer, got {value!r}",
-                          where)
+        raise FormatError(
+            f"{field} must be an integer, got {shown(value)}", where)
     return value
 
 
 def _check_exponent(e, where: str, field="exponent", bound=MAX_EXPONENT):
     if abs(_integer(e, field, where)) > bound:
         raise FormatError(
-            f"{field} {e} exceeds {bound} in absolute value", where)
+            f"{field} {shown(e)} exceeds {bound} in absolute value", where)
 
 
 def _pairs(entry, render):
@@ -218,8 +218,8 @@ def _read_degrees(data):
         ranks[degree] = rank
     span = max(ranks) - min(ranks)
     if span > MAX_DEGREE_SPAN:
-        raise FormatError(f"degree span {span} exceeds {MAX_DEGREE_SPAN}",
-                          "degrees")
+        raise FormatError(
+            f"degree span {shown(span)} exceeds {MAX_DEGREE_SPAN}", "degrees")
     return ranks
 
 
@@ -231,11 +231,12 @@ def _read_complex(data: dict, expected_format: str):
         raise FormatError("top level must be an object", "$")
     fmt = data.get("format")
     if fmt != expected_format:
-        raise FormatError(f"format must be {expected_format!r}, got {fmt!r}",
-                          "format")
+        raise FormatError(
+            f"format must be {expected_format!r}, got {shown(fmt)}", "format")
     version = _integer(data.get("version"), "version", "version")
     if version != VERSIONS[expected_format]:
-        raise FormatError(f"unsupported version {version!r}", "version")
+        raise FormatError(f"unsupported version {shown(version)}",
+                          "version")
     if data.get("variable", "x") != "x":
         raise FormatError("variable must be 'x'", "variable")
     try:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .errors import ShapeError
+from .errors import ShapeError, shown
 from .scalars import CoefficientRing
 
 
@@ -50,7 +50,7 @@ def base_from_tag(tag: str) -> BaseRing:
     try:
         return BaseRing(tag)
     except ValueError:
-        raise ShapeError(f"unknown base ring tag {tag!r}") from None
+        raise ShapeError(f"unknown base ring tag {shown(tag)}") from None
 
 
 def render(ring: CoefficientRing, entry) -> str:

@@ -51,8 +51,7 @@ class _Rows:
         of canonical nonzero values.  Only stores them, with none of the
         constructor's scans; each caller proves the shape where it
         builds the rows (``generators._conjugated``, the file loader's
-        ``matrix_from_rows``, ``sheaves.cech_complex``,
-        ``domination._contraction_side``)."""
+        ``matrix_from_rows``, ``sheaves.cech_complex``)."""
         m = object.__new__(cls)
         m.ring = ring
         m.rows = rows

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .errors import UnsupportedRingError
+from .errors import UnsupportedRingError, shown
 
 # the largest GF modulus: at most 32768 trial divisions test it, once
 MAX_MODULUS = 2**32 - 1
@@ -115,7 +115,7 @@ class CoefficientRing:
         except (ValueError, ZeroDivisionError):
             pass  # past Python's digit limit, or a zero denominator
         raise UnsupportedRingError(
-            f"cannot parse {text!r} as an element of {self.tag}")
+            f"cannot parse {shown(text)} as an element of {self.tag}")
 
 
 QQ = CoefficientRing("Q")
@@ -146,4 +146,4 @@ def ring_from_tag(tag: str) -> CoefficientRing:
         except ValueError:  # past Python's digit limit, far past the bound
             p = MAX_MODULUS + 1
         return GF(p)
-    raise UnsupportedRingError(f"unknown ring tag {tag!r}")
+    raise UnsupportedRingError(f"unknown ring tag {shown(tag)}")

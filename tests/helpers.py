@@ -10,7 +10,8 @@ from math import prod
 import p1dom
 from p1dom import fileformat as ff
 from p1dom.complexes import ChainComplex, HomologyEntry, ScalarComplex
-from p1dom.domination import _chart_direction, _torsion_dims, chart_homology
+from p1dom.domination import (_chart_direction, _pivots, _torsion_dims,
+                              chart_homology)
 from p1dom.errors import (BaseRingViolationError, RingMismatchError,
                           ShapeError, UnsupportedRingError)
 from p1dom.generators import (_below, _conjugated, _elementary_ops,
@@ -325,6 +326,13 @@ def window_complex(c: ChainComplex, order: int) -> ScalarComplex:
                     rows[(tau + shift) * tgt + i][tau * src + j] = coeff
         diffs[m] = ScalarMatrix(c.ring, ranks[m - 1], ranks[m], rows)
     return ScalarComplex(c.ring, c.lo, c.hi, ranks, diffs)
+
+
+def pivot_valuations(d, direction, *exps):
+    """The valuations of the pivots ``domination._pivots`` yields for the
+    Laurent matrix ``d``, in pivot order; ``exps`` are its row and column
+    exponents."""
+    return [v for v, _, _, _ in _pivots(d.ring, d.data, direction, *exps)]
 
 
 def transpose(a):

@@ -16,7 +16,6 @@ from fractions import Fraction
 import pytest
 
 from p1dom.complexes import ChainComplex, homology_dims
-from p1dom.domination import _elementary_valuations
 from p1dom.errors import (ShapeError, StabilisationFailureError,
                           UnsupportedRingError)
 from p1dom.extension import extend_complex
@@ -27,7 +26,8 @@ from p1dom.smith import invariant_factors
 
 from helpers import (LaurentPoly, P, chart, chart_homology_dims, check_base,
                      determinant, grid_matrix, maxdeg, mindeg,
-                     recorded_renders, single, two_term, window_complex)
+                     pivot_valuations, recorded_renders, single, two_term,
+                     window_complex)
 
 RINGS = [QQ, GF(7), GF(10007)]
 FREE = "{} chart homology has a free part in degree {}"
@@ -86,8 +86,7 @@ def side(chart):
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.tag)
 def test_window_dims_are_truncated_valuation_sums(ring):
     for chart in charts(ring, 2279, 8):
-        vals = {m: _elementary_valuations(chart.diff(m),
-                                          direction(chart))[0]
+        vals = {m: pivot_valuations(chart.diff(m), direction(chart))
                 for m in range(chart.lo + 1, chart.hi + 1)}
         for n in (1, 2, 8, 16, 32):
             want = {q: sum(min(n, v) for v in vals.get(q + 1, [])
@@ -177,7 +176,7 @@ def test_square_valuations_sum_to_determinant_valuation(ring, sign):
         d = grid_matrix(ring, n, n, grid)
         check_base(d, base)
         det = determinant(d)
-        vals = _elementary_valuations(d, sign)[0]
+        vals = pivot_valuations(d, sign)
         if det.is_zero:
             assert len(vals) < n
         else:
@@ -217,7 +216,7 @@ def test_elimination_degrees_grow_linearly(monkeypatch):
         d = grid_matrix(ring, n, n, grid)
         degrees.clear()
         bits.clear()
-        assert len(domination._elementary_valuations(d, 1)[0]) == n
+        assert len(pivot_valuations(d, 1)) == n
         assert degrees and max(degrees) <= 2 * n * deg
         if not ring.p:
             h = math.prod(sum(abs(x) for p in row for _, x in p.items())

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from p1dom import complexes, domination
+from p1dom import complexes, domination, errors
 from p1dom import fileformat as ff
 from p1dom.cli import COMMANDS, PARSER, PARSERS, main
 from p1dom.complexes import ChainComplex
@@ -440,6 +440,56 @@ def test_a_long_modulus_is_refused_before_primality_work(digits, tmp_path,
     assert captured.err == ("input error: bad ring tag: GF modulus exceeds "
                             "MAX_MODULUS = 4294967295 (at ring)\n")
 
+
+
+BIG = 10**4300 - 1  # 4300 nines, at Python's int digit limit
+CELL = ("differentials", 0, "matrix", 0, 0, 0)
+# field -> (the location its refusal names, the keys down to the value in
+# a header over Q, a 100-200 KB string or BIG to put there)
+OVERSIZED = {
+    "ring": ("ring", ("ring",), "GF(" + "9" * 100000 + "x)"),
+    "base": ("base", ("base",), "K" * 200000),
+    "format": ("format", ("format",), "p" * 200000),
+    "version": ("version", ("version",), "1" * 200000),
+    "int-version": ("version", ("version",), BIG),
+    "degree": ("degrees[0].degree", ("degrees", 0, "degree"), "0" * 200000),
+    "span": ("degrees", ("degrees", 0, "degree"), BIG),
+    "rank": ("degrees[0].rank", ("degrees", 0, "rank"), BIG),
+    "coefficient": ("differentials[0].matrix[0][0][0]", CELL + (1,),
+                    "1" * 100000 + "x"),
+    "exponent": ("differentials[0].matrix[0][0][0][0]", CELL + (0,), BIG),
+}
+
+
+@pytest.mark.parametrize("field", OVERSIZED)
+def test_an_oversized_field_is_refused_in_one_short_line(field, tmp_path,
+                                                         capsys):
+    # the refusal shows at most 40 characters of the value and its length
+    location, keys, value = OVERSIZED[field]
+    data = {"format": "p1dom-complex", "version": 1, "ring": "Q",
+            "degrees": [{"degree": 0, "rank": 1}, {"degree": 1, "rank": 1}],
+            "differentials": [{"degree": 1, "matrix": [[[[0, "1"]]]]}]}
+    target = data
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / "big.cplx"
+    path.write_text(json.dumps(data))
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert captured.err.count("\n") == 1
+    assert len(captured.err.encode()) < 200
+    assert " chars) " in captured.err
+    assert captured.err.endswith(f" (at {location})\n")
+
+
+def test_shown_cuts_a_long_repr_to_40_characters_and_its_length():
+    assert errors.shown("a" * 38) == repr("a" * 38)
+    assert errors.shown("a" * 39) == "'" + "a" * 39 + "... (41 chars)"
+    assert errors.shown(10**40) == "1" + "0" * 39 + "... (41 chars)"
+    assert errors.shown(None) == "None"
 
 def test_sheaf_loader_names_the_chart_entry_outside_its_ring(tmp_path,
                                                              capsys):

@@ -9,9 +9,9 @@ from p1dom import fileformat as ff
 
 from p1dom.cli import main
 from p1dom.complexes import ChainComplex, homology, homology_dims
-from p1dom.domination import (_determinant, _elementary_valuations,
-                              _witness, chart_homology, dominate,
-                              novikov_check, verify_theorem)
+from p1dom.domination import (_determinant, _pivots, _witness,
+                              chart_homology, dominate, novikov_check,
+                              verify_theorem)
 from p1dom.errors import (NonVanishingH1Error, NotNovikovAcyclicError,
                           ShapeError, StabilisationFailureError,
                           UnsupportedRingError)
@@ -24,9 +24,10 @@ from p1dom.smith import invariant_factors
 
 from helpers import (LaurentPoly, M, chart, determinant, direct_sum,
                      grid_matrix, load_complex, load_sheaf, matmul,
-                     raised_profile, random_matrix, random_poly, random_ring,
-                     recorded_renders, sections_complex, single, twist,
-                     two_term, window_complex, zero_complex)
+                     pivot_valuations, raised_profile, random_matrix,
+                     random_poly, random_ring, recorded_renders,
+                     sections_complex, single, twist, two_term,
+                     window_complex, zero_complex)
 from paper_lemmas import ChainMap, cone, extend_cone, null_homotopic_map
 from test_fast_paths import extension_inputs
 
@@ -116,9 +117,12 @@ def _determinant_case(rng, ring, n, kind):
 
 @pytest.mark.parametrize("ring", [ZZ, GF(2), GF(7)], ids=lambda r: r.tag)
 def test_determinant_off_the_chart_kernel_equals_bareiss(ring):
-    # _determinant reads det d off _elementary_valuations(d, 1): the
+    # _determinant reads det d off the pivots _pivots yields in t = x: the
     # valuations, the last unit and the sign of the pivots' row and
-    # column orders; no Z row may be divided by its content
+    # column orders; no Z row may be divided by its content.  The ring
+    # picks the key, so over Z the entry of valuation -2 pivots first only
+    # when its coefficient is 1 or -1; another unit entry may come first
+    # when it is 3, and the determinant does not depend on the order
     rng = random.Random(44)
     least_size = {"random": 0, "singular": 1, "zero-row": 1,
                   "off-diagonal": 2}
@@ -129,8 +133,10 @@ def test_determinant_off_the_chart_kernel_equals_bareiss(ring):
             rng, ring, rng.randint(least_size[kind], 6), kind)
         det = determinant(a)
         assert _determinant(a) == det.entry
-        if first is not None:
-            assert _elementary_valuations(a, 1)[1][0][1] == first
+        if first is not None and ring.is_unit(next(
+                e[1][0] for row in a.data for e in row.values()
+                if e[0] == -2)):
+            assert next(_pivots(ring, a.data, 1))[2] == first
         seen.add((kind, det.is_zero))
     assert {("random", False), ("singular", True), ("zero-row", True),
             ("off-diagonal", False)} <= seen
@@ -444,13 +450,38 @@ def test_contraction_pivot_is_a_unit_then_least_valuation():
     assert v.x_side.certificate["eliminations"] == [
         {"degree": 1, "col": 1, "pivot_valuation": 1},
         {"degree": 2, "col": 0, "pivot_valuation": 1}]
-    # the kernel's own key with _units: a unit first, then least
-    # valuation; without, the least valuation alone, as over a field
-    assert _elementary_valuations(c.diff(1), 1, _units=True)[1] == [(0, 1)]
-    assert _elementary_valuations(c.diff(1), 1)[1] == [(0, 0)]
-    assert _elementary_valuations(
-        M(ZZ, [[[(1, -1)], [(0, 1), (5, 3)], 3]]), 1,
-        _units=True)[1] == [(0, 1)]
+    # the ring picks the kernel's key: over Z a unit first, then least
+    # valuation; over a field the least valuation alone
+    def pivots(d):
+        return [(r, j) for _, r, j, _ in _pivots(d.ring, d.data, 1)]
+
+    assert pivots(c.diff(1)) == [(0, 1)]
+    assert pivots(M(QQ, [[2, [(1, 1)]]])) == [(0, 0)]
+    assert pivots(M(ZZ, [[[(1, -1)], [(0, 1), (5, 3)], 3]])) == [(0, 1)]
+
+
+def test_contraction_stops_reading_at_the_stall(monkeypatch):
+    # the kernel has no stop of its own: the walk stops reading its pivots
+    # at the first one whose unit is no unit of Z((t)).  On the x^-1 side
+    # of z-contraction.cplx that is the one pivot of d_0 = [x^-1 - 1 - 3x],
+    # whose lowest coefficient in t = x^-1 is -3; the x side reads every
+    # pivot of d_0, d_1 and d_2 (3 eliminations)
+    drawn = []
+    original = domination._pivots
+
+    def recording(*args):
+        drawn.append([])
+        for pivot in original(*args):
+            drawn[-1].append(pivot)
+            yield pivot
+
+    monkeypatch.setattr(domination, "_pivots", recording)
+    c = load_complex(ROOT / "samples/z-contraction.cplx")
+    v = novikov_check(c)
+    assert v.x_inv_side.certificate == {
+        "side": "x^-1", "degree": 0, "lowest_coefficient": "-3"}
+    assert [len(pivots) for pivots in drawn] == [1, 0, 2, 1]
+    assert drawn[-1][-1][3][1][0] == -3
 
 
 @pytest.mark.parametrize("name", ["A", "B"])
@@ -521,13 +552,13 @@ def _count_calls(monkeypatch, name):
 
 
 def _chart_passes(c):
-    # one _elementary_valuations pass per differential on each chart
+    # one _pivots pass per differential on each chart
     return 2 * (c.hi - c.lo)
 
 
 def test_verify_theorem_computes_homology_once(monkeypatch):
     smith = _count_calls(monkeypatch, "homology")
-    ranks = _count_calls(monkeypatch, "_elementary_valuations")
+    ranks = _count_calls(monkeypatch, "_pivots")
     c = random_novikov_acyclic(random.Random(5), QQ)
     report = verify_theorem(c)
     assert report.passed
@@ -623,7 +654,7 @@ def test_a_ledger_failure_names_its_degree(monkeypatch, tmp_path, capsys):
 
 def test_dominate_computes_homology_once(monkeypatch):
     smith = _count_calls(monkeypatch, "homology")
-    ranks = _count_calls(monkeypatch, "_elementary_valuations")
+    ranks = _count_calls(monkeypatch, "_pivots")
     c = random_novikov_acyclic(random.Random(6), GF(7))
     witness = dominate(c)
     assert witness.ledger_holds
@@ -633,7 +664,7 @@ def test_dominate_computes_homology_once(monkeypatch):
 
 def test_field_verdict_computes_no_smith_form_until_read(monkeypatch):
     smith = _count_calls(monkeypatch, "homology")
-    ranks = _count_calls(monkeypatch, "_elementary_valuations")
+    ranks = _count_calls(monkeypatch, "_pivots")
     # chi = 0 (x - 1: yes; zero map: no) and chi = 2 (no differential)
     for c, answer, rank_passes in (
             (two_term(QQ, [(1, 1), (0, -1)]), "yes", 1),
@@ -688,8 +719,8 @@ def test_field_verdict_from_ranks_equals_the_smith_form():
         seen.add((c.ring, euler == 0, answer))
         for d in c.diffs.values():
             factors = len(invariant_factors(d))
-            assert len(_elementary_valuations(d, 1)[0]) == factors
-            assert len(_elementary_valuations(d, -1)[0]) == factors
+            assert len(pivot_valuations(d, 1)) == factors
+            assert len(pivot_valuations(d, -1)) == factors
     for ring in FIELDS:
         # the Euler shortcut and both answers of the rank test, per field
         assert {(ring, False, "no"), (ring, True, "no"),
