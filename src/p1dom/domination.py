@@ -11,10 +11,10 @@ C (x) K((x^-1)) are acyclic exactly when every free rank
 is zero, which is also when every homology module over K[x,x^-1] is
 torsion.  The rank terms telescope, so sum (-1)^q f_q is the Euler
 characteristic chi(C): a nonzero chi is a sure "no".  Otherwise rank d_m
-is the number of pivots that the chart kernel ``_pivots`` yields
-in t = x, one per nonzero elementary divisor over K[[x]], that is the rank
-over K((x)) and so over K(x).  The invariant factors (``homology``) are
-computed only when the ``snf-torsion`` certificate is read.  Like
+is the number of pivots that the chart kernel ``_pivots`` yields in t = x,
+one per nonzero elementary divisor over K[[x]]: the rank over K((x)), so
+over K(x).  The invariant factors (``homology``) are computed only when
+the ``snf-torsion`` certificate is read.  Like
 ``homology``, ``novikov_check`` assumes d.d = 0 (in a complex f_q >= 0,
 ``complexes.homology_ranks``); the CLI, ``verify_theorem`` and
 ``dominate`` check it first.  Over Z a square two-term complex is acyclic
@@ -24,10 +24,10 @@ that end coefficient is the whole certificate, with no truncation order.
 The determinant is read off the chart kernel in t = x (``_determinant``).
 Longer complexes run the same kernel as a unit-pivot contraction on the
 exact entries (``_contraction_side``), which is sound but may answer
-"unknown".  So one elimination serves the ranks, the chart valuations
-and both Z paths: a stream of pivots whose key the ring picks, each
-caller reading as far as it needs.  A verdict renders its certificate
-(strings of factors and determinants) only when a caller reads it.
+"unknown".  So one elimination serves the ranks, the chart valuations and
+both Z paths: a stream of pivots whose key the ring picks, each caller
+reading as far as it needs.  A verdict renders its certificate (strings
+of factors and determinants) only when a caller reads it.
 
 The witness produced for a Novikov-acyclic complex is the complex of global
 sections W of the extension to the projective line (a ``ScalarComplex``:
@@ -36,22 +36,20 @@ checking, degree by degree,
 
     dim H_q(W) = dim_K H_q(C) + dim H_q(C+ (x) K[[x]]) + dim H_q(C- (x) K[[x^-1]]).
 
-The chart columns are exact.  Over a field K, K[[x]] and K[[x^-1]] are
-discrete valuation rings, so H_q of a chart complex after base change is a
-sum of torsion modules K[[t]]/t^v, one for each nonzero elementary divisor
-of d_{q+1}, and its K-dimension is the sum of their valuations v.  These come from one
-local elimination pass per differential (``_pivots``) on
-plain int coefficient lists (``polylists``): residues mod p over GF(p),
-ints over Z and integer rows over Q, with Bareiss's exact division.  The
-witness reads each chart differential straight off the rows of the torus
-differential and the twists, entry (i, j) being
-x^(a_j(m) - a_i(m-1)) d_m[i][j] with a = -l on the plus side and a = k on
-the minus side, so it builds no chart complex, renders no entry and
-builds no window.  ``chart_homology`` reads the free rank and the torsion
-K-dimension of each degree off the valuations, for the ledger and for
-``p1dom hyper``, which runs the elimination on an explicit K[x] complex.
-The witness keeps the valuations, per side and differential degree, as
-the record of the chart stage.
+The chart columns are exact.  Over a field K, K[[x]] and K[[x^-1]] are discrete
+valuation rings, so H_q of a chart complex after base change is a sum of
+torsion modules K[[t]]/t^v, one for each nonzero elementary divisor of d_{q+1},
+and its K-dimension is the sum of their valuations v.  These come from one
+local elimination pass per differential (``_pivots``) on plain int coefficient
+lists (``polylists``): residues mod p over GF(p) and integer rows over Q, with
+Bareiss's exact division.  The witness reads each chart differential straight
+off the rows of the torus differential and the twists, entry (i, j) being
+x^(a_j(m) - a_i(m-1)) d_m[i][j] with a = -l on the plus side and a = k on the
+minus side, so it builds no chart complex, renders no entry and builds no
+window.  ``chart_homology`` reads the free rank and the torsion K-dimension of
+each degree off the valuations, for the ledger and for ``p1dom hyper``, which
+runs the elimination on an explicit K[x] complex.  The witness keeps the
+valuations, per side and differential degree, as the record of the chart stage.
 """
 
 from __future__ import annotations
@@ -68,6 +66,7 @@ from .extension import extend_valid_complex
 from .laurent import BaseRing, render
 from .matrices import LaurentMatrix
 from .polylists import ONE, exact_quotient, integer_row, lincomb, scaled
+from .scalars import QQ
 from .sheaves import SheafComplex, cech_complex
 
 # ---------------------------------------------------------------------------
@@ -106,11 +105,11 @@ def _pivots(ring, rows, direction: int, row_exps=None, col_exps=None):
     divisor.  Over Z an entry whose lowest coefficient in t is 1 or -1, a
     unit of Z((t)), comes first, then as over a field; c / t^v may then
     have negative exponents, and the v are only the pivots' valuations
-    (``_determinant`` and ``_contraction_side`` read them).  As in
-    Bareiss's fraction-free elimination every remaining row is then
-    divided, exactly, by the previous pivot's unit: entries stay minors of
-    d up to a power of t, so their degrees and, over Q, the bit lengths of
-    their coefficients grow linearly, not exponentially.
+    (``_valuations`` reads a Z chart over Q).  As in Bareiss's
+    fraction-free elimination every remaining row is then divided,
+    exactly, by the previous pivot's unit: entries stay minors of d up to
+    a power of t, so their degrees and, over Q, the bit lengths of their
+    coefficients grow linearly, not exponentially.
 
     The elimination runs on coefficient lists (``polylists``): residues
     mod p over GF(p), ints over Z; over Q each row is cleared of
@@ -141,7 +140,7 @@ def _pivots(ring, rows, direction: int, row_exps=None, col_exps=None):
             v, r, j = min((e[0], r, j) for r, row in enumerate(rows)
                           for j, e in row.items())
         else:
-            v, r, j = min((e[1][0] not in (1, -1), e[0], r, j)
+            v, r, j = min((not ring.is_unit(e[1][0]), e[0], r, j)
                           for r, row in enumerate(rows)
                           for j, e in row.items())[1:]
         pivot_row = rows.pop(r)
@@ -169,12 +168,14 @@ def _pivots(ring, rows, direction: int, row_exps=None, col_exps=None):
 def _valuations(c: ChainComplex, direction: int, exps=None) -> dict:
     """The sorted pivot valuations (``_pivots``) of each differential of
     ``c``, by degree; with ``exps`` (``SheafComplex.chart_exponents``)
-    those of the chart matrices x^(exps[m][j] - exps[m-1][i]) d_m[i][j]."""
+    those of the chart matrices x^(exps[m][j] - exps[m-1][i]) d_m[i][j];
+    over Z those over Q[[t]]."""
+    ring = c.ring if c.ring.is_field else QQ
     out = {}
     for m in range(c.lo + 1, c.hi + 1):
         shifts = (exps[m - 1], exps[m]) if exps else ()
         out[m] = sorted([v for v, _, _, _ in _pivots(
-            c.ring, c.diff(m).data, direction, *shifts)])
+            ring, c.diff(m).data, direction, *shifts)])
     return out
 
 
@@ -434,8 +435,7 @@ def _contraction_side(c: ChainComplex, direction: int) -> SideVerdict:
     reads no further pivot, the kernel runs no later step.
     """
     var = "x" if direction == 1 else "x^-1"
-    taken = set()
-    eliminations = []
+    taken, eliminations = set(), []
     for m in range(c.lo + 1, c.hi + 1):
         rows = [{} if i in taken else row
                 for i, row in enumerate(c.diff(m).data)]

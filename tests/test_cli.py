@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from p1dom import complexes, domination, errors
+from p1dom import complexes, domination
 from p1dom import fileformat as ff
 from p1dom.cli import COMMANDS, PARSER, PARSERS, main
 from p1dom.complexes import ChainComplex
@@ -441,7 +441,6 @@ def test_a_long_modulus_is_refused_before_primality_work(digits, tmp_path,
                             "MAX_MODULUS = 4294967295 (at ring)\n")
 
 
-
 BIG = 10**4300 - 1  # 4300 nines, at Python's int digit limit
 CELL = ("differentials", 0, "matrix", 0, 0, 0)
 # field -> (the location its refusal names, the keys down to the value in
@@ -484,12 +483,6 @@ def test_an_oversized_field_is_refused_in_one_short_line(field, tmp_path,
     assert " chars) " in captured.err
     assert captured.err.endswith(f" (at {location})\n")
 
-
-def test_shown_cuts_a_long_repr_to_40_characters_and_its_length():
-    assert errors.shown("a" * 38) == repr("a" * 38)
-    assert errors.shown("a" * 39) == "'" + "a" * 39 + "... (41 chars)"
-    assert errors.shown(10**40) == "1" + "0" * 39 + "... (41 chars)"
-    assert errors.shown(None) == "None"
 
 def test_sheaf_loader_names_the_chart_entry_outside_its_ring(tmp_path,
                                                              capsys):

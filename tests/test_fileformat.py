@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from p1dom import fileformat as ff
 from p1dom.cli import main
 from p1dom.complexes import ChainComplex
-from p1dom.errors import FormatError
+from p1dom.errors import FormatError, shown
 from p1dom.extension import extend_complex, restrict_to_torus
 from p1dom.generators import random_complex, random_novikov_acyclic
 from p1dom.laurent import BaseRing
@@ -129,6 +129,15 @@ def test_format_errors_carry_location():
     with pytest.raises(FormatError) as err:
         ff.complex_from_dict(bad2)
     assert "degrees[0]" in str(err.value)
+
+
+def test_shown_cuts_a_long_repr_to_40_characters_and_its_length():
+    # what a loader message echoes of a value: its repr whole up to 40
+    # characters, else the first 40 and its length
+    assert shown("a" * 38) == repr("a" * 38)
+    assert shown("a" * 39) == "'" + "a" * 39 + "... (41 chars)"
+    assert shown(10**40) == "1" + "0" * 39 + "... (41 chars)"
+    assert shown(None) == "None"
 
 
 def test_invalid_json_reports_position():
