@@ -177,13 +177,15 @@ class HomologyEntry:
     kdim: int | None          # dimension over K; None means infinite
 
 
+_ZERO_ENTRY = HomologyEntry(free_rank=0, torsion=(), kdim=0)  # frozen: shared
+
+
 @dataclass(frozen=True)
 class HomologyReport:
     entries: dict             # degree -> HomologyEntry
 
     def entry(self, q: int) -> HomologyEntry:
-        return self.entries.get(
-            q, HomologyEntry(free_rank=0, torsion=(), kdim=0))
+        return self.entries.get(q, _ZERO_ENTRY)
 
     @property
     def all_torsion(self) -> bool:

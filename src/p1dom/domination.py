@@ -11,23 +11,24 @@ C (x) K((x^-1)) are acyclic exactly when every free rank
 is zero, which is also when every homology module over K[x,x^-1] is
 torsion.  The rank terms telescope, so sum (-1)^q f_q is the Euler
 characteristic chi(C): a nonzero chi is a sure "no".  Otherwise rank d_m
-is the number of pivots that the chart kernel ``_pivots`` yields in t = x,
-one per nonzero elementary divisor over K[[x]]: the rank over K((x)), so
-over K(x).  The invariant factors (``homology``) are computed only when
-the ``snf-torsion`` certificate is read.  Like
-``homology``, ``novikov_check`` assumes d.d = 0 (in a complex f_q >= 0,
-``complexes.homology_ranks``); the CLI, ``verify_theorem`` and
-``dominate`` check it first.  Over Z a square two-term complex is acyclic
-on a side exactly when its determinant is a unit of Z((t)), t = x or
-x^-1, that is when the determinant's lowest coefficient in t is 1 or -1;
-that end coefficient is the whole certificate, with no truncation order.
-The determinant is read off the chart kernel in t = x (``_determinant``).
-Longer complexes run the same kernel as a unit-pivot contraction on the
-exact entries (``_contraction_side``), which is sound but may answer
-"unknown".  So one elimination serves the ranks, the chart valuations and
-both Z paths: a stream of pivots whose key the ring picks, each caller
-reading as far as it needs.  A verdict renders its certificate (strings
-of factors and determinants) only when a caller reads it.
+is the number of chart valuations ``_valuations`` reads in t = x, one per
+nonzero elementary divisor over K[[x]]: the rank over K((x)), so over
+K(x).  The invariant factors (``homology``) are computed only when the
+``snf-torsion`` certificate is read.  Like ``homology``, ``novikov_check``
+assumes d.d = 0 (in a complex f_q >= 0, ``complexes.homology_ranks``); the
+CLI, ``verify_theorem`` and ``dominate`` check it first.  Over Z a square
+two-term complex is acyclic on a side exactly when its determinant is a
+unit of Z((t)), t = x or x^-1, that is when the determinant's lowest
+coefficient in t is 1 or -1; that end coefficient is the whole certificate,
+with no truncation order.  The determinant is read off the chart kernel in
+t = x (``_determinant``).  Longer complexes run the same kernel as a
+unit-pivot contraction on the exact entries (``_contraction_side``), which
+is sound but may answer "unknown".  So one elimination serves the ranks,
+the chart valuations and both Z paths: a stream of pivots whose key the
+ring picks, read as far as each use needs by one reader per ring,
+``_valuations`` over a field and ``_determinant`` or ``_contraction_side``
+over Z.  A verdict renders its certificate (strings of factors and
+determinants) only when read.
 
 The witness produced for a Novikov-acyclic complex is the complex of global
 sections W of the extension to the projective line (a ``ScalarComplex``:
@@ -66,7 +67,6 @@ from .extension import extend_valid_complex
 from .laurent import BaseRing, render
 from .matrices import LaurentMatrix
 from .polylists import ONE, exact_quotient, integer_row, lincomb, scaled
-from .scalars import QQ
 from .sheaves import SheafComplex, cech_complex
 
 # ---------------------------------------------------------------------------
@@ -104,12 +104,12 @@ def _pivots(ring, rows, direction: int, row_exps=None, col_exps=None):
     and column drop out and v is one valuation of a nonzero elementary
     divisor.  Over Z an entry whose lowest coefficient in t is 1 or -1, a
     unit of Z((t)), comes first, then as over a field; c / t^v may then
-    have negative exponents, and the v are only the pivots' valuations
-    (``_valuations`` reads a Z chart over Q).  As in Bareiss's
-    fraction-free elimination every remaining row is then divided,
-    exactly, by the previous pivot's unit: entries stay minors of d up to
-    a power of t, so their degrees and, over Q, the bit lengths of their
-    coefficients grow linearly, not exponentially.
+    have negative exponents, and the v are only the pivots' valuations,
+    which neither Z reader (``_determinant``, ``_contraction_side``)
+    sums.  As in Bareiss's fraction-free elimination every remaining row
+    is then divided, exactly, by the previous pivot's unit: entries stay
+    minors of d up to a power of t, so their degrees and, over Q, the bit
+    lengths of their coefficients grow linearly, not exponentially.
 
     The elimination runs on coefficient lists (``polylists``): residues
     mod p over GF(p), ints over Z; over Q each row is cleared of
@@ -166,16 +166,15 @@ def _pivots(ring, rows, direction: int, row_exps=None, col_exps=None):
 
 
 def _valuations(c: ChainComplex, direction: int, exps=None) -> dict:
-    """The sorted pivot valuations (``_pivots``) of each differential of
-    ``c``, by degree; with ``exps`` (``SheafComplex.chart_exponents``)
-    those of the chart matrices x^(exps[m][j] - exps[m-1][i]) d_m[i][j];
-    over Z those over Q[[t]]."""
-    ring = c.ring if c.ring.is_field else QQ
+    """By degree, the sorted pivot valuations (``_pivots``) of each
+    differential of the field complex ``c`` or, with ``exps``
+    (``SheafComplex.chart_exponents``), of x^(exps[m][j] - exps[m-1][i])
+    d_m[i][j]: the ledger and ``hyper`` sum them, ``novikov`` counts them."""
     out = {}
-    for m in range(c.lo + 1, c.hi + 1):
+    for m, d in c.diffs.items():
         shifts = (exps[m - 1], exps[m]) if exps else ()
         out[m] = sorted([v for v, _, _, _ in _pivots(
-            ring, c.diff(m).data, direction, *shifts)])
+            c.ring, d.data, direction, *shifts)])
     return out
 
 
@@ -288,14 +287,13 @@ def _novikov_field(c: ChainComplex,
 
     as each r_m appears once with each sign.  In a complex f_q >= 0, so
     chi(C) != 0 forces some f_q > 0: "no" without a rank.  Otherwise
-    r_m is the number of pivots ``_pivots`` yields for d_m in t = x:
-    it eliminates x^s d_m over the discrete valuation ring K[[x]], for an
-    s that clears the negative exponents (a shift moves every valuation by
-    s and no rank), and keeps one pivot per nonzero elementary divisor, so
-    it counts the rank over K((x)).  As in ``homology``, d.d = 0 is
-    assumed, not checked (the CLI, ``verify_theorem`` and ``dominate``
-    check it first); a degree where r_q + r_{q+1} exceeds rank C_q raises
-    ShapeError (``homology_ranks``).
+    r_m is the number of valuations ``_valuations`` reads for d_m in
+    t = x, one per nonzero elementary divisor over the discrete valuation
+    ring K[[x]] (a shift x^s d_m that clears the negative exponents moves
+    every valuation by s and no rank), so the rank over K((x)).  As in
+    ``homology``, d.d = 0 is assumed, not checked (the CLI,
+    ``verify_theorem`` and ``dominate`` check it first); a degree where
+    r_q + r_{q+1} exceeds rank C_q raises ShapeError (``homology_ranks``).
 
     ``report``, when the caller has ``homology(c)``, decides the verdict
     instead.  Otherwise the invariant factors are computed only when the
@@ -319,10 +317,9 @@ def _novikov_field(c: ChainComplex,
 
 
 def _free_ranks_vanish(c: ChainComplex) -> bool:
-    """Every f_q (``homology_ranks``) is zero, each rank the pivot count
-    of the chart kernel."""
-    ranks = {m: sum(1 for _ in _pivots(c.ring, d.data, 1))
-             for m, d in c.diffs.items()}
+    """Every f_q (``homology_ranks``) is zero, each rank the number of
+    chart valuations of its differential in t = x."""
+    ranks = {m: len(vs) for m, vs in _valuations(c, 1).items()}
     return not any(homology_ranks(c.ranks, ranks).values())
 
 

@@ -785,6 +785,17 @@ def direct_sum(a, b):
          for m in range(lo + 1, hi + 1)})
 
 
+def chart_over_q(c):
+    """The Z complex ``c`` with its coefficients read in Q.  The library
+    reads no Z chart over Q; ``test_fpqc_total_equals_hypercohomology``
+    compares the valuations over Q[[t]] of a Z chart with its windows."""
+    return ChainComplex(QQ, c.base, c.lo, c.hi, c.ranks, {
+        m: LaurentMatrix(QQ, d.rows, d.cols, [
+            {j: (v, tuple(map(Fraction, coeffs)))
+             for j, (v, coeffs) in row.items()} for row in d.data])
+        for m, d in c.diffs.items()})
+
+
 def shifted_summand(t, dk, dl):
     """The twist split t = (k, l) raised by (dk, dl)."""
     return t[0] + dk, t[1] + dl
