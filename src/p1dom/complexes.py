@@ -19,7 +19,7 @@ test oracles (``tests/paper_lemmas.py``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (FormatError, RingMismatchError, ShapeError,
                      UnsupportedRingError, shown)
@@ -168,8 +168,7 @@ class ChainComplex:
 # -- homology -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HomologyEntry:
+class HomologyEntry(NamedTuple):
     """Structure of one homology module over the base ring."""
 
     free_rank: int
@@ -177,11 +176,10 @@ class HomologyEntry:
     kdim: int | None          # dimension over K; None means infinite
 
 
-_ZERO_ENTRY = HomologyEntry(free_rank=0, torsion=(), kdim=0)  # frozen: shared
+_ZERO_ENTRY = HomologyEntry(free_rank=0, torsion=(), kdim=0)  # a tuple: shared
 
 
-@dataclass(frozen=True)
-class HomologyReport:
+class HomologyReport(NamedTuple):
     entries: dict             # degree -> HomologyEntry
 
     def entry(self, q: int) -> HomologyEntry:
@@ -239,8 +237,7 @@ def homology(c: ChainComplex | ScalarComplex) -> HomologyReport:
     return HomologyReport(entries)
 
 
-@dataclass(frozen=True)
-class ScalarComplex:
+class ScalarComplex(NamedTuple):
     """Bounded complex of finite-dimensional K-vector spaces.
 
     ``diffs[m]`` is the ScalarMatrix of C_m -> C_{m-1}; a degree without

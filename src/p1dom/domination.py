@@ -55,9 +55,7 @@ valuations, per side and differential degree, as the record of the chart stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .complexes import (ChainComplex, HomologyReport, ScalarComplex, homology,
                         homology_dims, homology_ranks, require_valid)
@@ -219,22 +217,33 @@ def _torsion_dims(chart: dict, side: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class SideVerdict:
+class _Side(NamedTuple):
+    acyclic: str  # "yes" | "no" | "unknown"
+    method: str   # snf-torsion | unit-determinant | unit-contraction | euler
+    render: Callable[[], dict]
+
+
+class SideVerdict(_Side):
     """The Novikov verdict of one side and the method that decided it.
 
-    ``certificate`` is built by the field ``render`` on its first read and
-    kept on the verdict, so a caller that reads only the answer builds
-    none of its strings.  Two verdicts are equal when their answers, methods and
-    rendered certificates are.
+    The constructor wraps ``render`` so that it runs on the first read of
+    ``certificate`` and keeps that dict, so a caller that reads only the
+    answer builds none of its strings.  Two verdicts are equal when their
+    answers, methods and rendered certificates are.
     """
 
-    acyclic: str               # "yes" | "no" | "unknown"
-    method: str                # snf-torsion | unit-determinant |
-    #                            unit-contraction | euler
-    render: Callable[[], dict] = field(repr=False)
+    __slots__ = ()
 
-    @cached_property
+    def __new__(cls, acyclic: str, method: str, render: Callable[[], dict]):
+        memo = []
+
+        def once():
+            if not memo:
+                memo.append(render())
+            return memo[0]
+        return super().__new__(cls, acyclic, method, once)
+
+    @property
     def certificate(self) -> dict:
         return self.render()
 
@@ -244,9 +253,13 @@ class SideVerdict:
         return (self.acyclic == other.acyclic and self.method == other.method
                 and self.certificate == other.certificate)
 
+    __ne__ = object.__ne__     # tuple's would compare the render closures
 
-@dataclass(frozen=True)
-class NovikovVerdict:
+    def __repr__(self):
+        return f"SideVerdict(acyclic={self.acyclic!r}, method={self.method!r})"
+
+
+class NovikovVerdict(NamedTuple):
     x_side: SideVerdict
     x_inv_side: SideVerdict
 
@@ -457,8 +470,7 @@ def _contraction_side(c: ChainComplex, direction: int) -> SideVerdict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LedgerRow:
+class LedgerRow(NamedTuple):
     degree: int
     w_dim: int
     mid_kdim: int
@@ -470,8 +482,7 @@ class LedgerRow:
         return self.w_dim == self.mid_kdim + self.plus_dim + self.minus_dim
 
 
-@dataclass(frozen=True)
-class DominationWitness:
+class DominationWitness(NamedTuple):
     w: ScalarComplex
     sheaf: SheafComplex
     ledger: tuple
@@ -498,11 +509,8 @@ class DominationWitness:
             "twist_profile": [
                 {"degree": m, "k": k, "l": l}
                 for m, (k, l) in sorted(self.sheaf.twist_profile().items())],
-            "ledger": [
-                {"degree": row.degree, "w_dim": row.w_dim,
-                 "mid_kdim": row.mid_kdim, "plus_dim": row.plus_dim,
-                 "minus_dim": row.minus_dim, "holds": row.holds}
-                for row in self.ledger],
+            "ledger": [{**row._asdict(), "holds": row.holds}
+                       for row in self.ledger],
             "chart_valuations": [
                 {"degree": m, "plus": self.plus_valuations[m],
                  "minus": self.minus_valuations[m]}
@@ -560,21 +568,13 @@ def _witness(sheaf: SheafComplex, mid: HomologyReport) -> DominationWitness:
     minus = _valuations(sheaf.mid, -1, sheaf.chart_exponents("minus"))
     plus_dims = _torsion_dims(chart_homology(sheaf.mid, plus), "plus")
     minus_dims = _torsion_dims(chart_homology(sheaf.mid, minus), "minus")
-    rows = []
     degrees = sorted(set(w_dims) | set(plus_dims) | set(minus_dims)
                      | set(mid.entries))
-    for q in degrees:
-        rows.append(LedgerRow(
-            degree=q,
-            w_dim=w_dims.get(q, 0),
-            mid_kdim=mid.entry(q).kdim,
-            plus_dim=plus_dims.get(q, 0),
-            minus_dim=minus_dims.get(q, 0),
-        ))
-    witness = DominationWitness(
-        w=w, sheaf=sheaf, ledger=tuple(rows),
-        plus_valuations=plus, minus_valuations=minus,
-    )
+    ledger = tuple(LedgerRow(
+        degree=q, w_dim=w_dims.get(q, 0), mid_kdim=mid.entry(q).kdim,
+        plus_dim=plus_dims.get(q, 0), minus_dim=minus_dims.get(q, 0))
+        for q in degrees)
+    witness = DominationWitness(w, sheaf, ledger, plus, minus)
     failed = [row for row in witness.ledger if not row.holds]
     if failed:
         raise StabilisationFailureError(
@@ -592,15 +592,13 @@ def _witness(sheaf: SheafComplex, mid: HomologyReport) -> DominationWitness:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     verdict: str               # "PASS" | "FAIL"
     novikov: NovikovVerdict
     checks: tuple
@@ -618,10 +616,7 @@ class TheoremReport:
                 "x_inv_side": self.novikov.x_inv_side.acyclic,
                 "method": self.novikov.x_side.method,
             },
-            "checks": [
-                {"name": ch.name, "passed": ch.passed, "detail": ch.detail}
-                for ch in self.checks
-            ],
+            "checks": [ch._asdict() for ch in self.checks],
         }
         if self.witness is not None:
             data["witness"] = {

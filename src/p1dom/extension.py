@@ -21,7 +21,7 @@ lifts, of a morphism and of a mapping cone, are test oracles
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import ChainComplex, require_valid
 from .errors import UnsupportedRingError
@@ -29,8 +29,7 @@ from .laurent import BaseRing
 from .sheaves import SheafComplex, twist_shift
 
 
-@dataclass(frozen=True)
-class ExtensionResult:
+class ExtensionResult(NamedTuple):
     """A complex on the projective line restricting to the input."""
 
     sheaf: SheafComplex

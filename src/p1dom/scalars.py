@@ -12,10 +12,10 @@ trial division, exact for every n, tests one up to it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import UnsupportedRingError, shown
 
@@ -37,29 +37,38 @@ def _is_prime(n: int) -> bool:
     return all(n % d for d in range(3, isqrt(n) + 1, 2))
 
 
-@dataclass(frozen=True)
-class CoefficientRing:
+class _RingTag(NamedTuple):
+    kind: str
+    p: int = 0
+
+
+class CoefficientRing(_RingTag):
     """Tag object bundling the arithmetic of one coefficient ring.
 
     ``kind`` is one of ``"Q"``, ``"GF"``, ``"Z"``; ``p`` is the modulus for
     GF(p) and 0 otherwise.  Elements are plain Python values (Fraction or
-    int); the ring object makes, parses and renders them.
+    int); the ring object makes, parses and renders them.  A ring is the
+    pair (kind, p), checked however it is built, and equals another by it.
     """
 
-    kind: str
-    p: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("Q", "GF", "Z"):
-            raise UnsupportedRingError(f"unknown ring kind {self.kind!r}")
-        if self.kind == "GF":
-            if self.p > MAX_MODULUS:  # the modulus is not echoed
+    def __new__(cls, kind: str, p: int = 0):
+        if kind not in ("Q", "GF", "Z"):
+            raise UnsupportedRingError(f"unknown ring kind {kind!r}")
+        if kind == "GF":
+            if p > MAX_MODULUS:  # the modulus is not echoed
                 raise UnsupportedRingError(
                     f"GF modulus exceeds MAX_MODULUS = {MAX_MODULUS}")
-            if not _is_prime(self.p):
-                raise UnsupportedRingError(f"GF modulus {self.p} is not prime")
-        elif self.p != 0:
+            if not _is_prime(p):
+                raise UnsupportedRingError(f"GF modulus {p} is not prime")
+        elif p != 0:
             raise UnsupportedRingError("modulus only allowed for GF rings")
+        return super().__new__(cls, kind, p)
+
+    @classmethod
+    def _make(cls, iterable):  # and so _replace: both skip __new__ otherwise
+        return cls(*iterable)
 
     # -- structure -------------------------------------------------------
 

@@ -39,7 +39,7 @@ differential's rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import ChainComplex, ScalarComplex, check_rank
 from .errors import (BaseRingViolationError, NonVanishingH1Error,
@@ -89,8 +89,7 @@ def twisting_sheaf(n: int, k: int = 0, rank: int = 1) -> tuple:
 # -- cohomology of a single level -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class CechCohomology:
+class CechCohomology(NamedTuple):
     """H0 and H1 of one level: dimensions and monomial bases, each basis
     a tuple of pairs (summand index, exponent)."""
 

@@ -21,7 +21,7 @@ from p1dom.laurent import BaseRing, render
 from p1dom.matrices import LaurentMatrix, ScalarMatrix, scalar_rank
 from p1dom.polylists import (ONE, cleared, exact_quotient, from_terms,
                              integer_row, lincomb, pseudo_divmod, scaled)
-from p1dom.scalars import GF, QQ
+from p1dom.scalars import GF, QQ, ZZ
 from p1dom.sheaves import SheafComplex, cech_cohomology
 from p1dom.smith import _echelon, _require_field
 
@@ -1006,3 +1006,47 @@ def basis_change_reference(rng, c, span=1):
                              pairs[m][0])
              for m in range(c.lo + 1, c.hi + 1)}
     return ChainComplex(c.ring, c.base, c.lo, c.hi, c.ranks, diffs)
+
+
+# -- mapping tori of linear maps ----------------------------------------------
+
+
+def linear_map_torus(rng, ring, factors):
+    """The two-term complex C_A = (R^n --(x I - A)--> R^n) in degrees 1
+    and 0, R = K[x,x^-1].
+
+    ``factors`` are monic int polynomials f_1 | f_2 | ... | f_k, each a
+    tuple of coefficients from the constant term up, and n = sum deg f_i.
+    A = P diag(companion(f_i)) P^-1, P unimodular over Z: each elementary
+    operation that ``generators._elementary_ops`` draws over Z with no x
+    conjugates A, as a row operation with its inverse on the columns.  So
+    A is integral, x I - A presents the R-module with invariant factors
+    f_i (over any ring of coefficients, the f_i reduced there), and
+    det(x I - A) = f_1 ... f_k."""
+    n = sum(len(f) - 1 for f in factors)
+    a = [[0] * n for _ in range(n)]
+    start = 0
+    for f in factors:
+        deg = len(f) - 1
+        for i in range(deg):
+            if i:
+                a[start + i][start + i - 1] = 1
+            a[start + i][start + deg - 1] = -f[i]
+        start += deg
+    for kind, i, j, x in _elementary_ops(rng, ZZ, n, 0):
+        if kind == 0:  # row i += q row j, then column j -= q column i
+            q = x[1][0]
+            a[i] = [u + q * v for u, v in zip(a[i], a[j])]
+            for row in a:
+                row[j] -= q * row[i]
+        elif kind == 1:
+            a[i], a[j] = a[j], a[i]
+            for row in a:
+                row[i], row[j] = row[j], row[i]
+        elif x[1] == -1:
+            a[i] = [-u for u in a[i]]
+            for row in a:
+                row[i] = -row[i]
+    d = M(ring, [[[(1, int(i == j)), (0, -a[i][j])] for j in range(n)]
+                 for i in range(n)])
+    return ChainComplex(ring, BaseRing.LAURENT, 0, 1, {0: n, 1: n}, {1: d})

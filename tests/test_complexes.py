@@ -28,6 +28,13 @@ def test_validate_two_term():
     assert two_term(QQ, [(1, 1), (0, -1)]).validate() == []
 
 
+def test_repr_names_ring_base_and_ranks():
+    assert repr(two_term(GF(7), [(1, 1), (0, -1)])) == (
+        "ChainComplex(GF(7), K[x,x^-1], ranks {0:1, 1:1})")
+    assert repr(ChainComplex(QQ, BaseRing.POLY, 0, 1, {1: 2})) == (
+        "ChainComplex(Q, K[x], ranks {0:0, 1:2})")
+
+
 def test_validate_reports_dd_violation():
     c = ChainComplex(QQ, BaseRing.LAURENT, 0, 2, {0: 1, 1: 1, 2: 1},
                      {1: M(QQ, [[[(1, 1)]]]), 2: M(QQ, [[[(1, 1)]]])})

@@ -207,7 +207,11 @@ def test_sample_with_a_duplicate_differential_exits_2(tmp_path, capsys):
      "differential degree 0 out of support (at differentials[0])"),
     ("h0", "x-minus-1.sheaf", ("base",), "K[x]",
      "sheaf complexes have base K[x,x^-1] (at base)"),
-], ids=["duplicate-degree", "differential-out-of-support", "sheaf-base"])
+    ("verify", "x-minus-1.cplx", ("differentials", 0, "matrix", 0),
+     [[[0, "-1"], [1, "1"]], [[0, "1"]]],
+     "expected 1 entries (at differentials[0].matrix[0])"),
+], ids=["duplicate-degree", "differential-out-of-support", "sheaf-base",
+        "row-length"])
 def test_sample_with_a_bad_field_exits_2(command, sample, path, value,
                                          message, tmp_path, capsys):
     source = Path(__file__).resolve().parents[1] / "samples" / sample

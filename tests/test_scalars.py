@@ -67,6 +67,11 @@ def test_ring_tags_round_trip():
         ring_from_tag("R")
 
 
+def test_ring_repr_is_its_tag():
+    # hypothesis prints a drawn ring through it, as in "ring=Z"
+    assert [repr(r) for r in (QQ, ZZ, GF(7))] == ["Q", "Z", "GF(7)"]
+
+
 def test_ring_tags_are_parsed_once():
     # a frozen ring is shared: GF's cache runs no second primality test
     # for a tag seen before, and a bad tag raises every time, since
@@ -107,3 +112,6 @@ def test_ring_tags_take_an_ascii_modulus(tag):
 def test_ring_kind_and_modulus_are_checked(kind, p, message):
     with pytest.raises(UnsupportedRingError, match=f"^{message}$"):
         CoefficientRing(kind, p)
+    # a ring is a NamedTuple: _replace (by _make) checks as well
+    with pytest.raises(UnsupportedRingError, match=f"^{message}$"):
+        QQ._replace(kind=kind, p=p)
