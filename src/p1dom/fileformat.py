@@ -146,11 +146,13 @@ def matrix_from_rows(ring, rows, cols, data, base: BaseRing, where: str,
     ScalarMatrix of sparse rows of constants.  Every entry is read over
     ``ring``; the first one outside ``base`` is a FormatError."""
     if not isinstance(data, list) or len(data) != rows:
-        raise FormatError(f"expected {rows} matrix rows", where)
+        noun = "matrix row" if rows == 1 else "matrix rows"
+        raise FormatError(f"expected {rows} {noun}", where)
     out = []
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != cols:
-            raise FormatError(f"expected {cols} entries", _at(where, i))
+            noun = "entry" if cols == 1 else "entries"
+            raise FormatError(f"expected {cols} {noun}", _at(where, i))
         cells = [entry_from_pairs(ring, cell, where, budget, (i, j))
                  for j, cell in enumerate(row)]
         out.append({j: e for j, e in enumerate(cells) if e is not None})

@@ -12,33 +12,31 @@ columns, with the coefficient-list arithmetic of ``polylists``, which the
 chart valuations of ``domination`` share: residues mod p over GF(p), and
 integers over Q, as ``scalar_rank`` does for scalars after Bareiss
 (1968).  Each Q column is cleared of denominators once and kept
-primitive by its content gcd, divisions are the pseudo-divisions of
-``polylists.pseudo_divmod``, and the Bezout cofactors and the gcds of the
-invariant factors come from one integer Euclidean algorithm, ``_xgcd``.
-Nonzero constants are units of Q[x,x^-1], so none of these scalings
-changes a factor or a module.  The factors are returned as entries, their
-int coefficients made Fractions over Q.
+primitive by its content gcd, and every division is a pseudo-division,
+``polylists.pseudo_divmod``.  Nonzero constants are units of
+Q[x,x^-1], so none of these scalings changes a factor or a module.  The
+factors are returned as entries, their int coefficients made Fractions
+over Q.
 
-The echelon form A*V = [H | 0] is reached by column operations and
-Bezout 2x2 column transforms only (Kannan-Bachem 1979; Storjohann 2000).
-Every transform has a nonzero constant determinant, so V is invertible
-over K[x,x^-1]; the tests read a saturated kernel basis and solve
-K*X = B off the same echelon form of [A; I].  ``invariant_factors``
-keeps no V: it alternates the echelon form of the matrix and of its
-transpose, each brought to Hermite form, until the matrix is diagonal,
-and then makes the diagonal a divisibility chain; their number is the
-rank r.
+The echelon form A*V = [H | 0] is reached by Euclidean column steps
+alone, col_j -> m*col_j - q*col_pivot, and column swaps (Kannan-Bachem
+1979; Storjohann 2000).  Each step has the nonzero constant determinant
+m, so V is invertible over K[x,x^-1] and no Bezout cofactor is needed;
+the tests read a saturated kernel basis and solve K*X = B off the same
+echelon form of [A; I].  ``invariant_factors`` keeps no V: it alternates
+the echelon form of the matrix and of its transpose, each brought to
+Hermite form, until the matrix is diagonal, and then makes the diagonal
+a divisibility chain; their number is the rank r.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .errors import UnsupportedRingError
 from .matrices import LaurentMatrix
-from .polylists import (ONE, divided, exact_quotient, integer_row, lincomb,
-                        make_primitive, pseudo_divmod, scaled)
+from .polylists import (exact_quotient, integer_row, lincomb, make_primitive,
+                        pseudo_divmod, scaled)
 from .scalars import CoefficientRing
 
 
@@ -47,61 +45,6 @@ def _require_field(a: LaurentMatrix) -> CoefficientRing:
         raise UnsupportedRingError(
             "K[x,x^-1] is a PID only for field coefficients")
     return a.ring
-
-
-def _normalised(r, u, v, p):
-    """The xgcd triple (r, u, v), r = u*a + v*b, times a unit: x^-val(r),
-    and then over GF(p) the inverse of r's lead, so that r is monic; over
-    Q the triple is divided by its content instead (a constant that does
-    not also divide u and v stays in r)."""
-    shift = r[0]
-    triple = [(0, r[1])] + [None if e is None else (e[0] - shift, e[1])
-                            for e in (u, v)]
-    if p:
-        inv = pow(r[1][-1], p - 2, p)
-        return [scaled(e, inv, p) for e in triple]
-    make_primitive(triple, range(3))
-    return triple
-
-
-def _xgcd(a, b, p):
-    """(g, u, v) with u*a + v*b = c*g for a nonzero constant c, where g,
-    the gcd of the nonzero entries a and b, has valuation 0 and is monic
-    over GF(p), primitive with a positive lead over Q.
-
-    The Euclidean algorithm on (r, u, v) triples with r = u*a + v*b,
-    every remainder normalised (``_normalised``): shifted to valuation 0,
-    and made monic over GF(p) or primitive over Q.  Over Q the division
-    is pseudo-division, so every coefficient stays an integer.
-    """
-    r0, u0, v0 = a, ONE, None
-    r1, u1, v1 = _normalised(b, None, ONE, p)
-    while True:
-        m, q, r2 = pseudo_divmod(r0, r1, p)
-        if r2 is None:
-            break
-        # r2 = m*r0 - q*r1
-        f, nq = (0, [m]), scaled(q, -1, p)
-        u2, v2 = lincomb(f, u0, nq, u1, p), lincomb(f, v0, nq, v1, p)
-        r0, u0, v0 = r1, u1, v1
-        r1, u1, v1 = _normalised(r2, u2, v2, p)
-    if not p:
-        content = gcd(*r1[1])
-        r1 = divided(r1, content if r1[1][-1] > 0 else -content)
-    return r1, u1, v1
-
-
-def _bezout(pivot, e, p):
-    """Rows of a 2x2 transform taking (pivot, e) to (c*g, 0), with g their
-    gcd (``_xgcd``) and c and the determinant nonzero constants: (u, v)
-    and (-e/g, pivot/g), each up to a constant factor."""
-    g, u, v = _xgcd(pivot, e, p)
-    # over Q g is primitive and divides pivot and e over Z (Gauss's
-    # lemma), so both divisions below have m = 1
-    m_e, e_g, _ = pseudo_divmod(e, g, p)
-    m_p, pivot_g, _ = pseudo_divmod(pivot, g, p)
-    # m_e*e = e_g*g and m_p*pivot = pivot_g*g
-    return u, v, scaled(e_g, -m_p, p), scaled(pivot_g, m_e, p)
 
 
 def _combine(f, x, g, y, p, known=()):
@@ -121,41 +64,38 @@ def _echelon(columns, rows, p):
 
     Column t < r = len(pivots) then has its first nonzero entry in row
     pivots[t], the pivot rows increase, and the columns from r on are zero
-    in their first ``rows`` entries.  Each row takes one pass: the column
-    of least core degree in that row (the first on a tie) becomes the
-    pivot column, and every later column is cleared by a
-    (pseudo-)division or, when the pivot does not divide, by a Bezout 2x2
-    column transform.  Every transform acts on whole columns and has a
-    nonzero constant determinant.  The columns from r on are zero above
-    row i and a cleared column is zero in row i, so a transform computes
-    only the rows after those.
+    in their first ``rows`` entries.  Row i is cleared by Euclidean steps
+    alone: the column of least core degree in that row (the first on a
+    tie) becomes the pivot column, and every other nonzero column j
+    becomes m*col_j - q*col_r, m*e = q*pivot + rem the pseudo-division of
+    its entry e by the pivot, so that its row-i entry is the remainder.
+    The least degree among the columns falls with every step, so the row
+    is done when one nonzero entry is left.  A step has the nonzero
+    constant determinant m and a swap -1, so the product V of the steps is
+    invertible over K[x,x^-1].  The columns from r on are zero above row
+    i, so a step computes only the rows below it.
     """
     n = len(columns)
     pivots = []
     for i in range(rows):
         r = len(pivots)
-        best = None
-        for j in range(r, n):
-            e = columns[j][i]
-            if e is not None and (best is None or len(e[1]) < size):
-                best, size = j, len(e[1])
-        if best is None:
-            continue
-        columns[r], columns[best] = columns[best], columns[r]
-        for j in range(r + 1, n):
-            e, pivot = columns[j][i], columns[r][i]
-            if e is None:
-                continue
-            m, q, rem = pseudo_divmod(e, pivot, p)
-            if rem is None:
-                columns[j] = _combine((0, [m]), columns[j], scaled(q, -1, p),
-                                      columns[r], p, [None] * (i + 1))
-                continue
-            u, v, ne, pg = _bezout(pivot, e, p)
-            x, y = columns[r], columns[j]
-            columns[r] = _combine(u, x, v, y, p, [None] * i)
-            columns[j] = _combine(ne, x, pg, y, p, [None] * (i + 1))
-        pivots.append(i)
+        while True:
+            nonzero = [j for j in range(r, n) if columns[j][i] is not None]
+            if not nonzero:
+                break
+            best = min(nonzero, key=lambda j: len(columns[j][i][1]))
+            columns[r], columns[best] = columns[best], columns[r]
+            if len(nonzero) == 1:
+                pivots.append(i)
+                break
+            pivot = columns[r][i]
+            for j in range(r + 1, n):
+                e = columns[j][i]
+                if e is not None:
+                    m, q, rem = pseudo_divmod(e, pivot, p)
+                    columns[j] = _combine((0, [m]), columns[j],
+                                          scaled(q, -1, p), columns[r], p,
+                                          [None] * i + [rem])
     return pivots
 
 
@@ -213,11 +153,10 @@ def invariant_factors(a: LaurentMatrix) -> tuple:
     pass drops the zero columns and ends in Hermite form (``_reduce``),
     which keeps the next pass from swelling; over Q each transposed
     column is made primitive.  The diagonal then becomes a divisibility
-    chain by the pairwise rule (d_s, d_t) -> (gcd, lcm), with gcds from
-    ``_xgcd``, the one Euclidean loop, which also gives the echelon's
-    Bezout transforms.  Each factor is monic with zero valuation, so a
-    unit factor is the constant 1.  Z coefficients are rejected;
-    Z[x,x^-1] is not a PID.
+    chain by the pairwise rule (d_s, d_t) -> (gcd, lcm), each gcd the
+    pivot of ``_echelon`` on the two entries.  Each factor is monic with
+    zero valuation, so a unit factor is the constant 1.  Z coefficients
+    are rejected; Z[x,x^-1] is not a PID.
     """
     p = _require_field(a).p
     rows, columns = a.rows, _columns(a, p)
@@ -236,12 +175,17 @@ def invariant_factors(a: LaurentMatrix) -> tuple:
         if not p:
             for column in columns:
                 make_primitive(column, range(rows))
-    cores = [columns[t][i][1] for t, i in enumerate(pivots)]
-    for s in range(len(cores)):
-        for t in range(s + 1, len(cores)):
-            if len(cores[s]) > 1:
-                g = _xgcd((0, cores[s]), (0, cores[t]), p)[0]
-                lcm = lincomb(exact_quotient((0, cores[s]), g, p),
-                              (0, cores[t]), None, None, p)
-                cores[s], cores[t] = g[1], lcm[1]
-    return tuple([_factor(a.ring, core) for core in cores])
+    # over Q each column is primitive, so each pivot is; so are the gcd,
+    # the pivot of the echelon form of two entries, and the lcm (Gauss's
+    # lemma), and every quotient by a gcd stays over Z
+    diagonal = [columns[t][i] for t, i in enumerate(pivots)]
+    for s in range(len(diagonal)):
+        for t in range(s + 1, len(diagonal)):
+            if len(diagonal[s][1]) > 1:
+                pair = [[diagonal[s]], [diagonal[t]]]
+                _echelon(pair, 1, p)
+                g = pair[0][0]
+                diagonal[s], diagonal[t] = g, lincomb(
+                    exact_quotient(diagonal[s], g, p), diagonal[t], None,
+                    None, p)
+    return tuple([_factor(a.ring, e[1]) for e in diagonal])

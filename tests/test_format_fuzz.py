@@ -209,9 +209,12 @@ def test_sample_with_a_duplicate_differential_exits_2(tmp_path, capsys):
      "sheaf complexes have base K[x,x^-1] (at base)"),
     ("verify", "x-minus-1.cplx", ("differentials", 0, "matrix", 0),
      [[[0, "-1"], [1, "1"]], [[0, "1"]]],
-     "expected 1 entries (at differentials[0].matrix[0])"),
+     "expected 1 entry (at differentials[0].matrix[0])"),
+    ("verify", "x-minus-1.cplx", ("differentials", 0, "matrix"),
+     [[[[0, "1"]]], [[[0, "1"]]]],
+     "expected 1 matrix row (at differentials[0].matrix)"),
 ], ids=["duplicate-degree", "differential-out-of-support", "sheaf-base",
-        "row-length"])
+        "row-length", "row-count"])
 def test_sample_with_a_bad_field_exits_2(command, sample, path, value,
                                          message, tmp_path, capsys):
     source = Path(__file__).resolve().parents[1] / "samples" / sample

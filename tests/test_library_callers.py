@@ -22,6 +22,12 @@ no class under src/p1dom/ defines an arithmetic operator method, by a
 ``def`` or by an assignment such as ``__rmul__ = __mul__``.  The sums
 and products that only the tests form are functions of
 ``tests/helpers.py`` (``polyadd``, ``matmul``, ...).
+
+A third rule finds dead private code: a private module-level function or
+class of src/p1dom/ (one whose name starts with "_" and is no dunder) is
+read somewhere in src/p1dom/ outside its own definition.  Tests may read
+one too (``tests/helpers.py`` builds its kernel basis on
+``smith._echelon``), but a read from the tests alone does not count.
 """
 
 import ast
@@ -100,6 +106,29 @@ def uncalled(library: dict, perfbench: dict) -> list:
                 continue
             if not seen(reads(tree, skip=node)):
                 missing.append(f"{module}.{qualname}")
+    return sorted(missing)
+
+
+def unread_private(library: dict) -> list:
+    """Sorted "module.name" of each private module-level function and class
+    in ``library`` (module name -> source) that no source of it reads
+    outside the definition itself."""
+    trees = {name: ast.parse(source) for name, source in library.items()}
+    everywhere = {name: reads(tree) for name, tree in trees.items()}
+    missing = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef))
+                    or not node.name.startswith("_")
+                    or node.name.endswith("__")):
+                continue
+            found = [reads(tree, skip=node)] + [
+                other_reads for other, other_reads in everywhere.items()
+                if other != module]
+            if not any(node.name in names or node.name in attributes
+                       for names, attributes in found):
+                missing.append(f"{module}.{node.name}")
     return sorted(missing)
 
 
@@ -189,3 +218,22 @@ def test_every_public_name_has_a_library_or_perfbench_caller():
     perfbench = {p.stem: p.read_text(encoding="utf-8")
                  for p in sorted(PERFBENCH.glob("*.py"))}
     assert uncalled(library, perfbench) == []
+
+
+def test_the_private_rule_sees_an_unread_private_name():
+    library = {
+        "a": ("def _used(): return 1\n"
+              "def _recursive(n): return _recursive(n - 1)\n"
+              "def _orphan(): pass\n"
+              "class _Shape: pass\n"
+              "def __getattr__(name): pass\n"
+              "def public(): return _used()\n"),
+        "b": "from . import a\nSHAPE = a._Shape\n",
+    }
+    assert unread_private(library) == ["a._orphan", "a._recursive"]
+
+
+def test_every_private_name_is_read_in_the_library():
+    library = {p.stem: p.read_text(encoding="utf-8")
+               for p in sorted(LIBRARY.glob("*.py"))}
+    assert unread_private(library) == []

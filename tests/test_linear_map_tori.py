@@ -30,16 +30,18 @@ from helpers import linear_map_torus
 NONZERO = (-3, -2, -1, 1, 2, 3)
 
 
-def _chain(rng, ends, divisible_by=None):
+def _chain(rng, ends, divisible_by=None, degrees=None):
     """Monic f_1 | ... | f_k of total degree n <= 6, maybe led by the
     unit 1: f_i = f_{i-1} g_i for a monic g_i of degree 0, 1 or 2 (the
     first of degree 1 or 2) whose constant term is drawn from ``ends``
     and whose middle coefficient from -3..3.  With ``divisible_by`` one
-    g_i of degree 1 or 2 has a constant term divisible by it instead."""
-    degrees = [rng.choice((1, 2))] + [
-        rng.choice((0, 1, 2)) for _ in range(rng.randint(0, 2))]
-    while sum(sum(degrees[:i + 1]) for i in range(len(degrees))) > 6:
-        degrees.pop()
+    g_i of degree 1 or 2 has a constant term divisible by it instead.
+    With ``degrees`` the g_i have those degrees, and n is not bounded."""
+    if degrees is None:
+        degrees = [rng.choice((1, 2))] + [
+            rng.choice((0, 1, 2)) for _ in range(rng.randint(0, 2))]
+        while sum(sum(degrees[:i + 1]) for i in range(len(degrees))) > 6:
+            degrees.pop()
     special = rng.choice([i for i, deg in enumerate(degrees) if deg])
     factors = [(1,)] if rng.random() < 0.3 else []
     f = (1,)
@@ -75,6 +77,32 @@ def test_field_answers(ring, seed):
     assert report.passed
     assert [(row.degree, row.mid_kdim) for row in report.witness.ledger] == [
         (0, n), (1, 0)]
+
+
+def _long_degrees(rng):
+    """Degrees 1 or 2 of three or four g_i whose chain has total degree
+    10 to 12."""
+    while True:
+        degrees = [rng.choice((1, 2)) for _ in range(rng.choice((3, 4)))]
+        n = sum(deg * (len(degrees) - i) for i, deg in enumerate(degrees))
+        if 10 <= n <= 12:
+            return degrees
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(10007)], ids=["Q", "GF(10007)"])
+@pytest.mark.parametrize("seed", range(4))
+def test_several_blocks_of_total_degree_10_to_12(ring, seed):
+    # the family on which the Smith stage is slowest: the torsion is the
+    # prescribed factors however far the elimination's entries swell
+    rng = random.Random(seed)
+    factors = _chain(rng, NONZERO, degrees=_long_degrees(rng))
+    n = sum(len(f) - 1 for f in factors)
+    assert 10 <= n <= 12 and len([f for f in factors if len(f) > 1]) >= 3
+    c = linear_map_torus(rng, ring, factors)
+    h = homology(c)
+    assert h.entry(1) == (0, (), 0)
+    assert h.entry(0) == (0, tuple(_entry(ring, f) for f in factors
+                                   if len(f) > 1), n)
 
 
 @pytest.mark.parametrize("seed", range(6))
