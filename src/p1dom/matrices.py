@@ -12,7 +12,8 @@ chart elimination (``domination._determinant``), so neither has
 arithmetic: the sums, negations, products and Bareiss determinants that
 the tests' oracles form are functions of ``tests/helpers.py``.  A scalar
 matrix holds ring elements and carries the one exact rank kernel,
-``scalar_rank``.
+``scalar_rank``: one elimination for GF(p), Q and Z, with the modulus p
+of ``polylists`` (0 over Q and Z).
 """
 
 from __future__ import annotations
@@ -106,13 +107,19 @@ def scalar_rank(m: ScalarMatrix) -> int:
     entry has rank 0 at once, and reduces the shorter side: a matrix with
     more nonempty rows than columns is first transposed into its nonempty
     column dicts in one pass over its nonzeros, which is exact since
-    rank A = rank A^T and spares reducing every surplus row to zero.  Rows
-    are reduced one at a time against the pivot rows found so far, each
-    pivot keyed by its leading (smallest) column, so a banded matrix keeps
-    its fill-in inside the band.  Over GF(p) pivots are scaled
-    to a leading 1.  Over Q (and Z) each row is first multiplied by the lcm
-    of its denominators; elimination is then fraction-free, as in Bareiss
-    (1968): cross-multiply by the pivot and divide by the row's content.
+    rank A = rank A^T and spares reducing every surplus row to zero.
+
+    One elimination serves every ring, in the idiom of ``polylists``: p is
+    the modulus over GF(p) and 0 over Q and Z.  A row is taken in as
+    residues mod p, or over Q and Z cleared of its denominators.  Rows are
+    reduced one at a time against the pivot rows found so far, each pivot
+    keyed by its leading (smallest) column, so a banded matrix keeps its
+    fill-in inside the band: r -> a*r - b*prow cancels the lead of r.
+    Over GF(p) a = 1, and a pivot is scaled to a leading 1 when a row
+    first reduces against it, so a pivot that no later row meets costs no
+    inverse.  Over Q and Z a and b are the pivot's and the row's leads
+    over their gcd, and the row is kept primitive by its content gcd: the
+    fraction-free elimination of Bareiss (1968).
     """
     data = [row for row in m.data if row]
     if not data:
@@ -123,58 +130,39 @@ def scalar_rank(m: ScalarMatrix) -> int:
             for j, v in row.items():
                 cols[j][i] = v
         data = [col for col in cols if col]
-    if m.ring.kind == "GF":
-        return _rank_mod_p(data, m.ring.p)
-    return _rank_integer(data)
-
-
-def _rank_mod_p(data, p: int) -> int:
+    p = m.ring.p
     pivots = {}
     for row in data:
-        r = {j: v % p for j, v in row.items() if v % p}
+        if p:
+            r = {j: v % p for j, v in row.items() if v % p}
+        else:
+            den = lcm(*(v.denominator for v in row.values()))
+            r = {j: v.numerator * (den // v.denominator)
+                 for j, v in row.items() if v}
         while r:
-            lead = min(r)
-            prow = pivots.get(lead)
-            if prow is None:
-                inv = pow(r[lead], -1, p)
-                pivots[lead] = {j: v * inv % p for j, v in r.items()}
-                break
-            f = r[lead]
-            # prow leads with 1, so the lead cancels and the next is larger
-            for j, v in prow.items():
-                nv = (r.get(j, 0) - f * v) % p
-                if nv:
-                    r[j] = nv
-                else:
-                    r.pop(j, None)
-    return len(pivots)
-
-
-def _rank_integer(data) -> int:
-    pivots = {}
-    for row in data:
-        den = lcm(*(v.denominator for v in row.values()))
-        r = {j: v.numerator * (den // v.denominator)
-             for j, v in row.items() if v}
-        while r:
-            g = gcd(*r.values())
-            if g != 1:
-                r = {j: v // g for j, v in r.items()}
+            if not p:
+                g = gcd(*r.values())
+                if g != 1:
+                    r = {j: v // g for j, v in r.items()}
             lead = min(r)
             prow = pivots.get(lead)
             if prow is None:
                 pivots[lead] = r
                 break
-            a = prow[lead]
-            b = r[lead]
-            g = gcd(a, b)
-            a //= g
-            b //= g
+            a, b = prow[lead], r[lead]
+            if not p:
+                g = gcd(a, b)
+                a, b = a // g, b // g
+            elif a != 1:
+                inv = pow(a, -1, p)
+                prow = pivots[lead] = {j: v * inv % p
+                                       for j, v in prow.items()}
+                a = 1
             if a != 1:
                 r = {j: a * v for j, v in r.items()}
             # a * r - b * prow cancels the lead, so the next one is larger
             for j, v in prow.items():
-                nv = r.get(j, 0) - b * v
+                nv = (r.get(j, 0) - b * v) % p if p else r.get(j, 0) - b * v
                 if nv:
                     r[j] = nv
                 else:

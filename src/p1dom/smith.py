@@ -10,13 +10,13 @@ The factors come from one elimination, the column echelon form of
 ``_echelon``, on the entries of the input's rows, read as is into dense
 columns, with the coefficient-list arithmetic of ``polylists``, which the
 chart valuations of ``domination`` share: residues mod p over GF(p), and
-integers over Q, as ``scalar_rank`` does for scalars after Bareiss
-(1968).  Each Q column is cleared of denominators once and kept
-primitive by its content gcd, and every division is a pseudo-division,
-``polylists.pseudo_divmod``.  Nonzero constants are units of
-Q[x,x^-1], so none of these scalings changes a factor or a module.  The
-factors are returned as entries, their int coefficients made Fractions
-over Q.
+integers over Q, as the one elimination of ``scalar_rank`` does for
+scalars after Bareiss (1968).  Each Q column is cleared of denominators
+once and kept primitive by its content gcd, and every division is a
+pseudo-division, ``polylists.pseudo_divmod``.  Nonzero constants are
+units of Q[x,x^-1], so none of these scalings changes a factor or a
+module.  The factors are returned as entries, their int coefficients made
+Fractions over Q.
 
 The echelon form A*V = [H | 0] is reached by Euclidean column steps
 alone, col_j -> m*col_j - q*col_pivot, and column swaps (Kannan-Bachem

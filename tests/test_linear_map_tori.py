@@ -17,6 +17,7 @@ are known by construction:
 
 import random
 from math import prod
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +26,9 @@ from p1dom.domination import novikov_check, verify_theorem
 from p1dom.polylists import lincomb
 from p1dom.scalars import GF, QQ, ZZ
 
-from helpers import linear_map_torus
+from helpers import linear_map_torus, load_complex
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 NONZERO = (-3, -2, -1, 1, 2, 3)
 
@@ -134,3 +137,21 @@ def test_integer_sides(seed):
     assert verdict.x_inv_side.certificate["end_coefficient"] == "1"
     assert verdict.x_side.acyclic == ("yes" if end in (1, -1) else "no")
     assert verdict.x_side.certificate["end_coefficient"] == str(end)
+
+
+def test_linear_torus_samples():
+    # samples/linear-torus.cplx and its Z twin are the seed-4 draws for
+    # f_1 = x - 2 | f_2 = (x - 2)(x^2 + x + 3), so det A = 12
+    factors = [(-2, 1), (-6, 1, -1, 1)]
+    q = load_complex(SAMPLES / "linear-torus.cplx")
+    z = load_complex(SAMPLES / "linear-torus-z.cplx")
+    assert q == linear_map_torus(random.Random(4), QQ, factors)
+    assert z == linear_map_torus(random.Random(4), ZZ, factors)
+    report = verify_theorem(q)
+    assert report.passed
+    assert [(row.degree, row.mid_kdim) for row in report.witness.ledger] == [
+        (0, 4), (1, 0)]
+    verdict = novikov_check(z)
+    assert (verdict.x_side.acyclic, verdict.x_inv_side.acyclic) == (
+        "no", "yes")
+    assert verdict.x_side.certificate["end_coefficient"] == "12"

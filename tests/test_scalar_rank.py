@@ -226,6 +226,63 @@ def test_rank_of_empty_shapes():
             assert scalar_rank(m) == 0
 
 
+# -- one elimination for every ring -----------------------------------------
+
+
+@pytest.mark.parametrize("p", [7, 10007])
+def test_gf_values_outside_the_residues_count_as_their_residues(p):
+    # the public constructor keeps any int: negatives, p itself and 2p + 3
+    # must count as their residues p - 1, 0 and 3
+    assert scalar_rank(S(GF(p), [[p, 2 * p + 3], [-p, 3]])) == 1
+    assert scalar_rank(S(GF(p), [[p, -p], [2 * p, p]])) == 0
+    assert scalar_rank(S(GF(p), [[-1, 1], [1, -1]])) == 1
+    rng = random.Random(p)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        residues = banded_grid(
+            rng, rows, cols, lambda r: r.choice((0, 0, 1, 2, 3, p - 1)), 2)
+        grid = [[v + p * rng.choice((-2, -1, 0, 1, 2)) for v in row]
+                for row in residues]
+        assert scalar_rank(S(GF(p), grid)) == dense_rank_mod_p(grid, p)
+
+
+@pytest.mark.parametrize("ring", [GF(7), QQ, ZZ], ids=str)
+@pytest.mark.parametrize("rows,cols", [(12, 5), (5, 12)])
+def test_rank_leaves_the_rows_unchanged(ring, rows, cols):
+    rng = random.Random(rows * 100 + cols)
+    values = {QQ: rational, ZZ: lambda r: r.randint(-9, 9),
+              GF(7): lambda r: r.randint(-9, 9)}[ring]
+    m = S(ring, banded_grid(rng, rows, cols, values, 4))
+    before = [dict(row) for row in m.data]
+    assert scalar_rank(m) > 1
+    assert m.data == before
+
+
+def combined_rows(rng, n, r, value):
+    """n rows of length n, each an integer combination of the same r < n
+    random rows, so the rank is at most r and one pivot serves many
+    reductions."""
+    basis = [[value(rng) for _ in range(n)] for _ in range(r)]
+    return [[sum(c * row[j] for c, row in zip(coeffs, basis))
+             for j in range(n)]
+            for coeffs in ([rng.randint(-3, 3) for _ in range(r)]
+                           for _ in range(n))]
+
+
+@pytest.mark.parametrize("ring", [GF(7), GF(10007), QQ, ZZ], ids=str)
+@pytest.mark.parametrize("n,r", [(24, 7), (24, 19), (40, 11), (40, 31)])
+def test_dense_rank_deficient_matrices(ring, n, r):
+    rng = random.Random(n * 100 + r)
+    value = {QQ: lambda g: Fraction(g.randint(-9, 9), g.randint(1, 7)),
+             ZZ: lambda g: g.randint(-9, 9)}.get(
+                 ring, lambda g: g.randrange(ring.p))
+    grid = combined_rows(rng, n, r, value)
+    expected = (dense_rank_mod_p(grid, ring.p) if ring.p
+                else sympy_domain_rank(grid, n))
+    assert expected <= r
+    assert scalar_rank(S(ring, grid)) == expected
+
+
 # -- window builder -------------------------------------------------------------
 
 

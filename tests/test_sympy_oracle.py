@@ -194,15 +194,23 @@ def test_q_hermite_step_with_a_multiplier_against_sympy(monkeypatch):
                [[(0, -1), (2, 2)], [(0, 3), (1, -1), (2, -1), (3, -2)],
                 [(0, 2), (1, -2)]]])
     multipliers = []
-    combine = smith._combine
+    reduce, pseudo_divmod = smith._reduce, smith.pseudo_divmod
 
-    def recording(f, x, g, y, p, known=()):
-        # only the Hermite step knows a nonzero entry of the new column
-        if any(e is not None for e in known):
-            multipliers.append(f[1][0])
-        return combine(f, x, g, y, p, known)
+    def recording_divmod(e, pivot, p):
+        m, q, rem = pseudo_divmod(e, pivot, p)
+        multipliers.append(m)
+        return m, q, rem
 
-    monkeypatch.setattr(smith, "_combine", recording)
+    def recording_reduce(columns, pivots, p):
+        # the echelon steps pseudo-divide too: record only the Hermite
+        # step's own divisions
+        smith.pseudo_divmod = recording_divmod
+        try:
+            reduce(columns, pivots, p)
+        finally:
+            smith.pseudo_divmod = pseudo_divmod
+
+    monkeypatch.setattr(smith, "_reduce", recording_reduce)
     factors = kernel_factors(a)
     assert any(m != 1 for m in multipliers)
     assert list(factors) == sympy_factors(a)
